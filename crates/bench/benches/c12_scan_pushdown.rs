@@ -4,13 +4,17 @@
 //!
 //! - **compression**: the cascading encoder (delta/FoR/bit-packing, ALP,
 //!   FSST, stackable on Dict/RLE) must produce blocks no larger than the
-//!   legacy Plain/Dict/RLE chooser on the C2 "typical rows" corpus —
-//!   pushdown must not be bought with a worse compression ratio.
+//!   v1 Plain/Dict/RLE chooser did on the C2 "typical rows" corpus —
+//!   pushdown must not be bought with a worse compression ratio. The v1
+//!   encoder is gone; its side is the byte count it produced on this
+//!   seeded corpus when it was last run ([`LEGACY_BYTES`]).
 //! - **scan**: on a highly selective predicate (≤1% of rows) over a
-//!   clustered multi-zone table, a pushed-down scan (zone-map
+//!   clustered multi-zone table, the engine's scan (zone-map
 //!   short-circuit, predicate evaluation over compressed chunks, late
 //!   materialization) must beat decode-then-filter by ≥2× wall-clock
-//!   while returning identical rows.
+//!   while returning identical rows. Decode-then-filter is the
+//!   reference a reader without pushdown would run: `read_rows_at`
+//!   materializes every row, then `Expr::eval` filters.
 //!
 //! Emits `BENCH_scan_pushdown.json` at the repo root. `VORTEX_BENCH_ITERS`
 //! overrides the scan-arm row count (CI smoke uses a small value; the
@@ -33,7 +37,7 @@ use vortex_common::row::{Row, RowSet, Value};
 use vortex_common::schema::{Field, FieldType, PartitionTransform, Schema};
 use vortex_common::truetime::{SimClock, Timestamp, TrueTime};
 use vortex_metastore::MetaStore;
-use vortex_ros::encoding::{encode_column, encode_column_legacy};
+use vortex_ros::encoding::encode_column;
 use vortex_ros::ZONE_ROWS;
 use vortex_server::{ServerConfig, StreamServer};
 use vortex_sms::sms::{SmsConfig, SmsTask};
@@ -79,22 +83,31 @@ fn typed_corpus(n_rows: usize, seed: u64) -> Vec<(&'static str, Vec<Value>)> {
     ]
 }
 
+/// Rows in the compression arm's corpus; [`LEGACY_BYTES`] is only valid
+/// for this count and the corpus seed.
+const CORPUS_ROWS: usize = 20_000;
+/// Per-zone vsnap-compressed bytes the v1 Plain/Dict/RLE chooser
+/// produced per column of `typed_corpus(CORPUS_ROWS, 0xC12)`, frozen from
+/// the committed `BENCH_scan_pushdown.json`.
+const LEGACY_BYTES: [usize; 5] = [138_667, 128_088, 180, 20_693, 115_340];
+
 struct ColumnSizes {
     name: &'static str,
     legacy: usize,
     cascade: usize,
 }
 
-/// Encodes each column zone-by-zone (as blocks store them) with both
-/// choosers and sums the vsnap-compressed sizes.
-fn compression_arm(n_rows: usize) -> Vec<ColumnSizes> {
-    println!("--- cascading encoder vs legacy Plain/Dict/RLE (per-zone, vsnap) ---");
+/// Encodes each column zone-by-zone (as blocks store them) and sums the
+/// vsnap-compressed sizes, next to the frozen v1 sizes.
+fn compression_arm() -> Vec<ColumnSizes> {
+    println!("--- cascading encoder vs frozen v1 Plain/Dict/RLE sizes (per-zone, vsnap) ---");
     let mut out = Vec::new();
-    for (name, values) in typed_corpus(n_rows, 0xC12) {
-        let (mut legacy, mut cascade) = (0usize, 0usize);
+    for ((name, values), legacy) in typed_corpus(CORPUS_ROWS, 0xC12)
+        .into_iter()
+        .zip(LEGACY_BYTES)
+    {
+        let mut cascade = 0usize;
         for zone in values.chunks(ZONE_ROWS) {
-            let (_, bytes) = encode_column_legacy(zone);
-            legacy += compress(&bytes).len();
             let (_, bytes) = encode_column(zone);
             cascade += compress(&bytes).len();
         }
@@ -112,11 +125,13 @@ fn compression_arm(n_rows: usize) -> Vec<ColumnSizes> {
 }
 
 // ---------------------------------------------------------------------
-// Scan arm: pushdown on vs off over the same converted table.
+// Scan arm: the engine's scan vs decode-then-filter over the same
+// converted table.
 // ---------------------------------------------------------------------
 
 struct ScanRig {
     sms: Arc<SmsTask>,
+    client: VortexClient,
     engine: QueryEngine,
 }
 
@@ -188,7 +203,14 @@ fn build_table(n: usize) -> (ScanRig, vortex_common::ids::TableId) {
     let s = w.stream_id();
     sms.finalize_stream(t.table, s).unwrap();
     opt.convert_wos(t.table).unwrap();
-    (ScanRig { sms, engine }, t.table)
+    (
+        ScanRig {
+            sms,
+            client,
+            engine,
+        },
+        t.table,
+    )
 }
 
 struct ScanPoint {
@@ -200,31 +222,59 @@ struct ScanPoint {
     zones_pruned: usize,
 }
 
-fn time_scan(rig: &ScanRig, t: vortex_common::ids::TableId, opts: &ScanOptions) -> ScanPoint {
-    let snap = rig.sms.read_snapshot();
+/// Median wall-clock of `SCAN_REPS` runs of `scan`, plus one more run's
+/// result.
+fn time_reps<T>(mut scan: impl FnMut() -> T) -> (u64, T) {
     let mut times: Vec<u64> = (0..SCAN_REPS)
         .map(|_| {
             // lint:allow(L001, bench measures real scan wall-clock, not simulated time)
             let start = Instant::now();
-            let res = rig.engine.scan(t, snap, opts).unwrap();
+            let res = scan();
             let us = start.elapsed().as_micros() as u64;
             std::hint::black_box(res);
             us
         })
         .collect();
     times.sort_unstable();
-    let res = rig.engine.scan(t, snap, opts).unwrap();
+    (times[times.len() / 2], scan())
+}
+
+fn time_pushdown(rig: &ScanRig, t: vortex_common::ids::TableId, predicate: Expr) -> ScanPoint {
+    let snap = rig.sms.read_snapshot();
+    let opts = ScanOptions {
+        predicate,
+        ..ScanOptions::default()
+    };
+    let (scan_us, res) = time_reps(|| rig.engine.scan(t, snap, &opts).unwrap());
     ScanPoint {
-        arm: if opts.pushdown {
-            "pushdown"
-        } else {
-            "decode_filter"
-        },
-        scan_us: times[times.len() / 2],
+        arm: "pushdown",
+        scan_us,
         rows: res.rows.len(),
         rows_scanned: res.stats.rows_scanned,
         zones_total: res.stats.zones_total,
         zones_pruned: res.stats.zones_pruned,
+    }
+}
+
+fn time_decode_filter(rig: &ScanRig, t: vortex_common::ids::TableId, predicate: Expr) -> ScanPoint {
+    let snap = rig.sms.read_snapshot();
+    let (scan_us, (rows, rows_scanned)) = time_reps(|| {
+        let all = rig.client.read_rows_at(t, snap).unwrap();
+        let scanned = all.rows.len() as u64;
+        let kept = all
+            .rows
+            .into_iter()
+            .filter(|(_, r)| predicate.eval(&all.schema, r).unwrap())
+            .count();
+        (kept, scanned)
+    });
+    ScanPoint {
+        arm: "decode_filter",
+        scan_us,
+        rows,
+        rows_scanned,
+        zones_total: 0,
+        zones_pruned: 0,
     }
 }
 
@@ -235,7 +285,7 @@ fn main() {
         .unwrap_or(40_000);
     println!("\n=== C12: compute pushdown over compressed ROS blocks ({n} rows) ===");
 
-    let sizes = compression_arm(20_000);
+    let sizes = compression_arm();
     let legacy_total: usize = sizes.iter().map(|s| s.legacy).sum();
     let cascade_total: usize = sizes.iter().map(|s| s.cascade).sum();
     println!(
@@ -252,23 +302,9 @@ fn main() {
     // match, and the group never straddles a zone boundary, so every
     // other zone is prunable at any table size.
     let target = format!("cust-{:05}", 0);
-    let pushed = time_scan(
-        &rig,
-        t,
-        &ScanOptions {
-            predicate: Expr::eq("customer", Value::String(target.clone())),
-            ..ScanOptions::default()
-        },
-    );
-    let decoded = time_scan(
-        &rig,
-        t,
-        &ScanOptions {
-            predicate: Expr::eq("customer", Value::String(target)),
-            pushdown: false,
-            ..ScanOptions::default()
-        },
-    );
+    let predicate = Expr::eq("customer", Value::String(target));
+    let pushed = time_pushdown(&rig, t, predicate.clone());
+    let decoded = time_decode_filter(&rig, t, predicate);
     assert_eq!(pushed.rows, GROUP, "pushdown returned wrong row count");
     assert_eq!(
         decoded.rows, GROUP,

@@ -10,7 +10,7 @@
 #![allow(clippy::print_stdout)] // prints results/tables by design
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use vortex_client::transport::{
+use vortex_common::transport::{
     AdaptivePolicy, AdaptiveTransport, TransportCosts, TransportLedger,
 };
 use vortex_common::truetime::Timestamp;

@@ -170,7 +170,6 @@ impl VortexClient {
             ReadOptions {
                 best_effort: true,
                 cache: self.cache.clone(),
-                ..ReadOptions::default()
             },
         )
     }

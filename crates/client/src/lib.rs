@@ -9,8 +9,6 @@
 //!   retry against a fresh streamlet on retryable failures, and the
 //!   schema-evolution dance of §5.4.1 (server relays the new version →
 //!   client refetches the schema → pads rows → retries).
-//! - [`transport`]: the unary vs bi-directional connection model of
-//!   §5.4.2, with adaptive switching and CPU/memory cost accounting.
 //! - [`read`]: the §7.1 read path — fragments are read directly from
 //!   Colossus without contacting the Stream Server, replicas are failed
 //!   over transparently, commit records and File Maps decide what is
@@ -25,7 +23,6 @@
 pub mod api;
 pub mod cache;
 pub mod read;
-pub mod transport;
 pub mod write;
 
 #[cfg(test)]

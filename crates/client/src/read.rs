@@ -39,25 +39,28 @@
 //! reads; `tests/chaos_streams.rs` pins all three properties under fault
 //! injection."
 
+use std::borrow::Borrow;
+use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
-use vortex_colossus::StorageFleet;
+use vortex_colossus::{Colossus, StorageFleet};
+use vortex_common::crypt::Key;
 use vortex_common::error::{VortexError, VortexResult};
-use vortex_common::ids::TableId;
-use vortex_common::row::Row;
+use vortex_common::ids::{StreamId, StreamletId, TableId};
+use vortex_common::mask::DeletionMask;
+use vortex_common::row::{Row, Value};
 use vortex_common::schema::Schema;
 use vortex_common::truetime::Timestamp;
 use vortex_ros::{RosBlock, RowMeta};
 use vortex_sms::api::SmsHandle;
-use vortex_sms::readset::{FragmentReadSpec, TailReadSpec};
-use vortex_wos::parse_fragment;
+use vortex_sms::meta::{FragmentKind, FragmentMeta, FragmentState};
+use vortex_sms::readset::{FragmentReadSpec, ReadSet, TailReadSpec};
+use vortex_wos::{parse_fragment, DataBlock, ParsedFragment};
 
 /// Options for table reads.
 #[derive(Debug, Clone, Default)]
 pub struct ReadOptions {
-    /// How many reconcile-and-retry rounds to run before giving up on an
-    /// ambiguous streamlet tail. Defaults to 3.
-    pub max_reconcile_rounds: Option<usize>,
     /// Optional query-aware cache of decoded immutable fragments (§9
     /// future work).
     pub cache: Option<Arc<crate::cache::ReadCache>>,
@@ -66,12 +69,6 @@ pub struct ReadOptions {
     /// are *skipped* instead of failed over / reconciled; the result is
     /// marked incomplete.
     pub best_effort: bool,
-}
-
-impl ReadOptions {
-    fn rounds(&self) -> usize {
-        self.max_reconcile_rounds.unwrap_or(3)
-    }
 }
 
 /// All rows of a table visible at a snapshot, with provenance.
@@ -97,74 +94,77 @@ pub enum TailOutcome {
     NeedsReconcile,
 }
 
-/// Reads a whole table at `snapshot`: union of ROS blocks, committed WOS
-/// fragments, and streamlet tails (§7).
-pub fn read_table(
+/// Reconcile-and-retry rounds a table read runs before giving up on an
+/// ambiguous streamlet tail.
+const RECONCILE_ROUNDS: usize = 8;
+
+/// What the settled round of [`drive_table_read`] produced.
+pub struct TableRead<T> {
+    /// Schema at the snapshot.
+    pub schema: Schema,
+    /// What the fragment callback returned for the settled read set.
+    pub fragments: T,
+    /// Committed, visible rows of the streamlet tails (no cached
+    /// properties, always read — §7.2: "the properties for the tail of a
+    /// Streamlet are maintained by the Stream Server"; the reader goes
+    /// to the log).
+    pub tail_rows: Vec<(RowMeta, Row)>,
+    /// Tails probed.
+    pub tails: usize,
+    /// False only for best-effort reads that skipped a tail.
+    pub complete: bool,
+}
+
+/// The table-read driver (§7, §7.1): list the read set at `snapshot`,
+/// hand its fragments to `read_fragments`, read the streamlet tails, and
+/// when a tail's final append cannot be decided locally ask the SMS to
+/// reconcile it and start over with the reconciled metadata.
+/// `best_effort` (§9 monitoring reads) skips unreadable and ambiguous
+/// tails instead, marking the result incomplete.
+pub fn drive_table_read<T>(
     sms: &SmsHandle,
     fleet: &StorageFleet,
+    key: &Key,
     table: TableId,
     snapshot: Timestamp,
-    opts: &ReadOptions,
-) -> VortexResult<TableRows> {
-    let key = sms.get_table(table)?.encryption_key();
-    let mut reconciled: std::collections::HashMap<vortex_common::ids::StreamletId, Timestamp> =
-        Default::default();
-    for _round in 0..=opts.rounds() {
+    best_effort: bool,
+    mut read_fragments: impl FnMut(&ReadSet) -> VortexResult<T>,
+) -> VortexResult<TableRead<T>> {
+    let mut reconciled: HashMap<StreamletId, Timestamp> = HashMap::new();
+    for _round in 0..RECONCILE_ROUNDS {
         let rs = sms.list_read_fragments(table, snapshot)?;
-        let mut rows: Vec<(RowMeta, Row)> = Vec::new();
+        let fragments = read_fragments(&rs)?;
+        let mut tail_rows = Vec::new();
         let mut complete = true;
-        for spec in &rs.fragments {
-            match read_fragment_cached(spec, fleet, &key, snapshot, opts.cache.as_deref()) {
-                Ok(r) => rows.extend(r),
-                Err(e) if opts.best_effort && e.is_retryable() => complete = false,
-                Err(e) => return Err(e),
-            }
-        }
         let mut ambiguous = Vec::new();
         for tail in &rs.tails {
-            if let Some(list_at) = reconciled.get(&tail.streamlet).copied() {
+            if let Some(&list_at) = reconciled.get(&tail.streamlet) {
                 // The snapshot predates the reconciliation commit, so the
                 // metadata still shows a tail — but the reconciled
                 // fragment records (listed at the reconcile time) are
                 // authoritative and safe to read at the old snapshot (row
                 // visibility is still gated by block timestamps).
-                rows.extend(read_reconciled_tail(
-                    sms, fleet, &key, table, tail, snapshot, list_at,
+                tail_rows.extend(read_reconciled_tail(
+                    sms, fleet, key, table, tail, snapshot, list_at,
                 )?);
                 continue;
             }
-            let outcome = match read_tail(tail, fleet, &key, snapshot) {
-                Ok(o) => o,
-                Err(e) if opts.best_effort && e.is_retryable() => {
-                    complete = false;
-                    continue;
-                }
+            match read_tail(tail, fleet, key, snapshot) {
+                Ok(TailOutcome::Rows(r)) => tail_rows.extend(r),
+                // Monitoring reads don't pay the reconciliation round
+                // trip; they return what is unambiguous (§9).
+                Ok(TailOutcome::NeedsReconcile) if best_effort => complete = false,
+                Ok(TailOutcome::NeedsReconcile) => ambiguous.push(tail.streamlet),
+                Err(e) if best_effort && e.is_retryable() => complete = false,
                 Err(e) => return Err(e),
-            };
-            match outcome {
-                TailOutcome::Rows(r) => rows.extend(r),
-                TailOutcome::NeedsReconcile if opts.best_effort => {
-                    // Monitoring reads don't pay the reconciliation round
-                    // trip; they return what is unambiguous (§9).
-                    complete = false;
-                }
-                TailOutcome::NeedsReconcile => ambiguous.push(tail.streamlet),
             }
         }
         if ambiguous.is_empty() {
-            rows.sort_by_key(|(m, _)| (m.stream, m.offset, m.ts));
-            // Rows written under an earlier schema version are short of
-            // later additive columns: pad with NULLs (§5.4.1).
-            let arity = rs.schema.fields.len();
-            for (_, r) in rows.iter_mut() {
-                while r.values.len() < arity {
-                    r.values.push(vortex_common::row::Value::Null);
-                }
-            }
-            return Ok(TableRows {
-                snapshot,
+            return Ok(TableRead {
                 schema: rs.schema,
-                rows,
+                fragments,
+                tail_rows,
+                tails: rs.tails.len(),
                 complete,
             });
         }
@@ -178,14 +178,59 @@ pub fn read_table(
     )))
 }
 
+/// Reads a whole table at `snapshot`: union of ROS blocks, committed WOS
+/// fragments, and streamlet tails (§7).
+pub fn read_table(
+    sms: &SmsHandle,
+    fleet: &StorageFleet,
+    table: TableId,
+    snapshot: Timestamp,
+    opts: &ReadOptions,
+) -> VortexResult<TableRows> {
+    let key = sms.get_table(table)?.encryption_key();
+    let mut fragments_complete = true;
+    let read = drive_table_read(sms, fleet, &key, table, snapshot, opts.best_effort, |rs| {
+        fragments_complete = true;
+        let mut rows: Vec<(RowMeta, Row)> = Vec::new();
+        for spec in &rs.fragments {
+            match read_fragment_cached(spec, fleet, &key, snapshot, opts.cache.as_deref()) {
+                Ok(r) => rows.extend(r),
+                Err(e) if opts.best_effort && e.is_retryable() => fragments_complete = false,
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(rows)
+    })?;
+    let mut rows = read.fragments;
+    rows.extend(read.tail_rows);
+    rows.sort_by_key(|(m, _)| (m.stream, m.offset, m.ts));
+    pad_rows(&mut rows, read.schema.fields.len());
+    Ok(TableRows {
+        snapshot,
+        schema: read.schema,
+        rows,
+        complete: fragments_complete && read.complete,
+    })
+}
+
+/// Pads rows written under an earlier schema version with NULLs for the
+/// additive columns they predate (§5.4.1).
+pub fn pad_rows(rows: &mut [(RowMeta, Row)], arity: usize) {
+    for (_, r) in rows {
+        if r.values.len() < arity {
+            r.values.resize(arity, Value::Null);
+        }
+    }
+}
+
 /// Reads a tail whose streamlet was reconciled *after* the read snapshot:
 /// the reconciled fragment records (visible at the current metastore
 /// time) bound what is committed; block timestamps still gate row
 /// visibility at the old snapshot.
-pub fn read_reconciled_tail(
+fn read_reconciled_tail(
     sms: &SmsHandle,
     fleet: &StorageFleet,
-    key: &vortex_common::crypt::Key,
+    key: &Key,
     table: TableId,
     tail: &TailReadSpec,
     snapshot: Timestamp,
@@ -205,8 +250,8 @@ pub fn read_reconciled_tail(
         // If the file is already collected, read_fragment fails with
         // NotFound — "snapshot too old" — which is honest.
         f.streamlet == tail.streamlet
-            && f.kind == vortex_sms::meta::FragmentKind::Wos
-            && f.state != vortex_sms::meta::FragmentState::Active
+            && f.kind == FragmentKind::Wos
+            && f.state != FragmentState::Active
             && f.visible_at(snapshot)
     }) {
         let spec = FragmentReadSpec {
@@ -225,137 +270,188 @@ pub fn read_reconciled_tail(
     Ok(out)
 }
 
-/// Decodes a fragment's full committed extent, positionally ordered (no
-/// visibility filtering) — the cacheable unit: `(path, committed_size)`
-/// uniquely identifies this content.
+/// Runs `read` against each replica of a fragment in order until one
+/// succeeds — the one replica-failover rule. A failure of any kind moves
+/// on, whether the replica is unreachable or its bytes do not parse:
+/// after a single-replica reconciliation the lagging replica's bytes
+/// beyond the common prefix can disagree with the recorded committed
+/// size. The last error wins.
+pub fn with_replica<T>(
+    meta: &FragmentMeta,
+    fleet: &StorageFleet,
+    mut read: impl FnMut(&Colossus) -> VortexResult<T>,
+) -> VortexResult<T> {
+    let mut last_err = VortexError::Unavailable(format!("no replica for {}", meta.path));
+    for c in meta.clusters {
+        match fleet.get(c).and_then(|cluster| read(cluster)) {
+            Ok(out) => return Ok(out),
+            Err(e) => last_err = e,
+        }
+    }
+    Err(last_err)
+}
+
+/// A fragment fetched from a replica and parsed, its rows not yet
+/// materialized.
+pub enum OpenFragment {
+    /// A columnar block: the query engine evaluates predicates on its
+    /// compressed chunks and decodes only what the query needs.
+    Ros(RosBlock),
+    /// A log file parsed up to the recorded committed size.
+    Wos(ParsedFragment),
+}
+
+/// Fetches and parses one fragment with replica failover.
+pub fn open_fragment(
+    meta: &FragmentMeta,
+    fleet: &StorageFleet,
+    key: &Key,
+) -> VortexResult<OpenFragment> {
+    with_replica(meta, fleet, |cluster| {
+        let bytes = cluster.read_all(&meta.path)?.data;
+        Ok(match meta.kind {
+            FragmentKind::Ros => {
+                OpenFragment::Ros(RosBlock::from_bytes(&bytes, key, meta.fragment.raw())?)
+            }
+            FragmentKind::Wos => {
+                OpenFragment::Wos(parse_fragment(&bytes, key, Some(meta.committed_size))?)
+            }
+        })
+    })
+}
+
+/// Provenance of row `i` of a WOS data block.
+fn wos_row_meta(block: &DataBlock, i: usize, stream: StreamId, first_stream_row: u64) -> RowMeta {
+    RowMeta {
+        change_type: block.rows.rows[i].change_type,
+        ts: block.timestamp,
+        stream: stream.raw(),
+        offset: first_stream_row + block.first_row + i as u64,
+    }
+}
+
+/// Decodes a fragment's full extent, positionally ordered (no visibility
+/// filtering) — the cacheable unit: `(path, committed_size)` uniquely
+/// identifies this content. The index in the returned vector is the
+/// fragment-relative position deletion masks address.
 fn decode_fragment(
     spec: &FragmentReadSpec,
     fleet: &StorageFleet,
-    key: &vortex_common::crypt::Key,
+    key: &Key,
 ) -> VortexResult<Vec<(RowMeta, Row)>> {
-    // Try each replica until one both reads AND parses: after a
-    // single-replica reconciliation, the lagging replica's bytes beyond
-    // the common prefix can disagree with the recorded committed size.
-    let mut last_err = VortexError::Unavailable(format!("no replica for {}", spec.meta.path));
-    for c in spec.meta.clusters {
-        let bytes = match fleet.get(c).and_then(|cl| cl.read_all(&spec.meta.path)) {
-            Ok(out) => out.data,
-            Err(e) => {
-                last_err = e;
-                continue;
-            }
-        };
-        match decode_fragment_bytes(spec, key, &bytes) {
-            Ok(rows) => return Ok(rows),
-            Err(e) => last_err = e,
-        }
-    }
-    Err(last_err)
-}
-
-/// Reads and parses a ROS block *without* materializing its rows, with
-/// the same replica failover as [`read_fragment`] — the entry point for
-/// compute pushdown: the caller evaluates predicates on the block's
-/// compressed column chunks and decodes only what the query needs.
-pub fn read_ros_block(
-    spec: &FragmentReadSpec,
-    fleet: &StorageFleet,
-    key: &vortex_common::crypt::Key,
-) -> VortexResult<RosBlock> {
-    if spec.meta.kind != vortex_sms::meta::FragmentKind::Ros {
-        return Err(VortexError::InvalidArgument(format!(
-            "{} is not a ROS block",
-            spec.meta.path
-        )));
-    }
-    let mut last_err = VortexError::Unavailable(format!("no replica for {}", spec.meta.path));
-    for c in spec.meta.clusters {
-        let bytes = match fleet.get(c).and_then(|cl| cl.read_all(&spec.meta.path)) {
-            Ok(out) => out.data,
-            Err(e) => {
-                last_err = e;
-                continue;
-            }
-        };
-        match RosBlock::from_bytes(&bytes, key, spec.meta.fragment.raw()) {
-            Ok(block) => return Ok(block),
-            Err(e) => last_err = e,
-        }
-    }
-    Err(last_err)
-}
-
-fn decode_fragment_bytes(
-    spec: &FragmentReadSpec,
-    key: &vortex_common::crypt::Key,
-    bytes: &[u8],
-) -> VortexResult<Vec<(RowMeta, Row)>> {
-    let bytes = bytes.to_vec();
-    match spec.meta.kind {
-        vortex_sms::meta::FragmentKind::Ros => {
-            let block = RosBlock::from_bytes(&bytes, key, spec.meta.fragment.raw())?;
-            block.rows()
-        }
-        vortex_sms::meta::FragmentKind::Wos => {
-            let parsed = parse_fragment(&bytes, key, Some(spec.meta.committed_size))?;
-            let mut out = Vec::new();
+    Ok(match open_fragment(&spec.meta, fleet, key)? {
+        OpenFragment::Ros(block) => block.rows()?,
+        OpenFragment::Wos(parsed) => {
+            let parsed_rows = parsed.blocks.iter().map(|b| b.rows.rows.len()).sum();
+            let mut rows = Vec::with_capacity(parsed_rows);
             for block in &parsed.blocks {
                 for (i, row) in block.rows.rows.iter().enumerate() {
-                    let streamlet_row = block.first_row + i as u64;
-                    if streamlet_row - spec.meta.first_row >= spec.meta.row_count {
-                        break; // beyond the committed extent
-                    }
-                    out.push((
-                        RowMeta {
-                            change_type: row.change_type,
-                            ts: block.timestamp,
-                            stream: spec.stream.raw(),
-                            offset: spec.streamlet_first_stream_row + streamlet_row,
-                        },
-                        row.clone(),
-                    ));
+                    let meta = wos_row_meta(block, i, spec.stream, spec.streamlet_first_stream_row);
+                    rows.push((meta, row.clone()));
                 }
             }
-            Ok(out)
+            rows
         }
-    }
+    })
 }
 
-/// Applies snapshot/flush/mask visibility to a decoded extent. `idx` in
-/// the decoded vector is the fragment-relative position masks address.
-fn filter_visible(
-    spec: &FragmentReadSpec,
-    decoded: &[(RowMeta, Row)],
+/// The one row-visibility rule (§7.1, §7.3): which rows of a fragment or
+/// a streamlet tail a read at `snapshot` may see. Rows are named by the
+/// position deletion masks address — fragment-relative for a fragment
+/// (ROS block row index, WOS row past `meta.first_row`),
+/// streamlet-relative for a tail.
+pub struct RowGate<'a> {
     snapshot: Timestamp,
-) -> Vec<(RowMeta, Row)> {
-    let mut out = Vec::new();
-    for (idx, (meta, row)) in decoded.iter().enumerate() {
-        // §7.1: stop at the snapshot timestamp (rows are in write order
-        // for WOS; for ROS every row predates the block's creation, so
-        // the check never triggers there).
-        if spec.meta.kind == vortex_sms::meta::FragmentKind::Wos && meta.ts > snapshot {
-            break;
+    /// PENDING streams: nothing is visible before the batch commit.
+    visible_from: Timestamp,
+    /// WOS rows are in write order, so the first one stamped after the
+    /// snapshot ends the read; a ROS block's rows all predate the block.
+    write_ordered: bool,
+    /// Streamlet-relative row of position 0 (flush limits are
+    /// streamlet-relative).
+    base: u64,
+    /// Positions this read owns: a fragment's committed extent, or a
+    /// tail's rows past the fragments the SMS already lists.
+    extent: Range<u64>,
+    /// BUFFERED streams: rows at or past the flush watermark are
+    /// invisible.
+    flush_limit: Option<u64>,
+    /// DML deletions (§7.3).
+    mask: &'a DeletionMask,
+}
+
+impl<'a> RowGate<'a> {
+    /// The rule for a fragment of the read set.
+    pub fn for_fragment(spec: &'a FragmentReadSpec, snapshot: Timestamp) -> Self {
+        RowGate {
+            snapshot,
+            visible_from: spec.visibility.visible_from,
+            write_ordered: spec.meta.kind == FragmentKind::Wos,
+            base: spec.meta.first_row,
+            extent: 0..spec.meta.row_count,
+            flush_limit: spec.visibility.flush_limit,
+            mask: &spec.mask,
         }
-        if let Some(limit) = spec.visibility.flush_limit {
-            // Streamlet-relative row offset for WOS rows.
-            let streamlet_row = spec.meta.first_row + idx as u64;
-            if streamlet_row >= limit {
-                continue; // unflushed BUFFERED rows invisible
-            }
-        }
-        if spec.mask.contains(idx as u64) {
-            continue; // DML-deleted
-        }
-        out.push((*meta, row.clone()));
     }
-    out
+
+    /// The rule for a streamlet tail.
+    pub fn for_tail(tail: &'a TailReadSpec, snapshot: Timestamp) -> Self {
+        RowGate {
+            snapshot,
+            visible_from: tail.visibility.visible_from,
+            write_ordered: true,
+            base: 0,
+            extent: tail.from_row..u64::MAX,
+            flush_limit: tail.visibility.flush_limit,
+            mask: &tail.mask,
+        }
+    }
+
+    /// Whether no row at all is visible (the stream was not yet committed
+    /// at the snapshot): the caller can skip the fetch.
+    pub fn is_shut(&self) -> bool {
+        self.visible_from > self.snapshot
+    }
+
+    /// Whether a row stamped `ts` ends the read (§7.1: "If a reader
+    /// encounters an append timestamp greater than the read snapshot
+    /// timestamp, it can stop reading").
+    pub fn stops_at(&self, ts: Timestamp) -> bool {
+        self.write_ordered && ts > self.snapshot
+    }
+
+    /// Whether the row at `pos` is visible.
+    pub fn admits(&self, pos: u64) -> bool {
+        !self.is_shut()
+            && self.extent.contains(&pos)
+            && self
+                .flush_limit
+                .map_or(true, |limit| self.base + pos < limit)
+            && !self.mask.contains(pos)
+    }
+
+    /// The visible rows of a positionally decoded extent, each with its
+    /// position. Takes the extent by value (rows move out) or by
+    /// reference (a cached extent stays shared).
+    pub fn visible<'g, I>(&'g self, decoded: I) -> impl Iterator<Item = (u64, I::Item)> + 'g
+    where
+        I: IntoIterator + 'g,
+        I::Item: Borrow<(RowMeta, Row)>,
+    {
+        decoded
+            .into_iter()
+            .take_while(|row| !self.stops_at(row.borrow().0.ts))
+            .enumerate()
+            .map(|(i, row)| (i as u64, row))
+            .filter(|(pos, _)| self.admits(*pos))
+    }
 }
 
 /// Reads one fragment (WOS or ROS) with replica failover.
 pub fn read_fragment(
     spec: &FragmentReadSpec,
     fleet: &StorageFleet,
-    key: &vortex_common::crypt::Key,
+    key: &Key,
     snapshot: Timestamp,
 ) -> VortexResult<Vec<(RowMeta, Row)>> {
     read_fragment_cached(spec, fleet, key, snapshot, None)
@@ -365,23 +461,50 @@ pub fn read_fragment(
 pub fn read_fragment_cached(
     spec: &FragmentReadSpec,
     fleet: &StorageFleet,
-    key: &vortex_common::crypt::Key,
+    key: &Key,
     snapshot: Timestamp,
     cache: Option<&crate::cache::ReadCache>,
 ) -> VortexResult<Vec<(RowMeta, Row)>> {
-    if spec.visibility.visible_from > snapshot {
+    let gate = RowGate::for_fragment(spec, snapshot);
+    if gate.is_shut() {
         return Ok(vec![]);
     }
-    if let Some(cache) = cache {
-        if let Some(decoded) = cache.get(&spec.meta.path, spec.meta.committed_size) {
-            return Ok(filter_visible(spec, &decoded, snapshot));
+    let Some(cache) = cache else {
+        let decoded = decode_fragment(spec, fleet, key)?;
+        return Ok(gate.visible(decoded).map(|(_, r)| r).collect());
+    };
+    let (path, size) = (&spec.meta.path, spec.meta.committed_size);
+    let decoded = match cache.get(path, size) {
+        Some(hit) => hit,
+        None => {
+            let decoded = Arc::new(decode_fragment(spec, fleet, key)?);
+            cache.put(path, size, decoded.clone());
+            decoded
         }
-        let decoded = std::sync::Arc::new(decode_fragment(spec, fleet, key)?);
-        cache.put(&spec.meta.path, spec.meta.committed_size, decoded.clone());
-        return Ok(filter_visible(spec, &decoded, snapshot));
+    };
+    Ok(gate
+        .visible(decoded.iter())
+        .map(|(_, r)| r.clone())
+        .collect())
+}
+
+/// [`read_fragment`] keeping each visible row's position — the
+/// coordinate a DML statement's deletion mask is written in (§7.3).
+pub fn read_fragment_positions(
+    spec: &FragmentReadSpec,
+    fleet: &StorageFleet,
+    key: &Key,
+    snapshot: Timestamp,
+) -> VortexResult<Vec<(u64, Row)>> {
+    let gate = RowGate::for_fragment(spec, snapshot);
+    if gate.is_shut() {
+        return Ok(vec![]);
     }
     let decoded = decode_fragment(spec, fleet, key)?;
-    Ok(filter_visible(spec, &decoded, snapshot))
+    Ok(gate
+        .visible(decoded)
+        .map(|(pos, (_, row))| (pos, row))
+        .collect())
 }
 
 /// Reads an unfinalized streamlet tail by probing log files past the last
@@ -399,10 +522,11 @@ pub fn read_fragment_cached(
 pub fn read_tail(
     tail: &TailReadSpec,
     fleet: &StorageFleet,
-    key: &vortex_common::crypt::Key,
+    key: &Key,
     snapshot: Timestamp,
 ) -> VortexResult<TailOutcome> {
-    if tail.visibility.visible_from > snapshot {
+    let gate = RowGate::for_tail(tail, snapshot);
+    if gate.is_shut() {
         return Ok(TailOutcome::Rows(vec![]));
     }
     // ---- Phase 1: probe log files until one is missing. ----
@@ -472,35 +596,15 @@ pub fn read_tail(
                 out: &mut Vec<(RowMeta, Row)>,
                 recovered_end: &mut u64| {
         for block in &p.blocks {
-            if block.timestamp > snapshot {
-                break;
-            }
-            if !(block.committed || all_committed) {
+            if gate.stops_at(block.timestamp) || !(block.committed || all_committed) {
                 break;
             }
             *recovered_end = (*recovered_end).max(block.first_row + block.rows.rows.len() as u64);
             for (i, row) in block.rows.rows.iter().enumerate() {
-                let streamlet_row = block.first_row + i as u64;
-                if streamlet_row < tail.from_row {
-                    continue; // covered by fragment read specs
+                if gate.admits(block.first_row + i as u64) {
+                    let meta = wos_row_meta(block, i, tail.stream, tail.first_stream_row);
+                    out.push((meta, row.clone()));
                 }
-                if let Some(limit) = tail.visibility.flush_limit {
-                    if streamlet_row >= limit {
-                        continue;
-                    }
-                }
-                if tail.mask.contains(streamlet_row) {
-                    continue;
-                }
-                out.push((
-                    RowMeta {
-                        change_type: row.change_type,
-                        ts: block.timestamp,
-                        stream: tail.stream.raw(),
-                        offset: tail.first_stream_row + streamlet_row,
-                    },
-                    row.clone(),
-                ));
             }
         }
     };

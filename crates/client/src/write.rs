@@ -9,12 +9,11 @@ use vortex_common::obs;
 use vortex_common::row::{Row, RowSet, Value};
 use vortex_common::rpc::table_scope;
 use vortex_common::schema::Schema;
+use vortex_common::transport::{AdaptiveTransport, TransportLedger};
 use vortex_common::truetime::{Timestamp, TrueTime};
 use vortex_sms::api::SmsHandle;
 use vortex_sms::meta::StreamType;
 use vortex_sms::sms::StreamHandle;
-
-use crate::transport::{AdaptiveTransport, TransportLedger};
 
 /// Options controlling a [`StreamWriter`].
 #[derive(Debug, Clone, Copy)]

@@ -7,6 +7,8 @@
 //! - [`truetime`]: a TrueTime-style clock returning bounded-uncertainty
 //!   intervals.
 //! - [`crc`]: CRC32C (Castagnoli) used for end-to-end data protection.
+//! - [`frame`]: the length + CRC record frame both durable logs (Stream
+//!   Server WAL, metastore WAL/checkpoints) write and recover through.
 //! - [`compress`]: "vsnap", a byte-oriented LZ compressor standing in for
 //!   Snappy.
 //! - [`crypt`]: a from-scratch ChaCha20 stream cipher for encryption at
@@ -37,6 +39,7 @@ pub mod crashpoints;
 pub mod crc;
 pub mod crypt;
 pub mod error;
+pub mod frame;
 pub mod ids;
 pub mod latency;
 pub mod mailbox;

@@ -529,6 +529,16 @@ impl FreshnessProbe {
         fresh
     }
 
+    /// The histogram and the unique-row counter read as one consistent
+    /// pair: taken under the lock [`FreshnessProbe::observe`] holds
+    /// while it feeds both, so no scan is ever half-counted (two separate
+    /// loads can land between a scan's `hist.record` and `observed.add`).
+    pub fn snapshot(&self) -> (HistogramSnapshot, u64) {
+        // lint:allow(L011, operator/test accessor, never called by a scan; reached only through a name-collision chain)
+        let _quiesced = self.watermarks.lock();
+        (self.hist.snapshot(), self.observed.get())
+    }
+
     /// Snapshot of the commit-to-visible histogram.
     pub fn histogram(&self) -> HistogramSnapshot {
         self.hist.snapshot()
@@ -885,6 +895,39 @@ mod tests {
         // Tables are independent watermarks.
         let n = probe.observe(TableId::from_raw(2), [Timestamp(100)], Timestamp(901));
         assert_eq!(n, 1);
+    }
+
+    #[test]
+    fn freshness_snapshot_pair_agrees_under_concurrent_observe() {
+        let reg = Registry::new();
+        let probe = FreshnessProbe::new(&reg);
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        // The reader may only start once the writer is inside its loop,
+        // so every snapshot below races a live `observe`.
+        let started = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                started.wait();
+                let mut next = 1u64;
+                loop {
+                    let batch = (next..next + 64).map(Timestamp);
+                    probe.observe(TableId::from_raw(1), batch, Timestamp(next + 100));
+                    next += 64;
+                    if stop.load(Ordering::Relaxed) {
+                        break;
+                    }
+                }
+            });
+            started.wait();
+            for _ in 0..20_000 {
+                let (hist, observed) = probe.snapshot();
+                assert_eq!(hist.count, observed, "pair torn mid-observe");
+            }
+            stop.store(true, Ordering::Relaxed);
+        });
+        let (hist, observed) = probe.snapshot();
+        assert!(observed > 0);
+        assert_eq!(hist.count, observed);
     }
 
     #[test]

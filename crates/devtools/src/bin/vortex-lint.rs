@@ -114,6 +114,13 @@ fn main() -> ExitCode {
                 "vortex-lint: OK — {} file(s), {} baselined violation(s), 0 new",
                 report.files_scanned, total
             );
+            println!(
+                "vortex-lint: {} non-test line(s) under crates/*/src:",
+                report.non_test_lines.values().sum::<usize>()
+            );
+            for (krate, n) in &report.non_test_lines {
+                println!("  {krate:<18} {n:>6}");
+            }
             if !improvements.is_empty() {
                 println!(
                     "vortex-lint: {} count(s) improved below baseline; run with \
@@ -198,7 +205,8 @@ fn print_help() {
          baseline at {BASELINE_PATH}.\n\n\
          OPTIONS:\n  \
          --list              print every violation (including baselined ones)\n  \
-         --json              print a machine-readable JSON report (schema 1)\n  \
+         --json              print a machine-readable JSON report (schema 1), incl.\n                      \
+         per-crate non_test_lines\n  \
          --update-baseline   rewrite the baseline downward after paying off debt\n  \
          --force             with --update-baseline: allow writing a higher count\n                      \
          (bootstrap only — the ratchet exists to forbid this)\n  \

@@ -27,6 +27,7 @@ pub mod items;
 pub mod lexer;
 pub mod rules;
 
+use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -45,6 +46,11 @@ pub struct ScanReport {
     pub files_scanned: usize,
     /// Call-graph analyzer figures (L010–L012 pass).
     pub analyzer: callgraph::AnalyzerStats,
+    /// Per crate: lines of code under `crates/<crate>/src` that are not
+    /// test code — non-blank once comments are masked, outside test
+    /// files and `#[cfg(test)]` / `#[test]` items. The size trend the
+    /// ROADMAP tracks; comment or blank-line edits do not move it.
+    pub non_test_lines: BTreeMap<String, usize>,
 }
 
 impl ScanReport {
@@ -87,6 +93,16 @@ impl ScanReport {
             "  \"files_scanned\": {},\n  \"total_violations\": {},\n",
             self.files_scanned,
             self.violations.len()
+        ));
+        let line_rows: Vec<String> = self
+            .non_test_lines
+            .iter()
+            .map(|(krate, n)| format!("    {{\"crate\": \"{}\", \"lines\": {}}}", esc(krate), n))
+            .collect();
+        out.push_str(&format!(
+            "  \"non_test_lines_total\": {},\n  \"non_test_lines\": [\n{}\n  ],\n",
+            self.non_test_lines.values().sum::<usize>(),
+            line_rows.join(",\n")
         ));
         let a = &self.analyzer;
         out.push_str(&format!(
@@ -215,6 +231,18 @@ pub fn scan_workspace(root: &Path) -> Result<ScanReport, String> {
         }
         if !src.is_test_file {
             let spans = context::test_line_spans(&masked.code);
+            if src.rel_path.starts_with("crates/") && src.rel_path.contains("/src/") {
+                let code_lines = masked
+                    .code
+                    .lines()
+                    .enumerate()
+                    .filter(|(i, l)| !l.trim().is_empty() && !context::in_spans(&spans, i + 1))
+                    .count();
+                *report
+                    .non_test_lines
+                    .entry(src.crate_name.clone())
+                    .or_insert(0) += code_lines;
+            }
             for (name, line) in rules::crash_point_call_sites(&masked) {
                 if !context::in_spans(&spans, line) {
                     sites.push(rules::CrashPointSite {

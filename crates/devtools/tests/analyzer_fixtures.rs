@@ -371,6 +371,7 @@ fn root() { let _v = Vec::new(); }
         violations,
         files_scanned: 1,
         analyzer,
+        non_test_lines: [("vortex-wos".to_string(), 2)].into(),
     };
     let mut base = Counts::new();
     base.insert(("L010".into(), "vortex-wos".into()), 0);
@@ -378,6 +379,8 @@ fn root() { let _v = Vec::new(); }
     for needle in [
         "\"schema\": 1",
         "\"files_scanned\": 1",
+        "\"non_test_lines_total\": 2",
+        "{\"crate\": \"vortex-wos\", \"lines\": 2}",
         "\"analyzer\": {\"functions\": 1",
         "\"rule\": \"L010\", \"crate\": \"vortex-wos\", \"count\": 1, \"baseline\": 0",
         "\"regressions\": [",

@@ -47,6 +47,7 @@ use vortex_common::codec::{get_uvarint, put_uvarint};
 use vortex_common::crashpoints;
 use vortex_common::crc::crc32c;
 use vortex_common::error::{VortexError, VortexResult};
+use vortex_common::frame;
 use vortex_common::truetime::{Timestamp, TrueTime};
 
 use crate::MetaStore;
@@ -88,51 +89,6 @@ fn next_nonce() -> u64 {
     // lint:allow(L008, uniqueness source for filenames, not a metric; exporting it to /varz would be noise)
     static NONCE: AtomicU64 = AtomicU64::new(1);
     NONCE.fetch_add(1, Ordering::Relaxed)
-}
-
-/// Wraps `body` in the WAL frame used everywhere in this module:
-/// `uvarint(len) + body + crc32c(body)` (little-endian CRC).
-fn frame(body: &[u8]) -> Vec<u8> {
-    // lint:allow(L010, WAL/checkpoint framing allocates its output by design; metadata-rate only)
-    let mut out = Vec::with_capacity(body.len() + 9);
-    put_uvarint(&mut out, body.len() as u64);
-    // lint:allow(L010, WAL/checkpoint framing allocates its output by design; metadata-rate only)
-    out.extend_from_slice(body);
-    // lint:allow(L010, WAL/checkpoint framing allocates its output by design; metadata-rate only)
-    out.extend_from_slice(&crc32c(body).to_le_bytes());
-    out
-}
-
-/// Splits `data` into valid frame bodies, stopping at the first frame
-/// whose length or CRC does not check out (a torn tail). Returns the
-/// bodies plus the number of trailing bytes dropped.
-fn parse_frames(data: &[u8]) -> (Vec<&[u8]>, usize) {
-    // lint:allow(L010, recovery-only frame parsing; the append chain through Region::create is a cold-start path)
-    let mut bodies = Vec::new();
-    let mut pos = 0usize;
-    while pos < data.len() {
-        let frame_start = pos;
-        let Ok(n) = get_uvarint(data, &mut pos) else {
-            return (bodies, data.len() - frame_start);
-        };
-        let n = n as usize;
-        if n > data.len() || pos + n + 4 > data.len() {
-            return (bodies, data.len() - frame_start);
-        }
-        let body = &data[pos..pos + n];
-        let crc = u32::from_le_bytes([
-            data[pos + n],
-            data[pos + n + 1],
-            data[pos + n + 2],
-            data[pos + n + 3],
-        ]);
-        if crc32c(body) != crc {
-            return (bodies, data.len() - frame_start);
-        }
-        bodies.push(body); // lint:allow(L010, recovery-only frame parsing; cold-start path)
-        pos += n + 4;
-    }
-    (bodies, 0)
 }
 
 /// A strict prefix of `framed`, deterministically derived from its
@@ -223,7 +179,7 @@ fn read_ptr_state(cluster: &Colossus) -> VortexResult<PtrState> {
     let (mut append_gen, mut rotate) = (0u64, false);
     for (generation, path) in &generations {
         let data = cluster.read_all(path)?.data;
-        let (bodies, torn) = parse_frames(&data);
+        let (bodies, torn) = frame::read_frames(&data);
         let mut accepted_here = 0usize;
         for body in &bodies {
             let Ok(rec) = PtrRecord::decode(body) else {
@@ -289,7 +245,7 @@ impl Durability {
                 }
             }
         }
-        let framed = frame(&body);
+        let framed = frame::framed(&body);
         let path = wal_path(self.epoch.load(Ordering::SeqCst));
         // Mid-append process death: a strict prefix of the frame lands
         // durably and the commit is never acknowledged. Direct `check`
@@ -448,7 +404,7 @@ impl MetaStore {
                 continue;
             }
             let data = cluster.read_all(&path)?.data;
-            let (bodies, torn) = parse_frames(&data);
+            let (bodies, torn) = frame::read_frames(&data);
             report.torn_bytes_dropped += torn;
             report.wal_epochs_replayed += 1;
             for body in bodies {
@@ -518,7 +474,7 @@ impl MetaStore {
         let mut body = Vec::with_capacity(snapshot.len() + 4);
         put_uvarint(&mut body, covers_epoch);
         body.extend_from_slice(&snapshot);
-        let framed = frame(&body);
+        let framed = frame::framed(&body);
         // Mid-write process death: a torn, unpublished candidate file.
         // Direct `check` call so the torn prefix lands first.
         if let Err(crash) = crashpoints::check("meta.checkpoint.mid_write") {
@@ -539,14 +495,14 @@ impl MetaStore {
             // the chain head so the older generations become deletable.
             if let Some(head) = state.chain.last() {
                 d.cluster
-                    .append(&ptr_file, &frame(&head.encode()), Timestamp::MIN)?;
+                    .append(&ptr_file, &frame::framed(&head.encode()), Timestamp::MIN)?;
             }
         }
         // On append failure the generation's tail is of unknown
         // integrity; the next publish re-reads and rotates past it. Our
         // candidate file leaks until the next successful checkpoint's GC.
         d.cluster
-            .append(&ptr_file, &frame(&rec.encode()), Timestamp::MIN)?;
+            .append(&ptr_file, &frame::framed(&rec.encode()), Timestamp::MIN)?;
         let after = read_ptr_state(&d.cluster)?;
         if !after.chain.contains(&rec) {
             // CAS lost: someone else published this version first. Drop
@@ -623,7 +579,7 @@ fn load_checkpoint(
         return None;
     }
     let data = cluster.read_all(&path).ok()?.data;
-    let (bodies, _torn) = parse_frames(&data);
+    let (bodies, _torn) = frame::read_frames(&data);
     let body = bodies.first()?;
     let mut pos = 0usize;
     let covers = get_uvarint(body, &mut pos).ok()?;
@@ -817,8 +773,12 @@ mod tests {
             nonce: 0xDEAD,
             covers_epoch: 1,
         };
-        c.append(&ptr_path(0), &frame(&loser.encode()), Timestamp::MIN)
-            .unwrap();
+        c.append(
+            &ptr_path(0),
+            &frame::framed(&loser.encode()),
+            Timestamp::MIN,
+        )
+        .unwrap();
         let state = read_ptr_state(&c).unwrap();
         assert_eq!(state.chain.len(), 1);
         assert!(!state.chain.contains(&loser));
@@ -840,7 +800,7 @@ mod tests {
         // A death mid-pointer-append leaves a torn frame at the tail of
         // generation 0. Append-only files cannot be truncated, so the
         // generation is unusable from here on.
-        let garbage = frame(&[0x42; 20]);
+        let garbage = frame::framed(&[0x42; 20]);
         c.append(&ptr_path(0), &garbage[..7], Timestamp::MIN)
             .unwrap();
         // The next publish rotates to an anchored generation 1, then

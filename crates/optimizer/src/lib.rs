@@ -27,9 +27,11 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use vortex_colossus::StorageFleet;
+use vortex_client::read::read_fragment;
+use vortex_colossus::{Colossus, StorageFleet};
 use vortex_common::error::{VortexError, VortexResult};
-use vortex_common::ids::{IdGen, StreamletId, TableId};
+use vortex_common::ids::{IdGen, StreamId, StreamletId, TableId};
+use vortex_common::mask::DeletionMask;
 use vortex_common::row::{Row, Value};
 use vortex_common::rpc::{class_scope, WorkClass};
 use vortex_common::schema::Schema;
@@ -39,7 +41,7 @@ use vortex_sms::api::SmsHandle;
 use vortex_sms::meta::{
     ros_path, FragmentKind, FragmentMeta, FragmentState, StreamType, StreamletMeta,
 };
-use vortex_wos::parse_fragment;
+use vortex_sms::readset::{FragmentReadSpec, RowVisibility};
 
 #[cfg(test)]
 mod tests;
@@ -164,43 +166,28 @@ impl StorageOptimizer {
         Ok(out)
     }
 
-    /// Reads a WOS fragment's committed rows with provenance.
-    fn read_wos_rows(
+    /// Reads the rows of a fragment this pass rewrites, in position
+    /// order and minus `mask`, through the client's one read path.
+    /// Stream-level visibility is already settled — [`Self::candidates`]
+    /// only admits committed, fully flushed WOS fragments, and ROS blocks
+    /// carry no gate — so the whole committed extent is read. `sl` is the
+    /// owning streamlet of a WOS fragment (row provenance); ROS rows
+    /// carry their own and pass `None`.
+    fn read_settled(
         &self,
-        _table: TableId,
         f: &FragmentMeta,
-        sl: &StreamletMeta,
+        mask: DeletionMask,
+        sl: Option<&StreamletMeta>,
         key: &vortex_common::crypt::Key,
     ) -> VortexResult<Vec<(RowMeta, Row)>> {
-        let mut bytes = None;
-        for c in f.clusters {
-            if let Ok(cluster) = self.fleet.get(c) {
-                if let Ok(out) = cluster.read_all(&f.path) {
-                    bytes = Some(out.data);
-                    break;
-                }
-            }
-        }
-        let bytes = bytes.ok_or_else(|| {
-            VortexError::Unavailable(format!("no replica readable for {}", f.path))
-        })?;
-        let parsed = parse_fragment(&bytes, key, Some(f.committed_size))?;
-        let mut rows = Vec::with_capacity(f.row_count as usize);
-        for block in &parsed.blocks {
-            for (i, row) in block.rows.rows.iter().enumerate() {
-                let streamlet_row = block.first_row + i as u64;
-                rows.push((
-                    RowMeta {
-                        change_type: row.change_type,
-                        ts: block.timestamp,
-                        stream: sl.stream.raw(),
-                        offset: sl.first_stream_row + streamlet_row,
-                    },
-                    row.clone(),
-                ));
-            }
-        }
-        Ok(rows)
+        let spec = FragmentReadSpec {
+            meta: f.clone(),
+            mask,
+            visibility: RowVisibility::unconstrained(),
+            stream: sl.map_or(StreamId::from_raw(0), |sl| sl.stream),
+            streamlet_first_stream_row: sl.map_or(0, |sl| sl.first_stream_row),
+        };
+        read_fragment(&spec, &self.fleet, key, Timestamp::MAX)
     }
 
     fn write_ros_block(
@@ -219,19 +206,7 @@ impl StorageOptimizer {
             let path = vortex_sms::meta::blmt_path(bucket, table, fragment);
             let bytes = block.to_bytes(key, fragment.raw());
             let store = self.fleet.get(vortex_colossus::BUCKET_CLUSTER_ID)?;
-            let mut last = None;
-            for _ in 0..3 {
-                match store.append(&path, &bytes, Timestamp::MIN) {
-                    Ok(_) => {
-                        last = None;
-                        break;
-                    }
-                    Err(e) => last = Some(e),
-                }
-            }
-            if let Some(e) = last {
-                return Err(e);
-            }
+            write_whole_file(store, &path, &bytes)?;
             return Ok(FragmentMeta {
                 fragment,
                 table,
@@ -258,22 +233,7 @@ impl StorageOptimizer {
         let path = ros_path(table, fragment);
         let bytes = block.to_bytes(key, fragment.raw());
         for c in clusters {
-            // A background service retries transient write errors itself
-            // rather than abandoning the whole conversion pass.
-            let cluster = self.fleet.get(c)?;
-            let mut last = None;
-            for _ in 0..3 {
-                match cluster.append(&path, &bytes, Timestamp::MIN) {
-                    Ok(_) => {
-                        last = None;
-                        break;
-                    }
-                    Err(e) => last = Some(e),
-                }
-            }
-            if let Some(e) = last {
-                return Err(e);
-            }
+            write_whole_file(self.fleet.get(c)?, &path, &bytes)?;
         }
         Ok(FragmentMeta {
             fragment,
@@ -318,19 +278,12 @@ impl StorageOptimizer {
         let mut sources = Vec::with_capacity(candidates.len());
         for (f, sl) in &candidates {
             report.bytes_in += f.committed_size;
-            let mask = f.mask_at(snapshot);
             sources.push((f.fragment, f.masks.len()));
-            for (i, (meta, row)) in self
-                .read_wos_rows(table, f, sl, &key)?
-                .into_iter()
-                .enumerate()
-            {
-                // Merged conversions apply masks now (the commit will
-                // conflict if new masks appear concurrently).
-                if mask.contains(i as u64) {
-                    report.rows_masked += 1;
-                    continue;
-                }
+            // Merged conversions apply masks now (the commit will
+            // conflict if new masks appear concurrently).
+            let rows = self.read_settled(f, f.mask_at(snapshot), Some(sl), &key)?;
+            report.rows_masked += f.row_count - rows.len() as u64;
+            for (meta, row) in rows {
                 let pkey = partition_key_of(schema, &row);
                 partitions.entry(pkey).or_default().push((meta, row));
             }
@@ -381,7 +334,8 @@ impl StorageOptimizer {
         let candidates = self.candidates(table)?;
         let mut report = ConversionReport::default();
         for (f, sl) in &candidates {
-            let rows = self.read_wos_rows(table, f, sl, &key)?;
+            // Masks carry over positionally, so every row is read.
+            let rows = self.read_settled(f, DeletionMask::new(), Some(sl), &key)?;
             if rows.is_empty() {
                 continue;
             }
@@ -464,14 +418,8 @@ impl StorageOptimizer {
         let mut partitions: BTreeMap<Option<i64>, Vec<(RowMeta, Row)>> = BTreeMap::new();
         let mut sources = Vec::new();
         for f in &ros {
-            let bytes = read_any_replica(&self.fleet, f)?;
-            let block = RosBlock::from_bytes(&bytes, &key, f.fragment.raw())?;
-            let mask = f.mask_at(now);
             sources.push((f.fragment, f.masks.len()));
-            for (i, (m, r)) in block.rows()?.into_iter().enumerate() {
-                if mask.contains(i as u64) {
-                    continue;
-                }
+            for (m, r) in self.read_settled(f, f.mask_at(now), None, &key)? {
                 partitions
                     .entry(f.partition_key.or_else(|| partition_key_of(schema, &r)))
                     .or_default()
@@ -573,23 +521,35 @@ impl StorageOptimizer {
     }
 }
 
+/// Writes one immutable file in a single append. A background service
+/// retries transient write errors itself rather than abandoning the whole
+/// pass — but a failed append may have durably persisted a torn prefix,
+/// and an append-only file cannot be truncated: every retry starts from a
+/// deleted file, and an append that leaves anything but exactly `bytes`
+/// behind counts as failed. (Appending the block after a torn prefix
+/// used to leave that replica unreadable for good.)
+fn write_whole_file(cluster: &Colossus, path: &str, bytes: &[u8]) -> VortexResult<()> {
+    let mut last = VortexError::Io(format!("{path}: not written"));
+    for _ in 0..3 {
+        match cluster.append(path, bytes, Timestamp::MIN) {
+            Ok(out) if out.new_len == bytes.len() as u64 => return Ok(()),
+            Ok(out) => {
+                last = VortexError::Io(format!(
+                    "{path}: {} bytes after writing {}",
+                    out.new_len,
+                    bytes.len()
+                ))
+            }
+            Err(e) => last = e,
+        }
+        let _ = cluster.delete(path);
+    }
+    Err(last)
+}
+
 /// Computes the partition key of a row under the table's partition spec.
 fn partition_key_of(schema: &Schema, row: &Row) -> Option<i64> {
     let spec = schema.partition.as_ref()?;
     let idx = schema.column_index(&spec.column)?;
     spec.partition_key(row.values.get(idx).unwrap_or(&Value::Null))
-}
-
-fn read_any_replica(fleet: &StorageFleet, f: &FragmentMeta) -> VortexResult<Vec<u8>> {
-    for c in f.clusters {
-        if let Ok(cluster) = fleet.get(c) {
-            if let Ok(out) = cluster.read_all(&f.path) {
-                return Ok(out.data);
-            }
-        }
-    }
-    Err(VortexError::Unavailable(format!(
-        "no replica readable for {}",
-        f.path
-    )))
 }

@@ -392,6 +392,31 @@ fn recluster_merges_deltas_into_sorted_baseline() {
     assert_eq!(amounts(&tr), (0..400).collect::<Vec<_>>());
 }
 
+/// Regression: a torn append persists a prefix of the block, and the
+/// retry used to append the whole block *after* it — leaving that
+/// replica unparseable for good, so the table went unreadable as soon as
+/// the other replica was torn too or away.
+#[test]
+fn torn_ros_write_is_retried_from_a_clean_file() {
+    let r = rig();
+    let t = r.sms.create_table("t", schema()).unwrap();
+    ingest(&r, t.table, 0, 90);
+    for c in r.fleet.cluster_ids() {
+        let faults = r.fleet.get(c).unwrap().faults();
+        faults.set_torn_seed(5 + c.raw());
+        faults.torn_next_appends(1);
+    }
+    let report = r.opt.convert_wos(t.table).unwrap();
+    assert_eq!(report.rows, 90);
+    // Every replica of every block parses on its own.
+    for down in r.fleet.cluster_ids() {
+        r.fleet.get(down).unwrap().faults().set_unavailable(true);
+        let tr = r.client.read_rows(t.table).unwrap();
+        assert_eq!(amounts(&tr), (0..90).collect::<Vec<_>>(), "{down} down");
+        r.fleet.get(down).unwrap().faults().set_unavailable(false);
+    }
+}
+
 #[test]
 fn recluster_skips_when_deltas_small() {
     let r = rig_with(OptimizerConfig {

@@ -14,17 +14,13 @@
 //! commit then conflicts and the statement re-resolves against the new
 //! (positionally identical) fragments.
 
-use vortex_client::read::{read_tail, TailOutcome};
+use vortex_client::read::{read_fragment_positions, read_tail, TailOutcome};
 use vortex_client::{VortexClient, WriterOptions};
 use vortex_common::error::{VortexError, VortexResult};
 use vortex_common::ids::{FragmentId, StreamletId, TableId};
 use vortex_common::mask::DeletionMask;
 use vortex_common::row::{Row, RowSet, Value};
-use vortex_common::schema::Schema;
-use vortex_ros::RosBlock;
-use vortex_sms::meta::{FragmentKind, StreamType};
-use vortex_sms::readset::FragmentReadSpec;
-use vortex_wos::parse_fragment;
+use vortex_sms::meta::StreamType;
 
 use crate::expr::Expr;
 
@@ -131,19 +127,26 @@ impl DmlExecutor {
 
             // ---- Fragments: positional scan, mask matched rows ----
             for spec in &rs.fragments {
-                let positions = positional_scan(&fleet, &key, spec, schema, pred, snapshot)?;
-                if positions.matched.is_empty() {
+                // Each visible row comes with its mask position
+                // (fragment-relative for WOS, block row index for ROS).
+                let mut matched = Vec::new();
+                for (pos, row) in read_fragment_positions(spec, &fleet, &key, snapshot)? {
+                    if pred.eval(schema, &row)? {
+                        matched.push((pos, row));
+                    }
+                }
+                if matched.is_empty() {
                     continue;
                 }
                 let mut mask = DeletionMask::new();
-                for &(pos, _) in &positions.matched {
+                for &(pos, _) in &matched {
                     mask.delete_row(pos);
                 }
-                report.rows_matched += positions.matched.len() as u64;
+                report.rows_matched += matched.len() as u64;
                 report.fragments_masked += 1;
                 fragment_masks.push((spec.meta.fragment, mask));
                 if set.is_some() {
-                    for (_, row) in positions.matched {
+                    for (_, row) in matched {
                         reinserts.push(apply_set(row, &set_idx));
                         report.rows_updated += 1;
                     }
@@ -225,77 +228,6 @@ impl DmlExecutor {
             }
         }
     }
-}
-
-/// A matched row with its mask position.
-struct Positions {
-    /// (fragment-relative position, row) for rows matching the predicate.
-    matched: Vec<(u64, Row)>,
-}
-
-/// Scans one fragment tracking per-row mask positions (fragment-relative
-/// for WOS, block row index for ROS — the coordinate space masks use).
-fn positional_scan(
-    fleet: &vortex_colossus::StorageFleet,
-    key: &vortex_common::crypt::Key,
-    spec: &FragmentReadSpec,
-    schema: &Schema,
-    pred: &Expr,
-    snapshot: vortex_common::truetime::Timestamp,
-) -> VortexResult<Positions> {
-    let mut matched = Vec::new();
-    if spec.visibility.visible_from > snapshot {
-        return Ok(Positions { matched });
-    }
-    let mut bytes = None;
-    for c in spec.meta.clusters {
-        if let Ok(cluster) = fleet.get(c) {
-            if let Ok(out) = cluster.read_all(&spec.meta.path) {
-                bytes = Some(out.data);
-                break;
-            }
-        }
-    }
-    let bytes = bytes.ok_or_else(|| {
-        VortexError::Unavailable(format!("no replica readable for {}", spec.meta.path))
-    })?;
-    match spec.meta.kind {
-        FragmentKind::Ros => {
-            let block = RosBlock::from_bytes(&bytes, key, spec.meta.fragment.raw())?;
-            for (i, (_, row)) in block.rows()?.into_iter().enumerate() {
-                if spec.mask.contains(i as u64) {
-                    continue;
-                }
-                if pred.eval(schema, &row)? {
-                    matched.push((i as u64, row));
-                }
-            }
-        }
-        FragmentKind::Wos => {
-            let parsed = parse_fragment(&bytes, key, Some(spec.meta.committed_size))?;
-            for b in &parsed.blocks {
-                if b.timestamp > snapshot {
-                    break;
-                }
-                for (i, row) in b.rows.rows.iter().enumerate() {
-                    let streamlet_row = b.first_row + i as u64;
-                    let frag_row = streamlet_row - spec.meta.first_row;
-                    if frag_row >= spec.meta.row_count || spec.mask.contains(frag_row) {
-                        continue;
-                    }
-                    if let Some(limit) = spec.visibility.flush_limit {
-                        if streamlet_row >= limit {
-                            continue;
-                        }
-                    }
-                    if pred.eval(schema, row)? {
-                        matched.push((frag_row, row.clone()));
-                    }
-                }
-            }
-        }
-    }
-    Ok(Positions { matched })
 }
 
 fn apply_set(mut row: Row, set_idx: &[(usize, Value)]) -> Row {

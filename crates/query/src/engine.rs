@@ -5,10 +5,11 @@
 use std::sync::Arc;
 
 use vortex_client::read::{
-    read_fragment_cached, read_reconciled_tail, read_ros_block, read_tail, TailOutcome,
+    drive_table_read, open_fragment, read_fragment_cached, with_replica, OpenFragment, RowGate,
 };
 use vortex_client::ReadCache;
 use vortex_colossus::StorageFleet;
+use vortex_common::crypt::Key;
 use vortex_common::error::{VortexError, VortexResult};
 use vortex_common::ids::TableId;
 use vortex_common::obs::{self, FreshnessProbe};
@@ -19,12 +20,12 @@ use vortex_common::truetime::{Timestamp, TrueTime};
 use vortex_ros::RowMeta;
 use vortex_sms::api::SmsHandle;
 use vortex_sms::meta::FragmentKind;
-use vortex_sms::readset::FragmentReadSpec;
+use vortex_sms::readset::{FragmentReadSpec, ReadSet};
 use vortex_wos::format::{Footer, RecordHeader, RecordType, FOOTER_TOTAL_LEN, RECORD_HEADER_LEN};
 
 use crate::cdc::resolve_changes;
 use crate::expr::Expr;
-use crate::pushdown::{scan_ros_block, CPred, PushedBlock};
+use crate::pushdown::{scan_ros_block, scan_rows, FragmentYield, ScanPlan};
 
 /// Scan configuration.
 #[derive(Debug, Clone)]
@@ -32,19 +33,15 @@ pub struct ScanOptions {
     /// Filter predicate (also drives pruning).
     pub predicate: Expr,
     /// Resolve UPSERT/DELETE change types by primary key (merge-on-read,
-    /// §4.2.6).
+    /// §4.2.6). Merge-on-read must see every version of a key, including
+    /// rows the filter would drop, so such scans read every column of
+    /// every visible row and filter + project after resolution.
     pub resolve_changes: bool,
     /// Consult WOS fragment bloom filters (footer reads) for point
     /// predicates on partition/clustering columns (§7.2).
     pub use_bloom: bool,
     /// Parallel scan shards.
     pub parallelism: usize,
-    /// Evaluate the predicate inside compressed ROS blocks (zone-map
-    /// short-circuit, dictionary-id rewrite, run-level evaluation, late
-    /// materialization) instead of decode-then-filter. Disabled
-    /// automatically when `resolve_changes` is set — merge-on-read must
-    /// see every version of a key, including rows the filter would drop.
-    pub pushdown: bool,
     /// Columns the caller needs materialized (`None` = all). Columns
     /// outside the projection come back NULL; the predicate still
     /// evaluates against stored values.
@@ -58,7 +55,6 @@ impl Default for ScanOptions {
             resolve_changes: false,
             use_bloom: true,
             parallelism: 8,
-            pushdown: true,
             projection: None,
         }
     }
@@ -75,14 +71,14 @@ pub struct ScanStats {
     pub pruned_by_bloom: usize,
     /// Streamlet tails probed.
     pub tails_scanned: usize,
-    /// Column-chunk zones inspected across pushed-down ROS blocks (zero
-    /// on the decode-then-filter path).
+    /// Column-chunk zones inspected across the ROS blocks scanned.
     pub zones_total: usize,
     /// Zones skipped via per-zone min/max properties (the zone map).
     pub zones_pruned: usize,
-    /// Rows decoded from storage. For pushed-down ROS blocks this counts
-    /// the rows of zones the zone map could not skip (masked rows
-    /// included — the zone was decoded regardless).
+    /// Rows decoded from storage. For ROS blocks this counts the rows of
+    /// zones the zone map could not skip (masked rows included — the
+    /// zone was decoded regardless); for WOS fragments and tails, every
+    /// visible row.
     pub rows_scanned: u64,
     /// Rows matching the predicate.
     pub rows_matched: u64,
@@ -107,43 +103,17 @@ pub struct ScanResult {
     pub stats: ScanStats,
 }
 
-/// What one scanned fragment contributes to a scan round.
-#[derive(Debug, Default)]
-struct ShardYield {
-    /// Rows from the decode-then-filter path (visibility applied, still
-    /// unfiltered and unprojected).
-    raw: Vec<(RowMeta, Row)>,
-    /// Rows from pushed-down ROS scans (already filtered + projected).
-    pushed: Vec<(RowMeta, Row)>,
-    /// Visible-row commit timestamps from pushed fragments (raw rows
-    /// carry their own).
-    visible_ts: Vec<Timestamp>,
-    /// Zones inspected in pushed fragments.
-    zones_total: usize,
-    /// Zones the zone map skipped.
-    zones_pruned: usize,
-    /// Rows decoded by pushed scans.
-    rows_scanned: u64,
-}
-
-impl ShardYield {
-    fn raw(rows: Vec<(RowMeta, Row)>) -> Self {
-        ShardYield {
-            raw: rows,
-            ..Default::default()
-        }
-    }
-
-    fn pushed(p: PushedBlock) -> Self {
-        ShardYield {
-            pushed: p.rows,
-            visible_ts: p.visible_ts,
-            zones_total: p.zones_total,
-            zones_pruned: p.zones_pruned,
-            rows_scanned: p.rows_scanned,
-            ..Default::default()
-        }
-    }
+/// What the fragments of one read set contribute to a scan.
+struct FragmentsScan<'e> {
+    /// What was pushed down to every fragment (and goes to the tails).
+    down: ScanPlan<'e>,
+    /// The caller's filter + projection, run after merge-on-read
+    /// resolution; `None` when `down` already applied them.
+    post: Option<ScanPlan<'e>>,
+    /// Pruning counters.
+    stats: ScanStats,
+    /// The surviving fragments' merged yields.
+    out: FragmentYield,
 }
 
 /// Runs `f` over `items` (the surviving fragments) on up to `shards`
@@ -287,197 +257,141 @@ impl QueryEngine {
         let key = tmeta.encryption_key();
         let scan_start = self.tt.as_ref().map(|tt| tt.now().latest);
         let cache_base = self.cache.as_ref().map(|c| (c.hits(), c.misses()));
-        let mut reconciled: std::collections::HashMap<vortex_common::ids::StreamletId, Timestamp> =
-            Default::default();
-        for _round in 0..8 {
-            let rs = self.sms.list_read_fragments(table, snapshot)?;
-            let mut stats = ScanStats {
-                fragments_total: rs.fragments.len(),
-                ..ScanStats::default()
-            };
-            // ---- Partition elimination (§7.2) ----
-            let mut survivors: Vec<&FragmentReadSpec> = Vec::new();
-            for spec in &rs.fragments {
-                let lookup = |col: &str| -> Option<ColumnStats> {
-                    spec.meta
-                        .stats
-                        .iter()
-                        .find(|(n, _)| n == col)
-                        .map(|(_, s)| s.clone())
-                };
-                if !opts.predicate.may_match_stats(&lookup) {
-                    stats.pruned_by_stats += 1;
-                    continue;
-                }
-                if opts.use_bloom
-                    && spec.meta.kind == FragmentKind::Wos
-                    && !self.bloom_may_match(&tmeta.schema, spec, &opts.predicate)?
-                {
-                    stats.pruned_by_bloom += 1;
-                    continue;
-                }
-                survivors.push(spec);
+        let read = drive_table_read(&self.sms, &self.fleet, &key, table, snapshot, false, |rs| {
+            self.scan_fragments(rs, &tmeta.schema, &key, snapshot, opts)
+        })?;
+        let FragmentsScan {
+            down,
+            post,
+            mut stats,
+            mut out,
+        } = read.fragments;
+        stats.tails_scanned = read.tails;
+        out.absorb(scan_rows(read.tail_rows, &read.schema, &down)?);
+        stats.zones_total = out.zones_total;
+        stats.zones_pruned = out.zones_pruned;
+        stats.rows_scanned = out.rows_scanned;
+        // ---- CDC resolution over everything visible, then the filter ----
+        let mut rows = match &post {
+            Some(post) => {
+                let resolved = resolve_changes(&tmeta.schema, out.rows);
+                scan_rows(resolved, &read.schema, post)?.rows
             }
-            // ---- Parallel fragment scans ----
-            // ROS blocks go through compute pushdown (predicate evaluated
-            // on the compressed chunks, only projected columns of
-            // selected rows materialized) unless merge-on-read needs
-            // every row. A predicate naming a column the snapshot schema
-            // lacks cannot be compiled; such scans keep the legacy
-            // decode-then-filter semantics (which only error once a row
-            // actually reaches the filter).
-            let cpred = if opts.pushdown && !opts.resolve_changes {
-                CPred::compile(&opts.predicate, &rs.schema).ok()
-            } else {
-                None
-            };
-            let proj_idx: Option<Vec<usize>> = match &opts.projection {
-                Some(cols) => Some(
-                    cols.iter()
-                        .map(|c| {
-                            rs.schema.column_index(c).ok_or_else(|| {
-                                VortexError::InvalidArgument(format!(
-                                    "unknown projection column {c}"
-                                ))
-                            })
-                        })
-                        .collect::<VortexResult<_>>()?,
-                ),
-                None => None,
-            };
-            let arity = rs.schema.fields.len();
-            let want_ts = self.probe.is_some();
-            let results = scan_shards(&survivors, opts.parallelism.max(1), &|&spec| {
-                if spec.visibility.visible_from > snapshot {
-                    return Ok(ShardYield::default());
-                }
-                if let Some(pred) = &cpred {
-                    if spec.meta.kind == FragmentKind::Ros {
-                        let block = read_ros_block(spec, &self.fleet, &key)?;
-                        let pushed = scan_ros_block(
-                            &block,
-                            spec,
-                            pred,
-                            proj_idx.as_deref(),
-                            arity,
-                            want_ts,
-                        )?;
-                        return Ok(ShardYield::pushed(pushed));
-                    }
-                }
-                read_fragment_cached(spec, &self.fleet, &key, snapshot, self.cache.as_deref())
-                    .map(ShardYield::raw)
-            });
-            let mut rows: Vec<(RowMeta, Row)> = Vec::new();
-            let mut pushed_rows: Vec<(RowMeta, Row)> = Vec::new();
-            let mut pushed_ts: Vec<Timestamp> = Vec::new();
-            for r in results {
-                let y = r?;
-                rows.extend(y.raw);
-                pushed_rows.extend(y.pushed);
-                pushed_ts.extend(y.visible_ts);
-                stats.zones_total += y.zones_total;
-                stats.zones_pruned += y.zones_pruned;
-                stats.rows_scanned += y.rows_scanned;
-            }
-            // ---- Tails (no cached properties; always scanned, §7.2:
-            // "the properties for the tail of a Streamlet are maintained
-            // by the Stream Server" — our reader goes to the log) ----
-            let mut ambiguous = Vec::new();
-            for tail in &rs.tails {
-                stats.tails_scanned += 1;
-                if let Some(list_at) = reconciled.get(&tail.streamlet).copied() {
-                    // The fixed snapshot still shows this streamlet as a
-                    // tail, but it was reconciled during this scan: read
-                    // through the authoritative fragment records instead
-                    // of re-probing the (now poisoned) log files.
-                    rows.extend(read_reconciled_tail(
-                        &self.sms,
-                        &self.fleet,
-                        &key,
-                        table,
-                        tail,
-                        snapshot,
-                        list_at,
-                    )?);
-                    continue;
-                }
-                match read_tail(tail, &self.fleet, &key, snapshot)? {
-                    TailOutcome::Rows(r) => rows.extend(r),
-                    TailOutcome::NeedsReconcile => ambiguous.push(tail.streamlet),
-                }
-            }
-            if !ambiguous.is_empty() {
-                for slid in ambiguous {
-                    self.sms.reconcile_streamlet(table, slid)?;
-                    reconciled.insert(slid, self.sms.read_snapshot());
-                }
-                continue; // retry with reconciled metadata
-            }
-            stats.rows_scanned += rows.len() as u64;
-            // Commit timestamps of everything visible at this snapshot,
-            // captured before CDC resolution / filtering can drop rows —
-            // freshness (§8) measures when *committed* data became
-            // readable, not whether a predicate kept it. Pushed-down
-            // blocks contributed theirs (all visible rows, filtered or
-            // not) via the shard yields.
-            let visible_ts: Vec<Timestamp> = if self.probe.is_some() {
-                rows.iter().map(|(m, _)| m.ts).chain(pushed_ts).collect()
-            } else {
-                Vec::new()
-            };
-            // Pad short (pre-evolution) rows to the snapshot schema.
-            for (_, r) in rows.iter_mut() {
-                while r.values.len() < arity {
-                    r.values.push(Value::Null);
-                }
-            }
-            // ---- CDC resolution, then the filter ----
-            let rows = if opts.resolve_changes {
-                resolve_changes(&tmeta.schema, rows)
-            } else {
-                rows
-            };
-            let mut matched = Vec::new();
-            for (m, r) in rows {
-                if opts.predicate.eval(&rs.schema, &r)? {
-                    matched.push((m, r));
-                }
-            }
-            // Late projection on the fallback path, mirroring the pushed
-            // one: columns outside the projection read NULL. (After the
-            // filter and CDC resolution — both see stored values.)
-            if let Some(proj) = &proj_idx {
-                for (_, r) in matched.iter_mut() {
-                    for (i, v) in r.values.iter_mut().enumerate() {
-                        if !proj.contains(&i) {
-                            *v = Value::Null;
-                        }
-                    }
-                }
-            }
-            // Pushed rows are pre-filtered and pre-projected; re-running
-            // the filter would wrongly drop rows whose predicate columns
-            // the projection nulled.
-            matched.extend(pushed_rows);
-            stats.rows_matched = matched.len() as u64;
-            matched.sort_by_key(|(m, _)| (m.stream, m.offset, m.ts));
-            if let Some((h0, m0)) = cache_base {
-                let c = self.cache.as_ref().expect("cache_base implies cache");
-                stats.cache_hits = c.hits().saturating_sub(h0);
-                stats.cache_misses = c.misses().saturating_sub(m0);
-            }
-            self.record_scan(table, &stats, scan_start, &visible_ts);
-            return Ok(ScanResult {
-                snapshot,
-                schema: rs.schema,
-                rows: matched,
-                stats,
-            });
+            None => out.rows,
+        };
+        stats.rows_matched = rows.len() as u64;
+        rows.sort_by_key(|(m, _)| (m.stream, m.offset, m.ts));
+        if let Some((h0, m0)) = cache_base {
+            let c = self.cache.as_ref().expect("cache_base implies cache");
+            stats.cache_hits = c.hits().saturating_sub(h0);
+            stats.cache_misses = c.misses().saturating_sub(m0);
         }
-        Err(VortexError::Unavailable(format!(
-            "table {table}: scan could not settle after reconciliation rounds"
-        )))
+        self.record_scan(table, &stats, scan_start, &out.visible_ts);
+        Ok(ScanResult {
+            snapshot,
+            schema: read.schema,
+            rows,
+            stats,
+        })
+    }
+
+    /// One read set's fragments: partition elimination (§7.2), then the
+    /// survivors scanned in parallel — each yields rows that are already
+    /// filtered and projected.
+    fn scan_fragments<'e>(
+        &self,
+        rs: &ReadSet,
+        table_schema: &Schema,
+        key: &Key,
+        snapshot: Timestamp,
+        opts: &'e ScanOptions,
+    ) -> VortexResult<FragmentsScan<'e>> {
+        // Commit timestamps of everything visible are captured before
+        // CDC resolution / filtering can drop rows — freshness (§8)
+        // measures when *committed* data became readable, not whether a
+        // predicate kept it.
+        let want_ts = self.probe.is_some();
+        let plan =
+            |expr, projection, want_ts| ScanPlan::compile(expr, projection, &rs.schema, want_ts);
+        let projection = opts.projection.as_deref();
+        let (down, post) = if opts.resolve_changes {
+            let wanted = plan(&opts.predicate, projection, false)?;
+            (plan(&Expr::True, None, want_ts)?, Some(wanted))
+        } else {
+            (plan(&opts.predicate, projection, want_ts)?, None)
+        };
+        let mut stats = ScanStats {
+            fragments_total: rs.fragments.len(),
+            ..ScanStats::default()
+        };
+        let mut survivors: Vec<&FragmentReadSpec> = Vec::new();
+        for spec in &rs.fragments {
+            let lookup = |col: &str| -> Option<ColumnStats> {
+                spec.meta
+                    .stats
+                    .iter()
+                    .find(|(n, _)| n == col)
+                    .map(|(_, s)| s.clone())
+            };
+            if !opts.predicate.may_match_stats(&lookup) {
+                stats.pruned_by_stats += 1;
+                continue;
+            }
+            if opts.use_bloom
+                && spec.meta.kind == FragmentKind::Wos
+                && !self.bloom_may_match(table_schema, spec, &opts.predicate)?
+            {
+                stats.pruned_by_bloom += 1;
+                continue;
+            }
+            survivors.push(spec);
+        }
+        let results = scan_shards(&survivors, opts.parallelism.max(1), &|&spec| {
+            self.scan_fragment(spec, key, snapshot, &rs.schema, &down)
+        });
+        let mut out = FragmentYield::default();
+        for r in results {
+            out.absorb(r?);
+        }
+        Ok(FragmentsScan {
+            down,
+            post,
+            stats,
+            out,
+        })
+    }
+
+    /// The per-fragment step. A ROS block is never fully materialized:
+    /// the predicate runs on its compressed chunks and only projected
+    /// columns of selected rows are decoded. A WOS fragment is
+    /// row-oriented; its visible rows come decoded (through the cache)
+    /// and are filtered and projected here.
+    fn scan_fragment(
+        &self,
+        spec: &FragmentReadSpec,
+        key: &Key,
+        snapshot: Timestamp,
+        schema: &Schema,
+        plan: &ScanPlan<'_>,
+    ) -> VortexResult<FragmentYield> {
+        let gate = RowGate::for_fragment(spec, snapshot);
+        if gate.is_shut() {
+            return Ok(FragmentYield::default());
+        }
+        match spec.meta.kind {
+            FragmentKind::Ros => match open_fragment(&spec.meta, &self.fleet, key)? {
+                OpenFragment::Ros(block) => scan_ros_block(&block, &gate, plan),
+                OpenFragment::Wos(_) => Err(VortexError::Internal(format!(
+                    "{} opened as a log file but is listed as a ROS block",
+                    spec.meta.path
+                ))),
+            },
+            FragmentKind::Wos => {
+                let cache = self.cache.as_deref();
+                let rows = read_fragment_cached(spec, &self.fleet, key, snapshot, cache)?;
+                scan_rows(rows, schema, plan)
+            }
+        }
     }
 
     /// Folds one successful scan into the global registry: `scan.*`
@@ -569,17 +483,9 @@ impl QueryEngine {
         if size < FOOTER_TOTAL_LEN as u64 {
             return Ok(None);
         }
-        for c in spec.meta.clusters {
-            let Ok(cluster) = self.fleet.get(c) else {
-                continue;
-            };
-            let Ok(tail) = cluster.read(
-                &spec.meta.path,
-                size - FOOTER_TOTAL_LEN as u64,
-                FOOTER_TOTAL_LEN,
-            ) else {
-                continue;
-            };
+        let path = &spec.meta.path;
+        let bloom = with_replica(&spec.meta, &self.fleet, |cluster| {
+            let tail = cluster.read(path, size - FOOTER_TOTAL_LEN as u64, FOOTER_TOTAL_LEN)?;
             let Ok(rec) = RecordHeader::from_bytes(&tail.data) else {
                 return Ok(None); // closed without footer
             };
@@ -587,30 +493,28 @@ impl QueryEngine {
                 return Ok(None);
             }
             let footer = Footer::from_bytes(&tail.data[RECORD_HEADER_LEN..])?;
-            let Ok(brec_head) =
-                cluster.read(&spec.meta.path, footer.bloom_offset, RECORD_HEADER_LEN)
-            else {
-                continue;
-            };
+            let brec_head = cluster.read(path, footer.bloom_offset, RECORD_HEADER_LEN)?;
             let brec = RecordHeader::from_bytes(&brec_head.data)?;
             if brec.rtype != RecordType::Bloom {
                 return Err(VortexError::CorruptData(
                     "footer bloom offset does not point at a bloom record".into(),
                 ));
             }
-            let payload = cluster
-                .read(
-                    &spec.meta.path,
-                    footer.bloom_offset + RECORD_HEADER_LEN as u64,
-                    brec.payload_len as usize,
-                )?
-                .data;
-            return Ok(Some(
-                vortex_common::bloom::BloomFilter::from_bytes(&payload)
-                    .map_err(VortexError::CorruptData)?,
-            ));
+            let payload = cluster.read(
+                path,
+                footer.bloom_offset + RECORD_HEADER_LEN as u64,
+                brec.payload_len as usize,
+            )?;
+            vortex_common::bloom::BloomFilter::from_bytes(&payload.data)
+                .map(Some)
+                .map_err(VortexError::CorruptData)
+        });
+        match bloom {
+            // No replica reachable: the bloom cannot decide, keep the
+            // fragment (its read fails over on its own).
+            Err(e) if e.is_retryable() => Ok(None),
+            other => other,
         }
-        Ok(None)
     }
 
     /// COUNT(*) with a predicate. Counting needs no column values, so an

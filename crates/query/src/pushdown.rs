@@ -1,9 +1,9 @@
 //! Compute pushdown over compressed ROS blocks (§7.2 plus ROADMAP's
 //! "cascading encodings with compute pushdown", after spiraldb Vortex).
 //!
-//! The decode-then-filter scan path materializes every row of every
-//! surviving block before the predicate runs. This module evaluates the
-//! predicate *inside* the block instead:
+//! Every scan runs through this module. A ROS block never has all its
+//! rows materialized before the predicate runs; the predicate is
+//! evaluated *inside* the block instead:
 //!
 //! 1. **Zone-map short-circuit** — every column chunk (one zone of
 //!    [`vortex_ros::ZONE_ROWS`] rows) carries min/max/null properties;
@@ -16,28 +16,34 @@
 //! 4. **Late materialization** — only projected columns are decoded, and
 //!    only at the row positions the filter selected.
 //!
+//! WOS fragments and streamlet tails are row-oriented and arrive
+//! decoded; [`scan_rows`] filters and projects them with [`Expr::eval`],
+//! so both storage formats yield the same thing: already-filtered,
+//! already-projected rows.
+//!
 //! Equivalence contract: for any predicate and block, the selected rows
-//! are exactly those the fallback path would keep — leaf semantics
-//! (NULL comparisons false, [`vortex_common::row::Value::total_cmp`]
-//! ordering) mirror [`Expr::eval`] case for case, and row visibility
-//! (flush limits, DML masks) mirrors the client's `filter_visible`.
-//! `crates/query/src/tests.rs` pins this with an equivalence proptest.
+//! are exactly those [`Expr::eval`] keeps over the visible rows — leaf
+//! semantics (NULL comparisons false,
+//! [`vortex_common::row::Value::total_cmp`] ordering) mirror it case for
+//! case, and row visibility is the client's
+//! [`vortex_client::read::RowGate`]. `crates/query/src/tests.rs` pins
+//! this with an equivalence proptest against a `read_rows_at` +
+//! `Expr::eval` oracle.
 
 use std::cmp::Ordering;
 
+use vortex_client::read::{pad_rows, RowGate};
 use vortex_common::error::{VortexError, VortexResult};
 use vortex_common::row::{Row, Value};
 use vortex_common::schema::Schema;
 use vortex_common::truetime::Timestamp;
 use vortex_ros::{DecodedChunk, RosBlock, RowMeta};
-use vortex_sms::readset::FragmentReadSpec;
 
 use crate::expr::{CmpOp, Expr};
 
 /// A predicate compiled against the snapshot schema: column names are
 /// resolved to positional indices once, so per-zone evaluation does no
-/// string lookups. Compilation fails on unknown columns — callers fall
-/// back to the legacy path to keep its lazier error semantics.
+/// string lookups. Compilation fails on unknown columns.
 #[derive(Debug, Clone)]
 pub(crate) enum CPred {
     /// Always true.
@@ -268,9 +274,55 @@ impl<'b> ZoneCols<'b> {
     }
 }
 
-/// Output of one pushed-down block scan.
+/// What a scan pushes down to every fragment and tail: the predicate
+/// (compiled for ROS blocks, as written for decoded rows) and the
+/// projection.
+#[derive(Debug)]
+pub(crate) struct ScanPlan<'e> {
+    expr: &'e Expr,
+    pred: CPred,
+    /// Schema column indices to materialize (`None` = all); other
+    /// columns read NULL.
+    proj: Option<Vec<usize>>,
+    /// Snapshot-schema column count; every yielded row has this arity.
+    arity: usize,
+    /// Whether to collect [`FragmentYield::visible_ts`].
+    want_visible_ts: bool,
+}
+
+impl<'e> ScanPlan<'e> {
+    /// Resolves the predicate's and the projection's column names against
+    /// the snapshot schema; an unknown name is `InvalidArgument`.
+    pub(crate) fn compile(
+        expr: &'e Expr,
+        projection: Option<&[String]>,
+        schema: &Schema,
+        want_visible_ts: bool,
+    ) -> VortexResult<Self> {
+        let proj = projection
+            .map(|cols| {
+                cols.iter()
+                    .map(|c| {
+                        schema.column_index(c).ok_or_else(|| {
+                            VortexError::InvalidArgument(format!("unknown projection column {c}"))
+                        })
+                    })
+                    .collect::<VortexResult<Vec<usize>>>()
+            })
+            .transpose()?;
+        Ok(ScanPlan {
+            expr,
+            pred: CPred::compile(expr, schema)?,
+            proj,
+            arity: schema.fields.len(),
+            want_visible_ts,
+        })
+    }
+}
+
+/// What one fragment (or the tails) contributes to a scan.
 #[derive(Debug, Default)]
-pub(crate) struct PushedBlock {
+pub(crate) struct FragmentYield {
     /// Matching rows — already filtered, projected, and padded to the
     /// snapshot schema arity. The caller must NOT re-filter them (the
     /// projection may have nulled the predicate columns).
@@ -279,43 +331,74 @@ pub(crate) struct PushedBlock {
     /// predicate or not — the freshness probe (§8) measures when
     /// committed data became readable, not whether a filter kept it.
     pub visible_ts: Vec<Timestamp>,
-    /// Zones in the block.
+    /// Zones in the ROS blocks scanned.
     pub zones_total: usize,
     /// Zones skipped via the zone map.
     pub zones_pruned: usize,
-    /// Rows decoded (rows of the zones the zone map could not skip).
+    /// Rows decoded: rows of the zones the zone map could not skip, plus
+    /// every visible row of a WOS fragment or tail.
     pub rows_scanned: u64,
 }
 
-/// Scans one ROS block with the predicate pushed into the compressed
-/// chunks. `projection` lists the schema column indices the caller needs
-/// materialized (`None` = all); other columns read NULL. The caller has
-/// already checked stream-level visibility (`visible_from`).
-pub(crate) fn scan_ros_block(
-    block: &RosBlock,
-    spec: &FragmentReadSpec,
-    pred: &CPred,
-    projection: Option<&[usize]>,
-    arity: usize,
-    want_visible_ts: bool,
-) -> VortexResult<PushedBlock> {
-    let metas = block.metas();
-    // Row visibility, mirroring the client's `filter_visible`: the WOS
-    // snapshot-timestamp cutoff never triggers for ROS (every row
-    // predates the block's creation), leaving flush limits + DML masks.
-    let vis = |idx: usize| {
-        if let Some(limit) = spec.visibility.flush_limit {
-            if spec.meta.first_row + idx as u64 >= limit {
-                return false;
+impl FragmentYield {
+    /// Folds another fragment's contribution into this one.
+    pub(crate) fn absorb(&mut self, other: FragmentYield) {
+        self.rows.extend(other.rows);
+        self.visible_ts.extend(other.visible_ts);
+        self.zones_total += other.zones_total;
+        self.zones_pruned += other.zones_pruned;
+        self.rows_scanned += other.rows_scanned;
+    }
+}
+
+/// Filters and projects rows that arrive decoded — a WOS fragment's or a
+/// tail's visible rows — with the same outcome [`scan_ros_block`] has on
+/// a block: the predicate sees stored values, then columns outside the
+/// projection read NULL.
+pub(crate) fn scan_rows(
+    mut rows: Vec<(RowMeta, Row)>,
+    schema: &Schema,
+    plan: &ScanPlan<'_>,
+) -> VortexResult<FragmentYield> {
+    let mut out = FragmentYield {
+        rows_scanned: rows.len() as u64,
+        ..Default::default()
+    };
+    if plan.want_visible_ts {
+        out.visible_ts = rows.iter().map(|(m, _)| m.ts).collect();
+    }
+    pad_rows(&mut rows, plan.arity);
+    for (meta, mut row) in rows {
+        if !plan.expr.eval(schema, &row)? {
+            continue;
+        }
+        if let Some(proj) = &plan.proj {
+            for (i, v) in row.values.iter_mut().enumerate() {
+                if !proj.contains(&i) {
+                    *v = Value::Null;
+                }
             }
         }
-        !spec.mask.contains(idx as u64)
-    };
-    let mut out = PushedBlock {
+        out.rows.push((meta, row));
+    }
+    Ok(out)
+}
+
+/// Scans one ROS block with the predicate pushed into the compressed
+/// chunks; `gate` decides which block rows the snapshot may see.
+pub(crate) fn scan_ros_block(
+    block: &RosBlock,
+    gate: &RowGate<'_>,
+    plan: &ScanPlan<'_>,
+) -> VortexResult<FragmentYield> {
+    let metas = block.metas();
+    let (pred, arity) = (&plan.pred, plan.arity);
+    let vis = |idx: usize| gate.admits(idx as u64);
+    let mut out = FragmentYield {
         zones_total: block.zone_count(),
         ..Default::default()
     };
-    if want_visible_ts {
+    if plan.want_visible_ts {
         out.visible_ts = (0..block.row_count())
             .filter(|&i| vis(i))
             .map(|i| metas[i].ts)
@@ -323,7 +406,7 @@ pub(crate) fn scan_ros_block(
     }
     // Projected columns actually present in this block; later-schema
     // columns stay NULL via the arity padding below.
-    let proj: Vec<usize> = match projection {
+    let proj: Vec<usize> = match &plan.proj {
         Some(p) => p
             .iter()
             .copied()

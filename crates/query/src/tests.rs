@@ -115,6 +115,35 @@ fn load_converted(r: &Rig, n: usize) -> TableId {
     t.table
 }
 
+/// The reference every scan must be indistinguishable from: all rows
+/// visible at `snap` materialized by the client's full-table read,
+/// filtered one by one with `Expr::eval`, then every column outside the
+/// projection nulled.
+fn oracle_scan(
+    r: &Rig,
+    t: TableId,
+    snap: vortex_common::truetime::Timestamp,
+    pred: &Expr,
+    projection: Option<&[String]>,
+) -> Vec<(vortex_ros::RowMeta, Row)> {
+    let all = r.client.read_rows_at(t, snap).unwrap();
+    let mut kept = Vec::new();
+    for (meta, mut row) in all.rows {
+        if !pred.eval(&all.schema, &row).unwrap() {
+            continue;
+        }
+        if let Some(cols) = projection {
+            for (field, v) in all.schema.fields.iter().zip(row.values.iter_mut()) {
+                if !cols.contains(&field.name) {
+                    *v = Value::Null;
+                }
+            }
+        }
+        kept.push((meta, row));
+    }
+    kept
+}
+
 fn amounts(rows: &[(vortex_ros::RowMeta, Row)]) -> Vec<i64> {
     let mut v: Vec<i64> = rows
         .iter()
@@ -447,6 +476,63 @@ fn dml_then_conversion_then_read() {
     assert_eq!(amounts(&res.rows), (10..80).collect::<Vec<_>>());
 }
 
+/// Leaves the first-listed replica of every live fragment of `kind` a
+/// few bytes short of the recorded committed size — what a
+/// single-replica reconciliation leaves behind when the lagging replica
+/// missed the final append: the file reads fine but does not parse.
+fn shorten_first_replica(r: &Rig, t: TableId, kind: vortex_sms::meta::FragmentKind) -> usize {
+    let mut shortened = 0;
+    for f in r.sms.list_fragments(t, r.sms.read_snapshot()) {
+        if f.kind != kind || f.deleted_at != vortex_common::truetime::Timestamp::MAX {
+            continue;
+        }
+        let cluster = r.client.fleet().get(f.clusters[0]).unwrap();
+        let bytes = cluster.read_all(&f.path).unwrap().data;
+        cluster.delete(&f.path).unwrap();
+        cluster
+            .append(
+                &f.path,
+                &bytes[..bytes.len() - 7],
+                vortex_common::truetime::Timestamp::MIN,
+            )
+            .unwrap();
+        shortened += 1;
+    }
+    shortened
+}
+
+/// Regression: DML and the optimizer used to read the first replica that
+/// *answered* and fail when it did not parse; only table reads failed
+/// over on a parse error.
+#[test]
+fn dml_and_optimizer_fail_over_when_first_replica_does_not_parse() {
+    use vortex_sms::meta::FragmentKind;
+    let r = rig();
+    let t = r.sms.create_table("t", schema()).unwrap();
+    let mut w = r.client.create_unbuffered_writer(t.table).unwrap();
+    w.append(rows(0, 200)).unwrap();
+    let s = w.stream_id();
+    r.sms.finalize_stream(t.table, s).unwrap();
+    assert!(shorten_first_replica(&r, t.table, FragmentKind::Wos) > 0);
+    assert_eq!(r.client.read_rows(t.table).unwrap().rows.len(), 200);
+
+    let report = r
+        .dml
+        .delete_where(t.table, &Expr::lt("amount", Value::Int64(20)))
+        .unwrap();
+    assert_eq!(report.rows_matched, 20);
+    let converted = r.opt.convert_wos(t.table).unwrap();
+    assert_eq!((converted.rows, converted.rows_masked), (180, 20));
+
+    assert!(shorten_first_replica(&r, t.table, FragmentKind::Ros) > 0);
+    assert!(r.opt.recluster(t.table).unwrap().merged);
+    let res = r
+        .engine
+        .scan(t.table, r.sms.read_snapshot(), &ScanOptions::default())
+        .unwrap();
+    assert_eq!(amounts(&res.rows), (20..200).collect::<Vec<_>>());
+}
+
 #[test]
 fn upsert_delete_resolution_end_to_end() {
     let r = rig();
@@ -535,7 +621,38 @@ fn cdc_resolution_survives_conversion() {
     .unwrap();
     let s = w.stream_id();
     r.sms.finalize_stream(t.table, s).unwrap();
+    // A selective predicate that the superseded versions of k0..k9
+    // satisfy but their current versions do not, with a projection that
+    // drops the key: filtering or projecting before resolution would
+    // resurrect the old versions or lose the key they resolve by.
+    let selective = ScanOptions {
+        resolve_changes: true,
+        predicate: Expr::lt("v", Value::Int64(50)),
+        projection: Some(vec!["v".to_string()]),
+        ..ScanOptions::default()
+    };
+    let unconverted = r
+        .engine
+        .scan(t.table, r.sms.read_snapshot(), &selective)
+        .unwrap();
     r.opt.convert_wos(t.table).unwrap();
+    let converted = r
+        .engine
+        .scan(t.table, r.sms.read_snapshot(), &selective)
+        .unwrap();
+    assert_eq!(converted.rows, unconverted.rows);
+    assert!(converted.stats.zones_total > 0, "{:?}", converted.stats);
+    let vs: Vec<Value> = converted
+        .rows
+        .iter()
+        .map(|(_, row)| row.values[1].clone())
+        .collect();
+    assert_eq!(vs, (10..20).map(Value::Int64).collect::<Vec<_>>());
+    assert!(converted
+        .rows
+        .iter()
+        .all(|(_, row)| row.values[0] == Value::Null));
+
     let opts = ScanOptions {
         resolve_changes: true,
         ..ScanOptions::default()
@@ -1065,8 +1182,8 @@ fn sql_across_schema_evolution() {
 
 // ---------------------------------------------------------------------
 // Compute pushdown over compressed ROS blocks: zone-map pruning, late
-// materialization, and the equivalence contract — a pushed scan must be
-// indistinguishable from decode-then-filter.
+// materialization, and the equivalence contract — a scan must be
+// indistinguishable from decode-then-filter (`oracle_scan`).
 // ---------------------------------------------------------------------
 
 #[test]
@@ -1108,21 +1225,9 @@ fn zone_map_prunes_within_a_block() {
     assert!(res.stats.rows_scanned <= 1024, "{:?}", res.stats);
     assert_eq!(amounts(&res.rows), (1960..2000).collect::<Vec<_>>());
 
-    // Decode-then-filter agrees on the rows but skips nothing.
-    let res_off = r
-        .engine
-        .scan(
-            t.table,
-            r.sms.read_snapshot(),
-            &ScanOptions {
-                pushdown: false,
-                ..opts
-            },
-        )
-        .unwrap();
-    assert_eq!(amounts(&res_off.rows), amounts(&res.rows));
-    assert_eq!(res_off.stats.zones_pruned, 0);
-    assert_eq!(res_off.stats.rows_scanned, 2000);
+    // Decode-then-filter agrees on the rows.
+    let oracle = oracle_scan(&r, t.table, r.sms.read_snapshot(), &opts.predicate, None);
+    assert_eq!(amounts(&oracle), amounts(&res.rows));
 }
 
 #[test]
@@ -1143,14 +1248,28 @@ fn projection_pushdown_nulls_unrequested_columns() {
     }
     assert_eq!(amounts(&res.rows), (100..200).collect::<Vec<_>>());
 
-    // Unknown projection column is a hard error on both paths.
-    for pushdown in [true, false] {
-        let bad = ScanOptions {
-            projection: Some(vec!["nope".to_string()]),
-            pushdown,
-            ..ScanOptions::default()
-        };
-        assert!(r.engine.scan(t, r.sms.read_snapshot(), &bad).is_err());
+    // An unknown projection or predicate column is a hard error, raised
+    // when the scan compiles — even where no row would reach the filter.
+    let bad_projection = ScanOptions {
+        projection: Some(vec!["nope".to_string()]),
+        ..ScanOptions::default()
+    };
+    let bad_predicate = ScanOptions {
+        predicate: Expr::eq("day", Value::Int64(99)).and(Expr::IsNull("nope".into())),
+        ..ScanOptions::default()
+    };
+    for bad in [bad_projection, bad_predicate] {
+        for resolve_changes in [false, true] {
+            let bad = ScanOptions {
+                resolve_changes,
+                ..bad.clone()
+            };
+            let err = r.engine.scan(t, r.sms.read_snapshot(), &bad).unwrap_err();
+            assert!(
+                matches!(err, vortex_common::error::VortexError::InvalidArgument(_)),
+                "{err}"
+            );
+        }
     }
 }
 
@@ -1206,7 +1325,7 @@ mod pushdown_equivalence {
     use vortex_common::row::{Row, RowSet, Value};
     use vortex_common::schema::{Field, FieldType, PartitionTransform, Schema};
 
-    use super::{rig, Rig};
+    use super::{oracle_scan, rig, Rig};
     use crate::engine::ScanOptions;
     use crate::expr::{CmpOp, Expr};
 
@@ -1366,18 +1485,10 @@ mod pushdown_equivalence {
                     ..ScanOptions::default()
                 })
                 .unwrap();
-            let off = r
-                .engine
-                .scan(t, snap, &ScanOptions {
-                    predicate: pred,
-                    projection,
-                    pushdown: false,
-                    ..ScanOptions::default()
-                })
-                .unwrap();
-            prop_assert_eq!(keys(&on.rows), keys(&off.rows));
-            prop_assert_eq!(on.stats.rows_matched, off.stats.rows_matched);
-            prop_assert_eq!(on.schema.fields.len(), off.schema.fields.len());
+            let off = oracle_scan(&r, t, snap, &pred, projection.as_deref());
+            prop_assert_eq!(keys(&on.rows), keys(&off));
+            prop_assert_eq!(on.stats.rows_matched, off.len() as u64);
+            prop_assert_eq!(on.schema.fields.len(), pd_schema().fields.len());
         }
     }
 }

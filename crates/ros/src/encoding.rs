@@ -1,10 +1,8 @@
 //! Adaptive per-column cascading encodings.
 //!
-//! The original engine picked one of three flat encodings — plain,
-//! dictionary, run-length — by a distribution scan (the classic columnar
-//! trade, Abadi et al., cited as \[2\] in the paper). This module keeps
-//! those three wire formats (readable forever) and adds a cascade in the
-//! style of the spiraldb Vortex toolkit / BtrBlocks:
+//! A cascade in the style of the spiraldb Vortex toolkit / BtrBlocks
+//! (the classic columnar trade, Abadi et al., cited as \[2\] in the
+//! paper), over [`Encoding::Plain`] as the leaf that always applies:
 //!
 //! * [`Encoding::IntPack`] — delta + frame-of-reference + bit-packing for
 //!   `Int64` / `Date` / `Timestamp` columns (FastLanes-style).
@@ -33,7 +31,7 @@
 //! Every decode path is bounds-checked: declared lengths are bounded by
 //! the *remaining* input before any allocation.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use vortex_common::codec::{
     decode_value, encode_value, get_ivarint, get_uvarint, put_ivarint, put_uvarint,
@@ -47,10 +45,6 @@ use vortex_common::truetime::Timestamp;
 pub enum Encoding {
     /// Values stored back to back.
     Plain,
-    /// A value dictionary followed by per-row uvarint indices (legacy v1).
-    Dict,
-    /// (run length, value) pairs (legacy v1).
-    Rle,
     /// Delta/frame-of-reference + bit-packed integers (Int64/Date/Timestamp).
     IntPack,
     /// ALP-style decimal floats: scaled integers + raw-bits patches.
@@ -64,12 +58,11 @@ pub enum Encoding {
 }
 
 impl Encoding {
-    /// Wire value.
+    /// Wire value. 1 and 2 were the v1 dictionary / run-length formats,
+    /// which nothing writes or reads any more; they stay unassigned.
     pub fn to_u8(self) -> u8 {
         match self {
             Encoding::Plain => 0,
-            Encoding::Dict => 1,
-            Encoding::Rle => 2,
             Encoding::IntPack => 3,
             Encoding::Alp => 4,
             Encoding::Fsst => 5,
@@ -82,8 +75,6 @@ impl Encoding {
     pub fn from_u8(v: u8) -> VortexResult<Self> {
         Ok(match v {
             0 => Encoding::Plain,
-            1 => Encoding::Dict,
-            2 => Encoding::Rle,
             3 => Encoding::IntPack,
             4 => Encoding::Alp,
             5 => Encoding::Fsst,
@@ -263,7 +254,7 @@ struct ColumnShape {
     runs: usize,
     /// Distinct count under `encode_key` identity; `None` once it
     /// overflows `MAX_DICT`.
-    distinct: Option<HashMap<Vec<u8>, u32>>,
+    distinct: Option<HashSet<Vec<u8>>>,
     has_int: bool,
     has_float: bool,
     has_str: bool,
@@ -276,7 +267,7 @@ struct ColumnShape {
 fn classify(values: &[Value]) -> ColumnShape {
     let mut shape = ColumnShape {
         runs: if values.is_empty() { 0 } else { 1 },
-        distinct: Some(HashMap::new()),
+        distinct: Some(HashSet::new()),
         has_int: false,
         has_float: false,
         has_str: false,
@@ -295,8 +286,7 @@ fn classify(values: &[Value]) -> ColumnShape {
             _ => shape.has_other = true,
         }
         if let Some(d) = shape.distinct.as_mut() {
-            let next = d.len() as u32;
-            d.entry(v.encode_key()).or_insert(next);
+            d.insert(v.encode_key());
             if d.len() > MAX_DICT {
                 shape.distinct = None;
             }
@@ -360,26 +350,6 @@ pub fn encode_column(values: &[Value]) -> (Encoding, Vec<u8>) {
     best
 }
 
-/// The v1 chooser (plain / dict / rle only), kept as the control arm for
-/// compression benchmarks and as a fallback reference. Run counting uses
-/// `key_eq`, matching the dictionary's `encode_key` identity.
-pub fn encode_column_legacy(values: &[Value]) -> (Encoding, Vec<u8>) {
-    let n = values.len();
-    if n == 0 {
-        return (Encoding::Plain, Vec::new());
-    }
-    let shape = classify(values);
-    if shape.runs * 3 <= n {
-        return (Encoding::Rle, encode_rle(values));
-    }
-    if let Some(d) = &shape.distinct {
-        if d.len() * 2 <= n {
-            return (Encoding::Dict, encode_dict(values, d));
-        }
-    }
-    (Encoding::Plain, encode_plain(values))
-}
-
 fn sample_stripes(values: &[Value]) -> Vec<Value> {
     let n = values.len();
     let mut sample = Vec::with_capacity(SAMPLE_STRIPES * SAMPLE_STRIPE_LEN);
@@ -394,28 +364,14 @@ fn sample_stripes(values: &[Value]) -> Vec<Value> {
 /// Encodes with a specific encoding (benchmarks and tests). Errors when
 /// the encoding doesn't apply to these values (e.g. IntPack on strings).
 pub fn encode_column_with(values: &[Value], enc: Encoding) -> VortexResult<Vec<u8>> {
-    match enc {
-        Encoding::Plain => Ok(encode_plain(values)),
-        Encoding::Rle => Ok(encode_rle(values)),
-        Encoding::Dict => {
-            let mut distinct: HashMap<Vec<u8>, u32> = HashMap::new();
-            for v in values {
-                let next = distinct.len() as u32;
-                distinct.entry(v.encode_key()).or_insert(next);
-            }
-            Ok(encode_dict(values, &distinct))
-        }
-        other => try_encode_with(values, other).ok_or_else(|| {
-            VortexError::InvalidArgument(format!("{other:?} does not apply to this column"))
-        }),
-    }
+    try_encode_with(values, enc).ok_or_else(|| {
+        VortexError::InvalidArgument(format!("{enc:?} does not apply to this column"))
+    })
 }
 
 fn try_encode_with(values: &[Value], enc: Encoding) -> Option<Vec<u8>> {
     match enc {
         Encoding::Plain => Some(encode_plain(values)),
-        Encoding::Rle => Some(encode_rle(values)),
-        Encoding::Dict => None,
         Encoding::IntPack => try_encode_intpack(values),
         Encoding::Alp => try_encode_alp(values),
         Encoding::Fsst => try_encode_fsst(values),
@@ -446,42 +402,6 @@ fn encode_plain(values: &[Value]) -> Vec<u8> {
     let mut out = Vec::new();
     for v in values {
         encode_value(&mut out, v);
-    }
-    out
-}
-
-fn encode_rle(values: &[Value]) -> Vec<u8> {
-    let mut out = Vec::new();
-    let mut i = 0usize;
-    while i < values.len() {
-        let mut j = i + 1;
-        while j < values.len() && values[j].key_eq(&values[i]) {
-            j += 1;
-        }
-        put_uvarint(&mut out, (j - i) as u64);
-        encode_value(&mut out, &values[i]);
-        i = j;
-    }
-    out
-}
-
-fn encode_dict(values: &[Value], ids: &HashMap<Vec<u8>, u32>) -> Vec<u8> {
-    // Rebuild the dictionary in id order.
-    let mut dict: Vec<Option<&Value>> = vec![None; ids.len()];
-    for v in values {
-        let id = ids[&v.encode_key()] as usize;
-        if dict[id].is_none() {
-            dict[id] = Some(v);
-        }
-    }
-    let mut out = Vec::new();
-    put_uvarint(&mut out, dict.len() as u64);
-    for entry in &dict {
-        // lint:allow(L002, every id in 0..dict.len() was assigned a value in the loop above)
-        encode_value(&mut out, entry.expect("dictionary id without value"));
-    }
-    for v in values {
-        put_uvarint(&mut out, ids[&v.encode_key()] as u64);
     }
     out
 }
@@ -970,43 +890,6 @@ fn decode_chunk_at(
             }
             Ok(DecodedChunk::Values(out))
         }
-        Encoding::Rle => {
-            let mut lens: Vec<u32> = Vec::new();
-            let mut values: Vec<Value> = Vec::new();
-            let mut total = 0usize;
-            while total < count {
-                let run = get_uvarint(bytes, pos)? as usize;
-                if run == 0 || run > count - total {
-                    return Err(VortexError::Decode(format!(
-                        "rle run {run} exceeds remaining {}",
-                        count - total
-                    )));
-                }
-                values.push(decode_value(bytes, pos)?);
-                lens.push(run as u32);
-                total += run;
-            }
-            Ok(DecodedChunk::Runs { lens, values })
-        }
-        Encoding::Dict => {
-            // A dictionary can't have more entries than remaining bytes
-            // (every legacy entry is ≥1 byte): bound the pre-allocation
-            // by *remaining* input, not the whole buffer.
-            let dict_len = get_count(bytes, pos, bytes.len() - *pos, "dict size")?;
-            let mut dict = Vec::with_capacity(dict_len);
-            for _ in 0..dict_len {
-                dict.push(decode_value(bytes, pos)?);
-            }
-            let mut codes = Vec::with_capacity(count.min(bytes.len() - *pos + 1));
-            for _ in 0..count {
-                let id = get_uvarint(bytes, pos)?;
-                if id >= dict_len as u64 {
-                    return Err(VortexError::Decode(format!("dict id {id} out of range")));
-                }
-                codes.push(id as u32);
-            }
-            Ok(DecodedChunk::Dict { dict, codes })
-        }
         Encoding::IntPack => decode_intpack(bytes, pos, count).map(DecodedChunk::Values),
         Encoding::Alp => decode_alp(bytes, pos, count).map(DecodedChunk::Values),
         Encoding::Fsst => decode_fsst(bytes, pos, count).map(DecodedChunk::Values),
@@ -1326,10 +1209,8 @@ fn decode_fsst(bytes: &[u8], pos: &mut usize, count: usize) -> VortexResult<Vec<
 mod tests {
     use super::*;
 
-    const ALL_ENCODINGS: [Encoding; 8] = [
+    const ALL_ENCODINGS: [Encoding; 6] = [
         Encoding::Plain,
-        Encoding::Dict,
-        Encoding::Rle,
         Encoding::IntPack,
         Encoding::Alp,
         Encoding::Fsst,
@@ -1505,8 +1386,8 @@ mod tests {
         // Dictionary of sequential ints: value section should IntPack.
         let vals: Vec<Value> = (0..2000).map(|i| Value::Int64(i % 100)).collect();
         let v2 = encode_column_with(&vals, Encoding::DictV2).unwrap();
-        let v1 = encode_column_with(&vals, Encoding::Dict).unwrap();
-        assert!(v2.len() < v1.len(), "{} vs {}", v2.len(), v1.len());
+        let plain = encode_column_with(&vals, Encoding::Plain).unwrap();
+        assert!(v2.len() < plain.len(), "{} vs {}", v2.len(), plain.len());
         assert_key_eq(&decode_column(Encoding::DictV2, &v2, 2000).unwrap(), &vals);
     }
 
@@ -1519,8 +1400,8 @@ mod tests {
             }
         }
         let v2 = encode_column_with(&vals, Encoding::RleV2).unwrap();
-        let v1 = encode_column_with(&vals, Encoding::Rle).unwrap();
-        assert!(v2.len() < v1.len(), "{} vs {}", v2.len(), v1.len());
+        let plain = encode_column_with(&vals, Encoding::Plain).unwrap();
+        assert!(v2.len() < plain.len(), "{} vs {}", v2.len(), plain.len());
         assert_key_eq(
             &decode_column(Encoding::RleV2, &v2, vals.len()).unwrap(),
             &vals,
@@ -1564,13 +1445,7 @@ mod tests {
             Value::String("x".into()),
             Value::Null,
         ];
-        for enc in [
-            Encoding::Plain,
-            Encoding::Dict,
-            Encoding::Rle,
-            Encoding::DictV2,
-            Encoding::RleV2,
-        ] {
+        for enc in [Encoding::Plain, Encoding::DictV2, Encoding::RleV2] {
             let bytes = encode_column_with(&vals, enc).unwrap();
             assert_key_eq(&decode_column(enc, &bytes, vals.len()).unwrap(), &vals);
         }
@@ -1621,8 +1496,6 @@ mod tests {
         let vals: Vec<Value> = (0..10).map(Value::Int64).collect();
         for enc in [
             Encoding::Plain,
-            Encoding::Dict,
-            Encoding::Rle,
             Encoding::IntPack,
             Encoding::DictV2,
             Encoding::RleV2,
@@ -1646,38 +1519,35 @@ mod tests {
 
     #[test]
     fn rle_zero_run_rejected() {
+        let mut value = Vec::new();
+        encode_value(&mut value, &Value::Int64(1));
         let mut bytes = Vec::new();
-        put_uvarint(&mut bytes, 0); // run of 0
-        encode_value(&mut bytes, &Value::Int64(1));
-        assert!(decode_column(Encoding::Rle, &bytes, 1).is_err());
+        put_uvarint(&mut bytes, 1); // one run...
+        put_uvarint(&mut bytes, 0); // ...of length 0
+        bytes.push(Encoding::Plain.to_u8());
+        put_uvarint(&mut bytes, value.len() as u64);
+        bytes.extend_from_slice(&value);
+        assert!(decode_column(Encoding::RleV2, &bytes, 1).is_err());
     }
 
     #[test]
     fn dict_out_of_range_id_rejected() {
+        let mut value = Vec::new();
+        encode_value(&mut value, &Value::Int64(7));
         let mut bytes = Vec::new();
         put_uvarint(&mut bytes, 1); // dict of 1 entry
-        encode_value(&mut bytes, &Value::Int64(7));
-        put_uvarint(&mut bytes, 5); // index 5 — out of range
-        assert!(decode_column(Encoding::Dict, &bytes, 1).is_err());
+        bytes.push(Encoding::Plain.to_u8());
+        put_uvarint(&mut bytes, value.len() as u64);
+        bytes.extend_from_slice(&value);
+        bytes.push(3); // code width
+        pack_bits(&mut bytes, &[5], 3); // index 5 — out of range
+        assert!(decode_column(Encoding::DictV2, &bytes, 1).is_err());
     }
 
-    /// The satellite-3 regression: a corrupt dictionary length must be
-    /// bounded by the bytes *remaining after* the varint, not the whole
-    /// buffer, so `Vec::with_capacity` can't over-allocate.
+    /// A corrupt dictionary length is bounded by the row count before
+    /// `Vec::with_capacity` can over-allocate.
     #[test]
-    fn dict_len_bounded_by_remaining_bytes() {
-        // A 300-byte chunk claiming a 1000-entry dictionary: the old
-        // guard compared against the *whole* buffer before the varint
-        // was consumed; the correct bound is the remaining bytes, so the
-        // claim must fail fast without reserving 1000 slots.
-        let mut bytes = Vec::new();
-        put_uvarint(&mut bytes, 1000);
-        bytes.resize(300, 0);
-        assert!(
-            decode_column(Encoding::Dict, &bytes, 5).is_err(),
-            "dict_len 1000 in 300-byte chunk must fail fast"
-        );
-        // DictV2 additionally bounds the dictionary by the row count.
+    fn dict_len_bounded_by_row_count() {
         let mut v2 = Vec::new();
         put_uvarint(&mut v2, 1000);
         v2.resize(2000, 0);
@@ -1685,7 +1555,7 @@ mod tests {
     }
 
     /// Corrupt-chunk fuzz: arbitrary bytes must never panic or
-    /// over-allocate, for every encoding old and new.
+    /// over-allocate, for every encoding.
     #[test]
     fn fuzz_decode_arbitrary_bytes_never_panics() {
         // Deterministic xorshift so failures reproduce.
@@ -1728,7 +1598,11 @@ mod tests {
 
     #[test]
     fn bad_encoding_byte_rejected() {
-        assert!(Encoding::from_u8(9).is_err());
+        // 1 and 2 were the v1 Dict / Rle formats.
+        for gone in [1u8, 2, 8, 9] {
+            let err = Encoding::from_u8(gone).unwrap_err();
+            assert!(err.to_string().contains("bad encoding"), "{gone}: {err}");
+        }
         for e in ALL_ENCODINGS {
             assert_eq!(Encoding::from_u8(e.to_u8()).unwrap(), e);
         }
@@ -1854,9 +1728,7 @@ mod tests {
                 }
             }
 
-            /// Every encoding that accepts the column roundtrips it, and
-            /// the legacy chooser (run counting now on key_eq) agrees
-            /// with its own encoder.
+            /// Every encoding that accepts the column roundtrips it.
             #[test]
             fn applicable_encodings_roundtrip(vals in column_strategy()) {
                 for enc in ALL_ENCODINGS {
@@ -1866,11 +1738,6 @@ mod tests {
                             prop_assert!(g.key_eq(w), "{:?} != {:?} under {:?}", g, w, enc);
                         }
                     }
-                }
-                let (enc, bytes) = encode_column_legacy(&vals);
-                let back = decode_column(enc, &bytes, vals.len()).unwrap();
-                for (g, w) in back.iter().zip(&vals) {
-                    prop_assert!(g.key_eq(w), "{:?} != {:?} under legacy {:?}", g, w, enc);
                 }
             }
         }

@@ -15,8 +15,8 @@
 
 use vortex_colossus::Colossus;
 use vortex_common::codec::{get_uvarint, put_uvarint};
-use vortex_common::crc::crc32c;
 use vortex_common::error::{VortexError, VortexResult};
+use vortex_common::frame;
 use vortex_common::ids::{ServerId, StreamletId, TableId};
 use vortex_common::truetime::Timestamp;
 
@@ -179,24 +179,6 @@ pub fn shards_present(server: ServerId, cluster: &Colossus) -> VortexResult<Vec<
     Ok(shards)
 }
 
-/// Validates a checkpoint file's framing and CRC, returning the snapshot
-/// body if intact. `None` means the file is truncated or corrupt (e.g. a
-/// torn append persisted only a prefix) and recovery must fall back.
-fn parse_checkpoint(data: &[u8]) -> Option<Vec<u8>> {
-    let mut pos = 0usize;
-    let n = get_uvarint(data, &mut pos).ok()? as usize;
-    if pos.checked_add(n)?.checked_add(4)? > data.len() {
-        return None; // truncated
-    }
-    let body = &data[pos..pos + n];
-    // lint:allow(L002, the slice is exactly 4 bytes; bounds were checked two lines up)
-    let crc = u32::from_le_bytes(data[pos + n..pos + n + 4].try_into().unwrap());
-    if crc32c(body) != crc {
-        return None; // corrupt
-    }
-    Some(body.to_vec())
-}
-
 /// One shard's metadata log, bound to the server's home cluster. Each
 /// shard thread owns its log outright (single writer): records from
 /// different shards never interleave within a file, so a group commit's
@@ -251,12 +233,7 @@ impl ServerLog {
         for event in events {
             event.encode(&mut self.body);
         }
-        put_uvarint(&mut self.rec, self.body.len() as u64);
-        // lint:allow(L010, appends into the log's reused scratch arena; capacity is amortized across group commits)
-        self.rec.extend_from_slice(&self.body);
-        let crc = crc32c(&self.body).to_le_bytes();
-        // lint:allow(L010, four-byte CRC trailer into the reused arena)
-        self.rec.extend_from_slice(&crc);
+        frame::put_frame(&mut self.rec, &self.body);
         cluster.append(
             &wal_path(self.server, self.shard, self.epoch),
             &self.rec,
@@ -274,13 +251,9 @@ impl ServerLog {
     /// all older WAL/checkpoint files (§5.3).
     pub fn checkpoint(&mut self, cluster: &Colossus, snapshot: &[u8]) -> VortexResult<()> {
         self.epoch += 1;
-        let mut framed = Vec::with_capacity(snapshot.len() + 8);
-        put_uvarint(&mut framed, snapshot.len() as u64);
-        framed.extend_from_slice(snapshot);
-        framed.extend_from_slice(&crc32c(snapshot).to_le_bytes());
         cluster.append(
             &checkpoint_path(self.server, self.shard, self.epoch),
-            &framed,
+            &frame::framed(snapshot),
             Timestamp::MIN,
         )?;
         // A crash here leaves the new checkpoint durable but the old
@@ -328,8 +301,10 @@ impl ServerLog {
         let mut snapshot_epoch = None;
         for e in ckpt_epochs {
             let data = cluster.read_all(&checkpoint_path(server, shard, e))?.data;
-            if let Some(body) = parse_checkpoint(&data) {
-                snapshot = Some(body);
+            // A truncated or CRC-damaged file (a torn checkpoint append
+            // persisted only a prefix) has no intact frame.
+            if let Some(body) = frame::read_frames(&data).0.first() {
+                snapshot = Some(body.to_vec());
                 snapshot_epoch = Some(e);
                 break;
             }
@@ -349,29 +324,15 @@ impl ServerLog {
         let mut events = Vec::new();
         for e in wal_epochs {
             let data = cluster.read_all(&wal_path(server, shard, e))?.data;
-            let mut pos = 0usize;
-            while pos < data.len() {
-                let Ok(n) = get_uvarint(&data, &mut pos) else {
-                    break; // torn tail
-                };
-                let n = n as usize;
-                if pos + n + 4 > data.len() {
-                    break; // torn tail
-                }
-                let body = &data[pos..pos + n];
-                // lint:allow(L002, the slice is exactly 4 bytes; the torn-tail bounds check is two lines up)
-                let crc = u32::from_le_bytes(data[pos + n..pos + n + 4].try_into().unwrap());
-                if crc32c(body) != crc {
-                    break; // torn tail
-                }
-                // One record may carry a whole group commit's events:
-                // decode until the body is exhausted. A torn append never
-                // splits a group — the CRC frame covers all of it.
+            // A torn tail ends the file's replay. One record may carry a
+            // whole group commit's events: decode until the body is
+            // exhausted. A torn append never splits a group — the CRC
+            // frame covers all of it.
+            for body in frame::read_frames(&data).0 {
                 let mut bp = 0usize;
                 while bp < body.len() {
                     events.push(WalEvent::decode(body, &mut bp)?);
                 }
-                pos += n + 4;
             }
         }
         Ok((snapshot, events))
@@ -450,6 +411,23 @@ mod tests {
         log.log(&c, &ev(1)).unwrap();
         // Simulate a torn record: append garbage.
         c.append(&wal_path(srv, 0, 0), &[9, 1, 2], Timestamp::MIN)
+            .unwrap();
+        let (_, events) = ServerLog::recover(srv, 0, &c).unwrap();
+        assert_eq!(events, vec![ev(1)]);
+    }
+
+    /// Regression: a tail whose length varint is near `u64::MAX` used to
+    /// overflow the replay loop's bounds check and panic on the slice.
+    #[test]
+    fn maximal_length_varint_tail_is_ignored() {
+        let c = cluster();
+        let srv = ServerId::from_raw(15);
+        let mut log = ServerLog::open(srv, 0, &c).unwrap();
+        log.log(&c, &ev(1)).unwrap();
+        let mut tail = Vec::new();
+        put_uvarint(&mut tail, u64::MAX - 2);
+        tail.extend_from_slice(&[0xAB; 8]);
+        c.append(&wal_path(srv, 0, 0), &tail, Timestamp::MIN)
             .unwrap();
         let (_, events) = ServerLog::recover(srv, 0, &c).unwrap();
         assert_eq!(events, vec![ev(1)]);

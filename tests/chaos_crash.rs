@@ -25,6 +25,27 @@ use vortex_common::{crashpoints, obs};
 /// whole body.
 static SOAK_LOCK: Mutex<()> = Mutex::new(());
 
+/// Held by every soak thread that calls into a killable process. An
+/// armed crash point can fire under any such call, so the supervisor
+/// keeps reviving until the last holder is gone — otherwise a process
+/// killed after the supervisor's final pass is never restarted and a
+/// writer (or the reader) retries against it forever.
+struct Caller(Arc<AtomicUsize>);
+
+impl Caller {
+    /// Registers a caller; call on the spawning thread, before `spawn`.
+    fn enter(live: &Arc<AtomicUsize>) -> Self {
+        live.fetch_add(1, Ordering::SeqCst);
+        Caller(Arc::clone(live))
+    }
+}
+
+impl Drop for Caller {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
 fn schema() -> Schema {
     Schema::new(vec![
         Field::required("day", FieldType::Int64),
@@ -86,6 +107,10 @@ fn chaos_kill_restart_exact_ledger() {
     );
     let client = region.client();
     let table = client.create_table("chaos_crash", schema()).unwrap().table;
+    // The probe records into the process-global registry, which the
+    // other soak in this binary also feeds when it runs first: every
+    // count below is taken relative to this baseline.
+    let (fresh_before, observed_before) = region.freshness().snapshot();
 
     // Torn-append axis: a failed Colossus append may durably persist a
     // seeded arbitrary prefix of its bytes. The seed makes the prefix
@@ -141,6 +166,7 @@ fn chaos_kill_restart_exact_ledger() {
     ];
 
     let stop = Arc::new(AtomicBool::new(false));
+    let callers = Arc::new(AtomicUsize::new(0));
     // Per-writer published watermark: keys < watermark are acked.
     let watermarks: Arc<Vec<AtomicI64>> =
         Arc::new((0..WRITERS).map(|_| AtomicI64::new(0)).collect());
@@ -160,7 +186,9 @@ fn chaos_kill_restart_exact_ledger() {
             let client = region.client();
             let stop = Arc::clone(&stop);
             let watermarks = Arc::clone(&watermarks);
+            let caller = Caller::enter(&callers);
             s.spawn(move || {
+                let _caller = caller;
                 let mut writer = client.create_unbuffered_writer(table).unwrap();
                 let mut next = 0i64;
                 while !stop.load(Ordering::Relaxed) {
@@ -201,6 +229,7 @@ fn chaos_kill_restart_exact_ledger() {
             let cycles = Arc::clone(&cycles);
             let meta_ckpts = Arc::clone(&meta_ckpts);
             let meta_drills = Arc::clone(&meta_drills);
+            let callers = Arc::clone(&callers);
             s.spawn(move || {
                 let mut rng = seed ^ 0x50BE_12F1_5012; // supervisor lane
                 let n_servers = region.server_channels().len();
@@ -247,7 +276,12 @@ fn chaos_kill_restart_exact_ledger() {
                         let _ = region.run_heartbeats(true);
                     }
                     if done {
-                        break; // exits with every process alive
+                        if callers.load(Ordering::SeqCst) == 0 {
+                            break; // exits with every process alive
+                        }
+                        // Revive-only until the callers have drained.
+                        std::thread::sleep(Duration::from_millis(5));
+                        continue;
                     }
                     // Murder phase: a seeded victim every third tick.
                     if tick % 3 == 0 {
@@ -303,7 +337,9 @@ fn chaos_kill_restart_exact_ledger() {
         {
             let region = Arc::clone(&region);
             let stop = Arc::clone(&stop);
+            let caller = Caller::enter(&callers);
             s.spawn(move || {
+                let _caller = caller;
                 while !stop.load(Ordering::Relaxed) {
                     let _ = region.run_heartbeats(false);
                     let _ = region.run_optimizer_cycle(table);
@@ -318,7 +354,9 @@ fn chaos_kill_restart_exact_ledger() {
         {
             let region = Arc::clone(&region);
             let stop = Arc::clone(&stop);
+            let caller = Caller::enter(&callers);
             s.spawn(move || {
+                let _caller = caller;
                 let engine = region.engine();
                 let client = region.client();
                 while !stop.load(Ordering::Relaxed) {
@@ -506,9 +544,10 @@ fn chaos_kill_restart_exact_ledger() {
     // per-table watermark must prevent double-counting: each row is
     // observed at most once, so the unique-row counter can never exceed
     // the final ledger, and it must agree with the histogram exactly.
-    let fresh = region.freshness().histogram();
-    let observed = region.freshness().rows_observed();
-    assert!(fresh.count > 0, "freshness histogram empty (seed {seed})");
+    let (fresh, observed) = region.freshness().snapshot();
+    let fresh_count = fresh.count - fresh_before.count;
+    let observed = observed - observed_before;
+    assert!(fresh_count > 0, "freshness histogram empty (seed {seed})");
     assert!(
         fresh.p99 <= fresh.max && fresh.max < u64::MAX / 2,
         "freshness tail saturated: p99={} max={} (seed {seed})",
@@ -516,7 +555,7 @@ fn chaos_kill_restart_exact_ledger() {
         fresh.max
     );
     assert_eq!(
-        observed, fresh.count,
+        observed, fresh_count,
         "freshness histogram and row counter disagree (seed {seed})"
     );
     assert!(
@@ -648,6 +687,7 @@ fn chaos_shard_routing_many_streamlets() {
     let groups_before = groups_counter.get();
 
     let stop = Arc::new(AtomicBool::new(false));
+    let callers = Arc::new(AtomicUsize::new(0));
     let watermarks: Arc<Vec<AtomicI64>> =
         Arc::new((0..ROUTE_WRITERS).map(|_| AtomicI64::new(0)).collect());
     let cycles = Arc::new(AtomicUsize::new(0));
@@ -659,7 +699,9 @@ fn chaos_shard_routing_many_streamlets() {
             let client = region.client();
             let stop = Arc::clone(&stop);
             let watermarks = Arc::clone(&watermarks);
+            let caller = Caller::enter(&callers);
             s.spawn(move || {
+                let _caller = caller;
                 let mut writer = client.create_unbuffered_writer(table).unwrap();
                 let batch_rows = 3 + (w as i64 % 5) * 4; // 3..=19 rows
                 let mut next = 0i64;
@@ -697,6 +739,7 @@ fn chaos_shard_routing_many_streamlets() {
             let region = Arc::clone(&region);
             let stop = Arc::clone(&stop);
             let cycles = Arc::clone(&cycles);
+            let callers = Arc::clone(&callers);
             s.spawn(move || {
                 let mut rng = seed ^ 0x0B07_7E50; // routing supervisor lane
                 let n_servers = region.server_channels().len();
@@ -715,7 +758,11 @@ fn chaos_shard_routing_many_streamlets() {
                         let _ = region.run_heartbeats(true);
                     }
                     if done {
-                        break;
+                        if callers.load(Ordering::SeqCst) == 0 {
+                            break;
+                        }
+                        std::thread::sleep(Duration::from_millis(5));
+                        continue;
                     }
                     if tick % 3 == 0 {
                         let r = next_rand(&mut rng);
@@ -730,7 +777,9 @@ fn chaos_shard_routing_many_streamlets() {
         {
             let region = Arc::clone(&region);
             let stop = Arc::clone(&stop);
+            let caller = Caller::enter(&callers);
             s.spawn(move || {
+                let _caller = caller;
                 while !stop.load(Ordering::Relaxed) {
                     let _ = region.run_heartbeats(false);
                     region.advance_micros(1_000_000);
