@@ -81,19 +81,32 @@ fn get_len(buf: &[u8], pos: &mut usize) -> VortexResult<usize> {
     Ok(n)
 }
 
-// Value tags. Stable on-disk values: never renumber.
-const TAG_NULL: u8 = 0;
-const TAG_BOOL: u8 = 1;
-const TAG_INT64: u8 = 2;
-const TAG_FLOAT64: u8 = 3;
-const TAG_STRING: u8 = 4;
-const TAG_BYTES: u8 = 5;
-const TAG_TIMESTAMP: u8 = 6;
-const TAG_DATE: u8 = 7;
-const TAG_NUMERIC: u8 = 8;
-const TAG_JSON: u8 = 9;
-const TAG_STRUCT: u8 = 10;
-const TAG_ARRAY: u8 = 11;
+// Value tags. Stable on-disk values: never renumber. Public for the ROS
+// Plain decoder, which reads encoded cells into typed vectors.
+/// Tag byte of an encoded `Value::Null`.
+pub const TAG_NULL: u8 = 0;
+/// Tag byte of an encoded `Value::Bool`.
+pub const TAG_BOOL: u8 = 1;
+/// Tag byte of an encoded `Value::Int64`.
+pub const TAG_INT64: u8 = 2;
+/// Tag byte of an encoded `Value::Float64`.
+pub const TAG_FLOAT64: u8 = 3;
+/// Tag byte of an encoded `Value::String`.
+pub const TAG_STRING: u8 = 4;
+/// Tag byte of an encoded `Value::Bytes`.
+pub const TAG_BYTES: u8 = 5;
+/// Tag byte of an encoded `Value::Timestamp`.
+pub const TAG_TIMESTAMP: u8 = 6;
+/// Tag byte of an encoded `Value::Date`.
+pub const TAG_DATE: u8 = 7;
+/// Tag byte of an encoded `Value::Numeric`.
+pub const TAG_NUMERIC: u8 = 8;
+/// Tag byte of an encoded `Value::Json`.
+pub const TAG_JSON: u8 = 9;
+/// Tag byte of an encoded `Value::Struct`.
+pub const TAG_STRUCT: u8 = 10;
+/// Tag byte of an encoded `Value::Array`.
+pub const TAG_ARRAY: u8 = 11;
 
 /// Appends one encoded value.
 pub fn encode_value(out: &mut Vec<u8>, v: &Value) {

@@ -126,7 +126,15 @@ impl Value {
     /// key bytes. Injective per type (a type-tag byte prevents cross-type
     /// collisions like `Int64(0)` vs `Bool(false)`).
     pub fn encode_key(&self) -> Vec<u8> {
-        let mut out = vec![self.type_rank()];
+        let mut out = Vec::new();
+        self.encode_key_into(&mut out);
+        out
+    }
+
+    /// Appends [`Value::encode_key`]'s bytes to `out` (a caller probing
+    /// many keys reuses one buffer).
+    pub fn encode_key_into(&self, out: &mut Vec<u8>) {
+        out.push(self.type_rank());
         match self {
             Value::Null => {}
             Value::Bool(b) => out.push(*b as u8),
@@ -139,14 +147,16 @@ impl Value {
             Value::Numeric(n) => out.extend_from_slice(&n.to_le_bytes()),
             Value::Json(s) => out.extend_from_slice(s.as_bytes()),
             Value::Struct(vs) | Value::Array(vs) => {
+                // Each element: its key's length, backpatched, then its key.
                 for v in vs {
-                    let k = v.encode_key();
-                    out.extend_from_slice(&(k.len() as u32).to_le_bytes());
-                    out.extend_from_slice(&k);
+                    let at = out.len();
+                    out.extend_from_slice(&[0; 4]);
+                    v.encode_key_into(out);
+                    let len = (out.len() - at - 4) as u32;
+                    out[at..at + 4].copy_from_slice(&len.to_le_bytes());
                 }
             }
         }
-        out
     }
 
     /// Equality consistent with [`Value::encode_key`], without allocating:

@@ -19,11 +19,12 @@ use vortex_common::stats::ColumnStats;
 use vortex_common::truetime::{Timestamp, TrueTime};
 use vortex_ros::RowMeta;
 use vortex_sms::api::SmsHandle;
-use vortex_sms::meta::FragmentKind;
+use vortex_sms::meta::{FragmentKind, TableMeta};
 use vortex_sms::readset::{FragmentReadSpec, ReadSet};
 use vortex_wos::format::{Footer, RecordHeader, RecordType, FOOTER_TOTAL_LEN, RECORD_HEADER_LEN};
 
 use crate::cdc::resolve_changes;
+use crate::consume::{Aggregator, Consumer, RowCollector};
 use crate::expr::Expr;
 use crate::pushdown::{scan_ros_block, scan_rows, FragmentYield, ScanPlan};
 
@@ -82,6 +83,11 @@ pub struct ScanStats {
     pub rows_scanned: u64,
     /// Rows matching the predicate.
     pub rows_matched: u64,
+    /// Rows this scan held as a `Row`: every visible WOS / tail row (they
+    /// arrive decoded), and the ROS rows a row-returning scan gathered —
+    /// none for `count` and `aggregate`, which fold ROS zones as typed
+    /// vectors.
+    pub rows_materialized: u64,
     /// Decoded-extent cache hits during this scan (0 without a cache).
     /// Attributed from shared-cache counter deltas, so concurrent scans
     /// may shift hits between each other; totals stay exact.
@@ -103,41 +109,33 @@ pub struct ScanResult {
     pub stats: ScanStats,
 }
 
-/// What the fragments of one read set contribute to a scan.
-struct FragmentsScan<'e> {
-    /// What was pushed down to every fragment (and goes to the tails).
-    down: ScanPlan<'e>,
-    /// The caller's filter + projection, run after merge-on-read
-    /// resolution; `None` when `down` already applied them.
-    post: Option<ScanPlan<'e>>,
-    /// Pruning counters.
-    stats: ScanStats,
-    /// The surviving fragments' merged yields.
-    out: FragmentYield,
-}
-
 /// Runs `f` over `items` (the surviving fragments) on up to `shards`
-/// scoped worker threads. A panicking worker surfaces as
-/// `VortexError::Internal` for its chunk instead of aborting the process
-/// (regression: scan workers used to be joined with `.unwrap()`, so one
-/// poisoned fragment took down the whole engine).
-fn scan_shards<'s, I, T, F>(items: &'s [I], shards: usize, f: &F) -> Vec<VortexResult<T>>
+/// scoped worker threads, each folding its share into one `init()`
+/// accumulator and stopping at its first error. A panicking worker
+/// surfaces as `VortexError::Internal` for its share instead of aborting
+/// the process (regression: scan workers used to be joined with
+/// `.unwrap()`, so one poisoned fragment took down the whole engine).
+fn scan_shards<'s, I, T, F>(
+    items: &'s [I],
+    shards: usize,
+    init: &(impl Fn() -> T + Sync),
+    f: &F,
+) -> Vec<VortexResult<T>>
 where
     I: Sync,
     T: Send,
-    F: Fn(&'s I) -> VortexResult<T> + Sync,
+    F: Fn(&mut T, &'s I) -> VortexResult<()> + Sync,
 {
     std::thread::scope(|s| {
-        let mut handles = Vec::new();
-        for chunk in items.chunks(items.len().div_ceil(shards).max(1)) {
-            handles.push(s.spawn(move || chunk.iter().map(f).collect::<Vec<_>>()));
-        }
+        let work = |chunk: &'s [I]| {
+            let mut acc = init();
+            chunk.iter().try_for_each(|i| f(&mut acc, i)).map(|()| acc)
+        };
+        let chunks = items.chunks(items.len().div_ceil(shards).max(1));
+        let handles: Vec<_> = chunks.map(|chunk| s.spawn(move || work(chunk))).collect();
         handles
             .into_iter()
-            .flat_map(|h| match h.join() {
-                Ok(results) => results,
-                Err(payload) => vec![Err(panic_error(payload))],
-            })
+            .map(|h| h.join().unwrap_or_else(|payload| Err(panic_error(payload))))
             .collect()
     })
 }
@@ -164,11 +162,12 @@ mod shard_tests {
         let hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
         let items = [1i32, 2, 3];
-        let results = scan_shards(&items, 2, &|&n| {
+        let results = scan_shards(&items, 2, &|| 0, &|sum: &mut i32, &n| {
             if n == 2 {
                 panic!("boom on item {n}");
             }
-            Ok(n * 10)
+            *sum += n * 10;
+            Ok(())
         });
         std::panic::set_hook(hook);
         // Chunk [1, 2] panics (its worker dies mid-chunk); chunk [3]
@@ -202,6 +201,17 @@ pub enum AggKind {
     /// AVG(col): arithmetic mean over Int64 / Float64 / Numeric, always
     /// FLOAT64 (BigQuery's `AVG(INT64)` semantics).
     Avg,
+}
+
+impl AggKind {
+    /// How a MIN / MAX candidate must order against the best so far to
+    /// replace it.
+    pub(crate) fn wants(self) -> std::cmp::Ordering {
+        match self {
+            AggKind::Min => std::cmp::Ordering::Less,
+            _ => std::cmp::Ordering::Greater,
+        }
+    }
 }
 
 /// The Dremel-lite query engine.
@@ -245,85 +255,115 @@ impl QueryEngine {
         self
     }
 
-    /// Scans a table at a snapshot with partition elimination.
-    // lint:hotpath(scan) — query leg: prune, parallel fragment reads, tail
+    /// Scans a table at a snapshot with partition elimination; returns
+    /// the matching rows ordered by source position.
     pub fn scan(
         &self,
         table: TableId,
         snapshot: Timestamp,
         opts: &ScanOptions,
     ) -> VortexResult<ScanResult> {
-        let tmeta = self.sms.get_table(table)?;
-        let key = tmeta.encryption_key();
-        let scan_start = self.tt.as_ref().map(|tt| tt.now().latest);
-        let cache_base = self.cache.as_ref().map(|c| (c.hits(), c.misses()));
-        let read = drive_table_read(&self.sms, &self.fleet, &key, table, snapshot, false, |rs| {
-            self.scan_fragments(rs, &tmeta.schema, &key, snapshot, opts)
-        })?;
-        let FragmentsScan {
-            down,
-            post,
-            mut stats,
-            mut out,
-        } = read.fragments;
-        stats.tails_scanned = read.tails;
-        out.absorb(scan_rows(read.tail_rows, &read.schema, &down)?);
-        stats.zones_total = out.zones_total;
-        stats.zones_pruned = out.zones_pruned;
-        stats.rows_scanned = out.rows_scanned;
-        // ---- CDC resolution over everything visible, then the filter ----
-        let mut rows = match &post {
-            Some(post) => {
-                let resolved = resolve_changes(&tmeta.schema, out.rows);
-                scan_rows(resolved, &read.schema, post)?.rows
-            }
-            None => out.rows,
-        };
-        stats.rows_matched = rows.len() as u64;
+        let rows = |_: &Schema| Ok(RowCollector::default());
+        let (sink, schema, stats) = self.scan_into(table, snapshot, opts, &rows)?;
+        let mut rows = sink.rows;
         rows.sort_by_key(|(m, _)| (m.stream, m.offset, m.ts));
-        if let Some((h0, m0)) = cache_base {
-            let c = self.cache.as_ref().expect("cache_base implies cache");
-            stats.cache_hits = c.hits().saturating_sub(h0);
-            stats.cache_misses = c.misses().saturating_sub(m0);
-        }
-        self.record_scan(table, &stats, scan_start, &out.visible_ts);
         Ok(ScanResult {
             snapshot,
-            schema: read.schema,
+            schema,
             rows,
             stats,
         })
     }
 
+    /// The one scan every query runs: folds the rows visible at
+    /// `snapshot` that match `opts` into the consumer `make` builds for
+    /// the snapshot schema.
+    // lint:hotpath(scan) — query leg: prune, parallel fragment reads, tail
+    pub(crate) fn scan_into<C: Consumer>(
+        &self,
+        table: TableId,
+        snapshot: Timestamp,
+        opts: &ScanOptions,
+        make: &dyn Fn(&Schema) -> VortexResult<C>,
+    ) -> VortexResult<(C, Schema, ScanStats)> {
+        let tmeta = self.sms.get_table(table)?;
+        let scan_start = self.tt.as_ref().map(|tt| tt.now().latest);
+        let cache_base = self.cache.as_ref().map(|c| (c.hits(), c.misses()));
+        let projection = opts.projection.as_deref();
+        let (mut out, schema) = if opts.resolve_changes {
+            // Merge-on-read must see every version of a key, including
+            // rows the filter would drop: collect every column of every
+            // visible row, resolve, then filter + project into `sink`.
+            let rows = |_: &Schema| Ok(RowCollector::default());
+            let (all, schema) =
+                self.read_into(&tmeta, snapshot, opts, (&Expr::True, None), &rows)?;
+            let post = ScanPlan::compile(&opts.predicate, projection, &schema, false)?;
+            let mut out = FragmentYield::new(make(&schema)?);
+            let resolved = resolve_changes(&tmeta.schema, all.sink.rows);
+            scan_rows(resolved, &schema, &post, &mut out)?;
+            // What was read is what `all` read; what matched is what the
+            // filter kept afterwards.
+            out.stats = ScanStats {
+                rows_matched: out.stats.rows_matched,
+                ..all.stats
+            };
+            out.visible_ts = all.visible_ts;
+            (out, schema)
+        } else {
+            self.read_into(&tmeta, snapshot, opts, (&opts.predicate, projection), make)?
+        };
+        if let (Some((h0, m0)), Some(c)) = (cache_base, &self.cache) {
+            out.stats.cache_hits = c.hits().saturating_sub(h0);
+            out.stats.cache_misses = c.misses().saturating_sub(m0);
+        }
+        self.record_scan(table, &out.stats, scan_start, &out.visible_ts);
+        Ok((out.sink, schema, out.stats))
+    }
+
+    /// Lists the table at `snapshot` and folds every fragment and tail,
+    /// with `pushed` (predicate, projection) pushed down, into `sink`.
+    fn read_into<'e, C: Consumer>(
+        &self,
+        tmeta: &TableMeta,
+        snapshot: Timestamp,
+        opts: &ScanOptions,
+        pushed: (&'e Expr, Option<&[String]>),
+        make: &dyn Fn(&Schema) -> VortexResult<C>,
+    ) -> VortexResult<(FragmentYield<C>, Schema)> {
+        let key = tmeta.encryption_key();
+        let (sms, fleet) = (&self.sms, &self.fleet);
+        let read = drive_table_read(sms, fleet, &key, tmeta.table, snapshot, false, |rs| {
+            self.scan_fragments(rs, tmeta, &key, snapshot, opts, pushed, make)
+        })?;
+        let (plan, mut out) = read.fragments;
+        out.stats.tails_scanned = read.tails;
+        scan_rows(read.tail_rows, &read.schema, &plan, &mut out)?;
+        Ok((out, read.schema))
+    }
+
     /// One read set's fragments: partition elimination (§7.2), then the
-    /// survivors scanned in parallel — each yields rows that are already
-    /// filtered and projected.
-    fn scan_fragments<'e>(
+    /// survivors scanned in parallel — each shard folds its fragments'
+    /// matching rows into its own clone of `sink`, merged at the end.
+    #[allow(clippy::too_many_arguments)]
+    fn scan_fragments<'e, C: Consumer>(
         &self,
         rs: &ReadSet,
-        table_schema: &Schema,
+        tmeta: &TableMeta,
         key: &Key,
         snapshot: Timestamp,
-        opts: &'e ScanOptions,
-    ) -> VortexResult<FragmentsScan<'e>> {
+        opts: &ScanOptions,
+        pushed: (&'e Expr, Option<&[String]>),
+        make: &dyn Fn(&Schema) -> VortexResult<C>,
+    ) -> VortexResult<(ScanPlan<'e>, FragmentYield<C>)> {
         // Commit timestamps of everything visible are captured before
         // CDC resolution / filtering can drop rows — freshness (§8)
         // measures when *committed* data became readable, not whether a
         // predicate kept it.
-        let want_ts = self.probe.is_some();
-        let plan =
-            |expr, projection, want_ts| ScanPlan::compile(expr, projection, &rs.schema, want_ts);
-        let projection = opts.projection.as_deref();
-        let (down, post) = if opts.resolve_changes {
-            let wanted = plan(&opts.predicate, projection, false)?;
-            (plan(&Expr::True, None, want_ts)?, Some(wanted))
-        } else {
-            (plan(&opts.predicate, projection, want_ts)?, None)
-        };
-        let mut stats = ScanStats {
-            fragments_total: rs.fragments.len(),
-            ..ScanStats::default()
-        };
+        let plan = ScanPlan::compile(pushed.0, pushed.1, &rs.schema, self.probe.is_some())?;
+        let sink = make(&rs.schema)?;
+        let mut out = FragmentYield::new(sink.clone());
+        let stats = &mut out.stats;
+        stats.fragments_total = rs.fragments.len();
         let mut survivors: Vec<&FragmentReadSpec> = Vec::new();
         for spec in &rs.fragments {
             let lookup = |col: &str| -> Option<ColumnStats> {
@@ -339,48 +379,47 @@ impl QueryEngine {
             }
             if opts.use_bloom
                 && spec.meta.kind == FragmentKind::Wos
-                && !self.bloom_may_match(table_schema, spec, &opts.predicate)?
+                && !self.bloom_may_match(&tmeta.schema, spec, &opts.predicate)?
             {
                 stats.pruned_by_bloom += 1;
                 continue;
             }
             survivors.push(spec);
         }
-        let results = scan_shards(&survivors, opts.parallelism.max(1), &|&spec| {
-            self.scan_fragment(spec, key, snapshot, &rs.schema, &down)
-        });
-        let mut out = FragmentYield::default();
-        for r in results {
-            out.absorb(r?);
+        let fresh = || FragmentYield::new(sink.clone());
+        let shards = scan_shards(
+            &survivors,
+            opts.parallelism.max(1),
+            &fresh,
+            &|out, &spec| self.scan_fragment(spec, key, snapshot, &rs.schema, &plan, out),
+        );
+        for shard in shards {
+            out.absorb(shard?);
         }
-        Ok(FragmentsScan {
-            down,
-            post,
-            stats,
-            out,
-        })
+        Ok((plan, out))
     }
 
-    /// The per-fragment step. A ROS block is never fully materialized:
-    /// the predicate runs on its compressed chunks and only projected
-    /// columns of selected rows are decoded. A WOS fragment is
-    /// row-oriented; its visible rows come decoded (through the cache)
-    /// and are filtered and projected here.
-    fn scan_fragment(
+    /// The per-fragment step. A ROS block is never materialized: the
+    /// predicate runs on its typed column vectors and the consumer folds
+    /// the selected positions. A WOS fragment is row-oriented; its
+    /// visible rows come decoded (through the cache) and are filtered and
+    /// projected here.
+    fn scan_fragment<C: Consumer>(
         &self,
         spec: &FragmentReadSpec,
         key: &Key,
         snapshot: Timestamp,
         schema: &Schema,
         plan: &ScanPlan<'_>,
-    ) -> VortexResult<FragmentYield> {
+        out: &mut FragmentYield<C>,
+    ) -> VortexResult<()> {
         let gate = RowGate::for_fragment(spec, snapshot);
         if gate.is_shut() {
-            return Ok(FragmentYield::default());
+            return Ok(());
         }
         match spec.meta.kind {
             FragmentKind::Ros => match open_fragment(&spec.meta, &self.fleet, key)? {
-                OpenFragment::Ros(block) => scan_ros_block(&block, &gate, plan),
+                OpenFragment::Ros(block) => scan_ros_block(&block, &gate, plan, out),
                 OpenFragment::Wos(_) => Err(VortexError::Internal(format!(
                     "{} opened as a log file but is listed as a ROS block",
                     spec.meta.path
@@ -389,7 +428,7 @@ impl QueryEngine {
             FragmentKind::Wos => {
                 let cache = self.cache.as_deref();
                 let rows = read_fragment_cached(spec, &self.fleet, key, snapshot, cache)?;
-                scan_rows(rows, schema, plan)
+                scan_rows(rows, schema, plan, out)
             }
         }
     }
@@ -407,20 +446,20 @@ impl QueryEngine {
         visible_ts: &[Timestamp],
     ) {
         let m = obs::global();
-        m.counter("scan.calls").inc();
-        m.counter("scan.fragments_total")
-            .add(stats.fragments_total as u64);
-        m.counter("scan.pruned_by_stats")
-            .add(stats.pruned_by_stats as u64);
-        m.counter("scan.pruned_by_bloom")
-            .add(stats.pruned_by_bloom as u64);
-        m.counter("scan.tails_scanned")
-            .add(stats.tails_scanned as u64);
-        m.counter("scan.zones_total").add(stats.zones_total as u64);
-        m.counter("scan.zones_pruned")
-            .add(stats.zones_pruned as u64);
-        m.counter("scan.rows_scanned").add(stats.rows_scanned);
-        m.counter("scan.rows_matched").add(stats.rows_matched);
+        for (name, n) in [
+            ("scan.calls", 1),
+            ("scan.fragments_total", stats.fragments_total as u64),
+            ("scan.pruned_by_stats", stats.pruned_by_stats as u64),
+            ("scan.pruned_by_bloom", stats.pruned_by_bloom as u64),
+            ("scan.tails_scanned", stats.tails_scanned as u64),
+            ("scan.zones_total", stats.zones_total as u64),
+            ("scan.zones_pruned", stats.zones_pruned as u64),
+            ("scan.rows_scanned", stats.rows_scanned),
+            ("scan.rows_matched", stats.rows_matched),
+            ("scan.rows_materialized", stats.rows_materialized),
+        ] {
+            m.counter(name).add(n);
+        }
         if self.cache.is_some() {
             m.counter("scan.cache.hits").add(stats.cache_hits);
             m.counter("scan.cache.misses").add(stats.cache_misses);
@@ -445,19 +484,11 @@ impl QueryEngine {
         spec: &FragmentReadSpec,
         predicate: &Expr,
     ) -> VortexResult<bool> {
-        // Which columns does the bloom filter cover?
-        let mut key_cols: Vec<&str> = Vec::new();
-        if let Some(p) = &schema.partition {
-            key_cols.push(&p.column);
-        }
-        for c in &schema.clustering {
-            if !key_cols.contains(&c.as_str()) {
-                key_cols.push(c);
-            }
-        }
-        let points: Vec<(&str, &Value)> = key_cols
-            .iter()
-            .filter_map(|c| predicate.required_point(c).map(|v| (*c, v)))
+        // The bloom filter covers the partition and clustering columns.
+        let partition = schema.partition.iter().map(|p| &p.column);
+        let points: Vec<&Value> = partition
+            .chain(&schema.clustering)
+            .filter_map(|c| predicate.required_point(c))
             .collect();
         if points.is_empty() {
             return Ok(true); // nothing bloom can decide
@@ -465,12 +496,7 @@ impl QueryEngine {
         let Some(bloom) = self.read_fragment_bloom(spec)? else {
             return Ok(true); // unfinalized / no footer: keep
         };
-        for (_, v) in points {
-            if !bloom.may_contain(&v.encode_key()) {
-                return Ok(false);
-            }
-        }
-        Ok(true)
+        Ok(points.iter().all(|v| bloom.may_contain(&v.encode_key())))
     }
 
     /// Reads the bloom filter of a finalized WOS fragment via two ranged
@@ -517,24 +543,29 @@ impl QueryEngine {
         }
     }
 
-    /// COUNT(*) with a predicate. Counting needs no column values, so an
-    /// unset projection narrows to the empty set — pushed-down blocks
-    /// then materialize nothing at all for matching rows.
+    /// COUNT(*) with a predicate: an aggregation without aggregates, read
+    /// off the scan's own `rows_matched`. Counting needs no column
+    /// values: a ROS zone contributes the size of its selection and
+    /// nothing is decoded or materialized for it beyond the predicate's
+    /// columns.
     pub fn count(
         &self,
         table: TableId,
         snapshot: Timestamp,
         opts: &ScanOptions,
     ) -> VortexResult<u64> {
-        let mut opts = opts.clone();
-        if opts.projection.is_none() {
-            opts.projection = Some(Vec::new());
-        }
-        Ok(self.scan(table, snapshot, &opts)?.stats.rows_matched)
+        let nothing = |_: &Schema| Ok(Aggregator::default());
+        Ok(self
+            .scan_into(table, snapshot, opts, &nothing)?
+            .2
+            .rows_matched)
     }
 
     /// Grouped aggregation over a scan. `group_by` of `None` produces a
-    /// single global group.
+    /// single global group; every aggregate but COUNT needs a column.
+    /// Groups come back ordered by the group value's key encoding. ROS
+    /// zones are folded as typed column vectors — only the group and
+    /// aggregate columns are decoded and no row is built.
     pub fn aggregate(
         &self,
         table: TableId,
@@ -543,219 +574,10 @@ impl QueryEngine {
         group_by: Option<&str>,
         aggs: &[(AggKind, Option<&str>)],
     ) -> VortexResult<Vec<(Option<Value>, Vec<Value>)>> {
-        // Aggregation touches only the group and aggregate columns; when
-        // the caller didn't project explicitly, narrow to those so
-        // pushed-down blocks skip decoding everything else.
-        let mut opts = opts.clone();
-        if opts.projection.is_none() {
-            let mut cols: Vec<String> = Vec::new();
-            if let Some(g) = group_by {
-                cols.push(g.to_string());
-            }
-            for (_, c) in aggs {
-                if let Some(c) = c {
-                    if !cols.iter().any(|x| x == c) {
-                        cols.push(c.to_string());
-                    }
-                }
-            }
-            opts.projection = Some(cols);
-        }
-        let opts = &opts;
-        let result = self.scan(table, snapshot, opts)?;
-        let schema = &result.schema;
-        let group_idx = match group_by {
-            Some(c) => Some(schema.column_index(c).ok_or_else(|| {
-                VortexError::InvalidArgument(format!("unknown group column {c}"))
-            })?),
-            None => None,
-        };
-        let agg_idx: Vec<Option<usize>> = aggs
-            .iter()
-            .map(|(_, col)| {
-                col.map(|c| {
-                    schema.column_index(c).ok_or_else(|| {
-                        VortexError::InvalidArgument(format!("unknown agg column {c}"))
-                    })
-                })
-                .transpose()
-            })
-            .collect::<VortexResult<_>>()?;
-
-        #[derive(Clone)]
-        enum Acc {
-            Count(u64),
-            /// Integer-domain sum; `saw_numeric` tracks whether inputs
-            /// were NUMERIC (fixed-point 1e9) so the result keeps that
-            /// scale, and `saw_any` whether any non-NULL input arrived.
-            SumI {
-                sum: i128,
-                saw_numeric: bool,
-                saw_any: bool,
-            },
-            SumF(f64),
-            Min(Option<Value>),
-            Max(Option<Value>),
-            Avg {
-                sum: f64,
-                n: u64,
-            },
-        }
-        let fresh = |kind: AggKind| match kind {
-            AggKind::Count => Acc::Count(0),
-            AggKind::Sum => Acc::SumI {
-                sum: 0,
-                saw_numeric: false,
-                saw_any: false,
-            },
-            AggKind::Min => Acc::Min(None),
-            AggKind::Max => Acc::Max(None),
-            AggKind::Avg => Acc::Avg { sum: 0.0, n: 0 },
-        };
-        let mut groups: std::collections::BTreeMap<Vec<u8>, (Option<Value>, Vec<Acc>)> =
-            Default::default();
-        for (_, row) in &result.rows {
-            let gval = group_idx.map(|i| row.values[i].clone());
-            let gkey = gval.as_ref().map(|v| v.encode_key()).unwrap_or_default();
-            let entry = groups
-                .entry(gkey)
-                .or_insert_with(|| (gval.clone(), aggs.iter().map(|(k, _)| fresh(*k)).collect()));
-            for (slot, ((kind, _), idx)) in aggs.iter().zip(agg_idx.iter()).enumerate() {
-                let acc = &mut entry.1[slot];
-                match kind {
-                    AggKind::Count => {
-                        if let Acc::Count(c) = acc {
-                            *c += 1;
-                        }
-                    }
-                    AggKind::Sum => {
-                        let v = &row.values[idx.expect("SUM needs a column")];
-                        match (acc, v) {
-                            (Acc::SumI { sum, saw_any, .. }, Value::Int64(i)) => {
-                                *sum += *i as i128;
-                                *saw_any = true;
-                            }
-                            (
-                                Acc::SumI {
-                                    sum,
-                                    saw_numeric,
-                                    saw_any,
-                                },
-                                Value::Numeric(n),
-                            ) => {
-                                *sum += n;
-                                *saw_numeric = true;
-                                *saw_any = true;
-                            }
-                            (acc @ Acc::SumI { .. }, Value::Float64(f)) => {
-                                let base = if let Acc::SumI {
-                                    sum, saw_numeric, ..
-                                } = acc
-                                {
-                                    if *saw_numeric {
-                                        *sum as f64 / 1e9
-                                    } else {
-                                        *sum as f64
-                                    }
-                                } else {
-                                    0.0
-                                };
-                                *acc = Acc::SumF(base + f);
-                            }
-                            (Acc::SumF(s), Value::Float64(f)) => *s += f,
-                            (Acc::SumF(s), Value::Int64(i)) => *s += *i as f64,
-                            (Acc::SumF(s), Value::Numeric(n)) => *s += *n as f64 / 1e9,
-                            _ => {} // NULLs and non-numerics ignored
-                        }
-                    }
-                    AggKind::Min => {
-                        let v = &row.values[idx.expect("MIN needs a column")];
-                        if !v.is_null() {
-                            if let Acc::Min(m) = acc {
-                                let better = m
-                                    .as_ref()
-                                    .map(|cur| v.total_cmp(cur).is_lt())
-                                    .unwrap_or(true);
-                                if better {
-                                    *m = Some(v.clone());
-                                }
-                            }
-                        }
-                    }
-                    AggKind::Max => {
-                        let v = &row.values[idx.expect("MAX needs a column")];
-                        if !v.is_null() {
-                            if let Acc::Max(m) = acc {
-                                let better = m
-                                    .as_ref()
-                                    .map(|cur| v.total_cmp(cur).is_gt())
-                                    .unwrap_or(true);
-                                if better {
-                                    *m = Some(v.clone());
-                                }
-                            }
-                        }
-                    }
-                    AggKind::Avg => {
-                        let v = &row.values[idx.expect("AVG needs a column")];
-                        if let Acc::Avg { sum, n } = acc {
-                            match v {
-                                Value::Int64(i) => {
-                                    *sum += *i as f64;
-                                    *n += 1;
-                                }
-                                Value::Float64(f) => {
-                                    *sum += f;
-                                    *n += 1;
-                                }
-                                Value::Numeric(x) => {
-                                    *sum += *x as f64 / 1e9;
-                                    *n += 1;
-                                }
-                                _ => {} // NULLs and non-numerics ignored
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        // SQL: a global aggregate over zero rows still yields one row —
-        // COUNT(*) = 0, SUM/MIN/MAX = NULL.
-        if group_idx.is_none() && groups.is_empty() {
-            let vals = aggs
-                .iter()
-                .map(|(k, _)| match k {
-                    AggKind::Count => Value::Int64(0),
-                    _ => Value::Null,
-                })
-                .collect();
-            return Ok(vec![(None, vals)]);
-        }
-        Ok(groups
-            .into_values()
-            .map(|(gval, accs)| {
-                let vals = accs
-                    .into_iter()
-                    .map(|a| match a {
-                        Acc::Count(c) => Value::Int64(c as i64),
-                        Acc::SumI { saw_any: false, .. } => Value::Null, // SUM of no rows
-                        Acc::SumI {
-                            sum,
-                            saw_numeric: true,
-                            ..
-                        } => Value::Numeric(sum),
-                        Acc::SumI { sum, .. } => match i64::try_from(sum) {
-                            Ok(v) => Value::Int64(v),
-                            Err(_) => Value::Float64(sum as f64), // beyond i64
-                        },
-                        Acc::SumF(f) => Value::Float64(f),
-                        Acc::Min(v) | Acc::Max(v) => v.unwrap_or(Value::Null),
-                        Acc::Avg { n: 0, .. } => Value::Null, // AVG of no rows
-                        Acc::Avg { sum, n } => Value::Float64(sum / n as f64),
-                    })
-                    .collect();
-                (gval, vals)
-            })
-            .collect())
+        let make = |schema: &Schema| Aggregator::new(schema, group_by, aggs);
+        Ok(self
+            .scan_into(table, snapshot, opts, &make)?
+            .0
+            .into_groups())
     }
 }

@@ -32,6 +32,50 @@ pub enum CmpOp {
     Ge,
 }
 
+impl CmpOp {
+    /// Whether `left <op> right` holds when `left` orders `ord` against
+    /// `right`.
+    pub fn holds(self, ord: Ordering) -> bool {
+        match self {
+            CmpOp::Eq => ord == Ordering::Equal,
+            CmpOp::Ne => ord != Ordering::Equal,
+            CmpOp::Lt => ord == Ordering::Less,
+            CmpOp::Le => ord != Ordering::Greater,
+            CmpOp::Gt => ord == Ordering::Greater,
+            CmpOp::Ge => ord != Ordering::Less,
+        }
+    }
+}
+
+/// A predicate leaf's test on one cell.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Test<'e> {
+    /// `cell <op> literal`.
+    Cmp(CmpOp, &'e Value),
+    /// `cell IN (...)`.
+    In(&'e [Value]),
+    /// `cell IS NULL`.
+    IsNull,
+}
+
+impl Test<'_> {
+    /// The §7.2 derivative expression of one leaf: `false` only if no
+    /// cell summarized by `s` can pass the test.
+    pub(crate) fn may_match(&self, s: &ColumnStats) -> bool {
+        match self {
+            Test::Cmp(CmpOp::Eq, value) => s.may_contain_point(value),
+            Test::Cmp(CmpOp::Ne, _) => true, // pruning != needs distinct counts; keep
+            // Strict inequalities reuse the inclusive overlap check:
+            // conservative (a fragment whose min==max==v is kept for
+            // `< v`), never incorrect.
+            Test::Cmp(CmpOp::Lt | CmpOp::Le, value) => s.may_overlap_range(None, Some(value)),
+            Test::Cmp(CmpOp::Gt | CmpOp::Ge, value) => s.may_overlap_range(Some(value), None),
+            Test::In(values) => values.iter().any(|v| s.may_contain_point(v)),
+            Test::IsNull => s.has_null,
+        }
+    }
+}
+
 /// A boolean filter expression over one table's rows.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
@@ -137,45 +181,28 @@ impl Expr {
     /// Evaluates against a row (SQL three-valued logic collapsed to
     /// boolean: NULL comparisons are false).
     pub fn eval(&self, schema: &Schema, row: &Row) -> VortexResult<bool> {
+        // Rows written before an additive schema change are short of the
+        // new columns; those columns read as NULL.
+        let cell = |column: &str| match schema.column_index(column) {
+            Some(idx) => Ok(row.values.get(idx).unwrap_or(&Value::Null)),
+            None => Err(VortexError::InvalidArgument(format!(
+                "unknown column {column}"
+            ))),
+        };
         Ok(match self {
             Expr::True => true,
             Expr::Cmp { column, op, value } => {
-                let idx = schema.column_index(column).ok_or_else(|| {
-                    VortexError::InvalidArgument(format!("unknown column {column}"))
-                })?;
-                // Rows written before an additive schema change are short
-                // of the new columns; those columns read as NULL.
-                let v = row.values.get(idx).unwrap_or(&Value::Null);
-                if v.is_null() || value.is_null() {
-                    false
-                } else {
-                    let ord = v.total_cmp(value);
-                    match op {
-                        CmpOp::Eq => ord == Ordering::Equal,
-                        CmpOp::Ne => ord != Ordering::Equal,
-                        CmpOp::Lt => ord == Ordering::Less,
-                        CmpOp::Le => ord != Ordering::Greater,
-                        CmpOp::Gt => ord == Ordering::Greater,
-                        CmpOp::Ge => ord != Ordering::Less,
-                    }
-                }
+                let v = cell(column)?;
+                !v.is_null() && !value.is_null() && op.holds(v.total_cmp(value))
             }
             Expr::In { column, values } => {
-                let idx = schema.column_index(column).ok_or_else(|| {
-                    VortexError::InvalidArgument(format!("unknown column {column}"))
-                })?;
-                let v = row.values.get(idx).unwrap_or(&Value::Null);
+                let v = cell(column)?;
                 !v.is_null()
                     && values
                         .iter()
                         .any(|l| !l.is_null() && v.total_cmp(l) == Ordering::Equal)
             }
-            Expr::IsNull(column) => {
-                let idx = schema.column_index(column).ok_or_else(|| {
-                    VortexError::InvalidArgument(format!("unknown column {column}"))
-                })?;
-                row.values.get(idx).map(|v| v.is_null()).unwrap_or(true)
-            }
+            Expr::IsNull(column) => cell(column)?.is_null(),
             Expr::And(a, b) => a.eval(schema, row)? && b.eval(schema, row)?,
             Expr::Or(a, b) => a.eval(schema, row)? || b.eval(schema, row)?,
             Expr::Not(a) => !a.eval(schema, row)?,
@@ -187,29 +214,14 @@ impl Expr {
     /// filter. `stats_of` maps a column name to its properties (absent =
     /// unknown = cannot prune).
     pub fn may_match_stats(&self, stats_of: &dyn Fn(&str) -> Option<ColumnStats>) -> bool {
+        // Unknown column properties cannot prune: keep.
+        let leaf =
+            |column: &str, test: Test<'_>| stats_of(column).map_or(true, |s| test.may_match(&s));
         match self {
             Expr::True => true,
-            Expr::Cmp { column, op, value } => {
-                let Some(s) = stats_of(column) else {
-                    return true; // unknown column properties: keep
-                };
-                match op {
-                    CmpOp::Eq => s.may_contain_point(value),
-                    CmpOp::Ne => true, // pruning != needs distinct counts; keep
-                    // Strict inequalities reuse the inclusive overlap
-                    // check: conservative (a fragment whose min==max==v
-                    // is kept for `< v`), never incorrect.
-                    CmpOp::Lt | CmpOp::Le => s.may_overlap_range(None, Some(value)),
-                    CmpOp::Gt | CmpOp::Ge => s.may_overlap_range(Some(value), None),
-                }
-            }
-            Expr::In { column, values } => {
-                let Some(s) = stats_of(column) else {
-                    return true;
-                };
-                values.iter().any(|v| s.may_contain_point(v))
-            }
-            Expr::IsNull(column) => stats_of(column).map(|s| s.has_null).unwrap_or(true),
+            Expr::Cmp { column, op, value } => leaf(column, Test::Cmp(*op, value)),
+            Expr::In { column, values } => leaf(column, Test::In(values)),
+            Expr::IsNull(column) => leaf(column, Test::IsNull),
             Expr::And(a, b) => a.may_match_stats(stats_of) && b.may_match_stats(stats_of),
             Expr::Or(a, b) => a.may_match_stats(stats_of) || b.may_match_stats(stats_of),
             // NOT cannot be pruned from min/max alone without interval

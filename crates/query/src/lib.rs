@@ -5,7 +5,9 @@
 //! returns the union of the data in WOS and ROS." This crate is the
 //! processing engine: a typed expression evaluator ([`expr`]), a
 //! partition-eliminating parallel scan ([`engine`], §7.2) with compute
-//! pushdown over compressed ROS blocks ([`pushdown`]), merge-on-read
+//! pushdown over compressed ROS blocks ([`pushdown`]) that folds what
+//! matches straight into the query's consumer (`consume`: rows, a count
+//! or group accumulators), merge-on-read
 //! resolution of UPSERT/DELETE change types ([`cdc`], §4.2.6), and the
 //! DML path — DELETE/UPDATE via deletion masks with reinserted rows,
 //! including whole-tail deletes (§7.3).
@@ -13,6 +15,7 @@
 #![warn(missing_docs)]
 
 pub mod cdc;
+mod consume;
 pub mod dml;
 pub mod engine;
 pub mod expr;

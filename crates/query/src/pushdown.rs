@@ -8,18 +8,22 @@
 //! 1. **Zone-map short-circuit** — every column chunk (one zone of
 //!    [`vortex_ros::ZONE_ROWS`] rows) carries min/max/null properties;
 //!    zones the predicate provably cannot match are never decoded.
-//! 2. **Dictionary-id rewrite** — on dictionary chunks the leaf predicate
-//!    runs once per distinct value, then rows are selected by indexing
-//!    the resulting truth table with their u32 codes.
-//! 3. **Run-level evaluation** — on RLE chunks the leaf is decided once
-//!    per run and the verdict replicated across the run.
-//! 4. **Late materialization** — only projected columns are decoded, and
-//!    only at the row positions the filter selected.
+//! 2. **Typed kernels** — a surviving zone decodes to typed
+//!    [`ColumnVec`]s and every predicate leaf is a loop over one of them
+//!    (`i64`, `f64`, byte slices); no `Value` is built to compare.
+//! 3. **Dictionary-id rewrite** — on a `Dict` vector the leaf is decided
+//!    once per distinct value and rows look the verdict up by their u32
+//!    code; on a `Runs` vector it is decided once per run.
+//! 4. **Selection, not rows** — the filter narrows a list of row
+//!    positions (the zone's visible rows to begin with), each leaf
+//!    testing only what the leaves before it kept. The scan's
+//!    [`Consumer`] folds the zone's vectors at the surviving positions:
+//!    a row collector gathers the projected columns (late
+//!    materialization), a count or an aggregate builds no `Row` at all.
 //!
 //! WOS fragments and streamlet tails are row-oriented and arrive
-//! decoded; [`scan_rows`] filters and projects them with [`Expr::eval`],
-//! so both storage formats yield the same thing: already-filtered,
-//! already-projected rows.
+//! decoded; [`scan_rows`] filters and projects them with [`Expr::eval`]
+//! and hands the same consumer each surviving row.
 //!
 //! Equivalence contract: for any predicate and block, the selected rows
 //! are exactly those [`Expr::eval`] keeps over the visible rows — leaf
@@ -37,72 +41,51 @@ use vortex_common::error::{VortexError, VortexResult};
 use vortex_common::row::{Row, Value};
 use vortex_common::schema::Schema;
 use vortex_common::truetime::Timestamp;
-use vortex_ros::{DecodedChunk, RosBlock, RowMeta};
+use vortex_ros::{ColumnVec, IntKind, RosBlock, RowMeta};
 
-use crate::expr::{CmpOp, Expr};
+use crate::consume::Consumer;
+use crate::engine::ScanStats;
+use crate::expr::{Expr, Test};
 
 /// A predicate compiled against the snapshot schema: column names are
 /// resolved to positional indices once, so per-zone evaluation does no
-/// string lookups. Compilation fails on unknown columns.
-#[derive(Debug, Clone)]
-pub(crate) enum CPred {
+/// string lookups, and a comparison with a NULL literal — false for
+/// every row — becomes the empty IN list. Literals stay borrowed from
+/// the expression. Compilation fails on unknown columns.
+#[derive(Debug)]
+pub(crate) enum CPred<'e> {
     /// Always true.
     True,
-    /// `col <op> literal`.
-    Cmp {
-        /// Schema column index.
-        col: usize,
-        /// Operator.
-        op: CmpOp,
-        /// Literal.
-        value: Value,
-    },
-    /// `col IN (...)`.
-    In {
-        /// Schema column index.
-        col: usize,
-        /// Literals.
-        values: Vec<Value>,
-    },
-    /// `col IS NULL`.
-    IsNull(usize),
+    /// A test on the cells of one schema column.
+    Leaf(usize, Test<'e>),
     /// Conjunction.
-    And(Box<CPred>, Box<CPred>),
+    And(Box<CPred<'e>>, Box<CPred<'e>>),
     /// Disjunction.
-    Or(Box<CPred>, Box<CPred>),
+    Or(Box<CPred<'e>>, Box<CPred<'e>>),
     /// Negation.
-    Not(Box<CPred>),
+    Not(Box<CPred<'e>>),
 }
 
-impl CPred {
+impl<'e> CPred<'e> {
     /// Resolves every column reference of `e` against `schema`.
-    pub(crate) fn compile(e: &Expr, schema: &Schema) -> VortexResult<CPred> {
+    pub(crate) fn compile(e: &'e Expr, schema: &Schema) -> VortexResult<CPred<'e>> {
         let col = |c: &str| {
             schema
                 .column_index(c)
                 .ok_or_else(|| VortexError::InvalidArgument(format!("unknown column {c}")))
         };
+        let sub = |e: &'e Expr| CPred::compile(e, schema).map(Box::new);
         Ok(match e {
             Expr::True => CPred::True,
-            Expr::Cmp { column, op, value } => CPred::Cmp {
-                col: col(column)?,
-                op: *op,
-                value: value.clone(),
-            },
-            Expr::In { column, values } => CPred::In {
-                col: col(column)?,
-                values: values.clone(),
-            },
-            Expr::IsNull(column) => CPred::IsNull(col(column)?),
-            Expr::And(a, b) => CPred::And(
-                Box::new(CPred::compile(a, schema)?),
-                Box::new(CPred::compile(b, schema)?),
-            ),
-            Expr::Or(a, b) => CPred::Or(
-                Box::new(CPred::compile(a, schema)?),
-                Box::new(CPred::compile(b, schema)?),
-            ),
-            Expr::Not(a) => CPred::Not(Box::new(CPred::compile(a, schema)?)),
+            Expr::Cmp { column, value, .. } if value.is_null() => {
+                CPred::Leaf(col(column)?, Test::In(&[]))
+            }
+            Expr::Cmp { column, op, value } => CPred::Leaf(col(column)?, Test::Cmp(*op, value)),
+            Expr::In { column, values } => CPred::Leaf(col(column)?, Test::In(values)),
+            Expr::IsNull(column) => CPred::Leaf(col(column)?, Test::IsNull),
+            Expr::And(a, b) => CPred::And(sub(a)?, sub(b)?),
+            Expr::Or(a, b) => CPred::Or(sub(a)?, sub(b)?),
+            Expr::Not(a) => CPred::Not(sub(a)?),
         })
     }
 
@@ -113,38 +96,11 @@ impl CPred {
     fn may_match_zone(&self, block: &RosBlock, z: usize) -> bool {
         match self {
             CPred::True => true,
-            CPred::Cmp { col, op, value } => {
-                if *col >= block.column_count() {
-                    return false; // all-NULL column: comparisons are false
-                }
-                let Some(s) = block.zone_stats(*col, z) else {
-                    return true;
-                };
-                match op {
-                    CmpOp::Eq => s.may_contain_point(value),
-                    CmpOp::Ne => true,
-                    CmpOp::Lt | CmpOp::Le => s.may_overlap_range(None, Some(value)),
-                    CmpOp::Gt | CmpOp::Ge => s.may_overlap_range(Some(value), None),
-                }
-            }
-            CPred::In { col, values } => {
-                if *col >= block.column_count() {
-                    return false;
-                }
-                let Some(s) = block.zone_stats(*col, z) else {
-                    return true;
-                };
-                values.iter().any(|v| s.may_contain_point(v))
-            }
-            CPred::IsNull(col) => {
-                if *col >= block.column_count() {
-                    return true; // all-NULL column: IS NULL always matches
-                }
-                block
-                    .zone_stats(*col, z)
-                    .map(|s| s.has_null)
-                    .unwrap_or(true)
-            }
+            // All-NULL column: only IS NULL matches.
+            CPred::Leaf(col, test) if *col >= block.column_count() => matches!(test, Test::IsNull),
+            CPred::Leaf(col, test) => block
+                .zone_stats(*col, z)
+                .map_or(true, |s| test.may_match(s)),
             CPred::And(a, b) => a.may_match_zone(block, z) && b.may_match_zone(block, z),
             CPred::Or(a, b) => a.may_match_zone(block, z) || b.may_match_zone(block, z),
             // NOT needs interval complements to prune; stay safe.
@@ -152,104 +108,100 @@ impl CPred {
         }
     }
 
-    /// Evaluates the predicate over one zone, one verdict per row.
-    /// Decodes only referenced columns; dictionary and run chunks are
-    /// decided per distinct value / per run, not per row.
+    /// Narrows `sel` — ascending zone-relative rows — to the ones the
+    /// predicate keeps. Decodes only referenced columns; a conjunction
+    /// tests its right side on what its left side kept.
     // lint:hotpath(pushdown) — selective-scan kernel: zone predicate evaluation
-    fn eval_zone(&self, cols: &mut ZoneCols<'_>, n: usize) -> VortexResult<Vec<bool>> {
-        Ok(match self {
-            CPred::True => vec![true; n],
-            CPred::Cmp { col, op, value } => {
-                let op = *op;
-                leaf_mask(cols.get(*col)?, n, &|v| cmp_value(v, op, value))
-            }
-            CPred::In { col, values } => leaf_mask(cols.get(*col)?, n, &|v| in_list(v, values)),
-            CPred::IsNull(col) => leaf_mask(cols.get(*col)?, n, &Value::is_null),
+    fn filter_zone(&self, cols: &mut ZoneCols<'_>, sel: &mut Vec<usize>) -> VortexResult<()> {
+        // Drops from `sel` the rows of `gone`, an ascending subset of it.
+        fn remove(sel: &mut Vec<usize>, gone: &[usize]) {
+            let mut gone = gone.iter().peekable();
+            sel.retain(|i| gone.next_if_eq(&i).is_none());
+        }
+        match self {
+            CPred::True => {}
+            CPred::Leaf(col, test) => match cols.get(*col)? {
+                Some(col) => filter_leaf(col, *test, sel),
+                None if matches!(test, Test::IsNull) => {}
+                None => sel.clear(),
+            },
             CPred::And(a, b) => {
-                let mut m = a.eval_zone(cols, n)?;
-                if m.iter().any(|&x| x) {
-                    for (x, y) in m.iter_mut().zip(b.eval_zone(cols, n)?) {
-                        *x = *x && y;
-                    }
-                }
-                m
+                a.filter_zone(cols, sel)?;
+                b.filter_zone(cols, sel)?;
             }
             CPred::Or(a, b) => {
-                let mut m = a.eval_zone(cols, n)?;
-                if m.iter().any(|&x| !x) {
-                    for (x, y) in m.iter_mut().zip(b.eval_zone(cols, n)?) {
-                        *x = *x || y;
-                    }
-                }
-                m
+                let mut left = sel.clone();
+                a.filter_zone(cols, &mut left)?;
+                remove(sel, &left);
+                b.filter_zone(cols, sel)?;
+                sel.extend(left);
+                sel.sort_unstable();
             }
             CPred::Not(a) => {
-                let mut m = a.eval_zone(cols, n)?;
-                for x in m.iter_mut() {
-                    *x = !*x;
-                }
-                m
+                let mut inner = sel.clone();
+                a.filter_zone(cols, &mut inner)?;
+                remove(sel, &inner);
             }
-        })
+        }
+        Ok(())
     }
 }
 
-/// Mirrors [`Expr::eval`]'s comparison leaf: NULL on either side is
-/// false; otherwise total order.
-fn cmp_value(v: &Value, op: CmpOp, lit: &Value) -> bool {
-    if v.is_null() || lit.is_null() {
-        return false;
-    }
-    let ord = v.total_cmp(lit);
-    match op {
-        CmpOp::Eq => ord == Ordering::Equal,
-        CmpOp::Ne => ord != Ordering::Equal,
-        CmpOp::Lt => ord == Ordering::Less,
-        CmpOp::Le => ord != Ordering::Greater,
-        CmpOp::Gt => ord == Ordering::Greater,
-        CmpOp::Ge => ord != Ordering::Less,
-    }
-}
-
-/// Mirrors [`Expr::eval`]'s IN leaf: NULL row values and NULL list
-/// elements never match.
-fn in_list(v: &Value, list: &[Value]) -> bool {
-    !v.is_null()
-        && list
-            .iter()
-            .any(|l| !l.is_null() && v.total_cmp(l) == Ordering::Equal)
-}
-
-/// Applies a leaf predicate over a chunk: once per dictionary entry on
-/// Dict chunks, once per run on Runs chunks, per row otherwise. A chunk
-/// of `None` is a column this block predates (every row reads NULL).
-fn leaf_mask(chunk: Option<&DecodedChunk>, n: usize, f: &dyn Fn(&Value) -> bool) -> Vec<bool> {
-    let Some(chunk) = chunk else {
-        return vec![f(&Value::Null); n];
+/// Keeps the rows of `sel` whose cell in `col` passes `test`, mirroring
+/// [`Expr::eval`]: a NULL cell or literal fails every comparison,
+/// otherwise [`Value::total_cmp`] decides. A `Dict` vector decides each
+/// dictionary entry once, a `Runs` vector each run once; a leaf vector is
+/// one typed loop — `i64::cmp` / `f64::total_cmp` when the literal has
+/// the vector's type, [`ColumnVec::cmp_at`] (cross-type numeric
+/// coercion, type-rank order) when it has not.
+fn filter_leaf(col: &ColumnVec, test: Test<'_>, sel: &mut Vec<usize>) {
+    // The test on one cell of a leaf vector.
+    let cell = |leaf: &ColumnVec, i: usize| match test {
+        Test::IsNull => leaf.is_null(i),
+        _ if leaf.is_null(i) => false,
+        Test::Cmp(op, lit) => op.holds(leaf.cmp_at(i, lit)),
+        Test::In(list) => {
+            (list.iter()).any(|lit| !lit.is_null() && leaf.cmp_at(i, lit) == Ordering::Equal)
+        }
     };
-    match chunk {
-        DecodedChunk::Values(vs) => vs.iter().map(f).collect(),
-        DecodedChunk::Dict { dict, codes } => {
-            let table: Vec<bool> = dict.iter().map(f).collect();
-            codes.iter().map(|&c| table[c as usize]).collect()
+    match (col, test) {
+        (ColumnVec::Dict { codes, dict }, _) => {
+            let mut verdict = vec![None; dict.len()];
+            sel.retain(|&i| {
+                let code = codes[i] as usize;
+                *verdict[code].get_or_insert_with(|| cell(dict, code))
+            });
         }
-        DecodedChunk::Runs { lens, values } => {
-            let mut out = Vec::with_capacity(n);
-            for (&len, v) in lens.iter().zip(values) {
-                out.resize(out.len() + len as usize, f(v));
-            }
-            out
+        (ColumnVec::Runs { lens, values }, _) => {
+            // `sel` ascends, so a cursor over the runs follows it.
+            let (mut run, mut end, mut verdict) = (0, 0, false);
+            sel.retain(|&i| {
+                while i >= end {
+                    verdict = cell(values, run);
+                    end += lens[run] as usize;
+                    run += 1;
+                }
+                verdict
+            });
         }
+        (ColumnVec::I64(IntKind::Int64, p), Test::Cmp(op, Value::Int64(x)))
+            if p.nulls.is_none() =>
+        {
+            sel.retain(|&i| op.holds(p.values[i].cmp(x)))
+        }
+        (ColumnVec::F64(p), Test::Cmp(op, Value::Float64(x))) if p.nulls.is_none() => {
+            sel.retain(|&i| op.holds(p.values[i].total_cmp(x)))
+        }
+        (leaf, _) => sel.retain(|&i| cell(leaf, i)),
     }
 }
 
-/// Lazily decoded chunks of one zone, shared between predicate leaves
-/// (two leaves on the same column decode it once) and the projection
-/// gather.
-struct ZoneCols<'b> {
+/// Lazily decoded vectors of one zone, shared between predicate leaves
+/// (two leaves on the same column decode it once) and the consumer.
+pub(crate) struct ZoneCols<'b> {
     block: &'b RosBlock,
     z: usize,
-    cols: Vec<Option<DecodedChunk>>,
+    cols: Vec<Option<ColumnVec>>,
 }
 
 impl<'b> ZoneCols<'b> {
@@ -257,13 +209,13 @@ impl<'b> ZoneCols<'b> {
         ZoneCols {
             block,
             z,
-            cols: (0..block.column_count()).map(|_| None).collect(),
+            cols: vec![None; block.column_count()],
         }
     }
 
-    /// The decoded chunk for schema column `col`, or `None` when the
+    /// The decoded vector for schema column `col`, or `None` when the
     /// block predates the column (rows read NULL).
-    fn get(&mut self, col: usize) -> VortexResult<Option<&DecodedChunk>> {
+    pub(crate) fn get(&mut self, col: usize) -> VortexResult<Option<&ColumnVec>> {
         if col >= self.cols.len() {
             return Ok(None);
         }
@@ -280,12 +232,10 @@ impl<'b> ZoneCols<'b> {
 #[derive(Debug)]
 pub(crate) struct ScanPlan<'e> {
     expr: &'e Expr,
-    pred: CPred,
-    /// Schema column indices to materialize (`None` = all); other
-    /// columns read NULL.
-    proj: Option<Vec<usize>>,
-    /// Snapshot-schema column count; every yielded row has this arity.
-    arity: usize,
+    pred: CPred<'e>,
+    /// Per snapshot-schema column: whether the projection keeps it.
+    /// Every yielded row has this arity; the other columns read NULL.
+    keep: Vec<bool>,
     /// Whether to collect [`FragmentYield::visible_ts`].
     want_visible_ts: bool,
 }
@@ -299,55 +249,74 @@ impl<'e> ScanPlan<'e> {
         schema: &Schema,
         want_visible_ts: bool,
     ) -> VortexResult<Self> {
-        let proj = projection
-            .map(|cols| {
-                cols.iter()
-                    .map(|c| {
-                        schema.column_index(c).ok_or_else(|| {
-                            VortexError::InvalidArgument(format!("unknown projection column {c}"))
-                        })
-                    })
-                    .collect::<VortexResult<Vec<usize>>>()
-            })
-            .transpose()?;
+        let mut keep = vec![projection.is_none(); schema.fields.len()];
+        for c in projection.unwrap_or_default() {
+            let i = schema.column_index(c).ok_or_else(|| {
+                VortexError::InvalidArgument(format!("unknown projection column {c}"))
+            })?;
+            keep[i] = true;
+        }
         Ok(ScanPlan {
             expr,
             pred: CPred::compile(expr, schema)?,
-            proj,
-            arity: schema.fields.len(),
+            keep,
             want_visible_ts,
         })
     }
+
+    /// Snapshot-schema column count.
+    pub(crate) fn arity(&self) -> usize {
+        self.keep.len()
+    }
+
+    /// Zone vector of column `col` as the projection shows it: `None`
+    /// (every row NULL) when the projection drops the column or the
+    /// block predates it.
+    pub(crate) fn zone_column<'z>(
+        &self,
+        cols: &'z mut ZoneCols<'_>,
+        col: usize,
+    ) -> VortexResult<Option<&'z ColumnVec>> {
+        match self.keep.get(col) {
+            Some(true) => cols.get(col),
+            _ => Ok(None),
+        }
+    }
 }
 
-/// What one fragment (or the tails) contributes to a scan.
-#[derive(Debug, Default)]
-pub(crate) struct FragmentYield {
-    /// Matching rows — already filtered, projected, and padded to the
-    /// snapshot schema arity. The caller must NOT re-filter them (the
-    /// projection may have nulled the predicate columns).
-    pub rows: Vec<(RowMeta, Row)>,
+/// One scan shard's state: its consumer and what it has scanned.
+#[derive(Debug)]
+pub(crate) struct FragmentYield<C> {
+    /// The consumer every matching row is folded into.
+    pub sink: C,
+    /// The shard's share of the scan's counters.
+    pub stats: ScanStats,
     /// Commit timestamps of every row *visible* at the snapshot,
     /// predicate or not — the freshness probe (§8) measures when
     /// committed data became readable, not whether a filter kept it.
     pub visible_ts: Vec<Timestamp>,
-    /// Zones in the ROS blocks scanned.
-    pub zones_total: usize,
-    /// Zones skipped via the zone map.
-    pub zones_pruned: usize,
-    /// Rows decoded: rows of the zones the zone map could not skip, plus
-    /// every visible row of a WOS fragment or tail.
-    pub rows_scanned: u64,
 }
 
-impl FragmentYield {
-    /// Folds another fragment's contribution into this one.
-    pub(crate) fn absorb(&mut self, other: FragmentYield) {
-        self.rows.extend(other.rows);
+impl<C: Consumer> FragmentYield<C> {
+    /// Nothing scanned yet.
+    pub(crate) fn new(sink: C) -> Self {
+        let (stats, visible_ts) = Default::default();
+        FragmentYield {
+            sink,
+            stats,
+            visible_ts,
+        }
+    }
+
+    /// Folds another shard's contribution into this one.
+    pub(crate) fn absorb(&mut self, other: FragmentYield<C>) {
+        self.sink.merge_shard(other.sink);
         self.visible_ts.extend(other.visible_ts);
-        self.zones_total += other.zones_total;
-        self.zones_pruned += other.zones_pruned;
-        self.rows_scanned += other.rows_scanned;
+        self.stats.zones_total += other.stats.zones_total;
+        self.stats.zones_pruned += other.stats.zones_pruned;
+        self.stats.rows_scanned += other.stats.rows_scanned;
+        self.stats.rows_matched += other.stats.rows_matched;
+        self.stats.rows_materialized += other.stats.rows_materialized;
     }
 }
 
@@ -355,104 +324,65 @@ impl FragmentYield {
 /// tail's visible rows — with the same outcome [`scan_ros_block`] has on
 /// a block: the predicate sees stored values, then columns outside the
 /// projection read NULL.
-pub(crate) fn scan_rows(
+pub(crate) fn scan_rows<C: Consumer>(
     mut rows: Vec<(RowMeta, Row)>,
     schema: &Schema,
     plan: &ScanPlan<'_>,
-) -> VortexResult<FragmentYield> {
-    let mut out = FragmentYield {
-        rows_scanned: rows.len() as u64,
-        ..Default::default()
-    };
+    out: &mut FragmentYield<C>,
+) -> VortexResult<()> {
+    out.stats.rows_scanned += rows.len() as u64;
+    out.stats.rows_materialized += rows.len() as u64;
     if plan.want_visible_ts {
-        out.visible_ts = rows.iter().map(|(m, _)| m.ts).collect();
+        out.visible_ts.extend(rows.iter().map(|(m, _)| m.ts));
     }
-    pad_rows(&mut rows, plan.arity);
+    pad_rows(&mut rows, plan.arity());
     for (meta, mut row) in rows {
         if !plan.expr.eval(schema, &row)? {
             continue;
         }
-        if let Some(proj) = &plan.proj {
-            for (i, v) in row.values.iter_mut().enumerate() {
-                if !proj.contains(&i) {
-                    *v = Value::Null;
-                }
+        for (v, keep) in row.values.iter_mut().zip(&plan.keep) {
+            if !keep {
+                *v = Value::Null;
             }
         }
-        out.rows.push((meta, row));
+        out.stats.rows_matched += 1;
+        out.sink.fold_row(meta, row);
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Scans one ROS block with the predicate pushed into the compressed
-/// chunks; `gate` decides which block rows the snapshot may see.
-pub(crate) fn scan_ros_block(
+/// chunks; `gate` decides which block rows the snapshot may see. Each
+/// zone hands the consumer its vectors and the selected positions.
+pub(crate) fn scan_ros_block<C: Consumer>(
     block: &RosBlock,
     gate: &RowGate<'_>,
     plan: &ScanPlan<'_>,
-) -> VortexResult<FragmentYield> {
+    out: &mut FragmentYield<C>,
+) -> VortexResult<()> {
     let metas = block.metas();
-    let (pred, arity) = (&plan.pred, plan.arity);
-    let vis = |idx: usize| gate.admits(idx as u64);
-    let mut out = FragmentYield {
-        zones_total: block.zone_count(),
-        ..Default::default()
-    };
+    out.stats.zones_total += block.zone_count();
     if plan.want_visible_ts {
-        out.visible_ts = (0..block.row_count())
-            .filter(|&i| vis(i))
-            .map(|i| metas[i].ts)
-            .collect();
+        let visible = (0..block.row_count()).filter(|&i| gate.admits(i as u64));
+        out.visible_ts.extend(visible.map(|i| metas[i].ts));
     }
-    // Projected columns actually present in this block; later-schema
-    // columns stay NULL via the arity padding below.
-    let proj: Vec<usize> = match &plan.proj {
-        Some(p) => p
-            .iter()
-            .copied()
-            .filter(|&c| c < block.column_count().min(arity))
-            .collect(),
-        None => (0..block.column_count().min(arity)).collect(),
-    };
     let mut sel: Vec<usize> = Vec::new(); // zone-relative selected rows
-    let mut gathered: Vec<Value> = Vec::new();
     for z in 0..block.zone_count() {
-        if !pred.may_match_zone(block, z) {
-            out.zones_pruned += 1;
+        if !plan.pred.may_match_zone(block, z) {
+            out.stats.zones_pruned += 1;
             continue;
         }
         let range = block.zone_range(z);
-        let n = range.len();
-        out.rows_scanned += n as u64;
+        out.stats.rows_scanned += range.len() as u64;
         let mut cols = ZoneCols::new(block, z);
-        let mask = pred.eval_zone(&mut cols, n)?;
         sel.clear();
-        sel.extend(
-            mask.iter()
-                .enumerate()
-                .filter(|&(i, &keep)| keep && vis(range.start + i))
-                .map(|(i, _)| i),
-        );
+        sel.extend((0..range.len()).filter(|i| gate.admits((range.start + i) as u64)));
+        plan.pred.filter_zone(&mut cols, &mut sel)?;
         if sel.is_empty() {
             continue;
         }
-        // Late materialization: rows are born all-NULL at schema arity,
-        // then each projected column gathers its selected values in.
-        let base = out.rows.len();
-        for &i in &sel {
-            let m = metas[range.start + i];
-            out.rows
-                .push((m, Row::with_change(vec![Value::Null; arity], m.change_type)));
-        }
-        for &c in &proj {
-            gathered.clear();
-            if let Some(chunk) = cols.get(c)? {
-                chunk.gather(&sel, &mut gathered);
-            }
-            for (k, v) in gathered.drain(..).enumerate() {
-                out.rows[base + k].1.values[c] = v;
-            }
-        }
+        out.stats.rows_matched += sel.len() as u64;
+        out.stats.rows_materialized += out.sink.fold_zone(&mut cols, &metas[range], &sel, plan)?;
     }
-    Ok(out)
+    Ok(())
 }

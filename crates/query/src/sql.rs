@@ -418,11 +418,6 @@ impl Parser {
                 if !self.eat_sym(')') {
                     return Err(VortexError::InvalidArgument("expected ')'".into()));
                 }
-                if kind != AggKind::Count && col.is_none() {
-                    return Err(VortexError::InvalidArgument(format!(
-                        "{kind:?} needs a column"
-                    )));
-                }
                 return Ok(SelectItem::Agg(kind, col));
             }
         }

@@ -1492,3 +1492,309 @@ mod pushdown_equivalence {
         }
     }
 }
+
+/// Every aggregate but COUNT needs a column; asking for one without is a
+/// caller error, not a panic — straight at the engine and through SQL.
+#[test]
+fn aggregate_without_a_column_is_invalid_argument() {
+    use vortex_common::error::VortexError;
+    let (r, sql) = sql_rig();
+    let t = r.sms.create_table("t", schema()).unwrap();
+    let mut w = r.client.create_unbuffered_writer(t.table).unwrap();
+    w.append(rows(0, 10)).unwrap();
+    let snap = r.sms.read_snapshot();
+    let opts = ScanOptions::default();
+    for kind in [AggKind::Sum, AggKind::Min, AggKind::Max, AggKind::Avg] {
+        let err = r
+            .engine
+            .aggregate(t.table, snap, &opts, Some("day"), &[(kind, None)])
+            .unwrap_err();
+        assert!(matches!(err, VortexError::InvalidArgument(_)), "{err}");
+        assert!(err.to_string().contains("needs a column"), "{err}");
+    }
+    let groups = r
+        .engine
+        .aggregate(t.table, snap, &opts, None, &[(AggKind::Count, None)])
+        .unwrap();
+    assert_eq!(groups, vec![(None, vec![Value::Int64(10)])]);
+    for q in [
+        "SELECT SUM(*) FROM t",
+        "SELECT day, AVG(*) FROM t GROUP BY day",
+    ] {
+        let err = sql.execute(q).unwrap_err();
+        assert!(matches!(err, VortexError::InvalidArgument(_)), "{q}: {err}");
+    }
+}
+
+/// `count` and `aggregate` fold a converted table as typed vectors — no
+/// `Row` exists at any point — while `scan` builds exactly the rows it
+/// returns; unconverted rows arrive as `Row`s either way.
+#[test]
+fn only_row_returning_scans_materialize_ros_rows() {
+    use crate::consume::{Aggregator, RowCollector};
+    let r = rig();
+    let t = load_converted(&r, 300);
+    let snap = r.sms.read_snapshot();
+    let opts = ScanOptions {
+        predicate: Expr::ge("amount", Value::Int64(50)),
+        ..ScanOptions::default()
+    };
+    let count = |_: &Schema| Ok(Aggregator::default());
+    let aggs = [
+        (AggKind::Sum, Some("amount")),
+        (AggKind::Max, Some("customer")),
+    ];
+    let agg = |s: &Schema| Aggregator::new(s, Some("day"), &aggs);
+    let collect = |_: &Schema| Ok(RowCollector::default());
+    let (_, _, counted) = r.engine.scan_into(t, snap, &opts, &count).unwrap();
+    let (_, _, aggregated) = r.engine.scan_into(t, snap, &opts, &agg).unwrap();
+    let (_, _, scanned) = r.engine.scan_into(t, snap, &opts, &collect).unwrap();
+    for stats in [counted, aggregated, scanned] {
+        assert_eq!(stats.rows_matched, 250, "{stats:?}");
+        assert!(stats.zones_total > 0, "{stats:?}");
+    }
+    assert_eq!(counted.rows_materialized, 0, "{counted:?}");
+    assert_eq!(aggregated.rows_materialized, 0, "{aggregated:?}");
+    assert_eq!(scanned.rows_materialized, 250, "{scanned:?}");
+    assert_eq!(r.engine.count(t, snap, &opts).unwrap(), 250);
+
+    // A live tail's rows are decoded by the log reader before the filter
+    // sees them: all 40 count (amounts 40..80), though only the 30 at or
+    // above the predicate's 50 fold.
+    let mut w = r.client.create_unbuffered_writer(t).unwrap();
+    w.append(rows(40, 40)).unwrap();
+    let snap = r.sms.read_snapshot();
+    let (_, _, counted) = r.engine.scan_into(t, snap, &opts, &count).unwrap();
+    assert_eq!(counted.rows_matched, 250 + 30, "{counted:?}");
+    assert_eq!(counted.rows_materialized, 40, "{counted:?}");
+}
+
+mod aggregate_equivalence {
+    use std::collections::BTreeMap;
+
+    use proptest::prelude::*;
+
+    use vortex_common::ids::TableId;
+    use vortex_common::row::{Row, RowSet, Value};
+    use vortex_common::schema::{ChangeType, Field, FieldType, PartitionTransform, Schema};
+    use vortex_common::truetime::Timestamp;
+
+    use super::{oracle_scan, rig, Rig};
+    use crate::engine::{AggKind, ScanOptions};
+    use crate::expr::Expr;
+
+    const COLUMNS: [&str; 6] = ["day", "customer", "amount", "score", "price", "at"];
+
+    /// One column per type the accumulators distinguish, the float and
+    /// numeric ones nullable.
+    fn agg_schema(keyed: bool) -> Schema {
+        let schema = Schema::new(vec![
+            Field::required("day", FieldType::Int64),
+            Field::required("customer", FieldType::String),
+            Field::required("amount", FieldType::Int64),
+            Field::nullable("score", FieldType::Float64),
+            Field::nullable("price", FieldType::Numeric),
+            Field::required("at", FieldType::Timestamp),
+        ])
+        .with_partition("day", PartitionTransform::Identity)
+        .with_clustering(&["customer"]);
+        if keyed {
+            schema.with_primary_key(&["customer"])
+        } else {
+            schema
+        }
+    }
+
+    /// Rows `start..start + n`, shaped by `seed`: NULLs, NaN, -0.0 and 0.0
+    /// in `score`, NULLs in `price`, negative amounts, few distinct
+    /// customers and timestamps (so grouping by them groups). `keyed`
+    /// tables get UPSERTs with the odd DELETE instead of INSERTs.
+    fn agg_rows(start: i64, n: usize, seed: i64, keyed: bool) -> RowSet {
+        let row = |k: i64| {
+            let score = match k {
+                _ if (k + seed) % 7 == 0 => Value::Null,
+                _ if k % 13 == 0 => Value::Float64(f64::NAN),
+                _ if k % 11 == 0 => Value::Float64(-0.0),
+                _ if k % 17 == 0 => Value::Float64(0.0),
+                _ => Value::Float64(((k * seed.max(1)) % 40) as f64 * 0.25 - 3.0),
+            };
+            let price = match (k + seed) % 5 {
+                0 => Value::Null,
+                _ => Value::Numeric((((k * 37 + seed) % 1000) - 500) as i128 * 10_000_000),
+            };
+            let values = vec![
+                Value::Int64(k / 80),
+                Value::String(format!("cust-{:03}", (k * 7 + seed) % 23)),
+                Value::Int64(k * 3 - 100 + seed),
+                score,
+                price,
+                Value::Timestamp(Timestamp(1_000_000 + ((k + seed) % 9) as u64 * 1000)),
+            ];
+            match (keyed, k % 10 == 9) {
+                (false, _) => Row::insert(values),
+                (true, false) => Row::with_change(values, ChangeType::Upsert),
+                (true, true) => Row::with_change(values, ChangeType::Delete),
+            }
+        };
+        RowSet::new((start..start + n as i64).map(row).collect())
+    }
+
+    /// Part converted ROS, part finalized-but-unconverted WOS, part live
+    /// tail.
+    fn load_three_ways(r: &Rig, seed: i64, keyed: bool) -> TableId {
+        let t = r.sms.create_table("t", agg_schema(keyed)).unwrap();
+        let mut ros = r.client.create_unbuffered_writer(t.table).unwrap();
+        ros.append(agg_rows(0, 150, seed, keyed)).unwrap();
+        r.sms.finalize_stream(t.table, ros.stream_id()).unwrap();
+        r.opt.convert_wos(t.table).unwrap();
+        let mut wos = r.client.create_unbuffered_writer(t.table).unwrap();
+        wos.append(agg_rows(150, 70, seed, keyed)).unwrap();
+        r.sms.finalize_stream(t.table, wos.stream_id()).unwrap();
+        let mut tail = r.client.create_unbuffered_writer(t.table).unwrap();
+        tail.append(agg_rows(220, 30, seed, keyed)).unwrap();
+        t.table
+    }
+
+    fn arb_leaf() -> impl Strategy<Value = Expr> {
+        prop_oneof![
+            Just(Expr::True),
+            (-150i64..700).prop_map(|v| Expr::ge("amount", Value::Int64(v))),
+            (0i64..4).prop_map(|v| Expr::eq("day", Value::Int64(v))),
+            (0i64..25).prop_map(|v| Expr::lt("customer", Value::String(format!("cust-{v:03}")))),
+            (-12i64..28).prop_map(|v| Expr::le("score", Value::Float64(v as f64 * 0.25))),
+            Just(Expr::IsNull("price".into())),
+        ]
+    }
+
+    fn arb_pred() -> impl Strategy<Value = Expr> {
+        (arb_leaf(), arb_leaf(), 0usize..4).prop_map(|(a, b, how)| match how {
+            0 => a,
+            1 => a.and(b),
+            2 => a.or(b),
+            _ => a.and(b.not()),
+        })
+    }
+
+    fn arb_agg() -> impl Strategy<Value = (AggKind, Option<&'static str>)> {
+        let kind = prop_oneof![
+            Just(AggKind::Sum),
+            Just(AggKind::Min),
+            Just(AggKind::Max),
+            Just(AggKind::Avg),
+            Just(AggKind::Count),
+        ];
+        prop_oneof![
+            1 => Just((AggKind::Count, None)),
+            6 => (kind, 0usize..COLUMNS.len()).prop_map(|(k, c)| (k, Some(COLUMNS[c]))),
+        ]
+    }
+
+    /// The aggregate of one group's cells, written down from the
+    /// definitions: COUNT counts rows; SUM and AVG take the INT64 /
+    /// FLOAT64 / NUMERIC cells (a column has one of these types) and are
+    /// NULL without any; MIN and MAX take the non-NULL cells under
+    /// `total_cmp`.
+    fn reference(kind: AggKind, cells: &[&Value]) -> Value {
+        let ints: Vec<i128> = (cells.iter())
+            .filter_map(|v| match v {
+                Value::Int64(i) => Some(*i as i128),
+                Value::Numeric(n) => Some(*n),
+                _ => None,
+            })
+            .collect();
+        let floats: Vec<f64> = (cells.iter())
+            .filter_map(|v| match v {
+                Value::Float64(f) => Some(*f),
+                _ => None,
+            })
+            .collect();
+        let numeric = cells.iter().any(|v| matches!(v, Value::Numeric(_)));
+        let scale = if numeric { 1e9 } else { 1.0 };
+        let total = ints.iter().sum::<i128>() as f64 / scale + floats.iter().sum::<f64>();
+        let present = cells.iter().filter(|v| !v.is_null());
+        match kind {
+            AggKind::Count => Value::Int64(cells.len() as i64),
+            AggKind::Min => present
+                .min_by(|a, b| a.total_cmp(b))
+                .map_or(Value::Null, |v| (*v).clone()),
+            AggKind::Max => present
+                .max_by(|a, b| a.total_cmp(b))
+                .map_or(Value::Null, |v| (*v).clone()),
+            _ if ints.is_empty() && floats.is_empty() => Value::Null,
+            AggKind::Avg => Value::Float64(total / (ints.len() + floats.len()) as f64),
+            _ if !floats.is_empty() => Value::Float64(total),
+            _ if numeric => Value::Numeric(ints.iter().sum()),
+            _ => Value::Int64(ints.iter().sum::<i128>() as i64),
+        }
+    }
+
+    /// Floats to 1e-9 relative (NaN equals NaN); everything else exactly,
+    /// under the key encoding.
+    fn same(got: &Value, want: &Value) -> bool {
+        match (got, want) {
+            (Value::Float64(g), Value::Float64(w)) if !g.is_nan() || !w.is_nan() => {
+                (g - w).abs() <= 1e-9 * g.abs().max(w.abs())
+            }
+            _ => got.key_eq(want),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        // `aggregate` and `count` fold ROS zones as typed vectors, WOS
+        // and tail rows as rows, and with `resolve_changes` what
+        // merge-on-read leaves; each must equal the definition applied to
+        // the rows the row oracle (or, for a keyed table, the resolving
+        // scan) returns.
+        #[test]
+        fn aggregate_equals_fold_over_oracle_rows(
+            pred in arb_pred(),
+            seed in 0i64..1000,
+            keyed in any::<bool>(),
+            group in 0usize..=COLUMNS.len(),
+            aggs in proptest::collection::vec(arb_agg(), 1..4),
+        ) {
+            let r = rig();
+            let t = load_three_ways(&r, seed, keyed);
+            let snap = r.sms.read_snapshot();
+            let group_by = COLUMNS.get(group).copied();
+            let opts = ScanOptions {
+                predicate: pred.clone(),
+                resolve_changes: keyed,
+                ..ScanOptions::default()
+            };
+            let rows = match keyed {
+                true => r.engine.scan(t, snap, &opts).unwrap().rows,
+                false => oracle_scan(&r, t, snap, &pred, None),
+            };
+            let schema = agg_schema(keyed);
+            let cell = |row: &'_ Row, c: &str| row.values[schema.column_index(c).unwrap()].clone();
+            let mut want: BTreeMap<Vec<u8>, (Option<Value>, Vec<Row>)> = BTreeMap::new();
+            if group_by.is_none() {
+                want.insert(Vec::new(), (None, Vec::new()));
+            }
+            for (_, row) in &rows {
+                let g = group_by.map(|c| cell(row, c));
+                let key = g.as_ref().map(|v| v.encode_key()).unwrap_or_default();
+                want.entry(key).or_insert((g, Vec::new())).1.push(row.clone());
+            }
+            let got = r.engine.aggregate(t, snap, &opts, group_by, &aggs).unwrap();
+            prop_assert_eq!(r.engine.count(t, snap, &opts).unwrap(), rows.len() as u64);
+            prop_assert_eq!(got.len(), want.len());
+            for ((g, vals), (wg, members)) in got.iter().zip(want.values()) {
+                prop_assert!(match (g, wg) {
+                    (Some(g), Some(w)) => g.key_eq(w),
+                    (g, w) => g.is_none() && w.is_none(),
+                }, "group {:?} != {:?}", g, wg);
+                for (v, (kind, col)) in vals.iter().zip(&aggs) {
+                    let cells: Vec<Value> = (members.iter())
+                        .map(|row| col.map_or(Value::Null, |c| cell(row, c)))
+                        .collect();
+                    let w = reference(*kind, &cells.iter().collect::<Vec<_>>());
+                    prop_assert!(same(v, &w), "{:?}({:?}) of group {:?}: {:?} != {:?}", kind, col, g, v, w);
+                }
+            }
+        }
+    }
+}

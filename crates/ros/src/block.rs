@@ -12,7 +12,8 @@ use vortex_common::schema::{ChangeType, Schema};
 use vortex_common::stats::ColumnStats;
 use vortex_common::truetime::Timestamp;
 
-use crate::encoding::{decode_chunk, encode_column, DecodedChunk, Encoding};
+use crate::column::ColumnVec;
+use crate::encoding::{decode_chunk, encode_column, le_uint, take, Encoding};
 
 const MAGIC: u32 = 0x534F5256; // "VROS"
 const VERSION: u16 = 2;
@@ -278,9 +279,10 @@ impl RosBlock {
         self.cols.get(col).and_then(|c| c.get(z)).map(|c| &c.stats)
     }
 
-    /// Decodes one zone of one column, preserving dictionary/run
-    /// structure so predicates can be evaluated on the compressed form.
-    pub fn decode_zone(&self, col: usize, z: usize) -> VortexResult<DecodedChunk> {
+    /// Decodes one zone of one column into a typed vector, preserving
+    /// dictionary/run structure so predicates can be evaluated on the
+    /// compressed form.
+    pub fn decode_zone(&self, col: usize, z: usize) -> VortexResult<ColumnVec> {
         let chunk = self.cols.get(col).and_then(|c| c.get(z)).ok_or_else(|| {
             VortexError::InvalidArgument(format!("column {col} zone {z} out of range"))
         })?;
@@ -294,33 +296,35 @@ impl RosBlock {
         }
     }
 
-    /// Decodes one column — the columnar fast path: other columns are not
-    /// touched.
+    /// Decodes one column to values — the columnar fast path: other
+    /// columns are not touched.
     pub fn column(&self, idx: usize) -> VortexResult<Vec<Value>> {
-        let nchunks = self
-            .cols
-            .get(idx)
-            .ok_or_else(|| VortexError::InvalidArgument(format!("column {idx} out of range")))?
-            .len();
         let mut out = Vec::with_capacity(self.row_count);
-        for z in 0..nchunks {
-            out.extend(self.decode_zone(idx, z)?.materialize());
+        for z in 0..self.zone_count() {
+            out.extend(self.decode_zone(idx, z)?.to_values());
         }
         Ok(out)
     }
 
-    /// Decodes all rows with their provenance.
+    /// Decodes all rows with their provenance. Each `Value` is built
+    /// once, from its zone's vector, and moved into its row.
     pub fn rows(&self) -> VortexResult<Vec<(RowMeta, Row)>> {
-        let columns: Vec<Vec<Value>> = (0..self.cols.len())
-            .map(|i| self.column(i))
-            .collect::<VortexResult<_>>()?;
-        let mut out = Vec::with_capacity(self.row_count);
-        for r in 0..self.row_count {
-            let values: Vec<Value> = columns.iter().map(|c| c[r].clone()).collect();
-            out.push((
-                self.metas[r],
-                Row::with_change(values, self.metas[r].change_type),
-            ));
+        let width = self.cols.len();
+        let blank = |m: &RowMeta| {
+            (
+                *m,
+                Row::with_change(Vec::with_capacity(width), m.change_type),
+            )
+        };
+        let mut out: Vec<(RowMeta, Row)> = self.metas.iter().map(blank).collect();
+        for z in 0..self.zone_count() {
+            let zone = &mut out[self.zone_range(z)];
+            for c in 0..width {
+                let values = self.decode_zone(c, z)?.to_values();
+                for ((_, row), v) in zone.iter_mut().zip(values) {
+                    row.values.push(v);
+                }
+            }
         }
         Ok(out)
     }
@@ -391,8 +395,7 @@ impl RosBlock {
             return Err(VortexError::Decode("ros block too short".into()));
         }
         let (body, crc_bytes) = data.split_at(data.len() - 4);
-        let stored = u32::from_le_bytes(crc_bytes.try_into().unwrap());
-        if crc32c(body) != stored {
+        if crc32c(body) as u128 != le_uint(crc_bytes) {
             return Err(VortexError::CorruptData("ros block crc mismatch".into()));
         }
         let mut plain = body.to_vec();
@@ -402,35 +405,22 @@ impl RosBlock {
     }
 
     fn parse_plain(b: &[u8]) -> VortexResult<Self> {
-        let need = |pos: usize, n: usize| -> VortexResult<()> {
-            if pos + n > b.len() {
-                Err(VortexError::Decode(format!(
-                    "ros block truncated at {pos} (+{n})"
-                )))
-            } else {
-                Ok(())
-            }
-        };
-        let mut pos = 0usize;
-        need(pos, 18)?;
-        let magic = u32::from_le_bytes(b[0..4].try_into().unwrap());
-        if magic != MAGIC {
+        // The next `n`-byte little-endian integer.
+        let int = |pos: &mut usize, n: usize| take(b, pos, n).map(|raw| le_uint(raw) as usize);
+        let pos = &mut 0usize;
+        if int(pos, 4)? != MAGIC as usize {
             return Err(VortexError::Decode(
                 "bad ros magic (wrong key or not a ros block)".into(),
             ));
         }
-        let version = u16::from_le_bytes(b[4..6].try_into().unwrap());
-        if version != VERSION {
+        let version = int(pos, 2)?;
+        if version != VERSION as usize {
             return Err(VortexError::Decode(format!("bad ros version {version}")));
         }
-        let schema_version = u32::from_le_bytes(b[6..10].try_into().unwrap());
-        let row_count = u64::from_le_bytes(b[10..18].try_into().unwrap()) as usize;
-        pos = 18;
-        need(pos, 8)?;
-        let ncols = u32::from_le_bytes(b[pos..pos + 4].try_into().unwrap()) as usize;
-        pos += 4;
-        let zone_rows = u32::from_le_bytes(b[pos..pos + 4].try_into().unwrap()) as usize;
-        pos += 4;
+        let schema_version = int(pos, 4)? as u32;
+        let row_count = int(pos, 8)?;
+        let ncols = int(pos, 4)?;
+        let zone_rows = int(pos, 4)?;
         if row_count > b.len() || ncols > b.len() {
             return Err(VortexError::Decode("implausible ros block header".into()));
         }
@@ -440,61 +430,48 @@ impl RosBlock {
             )));
         }
         // Meta arrays.
-        need(pos, row_count)?;
         let mut metas = Vec::with_capacity(row_count);
-        for i in 0..row_count {
+        for &ct in take(b, pos, row_count)? {
             metas.push(RowMeta {
-                change_type: ChangeType::from_u8(b[pos + i])?,
+                change_type: ChangeType::from_u8(ct)?,
                 ts: Timestamp(0),
                 stream: 0,
                 offset: 0,
             });
         }
-        pos += row_count;
         let mut prev_ts = 0u64;
         for m in metas.iter_mut() {
-            prev_ts = prev_ts.wrapping_add(get_uvarint(b, &mut pos)?);
+            prev_ts = prev_ts.wrapping_add(get_uvarint(b, pos)?);
             m.ts = Timestamp(prev_ts);
         }
         for m in metas.iter_mut() {
-            m.stream = get_uvarint(b, &mut pos)?;
+            m.stream = get_uvarint(b, pos)?;
         }
         for m in metas.iter_mut() {
-            m.offset = get_uvarint(b, &mut pos)?;
+            m.offset = get_uvarint(b, pos)?;
         }
         // Stats.
-        need(pos, 4)?;
-        let nstats = u32::from_le_bytes(b[pos..pos + 4].try_into().unwrap()) as usize;
-        pos += 4;
+        let nstats = int(pos, 4)?;
         if nstats > b.len() {
             return Err(VortexError::Decode("implausible stats count".into()));
         }
         let mut stats = Vec::with_capacity(nstats);
         for _ in 0..nstats {
-            need(pos, 2)?;
-            let nlen = u16::from_le_bytes(b[pos..pos + 2].try_into().unwrap()) as usize;
-            pos += 2;
-            need(pos, nlen)?;
-            let name = std::str::from_utf8(&b[pos..pos + nlen])
+            let nlen = int(pos, 2)?;
+            let name = std::str::from_utf8(take(b, pos, nlen)?)
                 .map_err(|e| VortexError::Decode(format!("stats name: {e}")))?
                 .to_string();
-            pos += nlen;
-            let s = ColumnStats::from_bytes(b, &mut pos)?;
-            stats.push((name, s));
+            stats.push((name, ColumnStats::from_bytes(b, pos)?));
         }
         // Bloom.
-        need(pos, 4)?;
-        let blen = u32::from_le_bytes(b[pos..pos + 4].try_into().unwrap()) as usize;
-        pos += 4;
-        need(pos, blen)?;
+        let blen = int(pos, 4)?;
         let bloom =
-            BloomFilter::from_bytes(&b[pos..pos + blen]).map_err(VortexError::CorruptData)?;
-        pos += blen;
+            BloomFilter::from_bytes(take(b, pos, blen)?).map_err(VortexError::CorruptData)?;
         // Column directory: per column, per zone.
         let nzones = row_count.div_ceil(zone_rows);
         // Every directory entry costs ≥2 bytes, so more entries than
         // remaining bytes is corrupt — reject before any allocation.
-        if ncols.saturating_mul(nzones) > b.len().saturating_sub(pos) {
+        if ncols.saturating_mul(nzones) > b.len().saturating_sub(*pos) {
             return Err(VortexError::Decode("implausible chunk directory".into()));
         }
         let mut cols: Vec<Vec<ColumnChunk>> = Vec::with_capacity(ncols);
@@ -502,20 +479,18 @@ impl RosBlock {
         for _ in 0..ncols {
             let mut chunks = Vec::with_capacity(nzones);
             for _ in 0..nzones {
-                need(pos, 2)?;
-                let enc = Encoding::from_u8(b[pos])?;
-                let flags = b[pos + 1];
+                let enc = Encoding::from_u8(int(pos, 1)? as u8)?;
+                let flags = int(pos, 1)? as u8;
                 if flags & !CHUNK_COMPRESSED != 0 {
                     return Err(VortexError::Decode(format!("bad chunk flags {flags:#x}")));
                 }
-                pos += 2;
-                let len = get_uvarint(b, &mut pos)? as usize;
+                let len = get_uvarint(b, pos)? as usize;
                 if len > b.len() {
                     return Err(VortexError::Decode(format!(
                         "implausible chunk of {len} bytes"
                     )));
                 }
-                let stats = ColumnStats::from_bytes(b, &mut pos)?;
+                let stats = ColumnStats::from_bytes(b, pos)?;
                 lens.push(len);
                 chunks.push(ColumnChunk {
                     enc,
@@ -529,17 +504,14 @@ impl RosBlock {
         let mut next = 0usize;
         for chunks in cols.iter_mut() {
             for c in chunks.iter_mut() {
-                let len = lens[next];
+                c.bytes = take(b, pos, lens[next])?.to_vec();
                 next += 1;
-                need(pos, len)?;
-                c.bytes = b[pos..pos + len].to_vec();
-                pos += len;
             }
         }
-        if pos != b.len() {
+        if *pos != b.len() {
             return Err(VortexError::Decode(format!(
                 "ros block has {} trailing bytes",
-                b.len() - pos
+                b.len() - *pos
             )));
         }
         Ok(RosBlock {

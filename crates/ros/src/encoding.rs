@@ -25,63 +25,58 @@
 //! ranked on a fixed-position sample first (BtrBlocks-style) and only
 //! the finalists are fully encoded.
 //!
-//! Decoding returns a [`DecodedChunk`] that preserves the compressed
-//! structure (dictionary codes, run lengths) so the query engine can
-//! evaluate predicates on codes and runs without materializing values.
+//! Decoding writes a typed [`ColumnVec`] and never a [`Value`] per cell;
+//! it preserves the compressed structure (dictionary codes, run lengths)
+//! so the query engine can evaluate predicates on codes and runs.
 //! Every decode path is bounds-checked: declared lengths are bounded by
 //! the *remaining* input before any allocation.
 
 use std::collections::{HashMap, HashSet};
 
 use vortex_common::codec::{
-    decode_value, encode_value, get_ivarint, get_uvarint, put_ivarint, put_uvarint,
+    decode_value, encode_value, get_ivarint, get_uvarint, put_ivarint, put_uvarint, TAG_BOOL,
+    TAG_BYTES, TAG_DATE, TAG_FLOAT64, TAG_INT64, TAG_JSON, TAG_NULL, TAG_NUMERIC, TAG_STRING,
+    TAG_TIMESTAMP,
 };
 use vortex_common::error::{VortexError, VortexResult};
 use vortex_common::row::Value;
-use vortex_common::truetime::Timestamp;
+
+use crate::column::{null_at, ColumnVec, IntKind, Nulls, Prim, StrKind, Strs};
 
 /// How a column chunk is encoded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Encoding {
     /// Values stored back to back.
-    Plain,
+    Plain = 0,
     /// Delta/frame-of-reference + bit-packed integers (Int64/Date/Timestamp).
-    IntPack,
+    IntPack = 3,
     /// ALP-style decimal floats: scaled integers + raw-bits patches.
-    Alp,
+    Alp = 4,
     /// FSST-style symbol-table compressed strings/bytes.
-    Fsst,
+    Fsst = 5,
     /// Dictionary with a cascaded value section and bit-packed codes.
-    DictV2,
+    DictV2 = 6,
     /// Run lengths + a cascaded run-value section.
-    RleV2,
+    RleV2 = 7,
 }
 
+const ALL_ENCODINGS: [Encoding; 6] = {
+    use Encoding::*;
+    [Plain, IntPack, Alp, Fsst, DictV2, RleV2]
+};
+
 impl Encoding {
-    /// Wire value. 1 and 2 were the v1 dictionary / run-length formats,
-    /// which nothing writes or reads any more; they stay unassigned.
+    /// Wire value: the discriminant. 1 and 2 were the v1 dictionary /
+    /// run-length formats, which nothing writes or reads any more; they
+    /// stay unassigned.
     pub fn to_u8(self) -> u8 {
-        match self {
-            Encoding::Plain => 0,
-            Encoding::IntPack => 3,
-            Encoding::Alp => 4,
-            Encoding::Fsst => 5,
-            Encoding::DictV2 => 6,
-            Encoding::RleV2 => 7,
-        }
+        self as u8
     }
 
     /// Parses a wire value.
     pub fn from_u8(v: u8) -> VortexResult<Self> {
-        Ok(match v {
-            0 => Encoding::Plain,
-            3 => Encoding::IntPack,
-            4 => Encoding::Alp,
-            5 => Encoding::Fsst,
-            6 => Encoding::DictV2,
-            7 => Encoding::RleV2,
-            other => return Err(VortexError::Decode(format!("bad encoding {other}"))),
-        })
+        let known = ALL_ENCODINGS.into_iter().find(|e| e.to_u8() == v);
+        known.ok_or_else(|| VortexError::Decode(format!("bad encoding {v}")))
     }
 
     /// Whether this encoding may appear as the *value section* of DictV2 /
@@ -127,36 +122,29 @@ const FSST_MAX_SYM: usize = 8;
 // clamped against the *remaining* bytes before any allocation.
 // ---------------------------------------------------------------------------
 
-fn take<'a>(buf: &'a [u8], pos: &mut usize, n: usize) -> VortexResult<&'a [u8]> {
-    if n > buf.len() - *pos {
-        return Err(VortexError::Decode(format!(
-            "need {n} bytes at {}, have {}",
-            *pos,
-            buf.len() - *pos
-        )));
-    }
-    let s = &buf[*pos..*pos + n];
+/// The next `n` bytes at `pos`, which moves past them.
+pub(crate) fn take<'a>(buf: &'a [u8], pos: &mut usize, n: usize) -> VortexResult<&'a [u8]> {
+    let (at, left) = (*pos, buf.len() - *pos);
+    ensure(
+        n <= left,
+        format_args!("need {n} bytes at {at}, have {left}"),
+    )?;
     *pos += n;
-    Ok(s)
+    Ok(&buf[at..at + n])
 }
 
 fn take_byte(buf: &[u8], pos: &mut usize) -> VortexResult<u8> {
-    let b = *buf
-        .get(*pos)
-        .ok_or_else(|| VortexError::Decode("chunk truncated".into()))?;
-    *pos += 1;
-    Ok(b)
+    take(buf, pos, 1).map(|b| b[0])
 }
 
 /// Reads a declared element count, rejecting anything that exceeds
 /// `limit` (caller-derived: row count, remaining bytes, ...).
 fn get_count(buf: &[u8], pos: &mut usize, limit: usize, what: &str) -> VortexResult<usize> {
     let n = get_uvarint(buf, pos)? as usize;
-    if n > limit {
-        return Err(VortexError::Decode(format!(
-            "declared {what} {n} exceeds limit {limit}"
-        )));
-    }
+    ensure(
+        n <= limit,
+        format_args!("declared {what} {n} exceeds limit {limit}"),
+    )?;
     Ok(n)
 }
 
@@ -190,42 +178,47 @@ fn pack_bits(out: &mut Vec<u8>, vals: &[u64], width: u8) {
     }
 }
 
-/// Reads `n` values packed at `width` bits each.
-fn unpack_bits(buf: &[u8], pos: &mut usize, n: usize, width: u8) -> VortexResult<Vec<u64>> {
-    if width > 64 {
-        return Err(VortexError::Decode(format!("bit width {width} > 64")));
+/// Reads values packed at `width` bits each, LSB-first.
+struct BitReader<'a> {
+    bytes: std::slice::Iter<'a, u8>,
+    width: u32,
+    mask: u64,
+    acc: u128,
+    nbits: u32,
+}
+
+impl<'a> BitReader<'a> {
+    /// A reader over the next `n` packed values; consumes their bytes
+    /// from `pos` up front, so a short buffer fails here and `next_value`
+    /// cannot.
+    fn new(buf: &'a [u8], pos: &mut usize, n: usize, width: u8) -> VortexResult<Self> {
+        ensure(width <= 64, format_args!("bit width {width} > 64"))?;
+        let nbytes = n.saturating_mul(width as usize).div_ceil(8);
+        Ok(BitReader {
+            bytes: take(buf, pos, nbytes)?.iter(),
+            width: width as u32,
+            mask: u64::MAX.checked_shr(64 - width as u32).unwrap_or(0),
+            acc: 0,
+            nbits: 0,
+        })
     }
-    if width == 0 {
-        return Ok(vec![0u64; n]);
-    }
-    let nbytes = (n * width as usize).div_ceil(8);
-    if nbytes > buf.len() - *pos {
-        return Err(VortexError::Decode(format!(
-            "packed data needs {nbytes} bytes, have {}",
-            buf.len() - *pos
-        )));
-    }
-    let mask: u64 = if width == 64 {
-        u64::MAX
-    } else {
-        (1u64 << width) - 1
-    };
-    let mut out = Vec::with_capacity(n);
-    let mut acc: u128 = 0;
-    let mut nbits: u32 = 0;
-    let mut p = *pos;
-    for _ in 0..n {
-        while nbits < width as u32 {
-            acc |= (buf[p] as u128) << nbits;
-            p += 1;
-            nbits += 8;
+
+    /// The next value (0 past the `n`-th).
+    fn next_value(&mut self) -> u64 {
+        while self.nbits < self.width {
+            self.acc |= (self.bytes.next().copied().unwrap_or(0) as u128) << self.nbits;
+            self.nbits += 8;
         }
-        out.push((acc as u64) & mask);
-        acc >>= width;
-        nbits -= width as u32;
+        let v = self.acc as u64 & self.mask;
+        self.acc >>= self.width;
+        self.nbits -= self.width;
+        v
     }
-    *pos += nbytes;
-    Ok(out)
+}
+
+/// A little-endian unsigned integer of up to 16 bytes.
+pub(crate) fn le_uint(b: &[u8]) -> u128 {
+    b.iter().rev().fold(0, |acc, &x| acc << 8 | x as u128)
 }
 
 /// Appends a null bitmap (bit set = null), one bit per value.
@@ -237,12 +230,6 @@ fn push_null_bitmap(out: &mut Vec<u8>, values: &[Value]) {
             out[start + i / 8] |= 1 << (i % 8);
         }
     }
-}
-
-/// Reads an `n`-bit null bitmap.
-fn read_null_bitmap(buf: &[u8], pos: &mut usize, n: usize) -> VortexResult<Vec<bool>> {
-    let bytes = take(buf, pos, n.div_ceil(8))?;
-    Ok((0..n).map(|i| bytes[i / 8] >> (i % 8) & 1 == 1).collect())
 }
 
 // ---------------------------------------------------------------------------
@@ -460,37 +447,41 @@ fn intpack_bytes(
     } else {
         ints.iter().map(|&v| v as i128).collect()
     };
-    let (base, width, rels) = if work.is_empty() {
-        (0i64, 0u8, Vec::new())
-    } else {
-        let base = *work.iter().min()?;
-        if i64::try_from(base).is_err() {
-            return None;
-        }
-        let maxrel = work.iter().map(|&v| (v - base) as u128).max()?;
-        if u64::try_from(maxrel).is_err() {
-            return None;
-        }
-        let rels: Vec<u64> = work.iter().map(|&v| (v - base) as u64).collect();
-        (base as i64, bits_for(maxrel as u64), rels)
-    };
     let mut out = Vec::new();
     out.push(tag);
     out.push((has_null as u8) | if delta { FLAG_DELTA } else { 0 });
-    // The non-null count is derivable from the bitmap but stored anyway:
-    // it lets decode validate the caller's row count (bit-packed data is
-    // not self-delimiting the way varint streams are).
-    put_uvarint(&mut out, ints.len() as u64);
-    if has_null {
-        push_null_bitmap(&mut out, values);
-    }
+    push_nulls_header(&mut out, has_null, values, ints.len());
     if delta {
         put_ivarint(&mut out, ints[0]);
     }
-    put_ivarint(&mut out, base);
-    out.push(width);
-    pack_bits(&mut out, &rels, width);
+    push_frame(&mut out, &work)?;
     Some(out)
+}
+
+/// The header IntPack / Alp / Fsst share after their flags: the non-null
+/// count — derivable from the bitmap but stored anyway, so decode can
+/// validate the caller's row count (bit-packed data is not
+/// self-delimiting the way varint streams are) — then the null bitmap if
+/// there are NULLs.
+fn push_nulls_header(out: &mut Vec<u8>, has_null: bool, values: &[Value], non_null: usize) {
+    put_uvarint(out, non_null as u64);
+    if has_null {
+        push_null_bitmap(out, values);
+    }
+}
+
+/// Appends `work` frame-of-reference packed: the minimum as base, the
+/// bit width of the largest offset from it, the offsets. `None` when the
+/// base leaves i64 or an offset leaves u64 (only deltas can).
+fn push_frame(out: &mut Vec<u8>, work: &[i128]) -> Option<()> {
+    let base = work.iter().min().copied().unwrap_or(0);
+    let rels: Option<Vec<u64>> = work.iter().map(|&v| u64::try_from(v - base).ok()).collect();
+    let rels = rels?;
+    let width = bits_for(rels.iter().max().copied().unwrap_or(0));
+    put_ivarint(out, i64::try_from(base).ok()?);
+    out.push(width);
+    pack_bits(out, &rels, width);
+    Some(())
 }
 
 const POW10: [f64; 15] = [
@@ -545,36 +536,19 @@ fn try_encode_alp(values: &[Value]) -> Option<Vec<u8>> {
         }
     }
     let p10 = POW10[exp as usize];
-    let mut ints: Vec<i64> = Vec::new();
+    let mut ints: Vec<i128> = Vec::new();
     let mut patches: Vec<(usize, u64)> = Vec::new();
     for (row, v) in values.iter().enumerate() {
         if let Value::Float64(f) = v {
             match alp_int(*f, p10) {
-                Some(i) => ints.push(i),
+                Some(i) => ints.push(i as i128),
                 None => patches.push((row, f.to_bits())),
             }
         }
     }
-    let (base, width, rels) = if ints.is_empty() {
-        (0i64, 0u8, Vec::new())
-    } else {
-        let base = *ints.iter().min()?;
-        let maxrel = ints
-            .iter()
-            .map(|&v| (v as i128 - base as i128) as u64)
-            .max()?;
-        let rels: Vec<u64> = ints
-            .iter()
-            .map(|&v| (v as i128 - base as i128) as u64)
-            .collect();
-        (base, bits_for(maxrel), rels)
-    };
     let mut out = Vec::new();
     out.push(has_null as u8);
-    put_uvarint(&mut out, floats.len() as u64);
-    if has_null {
-        push_null_bitmap(&mut out, values);
-    }
+    push_nulls_header(&mut out, has_null, values, floats.len());
     out.push(exp);
     put_uvarint(&mut out, patches.len() as u64);
     let mut prev = 0usize;
@@ -585,9 +559,7 @@ fn try_encode_alp(values: &[Value]) -> Option<Vec<u8>> {
     for &(_, bits) in &patches {
         out.extend_from_slice(&bits.to_le_bytes());
     }
-    put_ivarint(&mut out, base);
-    out.push(width);
-    pack_bits(&mut out, &rels, width);
+    push_frame(&mut out, &ints)?;
     Some(out)
 }
 
@@ -632,10 +604,7 @@ fn try_encode_fsst(values: &[Value]) -> Option<Vec<u8>> {
     let mut out = Vec::new();
     out.push(tag);
     out.push(has_null as u8);
-    put_uvarint(&mut out, m as u64);
-    if has_null {
-        push_null_bitmap(&mut out, values);
-    }
+    push_nulls_header(&mut out, has_null, values, m);
     out.push(symbols.len() as u8);
     for s in &symbols {
         out.push(s.len() as u8);
@@ -766,457 +735,391 @@ fn encode_rle_v2(values: &[Value]) -> Vec<u8> {
 }
 
 // ---------------------------------------------------------------------------
-// Decoders
+// Decoders. Every encoding decodes straight into a typed `ColumnVec`; no
+// vector is sized by anything but the caller's row count or the bytes
+// that remain.
 // ---------------------------------------------------------------------------
 
-/// A decoded column chunk that preserves the compressed structure, so
-/// predicates can be evaluated per dictionary entry or per run instead of
-/// per row (compute pushdown over compressed data).
-#[derive(Debug, Clone, PartialEq)]
-pub enum DecodedChunk {
-    /// Fully materialized values.
-    Values(Vec<Value>),
-    /// Dictionary + per-row codes. Codes are validated in-range at decode.
-    Dict {
-        /// Distinct values, id-ordered.
-        dict: Vec<Value>,
-        /// Per-row dictionary ids.
-        codes: Vec<u32>,
-    },
-    /// Run-length form. `lens` are ≥1 and sum to the chunk's row count.
-    Runs {
-        /// Per-run lengths.
-        lens: Vec<u32>,
-        /// Per-run values.
-        values: Vec<Value>,
-    },
+fn corrupt(what: impl std::fmt::Display) -> VortexError {
+    VortexError::Decode(what.to_string())
 }
 
-impl DecodedChunk {
-    /// Number of rows in the chunk.
-    pub fn len(&self) -> usize {
-        match self {
-            DecodedChunk::Values(v) => v.len(),
-            DecodedChunk::Dict { codes, .. } => codes.len(),
-            DecodedChunk::Runs { lens, .. } => lens.iter().map(|&l| l as usize).sum(),
-        }
-    }
+/// `Err(corrupt(what))` unless `ok`.
+fn ensure(ok: bool, what: impl std::fmt::Display) -> VortexResult<()> {
+    ok.then_some(()).ok_or_else(|| corrupt(what))
+}
 
-    /// Whether the chunk has no rows.
-    pub fn is_empty(&self) -> bool {
-        match self {
-            DecodedChunk::Values(v) => v.is_empty(),
-            DecodedChunk::Dict { codes, .. } => codes.is_empty(),
-            DecodedChunk::Runs { lens, .. } => lens.is_empty(),
-        }
-    }
-
-    /// Materializes every row value.
-    pub fn materialize(self) -> Vec<Value> {
-        match self {
-            DecodedChunk::Values(v) => v,
-            DecodedChunk::Dict { dict, codes } => codes
-                .into_iter()
-                .map(|c| dict[c as usize].clone())
-                .collect(),
-            DecodedChunk::Runs { lens, values } => {
-                let total: usize = lens.iter().map(|&l| l as usize).sum();
-                let mut out = Vec::with_capacity(total);
-                for (len, v) in lens.into_iter().zip(values) {
-                    for _ in 0..len - 1 {
-                        out.push(v.clone());
-                    }
-                    out.push(v);
-                }
-                out
+/// Decodes a column chunk of `count` rows, preserving dictionary / run
+/// structure where the encoding has it.
+pub fn decode_chunk(enc: Encoding, bytes: &[u8], count: usize) -> VortexResult<ColumnVec> {
+    let pos = &mut 0usize;
+    let col = match enc {
+        Encoding::Plain => decode_plain(bytes, pos, count)?,
+        Encoding::IntPack => decode_intpack(bytes, pos, count)?,
+        Encoding::Alp => decode_alp(bytes, pos, count)?,
+        Encoding::Fsst => decode_fsst(bytes, pos, count)?,
+        Encoding::DictV2 => {
+            let dict_len = get_count(bytes, pos, count, "dict size")?;
+            ensure(dict_len > 0 || count == 0, "empty dict for non-empty chunk")?;
+            let dict = Box::new(decode_nested(bytes, pos, dict_len)?);
+            let width = take_byte(bytes, pos)?;
+            let mut bits = BitReader::new(bytes, pos, count, width)?;
+            let mut codes = Vec::with_capacity(count);
+            for _ in 0..count {
+                let id = bits.next_value();
+                ensure(
+                    id < dict_len as u64,
+                    format_args!("dict id {id} out of range"),
+                )?;
+                codes.push(id as u32);
             }
+            ColumnVec::Dict { codes, dict }
         }
-    }
-
-    /// Materializes the rows at `rows` (which must be strictly ascending
-    /// in-bounds indices) — the late-materialization gather.
-    pub fn gather(&self, rows: &[usize], out: &mut Vec<Value>) {
-        match self {
-            DecodedChunk::Values(v) => out.extend(rows.iter().map(|&i| v[i].clone())),
-            DecodedChunk::Dict { dict, codes } => {
-                out.extend(rows.iter().map(|&i| dict[codes[i] as usize].clone()))
+        Encoding::RleV2 => {
+            let nruns = get_count(bytes, pos, count, "run count")?;
+            let mut lens = Vec::with_capacity(nruns);
+            let mut left = count;
+            for _ in 0..nruns {
+                let run = get_uvarint(bytes, pos)? as usize;
+                let fits = run > 0 && run <= left;
+                ensure(fits, format_args!("rle run {run} exceeds remaining {left}"))?;
+                lens.push(run as u32);
+                left -= run;
             }
-            DecodedChunk::Runs { lens, values } => {
-                let mut run = 0usize;
-                let mut run_end = lens.first().map(|&l| l as usize).unwrap_or(0);
-                for &i in rows {
-                    while i >= run_end {
-                        run += 1;
-                        run_end += lens[run] as usize;
-                    }
-                    out.push(values[run].clone());
-                }
-            }
+            ensure(
+                left == 0,
+                format_args!("rle runs leave {left} of {count} rows"),
+            )?;
+            let values = Box::new(decode_nested(bytes, pos, nruns)?);
+            ColumnVec::Runs { lens, values }
         }
-    }
+    };
+    let trailing = bytes.len() - *pos;
+    ensure(
+        trailing == 0,
+        format_args!("column chunk has {trailing} trailing bytes"),
+    )?;
+    Ok(col)
 }
 
-/// Decodes a column chunk of `count` values, preserving dictionary /
-/// run structure where the encoding has it.
-pub fn decode_chunk(enc: Encoding, bytes: &[u8], count: usize) -> VortexResult<DecodedChunk> {
-    let mut pos = 0usize;
-    let chunk = decode_chunk_at(enc, bytes, &mut pos, count, true)?;
-    if pos != bytes.len() {
-        return Err(VortexError::Decode(format!(
-            "column chunk has {} trailing bytes",
-            bytes.len() - pos
-        )));
-    }
-    Ok(chunk)
+/// The value section of a DictV2 / RleV2 chunk: `n` values in a leaf
+/// encoding.
+fn decode_nested(bytes: &[u8], pos: &mut usize, n: usize) -> VortexResult<ColumnVec> {
+    let venc = Encoding::from_u8(take_byte(bytes, pos)?)?;
+    ensure(
+        venc.nestable(),
+        format_args!("value section cannot be {venc:?}"),
+    )?;
+    let vlen = get_count(bytes, pos, bytes.len() - *pos, "value section bytes")?;
+    decode_chunk(venc, take(bytes, pos, vlen)?, n)
 }
 
-/// Decodes a column chunk of `count` values to materialized rows.
-pub fn decode_column(enc: Encoding, bytes: &[u8], count: usize) -> VortexResult<Vec<Value>> {
-    decode_chunk(enc, bytes, count).map(DecodedChunk::materialize)
-}
-
-fn decode_chunk_at(
-    enc: Encoding,
+/// What IntPack / Alp / Fsst chunks share after their type tag: the
+/// flags (`allowed` of them), the stored non-null count, and the null
+/// bitmap if flagged. Returns the flags, the bitmap and the non-null
+/// count, which must agree with the stored one.
+fn read_nulls(
     bytes: &[u8],
     pos: &mut usize,
     count: usize,
-    allow_nested: bool,
-) -> VortexResult<DecodedChunk> {
-    match enc {
-        Encoding::Plain => {
-            let mut out = Vec::with_capacity(count.min(bytes.len() - *pos)); // lint:allow(L010, decode is off the hot path; capacity bounded by remaining input)
-            for _ in 0..count {
-                out.push(decode_value(bytes, pos)?);
-            }
-            Ok(DecodedChunk::Values(out))
-        }
-        Encoding::IntPack => decode_intpack(bytes, pos, count).map(DecodedChunk::Values),
-        Encoding::Alp => decode_alp(bytes, pos, count).map(DecodedChunk::Values),
-        Encoding::Fsst => decode_fsst(bytes, pos, count).map(DecodedChunk::Values),
-        Encoding::DictV2 => {
-            if !allow_nested {
-                return Err(VortexError::Decode("nested dict not allowed".into()));
-            }
-            let dict_len = get_count(bytes, pos, count, "dict size")?;
-            if dict_len == 0 && count > 0 {
-                return Err(VortexError::Decode("empty dict for non-empty chunk".into()));
-            }
-            let venc = Encoding::from_u8(take_byte(bytes, pos)?)?;
-            if !venc.nestable() {
-                return Err(VortexError::Decode(format!(
-                    "dict value section cannot be {venc:?}"
-                )));
-            }
-            let vlen = get_count(bytes, pos, bytes.len() - *pos, "dict value bytes")?;
-            let vslice = take(bytes, pos, vlen)?;
-            let dict = decode_chunk(venc, vslice, dict_len)?.materialize();
-            let width = take_byte(bytes, pos)?;
-            let raw = unpack_bits(bytes, pos, count, width)?;
-            let mut codes = Vec::with_capacity(count);
-            for id in raw {
-                if id >= dict_len as u64 {
-                    return Err(VortexError::Decode(format!("dict id {id} out of range")));
-                }
-                codes.push(id as u32);
-            }
-            Ok(DecodedChunk::Dict { dict, codes })
-        }
-        Encoding::RleV2 => {
-            if !allow_nested {
-                return Err(VortexError::Decode("nested rle not allowed".into()));
-            }
-            let nruns = get_count(bytes, pos, count, "run count")?;
-            let mut lens = Vec::with_capacity(nruns);
-            let mut total = 0usize;
-            for _ in 0..nruns {
-                let run = get_uvarint(bytes, pos)? as usize;
-                if run == 0 || run > count - total {
-                    return Err(VortexError::Decode(format!(
-                        "rle run {run} exceeds remaining {}",
-                        count - total
-                    )));
-                }
-                lens.push(run as u32);
-                total += run;
-            }
-            if total != count {
-                return Err(VortexError::Decode(format!(
-                    "rle runs cover {total} of {count} rows"
-                )));
-            }
-            let venc = Encoding::from_u8(take_byte(bytes, pos)?)?;
-            if !venc.nestable() {
-                return Err(VortexError::Decode(format!(
-                    "rle value section cannot be {venc:?}"
-                )));
-            }
-            let vlen = get_count(bytes, pos, bytes.len() - *pos, "rle value bytes")?;
-            let vslice = take(bytes, pos, vlen)?;
-            let values = decode_chunk(venc, vslice, nruns)?.materialize();
-            Ok(DecodedChunk::Runs { lens, values })
-        }
-    }
+    allowed: u8,
+) -> VortexResult<(u8, Option<Nulls>, usize)> {
+    let flags = take_byte(bytes, pos)?;
+    ensure(
+        flags & !allowed == 0,
+        format_args!("bad chunk flags {flags:#x}"),
+    )?;
+    let stored = get_count(bytes, pos, count, "non-null count")?;
+    let nulls = match flags & FLAG_NULLS != 0 {
+        true => Some(Nulls(take(bytes, pos, count.div_ceil(8))?.to_vec())),
+        false => None,
+    };
+    let m = (0..count).filter(|&i| !null_at(&nulls, i)).count();
+    let agree = stored == m;
+    ensure(
+        agree,
+        format_args!("chunk declares {stored} values, row count implies {m}"),
+    )?;
+    Ok((flags, nulls, m))
 }
 
-fn decode_intpack(bytes: &[u8], pos: &mut usize, count: usize) -> VortexResult<Vec<Value>> {
-    let tag = take_byte(bytes, pos)?;
-    if tag > TY_TIMESTAMP {
-        return Err(VortexError::Decode(format!("bad intpack type {tag}")));
-    }
-    let flags = take_byte(bytes, pos)?;
-    if flags & !(FLAG_NULLS | FLAG_DELTA) != 0 {
-        return Err(VortexError::Decode(format!("bad intpack flags {flags:#x}")));
-    }
-    let stored_m = get_count(bytes, pos, count, "intpack values")?;
-    let nulls = if flags & FLAG_NULLS != 0 {
-        read_null_bitmap(bytes, pos, count)?
-    } else {
-        Vec::new()
-    };
-    let m = if nulls.is_empty() {
-        count
-    } else {
-        count - nulls.iter().filter(|&&b| b).count()
-    };
-    if stored_m != m {
-        return Err(VortexError::Decode(format!(
-            "intpack declares {stored_m} values, row count implies {m}"
-        )));
-    }
+fn decode_intpack(bytes: &[u8], pos: &mut usize, count: usize) -> VortexResult<ColumnVec> {
+    let tag = take_byte(bytes, pos)? as usize;
+    let kinds = [IntKind::Int64, IntKind::Date, IntKind::Timestamp]; // TY_INT64..
+    let kind = *kinds
+        .get(tag)
+        .ok_or_else(|| corrupt(format_args!("bad intpack type {tag}")))?;
+    let (flags, nulls, m) = read_nulls(bytes, pos, count, FLAG_NULLS | FLAG_DELTA)?;
     let delta = flags & FLAG_DELTA != 0;
-    if delta && m < 2 {
-        return Err(VortexError::Decode("delta chunk with <2 values".into()));
-    }
-    let first = if delta { get_ivarint(bytes, pos)? } else { 0 };
-    let base = get_ivarint(bytes, pos)? as i128;
+    ensure(!delta || m >= 2, "delta chunk with <2 values")?;
+    // A delta chunk stores its first value, then m-1 packed deltas.
+    let mut acc = if delta { get_ivarint(bytes, pos)? } else { 0 } as i128;
+    let base = get_ivarint(bytes, pos)?;
     let width = take_byte(bytes, pos)?;
-    let k = if delta { m - 1 } else { m };
-    let rels = unpack_bits(bytes, pos, k, width)?;
-    let mut ints = Vec::with_capacity(m);
-    if delta {
-        let mut acc = first as i128;
-        ints.push(first);
-        for r in rels {
-            acc += base + r as i128;
-            ints.push(i128_to_i64(acc)?);
-        }
-    } else {
-        for r in rels {
-            ints.push(i128_to_i64(base + r as i128)?);
-        }
-    }
-    interleave_nulls(count, &nulls, ints.into_iter(), |i| int_value(tag, i))
-}
-
-fn i128_to_i64(v: i128) -> VortexResult<i64> {
-    i64::try_from(v).map_err(|_| VortexError::Decode(format!("intpack value {v} overflows i64")))
-}
-
-fn int_value(tag: u8, i: i64) -> VortexResult<Value> {
-    Ok(match tag {
-        TY_INT64 => Value::Int64(i),
-        TY_DATE => Value::Date(
-            i32::try_from(i).map_err(|_| VortexError::Decode(format!("date {i} out of range")))?,
-        ),
-        _ => Value::Timestamp(Timestamp::from_micros(i as u64)),
-    })
-}
-
-/// Builds the row vector from a null bitmap plus an iterator of decoded
-/// non-null payloads. Errors if the payload count mismatches.
-fn interleave_nulls<I, F>(
-    count: usize,
-    nulls: &[bool],
-    mut payload: I,
-    mut to_value: F,
-) -> VortexResult<Vec<Value>>
-where
-    I: Iterator,
-    F: FnMut(I::Item) -> VortexResult<Value>,
-{
-    let mut out = Vec::with_capacity(count);
+    let mut bits = BitReader::new(bytes, pos, m - delta as usize, width)?;
+    let mut first = delta;
+    let mut values = Vec::with_capacity(count);
     for row in 0..count {
-        if nulls.get(row).copied().unwrap_or(false) {
-            out.push(Value::Null);
-        } else {
-            let p = payload
-                .next()
-                .ok_or_else(|| VortexError::Decode("chunk payload exhausted".into()))?;
-            out.push(to_value(p)?);
+        if null_at(&nulls, row) {
+            values.push(0);
+            continue;
         }
+        let v = if !delta {
+            base.checked_add_unsigned(bits.next_value())
+        } else {
+            if !std::mem::take(&mut first) {
+                acc += base as i128 + bits.next_value() as i128;
+            }
+            i64::try_from(acc).ok()
+        };
+        let v = v.filter(|&v| kind != IntKind::Date || i32::try_from(v).is_ok());
+        values.push(v.ok_or_else(|| corrupt("intpack value out of range"))?);
     }
-    Ok(out)
+    Ok(ColumnVec::I64(kind, Prim { values, nulls }))
 }
 
-fn decode_alp(bytes: &[u8], pos: &mut usize, count: usize) -> VortexResult<Vec<Value>> {
-    let flags = take_byte(bytes, pos)?;
-    if flags & !FLAG_NULLS != 0 {
-        return Err(VortexError::Decode(format!("bad alp flags {flags:#x}")));
-    }
-    let stored_m = get_count(bytes, pos, count, "alp values")?;
-    let nulls = if flags & FLAG_NULLS != 0 {
-        read_null_bitmap(bytes, pos, count)?
-    } else {
-        Vec::new()
-    };
-    let m = if nulls.is_empty() {
-        count
-    } else {
-        count - nulls.iter().filter(|&&b| b).count()
-    };
-    if stored_m != m {
-        return Err(VortexError::Decode(format!(
-            "alp declares {stored_m} values, row count implies {m}"
-        )));
-    }
+fn decode_alp(bytes: &[u8], pos: &mut usize, count: usize) -> VortexResult<ColumnVec> {
+    let (_, nulls, m) = read_nulls(bytes, pos, count, FLAG_NULLS)?;
     let exp = take_byte(bytes, pos)? as usize;
-    if exp >= POW10.len() {
-        return Err(VortexError::Decode(format!("bad alp exponent {exp}")));
-    }
-    let p10 = POW10[exp];
+    let p10 = *POW10
+        .get(exp)
+        .ok_or_else(|| corrupt(format_args!("bad alp exponent {exp}")))?;
     let npatch = get_count(bytes, pos, m, "alp patches")?;
     let mut patch_rows = Vec::with_capacity(npatch);
     let mut prev = 0usize;
     for i in 0..npatch {
         let gap = get_uvarint(bytes, pos)? as usize;
-        if i > 0 && gap == 0 {
-            return Err(VortexError::Decode("alp patch rows not ascending".into()));
-        }
-        prev += gap;
-        if prev >= count {
-            return Err(VortexError::Decode(format!(
-                "alp patch row {prev} out of range"
-            )));
-        }
+        prev = prev.saturating_add(gap);
+        let ascends = (i == 0 || gap > 0) && prev < count;
+        ensure(ascends, format_args!("bad alp patch row {prev}"))?;
         patch_rows.push(prev);
     }
-    let mut patch_bits = Vec::with_capacity(npatch);
-    for _ in 0..npatch {
-        let b = take(bytes, pos, 8)?;
-        patch_bits
-            .push(u64::from_le_bytes(b.try_into().map_err(|_| {
-                VortexError::Decode("alp patch truncated".into())
-            })?));
-    }
+    let patch_bits = take(bytes, pos, npatch * 8)?.chunks_exact(8);
+    let mut patches = patch_rows.iter().zip(patch_bits).peekable();
     let base = get_ivarint(bytes, pos)? as i128;
     let width = take_byte(bytes, pos)?;
-    let rels = unpack_bits(bytes, pos, m - npatch, width)?;
-    let mut ints = rels.into_iter().map(|r| base + r as i128);
-    let mut patches = patch_rows.iter().zip(patch_bits.iter()).peekable();
-    let mut out = Vec::with_capacity(count);
+    let mut bits = BitReader::new(bytes, pos, m - npatch, width)?;
+    let mut values = Vec::with_capacity(count);
     for row in 0..count {
-        if nulls.get(row).copied().unwrap_or(false) {
-            out.push(Value::Null);
-            continue;
-        }
-        if let Some(&(&prow, &bits)) = patches.peek() {
-            if prow == row {
-                out.push(Value::Float64(f64::from_bits(bits)));
-                patches.next();
-                continue;
-            }
-        }
-        let i = ints
-            .next()
-            .ok_or_else(|| VortexError::Decode("alp ints exhausted".into()))?;
-        out.push(Value::Float64(i as f64 / p10));
+        values.push(if null_at(&nulls, row) {
+            0.0
+        } else if let Some((_, raw)) = patches.next_if(|&(&prow, _)| prow == row) {
+            f64::from_bits(le_uint(raw) as u64)
+        } else {
+            (base + bits.next_value() as i128) as f64 / p10
+        });
     }
-    if patches.next().is_some() {
-        return Err(VortexError::Decode("alp patch at null row".into()));
-    }
-    Ok(out)
+    ensure(patches.next().is_none(), "alp patch at null row")?;
+    Ok(ColumnVec::F64(Prim { values, nulls }))
 }
 
-fn decode_fsst(bytes: &[u8], pos: &mut usize, count: usize) -> VortexResult<Vec<Value>> {
-    let tag = take_byte(bytes, pos)?;
-    if tag > TY_BYTES {
-        return Err(VortexError::Decode(format!("bad fsst type {tag}")));
-    }
-    let flags = take_byte(bytes, pos)?;
-    if flags & !FLAG_NULLS != 0 {
-        return Err(VortexError::Decode(format!("bad fsst flags {flags:#x}")));
-    }
-    let stored_m = get_count(bytes, pos, count, "fsst values")?;
-    let nulls = if flags & FLAG_NULLS != 0 {
-        read_null_bitmap(bytes, pos, count)?
-    } else {
-        Vec::new()
-    };
-    let m = if nulls.is_empty() {
-        count
-    } else {
-        count - nulls.iter().filter(|&&b| b).count()
-    };
-    if stored_m != m {
-        return Err(VortexError::Decode(format!(
-            "fsst declares {stored_m} values, row count implies {m}"
-        )));
-    }
+fn decode_fsst(bytes: &[u8], pos: &mut usize, count: usize) -> VortexResult<ColumnVec> {
+    let tag = take_byte(bytes, pos)? as usize;
+    let kinds = [StrKind::String, StrKind::Json, StrKind::Bytes]; // TY_STRING..
+    let kind = *kinds
+        .get(tag)
+        .ok_or_else(|| corrupt(format_args!("bad fsst type {tag}")))?;
+    let (_, nulls, _) = read_nulls(bytes, pos, count, FLAG_NULLS)?;
     let nsyms = take_byte(bytes, pos)? as usize;
-    if nsyms >= FSST_ESCAPE as usize {
-        return Err(VortexError::Decode(format!(
-            "fsst table of {nsyms} symbols"
-        )));
-    }
+    ensure(
+        nsyms < FSST_ESCAPE as usize,
+        format_args!("fsst table of {nsyms} symbols"),
+    )?;
     let mut symbols: Vec<&[u8]> = Vec::with_capacity(nsyms);
     for _ in 0..nsyms {
         let l = take_byte(bytes, pos)? as usize;
-        if l == 0 || l > FSST_MAX_SYM {
-            return Err(VortexError::Decode(format!("fsst symbol of {l} bytes")));
-        }
+        ensure(
+            (1..=FSST_MAX_SYM).contains(&l),
+            format_args!("fsst symbol of {l} bytes"),
+        )?;
         symbols.push(take(bytes, pos, l)?);
     }
-    let mut payloads = Vec::with_capacity(m);
-    for _ in 0..m {
-        let elen = get_count(bytes, pos, bytes.len() - *pos, "fsst value")?;
-        let enc = take(bytes, pos, elen)?;
-        let mut raw = Vec::with_capacity(elen);
-        let mut p = 0usize;
-        while p < enc.len() {
-            let c = enc[p];
-            p += 1;
-            if c == FSST_ESCAPE {
-                if p >= enc.len() {
-                    return Err(VortexError::Decode("fsst escape truncated".into()));
+    let mut offsets = Vec::with_capacity(count + 1);
+    let mut data = Vec::with_capacity(bytes.len() - *pos);
+    offsets.push(0);
+    for row in 0..count {
+        if !null_at(&nulls, row) {
+            let elen = get_count(bytes, pos, bytes.len() - *pos, "fsst value")?;
+            let mut codes = take(bytes, pos, elen)?.iter();
+            while let Some(&c) = codes.next() {
+                if c == FSST_ESCAPE {
+                    data.push(
+                        *codes
+                            .next()
+                            .ok_or_else(|| corrupt("fsst escape truncated"))?,
+                    );
+                } else {
+                    let sym = symbols.get(c as usize);
+                    let sym =
+                        sym.ok_or_else(|| corrupt(format_args!("fsst code {c} out of range")))?;
+                    data.extend_from_slice(sym);
                 }
-                raw.push(enc[p]);
-                p += 1;
-            } else if (c as usize) < nsyms {
-                raw.extend_from_slice(symbols[c as usize]);
-            } else {
-                return Err(VortexError::Decode(format!("fsst code {c} out of range")));
             }
         }
-        payloads.push(raw);
+        offsets.push(data.len() as u32);
     }
-    interleave_nulls(count, &nulls, payloads.into_iter(), |raw| {
-        Ok(match tag {
-            TY_BYTES => Value::Bytes(raw),
-            t => {
-                let s = String::from_utf8(raw)
-                    .map_err(|e| VortexError::Decode(format!("fsst utf8: {e}")))?;
-                if t == TY_STRING {
-                    Value::String(s)
-                } else {
-                    Value::Json(s)
-                }
+    str_vec(kind, offsets, data, nulls)
+}
+
+/// Finishes a `Str` vector: the rows of a String / Json vector must each
+/// be UTF-8, which holds iff the whole buffer is and every row starts on
+/// a character boundary.
+fn str_vec(
+    kind: StrKind,
+    offsets: Vec<u32>,
+    bytes: Vec<u8>,
+    nulls: Option<Nulls>,
+) -> VortexResult<ColumnVec> {
+    ensure(
+        u32::try_from(bytes.len()).is_ok(),
+        "string chunk over 4 GiB",
+    )?;
+    if kind != StrKind::Bytes {
+        let text = std::str::from_utf8(&bytes).map_err(|e| corrupt(format_args!("utf8: {e}")))?;
+        let whole = offsets.iter().all(|&o| text.is_char_boundary(o as usize));
+        ensure(whole, "utf8: value splits a character")?;
+    }
+    let strs = Strs {
+        offsets,
+        bytes,
+        nulls,
+    };
+    Ok(ColumnVec::Str(kind, strs))
+}
+
+/// Plain cells that are each NULL or tagged `tag`, read by `cell`;
+/// `None` as soon as another tag shows up.
+fn plain_cells<T: Default>(
+    bytes: &[u8],
+    pos: &mut usize,
+    count: usize,
+    tag: u8,
+    mut cell: impl FnMut(&[u8], &mut usize) -> VortexResult<T>,
+) -> VortexResult<Option<Prim<T>>> {
+    let mut values = Vec::with_capacity(count.min(bytes.len() - *pos));
+    let mut nulls = None;
+    for row in 0..count {
+        match take_byte(bytes, pos)? {
+            TAG_NULL => {
+                let bitmap = nulls.get_or_insert_with(|| Nulls(vec![0; count.div_ceil(8)]));
+                bitmap.0[row / 8] |= 1 << (row % 8);
+                values.push(T::default());
             }
-        })
-    })
+            t if t == tag => values.push(cell(bytes, pos)?),
+            _ => return Ok(None),
+        }
+    }
+    Ok(Some(Prim { values, nulls }))
+}
+
+/// Plain stores tagged values back to back. The first non-NULL tag names
+/// the vector type; a column that then shows another type, nested cells
+/// or nothing but NULLs decodes cell by cell into `Any`.
+fn decode_plain(bytes: &[u8], pos: &mut usize, count: usize) -> VortexResult<ColumnVec> {
+    let start = *pos;
+    let tag = bytes[start..].iter().take(count).find(|&&t| t != TAG_NULL);
+    let tag = tag.copied().unwrap_or(TAG_NULL);
+    let typed = match tag {
+        TAG_INT64 => plain_cells(bytes, pos, count, tag, get_ivarint)?
+            .map(|p| ColumnVec::I64(IntKind::Int64, p)),
+        TAG_DATE => plain_cells(bytes, pos, count, tag, |b, p| {
+            get_ivarint(b, p).map(|d| d as i32 as i64)
+        })?
+        .map(|p| ColumnVec::I64(IntKind::Date, p)),
+        TAG_TIMESTAMP => plain_cells(bytes, pos, count, tag, |b, p| {
+            get_uvarint(b, p).map(|t| t as i64)
+        })?
+        .map(|p| ColumnVec::I64(IntKind::Timestamp, p)),
+        TAG_FLOAT64 => plain_cells(bytes, pos, count, tag, |b, p| {
+            take(b, p, 8).map(|raw| f64::from_bits(le_uint(raw) as u64))
+        })?
+        .map(ColumnVec::F64),
+        TAG_NUMERIC => plain_cells(bytes, pos, count, tag, |b, p| {
+            take(b, p, 16).map(|raw| le_uint(raw) as i128)
+        })?
+        .map(ColumnVec::I128),
+        TAG_BOOL => plain_cells(bytes, pos, count, tag, |b, p| Ok(take_byte(b, p)? != 0))?
+            .map(ColumnVec::Bool),
+        TAG_STRING | TAG_JSON | TAG_BYTES => {
+            let kind = match tag {
+                TAG_STRING => StrKind::String,
+                TAG_JSON => StrKind::Json,
+                _ => StrKind::Bytes,
+            };
+            let mut data = Vec::with_capacity(bytes.len() - start);
+            // Each cell yields where its bytes end; a NULL yields 0, which
+            // the running maximum turns into "where the last row ended".
+            let ends = plain_cells(bytes, pos, count, tag, |b, p| {
+                let n = get_count(b, p, b.len() - *p, "string length")?;
+                data.extend_from_slice(take(b, p, n)?);
+                Ok(data.len() as u32)
+            })?;
+            let vec = ends.map(|Prim { values, nulls }| {
+                let mut offsets = vec![0u32];
+                offsets.extend(values);
+                (1..offsets.len()).for_each(|i| offsets[i] = offsets[i].max(offsets[i - 1]));
+                str_vec(kind, offsets, data, nulls)
+            });
+            vec.transpose()?
+        }
+        _ => None,
+    };
+    if let Some(col) = typed {
+        return Ok(col);
+    }
+    *pos = start;
+    let mut cells = Vec::with_capacity(count.min(bytes.len() - start));
+    for _ in 0..count {
+        cells.push(decode_value(bytes, pos)?);
+    }
+    Ok(ColumnVec::Any(cells))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vortex_common::truetime::Timestamp;
 
-    const ALL_ENCODINGS: [Encoding; 6] = [
-        Encoding::Plain,
-        Encoding::IntPack,
-        Encoding::Alp,
-        Encoding::Fsst,
-        Encoding::DictV2,
-        Encoding::RleV2,
-    ];
+    /// Passes every request through to the system allocator and adds its
+    /// size to a per-thread tally, so the fuzz test can bound what a
+    /// decode of corrupt bytes reserves.
+    struct Tally;
+
+    thread_local! {
+        static REQUESTED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    // SAFETY: both methods forward their arguments unchanged to `System`,
+    // which upholds the `GlobalAlloc` contract; the tally is a `Cell` in
+    // a thread-local without a destructor, so touching it allocates
+    // nothing and cannot re-enter.
+    unsafe impl std::alloc::GlobalAlloc for Tally {
+        unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
+            let _ = REQUESTED.try_with(|r| r.set(r.get().saturating_add(layout.size())));
+            // SAFETY: the caller's obligations for `alloc` are passed on as they are.
+            unsafe { std::alloc::System.alloc(layout) }
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
+            // SAFETY: `ptr` came from `System.alloc` with this `layout`.
+            unsafe { std::alloc::System.dealloc(ptr, layout) }
+        }
+    }
+
+    #[global_allocator]
+    static TALLY: Tally = Tally;
+
+    /// Bytes this thread requested from the allocator while `f` ran.
+    fn requested_by<T>(f: impl FnOnce() -> T) -> (T, usize) {
+        let before = REQUESTED.with(|r| r.get());
+        let out = f();
+        (out, REQUESTED.with(|r| r.get()) - before)
+    }
+
+    /// Decodes to values through the typed vector — the API edge.
+    fn decode_column(enc: Encoding, bytes: &[u8], count: usize) -> VortexResult<Vec<Value>> {
+        decode_chunk(enc, bytes, count).map(|col| col.to_values())
+    }
 
     fn roundtrip(values: &[Value]) -> Encoding {
         let (enc, bytes) = encode_column(values);
@@ -1555,7 +1458,10 @@ mod tests {
     }
 
     /// Corrupt-chunk fuzz: arbitrary bytes must never panic or
-    /// over-allocate, for every encoding.
+    /// over-allocate, for every encoding. Everything a decode requests
+    /// from the allocator — vectors, their regrowth, the error string —
+    /// stays within a small multiple of the row count plus the input
+    /// length, whatever lengths the bytes declare.
     #[test]
     fn fuzz_decode_arbitrary_bytes_never_panics() {
         // Deterministic xorshift so failures reproduce.
@@ -1572,8 +1478,11 @@ mod tests {
             let count = (next() % 300) as usize;
             for enc in ALL_ENCODINGS {
                 // Must return (usually Err), never panic.
-                let _ = decode_column(enc, &buf, count);
-                let _ = decode_chunk(enc, &buf, count);
+                let (_, requested) = requested_by(|| decode_chunk(enc, &buf, count));
+                assert!(
+                    requested <= 64 * (count + len) + 1024,
+                    "{enc:?}: {requested} bytes requested for {count} rows from {len} bytes"
+                );
             }
             // Also mutate valid chunks: flip bytes in real encodings.
             if round % 4 == 0 {
@@ -1590,7 +1499,11 @@ mod tests {
                 if !bytes.is_empty() {
                     let at = (next() as usize) % bytes.len();
                     bytes[at] ^= (next() as u8) | 1;
-                    let _ = decode_column(enc, &bytes, vals.len());
+                    let (_, requested) = requested_by(|| decode_column(enc, &bytes, vals.len()));
+                    assert!(
+                        requested <= 64 * (vals.len() + bytes.len()) + 1024,
+                        "{enc:?}"
+                    );
                 }
             }
         }
@@ -1621,54 +1534,84 @@ mod tests {
     }
 
     #[test]
-    fn decoded_chunk_structure_preserved() {
+    fn decoded_structure_and_types_preserved() {
         let vals: Vec<Value> = (0..100).map(|i| Value::Int64(i % 4)).collect();
         let bytes = encode_column_with(&vals, Encoding::DictV2).unwrap();
         match decode_chunk(Encoding::DictV2, &bytes, 100).unwrap() {
-            DecodedChunk::Dict { dict, codes } => {
-                assert_eq!(dict.len(), 4);
+            ColumnVec::Dict { dict, codes } => {
+                let values = vec![0, 1, 2, 3];
+                let want = ColumnVec::I64(
+                    IntKind::Int64,
+                    Prim {
+                        values,
+                        nulls: None,
+                    },
+                );
+                assert_eq!(*dict, want);
                 assert_eq!(codes.len(), 100);
                 assert_eq!(codes[5], 1);
             }
-            other => panic!("expected dict chunk, got {other:?}"),
+            other => panic!("expected dict vector, got {other:?}"),
         }
         let mut runs = Vec::new();
         for k in 0..5 {
             for _ in 0..20 {
-                runs.push(Value::Int64(k));
+                runs.push(Value::String(format!("run-{k}")));
             }
         }
         let bytes = encode_column_with(&runs, Encoding::RleV2).unwrap();
         match decode_chunk(Encoding::RleV2, &bytes, 100).unwrap() {
-            DecodedChunk::Runs { lens, values } => {
+            ColumnVec::Runs { lens, values } => {
                 assert_eq!(lens, vec![20; 5]);
-                assert_eq!(values.len(), 5);
+                match &*values {
+                    ColumnVec::Str(StrKind::String, s) => assert_eq!(s.get(4), b"run-4"),
+                    other => panic!("expected string vector, got {other:?}"),
+                }
             }
-            other => panic!("expected runs chunk, got {other:?}"),
+            other => panic!("expected runs vector, got {other:?}"),
         }
+        // Plain decodes to the vector of its cells' type, NULLs in the
+        // bitmap; a second type (or a nested cell) falls back to `Any`.
+        let plain = |vals: &[Value]| {
+            let bytes = encode_column_with(vals, Encoding::Plain).unwrap();
+            decode_chunk(Encoding::Plain, &bytes, vals.len()).unwrap()
+        };
+        match plain(&[Value::Null, Value::Numeric(7), Value::Numeric(-1)]) {
+            ColumnVec::I128(p) => {
+                assert_eq!(p.values, vec![0, 7, -1]);
+                assert!(p.nulls.is_some_and(|n| n.is_null(0) && !n.is_null(1)));
+            }
+            other => panic!("expected numeric vector, got {other:?}"),
+        }
+        assert!(matches!(
+            plain(&[Value::Bool(true), Value::Null]),
+            ColumnVec::Bool(_)
+        ));
+        assert!(matches!(
+            plain(&[Value::Int64(1), Value::Bool(true)]),
+            ColumnVec::Any(_)
+        ));
+        assert!(matches!(
+            plain(&[Value::Array(vec![Value::Int64(1)])]),
+            ColumnVec::Any(_)
+        ));
     }
 
+    /// A String / Json vector rejects bytes that are not UTF-8 row by
+    /// row, even when the rows' concatenation is.
     #[test]
-    fn gather_matches_materialize() {
-        let vals: Vec<Value> = (0..90)
-            .map(|i| {
-                if i % 11 == 0 {
-                    Value::Null
-                } else {
-                    Value::Int64((i / 10) as i64)
-                }
-            })
-            .collect();
-        for enc in [Encoding::Plain, Encoding::DictV2, Encoding::RleV2] {
-            let bytes = encode_column_with(&vals, enc).unwrap();
-            let chunk = decode_chunk(enc, &bytes, 90).unwrap();
-            let all = chunk.clone().materialize();
-            let picks: Vec<usize> = vec![0, 3, 11, 40, 41, 89];
-            let mut got = Vec::new();
-            chunk.gather(&picks, &mut got);
-            let want: Vec<Value> = picks.iter().map(|&i| all[i].clone()).collect();
-            assert_key_eq(&got, &want);
+    fn string_rows_must_each_be_utf8() {
+        let euro = "€".as_bytes(); // three bytes
+        let mut bytes = Vec::new();
+        for part in [&euro[..1], &euro[1..]] {
+            bytes.push(TAG_STRING);
+            put_uvarint(&mut bytes, part.len() as u64);
+            bytes.extend_from_slice(part);
         }
+        assert!(decode_chunk(Encoding::Plain, &bytes, 2).is_err());
+        bytes[0] = TAG_BYTES;
+        bytes[3] = TAG_BYTES;
+        assert!(decode_chunk(Encoding::Plain, &bytes, 2).is_ok());
     }
 
     mod properties {
@@ -1728,14 +1671,42 @@ mod tests {
                 }
             }
 
-            /// Every encoding that accepts the column roundtrips it.
+            /// Every encoding that accepts the column roundtrips it, and
+            /// its vector agrees with itself: `gather`, `resolve`,
+            /// `value`, `is_null` and `cmp_at` all describe the rows
+            /// `to_values` lists.
             #[test]
-            fn applicable_encodings_roundtrip(vals in column_strategy()) {
+            fn applicable_encodings_roundtrip(vals in column_strategy(), pick in any::<u64>()) {
                 for enc in ALL_ENCODINGS {
                     if let Ok(bytes) = encode_column_with(&vals, enc) {
-                        let back = decode_column(enc, &bytes, vals.len()).unwrap();
+                        let col = decode_chunk(enc, &bytes, vals.len()).unwrap();
+                        prop_assert_eq!(col.len(), vals.len());
+                        let back = col.to_values();
                         for (g, w) in back.iter().zip(&vals) {
                             prop_assert!(g.key_eq(w), "{:?} != {:?} under {:?}", g, w, enc);
+                        }
+                        let rows: Vec<usize> =
+                            (0..vals.len()).filter(|i| pick >> (i % 64) & 1 == 1).collect();
+                        let mut got = Vec::new();
+                        col.gather(rows.iter().copied(), |k, v| {
+                            assert_eq!(k, got.len());
+                            got.push(v)
+                        });
+                        let mut buf = Vec::new();
+                        let (leaf, at) = col.resolve(&rows, &mut buf);
+                        prop_assert_eq!(at.len(), rows.len());
+                        for (k, &i) in rows.iter().enumerate() {
+                            prop_assert!(got[k].key_eq(&vals[i]), "gather row {} under {:?}", i, enc);
+                            prop_assert!(leaf.value(at[k]).key_eq(&vals[i]), "resolve row {}", i);
+                            prop_assert!(col.value(i).key_eq(&vals[i]), "value row {}", i);
+                            prop_assert_eq!(col.is_null(i), vals[i].is_null());
+                            if !vals[i].is_null() {
+                                let other = &vals[(i + 1) % vals.len()];
+                                prop_assert_eq!(
+                                    leaf.cmp_at(at[k], other),
+                                    vals[i].total_cmp(other)
+                                );
+                            }
                         }
                     }
                 }
@@ -1758,9 +1729,12 @@ mod tests {
             let mut buf = Vec::new();
             pack_bits(&mut buf, &vals, width);
             let mut pos = 0;
-            let back = unpack_bits(&buf, &mut pos, vals.len(), width).unwrap();
+            let mut bits = BitReader::new(&buf, &mut pos, vals.len(), width).unwrap();
             assert_eq!(pos, buf.len());
+            let back: Vec<u64> = vals.iter().map(|_| bits.next_value()).collect();
             assert_eq!(back, vals, "width {width}");
+            // One byte short is caught up front, not while reading.
+            assert!(width == 0 || BitReader::new(&buf, &mut 1, vals.len(), width).is_err());
         }
     }
 }

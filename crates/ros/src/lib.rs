@@ -15,14 +15,17 @@
 //! exactly-once conversion audit trail (§6.3) and gives merge-on-read
 //! UPSERT/DELETE resolution a total order (§4.2.6).
 //!
-//! Column data decodes lazily: scanning one column of a wide table only
-//! pays for that column — the property the WOS→ROS conversion exists to
-//! buy (bench C5).
+//! Column data decodes lazily, one zone of one column at a time, into a
+//! typed [`ColumnVec`]: scanning one column of a wide table only pays for
+//! that column — the property the WOS→ROS conversion exists to buy
+//! (bench C5) — and no `Value` is built for a cell the query drops.
 
 #![warn(missing_docs)]
 
 pub mod block;
+pub mod column;
 pub mod encoding;
 
 pub use block::{RosBlock, RosBlockBuilder, RowMeta, ZONE_ROWS};
-pub use encoding::{DecodedChunk, Encoding};
+pub use column::{ColumnVec, IntKind, Nulls, Prim, StrKind, Strs};
+pub use encoding::Encoding;
