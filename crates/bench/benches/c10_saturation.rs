@@ -5,11 +5,14 @@
 //! knee — the highest rate whose p99 ack latency stays sub-second — for
 //! two arms:
 //!
-//! - **locked**: the pre-refactor design, reproduced bench-side — one
-//!   `Mutex<HostedStreamlet>` per streamlet, every append takes the
-//!   lock and performs its own dual-replica Colossus write (the full
-//!   ~600µs base + heavy service tail charged per append), plus a
-//!   shared WAL behind a second lock;
+//! - **locked**: the pre-refactor design — one `Mutex<HostedStreamlet>`
+//!   per streamlet, every append takes the lock and performs its own
+//!   dual-replica Colossus write (the full ~600µs base + heavy service
+//!   tail charged per append), plus a shared WAL behind a second lock.
+//!   That server no longer exists and is not re-implemented here: the
+//!   arm is **frozen** ([`LOCKED`]) at the numbers the bench-side
+//!   reproduction measured when `BENCH_saturation.json` was committed
+//!   (e949b7b, the shard-per-core PR; 120 iterations);
 //! - **sharded**: the real [`StreamServer`] — appends routed over
 //!   bounded mailboxes to single-writer shards whose group commits
 //!   amortize the base write and the service tail across every append
@@ -23,12 +26,13 @@
 //! artifact even when the headline ratio holds.
 //!
 //! Emits `BENCH_saturation.json` at the repo root. `VORTEX_BENCH_ITERS`
-//! overrides per-producer appends per sweep point (CI smoke uses a
-//! small value; the ≥2× assertion arms only on full-length runs).
+//! overrides per-producer appends per sweep point for the sharded arm
+//! (CI smoke uses a small value; the ≥2× assertion arms only on
+//! full-length runs, whose iteration count matches the frozen arm's).
 #![allow(clippy::print_stdout)] // prints results/tables by design
 
 use std::path::Path;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -40,8 +44,6 @@ use vortex_common::obs;
 use vortex_common::row::{Row, RowSet, Value};
 use vortex_common::schema::{Field, FieldType, PartitionTransform, Schema};
 use vortex_common::truetime::{SimClock, Timestamp, TrueTime};
-use vortex_server::hosted::{HostedStreamlet, WriteTuning};
-use vortex_server::wal::{ServerLog, WalEvent};
 use vortex_server::{AppendAck, ServerConfig, StreamServer};
 use vortex_sms::server_ctl::{StreamServerApi, StreamletSpec};
 
@@ -61,6 +63,19 @@ const BATCH_ROWS: usize = 8;
 const P99_BOUND_US: u64 = 1_000_000;
 /// Virtual time origin shared by every sweep point.
 const BASE_US: u64 = 1_000_000;
+/// The locked arm, one `(span_us, p50_us, p99_us)` per entry of
+/// [`RATES`]: 3 840 acked appends each (120 iterations), none shed.
+/// Frozen from the committed `BENCH_saturation.json`.
+const LOCKED: [(u64, u64, u64); 6] = [
+    (71_635_130, 9_628, 25_555),
+    (38_239_465, 9_649, 26_279),
+    (22_499_525, 9_642, 25_955),
+    (13_696_347, 9_551, 24_754),
+    (9_228_340, 9_572, 23_937),
+    (7_199_192, 9_619, 25_200),
+];
+/// Acked appends behind every [`LOCKED`] point.
+const LOCKED_ACKED: u64 = 3_840;
 
 fn sat_schema() -> Schema {
     Schema::new(vec![
@@ -117,11 +132,9 @@ struct PointResult {
     p99_us: u64,
 }
 
-/// One shared-rig sweep point: `append` is the arm under test; it must
-/// block until the append's ack resolves and return its virtual
-/// completion.
+/// One sweep point of the sharded arm: `append` must block until the
+/// append's ack resolves and return its virtual completion.
 fn run_point(
-    arm: &'static str,
     rate: u64,
     iters: usize,
     seed: u64,
@@ -179,7 +192,7 @@ fn run_point(
     let p = Percentiles::compute(&mut lats);
     let acked = (STREAMLETS * PIPELINE * iters) as u64;
     PointResult {
-        arm,
+        arm: "sharded",
         rate_per_streamlet: rate,
         acked,
         shed: shed_counter.get() - shed_before,
@@ -190,83 +203,18 @@ fn run_point(
     }
 }
 
-/// The pre-refactor server shape: per-streamlet locks around the hosted
-/// streamlet, a shared lock around the metadata log, one Colossus write
-/// per append.
-struct LockedArm {
-    streamlets: Vec<Mutex<HostedStreamlet>>,
-    wal: Mutex<ServerLog>,
-    tuning: WriteTuning,
-    ids: Arc<IdGen>,
-    fleet: StorageFleet,
-    tt: TrueTime,
-}
-
-impl LockedArm {
-    // Named to stay out of the hot-path analyzer's name-resolved call
-    // graph: `new`/`append` would alias the workspace hot roots and drag
-    // this bench-local lock into the L010/L011 reachability sets.
-    fn bring_up(seed: u64) -> Self {
-        let clock = SimClock::new(BASE_US);
-        let tt = TrueTime::simulated(clock, 100, 0);
-        let fleet = StorageFleet::with_mem_clusters(2, WriteProfile::paper_colossus(), seed);
-        let ids = Arc::new(IdGen::new(1));
-        let key = Key::derive_from_passphrase("c10");
-        let streamlets = (0..STREAMLETS)
-            .map(|i| {
-                Mutex::new(
-                    HostedStreamlet::open(spec(10 + i as u64, &key), &ids, &fleet, &tt).unwrap(),
-                )
-            })
-            .collect();
-        let wal = Mutex::new(
-            ServerLog::open(
-                ServerId::from_raw(1),
-                0,
-                fleet.get(ClusterId::from_raw(0)).unwrap(),
-            )
-            .unwrap(),
-        );
-        LockedArm {
-            streamlets,
-            wal,
-            tuning: WriteTuning {
-                block_buffer_bytes: vortex_wos::DEFAULT_BLOCK_BUFFER_BYTES,
-                fragment_max_bytes: vortex_wos::DEFAULT_FRAGMENT_MAX_BYTES,
-            },
-            ids,
-            fleet,
-            tt,
-        }
-    }
-
-    fn append_locked(&self, sl: usize, rows: &RowSet, start: Timestamp) -> AppendAck {
-        let mut hosted = self.streamlets[sl].lock().unwrap();
-        let ack = hosted
-            .append(
-                rows,
-                1,
-                None,
-                start,
-                1,
-                self.tuning,
-                &self.ids,
-                &self.fleet,
-                &self.tt,
-            )
-            .expect("locked append");
-        let mut events: Vec<WalEvent> = Vec::new();
-        hosted.drain_unlogged_seals(&mut events);
-        drop(hosted);
-        if !events.is_empty() {
-            let cluster = self.fleet.get(ClusterId::from_raw(0)).unwrap();
-            self.wal
-                .lock()
-                .unwrap()
-                .log_batch(cluster, &events)
-                .expect("locked wal");
-        }
-        ack
+/// The frozen locked-arm point at `RATES[ri]`.
+fn locked_point(ri: usize) -> PointResult {
+    let (span_us, p50_us, p99_us) = LOCKED[ri];
+    PointResult {
+        arm: "locked",
+        rate_per_streamlet: RATES[ri],
+        acked: LOCKED_ACKED,
+        shed: 0,
+        span_us,
+        ops_per_s: LOCKED_ACKED as f64 * 1e6 / span_us as f64,
+        p50_us,
+        p99_us,
     }
 }
 
@@ -305,7 +253,7 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(120);
     println!(
-        "\n=== C10: saturation ramp, locked vs sharded ({STREAMLETS} streamlets x {PIPELINE} pipelined producers) ==="
+        "\n=== C10: saturation ramp, locked (frozen) vs sharded ({STREAMLETS} streamlets x {PIPELINE} pipelined producers) ==="
     );
     println!(
         "{:>8} | {:>10} | {:>7} | {:>9} | {:>10} | {:>10} | {:>8}",
@@ -318,25 +266,14 @@ fn main() {
 
     let mut points: Vec<PointResult> = Vec::new();
     for (ri, &rate) in RATES.iter().enumerate() {
-        let locked = LockedArm::bring_up(0xC10 + ri as u64);
-        let p = run_point(
-            "locked",
-            rate,
-            iters,
-            0x10C4ED ^ (ri as u64) << 8,
-            |sl, rows, t| locked.append_locked(sl, rows, t),
-        );
+        let p = locked_point(ri);
         print_point(&p);
         points.push(p);
 
         let server = sharded_server(0x5C10 + ri as u64);
-        let p = run_point(
-            "sharded",
-            rate,
-            iters,
-            0x54A2D ^ (ri as u64) << 8,
-            |sl, rows, t| sharded_append(&server, sl, rows, t),
-        );
+        let p = run_point(rate, iters, 0x54A2D ^ (ri as u64) << 8, |sl, rows, t| {
+            sharded_append(&server, sl, rows, t)
+        });
         print_point(&p);
         points.push(p);
     }
@@ -365,9 +302,8 @@ fn main() {
         sharded_knee.rate_per_streamlet,
     );
 
-    // Group-commit batch sizes across every sharded point (the locked
-    // arm never touches the shard loop, so this histogram is cleanly
-    // sharded-only), and the per-shard routing balance.
+    // Group-commit batch sizes across every sharded point, and the
+    // per-shard routing balance.
     let groups = obs::global()
         .histogram(obs::GROUP_COMMIT_APPENDS)
         .snapshot();

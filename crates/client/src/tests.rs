@@ -11,6 +11,7 @@ use vortex_common::schema::{Field, FieldType, Schema};
 use vortex_common::truetime::{SimClock, TrueTime};
 use vortex_metastore::MetaStore;
 use vortex_server::{ServerConfig, StreamServer};
+use vortex_sms::server_ctl::StreamServerApi;
 use vortex_sms::sms::{SmsConfig, SmsTask};
 
 use crate::api::VortexClient;

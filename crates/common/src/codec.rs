@@ -55,23 +55,25 @@ pub fn get_ivarint(buf: &[u8], pos: &mut usize) -> VortexResult<i64> {
     Ok(((z >> 1) as i64) ^ -((z & 1) as i64))
 }
 
-fn take<'a>(buf: &'a [u8], pos: &mut usize, n: usize) -> VortexResult<&'a [u8]> {
-    if *pos + n > buf.len() {
+/// The next `n` bytes at `pos`, which moves past them. The bound is
+/// checked against the bytes *remaining* (`pos + n` would overflow on a
+/// length varint near `u64::MAX`).
+pub fn take<'a>(buf: &'a [u8], pos: &mut usize, n: usize) -> VortexResult<&'a [u8]> {
+    let (at, left) = (*pos, buf.len() - *pos);
+    if n > left {
         return Err(VortexError::Decode(format!(
-            "need {n} bytes at {}, have {}",
-            *pos,
-            buf.len() - *pos
+            "need {n} bytes at {at}, have {left}"
         )));
     }
-    let s = &buf[*pos..*pos + n];
     *pos += n;
-    Ok(s)
+    Ok(&buf[at..at + n])
 }
 
-fn get_len(buf: &[u8], pos: &mut usize) -> VortexResult<usize> {
+/// Reads a declared byte length. It can never exceed the remaining
+/// input; rejecting early keeps corrupt lengths from triggering giant
+/// allocations.
+pub fn get_len(buf: &[u8], pos: &mut usize) -> VortexResult<usize> {
     let n = get_uvarint(buf, pos)? as usize;
-    // A declared length can never exceed the remaining input; reject early
-    // so corrupt lengths don't trigger giant allocations.
     if n > buf.len() - *pos {
         return Err(VortexError::Decode(format!(
             "declared length {n} exceeds remaining {}",
@@ -79,6 +81,29 @@ fn get_len(buf: &[u8], pos: &mut usize) -> VortexResult<usize> {
         )));
     }
     Ok(n)
+}
+
+/// Appends a length-prefixed byte string.
+pub fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
+    put_uvarint(out, b.len() as u64);
+    out.extend_from_slice(b);
+}
+
+/// Reads a length-prefixed byte string.
+pub fn get_bytes(buf: &[u8], pos: &mut usize) -> VortexResult<Vec<u8>> {
+    let n = get_len(buf, pos)?;
+    Ok(take(buf, pos, n)?.to_vec())
+}
+
+/// Appends a length-prefixed UTF-8 string.
+pub fn put_str(out: &mut Vec<u8>, s: &str) {
+    put_bytes(out, s.as_bytes());
+}
+
+/// Reads a length-prefixed UTF-8 string.
+pub fn get_str(buf: &[u8], pos: &mut usize) -> VortexResult<String> {
+    String::from_utf8(get_bytes(buf, pos)?)
+        .map_err(|e| VortexError::Decode(format!("bad utf8: {e}")))
 }
 
 // Value tags. Stable on-disk values: never renumber. Public for the ROS
@@ -126,13 +151,11 @@ pub fn encode_value(out: &mut Vec<u8>, v: &Value) {
         }
         Value::String(s) => {
             out.push(TAG_STRING);
-            put_uvarint(out, s.len() as u64);
-            out.extend_from_slice(s.as_bytes());
+            put_str(out, s);
         }
         Value::Bytes(b) => {
             out.push(TAG_BYTES);
-            put_uvarint(out, b.len() as u64);
-            out.extend_from_slice(b);
+            put_bytes(out, b);
         }
         Value::Timestamp(t) => {
             out.push(TAG_TIMESTAMP);
@@ -148,8 +171,7 @@ pub fn encode_value(out: &mut Vec<u8>, v: &Value) {
         }
         Value::Json(s) => {
             out.push(TAG_JSON);
-            put_uvarint(out, s.len() as u64);
-            out.extend_from_slice(s.as_bytes());
+            put_str(out, s);
         }
         Value::Struct(vs) => {
             out.push(TAG_STRUCT);
@@ -182,34 +204,15 @@ pub fn decode_value(buf: &[u8], pos: &mut usize) -> VortexResult<Value> {
             let b = take(buf, pos, 8)?;
             Value::Float64(f64::from_bits(u64::from_le_bytes(b.try_into().unwrap())))
         }
-        TAG_STRING => {
-            let n = get_len(buf, pos)?;
-            let s = take(buf, pos, n)?;
-            Value::String(
-                std::str::from_utf8(s)
-                    .map_err(|e| VortexError::Decode(format!("bad utf8: {e}")))?
-                    .to_string(),
-            )
-        }
-        TAG_BYTES => {
-            let n = get_len(buf, pos)?;
-            Value::Bytes(take(buf, pos, n)?.to_vec())
-        }
+        TAG_STRING => Value::String(get_str(buf, pos)?),
+        TAG_BYTES => Value::Bytes(get_bytes(buf, pos)?),
         TAG_TIMESTAMP => Value::Timestamp(Timestamp::from_micros(get_uvarint(buf, pos)?)),
         TAG_DATE => Value::Date(get_ivarint(buf, pos)? as i32),
         TAG_NUMERIC => {
             let b = take(buf, pos, 16)?;
             Value::Numeric(i128::from_le_bytes(b.try_into().unwrap()))
         }
-        TAG_JSON => {
-            let n = get_len(buf, pos)?;
-            let s = take(buf, pos, n)?;
-            Value::Json(
-                std::str::from_utf8(s)
-                    .map_err(|e| VortexError::Decode(format!("bad utf8: {e}")))?
-                    .to_string(),
-            )
-        }
+        TAG_JSON => Value::Json(get_str(buf, pos)?),
         TAG_STRUCT | TAG_ARRAY => {
             let n = get_uvarint(buf, pos)? as usize;
             // Each element is at least 1 byte (a tag), so n can't exceed

@@ -16,9 +16,11 @@
 //! - **Unbounded control plane.** [`MailboxSender::post`] bypasses the
 //!   cap: control traffic (heartbeats, schema updates, checkpoints) is
 //!   rare, small, and must not be shed behind data backlog.
-//! - **No locks, no condvars.** The queue is std mpsc; idle consumers
-//!   park with a timeout and producers unpark them. Reply delivery is a
-//!   `OnceLock` publish plus an unpark. Nothing on the append hot path
+//! - **No locks, no condvars, no polling.** The queue is std mpsc; an
+//!   idle consumer parks until a producer (or `close`) unparks it — the
+//!   sleeping-flag / recheck / unpark protocol in [`MailboxReceiver::pull`]
+//!   cannot lose a wake-up, so no timeout backs it up. Reply delivery is
+//!   a `OnceLock` publish plus an unpark. Nothing on the append hot path
 //!   acquires a lock.
 //!
 //! The types are generic so other service loops can adopt the same
@@ -36,18 +38,6 @@ pub enum PostError {
     /// The bounded queue is at capacity: shed and retry later.
     Full,
     /// The consumer is gone or the mailbox was closed.
-    Closed,
-}
-
-/// Outcome of one [`MailboxReceiver::pull`].
-#[derive(Debug)]
-pub enum Pulled<T> {
-    /// A message was dequeued.
-    Msg(T),
-    /// The park interval elapsed with nothing queued; the consumer may
-    /// run housekeeping and pull again.
-    Idle,
-    /// The mailbox is closed and fully drained: exit the loop.
     Closed,
 }
 
@@ -143,7 +133,7 @@ impl<T> MailboxSender<T> {
 
     /// Closes the mailbox: subsequent posts fail with
     /// [`PostError::Closed`]; the consumer drains what is queued and then
-    /// observes [`Pulled::Closed`].
+    /// [`MailboxReceiver::pull`] returns `None`.
     pub fn close(&self) {
         self.shared.closed.store(true, Ordering::SeqCst);
         if let Some(t) = self.shared.consumer.get() {
@@ -169,33 +159,32 @@ impl<T> MailboxReceiver<T> {
         }
     }
 
-    /// Dequeues the next message, parking up to `park` when idle. The
+    /// Dequeues the next message, blocking until one is posted. `None`
+    /// means the mailbox is closed and fully drained: exit the loop. The
     /// first call pins the calling thread as the mailbox's consumer.
-    pub fn pull(&mut self, park: Duration) -> Pulled<T> {
+    pub fn pull(&mut self) -> Option<T> {
         let _ = self.shared.consumer.set(std::thread::current());
-        if let Some(msg) = self.try_pull() {
-            return Pulled::Msg(msg);
-        }
-        if self.shared.closed.load(Ordering::SeqCst) {
-            // Drain-then-exit: a message posted just before close wins.
-            return match self.try_pull() {
-                Some(msg) => Pulled::Msg(msg),
-                None => Pulled::Closed,
-            };
-        }
-        self.shared.sleeping.store(true, Ordering::SeqCst);
-        // Recheck after publishing `sleeping`: a producer that posted
-        // before seeing the flag is caught here instead of being lost.
-        if let Some(msg) = self.try_pull() {
+        loop {
+            if let Some(msg) = self.try_pull() {
+                return Some(msg);
+            }
+            if self.shared.closed.load(Ordering::SeqCst) {
+                // Drain-then-exit: a message posted just before close wins.
+                return self.try_pull();
+            }
+            self.shared.sleeping.store(true, Ordering::SeqCst);
+            // Recheck after publishing `sleeping`: a producer that posted
+            // (or a `close`) before seeing the flag is caught here; one
+            // that comes later sees the flag — `close` unparks regardless
+            // — and leaves an unpark token, so the park returns at once.
+            let wake = self.try_pull();
+            if wake.is_none() && !self.shared.closed.load(Ordering::SeqCst) {
+                std::thread::park();
+            }
             self.shared.sleeping.store(false, Ordering::SeqCst);
-            return Pulled::Msg(msg);
-        }
-        std::thread::park_timeout(park);
-        self.shared.sleeping.store(false, Ordering::SeqCst);
-        match self.try_pull() {
-            Some(msg) => Pulled::Msg(msg),
-            None if self.shared.closed.load(Ordering::SeqCst) => Pulled::Closed,
-            None => Pulled::Idle,
+            if wake.is_some() {
+                return wake;
+            }
         }
     }
 }
@@ -232,7 +221,10 @@ impl<T> ReplySlot<T> {
     /// Parks until the reply arrives, up to `max_parks` intervals of
     /// `park` (stale unpark tokens can wake a park early, so the bound is
     /// approximate). `None` means the shard never answered — the caller
-    /// should surface a retryable unavailability.
+    /// should surface a retryable unavailability. Delivery is what wakes
+    /// the waiter, never the interval, so keep `park` long (well past the
+    /// scheduler tick): a short one arms the CPU's earliest timer on
+    /// every request.
     ///
     /// Must be called from the thread that created the slot: delivery
     /// unparks the creator.
@@ -252,18 +244,16 @@ mod tests {
     use super::*;
     use std::time::Duration;
 
-    const PARK: Duration = Duration::from_millis(5);
-
     #[test]
     fn post_and_pull_in_order() {
         let (tx, mut rx) = mailbox::<u32>(8);
         tx.post_data(1).unwrap();
         tx.post_data(2).unwrap();
         tx.post(3).unwrap();
-        assert!(matches!(rx.pull(PARK), Pulled::Msg(1)));
-        assert!(matches!(rx.pull(PARK), Pulled::Msg(2)));
-        assert!(matches!(rx.pull(PARK), Pulled::Msg(3)));
-        assert!(matches!(rx.pull(PARK), Pulled::Idle));
+        assert_eq!(rx.pull(), Some(1));
+        assert_eq!(rx.pull(), Some(2));
+        assert_eq!(rx.pull(), Some(3));
+        assert_eq!(rx.try_pull(), None);
     }
 
     #[test]
@@ -279,10 +269,10 @@ mod tests {
         // shed until pulls bring the depth back under it.
         assert!(rx.try_pull().is_some());
         assert_eq!(tx.post_data(5), Err(PostError::Full));
-        assert!(matches!(rx.pull(PARK), Pulled::Msg(2)));
+        assert_eq!(rx.pull(), Some(2));
         tx.post_data(5).unwrap();
-        assert!(matches!(rx.pull(PARK), Pulled::Msg(4)));
-        assert!(matches!(rx.pull(PARK), Pulled::Msg(5)));
+        assert_eq!(rx.pull(), Some(4));
+        assert_eq!(rx.pull(), Some(5));
     }
 
     #[test]
@@ -291,18 +281,70 @@ mod tests {
         tx.post_data(1).unwrap();
         tx.close();
         assert_eq!(tx.post_data(2), Err(PostError::Closed));
-        assert!(matches!(rx.pull(PARK), Pulled::Msg(1)));
-        assert!(matches!(rx.pull(PARK), Pulled::Closed));
+        assert_eq!(rx.pull(), Some(1));
+        assert_eq!(rx.pull(), None);
+    }
+
+    #[test]
+    fn close_wakes_a_consumer_parked_in_pull() {
+        let (tx, mut rx) = mailbox::<u32>(8);
+        let consumer = std::thread::spawn(move || rx.pull());
+        // Let the consumer reach its (untimed) park; the protocol is
+        // correct for any interleaving, the sleep only makes the parked
+        // case the likely one.
+        while !tx.shared.sleeping.load(Ordering::SeqCst) {
+            std::thread::yield_now();
+        }
+        std::thread::sleep(Duration::from_millis(20));
+        tx.close();
+        assert_eq!(consumer.join().unwrap(), None);
+    }
+
+    #[test]
+    fn cross_thread_hammer_delivers_every_message() {
+        // No timeout papers over a lost wake-up any more: if one post
+        // slipped between the consumer's recheck and its park, this test
+        // would hang instead of finishing.
+        const PRODUCERS: u64 = 4;
+        const PER_PRODUCER: u64 = 25_000;
+        let (tx, mut rx) = mailbox::<u64>(usize::MAX);
+        let consumer = std::thread::spawn(move || {
+            let (mut n, mut sum) = (0u64, 0u64);
+            while let Some(v) = rx.pull() {
+                n += 1;
+                sum += v;
+            }
+            (n, sum)
+        });
+        let producers: Vec<_> = (0..PRODUCERS)
+            .map(|p| {
+                let tx = tx.clone();
+                std::thread::spawn(move || {
+                    for i in 0..PER_PRODUCER {
+                        // Mostly-idle consumer on odd producers: yield so
+                        // it parks between posts and wake-ups are real.
+                        if p % 2 == 1 && i % 64 == 0 {
+                            std::thread::yield_now();
+                        }
+                        tx.post_data(p * PER_PRODUCER + i).unwrap();
+                    }
+                })
+            })
+            .collect();
+        for p in producers {
+            p.join().unwrap();
+        }
+        tx.close();
+        let total = PRODUCERS * PER_PRODUCER;
+        assert_eq!(consumer.join().unwrap(), (total, total * (total - 1) / 2));
     }
 
     #[test]
     fn cross_thread_wakeup_and_reply() {
         let (tx, mut rx) = mailbox::<(u32, Arc<ReplySlot<u32>>)>(64);
-        let consumer = std::thread::spawn(move || loop {
-            match rx.pull(Duration::from_millis(50)) {
-                Pulled::Msg((n, slot)) => slot.deliver(n * 2),
-                Pulled::Idle => continue,
-                Pulled::Closed => break,
+        let consumer = std::thread::spawn(move || {
+            while let Some((n, slot)) = rx.pull() {
+                slot.deliver(n * 2);
             }
         });
         for i in 0..100u32 {

@@ -3,26 +3,9 @@
 //! §5.2) and are fetched by clients on schema-version mismatches
 //! (§5.4.1).
 
-use crate::codec::{get_uvarint, put_uvarint};
+use crate::codec::{get_str, get_uvarint, put_str, put_uvarint};
 use crate::error::{VortexError, VortexResult};
 use crate::schema::{Field, FieldMode, FieldType, PartitionSpec, PartitionTransform, Schema};
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_uvarint(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn get_str(buf: &[u8], pos: &mut usize) -> VortexResult<String> {
-    let n = get_uvarint(buf, pos)? as usize;
-    if *pos + n > buf.len() {
-        return Err(VortexError::Decode("string truncated".into()));
-    }
-    let s = std::str::from_utf8(&buf[*pos..*pos + n])
-        .map_err(|e| VortexError::Decode(format!("bad utf8: {e}")))?
-        .to_string();
-    *pos += n;
-    Ok(s)
-}
 
 fn put_ftype(out: &mut Vec<u8>, t: &FieldType) {
     let tag: u8 = match t {
@@ -204,6 +187,22 @@ mod tests {
         let s = sales_schema();
         let bytes = schema_to_bytes(&s);
         assert_eq!(schema_from_bytes(&bytes).unwrap(), s);
+    }
+
+    #[test]
+    fn maximal_length_varint_is_an_error_not_an_overflow() {
+        // The first field name's length prefix, replaced by u64::MAX:
+        // `pos + n` used to overflow before the bound could reject it.
+        let bytes = schema_to_bytes(&sales_schema());
+        let name = sales_schema().fields[0].name.clone();
+        let at = bytes
+            .windows(name.len())
+            .position(|w| w == name.as_bytes())
+            .unwrap();
+        let mut bad = bytes[..at - 1].to_vec();
+        put_uvarint(&mut bad, u64::MAX);
+        bad.extend_from_slice(&bytes[at..]);
+        assert!(schema_from_bytes(&bad).is_err());
     }
 
     #[test]

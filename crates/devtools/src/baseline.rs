@@ -8,7 +8,9 @@
 //!
 //! The file is a deliberately tiny TOML subset — `[RULE]` tables with
 //! `crate = count` integer entries and `#` comments — read and written
-//! without any TOML dependency.
+//! without any TOML dependency. One table is not a rule:
+//! `[non_test_lines]` holds `total = N`, the workspace's non-test line
+//! count, and ratchets the same way.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

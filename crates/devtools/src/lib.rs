@@ -37,6 +37,12 @@ use rules::Violation;
 /// Repo-relative path of the committed ratchet baseline.
 pub const BASELINE_PATH: &str = "crates/devtools/baseline.toml";
 
+/// Baseline section holding the workspace non-test line total (its one
+/// entry is `total`). It ratchets like a rule count: the ROADMAP wants
+/// the number to go down, so a rise fails until someone writes it with
+/// `--update-baseline --force` and says why.
+pub const LINES_RULE: &str = "non_test_lines";
+
 /// Result of scanning the whole workspace.
 #[derive(Debug, Default)]
 pub struct ScanReport {
@@ -54,9 +60,14 @@ pub struct ScanReport {
 }
 
 impl ScanReport {
-    /// Aggregates violations into per-(rule, crate) counts.
+    /// Aggregates violations into per-(rule, crate) counts, plus the
+    /// workspace non-test line total under [`LINES_RULE`].
     pub fn counts(&self) -> Counts {
         let mut counts = Counts::new();
+        counts.insert(
+            (LINES_RULE.to_string(), "total".to_string()),
+            self.non_test_lines.values().sum(),
+        );
         for v in &self.violations {
             *counts
                 .entry((v.rule.to_string(), v.crate_name.clone()))
@@ -296,14 +307,19 @@ pub fn scan_str(
 }
 
 /// Loads the committed baseline, or an empty one if the file does not
-/// exist yet (first run).
+/// exist yet (first run). A baseline with no [`LINES_RULE`] entry does
+/// not ratchet the line total yet: any total passes, and the first
+/// `--update-baseline` writes it.
 pub fn load_baseline(root: &Path) -> Result<Counts, String> {
     let path = root.join(BASELINE_PATH);
-    match fs::read_to_string(&path) {
-        Ok(text) => baseline::parse(&text),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Counts::new()),
-        Err(e) => Err(format!("read {}: {e}", path.display())),
-    }
+    let mut base = match fs::read_to_string(&path) {
+        Ok(text) => baseline::parse(&text)?,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Counts::new(),
+        Err(e) => return Err(format!("read {}: {e}", path.display())),
+    };
+    base.entry((LINES_RULE.to_string(), "total".to_string()))
+        .or_insert(usize::MAX);
+    Ok(base)
 }
 
 /// Resolves the workspace root for in-repo callers (the ratchet test
@@ -327,6 +343,15 @@ pub fn enforce_ratchet(root: &Path) -> Result<ScanReport, String> {
     }
     let mut msg = String::from("vortex-lint: new invariant violations above baseline:\n");
     for r in &regressions {
+        if r.rule == LINES_RULE {
+            msg.push_str(&format!(
+                "  {} non-test line(s) under crates/*/src, baseline allows {}: delete what the \
+                 change made unnecessary, or justify the growth and write it with \
+                 `--update-baseline --force`\n",
+                r.actual, r.baseline
+            ));
+            continue;
+        }
         msg.push_str(&format!(
             "  {} in {}: {} violation(s), baseline allows {}\n",
             r.rule, r.crate_name, r.actual, r.baseline

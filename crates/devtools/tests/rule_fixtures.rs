@@ -569,14 +569,52 @@ fn ratchet_passes_below_baseline_and_update_locks_it_in() {
     let base = vortex_devtools::load_baseline(&repo.root).unwrap();
     let (regressions, improvements) = baseline::compare(&report.counts(), &base);
     assert!(regressions.is_empty());
-    assert_eq!(improvements.len(), 1);
-    assert_eq!(improvements[0].actual, 1);
+    // The L002 count, and the line total this baseline does not hold yet.
+    assert_eq!(improvements.len(), 2);
+    assert_eq!((improvements[0].baseline, improvements[0].actual), (3, 1));
+    assert_eq!(improvements[1].rule, "non_test_lines");
 
     let rewritten = baseline::serialize(&report.counts());
     let reparsed = baseline::parse(&rewritten).unwrap();
     let mut expect = BTreeMap::new();
     expect.insert(("L002".to_string(), "vortex-wos".to_string()), 1);
+    expect.insert(("non_test_lines".to_string(), "total".to_string()), 1);
     assert_eq!(reparsed, expect);
+}
+
+const TWO_LINES: &str = "\
+// a comment is not a line of code
+
+pub fn a() {}
+pub fn b() {}
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn t() {}
+}
+";
+
+#[test]
+fn line_total_above_baseline_fails_and_names_the_way_out() {
+    let repo = MiniRepo::new("lines-up", TWO_LINES, "[non_test_lines]\ntotal = 1\n");
+    let err = enforce_ratchet(&repo.root).unwrap_err();
+    assert!(err.contains("2 non-test line(s)"), "{err}");
+    assert!(err.contains("baseline allows 1"), "{err}");
+    assert!(err.contains("--update-baseline --force"), "{err}");
+}
+
+#[test]
+fn line_total_at_or_below_baseline_passes_and_ratchets_down() {
+    let at = MiniRepo::new("lines-at", TWO_LINES, "[non_test_lines]\ntotal = 2\n");
+    enforce_ratchet(&at.root).unwrap();
+    let below = MiniRepo::new("lines-down", TWO_LINES, "[non_test_lines]\ntotal = 9\n");
+    let report = enforce_ratchet(&below.root).unwrap();
+    let base = vortex_devtools::load_baseline(&below.root).unwrap();
+    let (regressions, improvements) = baseline::compare(&report.counts(), &base);
+    assert!(regressions.is_empty());
+    assert_eq!(improvements.len(), 1);
+    assert_eq!((improvements[0].baseline, improvements[0].actual), (9, 2));
+    assert!(baseline::serialize(&report.counts()).contains("[non_test_lines]\ntotal = 2\n"));
 }
 
 #[test]

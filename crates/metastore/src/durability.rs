@@ -43,7 +43,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use vortex_colossus::Colossus;
-use vortex_common::codec::{get_uvarint, put_uvarint};
+use vortex_common::codec::{get_bytes, get_str, get_uvarint, put_uvarint, take};
 use vortex_common::crashpoints;
 use vortex_common::crc::crc32c;
 use vortex_common::error::{VortexError, VortexResult};
@@ -286,32 +286,10 @@ fn decode_wal_record(body: &[u8]) -> VortexResult<WalRecord> {
     // lint:allow(L010, recovery-only WAL replay decoding; cold-start path)
     let mut writes = Vec::with_capacity(n);
     for _ in 0..n {
-        let klen = get_uvarint(body, &mut pos)? as usize;
-        if pos + klen > body.len() {
-            return Err(VortexError::Decode("WAL key truncated".into()));
-        }
-        let key = std::str::from_utf8(&body[pos..pos + klen])
-            // lint:allow(L010, recovery-only WAL replay decoding; cold-start path)
-            .map_err(|e| VortexError::Decode(format!("WAL key utf8: {e}")))?
-            // lint:allow(L010, recovery-only WAL replay decoding; cold-start path)
-            .to_string();
-        pos += klen;
-        let flag = *body
-            .get(pos)
-            .ok_or_else(|| VortexError::Decode("WAL value flag".into()))?;
-        pos += 1;
-        let value = match flag {
+        let key = get_str(body, &mut pos)?;
+        let value = match take(body, &mut pos, 1)?[0] {
             0 => None,
-            1 => {
-                let vlen = get_uvarint(body, &mut pos)? as usize;
-                if pos + vlen > body.len() {
-                    return Err(VortexError::Decode("WAL value truncated".into()));
-                }
-                // lint:allow(L010, recovery-only WAL replay decoding; cold-start path)
-                let v = body[pos..pos + vlen].to_vec();
-                pos += vlen;
-                Some(v)
-            }
+            1 => Some(get_bytes(body, &mut pos)?),
             // lint:allow(L010, recovery-only WAL replay decoding; cold-start path)
             o => return Err(VortexError::Decode(format!("bad WAL value flag {o}"))),
         };
@@ -625,6 +603,18 @@ mod tests {
     /// (filenames zero-pad both, so the lexical max is the newest).
     fn newest_ckpt_file(c: &Colossus) -> String {
         c.list(CKPT_FILE_PREFIX).unwrap().into_iter().max().unwrap()
+    }
+
+    #[test]
+    fn maximal_length_varint_in_wal_record_is_an_error_not_an_overflow() {
+        // ts 1, one write, then a key (then a value) of length u64::MAX:
+        // `pos + n` used to overflow before the bound could reject it.
+        let mut key_len = vec![1, 1];
+        put_uvarint(&mut key_len, u64::MAX);
+        assert!(decode_wal_record(&key_len).is_err());
+        let mut value_len = vec![1, 1, 1, b'k', 1];
+        put_uvarint(&mut value_len, u64::MAX);
+        assert!(decode_wal_record(&value_len).is_err());
     }
 
     #[test]

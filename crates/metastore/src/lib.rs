@@ -243,7 +243,7 @@ impl MetaStore {
     pub(crate) fn decode_snapshot(
         bytes: &[u8],
     ) -> VortexResult<(BTreeMap<String, Vec<Version>>, u64)> {
-        use vortex_common::codec::get_uvarint;
+        use vortex_common::codec::{get_bytes, get_str, get_uvarint, take};
         if bytes.len() < 8 || &bytes[..4] != b"VMST" {
             return Err(VortexError::Decode("not a metastore snapshot".into()));
         }
@@ -261,14 +261,7 @@ impl MetaStore {
         }
         let mut data = BTreeMap::new();
         for _ in 0..nkeys {
-            let klen = get_uvarint(body, &mut pos)? as usize;
-            if pos + klen > body.len() {
-                return Err(VortexError::Decode("snapshot key truncated".into()));
-            }
-            let key = std::str::from_utf8(&body[pos..pos + klen])
-                .map_err(|e| VortexError::Decode(format!("snapshot key utf8: {e}")))?
-                .to_string();
-            pos += klen;
+            let key = get_str(body, &mut pos)?;
             let nver = get_uvarint(body, &mut pos)? as usize;
             if nver > body.len() {
                 return Err(VortexError::Decode("implausible version count".into()));
@@ -276,21 +269,9 @@ impl MetaStore {
             let mut versions = Vec::with_capacity(nver);
             for _ in 0..nver {
                 let ts = Timestamp(get_uvarint(body, &mut pos)?);
-                let flag = *body
-                    .get(pos)
-                    .ok_or_else(|| VortexError::Decode("snapshot flag".into()))?;
-                pos += 1;
-                let value = match flag {
+                let value = match take(body, &mut pos, 1)?[0] {
                     0 => None,
-                    1 => {
-                        let n = get_uvarint(body, &mut pos)? as usize;
-                        if pos + n > body.len() {
-                            return Err(VortexError::Decode("snapshot value truncated".into()));
-                        }
-                        let v = body[pos..pos + n].to_vec();
-                        pos += n;
-                        Some(v)
-                    }
+                    1 => Some(get_bytes(body, &mut pos)?),
                     o => return Err(VortexError::Decode(format!("bad snapshot flag {o}"))),
                 };
                 versions.push(Version { ts, value });
@@ -775,6 +756,27 @@ mod snapshot_tests {
             t.commit().unwrap()
         };
         assert!(ts > s.now());
+    }
+
+    #[test]
+    fn maximal_length_varint_in_snapshot_is_an_error_not_an_overflow() {
+        use vortex_common::codec::put_uvarint;
+        // A CRC-valid snapshot whose key (then value) length is u64::MAX:
+        // `pos + n` used to overflow before the bound could reject it.
+        let sealed = |body: &[u8]| {
+            let mut bytes = body.to_vec();
+            bytes.extend_from_slice(&vortex_common::crc::crc32c(body).to_le_bytes());
+            bytes
+        };
+        let mut key_len = b"VMST".to_vec();
+        put_uvarint(&mut key_len, 1); // last commit
+        put_uvarint(&mut key_len, 1); // one key
+        let mut value_len = key_len.clone();
+        put_uvarint(&mut key_len, u64::MAX);
+        assert!(MetaStore::decode_snapshot(&sealed(&key_len)).is_err());
+        value_len.extend_from_slice(&[1, b'k', 1, 7, 1]); // "k", one version at ts 7, present
+        put_uvarint(&mut value_len, u64::MAX);
+        assert!(MetaStore::decode_snapshot(&sealed(&value_len)).is_err());
     }
 
     #[test]

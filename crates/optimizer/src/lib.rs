@@ -36,10 +36,10 @@ use vortex_common::row::{Row, Value};
 use vortex_common::rpc::{class_scope, WorkClass};
 use vortex_common::schema::Schema;
 use vortex_common::truetime::{Timestamp, TrueTime};
-use vortex_ros::{RosBlock, RosBlockBuilder, RowMeta};
+use vortex_ros::{RosBlockBuilder, RowMeta};
 use vortex_sms::api::SmsHandle;
 use vortex_sms::meta::{
-    ros_path, FragmentKind, FragmentMeta, FragmentState, StreamType, StreamletMeta,
+    ros_path, FragmentKind, FragmentMeta, FragmentState, StreamType, StreamletMeta, TableMeta,
 };
 use vortex_sms::readset::{FragmentReadSpec, RowVisibility};
 
@@ -190,50 +190,38 @@ impl StorageOptimizer {
         read_fragment(&spec, &self.fleet, key, Timestamp::MAX)
     }
 
+    /// Builds one ROS block from rows the pass owns (moved in, never
+    /// cloned) and writes it where the table keeps its ROS.
     fn write_ros_block(
         &self,
-        table: TableId,
-        block: &RosBlock,
+        tmeta: &TableMeta,
         key: &vortex_common::crypt::Key,
-        clusters: [vortex_common::ids::ClusterId; 2],
-        bucket: Option<&str>,
+        rows: impl IntoIterator<Item = (RowMeta, Row)>,
+        sort_by_clustering: bool,
     ) -> VortexResult<FragmentMeta> {
+        let mut b = RosBlockBuilder::new(&tmeta.schema);
+        b.push_all(rows)?;
+        let block = b.build(sort_by_clustering)?;
+        let table = tmeta.table;
         let fragment = self.ids.next_fragment();
+        let bytes = block.to_bytes(key, fragment.raw());
         // BLMT tables (§6.4) write their ROS into the customer bucket (a
         // single durable copy — the bucket store replicates internally);
         // managed tables dual-write to the replica clusters.
-        if let Some(bucket) = bucket {
-            let path = vortex_sms::meta::blmt_path(bucket, table, fragment);
-            let bytes = block.to_bytes(key, fragment.raw());
-            let store = self.fleet.get(vortex_colossus::BUCKET_CLUSTER_ID)?;
-            write_whole_file(store, &path, &bytes)?;
-            return Ok(FragmentMeta {
-                fragment,
-                table,
-                streamlet: StreamletId::from_raw(0),
-                kind: FragmentKind::Ros,
-                ordinal: 0,
-                first_row: 0,
-                row_count: block.row_count() as u64,
-                committed_size: bytes.len() as u64,
-                state: FragmentState::Finalized,
-                created_at: Timestamp::MIN,
-                deleted_at: Timestamp::MAX,
-                clusters: [
-                    vortex_colossus::BUCKET_CLUSTER_ID,
-                    vortex_colossus::BUCKET_CLUSTER_ID,
-                ],
-                path,
-                stats: block.all_stats().to_vec(),
-                masks: vec![],
-                partition_key: None,
-                level: 0,
-            });
-        }
-        let path = ros_path(table, fragment);
-        let bytes = block.to_bytes(key, fragment.raw());
-        for c in clusters {
-            write_whole_file(self.fleet.get(c)?, &path, &bytes)?;
+        let (path, clusters, copies) = match &tmeta.external_bucket {
+            Some(bucket) => (
+                vortex_sms::meta::blmt_path(bucket, table, fragment),
+                [vortex_colossus::BUCKET_CLUSTER_ID; 2],
+                1,
+            ),
+            None => (
+                ros_path(table, fragment),
+                [tmeta.primary, tmeta.secondary],
+                2,
+            ),
+        };
+        for c in &clusters[..copies] {
+            write_whole_file(self.fleet.get(*c)?, &path, &bytes)?;
         }
         Ok(FragmentMeta {
             fragment,
@@ -291,20 +279,11 @@ impl StorageOptimizer {
         // Build per-partition clustered blocks.
         let mut replacements = Vec::new();
         for (pkey, rows) in partitions {
-            for chunk in rows.chunks(self.cfg.target_block_rows) {
-                let mut b = RosBlockBuilder::new(schema);
-                for (m, r) in chunk {
-                    b.push(*m, r.clone())?;
-                }
-                let block = b.build(true)?;
-                report.rows += block.row_count() as u64;
-                let mut meta = self.write_ros_block(
-                    table,
-                    &block,
-                    &key,
-                    [tmeta.primary, tmeta.secondary],
-                    tmeta.external_bucket.as_deref(),
-                )?;
+            let mut rows = rows.into_iter().peekable();
+            while rows.peek().is_some() {
+                let block_rows = rows.by_ref().take(self.cfg.target_block_rows.max(1));
+                let mut meta = self.write_ros_block(&tmeta, &key, block_rows, true)?;
+                report.rows += meta.row_count;
                 meta.partition_key = pkey;
                 meta.level = 0; // delta level
                 report.bytes_out += meta.committed_size;
@@ -330,7 +309,6 @@ impl StorageOptimizer {
         let _bg = class_scope(WorkClass::Background);
         let tmeta = self.sms.get_table(table)?;
         let key = tmeta.encryption_key();
-        let schema = &tmeta.schema;
         let candidates = self.candidates(table)?;
         let mut report = ConversionReport::default();
         for (f, sl) in &candidates {
@@ -339,20 +317,9 @@ impl StorageOptimizer {
             if rows.is_empty() {
                 continue;
             }
-            let mut b = RosBlockBuilder::new(schema);
-            for (m, r) in &rows {
-                b.push(*m, r.clone())?;
-            }
-            // NOTE: build(false) — row order must match the WOS fragment
-            // so masks stay positionally valid.
-            let block = b.build(false)?;
-            let mut meta = self.write_ros_block(
-                table,
-                &block,
-                &key,
-                [tmeta.primary, tmeta.secondary],
-                tmeta.external_bucket.as_deref(),
-            )?;
+            // NOTE: unsorted — row order must match the WOS fragment so
+            // masks stay positionally valid.
+            let mut meta = self.write_ros_block(&tmeta, &key, rows, false)?;
             meta.masks = f.masks.clone(); // §7.3: masks carry over
             meta.streamlet = f.streamlet;
             meta.ordinal = f.ordinal;
@@ -445,19 +412,11 @@ impl StorageOptimizer {
                 }
                 ma.order_key().cmp(&mb.order_key())
             });
-            for chunk in rows.chunks(self.cfg.target_block_rows) {
-                let mut b = RosBlockBuilder::new(schema);
-                for (m, r) in chunk {
-                    b.push(*m, r.clone())?;
-                }
-                let block = b.build(false)?; // already globally sorted
-                let mut meta = self.write_ros_block(
-                    table,
-                    &block,
-                    &key,
-                    [tmeta.primary, tmeta.secondary],
-                    tmeta.external_bucket.as_deref(),
-                )?;
+            let mut rows = rows.into_iter().peekable();
+            while rows.peek().is_some() {
+                let block_rows = rows.by_ref().take(self.cfg.target_block_rows.max(1));
+                // Unsorted build: the rows are already globally sorted.
+                let mut meta = self.write_ros_block(&tmeta, &key, block_rows, false)?;
                 meta.partition_key = pkey;
                 meta.level = next_level;
                 baseline_blocks += 1;

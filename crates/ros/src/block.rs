@@ -2,7 +2,7 @@
 //! read-optimized storage produced by the Storage Optimization Service.
 
 use vortex_common::bloom::BloomFilter;
-use vortex_common::codec::{get_uvarint, put_uvarint};
+use vortex_common::codec::{get_uvarint, put_uvarint, take};
 use vortex_common::compress::{compress, decompress};
 use vortex_common::crc::crc32c;
 use vortex_common::crypt::{apply_keystream, Key, Nonce};
@@ -13,7 +13,7 @@ use vortex_common::stats::ColumnStats;
 use vortex_common::truetime::Timestamp;
 
 use crate::column::ColumnVec;
-use crate::encoding::{decode_chunk, encode_column, le_uint, take, Encoding};
+use crate::encoding::{decode_chunk, encode_column, le_uint, Encoding};
 
 const MAGIC: u32 = 0x534F5256; // "VROS"
 const VERSION: u16 = 2;
@@ -122,6 +122,11 @@ impl RosBlockBuilder {
         Ok(())
     }
 
+    /// Adds rows the caller owns, moving each one in.
+    pub fn push_all(&mut self, rows: impl IntoIterator<Item = (RowMeta, Row)>) -> VortexResult<()> {
+        rows.into_iter().try_for_each(|(m, r)| self.push(m, r))
+    }
+
     /// Rows added so far.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -171,13 +176,18 @@ impl RosBlockBuilder {
         }
         // Transpose into columns and encode per zone: each zone gets its
         // own encoding choice (cascading chooser), zone map, and — when
-        // it shrinks the chunk — vsnap compression on top.
+        // it shrinks the chunk — vsnap compression on top. The builder
+        // owns the rows and nothing reads them afterwards, so each value
+        // moves into its zone column.
         let n = self.rows.len();
         let mut cols = Vec::with_capacity(self.ncols);
         for c in 0..self.ncols {
             let mut chunks = Vec::with_capacity(n.div_ceil(ZONE_ROWS));
-            for zone in self.rows.chunks(ZONE_ROWS) {
-                let column: Vec<Value> = zone.iter().map(|(_, r)| r.values[c].clone()).collect();
+            for zone in self.rows.chunks_mut(ZONE_ROWS) {
+                let column: Vec<Value> = zone
+                    .iter_mut()
+                    .map(|(_, r)| std::mem::replace(&mut r.values[c], Value::Null))
+                    .collect();
                 let mut zstats = ColumnStats::new();
                 for v in &column {
                     zstats.observe(v);

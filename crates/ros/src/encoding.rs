@@ -34,7 +34,7 @@
 use std::collections::{HashMap, HashSet};
 
 use vortex_common::codec::{
-    decode_value, encode_value, get_ivarint, get_uvarint, put_ivarint, put_uvarint, TAG_BOOL,
+    decode_value, encode_value, get_ivarint, get_uvarint, put_ivarint, put_uvarint, take, TAG_BOOL,
     TAG_BYTES, TAG_DATE, TAG_FLOAT64, TAG_INT64, TAG_JSON, TAG_NULL, TAG_NUMERIC, TAG_STRING,
     TAG_TIMESTAMP,
 };
@@ -121,17 +121,6 @@ const FSST_MAX_SYM: usize = 8;
 // Small decode helpers. All bounds-checked; a declared length is always
 // clamped against the *remaining* bytes before any allocation.
 // ---------------------------------------------------------------------------
-
-/// The next `n` bytes at `pos`, which moves past them.
-pub(crate) fn take<'a>(buf: &'a [u8], pos: &mut usize, n: usize) -> VortexResult<&'a [u8]> {
-    let (at, left) = (*pos, buf.len() - *pos);
-    ensure(
-        n <= left,
-        format_args!("need {n} bytes at {at}, have {left}"),
-    )?;
-    *pos += n;
-    Ok(&buf[at..at + n])
-}
 
 fn take_byte(buf: &[u8], pos: &mut usize) -> VortexResult<u8> {
     take(buf, pos, 1).map(|b| b[0])

@@ -22,6 +22,7 @@ use vortex_sms::meta::wos_path;
 use vortex_sms::server_ctl::StreamletSpec;
 use vortex_wos::{FileMapEntry, FragmentConfig, FragmentWriter};
 
+use crate::server::ServerConfig;
 use crate::wal::WalEvent;
 
 pub use vortex_sms::server_ctl::AppendAck;
@@ -62,15 +63,6 @@ pub struct DoneFragment {
     pub ts_range: Option<(Timestamp, Timestamp)>,
     /// Whether this fragment still needs to appear in a heartbeat.
     pub dirty: bool,
-}
-
-/// Tunables shared with the server.
-#[derive(Debug, Clone, Copy)]
-pub struct WriteTuning {
-    /// Max bytes of rows per data block (§5.4.4's 2 MB buffer).
-    pub block_buffer_bytes: usize,
-    /// Max logical fragment size before rotation (§5.3).
-    pub fragment_max_bytes: u64,
 }
 
 /// One streamlet hosted by a Stream Server.
@@ -409,60 +401,16 @@ impl HostedStreamlet {
         }
     }
 
-    /// The append path. `expected_stream_offset` implements the offset
-    /// idempotency check of §4.2.2; `declared_schema_version` implements
-    /// the schema relay of §5.4.1 (`latest_version` is the server's most
-    /// recent knowledge for the table).
-    ///
-    /// Single-entry wrapper over [`HostedStreamlet::append_group`]: the
-    /// shard commit loop is the real caller; this exists for tests and
-    /// the locked baseline arm of the saturation bench.
-    #[allow(clippy::too_many_arguments)]
-    pub fn append(
-        &mut self,
-        rows: &RowSet,
-        declared_schema_version: u32,
-        expected_stream_offset: Option<u64>,
-        start: Timestamp,
-        latest_version: u32,
-        tuning: WriteTuning,
-        ids: &IdGen,
-        fleet: &StorageFleet,
-        tt: &TrueTime,
-    ) -> VortexResult<AppendAck> {
-        let entry = GroupAppend {
-            rows,
-            declared_schema_version,
-            expected_stream_offset,
-            start,
-        };
-        let mut out = Vec::with_capacity(1); // lint:allow(L010, wrapper scratch; the shard path reuses arenas)
-        let mut scratch = GroupScratch::new();
-        self.append_group(
-            std::slice::from_ref(&entry),
-            latest_version,
-            tuning,
-            ids,
-            fleet,
-            tt,
-            &mut scratch,
-            &mut out,
-        );
-        match out.pop() {
-            Some(res) => res,
-            None => Err(VortexError::Internal(
-                "append_group produced no result".into(),
-            )),
-        }
-    }
-
     /// Group commit (§5.3 re-architected): lands a run of appends for this
     /// streamlet with as few Colossus writes as possible. All entries'
     /// data blocks are staged into one arena and written with a single
     /// dual-replica append per fragment extent, so the ~600µs Colossus
     /// base overhead is charged once per *group* instead of once per
     /// append. Pushes exactly one result per entry onto `results`, in
-    /// entry order.
+    /// entry order. `expected_stream_offset` implements the offset
+    /// idempotency check of §4.2.2; `declared_schema_version` implements
+    /// the schema relay of §5.4.1 (`latest_version` is the server's most
+    /// recent knowledge for the table).
     ///
     /// Entries are validated against the streamlet state *as if* all
     /// earlier entries in the group had already landed (offset checks see
@@ -477,7 +425,7 @@ impl HostedStreamlet {
         &mut self,
         entries: &[GroupAppend<'_>],
         latest_version: u32,
-        tuning: WriteTuning,
+        cfg: &ServerConfig,
         ids: &IdGen,
         fleet: &StorageFleet,
         tt: &TrueTime,
@@ -571,7 +519,7 @@ impl HostedStreamlet {
                 let mut acc_bytes = 0usize;
                 while hi < all.len() {
                     let rb = all[hi].approx_bytes();
-                    if hi > lo && acc_bytes + rb > tuning.block_buffer_bytes {
+                    if hi > lo && acc_bytes + rb > cfg.block_buffer_bytes {
                         break;
                     }
                     acc_bytes += rb;
@@ -602,7 +550,7 @@ impl HostedStreamlet {
                 let needs_rotate = self
                     .current
                     .as_ref()
-                    .map(|c| c.writer.logical_size() >= tuning.fragment_max_bytes)
+                    .map(|c| c.writer.logical_size() >= cfg.fragment_max_bytes)
                     .unwrap_or(false);
                 if needs_rotate {
                     let ws = write_start.unwrap_or(entry.start);

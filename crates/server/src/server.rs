@@ -4,10 +4,11 @@
 //! Since the shard-per-core refactor this type is a thin, lock-free
 //! facade: streamlet state lives on shard threads ([`crate::shard`]),
 //! each owned by exactly one thread, and every operation is a message
-//! routed to the owning shard (streamlet id modulo shard count). The
-//! append hot path touches only atomics (flow control), a bounded
-//! mailbox post, and a park on the reply slot — no mutex, no shared
-//! map — while shards coalesce queued appends into group commits.
+//! routed to the owning shard (a hash of the streamlet id). The append
+//! hot path touches only atomics (flow control), a bounded mailbox post,
+//! and a park on the reply slot — no mutex, no shared map — while shards
+//! coalesce queued appends into group commits. Every other operation is
+//! a closure [`StreamServer::on_shard`] carries to the owning thread.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -25,18 +26,31 @@ use vortex_common::truetime::{Timestamp, TrueTime};
 use vortex_sms::heartbeat::{HeartbeatReport, HeartbeatResponse};
 use vortex_sms::server_ctl::{LoadReport, StreamServerApi, StreamletSpec};
 
-use crate::shard::{AppendReq, CtlReq, Shard, ShardMsg};
+use crate::shard::{AppendReq, Shard, ShardMsg};
 use crate::wal::{self, ServerLog, WalEvent};
 
 pub use crate::hosted::AppendAck;
 
 /// How long one park on a reply slot lasts. Delivery unparks the waiter
-/// immediately; the interval is only a safety net against lost tokens.
-const REPLY_PARK: Duration = Duration::from_millis(1);
-/// Park budget for append acks (~30s of virtual patience).
-const APPEND_MAX_PARKS: u32 = 30_000;
+/// immediately; the interval only bounds the patience for a dead shard.
+/// It is deliberately far beyond the scheduler tick: a millisecond park
+/// is the CPU's earliest timer on every append, and arming and cancelling
+/// it reprograms the clock-event device each time — a VM exit on a
+/// virtualized host, measured at ~9µs of a ~28µs append.
+const REPLY_PARK: Duration = Duration::from_millis(100);
+/// Park budget for append acks (~30s of patience).
+const APPEND_MAX_PARKS: u32 = 300;
 /// Park budget for control-plane replies (~60s).
-const CTL_MAX_PARKS: u32 = 60_000;
+const CTL_MAX_PARKS: u32 = 600;
+/// Shard threads per server (single-writer streamlet owners). Four keeps
+/// a two-cluster, two-servers-per-cluster region at 16 threads — about a
+/// core each on the hosts this runs on — and a parked shard costs nothing.
+const SHARDS: usize = 4;
+/// Bounded depth of each shard's data-plane mailbox; posts beyond it are
+/// shed as retryable backpressure. 1024 queued appends is 16 full groups:
+/// deep enough to ride out one slow Colossus write, shallow enough that
+/// a shed comes before the queue alone exceeds a client's deadline.
+const SHARD_QUEUE_DEPTH: usize = 1024;
 
 /// Stream Server configuration.
 #[derive(Debug, Clone)]
@@ -54,16 +68,6 @@ pub struct ServerConfig {
     pub commit_idle_micros: u64,
     /// Flow-control cap on in-flight (admitted, unacked) bytes (§5.4.2).
     pub flow_control_bytes: u64,
-    /// Shard threads (single-writer streamlet owners). Streamlets are
-    /// routed by id modulo this count.
-    pub shards: u32,
-    /// Max appends coalesced into one group commit.
-    pub group_max_appends: usize,
-    /// Max bytes coalesced into one group commit.
-    pub group_max_bytes: u64,
-    /// Bounded depth of each shard's data-plane mailbox; posts beyond it
-    /// are shed as retryable backpressure.
-    pub shard_queue_depth: usize,
 }
 
 impl ServerConfig {
@@ -76,10 +80,6 @@ impl ServerConfig {
             fragment_max_bytes: vortex_wos::DEFAULT_FRAGMENT_MAX_BYTES,
             commit_idle_micros: 100_000, // 100ms of virtual inactivity
             flow_control_bytes: 256 << 20,
-            shards: 4,
-            group_max_appends: 64,
-            group_max_bytes: 8 << 20,
-            shard_queue_depth: 1024,
         }
     }
 }
@@ -149,10 +149,9 @@ impl StreamServer {
         ids: Arc<IdGen>,
         recovered: HashMap<StreamletId, (TableId, u64)>,
     ) -> VortexResult<Arc<Self>> {
-        let nshards = cfg.shards.max(1) as usize;
-        let mut senders = Vec::with_capacity(nshards); // lint:allow(L010, cold construction)
-        let mut writable_counts = Vec::with_capacity(nshards); // lint:allow(L010, cold construction)
-        let mut joins = Vec::with_capacity(nshards); // lint:allow(L010, cold construction)
+        let mut senders = Vec::with_capacity(SHARDS); // lint:allow(L010, cold construction)
+        let mut writable_counts = Vec::with_capacity(SHARDS); // lint:allow(L010, cold construction)
+        let mut joins = Vec::with_capacity(SHARDS); // lint:allow(L010, cold construction)
         let spawn = |idx: usize| -> VortexResult<(
             MailboxSender<ShardMsg>,
             Arc<AtomicU64>,
@@ -160,7 +159,7 @@ impl StreamServer {
         )> {
             let home = fleet.get(cfg.cluster)?;
             let log = ServerLog::open(cfg.server, idx as u32, home)?;
-            let (tx, rx) = mailbox::<ShardMsg>(cfg.shard_queue_depth);
+            let (tx, rx) = mailbox::<ShardMsg>(SHARD_QUEUE_DEPTH);
             let w = Arc::new(AtomicU64::new(0)); // lint:allow(L010, cold construction)
             let shard = Shard::new(
                 idx as u32,
@@ -183,7 +182,7 @@ impl StreamServer {
                 .map_err(|e| VortexError::Internal(format!("spawn shard thread: {e}")))?; // lint:allow(L010, cold construction)
             Ok((tx, w, join))
         };
-        for idx in 0..nshards {
+        for idx in 0..SHARDS {
             match spawn(idx) {
                 Ok((tx, w, join)) => {
                     senders.push(tx); // lint:allow(L010, cold construction)
@@ -222,24 +221,29 @@ impl StreamServer {
         &self.cfg
     }
 
-    /// Marks the server quarantined (rollouts / scale-down, §5.5): it
-    /// keeps serving existing streamlets but receives no new ones.
-    pub fn set_quarantined(&self, v: bool) {
-        self.quarantined.store(v, Ordering::SeqCst);
-    }
-
+    /// The shard that owns `streamlet`. Ids come from one sequence shared
+    /// with tables, streams and fragments, so streamlet ids stride, and a
+    /// plain `id % shards` leaves shards idle under even strides;
+    /// Fibonacci hashing (multiply by 2^64/φ, keep the high bits) spreads
+    /// any stride over every shard.
     fn shard_of(&self, streamlet: StreamletId) -> &MailboxSender<ShardMsg> {
-        &self.shards[streamlet.raw() as usize % self.shards.len()]
+        &self.shards[shard_index(streamlet, self.shards.len())]
     }
 
-    /// Posts a control request to a shard and parks for the reply.
-    fn ctl_wait<T: Clone>(
+    /// Runs `f` on the thread that owns `shard` and parks for its result:
+    /// the one way control-plane work reaches shard state. The closure is
+    /// never shed and runs in posting order relative to this caller's
+    /// appends; a closed or dead shard surfaces as `Unavailable`.
+    pub(crate) fn on_shard<T: Clone + Send + Sync + 'static>(
         &self,
         shard: &MailboxSender<ShardMsg>,
-        reply: &Arc<ReplySlot<T>>,
-        msg: CtlReq,
+        f: impl FnOnce(&mut Shard) -> T + Send + 'static,
     ) -> VortexResult<T> {
-        if shard.post(ShardMsg::Ctl(msg)).is_err() {
+        let reply = ReplySlot::for_caller();
+        let slot = Arc::clone(&reply);
+        // lint:allow(L010, control plane: one boxed closure per control call, never per append)
+        let work = Box::new(move |s: &mut Shard| slot.deliver(f(s)));
+        if shard.post(ShardMsg::Ctl(work)).is_err() {
             return Err(VortexError::Unavailable("server shutting down".into()));
         }
         match reply.await_reply(CTL_MAX_PARKS, REPLY_PARK) {
@@ -269,201 +273,11 @@ impl StreamServer {
         })
     }
 
-    /// Appends a row batch to a hosted streamlet: admit under flow
-    /// control, route to the owning shard's bounded mailbox, park until
-    /// the shard's group commit resolves the ack.
-    ///
-    /// `expected_stream_offset` is the optional `row_offset` of §4.2.2;
-    /// `declared_schema_version` is the writer's schema version;
-    /// `start` is the request's virtual send time (for latency
-    /// accounting; pass `Timestamp::MIN` when not simulating time).
-    // lint:hotpath(append) — facade leg: admit → mailbox post → park for group ack
-    pub fn append(
-        &self,
-        streamlet: StreamletId,
-        rows: &RowSet,
-        declared_schema_version: u32,
-        expected_stream_offset: Option<u64>,
-        start: Timestamp,
-    ) -> VortexResult<AppendAck> {
-        let bytes = rows.approx_bytes() as u64;
-        let _guard = self.admit(bytes)?;
-        let reply = ReplySlot::for_caller(); // lint:allow(L010, one-shot reply slot shared with the shard)
-        let req = AppendReq {
-            streamlet,
-            rows: rows.clone(), // lint:allow(L010, ownership handoff into the share-nothing shard)
-            declared_schema_version,
-            expected_stream_offset,
-            start,
-            bytes,
-            reply: Arc::clone(&reply),
-        };
-        match self.shard_of(streamlet).post_data(ShardMsg::Append(req)) {
-            Ok(()) => {}
-            Err(PostError::Full) => {
-                obs::global().counter(obs::SHARD_MAILBOX_SHED).inc();
-                // Same retryable backpressure signal as flow control —
-                // and like it, allocation-free.
-                return Err(VortexError::Throttled {
-                    in_flight_bytes: bytes,
-                    limit_bytes: self.cfg.shard_queue_depth as u64,
-                });
-            }
-            Err(PostError::Closed) => {
-                return Err(VortexError::Unavailable("server shutting down".into()));
-                // lint:allow(L010, cold shutdown path)
-            }
-        }
-        let ack = match reply.await_reply(APPEND_MAX_PARKS, REPLY_PARK) {
-            // The ack is a small Copy struct; the slot keeps ownership.
-            Some(res) => res.clone(), // lint:allow(L010, copying a Copy-sized ack out of the slot)
-            None => Err(VortexError::Unavailable(
-                // lint:allow(L010, cold timeout path)
-                "append ack timed out".into(),
-            )),
-        };
-        if ack.is_ok() {
-            self.bytes_since_heartbeat
-                .fetch_add(bytes, Ordering::Relaxed);
-        }
-        ack
-    }
-
-    /// Persists a flush watermark (streamlet-relative) to the log
-    /// (§5.4.4). The SMS-side stream watermark is updated separately by
-    /// the client library.
-    pub fn flush(&self, streamlet: StreamletId, flush_row: u64) -> VortexResult<()> {
-        let reply = ReplySlot::for_caller();
-        self.ctl_wait(
-            self.shard_of(streamlet),
-            &reply,
-            CtlReq::Flush {
-                streamlet,
-                flush_row,
-                reply: Arc::clone(&reply),
-            },
-        )?
-    }
-
-    /// Finalizes a hosted streamlet (bloom + footer on the last
-    /// fragment).
-    pub fn finalize_streamlet(&self, streamlet: StreamletId) -> VortexResult<()> {
-        let reply = ReplySlot::for_caller();
-        self.ctl_wait(
-            self.shard_of(streamlet),
-            &reply,
-            CtlReq::Finalize {
-                streamlet,
-                reply: Arc::clone(&reply),
-            },
-        )?
-    }
-
-    /// Idle tick: writes standalone commit records for streamlets whose
-    /// tail has been quiet (§7.1). Broadcast to every shard.
-    pub fn tick(&self) -> usize {
-        let now = self.tt.record_timestamp();
-        let mut committed = 0usize;
-        for shard in &self.shards {
-            let reply = ReplySlot::for_caller();
-            if let Ok(n) = self.ctl_wait(
-                shard,
-                &reply,
-                CtlReq::Tick {
-                    now,
-                    reply: Arc::clone(&reply),
-                },
-            ) {
-                committed += n;
-            }
-        }
-        committed
-    }
-
-    /// Builds the heartbeat report (§5.5): per-streamlet deltas (or full
-    /// state) + load, merged across shards.
-    pub fn build_heartbeat(&self, full_state: bool) -> HeartbeatReport {
-        let mut deltas = Vec::new();
-        for shard in &self.shards {
-            let reply = ReplySlot::for_caller();
-            if let Ok(part) = self.ctl_wait(
-                shard,
-                &reply,
-                CtlReq::Heartbeat {
-                    full: full_state,
-                    reply: Arc::clone(&reply),
-                },
-            ) {
-                deltas.extend(part);
-            }
-        }
-        deltas.sort_by_key(|d| d.streamlet);
-        HeartbeatReport {
-            server: self.cfg.server,
-            load: self.load(),
-            streamlets: deltas,
-            full_state,
-        }
-    }
-
-    /// Applies the SMS's heartbeat response: schema updates, GC orders,
-    /// and unknown-streamlet deletions (age-guarded, §5.4.3). Returns the
-    /// GC acknowledgements to send back via
-    /// [`vortex_sms::SmsTask::ack_gc`].
-    pub fn apply_heartbeat_response(
-        &self,
-        resp: &HeartbeatResponse,
-        min_orphan_age_micros: u64,
-    ) -> VortexResult<Vec<(TableId, StreamletId, Vec<u32>)>> {
-        for (table, version) in &resp.schema_updates {
-            self.notify_schema_version(*table, *version);
-        }
-        let mut acks = Vec::new();
-        for (table, streamlet, ordinals) in &resp.gc {
-            match self.gc_fragments(*table, *streamlet, ordinals.clone()) {
-                Ok(done) => acks.push((*table, *streamlet, done)),
-                // Simulated process death mid-GC: unwind to the boundary
-                // with the partial batch unacknowledged — the SMS
-                // re-issues it next heartbeat (deletion is idempotent).
-                Err(e @ VortexError::SimulatedCrash(_)) => return Err(e),
-                // Transient storage error on one streamlet: skip its ack
-                // and keep going (previous behavior).
-                Err(_) => {}
-            }
-        }
-        // Unknown streamlets: delete only if sufficiently old ("this
-        // avoids any in-flight races", §5.4.3).
-        let now = self.tt.record_timestamp();
-        for slid in &resp.unknown_streamlets {
-            let reply = ReplySlot::for_caller();
-            if let Ok(Err(e @ VortexError::SimulatedCrash(_))) = self.ctl_wait(
-                self.shard_of(*slid),
-                &reply,
-                CtlReq::GcUnknown {
-                    streamlet: *slid,
-                    now,
-                    min_age_micros: min_orphan_age_micros,
-                    reply: Arc::clone(&reply),
-                },
-            ) {
-                return Err(e);
-            }
-        }
-        Ok(acks)
-    }
-
     /// Writes per-shard metadata checkpoints and truncates the WALs
     /// (§5.3).
     pub fn checkpoint(&self) -> VortexResult<()> {
         for shard in &self.shards {
-            let reply = ReplySlot::for_caller();
-            self.ctl_wait(
-                shard,
-                &reply,
-                CtlReq::Checkpoint {
-                    reply: Arc::clone(&reply),
-                },
-            )??;
+            self.on_shard(shard, Shard::checkpoint)??;
         }
         Ok(())
     }
@@ -482,17 +296,8 @@ impl StreamServer {
         for shard in wal::shards_present(cfg.server, home)? {
             let (snapshot, events) = ServerLog::recover(cfg.server, shard, home)?;
             if let Some(snap) = snapshot {
-                use vortex_common::codec::get_uvarint;
-                let mut pos = 0usize;
-                let n = get_uvarint(&snap, &mut pos)? as usize;
-                for _ in 0..n {
-                    let slid = StreamletId::from_raw(get_uvarint(&snap, &mut pos)?);
-                    let table = TableId::from_raw(get_uvarint(&snap, &mut pos)?);
-                    let rows = get_uvarint(&snap, &mut pos)?;
-                    let _nfrags = get_uvarint(&snap, &mut pos)?;
-                    let _writable = snap.get(pos).copied().unwrap_or(0);
-                    pos += 1;
-                    known.insert(slid, (table, rows));
+                for e in wal::decode_snapshot(&snap)? {
+                    known.insert(e.streamlet, (e.table, e.rows));
                 }
             }
             for e in events {
@@ -503,13 +308,9 @@ impl StreamServer {
                         known.entry(streamlet).or_insert((table, 0));
                     }
                     WalEvent::FragmentSealed {
-                        streamlet,
-                        rows,
-                        ordinal,
-                        ..
+                        streamlet, rows, ..
                     } => {
                         if let Some((_, r)) = known.get_mut(&streamlet) {
-                            let _ = ordinal;
                             *r = (*r).max(rows);
                         }
                     }
@@ -522,13 +323,25 @@ impl StreamServer {
             .map(|(slid, (t, rows))| (t, slid, rows))
             .collect())
     }
+
+    /// Closes every shard mailbox: queued work drains, later posts fail
+    /// with `Unavailable`, and the shard threads exit.
+    pub(crate) fn close(&self) {
+        for tx in &self.shards {
+            tx.close();
+        }
+    }
+}
+
+/// Fibonacci hash of a streamlet id onto `shards` slots.
+pub(crate) fn shard_index(streamlet: StreamletId, shards: usize) -> usize {
+    let mixed = streamlet.raw().wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    (((mixed >> 32) * shards as u64) >> 32) as usize
 }
 
 impl Drop for StreamServer {
     fn drop(&mut self) {
-        for tx in &self.shards {
-            tx.close();
-        }
+        self.close();
         for j in std::mem::take(&mut self.joins) {
             let _ = j.join(); // lint:allow(L010, cold teardown — thread join, not string join)
         }
@@ -559,15 +372,7 @@ impl StreamServerApi for StreamServer {
     }
 
     fn create_streamlet(&self, spec: StreamletSpec) -> VortexResult<()> {
-        let reply = ReplySlot::for_caller();
-        self.ctl_wait(
-            self.shard_of(spec.streamlet),
-            &reply,
-            CtlReq::Open {
-                spec,
-                reply: Arc::clone(&reply),
-            },
-        )?
+        self.on_shard(self.shard_of(spec.streamlet), move |s| s.open(spec))?
     }
 
     fn load(&self) -> LoadReport {
@@ -587,28 +392,23 @@ impl StreamServerApi for StreamServer {
     }
 
     fn streamlet_rows(&self, streamlet: StreamletId) -> Option<u64> {
-        let reply = ReplySlot::for_caller();
-        match self.ctl_wait(
-            self.shard_of(streamlet),
-            &reply,
-            CtlReq::Rows {
-                streamlet,
-                reply: Arc::clone(&reply),
-            },
-        ) {
-            Ok(Some(rows)) => Some(rows),
+        self.on_shard(self.shard_of(streamlet), move |s| s.rows(streamlet))
+            .ok()
+            .flatten()
             // A previous incarnation's streamlet: report the rows its WAL
             // knew about (a lower bound; reconciliation reads the truth
             // from Colossus, §7.1).
-            _ => self.recovered.get(&streamlet).map(|&(_, r)| r),
-        }
+            .or_else(|| self.recovered.get(&streamlet).map(|&(_, r)| r))
     }
 
     fn notify_schema_version(&self, table: TableId, version: u32) {
-        // Broadcast, fire-and-forget: mailbox FIFO guarantees any append
-        // the same caller posts afterwards sees the new version.
+        // Broadcast, fire-and-forget: nothing is returned, and mailbox
+        // FIFO guarantees any append the same caller posts afterwards sees
+        // the new version — so the SMS does not wait out four queues.
         for shard in &self.shards {
-            let _ = shard.post(ShardMsg::Ctl(CtlReq::SetSchema { table, version }));
+            // lint:allow(L010, control plane: one boxed closure per schema change per shard)
+            let bump = Box::new(move |s: &mut Shard| s.set_schema(table, version));
+            let _ = shard.post(ShardMsg::Ctl(bump));
         }
     }
 
@@ -618,39 +418,22 @@ impl StreamServerApi for StreamServer {
         streamlet: StreamletId,
         ordinals: Vec<u32>,
     ) -> VortexResult<Vec<u32>> {
-        let reply = ReplySlot::for_caller();
-        self.ctl_wait(
-            self.shard_of(streamlet),
-            &reply,
-            CtlReq::Gc {
-                table,
-                streamlet,
-                ordinals,
-                reply: Arc::clone(&reply),
-            },
-        )?
+        self.on_shard(self.shard_of(streamlet), move |s| {
+            s.gc_run(table, streamlet, &ordinals)
+        })?
     }
 
     fn revoke_streamlet(&self, streamlet: StreamletId) {
-        let reply = ReplySlot::for_caller();
-        let _ = self.ctl_wait(
-            self.shard_of(streamlet),
-            &reply,
-            CtlReq::Revoke {
-                streamlet,
-                reply: Arc::clone(&reply),
-            },
-        );
+        let _ = self.on_shard(self.shard_of(streamlet), move |s| s.revoke(streamlet));
     }
 
     fn finalize_streamlet_ctl(&self, streamlet: StreamletId) -> VortexResult<()> {
-        self.finalize_streamlet(streamlet)
+        self.on_shard(self.shard_of(streamlet), move |s| s.finalize(streamlet))?
     }
 
-    // Data plane and maintenance hooks: delegate to the inherent methods
-    // above so direct (in-crate) callers and trait consumers share one
-    // implementation.
-
+    /// Admit under flow control, route to the owning shard's bounded
+    /// mailbox, park until the shard's group commit resolves the ack.
+    // lint:hotpath(append) — facade leg: admit → mailbox post → park for group ack
     fn append(
         &self,
         streamlet: StreamletId,
@@ -659,26 +442,79 @@ impl StreamServerApi for StreamServer {
         expected_stream_offset: Option<u64>,
         start: Timestamp,
     ) -> VortexResult<AppendAck> {
-        StreamServer::append(
-            self,
+        let bytes = rows.approx_bytes() as u64;
+        let _guard = self.admit(bytes)?;
+        let reply = ReplySlot::for_caller(); // lint:allow(L010, one-shot reply slot shared with the shard)
+        let req = AppendReq {
             streamlet,
-            rows,
+            rows: rows.clone(), // lint:allow(L010, ownership handoff into the share-nothing shard)
             declared_schema_version,
             expected_stream_offset,
             start,
-        )
+            bytes,
+            reply: Arc::clone(&reply),
+        };
+        match self.shard_of(streamlet).post_data(ShardMsg::Append(req)) {
+            Ok(()) => {}
+            Err(PostError::Full) => {
+                obs::global().counter(obs::SHARD_MAILBOX_SHED).inc();
+                // Same retryable backpressure signal as flow control —
+                // and like it, allocation-free.
+                return Err(VortexError::Throttled {
+                    in_flight_bytes: bytes,
+                    limit_bytes: SHARD_QUEUE_DEPTH as u64,
+                });
+            }
+            Err(PostError::Closed) => {
+                return Err(VortexError::Unavailable("server shutting down".into()));
+                // lint:allow(L010, cold shutdown path)
+            }
+        }
+        let ack = match reply.await_reply(APPEND_MAX_PARKS, REPLY_PARK) {
+            // The ack is a small Copy struct; the slot keeps ownership.
+            Some(res) => res.clone(), // lint:allow(L010, copying a Copy-sized ack out of the slot)
+            None => Err(VortexError::Unavailable(
+                // lint:allow(L010, cold timeout path)
+                "append ack timed out".into(),
+            )),
+        };
+        if ack.is_ok() {
+            self.bytes_since_heartbeat
+                .fetch_add(bytes, Ordering::Relaxed);
+        }
+        ack
     }
 
     fn flush(&self, streamlet: StreamletId, flush_row: u64) -> VortexResult<()> {
-        StreamServer::flush(self, streamlet, flush_row)
+        self.on_shard(self.shard_of(streamlet), move |s| {
+            s.flush(streamlet, flush_row)
+        })?
     }
 
+    /// Broadcast to every shard; a closed shard contributes nothing.
     fn tick(&self) -> usize {
-        StreamServer::tick(self)
+        let now = self.tt.record_timestamp();
+        self.shards
+            .iter()
+            .filter_map(|shard| self.on_shard(shard, move |s| s.tick(now)).ok())
+            .sum()
     }
 
+    /// Per-streamlet deltas (or full state) + load, merged across shards.
     fn build_heartbeat(&self, full_state: bool) -> HeartbeatReport {
-        StreamServer::build_heartbeat(self, full_state)
+        let mut deltas: Vec<_> = self
+            .shards
+            .iter()
+            .filter_map(|shard| self.on_shard(shard, move |s| s.heartbeat(full_state)).ok())
+            .flatten()
+            .collect();
+        deltas.sort_by_key(|d| d.streamlet);
+        HeartbeatReport {
+            server: self.cfg.server,
+            load: self.load(),
+            streamlets: deltas,
+            full_state,
+        }
     }
 
     fn apply_heartbeat_response(
@@ -686,24 +522,47 @@ impl StreamServerApi for StreamServer {
         resp: &HeartbeatResponse,
         orphan_age_micros: u64,
     ) -> VortexResult<Vec<(TableId, StreamletId, Vec<u32>)>> {
-        StreamServer::apply_heartbeat_response(self, resp, orphan_age_micros)
+        for (table, version) in &resp.schema_updates {
+            self.notify_schema_version(*table, *version);
+        }
+        let mut acks = Vec::new();
+        for (table, streamlet, ordinals) in &resp.gc {
+            match self.gc_fragments(*table, *streamlet, ordinals.clone()) {
+                Ok(done) => acks.push((*table, *streamlet, done)),
+                // Simulated process death mid-GC: unwind to the boundary
+                // with the partial batch unacknowledged — the SMS
+                // re-issues it next heartbeat (deletion is idempotent).
+                Err(e @ VortexError::SimulatedCrash(_)) => return Err(e),
+                // Transient storage error on one streamlet: skip its ack
+                // and keep going.
+                Err(_) => {}
+            }
+        }
+        // Unknown streamlets: delete only if sufficiently old ("this
+        // avoids any in-flight races", §5.4.3).
+        let now = self.tt.record_timestamp();
+        for &slid in &resp.unknown_streamlets {
+            if let Ok(Err(e @ VortexError::SimulatedCrash(_))) = self
+                .on_shard(self.shard_of(slid), move |s| {
+                    s.gc_unknown(slid, now, orphan_age_micros)
+                })
+            {
+                return Err(e);
+            }
+        }
+        Ok(acks)
     }
 
     fn reset_heartbeat_window(&self) {
-        StreamServer::reset_heartbeat_window(self)
-    }
-
-    fn set_quarantined(&self, quarantined: bool) {
-        StreamServer::set_quarantined(self, quarantined)
-    }
-}
-
-impl StreamServer {
-    /// Resets the heartbeat throughput window (call after each heartbeat).
-    pub fn reset_heartbeat_window(&self) {
         self.bytes_since_heartbeat.store(0, Ordering::Relaxed);
         self.last_heartbeat_at
             .store(self.tt.record_timestamp().0, Ordering::Relaxed);
+    }
+
+    /// Rollouts / scale-down (§5.5): the server keeps serving existing
+    /// streamlets but receives no new ones.
+    fn set_quarantined(&self, quarantined: bool) {
+        self.quarantined.store(quarantined, Ordering::SeqCst);
     }
 }
 

@@ -1,7 +1,7 @@
 //! Shard-per-core Stream Server internals: single-writer shard threads.
 //!
 //! The server partitions its hosted streamlets across a fixed set of
-//! shard threads (streamlet id modulo shard count). Each
+//! shard threads (a hash of the streamlet id picks the shard). Each
 //! [`HostedStreamlet`] is owned by exactly one shard — there is no lock
 //! around per-streamlet state, because only its owner thread ever
 //! touches it. Appends are routed to shards over bounded mailboxes
@@ -10,7 +10,11 @@
 //! write per streamlet run and one WAL record per group, amortizing the
 //! fixed write overhead (§5.6's ~600µs base service) across every append
 //! in the group. Per-append acks resolve through [`ReplySlot`]s after
-//! the whole group is durable.
+//! the whole group is durable. Everything that is not an append reaches
+//! the shard as one kind of message: a closure the facade posts
+//! ([`crate::server::StreamServer::on_shard`]) and the owning thread runs
+//! against its `&mut Shard`, in posting order relative to the same
+//! caller's appends.
 //!
 //! Crash semantics move to group granularity: `server.append.pre_ack`
 //! fires once per group, after the group's rows and WAL record are
@@ -21,12 +25,11 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use vortex_colossus::StorageFleet;
 use vortex_common::error::{VortexError, VortexResult};
 use vortex_common::ids::{IdGen, StreamletId, TableId};
-use vortex_common::mailbox::{MailboxReceiver, Pulled, ReplySlot};
+use vortex_common::mailbox::{MailboxReceiver, ReplySlot};
 use vortex_common::obs::{self, Counter, Histogram};
 use vortex_common::row::RowSet;
 use vortex_common::truetime::{Timestamp, TrueTime};
@@ -34,12 +37,17 @@ use vortex_sms::heartbeat::StreamletDelta;
 use vortex_sms::meta::wos_path;
 use vortex_sms::server_ctl::StreamletSpec;
 
-use crate::hosted::{AppendAck, GroupAppend, GroupScratch, HostedStreamlet, WriteTuning};
+use crate::hosted::{AppendAck, GroupAppend, GroupScratch, HostedStreamlet};
 use crate::server::ServerConfig;
-use crate::wal::{ServerLog, WalEvent};
+use crate::wal::{self, ServerLog, WalEvent};
 
-/// How long an idle shard parks between mailbox polls.
-const IDLE_PARK: Duration = Duration::from_millis(1);
+/// Max appends coalesced into one group commit: with ~600µs of fixed
+/// Colossus overhead per write, 64 already amortizes it below 10µs an
+/// append while bounding how long the first append of a group waits.
+const GROUP_MAX_APPENDS: usize = 64;
+/// Max bytes coalesced into one group commit: four 2 MB write buffers
+/// (§5.4.4), so one group never holds more than a few blocks in its arena.
+const GROUP_MAX_BYTES: u64 = 8 << 20;
 
 /// One append routed to a shard. The rows are owned: the facade clones
 /// them out of the caller's request so the shard shares nothing with
@@ -54,63 +62,15 @@ pub(crate) struct AppendReq {
     pub reply: Arc<ReplySlot<VortexResult<AppendAck>>>,
 }
 
-/// Control-plane requests: rare, never shed, always processed in posting
-/// order relative to appends from the same caller.
-pub(crate) enum CtlReq {
-    Open {
-        spec: StreamletSpec,
-        reply: Arc<ReplySlot<VortexResult<()>>>,
-    },
-    Flush {
-        streamlet: StreamletId,
-        flush_row: u64,
-        reply: Arc<ReplySlot<VortexResult<()>>>,
-    },
-    Finalize {
-        streamlet: StreamletId,
-        reply: Arc<ReplySlot<VortexResult<()>>>,
-    },
-    Revoke {
-        streamlet: StreamletId,
-        reply: Arc<ReplySlot<()>>,
-    },
-    SetSchema {
-        table: TableId,
-        version: u32,
-    },
-    Tick {
-        now: Timestamp,
-        reply: Arc<ReplySlot<usize>>,
-    },
-    Heartbeat {
-        full: bool,
-        reply: Arc<ReplySlot<Vec<StreamletDelta>>>,
-    },
-    Gc {
-        table: TableId,
-        streamlet: StreamletId,
-        ordinals: Vec<u32>,
-        reply: Arc<ReplySlot<VortexResult<Vec<u32>>>>,
-    },
-    GcUnknown {
-        streamlet: StreamletId,
-        now: Timestamp,
-        min_age_micros: u64,
-        reply: Arc<ReplySlot<VortexResult<bool>>>,
-    },
-    Rows {
-        streamlet: StreamletId,
-        reply: Arc<ReplySlot<Option<u64>>>,
-    },
-    Checkpoint {
-        reply: Arc<ReplySlot<VortexResult<()>>>,
-    },
-}
+/// The one control message: work carried to the owning thread. Rare,
+/// never shed, run in posting order relative to appends from the same
+/// caller.
+pub(crate) type ShardFn = Box<dyn FnOnce(&mut Shard) + Send>;
 
 /// A message in a shard's mailbox.
 pub(crate) enum ShardMsg {
     Append(AppendReq),
-    Ctl(CtlReq),
+    Ctl(ShardFn),
 }
 
 /// The ambiguous-ack crash point, at group granularity: the group's rows
@@ -129,7 +89,6 @@ fn group_pre_ack() -> VortexResult<()> {
 /// facade reads for load reports).
 pub(crate) struct Shard {
     cfg: ServerConfig,
-    tuning: WriteTuning,
     fleet: StorageFleet,
     tt: TrueTime,
     ids: Arc<IdGen>,
@@ -162,10 +121,6 @@ impl Shard {
         writable: Arc<AtomicU64>,
     ) -> Self {
         let m = obs::global();
-        let tuning = WriteTuning {
-            block_buffer_bytes: cfg.block_buffer_bytes,
-            fragment_max_bytes: cfg.fragment_max_bytes,
-        };
         Shard {
             m_group_appends: m.histogram(obs::GROUP_COMMIT_APPENDS),
             m_group_bytes: m.histogram(obs::GROUP_COMMIT_BYTES),
@@ -173,7 +128,6 @@ impl Shard {
             // lint:allow(L010, cold construction — once per shard lifetime)
             m_shard_appends: m.counter(&format!("{}{idx:02}.appends", obs::SHARD_APPENDS_PREFIX)),
             cfg,
-            tuning,
             fleet,
             tt,
             ids,
@@ -188,41 +142,40 @@ impl Shard {
         }
     }
 
-    /// The shard main loop: pull → greedily coalesce a group → commit →
-    /// resolve acks → handle any control message that closed the group.
-    /// Exits when the facade closes the mailbox.
+    /// The shard main loop: pull (parked until a post or `close`) →
+    /// greedily coalesce a group → commit → resolve acks → run any control
+    /// message that closed the group. Exits when the facade closes the
+    /// mailbox and it has drained.
     pub(crate) fn run(mut self, mut rx: MailboxReceiver<ShardMsg>) {
-        loop {
-            match rx.pull(IDLE_PARK) {
-                Pulled::Msg(ShardMsg::Append(first)) => {
-                    let mut group_bytes = first.bytes;
-                    self.batch.push(first);
-                    // Greedy drain up to the group bounds; stop at the
-                    // first control message so posting order is kept.
-                    let mut pending_ctl = None;
-                    while self.batch.len() < self.cfg.group_max_appends
-                        && group_bytes < self.cfg.group_max_bytes
-                    {
-                        match rx.try_pull() {
-                            Some(ShardMsg::Append(r)) => {
-                                group_bytes += r.bytes;
-                                self.batch.push(r);
-                            }
-                            Some(ShardMsg::Ctl(c)) => {
-                                pending_ctl = Some(c);
-                                break;
-                            }
-                            None => break,
-                        }
-                    }
-                    self.commit_group(group_bytes);
-                    if let Some(c) = pending_ctl {
-                        self.handle_ctl(c);
-                    }
+        while let Some(msg) = rx.pull() {
+            let first = match msg {
+                ShardMsg::Append(first) => first,
+                ShardMsg::Ctl(f) => {
+                    f(&mut self);
+                    continue;
                 }
-                Pulled::Msg(ShardMsg::Ctl(c)) => self.handle_ctl(c),
-                Pulled::Idle => {}
-                Pulled::Closed => break,
+            };
+            let mut group_bytes = first.bytes;
+            self.batch.push(first);
+            // Greedy drain up to the group bounds; stop at the first
+            // control message so posting order is kept.
+            let mut pending_ctl = None;
+            while self.batch.len() < GROUP_MAX_APPENDS && group_bytes < GROUP_MAX_BYTES {
+                match rx.try_pull() {
+                    Some(ShardMsg::Append(r)) => {
+                        group_bytes += r.bytes;
+                        self.batch.push(r);
+                    }
+                    Some(ShardMsg::Ctl(f)) => {
+                        pending_ctl = Some(f);
+                        break;
+                    }
+                    None => break,
+                }
+            }
+            self.commit_group(group_bytes);
+            if let Some(f) = pending_ctl {
+                f(&mut self);
             }
         }
     }
@@ -275,7 +228,7 @@ impl Shard {
                         .copied()
                         .unwrap_or(sl.spec.schema.version);
                     // Borrow the run's rows into a bounded entry list
-                    // (≤ group_max_appends, usually a handful).
+                    // (≤ GROUP_MAX_APPENDS, usually a handful).
                     let mut entries = Vec::with_capacity(j - i); // lint:allow(L010, bounded per-run entry list)
                     for r in &batch[i..j] {
                         // lint:allow(L010, bounded per-run entry list)
@@ -290,7 +243,7 @@ impl Shard {
                     sl.append_group(
                         &entries,
                         latest,
-                        self.tuning,
+                        &self.cfg,
                         &self.ids,
                         &self.fleet,
                         &self.tt,
@@ -360,123 +313,100 @@ impl Shard {
         }
     }
 
-    fn handle_ctl(&mut self, c: CtlReq) {
-        match c {
-            CtlReq::Open { spec, reply } => {
-                let slid = spec.streamlet;
-                let table = spec.table;
-                let first = spec.first_stream_row;
-                let res = HostedStreamlet::open(spec, &self.ids, &self.fleet, &self.tt).map(|sl| {
-                    self.streamlets.insert(slid, sl);
-                });
-                if res.is_ok() {
-                    self.log_one(WalEvent::StreamletOpened {
-                        table,
-                        streamlet: slid,
-                        first_stream_row: first,
-                    });
-                }
-                self.publish_writable();
-                reply.deliver(res);
-            }
-            CtlReq::Flush {
-                streamlet,
-                flush_row,
-                reply,
-            } => {
-                let res = match self.streamlets.get_mut(&streamlet) {
-                    None => Err(VortexError::StreamletFinalized(streamlet)),
-                    Some(sl) => sl.flush(flush_row, &self.ids, &self.fleet, &self.tt),
-                };
-                reply.deliver(res);
-            }
-            CtlReq::Finalize { streamlet, reply } => {
-                let res = match self.streamlets.get_mut(&streamlet) {
-                    None => Err(VortexError::NotFound(format!(
-                        "streamlet {streamlet} not hosted"
-                    ))),
-                    Some(sl) => sl.finalize(&self.fleet, &self.tt),
-                };
-                if res.is_ok() {
-                    self.log_one(WalEvent::StreamletFinalized { streamlet });
-                }
-                self.publish_writable();
-                reply.deliver(res);
-            }
-            CtlReq::Revoke { streamlet, reply } => {
-                if let Some(sl) = self.streamlets.get_mut(&streamlet) {
-                    sl.revoke();
-                }
-                self.publish_writable();
-                reply.deliver(());
-            }
-            CtlReq::SetSchema { table, version } => {
-                let e = self.latest_schema.entry(table).or_insert(version);
-                *e = (*e).max(version);
-            }
-            CtlReq::Tick { now, reply } => {
-                let mut committed = 0usize;
-                for sl in self.streamlets.values_mut() {
-                    if sl
-                        .commit_if_idle(
-                            now,
-                            self.cfg.commit_idle_micros,
-                            &self.ids,
-                            &self.fleet,
-                            &self.tt,
-                        )
-                        .unwrap_or(false)
-                    {
-                        committed += 1;
-                    }
-                }
-                reply.deliver(committed);
-            }
-            CtlReq::Heartbeat { full, reply } => {
-                let mut deltas = Vec::new();
-                for sl in self.streamlets.values_mut() {
-                    if let Some(d) = sl.heartbeat_delta(full) {
-                        deltas.push(d);
-                    }
-                }
-                reply.deliver(deltas);
-            }
-            CtlReq::Gc {
-                table,
-                streamlet,
-                ordinals,
-                reply,
-            } => {
-                let res = self.gc_run(table, streamlet, &ordinals);
-                reply.deliver(res);
-            }
-            CtlReq::GcUnknown {
-                streamlet,
-                now,
-                min_age_micros,
-                reply,
-            } => {
-                let res = self.gc_unknown(streamlet, now, min_age_micros);
-                reply.deliver(res);
-            }
-            CtlReq::Rows { streamlet, reply } => {
-                reply.deliver(self.streamlets.get(&streamlet).map(|sl| sl.rows()));
-            }
-            CtlReq::Checkpoint { reply } => {
-                let snapshot = self.snapshot_bytes();
-                let res = match self.fleet.get(self.cfg.cluster) {
-                    Ok(home) => self.log.checkpoint(home, &snapshot),
-                    Err(e) => Err(e),
-                };
-                reply.deliver(res);
-            }
+    /// Hosts a new streamlet: fragment 0's header on both replicas, then
+    /// the WAL record.
+    pub(crate) fn open(&mut self, spec: StreamletSpec) -> VortexResult<()> {
+        let opened = WalEvent::StreamletOpened {
+            table: spec.table,
+            streamlet: spec.streamlet,
+            first_stream_row: spec.first_stream_row,
+        };
+        let sl = HostedStreamlet::open(spec, &self.ids, &self.fleet, &self.tt)?;
+        self.streamlets.insert(sl.spec.streamlet, sl); // lint:allow(L010, control plane: once per streamlet)
+        self.log_one(opened);
+        self.publish_writable();
+        Ok(())
+    }
+
+    /// Persists a flush watermark (streamlet-relative) to the log (§5.4.4).
+    pub(crate) fn flush(&mut self, streamlet: StreamletId, flush_row: u64) -> VortexResult<()> {
+        let sl = self
+            .streamlets
+            .get_mut(&streamlet)
+            .ok_or(VortexError::StreamletFinalized(streamlet))?;
+        sl.flush(flush_row, &self.ids, &self.fleet, &self.tt)
+    }
+
+    /// Seals the streamlet's last fragment (bloom + footer).
+    pub(crate) fn finalize(&mut self, streamlet: StreamletId) -> VortexResult<()> {
+        let sl = self
+            .streamlets
+            .get_mut(&streamlet)
+            // lint:allow(L010, control plane: cold not-hosted error)
+            .ok_or_else(|| VortexError::NotFound(format!("streamlet {streamlet} not hosted")))?;
+        sl.finalize(&self.fleet, &self.tt)?;
+        self.log_one(WalEvent::StreamletFinalized { streamlet });
+        self.publish_writable();
+        Ok(())
+    }
+
+    /// The SMS took ownership away (reconciliation, §5.6).
+    pub(crate) fn revoke(&mut self, streamlet: StreamletId) {
+        if let Some(sl) = self.streamlets.get_mut(&streamlet) {
+            sl.revoke();
         }
+        self.publish_writable();
+    }
+
+    /// Records the table's newest schema version for the §5.4.1 relay.
+    pub(crate) fn set_schema(&mut self, table: TableId, version: u32) {
+        let e = self.latest_schema.entry(table).or_insert(version);
+        *e = (*e).max(version);
+    }
+
+    /// Idle tick: standalone commit records for streamlets whose tail has
+    /// been quiet (§7.1). Returns how many were written.
+    pub(crate) fn tick(&mut self, now: Timestamp) -> usize {
+        let idle = self.cfg.commit_idle_micros;
+        let (ids, fleet, tt) = (&self.ids, &self.fleet, &self.tt);
+        self.streamlets
+            .values_mut()
+            .filter_map(|sl| sl.commit_if_idle(now, idle, ids, fleet, tt).ok())
+            .filter(|&committed| committed)
+            .count()
+    }
+
+    /// This shard's slice of the heartbeat (§5.5).
+    pub(crate) fn heartbeat(&mut self, full: bool) -> Vec<StreamletDelta> {
+        self.streamlets
+            .values_mut()
+            .filter_map(|sl| sl.heartbeat_delta(full))
+            .collect()
+    }
+
+    /// Committed streamlet-relative rows, if hosted here.
+    pub(crate) fn rows(&self, streamlet: StreamletId) -> Option<u64> {
+        self.streamlets.get(&streamlet).map(|sl| sl.rows())
+    }
+
+    /// Writes this shard's metadata checkpoint and truncates its WAL (§5.3).
+    pub(crate) fn checkpoint(&mut self) -> VortexResult<()> {
+        let snapshot =
+            wal::encode_snapshot(self.streamlets.values().map(|sl| wal::SnapshotEntry {
+                streamlet: sl.spec.streamlet,
+                table: sl.spec.table,
+                rows: sl.rows(),
+                fragments: sl.done_fragments().len() as u64,
+                writable: sl.is_writable(),
+            }));
+        let home = self.fleet.get(self.cfg.cluster)?;
+        self.log.checkpoint(home, &snapshot)
     }
 
     /// Deletes fragment files for one GC order (§5.5). Deletion is
     /// idempotent; a partial batch is simply unacknowledged and the SMS
     /// re-issues it next heartbeat.
-    fn gc_run(
+    pub(crate) fn gc_run(
         &mut self,
         table: TableId,
         streamlet: StreamletId,
@@ -512,7 +442,7 @@ impl Shard {
     /// Deletes a streamlet the SMS does not know, but only if it is old
     /// enough ("this avoids any in-flight races", §5.4.3). Returns
     /// whether the streamlet was removed.
-    fn gc_unknown(
+    pub(crate) fn gc_unknown(
         &mut self,
         streamlet: StreamletId,
         now: Timestamp,
@@ -534,22 +464,6 @@ impl Shard {
                 Ok(true)
             }
         }
-    }
-
-    /// This shard's slice of the metadata snapshot: same format the old
-    /// single-log server wrote, restricted to the shard's streamlets.
-    fn snapshot_bytes(&self) -> Vec<u8> {
-        use vortex_common::codec::put_uvarint;
-        let mut out = Vec::new();
-        put_uvarint(&mut out, self.streamlets.len() as u64);
-        for (slid, sl) in self.streamlets.iter() {
-            put_uvarint(&mut out, slid.raw());
-            put_uvarint(&mut out, sl.spec.table.raw());
-            put_uvarint(&mut out, sl.rows());
-            put_uvarint(&mut out, sl.done_fragments().len() as u64);
-            out.push(sl.is_writable() as u8);
-        }
-        out
     }
 }
 

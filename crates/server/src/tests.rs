@@ -15,7 +15,7 @@ use vortex_sms::meta::wos_path;
 use vortex_sms::server_ctl::{StreamServerApi, StreamletSpec};
 use vortex_wos::parse_fragment;
 
-use crate::server::{ServerConfig, StreamServer};
+use crate::server::{shard_index, ServerConfig, StreamServer};
 
 struct Rig {
     server: Arc<StreamServer>,
@@ -180,6 +180,63 @@ fn schema_version_mismatch_surfaces() {
     r.server
         .append(sl, &rows(0, 1), 3, None, Timestamp::MIN)
         .unwrap();
+    // Control closures run in posting order relative to the same caller's
+    // appends: every bump is visible to the very next append, every time.
+    for v in 4..40 {
+        r.server.notify_schema_version(TableId::from_raw(1), v);
+        assert!(matches!(
+            r.server.append(sl, &rows(0, 1), v - 1, None, Timestamp::MIN),
+            Err(VortexError::SchemaVersionMismatch { current_version, .. }) if current_version == v
+        ));
+        r.server
+            .append(sl, &rows(0, 1), v, None, Timestamp::MIN)
+            .unwrap();
+    }
+}
+
+#[test]
+fn closed_server_answers_unavailable_instead_of_hanging() {
+    let r = rig();
+    r.server.create_streamlet(spec(&r, 40, 0)).unwrap();
+    let sl = StreamletId::from_raw(40);
+    r.server.close();
+    assert!(matches!(
+        r.server.flush(sl, 0),
+        Err(VortexError::Unavailable(_))
+    ));
+    assert!(matches!(
+        r.server.create_streamlet(spec(&r, 41, 0)),
+        Err(VortexError::Unavailable(_))
+    ));
+    assert!(matches!(
+        r.server.checkpoint(),
+        Err(VortexError::Unavailable(_))
+    ));
+    assert!(matches!(
+        r.server.append(sl, &rows(0, 1), 1, None, Timestamp::MIN),
+        Err(VortexError::Unavailable(_))
+    ));
+    assert_eq!(r.server.streamlet_rows(sl), None);
+    assert_eq!(r.server.tick(), 0);
+    assert!(r.server.build_heartbeat(true).streamlets.is_empty());
+}
+
+#[test]
+fn strided_streamlet_ids_reach_every_shard() {
+    // Ids come from one sequence shared with tables, streams and
+    // fragments, so consecutive streamlets are a fixed stride apart.
+    for shards in [4usize, 8] {
+        for stride in [1u64, 2, 3, 4, 8] {
+            let mut hit = vec![0u32; shards];
+            for i in 0..64 {
+                hit[shard_index(StreamletId::from_raw(1_000 + i * stride), shards)] += 1;
+            }
+            assert!(
+                hit.iter().all(|&n| n > 0),
+                "stride {stride} over {shards} shards left one idle: {hit:?}"
+            );
+        }
+    }
 }
 
 #[test]
@@ -436,7 +493,7 @@ fn finalize_streamlet_writes_footer_and_blocks_appends() {
     r.server
         .append(sl, &rows(0, 6), 1, None, Timestamp::MIN)
         .unwrap();
-    r.server.finalize_streamlet(sl).unwrap();
+    r.server.finalize_streamlet_ctl(sl).unwrap();
     assert!(matches!(
         r.server.append(sl, &rows(6, 1), 1, None, Timestamp::MIN),
         Err(VortexError::StreamletFinalized(_))
@@ -498,7 +555,7 @@ fn load_reflects_streamlets_and_quarantine() {
     r.server.create_streamlet(spec(&r, 25, 0)).unwrap();
     assert_eq!(r.server.load().streamlets, 2);
     r.server
-        .finalize_streamlet(StreamletId::from_raw(24))
+        .finalize_streamlet_ctl(StreamletId::from_raw(24))
         .unwrap();
     assert_eq!(r.server.load().streamlets, 1, "finalized not writable");
     r.server.set_quarantined(true);
@@ -541,14 +598,14 @@ fn checkpoint_and_recovery_restore_streamlet_identities() {
         .unwrap();
     r.server.checkpoint().unwrap();
     r.server
-        .finalize_streamlet(StreamletId::from_raw(28))
+        .finalize_streamlet_ctl(StreamletId::from_raw(28))
         .unwrap();
     // "Crash" and recover from the metadata log.
     let cfg = r.server.config().clone();
     let summary = StreamServer::recover_summary(&cfg, &r.fleet).unwrap();
-    let mut ids: Vec<u64> = summary.iter().map(|(_, s, _)| s.raw()).collect();
-    ids.sort_unstable();
-    assert_eq!(ids, vec![27, 28]);
+    let mut known: Vec<(u64, u64)> = summary.iter().map(|(_, s, n)| (s.raw(), *n)).collect();
+    known.sort_unstable();
+    assert_eq!(known, vec![(27, 5), (28, 0)], "rows come from the snapshot");
 }
 
 #[test]

@@ -14,7 +14,7 @@
 //! heartbeat, and GC for them.
 
 use vortex_colossus::Colossus;
-use vortex_common::codec::{get_uvarint, put_uvarint};
+use vortex_common::codec::{get_len, get_uvarint, put_uvarint, take};
 use vortex_common::error::{VortexError, VortexResult};
 use vortex_common::frame;
 use vortex_common::ids::{ServerId, StreamletId, TableId};
@@ -138,6 +138,55 @@ impl WalEvent {
             other => return Err(VortexError::Decode(format!("bad wal tag {other}"))),
         })
     }
+}
+
+/// One hosted streamlet as a shard checkpoint records it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SnapshotEntry {
+    /// The streamlet.
+    pub streamlet: StreamletId,
+    /// Owning table.
+    pub table: TableId,
+    /// Committed streamlet-relative rows at checkpoint time.
+    pub rows: u64,
+    /// Sealed fragments at checkpoint time.
+    pub fragments: u64,
+    /// Whether the streamlet still accepted appends.
+    pub writable: bool,
+}
+
+/// Encodes a shard's checkpoint snapshot: `count`, then per streamlet
+/// `streamlet | table | rows | fragments` (uvarints) and a writable byte.
+pub fn encode_snapshot(entries: impl ExactSizeIterator<Item = SnapshotEntry>) -> Vec<u8> {
+    let mut out = Vec::new();
+    put_uvarint(&mut out, entries.len() as u64);
+    for e in entries {
+        put_uvarint(&mut out, e.streamlet.raw());
+        put_uvarint(&mut out, e.table.raw());
+        put_uvarint(&mut out, e.rows);
+        put_uvarint(&mut out, e.fragments);
+        out.push(e.writable as u8);
+    }
+    out
+}
+
+/// Decodes [`encode_snapshot`] output; truncation anywhere is an error.
+pub fn decode_snapshot(buf: &[u8]) -> VortexResult<Vec<SnapshotEntry>> {
+    let pos = &mut 0usize;
+    // Every entry is at least five bytes, so the count is bounded by the
+    // remaining input like a byte length is.
+    let n = get_len(buf, pos)?;
+    let mut entries = Vec::with_capacity(n);
+    for _ in 0..n {
+        entries.push(SnapshotEntry {
+            streamlet: StreamletId::from_raw(get_uvarint(buf, pos)?),
+            table: TableId::from_raw(get_uvarint(buf, pos)?),
+            rows: get_uvarint(buf, pos)?,
+            fragments: get_uvarint(buf, pos)?,
+            writable: take(buf, pos, 1)?[0] != 0,
+        });
+    }
+    Ok(entries)
 }
 
 fn wal_path(server: ServerId, shard: u32, epoch: u64) -> String {
@@ -356,6 +405,29 @@ mod tests {
             committed_size: i * 100,
             rows: i * 10,
         }
+    }
+
+    #[test]
+    fn snapshot_round_trips_and_every_truncation_is_an_error() {
+        let entries: Vec<SnapshotEntry> = (0..5u64)
+            .map(|i| SnapshotEntry {
+                streamlet: StreamletId::from_raw(1_000 + i * 300),
+                table: TableId::from_raw(7),
+                rows: i * 1_000_000,
+                fragments: i,
+                writable: i % 2 == 0,
+            })
+            .collect();
+        let bytes = encode_snapshot(entries.iter().copied());
+        assert_eq!(decode_snapshot(&bytes).unwrap(), entries);
+        for cut in 0..bytes.len() {
+            assert!(decode_snapshot(&bytes[..cut]).is_err(), "cut at {cut}");
+        }
+        // A count that promises more entries than there are bytes is
+        // refused before anything is allocated for it.
+        let mut huge = Vec::new();
+        put_uvarint(&mut huge, u64::MAX);
+        assert!(decode_snapshot(&huge).is_err());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! [`FragmentKind`], because the Storage Optimizer atomically swaps one
 //! for the other inside a single metastore transaction (§6.1).
 
-use vortex_common::codec::{get_uvarint, put_uvarint};
+use vortex_common::codec::{get_bytes, get_str, get_uvarint, put_bytes, put_str, put_uvarint};
 use vortex_common::error::{VortexError, VortexResult};
 use vortex_common::ids::{ClusterId, FragmentId, ServerId, StreamId, StreamletId, TableId};
 use vortex_common::mask::DeletionMask;
@@ -102,38 +102,6 @@ pub fn blmt_path(bucket: &str, t: TableId, f: FragmentId) -> String {
 // ---------------------------------------------------------------------
 // Serialization helpers.
 // ---------------------------------------------------------------------
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_uvarint(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn get_str(buf: &[u8], pos: &mut usize) -> VortexResult<String> {
-    let n = get_uvarint(buf, pos)? as usize;
-    if *pos + n > buf.len() {
-        return Err(VortexError::Decode("string truncated".into()));
-    }
-    let s = std::str::from_utf8(&buf[*pos..*pos + n])
-        .map_err(|e| VortexError::Decode(format!("bad utf8: {e}")))?
-        .to_string();
-    *pos += n;
-    Ok(s)
-}
-
-fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    put_uvarint(out, b.len() as u64);
-    out.extend_from_slice(b);
-}
-
-fn get_bytes(buf: &[u8], pos: &mut usize) -> VortexResult<Vec<u8>> {
-    let n = get_uvarint(buf, pos)? as usize;
-    if *pos + n > buf.len() {
-        return Err(VortexError::Decode("bytes truncated".into()));
-    }
-    let b = buf[*pos..*pos + n].to_vec();
-    *pos += n;
-    Ok(b)
-}
 
 fn put_masks(out: &mut Vec<u8>, masks: &[(Timestamp, DeletionMask)]) {
     put_uvarint(out, masks.len() as u64);
@@ -844,6 +812,77 @@ mod tests {
         let t = TableId::from_raw(1);
         assert_ne!(stream_prefix(t), streamlet_prefix(t));
         assert_ne!(streamlet_prefix(t), fragment_prefix(t));
+    }
+
+    /// `bytes` with the one-byte length prefix in front of `field`
+    /// replaced by a maximal (`u64::MAX`) varint.
+    fn with_max_len_before(bytes: &[u8], field: &[u8]) -> Vec<u8> {
+        let at = bytes.windows(field.len()).position(|w| w == field).unwrap();
+        let mut bad = bytes[..at - 1].to_vec();
+        put_uvarint(&mut bad, u64::MAX);
+        bad.extend_from_slice(&bytes[at..]);
+        bad
+    }
+
+    #[test]
+    fn maximal_length_varint_is_an_error_not_an_overflow() {
+        // `pos + n` used to overflow on these before the bound could
+        // reject them (debug: panic; release: wrap, then a slice panic).
+        let t = TableMeta {
+            table: TableId::from_raw(5),
+            name: "sales".into(),
+            schema: sales_schema(),
+            primary: ClusterId::from_raw(0),
+            secondary: ClusterId::from_raw(1),
+            key_ref: "tbl-5-key".into(),
+            created_at: Timestamp(999),
+            external_bucket: None,
+        };
+        for field in ["sales", "tbl-5-key"] {
+            let bad = with_max_len_before(&t.to_bytes(), field.as_bytes());
+            assert!(TableMeta::from_bytes(&bad).is_err(), "{field}");
+        }
+        let mask = DeletionMask::from_range(0, 5);
+        let sl = StreamletMeta {
+            streamlet: StreamletId::from_raw(3),
+            stream: StreamId::from_raw(7),
+            table: TableId::from_raw(1),
+            ordinal: 1,
+            server: ServerId::from_raw(12),
+            clusters: [ClusterId::from_raw(0), ClusterId::from_raw(2)],
+            state: StreamletState::Closed,
+            first_stream_row: 4096,
+            row_count: 777,
+            known_fragments: 3,
+            masks: vec![(Timestamp(100), mask.clone())],
+            epoch: 4,
+        };
+        let bad = with_max_len_before(&sl.to_bytes(), &mask.to_bytes());
+        assert!(StreamletMeta::from_bytes(&bad).is_err());
+        let f = sample_fragment();
+        for field in [f.path.as_bytes(), b"customerKey", &f.masks[0].1.to_bytes()] {
+            let bad = with_max_len_before(&f.to_bytes(), field);
+            assert!(FragmentMeta::from_bytes(&bad).is_err());
+        }
+        // StreamMeta carries no length-prefixed field: a maximal varint
+        // anywhere in it is at worst a huge number, never a length.
+        let st = StreamMeta {
+            stream: StreamId::from_raw(7),
+            table: TableId::from_raw(1),
+            stype: StreamType::Buffered,
+            finalized: false,
+            committed_at: None,
+            flushed_row: 33,
+            created_at: Timestamp(10),
+            streamlet_count: 2,
+        };
+        let bytes = st.to_bytes();
+        for at in 0..bytes.len() {
+            let mut bad = bytes[..at].to_vec();
+            put_uvarint(&mut bad, u64::MAX);
+            bad.extend_from_slice(&bytes[at + 1..]);
+            let _ = StreamMeta::from_bytes(&bad);
+        }
     }
 
     #[test]
