@@ -41,6 +41,7 @@ use vortex_ros::encoding::encode_column;
 use vortex_ros::ZONE_ROWS;
 use vortex_server::{ServerConfig, StreamServer};
 use vortex_sms::sms::{SmsConfig, SmsTask};
+use vortex_sms::SmsApi;
 
 /// Rows per customer group in the scan arm; with the default row count
 /// this puts the predicate's selectivity at 0.25%.

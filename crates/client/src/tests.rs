@@ -13,6 +13,7 @@ use vortex_metastore::MetaStore;
 use vortex_server::{ServerConfig, StreamServer};
 use vortex_sms::server_ctl::StreamServerApi;
 use vortex_sms::sms::{SmsConfig, SmsTask};
+use vortex_sms::SmsApi;
 
 use crate::api::VortexClient;
 use crate::write::WriterOptions;

@@ -257,6 +257,19 @@ impl Colossus {
         self.check_available("list")?;
         Ok(self.backend.list(prefix))
     }
+
+    /// Lists the files named `prefix` + a hexadecimal number — the epochs
+    /// or generations of a durable log — as `(number, path)` in numeric
+    /// order. Other names under the prefix are skipped.
+    pub fn list_numbered(&self, prefix: &str) -> VortexResult<Vec<(u64, String)>> {
+        let mut out: Vec<(u64, String)> = self
+            .list(prefix)?
+            .into_iter()
+            .filter_map(|p| Some((u64::from_str_radix(&p[prefix.len()..], 16).ok()?, p)))
+            .collect(); // lint:allow(L010, log open/recovery/checkpoint listing; its only hot edge is a name-resolved `open`)
+        out.sort_unstable();
+        Ok(out)
+    }
 }
 
 impl std::fmt::Debug for Colossus {
@@ -422,6 +435,28 @@ mod tests {
         let ok = c.append("f", b"c", Timestamp(0)).unwrap();
         assert_eq!(ok.new_len, 1, "failed appends must not write");
         assert_eq!(c.read_all("f").unwrap().data, b"c");
+    }
+
+    #[test]
+    fn list_numbered_orders_by_number_and_skips_other_names() {
+        let c = mem();
+        for name in ["log/wal.0000000a", "log/wal.00000002", "log/wal.ff"] {
+            c.append(name, b"x", Timestamp(0)).unwrap();
+        }
+        for name in ["log/wal.tmp", "log/wal.", "log/ckpt.00000001"] {
+            c.append(name, b"x", Timestamp(0)).unwrap();
+        }
+        let numbered = c.list_numbered("log/wal.").unwrap();
+        let expect = [
+            (2, "log/wal.00000002"),
+            (10, "log/wal.0000000a"),
+            (255, "log/wal.ff"),
+        ];
+        let expect: Vec<(u64, String)> = expect.iter().map(|(n, p)| (*n, p.to_string())).collect();
+        assert_eq!(numbered, expect);
+        assert!(c.list_numbered("nothing/").unwrap().is_empty());
+        c.faults().set_unavailable(true);
+        assert!(c.list_numbered("log/wal.").is_err());
     }
 
     #[test]

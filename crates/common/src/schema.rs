@@ -231,6 +231,18 @@ impl Schema {
         self.fields.iter().position(|f| f.name == name)
     }
 
+    /// `(column index, name)` of the columns that carry per-fragment
+    /// zone-map stats (§7.2): top-level scalars, i.e. neither structs nor
+    /// repeated. The Stream Server tracks these while it writes and
+    /// reconciliation recomputes them from the log files.
+    pub fn tracked_columns(&self) -> Vec<(usize, String)> {
+        let scalar =
+            |f: &Field| !matches!(f.ftype, FieldType::Struct(_)) && f.mode != FieldMode::Repeated;
+        let cols = self.fields.iter().enumerate().filter(|(_, f)| scalar(f));
+        // lint:allow(L010, once per streamlet open or reconciliation; moved here from the server, where its only hot edge is a name-resolved `open`)
+        cols.map(|(i, f)| (i, f.name.clone())).collect()
+    }
+
     /// Returns a new schema with an extra nullable column appended and the
     /// version bumped — the only evolution the engine supports, mirroring
     /// the common additive case in §5.4.1.

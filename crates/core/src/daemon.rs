@@ -120,117 +120,86 @@ pub struct RegionDaemon {
     threads: Vec<std::thread::JoinHandle<()>>,
 }
 
+/// One service loop on its own thread: run a round, then block for
+/// `period` or until shutdown, whichever comes first.
+fn spawn_loop(
+    shutdown: &Arc<ShutdownSignal>,
+    period: Duration,
+    mut round: impl FnMut() + Send + 'static,
+) -> std::thread::JoinHandle<()> {
+    let shutdown = Arc::clone(shutdown);
+    std::thread::spawn(move || loop {
+        round();
+        if shutdown.sleep_or_stop(period) {
+            break;
+        }
+    })
+}
+
 impl RegionDaemon {
     /// Starts the loops over a shared region.
     pub fn start(region: Arc<Region>, cfg: DaemonConfig) -> Self {
         let shutdown = ShutdownSignal::new();
         let stats = Arc::new(DaemonStats::default());
         let tables: Arc<Mutex<HashSet<TableId>>> = Arc::new(Mutex::new(HashSet::new()));
-        let mut threads = Vec::new();
+        // Each loop gets its own handles on the region, the counters and
+        // the watched-table set.
+        let ctx = || (Arc::clone(&region), Arc::clone(&stats));
+        let watched = || {
+            let tables = Arc::clone(&tables);
+            move || tables.lock().iter().copied().collect::<Vec<TableId>>()
+        };
 
         // Heartbeat loop (§5.5).
-        {
-            let (region, shutdown, stats) = (
-                Arc::clone(&region),
-                Arc::clone(&shutdown),
-                Arc::clone(&stats),
-            );
-            threads.push(std::thread::spawn(move || {
-                let mut round = 0u64;
-                loop {
-                    round += 1;
-                    let full = round % cfg.full_state_every == 0;
-                    if let Ok(n) = region.run_heartbeats(full) {
-                        stats.heartbeats.fetch_add(1, Ordering::Relaxed);
-                        stats.deltas.fetch_add(n as u64, Ordering::Relaxed);
-                    }
-                    if shutdown.sleep_or_stop(cfg.heartbeat_every) {
-                        break;
-                    }
-                }
-            }));
-        }
+        let ((r, st), mut rounds) = (ctx(), 0u64);
+        let heartbeat = spawn_loop(&shutdown, cfg.heartbeat_every, move || {
+            rounds += 1;
+            if let Ok(n) = r.run_heartbeats(rounds % cfg.full_state_every == 0) {
+                st.heartbeats.fetch_add(1, Ordering::Relaxed);
+                st.deltas.fetch_add(n as u64, Ordering::Relaxed);
+            }
+        });
         // Idle-commit tick loop (§7.1).
-        {
-            let (region, shutdown, stats) = (
-                Arc::clone(&region),
-                Arc::clone(&shutdown),
-                Arc::clone(&stats),
-            );
-            threads.push(std::thread::spawn(move || loop {
-                let n = region.run_ticks();
-                stats.idle_commits.fetch_add(n as u64, Ordering::Relaxed);
-                if shutdown.sleep_or_stop(cfg.tick_every) {
-                    break;
-                }
-            }));
-        }
+        let (r, st) = ctx();
+        let tick = spawn_loop(&shutdown, cfg.tick_every, move || {
+            let n = r.run_ticks() as u64;
+            st.idle_commits.fetch_add(n, Ordering::Relaxed);
+        });
         // Optimizer loop (§6.1: "continuously optimizes").
-        {
-            let (region, shutdown, stats) = (
-                Arc::clone(&region),
-                Arc::clone(&shutdown),
-                Arc::clone(&stats),
-            );
-            let tables = Arc::clone(&tables);
-            threads.push(std::thread::spawn(move || loop {
-                let current: Vec<TableId> = tables.lock().iter().copied().collect();
-                for t in current {
-                    if region.run_optimizer_cycle(t).is_ok() {
-                        stats.optimizer_cycles.fetch_add(1, Ordering::Relaxed);
-                    }
+        let ((r, st), current) = (ctx(), watched());
+        let optimize = spawn_loop(&shutdown, cfg.optimize_every, move || {
+            for t in current() {
+                if r.run_optimizer_cycle(t).is_ok() {
+                    st.optimizer_cycles.fetch_add(1, Ordering::Relaxed);
                 }
-                if shutdown.sleep_or_stop(cfg.optimize_every) {
-                    break;
-                }
-            }));
-        }
+            }
+        });
         // GC + groomer loop (§5.4.3).
-        {
-            let (region, shutdown, stats) = (
-                Arc::clone(&region),
-                Arc::clone(&shutdown),
-                Arc::clone(&stats),
-            );
-            let tables = Arc::clone(&tables);
-            threads.push(std::thread::spawn(move || loop {
-                let current: Vec<TableId> = tables.lock().iter().copied().collect();
-                for t in current {
-                    let _ = region.run_gc(t);
-                }
-                let _ = region.sms().run_groomer();
-                stats.gc_sweeps.fetch_add(1, Ordering::Relaxed);
-                if shutdown.sleep_or_stop(cfg.gc_every) {
-                    break;
-                }
-            }));
-        }
+        let ((r, st), current) = (ctx(), watched());
+        let gc = spawn_loop(&shutdown, cfg.gc_every, move || {
+            for t in current() {
+                let _ = r.run_gc(t);
+            }
+            let _ = r.sms().run_groomer();
+            st.gc_sweeps.fetch_add(1, Ordering::Relaxed);
+        });
         // Metastore checkpoint + compaction loop: bound cold-restart
         // replay by the tail since the last published checkpoint. A
         // fenced publish (concurrent checkpointer), a transient storage
         // fault, or a simulated mid-checkpoint death all just mean the
         // next round tries again — the previous checkpoint stays valid.
-        {
-            let (region, shutdown, stats) = (
-                Arc::clone(&region),
-                Arc::clone(&shutdown),
-                Arc::clone(&stats),
-            );
-            threads.push(std::thread::spawn(move || loop {
-                if region.checkpoint_metadata().is_ok() {
-                    stats.meta_checkpoints.fetch_add(1, Ordering::Relaxed);
-                }
-                if shutdown.sleep_or_stop(cfg.checkpoint_every) {
-                    break;
-                }
-            }));
-        }
+        let (r, st) = ctx();
+        let checkpoint = spawn_loop(&shutdown, cfg.checkpoint_every, move || {
+            if r.checkpoint_metadata().is_ok() {
+                st.meta_checkpoints.fetch_add(1, Ordering::Relaxed);
+            }
+        });
 
         Self {
             shutdown,
             stats,
             tables,
-            threads,
+            threads: vec![heartbeat, tick, optimize, gc, checkpoint],
         }
     }
 

@@ -17,7 +17,7 @@ use vortex_metastore::{MetaCheckpointOutcome, MetaRecovery, MetaStore};
 use vortex_optimizer::{OptimizerConfig, StorageOptimizer};
 use vortex_query::{DmlExecutor, QueryEngine};
 use vortex_server::{ServerConfig, StreamServer};
-use vortex_sms::api::{ServerChannel, SmsChannel, SmsHandle};
+use vortex_sms::api::{ServerChannel, SmsApi, SmsChannel, SmsHandle};
 use vortex_sms::server_ctl::ServerHandle;
 use vortex_sms::slicer::{Slicer, SlicerView};
 use vortex_sms::sms::{SmsConfig, SmsTask};
@@ -225,17 +225,7 @@ impl Region {
         clock.advance_to(Timestamp(store.now().micros()));
         // Seed the id generator past every id the restored metadata
         // uses (table/stream/streamlet/fragment ids share one sequence).
-        let max_used = store
-            .scan_prefix_at("t/", store.now())
-            .into_iter()
-            .flat_map(|(k, _)| {
-                k.split('/')
-                    .filter_map(|part| u64::from_str_radix(part, 16).ok())
-                    .collect::<Vec<_>>()
-            })
-            .max()
-            .unwrap_or(0);
-        let ids = Arc::new(IdGen::new(max_used + 1));
+        let ids = Arc::new(IdGen::new(vortex_sms::meta::max_id_in_use(&store) + 1));
         let task_ids: Vec<SmsTaskId> = (0..cfg.sms_tasks as u64).map(SmsTaskId::from_raw).collect();
         let slicer = Slicer::new(task_ids.clone());
         let mut sms_tasks = Vec::new();

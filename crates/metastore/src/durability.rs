@@ -163,21 +163,9 @@ impl PtrState {
 /// tails, duplicate anchors — is ignored.
 fn read_ptr_state(cluster: &Colossus) -> VortexResult<PtrState> {
     // lint:allow(L010, recovery/checkpoint-rate pointer-chain read; cold-start path)
-    let mut generations: Vec<(u64, String)> = Vec::new();
-    for path in cluster.list(PTR_PREFIX)? {
-        if let Some(g) = path
-            .strip_prefix(PTR_PREFIX)
-            .and_then(|h| u64::from_str_radix(h, 16).ok())
-        {
-            // lint:allow(L010, recovery/checkpoint-rate pointer-chain read; cold-start path)
-            generations.push((g, path));
-        }
-    }
-    generations.sort_unstable_by_key(|(g, _)| *g);
-    // lint:allow(L010, recovery/checkpoint-rate pointer-chain read; cold-start path)
     let mut chain: Vec<PtrRecord> = Vec::new();
     let (mut append_gen, mut rotate) = (0u64, false);
-    for (generation, path) in &generations {
+    for (generation, path) in &cluster.list_numbered(PTR_PREFIX)? {
         let data = cluster.read_all(path)?.data;
         let (bodies, torn) = frame::read_frames(&data);
         let mut accepted_here = 0usize;
@@ -370,13 +358,7 @@ impl MetaStore {
         // Replay the tail: every epoch the checkpoint does not cover,
         // in epoch order, each file truncated at its first torn frame.
         let mut max_epoch = covers_epoch;
-        for path in cluster.list(WAL_DIR)? {
-            let Some(epoch) = path
-                .strip_prefix(WAL_DIR)
-                .and_then(|h| u64::from_str_radix(h, 16).ok())
-            else {
-                continue;
-            };
+        for (epoch, path) in cluster.list_numbered(WAL_DIR)? {
             max_epoch = max_epoch.max(epoch);
             if epoch < covers_epoch {
                 continue;
@@ -494,12 +476,8 @@ impl MetaStore {
         // Pointer compaction: our anchored generation now carries the
         // chain, so everything older can go.
         if state.needs_anchor {
-            for f in d.cluster.list(PTR_PREFIX)? {
-                let stale = f
-                    .strip_prefix(PTR_PREFIX)
-                    .and_then(|h| u64::from_str_radix(h, 16).ok())
-                    .is_some_and(|g| g < state.append_gen);
-                if stale {
+            for (generation, f) in d.cluster.list_numbered(PTR_PREFIX)? {
+                if generation < state.append_gen {
                     d.cluster.delete(&f)?;
                 }
             }
@@ -524,13 +502,7 @@ impl MetaStore {
             }
         }
         let mut wal_files_deleted = 0usize;
-        for f in d.cluster.list(WAL_DIR)? {
-            let Some(epoch) = f
-                .strip_prefix(WAL_DIR)
-                .and_then(|h| u64::from_str_radix(h, 16).ok())
-            else {
-                continue;
-            };
+        for (epoch, f) in d.cluster.list_numbered(WAL_DIR)? {
             if epoch < min_covers {
                 d.cluster.delete(&f)?;
                 wal_files_deleted += 1;

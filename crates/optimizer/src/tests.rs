@@ -16,6 +16,7 @@ use vortex_metastore::MetaStore;
 use vortex_server::{ServerConfig, StreamServer};
 use vortex_sms::meta::{FragmentKind, FragmentState};
 use vortex_sms::sms::{SmsConfig, SmsTask};
+use vortex_sms::SmsApi;
 
 use crate::{OptimizerConfig, StorageOptimizer};
 

@@ -13,6 +13,7 @@ use vortex_metastore::MetaStore;
 use vortex_optimizer::{OptimizerConfig, StorageOptimizer};
 use vortex_server::{ServerConfig, StreamServer};
 use vortex_sms::sms::{SmsConfig, SmsTask};
+use vortex_sms::SmsApi;
 
 use crate::dml::DmlExecutor;
 use crate::engine::{AggKind, QueryEngine, ScanOptions};
@@ -1325,7 +1326,7 @@ mod pushdown_equivalence {
     use vortex_common::row::{Row, RowSet, Value};
     use vortex_common::schema::{Field, FieldType, PartitionTransform, Schema};
 
-    use super::{oracle_scan, rig, Rig};
+    use super::{oracle_scan, rig, Rig, SmsApi};
     use crate::engine::ScanOptions;
     use crate::expr::{CmpOp, Expr};
 
@@ -1579,7 +1580,7 @@ mod aggregate_equivalence {
     use vortex_common::schema::{ChangeType, Field, FieldType, PartitionTransform, Schema};
     use vortex_common::truetime::Timestamp;
 
-    use super::{oracle_scan, rig, Rig};
+    use super::{oracle_scan, rig, Rig, SmsApi};
     use crate::engine::{AggKind, ScanOptions};
     use crate::expr::Expr;
 

@@ -14,7 +14,6 @@ use vortex_common::error::{VortexError, VortexResult};
 use vortex_common::ids::{FragmentId, IdGen};
 use vortex_common::obs;
 use vortex_common::row::{Row, RowSet};
-use vortex_common::schema::FieldMode;
 use vortex_common::stats::ColumnStats;
 use vortex_common::truetime::{Timestamp, TrueTime};
 use vortex_sms::heartbeat::{FragmentDelta, StreamletDelta};
@@ -90,20 +89,6 @@ pub struct HostedStreamlet {
     /// How many entries of `done` have already been handed to the WAL
     /// (see [`HostedStreamlet::drain_unlogged_seals`]).
     wal_logged_seals: usize,
-}
-
-/// Columns eligible for per-fragment zone-map stats: scalar, non-repeated.
-fn tracked_columns(spec: &StreamletSpec) -> Vec<(usize, String)> {
-    spec.schema
-        .fields
-        .iter()
-        .enumerate()
-        .filter(|(_, f)| {
-            !matches!(f.ftype, vortex_common::schema::FieldType::Struct(_))
-                && f.mode != FieldMode::Repeated
-        })
-        .map(|(i, f)| (i, f.name.clone()))
-        .collect()
 }
 
 /// Partition column followed by clustering columns, deduplicated.
@@ -185,7 +170,7 @@ impl HostedStreamlet {
         fleet: &StorageFleet,
         tt: &TrueTime,
     ) -> VortexResult<Self> {
-        let tracked_cols = tracked_columns(&spec);
+        let tracked_cols = spec.schema.tracked_columns();
         let key_cols = key_columns(&spec);
         let mut sl = Self {
             spec,

@@ -206,6 +206,16 @@ fn shard_prefix(server: ServerId, shard: u32) -> String {
     format!("srv/{:016x}/s{:02x}/", server.raw(), shard)
 }
 
+/// Prefix of a shard's WAL files; the epoch in hex follows.
+fn wal_prefix(server: ServerId, shard: u32) -> String {
+    shard_prefix(server, shard) + "wal."
+}
+
+/// Prefix of a shard's checkpoint files; the epoch in hex follows.
+fn checkpoint_prefix(server: ServerId, shard: u32) -> String {
+    shard_prefix(server, shard) + "ckpt."
+}
+
 fn srv_prefix(server: ServerId) -> String {
     format!("srv/{:016x}/", server.raw())
 }
@@ -246,14 +256,9 @@ impl ServerLog {
     /// Opens one shard's log, starting a fresh epoch after any existing
     /// ones.
     pub fn open(server: ServerId, shard: u32, cluster: &Colossus) -> VortexResult<Self> {
-        let existing = cluster.list(&shard_prefix(server, shard))?;
-        let epoch = existing
-            .iter()
-            .filter_map(|p| p.rsplit('.').next())
-            .filter_map(|s| u64::from_str_radix(s, 16).ok())
-            .max()
-            .map(|e| e + 1)
-            .unwrap_or(0);
+        let mut existing = cluster.list_numbered(&wal_prefix(server, shard))?;
+        existing.extend(cluster.list_numbered(&checkpoint_prefix(server, shard))?);
+        let epoch = existing.iter().map(|(e, _)| e + 1).max().unwrap_or(0);
         Ok(Self {
             server,
             shard,
@@ -338,18 +343,12 @@ impl ServerLog {
         shard: u32,
         cluster: &Colossus,
     ) -> VortexResult<(Option<Vec<u8>>, Vec<WalEvent>)> {
-        let files = cluster.list(&shard_prefix(server, shard))?;
-        let mut ckpt_epochs: Vec<u64> = files
-            .iter()
-            .filter(|p| p.contains("/ckpt."))
-            .filter_map(|p| p.rsplit('.').next())
-            .filter_map(|s| u64::from_str_radix(s, 16).ok())
-            .collect();
-        ckpt_epochs.sort_unstable_by(|a, b| b.cmp(a)); // newest first
+        let checkpoints = cluster.list_numbered(&checkpoint_prefix(server, shard))?;
         let mut snapshot = None;
         let mut snapshot_epoch = None;
-        for e in ckpt_epochs {
-            let data = cluster.read_all(&checkpoint_path(server, shard, e))?.data;
+        // Newest first.
+        for (e, path) in checkpoints.into_iter().rev() {
+            let data = cluster.read_all(&path)?.data;
             // A truncated or CRC-damaged file (a torn checkpoint append
             // persisted only a prefix) has no intact frame.
             if let Some(body) = frame::read_frames(&data).0.first() {
@@ -362,17 +361,10 @@ impl ServerLog {
         // Replay WAL files with epoch >= the recovered checkpoint epoch
         // (those written after it), in epoch order.
         let min_epoch = snapshot_epoch.unwrap_or(0);
-        let mut wal_epochs: Vec<u64> = files
-            .iter()
-            .filter(|p| p.contains("/wal."))
-            .filter_map(|p| p.rsplit('.').next())
-            .filter_map(|s| u64::from_str_radix(s, 16).ok())
-            .filter(|e| *e >= min_epoch)
-            .collect();
-        wal_epochs.sort_unstable();
+        let wals = cluster.list_numbered(&wal_prefix(server, shard))?;
         let mut events = Vec::new();
-        for e in wal_epochs {
-            let data = cluster.read_all(&wal_path(server, shard, e))?.data;
+        for (_, path) in wals.into_iter().filter(|(e, _)| *e >= min_epoch) {
+            let data = cluster.read_all(&path)?.data;
             // A torn tail ends the file's replay. One record may carry a
             // whole group commit's events: decode until the body is
             // exhausted. A torn append never splits a group — the CRC

@@ -37,7 +37,8 @@ use crate::readset::ReadSet;
 use crate::server_ctl::{AppendAck, LoadReport, ServerHandle, StreamServerApi, StreamletSpec};
 use crate::sms::{DmlTicket, SmsTask, StreamHandle};
 
-/// The complete SMS service surface, mirroring [`SmsTask`]'s methods.
+/// The complete SMS service surface. `impl SmsApi for SmsTask` (in
+/// [`crate::sms`]) is the implementation; [`SmsChannel`] wraps it.
 ///
 /// Infrastructure accessors (`bigmeta`, `store`, `register_server`, the
 /// listing diagnostics) are part of the trait so consumers never need the
@@ -54,11 +55,16 @@ pub trait SmsApi: Send + Sync {
     fn store(&self) -> Arc<MetaStore>;
     /// Registers a Stream Server endpoint.
     fn register_server(&self, server: ServerHandle);
-    /// A fresh snapshot timestamp guaranteeing read-after-write.
+    /// A fresh snapshot timestamp guaranteeing read-after-write: data
+    /// whose append was acknowledged before this call is visible at it.
     fn read_snapshot(&self) -> Timestamp;
-    /// Creates a table (§5.2.1 zone assignment included).
+    /// Creates a table, assigning it a primary/secondary cluster pair
+    /// (§5.2.1's zone assignment).
     fn create_table(&self, name: &str, schema: Schema) -> VortexResult<TableMeta>;
-    /// Creates a BigLake Managed Table (§6.4).
+    /// Creates a BigLake Managed Table (§6.4): identical to
+    /// [`SmsApi::create_table`] except the optimizer writes ROS blocks
+    /// into the named customer bucket; queries read the union of WOS in
+    /// Colossus and the bucket's blocks.
     fn create_blmt_table(
         &self,
         name: &str,
@@ -69,51 +75,87 @@ pub trait SmsApi: Send + Sync {
     fn get_table(&self, table: TableId) -> VortexResult<TableMeta>;
     /// Resolves a table by name.
     fn get_table_by_name(&self, name: &str) -> VortexResult<TableMeta>;
-    /// Applies a schema change (additive column).
+    /// Applies a schema change (additive column). Writers learn about it
+    /// through the Stream Servers on their next append (§5.4.1).
     fn update_schema(&self, table: TableId, new_schema: Schema) -> VortexResult<TableMeta>;
-    /// Swaps primary and secondary clusters (§5.2.1 failover).
+    /// Swaps primary and secondary clusters — the transparent failover of
+    /// §5.2.1. New streamlets will be placed in the new primary.
     fn fail_over_table(&self, table: TableId) -> VortexResult<TableMeta>;
     /// Creates a Stream plus its first Streamlet (§4.2.1 / §5.2).
     fn create_stream(&self, table: TableId, stype: StreamType) -> VortexResult<StreamHandle>;
-    /// Opens the next streamlet of a stream after the current one closed.
+    /// Opens the next streamlet of a stream after the current one closed
+    /// (server restart, migration, irrecoverable write error — §5.2).
+    /// Reconciles the previous streamlet first so the stream-level row
+    /// offset of the new streamlet is exact.
     fn rotate_streamlet(&self, table: TableId, stream: StreamId) -> VortexResult<StreamHandle>;
     /// Fetches a stream's metadata.
     fn get_stream(&self, table: TableId, stream: StreamId) -> VortexResult<StreamMeta>;
     /// Fetches a streamlet's metadata.
     fn get_streamlet(&self, table: TableId, streamlet: StreamletId) -> VortexResult<StreamletMeta>;
-    /// Current committed length (rows) of a stream.
+    /// Current committed length (rows) of a stream: finalized streamlets
+    /// from the metastore plus live lengths from hosting servers.
     fn stream_length(&self, table: TableId, stream: StreamId) -> VortexResult<u64>;
-    /// `FlushStream` (§4.2.3).
+    /// `FlushStream` (§4.2.3): makes rows `[0, row_offset)` of a BUFFERED
+    /// stream visible. Idempotent; errors if the stream is shorter than
+    /// `row_offset`.
     fn flush_stream(&self, table: TableId, stream: StreamId, row_offset: u64) -> VortexResult<()>;
-    /// `FinalizeStream` (§4.2.5).
+    /// `FinalizeStream` (§4.2.5): prevents further appends; reconciles the
+    /// writable streamlet so the stream's length becomes authoritative.
     fn finalize_stream(&self, table: TableId, stream: StreamId) -> VortexResult<StreamMeta>;
-    /// `BatchCommitStreams` (§4.2.4).
+    /// `BatchCommitStreams` (§4.2.4): atomically makes a set of PENDING
+    /// streams visible. Finalizes and reconciles them first so their
+    /// contents are authoritative at commit.
     fn batch_commit_streams(&self, table: TableId, streams: &[StreamId])
         -> VortexResult<Timestamp>;
-    /// Ingests a Stream Server heartbeat (§5.5).
+    /// Ingests a Stream Server heartbeat (§5.5): fragment deltas, row
+    /// counts, load; answers with schema updates, GC work, and unknown
+    /// streamlets.
     fn heartbeat(&self, report: &HeartbeatReport) -> VortexResult<HeartbeatResponse>;
-    /// Acknowledges server-side fragment GC (§5.4.3).
+    /// Acknowledges that a server deleted fragment log files: drops their
+    /// metastore records ("when the Stream Server acknowledges it has
+    /// deleted the Fragments, the SMS deletes the Fragments from Spanner",
+    /// §5.4.3).
     fn ack_gc(
         &self,
         table: TableId,
         streamlet: StreamletId,
         ordinals: &[u32],
     ) -> VortexResult<usize>;
-    /// The union of WOS and ROS visible at `snapshot` (§7).
+    /// The union of WOS and ROS visible at `snapshot`: fragment read
+    /// specs plus unfinalized streamlet tails (§7). Reads each record
+    /// class of the table once.
     fn list_read_fragments(&self, table: TableId, snapshot: Timestamp) -> VortexResult<ReadSet>;
-    /// Runs the reconciliation protocol on a streamlet (§5.6, §7.1).
+    /// Runs the disaster-resilience reconciliation protocol on a
+    /// streamlet (§5.6, §7.1): bump the epoch, poison zombie writers with
+    /// sentinel records in every reachable replica, determine the
+    /// authoritative length by inspecting replica log files, and record
+    /// it in the metastore. Returns the finalized streamlet metadata.
     fn reconcile_streamlet(
         &self,
         table: TableId,
         streamlet: StreamletId,
     ) -> VortexResult<StreamletMeta>;
-    /// Marks the start of a DML statement (§7.3); returns its ticket.
+    /// Marks the start of a DML statement; while any DML is active the
+    /// optimizer's merged conversions will not commit (§7.3).
     fn begin_dml(&self, table: TableId) -> VortexResult<DmlTicket>;
-    /// Marks the end of the DML statement holding `ticket`.
+    /// Marks the end of the DML statement holding `ticket`. Idempotent.
     fn end_dml(&self, table: TableId, ticket: DmlTicket) -> VortexResult<()>;
     /// Whether any DML statement is currently running on the table.
     fn dml_active(&self, table: TableId) -> bool;
-    /// Atomically commits a WOS→ROS conversion or recluster merge (§6.1).
+    /// Atomically commits a WOS→ROS conversion (or a recluster merge):
+    /// sets `deletion_timestamp` on the source fragments and
+    /// `creation_timestamp` on the replacements, "guarantee\[ing\] that a
+    /// row is included exactly once" (§6.1).
+    ///
+    /// With `yield_to_dml` (merged conversions), the commit aborts if a
+    /// DML statement is running (§7.3). Stable 1:1 conversions pass
+    /// `false`: they are race-free because masks carry over positionally.
+    ///
+    /// `sources` carries, per source fragment, the number of mask
+    /// versions the optimizer *observed* when it read the data: if a DML
+    /// statement added a mask in between (it started and finished inside
+    /// the optimizer's window, so the lock check alone cannot see it),
+    /// the commit aborts with a conflict and the optimizer re-reads.
     fn commit_conversion(
         &self,
         table: TableId,
@@ -121,7 +163,9 @@ pub trait SmsApi: Send + Sync {
         replacements: Vec<FragmentMeta>,
         yield_to_dml: bool,
     ) -> VortexResult<Timestamp>;
-    /// Atomically commits a DML statement's effects (§7.3).
+    /// Atomically commits a DML statement's effects (§7.3): new mask
+    /// versions on fragments, tail masks on streamlets, and visibility of
+    /// reinserted-row streams — all at one timestamp.
     fn commit_dml(
         &self,
         table: TableId,
@@ -129,13 +173,23 @@ pub trait SmsApi: Send + Sync {
         tail_masks: &[(StreamletId, DeletionMask)],
         reinserted_streams: &[StreamId],
     ) -> VortexResult<Timestamp>;
-    /// Physically deletes doomed fragments past the grace period (§5.4.3).
+    /// Physically deletes fragment files whose grace period passed and
+    /// drops their metadata — the groomer's sweep (§5.4.3).
     fn run_gc(&self, table: TableId) -> VortexResult<usize>;
-    /// Drops a table; its data becomes groomer-collectable orphans.
+    /// Drops a table: removes the name index and the table record. The
+    /// data and physical metadata stay behind as orphans for the groomer
+    /// (§5.4.3: "user initiated actions such as deletions of tables ...
+    /// can trigger garbage collection. As a catch all, a 'groomer' job
+    /// runs periodically to detect Fragments, Streams, or Streamlets that
+    /// may be orphaned").
     fn drop_table(&self, table: TableId) -> VortexResult<()>;
-    /// The groomer sweep over orphaned entities (§5.4.3).
+    /// The groomer sweep: finds streams/streamlets/fragments whose table
+    /// record no longer exists, deletes their log files and ROS blocks
+    /// from storage, and drops their metadata. Returns (entities removed,
+    /// files deleted).
     fn run_groomer(&self) -> VortexResult<(usize, usize)>;
-    /// All fragment metadata of a table at a snapshot (diagnostics).
+    /// All fragment metadata of a table at a snapshot (diagnostics,
+    /// optimizer candidate selection).
     fn list_fragments(&self, table: TableId, at: Timestamp) -> Vec<FragmentMeta>;
     /// All streamlet metadata of a table (diagnostics).
     fn list_streamlets(&self, table: TableId) -> Vec<StreamletMeta>;
@@ -143,138 +197,6 @@ pub trait SmsApi: Send + Sync {
 
 /// A shareable handle to an SMS endpoint.
 pub type SmsHandle = Arc<dyn SmsApi>;
-
-impl SmsApi for SmsTask {
-    fn task_id(&self) -> SmsTaskId {
-        self.task_id()
-    }
-    fn bigmeta(&self) -> Arc<BigMeta> {
-        self.bigmeta_arc()
-    }
-    fn store(&self) -> Arc<MetaStore> {
-        Arc::clone(self.store())
-    }
-    fn register_server(&self, server: ServerHandle) {
-        self.register_server(server)
-    }
-    fn read_snapshot(&self) -> Timestamp {
-        self.read_snapshot()
-    }
-    fn create_table(&self, name: &str, schema: Schema) -> VortexResult<TableMeta> {
-        self.create_table(name, schema)
-    }
-    fn create_blmt_table(
-        &self,
-        name: &str,
-        schema: Schema,
-        bucket: &str,
-    ) -> VortexResult<TableMeta> {
-        self.create_blmt_table(name, schema, bucket)
-    }
-    fn get_table(&self, table: TableId) -> VortexResult<TableMeta> {
-        self.get_table(table)
-    }
-    fn get_table_by_name(&self, name: &str) -> VortexResult<TableMeta> {
-        self.get_table_by_name(name)
-    }
-    fn update_schema(&self, table: TableId, new_schema: Schema) -> VortexResult<TableMeta> {
-        self.update_schema(table, new_schema)
-    }
-    fn fail_over_table(&self, table: TableId) -> VortexResult<TableMeta> {
-        self.fail_over_table(table)
-    }
-    fn create_stream(&self, table: TableId, stype: StreamType) -> VortexResult<StreamHandle> {
-        self.create_stream(table, stype)
-    }
-    fn rotate_streamlet(&self, table: TableId, stream: StreamId) -> VortexResult<StreamHandle> {
-        self.rotate_streamlet(table, stream)
-    }
-    fn get_stream(&self, table: TableId, stream: StreamId) -> VortexResult<StreamMeta> {
-        self.get_stream(table, stream)
-    }
-    fn get_streamlet(&self, table: TableId, streamlet: StreamletId) -> VortexResult<StreamletMeta> {
-        self.get_streamlet(table, streamlet)
-    }
-    fn stream_length(&self, table: TableId, stream: StreamId) -> VortexResult<u64> {
-        self.stream_length(table, stream)
-    }
-    fn flush_stream(&self, table: TableId, stream: StreamId, row_offset: u64) -> VortexResult<()> {
-        self.flush_stream(table, stream, row_offset)
-    }
-    fn finalize_stream(&self, table: TableId, stream: StreamId) -> VortexResult<StreamMeta> {
-        self.finalize_stream(table, stream)
-    }
-    fn batch_commit_streams(
-        &self,
-        table: TableId,
-        streams: &[StreamId],
-    ) -> VortexResult<Timestamp> {
-        self.batch_commit_streams(table, streams)
-    }
-    fn heartbeat(&self, report: &HeartbeatReport) -> VortexResult<HeartbeatResponse> {
-        self.heartbeat(report)
-    }
-    fn ack_gc(
-        &self,
-        table: TableId,
-        streamlet: StreamletId,
-        ordinals: &[u32],
-    ) -> VortexResult<usize> {
-        self.ack_gc(table, streamlet, ordinals)
-    }
-    fn list_read_fragments(&self, table: TableId, snapshot: Timestamp) -> VortexResult<ReadSet> {
-        self.list_read_fragments(table, snapshot)
-    }
-    fn reconcile_streamlet(
-        &self,
-        table: TableId,
-        streamlet: StreamletId,
-    ) -> VortexResult<StreamletMeta> {
-        self.reconcile_streamlet(table, streamlet)
-    }
-    fn begin_dml(&self, table: TableId) -> VortexResult<DmlTicket> {
-        self.begin_dml(table)
-    }
-    fn end_dml(&self, table: TableId, ticket: DmlTicket) -> VortexResult<()> {
-        self.end_dml(table, ticket)
-    }
-    fn dml_active(&self, table: TableId) -> bool {
-        self.dml_active(table)
-    }
-    fn commit_conversion(
-        &self,
-        table: TableId,
-        sources: &[(FragmentId, usize)],
-        replacements: Vec<FragmentMeta>,
-        yield_to_dml: bool,
-    ) -> VortexResult<Timestamp> {
-        self.commit_conversion(table, sources, replacements, yield_to_dml)
-    }
-    fn commit_dml(
-        &self,
-        table: TableId,
-        fragment_masks: &[(FragmentId, DeletionMask)],
-        tail_masks: &[(StreamletId, DeletionMask)],
-        reinserted_streams: &[StreamId],
-    ) -> VortexResult<Timestamp> {
-        self.commit_dml(table, fragment_masks, tail_masks, reinserted_streams)
-    }
-    fn run_gc(&self, table: TableId) -> VortexResult<usize> {
-        self.run_gc(table)
-    }
-    fn drop_table(&self, table: TableId) -> VortexResult<()> {
-        self.drop_table(table)
-    }
-    fn run_groomer(&self) -> VortexResult<(usize, usize)> {
-        self.run_groomer()
-    }
-    fn list_fragments(&self, table: TableId, at: Timestamp) -> Vec<FragmentMeta> {
-        self.list_fragments(table, at)
-    }
-    fn list_streamlets(&self, table: TableId) -> Vec<StreamletMeta> {
-        self.list_streamlets(table)
-    }
-}
 
 /// An [`SmsHandle`] whose every service call crosses an [`RpcChannel`].
 ///
@@ -378,10 +300,10 @@ impl SmsApi for SmsChannel {
         self.task().task_id()
     }
     fn bigmeta(&self) -> Arc<BigMeta> {
-        self.task().bigmeta_arc()
+        self.task().bigmeta()
     }
     fn store(&self) -> Arc<MetaStore> {
-        Arc::clone(self.task().store())
+        self.task().store()
     }
     fn register_server(&self, server: ServerHandle) {
         self.task().register_server(server)

@@ -13,7 +13,7 @@ use vortex_common::mask::DeletionMask;
 use vortex_common::schema::Schema;
 use vortex_common::truetime::Timestamp;
 
-use crate::meta::{FragmentMeta, StreamType};
+use crate::meta::{FragmentMeta, StreamMeta, StreamType, StreamletMeta};
 
 /// Visibility constraints a fragment's rows must additionally satisfy
 /// (beyond the fragment-level `[created_at, deleted_at)` interval).
@@ -34,6 +34,30 @@ impl RowVisibility {
         RowVisibility {
             visible_from: Timestamp::MIN,
             flush_limit: None,
+        }
+    }
+
+    /// What a read at `snapshot` may see of `streamlet`'s rows, by the
+    /// type and state of its `stream`; `None` while a PENDING stream is
+    /// not committed as of the snapshot.
+    pub fn of(stream: &StreamMeta, streamlet: &StreamletMeta, snapshot: Timestamp) -> Option<Self> {
+        match stream.stype {
+            StreamType::Unbuffered => Some(Self::unconstrained()),
+            StreamType::Buffered => Some(RowVisibility {
+                visible_from: Timestamp::MIN,
+                flush_limit: Some(
+                    stream
+                        .flushed_row
+                        .saturating_sub(streamlet.first_stream_row),
+                ),
+            }),
+            StreamType::Pending => {
+                let visible_from = stream.committed_at.filter(|at| *at <= snapshot)?;
+                Some(RowVisibility {
+                    visible_from,
+                    flush_limit: None,
+                })
+            }
         }
     }
 }

@@ -5,6 +5,7 @@
 //! assigns a table to two tasks at once (§5.2.1) — the loser of any
 //! conflicting commit simply retries against fresh state.
 
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -17,17 +18,17 @@ use vortex_common::ids::{
 };
 use vortex_common::mask::DeletionMask;
 use vortex_common::schema::Schema;
+use vortex_common::stats::ColumnStats;
 use vortex_common::truetime::{Timestamp, TrueTime};
-use vortex_metastore::MetaStore;
+use vortex_metastore::{MetaStore, Txn};
 use vortex_wos::{parse_fragment, FragmentWriter};
 
+use crate::api::SmsApi;
 use crate::bigmeta::BigMeta;
 use crate::heartbeat::{HeartbeatReport, HeartbeatResponse};
 use crate::meta::{
-    self, dml_lock_prefix, dml_lock_token_key, fragment_key, fragment_prefix, stream_key,
-    stream_prefix, streamlet_key, streamlet_prefix, table_key, wos_path, wos_streamlet_prefix,
-    FragmentKind, FragmentMeta, FragmentState, StreamMeta, StreamType, StreamletMeta,
-    StreamletState, TableMeta,
+    self, wos_path, wos_streamlet_prefix, FragmentKind, FragmentMeta, FragmentState, Record,
+    StreamMeta, StreamType, StreamletMeta, StreamletState, TableMeta,
 };
 use crate::readset::{FragmentReadSpec, ReadSet, RowVisibility, TailReadSpec};
 use crate::server_ctl::{ServerHandle, StreamletSpec};
@@ -90,13 +91,15 @@ impl std::fmt::Debug for StreamHandle {
 }
 
 /// A claim ticket for one running DML statement (§7.3). Minted by
-/// [`SmsTask::begin_dml`] and surrendered to [`SmsTask::end_dml`]; the
+/// [`SmsApi::begin_dml`] and surrendered to [`SmsApi::end_dml`]; the
 /// token keys the statement's metastore marker, which makes both calls
 /// idempotent per statement (safe to re-execute after an ambiguous ack).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DmlTicket(pub u64);
 
-/// One Stream Metadata Server task.
+/// One Stream Metadata Server task. Its operations are the [`SmsApi`]
+/// implementation below; what is inherent here is construction and the
+/// two-step DML begin the channel wrapper needs.
 pub struct SmsTask {
     cfg: SmsConfig,
     store: Arc<MetaStore>,
@@ -106,6 +109,15 @@ pub struct SmsTask {
     servers: RwLock<HashMap<ServerId, ServerHandle>>,
     bigmeta: Arc<BigMeta>,
     view: Option<SlicerView>,
+}
+
+/// What reconciliation established about one log file of a streamlet.
+struct ReconciledFragment {
+    ordinal: u32,
+    committed_size: u64,
+    first_row: u64,
+    rows: u64,
+    stats: Vec<(String, ColumnStats)>,
 }
 
 impl SmsTask {
@@ -132,45 +144,33 @@ impl SmsTask {
         })
     }
 
-    /// This task's id.
-    pub fn task_id(&self) -> SmsTaskId {
-        self.cfg.task
-    }
-
     /// This task's static configuration (used to rebuild a replacement
     /// task after a simulated process death).
     pub fn config(&self) -> &SmsConfig {
         &self.cfg
     }
 
-    /// The Big Metadata index this task maintains (§6.2).
-    pub fn bigmeta(&self) -> &BigMeta {
-        &self.bigmeta
+    /// Mints a token for [`SmsTask::begin_dml_with`]. Channel wrappers
+    /// call this *outside* their retry loop so every retry of the begin
+    /// writes the same marker key.
+    pub fn mint_dml_token(&self) -> u64 {
+        self.ids.next_raw()
     }
 
-    /// Shared handle to the Big Metadata index (what [`crate::api::SmsApi`]
-    /// hands out, so channel wrappers can swap tasks without dangling
-    /// borrows).
-    pub fn bigmeta_arc(&self) -> Arc<BigMeta> {
-        Arc::clone(&self.bigmeta)
+    /// Marks the start of a DML statement under a pre-minted token.
+    /// Idempotent for a fixed token: re-execution rewrites the same key,
+    /// so an ambiguous ack cannot leak a second marker.
+    pub fn begin_dml_with(&self, table: TableId, token: u64) -> VortexResult<DmlTicket> {
+        self.txn(|txn| {
+            txn.put(&meta::dml_lock_token_key(table, token), vec![1]);
+            Ok(())
+        })?;
+        Ok(DmlTicket(token))
     }
 
-    /// The shared metastore (used by verification pipelines).
-    pub fn store(&self) -> &Arc<MetaStore> {
-        &self.store
-    }
-
-    /// Registers a Stream Server control endpoint.
-    pub fn register_server(&self, server: ServerHandle) {
-        self.servers.write().insert(server.server_id(), server);
-    }
-
-    /// A fresh snapshot timestamp guaranteeing read-after-write: data
-    /// whose append was acknowledged before this call is visible at it.
-    pub fn read_snapshot(&self) -> Timestamp {
-        // Covers both record timestamps (server TrueTime `latest`) and
-        // metastore commit timestamps.
-        Timestamp(self.tt.record_timestamp().0.max(self.store.now().0))
+    /// Runs `f` as one metastore transaction, retried on conflict.
+    fn txn<T>(&self, f: impl FnMut(&mut Txn) -> VortexResult<T>) -> VortexResult<T> {
+        self.store.with_txn(self.cfg.txn_retries, f)
     }
 
     fn check_owns(&self, table: TableId) -> VortexResult<()> {
@@ -185,13 +185,14 @@ impl SmsTask {
         Ok(())
     }
 
-    // ------------------------------------------------------------------
-    // Tables.
-    // ------------------------------------------------------------------
-
-    /// Creates a table, assigning it a primary/secondary cluster pair
-    /// (§5.2.1's zone assignment).
-    pub fn create_table(&self, name: &str, schema: Schema) -> VortexResult<TableMeta> {
+    /// Registers a table, managed (`bucket == None`) or BigLake-managed,
+    /// in one transaction: the name is never bound to a half-made table.
+    fn create_table_in(
+        &self,
+        name: &str,
+        schema: Schema,
+        bucket: Option<&str>,
+    ) -> VortexResult<TableMeta> {
         let clusters = self.fleet.cluster_ids();
         if clusters.len() < 2 {
             return Err(VortexError::InvalidArgument(
@@ -199,121 +200,27 @@ impl SmsTask {
             ));
         }
         let table = self.ids.next_table();
-        let primary = clusters[(table.raw() as usize) % clusters.len()];
-        let secondary = clusters[(table.raw() as usize + 1) % clusters.len()];
-        let meta = TableMeta {
+        let tmeta = TableMeta {
             table,
             name: name.to_string(),
             schema,
-            primary,
-            secondary,
+            primary: clusters[(table.raw() as usize) % clusters.len()],
+            secondary: clusters[(table.raw() as usize + 1) % clusters.len()],
             key_ref: format!("table-key-{}", table.raw()),
             created_at: self.tt.record_timestamp(),
-            external_bucket: None,
+            external_bucket: bucket.map(str::to_string),
         };
-        let name_key = format!("tname/{name}");
-        self.store.with_txn(self.cfg.txn_retries, |txn| {
+        let name_key = meta::name_key(name);
+        self.txn(|txn| {
             if txn.get(&name_key).is_some() {
                 return Err(VortexError::AlreadyExists(format!("table name {name}")));
             }
-            txn.put(&name_key, meta.table.raw().to_le_bytes().to_vec());
-            txn.put(&table_key(meta.table), meta.to_bytes());
+            txn.put(&name_key, table.raw().to_le_bytes().to_vec());
+            meta::put(txn, &tmeta);
             Ok(())
         })?;
-        Ok(meta)
+        Ok(tmeta)
     }
-
-    /// Creates a BigLake Managed Table (§6.4): identical to
-    /// [`SmsTask::create_table`] except the optimizer writes ROS blocks
-    /// into the named customer bucket; queries read the union of WOS in
-    /// Colossus and the bucket's blocks.
-    pub fn create_blmt_table(
-        &self,
-        name: &str,
-        schema: Schema,
-        bucket: &str,
-    ) -> VortexResult<TableMeta> {
-        let meta = self.create_table(name, schema)?;
-        self.store.with_txn(self.cfg.txn_retries, |txn| {
-            let bytes = txn
-                .get(&table_key(meta.table))
-                .ok_or_else(|| VortexError::NotFound(format!("table {}", meta.table)))?;
-            let mut m = TableMeta::from_bytes(&bytes)?;
-            m.external_bucket = Some(bucket.to_string());
-            txn.put(&table_key(meta.table), m.to_bytes());
-            Ok(())
-        })?;
-        self.get_table(meta.table)
-    }
-
-    /// Fetches a table by id at the latest snapshot.
-    pub fn get_table(&self, table: TableId) -> VortexResult<TableMeta> {
-        let bytes = self
-            .store
-            .read_at(&table_key(table), self.store.now())
-            .ok_or_else(|| VortexError::NotFound(format!("table {table}")))?;
-        TableMeta::from_bytes(&bytes)
-    }
-
-    /// Resolves a table by name.
-    pub fn get_table_by_name(&self, name: &str) -> VortexResult<TableMeta> {
-        let bytes = self
-            .store
-            .read_at(&format!("tname/{name}"), self.store.now())
-            .ok_or_else(|| VortexError::NotFound(format!("table '{name}'")))?;
-        if bytes.len() != 8 {
-            return Err(VortexError::Decode("table name index".into()));
-        }
-        self.get_table(TableId::from_raw(u64::from_le_bytes(
-            // lint:allow(L002, length == 8 was just checked, so the conversion cannot fail)
-            bytes.try_into().unwrap(),
-        )))
-    }
-
-    /// Applies a schema change (additive column). Writers learn about it
-    /// through the Stream Servers on their next append (§5.4.1).
-    pub fn update_schema(&self, table: TableId, new_schema: Schema) -> VortexResult<TableMeta> {
-        self.check_owns(table)?;
-        let updated = self.store.with_txn(self.cfg.txn_retries, |txn| {
-            let bytes = txn
-                .get(&table_key(table))
-                .ok_or_else(|| VortexError::NotFound(format!("table {table}")))?;
-            let mut meta = TableMeta::from_bytes(&bytes)?;
-            if new_schema.version <= meta.schema.version {
-                return Err(VortexError::InvalidArgument(format!(
-                    "schema version must increase: {} -> {}",
-                    meta.schema.version, new_schema.version
-                )));
-            }
-            meta.schema = new_schema.clone();
-            txn.put(&table_key(table), meta.to_bytes());
-            Ok(meta)
-        })?;
-        // Notify Stream Servers so they can fail stale-writer appends
-        // with SchemaVersionMismatch (§5.4.1).
-        for s in self.servers.read().values() {
-            s.notify_schema_version(table, updated.schema.version);
-        }
-        Ok(updated)
-    }
-
-    /// Swaps primary and secondary clusters — the transparent failover of
-    /// §5.2.1. New streamlets will be placed in the new primary.
-    pub fn fail_over_table(&self, table: TableId) -> VortexResult<TableMeta> {
-        self.store.with_txn(self.cfg.txn_retries, |txn| {
-            let bytes = txn
-                .get(&table_key(table))
-                .ok_or_else(|| VortexError::NotFound(format!("table {table}")))?;
-            let mut meta = TableMeta::from_bytes(&bytes)?;
-            std::mem::swap(&mut meta.primary, &mut meta.secondary);
-            txn.put(&table_key(table), meta.to_bytes());
-            Ok(meta)
-        })
-    }
-
-    // ------------------------------------------------------------------
-    // Streams and streamlets.
-    // ------------------------------------------------------------------
 
     fn pick_server(&self, primary: ClusterId) -> VortexResult<ServerHandle> {
         let servers = self.servers.read();
@@ -328,52 +235,6 @@ impl SmsTask {
         best.ok_or_else(|| VortexError::Unavailable("no stream servers available".into()))
     }
 
-    /// Creates a Stream of the given type plus its first Streamlet
-    /// (§4.2.1 / §5.2).
-    pub fn create_stream(&self, table: TableId, stype: StreamType) -> VortexResult<StreamHandle> {
-        self.check_owns(table)?;
-        let tmeta = self.get_table(table)?;
-        let stream = StreamMeta {
-            stream: self.ids.next_stream(),
-            table,
-            stype,
-            finalized: false,
-            committed_at: None,
-            flushed_row: 0,
-            created_at: self.tt.record_timestamp(),
-            streamlet_count: 0,
-        };
-        self.store.with_txn(self.cfg.txn_retries, |txn| {
-            txn.put(&stream_key(table, stream.stream), stream.to_bytes());
-            Ok(())
-        })?;
-        self.open_streamlet(&tmeta, stream, 0)
-    }
-
-    /// Opens the next streamlet of a stream after the current one closed
-    /// (server restart, migration, irrecoverable write error — §5.2).
-    /// Reconciles the previous streamlet first so the stream-level row
-    /// offset of the new streamlet is exact.
-    pub fn rotate_streamlet(&self, table: TableId, stream: StreamId) -> VortexResult<StreamHandle> {
-        self.check_owns(table)?;
-        let tmeta = self.get_table(table)?;
-        let smeta = self.get_stream(table, stream)?;
-        if smeta.finalized {
-            return Err(VortexError::StreamFinalized(stream));
-        }
-        // Reconcile the last streamlet if it isn't finalized yet.
-        let mut first_stream_row = 0u64;
-        if let Some(last) = self.last_streamlet(table, stream)? {
-            let reconciled = if last.state == StreamletState::Finalized {
-                last
-            } else {
-                self.reconcile_streamlet(table, last.streamlet)?
-            };
-            first_stream_row = reconciled.first_stream_row + reconciled.row_count;
-        }
-        self.open_streamlet(&tmeta, smeta, first_stream_row)
-    }
-
     fn open_streamlet(
         &self,
         tmeta: &TableMeta,
@@ -384,7 +245,7 @@ impl SmsTask {
         let mut last_err = VortexError::Unavailable("no stream servers".into());
         for _attempt in 0..3 {
             let server = self.pick_server(tmeta.primary)?;
-            let slmeta = StreamletMeta {
+            let mut slmeta = StreamletMeta {
                 streamlet: self.ids.next_streamlet(),
                 stream: stream.stream,
                 table: tmeta.table,
@@ -410,19 +271,12 @@ impl SmsTask {
             };
             // Persist first, then instruct the server (§5.4.3: the SMS
             // "persist[s] it into Spanner", then RPCs the Stream Server).
-            let stream_snapshot = stream.clone();
-            let slmeta_snapshot = slmeta.clone();
-            self.store.with_txn(self.cfg.txn_retries, move |txn| {
-                let mut s = stream_snapshot.clone();
-                s.streamlet_count += 1;
-                txn.put(&stream_key(s.table, s.stream), s.to_bytes());
-                txn.put(
-                    &streamlet_key(slmeta_snapshot.table, slmeta_snapshot.streamlet),
-                    slmeta_snapshot.to_bytes(),
-                );
+            stream.streamlet_count += 1;
+            self.txn(|txn| {
+                meta::put(txn, &stream);
+                meta::put(txn, &slmeta);
                 Ok(())
             })?;
-            stream.streamlet_count += 1;
             // A crash here leaves the streamlet row committed in the
             // metastore but the Stream Server never instructed: exactly
             // the orphan that reconcile_streamlet's Phase 1 poisons
@@ -442,11 +296,9 @@ impl SmsTask {
                 Err(e) => {
                     // Mark the stillborn streamlet finalized-empty and try
                     // another server.
-                    let dead = slmeta.clone();
-                    let _ = self.store.with_txn(self.cfg.txn_retries, move |txn| {
-                        let mut m = dead.clone();
-                        m.state = StreamletState::Finalized;
-                        txn.put(&streamlet_key(m.table, m.streamlet), m.to_bytes());
+                    slmeta.state = StreamletState::Finalized;
+                    let _ = self.txn(|txn| {
+                        meta::put(txn, &slmeta);
                         Ok(())
                     });
                     last_err = e;
@@ -481,60 +333,316 @@ impl SmsTask {
         ))
     }
 
-    /// Fetches a stream's metadata.
-    pub fn get_stream(&self, table: TableId, stream: StreamId) -> VortexResult<StreamMeta> {
-        let bytes = self
-            .store
-            .read_at(&stream_key(table, stream), self.store.now())
-            .ok_or_else(|| VortexError::NotFound(format!("stream {stream}")))?;
-        StreamMeta::from_bytes(&bytes)
-    }
-
-    /// Fetches a streamlet's metadata.
-    pub fn get_streamlet(
-        &self,
-        table: TableId,
-        streamlet: StreamletId,
-    ) -> VortexResult<StreamletMeta> {
-        let bytes = self
-            .store
-            .read_at(&streamlet_key(table, streamlet), self.store.now())
-            .ok_or_else(|| VortexError::NotFound(format!("streamlet {streamlet}")))?;
-        StreamletMeta::from_bytes(&bytes)
-    }
-
+    /// A stream's streamlets in stream order.
     fn streamlets_of_stream(
         &self,
         table: TableId,
         stream: StreamId,
     ) -> VortexResult<Vec<StreamletMeta>> {
-        let mut out: Vec<StreamletMeta> = self
-            .store
-            .scan_prefix_at(&streamlet_prefix(table), self.store.now())
-            .into_iter()
-            .map(|(_, v)| StreamletMeta::from_bytes(&v))
-            .collect::<VortexResult<Vec<_>>>()?
-            .into_iter()
-            .filter(|m| m.stream == stream)
-            .collect();
+        let mut out: Vec<StreamletMeta> =
+            meta::scan(&self.store, table, self.store.now()).collect::<VortexResult<_>>()?;
+        out.retain(|m| m.stream == stream);
         out.sort_by_key(|m| m.ordinal);
         Ok(out)
     }
 
-    fn last_streamlet(
+    /// Reconciles a stream's last streamlet unless it already is; returns
+    /// it in its final state (`None` for a stream without streamlets).
+    fn settle_last_streamlet(
         &self,
         table: TableId,
         stream: StreamId,
     ) -> VortexResult<Option<StreamletMeta>> {
-        Ok(self.streamlets_of_stream(table, stream)?.into_iter().last())
+        match self.streamlets_of_stream(table, stream)?.pop() {
+            Some(last) if last.state != StreamletState::Finalized => {
+                self.reconcile_streamlet(table, last.streamlet).map(Some)
+            }
+            last => Ok(last),
+        }
     }
 
-    /// Current committed length (rows) of a stream: finalized streamlets
-    /// from the metastore plus live lengths from hosting servers.
-    pub fn stream_length(&self, table: TableId, stream: StreamId) -> VortexResult<u64> {
+    /// The table's fragments whose files and records may be removed now:
+    /// logically deleted, with the GC grace elapsed since (§5.4.3).
+    fn collectible_fragments(&self, table: TableId) -> VortexResult<Vec<FragmentMeta>> {
+        let now = self.tt.record_timestamp().0;
+        let horizon = Timestamp(now.saturating_sub(self.cfg.gc_grace_micros));
+        let mut all: Vec<FragmentMeta> =
+            meta::scan(&self.store, table, self.store.now()).collect::<VortexResult<_>>()?;
+        all.retain(|f| f.collectible(horizon));
+        Ok(all)
+    }
+
+    /// Drops the records of fragments whose files are gone.
+    fn drop_fragments(&self, gone: &[FragmentMeta]) -> VortexResult<usize> {
+        self.txn(|txn| {
+            for f in gone {
+                meta::delete::<FragmentMeta>(txn, f.id());
+            }
+            Ok(())
+        })?;
+        Ok(gone.len())
+    }
+
+    /// Reconciliation phase 2 (§5.6): walks the streamlet's log files in
+    /// ordinal order, poisons each in every reachable replica, then reads
+    /// the poisoned copies to establish what was committed.
+    fn inspect_replicas(
+        &self,
+        tmeta: &TableMeta,
+        slmeta: &StreamletMeta,
+    ) -> VortexResult<Vec<ReconciledFragment>> {
+        let (table, streamlet) = (slmeta.table, slmeta.streamlet);
+        let key = tmeta.encryption_key();
+        let replicas: Vec<_> = slmeta
+            .clusters
+            .iter()
+            .filter_map(|c| self.fleet.get(*c).ok().cloned())
+            .collect();
+        // Column properties are recomputed from the parsed rows, for the
+        // same columns the Stream Server tracks (§7.2).
+        let tracked = tmeta.schema.tracked_columns();
+        let mut found = Vec::new();
+        for ordinal in 0u32.. {
+            let path = wos_path(table, streamlet, ordinal);
+            // Poison FIRST (§5.6): once the sentinel is in a log file,
+            // the Stream Server's sole-writer length check fails any
+            // still-in-flight append, so nothing poisoned-then-read can
+            // be acknowledged behind our back. Only after the poison do
+            // the reads below decide the authoritative length.
+            let sentinel =
+                FragmentWriter::sentinel_record(slmeta.epoch, self.tt.record_timestamp());
+            let mut reachable = 0usize;
+            let mut exists = false;
+            for r in &replicas {
+                if r.faults().is_unavailable() {
+                    continue;
+                }
+                reachable += 1;
+                if r.exists(&path) {
+                    exists = true;
+                    let _ = r.append(&path, &sentinel, Timestamp(0));
+                }
+            }
+            if reachable == 0 {
+                return Err(VortexError::Unavailable(format!(
+                    "no replica reachable for streamlet {streamlet}"
+                )));
+            }
+            if !exists {
+                break; // no more fragments
+            }
+            // Now read the poisoned files. A replica whose very first
+            // write for this fragment failed holds nothing (or a stub
+            // with no header); parseable content decides below — stubs
+            // must not shrink the common prefix to zero, so copies with
+            // no parseable header are dropped.
+            let mut copies: Vec<Vec<u8>> = Vec::new();
+            for r in &replicas {
+                if !r.faults().is_unavailable() && r.exists(&path) {
+                    if let Ok(out) = r.read_all(&path) {
+                        if parse_fragment(&out.data, &key, None).is_ok() {
+                            copies.push(out.data);
+                        }
+                    }
+                }
+            }
+            // Headerless stubs only: no committed rows here, but a later
+            // ordinal may exist (a failed open was retried on the next
+            // file).
+            let Some(first) = copies.first() else {
+                continue;
+            };
+            // Authoritative bytes: the acked prefix is byte-identical in
+            // every replica (physical replication, §5.6); after the
+            // poison, contents may diverge (a torn block in one replica,
+            // sentinels at different offsets). The committed extent is
+            // therefore the longest RECORD-ALIGNED COMMON PREFIX of the
+            // copies — with one copy, everything parseable (nothing can
+            // be acknowledged behind the poison).
+            let lcp = copies[1..].iter().fold(first.len(), |acc, c| {
+                let cap = acc.min(c.len());
+                (0..cap).find(|&n| first[n] != c[n]).unwrap_or(cap)
+            });
+            let v = parse_fragment(&first[..lcp], &key, None)?.valid_len;
+            if v == 0 {
+                // Nothing parseable (e.g. a failed open left a headerless
+                // or divergent stub): the fragment holds no committed
+                // rows; later ordinals may still exist.
+                continue;
+            }
+            // Re-parse bounded by V: everything inside is committed.
+            let authoritative = parse_fragment(first, &key, Some(v))?;
+            let mut stats: Vec<(String, ColumnStats)> = tracked
+                .iter()
+                .map(|(_, n)| (n.clone(), ColumnStats::new()))
+                .collect();
+            for row in authoritative.blocks.iter().flat_map(|b| &b.rows.rows) {
+                for (slot, (idx, _)) in tracked.iter().enumerate() {
+                    if let Some(val) = row.values.get(*idx) {
+                        stats[slot].1.observe(val);
+                    }
+                }
+            }
+            found.push(ReconciledFragment {
+                ordinal,
+                committed_size: v,
+                first_row: authoritative.header.first_row,
+                rows: authoritative.total_rows(),
+                stats,
+            });
+        }
+        Ok(found)
+    }
+}
+
+impl SmsApi for SmsTask {
+    fn task_id(&self) -> SmsTaskId {
+        self.cfg.task
+    }
+
+    fn bigmeta(&self) -> Arc<BigMeta> {
+        Arc::clone(&self.bigmeta)
+    }
+
+    fn store(&self) -> Arc<MetaStore> {
+        Arc::clone(&self.store)
+    }
+
+    fn register_server(&self, server: ServerHandle) {
+        self.servers.write().insert(server.server_id(), server);
+    }
+
+    fn read_snapshot(&self) -> Timestamp {
+        // Covers both record timestamps (server TrueTime `latest`) and
+        // metastore commit timestamps.
+        Timestamp(self.tt.record_timestamp().0.max(self.store.now().0))
+    }
+
+    // ------------------------------------------------------------------
+    // Tables.
+    // ------------------------------------------------------------------
+
+    fn create_table(&self, name: &str, schema: Schema) -> VortexResult<TableMeta> {
+        self.create_table_in(name, schema, None)
+    }
+
+    fn create_blmt_table(
+        &self,
+        name: &str,
+        schema: Schema,
+        bucket: &str,
+    ) -> VortexResult<TableMeta> {
+        self.create_table_in(name, schema, Some(bucket))
+    }
+
+    fn get_table(&self, table: TableId) -> VortexResult<TableMeta> {
+        meta::load(&self.store, table, self.store.now())
+    }
+
+    fn get_table_by_name(&self, name: &str) -> VortexResult<TableMeta> {
+        let bytes = self
+            .store
+            .read_at(&meta::name_key(name), self.store.now())
+            .ok_or_else(|| VortexError::NotFound(format!("table '{name}'")))?;
+        let raw = <[u8; 8]>::try_from(bytes.as_slice())
+            .map_err(|_| VortexError::Decode("table name index".into()))?;
+        self.get_table(TableId::from_raw(u64::from_le_bytes(raw)))
+    }
+
+    fn update_schema(&self, table: TableId, new_schema: Schema) -> VortexResult<TableMeta> {
+        self.check_owns(table)?;
+        let updated = self.txn(|txn| {
+            meta::update(txn, table, |m: &mut TableMeta| {
+                if new_schema.version <= m.schema.version {
+                    return Err(VortexError::InvalidArgument(format!(
+                        "schema version must increase: {} -> {}",
+                        m.schema.version, new_schema.version
+                    )));
+                }
+                m.schema = new_schema.clone();
+                Ok(())
+            })
+        })?;
+        // Notify Stream Servers so they can fail stale-writer appends
+        // with SchemaVersionMismatch (§5.4.1).
+        for s in self.servers.read().values() {
+            s.notify_schema_version(table, updated.schema.version);
+        }
+        Ok(updated)
+    }
+
+    fn fail_over_table(&self, table: TableId) -> VortexResult<TableMeta> {
+        self.txn(|txn| {
+            meta::update(txn, table, |m: &mut TableMeta| {
+                std::mem::swap(&mut m.primary, &mut m.secondary);
+                Ok(())
+            })
+        })
+    }
+
+    fn drop_table(&self, table: TableId) -> VortexResult<()> {
+        self.check_owns(table)?;
+        self.txn(|txn| {
+            let tmeta: TableMeta = meta::load_in(txn, table)?;
+            txn.delete(&meta::name_key(&tmeta.name));
+            meta::delete::<TableMeta>(txn, table);
+            Ok(())
+        })
+    }
+
+    // ------------------------------------------------------------------
+    // Streams and streamlets.
+    // ------------------------------------------------------------------
+
+    fn create_stream(&self, table: TableId, stype: StreamType) -> VortexResult<StreamHandle> {
+        self.check_owns(table)?;
+        let tmeta = self.get_table(table)?;
+        let stream = StreamMeta {
+            stream: self.ids.next_stream(),
+            table,
+            stype,
+            finalized: false,
+            committed_at: None,
+            flushed_row: 0,
+            created_at: self.tt.record_timestamp(),
+            streamlet_count: 0,
+        };
+        self.txn(|txn| {
+            meta::put(txn, &stream);
+            Ok(())
+        })?;
+        self.open_streamlet(&tmeta, stream, 0)
+    }
+
+    fn rotate_streamlet(&self, table: TableId, stream: StreamId) -> VortexResult<StreamHandle> {
+        self.check_owns(table)?;
+        let tmeta = self.get_table(table)?;
+        let smeta = self.get_stream(table, stream)?;
+        if smeta.finalized {
+            return Err(VortexError::StreamFinalized(stream));
+        }
+        // The previous streamlet is reconciled first, so the stream-level
+        // row offset of the new one is exact.
+        let first_stream_row = self
+            .settle_last_streamlet(table, stream)?
+            .map_or(0, |last| last.first_stream_row + last.row_count);
+        self.open_streamlet(&tmeta, smeta, first_stream_row)
+    }
+
+    fn get_stream(&self, table: TableId, stream: StreamId) -> VortexResult<StreamMeta> {
+        meta::load(&self.store, (table, stream), self.store.now())
+    }
+
+    fn get_streamlet(&self, table: TableId, streamlet: StreamletId) -> VortexResult<StreamletMeta> {
+        meta::load(&self.store, (table, streamlet), self.store.now())
+    }
+
+    fn stream_length(&self, table: TableId, stream: StreamId) -> VortexResult<u64> {
         let mut total = 0u64;
         for sl in self.streamlets_of_stream(table, stream)? {
-            let live = if sl.state == StreamletState::Finalized {
+            // Finalized streamlets count from the metastore, live ones
+            // from their hosting server when it answers.
+            total += if sl.state == StreamletState::Finalized {
                 sl.row_count
             } else {
                 let from_server = self
@@ -544,20 +652,11 @@ impl SmsTask {
                     .and_then(|h| h.streamlet_rows(sl.streamlet));
                 from_server.unwrap_or(sl.row_count).max(sl.row_count)
             };
-            total += live;
         }
         Ok(total)
     }
 
-    /// `FlushStream` (§4.2.3): makes rows `[0, row_offset)` of a BUFFERED
-    /// stream visible. Idempotent; errors if the stream is shorter than
-    /// `row_offset`.
-    pub fn flush_stream(
-        &self,
-        table: TableId,
-        stream: StreamId,
-        row_offset: u64,
-    ) -> VortexResult<()> {
+    fn flush_stream(&self, table: TableId, stream: StreamId, row_offset: u64) -> VortexResult<()> {
         self.check_owns(table)?;
         let smeta = self.get_stream(table, stream)?;
         if smeta.stype != StreamType::Buffered {
@@ -571,67 +670,54 @@ impl SmsTask {
                 "flush offset {row_offset} exceeds stream length {length}"
             )));
         }
-        self.store.with_txn(self.cfg.txn_retries, |txn| {
-            let bytes = txn
-                .get(&stream_key(table, stream))
-                .ok_or_else(|| VortexError::NotFound(format!("stream {stream}")))?;
-            let mut m = StreamMeta::from_bytes(&bytes)?;
-            m.flushed_row = m.flushed_row.max(row_offset);
-            txn.put(&stream_key(table, stream), m.to_bytes());
-            Ok(())
-        })
+        self.txn(|txn| {
+            meta::update(txn, (table, stream), |m: &mut StreamMeta| {
+                m.flushed_row = m.flushed_row.max(row_offset);
+                Ok(())
+            })
+        })?;
+        Ok(())
     }
 
-    /// `FinalizeStream` (§4.2.5): prevents further appends; reconciles the
-    /// writable streamlet so the stream's length becomes authoritative.
-    pub fn finalize_stream(&self, table: TableId, stream: StreamId) -> VortexResult<StreamMeta> {
+    fn finalize_stream(&self, table: TableId, stream: StreamId) -> VortexResult<StreamMeta> {
         self.check_owns(table)?;
-        let out = self.store.with_txn(self.cfg.txn_retries, |txn| {
-            let bytes = txn
-                .get(&stream_key(table, stream))
-                .ok_or_else(|| VortexError::NotFound(format!("stream {stream}")))?;
-            let mut m = StreamMeta::from_bytes(&bytes)?;
-            m.finalized = true;
-            txn.put(&stream_key(table, stream), m.to_bytes());
-            Ok(m)
+        let out = self.txn(|txn| {
+            meta::update(txn, (table, stream), |m: &mut StreamMeta| {
+                m.finalized = true;
+                Ok(())
+            })
         })?;
-        if let Some(last) = self.last_streamlet(table, stream)? {
-            if last.state != StreamletState::Finalized {
-                self.reconcile_streamlet(table, last.streamlet)?;
-            }
-        }
+        // Reconcile the writable streamlet so the stream's length becomes
+        // authoritative.
+        self.settle_last_streamlet(table, stream)?;
         Ok(out)
     }
 
-    /// `BatchCommitStreams` (§4.2.4): atomically makes a set of PENDING
-    /// streams visible. Finalizes and reconciles them first so their
-    /// contents are authoritative at commit.
-    pub fn batch_commit_streams(
+    fn batch_commit_streams(
         &self,
         table: TableId,
         streams: &[StreamId],
     ) -> VortexResult<Timestamp> {
         self.check_owns(table)?;
+        // Finalized and reconciled first, so the streams' contents are
+        // authoritative at commit.
         for &s in streams {
             self.finalize_stream(table, s)?;
         }
         let visible_from = self.tt.record_timestamp();
         let ((), commit_ts) = self.store.with_txn_at(self.cfg.txn_retries, |txn| {
             for &s in streams {
-                let bytes = txn
-                    .get(&stream_key(table, s))
-                    .ok_or_else(|| VortexError::NotFound(format!("stream {s}")))?;
-                let mut m = StreamMeta::from_bytes(&bytes)?;
+                let mut m: StreamMeta = meta::load_in(txn, (table, s))?;
                 if m.stype != StreamType::Pending {
                     return Err(VortexError::InvalidArgument(format!(
                         "stream {s} is not PENDING"
                     )));
                 }
-                if m.committed_at.is_some() {
-                    continue; // idempotent
+                // Already committed: idempotent, nothing to write.
+                if m.committed_at.is_none() {
+                    m.committed_at = Some(visible_from);
+                    meta::put(txn, &m);
                 }
-                m.committed_at = Some(visible_from);
-                txn.put(&stream_key(table, s), m.to_bytes());
             }
             Ok(())
         })?;
@@ -645,58 +731,40 @@ impl SmsTask {
     // Heartbeats (§5.5).
     // ------------------------------------------------------------------
 
-    /// Ingests a Stream Server heartbeat: fragment deltas, row counts,
-    /// load; answers with schema updates, GC work, and unknown streamlets.
-    pub fn heartbeat(&self, report: &HeartbeatReport) -> VortexResult<HeartbeatResponse> {
+    fn heartbeat(&self, report: &HeartbeatReport) -> VortexResult<HeartbeatResponse> {
         let mut resp = HeartbeatResponse::default();
         let now = self.store.now();
+        // Per table in the report: its schema version, looked up once,
+        // and the streamlets whose deltas were applied, in report order.
+        let mut tables: BTreeMap<TableId, (u32, Vec<StreamletId>)> = BTreeMap::new();
         for delta in &report.streamlets {
-            let table = delta.table;
-            let sl_key = streamlet_key(table, delta.streamlet);
-            let Some(sl_bytes) = self.store.read_at(&sl_key, now) else {
-                resp.unknown_streamlets.push(delta.streamlet);
+            let (table, slid) = (delta.table, delta.streamlet);
+            let known = meta::load::<StreamletMeta>(&self.store, (table, slid), now);
+            let Some(slmeta) = meta::optional(known)? else {
+                resp.unknown_streamlets.push(slid);
                 continue;
             };
-            let slmeta = StreamletMeta::from_bytes(&sl_bytes)?;
             if slmeta.state == StreamletState::Finalized {
                 // Reconciled already; a zombie server reporting stale state.
                 continue;
             }
-            let tmeta = self.get_table(table)?;
-            let delta = delta.clone();
-            let cfg_clusters = slmeta.clusters;
-            self.store.with_txn(self.cfg.txn_retries, move |txn| {
-                let Some(bytes) = txn.get(&sl_key) else {
+            let (_, applied) = match tables.entry(table) {
+                Entry::Occupied(e) => e.into_mut(),
+                Entry::Vacant(e) => e.insert((self.get_table(table)?.schema.version, Vec::new())),
+            };
+            self.txn(|txn| {
+                let in_txn = meta::load_in::<StreamletMeta>(txn, (table, slid));
+                let Some(mut sl) = meta::optional(in_txn)? else {
                     return Ok(());
                 };
-                let mut sl = StreamletMeta::from_bytes(&bytes)?;
                 if sl.state == StreamletState::Finalized {
                     return Ok(());
                 }
                 for f in &delta.fragments {
-                    let fkey = fragment_key(table, f.fragment);
-                    let mut fmeta = match txn.get(&fkey) {
-                        Some(b) => FragmentMeta::from_bytes(&b)?,
-                        None => FragmentMeta {
-                            fragment: f.fragment,
-                            table,
-                            streamlet: delta.streamlet,
-                            kind: FragmentKind::Wos,
-                            ordinal: f.ordinal,
-                            first_row: f.first_row,
-                            row_count: 0,
-                            committed_size: 0,
-                            state: FragmentState::Active,
-                            created_at: Timestamp::MIN,
-                            deleted_at: Timestamp::MAX,
-                            clusters: cfg_clusters,
-                            path: wos_path(table, delta.streamlet, f.ordinal),
-                            stats: vec![],
-                            masks: vec![],
-                            partition_key: None,
-                            level: 0,
-                        },
-                    };
+                    let known = meta::load_in::<FragmentMeta>(txn, (table, f.fragment));
+                    let mut fmeta = meta::optional(known)?.unwrap_or_else(|| {
+                        FragmentMeta::new_wos(f.fragment, &sl, f.ordinal, f.first_row)
+                    });
                     if fmeta.state == FragmentState::Deleted {
                         continue; // already converted; ignore stale delta
                     }
@@ -704,232 +772,137 @@ impl SmsTask {
                     fmeta.committed_size = fmeta.committed_size.max(f.committed_size);
                     fmeta.stats = f.stats.clone();
                     if f.finalized && fmeta.state == FragmentState::Active {
-                        fmeta.state = FragmentState::Finalized;
-                        // Map streamlet tail masks onto the now-known
-                        // fragment (§7.3).
-                        for (mts, m) in &sl.masks {
-                            let local = m.slice_rebased(f.first_row, f.first_row + f.row_count);
-                            if !local.is_empty() {
-                                fmeta.masks.push((*mts, local));
-                            }
-                        }
+                        fmeta.finalize(&sl.masks);
                     }
-                    txn.put(&fkey, fmeta.to_bytes());
+                    meta::put(txn, &fmeta);
                 }
                 sl.row_count = sl.row_count.max(delta.row_count);
-                let max_ord = delta
-                    .fragments
-                    .iter()
-                    .filter(|f| f.finalized)
-                    .map(|f| f.ordinal + 1)
-                    .max()
-                    .unwrap_or(0);
+                let sealed = delta.fragments.iter().filter(|f| f.finalized);
+                let max_ord = sealed.map(|f| f.ordinal + 1).max().unwrap_or(0);
                 sl.known_fragments = sl.known_fragments.max(max_ord);
                 if delta.finalized {
                     sl.state = StreamletState::Closed;
                 }
-                txn.put(&sl_key, sl.to_bytes());
+                meta::put(txn, &sl);
                 // Flush watermark recovery from flush records.
                 if let Some(fr) = delta.max_flush_row {
-                    let skey = stream_key(table, sl.stream);
-                    if let Some(sb) = txn.get(&skey) {
-                        let mut sm = StreamMeta::from_bytes(&sb)?;
+                    let stream = meta::load_in::<StreamMeta>(txn, (table, sl.stream));
+                    if let Some(mut sm) = meta::optional(stream)? {
                         let stream_level = sl.first_stream_row + fr;
                         if stream_level > sm.flushed_row {
                             sm.flushed_row = stream_level;
-                            txn.put(&skey, sm.to_bytes());
+                            meta::put(txn, &sm);
                         }
                     }
                 }
                 Ok(())
             })?;
+            applied.push(slid);
+        }
+        for (table, (version, applied)) in tables {
             // Schema updates for the reporting server.
-            resp.schema_updates.push((table, tmeta.schema.version));
-            // GC work: deleted fragments past the grace period.
-            let grace = Timestamp(
-                self.tt
-                    .record_timestamp()
-                    .0
-                    .saturating_sub(self.cfg.gc_grace_micros),
-            );
-            let gc_ordinals: Vec<u32> = self
-                .store
-                .scan_prefix_at(&fragment_prefix(table), self.store.now())
-                .into_iter()
-                .filter_map(|(_, v)| FragmentMeta::from_bytes(&v).ok())
-                .filter(|f| {
-                    f.streamlet == delta.streamlet
-                        && f.state == FragmentState::Deleted
-                        && f.deleted_at <= grace
-                })
-                .map(|f| f.ordinal)
-                .collect();
-            if !gc_ordinals.is_empty() {
-                resp.gc.push((table, delta.streamlet, gc_ordinals));
+            resp.schema_updates.push((table, version));
+            // GC work: one listing per table serves all its streamlets.
+            let doomed = self.collectible_fragments(table)?;
+            for slid in applied {
+                let of_streamlet = doomed.iter().filter(|f| f.streamlet == slid);
+                let ordinals: Vec<u32> = of_streamlet.map(|f| f.ordinal).collect();
+                if !ordinals.is_empty() {
+                    resp.gc.push((table, slid, ordinals));
+                }
             }
         }
-        resp.schema_updates.sort_by_key(|(t, _)| t.raw());
-        resp.schema_updates.dedup();
         Ok(resp)
     }
 
-    /// Acknowledges that a server deleted fragment log files: drops their
-    /// metastore records ("when the Stream Server acknowledges it has
-    /// deleted the Fragments, the SMS deletes the Fragments from Spanner",
-    /// §5.4.3).
-    pub fn ack_gc(
+    fn ack_gc(
         &self,
         table: TableId,
         streamlet: StreamletId,
         ordinals: &[u32],
     ) -> VortexResult<usize> {
-        let frags: Vec<FragmentMeta> = self
-            .store
-            .scan_prefix_at(&fragment_prefix(table), self.store.now())
-            .into_iter()
-            .filter_map(|(_, v)| FragmentMeta::from_bytes(&v).ok())
-            .filter(|f| {
-                f.streamlet == streamlet
-                    && f.state == FragmentState::Deleted
-                    && ordinals.contains(&f.ordinal)
-            })
-            .collect();
-        let n = frags.len();
-        self.store.with_txn(self.cfg.txn_retries, |txn| {
-            for f in &frags {
-                txn.delete(&fragment_key(table, f.fragment));
-            }
-            Ok(())
-        })?;
-        Ok(n)
+        let mut acked = self.collectible_fragments(table)?;
+        acked.retain(|f| f.streamlet == streamlet && ordinals.contains(&f.ordinal));
+        self.drop_fragments(&acked)
     }
 
     // ------------------------------------------------------------------
     // Read path (§7).
     // ------------------------------------------------------------------
 
-    /// Returns the union of WOS and ROS visible at `snapshot`: fragment
-    /// read specs plus unfinalized streamlet tails (§7).
-    pub fn list_read_fragments(
-        &self,
-        table: TableId,
-        snapshot: Timestamp,
-    ) -> VortexResult<ReadSet> {
+    fn list_read_fragments(&self, table: TableId, snapshot: Timestamp) -> VortexResult<ReadSet> {
         vortex_common::obs::global()
             .counter("sms.list_read_fragments")
             .inc();
-        let tbytes = self
-            .store
-            .read_at(&table_key(table), snapshot)
-            .ok_or_else(|| VortexError::NotFound(format!("table {table}")))?;
-        let tmeta = TableMeta::from_bytes(&tbytes)?;
-        // Streams and streamlets at the snapshot.
-        let streams: HashMap<StreamId, StreamMeta> = self
-            .store
-            .scan_prefix_at(&stream_prefix(table), snapshot)
-            .into_iter()
-            .filter_map(|(_, v)| StreamMeta::from_bytes(&v).ok())
-            .map(|m| (m.stream, m))
-            .collect();
-        let streamlets: HashMap<StreamletId, StreamletMeta> = self
-            .store
-            .scan_prefix_at(&streamlet_prefix(table), snapshot)
-            .into_iter()
-            .filter_map(|(_, v)| StreamletMeta::from_bytes(&v).ok())
-            .map(|m| (m.streamlet, m))
-            .collect();
-
-        let visibility_for = |sl: &StreamletMeta| -> Option<RowVisibility> {
+        // Each record class is read once at the snapshot.
+        let tmeta: TableMeta = meta::load(&self.store, table, snapshot)?;
+        let streams: HashMap<StreamId, StreamMeta> = meta::scan(&self.store, table, snapshot)
+            .map(|m| m.map(|m: StreamMeta| (m.stream, m)))
+            .collect::<VortexResult<_>>()?;
+        let streamlets: HashMap<StreamletId, StreamletMeta> =
+            meta::scan(&self.store, table, snapshot)
+                .map(|m| m.map(|m: StreamletMeta| (m.streamlet, m)))
+                .collect::<VortexResult<_>>()?;
+        // What the snapshot may see of a streamlet's rows; `None` hides
+        // them (stream unknown, or PENDING and not committed by then).
+        let visibility_of = |sl: &StreamletMeta| {
             let stream = streams.get(&sl.stream)?;
-            match stream.stype {
-                StreamType::Unbuffered => Some(RowVisibility::unconstrained()),
-                StreamType::Buffered => Some(RowVisibility {
-                    visible_from: Timestamp::MIN,
-                    flush_limit: Some(stream.flushed_row.saturating_sub(sl.first_stream_row)),
-                }),
-                StreamType::Pending => {
-                    let committed = stream.committed_at?;
-                    if committed > snapshot {
-                        return None; // not yet visible
-                    }
-                    Some(RowVisibility {
-                        visible_from: committed,
-                        flush_limit: None,
-                    })
-                }
-            }
+            Some((stream.stype, RowVisibility::of(stream, sl, snapshot)?))
         };
 
+        // One pass over the fragment records yields the read specs and,
+        // per streamlet, where its known WOS fragments end — finalized
+        // and still live OR already converted — which is where its tail
+        // starts.
         let mut fragments = Vec::new();
-        for (_, v) in self.store.scan_prefix_at(&fragment_prefix(table), snapshot) {
-            let f = FragmentMeta::from_bytes(&v)?;
+        let mut known_end: HashMap<StreamletId, (u32, u64)> = HashMap::new();
+        for f in meta::scan::<FragmentMeta>(&self.store, table, snapshot) {
+            let f = f?;
+            if f.kind == FragmentKind::Wos && f.state != FragmentState::Active {
+                let (next_ordinal, next_row) = known_end.entry(f.streamlet).or_default();
+                *next_ordinal = (*next_ordinal).max(f.ordinal + 1);
+                *next_row = (*next_row).max(f.first_row + f.row_count);
+            }
             if !f.visible_at(snapshot) {
                 continue;
             }
-            match f.kind {
+            // A ROS block stands alone; a WOS fragment is read under its
+            // stream's visibility rules, and only once finalized — the
+            // active one is covered by its streamlet tail.
+            let placed = match f.kind {
                 FragmentKind::Ros => {
-                    fragments.push(FragmentReadSpec {
-                        mask: f.mask_at(snapshot),
-                        visibility: RowVisibility::unconstrained(),
-                        stream: StreamId::from_raw(0),
-                        streamlet_first_stream_row: 0,
-                        meta: f,
-                    });
+                    Some((RowVisibility::unconstrained(), StreamId::from_raw(0), 0))
                 }
-                FragmentKind::Wos => {
-                    // Only finalized WOS fragments are read via specs; the
-                    // active one is covered by its streamlet tail.
-                    if f.state != FragmentState::Finalized {
-                        continue;
-                    }
-                    let Some(sl) = streamlets.get(&f.streamlet) else {
-                        continue;
-                    };
-                    let Some(vis) = visibility_for(sl) else {
-                        continue;
-                    };
-                    fragments.push(FragmentReadSpec {
-                        mask: f.mask_at(snapshot),
-                        visibility: vis,
-                        stream: sl.stream,
-                        streamlet_first_stream_row: sl.first_stream_row,
-                        meta: f,
-                    });
+                FragmentKind::Wos if f.state == FragmentState::Finalized => {
+                    streamlets.get(&f.streamlet).and_then(|sl| {
+                        let (_, visibility) = visibility_of(sl)?;
+                        Some((visibility, sl.stream, sl.first_stream_row))
+                    })
                 }
+                FragmentKind::Wos => None,
+            };
+            if let Some((visibility, stream, streamlet_first_stream_row)) = placed {
+                fragments.push(FragmentReadSpec {
+                    mask: f.mask_at(snapshot),
+                    visibility,
+                    stream,
+                    streamlet_first_stream_row,
+                    meta: f,
+                });
             }
         }
 
         // Tails: streamlets not finalized → the reader probes log files
-        // past the last finalized fragment.
+        // past the last known fragment.
         let mut tails = Vec::new();
         for sl in streamlets.values() {
             if sl.state == StreamletState::Finalized {
                 continue;
             }
-            let Some(vis) = visibility_for(sl) else {
+            let Some((stream_type, visibility)) = visibility_of(sl) else {
                 continue;
             };
-            // Where do known (finalized, still-live OR converted) WOS
-            // fragments end?
-            let (mut from_ordinal, mut from_row) = (0u32, 0u64);
-            for spec in self
-                .store
-                .scan_prefix_at(&fragment_prefix(table), snapshot)
-                .iter()
-                .filter_map(|(_, v)| FragmentMeta::from_bytes(v).ok())
-                .filter(|f| {
-                    f.kind == FragmentKind::Wos
-                        && f.streamlet == sl.streamlet
-                        && f.state != FragmentState::Active
-                })
-            {
-                from_ordinal = from_ordinal.max(spec.ordinal + 1);
-                from_row = from_row.max(spec.first_row + spec.row_count);
-            }
-            let stream_type = streams
-                .get(&sl.stream)
-                .map(|s| s.stype)
-                .unwrap_or(StreamType::Unbuffered);
+            let (from_ordinal, from_row) = known_end.get(&sl.streamlet).copied().unwrap_or((0, 0));
             tails.push(TailReadSpec {
                 streamlet: sl.streamlet,
                 stream: sl.stream,
@@ -939,7 +912,7 @@ impl SmsTask {
                 from_row,
                 path_prefix: wos_streamlet_prefix(table, sl.streamlet),
                 mask: meta::effective_mask(&sl.masks, snapshot),
-                visibility: vis,
+                visibility,
                 epoch: sl.epoch,
                 first_stream_row: sl.first_stream_row,
                 expected_rows: sl.row_count,
@@ -959,12 +932,7 @@ impl SmsTask {
     // Reconciliation (§5.6, §7.1).
     // ------------------------------------------------------------------
 
-    /// Runs the disaster-resilience reconciliation protocol on a
-    /// streamlet: bump the epoch, poison zombie writers with sentinel
-    /// records in every reachable replica, determine the authoritative
-    /// length by inspecting replica log files, and record it in the
-    /// metastore. Returns the finalized streamlet metadata.
-    pub fn reconcile_streamlet(
+    fn reconcile_streamlet(
         &self,
         table: TableId,
         streamlet: StreamletId,
@@ -973,24 +941,19 @@ impl SmsTask {
             .counter("sms.reconcile_streamlet")
             .inc();
         let tmeta = self.get_table(table)?;
-        let key = tmeta.encryption_key();
         // Phase 1: close + bump epoch so the outcome is sticky even if
         // two SMS tasks reconcile concurrently (the txn serializes them).
-        let slmeta = self.store.with_txn(self.cfg.txn_retries, |txn| {
-            let bytes = txn
-                .get(&streamlet_key(table, streamlet))
-                .ok_or_else(|| VortexError::NotFound(format!("streamlet {streamlet}")))?;
-            let mut m = StreamletMeta::from_bytes(&bytes)?;
-            if m.state == StreamletState::Finalized {
-                return Ok(m); // already reconciled — idempotent
+        let slmeta = self.txn(|txn| {
+            let mut m: StreamletMeta = meta::load_in(txn, (table, streamlet))?;
+            if m.state != StreamletState::Finalized {
+                m.state = StreamletState::Closed;
+                m.epoch += 1;
+                meta::put(txn, &m);
             }
-            m.state = StreamletState::Closed;
-            m.epoch += 1;
-            txn.put(&streamlet_key(table, streamlet), m.to_bytes());
             Ok(m)
         })?;
         if slmeta.state == StreamletState::Finalized {
-            return Ok(slmeta);
+            return Ok(slmeta); // already reconciled — idempotent
         }
         // Ask the server to finalize gracefully (bloom + footer), then
         // revoke ownership. A dead server simply doesn't answer; the
@@ -999,261 +962,75 @@ impl SmsTask {
             let _ = h.finalize_streamlet_ctl(streamlet);
             h.revoke_streamlet(streamlet);
         }
-
         // Phase 2: inspect replicas fragment by fragment.
-        let replicas: Vec<_> = slmeta
-            .clusters
-            .iter()
-            .filter_map(|c| self.fleet.get(*c).ok().cloned())
-            .collect();
-        // Per fragment: ordinal, committed size, first row, rows, stats.
-        type FragResult = (
-            u32,
-            u64,
-            u64,
-            u64,
-            Vec<(String, vortex_common::stats::ColumnStats)>,
-        );
-        let mut frag_results: Vec<FragResult> = Vec::new();
-        let mut total_rows = 0u64;
-        let mut ordinal = 0u32;
-        // Columns whose properties we recompute from the parsed rows
-        // (scalar top-level, same set the Stream Server tracks, §7.2).
-        let tracked: Vec<(usize, String)> = tmeta
-            .schema
-            .fields
-            .iter()
-            .enumerate()
-            .filter(|(_, fd)| {
-                !matches!(fd.ftype, vortex_common::schema::FieldType::Struct(_))
-                    && fd.mode != vortex_common::schema::FieldMode::Repeated
-            })
-            .map(|(i, fd)| (i, fd.name.clone()))
-            .collect();
-        loop {
-            let path = wos_path(table, streamlet, ordinal);
-            // Poison FIRST (§5.6): once the sentinel is in a log file,
-            // the Stream Server's sole-writer length check fails any
-            // still-in-flight append, so nothing poisoned-then-read can
-            // be acknowledged behind our back. Only after the poison do
-            // the reads below decide the authoritative length.
-            let sentinel =
-                FragmentWriter::sentinel_record(slmeta.epoch, self.tt.record_timestamp());
-            let mut reachable = 0usize;
-            let mut found = false;
-            for r in &replicas {
-                if r.faults().is_unavailable() {
-                    continue;
-                }
-                reachable += 1;
-                if r.exists(&path) {
-                    found = true;
-                    let _ = r.append(&path, &sentinel, Timestamp(0));
-                }
-            }
-            if reachable == 0 {
-                return Err(VortexError::Unavailable(format!(
-                    "no replica reachable for streamlet {streamlet}"
-                )));
-            }
-            if !found {
-                break; // no more fragments
-            }
-            // Now read the poisoned files. A replica whose very first
-            // write for this fragment failed holds nothing (or a stub
-            // with no header); parseable content decides below — stubs
-            // must not shrink the common prefix to zero, so copies with
-            // no parseable header are dropped.
-            let mut copies: Vec<Vec<u8>> = Vec::new();
-            for r in &replicas {
-                if !r.faults().is_unavailable() && r.exists(&path) {
-                    if let Ok(out) = r.read_all(&path) {
-                        if parse_fragment(&out.data, &key, None).is_ok() {
-                            copies.push(out.data);
-                        }
-                    }
-                }
-            }
-            if copies.is_empty() {
-                // Headerless stubs only: no committed rows here, but a
-                // later ordinal may exist (a failed open was retried on
-                // the next file).
-                ordinal += 1;
-                continue;
-            }
-            // Authoritative bytes: with 2 copies, everything acked is in
-            // both → min(valid_len). With 1 copy, everything parseable.
-            // Authoritative bytes: the acked prefix is byte-identical in
-            // every replica (physical replication, §5.6); after the
-            // poison, contents may diverge (a torn block in one replica,
-            // sentinels at different offsets). The committed extent is
-            // therefore the longest RECORD-ALIGNED COMMON PREFIX of the
-            // copies — with one copy, everything parseable (nothing can
-            // be acknowledged behind the poison).
-            let v = if copies.len() >= 2 {
-                let lcp = copies[1..].iter().fold(copies[0].len(), |acc, c| {
-                    let mut n = 0usize;
-                    let cap = acc.min(c.len());
-                    while n < cap && copies[0][n] == c[n] {
-                        n += 1;
-                    }
-                    n
-                });
-                parse_fragment(&copies[0][..lcp], &key, None)?.valid_len
-            } else {
-                parse_fragment(&copies[0], &key, None)?.valid_len
-            };
-            if v == 0 {
-                // Nothing parseable (e.g. a failed open left a headerless
-                // or divergent stub): the fragment holds no committed
-                // rows; later ordinals may still exist.
-                ordinal += 1;
-                continue;
-            }
-            // Re-parse bounded by V: everything inside is committed.
-            let authoritative = parse_fragment(&copies[0], &key, Some(v))?;
-            let rows = authoritative.total_rows();
-            // Recompute column properties from the committed rows.
-            let mut stats: Vec<(String, vortex_common::stats::ColumnStats)> = tracked
-                .iter()
-                .map(|(_, n)| (n.clone(), vortex_common::stats::ColumnStats::new()))
-                .collect();
-            for block in &authoritative.blocks {
-                for row in &block.rows.rows {
-                    for (slot, (idx, _)) in tracked.iter().enumerate() {
-                        if let Some(val) = row.values.get(*idx) {
-                            stats[slot].1.observe(val);
-                        }
-                    }
-                }
-            }
-            frag_results.push((ordinal, v, authoritative.header.first_row, rows, stats));
-            total_rows = total_rows.max(authoritative.header.first_row + rows);
-            ordinal += 1;
-        }
-
+        let found = self.inspect_replicas(&tmeta, &slmeta)?;
         // Phase 3: record the reconciled truth.
-        let final_meta = self.store.with_txn(self.cfg.txn_retries, |txn| {
-            let bytes = txn
-                .get(&streamlet_key(table, streamlet))
-                .ok_or_else(|| VortexError::NotFound(format!("streamlet {streamlet}")))?;
-            let mut m = StreamletMeta::from_bytes(&bytes)?;
+        self.txn(|txn| {
+            let mut m: StreamletMeta = meta::load_in(txn, (table, streamlet))?;
             m.state = StreamletState::Finalized;
-            m.row_count = total_rows;
-            m.known_fragments = frag_results.len() as u32;
+            m.row_count = found
+                .iter()
+                .map(|r| r.first_row + r.rows)
+                .max()
+                .unwrap_or(0);
+            m.known_fragments = found.len() as u32;
             // Upsert fragment records with authoritative sizes.
-            let existing: HashMap<u32, FragmentMeta> = txn
-                .scan_prefix(&fragment_prefix(table))
-                .into_iter()
-                .filter_map(|(_, v)| FragmentMeta::from_bytes(&v).ok())
-                .filter(|f| f.streamlet == streamlet && f.kind == FragmentKind::Wos)
-                .map(|f| (f.ordinal, f))
-                .collect();
-            for (ord, size, first_row, rows, stats) in frag_results.iter() {
-                let (ord, size, first_row, rows) = (*ord, *size, *first_row, *rows);
-                let mut f = existing.get(&ord).cloned().unwrap_or(FragmentMeta {
-                    fragment: self.ids.next_fragment(),
-                    table,
-                    streamlet,
-                    kind: FragmentKind::Wos,
-                    ordinal: ord,
-                    first_row,
-                    row_count: 0,
-                    committed_size: 0,
-                    state: FragmentState::Active,
-                    created_at: Timestamp::MIN,
-                    deleted_at: Timestamp::MAX,
-                    clusters: m.clusters,
-                    path: wos_path(table, streamlet, ord),
-                    stats: vec![],
-                    masks: vec![],
-                    partition_key: None,
-                    level: 0,
-                });
+            let mut known: HashMap<u32, FragmentMeta> = HashMap::new();
+            for f in meta::scan_in::<FragmentMeta>(txn, table) {
+                let f = f?;
+                if f.streamlet == streamlet && f.kind == FragmentKind::Wos {
+                    known.insert(f.ordinal, f);
+                }
+            }
+            for r in &found {
+                // Drawn whether or not the record exists, as it always
+                // was: id assignment, and so every byte stored after this
+                // point, does not depend on which path finalized first.
+                let fresh = self.ids.next_fragment();
+                let mut f = known
+                    .remove(&r.ordinal)
+                    .unwrap_or_else(|| FragmentMeta::new_wos(fresh, &m, r.ordinal, r.first_row));
                 if f.state == FragmentState::Deleted {
                     continue; // converted already; reconciliation cannot resurrect
                 }
-                f.first_row = first_row;
-                f.row_count = rows;
-                f.committed_size = size;
-                f.stats = stats.clone();
+                f.first_row = r.first_row;
+                f.row_count = r.rows;
+                f.committed_size = r.committed_size;
+                f.stats = r.stats.clone();
                 if f.state == FragmentState::Active {
-                    f.state = FragmentState::Finalized;
-                    for (mts, msk) in &m.masks {
-                        let local = msk.slice_rebased(first_row, first_row + rows);
-                        if !local.is_empty() {
-                            f.masks.push((*mts, local));
-                        }
-                    }
+                    f.finalize(&m.masks);
                 }
-                txn.put(&fragment_key(table, f.fragment), f.to_bytes());
+                meta::put(txn, &f);
             }
-            txn.put(&streamlet_key(table, streamlet), m.to_bytes());
+            meta::put(txn, &m);
             Ok(m)
-        })?;
-        Ok(final_meta)
+        })
     }
 
     // ------------------------------------------------------------------
     // Storage-optimizer and DML commits (§6.1, §7.3).
     // ------------------------------------------------------------------
 
-    /// Mints a token for [`SmsTask::begin_dml_with`]. Channel wrappers
-    /// call this *outside* their retry loop so every retry of the begin
-    /// writes the same marker key.
-    pub fn mint_dml_token(&self) -> u64 {
-        self.ids.next_raw()
+    fn begin_dml(&self, table: TableId) -> VortexResult<DmlTicket> {
+        self.begin_dml_with(table, self.mint_dml_token())
     }
 
-    /// Marks the start of a DML statement; while any DML is active the
-    /// optimizer's merged conversions will not commit (§7.3).
-    pub fn begin_dml(&self, table: TableId) -> VortexResult<DmlTicket> {
-        let token = self.mint_dml_token();
-        self.begin_dml_with(table, token)
-    }
-
-    /// Marks the start of a DML statement under a pre-minted token.
-    /// Idempotent for a fixed token: re-execution rewrites the same key,
-    /// so an ambiguous ack cannot leak a second marker.
-    pub fn begin_dml_with(&self, table: TableId, token: u64) -> VortexResult<DmlTicket> {
-        self.store.with_txn(self.cfg.txn_retries, |txn| {
-            txn.put(&dml_lock_token_key(table, token), vec![1]);
-            Ok(())
-        })?;
-        Ok(DmlTicket(token))
-    }
-
-    /// Marks the end of the DML statement holding `ticket`. Idempotent.
-    pub fn end_dml(&self, table: TableId, ticket: DmlTicket) -> VortexResult<()> {
-        self.store.with_txn(self.cfg.txn_retries, |txn| {
-            txn.delete(&dml_lock_token_key(table, ticket.0));
+    fn end_dml(&self, table: TableId, ticket: DmlTicket) -> VortexResult<()> {
+        self.txn(|txn| {
+            txn.delete(&meta::dml_lock_token_key(table, ticket.0));
             Ok(())
         })
     }
 
-    /// Whether any DML statement is currently running on the table.
-    pub fn dml_active(&self, table: TableId) -> bool {
+    fn dml_active(&self, table: TableId) -> bool {
+        let markers = meta::dml_lock_prefix(table);
         !self
             .store
-            .scan_prefix_at(&dml_lock_prefix(table), self.store.now())
+            .scan_prefix_at(&markers, self.store.now())
             .is_empty()
     }
 
-    /// Atomically commits a WOS→ROS conversion (or a recluster merge):
-    /// sets `deletion_timestamp` on the source fragments and
-    /// `creation_timestamp` on the replacements, "guarantee\[ing\] that a
-    /// row is included exactly once" (§6.1).
-    ///
-    /// With `yield_to_dml` (merged conversions), the commit aborts if a
-    /// DML statement is running (§7.3). Stable 1:1 conversions pass
-    /// `false`: they are race-free because masks carry over positionally.
-    ///
-    /// `sources` carries, per source fragment, the number of mask
-    /// versions the optimizer *observed* when it read the data: if a DML
-    /// statement added a mask in between (it started and finished inside
-    /// the optimizer's window, so the lock check alone cannot see it),
-    /// the commit aborts with a conflict and the optimizer re-reads.
-    pub fn commit_conversion(
+    fn commit_conversion(
         &self,
         table: TableId,
         sources: &[(FragmentId, usize)],
@@ -1262,43 +1039,39 @@ impl SmsTask {
     ) -> VortexResult<Timestamp> {
         self.check_owns(table)?;
         let ts = self.tt.record_timestamp();
-        let sources = sources.to_vec();
         let ((), commit_ts) = self.store.with_txn_at(self.cfg.txn_retries, |txn| {
-            if yield_to_dml && !txn.scan_prefix(&dml_lock_prefix(table)).is_empty() {
+            if yield_to_dml && !txn.scan_prefix(&meta::dml_lock_prefix(table)).is_empty() {
                 return Err(VortexError::Unavailable(format!(
                     "optimizer yielding to active DML on {table}"
                 )));
             }
-            for (src, seen_masks) in &sources {
-                let fkey = fragment_key(table, *src);
-                let bytes = txn
-                    .get(&fkey)
-                    .ok_or_else(|| VortexError::NotFound(format!("fragment {src}")))?;
-                let mut f = FragmentMeta::from_bytes(&bytes)?;
-                if yield_to_dml && f.masks.len() != *seen_masks {
-                    return Err(VortexError::TxnConflict(format!(
-                        "fragment {src} gained deletion masks during conversion"
-                    )));
-                }
-                if f.state == FragmentState::Deleted {
-                    return Err(VortexError::TxnConflict(format!(
-                        "fragment {src} already converted"
-                    )));
-                }
-                if f.state != FragmentState::Finalized {
-                    return Err(VortexError::InvalidArgument(format!(
-                        "fragment {src} not finalized"
-                    )));
-                }
-                f.state = FragmentState::Deleted;
-                f.deleted_at = ts;
-                txn.put(&fkey, f.to_bytes());
+            for (src, seen_masks) in sources {
+                meta::update(txn, (table, *src), |f: &mut FragmentMeta| {
+                    if yield_to_dml && f.masks.len() != *seen_masks {
+                        return Err(VortexError::TxnConflict(format!(
+                            "fragment {src} gained deletion masks during conversion"
+                        )));
+                    }
+                    if f.state == FragmentState::Deleted {
+                        return Err(VortexError::TxnConflict(format!(
+                            "fragment {src} already converted"
+                        )));
+                    }
+                    if f.state != FragmentState::Finalized {
+                        return Err(VortexError::InvalidArgument(format!(
+                            "fragment {src} not finalized"
+                        )));
+                    }
+                    f.state = FragmentState::Deleted;
+                    f.deleted_at = ts;
+                    Ok(())
+                })?;
             }
             for r in replacements.iter_mut() {
                 r.created_at = ts;
                 r.deleted_at = Timestamp::MAX;
                 r.state = FragmentState::Finalized;
-                txn.put(&fragment_key(table, r.fragment), r.to_bytes());
+                meta::put(txn, r);
             }
             Ok(())
         })?;
@@ -1309,10 +1082,7 @@ impl SmsTask {
         Ok(commit_ts)
     }
 
-    /// Atomically commits a DML statement's effects (§7.3): new mask
-    /// versions on fragments, tail masks on streamlets, and visibility of
-    /// reinserted-row streams — all at one timestamp.
-    pub fn commit_dml(
+    fn commit_dml(
         &self,
         table: TableId,
         fragment_masks: &[(FragmentId, DeletionMask)],
@@ -1329,53 +1099,37 @@ impl SmsTask {
         let ts = self.tt.record_timestamp();
         let ((), commit_ts) = self.store.with_txn_at(self.cfg.txn_retries, |txn| {
             for (fid, mask) in fragment_masks {
-                let fkey = fragment_key(table, *fid);
-                let bytes = txn
-                    .get(&fkey)
-                    .ok_or_else(|| VortexError::NotFound(format!("fragment {fid}")))?;
-                let mut f = FragmentMeta::from_bytes(&bytes)?;
-                f.masks.push((ts, mask.clone()));
-                txn.put(&fkey, f.to_bytes());
+                meta::update(txn, (table, *fid), |f: &mut FragmentMeta| {
+                    f.masks.push((ts, mask.clone()));
+                    Ok(())
+                })?;
             }
             for (slid, mask) in tail_masks {
-                let skey = streamlet_key(table, *slid);
-                let bytes = txn
-                    .get(&skey)
-                    .ok_or_else(|| VortexError::NotFound(format!("streamlet {slid}")))?;
-                let mut m = StreamletMeta::from_bytes(&bytes)?;
-                m.masks.push((ts, mask.clone()));
-                txn.put(&skey, m.to_bytes());
+                meta::update(txn, (table, *slid), |m: &mut StreamletMeta| {
+                    m.masks.push((ts, mask.clone()));
+                    Ok(())
+                })?;
                 // Rows that were in the tail at the DML's snapshot may by
                 // now live in fragments the heartbeat already finalized;
                 // map the mask onto those eagerly (the heartbeat mapping
                 // only runs at the Active→Finalized transition, which may
                 // have happened mid-statement).
-                let frags: Vec<FragmentMeta> = txn
-                    .scan_prefix(&fragment_prefix(table))
-                    .into_iter()
-                    .filter_map(|(_, v)| FragmentMeta::from_bytes(&v).ok())
-                    .filter(|f| {
-                        f.streamlet == *slid
-                            && f.kind == FragmentKind::Wos
-                            && f.state == FragmentState::Finalized
-                    })
-                    .collect();
+                let frags: Vec<FragmentMeta> =
+                    meta::scan_in(txn, table).collect::<VortexResult<_>>()?;
                 for mut f in frags {
-                    let local = mask.slice_rebased(f.first_row, f.first_row + f.row_count);
-                    if !local.is_empty() {
-                        f.masks.push((ts, local));
-                        txn.put(&fragment_key(table, f.fragment), f.to_bytes());
+                    let sealed_here = f.streamlet == *slid
+                        && f.kind == FragmentKind::Wos
+                        && f.state == FragmentState::Finalized;
+                    if sealed_here && f.add_tail_mask(ts, mask) {
+                        meta::put(txn, &f);
                     }
                 }
             }
             for &s in reinserted_streams {
-                let skey = stream_key(table, s);
-                let bytes = txn
-                    .get(&skey)
-                    .ok_or_else(|| VortexError::NotFound(format!("stream {s}")))?;
-                let mut m = StreamMeta::from_bytes(&bytes)?;
-                m.committed_at = Some(ts);
-                txn.put(&skey, m.to_bytes());
+                meta::update(txn, (table, s), |m: &mut StreamMeta| {
+                    m.committed_at = Some(ts);
+                    Ok(())
+                })?;
             }
             Ok(())
         })?;
@@ -1383,22 +1137,12 @@ impl SmsTask {
         Ok(commit_ts)
     }
 
-    /// Physically deletes fragment files whose grace period passed and
-    /// drops their metadata — the groomer's sweep (§5.4.3).
-    pub fn run_gc(&self, table: TableId) -> VortexResult<usize> {
-        let grace = Timestamp(
-            self.tt
-                .record_timestamp()
-                .0
-                .saturating_sub(self.cfg.gc_grace_micros),
-        );
-        let doomed: Vec<FragmentMeta> = self
-            .store
-            .scan_prefix_at(&fragment_prefix(table), self.store.now())
-            .into_iter()
-            .filter_map(|(_, v)| FragmentMeta::from_bytes(&v).ok())
-            .filter(|f| f.state == FragmentState::Deleted && f.deleted_at <= grace)
-            .collect();
+    // ------------------------------------------------------------------
+    // Garbage collection (§5.4.3).
+    // ------------------------------------------------------------------
+
+    fn run_gc(&self, table: TableId) -> VortexResult<usize> {
+        let doomed = self.collectible_fragments(table)?;
         for f in &doomed {
             for c in f.clusters {
                 if let Ok(cluster) = self.fleet.get(c) {
@@ -1406,61 +1150,14 @@ impl SmsTask {
                 }
             }
         }
-        let n = doomed.len();
-        self.store.with_txn(self.cfg.txn_retries, |txn| {
-            for f in &doomed {
-                txn.delete(&fragment_key(table, f.fragment));
-            }
-            Ok(())
-        })?;
-        Ok(n)
+        self.drop_fragments(&doomed)
     }
 
-    /// Drops a table: removes the name index and the table record. The
-    /// data and physical metadata stay behind as orphans for the groomer
-    /// (§5.4.3: "user initiated actions such as deletions of tables ...
-    /// can trigger garbage collection. As a catch all, a 'groomer' job
-    /// runs periodically to detect Fragments, Streams, or Streamlets that
-    /// may be orphaned").
-    pub fn drop_table(&self, table: TableId) -> VortexResult<()> {
-        self.check_owns(table)?;
-        self.store.with_txn(self.cfg.txn_retries, |txn| {
-            let bytes = txn
-                .get(&table_key(table))
-                .ok_or_else(|| VortexError::NotFound(format!("table {table}")))?;
-            let meta = TableMeta::from_bytes(&bytes)?;
-            txn.delete(&format!("tname/{}", meta.name));
-            txn.delete(&table_key(table));
-            Ok(())
-        })
-    }
-
-    /// The groomer sweep: finds streams/streamlets/fragments whose table
-    /// record no longer exists, deletes their log files and ROS blocks
-    /// from storage, and drops their metadata. Returns (entities removed,
-    /// files deleted).
-    pub fn run_groomer(&self) -> VortexResult<(usize, usize)> {
+    fn run_groomer(&self) -> VortexResult<(usize, usize)> {
         let now = self.store.now();
-        // Collect orphaned table ids: any `t/{id}/...` child key whose
-        // `t/{id}` record is gone.
-        let mut orphan_tables = std::collections::HashSet::new();
-        for (k, _) in self.store.scan_prefix_at("t/", now) {
-            // Keys look like t/{16-hex} or t/{16-hex}/...
-            let Some(rest) = k.strip_prefix("t/") else {
-                continue;
-            };
-            let id_hex = &rest[..rest.find('/').unwrap_or(rest.len())];
-            let Ok(raw) = u64::from_str_radix(id_hex, 16) else {
-                continue;
-            };
-            let table = TableId::from_raw(raw);
-            if rest.contains('/') && self.store.read_at(&table_key(table), now).is_none() {
-                orphan_tables.insert(table);
-            }
-        }
         let mut entities = 0usize;
         let mut files = 0usize;
-        for table in orphan_tables {
+        for table in meta::orphan_tables(&self.store, now) {
             // Delete physical files first (fragments name them precisely;
             // the WOS prefix listing catches anything unreported).
             for f in self.list_fragments(table, now) {
@@ -1484,19 +1181,15 @@ impl SmsTask {
                     }
                 }
             }
-            // Then drop every orphaned metadata key.
-            let doomed: Vec<String> = self
-                .store
-                .scan_prefix_at(&meta::table_prefix(table), now)
-                .into_iter()
-                .map(|(k, _)| k)
-                .collect();
+            // Then drop every orphaned metadata key — by key, so a record
+            // that no longer decodes goes too.
+            let doomed = meta::owned_keys(&self.store, table, now);
             entities += doomed.len();
-            self.store.with_txn(self.cfg.txn_retries, |txn| {
+            self.txn(|txn| {
                 for k in &doomed {
                     txn.delete(k);
                 }
-                for (k, _) in txn.scan_prefix(&dml_lock_prefix(table)) {
+                for (k, _) in txn.scan_prefix(&meta::dml_lock_prefix(table)) {
                     txn.delete(&k);
                 }
                 Ok(())
@@ -1505,22 +1198,18 @@ impl SmsTask {
         Ok((entities, files))
     }
 
-    /// All fragment metadata of a table at a snapshot (diagnostics,
-    /// optimizer candidate selection).
-    pub fn list_fragments(&self, table: TableId, at: Timestamp) -> Vec<FragmentMeta> {
-        self.store
-            .scan_prefix_at(&fragment_prefix(table), at)
-            .into_iter()
-            .filter_map(|(_, v)| FragmentMeta::from_bytes(&v).ok())
+    // The two diagnostics listings cannot fail by signature, so here, and
+    // only here, a record that does not decode is left out.
+
+    fn list_fragments(&self, table: TableId, at: Timestamp) -> Vec<FragmentMeta> {
+        meta::scan(&self.store, table, at)
+            .filter_map(Result::ok)
             .collect()
     }
 
-    /// All streamlet metadata of a table (diagnostics).
-    pub fn list_streamlets(&self, table: TableId) -> Vec<StreamletMeta> {
-        self.store
-            .scan_prefix_at(&streamlet_prefix(table), self.store.now())
-            .into_iter()
-            .filter_map(|(_, v)| StreamletMeta::from_bytes(&v).ok())
+    fn list_streamlets(&self, table: TableId) -> Vec<StreamletMeta> {
+        meta::scan(&self.store, table, self.store.now())
+            .filter_map(Result::ok)
             .collect()
     }
 }

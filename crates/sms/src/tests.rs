@@ -19,9 +19,11 @@ use vortex_common::truetime::{SimClock, Timestamp, TrueTime};
 use vortex_metastore::MetaStore;
 use vortex_wos::{FragmentConfig, FragmentWriter};
 
+use crate::api::SmsApi;
 use crate::heartbeat::{FragmentDelta, HeartbeatReport, StreamletDelta};
 use crate::meta::{
-    wos_path, FragmentKind, FragmentMeta, FragmentState, StreamType, StreamletState,
+    self, wos_path, FragmentKind, FragmentMeta, FragmentState, Record, StreamMeta, StreamType,
+    StreamletMeta, StreamletState,
 };
 use crate::server_ctl::{LoadReport, StreamServerApi, StreamletSpec};
 use crate::sms::{SmsConfig, SmsTask};
@@ -1121,6 +1123,327 @@ fn make_meta_template(table: TableId) -> FragmentMeta {
         partition_key: None,
         level: 1,
     }
+}
+
+/// One streamlet's delta: `(fragment id, ordinal, rows, finalized)` per
+/// fragment, laid end to end from row 0.
+fn delta_of(h: &crate::sms::StreamHandle, frags: &[(u64, u32, u64, bool)]) -> StreamletDelta {
+    let mut first_row = 0;
+    let fragments = frags.iter().map(|&(id, ordinal, row_count, finalized)| {
+        let delta = FragmentDelta {
+            fragment: FragmentId::from_raw(id),
+            ordinal,
+            first_row,
+            row_count,
+            committed_size: 100 * row_count,
+            finalized,
+            stats: vec![],
+            ts_range: None,
+        };
+        first_row += row_count;
+        delta
+    });
+    StreamletDelta {
+        table: h.table,
+        streamlet: h.streamlet.streamlet,
+        fragments: fragments.collect(),
+        row_count: frags.iter().map(|f| f.2).sum(),
+        max_flush_row: None,
+        finalized: false,
+    }
+}
+
+fn report_of(streamlets: Vec<StreamletDelta>) -> HeartbeatReport {
+    HeartbeatReport {
+        server: ServerId::from_raw(100),
+        load: LoadReport::default(),
+        streamlets,
+        full_state: false,
+    }
+}
+
+/// Converts the WOS fragments `ids` of `table` into one ROS block `ros`.
+fn convert(r: &Rig, table: TableId, ids: &[u64], ros: u64) {
+    let all = r.sms.list_fragments(table, r.sms.read_snapshot());
+    let sources: Vec<(FragmentId, usize)> = all
+        .iter()
+        .filter(|f| ids.contains(&f.fragment.raw()))
+        .map(|f| (f.fragment, f.masks.len()))
+        .collect();
+    assert_eq!(sources.len(), ids.len());
+    let rows = 10 * ids.len() as u64;
+    r.sms
+        .commit_conversion(
+            table,
+            &sources,
+            vec![make_ros_meta(r, table, ros, rows)],
+            false,
+        )
+        .unwrap();
+}
+
+/// What a `ReadSet` says, flattened for comparison: per spec and per tail
+/// the fields a reader acts on.
+type SpecView = (u64, Vec<(u64, u64)>, Timestamp, Option<u64>, u64, u64);
+type TailView = (u64, u32, u64, Vec<(u64, u64)>, Option<u64>, u64, u64);
+
+fn view_of(rs: &crate::readset::ReadSet) -> (Vec<SpecView>, Vec<TailView>) {
+    let specs = rs.fragments.iter().map(|f| {
+        (
+            f.meta.fragment.raw(),
+            f.mask.ranges().to_vec(),
+            f.visibility.visible_from,
+            f.visibility.flush_limit,
+            f.stream.raw(),
+            f.streamlet_first_stream_row,
+        )
+    });
+    let tails = rs.tails.iter().map(|t| {
+        (
+            t.streamlet.raw(),
+            t.from_ordinal,
+            t.from_row,
+            t.mask.ranges().to_vec(),
+            t.visibility.flush_limit,
+            t.epoch,
+            t.expected_rows,
+        )
+    });
+    (specs.collect(), tails.collect())
+}
+
+/// The read set computed the way `list_read_fragments` used to: from the
+/// diagnostics listings, with every tail's start found by its own pass
+/// over all the table's fragments.
+fn oracle_view(r: &Rig, table: TableId, snapshot: Timestamp) -> (Vec<SpecView>, Vec<TailView>) {
+    let store = r.sms.store();
+    let frags = r.sms.list_fragments(table, snapshot);
+    let streamlets: Vec<StreamletMeta> = meta::scan(&store, table, snapshot)
+        .collect::<VortexResult<_>>()
+        .unwrap();
+    let flush_limit = |sl: &StreamletMeta| {
+        let stream: StreamMeta = meta::load(&store, (table, sl.stream), snapshot).unwrap();
+        (stream.stype == StreamType::Buffered)
+            .then(|| stream.flushed_row.saturating_sub(sl.first_stream_row))
+    };
+    let mut specs: Vec<(SpecView, (u64, u32))> = Vec::new();
+    for f in frags.iter().filter(|f| f.visible_at(snapshot)) {
+        let mask = f.mask_at(snapshot).ranges().to_vec();
+        let id = f.fragment.raw();
+        if f.kind == FragmentKind::Ros {
+            specs.push(((id, mask, Timestamp::MIN, None, 0, 0), (0, 0)));
+        } else if f.state == FragmentState::Finalized {
+            let sl = streamlets.iter().find(|sl| sl.streamlet == f.streamlet);
+            let sl = sl.unwrap();
+            let spec = (
+                id,
+                mask,
+                Timestamp::MIN,
+                flush_limit(sl),
+                sl.stream.raw(),
+                sl.first_stream_row,
+            );
+            specs.push((spec, (f.streamlet.raw(), f.ordinal)));
+        }
+    }
+    specs.sort_by_key(|(spec, order)| (*order, spec.0));
+    let mut tails = Vec::new();
+    for sl in streamlets
+        .iter()
+        .filter(|sl| sl.state != StreamletState::Finalized)
+    {
+        let (mut from_ordinal, mut from_row) = (0u32, 0u64);
+        for f in r.sms.list_fragments(table, snapshot) {
+            if f.kind == FragmentKind::Wos
+                && f.streamlet == sl.streamlet
+                && f.state != FragmentState::Active
+            {
+                from_ordinal = from_ordinal.max(f.ordinal + 1);
+                from_row = from_row.max(f.first_row + f.row_count);
+            }
+        }
+        tails.push((
+            sl.streamlet.raw(),
+            from_ordinal,
+            from_row,
+            meta::effective_mask(&sl.masks, snapshot).ranges().to_vec(),
+            flush_limit(sl),
+            sl.epoch,
+            sl.row_count,
+        ));
+    }
+    tails.sort();
+    (specs.into_iter().map(|(spec, _)| spec).collect(), tails)
+}
+
+#[test]
+fn read_set_of_many_streamlets_matches_the_per_tail_rescan() {
+    let r = rig_with_servers(2);
+    let t = r.sms.create_table("t", simple_schema()).unwrap().table;
+    // Six open streamlets (one BUFFERED), each with five sealed fragments
+    // of ten rows and an active sixth.
+    let mut handles = Vec::new();
+    for i in 0..6u64 {
+        let stype = if i == 5 {
+            StreamType::Buffered
+        } else {
+            StreamType::Unbuffered
+        };
+        let h = r.sms.create_stream(t, stype).unwrap();
+        let base = 1_000 + 10 * i;
+        let mut frags: Vec<(u64, u32, u64, bool)> =
+            (0..5).map(|o| (base + o, o as u32, 10, true)).collect();
+        frags.push((base + 5, 5, 3, false));
+        r.sms
+            .heartbeat(&report_of(vec![delta_of(&h, &frags)]))
+            .unwrap();
+        handles.push(h);
+    }
+    r.servers[0]
+        .live_rows
+        .lock()
+        .insert(handles[5].streamlet.streamlet, 53);
+    r.servers[1]
+        .live_rows
+        .lock()
+        .insert(handles[5].streamlet.streamlet, 53);
+    r.sms.flush_stream(t, handles[5].stream.stream, 27).unwrap();
+    let before = r.sms.read_snapshot();
+    // Convert fragments out from under three of the tails: the tail must
+    // still start past them, though no read spec names them any more.
+    convert(&r, t, &[1_000, 1_001], 9_000);
+    convert(&r, t, &[1_010, 1_011, 1_012, 1_013, 1_014], 9_001);
+    convert(&r, t, &[1_054], 9_002);
+    // A DML statement: a fragment mask, and a tail mask that reaches back
+    // into sealed fragments.
+    let sealed = FragmentId::from_raw(1_022);
+    let tail = handles[3].streamlet.streamlet;
+    r.sms
+        .commit_dml(
+            t,
+            &[(sealed, DeletionMask::from_range(2, 4))],
+            &[(tail, DeletionMask::from_range(45, 52))],
+            &[],
+        )
+        .unwrap();
+    let after = r.sms.read_snapshot();
+    for snapshot in [before, after] {
+        let got = view_of(&r.sms.list_read_fragments(t, snapshot).unwrap());
+        assert_eq!(got, oracle_view(&r, t, snapshot), "at {snapshot:?}");
+        assert_eq!(got.1.len(), 6);
+    }
+    let now = view_of(&r.sms.list_read_fragments(t, after).unwrap());
+    let tail_of = |i: usize| &now.1[i];
+    // (tails sort by streamlet id, which follows creation order)
+    assert_eq!((tail_of(0).1, tail_of(0).2), (5, 50), "partly converted");
+    assert_eq!((tail_of(1).1, tail_of(1).2), (5, 50), "fully converted");
+    assert_eq!(tail_of(3).3, vec![(45, 52)]);
+    assert_eq!(tail_of(5).4, Some(27));
+}
+
+/// A table with four streamlets, two sealed fragments each, the first of
+/// each converted and past its GC grace; returns the next round of deltas
+/// (a third fragment per streamlet) and an unknown streamlet's delta.
+fn rig_due_for_gc() -> (Rig, Vec<StreamletDelta>) {
+    let r = rig_with_servers(1);
+    let t = r.sms.create_table("t", simple_schema()).unwrap().table;
+    let mut next = Vec::new();
+    for i in 0..4u64 {
+        let h = r.sms.create_stream(t, StreamType::Unbuffered).unwrap();
+        let base = 2_000 + 10 * i;
+        let sealed = [(base, 0, 10, true), (base + 1, 1, 10, true)];
+        r.sms
+            .heartbeat(&report_of(vec![delta_of(&h, &sealed)]))
+            .unwrap();
+        convert(&r, t, &[base], 9_100 + i);
+        let mut all = sealed.to_vec();
+        all.push((base + 2, 2, 4, false));
+        next.push(delta_of(&h, &all));
+    }
+    let mut unknown = next[0].clone();
+    unknown.streamlet = StreamletId::from_raw(424_242);
+    next.insert(2, unknown);
+    r.clock.advance(20_000_000);
+    (r, next)
+}
+
+#[test]
+fn one_report_of_four_deltas_answers_like_four_reports() {
+    let (one, deltas) = rig_due_for_gc();
+    let whole = one.sms.heartbeat(&report_of(deltas)).unwrap();
+    let (four, deltas) = rig_due_for_gc();
+    let mut merged = crate::heartbeat::HeartbeatResponse::default();
+    for d in deltas {
+        let part = four.sms.heartbeat(&report_of(vec![d])).unwrap();
+        merged.schema_updates.extend(part.schema_updates);
+        merged.gc.extend(part.gc);
+        merged.unknown_streamlets.extend(part.unknown_streamlets);
+    }
+    merged.schema_updates.dedup();
+    assert_eq!(whole.schema_updates, merged.schema_updates);
+    assert_eq!(whole.gc, merged.gc);
+    assert_eq!(whole.unknown_streamlets, merged.unknown_streamlets);
+    assert_eq!(whole.gc.len(), 4, "each streamlet has one fragment to GC");
+    assert!(whole.gc.iter().all(|(_, _, ordinals)| ordinals == &[0]));
+    assert_eq!(whole.schema_updates.len(), 1);
+    // Both ways leave the same records behind.
+    let t = whole.schema_updates[0].0;
+    let at = |r: &Rig| r.sms.list_fragments(t, r.sms.read_snapshot());
+    assert_eq!(at(&one), at(&four));
+    assert_eq!(one.sms.list_streamlets(t), four.sms.list_streamlets(t));
+}
+
+/// Overwrites a metastore key with bytes no record decodes from.
+fn corrupt(r: &Rig, key: &str) {
+    let store = r.sms.store();
+    let mut txn = store.begin();
+    txn.put(key, vec![0xff]);
+    txn.commit().unwrap();
+}
+
+#[test]
+fn undecodable_streamlet_record_fails_reads_instead_of_hiding_its_tail() {
+    let r = rig_with_servers(1);
+    let t = r.sms.create_table("t", simple_schema()).unwrap().table;
+    let h = r.sms.create_stream(t, StreamType::Unbuffered).unwrap();
+    let other = r.sms.create_stream(t, StreamType::Unbuffered).unwrap();
+    heartbeat_one_fragment(&r, &h, FragmentId::from_raw(3_000), 5, true);
+    let slid = h.streamlet.streamlet;
+    let healthy = r.sms.list_read_fragments(t, r.sms.read_snapshot()).unwrap();
+    assert_eq!(healthy.tails.len(), 2);
+    corrupt(&r, &StreamletMeta::key((t, slid)));
+
+    let decode = |e: VortexError| matches!(e, VortexError::Decode(_));
+    let listed = r.sms.list_read_fragments(t, r.sms.read_snapshot());
+    assert!(decode(listed.unwrap_err()), "not a read set missing a tail");
+    assert!(decode(r.sms.get_streamlet(t, slid).unwrap_err()));
+    assert!(decode(r.sms.stream_length(t, h.stream.stream).unwrap_err()));
+    assert!(decode(r.sms.reconcile_streamlet(t, slid).unwrap_err()));
+    let report = report_of(vec![delta_of(&h, &[(3_000, 0, 5, true)])]);
+    assert!(decode(r.sms.heartbeat(&report).unwrap_err()));
+    // The diagnostics listing is the one place that leaves it out.
+    let listed = r.sms.list_streamlets(t);
+    assert_eq!(listed.len(), 1);
+    assert_eq!(listed[0].streamlet, other.streamlet.streamlet);
+    // GC and the groomer work by key: they neither need nor decode it.
+    assert_eq!(r.sms.run_gc(t).unwrap(), 0);
+    r.sms.drop_table(t).unwrap();
+    let (entities, _files) = r.sms.run_groomer().unwrap();
+    assert_eq!(entities, 5, "2 streams, 2 streamlets, 1 fragment");
+    let store = r.sms.store();
+    assert!(meta::owned_keys(&store, t, store.now()).is_empty());
+}
+
+#[test]
+fn undecodable_stream_record_fails_reads() {
+    let r = rig_with_servers(1);
+    let t = r.sms.create_table("t", simple_schema()).unwrap().table;
+    let h = r.sms.create_stream(t, StreamType::Buffered).unwrap();
+    corrupt(&r, &StreamMeta::key((t, h.stream.stream)));
+    let listed = r.sms.list_read_fragments(t, r.sms.read_snapshot());
+    assert!(matches!(listed, Err(VortexError::Decode(_))));
+    let fetched = r.sms.get_stream(t, h.stream.stream);
+    assert!(matches!(fetched, Err(VortexError::Decode(_))));
 }
 
 #[test]

@@ -270,6 +270,7 @@ mod tests {
     use vortex_metastore::MetaStore;
     use vortex_server::{ServerConfig, StreamServer};
     use vortex_sms::sms::{SmsConfig, SmsTask};
+    use vortex_sms::SmsApi;
 
     struct Rig {
         client: VortexClient,

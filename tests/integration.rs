@@ -448,6 +448,121 @@ fn best_effort_read_skips_ambiguity() {
     assert_eq!(full.rows.len(), 100);
 }
 
+/// A fragment finalized by heartbeat (the server's running column stats)
+/// and one finalized by reconciliation (recomputed from the log file)
+/// over the same rows carry the same stats and the same mapped tail
+/// masks: both sides track `Schema::tracked_columns`.
+#[test]
+fn heartbeat_and_reconciliation_finalize_fragments_identically() {
+    let region = Region::create(RegionConfig {
+        fragment_max_bytes: 1024,
+        ..RegionConfig::default()
+    })
+    .unwrap();
+    let client = region.client();
+    let schema = Schema::new(vec![
+        Field::required("day", FieldType::Int64),
+        Field::nullable("customer", FieldType::String),
+        Field::repeated("tags", FieldType::String),
+        Field::required("amount", FieldType::Int64),
+    ]);
+    let t = client.create_table("twins", schema).unwrap().table;
+    let rows = |start: i64| {
+        let row = |k: i64| {
+            Row::insert(vec![
+                Value::Int64(k / 50),
+                Value::String(format!("cust-{:04}", (k * 7) % 300)),
+                Value::Array(vec![Value::String(format!("tag-{k}"))]),
+                Value::Int64(k),
+            ])
+        };
+        RowSet::new((start..start + 40).map(row).collect())
+    };
+    let mut by_heartbeat = client.create_unbuffered_writer(t).unwrap();
+    let mut by_reconcile = client.create_unbuffered_writer(t).unwrap();
+    for batch in 0..12 {
+        by_heartbeat.append(rows(batch * 40)).unwrap();
+        by_reconcile.append(rows(batch * 40)).unwrap();
+    }
+    // One statement masks the same rows in both tails, at one timestamp.
+    let report = region
+        .dml()
+        .delete_where(t, &Expr::lt("amount", Value::Int64(130)))
+        .unwrap();
+    assert_eq!(report.rows_matched, 260);
+    // Reconciliation first (it finalizes the streamlet, so the heartbeat
+    // below no longer touches it), then the heartbeat for the other.
+    let sms = region.sms();
+    sms.finalize_stream(t, by_reconcile.stream_id()).unwrap();
+    region.run_heartbeats(false).unwrap();
+
+    let streamlet_of = |stream| {
+        let all = sms.list_streamlets(t);
+        let of_stream = all.iter().find(|sl| sl.stream == stream);
+        of_stream.expect("one streamlet per stream").streamlet
+    };
+    let (a, b) = (
+        streamlet_of(by_heartbeat.stream_id()),
+        streamlet_of(by_reconcile.stream_id()),
+    );
+    let frags = sms.list_fragments(t, sms.read_snapshot());
+    let sealed = |streamlet, ordinal| {
+        frags.iter().find(|f| {
+            f.streamlet == streamlet
+                && f.ordinal == ordinal
+                && f.state == vortex_sms::meta::FragmentState::Finalized
+        })
+    };
+    let mut compared = 0;
+    let mut masked = 0;
+    for ordinal in 0.. {
+        let (Some(x), Some(y)) = (sealed(a, ordinal), sealed(b, ordinal)) else {
+            break;
+        };
+        assert_eq!((x.first_row, x.row_count), (y.first_row, y.row_count));
+        assert_eq!(x.stats, y.stats, "stats of fragment {ordinal}");
+        assert_eq!(x.masks, y.masks, "masks of fragment {ordinal}");
+        let names: Vec<&str> = x.stats.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, ["day", "customer", "amount"], "scalars only");
+        compared += 1;
+        masked += usize::from(!x.masks.is_empty());
+    }
+    assert!(
+        compared >= 2,
+        "several sealed fragments compared: {compared}"
+    );
+    assert!(masked >= 1, "the tail mask reached a sealed fragment");
+}
+
+/// A catalog record that does not decode fails the query with `Decode`;
+/// it used to drop the streamlet's tail from the read set, so the rows
+/// vanished from the answer with no error at all.
+#[test]
+fn undecodable_catalog_record_fails_the_query_instead_of_losing_rows() {
+    use vortex_sms::meta::{Record, StreamletMeta};
+    let region = Region::create(RegionConfig::default()).unwrap();
+    let client = region.client();
+    let t = client.create_table("torn", sales_schema()).unwrap().table;
+    let mut w = client.create_unbuffered_writer(t).unwrap();
+    w.append(sales_rows(0, 100)).unwrap();
+    assert_eq!(client.read_rows(t).unwrap().rows.len(), 100);
+
+    let streamlet = region.sms().list_streamlets(t)[0].streamlet;
+    let mut txn = region.store().begin();
+    txn.put(&StreamletMeta::key((t, streamlet)), vec![0xff]);
+    txn.commit().unwrap();
+
+    let read = client.read_rows(t);
+    assert!(
+        matches!(read, Err(vortex::VortexError::Decode(_))),
+        "{read:?}"
+    );
+    let scanned = region
+        .engine()
+        .scan(t, client.snapshot(), &ScanOptions::default());
+    assert!(matches!(scanned, Err(vortex::VortexError::Decode(_))));
+}
+
 /// The groomer (§5.4.3): dropping a table orphans its data; the sweep
 /// deletes files and metadata.
 #[test]

@@ -224,6 +224,40 @@ fn sms_restart_serves_recovered_metadata() {
     assert_eq!(replica.snapshot_bytes(), region.store().snapshot_bytes());
 }
 
+/// `create_blmt_table` binds the name and the bucket in ONE commit.
+/// Whichever metastore commit of the call dies, the name is afterwards
+/// either free or bound to a BLMT table — never to a managed table that a
+/// retry then trips over with `AlreadyExists`.
+#[test]
+fn blmt_create_never_leaves_the_name_on_a_managed_table() {
+    let _arm = ARM_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let region = region();
+    let sms = region.sms();
+    // Die in the WAL append of the call's first commit, then of its
+    // second (the two-commit sequence this used to be had one).
+    for nth in [1, 2] {
+        let name = format!("lake{nth}");
+        let guard = crashpoints::arm_nth("meta.wal.mid_append", nth);
+        let created = sms.create_blmt_table(&name, schema(), "bkt");
+        drop(guard);
+        if region.sms_channels()[0].is_dead() {
+            region.restart_sms_task(0).unwrap();
+        }
+        match sms.get_table_by_name(&name) {
+            Ok(t) => assert_eq!(t.external_bucket.as_deref(), Some("bkt"), "{name}"),
+            Err(VortexError::NotFound(_)) => {
+                assert!(created.is_err(), "{name} acknowledged but absent");
+                let retried = sms.create_blmt_table(&name, schema(), "bkt").unwrap();
+                assert_eq!(retried.external_bucket.as_deref(), Some("bkt"));
+            }
+            Err(e) => panic!("{name}: {e}"),
+        }
+    }
+    // The torn WAL tails cost nothing that was acknowledged.
+    let (replica, _) = region.recover_metastore_replica().unwrap();
+    assert_eq!(replica.snapshot_bytes(), region.store().snapshot_bytes());
+}
+
 /// The region daemon's checkpoint loop publishes on its own cadence —
 /// no manual `checkpoint_metadata` calls anywhere.
 #[test]
