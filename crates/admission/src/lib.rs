@@ -211,11 +211,6 @@ impl AdmissionController {
         }
     }
 
-    /// Current AIMD concurrency window.
-    pub fn concurrency_limit(&self) -> u64 {
-        self.inner.lock().limiter.limit()
-    }
-
     /// Slots currently occupied across all channels.
     pub fn in_flight(&self) -> u64 {
         self.inner.lock().limiter.in_flight()

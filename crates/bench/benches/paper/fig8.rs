@@ -6,12 +6,11 @@
 //! size while "the p99 latency is under 30 milliseconds" across the whole
 //! range. Higher-rate tables use larger batches and more parallel
 //! streams, exactly how high-throughput producers drive the Write API.
-#![allow(clippy::print_stdout)] // prints results/tables by design
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use vortex_bench::{
-    bench_schema, open_loop_append_latencies, paper_region, percentiles, print_percentile_row,
-};
+use vortex::Percentiles;
+use vortex_bench::Run;
+
+use super::workload::{bench_schema, open_loop_append_latencies, paper_region};
 
 struct Bucket {
     label: &'static str,
@@ -67,62 +66,32 @@ const BUCKETS: &[Bucket] = &[
     }, // ~1.2 GB/s
 ];
 
-fn reproduce_figure() {
-    println!("\n=== Figure 8: append latency by table append rate ===");
+pub fn run(run: &mut Run) {
     for (i, b) in BUCKETS.iter().enumerate() {
         // A fresh region per bucket = a distinct table with its own
         // streams, like the paper's per-table grouping.
-        let region = paper_region();
+        let region = paper_region(run.seed());
         let client = region.client();
         let table = client.create_table("fig8", bench_schema()).unwrap().table;
-        let lat = open_loop_append_latencies(
+        let mut lat = open_loop_append_latencies(
             &region,
             table,
             b.streams,
-            b.appends_per_stream,
+            run.iters(b.appends_per_stream),
             b.batch_bytes,
             b.mean_interarrival_us,
-            0xF1608 + i as u64,
+            0xF1608 + i as u64 + (run.seed() << 24),
         );
-        let p = percentiles(lat);
-        print_percentile_row(b.label, &p);
-        assert!(
-            p.p99 < 45_000,
-            "{}: p99 {}us must stay low across rates",
-            b.label,
-            p.p99
-        );
+        let p = Percentiles::compute(&mut lat);
+        run.report(format!("{}.p50_us", b.label), p.p50 as f64);
+        run.report(format!("{}.p99_us", b.label), p.p99 as f64);
+        if run.full() {
+            assert!(
+                p.p99 < 45_000,
+                "{}: p99 {}us must stay low across rates",
+                b.label,
+                p.p99
+            );
+        }
     }
-    println!("paper:          p99 under ~30ms across every rate bucket");
 }
-
-fn bench(c: &mut Criterion) {
-    reproduce_figure();
-    // Criterion measurement: large-batch append wall-clock cost
-    // (compression + encryption dominate; the shape behind the gentle
-    // p50 rise at high rates).
-    let region = vortex_bench::fast_region();
-    let client = region.client();
-    let table = client
-        .create_table("fig8-crit", bench_schema())
-        .unwrap()
-        .table;
-    let mut writer = client.create_unbuffered_writer(table).unwrap();
-    let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(2);
-    c.bench_function("append_256kib_batch_dual_replica", |b| {
-        b.iter(|| {
-            let batch = vortex_bench::batch_of_bytes(&mut rng, 256 << 10);
-            writer.append(batch).unwrap()
-        })
-    });
-}
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default()
-        .sample_size(10)
-        .warm_up_time(std::time::Duration::from_millis(300))
-        .measurement_time(std::time::Duration::from_secs(2));
-    targets = bench
-}
-criterion_main!(benches);

@@ -259,6 +259,12 @@ fn at_least_once_mode_appends_at_end() {
     w.append(rows(0, 4)).unwrap();
     w.append(rows(4, 4)).unwrap();
     assert_eq!(r.client.read_rows(t.table).unwrap().rows.len(), 8);
+    // With no offset to dedup by, a retried bundle is visibly duplicated —
+    // the at-least-once behaviour the exactly-once sink (§7.4) exists to
+    // prevent.
+    w.append(rows(4, 4)).unwrap();
+    let seen = keys(&r.client.read_rows(t.table).unwrap());
+    assert_eq!(seen, vec![0, 1, 2, 3, 4, 4, 5, 5, 6, 6, 7, 7]);
 }
 
 #[test]

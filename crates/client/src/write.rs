@@ -9,7 +9,7 @@ use vortex_common::obs;
 use vortex_common::row::{Row, RowSet, Value};
 use vortex_common::rpc::table_scope;
 use vortex_common::schema::Schema;
-use vortex_common::transport::{AdaptiveTransport, TransportLedger};
+use vortex_common::transport::AdaptiveTransport;
 use vortex_common::truetime::{Timestamp, TrueTime};
 use vortex_sms::api::SmsHandle;
 use vortex_sms::meta::StreamType;
@@ -158,11 +158,6 @@ impl StreamWriter {
     /// The schema version this writer currently serializes against.
     pub fn schema_version(&self) -> u32 {
         self.schema.version
-    }
-
-    /// Transport cost ledger (bench C3).
-    pub fn transport_ledger(&self) -> TransportLedger {
-        self.transport.ledger()
     }
 
     /// Pads a row with NULLs up to the writer's current schema arity —

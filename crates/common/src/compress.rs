@@ -308,21 +308,26 @@ mod tests {
     fn mixed_row_like_data_hits_typical_ratio() {
         // Rows with repeated field names and common values, varying keys —
         // the "typical compression ratio is 4:1" shape from §5.4.5.
-        let mut data = Vec::new();
-        for i in 0..5000u32 {
-            data.extend_from_slice(
-                format!(
-                    "orderTimestamp=2023-10-{:02};customerKey=cust{:04};currency=USD;qty={};",
-                    (i % 28) + 1,
-                    i % 97,
-                    i % 13
-                )
-                .as_bytes(),
-            );
-        }
-        let c = roundtrip(&data);
-        let ratio = data.len() as f64 / c.len() as f64;
+        let ratio_of = |rows: u32| {
+            let mut data = Vec::new();
+            for i in 0..rows {
+                data.extend_from_slice(
+                    format!(
+                        "orderTimestamp=2023-10-{:02};customerKey=cust{:04};currency=USD;qty={};",
+                        (i % 28) + 1,
+                        i % 97,
+                        i % 13
+                    )
+                    .as_bytes(),
+                );
+            }
+            data.len() as f64 / roundtrip(&data).len() as f64
+        };
+        let ratio = ratio_of(5000);
         assert!(ratio > 4.0, "expected ~4:1, got {ratio:.2}");
+        // "More effective the larger the size of the batched append."
+        let by_batch = [50, 500, 5000].map(ratio_of);
+        assert!(by_batch.windows(2).all(|w| w[0] < w[1]), "{by_batch:?}");
     }
 
     #[test]

@@ -213,11 +213,6 @@ impl<T> ReplySlot<T> {
         self.waiter.unpark();
     }
 
-    /// True once a reply has been delivered.
-    pub fn is_ready(&self) -> bool {
-        self.cell.get().is_some()
-    }
-
     /// Parks until the reply arrives, up to `max_parks` intervals of
     /// `park` (stale unpark tokens can wake a park early, so the bound is
     /// approximate). `None` means the shard never answered — the caller

@@ -71,11 +71,6 @@ impl Gauge {
         self.0.store(v, Ordering::Relaxed);
     }
 
-    /// Adjusts the gauge by a signed delta.
-    pub fn adjust(&self, d: i64) {
-        self.0.fetch_add(d, Ordering::Relaxed);
-    }
-
     /// Current value.
     pub fn get(&self) -> i64 {
         self.0.load(Ordering::Relaxed)

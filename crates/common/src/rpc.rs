@@ -665,11 +665,6 @@ impl RpcChannel {
         self.transport.lock().ledger()
     }
 
-    /// Current transport mode of the channel's connection.
-    pub fn transport_kind(&self) -> crate::transport::TransportKind {
-        self.transport.lock().kind()
-    }
-
     /// Whether the channel's connection currently allows pipelining.
     pub fn supports_pipelining(&self) -> bool {
         self.transport.lock().supports_pipelining()
@@ -686,11 +681,6 @@ impl RpcChannel {
     /// Installs the admission interceptor consulted before every attempt.
     pub fn set_interceptor(&self, interceptor: Arc<dyn RpcInterceptor>) {
         *self.interceptor.lock() = Some(interceptor);
-    }
-
-    /// Removes the admission interceptor (control configurations).
-    pub fn clear_interceptor(&self) {
-        *self.interceptor.lock() = None;
     }
 
     fn now(&self) -> Timestamp {

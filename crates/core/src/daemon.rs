@@ -37,11 +37,6 @@ impl ShutdownSignal {
         Arc::new(Self::default())
     }
 
-    /// Whether shutdown has been requested.
-    pub fn is_stopped(&self) -> bool {
-        *self.stopped.lock()
-    }
-
     /// Blocks for up to `period`, returning early on shutdown.
     /// Returns `true` when the caller's loop should exit.
     pub fn sleep_or_stop(&self, period: Duration) -> bool {
@@ -206,11 +201,6 @@ impl RegionDaemon {
     /// Registers a table for continuous optimization and GC.
     pub fn watch_table(&self, table: TableId) {
         self.tables.lock().insert(table);
-    }
-
-    /// Stops watching a table (e.g. after dropping it).
-    pub fn unwatch_table(&self, table: TableId) {
-        self.tables.lock().remove(&table);
     }
 
     /// Work counters.

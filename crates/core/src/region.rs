@@ -299,7 +299,6 @@ impl Region {
         let optimizer = StorageOptimizer::new(
             sms_handles[0].clone(),
             fleet.clone(),
-            tt.clone(),
             Arc::clone(&ids),
             cfg.optimizer,
         );

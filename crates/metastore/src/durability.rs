@@ -389,14 +389,6 @@ impl MetaStore {
         Ok((store, report))
     }
 
-    /// The WAL epoch new commits currently append to (`None` for
-    /// non-durable stores). Diagnostics and tests.
-    pub fn wal_epoch(&self) -> Option<u64> {
-        self.durability
-            .get()
-            .map(|d| d.epoch.load(Ordering::SeqCst))
-    }
-
     /// Takes a snapshot and atomically publishes it as the next
     /// checkpoint version, then garbage-collects superseded checkpoint
     /// files and the WAL prefix both retained checkpoints cover.

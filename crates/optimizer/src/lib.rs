@@ -35,7 +35,7 @@ use vortex_common::mask::DeletionMask;
 use vortex_common::row::{Row, Value};
 use vortex_common::rpc::{class_scope, WorkClass};
 use vortex_common::schema::Schema;
-use vortex_common::truetime::{Timestamp, TrueTime};
+use vortex_common::truetime::Timestamp;
 use vortex_ros::{RosBlockBuilder, RowMeta};
 use vortex_sms::api::SmsHandle;
 use vortex_sms::meta::{
@@ -107,14 +107,7 @@ pub struct StorageOptimizer {
 
 impl StorageOptimizer {
     /// Creates the service over shared infrastructure.
-    pub fn new(
-        sms: SmsHandle,
-        fleet: StorageFleet,
-        tt: TrueTime,
-        ids: Arc<IdGen>,
-        cfg: OptimizerConfig,
-    ) -> Self {
-        let _ = tt; // reserved for future time-based pacing
+    pub fn new(sms: SmsHandle, fleet: StorageFleet, ids: Arc<IdGen>, cfg: OptimizerConfig) -> Self {
         Self {
             sms,
             fleet,

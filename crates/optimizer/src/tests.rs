@@ -58,7 +58,7 @@ fn rig_with(cfg: OptimizerConfig) -> Rig {
         sms.register_server(server);
     }
     let handle: vortex_sms::api::SmsHandle = sms.clone();
-    let opt = StorageOptimizer::new(handle.clone(), fleet.clone(), tt.clone(), ids, cfg);
+    let opt = StorageOptimizer::new(handle.clone(), fleet.clone(), ids, cfg);
     let client = vortex_client::VortexClient::new(handle, fleet.clone(), tt.clone());
     Rig {
         sms,

@@ -373,13 +373,13 @@ impl QueryEngine {
                     .find(|(n, _)| n == col)
                     .map(|(_, s)| s.clone())
             };
-            if !opts.predicate.may_match_stats(&lookup) {
+            if !pushed.0.may_match_stats(&lookup) {
                 stats.pruned_by_stats += 1;
                 continue;
             }
             if opts.use_bloom
                 && spec.meta.kind == FragmentKind::Wos
-                && !self.bloom_may_match(&tmeta.schema, spec, &opts.predicate)?
+                && !self.bloom_may_match(&tmeta.schema, spec, pushed.0)?
             {
                 stats.pruned_by_bloom += 1;
                 continue;

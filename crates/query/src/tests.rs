@@ -62,7 +62,6 @@ fn rig_with_block_rows(target_block_rows: usize) -> Rig {
     let opt = StorageOptimizer::new(
         handle,
         fleet.clone(),
-        tt,
         ids,
         OptimizerConfig {
             target_block_rows,
@@ -185,6 +184,15 @@ fn partition_elimination_by_stats() {
     // Scanned rows ≈ one partition, not the whole table.
     assert!(res.stats.rows_scanned <= 110, "{:?}", res.stats);
     assert_eq!(amounts(&res.rows), (100..200).collect::<Vec<_>>());
+
+    // A predicate no partition can satisfy opens nothing at all.
+    let nowhere = ScanOptions {
+        predicate: Expr::eq("day", Value::Int64(99)),
+        ..ScanOptions::default()
+    };
+    let res = r.engine.scan(t, r.sms.read_snapshot(), &nowhere).unwrap();
+    assert_eq!(res.stats.pruned_by_stats, res.stats.fragments_total);
+    assert_eq!((res.rows.len(), res.stats.rows_scanned), (0, 0));
 }
 
 #[test]
@@ -265,27 +273,58 @@ fn scan_includes_fresh_tail_data() {
         .unwrap();
     assert_eq!(res.rows.len(), 150);
     assert!(res.stats.tails_scanned >= 1);
+
+    // Read-after-write (§7.1): every acked row is in the next snapshot,
+    // and the freshness probe (§8) observes it exactly once however often
+    // a reader polls.
+    use vortex_common::obs::{FreshnessProbe, Registry};
+    let probe = Arc::new(FreshnessProbe::new(&Registry::new()));
+    let handle: vortex_sms::api::SmsHandle = r.sms.clone();
+    let polling = QueryEngine::new(handle, r.client.fleet().clone()).with_observability(
+        TrueTime::simulated(r.clock.clone(), 100, 0),
+        vortex_client::ReadCache::new(1024),
+        Arc::clone(&probe),
+    );
+    let mut acked = 150;
+    for i in 0..5 {
+        w.append(rows(150 + i * 10, 10)).unwrap();
+        acked += 10;
+        r.clock.advance(50_000);
+        for _poll in 0..2 {
+            let visible = polling
+                .count(t, r.sms.read_snapshot(), &ScanOptions::default())
+                .unwrap();
+            assert_eq!(visible, acked, "read-after-write at append {i}");
+        }
+        assert_eq!(probe.rows_observed(), acked, "append {i}");
+    }
 }
 
 #[test]
 fn aggregate_count_sum_min_max() {
     let r = rig();
-    let t = load_converted(&r, 200);
-    let groups = r
-        .engine
-        .aggregate(
-            t,
-            r.sms.read_snapshot(),
-            &ScanOptions::default(),
-            Some("day"),
-            &[
-                (AggKind::Count, None),
-                (AggKind::Sum, Some("amount")),
-                (AggKind::Min, Some("amount")),
-                (AggKind::Max, Some("amount")),
-            ],
-        )
-        .unwrap();
+    let t = r.sms.create_table("t", schema()).unwrap().table;
+    let mut w = r.client.create_unbuffered_writer(t).unwrap();
+    w.append(rows(0, 200)).unwrap();
+    r.sms.finalize_stream(t, w.stream_id()).unwrap();
+    let grouped = || {
+        let aggs = [
+            (AggKind::Count, None),
+            (AggKind::Sum, Some("amount")),
+            (AggKind::Min, Some("amount")),
+            (AggKind::Max, Some("amount")),
+        ];
+        let (snap, opts) = (r.sms.read_snapshot(), ScanOptions::default());
+        r.engine.aggregate(t, snap, &opts, Some("day"), &aggs)
+    };
+    // The same answer from every level of the LSM (§6.1): WOS log files,
+    // freshly converted delta ROS, the reclustered baseline.
+    let from_wos = grouped().unwrap();
+    r.opt.convert_wos(t).unwrap();
+    let groups = grouped().unwrap();
+    assert_eq!(groups, from_wos, "delta ROS");
+    assert!(r.opt.recluster(t).unwrap().merged);
+    assert_eq!(grouped().unwrap(), from_wos, "baseline ROS");
     assert_eq!(groups.len(), 2); // days 0 and 1
     for (g, vals) in &groups {
         let day = match g {
@@ -671,6 +710,39 @@ fn cdc_resolution_survives_conversion() {
     // k0..k9 → 100..109, k10..19 → 10..19.
     let expect: i64 = (100..110).sum::<i64>() + (10..20).sum::<i64>();
     assert_eq!(sum, expect);
+}
+
+#[test]
+fn cdc_pruning_keeps_the_superseding_fragment() {
+    let r = rig();
+    let schema = Schema::new(vec![
+        Field::required("k", FieldType::String),
+        Field::required("val", FieldType::Int64),
+    ])
+    .with_primary_key(&["k"]);
+    let t = r.sms.create_table("cdc3", schema).unwrap();
+    // One fragment holds k→5, a second holds only the upsert k→7.
+    for val in [5, 7] {
+        let mut w = r.client.create_unbuffered_writer(t.table).unwrap();
+        w.append(RowSet::new(vec![Row::with_change(
+            vec![Value::String("k".into()), Value::Int64(val)],
+            ChangeType::Upsert,
+        )]))
+        .unwrap();
+        r.sms.finalize_stream(t.table, w.stream_id()).unwrap();
+    }
+    // The second fragment's stats (val ∈ [7,7]) miss the predicate; pruning
+    // it by the caller's filter would resurrect the overwritten k→5.
+    let stale = ScanOptions {
+        resolve_changes: true,
+        predicate: Expr::eq("val", Value::Int64(5)),
+        ..ScanOptions::default()
+    };
+    let snap = r.sms.read_snapshot();
+    let res = r.engine.scan(t.table, snap, &stale).unwrap();
+    assert_eq!(res.rows, vec![], "{:?}", res.stats);
+    assert_eq!(res.stats.pruned_by_stats, 0);
+    assert_eq!(r.engine.count(t.table, snap, &stale).unwrap(), 0);
 }
 
 #[test]

@@ -226,7 +226,7 @@ impl StreamServer {
     /// plain `id % shards` leaves shards idle under even strides;
     /// Fibonacci hashing (multiply by 2^64/φ, keep the high bits) spreads
     /// any stride over every shard.
-    fn shard_of(&self, streamlet: StreamletId) -> &MailboxSender<ShardMsg> {
+    pub(crate) fn shard_of(&self, streamlet: StreamletId) -> &MailboxSender<ShardMsg> {
         &self.shards[shard_index(streamlet, self.shards.len())]
     }
 

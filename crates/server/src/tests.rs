@@ -39,9 +39,13 @@ fn rig() -> Rig {
 }
 
 fn rig_with(tweak: impl FnOnce(&mut ServerConfig)) -> Rig {
+    rig_on(WriteProfile::instant(), tweak)
+}
+
+fn rig_on(storage: WriteProfile, tweak: impl FnOnce(&mut ServerConfig)) -> Rig {
     let clock = SimClock::new(1_000_000);
     let tt = TrueTime::simulated(clock.clone(), 100, 0);
-    let fleet = StorageFleet::with_mem_clusters(2, WriteProfile::instant(), 5);
+    let fleet = StorageFleet::with_mem_clusters(2, storage, 5);
     let ids = Arc::new(IdGen::new(1));
     let mut cfg = ServerConfig::new(ServerId::from_raw(1), ClusterId::from_raw(0));
     tweak(&mut cfg);
@@ -606,6 +610,51 @@ fn checkpoint_and_recovery_restore_streamlet_identities() {
     let mut known: Vec<(u64, u64)> = summary.iter().map(|(_, s, n)| (s.raw(), *n)).collect();
     known.sort_unstable();
     assert_eq!(known, vec![(27, 5), (28, 0)], "rows come from the snapshot");
+}
+
+/// Group commit (§5.3): whatever queued on a shard while it was busy
+/// lands as one dual-replica write per streamlet, so every ack of the
+/// group carries the same durable completion; the same appends sent one
+/// at a time pay one write each.
+#[test]
+fn appends_queued_behind_a_busy_shard_share_one_write() {
+    let r = rig_on(WriteProfile::paper_colossus(), |_| {});
+    let sl = StreamletId::from_raw(40);
+    r.server.create_streamlet(spec(&r, 40, 0)).unwrap();
+    let server = &r.server;
+    let at = Timestamp::from_micros(2_000_000);
+    let (entered, is_in) = std::sync::mpsc::channel();
+    let (release, held) = std::sync::mpsc::channel::<()>();
+    let grouped: Vec<Timestamp> = std::thread::scope(|s| {
+        // Park the owning shard inside a control closure...
+        s.spawn(move || {
+            server.on_shard(server.shard_of(sl), move |_| {
+                entered.send(()).unwrap();
+                let _ = held.recv();
+            })
+        });
+        is_in.recv().unwrap();
+        // ...until four producers have queued behind it.
+        let producers: Vec<_> = (0..4)
+            .map(|i| s.spawn(move || server.append(sl, &rows(i * 4, 4), 1, None, at)))
+            .collect();
+        while server.shard_of(sl).queued() < 4 {
+            std::thread::yield_now();
+        }
+        release.send(()).unwrap();
+        let acks = producers.into_iter().map(|p| p.join().unwrap().unwrap());
+        acks.map(|ack| ack.completion).collect()
+    });
+    assert!(grouped[0] > at, "the write takes virtual time: {grouped:?}");
+    assert!(grouped.iter().all(|c| *c == grouped[0]), "{grouped:?}");
+    assert_eq!(server.streamlet_rows(sl), Some(16));
+
+    let at = grouped[0].plus_micros(1_000_000);
+    let serial: Vec<Timestamp> = (0..4)
+        .map(|i| server.append(sl, &rows(i * 4, 4), 1, None, at).unwrap())
+        .map(|ack| ack.completion)
+        .collect();
+    assert!(serial.windows(2).all(|w| w[0] < w[1]), "{serial:?}");
 }
 
 #[test]

@@ -279,7 +279,6 @@ mod tests {
         clock: SimClock,
         ids: Arc<IdGen>,
         fleet: StorageFleet,
-        tt: TrueTime,
     }
 
     fn rig() -> Rig {
@@ -307,7 +306,7 @@ mod tests {
             sms.register_server(server);
         }
         let sms: SmsHandle = sms;
-        let client = VortexClient::new(sms.clone(), fleet.clone(), tt.clone());
+        let client = VortexClient::new(sms.clone(), fleet.clone(), tt);
         let verifier = Verifier::new(sms.clone(), fleet.clone());
         Rig {
             client,
@@ -316,7 +315,6 @@ mod tests {
             clock,
             ids,
             fleet,
-            tt,
         }
     }
 
@@ -405,7 +403,6 @@ mod tests {
         let opt = vortex_optimizer::StorageOptimizer::new(
             Arc::clone(&r.sms),
             r.fleet.clone(),
-            r.tt.clone(),
             Arc::clone(&r.ids),
             vortex_optimizer::OptimizerConfig::default(),
         );

@@ -301,11 +301,6 @@ impl FragmentWriter {
     pub fn is_finalized(&self) -> bool {
         self.finalized
     }
-
-    /// This fragment's id.
-    pub fn fragment_id(&self) -> vortex_common::ids::FragmentId {
-        self.cfg.fragment
-    }
 }
 
 #[cfg(test)]
