@@ -247,7 +247,7 @@ fn read_reconciled_tail(
         // the optimizer may convert the reconciled fragments before
         // this read runs, and skipping them would silently drop rows
         // (their ROS replacements are invisible at this snapshot).
-        // If the file is already collected, read_fragment fails with
+        // If the file is already collected, the read fails with
         // NotFound — "snapshot too old" — which is honest.
         f.streamlet == tail.streamlet
             && f.kind == FragmentKind::Wos
@@ -261,7 +261,7 @@ fn read_reconciled_tail(
             streamlet_first_stream_row: tail.first_stream_row,
             meta,
         };
-        for (m, r) in read_fragment(&spec, fleet, key, snapshot)? {
+        for (m, r) in read_fragment_cached(&spec, fleet, key, snapshot, None)? {
             if m.offset >= from_offset {
                 out.push((m, r));
             }
@@ -320,14 +320,36 @@ pub fn open_fragment(
     })
 }
 
-/// Provenance of row `i` of a WOS data block.
-fn wos_row_meta(block: &DataBlock, i: usize, stream: StreamId, first_stream_row: u64) -> RowMeta {
+/// Provenance of `row`, the `i`-th of a WOS data block.
+fn wos_row_meta(
+    block: &DataBlock,
+    i: usize,
+    row: &Row,
+    stream: StreamId,
+    first_stream_row: u64,
+) -> RowMeta {
     RowMeta {
-        change_type: block.rows.rows[i].change_type,
+        change_type: row.change_type,
         ts: block.timestamp,
         stream: stream.raw(),
         offset: first_stream_row + block.first_row + i as u64,
     }
+}
+
+/// The rows of a parsed log file in position order, each moved out with
+/// its provenance; `stream` and `first_stream_row` are those of the
+/// fragment's read spec.
+pub fn wos_rows(
+    parsed: ParsedFragment,
+    stream: StreamId,
+    first_stream_row: u64,
+) -> impl Iterator<Item = (RowMeta, Row)> {
+    parsed.blocks.into_iter().flat_map(move |mut block| {
+        let rows = std::mem::take(&mut block.rows.rows);
+        let meta =
+            move |i: usize, row: &Row| wos_row_meta(&block, i, row, stream, first_stream_row);
+        (rows.into_iter().enumerate()).map(move |(i, row)| (meta(i, &row), row))
+    })
 }
 
 /// Decodes a fragment's full extent, positionally ordered (no visibility
@@ -342,14 +364,12 @@ fn decode_fragment(
     Ok(match open_fragment(&spec.meta, fleet, key)? {
         OpenFragment::Ros(block) => block.rows()?,
         OpenFragment::Wos(parsed) => {
-            let parsed_rows = parsed.blocks.iter().map(|b| b.rows.rows.len()).sum();
-            let mut rows = Vec::with_capacity(parsed_rows);
-            for block in &parsed.blocks {
-                for (i, row) in block.rows.rows.iter().enumerate() {
-                    let meta = wos_row_meta(block, i, spec.stream, spec.streamlet_first_stream_row);
-                    rows.push((meta, row.clone()));
-                }
-            }
+            let mut rows = Vec::with_capacity(parsed.total_rows() as usize);
+            rows.extend(wos_rows(
+                parsed,
+                spec.stream,
+                spec.streamlet_first_stream_row,
+            ));
             rows
         }
     })
@@ -447,17 +467,8 @@ impl<'a> RowGate<'a> {
     }
 }
 
-/// Reads one fragment (WOS or ROS) with replica failover.
-pub fn read_fragment(
-    spec: &FragmentReadSpec,
-    fleet: &StorageFleet,
-    key: &Key,
-    snapshot: Timestamp,
-) -> VortexResult<Vec<(RowMeta, Row)>> {
-    read_fragment_cached(spec, fleet, key, snapshot, None)
-}
-
-/// [`read_fragment`] with an optional decoded-extent cache (§9).
+/// Reads one fragment's visible rows (WOS or ROS) with replica failover,
+/// through the decoded-extent cache (§9) if one is given.
 pub fn read_fragment_cached(
     spec: &FragmentReadSpec,
     fleet: &StorageFleet,
@@ -488,7 +499,7 @@ pub fn read_fragment_cached(
         .collect())
 }
 
-/// [`read_fragment`] keeping each visible row's position — the
+/// [`read_fragment_cached`] keeping each visible row's position — the
 /// coordinate a DML statement's deletion mask is written in (§7.3).
 pub fn read_fragment_positions(
     spec: &FragmentReadSpec,
@@ -602,7 +613,7 @@ pub fn read_tail(
             *recovered_end = (*recovered_end).max(block.first_row + block.rows.rows.len() as u64);
             for (i, row) in block.rows.rows.iter().enumerate() {
                 if gate.admits(block.first_row + i as u64) {
-                    let meta = wos_row_meta(block, i, tail.stream, tail.first_stream_row);
+                    let meta = wos_row_meta(block, i, row, tail.stream, tail.first_stream_row);
                     out.push((meta, row.clone()));
                 }
             }

@@ -27,16 +27,16 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use vortex_client::read::read_fragment;
+use vortex_client::read::{open_fragment, wos_rows, OpenFragment, RowGate};
 use vortex_colossus::{Colossus, StorageFleet};
 use vortex_common::error::{VortexError, VortexResult};
 use vortex_common::ids::{IdGen, StreamId, StreamletId, TableId};
 use vortex_common::mask::DeletionMask;
-use vortex_common::row::{Row, Value};
+use vortex_common::row::Row;
 use vortex_common::rpc::{class_scope, WorkClass};
-use vortex_common::schema::Schema;
+use vortex_common::schema::{PartitionSpec, Schema};
 use vortex_common::truetime::Timestamp;
-use vortex_ros::{RosBlockBuilder, RowMeta};
+use vortex_ros::{clustering_order, ColumnVec, RosBlockBuilder, RowMeta};
 use vortex_sms::api::SmsHandle;
 use vortex_sms::meta::{
     ros_path, FragmentKind, FragmentMeta, FragmentState, StreamType, StreamletMeta, TableMeta,
@@ -159,42 +159,73 @@ impl StorageOptimizer {
         Ok(out)
     }
 
-    /// Reads the rows of a fragment this pass rewrites, in position
-    /// order and minus `mask`, through the client's one read path.
-    /// Stream-level visibility is already settled — [`Self::candidates`]
-    /// only admits committed, fully flushed WOS fragments, and ROS blocks
-    /// carry no gate — so the whole committed extent is read. `sl` is the
-    /// owning streamlet of a WOS fragment (row provenance); ROS rows
-    /// carry their own and pass `None`.
-    fn read_settled(
+    /// Hands `sink` the rows of a WOS fragment this pass rewrites that
+    /// `mask` leaves, in position order, each moved out of the parsed log
+    /// file — no row vector is built. Returns how many there were. `sl`
+    /// is the owning streamlet (row provenance).
+    fn for_each_wos_row(
         &self,
         f: &FragmentMeta,
         mask: DeletionMask,
-        sl: Option<&StreamletMeta>,
+        sl: &StreamletMeta,
         key: &vortex_common::crypt::Key,
-    ) -> VortexResult<Vec<(RowMeta, Row)>> {
-        let spec = FragmentReadSpec {
-            meta: f.clone(),
-            mask,
-            visibility: RowVisibility::unconstrained(),
-            stream: sl.map_or(StreamId::from_raw(0), |sl| sl.stream),
-            streamlet_first_stream_row: sl.map_or(0, |sl| sl.first_stream_row),
+        mut sink: impl FnMut(RowMeta, Row) -> VortexResult<()>,
+    ) -> VortexResult<u64> {
+        let spec = settled_spec(f, mask, Some(sl));
+        let gate = RowGate::for_fragment(&spec, Timestamp::MAX);
+        let OpenFragment::Wos(parsed) = open_fragment(f, &self.fleet, key)? else {
+            return Err(listed_as(f, "a log file"));
         };
-        read_fragment(&spec, &self.fleet, key, Timestamp::MAX)
+        let rows = wos_rows(parsed, spec.stream, spec.streamlet_first_stream_row);
+        let mut visible = gate.visible(rows);
+        visible.try_fold(0, |kept, (_, (meta, row))| {
+            sink(meta, row).map(|()| kept + 1)
+        })
     }
 
-    /// Builds one ROS block from rows the pass owns (moved in, never
-    /// cloned) and writes it where the table keeps its ROS.
+    /// Decodes a ROS block this pass rewrites zone by zone into leaf
+    /// vectors of the rows `mask` leaves, appending to `zones`.
+    fn read_ros_zones(
+        &self,
+        f: &FragmentMeta,
+        mask: DeletionMask,
+        key: &vortex_common::crypt::Key,
+        zones: &mut Vec<SourceZone>,
+    ) -> VortexResult<()> {
+        let spec = settled_spec(f, mask, None);
+        let gate = RowGate::for_fragment(&spec, Timestamp::MAX);
+        let OpenFragment::Ros(block) = open_fragment(f, &self.fleet, key)? else {
+            return Err(listed_as(f, "a ROS block"));
+        };
+        for z in 0..block.zone_count() {
+            let range = block.zone_range(z);
+            let kept: Vec<usize> = (0..range.len())
+                .filter(|i| gate.admits((range.start + i) as u64))
+                .collect();
+            if kept.is_empty() {
+                continue;
+            }
+            let decode = |c| Ok(block.decode_zone(c, z)?.into_leaf(&kept));
+            zones.push(SourceZone {
+                metas: (kept.iter().map(|i| block.metas()[range.start + i])).collect(),
+                cols: (0..block.column_count())
+                    .map(decode)
+                    .collect::<VortexResult<_>>()?,
+            });
+        }
+        Ok(())
+    }
+
+    /// Builds one ROS block from the typed columns the pass gathered and
+    /// writes it where the table keeps its ROS.
     fn write_ros_block(
         &self,
         tmeta: &TableMeta,
         key: &vortex_common::crypt::Key,
-        rows: impl IntoIterator<Item = (RowMeta, Row)>,
+        rows: RosBlockBuilder,
         sort_by_clustering: bool,
     ) -> VortexResult<FragmentMeta> {
-        let mut b = RosBlockBuilder::new(&tmeta.schema);
-        b.push_all(rows)?;
-        let block = b.build(sort_by_clustering)?;
+        let block = rows.build(sort_by_clustering)?;
         let table = tmeta.table;
         let fragment = self.ids.next_fragment();
         let bytes = block.to_bytes(key, fragment.raw());
@@ -254,28 +285,33 @@ impl StorageOptimizer {
             fragments_converted: candidates.len(),
             ..ConversionReport::default()
         };
-        // Partition key → rows.
-        let mut partitions: BTreeMap<Option<i64>, Vec<(RowMeta, Row)>> = BTreeMap::new();
+        // Partition key → its blocks' typed columns, each row moved from
+        // the parsed log file into the last block until that is full.
+        let mut partitions: BTreeMap<Option<i64>, Vec<RosBlockBuilder>> = BTreeMap::new();
+        let target = self.cfg.target_block_rows.max(1);
+        let partition = partition_column(schema);
         let mut sources = Vec::with_capacity(candidates.len());
         for (f, sl) in &candidates {
             report.bytes_in += f.committed_size;
             sources.push((f.fragment, f.masks.len()));
             // Merged conversions apply masks now (the commit will
             // conflict if new masks appear concurrently).
-            let rows = self.read_settled(f, f.mask_at(snapshot), Some(sl), &key)?;
-            report.rows_masked += f.row_count - rows.len() as u64;
-            for (meta, row) in rows {
-                let pkey = partition_key_of(schema, &row);
-                partitions.entry(pkey).or_default().push((meta, row));
-            }
+            let kept = self.for_each_wos_row(f, f.mask_at(snapshot), sl, &key, |meta, row| {
+                let pkey =
+                    partition.and_then(|(col, spec)| spec.partition_key(row.values.get(col)?));
+                let blocks = partitions.entry(pkey).or_default();
+                if blocks.last().map_or(true, |b| b.len() >= target) {
+                    blocks.push(RosBlockBuilder::new(schema));
+                }
+                blocks.last_mut().map_or(Ok(()), |b| b.push(meta, row))
+            })?;
+            report.rows_masked += f.row_count - kept;
         }
         // Build per-partition clustered blocks.
         let mut replacements = Vec::new();
-        for (pkey, rows) in partitions {
-            let mut rows = rows.into_iter().peekable();
-            while rows.peek().is_some() {
-                let block_rows = rows.by_ref().take(self.cfg.target_block_rows.max(1));
-                let mut meta = self.write_ros_block(&tmeta, &key, block_rows, true)?;
+        for (pkey, blocks) in partitions {
+            for block in blocks {
+                let mut meta = self.write_ros_block(&tmeta, &key, block, true)?;
                 report.rows += meta.row_count;
                 meta.partition_key = pkey;
                 meta.level = 0; // delta level
@@ -306,7 +342,9 @@ impl StorageOptimizer {
         let mut report = ConversionReport::default();
         for (f, sl) in &candidates {
             // Masks carry over positionally, so every row is read.
-            let rows = self.read_settled(f, DeletionMask::new(), Some(sl), &key)?;
+            let mut rows = RosBlockBuilder::new(&tmeta.schema);
+            let every = DeletionMask::new();
+            self.for_each_wos_row(f, every, sl, &key, |meta, row| rows.push(meta, row))?;
             if rows.is_empty() {
                 continue;
             }
@@ -374,20 +412,30 @@ impl StorageOptimizer {
             });
         }
         let next_level = ros.iter().map(|f| f.level).max().unwrap_or(0) + 1;
-        // Read all live ROS rows, applying masks.
-        let mut partitions: BTreeMap<Option<i64>, Vec<(RowMeta, Row)>> = BTreeMap::new();
+        // Decode all live ROS zones, applying masks. Partition key → its
+        // rows as (zone, row) indices, in source order.
+        let mut zones: Vec<SourceZone> = Vec::new();
+        let mut partitions: BTreeMap<Option<i64>, Vec<(usize, usize)>> = BTreeMap::new();
+        let partition = partition_column(schema);
         let mut sources = Vec::new();
         for f in &ros {
             sources.push((f.fragment, f.masks.len()));
-            for (m, r) in self.read_settled(f, f.mask_at(now), None, &key)? {
-                partitions
-                    .entry(f.partition_key.or_else(|| partition_key_of(schema, &r)))
-                    .or_default()
-                    .push((m, r));
+            let first = zones.len();
+            self.read_ros_zones(f, f.mask_at(now), &key, &mut zones)?;
+            for (z, zone) in zones.iter().enumerate().skip(first) {
+                for r in 0..zone.metas.len() {
+                    let of_row = |(col, spec): (usize, &PartitionSpec)| {
+                        spec.partition_key(&zone.cols.get(col)?.value(r))
+                    };
+                    let pkey = f.partition_key.or_else(|| partition.and_then(of_row));
+                    partitions.entry(pkey).or_default().push((z, r));
+                }
             }
         }
-        // Per partition: global sort by clustering key, then split into
-        // non-overlapping blocks.
+        // Per partition: global order by clustering key, then split into
+        // non-overlapping blocks. The sort is stable and merges runs that
+        // are already in order — every source block is one — so this is
+        // the k-way merge of the sources.
         let cl_idx: Vec<usize> = schema
             .clustering
             .iter()
@@ -395,21 +443,16 @@ impl StorageOptimizer {
             .collect();
         let mut replacements = Vec::new();
         let mut baseline_blocks = 0usize;
-        for (pkey, mut rows) in partitions {
-            rows.sort_by(|(ma, a), (mb, b)| {
-                for &i in &cl_idx {
-                    let ord = a.values[i].total_cmp(&b.values[i]);
-                    if ord != std::cmp::Ordering::Equal {
-                        return ord;
-                    }
+        for (pkey, mut order) in partitions {
+            let row = |&(z, r): &(usize, usize)| (&zones[z].cols[..], &zones[z].metas[r], r);
+            order.sort_by(|a, b| clustering_order(&cl_idx, row(a), row(b)));
+            for block_rows in order.chunks(self.cfg.target_block_rows.max(1)) {
+                let mut block = RosBlockBuilder::new(schema);
+                for &(z, r) in block_rows {
+                    block.push_row_of(zones[z].metas[r], &zones[z].cols, r)?;
                 }
-                ma.order_key().cmp(&mb.order_key())
-            });
-            let mut rows = rows.into_iter().peekable();
-            while rows.peek().is_some() {
-                let block_rows = rows.by_ref().take(self.cfg.target_block_rows.max(1));
                 // Unsorted build: the rows are already globally sorted.
-                let mut meta = self.write_ros_block(&tmeta, &key, block_rows, false)?;
+                let mut meta = self.write_ros_block(&tmeta, &key, block, false)?;
                 meta.partition_key = pkey;
                 meta.level = next_level;
                 baseline_blocks += 1;
@@ -499,9 +542,40 @@ fn write_whole_file(cluster: &Colossus, path: &str, bytes: &[u8]) -> VortexResul
     Err(last)
 }
 
-/// Computes the partition key of a row under the table's partition spec.
-fn partition_key_of(schema: &Schema, row: &Row) -> Option<i64> {
+/// One zone of a ROS block a recluster pass reads, masked rows dropped:
+/// the provenance of its rows and a leaf vector per column.
+struct SourceZone {
+    metas: Vec<RowMeta>,
+    cols: Vec<ColumnVec>,
+}
+
+/// The read spec of a fragment a pass rewrites, minus `mask`.
+/// Stream-level visibility is already settled —
+/// [`StorageOptimizer::candidates`] only admits committed, fully flushed
+/// WOS fragments, and ROS blocks carry no gate — so the whole committed
+/// extent is read. `sl` is the owning streamlet of a WOS fragment (row
+/// provenance); ROS rows carry their own and pass `None`.
+fn settled_spec(
+    f: &FragmentMeta,
+    mask: DeletionMask,
+    sl: Option<&StreamletMeta>,
+) -> FragmentReadSpec {
+    FragmentReadSpec {
+        meta: f.clone(),
+        mask,
+        visibility: RowVisibility::unconstrained(),
+        stream: sl.map_or(StreamId::from_raw(0), |sl| sl.stream),
+        streamlet_first_stream_row: sl.map_or(0, |sl| sl.first_stream_row),
+    }
+}
+
+fn listed_as(f: &FragmentMeta, kind: &str) -> VortexError {
+    VortexError::Internal(format!("{} is listed as {kind} but is not one", f.path))
+}
+
+/// The column a table is partitioned on and the transform that maps its
+/// cells to partition keys.
+fn partition_column(schema: &Schema) -> Option<(usize, &PartitionSpec)> {
     let spec = schema.partition.as_ref()?;
-    let idx = schema.column_index(&spec.column)?;
-    spec.partition_key(row.values.get(idx).unwrap_or(&Value::Null))
+    Some((schema.column_index(&spec.column)?, spec))
 }

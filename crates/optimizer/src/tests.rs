@@ -568,3 +568,245 @@ fn read_path_mixes_wos_and_ros() {
     assert_eq!(amounts(&tr), (0..200).collect::<Vec<_>>());
     let _ = &r.tt;
 }
+
+/// The files a seeded load leaves behind — merged and 1:1 conversions,
+/// deletion masks on WOS and on ROS, three baseline merges — are the
+/// files the row-at-a-time passes wrote: `(path, committed_size, crc32c)`
+/// of every ROS file, recorded at the commit before the typed passes.
+#[test]
+fn converted_and_reclustered_files_are_pinned() {
+    let r = rig_with(OptimizerConfig {
+        target_block_rows: 700,
+        merge_trigger: 0.5,
+    });
+    let wide = Schema::new(vec![
+        Field::required("day", FieldType::Int64),
+        Field::required("customer", FieldType::String),
+        Field::required("amount", FieldType::Int64),
+        Field::required("price", FieldType::Float64),
+        Field::nullable("note", FieldType::String),
+        Field::nullable("at", FieldType::Timestamp),
+    ])
+    .with_partition("day", PartitionTransform::Identity)
+    .with_clustering(&["customer", "amount"]);
+    let t = r.sms.create_table("t", wide).unwrap().table;
+    let mut seed = 0x5EED_u64;
+    let mut load = |n: usize| {
+        let rows = (0..n).map(|_| {
+            seed = seed
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let x = seed >> 16;
+            Row::insert(vec![
+                Value::Int64((x % 3) as i64),
+                Value::String(format!("cust-{:04}", x % 211)),
+                Value::Int64((x >> 8) as i64 % 1_000),
+                Value::Float64(((x >> 12) % 100_000) as f64 / 100.0),
+                match x % 10 {
+                    0 => Value::Null,
+                    _ => Value::String(format!("note {:012x} on order {}", x, x % 977)),
+                },
+                match x % 17 {
+                    0 => Value::Null,
+                    _ => Value::Timestamp(Timestamp(
+                        1_700_000_000_000_000 + (x % 86_400) * 1_000_000,
+                    )),
+                },
+            ])
+        });
+        let mut w = r.client.create_unbuffered_writer(t).unwrap();
+        for chunk in rows.collect::<Vec<_>>().chunks(500) {
+            w.append(RowSet::new(chunk.to_vec())).unwrap();
+        }
+        r.sms.finalize_stream(t, w.stream_id()).unwrap();
+    };
+    let live = |kind: FragmentKind| {
+        let listed = r.sms.list_fragments(t, r.sms.read_snapshot());
+        let mut of_kind: Vec<_> = listed
+            .into_iter()
+            .filter(|f| f.kind == kind && f.deleted_at == Timestamp::MAX)
+            .collect();
+        of_kind.sort_by_key(|f| f.fragment);
+        of_kind
+    };
+    let mask = |kind: FragmentKind, rows: std::ops::Range<u64>| {
+        let f = &live(kind)[0];
+        let m = DeletionMask::from_range(rows.start, rows.end);
+        r.sms.commit_dml(t, &[(f.fragment, m)], &[], &[]).unwrap();
+    };
+    // Deltas only → the first baseline.
+    load(2_500);
+    mask(FragmentKind::Wos, 10..30);
+    r.opt.convert_wos(t).unwrap();
+    assert!(r.opt.recluster(t).unwrap().merged);
+    // A masked baseline block and fresh deltas → the second.
+    load(1_500);
+    r.opt.convert_wos(t).unwrap();
+    mask(FragmentKind::Ros, 100..350);
+    assert!(r.opt.recluster(t).unwrap().merged);
+    // 1:1 blocks (no partition key, masks carried) → the third.
+    load(2_500);
+    mask(FragmentKind::Wos, 0..7);
+    r.opt.convert_one_to_one(t).unwrap();
+    assert!(r.opt.recluster(t).unwrap().merged);
+    assert_eq!(
+        r.client.read_rows(t).unwrap().rows.len(),
+        6_500 - 20 - 250 - 7
+    );
+
+    let mut files: Vec<(String, u64, u32)> = r
+        .sms
+        .list_fragments(t, r.sms.read_snapshot())
+        .into_iter()
+        .filter(|f| f.kind == FragmentKind::Ros)
+        .map(|f| {
+            let cluster = r.fleet.get(f.clusters[0]).unwrap();
+            let bytes = cluster.read_all(&f.path).unwrap().data;
+            // The last four bytes seal the rest.
+            let body = vortex_common::crc::crc32c(&bytes[..bytes.len() - 4]);
+            (f.path, f.committed_size, body)
+        })
+        .collect();
+    files.sort();
+    let want: Vec<(String, u64, u32)> = PINNED_FILES
+        .iter()
+        .map(|&(path, size, crc)| (path.to_string(), size, crc))
+        .collect();
+    assert_eq!(files, want);
+}
+
+const PINNED_FILES: &[(&str, u64, u32)] = &[
+    (
+        "ros/t0000000000000001/b0000000000000006",
+        25_823,
+        0x87ec6f15,
+    ),
+    ("ros/t0000000000000001/b0000000000000007", 5_201, 0x3070f932),
+    (
+        "ros/t0000000000000001/b0000000000000008",
+        26_080,
+        0x9c5a90bb,
+    ),
+    ("ros/t0000000000000001/b0000000000000009", 6_338, 0xeee697c2),
+    (
+        "ros/t0000000000000001/b000000000000000a",
+        25_810,
+        0xffca999f,
+    ),
+    ("ros/t0000000000000001/b000000000000000b", 5_828, 0x3a5f4c25),
+    (
+        "ros/t0000000000000001/b000000000000000c",
+        25_741,
+        0x382fc543,
+    ),
+    ("ros/t0000000000000001/b000000000000000d", 5_304, 0x1e2e08e1),
+    (
+        "ros/t0000000000000001/b000000000000000e",
+        26_040,
+        0x28831ef6,
+    ),
+    ("ros/t0000000000000001/b000000000000000f", 6_417, 0x100647a4),
+    (
+        "ros/t0000000000000001/b0000000000000010",
+        25_606,
+        0xe9d838f4,
+    ),
+    ("ros/t0000000000000001/b0000000000000011", 5_967, 0xded96194),
+    (
+        "ros/t0000000000000001/b0000000000000016",
+        18_693,
+        0x176dd5d8,
+    ),
+    (
+        "ros/t0000000000000001/b0000000000000017",
+        18_876,
+        0xaea05a89,
+    ),
+    (
+        "ros/t0000000000000001/b0000000000000018",
+        19_448,
+        0x3db44cd0,
+    ),
+    (
+        "ros/t0000000000000001/b0000000000000019",
+        25_521,
+        0x4ba872bf,
+    ),
+    (
+        "ros/t0000000000000001/b000000000000001a",
+        13_633,
+        0x1ee7f304,
+    ),
+    (
+        "ros/t0000000000000001/b000000000000001b",
+        25_578,
+        0x9204bea9,
+    ),
+    (
+        "ros/t0000000000000001/b000000000000001c",
+        23_409,
+        0x950f8d29,
+    ),
+    (
+        "ros/t0000000000000001/b000000000000001d",
+        25_423,
+        0x05355bd0,
+    ),
+    (
+        "ros/t0000000000000001/b000000000000001e",
+        23_472,
+        0xdd7ff099,
+    ),
+    (
+        "ros/t0000000000000001/b0000000000000023",
+        83_511,
+        0x36c150c7,
+    ),
+    (
+        "ros/t0000000000000001/b0000000000000024",
+        25_435,
+        0xff609a3d,
+    ),
+    (
+        "ros/t0000000000000001/b0000000000000025",
+        25_315,
+        0x95b39288,
+    ),
+    (
+        "ros/t0000000000000001/b0000000000000026",
+        19_642,
+        0x5fd79b85,
+    ),
+    (
+        "ros/t0000000000000001/b0000000000000027",
+        25_417,
+        0x8098d338,
+    ),
+    (
+        "ros/t0000000000000001/b0000000000000028",
+        25_450,
+        0x7b97c338,
+    ),
+    (
+        "ros/t0000000000000001/b0000000000000029",
+        25_306,
+        0xe3064649,
+    ),
+    ("ros/t0000000000000001/b000000000000002a", 1_420, 0x98f22d49),
+    (
+        "ros/t0000000000000001/b000000000000002b",
+        25_400,
+        0x8f90a599,
+    ),
+    (
+        "ros/t0000000000000001/b000000000000002c",
+        25_558,
+        0x2d4afadc,
+    ),
+    (
+        "ros/t0000000000000001/b000000000000002d",
+        25_321,
+        0xe11aeddf,
+    ),
+    ("ros/t0000000000000001/b000000000000002e", 2_765, 0xd060805a),
+];

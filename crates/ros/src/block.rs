@@ -1,18 +1,21 @@
 //! ROS blocks: columnar, stats-annotated, bloom-filtered units of
 //! read-optimized storage produced by the Storage Optimization Service.
 
+use std::cmp::Ordering;
+use std::hash::Hash;
+
 use vortex_common::bloom::BloomFilter;
 use vortex_common::codec::{get_uvarint, put_uvarint, take};
 use vortex_common::compress::{compress, decompress};
 use vortex_common::crc::crc32c;
 use vortex_common::crypt::{apply_keystream, Key, Nonce};
 use vortex_common::error::{VortexError, VortexResult};
-use vortex_common::row::{Row, Value};
+use vortex_common::row::Row;
 use vortex_common::schema::{ChangeType, Schema};
 use vortex_common::stats::ColumnStats;
 use vortex_common::truetime::Timestamp;
 
-use crate::column::ColumnVec;
+use crate::column::{ColumnBuilder, ColumnVec, KeyedRows};
 use crate::encoding::{decode_chunk, encode_column, le_uint, Encoding};
 
 const MAGIC: u32 = 0x534F5256; // "VROS"
@@ -56,15 +59,29 @@ impl RowMeta {
     }
 }
 
-/// Builds a [`RosBlock`] from rows plus provenance.
+/// A row of decoded leaf vectors, one per column: the vectors, the row's
+/// provenance, its index in them.
+pub type RowRef<'a> = (&'a [ColumnVec], &'a RowMeta, usize);
+
+/// The clustering order of two rows: by the cells of the columns `keys`
+/// under `Value::total_cmp`, ties by provenance.
+pub fn clustering_order(keys: &[usize], a: RowRef<'_>, b: RowRef<'_>) -> Ordering {
+    let by_key = |&c: &usize| a.0[c].cmp_rows(a.2, &b.0[c], b.2);
+    let by_key = keys.iter().map(by_key).find(|ord| ord.is_ne());
+    by_key.unwrap_or_else(|| a.1.order_key().cmp(&b.1.order_key()))
+}
+
+/// Builds a [`RosBlock`] from rows plus provenance. Cells are kept as one
+/// typed leaf vector per column from the moment they arrive; `build`
+/// orders, summarizes and encodes those vectors and never a row.
 #[derive(Debug)]
 pub struct RosBlockBuilder {
     schema_version: u32,
-    ncols: usize,
     clustering_idx: Vec<usize>,
     tracked: Vec<(usize, String)>,
     key_cols: Vec<usize>,
-    rows: Vec<(RowMeta, Row)>,
+    metas: Vec<RowMeta>,
+    cols: Vec<ColumnBuilder>,
 }
 
 impl RosBlockBuilder {
@@ -75,150 +92,175 @@ impl RosBlockBuilder {
             .iter()
             .filter_map(|c| schema.column_index(c))
             .collect();
-        // Track stats for every scalar top-level column (Big Metadata
-        // tracks "fine grained column properties", §6.2).
-        let tracked: Vec<(usize, String)> = schema
-            .fields
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| {
-                !matches!(f.ftype, vortex_common::schema::FieldType::Struct(_))
-                    && f.mode != vortex_common::schema::FieldMode::Repeated
-            })
-            .map(|(i, f)| (i, f.name.clone()))
-            .collect();
         // Bloom keys: partitioning and clustering columns (§5.4.4).
+        let partition = schema.partition.as_ref();
+        let partition = partition.and_then(|p| schema.column_index(&p.column));
         let mut key_cols: Vec<usize> = Vec::new();
-        if let Some(p) = &schema.partition {
-            if let Some(i) = schema.column_index(&p.column) {
+        for i in partition.into_iter().chain(clustering_idx.iter().copied()) {
+            if !key_cols.contains(&i) {
                 key_cols.push(i);
-            }
-        }
-        for i in &clustering_idx {
-            if !key_cols.contains(i) {
-                key_cols.push(*i);
             }
         }
         Self {
             schema_version: schema.version,
-            ncols: schema.fields.len(),
             clustering_idx,
-            tracked,
+            // Stats for every scalar top-level column (Big Metadata
+            // tracks "fine grained column properties", §6.2).
+            tracked: schema.tracked_columns(),
             key_cols,
-            rows: Vec::new(),
+            metas: Vec::new(),
+            cols: (schema.fields.iter().map(|_| ColumnBuilder::default())).collect(),
         }
     }
 
-    /// Adds a row. The row must match the schema arity.
-    pub fn push(&mut self, meta: RowMeta, row: Row) -> VortexResult<()> {
-        if row.values.len() != self.ncols {
-            return Err(VortexError::InvalidArgument(format!(
-                "row has {} values, block schema has {}",
-                row.values.len(),
-                self.ncols
-            )));
+    fn check_arity(&self, got: usize) -> VortexResult<()> {
+        if got == self.cols.len() {
+            return Ok(());
         }
-        self.rows.push((meta, row));
+        Err(VortexError::InvalidArgument(format!(
+            "row has {got} values, block schema has {}",
+            self.cols.len()
+        )))
+    }
+
+    /// Adds a row, moving each cell into its column. The row must match
+    /// the schema arity.
+    pub fn push(&mut self, meta: RowMeta, row: Row) -> VortexResult<()> {
+        self.check_arity(row.values.len())?;
+        self.metas.push(meta);
+        for (col, v) in self.cols.iter_mut().zip(row.values) {
+            col.add_value(v);
+        }
         Ok(())
     }
 
-    /// Adds rows the caller owns, moving each one in.
-    pub fn push_all(&mut self, rows: impl IntoIterator<Item = (RowMeta, Row)>) -> VortexResult<()> {
-        rows.into_iter().try_for_each(|(m, r)| self.push(m, r))
+    /// Adds row `i` of decoded leaf vectors, one per column, copying
+    /// typed cells straight across.
+    pub fn push_row_of(&mut self, meta: RowMeta, cols: &[ColumnVec], i: usize) -> VortexResult<()> {
+        self.check_arity(cols.len())?;
+        self.metas.push(meta);
+        for (col, src) in self.cols.iter_mut().zip(cols) {
+            col.add_rows(src, [i]);
+        }
+        Ok(())
     }
 
     /// Rows added so far.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.metas.len()
     }
 
     /// Whether no rows were added.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.metas.is_empty()
     }
 
     /// Finishes the block. With `sort_by_clustering`, rows are ordered by
     /// the clustering key tuple (ties by provenance) — this is what the
     /// local range-partitioning step of automatic reclustering produces
-    /// (§6.1).
-    pub fn build(mut self, sort_by_clustering: bool) -> VortexResult<RosBlock> {
-        if self.rows.is_empty() {
+    /// (§6.1). Only a permutation is sorted, on the key columns alone.
+    pub fn build(self, sort_by_clustering: bool) -> VortexResult<RosBlock> {
+        let n = self.metas.len();
+        if n == 0 {
             return Err(VortexError::InvalidArgument(
                 "cannot build an empty ROS block".into(),
             ));
         }
-        if sort_by_clustering && !self.clustering_idx.is_empty() {
-            let idx = self.clustering_idx.clone();
-            self.rows.sort_by(|(ma, a), (mb, b)| {
-                for &i in &idx {
-                    let ord = a.values[i].total_cmp(&b.values[i]);
-                    if ord != std::cmp::Ordering::Equal {
-                        return ord;
-                    }
-                }
-                ma.order_key().cmp(&mb.order_key())
-            });
-        }
-        // Stats + bloom.
-        let mut stats: Vec<(String, ColumnStats)> = self
-            .tracked
-            .iter()
-            .map(|(_, name)| (name.clone(), ColumnStats::new()))
+        let cols: Vec<ColumnVec> = self
+            .cols
+            .into_iter()
+            .map(ColumnBuilder::into_column)
             .collect();
-        let mut bloom = BloomFilter::with_capacity(self.rows.len().max(16), 0.01);
-        for (_, row) in &self.rows {
-            for (slot, (col, _)) in self.tracked.iter().enumerate() {
-                stats[slot].1.observe(&row.values[*col]);
-            }
-            for &k in &self.key_cols {
-                bloom.insert(&row.values[k].encode_key());
+        let mut order: Vec<usize> = (0..n).collect();
+        if sort_by_clustering && !self.clustering_idx.is_empty() {
+            let row = |&i: &usize| (&cols[..], &self.metas[i], i);
+            order.sort_by(|a, b| clustering_order(&self.clustering_idx, row(a), row(b)));
+        }
+        // A bloom filter holds a set, so the keys go in column by column,
+        // through one buffer.
+        let mut bloom = BloomFilter::with_capacity(n.max(16), 0.01);
+        let mut key = Vec::new();
+        for &k in &self.key_cols {
+            for i in 0..n {
+                key.clear();
+                cols[k].key_into(i, &mut key);
+                bloom.insert(&key);
             }
         }
-        // Transpose into columns and encode per zone: each zone gets its
-        // own encoding choice (cascading chooser), zone map, and — when
-        // it shrinks the chunk — vsnap compression on top. The builder
-        // owns the rows and nothing reads them afterwards, so each value
-        // moves into its zone column.
-        let n = self.rows.len();
-        let mut cols = Vec::with_capacity(self.ncols);
-        for c in 0..self.ncols {
-            let mut chunks = Vec::with_capacity(n.div_ceil(ZONE_ROWS));
-            for zone in self.rows.chunks_mut(ZONE_ROWS) {
-                let column: Vec<Value> = zone
-                    .iter_mut()
-                    .map(|(_, r)| std::mem::replace(&mut r.values[c], Value::Null))
-                    .collect();
-                let mut zstats = ColumnStats::new();
-                for v in &column {
-                    zstats.observe(v);
-                }
-                let (enc, bytes) = encode_column(&column);
-                let packed = compress(&bytes);
-                let (compressed, bytes) = if packed.len() < bytes.len() {
-                    (true, packed)
-                } else {
-                    (false, bytes)
-                };
-                chunks.push(ColumnChunk {
-                    enc,
-                    compressed,
-                    stats: zstats,
-                    bytes,
-                });
+        // Encode per zone: each zone's rows are gathered in block order
+        // into a leaf vector of their own, which gets its own encoding
+        // choice (cascading chooser), zone map, and — when it shrinks the
+        // chunk — vsnap compression on top.
+        let encode_zone = |col: &ColumnVec, rows: &[usize]| {
+            let mut zone = ColumnBuilder::default();
+            zone.add_rows(col, rows.iter().copied());
+            let zone = zone.into_column();
+            let (enc, bytes) = encode_column(&zone);
+            let packed = compress(&bytes);
+            let compressed = packed.len() < bytes.len();
+            ColumnChunk {
+                enc,
+                compressed,
+                stats: summarize_zone(&zone),
+                bytes: if compressed { packed } else { bytes },
             }
-            cols.push(chunks);
-        }
-        let metas = self.rows.iter().map(|(m, _)| *m).collect();
+        };
+        let cols: Vec<Vec<ColumnChunk>> = cols
+            .iter()
+            .map(|col| (order.chunks(ZONE_ROWS).map(|rows| encode_zone(col, rows))).collect())
+            .collect();
+        // A block's column properties are its zones' merged: in a typed
+        // column equal cells are identical, and among mixed cells that
+        // compare equal both keep the first.
+        let block_stats = |col: usize| {
+            let mut stats = ColumnStats::new();
+            cols[col].iter().for_each(|chunk| stats.merge(&chunk.stats));
+            stats
+        };
         Ok(RosBlock {
             schema_version: self.schema_version,
             row_count: n,
             zone_rows: ZONE_ROWS,
-            metas,
-            stats,
+            metas: order.iter().map(|&i| self.metas[i]).collect(),
+            stats: (self.tracked.into_iter())
+                .map(|(col, name)| (name, block_stats(col)))
+                .collect(),
             bloom,
             cols,
         })
     }
+}
+
+/// The pass behind a typed zone map: the rows of the first smallest and
+/// the first largest cell, and whether any row is NULL.
+struct Ends;
+
+impl KeyedRows for Ends {
+    type Out = (Option<usize>, Option<usize>, bool);
+
+    fn fold_keys<K: Ord + Hash>(self, n: usize, key: impl Fn(usize) -> Option<K>) -> Self::Out {
+        let valued = || (0..n).filter(|&i| key(i).is_some());
+        // Of equal cells `min_by_key` keeps the first, `max_by_key` the last.
+        let lo = valued().min_by_key(|&i| key(i));
+        let hi = valued().rev().max_by_key(|&i| key(i));
+        (lo, hi, valued().count() < n)
+    }
+}
+
+/// The zone map of one leaf vector: what [`ColumnStats::observe`] makes
+/// of its cells in order.
+fn summarize_zone(zone: &ColumnVec) -> ColumnStats {
+    let mut stats = ColumnStats::new();
+    match zone.with_keys(Ends) {
+        Some((lo, hi, has_null)) => {
+            stats.count = zone.len() as u64;
+            stats.has_null = has_null;
+            stats.min = lo.map(|i| zone.value(i));
+            stats.max = hi.map(|i| zone.value(i));
+        }
+        None => (0..zone.len()).for_each(|i| stats.observe(&zone.value(i))),
+    }
+    stats
 }
 
 /// A read-optimized columnar block.
@@ -304,16 +346,6 @@ impl RosBlock {
         } else {
             decode_chunk(chunk.enc, &chunk.bytes, rows)
         }
-    }
-
-    /// Decodes one column to values — the columnar fast path: other
-    /// columns are not touched.
-    pub fn column(&self, idx: usize) -> VortexResult<Vec<Value>> {
-        let mut out = Vec::with_capacity(self.row_count);
-        for z in 0..self.zone_count() {
-            out.extend(self.decode_zone(idx, z)?.to_values());
-        }
-        Ok(out)
     }
 
     /// Decodes all rows with their provenance. Each `Value` is built
@@ -534,23 +566,12 @@ impl RosBlock {
             cols,
         })
     }
-
-    /// Approximate serialized size (pre-encryption), used by the optimizer
-    /// to pace block sizes.
-    pub fn approx_bytes(&self) -> usize {
-        self.cols
-            .iter()
-            .flat_map(|c| c.iter())
-            .map(|c| c.bytes.len() + 16)
-            .sum::<usize>()
-            + self.metas.len() * 8
-            + 256
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vortex_common::row::Value;
     use vortex_common::schema::{sales_schema, Field, FieldType, PartitionTransform};
 
     fn meta(i: u64) -> RowMeta {
@@ -646,12 +667,12 @@ mod tests {
     #[test]
     fn lazy_column_decode_matches_rows() {
         let block = build_block(40);
-        let names = block.column(1).unwrap();
+        let names = block.decode_zone(1, 0).unwrap().to_values();
         let rows = block.rows().unwrap();
         for (i, (_, r)) in rows.iter().enumerate() {
             assert_eq!(names[i], r.values[1]);
         }
-        assert!(block.column(9).is_err());
+        assert!(block.decode_zone(9, 0).is_err());
     }
 
     #[test]
@@ -670,7 +691,7 @@ mod tests {
             .unwrap();
         }
         let block = b.build(true).unwrap();
-        let names = block.column(1).unwrap();
+        let names = block.decode_zone(1, 0).unwrap().to_values();
         let mut sorted = names.clone();
         sorted.sort_by(|a, b| a.total_cmp(b));
         assert_eq!(names, sorted, "clustered block must be sorted");
@@ -757,5 +778,428 @@ mod tests {
         let mut b = RosBlockBuilder::new(&schema);
         assert!(b.push(meta(0), Row::insert(vec![Value::Int64(1)])).is_err());
         assert_eq!(b.len(), 0);
+    }
+
+    // ---- Bytes pinned from the `Value`-slice builder -------------------
+
+    /// splitmix64: the pinned blocks' only source of randomness.
+    struct Mix(u64);
+
+    impl Mix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+    }
+
+    fn pinned_meta(i: usize, r: u64) -> RowMeta {
+        let kinds = [ChangeType::Insert, ChangeType::Upsert, ChangeType::Delete];
+        RowMeta {
+            change_type: kinds[(r % 11 % 3) as usize],
+            ts: Timestamp(1_000_000 + r % 5_000),
+            stream: 3 + r % 3,
+            offset: i as u64,
+        }
+    }
+
+    fn pinned_build(
+        schema: &Schema,
+        sort: bool,
+        rows: impl IntoIterator<Item = (RowMeta, Vec<Value>)>,
+    ) -> RosBlock {
+        let mut b = RosBlockBuilder::new(schema);
+        for (meta, values) in rows {
+            b.push(meta, Row::with_change(values, meta.change_type))
+                .unwrap();
+        }
+        b.build(sort).unwrap()
+    }
+
+    /// Every leaf type; `nulls` blanks each column on its own stride.
+    fn leaves_block(n: usize, nulls: bool, sort: bool) -> RosBlock {
+        let schema = Schema::new(vec![
+            Field::nullable("i", FieldType::Int64),
+            Field::nullable("f", FieldType::Float64),
+            Field::nullable("b", FieldType::Bool),
+            Field::nullable("n", FieldType::Numeric),
+            Field::nullable("s", FieldType::String),
+            Field::nullable("y", FieldType::Bytes),
+            Field::nullable("j", FieldType::Json),
+            Field::nullable("d", FieldType::Date),
+            Field::nullable("t", FieldType::Timestamp),
+        ])
+        .with_partition("d", PartitionTransform::Date)
+        .with_clustering(&["s", "i"]);
+        let mut mix = Mix(17);
+        let rows = (0..n).map(|i| {
+            let r = mix.next();
+            let mut values = vec![
+                Value::Int64(if i % 3 == 0 {
+                    i as i64
+                } else {
+                    (r % 1_000_000) as i64
+                }),
+                Value::Float64((r % 100_000) as f64 / 100.0),
+                Value::Bool(r >> 7 & 3 == 0),
+                Value::Numeric((r as i64 as i128) * 1_000_003),
+                Value::String(format!("cust-{:05}", r % 300)),
+                Value::Bytes((0..r % 13).map(|k| (r >> (k * 4)) as u8 & 0x0F).collect()),
+                Value::Json(format!(r#"{{"k":{},"tag":"t{}"}}"#, r % 97, r % 5)),
+                Value::Date(19_000 + (r % 5) as i32),
+                Value::Timestamp(Timestamp(1_700_000_000_000_000 + i as u64 * 1_000)),
+            ];
+            if nulls {
+                for (c, v) in values.iter_mut().enumerate() {
+                    if (i + c) % (5 + c) == 0 {
+                        *v = Value::Null;
+                    }
+                }
+            }
+            (pinned_meta(i, r), values)
+        });
+        pinned_build(&schema, sort, rows.collect::<Vec<_>>())
+    }
+
+    fn floats_block() -> RosBlock {
+        let schema = Schema::new(vec![
+            Field::nullable("x", FieldType::Float64),
+            Field::nullable("y", FieldType::Float64),
+        ])
+        .with_clustering(&["x"]);
+        let odd = [
+            f64::NAN,
+            -0.0,
+            0.0,
+            f64::from_bits(0xFFF8_0000_0000_0001),
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE / 4.0,
+            std::f64::consts::PI,
+            1.0 / 3.0,
+            1e300,
+            -2.5,
+        ];
+        let mut mix = Mix(23);
+        let rows = (0..1_428usize).map(|i| {
+            let r = mix.next();
+            let x = match r % 4 {
+                0 => Value::Float64(odd[(r >> 8) as usize % odd.len()]),
+                1 => Value::Null,
+                2 => Value::Float64((r >> 8) as f64 / 7.0),
+                _ => Value::Float64(((r >> 8) % 1_000) as f64 / 8.0),
+            };
+            let y = match i % 50 {
+                0 => Value::Float64(odd[i / 50 % odd.len()]),
+                _ => Value::Float64(((r >> 16) % 50_000) as f64 / 100.0 + 9.99),
+            };
+            (pinned_meta(i, r), vec![x, y])
+        });
+        pinned_build(&schema, true, rows.collect::<Vec<_>>())
+    }
+
+    fn extremes_block() -> RosBlock {
+        let schema = Schema::new(vec![
+            Field::nullable("i", FieldType::Int64),
+            Field::nullable("d", FieldType::Date),
+            Field::nullable("t", FieldType::Timestamp),
+            Field::nullable("u", FieldType::Timestamp),
+        ])
+        .with_clustering(&["t", "d"]);
+        let ts = [0, u64::MAX, 1 << 63, (1 << 63) - 1, 1_700_000_000_000_000];
+        let mut mix = Mix(29);
+        let rows = (0..1_100usize).map(|i| {
+            let r = mix.next();
+            let values = vec![
+                match i % 4 {
+                    0 => Value::Int64(i64::MIN),
+                    1 => Value::Int64(i64::MAX),
+                    2 => Value::Null,
+                    _ => Value::Int64(r as i64),
+                },
+                Value::Date(match i % 3 {
+                    0 => i32::MIN,
+                    1 => i32::MAX,
+                    _ => r as i32,
+                }),
+                match r % 7 {
+                    0 => Value::Null,
+                    k => Value::Timestamp(Timestamp(ts[k as usize % ts.len()])),
+                },
+                Value::Timestamp(Timestamp(if i < 1_024 { i as u64 * 3 } else { r })),
+            ];
+            (pinned_meta(i, r), values)
+        });
+        pinned_build(&schema, true, rows.collect::<Vec<_>>())
+    }
+
+    fn strings_block() -> RosBlock {
+        let schema = Schema::new(vec![
+            Field::nullable("s", FieldType::String),
+            Field::nullable("j", FieldType::Json),
+            Field::nullable("y", FieldType::Bytes),
+            Field::nullable("w", FieldType::String),
+        ])
+        .with_clustering(&["s"]);
+        let mut mix = Mix(31);
+        let rows = (0..1_428usize).map(|i| {
+            let r = mix.next();
+            // Two- to five-letter alphabets with NUL, empties, tails
+            // shorter than a symbol, and a few values past the sample.
+            let alphabet = [b'a', 0, b'b', b'c', 0xC3];
+            let width = 2 + (i / 400) % 4;
+            let len = match r % 9 {
+                0 => 0,
+                1 => 600,
+                k => (k * 3) as usize,
+            };
+            let raw: Vec<u8> = (0..len)
+                .map(|k| alphabet[(r.rotate_left(k as u32 * 5) % width as u64) as usize])
+                .collect();
+            let text: String = raw
+                .iter()
+                .map(|&b| if b == 0xC3 { 'é' } else { b as char })
+                .collect();
+            let values = vec![
+                if i % 13 == 5 {
+                    Value::Null
+                } else {
+                    Value::String(text)
+                },
+                Value::Json(format!(r#"{{"region":"us-{}","n":{}}}"#, r % 4, r % 1_000)),
+                if i % 4 == 1 {
+                    Value::Null
+                } else {
+                    Value::Bytes(raw)
+                },
+                Value::String(format!("a-rather-long-category-name-{}", (r >> 20) % 6)),
+            ];
+            (pinned_meta(i, r), values)
+        });
+        pinned_build(&schema, true, rows.collect::<Vec<_>>())
+    }
+
+    fn all_null_block(n: usize) -> RosBlock {
+        let schema = Schema::new(vec![
+            Field::required("k", FieldType::Int64),
+            Field::nullable("gone", FieldType::Int64),
+        ])
+        .with_clustering(&["gone", "k"]);
+        let rows = (0..n).map(|i| {
+            let values = vec![Value::Int64((i as i64 * 7_919) % 1_000), Value::Null];
+            (pinned_meta(i, i as u64 * 31), values)
+        });
+        pinned_build(&schema, true, rows.collect::<Vec<_>>())
+    }
+
+    /// A column of mixed types (numeric ties across types included) next
+    /// to Struct and Array columns. Unsorted, zone 0 of `m` is all Int64
+    /// and zone 1 all String, so each zone is typed though the column is
+    /// not.
+    fn any_block(sort: bool) -> RosBlock {
+        let schema = Schema::new(vec![
+            Field::nullable("m", FieldType::Int64),
+            Field::nullable("mixed", FieldType::Int64),
+            Field::nullable(
+                "st",
+                FieldType::Struct(vec![
+                    Field::nullable("a", FieldType::Int64),
+                    Field::nullable("b", FieldType::String),
+                ]),
+            ),
+            Field::repeated("arr", FieldType::Int64),
+        ])
+        .with_clustering(&["mixed", "m"]);
+        let mut mix = Mix(37);
+        let rows = (0..1_428usize).map(|i| {
+            let r = mix.next();
+            let values = vec![
+                if i < 1_024 {
+                    Value::Int64((r % 50) as i64)
+                } else {
+                    Value::String(format!("late-{}", r % 50))
+                },
+                match r % 6 {
+                    0 => Value::Int64(3),
+                    1 => Value::Float64(3.0),
+                    2 => Value::String(format!("s{}", r % 9)),
+                    3 => Value::Null,
+                    4 => Value::Numeric(3_000_000_000),
+                    _ => Value::Date((r % 4) as i32),
+                },
+                match r % 5 {
+                    0 => Value::Null,
+                    k => Value::Struct(vec![
+                        Value::Int64(k as i64),
+                        Value::String(format!("b{}", r % 3)),
+                    ]),
+                },
+                Value::Array((0..r % 4).map(|k| Value::Int64(k as i64)).collect()),
+            ];
+            (pinned_meta(i, r), values)
+        });
+        pinned_build(&schema, sort, rows.collect::<Vec<_>>())
+    }
+
+    /// Duplicate clustering keys: order falls to `order_key`, and rows
+    /// whose `order_key`s are equal too keep their insertion order.
+    fn ties_block() -> RosBlock {
+        let schema = small_schema();
+        let rows = (0..300usize).map(|i| {
+            let meta = RowMeta {
+                change_type: ChangeType::Upsert,
+                ts: Timestamp(2_000_000 - (i as u64 / 4) % 5),
+                stream: 9 - (i as u64 / 2) % 2,
+                offset: 40 - (i as u64 % 40) / 2,
+            };
+            let values = vec![
+                Value::Int64(i as i64),
+                Value::String(format!("k{}", i % 3)),
+                Value::Date((i % 2) as i32),
+            ];
+            (meta, values)
+        });
+        pinned_build(&schema, true, rows.collect::<Vec<_>>())
+    }
+
+    /// Columns shaped for each encoding: runs, few distinct values, a
+    /// sequence, noise, a constant.
+    fn shapes_block() -> RosBlock {
+        let schema = Schema::new(vec![
+            Field::required("runs", FieldType::Int64),
+            Field::required("few", FieldType::String),
+            Field::required("seq", FieldType::Int64),
+            Field::required("noise", FieldType::Int64),
+            Field::required("same", FieldType::String),
+            Field::required("flag", FieldType::Bool),
+            Field::required("day", FieldType::Date),
+        ]);
+        let mut mix = Mix(41);
+        let rows = (0..2_100usize).map(|i| {
+            let r = mix.next();
+            let values = vec![
+                Value::Int64((i / 170) as i64),
+                Value::String(format!("currency-{}", r % 7)),
+                Value::Int64(1_000_000 + i as i64 * 3),
+                Value::Int64(r as i64),
+                Value::String("constant".into()),
+                Value::Bool(i / 300 % 2 == 0),
+                Value::Date(19_000 + (i / 50) as i32),
+            ];
+            (pinned_meta(i, r), values)
+        });
+        pinned_build(&schema, false, rows.collect::<Vec<_>>())
+    }
+
+    /// The benchmark's `orders` shape, one target-size block.
+    fn orders_block(n: usize) -> RosBlock {
+        let schema = Schema::new(vec![
+            Field::required("day", FieldType::Int64),
+            Field::required("customer", FieldType::String),
+            Field::required("amount", FieldType::Int64),
+            Field::required("price", FieldType::Float64),
+            Field::nullable("note", FieldType::String),
+            Field::required("seq", FieldType::Int64),
+        ])
+        .with_partition("day", PartitionTransform::Identity)
+        .with_clustering(&["customer"]);
+        let mut mix = Mix(43);
+        let rows = (0..n).map(|i| {
+            let r = mix.next();
+            let values = vec![
+                Value::Int64(3),
+                Value::String(format!("cust-{:05}", r % 20_000)),
+                Value::Int64((r >> 16) as i64 % 1_000_000),
+                Value::Float64(((r >> 24) % 100_000) as f64 / 100.0),
+                if r % 10 == 0 {
+                    Value::Null
+                } else {
+                    Value::String(format!(
+                        "order note {:016x} for the ledger, line {:04}",
+                        r, i
+                    ))
+                },
+                Value::Int64(i as i64),
+            ];
+            (pinned_meta(i, r), values)
+        });
+        pinned_build(&schema, true, rows.collect::<Vec<_>>())
+    }
+
+    /// No hash map's iteration order may reach the encoded bytes: every
+    /// map seeds itself anew, so two builds of the same rows — on two
+    /// threads — would differ if one did.
+    #[test]
+    fn two_threads_build_identical_bytes() {
+        let sealed = || orders_block(2_500).to_bytes(&Key::zero(), 7);
+        let (a, b) = std::thread::scope(|s| {
+            let (a, b) = (s.spawn(sealed), s.spawn(sealed));
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert_eq!(crc32c(&a), crc32c(&b));
+        assert_eq!(a, b);
+    }
+
+    /// `(len, crc32c)` of `to_bytes` for a fixed set of blocks, recorded
+    /// from the builder that took `&[Value]` zones (the commit before the
+    /// typed write path): every file the typed builder writes is the file
+    /// that one wrote.
+    #[test]
+    fn block_bytes_are_pinned() {
+        let key = Key::derive_from_passphrase("pinned");
+        let blocks = [
+            ("leaves", leaves_block(1_428, false, false)),
+            ("leaves sorted", leaves_block(1_428, false, true)),
+            ("leaves nulls", leaves_block(1_428, true, false)),
+            ("leaves nulls sorted", leaves_block(1_428, true, true)),
+            ("leaves one row", leaves_block(1, false, true)),
+            ("leaves one zone", leaves_block(1_024, true, true)),
+            ("floats", floats_block()),
+            ("extremes", extremes_block()),
+            ("strings", strings_block()),
+            ("all null", all_null_block(1_428)),
+            ("all null one row", all_null_block(1)),
+            ("any", any_block(false)),
+            ("any sorted", any_block(true)),
+            ("ties", ties_block()),
+            ("shapes", shapes_block()),
+            ("orders", orders_block(4_096)),
+        ];
+        let got: Vec<(&str, usize, u32)> = blocks
+            .iter()
+            .map(|(name, block)| {
+                let bytes = block.to_bytes(&key, 42);
+                // What was pinned also reads back.
+                let back = RosBlock::from_bytes(&bytes, &key, 42).unwrap();
+                for ((gm, g), (wm, w)) in back.rows().unwrap().iter().zip(block.rows().unwrap()) {
+                    assert_eq!(*gm, wm, "{name}");
+                    assert!(Value::Struct(g.values.clone()).key_eq(&Value::Struct(w.values)));
+                }
+                // The last four bytes seal the rest (and would make every
+                // whole-file CRC the same residue).
+                (*name, bytes.len(), crc32c(&bytes[..bytes.len() - 4]))
+            })
+            .collect();
+        let want = [
+            ("leaves", 64_608, 0x845052b6),
+            ("leaves sorted", 64_780, 0x492806b1),
+            ("leaves nulls", 60_770, 0x0a8e3ea0),
+            ("leaves nulls sorted", 61_378, 0xab0a4568),
+            ("leaves one row", 567, 0x9cd97f66),
+            ("leaves one zone", 43_047, 0x1f33e7ad),
+            ("floats", 21_012, 0x76004322),
+            ("extremes", 17_970, 0xf8fc60db),
+            ("strings", 47_674, 0xc0c08937),
+            ("all null", 11_558, 0x96fdd94c),
+            ("all null one row", 122, 0x69e4c280),
+            ("any", 19_625, 0xd1c62e09),
+            ("any sorted", 15_929, 0x75f801c7),
+            ("ties", 2_114, 0xced5c25c),
+            ("shapes", 41_803, 0x6afa1426),
+            ("orders", 163_709, 0x1ffc6781),
+        ];
+        assert_eq!(got, want);
     }
 }

@@ -7,6 +7,7 @@
 //! ([`ColumnVec::value`], [`ColumnVec::gather`]).
 
 use std::cmp::Ordering;
+use std::hash::Hash;
 
 use vortex_common::row::Value;
 use vortex_common::truetime::Timestamp;
@@ -35,7 +36,7 @@ pub enum StrKind {
 
 /// A null bitmap in the on-disk form: bit `i % 8` of byte `i / 8` set
 /// means row `i` is NULL.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Nulls(pub(crate) Vec<u8>);
 
 impl Nulls {
@@ -50,7 +51,7 @@ pub(crate) fn null_at(nulls: &Option<Nulls>, i: usize) -> bool {
 }
 
 /// A fixed-width leaf: one element per row, a placeholder at NULL rows.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Prim<T> {
     /// One element per row.
     pub values: Vec<T>,
@@ -110,6 +111,20 @@ pub enum ColumnVec {
         /// Per-run value.
         values: Box<ColumnVec>,
     },
+}
+
+/// A pass over the rows of a typed leaf seen as one key per row, `None`
+/// at NULL rows: the keys' `Ord` is the clustering order of the cells
+/// ([`Value::total_cmp`]) and their `Eq` / `Hash` are [`Value::key_eq`]'s,
+/// so runs, dictionaries and zone maps come out as they would from the
+/// cells' values. [`ColumnVec::with_keys`] picks the key type once per
+/// vector and the pass is compiled for it, instead of dispatching on the
+/// vector's type at every cell.
+pub trait KeyedRows {
+    /// What the pass computes.
+    type Out;
+    /// The pass, over rows `0..n`.
+    fn fold_keys<K: Ord + Hash>(self, n: usize, key: impl Fn(usize) -> Option<K>) -> Self::Out;
 }
 
 /// Calls `f` with the run each of the ascending `rows` falls in.
@@ -240,5 +255,264 @@ impl ColumnVec {
             (ColumnVec::Str(StrKind::String, s), Value::String(x)) => s.get(i).cmp(x.as_bytes()),
             _ => self.value(i).total_cmp(other),
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The write side: leaf vectors grown cell by cell.
+// ---------------------------------------------------------------------------
+
+/// Records whether row `i` — the next row of a growing vector — is NULL.
+/// The bitmap exists from the first NULL on and then covers every row.
+fn mark_row(nulls: &mut Option<Nulls>, i: usize, null: bool) {
+    if !null && nulls.is_none() {
+        return;
+    }
+    let bits = &mut nulls.get_or_insert_with(Nulls::default).0;
+    if bits.len() <= i / 8 {
+        bits.resize(i / 8 + 1, 0);
+    }
+    if null {
+        bits[i / 8] |= 1 << (i % 8);
+    }
+}
+
+impl<T: Default> Prim<T> {
+    /// Adds one row; `None` is NULL.
+    fn add_cell(&mut self, v: Option<T>) {
+        mark_row(&mut self.nulls, self.values.len(), v.is_none());
+        // lint:allow(L010, grows a column under construction; its only scan edge is the name-resolved `RosBlockBuilder::push`)
+        self.values.push(v.unwrap_or_default());
+    }
+}
+
+impl Strs {
+    fn blank() -> Self {
+        // lint:allow(L010, grows a column under construction; its only scan edge is the name-resolved `RosBlockBuilder::push`)
+        let (offsets, bytes, nulls) = (vec![0], Vec::new(), None);
+        Strs {
+            offsets,
+            bytes,
+            nulls,
+        }
+    }
+
+    /// Whether `more` bytes still fit under the `u32` offsets.
+    fn fits(&self, more: usize) -> bool {
+        u32::try_from(self.bytes.len().saturating_add(more)).is_ok()
+    }
+
+    /// Adds one row that [`Strs::fits`]; `None` is NULL.
+    fn add_cell(&mut self, v: Option<&[u8]>) {
+        mark_row(&mut self.nulls, self.offsets.len() - 1, v.is_none());
+        // lint:allow(L010, grows a column under construction; its only scan edge is the name-resolved `RosBlockBuilder::push`)
+        self.bytes.extend_from_slice(v.unwrap_or_default());
+        // lint:allow(L010, grows a column under construction; its only scan edge is the name-resolved `RosBlockBuilder::push`)
+        self.offsets.push(self.bytes.len() as u32);
+    }
+}
+
+impl ColumnVec {
+    /// `self.value(i).total_cmp(&other.value(j))` for two leaf vectors,
+    /// without building a value when their types line up — the clustering
+    /// order, NULLs first.
+    pub fn cmp_rows(&self, i: usize, other: &ColumnVec, j: usize) -> Ordering {
+        match (self.is_null(i), other.is_null(j)) {
+            (true, true) => return Ordering::Equal,
+            (true, false) => return Ordering::Less,
+            (false, true) => return Ordering::Greater,
+            (false, false) => {}
+        }
+        match (self, other) {
+            (ColumnVec::I64(IntKind::Timestamp, a), ColumnVec::I64(IntKind::Timestamp, b)) => {
+                (a.values[i] as u64).cmp(&(b.values[j] as u64))
+            }
+            (ColumnVec::I64(ka, a), ColumnVec::I64(kb, b)) if ka == kb => {
+                a.values[i].cmp(&b.values[j])
+            }
+            (ColumnVec::F64(a), ColumnVec::F64(b)) => a.values[i].total_cmp(&b.values[j]),
+            (ColumnVec::Bool(a), ColumnVec::Bool(b)) => a.values[i].cmp(&b.values[j]),
+            (ColumnVec::I128(a), ColumnVec::I128(b)) => a.values[i].cmp(&b.values[j]),
+            (ColumnVec::Str(ka, a), ColumnVec::Str(kb, b)) if ka == kb => a.get(i).cmp(b.get(j)),
+            _ => self.value(i).total_cmp(&other.value(j)),
+        }
+    }
+
+    /// Runs `pass` over a typed leaf's [`KeyedRows`] view. `None` for
+    /// `Any` and nested vectors, whose cells have no such key.
+    pub fn with_keys<P: KeyedRows>(&self, pass: P) -> Option<P::Out> {
+        fn at<T>(nulls: &Option<Nulls>, i: usize, v: T) -> Option<T> {
+            (!null_at(nulls, i)).then_some(v)
+        }
+        // What `f64::total_cmp` compares: a bijection of the bits.
+        let ordered = |f: f64| {
+            let bits = f.to_bits() as i64;
+            bits ^ (((bits >> 63) as u64) >> 1) as i64
+        };
+        let n = self.len();
+        Some(match self {
+            ColumnVec::I64(IntKind::Timestamp, p) => {
+                pass.fold_keys(n, |i| at(&p.nulls, i, p.values[i] as u64))
+            }
+            ColumnVec::I64(_, p) => pass.fold_keys(n, |i| at(&p.nulls, i, p.values[i])),
+            ColumnVec::F64(p) => pass.fold_keys(n, |i| at(&p.nulls, i, ordered(p.values[i]))),
+            ColumnVec::Bool(p) => pass.fold_keys(n, |i| at(&p.nulls, i, p.values[i])),
+            ColumnVec::I128(p) => pass.fold_keys(n, |i| at(&p.nulls, i, p.values[i])),
+            ColumnVec::Str(_, s) => pass.fold_keys(n, |i| at(&s.nulls, i, s.get(i))),
+            _ => return None,
+        })
+    }
+
+    /// Appends [`Value::encode_key`] of row `i` to `out`, allocating
+    /// nothing for a typed leaf.
+    pub fn key_into(&self, i: usize, out: &mut Vec<u8>) {
+        match self {
+            ColumnVec::Str(kind, s) if !null_at(&s.nulls, i) => {
+                // A string's key is its type's key prefix, then its bytes.
+                match kind {
+                    StrKind::String => Value::String(String::new()),
+                    StrKind::Json => Value::Json(String::new()),
+                    StrKind::Bytes => Value::Bytes(Vec::new()),
+                }
+                .encode_key_into(out);
+                out.extend_from_slice(s.get(i));
+            }
+            ColumnVec::Any(values) => values[i].encode_key_into(out),
+            // A fixed-width cell's value lives on the stack.
+            other => other.value(i).encode_key_into(out),
+        }
+    }
+
+    /// Adds a NULL row to a leaf under construction.
+    fn add_null(&mut self) {
+        match self {
+            ColumnVec::I64(_, p) => p.add_cell(None),
+            ColumnVec::F64(p) => p.add_cell(None),
+            ColumnVec::Bool(p) => p.add_cell(None),
+            ColumnVec::I128(p) => p.add_cell(None),
+            ColumnVec::Str(_, s) => s.add_cell(None),
+            untyped => untyped.add_untyped(Value::Null),
+        }
+    }
+
+    /// Adds `v` as `Any` holds it, which the vector becomes if need be.
+    fn add_untyped(&mut self, v: Value) {
+        if !matches!(self, ColumnVec::Any(_)) {
+            *self = ColumnVec::Any(self.to_values());
+        }
+        if let ColumnVec::Any(values) = self {
+            // lint:allow(L010, grows a column under construction; its only scan edge is the name-resolved `RosBlockBuilder::push`)
+            values.push(v);
+        }
+    }
+
+    /// The rows at the strictly ascending in-bounds `rows` as one leaf
+    /// vector, `Dict` / `Runs` flattened — the vector itself when that
+    /// is every row of a typed leaf.
+    pub fn into_leaf(self, rows: &[usize]) -> ColumnVec {
+        let typed_leaf = !matches!(
+            self,
+            ColumnVec::Any(_) | ColumnVec::Dict { .. } | ColumnVec::Runs { .. }
+        );
+        if typed_leaf && rows.len() == self.len() {
+            return self;
+        }
+        let mut buf = Vec::new();
+        let (leaf, at) = self.resolve(rows, &mut buf);
+        let mut out = ColumnBuilder::default();
+        out.add_rows(leaf, at.iter().copied());
+        out.into_column()
+    }
+}
+
+/// Builds one leaf [`ColumnVec`] cell by cell — the write side's twin of
+/// a decoded chunk. The first non-NULL cell names the leaf type; a cell
+/// of another type, a Struct / Array cell, or a string vector about to
+/// outgrow its `u32` offsets turns the column into `Any`. So a column
+/// has a typed vector whenever its cells allow one, whichever way they
+/// arrived, and only then.
+#[derive(Debug, Default)]
+pub struct ColumnBuilder {
+    rows: usize,
+    /// `None` while every row is NULL.
+    col: Option<ColumnVec>,
+}
+
+impl ColumnBuilder {
+    /// Adds one row, moving the cell into the column.
+    pub fn add_value(&mut self, v: Value) {
+        self.rows += 1;
+        if v.is_null() {
+            return self.col.iter_mut().for_each(ColumnVec::add_null);
+        }
+        let col = self.col.get_or_insert_with(|| {
+            let mut col = match &v {
+                Value::Int64(_) => ColumnVec::I64(IntKind::Int64, Prim::default()),
+                Value::Date(_) => ColumnVec::I64(IntKind::Date, Prim::default()),
+                Value::Timestamp(_) => ColumnVec::I64(IntKind::Timestamp, Prim::default()),
+                Value::Float64(_) => ColumnVec::F64(Prim::default()),
+                Value::Bool(_) => ColumnVec::Bool(Prim::default()),
+                Value::Numeric(_) => ColumnVec::I128(Prim::default()),
+                Value::String(_) => ColumnVec::Str(StrKind::String, Strs::blank()),
+                Value::Json(_) => ColumnVec::Str(StrKind::Json, Strs::blank()),
+                Value::Bytes(_) => ColumnVec::Str(StrKind::Bytes, Strs::blank()),
+                // lint:allow(L010, grows a column under construction; its only scan edge is the name-resolved `RosBlockBuilder::push`)
+                _ => ColumnVec::Any(Vec::new()),
+            };
+            (1..self.rows).for_each(|_| col.add_null());
+            col
+        });
+        match (col, v) {
+            (ColumnVec::I64(IntKind::Int64, p), Value::Int64(x)) => p.add_cell(Some(x)),
+            (ColumnVec::I64(IntKind::Date, p), Value::Date(x)) => p.add_cell(Some(x as i64)),
+            (ColumnVec::I64(IntKind::Timestamp, p), Value::Timestamp(t)) => {
+                p.add_cell(Some(t.micros() as i64))
+            }
+            (ColumnVec::F64(p), Value::Float64(x)) => p.add_cell(Some(x)),
+            (ColumnVec::Bool(p), Value::Bool(x)) => p.add_cell(Some(x)),
+            (ColumnVec::I128(p), Value::Numeric(x)) => p.add_cell(Some(x)),
+            (ColumnVec::Str(StrKind::String, s), Value::String(x)) if s.fits(x.len()) => {
+                s.add_cell(Some(x.as_bytes()))
+            }
+            (ColumnVec::Str(StrKind::Json, s), Value::Json(x)) if s.fits(x.len()) => {
+                s.add_cell(Some(x.as_bytes()))
+            }
+            (ColumnVec::Str(StrKind::Bytes, s), Value::Bytes(x)) if s.fits(x.len()) => {
+                s.add_cell(Some(&x))
+            }
+            (col, v) => col.add_untyped(v),
+        }
+    }
+
+    /// Adds the in-bounds `rows` of the leaf vector `src`, in the order
+    /// given, copying typed cells straight across.
+    pub fn add_rows(&mut self, src: &ColumnVec, rows: impl IntoIterator<Item = usize>) {
+        for i in rows {
+            match (&mut self.col, src) {
+                (_, src) if src.is_null(i) => self.add_value(Value::Null),
+                (Some(ColumnVec::I64(ka, a)), ColumnVec::I64(kb, b)) if ka == kb => {
+                    a.add_cell(Some(b.values[i]));
+                    self.rows += 1;
+                }
+                (Some(ColumnVec::F64(a)), ColumnVec::F64(b)) => {
+                    a.add_cell(Some(b.values[i]));
+                    self.rows += 1;
+                }
+                (Some(ColumnVec::Str(ka, a)), ColumnVec::Str(kb, b))
+                    if ka == kb && a.fits(b.get(i).len()) =>
+                {
+                    a.add_cell(Some(b.get(i)));
+                    self.rows += 1;
+                }
+                // Bool and Numeric cells, a column's first typed cell,
+                // `Any` on either side: by value.
+                _ => self.add_value(src.value(i)),
+            }
+        }
+    }
+
+    /// The column: `Any` NULLs if no row ever held a value.
+    pub fn into_column(self) -> ColumnVec {
+        (self.col).unwrap_or_else(|| ColumnVec::Any(vec![Value::Null; self.rows]))
     }
 }

@@ -18,30 +18,36 @@
 //! * [`Encoding::RleV2`] — run lengths split from run values so the
 //!   values column can cascade too.
 //!
-//! The chooser ([`encode_column`]) classifies the column in one pass
-//! (type homogeneity, run count, capped distinct count — all under the
-//! [`Value::key_eq`] equality so the estimate and the encoders agree on
-//! NaN / -0.0), then sizes the applicable candidates. Large columns are
-//! ranked on a fixed-position sample first (BtrBlocks-style) and only
-//! the finalists are fully encoded.
+//! Both directions speak [`ColumnVec`]: the chooser ([`encode_column`])
+//! takes one zone of a column as a leaf vector, and decoding writes one —
+//! neither builds a `Value` per cell of a typed column.
 //!
-//! Decoding writes a typed [`ColumnVec`] and never a [`Value`] per cell;
-//! it preserves the compressed structure (dictionary codes, run lengths)
-//! so the query engine can evaluate predicates on codes and runs.
-//! Every decode path is bounds-checked: declared lengths are bounded by
-//! the *remaining* input before any allocation.
+//! The chooser classifies the zone (its runs and its distinct cells, both
+//! under the `Value::key_eq` equality so the estimate and the encoders
+//! agree on NaN / -0.0; the vector's type decides which leaf encoding
+//! applies), then encodes every applicable candidate in full and keeps
+//! the smallest. A zone is at most [`crate::ZONE_ROWS`] cells, so there
+//! is no sampling stage: every candidate is sized exactly.
+//!
+//! Decoding preserves the compressed structure (dictionary codes, run
+//! lengths) so the query engine can evaluate predicates on codes and
+//! runs. Every decode path is bounds-checked: declared lengths are
+//! bounded by the *remaining* input before any allocation.
 
-use std::collections::{HashMap, HashSet};
+use std::borrow::Cow;
+use std::cmp::Reverse;
+use std::collections::HashMap;
+use std::hash::Hash;
 
+use crate::column::{
+    null_at, ColumnBuilder, ColumnVec, IntKind, KeyedRows, Nulls, Prim, StrKind, Strs,
+};
 use vortex_common::codec::{
-    decode_value, encode_value, get_ivarint, get_uvarint, put_ivarint, put_uvarint, take, TAG_BOOL,
-    TAG_BYTES, TAG_DATE, TAG_FLOAT64, TAG_INT64, TAG_JSON, TAG_NULL, TAG_NUMERIC, TAG_STRING,
-    TAG_TIMESTAMP,
+    decode_value, encode_value, get_ivarint, get_uvarint, put_bytes, put_ivarint, put_uvarint,
+    take, TAG_BOOL, TAG_BYTES, TAG_DATE, TAG_FLOAT64, TAG_INT64, TAG_JSON, TAG_NULL, TAG_NUMERIC,
+    TAG_STRING, TAG_TIMESTAMP,
 };
 use vortex_common::error::{VortexError, VortexResult};
-use vortex_common::row::Value;
-
-use crate::column::{null_at, ColumnVec, IntKind, Nulls, Prim, StrKind, Strs};
 
 /// How a column chunk is encoded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,14 +99,6 @@ impl Encoding {
 /// Maximum dictionary size the encoder will build.
 const MAX_DICT: usize = 64 * 1024;
 
-/// Columns longer than this are ranked on a sample before full encoding.
-const SAMPLE_THRESHOLD: usize = 1024;
-/// Sample shape: `SAMPLE_STRIPES` stripes of `SAMPLE_STRIPE_LEN`
-/// consecutive values at fixed positions (consecutive runs matter for
-/// RLE/delta, fixed positions keep the chooser deterministic).
-const SAMPLE_STRIPES: usize = 8;
-const SAMPLE_STRIPE_LEN: usize = 32;
-
 // Type tags inside IntPack / Fsst chunks.
 const TY_INT64: u8 = 0;
 const TY_DATE: u8 = 1;
@@ -147,13 +145,13 @@ fn bits_for(max: u64) -> u8 {
 }
 
 /// Appends `vals` packed at `width` bits each, LSB-first.
-fn pack_bits(out: &mut Vec<u8>, vals: &[u64], width: u8) {
+fn pack_bits(out: &mut Vec<u8>, vals: impl Iterator<Item = u64>, width: u8) {
     if width == 0 {
         return;
     }
     let mut acc: u128 = 0;
     let mut nbits: u32 = 0;
-    for &v in vals {
+    for v in vals {
         acc |= (v as u128) << nbits;
         nbits += width as u32;
         while nbits >= 8 {
@@ -210,240 +208,222 @@ pub(crate) fn le_uint(b: &[u8]) -> u128 {
     b.iter().rev().fold(0, |acc, &x| acc << 8 | x as u128)
 }
 
-/// Appends a null bitmap (bit set = null), one bit per value.
-fn push_null_bitmap(out: &mut Vec<u8>, values: &[Value]) {
-    let start = out.len();
-    out.resize(start + values.len().div_ceil(8), 0);
-    for (i, v) in values.iter().enumerate() {
-        if v.is_null() {
-            out[start + i / 8] |= 1 << (i % 8);
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Chooser
 // ---------------------------------------------------------------------------
 
-/// What the classification pass learned about a column.
-struct ColumnShape {
-    runs: usize,
-    /// Distinct count under `encode_key` identity; `None` once it
-    /// overflows `MAX_DICT`.
-    distinct: Option<HashSet<Vec<u8>>>,
-    has_int: bool,
-    has_float: bool,
-    has_str: bool,
-    /// Any value outside the Int/Float/Str families (Bool, Numeric,
-    /// Struct, ...). Nulls don't count.
-    has_other: bool,
-    nulls: usize,
+/// A column's distinct cells under `Value::key_eq` identity, in order of
+/// first appearance: the row each first appears at, and every row's
+/// index into those.
+struct Dictionary {
+    firsts: Vec<usize>,
+    codes: Vec<u32>,
 }
 
-fn classify(values: &[Value]) -> ColumnShape {
-    let mut shape = ColumnShape {
-        runs: if values.is_empty() { 0 } else { 1 },
-        distinct: Some(HashSet::new()),
-        has_int: false,
-        has_float: false,
-        has_str: false,
-        has_other: false,
-        nulls: 0,
+/// The pass that numbers cells into a [`Dictionary`], hashing each key
+/// where it lies; `None` once there are more than `limit` distinct.
+struct Numbering {
+    limit: usize,
+}
+
+impl KeyedRows for Numbering {
+    type Out = Option<Dictionary>;
+
+    fn fold_keys<K: Ord + Hash>(self, n: usize, key: impl Fn(usize) -> Option<K>) -> Self::Out {
+        let mut ids: HashMap<Option<K>, u32> = HashMap::with_capacity(n.min(self.limit));
+        let mut firsts = Vec::new();
+        let mut codes = Vec::with_capacity(n);
+        for i in 0..n {
+            let next = firsts.len() as u32;
+            let id = *ids.entry(key(i)).or_insert(next);
+            if id == next {
+                if firsts.len() >= self.limit {
+                    return None;
+                }
+                firsts.push(i);
+            }
+            codes.push(id);
+        }
+        Some(Dictionary { firsts, codes })
+    }
+}
+
+/// The pass that finds the row each run of equal cells starts at.
+struct RunStarts;
+
+impl KeyedRows for RunStarts {
+    type Out = Vec<usize>;
+
+    fn fold_keys<K: Ord + Hash>(self, n: usize, key: impl Fn(usize) -> Option<K>) -> Self::Out {
+        let starts = (0..n).filter(|&i| i == 0 || key(i - 1) != key(i));
+        starts.collect()
+    }
+}
+
+/// An encoding and the chunk it makes of a column, if it applies.
+type Sized = (Encoding, Option<Vec<u8>>);
+
+/// The leaf encodings of `col`: the one of the vector's type applies —
+/// [`ColumnBuilder`] gives a column that vector whenever its cells allow
+/// it.
+fn leaf_candidates(col: &ColumnVec) -> [Sized; 3] {
+    [
+        (Encoding::IntPack, try_encode_intpack(col)),
+        (Encoding::Alp, try_encode_alp(col)),
+        (Encoding::Fsst, try_encode_fsst(col)),
+    ]
+}
+
+/// Every encoding of `col` the chooser sizes against Plain, in the order
+/// that breaks ties: run lengths for a column at most half runs, a
+/// dictionary for one at most half distinct cells (`all` lifts both bars,
+/// for a test that names its encoding), then the leaf encodings.
+fn sized_candidates(col: &ColumnVec, all: bool) -> impl Iterator<Item = Sized> {
+    let n = col.len();
+    // Cells without a typed key go by their `encode_key` bytes.
+    let key_bytes = |i: usize| {
+        let mut key = Vec::new();
+        col.key_into(i, &mut key);
+        Some(key)
     };
-    for (i, v) in values.iter().enumerate() {
-        if i > 0 && !values[i - 1].key_eq(v) {
-            shape.runs += 1;
-        }
-        match v {
-            Value::Null => shape.nulls += 1,
-            Value::Int64(_) | Value::Date(_) | Value::Timestamp(_) => shape.has_int = true,
-            Value::Float64(_) => shape.has_float = true,
-            Value::String(_) | Value::Json(_) | Value::Bytes(_) => shape.has_str = true,
-            _ => shape.has_other = true,
-        }
-        if let Some(d) = shape.distinct.as_mut() {
-            d.insert(v.encode_key());
-            if d.len() > MAX_DICT {
-                shape.distinct = None;
-            }
-        }
-    }
-    shape
+    let runs = (col.with_keys(RunStarts)).unwrap_or_else(|| RunStarts.fold_keys(n, key_bytes));
+    let numbering = || Numbering {
+        limit: if all { MAX_DICT } else { MAX_DICT.min(n / 2) },
+    };
+    let dict = (col.with_keys(numbering())).unwrap_or_else(|| numbering().fold_keys(n, key_bytes));
+    let runs_pay = all || runs.len() * 2 <= n;
+    let nesting = [
+        (Encoding::RleV2, runs_pay.then(|| encode_rle_v2(col, &runs))),
+        (Encoding::DictV2, dict.map(|d| encode_dict_v2(col, &d))),
+    ];
+    nesting.into_iter().chain(leaf_candidates(col))
 }
 
-/// Candidate encodings worth sizing for a column of this shape.
-fn candidates(shape: &ColumnShape, n: usize) -> Vec<Encoding> {
-    let mut c = Vec::new();
-    if shape.runs * 2 <= n {
-        c.push(Encoding::RleV2);
-    }
-    if let Some(d) = &shape.distinct {
-        if d.len() * 2 <= n {
-            c.push(Encoding::DictV2);
-        }
-    }
-    if shape.has_int && !shape.has_float && !shape.has_str && !shape.has_other {
-        c.push(Encoding::IntPack);
-    }
-    if shape.has_float && !shape.has_int && !shape.has_str && !shape.has_other {
-        c.push(Encoding::Alp);
-    }
-    if shape.has_str && !shape.has_int && !shape.has_float && !shape.has_other {
-        c.push(Encoding::Fsst);
-    }
-    c
-}
-
-/// Encodes a column, choosing the encoding by classification plus
-/// candidate sizing (sampled for long columns, exact for short ones).
-/// Plain is always a candidate, so every column encodes.
-pub fn encode_column(values: &[Value]) -> (Encoding, Vec<u8>) {
-    let n = values.len();
-    if n == 0 {
-        return (Encoding::Plain, Vec::new());
-    }
-    let shape = classify(values);
-    let mut cands = candidates(&shape, n);
-    // BtrBlocks-style: long columns rank candidates on a fixed-position
-    // sample and only the top two are fully encoded.
-    if n > SAMPLE_THRESHOLD && cands.len() > 2 {
-        let sample = sample_stripes(values);
-        let mut ranked: Vec<(usize, Encoding)> = cands
-            .iter()
-            .filter_map(|&e| try_encode_with(&sample, e).map(|b| (b.len(), e)))
-            .collect();
-        ranked.sort_by_key(|&(len, e)| (len, e.to_u8()));
-        cands = ranked.into_iter().take(2).map(|(_, e)| e).collect();
-    }
-    let mut best = (Encoding::Plain, encode_plain(values));
-    for e in cands {
-        if let Some(bytes) = try_encode_with(values, e) {
-            if bytes.len() < best.1.len() {
-                best = (e, bytes);
-            }
+/// The smallest of a column's Plain chunk and its other candidates, each
+/// sized exactly; of two equals the earlier wins, Plain first.
+fn smallest(plain: Vec<u8>, others: impl IntoIterator<Item = Sized>) -> (Encoding, Vec<u8>) {
+    let mut best = (Encoding::Plain, plain);
+    for (e, bytes) in others {
+        if let Some(bytes) = bytes.filter(|b| b.len() < best.1.len()) {
+            best = (e, bytes);
         }
     }
     best
 }
 
-fn sample_stripes(values: &[Value]) -> Vec<Value> {
-    let n = values.len();
-    let mut sample = Vec::with_capacity(SAMPLE_STRIPES * SAMPLE_STRIPE_LEN);
-    for s in 0..SAMPLE_STRIPES {
-        let start = s * n / SAMPLE_STRIPES;
-        let end = (start + SAMPLE_STRIPE_LEN).min(n);
-        sample.extend_from_slice(&values[start..end]);
-    }
-    sample
-}
-
-/// Encodes with a specific encoding (benchmarks and tests). Errors when
-/// the encoding doesn't apply to these values (e.g. IntPack on strings).
-pub fn encode_column_with(values: &[Value], enc: Encoding) -> VortexResult<Vec<u8>> {
-    try_encode_with(values, enc).ok_or_else(|| {
-        VortexError::InvalidArgument(format!("{enc:?} does not apply to this column"))
-    })
-}
-
-fn try_encode_with(values: &[Value], enc: Encoding) -> Option<Vec<u8>> {
-    match enc {
-        Encoding::Plain => Some(encode_plain(values)),
-        Encoding::IntPack => try_encode_intpack(values),
-        Encoding::Alp => try_encode_alp(values),
-        Encoding::Fsst => try_encode_fsst(values),
-        Encoding::DictV2 => try_encode_dict_v2(values),
-        Encoding::RleV2 => Some(encode_rle_v2(values)),
+/// Encodes one zone of a column — a leaf vector — as the [`smallest`] of
+/// Plain and its [`sized_candidates`]. Plain always applies, so every
+/// column encodes.
+pub fn encode_column(col: &ColumnVec) -> (Encoding, Vec<u8>) {
+    match col.is_empty() {
+        true => (Encoding::Plain, Vec::new()),
+        false => smallest(encode_plain(col), sized_candidates(col, false)),
     }
 }
 
-/// Picks the cheapest leaf encoding for a nested value section
-/// (dictionary values, run values).
-fn encode_nested(values: &[Value]) -> (Encoding, Vec<u8>) {
-    let mut best = (Encoding::Plain, encode_plain(values));
-    for e in [Encoding::IntPack, Encoding::Alp, Encoding::Fsst] {
-        if let Some(bytes) = try_encode_with(values, e) {
-            if bytes.len() < best.1.len() {
-                best = (e, bytes);
-            }
-        }
-    }
-    best
+/// Encodes with a specific encoding. Errors when the encoding doesn't
+/// apply to this vector (e.g. IntPack on strings).
+#[cfg(test)]
+fn encode_column_with(col: &ColumnVec, enc: Encoding) -> VortexResult<Vec<u8>> {
+    let plain = [(Encoding::Plain, Some(encode_plain(col)))];
+    let mut sized = plain.into_iter().chain(sized_candidates(col, true));
+    let named = sized.find_map(|(e, bytes)| bytes.filter(|_| e == enc));
+    named.ok_or_else(|| VortexError::InvalidArgument(format!("{enc:?} does not apply here")))
+}
+
+/// Appends a nested value section (dictionary values, run values): the
+/// cells at `rows` as a leaf vector of their own, in its cheapest leaf
+/// encoding.
+fn push_nested(out: &mut Vec<u8>, col: &ColumnVec, rows: &[usize]) {
+    let mut values = ColumnBuilder::default();
+    values.add_rows(col, rows.iter().copied());
+    let values = values.into_column();
+    let (enc, bytes) = smallest(encode_plain(&values), leaf_candidates(&values));
+    out.push(enc.to_u8());
+    put_uvarint(out, bytes.len() as u64);
+    out.extend_from_slice(&bytes);
 }
 
 // ---------------------------------------------------------------------------
 // Encoders
 // ---------------------------------------------------------------------------
 
-fn encode_plain(values: &[Value]) -> Vec<u8> {
+fn encode_plain(col: &ColumnVec) -> Vec<u8> {
     let mut out = Vec::new();
-    for v in values {
-        encode_value(&mut out, v);
+    match col {
+        ColumnVec::Str(kind, s) => {
+            let tag = match kind {
+                StrKind::String => TAG_STRING,
+                StrKind::Json => TAG_JSON,
+                StrKind::Bytes => TAG_BYTES,
+            };
+            out.reserve(s.bytes.len() + 3 * col.len());
+            for i in 0..col.len() {
+                if null_at(&s.nulls, i) {
+                    out.push(TAG_NULL);
+                } else {
+                    out.push(tag);
+                    put_bytes(&mut out, s.get(i));
+                }
+            }
+        }
+        ColumnVec::Any(values) => values.iter().for_each(|v| encode_value(&mut out, v)),
+        // A fixed-width cell's value lives on the stack.
+        fixed => (0..fixed.len()).for_each(|i| encode_value(&mut out, &fixed.value(i))),
     }
     out
 }
 
-/// Maps an int-family value to (type tag, i64 payload).
-fn int_payload(v: &Value) -> Option<(u8, i64)> {
-    match v {
-        Value::Int64(i) => Some((TY_INT64, *i)),
-        Value::Date(d) => Some((TY_DATE, *d as i64)),
-        Value::Timestamp(t) => Some((TY_TIMESTAMP, t.micros() as i64)),
-        _ => None,
+/// The non-NULL elements of a fixed-width leaf, in row order.
+fn non_null<T: Copy>(p: &Prim<T>) -> Cow<'_, [T]> {
+    match &p.nulls {
+        None => Cow::Borrowed(&p.values),
+        Some(nulls) => {
+            let kept = (0..p.values.len()).filter(|&i| !nulls.is_null(i));
+            Cow::Owned(kept.map(|i| p.values[i]).collect())
+        }
     }
 }
 
-fn try_encode_intpack(values: &[Value]) -> Option<Vec<u8>> {
-    let mut tag: Option<u8> = None;
-    let mut ints: Vec<i64> = Vec::with_capacity(values.len());
-    let mut has_null = false;
-    for v in values {
-        if v.is_null() {
-            has_null = true;
-            continue;
-        }
-        let (t, i) = int_payload(v)?;
-        if *tag.get_or_insert(t) != t {
-            return None;
-        }
-        ints.push(i);
-    }
-    let tag = tag.unwrap_or(TY_INT64);
-    let plain = intpack_bytes(tag, has_null, values, &ints, false);
-    let delta = intpack_bytes(tag, has_null, values, &ints, true);
+fn try_encode_intpack(col: &ColumnVec) -> Option<Vec<u8>> {
+    let ColumnVec::I64(kind, p) = col else {
+        return None;
+    };
+    let tag = match kind {
+        IntKind::Int64 => TY_INT64,
+        IntKind::Date => TY_DATE,
+        IntKind::Timestamp => TY_TIMESTAMP,
+    };
+    let ints = non_null(p);
+    let plain = intpack_bytes(tag, col, &ints, false);
+    let delta = intpack_bytes(tag, col, &ints, true);
     match (plain, delta) {
         (Some(p), Some(d)) => Some(if d.len() < p.len() { d } else { p }),
         (p, d) => p.or(d),
     }
 }
 
-fn intpack_bytes(
-    tag: u8,
-    has_null: bool,
-    values: &[Value],
-    ints: &[i64],
-    delta: bool,
-) -> Option<Vec<u8>> {
+fn intpack_bytes(tag: u8, col: &ColumnVec, ints: &[i64], delta: bool) -> Option<Vec<u8>> {
+    if delta && ints.len() < 2 {
+        return None;
+    }
+    let has_null = ints.len() < col.len();
+    let mut out = Vec::with_capacity(16 + col.len().div_ceil(8) + ints.len() * 8);
+    out.push(tag);
+    out.push((has_null as u8) | if delta { FLAG_DELTA } else { 0 });
+    push_nulls_header(&mut out, col, ints.len());
     // Deltas / frame-of-reference computed in i128 so i64 extremes can't
     // overflow; a candidate whose relative range exceeds u64 (only
     // possible for deltas) is rejected rather than widened.
-    let work: Vec<i128> = if delta {
-        if ints.len() < 2 {
-            return None;
-        }
-        ints.windows(2)
-            .map(|w| w[1] as i128 - w[0] as i128)
-            .collect()
-    } else {
-        ints.iter().map(|&v| v as i128).collect()
-    };
-    let mut out = Vec::new();
-    out.push(tag);
-    out.push((has_null as u8) | if delta { FLAG_DELTA } else { 0 });
-    push_nulls_header(&mut out, has_null, values, ints.len());
     if delta {
         put_ivarint(&mut out, ints[0]);
+        push_frame(
+            &mut out,
+            ints.windows(2).map(|w| w[1] as i128 - w[0] as i128),
+        )?;
+    } else {
+        push_frame(&mut out, ints.iter().map(|&v| v as i128))?;
     }
-    push_frame(&mut out, &work)?;
     Some(out)
 }
 
@@ -451,25 +431,28 @@ fn intpack_bytes(
 /// count — derivable from the bitmap but stored anyway, so decode can
 /// validate the caller's row count (bit-packed data is not
 /// self-delimiting the way varint streams are) — then the null bitmap if
-/// there are NULLs.
-fn push_nulls_header(out: &mut Vec<u8>, has_null: bool, values: &[Value], non_null: usize) {
+/// there are NULLs (bit set = null, one bit per row).
+fn push_nulls_header(out: &mut Vec<u8>, col: &ColumnVec, non_null: usize) {
     put_uvarint(out, non_null as u64);
-    if has_null {
-        push_null_bitmap(out, values);
+    if non_null < col.len() {
+        let start = out.len();
+        out.resize(start + col.len().div_ceil(8), 0);
+        for i in (0..col.len()).filter(|&i| col.is_null(i)) {
+            out[start + i / 8] |= 1 << (i % 8);
+        }
     }
 }
 
 /// Appends `work` frame-of-reference packed: the minimum as base, the
 /// bit width of the largest offset from it, the offsets. `None` when the
 /// base leaves i64 or an offset leaves u64 (only deltas can).
-fn push_frame(out: &mut Vec<u8>, work: &[i128]) -> Option<()> {
-    let base = work.iter().min().copied().unwrap_or(0);
-    let rels: Option<Vec<u64>> = work.iter().map(|&v| u64::try_from(v - base).ok()).collect();
-    let rels = rels?;
-    let width = bits_for(rels.iter().max().copied().unwrap_or(0));
+fn push_frame(out: &mut Vec<u8>, work: impl Iterator<Item = i128> + Clone) -> Option<()> {
+    let base = work.clone().min().unwrap_or(0);
+    let span = work.clone().max().map_or(0, |hi| hi - base);
+    let width = bits_for(u64::try_from(span).ok()?);
     put_ivarint(out, i64::try_from(base).ok()?);
     out.push(width);
-    pack_bits(out, &rels, width);
+    pack_bits(out, work.map(|v| (v - base) as u64), width);
     Some(())
 }
 
@@ -493,29 +476,21 @@ fn alp_int(f: f64, p10: f64) -> Option<i64> {
     }
 }
 
-fn try_encode_alp(values: &[Value]) -> Option<Vec<u8>> {
-    let mut floats: Vec<f64> = Vec::with_capacity(values.len());
-    let mut has_null = false;
-    for v in values {
-        match v {
-            Value::Null => has_null = true,
-            Value::Float64(f) => floats.push(*f),
-            _ => return None,
-        }
-    }
+fn try_encode_alp(col: &ColumnVec) -> Option<Vec<u8>> {
+    let ColumnVec::F64(p) = col else {
+        return None;
+    };
+    let floats = non_null(p);
     if floats.is_empty() {
         return None;
     }
     // Pick the exponent that patches the fewest sampled values.
     let stride = (floats.len() / 128).max(1);
-    let sample: Vec<f64> = floats.iter().step_by(stride).copied().collect();
     let mut exp = 0u8;
     let mut best_patches = usize::MAX;
     for (e, &p10) in POW10.iter().enumerate() {
-        let patches = sample
-            .iter()
-            .filter(|&&f| alp_int(f, p10).is_none())
-            .count();
+        let sample = floats.iter().step_by(stride);
+        let patches = sample.filter(|&&f| alp_int(f, p10).is_none()).count();
         if patches < best_patches {
             best_patches = patches;
             exp = e as u8;
@@ -525,19 +500,18 @@ fn try_encode_alp(values: &[Value]) -> Option<Vec<u8>> {
         }
     }
     let p10 = POW10[exp as usize];
-    let mut ints: Vec<i128> = Vec::new();
+    let mut ints: Vec<i64> = Vec::with_capacity(floats.len());
     let mut patches: Vec<(usize, u64)> = Vec::new();
-    for (row, v) in values.iter().enumerate() {
-        if let Value::Float64(f) = v {
-            match alp_int(*f, p10) {
-                Some(i) => ints.push(i as i128),
-                None => patches.push((row, f.to_bits())),
-            }
+    for row in (0..col.len()).filter(|&row| !null_at(&p.nulls, row)) {
+        let f = p.values[row];
+        match alp_int(f, p10) {
+            Some(i) => ints.push(i),
+            None => patches.push((row, f.to_bits())),
         }
     }
-    let mut out = Vec::new();
-    out.push(has_null as u8);
-    push_nulls_header(&mut out, has_null, values, floats.len());
+    let mut out = Vec::with_capacity(16 + col.len().div_ceil(8) + floats.len() * 8);
+    out.push((floats.len() < col.len()) as u8);
+    push_nulls_header(&mut out, col, floats.len());
     out.push(exp);
     put_uvarint(&mut out, patches.len() as u64);
     let mut prev = 0usize;
@@ -548,178 +522,198 @@ fn try_encode_alp(values: &[Value]) -> Option<Vec<u8>> {
     for &(_, bits) in &patches {
         out.extend_from_slice(&bits.to_le_bytes());
     }
-    push_frame(&mut out, &ints)?;
+    push_frame(&mut out, ints.iter().map(|&i| i as i128))?;
     Some(out)
 }
 
-/// Maps a string-family value to (type tag, byte payload).
-fn str_payload(v: &Value) -> Option<(u8, &[u8])> {
-    match v {
-        Value::String(s) => Some((TY_STRING, s.as_bytes())),
-        Value::Json(s) => Some((TY_JSON, s.as_bytes())),
-        Value::Bytes(b) => Some((TY_BYTES, b)),
-        _ => None,
-    }
-}
-
-fn try_encode_fsst(values: &[Value]) -> Option<Vec<u8>> {
-    let mut tag: Option<u8> = None;
-    let mut slices: Vec<&[u8]> = Vec::with_capacity(values.len());
-    let mut has_null = false;
-    let mut total = 0usize;
-    for v in values {
-        if v.is_null() {
-            has_null = true;
-            continue;
-        }
-        let (t, s) = str_payload(v)?;
-        if *tag.get_or_insert(t) != t {
-            return None;
-        }
-        total += s.len();
-        slices.push(s);
-    }
+fn try_encode_fsst(col: &ColumnVec) -> Option<Vec<u8>> {
+    let ColumnVec::Str(kind, s) = col else {
+        return None;
+    };
+    let values = || {
+        (0..col.len())
+            .filter(|&i| !null_at(&s.nulls, i))
+            .map(|i| s.get(i))
+    };
+    let (m, total) = values().fold((0, 0), |(m, total), v| (m + 1, total + v.len()));
     if total < 64 {
         return None; // not enough material for a table to pay off
     }
-    let tag = tag?;
-    let m = slices.len();
-    let symbols = build_fsst_table(&slices);
-    let by_bytes: HashMap<&[u8], u8> = symbols
-        .iter()
-        .enumerate()
-        .map(|(i, s)| (s.as_slice(), i as u8))
-        .collect();
-    let mut out = Vec::new();
-    out.push(tag);
-    out.push(has_null as u8);
-    push_nulls_header(&mut out, has_null, values, m);
-    out.push(symbols.len() as u8);
-    for s in &symbols {
-        out.push(s.len() as u8);
-        out.extend_from_slice(s);
-    }
+    let table = FsstTable::build(values());
+    let mut out = Vec::with_capacity(16 + col.len().div_ceil(8) + total);
+    out.push(match kind {
+        StrKind::String => TY_STRING,
+        StrKind::Json => TY_JSON,
+        StrKind::Bytes => TY_BYTES,
+    });
+    out.push((m < col.len()) as u8);
+    push_nulls_header(&mut out, col, m);
+    table.push_symbols(&mut out);
     let mut enc = Vec::new();
-    for s in &slices {
+    for v in values() {
         enc.clear();
-        fsst_compress(s, &by_bytes, &mut enc);
+        table.emit_codes(v, &mut enc);
         put_uvarint(&mut out, enc.len() as u64);
         out.extend_from_slice(&enc);
     }
     Some(out)
 }
 
-/// Greedy longest-match FSST compression of one value.
-fn fsst_compress(s: &[u8], table: &HashMap<&[u8], u8>, out: &mut Vec<u8>) {
-    let mut pos = 0usize;
-    'outer: while pos < s.len() {
-        let max = FSST_MAX_SYM.min(s.len() - pos);
-        for l in (1..=max).rev() {
-            if let Some(&code) = table.get(&s[pos..pos + l]) {
-                out.push(code);
-                pos += l;
-                continue 'outer;
-            }
-        }
-        out.push(FSST_ESCAPE);
-        out.push(s[pos]);
-        pos += 1;
+/// Up to eight bytes of `s` from `pos`, first byte lowest, zero-padded.
+fn word_at(s: &[u8], pos: usize) -> u64 {
+    let tail = &s[pos..s.len().min(pos + FSST_MAX_SYM)];
+    match <[u8; FSST_MAX_SYM]>::try_from(tail) {
+        Ok(full) => u64::from_le_bytes(full),
+        Err(_) => le_uint(tail) as u64,
     }
 }
 
-/// Builds a deterministic symbol table from a byte-budget-capped sample:
-/// substrings of length 1..=8 ranked by (occurrences × bytes saved).
-/// A simplification of FSST's iterative table construction — overlapping
-/// occurrences are over-counted, which the final size comparison in the
-/// chooser absorbs.
-fn build_fsst_table(slices: &[&[u8]]) -> Vec<Vec<u8>> {
-    const SAMPLE_BUDGET: usize = 4096;
-    let mut counts: HashMap<&[u8], u32> = HashMap::new();
-    let mut budget = SAMPLE_BUDGET;
-    for s in slices {
-        if budget == 0 {
-            break;
-        }
-        let take = s.len().min(budget);
-        budget -= take;
-        let s = &s[..take];
-        for i in 0..s.len() {
-            for l in 1..=FSST_MAX_SYM.min(s.len() - i) {
-                *counts.entry(&s[i..i + l]).or_insert(0) += 1;
+/// The lowest `len` (1..=8) bytes of a word.
+fn low_bytes(word: u64, len: usize) -> u64 {
+    word & (u64::MAX >> (64 - 8 * len))
+}
+
+/// An FSST symbol table laid out for matching. A symbol is its bytes as
+/// a [`word_at`] word, and how many they are.
+struct FsstTable {
+    /// In code order.
+    symbols: Vec<(u64, u8)>,
+    /// `(word, len, code)` per symbol: those that start with byte `b` at
+    /// `by_first[starts[b]..starts[b + 1]]`, longest first.
+    by_first: Vec<(u64, u8, u8)>,
+    starts: [u16; 257],
+}
+
+impl FsstTable {
+    /// Builds a deterministic symbol table from a byte-budget-capped
+    /// sample: substrings of length 1..=8 ranked by (occurrences × bytes
+    /// saved). A simplification of FSST's iterative table construction —
+    /// overlapping occurrences are over-counted, which the final size
+    /// comparison in the chooser absorbs.
+    fn build<'a>(values: impl Iterator<Item = &'a [u8]>) -> FsstTable {
+        const SAMPLE_BUDGET: usize = 4096;
+        // Occurrences per (word, len) in an open-addressed table: slot
+        // `at` holds a substring's word in `words` and `count << 4 | len`
+        // in `tally` (0 = free). At most eight substrings start at each
+        // sampled byte, so the table stays at most half full and a probe
+        // always ends.
+        const SLOTS: usize = 16 * SAMPLE_BUDGET;
+        let mut words = vec![0u64; SLOTS];
+        let mut tally = vec![0u32; SLOTS];
+        let mut used: Vec<u32> = Vec::new();
+        let mut budget = SAMPLE_BUDGET;
+        for v in values {
+            let v = &v[..v.len().min(budget)];
+            budget -= v.len();
+            for pos in 0..v.len() {
+                let window = word_at(v, pos);
+                for len in 1..=FSST_MAX_SYM.min(v.len() - pos) {
+                    let word = low_bytes(window, len);
+                    let hash = (word ^ len as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                    let mut at = (hash >> 40) as usize % SLOTS;
+                    while tally[at] != 0 && (words[at], tally[at] as usize & 15) != (word, len) {
+                        at = (at + 1) % SLOTS;
+                    }
+                    if tally[at] == 0 {
+                        (words[at], tally[at]) = (word, len as u32);
+                        used.push(at as u32);
+                    }
+                    tally[at] += 1 << 4;
+                }
             }
         }
+        // Rank by score, ties in the symbols' byte order (a word's bytes
+        // swapped compare as its byte string does): a total order, so
+        // the slots' order never shows. A symbol emits 1 byte. Without
+        // it, each byte costs 1 code byte at best (2 if escaped): saving
+        // ≥ len-1 per occurrence; single bytes only pay if they'd
+        // otherwise be escaped.
+        let counted = used
+            .iter()
+            .map(|&at| (words[at as usize], tally[at as usize]));
+        let mut ranked: Vec<(Reverse<u64>, u64, u8)> = counted
+            .filter(|&(_, tally)| tally >> 4 >= 2)
+            .map(|(word, tally)| {
+                let (n, len) = ((tally >> 4) as u64, tally as u8 & 15);
+                (Reverse(n * (len as u64 - 1).max(1)), word.swap_bytes(), len)
+            })
+            .collect();
+        let keep = (FSST_ESCAPE as usize - 1).min(ranked.len());
+        if keep < ranked.len() {
+            ranked.select_nth_unstable(keep);
+            ranked.truncate(keep);
+        }
+        ranked.sort_unstable();
+        let symbols: Vec<(u64, u8)> = (ranked.iter())
+            .map(|&(_, bytes, len)| (bytes.swap_bytes(), len))
+            .collect();
+        let coded = symbols.iter().zip(0u8..);
+        let mut by_first: Vec<(u64, u8, u8)> = coded
+            .map(|(&(word, len), code)| (word, len, code))
+            .collect();
+        by_first.sort_unstable_by_key(|&(word, len, _)| (word as u8, Reverse(len)));
+        let mut starts = [0u16; 257];
+        for b in 0..256 {
+            starts[b + 1] = by_first.partition_point(|&(word, ..)| word as u8 as usize <= b) as u16;
+        }
+        FsstTable {
+            symbols,
+            by_first,
+            starts,
+        }
     }
-    let mut ranked: Vec<(u64, &[u8])> = counts
-        .into_iter()
-        .filter_map(|(sym, n)| {
-            // A symbol emits 1 byte. Without it, each byte costs 1 code
-            // byte at best (2 if escaped): saving ≥ len-1 per occurrence;
-            // single bytes only pay if they'd otherwise be escaped.
-            let saved = if sym.len() == 1 {
-                1
-            } else {
-                (sym.len() - 1) as u64
+
+    /// Appends the table as chunks store it: the symbol count, then each
+    /// symbol's length and bytes, in code order.
+    fn push_symbols(&self, out: &mut Vec<u8>) {
+        out.push(self.symbols.len() as u8);
+        for &(word, len) in &self.symbols {
+            out.push(len);
+            out.extend_from_slice(&word.to_le_bytes()[..len as usize]);
+        }
+    }
+
+    /// Appends the codes of one value: greedy longest match.
+    fn emit_codes(&self, s: &[u8], out: &mut Vec<u8>) {
+        let mut pos = 0usize;
+        while pos < s.len() {
+            let (window, left, first) = (word_at(s, pos), s.len() - pos, s[pos] as usize);
+            let bucket = self.starts[first] as usize..self.starts[first + 1] as usize;
+            let fits = |&&(word, len, _): &&(u64, u8, u8)| {
+                len as usize <= left && low_bytes(window, len as usize) == word
             };
-            (n >= 2).then_some((n as u64 * saved, sym))
-        })
-        .collect();
-    ranked.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(b.1)));
-    ranked
-        .into_iter()
-        .take(FSST_ESCAPE as usize - 1)
-        .map(|(_, s)| s.to_vec())
-        .collect()
-}
-
-fn try_encode_dict_v2(values: &[Value]) -> Option<Vec<u8>> {
-    let mut ids: HashMap<Vec<u8>, u32> = HashMap::new();
-    let mut dict: Vec<Value> = Vec::new();
-    let mut codes: Vec<u64> = Vec::with_capacity(values.len());
-    for v in values {
-        let next = dict.len() as u32;
-        let id = *ids.entry(v.encode_key()).or_insert(next);
-        if id == next {
-            if dict.len() >= MAX_DICT {
-                return None;
+            match self.by_first[bucket].iter().find(fits) {
+                Some(&(_, len, code)) => {
+                    out.push(code);
+                    pos += len as usize;
+                }
+                None => {
+                    out.extend_from_slice(&[FSST_ESCAPE, s[pos]]);
+                    pos += 1;
+                }
             }
-            dict.push(v.clone());
         }
-        codes.push(id as u64);
     }
-    let (venc, vbytes) = encode_nested(&dict);
-    let mut out = Vec::new();
-    put_uvarint(&mut out, dict.len() as u64);
-    out.push(venc.to_u8());
-    put_uvarint(&mut out, vbytes.len() as u64);
-    out.extend_from_slice(&vbytes);
-    let width = bits_for(dict.len().saturating_sub(1) as u64);
-    out.push(width);
-    pack_bits(&mut out, &codes, width);
-    Some(out)
 }
 
-fn encode_rle_v2(values: &[Value]) -> Vec<u8> {
-    let mut lens: Vec<u64> = Vec::new();
-    let mut run_values: Vec<Value> = Vec::new();
-    let mut i = 0usize;
-    while i < values.len() {
-        let mut j = i + 1;
-        while j < values.len() && values[j].key_eq(&values[i]) {
-            j += 1;
-        }
-        lens.push((j - i) as u64);
-        run_values.push(values[i].clone());
-        i = j;
-    }
-    let (venc, vbytes) = encode_nested(&run_values);
+fn encode_dict_v2(col: &ColumnVec, dict: &Dictionary) -> Vec<u8> {
     let mut out = Vec::new();
-    put_uvarint(&mut out, lens.len() as u64);
-    for &l in &lens {
-        put_uvarint(&mut out, l);
+    put_uvarint(&mut out, dict.firsts.len() as u64);
+    push_nested(&mut out, col, &dict.firsts);
+    let width = bits_for(dict.firsts.len().saturating_sub(1) as u64);
+    out.push(width);
+    pack_bits(&mut out, dict.codes.iter().map(|&c| c as u64), width);
+    out
+}
+
+fn encode_rle_v2(col: &ColumnVec, runs: &[usize]) -> Vec<u8> {
+    let mut out = Vec::new();
+    put_uvarint(&mut out, runs.len() as u64);
+    let ends = runs.iter().skip(1).copied().chain([col.len()]);
+    for (start, end) in runs.iter().zip(ends) {
+        put_uvarint(&mut out, (end - start) as u64);
     }
-    out.push(venc.to_u8());
-    put_uvarint(&mut out, vbytes.len() as u64);
-    out.extend_from_slice(&vbytes);
+    push_nested(&mut out, col, runs);
     out
 }
 
@@ -1067,15 +1061,17 @@ fn decode_plain(bytes: &[u8], pos: &mut usize, count: usize) -> VortexResult<Col
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vortex_common::row::Value;
     use vortex_common::truetime::Timestamp;
 
-    /// Passes every request through to the system allocator and adds its
-    /// size to a per-thread tally, so the fuzz test can bound what a
-    /// decode of corrupt bytes reserves.
+    /// Passes every request through to the system allocator and adds it
+    /// to a per-thread tally of bytes and of requests, so the fuzz test
+    /// can bound what a decode of corrupt bytes reserves and the build
+    /// guard how often an encode goes to the heap.
     struct Tally;
 
     thread_local! {
-        static REQUESTED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+        static REQUESTED: std::cell::Cell<(usize, usize)> = const { std::cell::Cell::new((0, 0)) };
     }
 
     // SAFETY: both methods forward their arguments unchanged to `System`,
@@ -1084,7 +1080,10 @@ mod tests {
     // nothing and cannot re-enter.
     unsafe impl std::alloc::GlobalAlloc for Tally {
         unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
-            let _ = REQUESTED.try_with(|r| r.set(r.get().saturating_add(layout.size())));
+            let _ = REQUESTED.try_with(|r| {
+                let (bytes, requests) = r.get();
+                r.set((bytes.saturating_add(layout.size()), requests + 1))
+            });
             // SAFETY: the caller's obligations for `alloc` are passed on as they are.
             unsafe { std::alloc::System.alloc(layout) }
         }
@@ -1100,9 +1099,24 @@ mod tests {
 
     /// Bytes this thread requested from the allocator while `f` ran.
     fn requested_by<T>(f: impl FnOnce() -> T) -> (T, usize) {
+        let (out, bytes, _) = tallied(f);
+        (out, bytes)
+    }
+
+    /// Bytes this thread requested from the allocator while `f` ran, and
+    /// in how many requests (a vector that regrows asks again).
+    fn tallied<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
         let before = REQUESTED.with(|r| r.get());
         let out = f();
-        (out, REQUESTED.with(|r| r.get()) - before)
+        let after = REQUESTED.with(|r| r.get());
+        (out, after.0 - before.0, after.1 - before.1)
+    }
+
+    /// The leaf vector of these cells, as the block builder holds them.
+    fn leaf(values: &[Value]) -> ColumnVec {
+        let mut col = ColumnBuilder::default();
+        values.iter().for_each(|v| col.add_value(v.clone()));
+        col.into_column()
     }
 
     /// Decodes to values through the typed vector — the API edge.
@@ -1111,7 +1125,7 @@ mod tests {
     }
 
     fn roundtrip(values: &[Value]) -> Encoding {
-        let (enc, bytes) = encode_column(values);
+        let (enc, bytes) = encode_column(&leaf(values));
         let back = decode_column(enc, &bytes, values.len()).unwrap();
         assert_key_eq(&back, values);
         enc
@@ -1158,8 +1172,8 @@ mod tests {
     #[test]
     fn intpack_beats_plain_on_sequential_ints() {
         let vals: Vec<Value> = (0..1000).map(|i| Value::Int64(1_000_000 + i)).collect();
-        let packed = encode_column_with(&vals, Encoding::IntPack).unwrap();
-        let plain = encode_column_with(&vals, Encoding::Plain).unwrap();
+        let packed = encode_column_with(&leaf(&vals), Encoding::IntPack).unwrap();
+        let plain = encode_column_with(&leaf(&vals), Encoding::Plain).unwrap();
         assert!(
             packed.len() * 2 < plain.len(),
             "{} vs {}",
@@ -1177,7 +1191,7 @@ mod tests {
             Value::Int64(0),
             Value::Null,
         ];
-        let bytes = encode_column_with(&vals, Encoding::IntPack).unwrap();
+        let bytes = encode_column_with(&leaf(&vals), Encoding::IntPack).unwrap();
         assert_key_eq(&decode_column(Encoding::IntPack, &bytes, 5).unwrap(), &vals);
     }
 
@@ -1186,16 +1200,19 @@ mod tests {
         let ts: Vec<Value> = (0..100)
             .map(|i| Value::Timestamp(Timestamp::from_micros(1_700_000_000_000_000 + i * 1000)))
             .collect();
-        let bytes = encode_column_with(&ts, Encoding::IntPack).unwrap();
+        let bytes = encode_column_with(&leaf(&ts), Encoding::IntPack).unwrap();
         assert_key_eq(&decode_column(Encoding::IntPack, &bytes, 100).unwrap(), &ts);
         let dates: Vec<Value> = (0..50).map(|i| Value::Date(19_000 + i)).collect();
-        let bytes = encode_column_with(&dates, Encoding::IntPack).unwrap();
+        let bytes = encode_column_with(&leaf(&dates), Encoding::IntPack).unwrap();
         assert_key_eq(
             &decode_column(Encoding::IntPack, &bytes, 50).unwrap(),
             &dates,
         );
         // Mixed int-family types don't pack.
-        assert!(encode_column_with(&[Value::Int64(1), Value::Date(1)], Encoding::IntPack).is_err());
+        assert!(
+            encode_column_with(&leaf(&[Value::Int64(1), Value::Date(1)]), Encoding::IntPack)
+                .is_err()
+        );
     }
 
     #[test]
@@ -1203,8 +1220,8 @@ mod tests {
         let vals: Vec<Value> = (0..500)
             .map(|i| Value::Float64((i as f64) * 0.01 + 9.99))
             .collect();
-        let bytes = encode_column_with(&vals, Encoding::Alp).unwrap();
-        let plain = encode_column_with(&vals, Encoding::Plain).unwrap();
+        let bytes = encode_column_with(&leaf(&vals), Encoding::Alp).unwrap();
+        let plain = encode_column_with(&leaf(&vals), Encoding::Plain).unwrap();
         assert!(
             bytes.len() * 2 < plain.len(),
             "{} vs {}",
@@ -1225,7 +1242,7 @@ mod tests {
             Value::Float64(f64::INFINITY),
             Value::Float64(2.5),
         ];
-        let bytes = encode_column_with(&vals, Encoding::Alp).unwrap();
+        let bytes = encode_column_with(&leaf(&vals), Encoding::Alp).unwrap();
         let back = decode_column(Encoding::Alp, &bytes, vals.len()).unwrap();
         assert_key_eq(&back, &vals);
         // -0.0 sign and NaN bits preserved exactly.
@@ -1240,8 +1257,8 @@ mod tests {
         let vals: Vec<Value> = (0..300)
             .map(|i| Value::String(format!("customerKey=cust-{:05};region=us-central1", i)))
             .collect();
-        let fsst = encode_column_with(&vals, Encoding::Fsst).unwrap();
-        let plain = encode_column_with(&vals, Encoding::Plain).unwrap();
+        let fsst = encode_column_with(&leaf(&vals), Encoding::Fsst).unwrap();
+        let plain = encode_column_with(&leaf(&vals), Encoding::Plain).unwrap();
         assert!(
             fsst.len() * 2 < plain.len(),
             "{} vs {}",
@@ -1261,7 +1278,7 @@ mod tests {
                 ]
             })
             .collect();
-        let bytes = encode_column_with(&vals, Encoding::Fsst).unwrap();
+        let bytes = encode_column_with(&leaf(&vals), Encoding::Fsst).unwrap();
         assert_key_eq(
             &decode_column(Encoding::Fsst, &bytes, vals.len()).unwrap(),
             &vals,
@@ -1269,7 +1286,7 @@ mod tests {
         let json: Vec<Value> = (0..40)
             .map(|i| Value::Json(format!(r#"{{"region":"us","n":{i}}}"#)))
             .collect();
-        let bytes = encode_column_with(&json, Encoding::Fsst).unwrap();
+        let bytes = encode_column_with(&leaf(&json), Encoding::Fsst).unwrap();
         assert_key_eq(&decode_column(Encoding::Fsst, &bytes, 40).unwrap(), &json);
     }
 
@@ -1277,8 +1294,8 @@ mod tests {
     fn dict_v2_cascades_value_section() {
         // Dictionary of sequential ints: value section should IntPack.
         let vals: Vec<Value> = (0..2000).map(|i| Value::Int64(i % 100)).collect();
-        let v2 = encode_column_with(&vals, Encoding::DictV2).unwrap();
-        let plain = encode_column_with(&vals, Encoding::Plain).unwrap();
+        let v2 = encode_column_with(&leaf(&vals), Encoding::DictV2).unwrap();
+        let plain = encode_column_with(&leaf(&vals), Encoding::Plain).unwrap();
         assert!(v2.len() < plain.len(), "{} vs {}", v2.len(), plain.len());
         assert_key_eq(&decode_column(Encoding::DictV2, &v2, 2000).unwrap(), &vals);
     }
@@ -1291,8 +1308,8 @@ mod tests {
                 vals.push(Value::Date(19_000 + day));
             }
         }
-        let v2 = encode_column_with(&vals, Encoding::RleV2).unwrap();
-        let plain = encode_column_with(&vals, Encoding::Plain).unwrap();
+        let v2 = encode_column_with(&leaf(&vals), Encoding::RleV2).unwrap();
+        let plain = encode_column_with(&leaf(&vals), Encoding::Plain).unwrap();
         assert!(v2.len() < plain.len(), "{} vs {}", v2.len(), plain.len());
         assert_key_eq(
             &decode_column(Encoding::RleV2, &v2, vals.len()).unwrap(),
@@ -1305,8 +1322,8 @@ mod tests {
         let vals: Vec<Value> = (0..1000)
             .map(|i| Value::String(format!("a-rather-long-category-name-{}", i % 4)))
             .collect();
-        let dict = encode_column_with(&vals, Encoding::DictV2).unwrap();
-        let plain = encode_column_with(&vals, Encoding::Plain).unwrap();
+        let dict = encode_column_with(&leaf(&vals), Encoding::DictV2).unwrap();
+        let plain = encode_column_with(&leaf(&vals), Encoding::Plain).unwrap();
         assert!(
             dict.len() * 5 < plain.len(),
             "{} vs {}",
@@ -1323,8 +1340,8 @@ mod tests {
                 vals.push(Value::Int64(k));
             }
         }
-        let rle = encode_column_with(&vals, Encoding::RleV2).unwrap();
-        let dict = encode_column_with(&vals, Encoding::DictV2).unwrap();
+        let rle = encode_column_with(&leaf(&vals), Encoding::RleV2).unwrap();
+        let dict = encode_column_with(&leaf(&vals), Encoding::DictV2).unwrap();
         assert!(rle.len() < dict.len());
     }
 
@@ -1338,7 +1355,7 @@ mod tests {
             Value::Null,
         ];
         for enc in [Encoding::Plain, Encoding::DictV2, Encoding::RleV2] {
-            let bytes = encode_column_with(&vals, enc).unwrap();
+            let bytes = encode_column_with(&leaf(&vals), enc).unwrap();
             assert_key_eq(&decode_column(enc, &bytes, vals.len()).unwrap(), &vals);
         }
     }
@@ -1374,7 +1391,7 @@ mod tests {
         let enc = roundtrip(&vals);
         assert_eq!(enc, Encoding::RleV2, "NaN runs must count as runs");
         // And -0.0 / 0.0 stay distinct dictionary entries.
-        let bytes = encode_column_with(&vals, Encoding::DictV2).unwrap();
+        let bytes = encode_column_with(&leaf(&vals), Encoding::DictV2).unwrap();
         let back = decode_column(Encoding::DictV2, &bytes, vals.len()).unwrap();
         assert_key_eq(&back, &vals);
         match &back[200] {
@@ -1392,7 +1409,7 @@ mod tests {
             Encoding::DictV2,
             Encoding::RleV2,
         ] {
-            let bytes = encode_column_with(&vals, enc).unwrap();
+            let bytes = encode_column_with(&leaf(&vals), enc).unwrap();
             // Truncations never panic.
             for cut in 0..bytes.len() {
                 let _ = decode_column(enc, &bytes[..cut], vals.len());
@@ -1432,7 +1449,7 @@ mod tests {
         put_uvarint(&mut bytes, value.len() as u64);
         bytes.extend_from_slice(&value);
         bytes.push(3); // code width
-        pack_bits(&mut bytes, &[5], 3); // index 5 — out of range
+        pack_bits(&mut bytes, [5].into_iter(), 3); // index 5 — out of range
         assert!(decode_column(Encoding::DictV2, &bytes, 1).is_err());
     }
 
@@ -1484,7 +1501,7 @@ mod tests {
                         }
                     })
                     .collect();
-                let (enc, mut bytes) = encode_column(&vals);
+                let (enc, mut bytes) = encode_column(&leaf(&vals));
                 if !bytes.is_empty() {
                     let at = (next() as usize) % bytes.len();
                     bytes[at] ^= (next() as u8) | 1;
@@ -1525,7 +1542,7 @@ mod tests {
     #[test]
     fn decoded_structure_and_types_preserved() {
         let vals: Vec<Value> = (0..100).map(|i| Value::Int64(i % 4)).collect();
-        let bytes = encode_column_with(&vals, Encoding::DictV2).unwrap();
+        let bytes = encode_column_with(&leaf(&vals), Encoding::DictV2).unwrap();
         match decode_chunk(Encoding::DictV2, &bytes, 100).unwrap() {
             ColumnVec::Dict { dict, codes } => {
                 let values = vec![0, 1, 2, 3];
@@ -1548,7 +1565,7 @@ mod tests {
                 runs.push(Value::String(format!("run-{k}")));
             }
         }
-        let bytes = encode_column_with(&runs, Encoding::RleV2).unwrap();
+        let bytes = encode_column_with(&leaf(&runs), Encoding::RleV2).unwrap();
         match decode_chunk(Encoding::RleV2, &bytes, 100).unwrap() {
             ColumnVec::Runs { lens, values } => {
                 assert_eq!(lens, vec![20; 5]);
@@ -1562,7 +1579,7 @@ mod tests {
         // Plain decodes to the vector of its cells' type, NULLs in the
         // bitmap; a second type (or a nested cell) falls back to `Any`.
         let plain = |vals: &[Value]| {
-            let bytes = encode_column_with(vals, Encoding::Plain).unwrap();
+            let bytes = encode_column_with(&leaf(vals), Encoding::Plain).unwrap();
             decode_chunk(Encoding::Plain, &bytes, vals.len()).unwrap()
         };
         match plain(&[Value::Null, Value::Numeric(7), Value::Numeric(-1)]) {
@@ -1603,9 +1620,258 @@ mod tests {
         assert!(decode_chunk(Encoding::Plain, &bytes, 2).is_ok());
     }
 
+    /// Encoding goes to the heap per zone and per candidate, never per
+    /// cell: a target-size block of the benchmark's `orders` shape is
+    /// pushed and built in fewer requests than it has rows (the
+    /// `Value`-slice encoders made several per cell).
+    #[test]
+    fn building_a_block_allocates_less_often_than_it_has_rows() {
+        use crate::block::{RosBlockBuilder, RowMeta};
+        use vortex_common::row::Row;
+        use vortex_common::schema::{ChangeType, Field, FieldType, PartitionTransform, Schema};
+        const ROWS: usize = 4096;
+        let schema = Schema::new(vec![
+            Field::required("day", FieldType::Int64),
+            Field::required("customer", FieldType::String),
+            Field::required("amount", FieldType::Int64),
+            Field::required("price", FieldType::Float64),
+            Field::nullable("note", FieldType::String),
+            Field::required("seq", FieldType::Int64),
+        ])
+        .with_partition("day", PartitionTransform::Identity)
+        .with_clustering(&["customer"]);
+        let rows: Vec<Row> = (0..ROWS as u64)
+            .map(|i| {
+                let r = i.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(23);
+                Row::insert(vec![
+                    Value::Int64(3),
+                    Value::String(format!("cust-{:05}", r % 20_000)),
+                    Value::Int64((r >> 16) as i64 % 1_000_000),
+                    Value::Float64(((r >> 24) % 100_000) as f64 / 100.0),
+                    match r % 10 {
+                        0 => Value::Null,
+                        _ => Value::String(format!(
+                            "order note {r:016x} for the ledger, line {i:04}"
+                        )),
+                    },
+                    Value::Int64(i as i64),
+                ])
+            })
+            .collect();
+        let (block, _, requests) = tallied(|| {
+            let mut b = RosBlockBuilder::new(&schema);
+            for (i, row) in rows.into_iter().enumerate() {
+                let meta = RowMeta {
+                    change_type: ChangeType::Insert,
+                    ts: Timestamp(1_000_000),
+                    stream: 1,
+                    offset: i as u64,
+                };
+                b.push(meta, row).unwrap();
+            }
+            b.build(true).unwrap()
+        });
+        assert_eq!(block.row_count(), ROWS);
+        assert!(requests < ROWS, "{requests} heap requests for {ROWS} rows");
+    }
+
+    // ---- FSST: the slice-keyed encoder this crate used to run, kept as
+    // the reference the table-driven one must match byte for byte. ------
+
+    fn reference_fsst_table(slices: &[&[u8]]) -> Vec<Vec<u8>> {
+        const SAMPLE_BUDGET: usize = 4096;
+        let mut counts: HashMap<&[u8], u32> = HashMap::new();
+        let mut budget = SAMPLE_BUDGET;
+        for s in slices {
+            if budget == 0 {
+                break;
+            }
+            let take = s.len().min(budget);
+            budget -= take;
+            let s = &s[..take];
+            for i in 0..s.len() {
+                for l in 1..=FSST_MAX_SYM.min(s.len() - i) {
+                    *counts.entry(&s[i..i + l]).or_insert(0) += 1;
+                }
+            }
+        }
+        let mut ranked: Vec<(u64, &[u8])> = counts
+            .into_iter()
+            .filter_map(|(sym, n)| {
+                let saved = if sym.len() == 1 {
+                    1
+                } else {
+                    (sym.len() - 1) as u64
+                };
+                (n >= 2).then_some((n as u64 * saved, sym))
+            })
+            .collect();
+        ranked.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(b.1)));
+        ranked
+            .into_iter()
+            .take(FSST_ESCAPE as usize - 1)
+            .map(|(_, s)| s.to_vec())
+            .collect()
+    }
+
+    fn reference_fsst_compress(s: &[u8], table: &HashMap<&[u8], u8>, out: &mut Vec<u8>) {
+        let mut pos = 0usize;
+        'outer: while pos < s.len() {
+            let max = FSST_MAX_SYM.min(s.len() - pos);
+            for l in (1..=max).rev() {
+                if let Some(&code) = table.get(&s[pos..pos + l]) {
+                    out.push(code);
+                    pos += l;
+                    continue 'outer;
+                }
+            }
+            out.push(FSST_ESCAPE);
+            out.push(s[pos]);
+            pos += 1;
+        }
+    }
+
+    /// The whole Fsst chunk of a `Bytes` column, as the reference wrote it.
+    fn reference_fsst_chunk(values: &[Option<Vec<u8>>]) -> Option<Vec<u8>> {
+        let slices: Vec<&[u8]> = values.iter().flatten().map(Vec::as_slice).collect();
+        if slices.iter().map(|s| s.len()).sum::<usize>() < 64 {
+            return None;
+        }
+        let symbols = reference_fsst_table(&slices);
+        let by_bytes: HashMap<&[u8], u8> = (symbols.iter().map(Vec::as_slice)).zip(0u8..).collect();
+        let has_null = slices.len() < values.len();
+        let mut out = vec![TY_BYTES, has_null as u8];
+        put_uvarint(&mut out, slices.len() as u64);
+        if has_null {
+            let start = out.len();
+            out.resize(start + values.len().div_ceil(8), 0);
+            for (i, _) in values.iter().enumerate().filter(|(_, v)| v.is_none()) {
+                out[start + i / 8] |= 1 << (i % 8);
+            }
+        }
+        out.push(symbols.len() as u8);
+        for s in &symbols {
+            out.push(s.len() as u8);
+            out.extend_from_slice(s);
+        }
+        for s in &slices {
+            let mut enc = Vec::new();
+            reference_fsst_compress(s, &by_bytes, &mut enc);
+            put_uvarint(&mut out, enc.len() as u64);
+            out.extend_from_slice(&enc);
+        }
+        Some(out)
+    }
+
+    fn assert_fsst_matches_reference(values: &[Option<Vec<u8>>]) {
+        let cells: Vec<Value> = (values.iter().cloned())
+            .map(|v| v.map_or(Value::Null, Value::Bytes))
+            .collect();
+        let col = leaf(&cells);
+        let got = try_encode_fsst(&col);
+        assert_eq!(got, reference_fsst_chunk(values));
+        if let Some(bytes) = got {
+            assert_eq!(
+                decode_chunk(Encoding::Fsst, &bytes, cells.len()).unwrap(),
+                col
+            );
+        }
+    }
+
+    /// The cases a table-driven matcher is most likely to get wrong, by
+    /// hand: NUL bytes against zero padding, values shorter than a
+    /// symbol, a value that ends inside one, a sample cut by the budget
+    /// in the middle of a value, and symbols whose scores tie.
+    #[test]
+    fn fsst_matches_the_reference_on_edge_cases() {
+        let rep = |unit: &[u8], n: usize| Some(unit.repeat(n));
+        assert_fsst_matches_reference(&[rep(b"\0", 40), rep(b"\0\0a", 30), None, rep(b"a\0", 9)]);
+        assert_fsst_matches_reference(&[rep(b"abcdefgh", 20), rep(b"abcdefg", 1), rep(b"abc", 1)]);
+        assert_fsst_matches_reference(&[rep(b"ab", 50), rep(b"ba", 50), rep(b"a", 1), rep(b"", 0)]);
+        let long = [
+            rep(b"0123456789", 409),
+            rep(b"xyzxyz", 3),
+            rep(b"0123456789", 2),
+        ];
+        assert_fsst_matches_reference(&long);
+        assert_fsst_matches_reference(&[rep(b"abcdefghijklmnop", 4096 / 16), rep(b"q", 70)]);
+        assert_fsst_matches_reference(&[rep(b"\xff\xfe", 33), None, None, rep(b"\xff", 3)]);
+    }
+
     mod properties {
         use super::*;
         use proptest::prelude::*;
+
+        /// Byte strings over the first 2–5 letters of an alphabet that
+        /// has NUL and 0xFF in it (so scores tie and symbols repeat):
+        /// mostly shorter than a few symbols, now and then long enough
+        /// to run the sample past its budget; some rows NULL.
+        fn fsst_column_strategy() -> impl Strategy<Value = Vec<Option<Vec<u8>>>> {
+            let cell = (0usize..14, any::<u64>());
+            (2u64..6, proptest::collection::vec(cell, 0..120)).prop_map(|(width, cells)| {
+                let alphabet = [0u8, b'a', 0xFF, b'b', b'z'];
+                let value = |(class, seed): (usize, u64)| {
+                    let len = match class {
+                        0 => return None,
+                        13 => 500 + (seed % 1200) as usize,
+                        short => short * (1 + (seed % 4) as usize) - 1,
+                    };
+                    let letter = |k| alphabet[(seed.rotate_left(k as u32 * 7) % width) as usize];
+                    Some((0..len).map(letter).collect())
+                };
+                cells.into_iter().map(value).collect()
+            })
+        }
+
+        proptest! {
+            /// A built column says of its cells what the cells' values
+            /// say: `to_values`, the clustering order — within the column
+            /// and against one of another type — and the bloom / dictionary
+            /// key; and a decoded chunk flattens to the column its rows
+            /// would build.
+            #[test]
+            fn built_column_agrees_with_its_values(
+                vals in column_strategy(),
+                others in column_strategy(),
+                pick in any::<u64>(),
+            ) {
+                let (col, other) = (leaf(&vals), leaf(&others));
+                prop_assert!(!matches!(col, ColumnVec::Dict { .. } | ColumnVec::Runs { .. }));
+                let back = col.to_values();
+                prop_assert_eq!(back.len(), vals.len());
+                for (i, v) in vals.iter().enumerate() {
+                    prop_assert!(back[i].key_eq(v), "{:?} != {:?}", back[i], v);
+                    let mut key = vec![0xAA];
+                    col.key_into(i, &mut key);
+                    prop_assert_eq!(&key[1..], v.encode_key());
+                    let j = (pick as usize).wrapping_mul(i + 1) % vals.len();
+                    prop_assert_eq!(col.cmp_rows(i, &col, j), v.total_cmp(&vals[j]));
+                    if let Some(w) = others.get(j % others.len().max(1)) {
+                        let j = j % others.len();
+                        prop_assert_eq!(col.cmp_rows(i, &other, j), v.total_cmp(w));
+                    }
+                }
+                let rows: Vec<usize> =
+                    (0..vals.len()).filter(|i| pick >> (i % 64) & 1 == 1).collect();
+                let kept: Vec<Value> = rows.iter().map(|&i| vals[i].clone()).collect();
+                for enc in ALL_ENCODINGS {
+                    if let Ok(bytes) = encode_column_with(&col, enc) {
+                        let decoded = decode_chunk(enc, &bytes, vals.len()).unwrap();
+                        // (Not `==`: a NaN cell is not equal to itself.)
+                        let (flat, want) = (decoded.into_leaf(&rows), leaf(&kept));
+                        prop_assert_eq!(std::mem::discriminant(&flat), std::mem::discriminant(&want));
+                        assert_key_eq(&flat.to_values(), &kept);
+                    }
+                }
+            }
+
+            /// The table-driven FSST encoder writes the chunk the
+            /// slice-keyed one wrote, and it reads back.
+            #[test]
+            fn fsst_matches_the_reference(values in fsst_column_strategy()) {
+                assert_fsst_matches_reference(&values);
+            }
+        }
 
         /// Every `Value` variant, weighted toward repetition (so dict/rle
         /// candidates arise) and toward the float edge cases the chooser
@@ -1652,7 +1918,7 @@ mod tests {
             /// (bit-exact floats), for any mix of variants.
             #[test]
             fn chosen_encoding_roundtrips(vals in column_strategy()) {
-                let (enc, bytes) = encode_column(&vals);
+                let (enc, bytes) = encode_column(&leaf(&vals));
                 let back = decode_column(enc, &bytes, vals.len()).unwrap();
                 prop_assert_eq!(back.len(), vals.len());
                 for (g, w) in back.iter().zip(&vals) {
@@ -1667,7 +1933,7 @@ mod tests {
             #[test]
             fn applicable_encodings_roundtrip(vals in column_strategy(), pick in any::<u64>()) {
                 for enc in ALL_ENCODINGS {
-                    if let Ok(bytes) = encode_column_with(&vals, enc) {
+                    if let Ok(bytes) = encode_column_with(&leaf(&vals), enc) {
                         let col = decode_chunk(enc, &bytes, vals.len()).unwrap();
                         prop_assert_eq!(col.len(), vals.len());
                         let back = col.to_values();
@@ -1716,7 +1982,7 @@ mod tests {
                 })
                 .collect();
             let mut buf = Vec::new();
-            pack_bits(&mut buf, &vals, width);
+            pack_bits(&mut buf, vals.iter().copied(), width);
             let mut pos = 0;
             let mut bits = BitReader::new(&buf, &mut pos, vals.len(), width).unwrap();
             assert_eq!(pos, buf.len());

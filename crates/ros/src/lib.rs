@@ -26,6 +26,6 @@ pub mod block;
 pub mod column;
 pub mod encoding;
 
-pub use block::{RosBlock, RosBlockBuilder, RowMeta, ZONE_ROWS};
-pub use column::{ColumnVec, IntKind, Nulls, Prim, StrKind, Strs};
+pub use block::{clustering_order, RosBlock, RosBlockBuilder, RowMeta, RowRef, ZONE_ROWS};
+pub use column::{ColumnBuilder, ColumnVec, IntKind, KeyedRows, Nulls, Prim, StrKind, Strs};
 pub use encoding::Encoding;
