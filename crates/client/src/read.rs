@@ -45,9 +45,10 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use vortex_colossus::{Colossus, StorageFleet};
+use vortex_common::bloom::BloomFilter;
 use vortex_common::crypt::Key;
 use vortex_common::error::{VortexError, VortexResult};
-use vortex_common::ids::{StreamId, StreamletId, TableId};
+use vortex_common::ids::{ClusterId, StreamId, StreamletId, TableId};
 use vortex_common::mask::DeletionMask;
 use vortex_common::row::{Row, Value};
 use vortex_common::schema::Schema;
@@ -56,7 +57,9 @@ use vortex_ros::{RosBlock, RowMeta};
 use vortex_sms::api::SmsHandle;
 use vortex_sms::meta::{FragmentKind, FragmentMeta, FragmentState};
 use vortex_sms::readset::{FragmentReadSpec, ReadSet, TailReadSpec};
-use vortex_wos::{parse_fragment, DataBlock, ParsedFragment};
+use vortex_wos::{
+    index_fragment, parse_fragment, BlockEntry, DataBlock, FragmentIndex, ParsedFragment,
+};
 
 /// Options for table reads.
 #[derive(Debug, Clone, Default)]
@@ -270,19 +273,20 @@ fn read_reconciled_tail(
     Ok(out)
 }
 
-/// Runs `read` against each replica of a fragment in order until one
-/// succeeds — the one replica-failover rule. A failure of any kind moves
-/// on, whether the replica is unreachable or its bytes do not parse:
-/// after a single-replica reconciliation the lagging replica's bytes
-/// beyond the common prefix can disagree with the recorded committed
-/// size. The last error wins.
-pub fn with_replica<T>(
-    meta: &FragmentMeta,
+/// Runs `read` against each replica of the file at `path` in order until
+/// one succeeds — the one replica-failover rule. A failure of any kind
+/// moves on, whether the replica is unreachable, its read fails or its
+/// bytes do not parse: after a single-replica reconciliation the lagging
+/// replica's bytes beyond the common prefix can disagree with the
+/// recorded committed size. The last error wins.
+fn with_replica<T>(
+    clusters: [ClusterId; 2],
+    path: &str,
     fleet: &StorageFleet,
     mut read: impl FnMut(&Colossus) -> VortexResult<T>,
 ) -> VortexResult<T> {
-    let mut last_err = VortexError::Unavailable(format!("no replica for {}", meta.path));
-    for c in meta.clusters {
+    let mut last_err = VortexError::Unavailable(format!("no replica for {path}"));
+    for c in clusters {
         match fleet.get(c).and_then(|cluster| read(cluster)) {
             Ok(out) => return Ok(out),
             Err(e) => last_err = e,
@@ -307,7 +311,7 @@ pub fn open_fragment(
     fleet: &StorageFleet,
     key: &Key,
 ) -> VortexResult<OpenFragment> {
-    with_replica(meta, fleet, |cluster| {
+    with_replica(meta.clusters, &meta.path, fleet, |cluster| {
         let bytes = cluster.read_all(&meta.path)?.data;
         Ok(match meta.kind {
             FragmentKind::Ros => {
@@ -320,36 +324,49 @@ pub fn open_fragment(
     })
 }
 
-/// Provenance of `row`, the `i`-th of a WOS data block.
-fn wos_row_meta(
-    block: &DataBlock,
-    i: usize,
-    row: &Row,
-    stream: StreamId,
-    first_stream_row: u64,
-) -> RowMeta {
-    RowMeta {
-        change_type: row.change_type,
-        ts: block.timestamp,
-        stream: stream.raw(),
-        offset: first_stream_row + block.first_row + i as u64,
-    }
+/// The on-file bloom filter of a finalized WOS fragment, by two ranged
+/// reads with replica failover and without touching row data (§5.4.4);
+/// `None` for a file closed without a footer.
+pub fn read_fragment_bloom(
+    meta: &FragmentMeta,
+    fleet: &StorageFleet,
+) -> VortexResult<Option<BloomFilter>> {
+    with_replica(meta.clusters, &meta.path, fleet, |cluster| {
+        vortex_wos::read_bloom(meta.committed_size, |offset, len| {
+            Ok(cluster.read(&meta.path, offset, len)?.data)
+        })
+    })
 }
 
-/// The rows of a parsed log file in position order, each moved out with
-/// its provenance; `stream` and `first_stream_row` are those of the
-/// fragment's read spec.
+/// The rows of a decoded log-file block in position order, each moved out
+/// with its provenance; `stream` and `first_stream_row` are those of the
+/// read spec the block is read under.
+fn block_rows(
+    block: DataBlock,
+    stream: StreamId,
+    first_stream_row: u64,
+) -> impl Iterator<Item = (RowMeta, Row)> {
+    let (ts, first) = (block.timestamp, first_stream_row + block.first_row);
+    let with_meta = move |(row, offset): (Row, u64)| {
+        let meta = RowMeta {
+            change_type: row.change_type,
+            ts,
+            stream: stream.raw(),
+            offset,
+        };
+        (meta, row)
+    };
+    block.rows.rows.into_iter().zip(first..).map(with_meta)
+}
+
+/// The rows of a parsed log file in position order ([`block_rows`] of
+/// every block).
 pub fn wos_rows(
     parsed: ParsedFragment,
     stream: StreamId,
     first_stream_row: u64,
 ) -> impl Iterator<Item = (RowMeta, Row)> {
-    parsed.blocks.into_iter().flat_map(move |mut block| {
-        let rows = std::mem::take(&mut block.rows.rows);
-        let meta =
-            move |i: usize, row: &Row| wos_row_meta(&block, i, row, stream, first_stream_row);
-        (rows.into_iter().enumerate()).map(move |(i, row)| (meta(i, &row), row))
-    })
+    (parsed.blocks.into_iter()).flat_map(move |block| block_rows(block, stream, first_stream_row))
 }
 
 /// Decodes a fragment's full extent, positionally ordered (no visibility
@@ -518,6 +535,16 @@ pub fn read_fragment_positions(
         .collect())
 }
 
+/// The blocks of an indexed log file that matter to a read through
+/// `gate`: those stamped at or before its snapshot. Divergence from
+/// in-flight appends past the snapshot is a writer at work, not a failure
+/// ("if a reader encounters an append timestamp greater than the read
+/// snapshot timestamp, it can stop reading").
+fn relevant<'i>(ix: &'i FragmentIndex, gate: &RowGate<'_>) -> &'i [BlockEntry] {
+    let n = (ix.blocks.iter().take_while(|b| !gate.stops_at(b.timestamp))).count();
+    &ix.blocks[..n]
+}
+
 /// Reads an unfinalized streamlet tail by probing log files past the last
 /// fragment the SMS knows about.
 ///
@@ -525,10 +552,12 @@ pub fn read_fragment_positions(
 /// that successor's File Map ("the committed final file size of each of
 /// the previous Fragments ... serves as a replica of the information that
 /// would otherwise be available from the Stream Server") — no replica
-/// comparison needed, even if one replica carries a torn block. Only the
-/// *latest* fragment needs the commit rules: a block at or before the
-/// snapshot is committed if anything follows it or if it is present in
-/// both replicas; otherwise the client asks the SMS to reconcile.
+/// comparison needed, even if one replica carries a torn block, so one
+/// replica is read. Only the *latest* fragment needs the commit rules: a
+/// block at or before the snapshot is committed if anything follows it or
+/// if it is present in both replicas; otherwise the client asks the SMS
+/// to reconcile. The rules need block extents, not rows: every copy of
+/// the latest file is indexed, and each visible block is decoded once.
 // lint:hotpath(scan) — freshness leg: sub-second tail visibility (§4.2.2/§7.1)
 pub fn read_tail(
     tail: &TailReadSpec,
@@ -541,35 +570,22 @@ pub fn read_tail(
         return Ok(TailOutcome::Rows(vec![]));
     }
     // ---- Phase 1: probe log files until one is missing. ----
-    let mut frags: Vec<(u32, Vec<Vec<u8>>)> = Vec::new();
-    let mut ordinal = tail.from_ordinal;
-    loop {
-        let path = format!("{}f{:08x}", tail.path_prefix, ordinal);
-        let mut copies = Vec::new();
-        let mut reachable = 0usize;
-        for c in tail.clusters {
-            let Ok(cluster) = fleet.get(c) else { continue };
-            if cluster.faults().is_unavailable() {
-                continue;
-            }
-            reachable += 1;
-            if cluster.exists(&path) {
-                copies.push(cluster.read_all(&path)?.data);
-            }
-        }
-        if reachable == 0 {
-            return Err(VortexError::Unavailable(format!(
-                "no replica reachable for streamlet {}",
-                tail.streamlet
-            )));
-        }
-        if copies.is_empty() {
-            break;
-        }
-        frags.push((ordinal, copies));
-        ordinal += 1;
+    let replicas: Vec<&Arc<Colossus>> = (tail.clusters.iter())
+        .filter_map(|c| fleet.get(*c).ok())
+        .filter(|c| !c.faults().is_unavailable())
+        .collect();
+    if replicas.is_empty() {
+        return Err(VortexError::Unavailable(format!(
+            "no replica reachable for streamlet {}",
+            tail.streamlet
+        )));
     }
-    let Some((last_ordinal, _)) = frags.last().map(|(o, c)| (*o, c.len())) else {
+    let path = |ordinal: u32| format!("{}f{:08x}", tail.path_prefix, ordinal);
+    let mut end = tail.from_ordinal;
+    while replicas.iter().any(|c| c.exists(&path(end))) {
+        end += 1;
+    }
+    if end == tail.from_ordinal {
         if tail.expected_rows > tail.from_row {
             // The SMS knew committed rows past the fragment specs at this
             // snapshot, yet no log file remains: the tail was converted
@@ -580,119 +596,94 @@ pub fn read_tail(
             )));
         }
         return Ok(TailOutcome::Rows(vec![]));
-    };
-
-    // ---- Phase 2: the latest file's File Map certifies predecessors.
-    // Headers are written before any divergence can occur, so any copy
-    // serves. ----
-    let file_map: std::collections::HashMap<u32, u64> = {
-        // lint:allow(L002, the empty-frags case returned TailOutcome::Rows above, so last() is Some by control flow)
-        let (_, copies) = frags.last().expect("non-empty");
-        let mut map = std::collections::HashMap::new();
-        if let Ok(p) = parse_fragment(&copies[0], key, None) {
-            for e in &p.header.file_map {
-                map.insert(e.ordinal, e.committed_size);
-            }
-        }
-        map
-    };
-
-    let mut out = Vec::new();
-    // Committed streamlet-relative row end actually recovered from the
-    // log files (before flush/mask visibility gating) — compared against
-    // the SMS's heartbeat floor at the end.
-    let mut recovered_end: u64 = tail.from_row;
-    let emit = |p: &vortex_wos::ParsedFragment,
-                all_committed: bool,
-                out: &mut Vec<(RowMeta, Row)>,
-                recovered_end: &mut u64| {
-        for block in &p.blocks {
-            if gate.stops_at(block.timestamp) || !(block.committed || all_committed) {
-                break;
-            }
-            *recovered_end = (*recovered_end).max(block.first_row + block.rows.rows.len() as u64);
-            for (i, row) in block.rows.rows.iter().enumerate() {
-                if gate.admits(block.first_row + i as u64) {
-                    let meta = wos_row_meta(block, i, row, tail.stream, tail.first_stream_row);
-                    out.push((meta, row.clone()));
-                }
-            }
-        }
-    };
-
-    for (ord, copies) in &frags {
-        if *ord != last_ordinal {
-            // A successor file exists. Prefer the File Map bound; if the
-            // map lacks this ordinal (successor written by a later
-            // incarnation after GC), fall back to lenient parsing — the
-            // mere existence of the successor certifies every parseable
-            // block here (the server opened the next file only after
-            // settling this one).
-            let limit = file_map.get(ord).copied();
-            let mut parsed_ok = None;
-            let mut last_err = VortexError::Unavailable(format!("fragment {ord} unreadable"));
-            for c in copies {
-                match parse_fragment(c, key, limit) {
-                    Ok(p) => {
-                        parsed_ok = Some(p);
-                        break;
-                    }
-                    Err(e) => last_err = e,
-                }
-            }
-            let Some(p) = parsed_ok else {
-                return Err(last_err);
-            };
-            emit(&p, true, &mut out, &mut recovered_end);
-            continue;
-        }
-
-        // ---- Phase 3: the latest fragment — commit rules + snapshot-
-        // bounded replica comparison. A file that does not even parse a
-        // header is a reconciler's poison-only fence: the streamlet was
-        // reconciled, so ask the SMS (idempotent) and re-read through the
-        // authoritative fragment records.
-        let parsed: Vec<_> = match copies
-            .iter()
-            .map(|c| parse_fragment(c, key, None))
-            .collect::<VortexResult<Vec<_>>>()
-        {
-            Ok(p) => p,
-            Err(_) => return Ok(TailOutcome::NeedsReconcile),
-        };
-        // Only blocks at or before the snapshot matter: divergence from
-        // in-flight appends past the snapshot is a writer at work, not a
-        // failure ("if a reader encounters an append timestamp greater
-        // than the read snapshot timestamp, it can stop reading").
-        let snapshot_extent = |p: &vortex_wos::ParsedFragment| -> (usize, u64) {
-            let relevant = p.blocks.iter().take_while(|b| b.timestamp <= snapshot);
-            let mut count = 0usize;
-            let mut end_row = p.header.first_row;
-            for b in relevant {
-                count += 1;
-                end_row = b.first_row + b.rows.rows.len() as u64;
-            }
-            (count, end_row)
-        };
-        let all_committed = if parsed.len() >= 2 {
-            let e0 = snapshot_extent(&parsed[0]);
-            if parsed.iter().any(|p| snapshot_extent(p) != e0) {
-                // Replicas disagree about data AT the snapshot: cannot
-                // decide locally (§7.1's final-append reconciliation).
-                return Ok(TailOutcome::NeedsReconcile);
-            }
-            true // present in both replicas → committed
-        } else {
-            let p = &parsed[0];
-            let (count, _) = snapshot_extent(p);
-            let last_relevant_is_final = count > 0 && count == p.blocks.len();
-            if last_relevant_is_final && p.blocks.last().map(|b| !b.committed).unwrap_or(false) {
-                return Ok(TailOutcome::NeedsReconcile);
-            }
-            true // every snapshot-relevant block has a successor record
-        };
-        emit(&parsed[0], all_committed, &mut out, &mut recovered_end);
     }
+
+    // ---- Phase 2: the latest fragment — commit rules + snapshot-bounded
+    // replica comparison, on block extents. A replica whose read fails
+    // counts as unreachable. A copy that does not even index a header is
+    // a reconciler's poison-only fence: the streamlet was reconciled, so
+    // ask the SMS (idempotent) and re-read through the authoritative
+    // fragment records. ----
+    let latest = path(end - 1);
+    let mut unread = VortexError::Unavailable(format!("no readable copy of {latest}"));
+    let mut copies: Vec<Vec<u8>> = Vec::new();
+    for c in replicas.iter().filter(|c| c.exists(&latest)) {
+        match c.read_all(&latest) {
+            Ok(read) => copies.push(read.data),
+            Err(e) => unread = e,
+        }
+    }
+    if copies.is_empty() {
+        return Err(unread);
+    }
+    let indexes: VortexResult<Vec<FragmentIndex>> =
+        (copies.iter().map(|c| index_fragment(c, None))).collect();
+    let Ok(indexes) = indexes else {
+        return Ok(TailOutcome::NeedsReconcile);
+    };
+    let extent = |ix: &FragmentIndex| {
+        let blocks = relevant(ix, &gate);
+        let end_row = blocks
+            .last()
+            .map_or(ix.header.first_row, |b| b.first_row + b.row_count);
+        (blocks.len(), end_row)
+    };
+    let committed = match &indexes[1..] {
+        // One readable copy: every relevant block needs a successor
+        // record.
+        [] => relevant(&indexes[0], &gate).iter().all(|b| b.committed),
+        // Present in every replica → committed (the server acknowledged
+        // only after both writes); replicas that disagree about data AT
+        // the snapshot cannot be decided locally (§7.1's final-append
+        // reconciliation).
+        others => others.iter().all(|o| extent(o) == extent(&indexes[0])),
+    };
+    if !committed {
+        return Ok(TailOutcome::NeedsReconcile);
+    }
+
+    // ---- Phase 3: rows. The gate's pick of an indexed file's relevant
+    // blocks, each decoded once; returns the committed streamlet-relative
+    // row end recovered (before flush/mask gating). ----
+    let mut out = Vec::new();
+    let visible = |ix: &FragmentIndex, bytes: &[u8], out: &mut Vec<(RowMeta, Row)>| {
+        let mut end_row = tail.from_row;
+        for b in relevant(ix, &gate) {
+            end_row = end_row.max(b.first_row + b.row_count);
+            let rows = block_rows(
+                ix.decode_block(bytes, key, b)?,
+                tail.stream,
+                tail.first_stream_row,
+            );
+            let admitted = rows.zip(b.first_row..).filter(|(_, pos)| gate.admits(*pos));
+            out.extend(admitted.map(|(row, _)| row));
+        }
+        Ok(end_row)
+    };
+    let mut recovered_end = tail.from_row;
+    for ordinal in tail.from_ordinal..end - 1 {
+        // A successor file exists, so one replica serves. Prefer the File
+        // Map bound (headers are written before any divergence can occur,
+        // so any copy's serves); if the map lacks this ordinal (successor
+        // written by a later incarnation after GC), fall back to a lenient
+        // walk — the mere existence of the successor certifies every
+        // parseable block here (the server opened the next file only
+        // after settling this one).
+        let entry = (indexes[0].header.file_map.iter()).find(|e| e.ordinal == ordinal);
+        let (file, limit, mark) = (path(ordinal), entry.map(|e| e.committed_size), out.len());
+        let end_row = with_replica(tail.clusters, &file, fleet, |cluster| {
+            out.truncate(mark); // rows of a replica that failed part-way
+            let bytes = cluster.read_all(&file)?.data;
+            visible(&index_fragment(&bytes, limit)?, &bytes, &mut out)
+        })?;
+        recovered_end = recovered_end.max(end_row);
+    }
+    // A copy that frames but does not decode cannot be decided locally
+    // either.
+    let Ok(end_row) = visible(&indexes[0], &copies[0], &mut out) else {
+        return Ok(TailOutcome::NeedsReconcile);
+    };
+    let recovered_end = recovered_end.max(end_row);
     if recovered_end < tail.expected_rows {
         return Err(VortexError::NotFound(format!(
             "snapshot too old: streamlet {} tail recovered rows to {} but the SMS \

@@ -69,6 +69,14 @@ pub fn take<'a>(buf: &'a [u8], pos: &mut usize, n: usize) -> VortexResult<&'a [u
     Ok(&buf[at..at + n])
 }
 
+/// The next `N` bytes at `pos` as an array, which moves past them — the
+/// checked fixed-width read under every `from_le_bytes`.
+pub fn take_array<const N: usize>(buf: &[u8], pos: &mut usize) -> VortexResult<[u8; N]> {
+    let mut out = [0u8; N];
+    out.copy_from_slice(take(buf, pos, N)?);
+    Ok(out)
+}
+
 /// Reads a declared byte length. It can never exceed the remaining
 /// input; rejecting early keeps corrupt lengths from triggering giant
 /// allocations.
@@ -200,18 +208,12 @@ pub fn decode_value(buf: &[u8], pos: &mut usize) -> VortexResult<Value> {
         TAG_NULL => Value::Null,
         TAG_BOOL => Value::Bool(take(buf, pos, 1)?[0] != 0),
         TAG_INT64 => Value::Int64(get_ivarint(buf, pos)?),
-        TAG_FLOAT64 => {
-            let b = take(buf, pos, 8)?;
-            Value::Float64(f64::from_bits(u64::from_le_bytes(b.try_into().unwrap())))
-        }
+        TAG_FLOAT64 => Value::Float64(f64::from_bits(u64::from_le_bytes(take_array(buf, pos)?))),
         TAG_STRING => Value::String(get_str(buf, pos)?),
         TAG_BYTES => Value::Bytes(get_bytes(buf, pos)?),
         TAG_TIMESTAMP => Value::Timestamp(Timestamp::from_micros(get_uvarint(buf, pos)?)),
         TAG_DATE => Value::Date(get_ivarint(buf, pos)? as i32),
-        TAG_NUMERIC => {
-            let b = take(buf, pos, 16)?;
-            Value::Numeric(i128::from_le_bytes(b.try_into().unwrap()))
-        }
+        TAG_NUMERIC => Value::Numeric(i128::from_le_bytes(take_array(buf, pos)?)),
         TAG_JSON => Value::Json(get_str(buf, pos)?),
         TAG_STRUCT | TAG_ARRAY => {
             let n = get_uvarint(buf, pos)? as usize;

@@ -38,7 +38,8 @@ pub enum DecompressError {
     LengthMismatch {
         /// Length declared in the header.
         declared: usize,
-        /// Length actually produced.
+        /// Length actually produced — or, when the declaration is refused
+        /// before anything is produced, the most the input could expand to.
         produced: usize,
     },
     /// Reserved tag bits were set.
@@ -197,6 +198,17 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
 pub fn decompress(input: &[u8]) -> Result<Vec<u8>, DecompressError> {
     let mut pos = 0usize;
     let declared = get_varint(input, &mut pos)? as usize;
+    // The declared length sizes the output buffer, and it arrives
+    // unauthenticated (a block decrypted under the wrong key declares
+    // noise): the densest element, a copy, turns 3 input bytes into at
+    // most `MAX_COPY_LEN`, so nothing longer can be produced.
+    let most = (input.len() - pos).saturating_mul(MAX_COPY_LEN) / 3;
+    if declared > most {
+        return Err(DecompressError::LengthMismatch {
+            declared,
+            produced: most,
+        });
+    }
     let mut out: Vec<u8> = Vec::with_capacity(declared);
     while pos < input.len() {
         let tag = input[pos];
@@ -390,6 +402,21 @@ mod tests {
             decompress(&bad),
             Err(DecompressError::LengthMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn impossible_declared_length_rejected_before_allocating() {
+        // u64::MAX bytes declared over a 2-byte body: sizing the output
+        // by it would abort the process.
+        let mut bad = Vec::new();
+        put_varint(&mut bad, u64::MAX);
+        bad.extend_from_slice(&[0, b'x']);
+        assert!(matches!(
+            decompress(&bad),
+            Err(DecompressError::LengthMismatch { produced: 44, .. })
+        ));
+        // The bound is the format's own: a run compresses to it exactly.
+        roundtrip(&vec![7u8; 4 + 66 * 1000]);
     }
 
     #[test]

@@ -5,7 +5,8 @@
 use std::sync::Arc;
 
 use vortex_client::read::{
-    drive_table_read, open_fragment, read_fragment_cached, with_replica, OpenFragment, RowGate,
+    drive_table_read, open_fragment, read_fragment_bloom, read_fragment_cached, OpenFragment,
+    RowGate,
 };
 use vortex_client::ReadCache;
 use vortex_colossus::StorageFleet;
@@ -21,7 +22,6 @@ use vortex_ros::RowMeta;
 use vortex_sms::api::SmsHandle;
 use vortex_sms::meta::{FragmentKind, TableMeta};
 use vortex_sms::readset::{FragmentReadSpec, ReadSet};
-use vortex_wos::format::{Footer, RecordHeader, RecordType, FOOTER_TOTAL_LEN, RECORD_HEADER_LEN};
 
 use crate::cdc::resolve_changes;
 use crate::consume::{Aggregator, Consumer, RowCollector};
@@ -493,53 +493,14 @@ impl QueryEngine {
         if points.is_empty() {
             return Ok(true); // nothing bloom can decide
         }
-        let Some(bloom) = self.read_fragment_bloom(spec)? else {
-            return Ok(true); // unfinalized / no footer: keep
-        };
-        Ok(points.iter().all(|v| bloom.may_contain(&v.encode_key())))
-    }
-
-    /// Reads the bloom filter of a finalized WOS fragment via two ranged
-    /// reads (footer, then bloom record) without touching row data.
-    fn read_fragment_bloom(
-        &self,
-        spec: &FragmentReadSpec,
-    ) -> VortexResult<Option<vortex_common::bloom::BloomFilter>> {
-        let size = spec.meta.committed_size;
-        if size < FOOTER_TOTAL_LEN as u64 {
-            return Ok(None);
-        }
-        let path = &spec.meta.path;
-        let bloom = with_replica(&spec.meta, &self.fleet, |cluster| {
-            let tail = cluster.read(path, size - FOOTER_TOTAL_LEN as u64, FOOTER_TOTAL_LEN)?;
-            let Ok(rec) = RecordHeader::from_bytes(&tail.data) else {
-                return Ok(None); // closed without footer
-            };
-            if rec.rtype != RecordType::Footer {
-                return Ok(None);
-            }
-            let footer = Footer::from_bytes(&tail.data[RECORD_HEADER_LEN..])?;
-            let brec_head = cluster.read(path, footer.bloom_offset, RECORD_HEADER_LEN)?;
-            let brec = RecordHeader::from_bytes(&brec_head.data)?;
-            if brec.rtype != RecordType::Bloom {
-                return Err(VortexError::CorruptData(
-                    "footer bloom offset does not point at a bloom record".into(),
-                ));
-            }
-            let payload = cluster.read(
-                path,
-                footer.bloom_offset + RECORD_HEADER_LEN as u64,
-                brec.payload_len as usize,
-            )?;
-            vortex_common::bloom::BloomFilter::from_bytes(&payload.data)
-                .map(Some)
-                .map_err(VortexError::CorruptData)
-        });
-        match bloom {
-            // No replica reachable: the bloom cannot decide, keep the
-            // fragment (its read fails over on its own).
-            Err(e) if e.is_retryable() => Ok(None),
-            other => other,
+        match read_fragment_bloom(&spec.meta, &self.fleet) {
+            Ok(Some(bloom)) => Ok(points.iter().all(|v| bloom.may_contain(&v.encode_key()))),
+            // Unfinalized / no footer, or no replica reachable: the bloom
+            // cannot decide, keep the fragment (its read fails over on its
+            // own).
+            Ok(None) => Ok(true),
+            Err(e) if e.is_retryable() => Ok(true),
+            Err(e) => Err(e),
         }
     }
 

@@ -21,7 +21,7 @@ use vortex_common::schema::Schema;
 use vortex_common::stats::ColumnStats;
 use vortex_common::truetime::{Timestamp, TrueTime};
 use vortex_metastore::{MetaStore, Txn};
-use vortex_wos::{parse_fragment, FragmentWriter};
+use vortex_wos::{common_prefix, parse_fragment, FragmentWriter};
 
 use crate::api::SmsApi;
 use crate::bigmeta::BigMeta;
@@ -431,47 +431,23 @@ impl SmsTask {
             if !exists {
                 break; // no more fragments
             }
-            // Now read the poisoned files. A replica whose very first
-            // write for this fragment failed holds nothing (or a stub
-            // with no header); parseable content decides below — stubs
-            // must not shrink the common prefix to zero, so copies with
-            // no parseable header are dropped.
-            let mut copies: Vec<Vec<u8>> = Vec::new();
-            for r in &replicas {
-                if !r.faults().is_unavailable() && r.exists(&path) {
-                    if let Ok(out) = r.read_all(&path) {
-                        if parse_fragment(&out.data, &key, None).is_ok() {
-                            copies.push(out.data);
-                        }
-                    }
-                }
-            }
+            // Now read the poisoned files: the committed extent is what
+            // every copy with a header agrees on, up to a record boundary
+            // — with one copy, everything parseable (nothing can be
+            // acknowledged behind the poison).
+            let copies: Vec<Vec<u8>> = (replicas.iter())
+                .filter(|r| !r.faults().is_unavailable() && r.exists(&path))
+                .filter_map(|r| r.read_all(&path).ok())
+                .map(|read| read.data)
+                .collect();
             // Headerless stubs only: no committed rows here, but a later
             // ordinal may exist (a failed open was retried on the next
             // file).
-            let Some(first) = copies.first() else {
+            let Some((first, v)) = common_prefix(&copies)? else {
                 continue;
             };
-            // Authoritative bytes: the acked prefix is byte-identical in
-            // every replica (physical replication, §5.6); after the
-            // poison, contents may diverge (a torn block in one replica,
-            // sentinels at different offsets). The committed extent is
-            // therefore the longest RECORD-ALIGNED COMMON PREFIX of the
-            // copies — with one copy, everything parseable (nothing can
-            // be acknowledged behind the poison).
-            let lcp = copies[1..].iter().fold(first.len(), |acc, c| {
-                let cap = acc.min(c.len());
-                (0..cap).find(|&n| first[n] != c[n]).unwrap_or(cap)
-            });
-            let v = parse_fragment(&first[..lcp], &key, None)?.valid_len;
-            if v == 0 {
-                // Nothing parseable (e.g. a failed open left a headerless
-                // or divergent stub): the fragment holds no committed
-                // rows; later ordinals may still exist.
-                continue;
-            }
-            // Re-parse bounded by V: everything inside is committed.
-            let authoritative = parse_fragment(first, &key, Some(v))?;
+            // Everything inside V is committed: decode it, once.
+            let authoritative = parse_fragment(&copies[first], &key, Some(v))?;
             let mut stats: Vec<(String, ColumnStats)> = tracked
                 .iter()
                 .map(|(_, n)| (n.clone(), ColumnStats::new()))

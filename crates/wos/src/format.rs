@@ -6,6 +6,7 @@
 //! version, File Map); the last two records of a finalized fragment are a
 //! [`RecordType::Bloom`] and a [`RecordType::Footer`].
 
+use vortex_common::codec::take_array;
 use vortex_common::crc::crc32c;
 use vortex_common::error::{VortexError, VortexResult};
 use vortex_common::ids::{FragmentId, StreamletId};
@@ -103,7 +104,7 @@ pub struct RecordHeader {
 
 impl RecordHeader {
     /// Serializes to the fixed 48-byte layout, computing the header CRC.
-    pub fn to_bytes(&self) -> [u8; RECORD_HEADER_LEN] {
+    pub fn to_bytes(self) -> [u8; RECORD_HEADER_LEN] {
         let mut b = [0u8; RECORD_HEADER_LEN];
         b[0..2].copy_from_slice(&RECORD_MAGIC.to_le_bytes());
         b[2] = self.rtype.to_u8();
@@ -124,36 +125,40 @@ impl RecordHeader {
     /// Parses and CRC-validates a header. Errors indicate a torn or
     /// corrupt record — callers treat that as end-of-valid-data.
     pub fn from_bytes(b: &[u8]) -> VortexResult<Self> {
-        if b.len() < RECORD_HEADER_LEN {
-            return Err(VortexError::Decode(format!(
-                "record header needs {RECORD_HEADER_LEN} bytes, have {}",
-                b.len()
-            )));
-        }
-        let magic = u16::from_le_bytes([b[0], b[1]]);
+        let pos = &mut 0usize;
+        let magic = u16::from_le_bytes(take_array(b, pos)?);
         if magic != RECORD_MAGIC {
             return Err(VortexError::Decode(format!(
                 "bad record magic {magic:#06x}"
             )));
         }
-        let stored_crc = u32::from_le_bytes(b[44..48].try_into().unwrap());
-        let actual = crc32c(&b[0..44]);
+        let [rtype, flags] = take_array(b, pos)?;
+        let block_ordinal = u32::from_le_bytes(take_array(b, pos)?);
+        let timestamp = Timestamp::from_micros(u64::from_le_bytes(take_array(b, pos)?));
+        let first_row = u64::from_le_bytes(take_array(b, pos)?);
+        let row_count = u32::from_le_bytes(take_array(b, pos)?);
+        let uncompressed_len = u32::from_le_bytes(take_array(b, pos)?);
+        let payload_len = u32::from_le_bytes(take_array(b, pos)?);
+        let plain_crc = u32::from_le_bytes(take_array(b, pos)?);
+        let disk_crc = u32::from_le_bytes(take_array(b, pos)?);
+        let actual = crc32c(&b[..*pos]);
+        let stored_crc = u32::from_le_bytes(take_array(b, pos)?);
         if stored_crc != actual {
             return Err(VortexError::CorruptData(format!(
                 "record header crc mismatch: stored {stored_crc:#010x}, actual {actual:#010x}"
             )));
         }
         Ok(RecordHeader {
-            rtype: RecordType::from_u8(b[2])?,
-            flags: b[3],
-            block_ordinal: u32::from_le_bytes(b[4..8].try_into().unwrap()),
-            timestamp: Timestamp::from_micros(u64::from_le_bytes(b[8..16].try_into().unwrap())),
-            first_row: u64::from_le_bytes(b[16..24].try_into().unwrap()),
-            row_count: u32::from_le_bytes(b[24..28].try_into().unwrap()),
-            uncompressed_len: u32::from_le_bytes(b[28..32].try_into().unwrap()),
-            payload_len: u32::from_le_bytes(b[32..36].try_into().unwrap()),
-            plain_crc: u32::from_le_bytes(b[36..40].try_into().unwrap()),
-            disk_crc: u32::from_le_bytes(b[40..44].try_into().unwrap()),
+            rtype: RecordType::from_u8(rtype)?,
+            flags,
+            block_ordinal,
+            timestamp,
+            first_row,
+            row_count,
+            uncompressed_len,
+            payload_len,
+            plain_crc,
+            disk_crc,
         })
     }
 }
@@ -185,16 +190,13 @@ impl FileMapEntry {
         out.extend_from_slice(&self.row_count.to_le_bytes());
     }
 
-    fn read(b: &[u8]) -> VortexResult<Self> {
-        if b.len() < Self::LEN {
-            return Err(VortexError::Decode("file map entry truncated".into()));
-        }
+    fn read(b: &[u8], pos: &mut usize) -> VortexResult<Self> {
         Ok(FileMapEntry {
-            ordinal: u32::from_le_bytes(b[0..4].try_into().unwrap()),
-            fragment: FragmentId::from_raw(u64::from_le_bytes(b[4..12].try_into().unwrap())),
-            committed_size: u64::from_le_bytes(b[12..20].try_into().unwrap()),
-            first_row: u64::from_le_bytes(b[20..28].try_into().unwrap()),
-            row_count: u64::from_le_bytes(b[28..36].try_into().unwrap()),
+            ordinal: u32::from_le_bytes(take_array(b, pos)?),
+            fragment: FragmentId::from_raw(u64::from_le_bytes(take_array(b, pos)?)),
+            committed_size: u64::from_le_bytes(take_array(b, pos)?),
+            first_row: u64::from_le_bytes(take_array(b, pos)?),
+            row_count: u64::from_le_bytes(take_array(b, pos)?),
         })
     }
 }
@@ -238,31 +240,29 @@ impl FragmentHeader {
 
     /// Deserializes the header payload.
     pub fn from_bytes(b: &[u8]) -> VortexResult<Self> {
-        if b.len() < 38 {
-            return Err(VortexError::Decode("fragment header truncated".into()));
-        }
-        let format_version = u16::from_le_bytes(b[0..2].try_into().unwrap());
+        let pos = &mut 0usize;
+        let format_version = u16::from_le_bytes(take_array(b, pos)?);
         if format_version != FORMAT_VERSION {
             return Err(VortexError::Decode(format!(
                 "unsupported WOS format version {format_version}"
             )));
         }
-        let streamlet = StreamletId::from_raw(u64::from_le_bytes(b[2..10].try_into().unwrap()));
-        let fragment = FragmentId::from_raw(u64::from_le_bytes(b[10..18].try_into().unwrap()));
-        let ordinal = u32::from_le_bytes(b[18..22].try_into().unwrap());
-        let first_row = u64::from_le_bytes(b[22..30].try_into().unwrap());
-        let schema_version = u32::from_le_bytes(b[30..34].try_into().unwrap());
-        let count = u32::from_le_bytes(b[34..38].try_into().unwrap()) as usize;
-        let need = 38 + count * FileMapEntry::LEN;
-        if b.len() < need {
+        let streamlet = StreamletId::from_raw(u64::from_le_bytes(take_array(b, pos)?));
+        let fragment = FragmentId::from_raw(u64::from_le_bytes(take_array(b, pos)?));
+        let ordinal = u32::from_le_bytes(take_array(b, pos)?);
+        let first_row = u64::from_le_bytes(take_array(b, pos)?);
+        let schema_version = u32::from_le_bytes(take_array(b, pos)?);
+        let count = u32::from_le_bytes(take_array(b, pos)?) as usize;
+        // Bound the count by the bytes present before sizing by it.
+        let have = (b.len() - *pos) / FileMapEntry::LEN;
+        if count > have {
             return Err(VortexError::Decode(format!(
-                "file map declares {count} entries, need {need} bytes, have {}",
-                b.len()
+                "file map declares {count} entries, {have} present"
             )));
         }
         let mut file_map = Vec::with_capacity(count);
-        for i in 0..count {
-            file_map.push(FileMapEntry::read(&b[38 + i * FileMapEntry::LEN..])?);
+        for _ in 0..count {
+            file_map.push(FileMapEntry::read(b, pos)?);
         }
         Ok(FragmentHeader {
             format_version,
@@ -300,13 +300,11 @@ impl Footer {
 
     /// Deserializes the footer payload.
     pub fn from_bytes(b: &[u8]) -> VortexResult<Self> {
-        if b.len() < 24 {
-            return Err(VortexError::Decode("footer truncated".into()));
-        }
+        let pos = &mut 0usize;
         Ok(Footer {
-            bloom_offset: u64::from_le_bytes(b[0..8].try_into().unwrap()),
-            total_rows: u64::from_le_bytes(b[8..16].try_into().unwrap()),
-            committed_size: u64::from_le_bytes(b[16..24].try_into().unwrap()),
+            bloom_offset: u64::from_le_bytes(take_array(b, pos)?),
+            total_rows: u64::from_le_bytes(take_array(b, pos)?),
+            committed_size: u64::from_le_bytes(take_array(b, pos)?),
         })
     }
 }

@@ -29,18 +29,23 @@
 //! record carries CRCs over both the plaintext rows and the on-disk
 //! payload, so torn trailing writes are detected and skipped rather than
 //! crashing the reader.
+//!
+//! Reading is [`reader`]: one record walker indexes a file without a key,
+//! a per-block decode turns indexed blocks into rows, and the replica
+//! common-prefix rule (§5.6) and the footer → bloom lookup are functions
+//! over it. No other crate knows the record layout.
 
 #![warn(missing_docs)]
 
-pub mod format;
+mod format;
 pub mod reader;
 pub mod writer;
 
-pub use format::{
-    FileMapEntry, Footer, FragmentConfig, FragmentHeader, RecordHeader, RecordType,
-    RECORD_HEADER_LEN,
+pub use format::{FileMapEntry, Footer, FragmentConfig, FragmentHeader};
+pub use reader::{
+    common_prefix, index_fragment, parse_fragment, read_bloom, BlockEntry, DataBlock, FlushRecord,
+    FragmentIndex, ParsedFragment, SentinelRecord,
 };
-pub use reader::{parse_fragment, DataBlock, FlushRecord, ParsedFragment, SentinelRecord};
 pub use writer::FragmentWriter;
 
 /// Default maximum bytes buffered into a single data block (§5.4.4:

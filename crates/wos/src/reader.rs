@@ -1,15 +1,19 @@
-//! The fragment reader: parses a fragment log file back into blocks,
-//! flush/sentinel records, bloom filter, and footer — tolerating torn
-//! trailing writes and implementing the paper's commit-visibility rule.
+//! The log-file reader. One record walker ([`index_fragment`]) frames a
+//! fragment log file into a row-free [`FragmentIndex`] — header and File
+//! Map, every data block's extent, flush / sentinel records, bloom,
+//! footer, and where the valid records end — tolerating torn trailing
+//! writes and implementing the paper's commit-visibility rule. It takes no
+//! key, so it cannot decode; [`FragmentIndex::decode_block`] turns one
+//! indexed block into rows, and [`parse_fragment`] is the two composed.
 //!
 //! §7.1: "if a reader sees that a Fragment contains any additional data
 //! after an append it just read, it knows that append is considered
 //! committed ... When reading the final append in the Fragment, it will
-//! typically see there is a commit record afterwards". Accordingly
-//! [`parse_fragment`] marks every data block as committed except a data
-//! block that is the *final* valid record of the file; such a tail block
-//! is surfaced with `committed == false` and resolved by the caller
-//! (replica comparison or SMS reconciliation, §5.6).
+//! typically see there is a commit record afterwards". Accordingly the
+//! walker marks every data block as committed except a data block that is
+//! the *final* valid record of the file; such a tail block is surfaced
+//! with `committed == false` and resolved by the caller (replica
+//! comparison or SMS reconciliation, §5.6 — [`common_prefix`]).
 
 use vortex_common::bloom::BloomFilter;
 use vortex_common::codec::decode_rowset;
@@ -20,7 +24,27 @@ use vortex_common::error::{VortexError, VortexResult};
 use vortex_common::row::RowSet;
 use vortex_common::truetime::Timestamp;
 
-use crate::format::{Footer, FragmentHeader, RecordHeader, RecordType, RECORD_HEADER_LEN};
+use crate::format::{
+    Footer, FragmentHeader, RecordHeader, RecordType, FOOTER_TOTAL_LEN, RECORD_HEADER_LEN,
+};
+
+/// An indexed data block: where it sits in the log file and what its
+/// record header says of it — everything but the rows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BlockEntry {
+    /// Byte offset of this block's record header within the fragment.
+    pub offset: u64,
+    /// Streamlet-relative row offset of the first row.
+    pub first_row: u64,
+    /// Rows the record header declares.
+    pub row_count: u64,
+    /// Server-assigned TrueTime timestamp of the write.
+    pub timestamp: Timestamp,
+    /// Whether the block is known committed (something follows it).
+    pub committed: bool,
+    /// What the decode is checked against.
+    rec: RecordHeader,
+}
 
 /// A decoded data block.
 #[derive(Debug, Clone)]
@@ -55,13 +79,15 @@ pub struct SentinelRecord {
     pub timestamp: Timestamp,
 }
 
-/// Everything recovered from one fragment log file.
+/// Everything recovered from one fragment log file. `B` is what is held
+/// of each data block: its extent ([`FragmentIndex`]) or its rows
+/// ([`ParsedFragment`]).
 #[derive(Debug, Clone)]
-pub struct ParsedFragment {
+pub struct Fragment<B> {
     /// The fragment header (identity + File Map).
     pub header: FragmentHeader,
     /// Data blocks in file order.
-    pub blocks: Vec<DataBlock>,
+    pub blocks: Vec<B>,
     /// Flush records in file order.
     pub flushes: Vec<FlushRecord>,
     /// Sentinel records (normally empty; non-empty means ownership was
@@ -77,12 +103,24 @@ pub struct ParsedFragment {
     pub torn_bytes: u64,
 }
 
-impl ParsedFragment {
+/// The row-free index of a log file: what framing alone tells.
+pub type FragmentIndex = Fragment<BlockEntry>;
+/// A log file with its rows decoded.
+pub type ParsedFragment = Fragment<DataBlock>;
+
+impl<B> Fragment<B> {
     /// Whether the fragment is finalized (footer present).
     pub fn is_finalized(&self) -> bool {
         self.footer.is_some()
     }
 
+    /// Highest flushed row offset recorded, if any.
+    pub fn max_flush_row(&self) -> Option<u64> {
+        self.flushes.iter().map(|f| f.flush_row).max()
+    }
+}
+
+impl ParsedFragment {
     /// Total rows in committed blocks.
     pub fn committed_rows(&self) -> u64 {
         self.blocks
@@ -96,48 +134,59 @@ impl ParsedFragment {
     pub fn total_rows(&self) -> u64 {
         self.blocks.iter().map(|b| b.rows.len() as u64).sum()
     }
-
-    /// The streamlet row offset just past the last committed row, or the
-    /// fragment's first row if nothing is committed.
-    pub fn committed_end_row(&self) -> u64 {
-        self.blocks
-            .iter()
-            .rfind(|b| b.committed)
-            .map(|b| b.first_row + b.rows.len() as u64)
-            .unwrap_or(self.header.first_row)
-    }
-
-    /// Byte length of the committed prefix: `valid_len` minus a trailing
-    /// uncommitted data block (reconciliation compares this across
-    /// replicas).
-    pub fn committed_len(&self) -> u64 {
-        match self.blocks.last() {
-            Some(b) if !b.committed => b.offset,
-            _ => self.valid_len,
-        }
-    }
-
-    /// Highest flushed row offset recorded, if any.
-    pub fn max_flush_row(&self) -> Option<u64> {
-        self.flushes.iter().map(|f| f.flush_row).max()
-    }
-
-    /// Whether a zombie-poison sentinel is present.
-    pub fn is_poisoned(&self) -> bool {
-        !self.sentinels.is_empty()
-    }
 }
 
-/// Parses a fragment file.
+/// The one record walker: the record at `pos` of `window` with its
+/// payload — magic, header CRC, length and payload CRC checked — or `None`
+/// where the valid records end. In a `strict` window (a File-Map-certified
+/// extent) a record that fails a check is corruption; otherwise it is a
+/// torn tail, and the end.
+fn record_at(
+    window: &[u8],
+    pos: usize,
+    strict: bool,
+) -> VortexResult<Option<(RecordHeader, &[u8])>> {
+    if pos + RECORD_HEADER_LEN > window.len() {
+        return Ok(None);
+    }
+    let ends = |why: &dyn std::fmt::Display| {
+        if strict {
+            return Err(VortexError::CorruptData(format!(
+                "record at {pos} inside committed range: {why}"
+            )));
+        }
+        Ok(None)
+    };
+    let rec = match RecordHeader::from_bytes(&window[pos..]) {
+        Ok(rec) => rec,
+        Err(e) => return ends(&e),
+    };
+    let Some(payload) = window[pos + RECORD_HEADER_LEN..].get(..rec.payload_len as usize) else {
+        return ends(&"payload truncated");
+    };
+    if rec.payload_len > 0 && crc32c(payload) != rec.disk_crc {
+        return ends(&"payload crc mismatch");
+    }
+    Ok(Some((rec, payload)))
+}
+
+/// The 8-byte payload of a flush or sentinel record.
+fn u64_payload(payload: &[u8], what: &str) -> VortexResult<u64> {
+    <[u8; 8]>::try_from(payload)
+        .map(u64::from_le_bytes)
+        .map_err(|_| VortexError::CorruptData(format!("{what} payload size")))
+}
+
+/// Indexes a fragment file without decoding a row.
 ///
-/// `limit`, when supplied from a File Map, bounds parsing to the committed
-/// final size of the fragment: "clients will not read past the logical
-/// finalized size of a Fragment in the File Map, so will ignore failed or
-/// partial writes at the end" (§7.1). Inside the limit, corruption is an
-/// error; past the limit (or past the last parseable record when no limit
-/// is given), bytes are counted in `torn_bytes` and ignored.
-// lint:hotpath(scan) — decode leg: every fragment read passes through here
-pub fn parse_fragment(bytes: &[u8], key: &Key, limit: Option<u64>) -> VortexResult<ParsedFragment> {
+/// `limit`, when supplied from a File Map, bounds the walk to the
+/// committed final size of the fragment: "clients will not read past the
+/// logical finalized size of a Fragment in the File Map, so will ignore
+/// failed or partial writes at the end" (§7.1). Inside the limit,
+/// corruption is an error; past the limit (or past the last parseable
+/// record when no limit is given), bytes are counted in `torn_bytes` and
+/// ignored.
+pub fn index_fragment(bytes: &[u8], limit: Option<u64>) -> VortexResult<FragmentIndex> {
     let window: &[u8] = match limit {
         Some(l) if (l as usize) < bytes.len() => &bytes[..l as usize],
         _ => bytes,
@@ -146,143 +195,64 @@ pub fn parse_fragment(bytes: &[u8], key: &Key, limit: Option<u64>) -> VortexResu
 
     let mut pos = 0usize;
     let mut header: Option<FragmentHeader> = None;
-    let mut blocks: Vec<DataBlock> = Vec::new();
-    let mut flushes: Vec<FlushRecord> = Vec::new();
-    let mut sentinels: Vec<SentinelRecord> = Vec::new();
-    let mut bloom: Option<BloomFilter> = None;
-    let mut footer: Option<Footer> = None;
-    let mut last_was_data = false;
+    let mut blocks: Vec<BlockEntry> = Vec::new();
+    let (mut flushes, mut sentinels) = (Vec::new(), Vec::new());
+    let (mut bloom, mut footer) = (None, None);
 
-    while pos + RECORD_HEADER_LEN <= window.len() {
-        let rec = match RecordHeader::from_bytes(&window[pos..]) {
-            Ok(r) => r,
-            Err(e) => {
-                if strict {
-                    return Err(VortexError::CorruptData(format!(
-                        "record at {pos} inside committed range: {e}"
-                    )));
-                }
-                break; // torn tail
-            }
-        };
-        let payload_end = pos + RECORD_HEADER_LEN + rec.payload_len as usize;
-        if payload_end > window.len() {
+    while let Some((rec, payload)) = record_at(window, pos, strict)? {
+        if rec.rtype == RecordType::Header && pos != 0 {
             if strict {
-                return Err(VortexError::CorruptData(format!(
-                    "record at {pos} payload truncated inside committed range"
-                )));
+                return Err(VortexError::CorruptData(
+                    "duplicate or misplaced fragment header".into(),
+                ));
             }
-            break; // torn tail
+            // A re-written header (failed open retried on the same file)
+            // marks the end of valid content.
+            break;
         }
-        let payload = &window[pos + RECORD_HEADER_LEN..payload_end];
-        if rec.payload_len > 0 && crc32c(payload) != rec.disk_crc {
-            if strict {
-                return Err(VortexError::CorruptData(format!(
-                    "record at {pos} payload crc mismatch inside committed range"
-                )));
-            }
-            break; // torn tail
+        // Seeing a record commits every block before it. Only the most
+        // recent block can be uncommitted (every earlier one was committed
+        // when its successor record was walked), so flipping the last is
+        // enough.
+        if let Some(b) = blocks.last_mut() {
+            b.committed = true;
         }
-
+        let timestamp = rec.timestamp;
         match rec.rtype {
-            RecordType::Header => {
-                if header.is_some() || pos != 0 {
-                    if strict {
-                        return Err(VortexError::CorruptData(
-                            "duplicate or misplaced fragment header".into(),
-                        ));
-                    }
-                    // A re-written header (failed open retried on the
-                    // same file) marks the end of valid content.
-                    break;
-                }
-                header = Some(FragmentHeader::from_bytes(payload)?);
-            }
+            RecordType::Header => header = Some(FragmentHeader::from_bytes(payload)?),
             RecordType::Data => {
-                let hdr = header.as_ref().ok_or_else(|| {
-                    VortexError::CorruptData("data block before fragment header".into())
-                })?;
-                let nonce = Nonce::for_block(hdr.fragment.raw(), rec.block_ordinal);
-                let compressed = decrypt(key, &nonce, payload);
-                let plain = decompress(&compressed).map_err(|e| {
-                    VortexError::CorruptData(format!(
-                        "block {} decompress (wrong key or corruption): {e}",
-                        rec.block_ordinal
-                    ))
-                })?;
-                if crc32c(&plain) != rec.plain_crc {
-                    return Err(VortexError::CorruptData(format!(
-                        "block {} plaintext crc mismatch",
-                        rec.block_ordinal
-                    )));
+                if header.is_none() {
+                    return Err(VortexError::CorruptData(
+                        "data block before fragment header".into(),
+                    ));
                 }
-                if plain.len() != rec.uncompressed_len as usize {
-                    return Err(VortexError::CorruptData(format!(
-                        "block {} uncompressed length mismatch",
-                        rec.block_ordinal
-                    )));
-                }
-                let rows = decode_rowset(&plain)?;
-                if rows.len() != rec.row_count as usize {
-                    return Err(VortexError::CorruptData(format!(
-                        "block {} row count mismatch: header {}, decoded {}",
-                        rec.block_ordinal,
-                        rec.row_count,
-                        rows.len()
-                    )));
-                }
-                // Seeing a new record commits everything before it. Only
-                // the most recent block can be uncommitted (every earlier
-                // one was committed when its successor record parsed), so
-                // flipping the last is enough — and keeps parsing O(n)
-                // rather than O(records²) on block-heavy fragments.
-                if let Some(b) = blocks.last_mut() {
-                    b.committed = true;
-                }
-                blocks.push(DataBlock {
-                    first_row: rec.first_row,
-                    rows,
-                    timestamp: rec.timestamp,
+                blocks.push(BlockEntry {
                     offset: pos as u64,
+                    first_row: rec.first_row,
+                    row_count: rec.row_count as u64,
+                    timestamp,
                     committed: false,
+                    rec,
                 });
-                last_was_data = true;
-                pos = payload_end;
-                continue;
             }
             RecordType::Commit => {}
             RecordType::Flush => {
-                if payload.len() != 8 {
-                    return Err(VortexError::CorruptData("flush payload size".into()));
-                }
+                let flush_row = u64_payload(payload, "flush")?;
                 flushes.push(FlushRecord {
-                    flush_row: u64::from_le_bytes(payload.try_into().unwrap()),
-                    timestamp: rec.timestamp,
+                    flush_row,
+                    timestamp,
                 });
             }
             RecordType::Sentinel => {
-                if payload.len() != 8 {
-                    return Err(VortexError::CorruptData("sentinel payload size".into()));
-                }
-                sentinels.push(SentinelRecord {
-                    epoch: u64::from_le_bytes(payload.try_into().unwrap()),
-                    timestamp: rec.timestamp,
-                });
+                let epoch = u64_payload(payload, "sentinel")?;
+                sentinels.push(SentinelRecord { epoch, timestamp });
             }
             RecordType::Bloom => {
                 bloom = Some(BloomFilter::from_bytes(payload).map_err(VortexError::CorruptData)?);
             }
-            RecordType::Footer => {
-                footer = Some(Footer::from_bytes(payload)?);
-            }
+            RecordType::Footer => footer = Some(Footer::from_bytes(payload)?),
         }
-        // Any non-data record commits all preceding data blocks (only
-        // the last can still be uncommitted).
-        if let Some(b) = blocks.last_mut() {
-            b.committed = true;
-        }
-        last_was_data = false;
-        pos = payload_end;
+        pos += RECORD_HEADER_LEN + payload.len();
     }
 
     let header = header.ok_or_else(|| {
@@ -290,14 +260,14 @@ pub fn parse_fragment(bytes: &[u8], key: &Key, limit: Option<u64>) -> VortexResu
     })?;
 
     // A footer also certifies the whole file; and a strict (File Map
-    // bounded) parse certifies everything inside the limit.
-    if footer.is_some() || (strict && last_was_data) {
+    // bounded) walk certifies everything inside the limit.
+    if footer.is_some() || strict {
         if let Some(b) = blocks.last_mut() {
             b.committed = true;
         }
     }
 
-    Ok(ParsedFragment {
+    Ok(Fragment {
         header,
         blocks,
         flushes,
@@ -307,6 +277,127 @@ pub fn parse_fragment(bytes: &[u8], key: &Key, limit: Option<u64>) -> VortexResu
         valid_len: pos as u64,
         torn_bytes: (bytes.len() - pos) as u64,
     })
+}
+
+impl FragmentIndex {
+    /// Decodes one indexed block out of `bytes` — the bytes the index was
+    /// taken of, or a replica copy that agrees with them up to the
+    /// block's end: decrypt → decompress → plaintext CRC → length → rows →
+    /// row count.
+    pub fn decode_block(
+        &self,
+        bytes: &[u8],
+        key: &Key,
+        block: &BlockEntry,
+    ) -> VortexResult<DataBlock> {
+        let rec = &block.rec;
+        let corrupt =
+            |what: &str| VortexError::CorruptData(format!("block {} {what}", rec.block_ordinal));
+        let payload = (bytes.get(block.offset as usize + RECORD_HEADER_LEN..))
+            .and_then(|rest| rest.get(..rec.payload_len as usize))
+            .ok_or_else(|| corrupt("lies outside the bytes given"))?;
+        let nonce = Nonce::for_block(self.header.fragment.raw(), rec.block_ordinal);
+        let plain = decompress(&decrypt(key, &nonce, payload))
+            .map_err(|e| corrupt(&format!("decompress (wrong key or corruption): {e}")))?;
+        if crc32c(&plain) != rec.plain_crc {
+            return Err(corrupt("plaintext crc mismatch"));
+        }
+        if plain.len() != rec.uncompressed_len as usize {
+            return Err(corrupt("uncompressed length mismatch"));
+        }
+        let rows = decode_rowset(&plain)?;
+        if rows.len() as u64 != block.row_count {
+            return Err(corrupt(&format!(
+                "row count mismatch: header {}, decoded {}",
+                block.row_count,
+                rows.len()
+            )));
+        }
+        let m = vortex_common::obs::global();
+        m.counter("wos.blocks_decoded").inc();
+        m.counter("wos.rows_decoded").add(block.row_count);
+        Ok(DataBlock {
+            first_row: block.first_row,
+            rows,
+            timestamp: block.timestamp,
+            offset: block.offset,
+            committed: block.committed,
+        })
+    }
+}
+
+/// Parses a fragment file: [`index_fragment`] under the same `limit`, then
+/// every indexed block decoded.
+// lint:hotpath(scan) — decode leg: every fragment read passes through here
+pub fn parse_fragment(bytes: &[u8], key: &Key, limit: Option<u64>) -> VortexResult<ParsedFragment> {
+    let index = index_fragment(bytes, limit)?;
+    let blocks = (index.blocks.iter())
+        .map(|b| index.decode_block(bytes, key, b))
+        .collect::<VortexResult<_>>()?;
+    Ok(Fragment {
+        header: index.header,
+        blocks,
+        flushes: index.flushes,
+        sentinels: index.sentinels,
+        bloom: index.bloom,
+        footer: index.footer,
+        valid_len: index.valid_len,
+        torn_bytes: index.torn_bytes,
+    })
+}
+
+/// The §5.6 rule for what a streamlet's replicas agree was written to one
+/// log file: of the copies that have a parseable header record (a replica
+/// whose very first write failed holds nothing, or a stub, and must not
+/// shrink the answer to zero), the longest byte-wise common prefix, cut
+/// back to a record boundary. The acked prefix is byte-identical in every
+/// replica (physical replication); past it the copies may diverge — a
+/// torn block in one, sentinels at different offsets. Returns which copy
+/// to read, the first with a header, and that length; `None` when no copy
+/// has a header. With one copy, everything parseable.
+pub fn common_prefix<C: AsRef<[u8]>>(copies: &[C]) -> VortexResult<Option<(usize, u64)>> {
+    let mut with_header = (copies.iter().map(AsRef::as_ref).enumerate())
+        .filter(|(_, copy)| index_fragment(copy, None).is_ok());
+    let Some((at, first)) = with_header.next() else {
+        return Ok(None);
+    };
+    let common = with_header.fold(first.len(), |acc, (_, c)| {
+        let differ = first.iter().zip(c).take(acc).position(|(a, b)| a != b);
+        differ.unwrap_or(acc.min(c.len()))
+    });
+    let aligned = index_fragment(&first[..common], None)?.valid_len;
+    Ok(Some((at, aligned)))
+}
+
+/// The bloom filter of a finalized log file of `size` committed bytes,
+/// fetched by `read(offset, len)` without touching row data: the
+/// fixed-length footer at the end locates the bloom record, which ends
+/// where the footer starts (§5.4.4). `None` for a file closed without a
+/// footer.
+pub fn read_bloom(
+    size: u64,
+    mut read: impl FnMut(u64, usize) -> VortexResult<Vec<u8>>,
+) -> VortexResult<Option<BloomFilter>> {
+    let Some(footer_at) = size.checked_sub(FOOTER_TOTAL_LEN as u64) else {
+        return Ok(None);
+    };
+    let tail = read(footer_at, FOOTER_TOTAL_LEN)?;
+    let footer = match record_at(&tail, 0, false)? {
+        Some((rec, payload)) if rec.rtype == RecordType::Footer => Footer::from_bytes(payload)?,
+        _ => return Ok(None),
+    };
+    let misplaced =
+        || VortexError::CorruptData("footer bloom offset does not point at a bloom record".into());
+    let len = footer_at
+        .checked_sub(footer.bloom_offset)
+        .ok_or_else(misplaced)?;
+    let record = read(footer.bloom_offset, len as usize)?;
+    match record_at(&record, 0, true)? {
+        Some((rec, payload)) if rec.rtype == RecordType::Bloom => BloomFilter::from_bytes(payload)
+            .map(Some)
+            .map_err(VortexError::CorruptData),
+        _ => Err(misplaced()),
+    }
 }
 
 #[cfg(test)]
@@ -373,7 +464,6 @@ mod tests {
         assert_eq!(p.blocks[1].first_row, 14);
         assert_eq!(p.committed_rows(), 4);
         assert_eq!(p.total_rows(), 10);
-        assert_eq!(p.committed_end_row(), 14);
         assert_eq!(p.torn_bytes, 0);
         // Rows decode intact.
         assert_eq!(
@@ -389,8 +479,8 @@ mod tests {
         let p = parse_fragment(&file, &key(), None).unwrap();
         assert!(p.blocks.iter().all(|b| b.committed));
         assert_eq!(p.committed_rows(), 10);
-        assert_eq!(p.committed_len(), p.valid_len);
-        assert_eq!(p.committed_end_row(), 20);
+        assert_eq!(p.valid_len, file.len() as u64);
+        assert_eq!(p.blocks[1].first_row + p.blocks[1].rows.len() as u64, 20);
     }
 
     #[test]
@@ -447,7 +537,7 @@ mod tests {
         let (mut file, _) = build_fragment();
         file.extend(FragmentWriter::sentinel_record(42, Timestamp(999)));
         let p = parse_fragment(&file, &key(), None).unwrap();
-        assert!(p.is_poisoned());
+        assert_eq!(p.sentinels.len(), 1);
         assert_eq!(p.sentinels[0].epoch, 42);
     }
 
@@ -484,15 +574,252 @@ mod tests {
         assert!(parse_fragment(&[0u8; 200], &key(), None).is_err());
     }
 
-    #[test]
-    fn every_truncation_point_is_handled() {
+    /// Passes every request through to the system allocator and keeps,
+    /// per thread, the largest single request — what a length taken from
+    /// corrupt bytes would show up as.
+    struct Tally;
+
+    thread_local! {
+        static LARGEST: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    // SAFETY: both methods forward their arguments unchanged to `System`,
+    // which upholds the `GlobalAlloc` contract; the tally is a `Cell` in a
+    // thread-local without a destructor, so touching it allocates nothing
+    // and cannot re-enter.
+    unsafe impl std::alloc::GlobalAlloc for Tally {
+        unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
+            let _ = LARGEST.try_with(|l| l.set(l.get().max(layout.size())));
+            // SAFETY: the caller's obligations for `alloc` are passed on as they are.
+            unsafe { std::alloc::System.alloc(layout) }
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
+            // SAFETY: `ptr` came from `System.alloc` with this `layout`.
+            unsafe { std::alloc::System.dealloc(ptr, layout) }
+        }
+    }
+
+    #[global_allocator]
+    static TALLY: Tally = Tally;
+
+    /// The largest single allocator request this thread made while `f` ran.
+    fn largest_request<T>(f: impl FnOnce() -> T) -> (T, usize) {
+        LARGEST.with(|l| l.set(0));
+        let out = f();
+        (out, LARGEST.with(|l| l.get()))
+    }
+
+    /// What an allocation made on behalf of `len` input bytes may reach:
+    /// vsnap's densest element expands 22×, and a decoded `Row` is 32
+    /// bytes for what can be 2 encoded ones.
+    fn alloc_bound(len: usize) -> usize {
+        32 * len + 4096
+    }
+
+    /// A finalized, then poisoned file with every record type: File Map
+    /// header, three data blocks, flush, commit, bloom, footer, sentinel.
+    /// Returns it with its finalized length.
+    fn build_full_file() -> (Vec<u8>, usize) {
         let (mut file, mut w) = build_fragment();
+        file.extend(w.flush_record(12, Timestamp(350)).unwrap());
+        file.extend(w.data_block(&rows(10, 40).rows, Timestamp(400)).unwrap());
+        file.extend(w.commit_record(Timestamp(450)).unwrap());
         let mut bloom = BloomFilter::with_capacity(4, 0.1);
         bloom.insert(b"k");
-        file.extend(w.finalize(&bloom, Timestamp(1)).unwrap());
+        file.extend(w.finalize(&bloom, Timestamp(600)).unwrap());
+        let finalized = file.len();
+        file.extend(FragmentWriter::sentinel_record(9, Timestamp(700)));
+        (file, finalized)
+    }
+
+    /// Index and parse of the same bytes, under the allocation bound: they
+    /// fail together or agree on every extent.
+    fn index_and_parse_agree(bytes: &[u8], limit: Option<u64>) {
+        let ((index, parsed), largest) = largest_request(|| {
+            (
+                index_fragment(bytes, limit),
+                parse_fragment(bytes, &key(), limit),
+            )
+        });
+        assert!(
+            largest <= alloc_bound(bytes.len()),
+            "{largest} bytes requested for {} of input",
+            bytes.len()
+        );
+        let (index, parsed) = match (index, parsed) {
+            (Ok(index), Ok(parsed)) => (index, parsed),
+            // Framing passed; only a block's content can still fail.
+            (Ok(_), Err(e)) => return assert!(matches!(e, VortexError::CorruptData(_)), "{e}"),
+            (Err(_), Err(_)) => return,
+            (Err(e), Ok(_)) => panic!("parse succeeded where the index failed: {e}"),
+        };
+        assert_eq!(index.valid_len, parsed.valid_len);
+        assert_eq!(index.torn_bytes, parsed.torn_bytes);
+        assert_eq!(index.valid_len + index.torn_bytes, bytes.len() as u64);
+        assert_eq!(index.header, parsed.header);
+        assert_eq!(index.flushes, parsed.flushes);
+        assert_eq!(index.sentinels, parsed.sentinels);
+        assert_eq!(index.footer, parsed.footer);
+        assert_eq!(index.bloom.is_some(), parsed.bloom.is_some());
+        let indexed: Vec<_> = (index.blocks.iter())
+            .map(|b| (b.offset, b.first_row, b.row_count, b.timestamp, b.committed))
+            .collect();
+        let decoded: Vec<_> = (parsed.blocks.iter())
+            .map(|b| {
+                (
+                    b.offset,
+                    b.first_row,
+                    b.rows.len() as u64,
+                    b.timestamp,
+                    b.committed,
+                )
+            })
+            .collect();
+        assert_eq!(indexed, decoded);
+    }
+
+    #[test]
+    fn every_truncation_point_is_handled() {
+        use rand::{Rng, SeedableRng};
+        let (file, _) = build_full_file();
+        let full = index_fragment(&file, None).unwrap();
+        assert_eq!((full.blocks.len(), full.torn_bytes), (3, 0));
+        assert_eq!((full.flushes.len(), full.sentinels.len()), (1, 1));
+        assert!(full.bloom.is_some() && full.footer.is_some());
         // Any truncation either parses a prefix or errors; never panics.
-        for cut in 0..file.len() {
-            let _ = parse_fragment(&file[..cut], &key(), None);
+        // Strict or lenient, what does index is a record prefix of the
+        // whole file.
+        for cut in 0..=file.len() {
+            for limit in [None, Some(cut as u64), Some(file.len() as u64)] {
+                index_and_parse_agree(&file[..cut], limit);
+            }
+            if let Ok(index) = index_fragment(&file[..cut], None) {
+                assert!(index.valid_len <= cut as u64);
+                let n = index.blocks.len();
+                assert_eq!(
+                    index.blocks[..n.saturating_sub(1)],
+                    full.blocks[..n.saturating_sub(1)]
+                );
+            }
+        }
+        // Single-bit flips anywhere in the file: every CRC-covered byte is
+        // caught by framing, so a lenient walk ends at the damaged record
+        // and a strict one refuses the file.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x10F);
+        for _ in 0..3_000 {
+            let mut bad = file.clone();
+            let at = rng.gen_range(0..bad.len());
+            bad[at] ^= 1u8 << rng.gen_range(0..8u32);
+            index_and_parse_agree(&bad, None);
+            index_and_parse_agree(&bad, Some(file.len() as u64));
+            assert!(
+                index_fragment(&bad, Some(file.len() as u64)).is_err(),
+                "flip at {at}"
+            );
+            match index_fragment(&bad, None) {
+                Ok(index) => assert!(index.valid_len <= at as u64, "flip at {at}"),
+                Err(_) => assert!(at < full.blocks[0].offset as usize, "flip at {at}"),
+            }
+        }
+        // Garbage tails: ignored past a limit, a torn tail without one.
+        for len in [1usize, 47, 48, 49, 500] {
+            let mut padded = file.clone();
+            padded.extend((0..len).map(|_| rng.gen_range(0..=u8::MAX)));
+            for limit in [None, Some(file.len() as u64), Some(padded.len() as u64)] {
+                index_and_parse_agree(&padded, limit);
+            }
+            let index = index_fragment(&padded, None).unwrap();
+            assert_eq!(
+                (index.valid_len, index.torn_bytes),
+                (file.len() as u64, len as u64)
+            );
+            assert_eq!(index.blocks, full.blocks);
+        }
+    }
+
+    #[test]
+    fn wrong_keys_never_over_allocate() {
+        // One 8-row block under 4 000 wrong keys: the decrypted bytes are
+        // noise, so the vsnap length varint declares anything up to 2^63
+        // bytes. Sizing the output by it aborted the process.
+        let (mut w, mut file) = FragmentWriter::new(cfg(), 0, vec![], Timestamp(1));
+        file.extend(w.data_block(&rows(0, 8).rows, Timestamp(2)).unwrap());
+        for i in 0..4_000 {
+            let wrong = Key::derive_from_passphrase(&format!("wrong-{i}"));
+            let (result, largest) = largest_request(|| parse_fragment(&file, &wrong, None));
+            let err = result.expect_err("a wrong key cannot decode");
+            assert!(matches!(err, VortexError::CorruptData(_)), "key {i}: {err}");
+            assert!(
+                largest <= alloc_bound(file.len()),
+                "key {i}: {largest} bytes requested"
+            );
+        }
+    }
+
+    #[test]
+    fn common_prefix_is_record_aligned_and_skips_stubs() {
+        let (file, _) = build_fragment();
+        let index = index_fragment(&file, None).unwrap();
+        let (block2, whole) = (index.blocks[1].offset, file.len() as u64);
+        // One copy: everything parseable.
+        assert_eq!(common_prefix(&[&file]).unwrap(), Some((0, whole)));
+        // A copy torn inside the second block, then poisoned: the prefix
+        // is cut back to the block's start, in either order.
+        let mut torn = file[..block2 as usize + 60].to_vec();
+        torn.extend(FragmentWriter::sentinel_record(7, Timestamp(9)));
+        assert_eq!(common_prefix(&[&file, &torn]).unwrap(), Some((0, block2)));
+        assert_eq!(common_prefix(&[&torn, &file]).unwrap(), Some((0, block2)));
+        // Headerless stubs do not shrink the answer, and alone give none.
+        let stub = FragmentWriter::sentinel_record(7, Timestamp(9));
+        assert_eq!(common_prefix(&[&stub, &file]).unwrap(), Some((1, whole)));
+        assert_eq!(common_prefix(&[&stub, &Vec::new()]).unwrap(), None);
+        assert_eq!(common_prefix::<Vec<u8>>(&[]).unwrap(), None);
+    }
+
+    #[test]
+    fn bloom_is_read_through_the_footer() {
+        let (mut file, finalized) = build_full_file();
+        let reads = std::cell::RefCell::new(Vec::new());
+        let read = |bytes: &[u8], offset: u64, len: usize| {
+            reads.borrow_mut().push(len);
+            let start = (offset as usize).min(bytes.len());
+            Ok(bytes[start..(start + len).min(bytes.len())].to_vec())
+        };
+        // Behind the poison the footer is not where the size says: no bloom.
+        let poisoned = read_bloom(file.len() as u64, |o, l| read(&file, o, l));
+        assert!(poisoned.unwrap().is_none());
+        file.truncate(finalized);
+        reads.borrow_mut().clear();
+        let bloom = read_bloom(file.len() as u64, |o, l| read(&file, o, l)).unwrap();
+        assert!(bloom.unwrap().may_contain(b"k"));
+        // Two reads, neither of row data: the footer and the bloom record.
+        let footer = index_fragment(&file, None).unwrap().footer.unwrap();
+        let bloom_len = file.len() - FOOTER_TOTAL_LEN - footer.bloom_offset as usize;
+        assert_eq!(*reads.borrow(), [FOOTER_TOTAL_LEN, bloom_len]);
+        // No footer (an unfinalized file, or one too short): no bloom.
+        let (open, _) = build_fragment();
+        let unfinalized = read_bloom(open.len() as u64, |o, l| read(&open, o, l));
+        assert!(unfinalized.unwrap().is_none());
+        assert!(read_bloom(10, |o, l| read(&open, o, l)).unwrap().is_none());
+        // A footer that points anywhere but at the bloom record is corrupt.
+        let at = file.len() - FOOTER_TOTAL_LEN;
+        for bloom_offset in [0, footer.bloom_offset + 1, file.len() as u64] {
+            let moved = Footer {
+                bloom_offset,
+                ..footer
+            }
+            .to_bytes();
+            let mut rec = RecordHeader::from_bytes(&file[at..]).unwrap();
+            rec.disk_crc = crc32c(&moved);
+            let mut bad = file[..at].to_vec();
+            bad.extend(rec.to_bytes());
+            bad.extend(moved);
+            let err = read_bloom(bad.len() as u64, |o, l| read(&bad, o, l)).unwrap_err();
+            assert!(
+                matches!(err, VortexError::CorruptData(_)),
+                "{bloom_offset}: {err}"
+            );
         }
     }
 
@@ -500,7 +827,9 @@ mod tests {
     fn committed_len_excludes_uncommitted_tail() {
         let (file, _) = build_fragment();
         let p = parse_fragment(&file, &key(), None).unwrap();
-        assert_eq!(p.committed_len(), p.blocks[1].offset);
-        assert!(p.committed_len() < p.valid_len);
+        // The committed prefix ends where the uncommitted tail block
+        // starts, short of the valid records.
+        assert!(p.blocks[0].committed && !p.blocks[1].committed);
+        assert!(p.blocks[1].offset < p.valid_len);
     }
 }

@@ -546,3 +546,29 @@ fn flush_retries_transient_faults() {
     w.flush(40).unwrap();
     assert_eq!(client.read_rows(t).unwrap().rows.len(), 40);
 }
+
+/// A read fault on either replica of a fresh tail fails over like an
+/// unreachable replica: the other copy alone cannot vouch for the final
+/// append, so the query reconciles and still counts every acked row.
+#[test]
+fn tail_read_fails_over_on_a_read_fault() {
+    for which in [0, 1] {
+        let region = Region::create(RegionConfig::default()).unwrap();
+        let client = region.client();
+        let t = client.create_table("tailfault", schema()).unwrap().table;
+        let mut w = client.create_unbuffered_writer(t).unwrap();
+        w.append(rows(0, 30)).unwrap();
+        w.append(rows(30, 12)).unwrap();
+
+        let faulty = region.fleet().get(t_cluster(&region, t, which)).unwrap();
+        faulty.faults().fail_next_reads(1);
+        let counted = region
+            .engine()
+            .count(t, client.snapshot(), &ScanOptions::default());
+        assert_eq!(counted.unwrap(), 42, "read fault on replica {which}");
+        assert!(
+            !faulty.faults().take_read_failure(),
+            "the fault was not hit"
+        );
+    }
+}

@@ -363,16 +363,18 @@ proptest! {
         let cut = ((file.len() as f64) * cut_frac) as usize;
         let mut other = file[..cut].to_vec();
         other.extend_from_slice(&garbage);
-        // Byte-wise longest common prefix, as reconcile computes it.
-        let lcp = file.iter().zip(other.iter()).take_while(|(a, b)| a == b).count();
-        if let Ok(p) = parse_fragment(&file[..lcp], &key, None) {
-            let v = p.valid_len as usize;
-            if v > 0 {
-                let strict = parse_fragment(&file[..v], &key, Some(v as u64)).unwrap();
-                let got = parsed_keys(&strict);
-                prop_assert_eq!(&full_keys[..got.len()], &got[..]);
-            }
+        // The reconciler's own rule. `other` drops out when the cut fell
+        // inside its header record; the survivor then stands whole.
+        let copies = [&file, &other];
+        let (first, v) = vortex_wos::common_prefix(&copies).unwrap().unwrap();
+        prop_assert_eq!(first, 0);
+        match vortex_wos::index_fragment(&other, None) {
+            Ok(_) => prop_assert!(v as usize <= other.len()),
+            Err(_) => prop_assert_eq!(v as usize, file.len()),
         }
+        let strict = parse_fragment(&copies[first][..v as usize], &key, Some(v)).unwrap();
+        let got = parsed_keys(&strict);
+        prop_assert_eq!(&full_keys[..got.len()], &got[..]);
     }
 
     // ------------------------------------------------------------------
