@@ -53,7 +53,7 @@ use vortex_common::mask::DeletionMask;
 use vortex_common::row::{Row, Value};
 use vortex_common::schema::Schema;
 use vortex_common::truetime::Timestamp;
-use vortex_ros::{RosBlock, RowMeta};
+use vortex_ros::{ReadAt, RosBlock, RowMeta};
 use vortex_sms::api::SmsHandle;
 use vortex_sms::meta::{FragmentKind, FragmentMeta, FragmentState};
 use vortex_sms::readset::{FragmentReadSpec, ReadSet, TailReadSpec};
@@ -295,17 +295,19 @@ fn with_replica<T>(
     Err(last_err)
 }
 
-/// A fragment fetched from a replica and parsed, its rows not yet
+/// A fragment fetched whole from a replica and parsed, its rows not yet
 /// materialized.
 pub enum OpenFragment {
-    /// A columnar block: the query engine evaluates predicates on its
-    /// compressed chunks and decodes only what the query needs.
+    /// A columnar block, every chunk of it held.
     Ros(RosBlock),
     /// A log file parsed up to the recorded committed size.
     Wos(ParsedFragment),
 }
 
-/// Fetches and parses one fragment with replica failover.
+/// Fetches one fragment whole and parses it, with replica failover — for
+/// the readers that go on to decode all of it (table reads, DML, the
+/// optimizer's passes), which one read serves best. A scan opens a ROS
+/// block with [`open_ros_block`] instead.
 pub fn open_fragment(
     meta: &FragmentMeta,
     fleet: &StorageFleet,
@@ -322,6 +324,28 @@ pub fn open_fragment(
             }
         })
     })
+}
+
+/// Opens a ROS block by its index alone — two ranged reads, bounded by
+/// the recorded size — and returns it with the reader that fetches the
+/// chunks a scan turns out to need ([`RosBlock::fetch`]). Every read runs
+/// under the failover rule by itself: a replica whose read fails, or
+/// whose bytes fail the block's CRC for them, hands over to the other.
+pub fn open_ros_block<'a>(
+    meta: &'a FragmentMeta,
+    fleet: &'a StorageFleet,
+    key: &Key,
+) -> VortexResult<(RosBlock, Box<ReadAt<'a>>)> {
+    let read = move |offset: u64, len: usize, check: &dyn Fn(&[u8]) -> VortexResult<()>| {
+        with_replica(meta.clusters, &meta.path, fleet, |cluster| {
+            let data = cluster.read(&meta.path, offset, len)?.data;
+            check(&data).map(|()| data)
+        })
+    };
+    // lint:allow(L010, one small box per block opened, so that its reader has a type to name)
+    let mut read: Box<ReadAt<'a>> = Box::new(read);
+    let block = RosBlock::open_index(meta.committed_size, key, meta.fragment.raw(), &mut *read)?;
+    Ok((block, read))
 }
 
 /// The on-file bloom filter of a finalized WOS fragment, by two ranged

@@ -28,6 +28,7 @@ pub mod backend;
 pub mod faults;
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -88,6 +89,9 @@ pub struct Colossus {
     read_profile: WriteProfile,
     rng: Mutex<StdRng>,
     files: Mutex<HashMap<String, FileState>>,
+    /// Reads served and the bytes they returned.
+    reads: AtomicU64,
+    bytes_read: AtomicU64,
 }
 
 impl Colossus {
@@ -101,6 +105,8 @@ impl Colossus {
             read_profile: profile,
             rng: Mutex::new(StdRng::seed_from_u64(seed)),
             files: Mutex::new(HashMap::new()),
+            reads: AtomicU64::new(0),
+            bytes_read: AtomicU64::new(0),
         })
     }
 
@@ -119,6 +125,8 @@ impl Colossus {
             read_profile: profile,
             rng: Mutex::new(StdRng::seed_from_u64(seed)),
             files: Mutex::new(HashMap::new()),
+            reads: AtomicU64::new(0),
+            bytes_read: AtomicU64::new(0),
         }))
     }
 
@@ -223,8 +231,18 @@ impl Colossus {
             )));
         }
         let data = self.backend.read(path, offset, len)?;
+        self.reads.fetch_add(1, Ordering::Relaxed);
+        self.bytes_read
+            .fetch_add(data.len() as u64, Ordering::Relaxed);
         let service_us = self.sample_us(&self.read_profile, data.len());
         Ok(ReadOutcome { data, service_us })
+    }
+
+    /// Reads this cluster has served and the bytes they returned — what
+    /// scans, tail probes, the optimizer and recovery took from it.
+    pub fn read_counts(&self) -> (u64, u64) {
+        let reads = self.reads.load(Ordering::Relaxed);
+        (reads, self.bytes_read.load(Ordering::Relaxed))
     }
 
     /// Reads the entire file.
@@ -328,6 +346,11 @@ impl StorageFleet {
         ids
     }
 
+    /// Every cluster of the fleet, service clusters included.
+    pub fn clusters(&self) -> impl Iterator<Item = &Arc<Colossus>> {
+        self.clusters.values()
+    }
+
     /// Number of clusters.
     pub fn len(&self) -> usize {
         self.clusters.len()
@@ -360,6 +383,7 @@ mod tests {
         let r = c.read("t/log.0", 6, 100).unwrap();
         assert_eq!(r.data, b"world", "read past EOF returns prefix");
         assert_eq!(c.len("t/log.0").unwrap(), 11);
+        assert_eq!(c.read_counts(), (2, 16), "reads and the bytes returned");
     }
 
     #[test]

@@ -124,7 +124,26 @@ fn chacha20_block(key: &[u8; 32], nonce: &[u8; 12], counter: u32) -> [u8; 64] {
 /// Encrypts or decrypts `data` in place (XOR stream cipher: the operation
 /// is its own inverse). Counter starts at 1 per RFC 8439 message usage.
 pub fn apply_keystream(key: &Key, nonce: &Nonce, data: &mut [u8]) {
-    let mut counter = 1u32;
+    apply_keystream_at(key, nonce, 0, data)
+}
+
+/// [`apply_keystream`] for a piece of a message: `data` is the bytes at
+/// `offset` of it. The keystream is seekable — block `1 + offset / 64`,
+/// from byte `offset % 64` of that block — so a range of a file decrypts
+/// without the bytes before it.
+pub fn apply_keystream_at(key: &Key, nonce: &Nonce, offset: u64, mut data: &mut [u8]) {
+    // The counter wraps as it does when the whole message is walked.
+    let mut counter = 1u32.wrapping_add((offset / 64) as u32);
+    let skip = (offset % 64) as usize;
+    if skip > 0 {
+        let (head, rest) = data.split_at_mut((64 - skip).min(data.len()));
+        let ks = chacha20_block(&key.0, &nonce.0, counter);
+        for (b, k) in head.iter_mut().zip(&ks[skip..]) {
+            *b ^= k;
+        }
+        counter = counter.wrapping_add(1);
+        data = rest;
+    }
     for chunk in data.chunks_mut(64) {
         let ks = chacha20_block(&key.0, &nonce.0, counter);
         for (b, k) in chunk.iter_mut().zip(ks.iter()) {
@@ -200,6 +219,23 @@ mod tests {
             }
             assert_eq!(decrypt(&key, &nonce, &ct), data);
         }
+    }
+
+    #[test]
+    fn keystream_seeks_to_any_offset() {
+        let key = Key::derive_from_passphrase("seek");
+        let nonce = Nonce::for_block(7, u32::MAX);
+        let whole = encrypt(&key, &nonce, &[0u8; 300]);
+        for offset in [0usize, 1, 63, 64, 65, 127, 128, 299, 300] {
+            let mut tail = vec![0u8; 300 - offset];
+            apply_keystream_at(&key, &nonce, offset as u64, &mut tail);
+            assert_eq!(tail, whole[offset..], "offset {offset}");
+        }
+        // Block 2^32 - 1 of the message is keystream block 0: the counter
+        // wraps where walking the whole message would wrap it.
+        let mut far = [0u8; 64];
+        apply_keystream_at(&key, &nonce, (u32::MAX as u64) * 64, &mut far);
+        assert_eq!(far, chacha20_block(&key.0, &nonce.0, 0));
     }
 
     #[test]

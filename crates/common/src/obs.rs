@@ -494,6 +494,16 @@ impl FreshnessProbe {
         }
     }
 
+    /// The newest commit timestamp [`FreshnessProbe::observe`] has counted
+    /// for `table` (`Timestamp::MIN` before the first). It only rises, and
+    /// `observe` drops what is not past it: a scan that read it when it
+    /// began need not offer rows committed at or before it.
+    pub fn seen_through(&self, table: TableId) -> Timestamp {
+        // lint:allow(L011, once per scan, held for one map lookup; `observe` takes the same lock at the scan's end)
+        let seen = self.watermarks.lock().get(&table).copied();
+        seen.unwrap_or(Timestamp::MIN)
+    }
+
     /// Offers the commit timestamps of every row visible to one scan of
     /// `table`, observed at `visible_at`. Returns how many rows were
     /// *newly* observed (above the prior watermark). Serialized on the
@@ -880,9 +890,12 @@ mod tests {
         // Retry / repeated poll re-surfaces the same rows: no new counts.
         let n = probe.observe(t, [100, 200, 300].map(Timestamp), Timestamp(900));
         assert_eq!(n, 0);
+        assert_eq!(probe.seen_through(t), Timestamp(300));
         // A later row is counted once, against its own visibility time.
         let n = probe.observe(t, [200, 300, 400].map(Timestamp), Timestamp(900));
         assert_eq!(n, 1);
+        assert_eq!(probe.seen_through(t), Timestamp(400));
+        assert_eq!(probe.seen_through(TableId::from_raw(2)), Timestamp::MIN);
         assert_eq!(probe.rows_observed(), 4);
         let h = probe.histogram();
         assert_eq!(h.count, 4);

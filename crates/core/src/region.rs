@@ -615,6 +615,12 @@ impl Region {
         let mut snap = obs::global().snapshot();
         snap.add_rpc("sms", self.sms_rpc.metrics());
         snap.add_rpc("server", self.server_rpc.metrics());
+        for cluster in self.fleet.clusters() {
+            let (id, (reads, bytes)) = (cluster.cluster_id(), cluster.read_counts());
+            for (what, n) in [("reads", reads), ("bytes_read", bytes)] {
+                snap.counters.insert(format!("colossus.{id}.{what}"), n);
+            }
+        }
         snap
     }
 

@@ -206,8 +206,9 @@ impl StorageOptimizer {
                 continue;
             }
             let decode = |c| Ok(block.decode_zone(c, z)?.into_leaf(&kept));
+            let metas = block.zone_metas(z)?;
             zones.push(SourceZone {
-                metas: (kept.iter().map(|i| block.metas()[range.start + i])).collect(),
+                metas: kept.iter().map(|&i| metas[i]).collect(),
                 cols: (0..block.column_count())
                     .map(decode)
                     .collect::<VortexResult<_>>()?,

@@ -23,13 +23,17 @@ use crate::pushdown::{ScanPlan, ZoneCols};
 /// shard and merges the clones, so an implementation must be mergeable
 /// and independent of the order rows arrive in.
 pub(crate) trait Consumer: Clone + Send + Sync {
+    /// What [`Consumer::fold_zone`] reads of a zone, so that a block's
+    /// chunks can be fetched before its zones are folded: marks the
+    /// schema columns in `columns` and returns whether it reads the rows'
+    /// provenance.
+    fn reads(&self, plan: &ScanPlan<'_>, columns: &mut [bool]) -> bool;
+
     /// Folds the rows of one decoded ROS zone at the zone-relative,
-    /// ascending positions `sel` (`metas` is the zone's provenance).
-    /// Returns how many `Row`s it built.
+    /// ascending positions `sel`. Returns how many `Row`s it built.
     fn fold_zone(
         &mut self,
         cols: &mut ZoneCols<'_>,
-        metas: &[RowMeta],
         sel: &[usize],
         plan: &ScanPlan<'_>,
     ) -> VortexResult<u64>;
@@ -50,16 +54,22 @@ pub(crate) struct RowCollector {
 }
 
 impl Consumer for RowCollector {
+    /// Every projected column, and each row's provenance.
+    fn reads(&self, plan: &ScanPlan<'_>, columns: &mut [bool]) -> bool {
+        (0..columns.len()).for_each(|c| columns[c] |= plan.keeps(c));
+        true
+    }
+
     /// Late materialization: rows are born all-NULL at schema arity, then
     /// each projected column the block has gathers its selected values in.
     fn fold_zone(
         &mut self,
         cols: &mut ZoneCols<'_>,
-        metas: &[RowMeta],
         sel: &[usize],
         plan: &ScanPlan<'_>,
     ) -> VortexResult<u64> {
         let base = self.rows.len();
+        let metas = cols.metas()?;
         self.rows.extend(sel.iter().map(|&i| {
             let nulls = vec![Value::Null; plan.arity()];
             (metas[i], Row::with_change(nulls, metas[i].change_type))
@@ -244,13 +254,23 @@ impl Aggregator {
 }
 
 impl Consumer for Aggregator {
+    /// The group column and the aggregates' columns, where the projection
+    /// keeps them; no provenance.
+    fn reads(&self, plan: &ScanPlan<'_>, columns: &mut [bool]) -> bool {
+        let named = self
+            .group
+            .iter()
+            .chain(self.aggs.iter().filter_map(|(_, c)| c.as_ref()));
+        named.for_each(|&c| columns[c] |= plan.keeps(c));
+        false
+    }
+
     /// Maps the group column's dictionary codes / runs / rows to group
     /// slots once, then folds each aggregate column's vector at the
     /// selected positions into its slot's accumulator.
     fn fold_zone(
         &mut self,
         cols: &mut ZoneCols<'_>,
-        _: &[RowMeta],
         sel: &[usize],
         plan: &ScanPlan<'_>,
     ) -> VortexResult<u64> {

@@ -5,8 +5,7 @@
 use std::sync::Arc;
 
 use vortex_client::read::{
-    drive_table_read, open_fragment, read_fragment_bloom, read_fragment_cached, OpenFragment,
-    RowGate,
+    drive_table_read, open_ros_block, read_fragment_bloom, read_fragment_cached, RowGate,
 };
 use vortex_client::ReadCache;
 use vortex_colossus::StorageFleet;
@@ -38,8 +37,9 @@ pub struct ScanOptions {
     /// rows the filter would drop, so such scans read every column of
     /// every visible row and filter + project after resolution.
     pub resolve_changes: bool,
-    /// Consult WOS fragment bloom filters (footer reads) for point
-    /// predicates on partition/clustering columns (§7.2).
+    /// Consult bloom filters — a WOS fragment's by footer reads, a ROS
+    /// block's in its index — for point predicates on
+    /// partition/clustering columns (§7.2).
     pub use_bloom: bool,
     /// Parallel scan shards.
     pub parallelism: usize,
@@ -88,6 +88,14 @@ pub struct ScanStats {
     /// none for `count` and `aggregate`, which fold ROS zones as typed
     /// vectors.
     pub rows_materialized: u64,
+    /// Ranged reads made of the ROS blocks this scan opened: two for a
+    /// block's index, then one per run of adjacent chunks it needed.
+    /// (WOS fragments and tails are read whole; every read of either kind
+    /// is in the clusters' `colossus.<cluster>.reads`.)
+    pub reads: u64,
+    /// Bytes those reads returned — against the `committed_size` of the
+    /// blocks opened, what the scan paid for what it needed.
+    pub bytes_fetched: u64,
     /// Decoded-extent cache hits during this scan (0 without a cache).
     /// Attributed from shared-cache counter deltas, so concurrent scans
     /// may shift hits between each other; totals stay exact.
@@ -297,7 +305,7 @@ impl QueryEngine {
             let rows = |_: &Schema| Ok(RowCollector::default());
             let (all, schema) =
                 self.read_into(&tmeta, snapshot, opts, (&Expr::True, None), &rows)?;
-            let post = ScanPlan::compile(&opts.predicate, projection, &schema, false)?;
+            let post = ScanPlan::compile(&opts.predicate, projection, &schema, false, None)?;
             let mut out = FragmentYield::new(make(&schema)?);
             let resolved = resolve_changes(&tmeta.schema, all.sink.rows);
             scan_rows(resolved, &schema, &post, &mut out)?;
@@ -359,7 +367,8 @@ impl QueryEngine {
         // CDC resolution / filtering can drop rows — freshness (§8)
         // measures when *committed* data became readable, not whether a
         // predicate kept it.
-        let plan = ScanPlan::compile(pushed.0, pushed.1, &rs.schema, self.probe.is_some())?;
+        let seen = self.probe.as_ref().map(|p| p.seen_through(tmeta.table));
+        let plan = ScanPlan::compile(pushed.0, pushed.1, &rs.schema, opts.use_bloom, seen)?;
         let sink = make(&rs.schema)?;
         let mut out = FragmentYield::new(sink.clone());
         let stats = &mut out.stats;
@@ -377,10 +386,7 @@ impl QueryEngine {
                 stats.pruned_by_stats += 1;
                 continue;
             }
-            if opts.use_bloom
-                && spec.meta.kind == FragmentKind::Wos
-                && !self.bloom_may_match(&tmeta.schema, spec, pushed.0)?
-            {
+            if spec.meta.kind == FragmentKind::Wos && !self.bloom_may_match(spec, &plan)? {
                 stats.pruned_by_bloom += 1;
                 continue;
             }
@@ -399,8 +405,9 @@ impl QueryEngine {
         Ok((plan, out))
     }
 
-    /// The per-fragment step. A ROS block is never materialized: the
-    /// predicate runs on its typed column vectors and the consumer folds
+    /// The per-fragment step. A ROS block is never materialized, nor even
+    /// read whole: it is opened by its index, the predicate runs on the
+    /// typed column vectors of the chunks it needs, and the consumer folds
     /// the selected positions. A WOS fragment is row-oriented; its
     /// visible rows come decoded (through the cache) and are filtered and
     /// projected here.
@@ -418,13 +425,10 @@ impl QueryEngine {
             return Ok(());
         }
         match spec.meta.kind {
-            FragmentKind::Ros => match open_fragment(&spec.meta, &self.fleet, key)? {
-                OpenFragment::Ros(block) => scan_ros_block(&block, &gate, plan, out),
-                OpenFragment::Wos(_) => Err(VortexError::Internal(format!(
-                    "{} opened as a log file but is listed as a ROS block",
-                    spec.meta.path
-                ))),
-            },
+            FragmentKind::Ros => {
+                let (mut block, mut read) = open_ros_block(&spec.meta, &self.fleet, key)?;
+                scan_ros_block(&mut block, &mut *read, &gate, plan, out)
+            }
             FragmentKind::Wos => {
                 let cache = self.cache.as_deref();
                 let rows = read_fragment_cached(spec, &self.fleet, key, snapshot, cache)?;
@@ -457,6 +461,8 @@ impl QueryEngine {
             ("scan.rows_scanned", stats.rows_scanned),
             ("scan.rows_matched", stats.rows_matched),
             ("scan.rows_materialized", stats.rows_materialized),
+            ("scan.reads", stats.reads),
+            ("scan.bytes_fetched", stats.bytes_fetched),
         ] {
             m.counter(name).add(n);
         }
@@ -475,26 +481,15 @@ impl QueryEngine {
         }
     }
 
-    /// Checks the WOS fragment's on-file bloom filter against every
-    /// required point predicate on a partition/clustering column. Reads
-    /// only the footer + bloom record, not the data (§5.4.4).
-    fn bloom_may_match(
-        &self,
-        schema: &Schema,
-        spec: &FragmentReadSpec,
-        predicate: &Expr,
-    ) -> VortexResult<bool> {
-        // The bloom filter covers the partition and clustering columns.
-        let partition = schema.partition.iter().map(|p| &p.column);
-        let points: Vec<&Value> = partition
-            .chain(&schema.clustering)
-            .filter_map(|c| predicate.required_point(c))
-            .collect();
-        if points.is_empty() {
+    /// Checks a WOS fragment's on-file bloom filter against the plan's
+    /// required points on partition/clustering columns. Reads only the
+    /// footer + bloom record, not the data (§5.4.4).
+    fn bloom_may_match(&self, spec: &FragmentReadSpec, plan: &ScanPlan<'_>) -> VortexResult<bool> {
+        if !plan.has_bloom_keys() {
             return Ok(true); // nothing bloom can decide
         }
         match read_fragment_bloom(&spec.meta, &self.fleet) {
-            Ok(Some(bloom)) => Ok(points.iter().all(|v| bloom.may_contain(&v.encode_key()))),
+            Ok(Some(bloom)) => Ok(plan.may_match_bloom(&bloom)),
             // Unfinalized / no footer, or no replica reachable: the bloom
             // cannot decide, keep the fragment (its read fails over on its
             // own).

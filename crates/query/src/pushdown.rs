@@ -5,9 +5,16 @@
 //! rows materialized before the predicate runs; the predicate is
 //! evaluated *inside* the block instead:
 //!
+//! 0. **Index first** — a block arrives opened by its index alone. Its
+//!    bloom filter can rule the whole block out for a point predicate on
+//!    a key column; what is left gets one fetch plan: the predicate's and
+//!    the consumer's columns × the zones the zone maps keep, adjacent
+//!    chunks in one read ([`vortex_ros::RosBlock::fetch`]). Provenance is
+//!    fetched for a consumer that returns rows, and commit timestamps for
+//!    the zones that hold rows the freshness probe has not seen.
 //! 1. **Zone-map short-circuit** — every column chunk (one zone of
 //!    [`vortex_ros::ZONE_ROWS`] rows) carries min/max/null properties;
-//!    zones the predicate provably cannot match are never decoded.
+//!    zones the predicate provably cannot match are never fetched.
 //! 2. **Typed kernels** — a surviving zone decodes to typed
 //!    [`ColumnVec`]s and every predicate leaf is a loop over one of them
 //!    (`i64`, `f64`, byte slices); no `Value` is built to compare.
@@ -37,11 +44,12 @@
 use std::cmp::Ordering;
 
 use vortex_client::read::{pad_rows, RowGate};
+use vortex_common::bloom::BloomFilter;
 use vortex_common::error::{VortexError, VortexResult};
 use vortex_common::row::{Row, Value};
 use vortex_common::schema::Schema;
 use vortex_common::truetime::Timestamp;
-use vortex_ros::{ColumnVec, IntKind, RosBlock, RowMeta};
+use vortex_ros::{Chunk, ColumnVec, IntKind, ReadAt, RosBlock, RowMeta};
 
 use crate::consume::Consumer;
 use crate::engine::ScanStats;
@@ -87,6 +95,19 @@ impl<'e> CPred<'e> {
             Expr::Or(a, b) => CPred::Or(sub(a)?, sub(b)?),
             Expr::Not(a) => CPred::Not(sub(a)?),
         })
+    }
+
+    /// Marks the schema columns the predicate reads.
+    fn mark_columns(&self, reads: &mut [bool]) {
+        match self {
+            CPred::True => {}
+            CPred::Leaf(col, _) => reads[*col] = true,
+            CPred::And(a, b) | CPred::Or(a, b) => {
+                a.mark_columns(reads);
+                b.mark_columns(reads);
+            }
+            CPred::Not(a) => a.mark_columns(reads),
+        }
     }
 
     /// The zone-map short-circuit: `false` means no row of zone `z` can
@@ -202,6 +223,7 @@ pub(crate) struct ZoneCols<'b> {
     block: &'b RosBlock,
     z: usize,
     cols: Vec<Option<ColumnVec>>,
+    metas: Option<Vec<RowMeta>>,
 }
 
 impl<'b> ZoneCols<'b> {
@@ -210,7 +232,17 @@ impl<'b> ZoneCols<'b> {
             block,
             z,
             cols: vec![None; block.column_count()],
+            metas: None,
         }
+    }
+
+    /// The provenance of the zone's rows, decoded when first asked for —
+    /// by a consumer that said it [`Consumer::reads`] it.
+    pub(crate) fn metas(&mut self) -> VortexResult<&[RowMeta]> {
+        if self.metas.is_none() {
+            self.metas = Some(self.block.zone_metas(self.z)?);
+        }
+        Ok(self.metas.as_deref().unwrap_or_default())
     }
 
     /// The decoded vector for schema column `col`, or `None` when the
@@ -236,8 +268,14 @@ pub(crate) struct ScanPlan<'e> {
     /// Per snapshot-schema column: whether the projection keeps it.
     /// Every yielded row has this arity; the other columns read NULL.
     keep: Vec<bool>,
-    /// Whether to collect [`FragmentYield::visible_ts`].
-    want_visible_ts: bool,
+    /// What a bloom filter over the partition and clustering columns
+    /// must hold for a fragment to matter: the key of every value the
+    /// predicate requires one of those columns to equal.
+    bloom_keys: Vec<Vec<u8>>,
+    /// Collect [`FragmentYield::visible_ts`] of rows committed after this
+    /// — the freshness probe's watermark when the scan began, below which
+    /// it counts nothing; `None` collects none.
+    visible_after: Option<Timestamp>,
 }
 
 impl<'e> ScanPlan<'e> {
@@ -247,7 +285,8 @@ impl<'e> ScanPlan<'e> {
         expr: &'e Expr,
         projection: Option<&[String]>,
         schema: &Schema,
-        want_visible_ts: bool,
+        use_bloom: bool,
+        visible_after: Option<Timestamp>,
     ) -> VortexResult<Self> {
         let mut keep = vec![projection.is_none(); schema.fields.len()];
         for c in projection.unwrap_or_default() {
@@ -256,17 +295,45 @@ impl<'e> ScanPlan<'e> {
             })?;
             keep[i] = true;
         }
+        // A literal of another type than the column's can equal a stored
+        // cell (3 = 3.0) under a different key, so only a literal of the
+        // declared type is worth a lookup.
+        let partition = schema.partition.iter().map(|p| &p.column);
+        let point = |c: &String| {
+            let (i, v) = (schema.column_index(c)?, expr.required_point(c)?);
+            (schema.fields[i].ftype.name() == v.type_name()).then(|| v.encode_key())
+        };
+        let key_columns = partition.chain(&schema.clustering).filter(|_| use_bloom);
         Ok(ScanPlan {
             expr,
             pred: CPred::compile(expr, schema)?,
             keep,
-            want_visible_ts,
+            // lint:allow(L010, once per scan: a key per point predicate on a key column)
+            bloom_keys: key_columns.filter_map(point).collect(),
+            visible_after,
         })
+    }
+
+    /// Whether a fragment with this bloom filter over its key columns can
+    /// hold a matching row.
+    pub(crate) fn may_match_bloom(&self, bloom: &BloomFilter) -> bool {
+        self.bloom_keys.iter().all(|key| bloom.may_contain(key))
+    }
+
+    /// Whether the predicate requires a key column to equal some value,
+    /// so that a bloom filter can decide anything.
+    pub(crate) fn has_bloom_keys(&self) -> bool {
+        !self.bloom_keys.is_empty()
     }
 
     /// Snapshot-schema column count.
     pub(crate) fn arity(&self) -> usize {
         self.keep.len()
+    }
+
+    /// Whether the projection keeps schema column `col`.
+    pub(crate) fn keeps(&self, col: usize) -> bool {
+        self.keep.get(col) == Some(&true)
     }
 
     /// Zone vector of column `col` as the projection shows it: `None`
@@ -277,9 +344,9 @@ impl<'e> ScanPlan<'e> {
         cols: &'z mut ZoneCols<'_>,
         col: usize,
     ) -> VortexResult<Option<&'z ColumnVec>> {
-        match self.keep.get(col) {
-            Some(true) => cols.get(col),
-            _ => Ok(None),
+        match self.keeps(col) {
+            true => cols.get(col),
+            false => Ok(None),
         }
     }
 }
@@ -312,6 +379,9 @@ impl<C: Consumer> FragmentYield<C> {
     pub(crate) fn absorb(&mut self, other: FragmentYield<C>) {
         self.sink.merge_shard(other.sink);
         self.visible_ts.extend(other.visible_ts);
+        self.stats.pruned_by_bloom += other.stats.pruned_by_bloom;
+        self.stats.reads += other.stats.reads;
+        self.stats.bytes_fetched += other.stats.bytes_fetched;
         self.stats.zones_total += other.stats.zones_total;
         self.stats.zones_pruned += other.stats.zones_pruned;
         self.stats.rows_scanned += other.stats.rows_scanned;
@@ -332,8 +402,9 @@ pub(crate) fn scan_rows<C: Consumer>(
 ) -> VortexResult<()> {
     out.stats.rows_scanned += rows.len() as u64;
     out.stats.rows_materialized += rows.len() as u64;
-    if plan.want_visible_ts {
-        out.visible_ts.extend(rows.iter().map(|(m, _)| m.ts));
+    if let Some(seen) = plan.visible_after {
+        let unseen = rows.iter().map(|(m, _)| m.ts).filter(|ts| *ts > seen);
+        out.visible_ts.extend(unseen);
     }
     pad_rows(&mut rows, plan.arity());
     for (meta, mut row) in rows {
@@ -351,27 +422,59 @@ pub(crate) fn scan_rows<C: Consumer>(
     Ok(())
 }
 
-/// Scans one ROS block with the predicate pushed into the compressed
-/// chunks; `gate` decides which block rows the snapshot may see. Each
-/// zone hands the consumer its vectors and the selected positions.
+/// Scans one ROS block, opened by its index, with the predicate pushed
+/// into the compressed chunks; `read` fetches what of its file the scan
+/// turns out to need and `gate` decides which block rows the snapshot
+/// may see. Each zone hands the consumer its vectors and the selected
+/// positions.
 pub(crate) fn scan_ros_block<C: Consumer>(
-    block: &RosBlock,
+    block: &mut RosBlock,
+    read: &mut ReadAt<'_>,
     gate: &RowGate<'_>,
     plan: &ScanPlan<'_>,
     out: &mut FragmentYield<C>,
 ) -> VortexResult<()> {
-    let metas = block.metas();
-    out.stats.zones_total += block.zone_count();
-    if plan.want_visible_ts {
-        let visible = (0..block.row_count()).filter(|&i| gate.admits(i as u64));
-        out.visible_ts.extend(visible.map(|i| metas[i].ts));
+    // A zone holds rows the freshness probe has not seen if its newest is
+    // past the probe's watermark (a zone map that does not say is read).
+    let seen = plan.visible_after;
+    let unseen = |z: usize| block.zone_newest(z).map_or(true, |ts| Some(ts) > seen);
+    let zones = block.zone_count();
+    // lint:allow(L010, once per block scanned, sized by its zones and the schema's columns; never per row)
+    let fresh: Vec<bool> = (0..zones).map(|z| seen.is_some() && unseen(z)).collect();
+    // The bloom filter first: no chunk of a block it rules out is read,
+    // but for the timestamps the probe is owed.
+    let ruled_out = !plan.may_match_bloom(block.bloom());
+    let survives = |z: usize| !ruled_out && plan.pred.may_match_zone(block, z);
+    // lint:allow(L010, once per block scanned, sized by its zones and the schema's columns; never per row)
+    let scan: Vec<bool> = (0..zones).map(survives).collect();
+    if ruled_out {
+        out.stats.pruned_by_bloom += 1;
+    } else {
+        out.stats.zones_total += zones;
+        out.stats.zones_pruned += scan.iter().filter(|kept| !**kept).count();
+    }
+    // One fetch plan for the block.
+    // lint:allow(L010, once per block scanned, sized by its zones and the schema's columns; never per row)
+    let mut columns = vec![false; plan.arity()];
+    plan.pred.mark_columns(&mut columns);
+    let provenance = out.sink.reads(plan, &mut columns);
+    block.fetch(read, |chunk, z| match chunk {
+        Chunk::Column(c) => scan[z] && columns.get(c) == Some(&true),
+        Chunk::Timestamps => fresh[z] || (scan[z] && provenance),
+        Chunk::Provenance => scan[z] && provenance,
+    })?;
+    let block = &*block;
+    let (reads, bytes) = block.fetched();
+    out.stats.reads += reads;
+    out.stats.bytes_fetched += bytes;
+    for z in (0..zones).filter(|&z| fresh[z]) {
+        let range = block.zone_range(z);
+        let ts = block.zone_timestamps(z)?;
+        let visible = (range.zip(ts)).filter(|(i, ts)| Some(*ts) > seen && gate.admits(*i as u64));
+        out.visible_ts.extend(visible.map(|(_, ts)| ts));
     }
     let mut sel: Vec<usize> = Vec::new(); // zone-relative selected rows
-    for z in 0..block.zone_count() {
-        if !plan.pred.may_match_zone(block, z) {
-            out.stats.zones_pruned += 1;
-            continue;
-        }
+    for z in (0..zones).filter(|&z| scan[z]) {
         let range = block.zone_range(z);
         out.stats.rows_scanned += range.len() as u64;
         let mut cols = ZoneCols::new(block, z);
@@ -382,7 +485,7 @@ pub(crate) fn scan_ros_block<C: Consumer>(
             continue;
         }
         out.stats.rows_matched += sel.len() as u64;
-        out.stats.rows_materialized += out.sink.fold_zone(&mut cols, &metas[range], &sel, plan)?;
+        out.stats.rows_materialized += out.sink.fold_zone(&mut cols, &sel, plan)?;
     }
     Ok(())
 }

@@ -1,25 +1,53 @@
 //! ROS blocks: columnar, stats-annotated, bloom-filtered units of
 //! read-optimized storage produced by the Storage Optimization Service.
+//!
+//! # File layout (version 3)
+//!
+//! ```text
+//! body     one chunk per (column, zone), column-major: the user columns,
+//!          then the four provenance columns change_type, ts, stream,
+//!          offset — ordinary integer columns through the same chooser
+//! index    schema version, rows, zone size, user columns; per chunk, in
+//!          body order: encoding, flags, length, CRC32C, zone map; the
+//!          block's column properties; the bloom filter
+//! trailer  index length, index CRC32C, version, magic | trailer CRC32C
+//! ```
+//!
+//! Every byte but the trailer's own CRC is ChaCha20 ciphertext under the
+//! block's nonce, each at the keystream position of its file offset, so
+//! any range decrypts alone. Every byte is under exactly one CRC, taken
+//! over ciphertext: the trailer's covers its fields, which hold the
+//! index's, which holds each chunk's. A chunk's offset is the sum of the
+//! lengths before it, so chunks tile the body by construction.
+//!
+//! A reader needs the trailer and the index (two reads whose lengths the
+//! file's size bounds), then only the chunks its query decodes:
+//! [`RosBlock::open_index`] parses the first two, [`RosBlock::fetch`] reads
+//! runs of adjacent wanted chunks. [`RosBlock::from_bytes`] is the same
+//! two calls over a buffer that holds the whole file.
 
 use std::cmp::Ordering;
 use std::hash::Hash;
 
 use vortex_common::bloom::BloomFilter;
-use vortex_common::codec::{get_uvarint, put_uvarint, take};
+use vortex_common::codec::{
+    get_len, get_str, get_uvarint, put_bytes, put_str, put_uvarint, take, take_array,
+};
 use vortex_common::compress::{compress, decompress};
 use vortex_common::crc::crc32c;
-use vortex_common::crypt::{apply_keystream, Key, Nonce};
+use vortex_common::crypt::{apply_keystream_at, Key, Nonce};
 use vortex_common::error::{VortexError, VortexResult};
-use vortex_common::row::Row;
+use vortex_common::obs;
+use vortex_common::row::{Row, Value};
 use vortex_common::schema::{ChangeType, Schema};
 use vortex_common::stats::ColumnStats;
 use vortex_common::truetime::Timestamp;
 
-use crate::column::{ColumnBuilder, ColumnVec, KeyedRows};
-use crate::encoding::{decode_chunk, encode_column, le_uint, Encoding};
+use crate::column::{ColumnBuilder, ColumnVec, IntKind, KeyedRows, Prim};
+use crate::encoding::{decode_chunk, distinct_rows, encode_column, le_uint, Encoding};
 
 const MAGIC: u32 = 0x534F5256; // "VROS"
-const VERSION: u16 = 2;
+const VERSION: u16 = 3;
 
 /// Rows per column chunk (zone). Each column is encoded per zone with its
 /// own encoding choice and min/max zone map, so scans can short-circuit
@@ -29,13 +57,47 @@ pub const ZONE_ROWS: usize = 1024;
 /// Chunk flag: the encoded bytes are additionally vsnap-compressed.
 const CHUNK_COMPRESSED: u8 = 0b1;
 
-/// One encoded column zone.
+/// The provenance columns, in the order they follow the user columns.
+const PROVENANCE: usize = 4;
+const CHANGE_TYPE: usize = 0;
+const TS: usize = 1;
+const STREAM: usize = 2;
+const OFFSET: usize = 3;
+
+/// Encrypted trailer fields: index length, index CRC, version, magic.
+const TRAILER_FIELDS: usize = 4 + 4 + 2 + 4;
+/// The fields, then the CRC of their ciphertext.
+const TRAILER_LEN: usize = TRAILER_FIELDS + 4;
+
+/// How a block gets at its file: `len` bytes at `offset` that pass
+/// `check`. A reader with more than one copy of the file tries the next
+/// when a read, or the check of what it returned, fails.
+pub type ReadAt<'r> =
+    dyn FnMut(u64, usize, &dyn Fn(&[u8]) -> VortexResult<()>) -> VortexResult<Vec<u8>> + 'r;
+
+/// What one chunk of a block holds — how [`RosBlock::fetch`] names a
+/// chunk to the reader that picks which to read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Chunk {
+    /// A zone of this user column.
+    Column(usize),
+    /// A zone of the rows' commit timestamps.
+    Timestamps,
+    /// A zone of the rows' change types, source streams or offsets.
+    Provenance,
+}
+
+/// One encoded column zone, as the index lists it.
 #[derive(Debug, Clone)]
-struct ColumnChunk {
+struct ChunkEntry {
     enc: Encoding,
     compressed: bool,
     stats: ColumnStats,
-    bytes: Vec<u8>,
+    /// Where the chunk lies in the file.
+    offset: usize,
+    len: usize,
+    /// CRC32C of the stored bytes; unset in a block not yet sealed.
+    crc: u32,
 }
 
 /// Provenance of one row inside a ROS block.
@@ -166,70 +228,104 @@ impl RosBlockBuilder {
                 "cannot build an empty ROS block".into(),
             ));
         }
-        let cols: Vec<ColumnVec> = self
+        let mut cols: Vec<ColumnVec> = self
             .cols
             .into_iter()
             .map(ColumnBuilder::into_column)
             .collect();
+        let ncols = cols.len();
         let mut order: Vec<usize> = (0..n).collect();
         if sort_by_clustering && !self.clustering_idx.is_empty() {
             let row = |&i: &usize| (&cols[..], &self.metas[i], i);
             order.sort_by(|a, b| clustering_order(&self.clustering_idx, row(a), row(b)));
         }
-        // A bloom filter holds a set, so the keys go in column by column,
-        // through one buffer.
-        let mut bloom = BloomFilter::with_capacity(n.max(16), 0.01);
+        // A bloom filter holds a set: each key column's distinct cells go
+        // in once, and their number is what the filter is sized for.
+        let firsts: Vec<Vec<usize>> = (self.key_cols.iter())
+            .map(|&k| distinct_rows(&cols[k]))
+            .collect();
+        let distinct: usize = firsts.iter().map(Vec::len).sum();
+        let mut bloom = BloomFilter::with_capacity(distinct.max(16), BLOOM_FALSE_POSITIVES);
         let mut key = Vec::new();
-        for &k in &self.key_cols {
-            for i in 0..n {
+        for (&k, rows) in self.key_cols.iter().zip(&firsts) {
+            for &i in rows {
                 key.clear();
                 cols[k].key_into(i, &mut key);
                 bloom.insert(&key);
             }
         }
+        // Provenance is four more columns, of integers.
+        let ints = |kind, of: &dyn Fn(&RowMeta) -> u64| {
+            let values = self.metas.iter().map(|m| of(m) as i64).collect();
+            ColumnVec::I64(
+                kind,
+                Prim {
+                    values,
+                    nulls: None,
+                },
+            )
+        };
+        cols.extend([
+            ints(IntKind::Int64, &|m| m.change_type.to_u8() as u64),
+            ints(IntKind::Timestamp, &|m| m.ts.micros()),
+            ints(IntKind::Int64, &|m| m.stream),
+            ints(IntKind::Int64, &|m| m.offset),
+        ]);
         // Encode per zone: each zone's rows are gathered in block order
         // into a leaf vector of their own, which gets its own encoding
         // choice (cascading chooser), zone map, and — when it shrinks the
-        // chunk — vsnap compression on top.
-        let encode_zone = |col: &ColumnVec, rows: &[usize]| {
-            let mut zone = ColumnBuilder::default();
-            zone.add_rows(col, rows.iter().copied());
-            let zone = zone.into_column();
-            let (enc, bytes) = encode_column(&zone);
-            let packed = compress(&bytes);
-            let compressed = packed.len() < bytes.len();
-            ColumnChunk {
-                enc,
-                compressed,
-                stats: summarize_zone(&zone),
-                bytes: if compressed { packed } else { bytes },
+        // chunk — vsnap compression on top. Chunks tile the body.
+        let mut body = Vec::new();
+        let mut chunks = Vec::with_capacity(cols.len() * n.div_ceil(ZONE_ROWS));
+        for col in &cols {
+            for rows in order.chunks(ZONE_ROWS) {
+                let mut zone = ColumnBuilder::default();
+                zone.add_rows(col, rows.iter().copied());
+                let zone = zone.into_column();
+                let (enc, bytes) = encode_column(&zone);
+                let packed = compress(&bytes);
+                let compressed = packed.len() < bytes.len();
+                let bytes = if compressed { packed } else { bytes };
+                chunks.push(ChunkEntry {
+                    enc,
+                    compressed,
+                    stats: summarize_zone(&zone),
+                    offset: body.len(),
+                    len: bytes.len(),
+                    crc: 0,
+                });
+                body.extend_from_slice(&bytes);
             }
-        };
-        let cols: Vec<Vec<ColumnChunk>> = cols
-            .iter()
-            .map(|col| (order.chunks(ZONE_ROWS).map(|rows| encode_zone(col, rows))).collect())
-            .collect();
+        }
         // A block's column properties are its zones' merged: in a typed
         // column equal cells are identical, and among mixed cells that
         // compare equal both keep the first.
+        let zones = n.div_ceil(ZONE_ROWS);
         let block_stats = |col: usize| {
             let mut stats = ColumnStats::new();
-            cols[col].iter().for_each(|chunk| stats.merge(&chunk.stats));
+            let of_col = &chunks[col * zones..(col + 1) * zones];
+            of_col.iter().for_each(|chunk| stats.merge(&chunk.stats));
             stats
         };
         Ok(RosBlock {
             schema_version: self.schema_version,
             row_count: n,
             zone_rows: ZONE_ROWS,
-            metas: order.iter().map(|&i| self.metas[i]).collect(),
+            ncols,
             stats: (self.tracked.into_iter())
                 .map(|(col, name)| (name, block_stats(col)))
                 .collect(),
             bloom,
-            cols,
+            chunks,
+            held: vec![(0, body)],
+            seal: None,
+            fetched: (0, 0),
         })
     }
 }
+
+/// The false-positive rate a block's bloom filter is sized for.
+const BLOOM_FALSE_POSITIVES: f64 = 0.01;
 
 /// The pass behind a typed zone map: the rows of the first smallest and
 /// the first largest cell, and whether any row is NULL.
@@ -263,7 +359,8 @@ fn summarize_zone(zone: &ColumnVec) -> ColumnStats {
     stats
 }
 
-/// A read-optimized columnar block.
+/// A read-optimized columnar block: its index, and the plaintext of as
+/// much of its body as has been built or fetched.
 #[derive(Debug, Clone)]
 pub struct RosBlock {
     schema_version: u32,
@@ -271,11 +368,19 @@ pub struct RosBlock {
     /// Rows per zone this block was built with (self-describing so the
     /// constant can change without breaking old blocks).
     zone_rows: usize,
-    metas: Vec<RowMeta>,
+    /// User columns; the provenance columns follow them in `chunks`.
+    ncols: usize,
     stats: Vec<(String, ColumnStats)>,
     bloom: BloomFilter,
-    /// Per user column: one encoded chunk per zone.
-    cols: Vec<Vec<ColumnChunk>>,
+    /// Column-major, in file order: chunk `col * zones + zone`.
+    chunks: Vec<ChunkEntry>,
+    /// The byte ranges of the body held, decrypted, by file offset: the
+    /// whole body of a block as built, else the runs fetched so far.
+    held: Vec<(usize, Vec<u8>)>,
+    /// What a fetched range decrypts with; `None` in a block as built.
+    seal: Option<(Key, Nonce)>,
+    /// Reads made of the file, and the bytes they returned.
+    fetched: (u64, u64),
 }
 
 impl RosBlock {
@@ -289,14 +394,9 @@ impl RosBlock {
         self.schema_version
     }
 
-    /// Per-row provenance.
-    pub fn metas(&self) -> &[RowMeta] {
-        &self.metas
-    }
-
     /// Number of user columns.
     pub fn column_count(&self) -> usize {
-        self.cols.len()
+        self.ncols
     }
 
     /// Column properties for a column name, if tracked.
@@ -314,6 +414,11 @@ impl RosBlock {
         &self.bloom
     }
 
+    /// Reads made of the block's file so far and the bytes they returned.
+    pub fn fetched(&self) -> (u64, u64) {
+        self.fetched
+    }
+
     /// Number of zones (column chunks per column).
     pub fn zone_count(&self) -> usize {
         self.row_count.div_ceil(self.zone_rows)
@@ -325,45 +430,134 @@ impl RosBlock {
         start..((z + 1) * self.zone_rows).min(self.row_count)
     }
 
+    /// The chunk of column `col` (provenance columns follow the user
+    /// columns) in zone `z`, and its place in `chunks`.
+    fn chunk(&self, col: usize, z: usize) -> VortexResult<(usize, &ChunkEntry)> {
+        let at = (z < self.zone_count()).then(|| col * self.zone_count() + z);
+        let found = at.and_then(|i| Some((i, self.chunks.get(i)?)));
+        found.ok_or_else(|| {
+            VortexError::InvalidArgument(format!("column {col} zone {z} out of range"))
+        })
+    }
+
     /// The zone map: min/max/null properties of column `col` within zone
     /// `z`. `None` when either index is out of range.
     pub fn zone_stats(&self, col: usize, z: usize) -> Option<&ColumnStats> {
-        self.cols.get(col).and_then(|c| c.get(z)).map(|c| &c.stats)
+        let user = (col < self.ncols).then(|| self.chunk(col, z).ok());
+        user.flatten().map(|(_, c)| &c.stats)
+    }
+
+    /// The newest commit timestamp among the rows of zone `z`, from the
+    /// zone map of the timestamp column; `None` when it does not say.
+    pub fn zone_newest(&self, z: usize) -> Option<Timestamp> {
+        match &self.chunk(self.ncols + TS, z).ok()?.1.stats.max {
+            Some(Value::Timestamp(ts)) => Some(*ts),
+            _ => None,
+        }
+    }
+
+    /// The decrypted bytes of chunk `i`, if the block holds them.
+    fn held(&self, i: usize) -> Option<&[u8]> {
+        let c = &self.chunks[i];
+        let within = |(at, bytes): &&(usize, Vec<u8>)| {
+            *at <= c.offset && c.offset + c.len <= at + bytes.len()
+        };
+        match self.held.iter().find(within) {
+            Some((at, bytes)) => Some(&bytes[c.offset - at..][..c.len]),
+            None => (c.len == 0).then_some(&[]),
+        }
+    }
+
+    /// Decodes chunk `z` of column `col`, provenance columns included.
+    fn decode_chunk_at(&self, col: usize, z: usize) -> VortexResult<ColumnVec> {
+        let (i, chunk) = self.chunk(col, z)?;
+        let rows = self.zone_range(z).len();
+        let bytes = self.held(i).ok_or_else(|| {
+            VortexError::Internal(format!(
+                "column {col} zone {z} is read before it is fetched"
+            ))
+        })?;
+        if chunk.compressed {
+            let plain = decompress(bytes)
+                .map_err(|e| VortexError::CorruptData(format!("column {col} zone {z}: {e}")))?;
+            decode_chunk(chunk.enc, &plain, rows)
+        } else {
+            decode_chunk(chunk.enc, bytes, rows)
+        }
     }
 
     /// Decodes one zone of one column into a typed vector, preserving
     /// dictionary/run structure so predicates can be evaluated on the
     /// compressed form.
     pub fn decode_zone(&self, col: usize, z: usize) -> VortexResult<ColumnVec> {
-        let chunk = self.cols.get(col).and_then(|c| c.get(z)).ok_or_else(|| {
-            VortexError::InvalidArgument(format!("column {col} zone {z} out of range"))
-        })?;
-        let rows = self.zone_range(z).len();
-        if chunk.compressed {
-            let plain = decompress(&chunk.bytes)
-                .map_err(|e| VortexError::CorruptData(format!("column {col} zone {z}: {e}")))?;
-            decode_chunk(chunk.enc, &plain, rows)
-        } else {
-            decode_chunk(chunk.enc, &chunk.bytes, rows)
+        if col >= self.ncols {
+            return Err(VortexError::InvalidArgument(format!(
+                "column {col} zone {z} out of range"
+            )));
         }
+        self.decode_chunk_at(col, z)
+    }
+
+    /// One provenance column of zone `z` as the integers it stores.
+    fn provenance(&self, col: usize, z: usize) -> VortexResult<Vec<i64>> {
+        let vec = self.decode_chunk_at(self.ncols + col, z)?;
+        // lint:allow(L010, once per zone whose provenance a query reads, sized by the zone's rows)
+        let every: Vec<usize> = (0..vec.len()).collect();
+        // lint:allow(L010, once per zone whose provenance a query reads, sized by the zone's rows)
+        let mut buf = Vec::new();
+        match vec.resolve(&every, &mut buf) {
+            (ColumnVec::I64(_, ints), at) if ints.nulls.is_none() => {
+                // lint:allow(L010, once per zone whose provenance a query reads, sized by the zone's rows)
+                Ok(at.iter().map(|&i| ints.values[i]).collect())
+            }
+            _ => Err(VortexError::CorruptData(format!(
+                "provenance column {col} zone {z} does not hold integers"
+            ))),
+        }
+    }
+
+    /// The commit timestamps of the rows of zone `z`.
+    pub fn zone_timestamps(&self, z: usize) -> VortexResult<Vec<Timestamp>> {
+        let micros = self.provenance(TS, z)?;
+        // lint:allow(L010, once per zone whose provenance a query reads, sized by the zone's rows)
+        Ok(micros.into_iter().map(|t| Timestamp(t as u64)).collect())
+    }
+
+    /// The provenance of the rows of zone `z`.
+    pub fn zone_metas(&self, z: usize) -> VortexResult<Vec<RowMeta>> {
+        let kinds = self.provenance(CHANGE_TYPE, z)?;
+        let (ts, streams) = (self.provenance(TS, z)?, self.provenance(STREAM, z)?);
+        let offsets = self.provenance(OFFSET, z)?;
+        obs::global()
+            .counter("ros.row_metas_built")
+            .add(kinds.len() as u64);
+        let meta = |(((kind, ts), stream), offset): (((i64, i64), i64), i64)| {
+            Ok(RowMeta {
+                // Past a byte it is no change type, whatever its low bits.
+                change_type: ChangeType::from_u8(u8::try_from(kind).unwrap_or(u8::MAX))?,
+                ts: Timestamp(ts as u64),
+                stream: stream as u64,
+                offset: offset as u64,
+            })
+        };
+        let rows = kinds.into_iter().zip(ts).zip(streams).zip(offsets);
+        // lint:allow(L010, once per zone whose provenance a query reads, sized by the zone's rows)
+        rows.map(meta).collect()
     }
 
     /// Decodes all rows with their provenance. Each `Value` is built
     /// once, from its zone's vector, and moved into its row.
     pub fn rows(&self) -> VortexResult<Vec<(RowMeta, Row)>> {
-        let width = self.cols.len();
-        let blank = |m: &RowMeta| {
-            (
-                *m,
-                Row::with_change(Vec::with_capacity(width), m.change_type),
-            )
-        };
-        let mut out: Vec<(RowMeta, Row)> = self.metas.iter().map(blank).collect();
+        let mut out: Vec<(RowMeta, Row)> = Vec::new();
         for z in 0..self.zone_count() {
-            let zone = &mut out[self.zone_range(z)];
-            for c in 0..width {
+            let first = out.len();
+            out.extend(self.zone_metas(z)?.into_iter().map(|m| {
+                let cells = Vec::with_capacity(self.ncols);
+                (m, Row::with_change(cells, m.change_type))
+            }));
+            for c in 0..self.ncols {
                 let values = self.decode_zone(c, z)?.to_values();
-                for ((_, row), v) in zone.iter_mut().zip(values) {
+                for ((_, row), v) in out[first..].iter_mut().zip(values) {
                     row.values.push(v);
                 }
             }
@@ -371,188 +565,189 @@ impl RosBlock {
         Ok(out)
     }
 
-    /// Serializes and encrypts the block. `block_raw_id` must be unique
+    /// Serializes and encrypts the block, every chunk of which must be
+    /// held (it was built, or read whole). `block_raw_id` must be unique
     /// per key (the optimizer uses the ROS fragment id) — it seeds the
     /// encryption nonce.
     pub fn to_bytes(&self, key: &Key, block_raw_id: u64) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&MAGIC.to_le_bytes());
-        out.extend_from_slice(&VERSION.to_le_bytes());
-        out.extend_from_slice(&self.schema_version.to_le_bytes());
-        out.extend_from_slice(&(self.row_count as u64).to_le_bytes());
-        out.extend_from_slice(&(self.cols.len() as u32).to_le_bytes());
-        out.extend_from_slice(&(self.zone_rows as u32).to_le_bytes());
-        // Row meta arrays (delta/varint encoded).
-        for m in &self.metas {
-            out.push(m.change_type.to_u8());
+        let nonce = Nonce::for_block(block_raw_id, u32::MAX);
+        // Encrypts what `out` has gained since `from`, where it lies.
+        let encrypt = |out: &mut Vec<u8>, from: usize| {
+            apply_keystream_at(key, &nonce, from as u64, &mut out[from..])
+        };
+        // The index is a few percent of a block of any size worth sizing.
+        let body: usize = self.chunks.iter().map(|c| c.len).sum();
+        let mut out = Vec::with_capacity(body + body / 8);
+        for i in 0..self.chunks.len() {
+            let bytes = self.held(i);
+            // lint:allow(L002, a block that is serialized was built or read whole; a chunk missing here is a bug in the caller, not input)
+            out.extend_from_slice(bytes.expect("every chunk of a block being sealed is held"));
         }
-        let mut prev_ts = 0u64;
-        for m in &self.metas {
-            put_uvarint(&mut out, m.ts.micros().wrapping_sub(prev_ts));
-            prev_ts = m.ts.micros();
+        encrypt(&mut out, 0);
+        let index_at = out.len();
+        put_uvarint(&mut out, self.schema_version as u64);
+        put_uvarint(&mut out, self.row_count as u64);
+        put_uvarint(&mut out, self.zone_rows as u64);
+        put_uvarint(&mut out, self.ncols as u64);
+        for c in &self.chunks {
+            let crc = crc32c(&out[c.offset..c.offset + c.len]);
+            out.push(c.enc.to_u8());
+            out.push(if c.compressed { CHUNK_COMPRESSED } else { 0 });
+            put_uvarint(&mut out, c.len as u64);
+            out.extend_from_slice(&crc.to_le_bytes());
+            out.extend_from_slice(&c.stats.to_bytes());
         }
-        for m in &self.metas {
-            put_uvarint(&mut out, m.stream);
-        }
-        for m in &self.metas {
-            put_uvarint(&mut out, m.offset);
-        }
-        // Stats.
-        out.extend_from_slice(&(self.stats.len() as u32).to_le_bytes());
+        put_uvarint(&mut out, self.stats.len() as u64);
         for (name, s) in &self.stats {
-            out.extend_from_slice(&(name.len() as u16).to_le_bytes());
-            out.extend_from_slice(name.as_bytes());
+            put_str(&mut out, name);
             out.extend_from_slice(&s.to_bytes());
         }
-        // Bloom.
-        let bloom_bytes = self.bloom.to_bytes();
-        out.extend_from_slice(&(bloom_bytes.len() as u32).to_le_bytes());
-        out.extend_from_slice(&bloom_bytes);
-        // Column directory (per column, per zone: encoding, flags, byte
-        // length, zone map) then the chunk payloads, column-major.
-        for chunks in &self.cols {
-            for c in chunks {
-                out.push(c.enc.to_u8());
-                out.push(if c.compressed { CHUNK_COMPRESSED } else { 0 });
-                put_uvarint(&mut out, c.bytes.len() as u64);
-                out.extend_from_slice(&c.stats.to_bytes());
-            }
-        }
-        for chunks in &self.cols {
-            for c in chunks {
-                out.extend_from_slice(&c.bytes);
-            }
-        }
-        // Encrypt, then seal with a ciphertext CRC.
-        let nonce = Nonce::for_block(block_raw_id, u32::MAX);
-        apply_keystream(key, &nonce, &mut out);
-        let crc = crc32c(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
+        put_bytes(&mut out, &self.bloom.to_bytes());
+        encrypt(&mut out, index_at);
+        let index_crc = crc32c(&out[index_at..]);
+        let trailer_at = out.len();
+        out.extend_from_slice(&((trailer_at - index_at) as u32).to_le_bytes());
+        out.extend_from_slice(&index_crc.to_le_bytes());
+        out.extend_from_slice(&VERSION.to_le_bytes());
+        out.extend_from_slice(&MAGIC.to_le_bytes());
+        encrypt(&mut out, trailer_at);
+        let trailer_crc = crc32c(&out[trailer_at..]);
+        out.extend_from_slice(&trailer_crc.to_le_bytes());
         out
     }
 
-    /// Verifies, decrypts, and parses a serialized block.
+    /// Verifies, decrypts, and parses a serialized block held whole:
+    /// [`RosBlock::open_index`], then [`RosBlock::fetch`] of every chunk, over
+    /// `data`.
     pub fn from_bytes(data: &[u8], key: &Key, block_raw_id: u64) -> VortexResult<Self> {
-        if data.len() < 4 {
-            return Err(VortexError::Decode("ros block too short".into()));
-        }
-        let (body, crc_bytes) = data.split_at(data.len() - 4);
-        if crc32c(body) as u128 != le_uint(crc_bytes) {
-            return Err(VortexError::CorruptData("ros block crc mismatch".into()));
-        }
-        let mut plain = body.to_vec();
-        let nonce = Nonce::for_block(block_raw_id, u32::MAX);
-        apply_keystream(key, &nonce, &mut plain);
-        Self::parse_plain(&plain)
+        let mut read = |offset: u64, len: usize, check: &dyn Fn(&[u8]) -> VortexResult<()>| {
+            let at = usize::try_from(offset).ok();
+            let bytes = at.and_then(|at| data.get(at..at.checked_add(len)?));
+            let bytes = bytes.ok_or_else(|| VortexError::Decode("ros block truncated".into()))?;
+            check(bytes).map(|()| bytes.to_vec())
+        };
+        let mut block = Self::open_index(data.len() as u64, key, block_raw_id, &mut read)?;
+        block.fetch(&mut read, |_, _| true)?;
+        Ok(block)
     }
 
-    fn parse_plain(b: &[u8]) -> VortexResult<Self> {
-        // The next `n`-byte little-endian integer.
-        let int = |pos: &mut usize, n: usize| take(b, pos, n).map(|raw| le_uint(raw) as usize);
-        let pos = &mut 0usize;
-        if int(pos, 4)? != MAGIC as usize {
-            return Err(VortexError::Decode(
-                "bad ros magic (wrong key or not a ros block)".into(),
-            ));
+    /// Opens the block stored in a file of `size` bytes: reads, verifies,
+    /// decrypts and parses its trailer and its index. No chunk is read;
+    /// [`RosBlock::fetch`] reads the ones a query turns out to need.
+    pub fn open_index(
+        size: u64,
+        key: &Key,
+        block_raw_id: u64,
+        read: &mut ReadAt<'_>,
+    ) -> VortexResult<Self> {
+        let nonce = Nonce::for_block(block_raw_id, u32::MAX);
+        let too_short = || VortexError::Decode(format!("{size} bytes are no ros block"));
+        let size = usize::try_from(size).map_err(|_| too_short())?;
+        let trailer_at = size.checked_sub(TRAILER_LEN).ok_or_else(too_short)?;
+        let mut trailer = read_exact(read, trailer_at, TRAILER_LEN, &|b| {
+            let (fields, crc) = b.split_at(TRAILER_FIELDS);
+            verify(fields, le_uint(crc) as u32, "trailer")
+        })?;
+        apply_keystream_at(
+            key,
+            &nonce,
+            trailer_at as u64,
+            &mut trailer[..TRAILER_FIELDS],
+        );
+        let [index_len, index_crc, version, magic] =
+            [0..4, 4..8, 8..10, 10..14].map(|field| le_uint(&trailer[field]) as usize);
+        if magic != MAGIC as usize {
+            let wrong = "bad ros magic (wrong key or not a ros block)";
+            return Err(VortexError::Decode(wrong.into()));
         }
-        let version = int(pos, 2)?;
         if version != VERSION as usize {
             return Err(VortexError::Decode(format!("bad ros version {version}")));
         }
-        let schema_version = int(pos, 4)? as u32;
-        let row_count = int(pos, 8)?;
-        let ncols = int(pos, 4)?;
-        let zone_rows = int(pos, 4)?;
-        if row_count > b.len() || ncols > b.len() {
-            return Err(VortexError::Decode("implausible ros block header".into()));
-        }
+        let index_at = trailer_at.checked_sub(index_len).ok_or_else(|| {
+            VortexError::Decode(format!(
+                "ros index of {index_len} bytes in a file of {size}"
+            ))
+        })?;
+        let mut index = read_exact(read, index_at, index_len, &|b| {
+            verify(b, index_crc as u32, "index")
+        })?;
+        apply_keystream_at(key, &nonce, index_at as u64, &mut index);
+        let mut block = Self::parse_index(&index, index_at)?;
+        // lint:allow(L010, 32 bytes per block opened, to decrypt what is fetched of it later)
+        block.seal = Some((key.clone(), nonce));
+        block.fetched = (2, (TRAILER_LEN + index_len) as u64);
+        Ok(block)
+    }
+
+    /// Parses a decrypted index; the chunks it lists must tile the
+    /// `body_len` bytes before it.
+    fn parse_index(b: &[u8], body_len: usize) -> VortexResult<Self> {
+        let pos = &mut 0usize;
+        let schema_version = u32::try_from(get_uvarint(b, pos)?)
+            .map_err(|_| VortexError::Decode("implausible schema version".into()))?;
+        // No count is trusted further than the bytes there are to back it.
+        let count = |pos: &mut usize, what: &str| {
+            let n = usize::try_from(get_uvarint(b, pos)?).ok();
+            let n = n.filter(|&n| n <= b.len());
+            n.ok_or_else(|| VortexError::Decode(format!("implausible {what} count")))
+        };
+        let row_count = get_uvarint(b, pos)? as usize;
+        let zone_rows = get_uvarint(b, pos)? as usize;
+        let ncols = count(pos, "column")?;
         if zone_rows == 0 || (row_count > 0 && zone_rows > ZONE_ROWS.max(row_count)) {
             return Err(VortexError::Decode(format!(
                 "implausible zone size {zone_rows}"
             )));
         }
-        // Meta arrays.
-        let mut metas = Vec::with_capacity(row_count);
-        for &ct in take(b, pos, row_count)? {
-            metas.push(RowMeta {
-                change_type: ChangeType::from_u8(ct)?,
-                ts: Timestamp(0),
-                stream: 0,
-                offset: 0,
+        // Every chunk costs its index entry 9 bytes or more, so more
+        // entries than that is corrupt — reject before any allocation is
+        // sized by them.
+        let entries = (ncols + PROVENANCE).checked_mul(row_count.div_ceil(zone_rows));
+        let entries = entries.filter(|&n| n <= b.len() / 9);
+        let entries =
+            entries.ok_or_else(|| VortexError::Decode("implausible chunk directory".into()))?;
+        let mut chunks = Vec::with_capacity(entries);
+        let mut offset = 0usize;
+        for _ in 0..entries {
+            let enc = Encoding::from_u8(take(b, pos, 1)?[0])?;
+            let flags = take(b, pos, 1)?[0];
+            if flags & !CHUNK_COMPRESSED != 0 {
+                return Err(VortexError::Decode(format!("bad chunk flags {flags:#x}")));
+            }
+            let len = get_uvarint(b, pos)?;
+            let len = usize::try_from(len)
+                .ok()
+                .filter(|&n| n <= body_len - offset);
+            let len = len
+                .ok_or_else(|| VortexError::Decode("chunks run past the ros block body".into()))?;
+            let crc = u32::from_le_bytes(take_array(b, pos)?);
+            let stats = ColumnStats::from_bytes(b, pos)?;
+            chunks.push(ChunkEntry {
+                enc,
+                compressed: flags & CHUNK_COMPRESSED != 0,
+                stats,
+                offset,
+                len,
+                crc,
             });
+            offset += len;
         }
-        let mut prev_ts = 0u64;
-        for m in metas.iter_mut() {
-            prev_ts = prev_ts.wrapping_add(get_uvarint(b, pos)?);
-            m.ts = Timestamp(prev_ts);
+        if offset != body_len {
+            return Err(VortexError::Decode(format!(
+                "ros chunks cover {offset} of {body_len} body bytes"
+            )));
         }
-        for m in metas.iter_mut() {
-            m.stream = get_uvarint(b, pos)?;
-        }
-        for m in metas.iter_mut() {
-            m.offset = get_uvarint(b, pos)?;
-        }
-        // Stats.
-        let nstats = int(pos, 4)?;
-        if nstats > b.len() {
-            return Err(VortexError::Decode("implausible stats count".into()));
-        }
-        let mut stats = Vec::with_capacity(nstats);
+        let nstats = count(pos, "stats")?;
+        let mut stats = Vec::new();
         for _ in 0..nstats {
-            let nlen = int(pos, 2)?;
-            let name = std::str::from_utf8(take(b, pos, nlen)?)
-                .map_err(|e| VortexError::Decode(format!("stats name: {e}")))?
-                .to_string();
-            stats.push((name, ColumnStats::from_bytes(b, pos)?));
+            stats.push((get_str(b, pos)?, ColumnStats::from_bytes(b, pos)?));
         }
-        // Bloom.
-        let blen = int(pos, 4)?;
+        let bloom_len = get_len(b, pos)?;
         let bloom =
-            BloomFilter::from_bytes(take(b, pos, blen)?).map_err(VortexError::CorruptData)?;
-        // Column directory: per column, per zone.
-        let nzones = row_count.div_ceil(zone_rows);
-        // Every directory entry costs ≥2 bytes, so more entries than
-        // remaining bytes is corrupt — reject before any allocation.
-        if ncols.saturating_mul(nzones) > b.len().saturating_sub(*pos) {
-            return Err(VortexError::Decode("implausible chunk directory".into()));
-        }
-        let mut cols: Vec<Vec<ColumnChunk>> = Vec::with_capacity(ncols);
-        let mut lens: Vec<usize> = Vec::with_capacity(ncols * nzones);
-        for _ in 0..ncols {
-            let mut chunks = Vec::with_capacity(nzones);
-            for _ in 0..nzones {
-                let enc = Encoding::from_u8(int(pos, 1)? as u8)?;
-                let flags = int(pos, 1)? as u8;
-                if flags & !CHUNK_COMPRESSED != 0 {
-                    return Err(VortexError::Decode(format!("bad chunk flags {flags:#x}")));
-                }
-                let len = get_uvarint(b, pos)? as usize;
-                if len > b.len() {
-                    return Err(VortexError::Decode(format!(
-                        "implausible chunk of {len} bytes"
-                    )));
-                }
-                let stats = ColumnStats::from_bytes(b, pos)?;
-                lens.push(len);
-                chunks.push(ColumnChunk {
-                    enc,
-                    compressed: flags & CHUNK_COMPRESSED != 0,
-                    stats,
-                    bytes: Vec::new(),
-                });
-            }
-            cols.push(chunks);
-        }
-        let mut next = 0usize;
-        for chunks in cols.iter_mut() {
-            for c in chunks.iter_mut() {
-                c.bytes = take(b, pos, lens[next])?.to_vec();
-                next += 1;
-            }
-        }
+            BloomFilter::from_bytes(take(b, pos, bloom_len)?).map_err(VortexError::CorruptData)?;
         if *pos != b.len() {
             return Err(VortexError::Decode(format!(
-                "ros block has {} trailing bytes",
+                "ros index has {} trailing bytes",
                 b.len() - *pos
             )));
         }
@@ -560,11 +755,100 @@ impl RosBlock {
             schema_version,
             row_count,
             zone_rows,
-            metas,
+            ncols,
             stats,
             bloom,
-            cols,
+            chunks,
+            held: Vec::new(),
+            seal: None,
+            fetched: (0, 0),
         })
+    }
+
+    /// Reads the chunks `wanted` picks and the block does not hold yet —
+    /// it is asked about each by what it holds and its zone — one read
+    /// per run of chunks adjacent in the file (a column's zones are one
+    /// run, and so is the whole body). Each chunk is verified against its
+    /// CRC before the read counts as done, then the run is decrypted.
+    pub fn fetch(
+        &mut self,
+        read: &mut ReadAt<'_>,
+        wanted: impl Fn(Chunk, usize) -> bool,
+    ) -> VortexResult<()> {
+        let zones = self.zone_count().max(1);
+        let kind = |col: usize| match col.checked_sub(self.ncols) {
+            None => Chunk::Column(col),
+            Some(TS) => Chunk::Timestamps,
+            Some(_) => Chunk::Provenance,
+        };
+        let missing = |i: usize| wanted(kind(i / zones), i % zones) && self.held(i).is_none();
+        // lint:allow(L010, once per fetch plan — per block — and an entry per read it makes)
+        let mut runs: Vec<(usize, usize)> = Vec::new(); // chunks first..end
+        for i in (0..self.chunks.len()).filter(|&i| missing(i)) {
+            match runs.last_mut() {
+                Some((_, end)) if *end == i => *end += 1,
+                // lint:allow(L010, once per fetch plan — per block — and an entry per read it makes)
+                _ => runs.push((i, i + 1)),
+            }
+        }
+        for (first, end) in runs {
+            self.fetch_run(first, end, read)?;
+        }
+        Ok(())
+    }
+
+    /// One read of the adjacent chunks `first..end`.
+    fn fetch_run(&mut self, first: usize, end: usize, read: &mut ReadAt<'_>) -> VortexResult<()> {
+        let Some((key, nonce)) = &self.seal else {
+            return Err(VortexError::Internal(
+                "a ros block that was built has no file to fetch from".into(),
+            ));
+        };
+        let run = &self.chunks[first..end];
+        let (start, len) = (run[0].offset, run.iter().map(|c| c.len).sum());
+        let mut bytes = read_exact(read, start, len, &|b| {
+            let each = |(k, c): (usize, &ChunkEntry)| {
+                let stored = &b[c.offset - start..][..c.len];
+                verify(stored, c.crc, format_args!("chunk {}", first + k))
+            };
+            run.iter().enumerate().try_for_each(each)
+        })?;
+        apply_keystream_at(key, nonce, start as u64, &mut bytes);
+        self.fetched = (self.fetched.0 + 1, self.fetched.1 + len as u64);
+        // lint:allow(L010, an entry per read made of the block's file)
+        self.held.push((start, bytes));
+        Ok(())
+    }
+}
+
+/// `len` bytes at `offset` through `read`: exactly that many, and passing
+/// `check`.
+fn read_exact(
+    read: &mut ReadAt<'_>,
+    offset: usize,
+    len: usize,
+    check: &dyn Fn(&[u8]) -> VortexResult<()>,
+) -> VortexResult<Vec<u8>> {
+    read(
+        offset as u64,
+        len,
+        &|bytes: &[u8]| match bytes.len() == len {
+            true => check(bytes),
+            false => Err(VortexError::CorruptData(format!(
+                "ros block: {} of {len} bytes at {offset}",
+                bytes.len()
+            ))),
+        },
+    )
+}
+
+/// The one CRC rule: stored bytes against the CRC32C recorded for them.
+fn verify(stored: &[u8], crc: u32, what: impl std::fmt::Display) -> VortexResult<()> {
+    match crc32c(stored) == crc {
+        true => Ok(()),
+        false => Err(VortexError::CorruptData(format!(
+            "ros block {what} crc mismatch"
+        ))),
     }
 }
 
@@ -762,7 +1046,8 @@ mod tests {
         let block = b.build(false).unwrap();
         let key = Key::zero();
         let back = RosBlock::from_bytes(&block.to_bytes(&key, 9), &key, 9).unwrap();
-        let cts: Vec<ChangeType> = back.metas().iter().map(|m| m.change_type).collect();
+        let metas = back.zone_metas(0).unwrap();
+        let cts: Vec<ChangeType> = metas.iter().map(|m| m.change_type).collect();
         assert_eq!(
             cts,
             vec![ChangeType::Insert, ChangeType::Upsert, ChangeType::Delete]
@@ -780,7 +1065,253 @@ mod tests {
         assert_eq!(b.len(), 0);
     }
 
-    // ---- Bytes pinned from the `Value`-slice builder -------------------
+    // ---- The file by ranges ---------------------------------------------
+
+    /// A reader over a file held in memory that logs the ranges asked of
+    /// it: what a block's [`ReadAt`] is over a Colossus file.
+    fn ranges_of<'a>(
+        file: &'a [u8],
+        log: &'a std::cell::RefCell<Vec<(u64, usize)>>,
+    ) -> Box<ReadAt<'a>> {
+        Box::new(move |offset, len, check| {
+            log.borrow_mut().push((offset, len));
+            let end = (offset as usize + len).min(file.len());
+            let bytes = &file[(offset as usize).min(end)..end];
+            check(bytes).map(|()| bytes.to_vec())
+        })
+    }
+
+    #[test]
+    fn a_scan_reads_the_index_and_the_runs_it_needs() {
+        let block = leaves_block(2_500, true, true); // nine columns, three zones
+        let key = Key::derive_from_passphrase("ranges");
+        let file = block.to_bytes(&key, 9);
+        let log = std::cell::RefCell::new(Vec::new());
+        let mut read = ranges_of(&file, &log);
+        let mut open = RosBlock::open_index(file.len() as u64, &key, 9, &mut *read).unwrap();
+        // Two reads, the trailer and then the index, make the index.
+        assert_eq!(log.borrow().len(), 2);
+        assert_eq!(
+            log.borrow()[0],
+            ((file.len() - TRAILER_LEN) as u64, TRAILER_LEN)
+        );
+        let index_bytes = (TRAILER_LEN + log.borrow()[1].1) as u64;
+        assert_eq!(open.fetched(), (2, index_bytes));
+        assert_eq!(open.zone_count(), 3);
+        assert_eq!(open.all_stats(), block.all_stats());
+        assert_eq!(open.bloom(), block.bloom());
+        // Nothing is held yet, and a chunk is not decoded before it is.
+        assert!(matches!(
+            open.decode_zone(4, 1),
+            Err(VortexError::Internal(_))
+        ));
+        // One zone of one column: one read, of that chunk alone.
+        open.fetch(&mut *read, |chunk, z| chunk == Chunk::Column(4) && z == 1)
+            .unwrap();
+        let (_, c) = open.chunk(4, 1).unwrap();
+        assert_eq!(log.borrow()[2..], [(c.offset as u64, c.len)]);
+        assert_eq!(
+            open.decode_zone(4, 1).unwrap(),
+            block.decode_zone(4, 1).unwrap()
+        );
+        assert!(open.decode_zone(4, 0).is_err() && open.zone_metas(1).is_err());
+        // Two neighbouring columns, whole: one read (what is held already
+        // splits it in two).
+        open.fetch(&mut *read, |chunk, _| matches!(chunk, Chunk::Column(4 | 5)))
+            .unwrap();
+        assert_eq!(log.borrow().len(), 5);
+        // Provenance of one zone: four chunks in four columns, four reads;
+        // its timestamps alone were one of them.
+        open.fetch(&mut *read, |chunk, z| chunk == Chunk::Timestamps && z == 2)
+            .unwrap();
+        assert_eq!(log.borrow().len(), 6);
+        assert_eq!(
+            open.zone_timestamps(2).unwrap().len(),
+            2_500 - 2 * ZONE_ROWS
+        );
+        open.fetch(&mut *read, |chunk, z| {
+            !matches!(chunk, Chunk::Column(_)) && z == 2
+        })
+        .unwrap();
+        assert_eq!(log.borrow().len(), 9);
+        let metas = open.zone_metas(2).unwrap();
+        assert_eq!(metas, block.zone_metas(2).unwrap());
+        let ts: Vec<Timestamp> = metas.iter().map(|m| m.ts).collect();
+        assert_eq!(open.zone_timestamps(2).unwrap(), ts);
+        assert_eq!(open.zone_newest(2), ts.iter().copied().max());
+        // What is held is not read again.
+        open.fetch(&mut *read, |chunk, _| chunk == Chunk::Column(5))
+            .unwrap();
+        assert_eq!(log.borrow().len(), 9);
+        // The rest, and the block reads as the one that was built.
+        open.fetch(&mut *read, |_, _| true).unwrap();
+        assert_eq!(open.rows().unwrap(), block.rows().unwrap());
+        let (reads, bytes) = open.fetched();
+        assert_eq!(reads as usize, log.borrow().len());
+        assert_eq!(bytes as usize, file.len(), "every byte once");
+
+        // A full read of a block opened by its index is one read more.
+        log.borrow_mut().clear();
+        let mut whole = RosBlock::open_index(file.len() as u64, &key, 9, &mut *read).unwrap();
+        whole.fetch(&mut *read, |_, _| true).unwrap();
+        assert_eq!(log.borrow().len(), 3);
+        assert_eq!(log.borrow()[2].0, 0, "the body, from its first byte");
+        assert_eq!(whole.fetched(), (3, file.len() as u64));
+        assert_eq!(whole.to_bytes(&key, 9), file, "and seals to the same file");
+    }
+
+    /// Nothing of a file is trusted before a CRC has covered it, nothing
+    /// is sized by what the file says before the bytes are there to back
+    /// it, and a chunk is only checked by the read that needs it.
+    #[test]
+    fn every_truncation_flip_and_tail_is_handled() {
+        use crate::encoding::tests::largest_request;
+        use rand::{Rng, SeedableRng};
+        // Two zones; NULLs, Struct and Array cells, mixed types.
+        let block = any_block(false);
+        assert!(block.chunks.iter().any(|c| c.compressed), "a vsnap chunk");
+        let key = Key::derive_from_passphrase("fuzz");
+        let file = block.to_bytes(&key, 11);
+        let want = block.rows().unwrap();
+        // A decoded row takes more memory than its bytes in the file, and
+        // a vector that grows asks for twice what it holds.
+        let bound = |len: usize| 64 * len + 4096;
+        let read_whole = |bytes: &[u8]| {
+            let (rows, largest) = largest_request(|| {
+                RosBlock::from_bytes(bytes, &key, 11).and_then(|block| block.rows())
+            });
+            assert!(
+                largest <= bound(bytes.len()),
+                "{largest} bytes requested for {} of input",
+                bytes.len()
+            );
+            rows
+        };
+        let refused = |bytes: &[u8], what: &dyn std::fmt::Display| match read_whole(bytes) {
+            Err(VortexError::CorruptData(_) | VortexError::Decode(_)) => {}
+            other => panic!("{what}: {:?}", other.map(|rows| rows.len())),
+        };
+        assert_eq!(read_whole(&file).unwrap(), want);
+        for cut in 0..file.len() {
+            refused(&file[..cut], &format_args!("cut at {cut}"));
+        }
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x0305);
+        for len in [1usize, 17, 18, 19, 500] {
+            let mut padded = file.clone();
+            padded.extend((0..len).map(|_| rng.gen_range(0..=u8::MAX)));
+            refused(&padded, &format_args!("{len} more bytes"));
+        }
+        // A flip anywhere fails the full read. One in the body leaves the
+        // index intact, and every chunk but the one it hit readable.
+        let log = std::cell::RefCell::new(Vec::new());
+        let zones = block.zone_count();
+        for _ in 0..3_000 {
+            let mut bad = file.clone();
+            let at = rng.gen_range(0..bad.len());
+            bad[at] ^= 1u8 << rng.gen_range(0..8u32);
+            refused(&bad, &format_args!("flip at {at}"));
+            let mut read = ranges_of(&bad, &log);
+            let hit =
+                (block.chunks.iter()).position(|c| (c.offset..c.offset + c.len).contains(&at));
+            let open = RosBlock::open_index(bad.len() as u64, &key, 11, &mut *read);
+            let Some(hit) = hit else {
+                assert!(
+                    matches!(open, Err(VortexError::CorruptData(_))),
+                    "flip at {at}"
+                );
+                continue;
+            };
+            let (mut open, hit) = (open.unwrap(), (hit / zones, hit % zones));
+            let others = |col: usize, z: usize| col < block.column_count() && (col, z) != hit;
+            let column = |chunk| match chunk {
+                Chunk::Column(c) => c,
+                _ => usize::MAX,
+            };
+            open.fetch(&mut *read, |chunk, z| others(column(chunk), z))
+                .unwrap();
+            for (col, z) in (0..block.column_count()).flat_map(|c| (0..zones).map(move |z| (c, z)))
+            {
+                if others(col, z) {
+                    let got = open.decode_zone(col, z).unwrap().to_values();
+                    let same = got.iter().zip(&want[block.zone_range(z)]);
+                    assert!(same.clone().all(|(g, (_, row))| g.key_eq(&row.values[col])));
+                    assert_eq!(same.count(), block.zone_range(z).len());
+                }
+            }
+            let damaged = open.fetch(&mut *read, |_, _| true);
+            assert!(
+                matches!(damaged, Err(VortexError::CorruptData(_))),
+                "flip at {at}"
+            );
+        }
+    }
+
+    /// The last file ROS v2 wrote here (three rows of `all_null_block`'s
+    /// schema, key "pinned", block id 42, from the commit before v3): it
+    /// ends in a CRC of everything before it, which is no v3 trailer.
+    #[test]
+    fn a_v2_file_is_refused() {
+        #[rustfmt::skip]
+        const V2: [u8; 136] = [
+            0xdc, 0xbd, 0xa9, 0xb4, 0xd4, 0xf0, 0x40, 0x79, 0xb3, 0x28, 0x5b, 0x1f, 0x5b, 0x1e, 0xf0, 0x1c,
+            0x50, 0x28, 0x8d, 0x81, 0x6b, 0x32, 0xd8, 0x45, 0x6e, 0x6b, 0x92, 0x25, 0x11, 0xe2, 0x4c, 0xdb,
+            0xfa, 0x74, 0xb2, 0x45, 0x9a, 0x35, 0x31, 0x57, 0x3a, 0x74, 0x21, 0x66, 0xf8, 0x54, 0xb5, 0x77,
+            0x9a, 0xd5, 0x68, 0xc6, 0xc2, 0xe8, 0x09, 0x75, 0x10, 0xd0, 0xcf, 0xaf, 0x66, 0x12, 0xf2, 0x98,
+            0xe7, 0x22, 0xb3, 0xb0, 0x4f, 0x2a, 0xaa, 0x8f, 0x5c, 0x93, 0x8f, 0xcb, 0xb5, 0x65, 0x63, 0x78,
+            0xed, 0x4c, 0x35, 0x0f, 0xe4, 0xa1, 0xcc, 0x44, 0x3d, 0x7f, 0x31, 0xde, 0xc6, 0x37, 0x0b, 0x0a,
+            0x10, 0x69, 0x24, 0x2f, 0x5c, 0x32, 0xa8, 0x76, 0xc2, 0x19, 0x53, 0x65, 0x50, 0x31, 0x34, 0x59,
+            0x48, 0x2f, 0x8a, 0xb2, 0xc2, 0x2c, 0x9c, 0x9e, 0x6b, 0x4a, 0x2b, 0x63, 0xca, 0x53, 0x6e, 0x1c,
+            0x77, 0xd8, 0x54, 0x0e, 0xa3, 0xef, 0xdc, 0x61,
+        ];
+        // It is the v2 file it says it is: sealed by its last four bytes.
+        assert_eq!(crc32c(&V2[..132]) as u128, le_uint(&V2[132..]));
+        let opened = RosBlock::from_bytes(&V2, &Key::derive_from_passphrase("pinned"), 42);
+        assert!(
+            matches!(
+                opened,
+                Err(VortexError::CorruptData(_) | VortexError::Decode(_))
+            ),
+            "{:?}",
+            opened.map(|block| block.row_count())
+        );
+    }
+
+    /// A block converted 1:1 from a log file keeps every partition the
+    /// file held, so both its key columns feed the bloom filter about a
+    /// key per row. Sized for the rows, as it used to be, the filter ran
+    /// at twice its load and let through one absent key in six.
+    #[test]
+    fn the_bloom_filter_is_sized_for_the_keys_it_holds() {
+        let schema = small_schema(); // partitioned by `day`, clustered by `name`
+        let mut b = RosBlockBuilder::new(&schema);
+        for i in 0..4_096i64 {
+            let name = Value::String(format!("name-{i:05}"));
+            let values = vec![Value::Int64(i), name, Value::Date(i as i32)];
+            b.push(meta(i as u64), Row::insert(values)).unwrap();
+        }
+        let block = b.build(false).unwrap();
+        assert_eq!(block.bloom().len(), 2 * 4_096, "each distinct key once");
+        let present = |v: Value| block.bloom().may_contain(&v.encode_key());
+        assert!((0..4_096).all(|i| present(Value::Date(i))));
+        assert!((0..4_096).all(|i| present(Value::String(format!("name-{i:05}")))));
+        let absent = (0..20_000).filter(|i| present(Value::String(format!("absent-{i}"))));
+        let rate = absent.count() as f64 / 20_000.0;
+        assert!(
+            rate < 2.5 * BLOOM_FALSE_POSITIVES,
+            "false positives: {rate}"
+        );
+        // Cells that repeat are one key: a partition-split block's one
+        // partition value is not a key per row.
+        let mut b = RosBlockBuilder::new(&schema);
+        for i in 0..1_000i64 {
+            let name = Value::String(format!("name-{}", i % 10));
+            let values = vec![Value::Int64(i), name, Value::Null];
+            b.push(meta(i as u64), Row::insert(values)).unwrap();
+        }
+        assert_eq!(b.build(true).unwrap().bloom().len(), 10 + 1);
+    }
+
+    // ---- Pinned bytes ---------------------------------------------------
 
     /// splitmix64: the pinned blocks' only source of randomness.
     struct Mix(u64);
@@ -1143,9 +1674,10 @@ mod tests {
     }
 
     /// `(len, crc32c)` of `to_bytes` for a fixed set of blocks, recorded
-    /// from the builder that took `&[Value]` zones (the commit before the
-    /// typed write path): every file the typed builder writes is the file
-    /// that one wrote.
+    /// when the layout became version 3: a change that moves a stored byte
+    /// owns up to it here. The encoded chunks are still those the builder
+    /// that took `&[Value]` zones wrote — the version 2 pins this replaced
+    /// were recorded from it and held until the layout changed.
     #[test]
     fn block_bytes_are_pinned() {
         let key = Key::derive_from_passphrase("pinned");
@@ -1183,22 +1715,22 @@ mod tests {
             })
             .collect();
         let want = [
-            ("leaves", 64_608, 0x845052b6),
-            ("leaves sorted", 64_780, 0x492806b1),
-            ("leaves nulls", 60_770, 0x0a8e3ea0),
-            ("leaves nulls sorted", 61_378, 0xab0a4568),
-            ("leaves one row", 567, 0x9cd97f66),
-            ("leaves one zone", 43_047, 0x1f33e7ad),
-            ("floats", 21_012, 0x76004322),
-            ("extremes", 17_970, 0xf8fc60db),
-            ("strings", 47_674, 0xc0c08937),
-            ("all null", 11_558, 0x96fdd94c),
-            ("all null one row", 122, 0x69e4c280),
-            ("any", 19_625, 0xd1c62e09),
-            ("any sorted", 15_929, 0x75f801c7),
-            ("ties", 2_114, 0xced5c25c),
-            ("shapes", 41_803, 0x6afa1426),
-            ("orders", 163_709, 0x1ffc6781),
+            ("leaves", 53_988, 0xacb8a828),
+            ("leaves sorted", 56_411, 0xf8c8025d),
+            ("leaves nulls", 49_814, 0xde4e8eb8),
+            ("leaves nulls sorted", 52_857, 0x99cbe194),
+            ("leaves one row", 641, 0x1b7dc53d),
+            ("leaves one zone", 36_853, 0xf672c3ea),
+            ("floats", 14_783, 0x42934ae3),
+            ("extremes", 13_679, 0x4ec65cc5),
+            ("strings", 40_959, 0x11c1a463),
+            ("all null", 6_436, 0x199b2fa1),
+            ("all null one row", 175, 0xc828ccc0),
+            ("any", 7_110, 0x79d0d626),
+            ("any sorted", 8_399, 0x65e9d355),
+            ("ties", 721, 0x54e4ba68),
+            ("shapes", 23_408, 0xa59be37c),
+            ("orders", 156_373, 0xc1575585),
         ];
         assert_eq!(got, want);
     }

@@ -274,23 +274,40 @@ fn leaf_candidates(col: &ColumnVec) -> [Sized; 3] {
     ]
 }
 
+/// Runs `pass` over the cells of `col` as keys: a typed leaf's own, and
+/// the `encode_key` bytes of cells that have no typed key.
+fn keyed<P: KeyedRows>(col: &ColumnVec, pass: impl Fn() -> P) -> P::Out {
+    let key_bytes = |i: usize| {
+        let mut key = Vec::new();
+        col.key_into(i, &mut key);
+        Some(key)
+    };
+    (col.with_keys(pass())).unwrap_or_else(|| pass().fold_keys(col.len(), key_bytes))
+}
+
+/// The row each distinct cell of `col` (NULL is one) first appears at.
+pub(crate) fn distinct_rows(col: &ColumnVec) -> Vec<usize> {
+    let all = || Numbering { limit: usize::MAX };
+    keyed(col, all).map_or_else(Vec::new, |d| d.firsts)
+}
+
 /// Every encoding of `col` the chooser sizes against Plain, in the order
 /// that breaks ties: run lengths for a column at most half runs, a
 /// dictionary for one at most half distinct cells (`all` lifts both bars,
 /// for a test that names its encoding), then the leaf encodings.
 fn sized_candidates(col: &ColumnVec, all: bool) -> impl Iterator<Item = Sized> {
     let n = col.len();
-    // Cells without a typed key go by their `encode_key` bytes.
-    let key_bytes = |i: usize| {
-        let mut key = Vec::new();
-        col.key_into(i, &mut key);
-        Some(key)
+    let runs = keyed(col, || RunStarts);
+    let limit = if all { MAX_DICT } else { MAX_DICT.min(n / 2) };
+    // A column of one run is a dictionary of one entry, which it takes no
+    // hashing of its cells to find out.
+    let dict = match runs.len() == 1 && limit >= 1 {
+        true => Some(Dictionary {
+            firsts: vec![0],
+            codes: vec![0; n],
+        }),
+        false => keyed(col, || Numbering { limit }),
     };
-    let runs = (col.with_keys(RunStarts)).unwrap_or_else(|| RunStarts.fold_keys(n, key_bytes));
-    let numbering = || Numbering {
-        limit: if all { MAX_DICT } else { MAX_DICT.min(n / 2) },
-    };
-    let dict = (col.with_keys(numbering())).unwrap_or_else(|| numbering().fold_keys(n, key_bytes));
     let runs_pay = all || runs.len() * 2 <= n;
     let nesting = [
         (Encoding::RleV2, runs_pay.then(|| encode_rle_v2(col, &runs))),
@@ -1059,19 +1076,21 @@ fn decode_plain(bytes: &[u8], pos: &mut usize, count: usize) -> VortexResult<Col
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use vortex_common::row::Value;
     use vortex_common::truetime::Timestamp;
 
     /// Passes every request through to the system allocator and adds it
-    /// to a per-thread tally of bytes and of requests, so the fuzz test
-    /// can bound what a decode of corrupt bytes reserves and the build
-    /// guard how often an encode goes to the heap.
+    /// to a per-thread tally of bytes, of requests and of the largest
+    /// single request, so the fuzz tests can bound what a decode of
+    /// corrupt bytes reserves and the build guard how often an encode
+    /// goes to the heap.
     struct Tally;
 
     thread_local! {
         static REQUESTED: std::cell::Cell<(usize, usize)> = const { std::cell::Cell::new((0, 0)) };
+        static LARGEST: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
     }
 
     // SAFETY: both methods forward their arguments unchanged to `System`,
@@ -1084,6 +1103,7 @@ mod tests {
                 let (bytes, requests) = r.get();
                 r.set((bytes.saturating_add(layout.size()), requests + 1))
             });
+            let _ = LARGEST.try_with(|l| l.set(l.get().max(layout.size())));
             // SAFETY: the caller's obligations for `alloc` are passed on as they are.
             unsafe { std::alloc::System.alloc(layout) }
         }
@@ -1101,6 +1121,14 @@ mod tests {
     fn requested_by<T>(f: impl FnOnce() -> T) -> (T, usize) {
         let (out, bytes, _) = tallied(f);
         (out, bytes)
+    }
+
+    /// The largest single allocator request this thread made while `f`
+    /// ran — what a length taken from corrupt bytes would show up as.
+    pub(crate) fn largest_request<T>(f: impl FnOnce() -> T) -> (T, usize) {
+        LARGEST.with(|l| l.set(0));
+        let out = f();
+        (out, LARGEST.with(|l| l.get()))
     }
 
     /// Bytes this thread requested from the allocator while `f` ran, and
@@ -1621,9 +1649,11 @@ mod tests {
     }
 
     /// Encoding goes to the heap per zone and per candidate, never per
-    /// cell: a target-size block of the benchmark's `orders` shape is
-    /// pushed and built in fewer requests than it has rows (the
-    /// `Value`-slice encoders made several per cell).
+    /// cell: a target-size block of the benchmark's `orders` shape — six
+    /// columns and the four of its rows' provenance, forty chunks — is
+    /// pushed and built in fewer than 64 requests a chunk (≈ 2 000 in all),
+    /// which is fewer than it has rows (the `Value`-slice encoders made
+    /// several per cell).
     #[test]
     fn building_a_block_allocates_less_often_than_it_has_rows() {
         use crate::block::{RosBlockBuilder, RowMeta};
@@ -1672,7 +1702,12 @@ mod tests {
             b.build(true).unwrap()
         });
         assert_eq!(block.row_count(), ROWS);
-        assert!(requests < ROWS, "{requests} heap requests for {ROWS} rows");
+        let chunks = (6 + 4) * ROWS.div_ceil(crate::ZONE_ROWS);
+        assert!(64 * chunks < ROWS);
+        assert!(
+            requests < 64 * chunks,
+            "{requests} heap requests for {chunks} chunks"
+        );
     }
 
     // ---- FSST: the slice-keyed encoder this crate used to run, kept as

@@ -4,21 +4,21 @@
 //! optimized for data processing. Typically, this is a columnar format"
 //! (§5.1). BigQuery managed tables use Capacitor, BigLake tables use
 //! Parquet; this crate is the from-scratch stand-in for both: a columnar
-//! block with per-column adaptive encodings (plain / dictionary /
-//! run-length), per-column min/max properties, a bloom filter over the
-//! partitioning and clustering keys, whole-block compression and
-//! encryption, and an end-of-file CRC.
+//! block with per-column adaptive cascading encodings, per-zone min/max
+//! properties, a bloom filter over the partitioning and clustering keys,
+//! and an index at the end of the file through which a reader fetches,
+//! verifies and decrypts only the chunks it decodes ([`block`]).
 //!
 //! Each row carries its provenance ([`RowMeta`]): the source stream, the
 //! streamlet row offset, the server-assigned TrueTime timestamp, and the
-//! `_CHANGE_TYPE`. Provenance gives the Storage Optimizer its
-//! exactly-once conversion audit trail (§6.3) and gives merge-on-read
-//! UPSERT/DELETE resolution a total order (§4.2.6).
+//! `_CHANGE_TYPE`, stored as four more columns. Provenance gives the
+//! Storage Optimizer its exactly-once conversion audit trail (§6.3) and
+//! gives merge-on-read UPSERT/DELETE resolution a total order (§4.2.6).
 //!
 //! Column data decodes lazily, one zone of one column at a time, into a
 //! typed [`ColumnVec`]: scanning one column of a wide table only pays for
-//! that column — the property the WOS→ROS conversion exists to buy
-//! (bench C5) — and no `Value` is built for a cell the query drops.
+//! that column — the property the WOS→ROS conversion exists to buy — and
+//! no `Value` is built for a cell the query drops.
 
 #![warn(missing_docs)]
 
@@ -26,6 +26,8 @@ pub mod block;
 pub mod column;
 pub mod encoding;
 
-pub use block::{clustering_order, RosBlock, RosBlockBuilder, RowMeta, RowRef, ZONE_ROWS};
+pub use block::{
+    clustering_order, Chunk, ReadAt, RosBlock, RosBlockBuilder, RowMeta, RowRef, ZONE_ROWS,
+};
 pub use column::{ColumnBuilder, ColumnVec, IntKind, KeyedRows, Nulls, Prim, StrKind, Strs};
 pub use encoding::Encoding;

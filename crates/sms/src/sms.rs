@@ -959,13 +959,9 @@ impl SmsApi for SmsTask {
                 }
             }
             for r in &found {
-                // Drawn whether or not the record exists, as it always
-                // was: id assignment, and so every byte stored after this
-                // point, does not depend on which path finalized first.
-                let fresh = self.ids.next_fragment();
-                let mut f = known
-                    .remove(&r.ordinal)
-                    .unwrap_or_else(|| FragmentMeta::new_wos(fresh, &m, r.ordinal, r.first_row));
+                let mut f = known.remove(&r.ordinal).unwrap_or_else(|| {
+                    FragmentMeta::new_wos(self.ids.next_fragment(), &m, r.ordinal, r.first_row)
+                });
                 if f.state == FragmentState::Deleted {
                     continue; // converted already; reconciliation cannot resurrect
                 }

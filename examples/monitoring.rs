@@ -171,9 +171,10 @@ fn main() -> vortex::VortexResult<()> {
     }
 
     // The unified observability snapshot (/varz): registry counters and
-    // histograms, per-method RPC percentiles, cache hit rates, crash
-    // point fires, and the §8 commit-to-visible freshness histogram fed
-    // by the dashboard's own scans.
+    // histograms, per-method RPC percentiles, cache hit rates, what the
+    // scans fetched and what each cluster served, crash point fires, and
+    // the §8 commit-to-visible freshness histogram fed by the dashboard's
+    // own scans.
     let snap = region.metrics_snapshot();
     println!();
     println!("{}", snap.to_table());
@@ -186,6 +187,8 @@ fn main() -> vortex::VortexResult<()> {
     for needle in [
         "freshness.commit_to_visible_us",
         "scan.cache.",
+        "scan.bytes_fetched",
+        "colossus.cls-0.bytes_read",
         "append.client.calls",
         "rpc",
         "crash_point_fires",

@@ -572,3 +572,99 @@ fn tail_read_fails_over_on_a_read_fault() {
         );
     }
 }
+
+/// A table whose rows are all in one ROS block, and the catalogued file.
+fn one_ros_block(region: &Region, name: &str) -> (vortex::ids::TableId, vortex::FragmentMeta) {
+    let client = region.client();
+    let t = client.create_table(name, schema()).unwrap().table;
+    let mut w = client.create_unbuffered_writer(t).unwrap();
+    w.append(rows(0, 1_500)).unwrap();
+    region.sms().finalize_stream(t, w.stream_id()).unwrap();
+    region.optimizer().convert_wos(t).unwrap();
+    let mut live = region.sms().list_fragments(t, client.snapshot());
+    live.retain(|f| f.deleted_at == vortex::Timestamp::MAX);
+    assert_eq!(live.len(), 1);
+    assert_eq!(live[0].kind, vortex::FragmentKind::Ros);
+    (t, live.remove(0))
+}
+
+/// `COUNT(*) WHERE k >= 100`: the index of the block, then `k`.
+fn count_from_100(region: &Region, t: vortex::ids::TableId) -> vortex::VortexResult<u64> {
+    let opts = ScanOptions {
+        predicate: Expr::ge("k", Value::Int64(100)),
+        ..ScanOptions::default()
+    };
+    region.engine().count(t, region.client().snapshot(), &opts)
+}
+
+/// Each ranged read of a ROS block fails over by itself: whichever of the
+/// trailer, the index and the chunk fetch the primary fails, the other
+/// replica serves that read and the count is exact.
+#[test]
+fn ros_ranged_reads_fail_over_one_by_one() {
+    let region = Region::create(RegionConfig::default()).unwrap();
+    let (t, file) = one_ros_block(&region, "ranged");
+    let primary = region.fleet().get(file.clusters[0]).unwrap();
+    let secondary = region.fleet().get(file.clusters[1]).unwrap();
+    assert_eq!(count_from_100(&region, t).unwrap(), 1_400); // and the probe has seen the rows
+    for failing in 1..=3 {
+        let served = secondary.read_counts().0;
+        primary.faults().fail_next_reads(failing);
+        assert_eq!(
+            count_from_100(&region, t).unwrap(),
+            1_400,
+            "{failing} reads fail"
+        );
+        assert!(!primary.faults().take_read_failure(), "a fault was not hit");
+        // Three reads make the query; the secondary served those that failed.
+        assert_eq!(secondary.read_counts().0 - served, failing as u64);
+    }
+    // With the secondary gone too, the query fails; it does not miscount.
+    secondary.faults().set_unavailable(true);
+    primary.faults().fail_next_reads(3);
+    assert!(count_from_100(&region, t).is_err());
+}
+
+/// A chunk damaged in one copy is a failed read of that copy — its CRC
+/// is checked before the read counts as done — and damaged in both it is
+/// `CorruptData`, never a wrong count.
+#[test]
+fn a_corrupt_ros_chunk_fails_over_then_fails() {
+    let region = Region::create(RegionConfig::default()).unwrap();
+    let (t, file) = one_ros_block(&region, "damaged");
+    // The file's first byte is in the first zone of its first column, `k`.
+    let damage = |which: usize| {
+        let cluster = region.fleet().get(file.clusters[which]).unwrap();
+        let mut bytes = cluster.read_all(&file.path).unwrap().data;
+        bytes[0] ^= 0x40;
+        cluster.delete(&file.path).unwrap();
+        cluster
+            .append(&file.path, &bytes, vortex::Timestamp::MIN)
+            .unwrap();
+    };
+    damage(0);
+    assert_eq!(count_from_100(&region, t).unwrap(), 1_400);
+    // A query that does not need the chunk does not meet the damage.
+    let engine = region.engine();
+    let at = region.client().snapshot();
+    let on_v = ScanOptions {
+        predicate: Expr::eq("v", Value::String("v7".into())),
+        ..ScanOptions::default()
+    };
+    let secondary = region.fleet().get(file.clusters[1]).unwrap();
+    let served = secondary.read_counts().0;
+    assert_eq!(engine.count(t, at, &on_v).unwrap(), 1);
+    assert_eq!(
+        secondary.read_counts().0,
+        served,
+        "the primary alone served it"
+    );
+    // Whole-file readers check every chunk of the copy they take.
+    assert_eq!(region.client().read_rows(t).unwrap().rows.len(), 1_500);
+    damage(1);
+    let err = count_from_100(&region, t).unwrap_err();
+    assert!(matches!(err, vortex::VortexError::CorruptData(_)), "{err}");
+    assert_eq!(engine.count(t, at, &on_v).unwrap(), 1);
+    let err = region.client().read_rows(t).unwrap_err();
+    assert!(matches!(err, vortex::VortexError::CorruptData(_)), "{err}");
+}

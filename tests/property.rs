@@ -8,7 +8,7 @@ use vortex::schema::{Field, FieldType, Schema};
 use vortex::DeletionMask;
 use vortex_common::codec::{decode_rowset, encode_rowset};
 use vortex_common::compress::{compress, decompress};
-use vortex_common::crypt::{decrypt, encrypt, Key, Nonce};
+use vortex_common::crypt::{apply_keystream_at, decrypt, encrypt, Key, Nonce};
 use vortex_common::stats::ColumnStats;
 
 // ---------------------------------------------------------------------
@@ -83,6 +83,29 @@ proptest! {
         let nonce = Nonce::for_block(frag, block);
         let ct = encrypt(&key, &nonce, &data);
         prop_assert_eq!(decrypt(&key, &nonce, &ct), data);
+    }
+
+    // The keystream seeks: a message enciphered piece by piece, each
+    // piece at its own offset and in any order, is the message
+    // enciphered whole — what lets a ROS chunk decrypt without the file
+    // before it.
+    #[test]
+    fn chacha_pieces_at_their_offsets_equal_the_whole(
+        data in proptest::collection::vec(any::<u8>(), 0..1024),
+        cuts in proptest::collection::vec(0usize..1024, 0..8),
+        frag in any::<u64>(),
+    ) {
+        let key = Key::derive_from_passphrase("pieces");
+        let nonce = Nonce::for_block(frag, u32::MAX);
+        let whole = encrypt(&key, &nonce, &data);
+        let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (data.len() + 1)).collect();
+        cuts.extend([0, data.len()]);
+        cuts.sort_unstable();
+        let mut pieces = data.clone();
+        for w in cuts.windows(2).rev() {
+            apply_keystream_at(&key, &nonce, w[0] as u64, &mut pieces[w[0]..w[1]]);
+        }
+        prop_assert_eq!(pieces, whole);
     }
 
     // ------------------------------------------------------------------

@@ -1,0 +1,272 @@
+//! Read amplification of scans over ROS as numbers: what a query fetches
+//! (`scan.bytes_fetched`, `scan.reads`, the clusters' own `bytes_read`)
+//! against the size of the files it could not rule out by their catalogued
+//! column properties. One test in a binary of its own — the metrics
+//! registry is process-global, and any neighbour that scans would move
+//! the counters.
+
+use std::collections::BTreeMap;
+
+use vortex::row::{Row, RowSet, Value};
+use vortex::schema::{Field, FieldType, PartitionTransform, Schema};
+use vortex::{AggKind, Expr, FragmentKind, Region, RegionConfig, ScanOptions};
+use vortex_sms::readset::ReadSet;
+
+const DAYS: i64 = 4;
+const ROWS_PER_DAY: i64 = 6_000;
+const CUSTOMERS: u64 = 2_000;
+
+fn customer(r: u64) -> Value {
+    Value::String(format!("cust-{:05}", r % CUSTOMERS))
+}
+
+/// The benchmark's `orders` shape, seeded: `DAYS` partitions, customers
+/// uniform over each.
+fn orders(day: i64) -> RowSet {
+    let row = |i: i64| {
+        let r = ((day * ROWS_PER_DAY + i) as u64)
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .rotate_left(23);
+        Row::insert(vec![
+            Value::Int64(day),
+            customer(r),
+            Value::Int64((r >> 16) as i64 % 1_000_000),
+            Value::Float64(((r >> 24) % 100_000) as f64 / 100.0),
+            match r % 10 {
+                0 => Value::Null,
+                _ => Value::String(format!("order note {r:016x} for the ledger, line {i:04}")),
+            },
+            Value::Int64(day * ROWS_PER_DAY + i),
+        ])
+    };
+    RowSet::new((0..ROWS_PER_DAY).map(row).collect())
+}
+
+/// The counters a scan moves, summed over the clusters where they are
+/// per cluster.
+fn counters(region: &Region) -> BTreeMap<&'static str, u64> {
+    let all = region.metrics_snapshot().counters;
+    let sum = |suffix: &str| {
+        let per_cluster = all
+            .iter()
+            .filter(|(k, _)| k.starts_with("colossus.") && k.ends_with(suffix));
+        per_cluster.map(|(_, v)| v).sum()
+    };
+    let one = |name: &str| all.get(name).copied().unwrap_or(0);
+    BTreeMap::from([
+        ("bytes_fetched", one("scan.bytes_fetched")),
+        ("reads", one("scan.reads")),
+        ("row_metas", one("ros.row_metas_built")),
+        ("cluster_reads", sum(".reads")),
+        ("cluster_bytes", sum(".bytes_read")),
+    ])
+}
+
+/// What `query` added to each counter.
+fn moved<T>(region: &Region, query: impl FnOnce() -> T) -> (T, BTreeMap<&'static str, u64>) {
+    let before = counters(region);
+    let out = query();
+    let after = counters(region);
+    let delta = |(k, v): (&&'static str, &u64)| (*k, v - before[k]);
+    (out, after.iter().map(delta).collect())
+}
+
+/// Blocks and bytes of the read set's fragments that their catalogued
+/// column properties cannot rule out for `predicate`.
+fn surviving(rs: &ReadSet, predicate: &Expr) -> (u64, u64) {
+    let kept = rs.fragments.iter().filter(|spec| {
+        let by_name = |c: &str| {
+            let found = spec.meta.stats.iter().find(|(n, _)| n == c);
+            found.map(|(_, s)| s.clone())
+        };
+        predicate.may_match_stats(&by_name)
+    });
+    kept.fold((0, 0), |(n, bytes), spec| {
+        (n + 1, bytes + spec.meta.committed_size)
+    })
+}
+
+#[test]
+fn a_scan_pays_for_the_chunks_it_decodes() {
+    let region = Region::create(RegionConfig::default()).unwrap();
+    let client = region.client();
+    let schema = Schema::new(vec![
+        Field::required("day", FieldType::Int64),
+        Field::required("customer", FieldType::String),
+        Field::required("amount", FieldType::Int64),
+        Field::required("price", FieldType::Float64),
+        Field::nullable("note", FieldType::String),
+        Field::required("seq", FieldType::Int64),
+    ])
+    .with_partition("day", PartitionTransform::Identity)
+    .with_clustering(&["customer"]);
+    let t = client.create_table("orders", schema).unwrap().table;
+    // Two streams, each of every day: a conversion and a recluster leave
+    // every partition as blocks with disjoint customer ranges.
+    for half in 0..2 {
+        let mut w = client.create_unbuffered_writer(t).unwrap();
+        for day in 0..DAYS {
+            let rows = orders(day).rows;
+            let (a, b) = rows.split_at(rows.len() / 2);
+            w.append(RowSet::new([a, b][half].to_vec())).unwrap();
+        }
+        region.sms().finalize_stream(t, w.stream_id()).unwrap();
+    }
+    region.optimizer().convert_wos(t).unwrap();
+    assert!(region.optimizer().recluster(t).unwrap().merged);
+    let at = client.snapshot();
+    let rs = region.sms().list_read_fragments(t, at).unwrap();
+    let all_ros = (rs.fragments.iter()).all(|f| f.meta.kind == FragmentKind::Ros);
+    assert!(all_ros && rs.tails.is_empty());
+    let (blocks, table_bytes) = surviving(&rs, &Expr::True);
+    assert!(blocks >= 8, "{blocks} blocks");
+    let engine = region.engine();
+    let share = |part: u64, whole: u64| part as f64 / whole as f64;
+
+    // A full scan: the index in two reads and the body in one, every byte
+    // of every file once — and the freshness probe has now seen every
+    // row, so no later query owes it a timestamp.
+    let every = ScanOptions::default();
+    let (scan, d) = moved(&region, || engine.scan(t, at, &every).unwrap());
+    assert_eq!(scan.rows.len() as i64, DAYS * ROWS_PER_DAY);
+    assert_eq!(
+        (scan.stats.reads, scan.stats.bytes_fetched),
+        (d["reads"], d["bytes_fetched"])
+    );
+    assert_eq!((d["reads"], d["bytes_fetched"]), (3 * blocks, table_bytes));
+    // The scan's counts are the clusters': nothing else was read.
+    assert_eq!(
+        (d["cluster_reads"], d["cluster_bytes"]),
+        (d["reads"], d["bytes_fetched"])
+    );
+    assert_eq!(d["row_metas"] as i64, DAYS * ROWS_PER_DAY);
+
+    // A point count on the clustering key: the blocks whose customer
+    // range covers it, less those the bloom filter rules out; of the
+    // rest the index and the zones of `customer` the zone maps keep.
+    let who = customer(0x5EED);
+    let point = ScanOptions {
+        predicate: Expr::eq("customer", who.clone()),
+        ..ScanOptions::default()
+    };
+    let expected = scan.rows.iter().filter(|(_, r)| r.values[1] == who).count();
+    assert!(expected > 0);
+    let (counted, d) = moved(&region, || engine.count(t, at, &point).unwrap());
+    assert_eq!(counted as usize, expected);
+    let (covering, covering_bytes) = surviving(&rs, &point.predicate);
+    assert!(
+        covering < blocks,
+        "{covering} of {blocks} blocks cover the customer"
+    );
+    let fetched = share(d["bytes_fetched"], covering_bytes);
+    assert!(
+        fetched <= 0.15,
+        "a point count fetched {fetched:.3} of the files"
+    );
+    assert_eq!(d["row_metas"], 0, "a count builds no RowMeta");
+    assert_eq!(
+        (d["cluster_reads"], d["cluster_bytes"]),
+        (d["reads"], d["bytes_fetched"])
+    );
+    // Its reads: the index, then at most a run per zone of one column.
+    let s = engine.scan(
+        t,
+        at,
+        &ScanOptions {
+            projection: Some(vec![]),
+            ..point.clone()
+        },
+    );
+    let s = s.unwrap().stats;
+    assert_eq!(s.rows_matched as usize, expected);
+    let opened = covering - s.pruned_by_bloom as u64;
+    let zones_read = (s.zones_total - s.zones_pruned) as u64;
+    assert!(d["reads"] >= 2 * covering && d["reads"] <= 2 * covering + zones_read);
+    assert!(zones_read <= 2 * opened, "{s:?}");
+
+    // A customer inside the blocks' ranges who has no row: the bloom
+    // filters say so, and the indexes are all that is read.
+    let nobody = ScanOptions {
+        predicate: Expr::eq("customer", Value::String("cust-00500x".into())),
+        projection: Some(vec![]),
+        ..ScanOptions::default()
+    };
+    let (scan, d) = moved(&region, || engine.scan(t, at, &nobody).unwrap());
+    let (covering, _) = surviving(&rs, &nobody.predicate);
+    assert_eq!(covering * 2, blocks, "min/max cannot tell");
+    assert_eq!(
+        scan.stats.pruned_by_bloom as u64, covering,
+        "{:?}",
+        scan.stats
+    );
+    assert_eq!((scan.rows.len(), scan.stats.zones_total), (0, 0));
+    assert_eq!(d["reads"], 2 * covering);
+
+    // One column of one partition, as rows: that partition's blocks, and
+    // of them `day`, `amount` and the rows' provenance.
+    let narrow = ScanOptions {
+        predicate: Expr::eq("day", Value::Int64(2)),
+        projection: Some(vec!["amount".into()]),
+        ..ScanOptions::default()
+    };
+    let (scan, d) = moved(&region, || engine.scan(t, at, &narrow).unwrap());
+    assert_eq!(scan.rows.len() as i64, ROWS_PER_DAY);
+    let (of_day, of_day_bytes) = surviving(&rs, &narrow.predicate);
+    assert_eq!(of_day * DAYS as u64, blocks);
+    let fetched = share(d["bytes_fetched"], of_day_bytes);
+    assert!(
+        fetched <= 0.35,
+        "one column of a partition fetched {fetched:.3}"
+    );
+    // Two columns apart and four together: three runs after the index.
+    assert_eq!(d["reads"], (2 + 3) * of_day);
+
+    // An aggregate over three of six columns, every row of the table.
+    let three = ScanOptions {
+        projection: Some(vec!["day".into(), "amount".into(), "price".into()]),
+        ..ScanOptions::default()
+    };
+    let aggs = [
+        (AggKind::Count, None),
+        (AggKind::Sum, Some("amount")),
+        (AggKind::Avg, Some("price")),
+    ];
+    let (groups, d) = moved(&region, || {
+        engine.aggregate(t, at, &three, Some("day"), &aggs).unwrap()
+    });
+    assert_eq!(groups.len() as i64, DAYS);
+    assert!(groups
+        .iter()
+        .all(|(_, v)| v[0] == Value::Int64(ROWS_PER_DAY)));
+    let fetched = share(d["bytes_fetched"], table_bytes);
+    assert!(fetched <= 0.40, "three columns of six fetched {fetched:.3}");
+    assert_eq!(d["row_metas"], 0, "an aggregate builds no RowMeta");
+    // `day`, then `amount` and `price` side by side.
+    assert_eq!(d["reads"], (2 + 2) * blocks);
+
+    // A table read goes for whole files, one read each.
+    let (rows, d) = moved(&region, || client.read_rows_at(t, at).unwrap());
+    assert_eq!(rows.rows.len() as i64, DAYS * ROWS_PER_DAY);
+    assert_eq!(
+        (d["cluster_reads"], d["cluster_bytes"]),
+        (blocks, table_bytes)
+    );
+    assert_eq!((d["reads"], d["bytes_fetched"]), (0, 0), "not a scan");
+
+    // A later query that does owe the probe timestamps fetches those
+    // zones' and nothing else of provenance.
+    let mut w = client.create_unbuffered_writer(t).unwrap();
+    w.append(orders(1)).unwrap();
+    region.sms().finalize_stream(t, w.stream_id()).unwrap();
+    region.optimizer().convert_wos(t).unwrap();
+    let later = client.snapshot();
+    let (counted, d) = moved(&region, || engine.count(t, later, &every).unwrap());
+    assert_eq!(counted as i64, (DAYS + 1) * ROWS_PER_DAY);
+    assert_eq!(d["row_metas"], 0);
+    let fresh_blocks = (ROWS_PER_DAY as u64).div_ceil(4_096);
+    assert_eq!(d["reads"], 2 * (blocks + fresh_blocks) + fresh_blocks);
+    assert_eq!(
+        region.freshness().rows_observed() as i64,
+        (DAYS + 1) * ROWS_PER_DAY
+    );
+}
