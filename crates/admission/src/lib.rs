@@ -32,7 +32,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use vortex_common::error::{VortexError, VortexResult};
 use vortex_common::ids::TableId;
-use vortex_common::obs;
+use vortex_common::obs::{self, Counter, Gauge, Histogram};
 use vortex_common::rpc::{CallCtx, RpcInterceptor, WorkClass};
 use vortex_common::truetime::Timestamp;
 
@@ -121,12 +121,47 @@ impl AdmissionConfig {
 }
 
 /// Monotonic per-class counters, readable without the controller lock.
+/// Per controller, not per process: two regions must not share a count.
 #[derive(Debug, Default)]
 struct ClassCounters {
     admitted: [AtomicU64; 3],
     shed: [AtomicU64; 3],
     queued: [AtomicU64; 3],
     queued_us: [AtomicU64; 3],
+}
+
+/// The process-wide registry's view of the same events: handles interned
+/// at construction, per class where the name carries one, so an admit
+/// never formats a name or takes the registry lock.
+#[derive(Debug)]
+struct Handles {
+    admitted: [Arc<Counter>; 3],
+    shed: [Arc<Counter>; 3],
+    queued: [Arc<Counter>; 3],
+    queue_wait_us: [Arc<Histogram>; 3],
+    queue_depth_us: [Arc<Gauge>; 3],
+    in_flight: Arc<Gauge>,
+    limit: Arc<Gauge>,
+}
+
+impl Handles {
+    fn intern() -> Self {
+        /// `admission.<what>.<class><unit>`, in [`WorkClass::index`] order.
+        fn names(what: &str, unit: &str) -> [String; 3] {
+            // lint:allow(L010, cold construction — once per controller lifetime)
+            WorkClass::ALL.map(|c| format!("admission.{what}.{}{unit}", c.name()))
+        }
+        let m = obs::global();
+        Handles {
+            admitted: names("admitted", "").map(|n| m.counter(&n)),
+            shed: names("shed", "").map(|n| m.counter(&n)),
+            queued: names("queued", "").map(|n| m.counter(&n)),
+            queue_wait_us: names("queue_wait", ".us").map(|n| m.histogram(&n)),
+            queue_depth_us: names("queue_depth", ".us").map(|n| m.gauge(&n)),
+            in_flight: m.gauge("admission.in_flight"),
+            limit: m.gauge("admission.limit"),
+        }
+    }
 }
 
 /// Snapshot of one class's admission counters.
@@ -154,6 +189,27 @@ impl BucketPair {
             requests: TokenBucket::new(q.requests_per_sec, q.burst_requests),
         }
     }
+
+    /// The longer of the two axes' waits for one request of `bytes`, and
+    /// the axis that asks for it (requests on a tie).
+    fn required_wait_us(&mut self, now_us: u64, bytes: u64) -> (u64, &'static str) {
+        let requests = self.requests.required_wait_us(now_us, 1);
+        let bytes = self.bytes.required_wait_us(now_us, bytes);
+        if bytes > requests {
+            (bytes, "bytes/s")
+        } else {
+            (requests, "requests/s")
+        }
+    }
+
+    fn take(&mut self, now_us: u64, bytes: u64) {
+        self.requests.take(now_us, 1);
+        self.bytes.take(now_us, bytes);
+    }
+
+    fn debt_us(&self) -> u64 {
+        self.requests.debt_us().max(self.bytes.debt_us())
+    }
 }
 
 struct Inner {
@@ -162,13 +218,30 @@ struct Inner {
     limiter: AimdLimiter,
 }
 
-/// The policy engine: one per region, installed on every channel via
-/// `RpcChannel::set_interceptor`, shared so all hops drain the same
+/// Which bucket bound a wait: named only in the error of a shed.
+#[derive(Clone, Copy)]
+enum Binding {
+    Tenant(u64, &'static str),
+    Table(TableId, &'static str),
+}
+
+impl std::fmt::Display for Binding {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Binding::Tenant(tenant, axis) => write!(f, "tenant {tenant} {axis}"),
+            Binding::Table(table, axis) => write!(f, "table {table} {axis}"),
+        }
+    }
+}
+
+/// The policy engine: one per region, handed to every channel at
+/// construction (`RpcChannel::new`), shared so all hops drain the same
 /// quota pool.
 pub struct AdmissionController {
     cfg: AdmissionConfig,
     inner: Mutex<Inner>,
     counters: ClassCounters,
+    m: Handles,
 }
 
 impl std::fmt::Debug for AdmissionController {
@@ -192,6 +265,7 @@ impl AdmissionController {
                 limiter,
             }),
             counters: ClassCounters::default(),
+            m: Handles::intern(),
         })
     }
 
@@ -219,26 +293,22 @@ impl AdmissionController {
     fn record_admit(&self, class: WorkClass, queued_us: u64) {
         let i = class.index();
         self.counters.admitted[i].fetch_add(1, Ordering::Relaxed);
-        obs::global()
-            .counter(&format!("admission.admitted.{}", class.name()))
-            .inc();
+        self.m.admitted[i].inc();
         if queued_us > 0 {
             self.counters.queued[i].fetch_add(1, Ordering::Relaxed);
             self.counters.queued_us[i].fetch_add(queued_us, Ordering::Relaxed);
-            obs::global()
-                .counter(&format!("admission.queued.{}", class.name()))
-                .inc();
-            obs::global()
-                .histogram(&format!("admission.queue_wait.{}.us", class.name()))
-                .record(queued_us);
+            self.m.queued[i].inc();
+            self.m.queue_wait_us[i].record(queued_us);
         }
     }
 
-    fn record_shed(&self, class: WorkClass) {
+    fn shed(&self, class: WorkClass, scope: String, retry_after_us: u64) -> VortexError {
         self.counters.shed[class.index()].fetch_add(1, Ordering::Relaxed);
-        obs::global()
-            .counter(&format!("admission.shed.{}", class.name()))
-            .inc();
+        self.m.shed[class.index()].inc();
+        VortexError::ResourceExhausted {
+            scope,
+            retry_after_us,
+        }
     }
 }
 
@@ -252,12 +322,17 @@ impl RpcInterceptor for AdmissionController {
         now: Timestamp,
         budget_remaining_us: u64,
     ) -> VortexResult<u64> {
-        let mut inner = self.inner.lock();
+        let mut guard = self.inner.lock();
         if !self.cfg.enabled || self.cfg.exempt_methods.contains(&method) {
             // Still pair with release() so in-flight stays balanced.
-            inner.limiter.acquire_exempt();
+            guard.limiter.acquire_exempt();
             return Ok(0);
         }
+        let Inner {
+            tenants,
+            tables,
+            limiter,
+        } = &mut *guard;
         let now_us = now.micros();
         let class = ctx.class;
         // Deadline-aware bounded queue: the class bound, clipped to what
@@ -266,80 +341,47 @@ impl RpcInterceptor for AdmissionController {
 
         // Peek every bucket first, commit only if all admit: a shed must
         // not partially drain quotas.
-        let tenant_quota = self.cfg.tenant_quota;
-        let table_quota = self.cfg.table_quota;
-        let tb = inner
-            .tenants
+        let tenant = tenants
             .entry(ctx.tenant)
-            .or_insert_with(|| BucketPair::new(tenant_quota));
-        let mut wait = tb.requests.required_wait_us(now_us, 1);
-        let mut scope = format!("tenant {} requests/s", ctx.tenant);
-        let w = tb.bytes.required_wait_us(now_us, payload_bytes);
-        if w > wait {
-            wait = w;
-            scope = format!("tenant {} bytes/s", ctx.tenant);
-        }
-        if let Some(table) = ctx.table {
-            let tab = inner
-                .tables
-                .entry(table)
-                .or_insert_with(|| BucketPair::new(table_quota));
-            let w = tab.requests.required_wait_us(now_us, 1);
+            .or_insert_with(|| BucketPair::new(self.cfg.tenant_quota));
+        let mut table = ctx.table.map(|id| {
+            let buckets = tables
+                .entry(id)
+                .or_insert_with(|| BucketPair::new(self.cfg.table_quota));
+            (id, buckets)
+        });
+        let (mut wait, axis) = tenant.required_wait_us(now_us, payload_bytes);
+        let mut binding = Binding::Tenant(ctx.tenant, axis);
+        if let Some((id, buckets)) = &mut table {
+            let (w, axis) = buckets.required_wait_us(now_us, payload_bytes);
             if w > wait {
-                wait = w;
-                scope = format!("table {table} requests/s");
-            }
-            let w = tab.bytes.required_wait_us(now_us, payload_bytes);
-            if w > wait {
-                wait = w;
-                scope = format!("table {table} bytes/s");
+                (wait, binding) = (w, Binding::Table(*id, axis));
             }
         }
         if wait > max_wait {
-            drop(inner);
-            self.record_shed(class);
-            return Err(VortexError::ResourceExhausted {
-                scope,
-                retry_after_us: wait.max(1),
-            });
+            drop(guard);
+            // lint:allow(L010, names the bucket in the error a shed returns; an admitted attempt builds no string)
+            return Err(self.shed(class, binding.to_string(), wait.max(1)));
         }
         // Adaptive concurrency: shed before committing quota tokens.
-        if let Err(retry_after_us) = inner.limiter.try_acquire(class) {
-            drop(inner);
-            self.record_shed(class);
-            return Err(VortexError::ResourceExhausted {
-                scope: "aimd limit".into(),
-                retry_after_us,
-            });
+        if let Err(retry_after_us) = limiter.try_acquire(class) {
+            drop(guard);
+            return Err(self.shed(class, "aimd limit".into(), retry_after_us));
         }
         // Commit: drain every bucket (possibly into bounded future debt —
         // that debt IS the admission queue).
-        if let Some(tb) = inner.tenants.get_mut(&ctx.tenant) {
-            tb.requests.take(now_us, 1);
-            tb.bytes.take(now_us, payload_bytes);
+        tenant.take(now_us, payload_bytes);
+        let mut depth_us = tenant.debt_us();
+        if let Some((_, buckets)) = &mut table {
+            buckets.take(now_us, payload_bytes);
+            depth_us = depth_us.max(buckets.debt_us());
         }
-        let mut depth_us = 0;
-        if let Some(tb) = inner.tenants.get(&ctx.tenant) {
-            depth_us = tb.requests.debt_us().max(tb.bytes.debt_us());
-        }
-        if let Some(table) = ctx.table {
-            if let Some(tab) = inner.tables.get_mut(&table) {
-                tab.requests.take(now_us, 1);
-                tab.bytes.take(now_us, payload_bytes);
-                depth_us = depth_us
-                    .max(tab.requests.debt_us())
-                    .max(tab.bytes.debt_us());
-            }
-        }
-        let in_flight = inner.limiter.in_flight();
-        let limit = inner.limiter.limit();
-        drop(inner);
+        let (in_flight, limit) = (limiter.in_flight(), limiter.limit());
+        drop(guard);
         self.record_admit(class, wait);
-        let g = obs::global();
-        g.gauge("admission.in_flight").set(in_flight as i64);
-        g.gauge("admission.limit").set(limit as i64);
-        g.gauge(&format!("admission.queue_depth.{}.us", class.name()))
-            .set(depth_us.min(i64::MAX as u64) as i64);
+        self.m.in_flight.set(in_flight as i64);
+        self.m.limit.set(limit as i64);
+        self.m.queue_depth_us[class.index()].set(depth_us.min(i64::MAX as u64) as i64);
         Ok(wait)
     }
 
@@ -348,9 +390,7 @@ impl RpcInterceptor for AdmissionController {
         inner.limiter.release();
         let in_flight = inner.limiter.in_flight();
         drop(inner);
-        obs::global()
-            .gauge("admission.in_flight")
-            .set(in_flight as i64);
+        self.m.in_flight.set(in_flight as i64);
     }
 
     fn complete(
@@ -361,10 +401,11 @@ impl RpcInterceptor for AdmissionController {
         latency_us: u64,
         ok: bool,
     ) {
-        if !self.cfg.enabled {
-            return;
+        // The lock is only worth taking for a limiter that listens: with
+        // no p99 target (the default) `observe` would drop the sample.
+        if self.cfg.enabled && self.cfg.aimd.adapts() {
+            self.inner.lock().limiter.observe(latency_us, ok);
         }
-        self.inner.lock().limiter.observe(latency_us, ok);
     }
 }
 

@@ -58,6 +58,13 @@ impl Default for AimdConfig {
     }
 }
 
+impl AimdConfig {
+    /// Whether the feedback loop is on: a p99 target was set.
+    pub fn adapts(&self) -> bool {
+        self.target_p99_us != u64::MAX
+    }
+}
+
 /// The AIMD concurrency limiter. Callers hold the controller's lock, so
 /// the limiter itself is plain mutable state.
 #[derive(Debug)]
@@ -115,7 +122,7 @@ impl AimdLimiter {
     /// Only successful calls count: under injected fault storms the error
     /// latencies say nothing about serving-path congestion.
     pub fn observe(&mut self, latency_us: u64, ok: bool) {
-        if !ok || self.cfg.target_p99_us == u64::MAX {
+        if !ok || !self.cfg.adapts() {
             return;
         }
         self.samples.push(latency_us);

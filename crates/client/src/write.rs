@@ -2,11 +2,12 @@
 //! schema-evolution-aware appends (§4.2, §5.4).
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use vortex_common::error::{VortexError, VortexResult};
 use vortex_common::ids::{StreamId, TableId};
-use vortex_common::obs;
-use vortex_common::row::{Row, RowSet, Value};
+use vortex_common::obs::{self, Counter, Histogram};
+use vortex_common::row::{RowSet, Value};
 use vortex_common::rpc::table_scope;
 use vortex_common::schema::Schema;
 use vortex_common::transport::AdaptiveTransport;
@@ -62,6 +63,42 @@ pub struct AppendResult {
     pub transport_cpu_us: u64,
 }
 
+/// Registry handles of the client's append leg, interned when the writer
+/// is created: an append never names a metric.
+struct ClientMetrics {
+    calls: Arc<Counter>,
+    rows: Arc<Counter>,
+    retries: Arc<Counter>,
+    dedup: Arc<Counter>,
+    throttled: Arc<Counter>,
+    span: Arc<Histogram>,
+}
+
+impl ClientMetrics {
+    fn intern() -> Self {
+        let m = obs::global();
+        ClientMetrics {
+            calls: m.counter("append.client.calls"),
+            rows: m.counter("append.client.rows"),
+            retries: m.counter("append.client.retries"),
+            dedup: m.counter("append.client.dedup"),
+            throttled: m.counter("append.client.throttled"),
+            span: m.span("append.client"),
+        }
+    }
+}
+
+/// Holds the transport slot `on_request` took for one append and gives
+/// it back when dropped — on every exit of the retry loop, `?` and panic
+/// included.
+struct InFlight<'a>(&'a mut StreamWriter);
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        self.0.transport.on_response();
+    }
+}
+
 /// A writer bound to one Vortex stream.
 pub struct StreamWriter {
     sms: SmsHandle,
@@ -81,6 +118,7 @@ pub struct StreamWriter {
     transport: AdaptiveTransport,
     last_completion: Timestamp,
     max_rotate_retries: usize,
+    m: ClientMetrics,
 }
 
 impl StreamWriter {
@@ -116,6 +154,7 @@ impl StreamWriter {
             transport: AdaptiveTransport::with_defaults(),
             last_completion: Timestamp::MIN,
             max_rotate_retries: 4,
+            m: ClientMetrics::intern(),
         })
     }
 
@@ -160,15 +199,6 @@ impl StreamWriter {
         self.schema.version
     }
 
-    /// Pads a row with NULLs up to the writer's current schema arity —
-    /// the additive-evolution upgrade path (§5.4.1).
-    fn pad_row(&self, mut row: Row) -> Row {
-        while row.values.len() < self.schema.fields.len() {
-            row.values.push(Value::Null);
-        }
-        row
-    }
-
     /// Appends a batch of rows, retrying transparently per §5.4:
     /// schema-version mismatches refetch the schema; retryable failures
     /// obtain a new streamlet from the SMS and retry there.
@@ -180,11 +210,17 @@ impl StreamWriter {
     /// [`StreamWriter::append`] with an explicit virtual send time (used
     /// by latency benchmarks driving virtual clocks).
     // lint:hotpath(append) — client submit leg of the §4.2.2 commit-to-ack path
-    pub fn append_at(&mut self, rows: RowSet, now: Timestamp) -> VortexResult<AppendResult> {
+    pub fn append_at(&mut self, mut rows: RowSet, now: Timestamp) -> VortexResult<AppendResult> {
         if rows.is_empty() {
             return Err(VortexError::InvalidArgument("empty append".into()));
         }
-        let padded = RowSet::new(rows.rows.into_iter().map(|r| self.pad_row(r)).collect());
+        // The additive-evolution upgrade path (§5.4.1): a row built
+        // before the table grew columns is padded with NULLs, in place,
+        // up to the writer's schema; any other row is sent as it came.
+        let arity = self.schema.fields.len();
+        for short in rows.rows.iter_mut().filter(|r| r.values.len() < arity) {
+            short.values.resize(arity, Value::Null);
+        }
         // Serial mode waits for the previous append; pipelined mode (on a
         // bi-di connection) sends immediately and queues at the log file.
         let start = if self.opts.pipelined && self.transport.supports_pipelining() {
@@ -200,6 +236,19 @@ impl StreamWriter {
         // connector worker).
         let _table = table_scope(self.table);
         let cpu = self.transport.on_request(now);
+        let slot = InFlight(self);
+        slot.0.submit(&rows, now, start, cpu)
+    }
+
+    /// The retry loop of one append, from first send to its outcome.
+    fn submit(
+        &mut self,
+        rows: &RowSet,
+        now: Timestamp,
+        start: Timestamp,
+        transport_cpu_us: u64,
+    ) -> VortexResult<AppendResult> {
+        let row_count = rows.len() as u64;
         let mut schema_refetches = 0usize;
         let mut rotations = 0usize;
         let mut throttle_retries = 0usize;
@@ -210,77 +259,57 @@ impl StreamWriter {
                 // a later OffsetMismatch must be checkable against what
                 // was actually submitted at this offset.
                 // lint:allow(L010, bounded dedup ledger — evicted below the committed watermark)
-                self.submitted.insert(self.next_offset, padded.len() as u64);
+                self.submitted.insert(self.next_offset, row_count);
             }
             let outcome = self.handle.server.append(
                 self.handle.streamlet.streamlet,
-                &padded,
+                rows,
                 self.schema.version,
                 expected,
                 start,
             );
             match outcome {
                 Ok(ack) => {
-                    self.transport.on_response();
                     self.next_offset = ack.first_stream_row + ack.row_count;
                     self.evict_acked();
                     self.last_completion = self.last_completion.max(ack.completion);
                     // Client leg of the append span: send → durable ack,
                     // in virtual time (§4.2.2 ack path).
-                    let m = obs::global();
-                    m.counter("append.client.calls").inc();
-                    m.counter("append.client.rows").add(ack.row_count);
-                    m.counter("append.client.retries")
-                        .add((rotations + schema_refetches) as u64);
-                    obs::Span::begin("append.client", now).end(ack.completion);
+                    self.m.calls.inc();
+                    self.m.rows.add(ack.row_count);
+                    self.m.retries.add((rotations + schema_refetches) as u64);
+                    obs::Span::begin(&self.m.span, now).end(ack.completion);
                     return Ok(AppendResult {
                         row_offset: ack.first_stream_row,
                         row_count: ack.row_count,
                         completion: ack.completion,
                         latency_us: ack.completion.micros().saturating_sub(now.micros()),
-                        transport_cpu_us: cpu,
+                        transport_cpu_us,
                     });
                 }
                 Err(VortexError::OffsetMismatch {
                     provided, expected, ..
                 }) if self.opts.exactly_once
-                    && expected >= provided + padded.len() as u64
-                    && self.submitted.get(&provided).copied() == Some(padded.len() as u64) =>
+                    && expected >= provided + row_count
+                    && self.submitted.get(&provided).copied() == Some(row_count) =>
                 {
                     // An earlier attempt executed but its acknowledgement
                     // was lost (§4.2.2's ambiguous ack) and the retry came
                     // back to the same streamlet: the server's
                     // authoritative length shows exactly this batch
-                    // landed. Duplicate — report success at the original
-                    // offset.
-                    self.next_offset = expected;
-                    self.evict_acked();
-                    self.transport.on_response();
-                    let m = obs::global();
-                    m.counter("append.client.calls").inc();
-                    m.counter("append.client.dedup").inc();
-                    return Ok(AppendResult {
-                        row_offset: provided,
-                        row_count: padded.len() as u64,
-                        completion: self.last_completion.max(now),
-                        latency_us: 0,
-                        transport_cpu_us: cpu,
-                    });
+                    // landed.
+                    return Ok(self.duplicate(
+                        provided..expected,
+                        row_count,
+                        now,
+                        transport_cpu_us,
+                    ));
                 }
                 Err(VortexError::SchemaVersionMismatch { .. }) if schema_refetches < 2 => {
                     // §5.4.1: fetch the updated schema from the SMS, then
                     // retry the append under the new version.
                     schema_refetches += 1;
-                    match self.sms.get_table(self.table) {
-                        Ok(meta) => self.schema = meta.schema,
-                        Err(re) => {
-                            // Flow-control discipline: this early return
-                            // used to `?` straight out and leak the
-                            // in-flight slot taken by on_request above.
-                            self.transport.on_response();
-                            return Err(re);
-                        }
-                    }
+                    self.schema = self.sms.get_table(self.table)?.schema;
                 }
                 Err(VortexError::ResourceExhausted { .. }) if throttle_retries < 3 => {
                     // Admission shed the append before anything executed:
@@ -290,7 +319,7 @@ impl StreamWriter {
                     // in place; the channel honors the server's
                     // retry_after hint between attempts.
                     throttle_retries += 1;
-                    obs::global().counter("append.client.throttled").inc();
+                    self.m.throttled.inc();
                 }
                 Err(e) if e.is_retryable() && rotations < self.max_rotate_retries => {
                     // §5.4: finalize the current streamlet, obtain a new
@@ -305,10 +334,7 @@ impl StreamWriter {
                     {
                         Ok(h) => self.handle = h,
                         Err(re) if re.is_retryable() => continue,
-                        Err(re) => {
-                            self.transport.on_response();
-                            return Err(re);
-                        }
+                        Err(re) => return Err(re),
                     }
                     // The reconciled stream length is authoritative; it
                     // may differ from our optimistic counter if unacked
@@ -316,32 +342,38 @@ impl StreamWriter {
                     // detects that via the offset check below.
                     let reconciled = self.handle.streamlet.first_stream_row;
                     if self.opts.exactly_once && reconciled > self.next_offset {
-                        // Our "failed" rows actually committed; treat the
-                        // retry as a duplicate and report success at the
-                        // original offset.
-                        let row_offset = self.next_offset;
-                        self.next_offset = reconciled;
-                        self.evict_acked();
-                        self.transport.on_response();
-                        let m = obs::global();
-                        m.counter("append.client.calls").inc();
-                        m.counter("append.client.dedup").inc();
-                        return Ok(AppendResult {
-                            row_offset,
-                            row_count: padded.len() as u64,
-                            completion: self.last_completion.max(now),
-                            latency_us: 0,
-                            transport_cpu_us: cpu,
-                        });
+                        // Our "failed" rows actually committed.
+                        let landed = self.next_offset..reconciled;
+                        return Ok(self.duplicate(landed, row_count, now, transport_cpu_us));
                     }
                     self.next_offset = self.next_offset.max(reconciled);
                     self.evict_acked();
                 }
-                Err(e) => {
-                    self.transport.on_response();
-                    return Err(e);
-                }
+                Err(e) => return Err(e),
             }
+        }
+    }
+
+    /// The batch being retried turned out to have landed already, at
+    /// `landed.start`, in a stream now committed through `landed.end`: a
+    /// duplicate, reported as a success at its original offset.
+    fn duplicate(
+        &mut self,
+        landed: std::ops::Range<u64>,
+        row_count: u64,
+        now: Timestamp,
+        transport_cpu_us: u64,
+    ) -> AppendResult {
+        self.next_offset = landed.end;
+        self.evict_acked();
+        self.m.calls.inc();
+        self.m.dedup.inc();
+        AppendResult {
+            row_offset: landed.start,
+            row_count,
+            completion: self.last_completion.max(now),
+            latency_us: 0,
+            transport_cpu_us,
         }
     }
 

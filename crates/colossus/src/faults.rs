@@ -18,6 +18,8 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 
+use vortex_common::rng::{self, take_token};
+
 /// Shared, thread-safe fault state for one cluster.
 #[derive(Debug, Default)]
 pub struct FaultPlan {
@@ -109,35 +111,12 @@ impl FaultPlan {
     }
 }
 
-/// One deterministic xorshift* step over shared atomic state (the same
-/// generator `vortex_common::rpc` and `crashpoints` use).
+/// One draw from the torn-prefix generator. The state is forced odd
+/// before each step — what the pinned per-seed sequences were recorded
+/// with, and what lets an unseeded (all-zero) plan draw at all.
 fn next_roll(state: &AtomicU64) -> u64 {
-    let mut cur = state.load(Ordering::Relaxed);
-    loop {
-        let mut x = cur | 1; // keep the state non-zero
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        match state.compare_exchange_weak(cur, x, Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => return x.wrapping_mul(0x2545_F491_4F6C_DD1D),
-            Err(now) => cur = now,
-        }
-    }
-}
-
-fn take_token(counter: &AtomicU32) -> bool {
-    loop {
-        let cur = counter.load(Ordering::SeqCst);
-        if cur == 0 {
-            return false;
-        }
-        if counter
-            .compare_exchange(cur, cur - 1, Ordering::SeqCst, Ordering::SeqCst)
-            .is_ok()
-        {
-            return true;
-        }
-    }
+    state.fetch_or(1, Ordering::Relaxed);
+    rng::draw(state)
 }
 
 #[cfg(test)]
@@ -178,6 +157,30 @@ mod tests {
         g.torn_next_appends(2);
         assert_eq!(g.take_torn_append().unwrap(), a);
         assert_eq!(g.take_torn_append().unwrap(), b);
+    }
+
+    #[test]
+    fn seeded_rolls_are_pinned() {
+        // The low four digits of the first eight rolls, unseeded and seeded.
+        for (seed, want) in [
+            (None, [5165, 1517, 103, 2413, 4928, 556, 1169, 8343]),
+            (Some(1u64), [2410, 9322, 9336, 5590, 6511, 2625, 8598, 2288]),
+            (Some(7), [1703, 7604, 3501, 2462, 9062, 717, 5734, 7721]),
+            (
+                Some(3_366_259_850),
+                [5789, 5184, 9391, 6778, 2299, 5144, 546, 7907],
+            ),
+        ] {
+            let f = FaultPlan::default();
+            if let Some(s) = seed {
+                f.set_torn_seed(s);
+            }
+            f.torn_next_appends(8);
+            let rolls: Vec<u64> = (0..8)
+                .map(|_| f.take_torn_append().unwrap() % 10_000)
+                .collect();
+            assert_eq!(rolls, want, "seed {seed:?}");
+        }
     }
 
     #[test]

@@ -31,6 +31,7 @@ use std::sync::{Arc, OnceLock};
 use parking_lot::RwLock;
 
 use crate::error::{VortexError, VortexResult};
+use crate::rng;
 
 /// The catalogue of every crash point compiled into the engine, with the
 /// durable-write gap it models. Lint rule L007 checks that each
@@ -163,20 +164,12 @@ fn fire(name: &str, state: &ArmState) -> VortexError {
     VortexError::SimulatedCrash(name.to_string())
 }
 
-/// One deterministic xorshift* step over shared atomic state, yielding a
-/// value in `0..1000` (same generator the RPC fault plan uses).
+/// One draw in `0..1000` from a point's generator. The state is forced
+/// odd before each step — what the pinned per-seed sequences were
+/// recorded with, and what keeps an all-zero state from sticking.
 fn roll_permille(state: &AtomicU64) -> u64 {
-    let mut cur = state.load(Ordering::Relaxed);
-    loop {
-        let mut x = cur | 1; // keep the state non-zero
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        match state.compare_exchange_weak(cur, x, Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => return (x.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 33) % 1000,
-            Err(now) => cur = now,
-        }
-    }
+    state.fetch_or(1, Ordering::Relaxed);
+    rng::permille(rng::draw(state))
 }
 
 /// Scope guard for an armed crash point: dropping it disarms the point,
@@ -331,6 +324,20 @@ mod tests {
         assert!(!a.iter().all(|f| *f), "200‰ must not fire every hit");
         let c = run(43);
         assert_ne!(a, c, "different seeds should diverge");
+    }
+
+    #[test]
+    fn seeded_rolls_are_pinned() {
+        for (seed, want) in [
+            (1u64, [537, 711, 499, 844, 456, 799, 416, 107]),
+            (7, [774, 460, 893, 579, 433, 328, 147, 731]),
+            (3_366_259_850, [924, 283, 869, 604, 163, 814, 777, 934]),
+        ] {
+            let _g = arm_permille("test.pinned.point", 500, seed);
+            let state = plan().read().get("test.pinned.point").cloned().unwrap();
+            let rolls: Vec<u64> = (0..8).map(|_| roll_permille(&state.rng)).collect();
+            assert_eq!(rolls, want, "seed {seed}");
+        }
     }
 
     #[test]

@@ -80,7 +80,7 @@ pub enum VortexError {
     /// priority class is full, or the adaptive concurrency limiter is
     /// clamped (`vortex-admission`). Retryable — and unlike every other
     /// retryable error it carries an explicit server-side backoff hint,
-    /// which [`crate::rpc::RetryPolicy`]-driven retries honor instead of
+    /// which [`crate::rpc::RpcChannel`]'s retry rule honors instead of
     /// blind exponential backoff (the gRPC `RESOURCE_EXHAUSTED` +
     /// `RetryInfo` contract). `retry_after_us` must be nonzero (lint
     /// L009): a zero hint strands hint-directed retriers in a busy loop.

@@ -23,7 +23,9 @@
 //! - [`obs`]: the unified observability layer — metrics registry, spans
 //!   over virtual time, and the §8 commit-to-visible freshness probe.
 //! - [`transport`]: the unary/bi-di adaptive connection cost model
-//!   (§5.4.2) the channels and the thick client share.
+//!   (§5.4.2) each `StreamWriter` keeps for its own stream.
+//! - [`rng`]: the one seeded generator and token counter every fault
+//!   plan, jitter and pool-miss roll draws from.
 //!
 //! It also defines the data model shared by the whole engine: typed
 //! [`schema::Schema`]s with nested/repeated fields, [`row::Row`] values,
@@ -45,6 +47,7 @@ pub mod latency;
 pub mod mailbox;
 pub mod mask;
 pub mod obs;
+pub mod rng;
 pub mod row;
 pub mod rpc;
 pub mod schema;

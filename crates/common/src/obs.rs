@@ -10,13 +10,13 @@
 //!   threaded through the append path (client → RPC → Stream Server →
 //!   WAL → Colossus replica write → ack, §4.2.2) and the scan path
 //!   (list → prune → parallel fragment reads → reconciled tail, §7.2);
+//! - the handle idiom: a hot path never names a metric. A type with a
+//!   constructor interns its `Arc` handles there (`Shard::new`), a free
+//!   function keeps a [`Lazy`] in a `static`;
 //! - a [`FreshnessProbe`] that stamps each appended record's commit
 //!   timestamp and measures commit-to-visible latency at the query
 //!   engine (§8), watermarked so retries and ambiguous acks never
 //!   double-count a row;
-//! - a seeded [`Reservoir`] sampler (Algorithm R) so long soaks keep
-//!   percentiles representative of the *whole* stream instead of its
-//!   first N samples;
 //! - a [`MetricsSnapshot`] exporter (JSON + aligned text table) that
 //!   also folds in per-method RPC stats and crash-point fires, so RPC
 //!   histograms and chaos counters stop being islands.
@@ -32,7 +32,6 @@ use std::sync::{Arc, OnceLock};
 use parking_lot::Mutex;
 
 use crate::ids::TableId;
-use crate::latency::Percentiles;
 use crate::rpc::RpcMetrics;
 use crate::truetime::Timestamp;
 
@@ -237,80 +236,6 @@ impl std::fmt::Display for HistogramSnapshot {
 }
 
 // ---------------------------------------------------------------------------
-// Seeded reservoir sampling (Algorithm R)
-// ---------------------------------------------------------------------------
-
-/// A fixed-capacity uniform sample over an unbounded stream, seeded so
-/// the kept sample set is deterministic under `VORTEX_CHAOS_SEED`-style
-/// seeding. Replaces first-N retention wherever percentiles must track
-/// the *whole* stream (a first-N window reports startup-biased tails on
-/// long soaks).
-#[derive(Debug, Clone)]
-pub struct Reservoir {
-    cap: usize,
-    seen: u64,
-    rng: u64,
-    samples: Vec<u64>,
-}
-
-impl Reservoir {
-    /// A reservoir keeping at most `cap` samples.
-    pub fn new(cap: usize, seed: u64) -> Self {
-        // splitmix64 finalizer: xorshift* state must be non-zero, and
-        // seeds differing in any single bit must diverge immediately.
-        let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        Reservoir {
-            cap: cap.max(1),
-            seen: 0,
-            rng: z | 1,
-            samples: Vec::new(),
-        }
-    }
-
-    fn next_rand(&mut self) -> u64 {
-        let mut x = self.rng;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.rng = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    /// Offers one observation to the reservoir (Algorithm R: kept with
-    /// probability `cap / seen`).
-    pub fn record(&mut self, v: u64) {
-        self.seen += 1;
-        if self.samples.len() < self.cap {
-            self.samples.push(v);
-            return;
-        }
-        let j = self.next_rand() % self.seen;
-        if (j as usize) < self.cap {
-            self.samples[j as usize] = v;
-        }
-    }
-
-    /// Observations offered so far (≥ `samples().len()`).
-    pub fn seen(&self) -> u64 {
-        self.seen
-    }
-
-    /// The current uniform sample of the stream.
-    pub fn samples(&self) -> &[u64] {
-        &self.samples
-    }
-
-    /// Percentiles of the current sample.
-    pub fn percentiles(&self) -> Percentiles {
-        let mut s = self.samples.clone();
-        Percentiles::compute(&mut s)
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Registry
 // ---------------------------------------------------------------------------
 
@@ -332,41 +257,22 @@ impl Registry {
 
     /// The counter named `name`, created on first use.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut map = self.counters.lock();
-        match map.get(name) {
-            Some(c) => Arc::clone(c),
-            None => {
-                let c = Arc::new(Counter::default());
-                map.insert(name.to_string(), Arc::clone(&c));
-                c
-            }
-        }
+        intern(&self.counters, name)
     }
 
     /// The gauge named `name`, created on first use.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut map = self.gauges.lock();
-        match map.get(name) {
-            Some(g) => Arc::clone(g),
-            None => {
-                let g = Arc::new(Gauge::default());
-                map.insert(name.to_string(), Arc::clone(&g));
-                g
-            }
-        }
+        intern(&self.gauges, name)
     }
 
     /// The histogram named `name`, created on first use.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut map = self.histograms.lock();
-        match map.get(name) {
-            Some(h) => Arc::clone(h),
-            None => {
-                let h = Arc::new(Histogram::default());
-                map.insert(name.to_string(), Arc::clone(&h));
-                h
-            }
-        }
+        intern(&self.histograms, name)
+    }
+
+    /// The `span.<name>.us` histogram a [`Span`] over `name` records into.
+    pub fn span(&self, name: &str) -> Arc<Histogram> {
+        self.histogram(&format!("span.{name}.us"))
     }
 
     /// Snapshots every metric in the registry, plus the process-wide
@@ -397,6 +303,17 @@ impl Registry {
     }
 }
 
+/// The handle registered under `name`, a fresh zero the first time. This
+/// is the lookup — a lock, a string compare per tree level, an `Arc`
+/// clone — that holding a handle keeps off hot paths.
+fn intern<T: Default>(metrics: &Mutex<BTreeMap<String, Arc<T>>>, name: &str) -> Arc<T> {
+    let mut metrics = metrics.lock();
+    if let Some(known) = metrics.get(name) {
+        return Arc::clone(known);
+    }
+    Arc::clone(metrics.entry(name.to_string()).or_default())
+}
+
 /// The process-wide registry every component records into.
 pub fn global() -> &'static Registry {
     static GLOBAL: OnceLock<Registry> = OnceLock::new();
@@ -408,32 +325,64 @@ pub fn global() -> &'static Registry {
 // ---------------------------------------------------------------------------
 
 /// A lightweight structured span over **virtual** time: explicit begin /
-/// end timestamps (no wall clock), recorded into the global registry as
-/// histogram `span.<name>.us` on end. Durations of 0 are normal under
-/// zero-latency profiles and keep deterministic runs deterministic.
+/// end timestamps (no wall clock), recorded on end into the histogram
+/// [`Registry::span`] interned for its name. Durations of 0 are normal
+/// under zero-latency profiles and keep deterministic runs deterministic.
 #[derive(Debug)]
 #[must_use = "a span records nothing until `end` is called"]
-pub struct Span {
-    name: &'static str,
+pub struct Span<'a> {
+    hist: &'a Histogram,
     start: Timestamp,
 }
 
-impl Span {
+impl<'a> Span<'a> {
     /// Opens a span at `start` (virtual / TrueTime-derived).
-    pub fn begin(name: &'static str, start: Timestamp) -> Span {
-        Span { name, start }
+    pub fn begin(hist: &'a Histogram, start: Timestamp) -> Self {
+        Span { hist, start }
     }
 
-    /// Closes the span at `end`, recording its duration into `registry`.
-    pub fn end_into(self, registry: &Registry, end: Timestamp) {
-        registry
-            .histogram(&format!("span.{}.us", self.name))
+    /// Closes the span at `end`, recording its duration.
+    pub fn end(self, end: Timestamp) {
+        self.hist
             .record(end.micros().saturating_sub(self.start.micros()));
     }
+}
 
-    /// Closes the span at `end`, recording into the [`global`] registry.
-    pub fn end(self, end: Timestamp) {
-        self.end_into(global(), end);
+/// A metric of the [`global`] registry, interned the first time it is
+/// touched: the handle a free function keeps in a `static`, so that
+/// from then on recording is one load and the atomic itself.
+///
+/// ```
+/// use vortex_common::obs::{Counter, Lazy, Registry};
+/// static PARSED: Lazy<Counter> = Lazy::new("doc.blocks_parsed", Registry::counter);
+/// PARSED.inc();
+/// ```
+#[derive(Debug)]
+pub struct Lazy<T> {
+    name: &'static str,
+    intern: fn(&Registry, &str) -> Arc<T>,
+    handle: OnceLock<Arc<T>>,
+}
+
+impl<T> Lazy<T> {
+    /// A handle for `name`, interned on first use by `intern`
+    /// ([`Registry::counter`], [`Registry::gauge`], [`Registry::histogram`]
+    /// or [`Registry::span`]).
+    pub const fn new(name: &'static str, intern: fn(&Registry, &str) -> Arc<T>) -> Self {
+        Lazy {
+            name,
+            intern,
+            handle: OnceLock::new(),
+        }
+    }
+}
+
+impl<T> std::ops::Deref for Lazy<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        self.handle
+            .get_or_init(|| (self.intern)(global(), self.name))
     }
 }
 
@@ -576,8 +525,8 @@ pub struct RpcMethodSummary {
     pub injected_reply_lost: u64,
     /// Calls that exhausted their budget.
     pub deadline_exceeded: u64,
-    /// Latency percentiles over the method's reservoir sample.
-    pub latency: Percentiles,
+    /// Virtual latency of the method's completed calls.
+    pub latency: HistogramSnapshot,
 }
 
 /// One unified, exportable view over counters, gauges, histograms,
@@ -604,14 +553,14 @@ impl MetricsSnapshot {
             self.rpc.insert(
                 format!("{channel}.{method}"),
                 RpcMethodSummary {
-                    calls: stats.calls,
-                    attempts: stats.attempts,
-                    ok: stats.ok,
-                    err: stats.err,
-                    injected_unavailable: stats.injected_unavailable,
-                    injected_reply_lost: stats.injected_reply_lost,
-                    deadline_exceeded: stats.deadline_exceeded,
-                    latency: stats.percentiles(),
+                    calls: stats.calls.get(),
+                    attempts: stats.attempts.get(),
+                    ok: stats.ok.get(),
+                    err: stats.err.get(),
+                    injected_unavailable: stats.injected_unavailable.get(),
+                    injected_reply_lost: stats.injected_reply_lost.get(),
+                    deadline_exceeded: stats.deadline_exceeded.get(),
+                    latency: stats.latency.snapshot(),
                 },
             );
         }
@@ -820,39 +769,6 @@ mod tests {
     }
 
     #[test]
-    fn reservoir_is_uniform_not_prefix_biased() {
-        // 10k lows then 90k highs: a first-N window of 10k would report
-        // p50 = low; a uniform reservoir must report p50 = high.
-        let mut r = Reservoir::new(10_000, 7);
-        for _ in 0..10_000 {
-            r.record(1_000);
-        }
-        for _ in 0..90_000 {
-            r.record(100_000);
-        }
-        assert_eq!(r.seen(), 100_000);
-        assert_eq!(r.samples().len(), 10_000);
-        let p = r.percentiles();
-        assert_eq!(p.p50, 100_000, "p50 must track the overall stream");
-        let lows = r.samples().iter().filter(|&&v| v == 1_000).count();
-        // E[lows] = 10_000 * (10k/100k) = 1_000; allow generous slack.
-        assert!((500..2_000).contains(&lows), "lows={lows}");
-    }
-
-    #[test]
-    fn reservoir_is_deterministic_per_seed() {
-        let run = |seed: u64| {
-            let mut r = Reservoir::new(64, seed);
-            for v in 0..10_000u64 {
-                r.record(v);
-            }
-            r.samples().to_vec()
-        };
-        assert_eq!(run(42), run(42));
-        assert_ne!(run(42), run(43));
-    }
-
-    #[test]
     fn registry_interns_and_snapshots() {
         let reg = Registry::new();
         reg.counter("a").inc();
@@ -868,14 +784,13 @@ mod tests {
     #[test]
     fn span_records_virtual_duration() {
         let reg = Registry::new();
-        let s = Span::begin("test.stage", Timestamp(1_000));
-        s.end_into(&reg, Timestamp(3_500));
+        let stage = reg.span("test.stage");
+        Span::begin(&stage, Timestamp(1_000)).end(Timestamp(3_500));
         let h = reg.histogram("span.test.stage.us").snapshot();
         assert_eq!(h.count, 1);
         assert_eq!(h.max, 2_500);
         // Clock standing still → zero duration, not a panic.
-        let s = Span::begin("test.stage", Timestamp(9_000));
-        s.end_into(&reg, Timestamp(9_000));
+        Span::begin(&stage, Timestamp(9_000)).end(Timestamp(9_000));
         assert_eq!(reg.histogram("span.test.stage.us").snapshot().count, 2);
     }
 
@@ -968,6 +883,15 @@ mod tests {
         for line in table.lines() {
             assert!(!line.trim().is_empty());
         }
+    }
+
+    #[test]
+    fn a_lazy_handle_interns_into_the_global_registry_once() {
+        static TOUCHED: Lazy<Counter> = Lazy::new("obs.test.lazy", Registry::counter);
+        assert!(!global().snapshot().counters.contains_key("obs.test.lazy"));
+        TOUCHED.inc();
+        TOUCHED.add(2);
+        assert_eq!(global().counter("obs.test.lazy").get(), 3);
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //! would: per-call deadlines against a call budget, fault injection
 //! (unavailability, lost replies — the ambiguous-ack case where the server
 //! executed but the caller never heard), virtual latency drawn from the
-//! [`crate::latency`] models, a retry policy with exponential backoff +
-//! jitter honoring [`VortexError::is_retryable`], and per-method call
-//! counters / latency histograms drainable by tests and benches.
+//! [`crate::latency`] models, one retry rule (the server's hint, else
+//! exponential backoff + jitter) honoring [`VortexError::is_retryable`],
+//! and per-method call counters / latency histograms drainable by tests
+//! and benches.
 //!
 //! The one semantic rule the whole engine leans on: a fault injected
 //! **before** the callee ran is always safe to retry, for any method; a
@@ -29,9 +30,9 @@ use rand::SeedableRng;
 
 use crate::error::{VortexError, VortexResult};
 use crate::ids::TableId;
-use crate::latency::{LogNormal, Percentiles};
-use crate::obs::Reservoir;
-use crate::transport::AdaptiveTransport;
+use crate::latency::LogNormal;
+use crate::obs::{Counter, Histogram};
+use crate::rng;
 use crate::truetime::{SimClock, Timestamp};
 
 /// Priority class of the work a call performs — the admission-control
@@ -161,15 +162,16 @@ pub fn table_scope(table: TableId) -> CtxGuard {
 ///
 /// Contract: [`RpcInterceptor::admit`] runs before the callee executes.
 /// `Ok(queued_us)` admits the attempt after a virtual queueing delay
-/// (charged against the call budget); `Err` — canonically
+/// (charged against the call budget, and never longer than the
+/// `budget_remaining_us` it was told: an attempt that would have to wait
+/// past its deadline is shed instead); `Err` — canonically
 /// [`VortexError::ResourceExhausted`] with a nonzero `retry_after_us` —
 /// sheds it before any work happens, so shedding is always safe to retry
 /// regardless of [`CallKind`]. Every admitted attempt is paired with
 /// exactly one [`RpcInterceptor::release`] when the attempt concludes
-/// (success *or* failure — concurrency windows must not leak, see the
-/// transport `in_flight` discipline), and every call — admitted or shed —
-/// gets one [`RpcInterceptor::complete`] with the call's total virtual
-/// latency for the adaptive (AIMD) feedback loop.
+/// (success *or* failure — concurrency windows must not leak), and every
+/// call — admitted or shed — gets one [`RpcInterceptor::complete`] with
+/// the call's total virtual latency for the adaptive (AIMD) feedback loop.
 pub trait RpcInterceptor: Send + Sync {
     /// Decides one attempt. Returns the virtual queue wait in µs, or a
     /// (retryable, hint-carrying) error to shed the attempt.
@@ -218,6 +220,9 @@ pub enum CallKind {
 /// while traffic is in flight.
 #[derive(Debug)]
 pub struct RpcFaultPlan {
+    /// Set by every knob, reset by [`RpcFaultPlan::clear`]: a call on a
+    /// channel nobody armed reads this and nothing else of the plan.
+    armed: AtomicBool,
     /// Hard-down flag: every filtered call fails before execution.
     unavailable: AtomicBool,
     /// Probability (×1000) that a call attempt fails before execution.
@@ -231,7 +236,7 @@ pub struct RpcFaultPlan {
     lose_next: AtomicU32,
     /// When set, injection only applies to this method name.
     method_filter: Mutex<Option<String>>,
-    /// xorshift* state for the permille rolls (deterministic per seed).
+    /// [`rng`] state for the permille rolls (deterministic per seed).
     rng: AtomicU64,
 }
 
@@ -239,6 +244,7 @@ impl RpcFaultPlan {
     /// A quiescent plan (no injected faults) with a deterministic seed.
     pub fn new(seed: u64) -> Self {
         RpcFaultPlan {
+            armed: AtomicBool::new(false),
             unavailable: AtomicBool::new(false),
             unavailable_permille: AtomicU32::new(0),
             reply_lost_permille: AtomicU32::new(0),
@@ -249,36 +255,46 @@ impl RpcFaultPlan {
         }
     }
 
+    fn arm(&self) {
+        self.armed.store(true, Ordering::SeqCst);
+    }
+
     /// Marks the endpoint hard-down (or back up).
     pub fn set_unavailable(&self, down: bool) {
         self.unavailable.store(down, Ordering::SeqCst);
+        self.arm();
     }
 
     /// Sets the per-attempt pre-execution failure probability (×1000).
     pub fn set_unavailable_permille(&self, permille: u32) {
         self.unavailable_permille.store(permille, Ordering::SeqCst);
+        self.arm();
     }
 
     /// Sets the reply-loss probability (×1000) applied after successful
     /// execution — the ambiguous-ack axis.
     pub fn set_reply_lost_permille(&self, permille: u32) {
         self.reply_lost_permille.store(permille, Ordering::SeqCst);
+        self.arm();
     }
 
     /// The next `n` attempts fail before execution (token bucket; consumed
-    /// across threads with CAS, mirroring `fail_next_appends`).
+    /// across threads, mirroring `fail_next_appends`).
     pub fn fail_next_calls(&self, n: u32) {
         self.fail_next.fetch_add(n, Ordering::SeqCst);
+        self.arm();
     }
 
     /// The next `n` successful executions lose their reply.
     pub fn lose_next_replies(&self, n: u32) {
         self.lose_next.fetch_add(n, Ordering::SeqCst);
+        self.arm();
     }
 
     /// Restricts injection to one method name (`None` = all methods).
     pub fn set_method_filter(&self, method: Option<&str>) {
         *self.method_filter.lock() = method.map(|m| m.to_string());
+        self.arm();
     }
 
     /// Clears every injected fault.
@@ -289,52 +305,30 @@ impl RpcFaultPlan {
         self.fail_next.store(0, Ordering::SeqCst);
         self.lose_next.store(0, Ordering::SeqCst);
         *self.method_filter.lock() = None;
+        self.armed.store(false, Ordering::SeqCst);
     }
 
+    /// Whether any knob is set and the filter lets `method` through. With
+    /// nothing armed this is one relaxed load, as `crashpoints::check` is.
+    #[inline]
     fn applies_to(&self, method: &str) -> bool {
-        match &*self.method_filter.lock() {
-            Some(f) => f == method,
-            None => true,
-        }
+        self.armed.load(Ordering::Relaxed) && self.filter_admits(method)
+    }
+
+    #[inline(never)]
+    fn filter_admits(&self, method: &str) -> bool {
+        // lint:allow(L011, reached only once a test armed the plan; production traffic stops at the relaxed load in applies_to)
+        let filter = self.method_filter.lock();
+        filter.as_deref().map_or(true, |f| f == method)
     }
 
     fn roll_permille(&self) -> u32 {
-        let mut cur = self.rng.load(Ordering::Relaxed);
-        loop {
-            let mut x = cur;
-            x ^= x >> 12;
-            x ^= x << 25;
-            x ^= x >> 27;
-            match self
-                .rng
-                .compare_exchange_weak(cur, x, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => return ((x.wrapping_mul(0x2545F4914F6CDD1D) >> 33) % 1000) as u32,
-                Err(c) => cur = c,
-            }
-        }
-    }
-
-    fn take_token(counter: &AtomicU32) -> bool {
-        let mut cur = counter.load(Ordering::SeqCst);
-        while cur > 0 {
-            match counter.compare_exchange(cur, cur - 1, Ordering::SeqCst, Ordering::SeqCst) {
-                Ok(_) => return true,
-                Err(c) => cur = c,
-            }
-        }
-        false
+        rng::permille(rng::draw(&self.rng)) as u32
     }
 
     /// Whether this attempt should fail before the callee executes.
-    fn should_fail_call(&self, method: &str) -> bool {
-        if !self.applies_to(method) {
-            return false;
-        }
-        if self.unavailable.load(Ordering::SeqCst) {
-            return true;
-        }
-        if Self::take_token(&self.fail_next) {
+    fn should_fail_call(&self) -> bool {
+        if self.unavailable.load(Ordering::SeqCst) || rng::take_token(&self.fail_next) {
             return true;
         }
         let p = self.unavailable_permille.load(Ordering::SeqCst);
@@ -342,11 +336,8 @@ impl RpcFaultPlan {
     }
 
     /// Whether this successful execution's reply should be lost.
-    fn should_lose_reply(&self, method: &str) -> bool {
-        if !self.applies_to(method) {
-            return false;
-        }
-        if Self::take_token(&self.lose_next) {
+    fn should_lose_reply(&self) -> bool {
+        if rng::take_token(&self.lose_next) {
             return true;
         }
         let p = self.reply_lost_permille.load(Ordering::SeqCst);
@@ -354,265 +345,120 @@ impl RpcFaultPlan {
     }
 }
 
-/// Exponential backoff with jitter, applied between attempts of a
-/// retryable call. Backoff is charged against the call budget in virtual
-/// time — nothing here sleeps (the repo's sleep discipline).
-#[derive(Debug, Clone, Copy)]
-pub struct RetryPolicy {
-    /// Maximum attempts per call (first try included).
-    pub max_attempts: usize,
-    /// Backoff before the second attempt, microseconds.
-    pub base_backoff_us: u64,
-    /// Backoff ceiling, microseconds.
-    pub max_backoff_us: u64,
+/// Attempts per call, first try included.
+pub const MAX_ATTEMPTS: usize = 6;
+/// Backoff before the second attempt, virtual microseconds.
+const BASE_BACKOFF_US: u64 = 1_000;
+/// Backoff ceiling, virtual microseconds.
+const MAX_BACKOFF_US: u64 = 100_000;
+/// Per-call budget in virtual microseconds: injected attempt latency,
+/// admission queue waits and backoffs may not exceed it (the deadline).
+pub const CALL_BUDGET_US: u64 = 30_000_000;
+
+/// Backoff charged after failed attempt number `attempt` (1-based) when
+/// the failure carries no server hint: exponential, capped, with ±50%
+/// deterministic jitter from `roll`. Charged against the call budget in
+/// virtual time — nothing here sleeps (the repo's sleep discipline).
+fn backoff_us(attempt: usize, roll: u32) -> u64 {
+    let shift = attempt.min(16) as u32;
+    let exp = BASE_BACKOFF_US
+        .saturating_mul(1u64 << shift.saturating_sub(1))
+        .min(MAX_BACKOFF_US);
+    // Half fixed, half jittered: [exp/2, exp].
+    exp / 2 + (u64::from(roll) % (exp / 2 + 1))
 }
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 6,
-            base_backoff_us: 1_000,
-            max_backoff_us: 100_000,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Backoff charged after failed attempt number `attempt` (1-based):
-    /// exponential, capped, with ±50% deterministic jitter from `roll`.
-    pub fn backoff_us(&self, attempt: usize, roll: u32) -> u64 {
-        let shift = attempt.min(16) as u32;
-        let exp = self
-            .base_backoff_us
-            .saturating_mul(1u64 << shift.saturating_sub(1))
-            .min(self.max_backoff_us);
-        // Half fixed, half jittered: [exp/2, exp].
-        exp / 2 + (u64::from(roll) % (exp / 2 + 1))
-    }
-}
-
-/// Per-method counters and latency samples. Latencies are the *virtual*
-/// per-call totals (injected attempt latencies + backoffs), so percentile
-/// assertions are deterministic under a seeded profile.
-///
-/// `latency_us` is a seeded uniform *reservoir sample* of every completed
-/// call, not a first-N prefix: on a soak that records millions of calls,
-/// percentiles track the whole stream rather than its startup phase.
-#[derive(Debug, Clone, Default)]
+/// One method's record on one channel: resolved once per call, counted
+/// into as the call proceeds, and read as it is by tests, soaks and
+/// [`crate::obs::MetricsSnapshot::add_rpc`].
+#[derive(Debug, Default)]
 pub struct MethodStats {
     /// Calls issued (one per `call()` invocation).
-    pub calls: u64,
+    pub calls: Counter,
     /// Attempts across all calls (≥ `calls`; the excess is retries).
-    pub attempts: u64,
+    pub attempts: Counter,
     /// Calls that returned `Ok` to the caller.
-    pub ok: u64,
+    pub ok: Counter,
     /// Calls that returned `Err` to the caller.
-    pub err: u64,
+    pub err: Counter,
     /// Attempts failed by injected pre-execution unavailability.
-    pub injected_unavailable: u64,
+    pub injected_unavailable: Counter,
     /// Successful executions whose reply was injected-lost.
-    pub injected_reply_lost: u64,
+    pub injected_reply_lost: Counter,
     /// Calls that exhausted their budget.
-    pub deadline_exceeded: u64,
+    pub deadline_exceeded: Counter,
     /// Attempts shed by the admission interceptor (never executed).
-    pub admission_shed: u64,
+    pub admission_shed: Counter,
     /// Attempts admitted only after a virtual queueing delay.
-    pub admission_queued: u64,
-    /// Latencies offered to the reservoir over the channel's lifetime
-    /// (≥ `latency_us.len()`; the excess was sampled out).
-    pub latency_seen: u64,
-    /// Virtual latency per completed call, microseconds — a uniform
-    /// reservoir sample of at most [`MAX_LATENCY_SAMPLES`] values.
-    pub latency_us: Vec<u64>,
-}
-
-impl MethodStats {
-    /// Percentile summary of the recorded call latencies.
-    pub fn percentiles(&self) -> Percentiles {
-        let mut samples = self.latency_us.clone();
-        Percentiles::compute(&mut samples)
-    }
-}
-
-/// Latency samples kept per method (reservoir capacity): enough for
-/// stable p99s, bounded for long soaks.
-pub const MAX_LATENCY_SAMPLES: usize = 65_536;
-
-/// Internal per-method record: the counters plus the seeded reservoir
-/// the public [`MethodStats`] snapshot is materialized from.
-#[derive(Debug)]
-struct MethodRecord {
-    calls: u64,
-    attempts: u64,
-    ok: u64,
-    err: u64,
-    injected_unavailable: u64,
-    injected_reply_lost: u64,
-    deadline_exceeded: u64,
-    admission_shed: u64,
-    admission_queued: u64,
-    latency: Reservoir,
-}
-
-impl MethodRecord {
-    fn new(seed: u64) -> Self {
-        MethodRecord {
-            calls: 0,
-            attempts: 0,
-            ok: 0,
-            err: 0,
-            injected_unavailable: 0,
-            injected_reply_lost: 0,
-            deadline_exceeded: 0,
-            admission_shed: 0,
-            admission_queued: 0,
-            latency: Reservoir::new(MAX_LATENCY_SAMPLES, seed),
-        }
-    }
-
-    fn to_stats(&self) -> MethodStats {
-        MethodStats {
-            calls: self.calls,
-            attempts: self.attempts,
-            ok: self.ok,
-            err: self.err,
-            injected_unavailable: self.injected_unavailable,
-            injected_reply_lost: self.injected_reply_lost,
-            deadline_exceeded: self.deadline_exceeded,
-            admission_shed: self.admission_shed,
-            admission_queued: self.admission_queued,
-            latency_seen: self.latency.seen(),
-            latency_us: self.latency.samples().to_vec(),
-        }
-    }
-}
-
-/// FNV-1a over the method name, folded into the channel seed, so each
-/// method's reservoir is independently — and reproducibly — seeded.
-fn method_seed(seed: u64, method: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in method.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    seed ^ h
+    pub admission_queued: Counter,
+    /// *Virtual* latency of every completed call (injected attempt
+    /// latencies + queue waits + backoffs), microseconds: bounded, and
+    /// deterministic under a seeded profile.
+    pub latency: Histogram,
 }
 
 /// Per-method metrics for one channel, drainable by tests and benches.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct RpcMetrics {
-    seed: u64,
-    methods: Mutex<HashMap<String, MethodRecord>>,
-}
-
-impl Default for RpcMetrics {
-    fn default() -> Self {
-        RpcMetrics::with_seed(0x5EED_1E55)
-    }
+    methods: Mutex<HashMap<&'static str, Arc<MethodStats>>>,
 }
 
 impl RpcMetrics {
-    /// Metrics whose per-method latency reservoirs derive from `seed`
-    /// (deterministic under `VORTEX_CHAOS_SEED`-seeded configs).
-    pub fn with_seed(seed: u64) -> Self {
-        RpcMetrics {
-            seed,
-            methods: Mutex::new(HashMap::new()),
-        }
+    /// The live record of `method`, created on its first call.
+    pub fn method(&self, method: &'static str) -> Arc<MethodStats> {
+        Arc::clone(self.methods.lock().entry(method).or_default())
     }
 
-    fn with<R>(&self, method: &str, f: impl FnOnce(&mut MethodRecord) -> R) -> R {
-        let mut map = self.methods.lock();
-        match map.get_mut(method) {
-            Some(rec) => f(rec),
-            None => {
-                let rec = map
-                    .entry(method.to_string())
-                    .or_insert_with(|| MethodRecord::new(method_seed(self.seed, method)));
-                f(rec)
-            }
-        }
+    /// Every method's live record.
+    pub fn snapshot(&self) -> HashMap<&'static str, Arc<MethodStats>> {
+        self.methods.lock().clone()
     }
 
-    /// Snapshot of every method's stats.
-    pub fn snapshot(&self) -> HashMap<String, MethodStats> {
-        self.methods
-            .lock()
-            .iter()
-            .map(|(k, v)| (k.clone(), v.to_stats()))
-            .collect()
-    }
-
-    /// One method's stats (zeros if never called).
-    pub fn method(&self, method: &str) -> MethodStats {
-        self.methods
-            .lock()
-            .get(method)
-            .map(|r| r.to_stats())
-            .unwrap_or_default()
-    }
-
-    /// Snapshot and reset.
-    pub fn drain(&self) -> HashMap<String, MethodStats> {
+    /// Takes every record, leaving the channel counting from zero.
+    pub fn drain(&self) -> HashMap<&'static str, Arc<MethodStats>> {
         std::mem::take(&mut *self.methods.lock())
-            .iter()
-            .map(|(k, v)| (k.clone(), v.to_stats()))
-            .collect()
     }
 
     /// Total calls across all methods.
     pub fn total_calls(&self) -> u64 {
-        self.methods.lock().values().map(|m| m.calls).sum()
+        self.methods.lock().values().map(|m| m.calls.get()).sum()
     }
 }
 
-/// Static configuration of one [`RpcChannel`].
+/// Static configuration of one [`RpcChannel`]. Retry policy and call
+/// budget are the constants above: no caller ever set them.
 #[derive(Debug, Clone)]
 pub struct RpcChannelConfig {
-    /// Per-call budget in virtual microseconds: injected attempt latency
-    /// plus backoffs may not exceed it (the deadline).
-    pub call_budget_us: u64,
-    /// Retry policy for retryable failures.
-    pub retry: RetryPolicy,
     /// Per-attempt injected latency distribution (`None` = zero latency).
     pub latency: Option<LogNormal>,
-    /// Whether injected latency also advances the shared [`SimClock`].
-    /// Off by default: soaks already drive virtual time explicitly, and
-    /// double-advancing would skew TrueTime-dependent assertions.
-    pub advance_virtual_time: bool,
-    /// Seed for the channel's samplers and the fault plan.
+    /// Seed for the channel's latency sampler and the fault plan.
     pub seed: u64,
 }
 
 impl Default for RpcChannelConfig {
     fn default() -> Self {
         RpcChannelConfig {
-            call_budget_us: 30_000_000,
-            retry: RetryPolicy::default(),
             latency: None,
-            advance_virtual_time: false,
             seed: 0x5EED_1E55,
         }
     }
 }
 
 /// One logical connection to a service endpoint. Shared (`Arc`) by every
-/// consumer of that endpoint so the fault plan, metrics, and transport
-/// ledger see the union of real traffic.
+/// consumer of that endpoint so the fault plan and metrics see the union
+/// of real traffic. (The §5.4.2 unary / bi-di choice is per *stream*:
+/// `StreamWriter` owns that model, not the channel.)
 pub struct RpcChannel {
     name: String,
     cfg: RpcChannelConfig,
-    faults: Arc<RpcFaultPlan>,
+    faults: RpcFaultPlan,
     metrics: RpcMetrics,
-    clock: Option<SimClock>,
-    transport: Mutex<AdaptiveTransport>,
-    /// Admission hook consulted before every attempt (`vortex-admission`
-    /// installs its controller here at region wiring time).
-    interceptor: Mutex<Option<Arc<dyn RpcInterceptor>>>,
+    /// The region's virtual clock: the `now` admission buckets refill by.
+    clock: SimClock,
+    /// Admission hook consulted before every attempt (`vortex-admission`'s
+    /// controller, handed over at region wiring time).
+    interceptor: Option<Arc<dyn RpcInterceptor>>,
     latency_rng: Mutex<StdRng>,
-    /// Virtual "now" for channels with no shared clock: advances by each
-    /// call's injected latency so transport rate-windows stay meaningful.
-    fallback_now_us: AtomicU64,
 }
 
 impl std::fmt::Debug for RpcChannel {
@@ -624,24 +470,49 @@ impl std::fmt::Debug for RpcChannel {
     }
 }
 
+/// What the attempts of one call share.
+struct Call {
+    method: &'static str,
+    kind: CallKind,
+    payload_bytes: u64,
+    /// Captured once per call: a class/tenant scope installed mid-call
+    /// must not split one call's accounting.
+    ctx: CallCtx,
+    /// The method's record, resolved once per call.
+    stats: Arc<MethodStats>,
+    /// Virtual time charged so far: attempt latencies, queue waits,
+    /// backoffs. The call's recorded latency, and what the deadline
+    /// is checked against.
+    consumed_us: u64,
+}
+
+/// How one attempt of a call ended.
+enum Attempt<T> {
+    /// The call is over: the callee's answer, or an error no further
+    /// attempt may follow (the deadline, an ambiguous non-idempotent ack).
+    Done(VortexResult<T>),
+    /// The attempt failed where trying again is safe: the callee never
+    /// ran, or the call's kind lets it run twice.
+    Retry(VortexError),
+}
+
 impl RpcChannel {
-    /// Builds a channel. `clock` is the region's shared virtual clock, if
-    /// any; it timestamps transport traffic and (optionally) absorbs
-    /// injected latency.
-    pub fn new(name: &str, cfg: RpcChannelConfig, clock: Option<SimClock>) -> Arc<Self> {
-        let faults = Arc::new(RpcFaultPlan::new(cfg.seed ^ 0x9E37_79B9));
-        let latency_rng = Mutex::new(StdRng::seed_from_u64(cfg.seed));
-        let metrics = RpcMetrics::with_seed(cfg.seed);
+    /// Builds a channel over the region's shared virtual `clock`, with
+    /// the admission `interceptor` (if any) consulted before every attempt.
+    pub fn new(
+        name: &str,
+        cfg: RpcChannelConfig,
+        clock: SimClock,
+        interceptor: Option<Arc<dyn RpcInterceptor>>,
+    ) -> Arc<Self> {
         Arc::new(RpcChannel {
             name: name.to_string(),
+            faults: RpcFaultPlan::new(cfg.seed ^ 0x9E37_79B9),
+            latency_rng: Mutex::new(StdRng::seed_from_u64(cfg.seed)),
+            metrics: RpcMetrics::default(),
             cfg,
-            faults,
-            metrics,
             clock,
-            transport: Mutex::new(AdaptiveTransport::with_defaults()),
-            interceptor: Mutex::new(None),
-            latency_rng,
-            fallback_now_us: AtomicU64::new(0),
+            interceptor,
         })
     }
 
@@ -660,36 +531,6 @@ impl RpcChannel {
         &self.metrics
     }
 
-    /// The accumulated transport cost ledger (§5.4.2), fed by real calls.
-    pub fn ledger(&self) -> crate::transport::TransportLedger {
-        self.transport.lock().ledger()
-    }
-
-    /// Whether the channel's connection currently allows pipelining.
-    pub fn supports_pipelining(&self) -> bool {
-        self.transport.lock().supports_pipelining()
-    }
-
-    /// Requests currently in flight on the transport — must return to
-    /// zero when no call is executing, whatever mix of successes,
-    /// injected faults, and deadline misses preceded (the flow-control
-    /// release discipline).
-    pub fn transport_in_flight(&self) -> u64 {
-        self.transport.lock().in_flight()
-    }
-
-    /// Installs the admission interceptor consulted before every attempt.
-    pub fn set_interceptor(&self, interceptor: Arc<dyn RpcInterceptor>) {
-        *self.interceptor.lock() = Some(interceptor);
-    }
-
-    fn now(&self) -> Timestamp {
-        match &self.clock {
-            Some(c) => c.now(),
-            None => Timestamp(self.fallback_now_us.load(Ordering::Relaxed)),
-        }
-    }
-
     fn sample_latency_us(&self) -> u64 {
         match &self.cfg.latency {
             Some(d) => d.sample(&mut *self.latency_rng.lock()),
@@ -697,19 +538,8 @@ impl RpcChannel {
         }
     }
 
-    fn absorb_latency(&self, us: u64) {
-        if us == 0 {
-            return;
-        }
-        match &self.clock {
-            Some(c) if self.cfg.advance_virtual_time => {
-                c.advance(us);
-            }
-            Some(_) => {}
-            None => {
-                self.fallback_now_us.fetch_add(us, Ordering::Relaxed);
-            }
-        }
+    fn unavailable(&self, method: &str, what: &str) -> VortexError {
+        VortexError::Unavailable(format!("rpc {}.{method}: {what}", self.name))
     }
 
     /// Issues one RPC: `f` is the in-process callee. Injected latency and
@@ -732,6 +562,7 @@ impl RpcChannel {
     /// move bulk data (`append`) use this so multi-tenant byte quotas see
     /// real volume; metadata calls use `call` (zero bytes — only the
     /// requests/s bucket is charged).
+    // lint:hotpath(rpc) — the service hop itself: under every append and every query
     pub fn call_sized<T>(
         &self,
         method: &'static str,
@@ -739,173 +570,120 @@ impl RpcChannel {
         payload_bytes: u64,
         mut f: impl FnMut() -> VortexResult<T>,
     ) -> VortexResult<T> {
-        self.metrics.with(method, |m| m.calls += 1);
-        // Interceptor + context are captured once per call: a class/tenant
-        // scope installed mid-call must not split one call's accounting.
-        let interceptor = self.interceptor.lock().clone();
-        let ctx = current_ctx();
-        let mut consumed_us = 0u64;
+        let mut call = Call {
+            method,
+            kind,
+            payload_bytes,
+            ctx: current_ctx(),
+            stats: self.metrics.method(method),
+            consumed_us: 0,
+        };
+        call.stats.calls.inc();
         let mut attempt = 0usize;
-        let finish = |consumed_us: u64, ok: bool| {
-            self.metrics.with(method, |m| {
-                if ok {
-                    m.ok += 1;
-                } else {
-                    m.err += 1;
-                }
-                m.latency.record(consumed_us);
-            });
-            if let Some(i) = &interceptor {
-                i.complete(&self.name, method, ctx, consumed_us, ok);
-            }
-        };
-        // Retry backoff is absorbed into virtual time (not just charged to
-        // the budget) so quota buckets refill while a shed caller waits.
-        let backoff = |us: u64, consumed_us: &mut u64| {
-            self.absorb_latency(us);
-            *consumed_us = consumed_us.saturating_add(us);
-        };
-        loop {
+        let result = loop {
             attempt += 1;
-            self.metrics.with(method, |m| m.attempts += 1);
-            let lat = self.sample_latency_us();
-            self.absorb_latency(lat);
-            consumed_us = consumed_us.saturating_add(lat);
-            if consumed_us > self.cfg.call_budget_us {
-                self.metrics.with(method, |m| m.deadline_exceeded += 1);
-                finish(consumed_us, false);
-                return Err(VortexError::DeadlineExceeded {
-                    method: method.to_string(),
-                    budget_us: self.cfg.call_budget_us,
-                });
-            }
-            // Admission: decide this attempt before the callee sees it.
-            // Shedding happens pre-execution, so it is safe to retry for
-            // any CallKind — with the server's hint instead of blind
-            // exponential backoff.
-            if let Some(i) = &interceptor {
-                let remaining = self.cfg.call_budget_us.saturating_sub(consumed_us);
-                match i.admit(
-                    &self.name,
-                    method,
-                    ctx,
-                    payload_bytes,
-                    self.now(),
-                    remaining,
-                ) {
-                    Ok(queued_us) => {
-                        if queued_us > 0 {
-                            self.metrics.with(method, |m| m.admission_queued += 1);
-                            self.absorb_latency(queued_us);
-                            consumed_us = consumed_us.saturating_add(queued_us);
-                        }
-                        if consumed_us > self.cfg.call_budget_us {
-                            // The admission queue wait blew the deadline.
-                            i.release(ctx);
-                            self.metrics.with(method, |m| m.deadline_exceeded += 1);
-                            finish(consumed_us, false);
-                            return Err(VortexError::DeadlineExceeded {
-                                method: method.to_string(),
-                                budget_us: self.cfg.call_budget_us,
-                            });
-                        }
-                    }
-                    Err(e) => {
-                        self.metrics.with(method, |m| m.admission_shed += 1);
-                        if attempt < self.cfg.retry.max_attempts {
-                            let us = e.retry_after_us().unwrap_or_else(|| {
-                                self.cfg
-                                    .retry
-                                    .backoff_us(attempt, self.faults.roll_permille())
-                            });
-                            backoff(us, &mut consumed_us);
-                            continue;
-                        }
-                        finish(consumed_us, false);
-                        return Err(e);
-                    }
+            match self.attempt(&mut call, &mut f) {
+                Attempt::Done(result) => break result,
+                // The one retry rule: wait the server's hint when the
+                // failure carries one (a shed, a callee-raised
+                // ResourceExhausted), jittered exponential backoff
+                // otherwise — charged to the budget, never slept.
+                Attempt::Retry(e) if attempt < MAX_ATTEMPTS => {
+                    let us = e
+                        .retry_after_us()
+                        .unwrap_or_else(|| backoff_us(attempt, self.faults.roll_permille()));
+                    call.consumed_us = call.consumed_us.saturating_add(us);
                 }
+                Attempt::Retry(e) => break Err(e),
             }
-            self.transport.lock().on_request(self.now());
-            // Pre-execution fault: the callee never ran, so a retry is
-            // safe regardless of idempotency.
-            if self.faults.should_fail_call(method) {
-                self.transport.lock().on_response();
-                if let Some(i) = &interceptor {
-                    i.release(ctx);
-                }
-                self.metrics.with(method, |m| m.injected_unavailable += 1);
-                if attempt < self.cfg.retry.max_attempts {
-                    let us = self
-                        .cfg
-                        .retry
-                        .backoff_us(attempt, self.faults.roll_permille());
-                    backoff(us, &mut consumed_us);
-                    continue;
-                }
-                finish(consumed_us, false);
-                return Err(VortexError::Unavailable(format!(
-                    "rpc {}.{method}: injected unavailability",
-                    self.name
-                )));
-            }
-            let result = f();
-            self.transport.lock().on_response();
-            if let Some(i) = &interceptor {
-                i.release(ctx);
-            }
-            // Post-execution reply loss: the callee DID run.
-            if result.is_ok() && self.faults.should_lose_reply(method) {
-                self.metrics.with(method, |m| m.injected_reply_lost += 1);
-                match kind {
-                    CallKind::Idempotent => {
-                        if attempt < self.cfg.retry.max_attempts {
-                            let us = self
-                                .cfg
-                                .retry
-                                .backoff_us(attempt, self.faults.roll_permille());
-                            backoff(us, &mut consumed_us);
-                            continue;
-                        }
-                        finish(consumed_us, false);
-                        return Err(VortexError::Unavailable(format!(
-                            "rpc {}.{method}: reply lost",
-                            self.name
-                        )));
-                    }
-                    CallKind::NonIdempotent => {
-                        finish(consumed_us, false);
-                        return Err(VortexError::Unavailable(format!(
-                            "rpc {}.{method}: reply lost after execute",
-                            self.name
-                        )));
-                    }
-                }
-            }
-            match result {
-                Ok(v) => {
-                    finish(consumed_us, true);
-                    return Ok(v);
+        };
+        if result.is_ok() {
+            call.stats.ok.inc();
+        } else {
+            call.stats.err.inc();
+        }
+        call.stats.latency.record(call.consumed_us);
+        if let Some(i) = &self.interceptor {
+            i.complete(
+                &self.name,
+                method,
+                call.ctx,
+                call.consumed_us,
+                result.is_ok(),
+            );
+        }
+        result
+    }
+
+    /// One attempt: charge its latency, check the deadline, pass
+    /// admission, run the callee between the two injected-fault points.
+    /// Every admitted attempt is released exactly once, here.
+    fn attempt<T>(&self, call: &mut Call, f: &mut impl FnMut() -> VortexResult<T>) -> Attempt<T> {
+        let (method, stats) = (call.method, &*call.stats);
+        stats.attempts.inc();
+        call.consumed_us = call.consumed_us.saturating_add(self.sample_latency_us());
+        if call.consumed_us > CALL_BUDGET_US {
+            stats.deadline_exceeded.inc();
+            return Attempt::Done(Err(VortexError::DeadlineExceeded {
+                method: method.to_string(),
+                budget_us: CALL_BUDGET_US,
+            }));
+        }
+        // Admission decides before the callee sees the attempt, so a shed
+        // is safe to retry for any CallKind. A queue wait never exceeds
+        // the remaining budget the interceptor is told (its contract), so
+        // the deadline check above is the only one.
+        if let Some(i) = &self.interceptor {
+            let remaining = CALL_BUDGET_US - call.consumed_us;
+            let now = self.clock.now();
+            match i.admit(
+                &self.name,
+                method,
+                call.ctx,
+                call.payload_bytes,
+                now,
+                remaining,
+            ) {
+                Ok(0) => {}
+                Ok(queued_us) => {
+                    debug_assert!(queued_us <= remaining, "queued past the deadline");
+                    stats.admission_queued.inc();
+                    call.consumed_us = call.consumed_us.saturating_add(queued_us);
                 }
                 Err(e) => {
-                    if kind == CallKind::Idempotent
-                        && e.is_retryable()
-                        && attempt < self.cfg.retry.max_attempts
-                    {
-                        // A callee-raised ResourceExhausted carries the
-                        // server's own backoff hint; honor it.
-                        let us = e.retry_after_us().unwrap_or_else(|| {
-                            self.cfg
-                                .retry
-                                .backoff_us(attempt, self.faults.roll_permille())
-                        });
-                        backoff(us, &mut consumed_us);
-                        continue;
-                    }
-                    finish(consumed_us, false);
-                    return Err(e);
+                    stats.admission_shed.inc();
+                    return Attempt::Retry(e);
                 }
             }
+        }
+        let inject = self.faults.applies_to(method);
+        // Pre-execution fault: the callee never ran, so a retry is safe
+        // regardless of idempotency.
+        let result = if inject && self.faults.should_fail_call() {
+            stats.injected_unavailable.inc();
+            None
+        } else {
+            Some(f())
+        };
+        if let Some(i) = &self.interceptor {
+            i.release(call.ctx);
+        }
+        match result {
+            None => Attempt::Retry(self.unavailable(method, "injected unavailability")),
+            // Post-execution reply loss: the callee DID run.
+            Some(Ok(_)) if inject && self.faults.should_lose_reply() => {
+                stats.injected_reply_lost.inc();
+                match call.kind {
+                    CallKind::Idempotent => Attempt::Retry(self.unavailable(method, "reply lost")),
+                    CallKind::NonIdempotent => {
+                        Attempt::Done(Err(self.unavailable(method, "reply lost after execute")))
+                    }
+                }
+            }
+            Some(Err(e)) if call.kind == CallKind::Idempotent && e.is_retryable() => {
+                Attempt::Retry(e)
+            }
+            Some(result) => Attempt::Done(result),
         }
     }
 }
@@ -916,7 +694,12 @@ mod tests {
     use std::sync::atomic::AtomicUsize;
 
     fn channel(cfg: RpcChannelConfig) -> Arc<RpcChannel> {
-        RpcChannel::new("test", cfg, None)
+        RpcChannel::new("test", cfg, SimClock::new(0), None)
+    }
+
+    fn intercepted(icpt: &Arc<ShedFirst>) -> Arc<RpcChannel> {
+        let cfg = RpcChannelConfig::default();
+        RpcChannel::new("test", cfg, SimClock::new(0), Some(icpt.clone()))
     }
 
     #[test]
@@ -932,9 +715,9 @@ mod tests {
             assert_eq!(out.unwrap(), 7);
             assert_eq!(executed.load(Ordering::SeqCst), 1, "callee ran once");
             let m = ch.metrics().method("m");
-            assert_eq!(m.attempts, 3);
-            assert_eq!(m.injected_unavailable, 2);
-            assert_eq!(m.ok, 1);
+            assert_eq!(m.attempts.get(), 3);
+            assert_eq!(m.injected_unavailable.get(), 2);
+            assert_eq!(m.ok.get(), 1);
         }
     }
 
@@ -968,7 +751,7 @@ mod tests {
             1,
             "non-idempotent must not re-run"
         );
-        assert_eq!(ch.metrics().method("m").injected_reply_lost, 1);
+        assert_eq!(ch.metrics().method("m").injected_reply_lost.get(), 1);
     }
 
     #[test]
@@ -1009,9 +792,12 @@ mod tests {
 
     #[test]
     fn deadline_exceeded_when_latency_exhausts_budget() {
+        // Every attempt takes longer than the whole call may.
         let cfg = RpcChannelConfig {
-            call_budget_us: 10,
-            latency: Some(LogNormal::from_median_p99(1_000.0, 3_000.0)),
+            latency: Some(LogNormal::from_median_p99(
+                2.0 * CALL_BUDGET_US as f64,
+                3.0 * CALL_BUDGET_US as f64,
+            )),
             ..RpcChannelConfig::default()
         };
         let ch = channel(cfg);
@@ -1023,12 +809,13 @@ mod tests {
         match out {
             Err(VortexError::DeadlineExceeded { method, budget_us }) => {
                 assert_eq!(method, "m");
-                assert_eq!(budget_us, 10);
+                assert_eq!(budget_us, CALL_BUDGET_US);
             }
             other => panic!("expected DeadlineExceeded, got {other:?}"),
         }
         assert_eq!(executed.load(Ordering::SeqCst), 0, "deadline fires first");
-        assert_eq!(ch.metrics().method("m").deadline_exceeded, 1);
+        let m = ch.metrics().method("m");
+        assert_eq!((m.attempts.get(), m.deadline_exceeded.get()), (1, 1));
     }
 
     #[test]
@@ -1045,21 +832,6 @@ mod tests {
     }
 
     #[test]
-    fn hot_request_rate_switches_transport_to_bidi() {
-        // The §5.4.2 adaptive switch, now fired by real channel traffic:
-        // with no clock, virtual now stands still, so a burst of calls is
-        // "infinitely hot" and must upgrade to the bi-di connection.
-        let ch = channel(RpcChannelConfig::default());
-        for _ in 0..20 {
-            ch.call("append", CallKind::Idempotent, || Ok(())).unwrap();
-        }
-        assert!(ch.supports_pipelining(), "hot stream should be on bi-di");
-        let ledger = ch.ledger();
-        assert!(ledger.bidi_requests > 0, "{ledger:?}");
-        assert!(ledger.switches >= 1);
-    }
-
-    #[test]
     fn latency_percentiles_track_injected_profile() {
         let cfg = RpcChannelConfig {
             latency: Some(LogNormal::from_median_p99(10_000.0, 30_000.0)),
@@ -1070,8 +842,8 @@ mod tests {
             ch.call("m", CallKind::Idempotent, || Ok(())).unwrap();
         }
         let stats = ch.metrics().method("m");
-        assert_eq!(stats.calls, 4_000);
-        let p = stats.percentiles();
+        assert_eq!(stats.calls.get(), 4_000);
+        let p = stats.latency.snapshot();
         assert!(
             (7_000..14_000).contains(&p.p50),
             "p50 {}us should be ~10ms",
@@ -1085,68 +857,51 @@ mod tests {
     }
 
     #[test]
-    fn reservoir_percentiles_track_overall_stream_not_prefix() {
-        // Regression: latency retention used to keep only the *first*
-        // MAX_LATENCY_SAMPLES values per method, so a long soak whose
-        // latency profile shifted after startup reported startup-biased
-        // percentiles forever. The seeded reservoir must instead sample
-        // the whole stream uniformly: 65,536 fast calls followed by
-        // 2×65,536 slow calls has an overall p50 of the slow value.
+    fn latency_percentiles_track_overall_stream_not_prefix() {
+        // Regression: latency retention once kept only the *first* 65,536
+        // values per method, so a long soak whose latency profile shifted
+        // after startup reported startup-biased percentiles forever. The
+        // histogram counts every call: 65,536 fast calls followed by
+        // 2×65,536 slow ones have an overall p50 of the slow value.
+        const PREFIX: u64 = 65_536;
         let ch = channel(RpcChannelConfig::default());
-        let m = ch.metrics();
-        for _ in 0..MAX_LATENCY_SAMPLES {
-            m.with("m", |r| {
-                r.ok += 1;
-                r.latency.record(1_000);
-            });
-        }
-        for _ in 0..2 * MAX_LATENCY_SAMPLES {
-            m.with("m", |r| {
-                r.ok += 1;
-                r.latency.record(100_000);
-            });
-        }
-        let stats = m.method("m");
-        assert_eq!(stats.latency_seen, 3 * MAX_LATENCY_SAMPLES as u64);
-        assert_eq!(stats.latency_us.len(), MAX_LATENCY_SAMPLES);
-        let p = stats.percentiles();
-        assert_eq!(
-            p.p50, 100_000,
-            "p50 must track the overall stream (2/3 slow), not the fast prefix"
+        let m = ch.metrics().method("m");
+        m.latency.record_n(1_000, PREFIX);
+        m.latency.record_n(100_000, 2 * PREFIX);
+        let p = ch.metrics().method("m").latency.snapshot();
+        assert_eq!(p.count, 3 * PREFIX, "nothing is sampled out");
+        assert_eq!((p.min, p.max), (1_000, 100_000));
+        assert!(
+            (100_000..=112_500).contains(&p.p50),
+            "p50 {} must track the overall stream (2/3 slow), not the fast prefix",
+            p.p50
         );
-        // The fast prefix is 1/3 of the stream; the uniform sample keeps
-        // roughly that share, not 100% of it.
-        let lows = stats.latency_us.iter().filter(|&&v| v == 1_000).count();
-        let (lo, hi) = (MAX_LATENCY_SAMPLES / 5, MAX_LATENCY_SAMPLES / 2);
-        assert!((lo..hi).contains(&lows), "prefix share {lows} not ~1/3");
     }
 
     #[test]
-    fn reservoir_sample_is_deterministic_per_channel_seed() {
-        let run = |seed: u64| {
-            let cfg = RpcChannelConfig {
+    fn seeded_rolls_are_pinned() {
+        for (seed, want) in [
+            (1u64, [540, 833, 240, 937, 530, 671, 98, 905]),
+            (7, [995, 929, 108, 95, 857, 244, 559, 821]),
+            (3_366_259_850, [133, 257, 349, 726, 728, 204, 696, 139]),
+        ] {
+            let ch = channel(RpcChannelConfig {
                 seed,
                 ..RpcChannelConfig::default()
-            };
-            let ch = channel(cfg);
-            for v in 0..(MAX_LATENCY_SAMPLES as u64 + 10_000) {
-                ch.metrics().with("m", |r| r.latency.record(v));
-            }
-            ch.metrics().method("m").latency_us
-        };
-        assert_eq!(run(0xC8A5_0C8A), run(0xC8A5_0C8A));
-        assert_ne!(run(0xC8A5_0C8A), run(0xC8A5_0C8B));
+            });
+            let rolls: Vec<u32> = (0..8).map(|_| ch.faults().roll_permille()).collect();
+            assert_eq!(rolls, want, "seed {seed}");
+        }
     }
 
     #[test]
     fn backoff_grows_and_caps() {
-        let r = RetryPolicy::default();
-        let b1 = r.backoff_us(1, 0);
-        let b4 = r.backoff_us(4, 0);
-        let b20 = r.backoff_us(20, 999);
-        assert!(b1 >= r.base_backoff_us / 2);
+        let b1 = backoff_us(1, 0);
+        let b4 = backoff_us(4, 0);
+        let b20 = backoff_us(20, 999);
+        assert!(b1 >= BASE_BACKOFF_US / 2);
         assert!(b4 > b1);
-        assert!(b20 <= r.max_backoff_us);
+        assert!(b20 <= MAX_BACKOFF_US);
     }
 
     #[test]
@@ -1155,13 +910,13 @@ mod tests {
         ch.call("m", CallKind::Idempotent, || Ok(())).unwrap();
         assert_eq!(ch.metrics().total_calls(), 1);
         let drained = ch.metrics().drain();
-        assert_eq!(drained["m"].calls, 1);
+        assert_eq!(drained["m"].calls.get(), 1);
         assert_eq!(ch.metrics().total_calls(), 0);
     }
 
     /// Test interceptor: sheds the first `shed_first` admits with a fixed
-    /// `retry_after_us` hint, records every `now` it sees plus
-    /// admit/release/complete counts.
+    /// `retry_after_us` hint, records the class and payload size of every
+    /// attempt it sees plus admit/release/complete counts.
     struct ShedFirst {
         shed_first: u32,
         retry_after_us: u64,
@@ -1170,7 +925,7 @@ mod tests {
         releases: AtomicU64,
         completes: AtomicU64,
         completed_ok: AtomicU64,
-        nows: Mutex<Vec<u64>>,
+        classes: Mutex<Vec<WorkClass>>,
         bytes: Mutex<Vec<u64>>,
     }
 
@@ -1184,7 +939,7 @@ mod tests {
                 releases: AtomicU64::new(0),
                 completes: AtomicU64::new(0),
                 completed_ok: AtomicU64::new(0),
-                nows: Mutex::new(Vec::new()),
+                classes: Mutex::new(Vec::new()),
                 bytes: Mutex::new(Vec::new()),
             })
         }
@@ -1195,12 +950,12 @@ mod tests {
             &self,
             _channel: &str,
             _method: &'static str,
-            _ctx: CallCtx,
+            ctx: CallCtx,
             payload_bytes: u64,
-            now: Timestamp,
+            _now: Timestamp,
             _budget_remaining_us: u64,
         ) -> VortexResult<u64> {
-            self.nows.lock().push(now.micros());
+            self.classes.lock().push(ctx.class);
             self.bytes.lock().push(payload_bytes);
             let n = self.admits.fetch_add(1, Ordering::SeqCst);
             if n < u64::from(self.shed_first) {
@@ -1234,29 +989,26 @@ mod tests {
 
     #[test]
     fn shed_attempts_back_off_by_the_server_hint() {
-        // No shared clock: virtual "now" is the channel's fallback clock,
-        // which advances only by absorbed latency/backoff. Shedding twice
-        // with a 5,000us hint must therefore move the third attempt's
-        // `now` to exactly 10,000us — hint-directed backoff, not blind
-        // exponential.
-        let ch = channel(RpcChannelConfig::default());
+        // Shedding twice with a 5,000us hint must charge the call exactly
+        // 10,000us of virtual latency — hint-directed backoff, not blind
+        // exponential (whose jitter would not land on a round number).
         let icpt = ShedFirst::new(2, 5_000);
-        ch.set_interceptor(icpt.clone());
+        let ch = intercepted(&icpt);
         let out = ch.call("m", CallKind::NonIdempotent, || Ok(9u32));
         assert_eq!(out.unwrap(), 9);
-        assert_eq!(&*icpt.nows.lock(), &[0, 5_000, 10_000]);
         let m = ch.metrics().method("m");
-        assert_eq!(m.admission_shed, 2);
-        assert_eq!(m.attempts, 3);
+        let waited = m.latency.snapshot();
+        assert_eq!((waited.count, waited.sum), (1, 10_000));
+        assert_eq!(m.admission_shed.get(), 2);
+        assert_eq!(m.attempts.get(), 3);
         // Shedding is pre-execution: retrying a NonIdempotent call is safe.
         assert_eq!(icpt.completed_ok.load(Ordering::SeqCst), 1);
     }
 
     #[test]
     fn callee_resource_exhausted_uses_hint_backoff() {
-        let ch = channel(RpcChannelConfig::default());
         let icpt = ShedFirst::new(0, 0);
-        ch.set_interceptor(icpt.clone());
+        let ch = intercepted(&icpt);
         let failed = AtomicUsize::new(0);
         let out = ch.call("m", CallKind::Idempotent, || {
             if failed.fetch_add(1, Ordering::SeqCst) == 0 {
@@ -1269,16 +1021,17 @@ mod tests {
             }
         });
         assert!(out.is_ok());
-        // Second admit happens exactly one hint later — the callee's own
-        // ResourceExhausted steered the retry delay.
-        assert_eq!(&*icpt.nows.lock(), &[0, 7_000]);
+        // The second attempt follows exactly one hint later — the callee's
+        // own ResourceExhausted steered the retry delay.
+        assert_eq!(icpt.admits.load(Ordering::SeqCst), 2);
+        let waited = ch.metrics().method("m").latency.snapshot();
+        assert_eq!((waited.count, waited.sum), (1, 7_000));
     }
 
     #[test]
     fn shed_exhausting_attempts_surfaces_resource_exhausted() {
-        let ch = channel(RpcChannelConfig::default());
         let icpt = ShedFirst::new(u32::MAX, 2_500);
-        ch.set_interceptor(icpt.clone());
+        let ch = intercepted(&icpt);
         let executed = AtomicUsize::new(0);
         let out: VortexResult<()> = ch.call("m", CallKind::Idempotent, || {
             executed.fetch_add(1, Ordering::SeqCst);
@@ -1295,14 +1048,13 @@ mod tests {
         assert_eq!(icpt.releases.load(Ordering::SeqCst), 0);
         assert_eq!(icpt.completes.load(Ordering::SeqCst), 1);
         let m = ch.metrics().method("m");
-        assert_eq!(m.admission_shed, m.attempts);
+        assert_eq!(m.admission_shed.get(), m.attempts.get());
     }
 
     #[test]
     fn interceptor_release_pairs_with_every_admitted_attempt() {
-        let ch = channel(RpcChannelConfig::default());
         let icpt = ShedFirst::new(0, 0);
-        ch.set_interceptor(icpt.clone());
+        let ch = intercepted(&icpt);
         // Successes, injected pre-execution faults, lost replies, and
         // callee errors: every admitted attempt must release exactly once.
         ch.call("m", CallKind::Idempotent, || Ok(())).unwrap();
@@ -1317,14 +1069,12 @@ mod tests {
         let admitted = icpt.admits.load(Ordering::SeqCst);
         assert_eq!(icpt.releases.load(Ordering::SeqCst), admitted);
         assert_eq!(icpt.completes.load(Ordering::SeqCst), 4);
-        assert_eq!(ch.transport_in_flight(), 0);
     }
 
     #[test]
     fn call_sized_reports_payload_bytes_to_admission() {
-        let ch = channel(RpcChannelConfig::default());
         let icpt = ShedFirst::new(0, 0);
-        ch.set_interceptor(icpt.clone());
+        let ch = intercepted(&icpt);
         ch.call_sized("append", CallKind::NonIdempotent, 4_096, || Ok(()))
             .unwrap();
         ch.call("get_table", CallKind::Idempotent, || Ok(()))
@@ -1356,30 +1106,31 @@ mod tests {
 
     #[test]
     fn channel_captures_ctx_at_call_start() {
-        let ch = channel(RpcChannelConfig::default());
         let icpt = ShedFirst::new(0, 0);
-        ch.set_interceptor(icpt.clone());
+        let ch = intercepted(&icpt);
         let _bg = class_scope(WorkClass::Background);
-        ch.call("gc_sweep", CallKind::Idempotent, || Ok(()))
-            .unwrap();
-        // The interceptor saw the scoped class (checked via admit count —
-        // detailed ctx routing is covered in vortex-admission's tests).
-        assert_eq!(icpt.admits.load(Ordering::SeqCst), 1);
+        // A scope the callee installs (and leaks past its first, failing
+        // run) must not re-class the attempts that follow.
+        let mut leaked = None;
+        ch.call("gc_sweep", CallKind::Idempotent, || {
+            match leaked.replace(class_scope(WorkClass::Batch)) {
+                None => Err(VortexError::Unavailable("flaky".into())),
+                Some(_) => Ok(()),
+            }
+        })
+        .unwrap();
+        let seen = icpt.classes.lock().clone();
+        assert_eq!(seen, [WorkClass::Background, WorkClass::Background]);
     }
 
     #[test]
     fn failed_call_burst_releases_all_in_flight_slots() {
-        // Satellite regression: drive the transport into bi-di mode (the
-        // only mode that tracks in-flight), then hammer it with every
-        // failure shape — injected unavailability, callee errors, lost
-        // replies, deadline misses — and require the in-flight window to
-        // drain to zero. A leak here permanently exhausts flow control.
-        let ch = channel(RpcChannelConfig::default());
-        for _ in 0..20 {
-            ch.call("warm", CallKind::Idempotent, || Ok(())).unwrap();
-        }
-        assert!(ch.supports_pipelining(), "must be on bi-di for the test");
-
+        // Hammer the channel with every failure shape — a hard outage
+        // that exhausts the attempts, callee errors, lost replies — and
+        // require every slot admission handed out to have come back. A
+        // leak here permanently exhausts the concurrency window.
+        let icpt = ShedFirst::new(0, 0);
+        let ch = intercepted(&icpt);
         ch.faults().set_unavailable(true);
         for _ in 0..50 {
             ch.call("m", CallKind::Idempotent, || Ok(())).unwrap_err();
@@ -1396,9 +1147,11 @@ mod tests {
                 .unwrap_err();
         }
         ch.faults().clear();
+        let admitted = icpt.admits.load(Ordering::SeqCst);
+        assert_eq!(admitted, 50 * MAX_ATTEMPTS as u64 + 50 + 50);
         assert_eq!(
-            ch.transport_in_flight(),
-            0,
+            icpt.releases.load(Ordering::SeqCst),
+            admitted,
             "a burst of failed calls must not leak in-flight slots"
         );
         // And the channel still works.

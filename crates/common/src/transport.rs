@@ -20,6 +20,7 @@
 
 use std::collections::VecDeque;
 
+use crate::rng;
 use crate::truetime::Timestamp;
 
 /// Which connection type a request used.
@@ -151,15 +152,11 @@ impl AdaptiveTransport {
         self.kind == TransportKind::Bidi
     }
 
+    /// Pool-miss sampling: one step of the shared generator.
     fn next_rand_permille(&mut self) -> u64 {
-        // xorshift*: deterministic, cheap, good enough for pool-miss
-        // sampling.
-        let mut x = self.rng_state;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.rng_state = x;
-        (x.wrapping_mul(0x2545F4914F6CDD1D) >> 33) % 1000
+        let (next, out) = rng::xorshift_star(self.rng_state);
+        self.rng_state = next;
+        rng::permille(out)
     }
 
     /// Records one request at virtual time `now`; returns the CPU cost
@@ -307,6 +304,13 @@ mod tests {
             hot_adaptive.ledger().cpu_us,
             hot_unary_only.ledger().cpu_us
         );
+    }
+
+    #[test]
+    fn seeded_rolls_are_pinned() {
+        let mut tr = AdaptiveTransport::with_defaults();
+        let rolls: Vec<u64> = (0..8).map(|_| tr.next_rand_permille()).collect();
+        assert_eq!(rolls, [537, 388, 273, 955, 946, 599, 68, 839]);
     }
 
     #[test]

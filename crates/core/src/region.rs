@@ -11,7 +11,7 @@ use vortex_common::error::VortexResult;
 use vortex_common::ids::{ClusterId, IdGen, ServerId, SmsTaskId, TableId};
 use vortex_common::latency::WriteProfile;
 use vortex_common::obs::{self, FreshnessProbe, MetricsSnapshot};
-use vortex_common::rpc::{class_scope, RpcChannel, RpcChannelConfig, WorkClass};
+use vortex_common::rpc::{class_scope, RpcChannel, RpcChannelConfig, RpcInterceptor, WorkClass};
 use vortex_common::truetime::{SimClock, Timestamp, TrueTime};
 use vortex_metastore::{MetaCheckpointOutcome, MetaRecovery, MetaStore};
 use vortex_optimizer::{OptimizerConfig, StorageOptimizer};
@@ -55,8 +55,8 @@ pub struct RegionConfig {
     /// longest read. Tests that advance the virtual clock aggressively
     /// must scale it up in proportion.
     pub gc_grace_micros: Option<u64>,
-    /// RPC channel behavior (deadlines, retry policy, latency model) for
-    /// the SMS and Stream Server hops. Fault plans are armed at runtime
+    /// RPC channel behavior (latency model, seed) for the SMS and Stream
+    /// Server hops. Fault plans are armed at runtime
     /// via [`Region::sms_rpc`] / [`Region::server_rpc`].
     pub rpc: RpcChannelConfig,
     /// Admission-control policy installed on both RPC channels (quotas,
@@ -252,14 +252,15 @@ impl Region {
         // registers channel-wrapped server handles, so client appends
         // (which go through the handles the SMS gives out) cross the
         // server channel too.
-        let sms_rpc = RpcChannel::new("sms", cfg.rpc.clone(), Some(clock.clone()));
-        let server_rpc = RpcChannel::new("server", cfg.rpc.clone(), Some(clock.clone()));
         // One admission controller across both hops: every RPC in the
         // region drains the same quota pool and the same adaptive
         // concurrency window (the single policy point for overload).
         let admission = AdmissionController::new(cfg.admission.clone());
-        sms_rpc.set_interceptor(admission.clone());
-        server_rpc.set_interceptor(admission.clone());
+        let rpc = |hop| {
+            let admission = Some(admission.clone() as Arc<dyn RpcInterceptor>);
+            RpcChannel::new(hop, cfg.rpc.clone(), clock.clone(), admission)
+        };
+        let (sms_rpc, server_rpc) = (rpc("sms"), rpc("server"));
         let mut servers = Vec::new();
         let mut server_channels: Vec<Arc<ServerChannel>> = Vec::new();
         let mut server_handles: Vec<ServerHandle> = Vec::new();
@@ -278,7 +279,11 @@ impl Region {
                     tt.clone(),
                     Arc::clone(&ids),
                 )?;
-                let channel = ServerChannel::new(server.clone(), Arc::clone(&server_rpc));
+                let channel = ServerChannel::new(
+                    format!("stream server {}", server.config().server),
+                    server.clone(),
+                    Arc::clone(&server_rpc),
+                );
                 let handle: ServerHandle = channel.clone();
                 for sms in &sms_tasks {
                     sms.register_server(handle.clone());
@@ -290,7 +295,10 @@ impl Region {
         }
         let sms_channels: Vec<Arc<SmsChannel>> = sms_tasks
             .iter()
-            .map(|t| SmsChannel::new(Arc::clone(t), Arc::clone(&sms_rpc)))
+            .map(|t| {
+                let name = format!("sms task {}", t.task_id());
+                SmsChannel::new(name, Arc::clone(t), Arc::clone(&sms_rpc))
+            })
             .collect();
         let sms_handles: Vec<SmsHandle> = sms_channels
             .iter()
@@ -463,7 +471,7 @@ impl Region {
     /// task rebuilds (§5.2.1). Servers are told to re-report full state
     /// on their next heartbeat.
     pub fn restart_sms_task(&self, idx: usize) -> VortexResult<()> {
-        let old = self.sms_channels[idx].task();
+        let old = self.sms_channels[idx].instance();
         let cfg = old.config().clone();
         let view = if self.sms_channels.len() > 1 {
             Some(SlicerView::new(Arc::clone(&self.slicer), cfg.task))

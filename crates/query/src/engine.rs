@@ -12,7 +12,7 @@ use vortex_colossus::StorageFleet;
 use vortex_common::crypt::Key;
 use vortex_common::error::{VortexError, VortexResult};
 use vortex_common::ids::TableId;
-use vortex_common::obs::{self, FreshnessProbe};
+use vortex_common::obs::{self, Counter, FreshnessProbe, Histogram};
 use vortex_common::row::{Row, Value};
 use vortex_common::schema::Schema;
 use vortex_common::stats::ColumnStats;
@@ -117,12 +117,14 @@ pub struct ScanResult {
     pub stats: ScanStats,
 }
 
-/// Runs `f` over `items` (the surviving fragments) on up to `shards`
-/// scoped worker threads, each folding its share into one `init()`
-/// accumulator and stopping at its first error. A panicking worker
-/// surfaces as `VortexError::Internal` for its share instead of aborting
-/// the process (regression: scan workers used to be joined with
-/// `.unwrap()`, so one poisoned fragment took down the whole engine).
+/// Runs `f` over `items` (the surviving fragments) in up to `shards`
+/// chunks, each folded into one `init()` accumulator and stopping at its
+/// first error. The calling thread folds the first chunk itself and
+/// scoped workers the rest, so one shard — or one surviving fragment —
+/// spawns nothing. Either way a panic surfaces as `VortexError::Internal`
+/// for its chunk instead of aborting the process (regression: scan
+/// workers used to be joined with `.unwrap()`, so one poisoned fragment
+/// took down the whole engine).
 fn scan_shards<'s, I, T, F>(
     items: &'s [I],
     shards: usize,
@@ -134,17 +136,21 @@ where
     T: Send,
     F: Fn(&mut T, &'s I) -> VortexResult<()> + Sync,
 {
+    let work = |chunk: &'s [I]| {
+        let mut acc = init();
+        chunk.iter().try_for_each(|i| f(&mut acc, i)).map(|()| acc)
+    };
+    let caught = |run: std::thread::Result<VortexResult<T>>| {
+        run.unwrap_or_else(|payload| Err(panic_error(payload)))
+    };
     std::thread::scope(|s| {
-        let work = |chunk: &'s [I]| {
-            let mut acc = init();
-            chunk.iter().try_for_each(|i| f(&mut acc, i)).map(|()| acc)
-        };
-        let chunks = items.chunks(items.len().div_ceil(shards).max(1));
+        let mut chunks = items.chunks(items.len().div_ceil(shards).max(1));
+        let mine = chunks.next();
         let handles: Vec<_> = chunks.map(|chunk| s.spawn(move || work(chunk))).collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|payload| Err(panic_error(payload))))
-            .collect()
+        // No `&mut` crosses the unwind: `work` owns its accumulator.
+        let mine = mine.map(|c| std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| work(c))));
+        let theirs = handles.into_iter().map(|h| h.join());
+        mine.into_iter().chain(theirs).map(caught).collect()
     })
 }
 
@@ -169,29 +175,63 @@ mod shard_tests {
         // Quiet the default hook for the intentional panic below.
         let hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        let items = [1i32, 2, 3];
+        let items = [1i32, 2, 3, 4];
         let results = scan_shards(&items, 2, &|| 0, &|sum: &mut i32, &n| {
-            if n == 2 {
+            if n == 4 {
                 panic!("boom on item {n}");
             }
             *sum += n * 10;
             Ok(())
         });
+        let alone = scan_shards(&items, 1, &|| (), &|(), &n| panic!("boom on item {n}"));
         std::panic::set_hook(hook);
-        // Chunk [1, 2] panics (its worker dies mid-chunk); chunk [3]
-        // completes. The scan sees an error, not a process abort.
+        // Chunk [1, 2] completes on the calling thread; chunk [3, 4]
+        // panics (its worker dies mid-chunk). The scan sees an error, not
+        // a process abort.
         assert_eq!(results.len(), 2);
+        assert!(matches!(results[0], Ok(30)), "{results:?}");
         assert!(
-            matches!(&results[0], Err(VortexError::Internal(m)) if m.contains("boom on item 2")),
+            matches!(&results[1], Err(VortexError::Internal(m)) if m.contains("boom on item 4")),
             "{results:?}"
         );
-        assert!(matches!(results[1], Ok(30)), "{results:?}");
+        // With one shard there is no worker to die, and still no abort:
+        // the calling thread's own chunk is held to the same rule.
+        assert!(
+            matches!(&alone[..], [Err(VortexError::Internal(m))] if m.contains("boom on item 1")),
+            "{alone:?}"
+        );
         // String payloads (panic!("{}", x) style) are preserved too.
         let e = panic_error(Box::new(String::from("owned message")));
         assert!(
             matches!(&e, VortexError::Internal(m) if m.contains("owned message")),
             "{e:?}"
         );
+    }
+
+    /// One shard asked for (`parallelism: 1`, the benchmark's pinned CPU)
+    /// or one fragment left after pruning: the scan spawns nothing.
+    #[test]
+    fn a_single_chunk_is_folded_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        for (items, shards) in [(&[1, 2, 3][..], 1), (&[7][..], 8)] {
+            let folded = scan_shards(items, shards, &Vec::new, &|on: &mut Vec<_>, _| {
+                on.push(std::thread::current().id());
+                Ok(())
+            });
+            assert_eq!(folded.len(), 1);
+            let on = folded[0].as_ref().unwrap();
+            assert_eq!(on.len(), items.len());
+            assert!(on.iter().all(|id| *id == caller), "{on:?} vs {caller:?}");
+        }
+        // More chunks than one: the caller takes the first, workers the rest.
+        let folded = scan_shards(&[1, 2, 3], 3, &Vec::new, &|on: &mut Vec<_>, _| {
+            on.push(std::thread::current().id());
+            Ok(())
+        });
+        let on: Vec<_> = folded.into_iter().flat_map(Result::unwrap).collect();
+        assert_eq!(on.len(), 3);
+        assert_eq!(on[0], caller);
+        assert!(on[1] != caller && on[2] != caller, "{on:?}");
     }
 }
 
@@ -222,6 +262,29 @@ impl AggKind {
     }
 }
 
+/// The `scan.*` counters mirroring [`ScanStats`], each with what one scan
+/// adds to it: the one table the handles are interned from (for their
+/// names) and fed from (for their values).
+fn scan_counts(stats: &ScanStats) -> [(&'static str, u64); 14] {
+    [
+        ("scan.calls", 1),
+        ("scan.fragments_total", stats.fragments_total as u64),
+        ("scan.pruned_by_stats", stats.pruned_by_stats as u64),
+        ("scan.pruned_by_bloom", stats.pruned_by_bloom as u64),
+        ("scan.tails_scanned", stats.tails_scanned as u64),
+        ("scan.zones_total", stats.zones_total as u64),
+        ("scan.zones_pruned", stats.zones_pruned as u64),
+        ("scan.rows_scanned", stats.rows_scanned),
+        ("scan.rows_matched", stats.rows_matched),
+        ("scan.rows_materialized", stats.rows_materialized),
+        ("scan.reads", stats.reads),
+        ("scan.bytes_fetched", stats.bytes_fetched),
+        // Zero without a cache.
+        ("scan.cache.hits", stats.cache_hits),
+        ("scan.cache.misses", stats.cache_misses),
+    ]
+}
+
 /// The Dremel-lite query engine.
 pub struct QueryEngine {
     sms: SmsHandle,
@@ -233,6 +296,9 @@ pub struct QueryEngine {
     cache: Option<Arc<ReadCache>>,
     /// End-to-end commit-to-visible freshness probe (§8).
     probe: Option<Arc<FreshnessProbe>>,
+    /// Registry handles interned at construction ([`scan_counts`]' names,
+    /// then the `scan` span): recording a scan names no metric.
+    m: ([Arc<Counter>; 14], Arc<Histogram>),
 }
 
 impl QueryEngine {
@@ -244,6 +310,10 @@ impl QueryEngine {
             tt: None,
             cache: None,
             probe: None,
+            m: (
+                scan_counts(&ScanStats::default()).map(|(name, _)| obs::global().counter(name)),
+                obs::global().span("scan"),
+            ),
         }
     }
 
@@ -449,31 +519,14 @@ impl QueryEngine {
         scan_start: Option<Timestamp>,
         visible_ts: &[Timestamp],
     ) {
-        let m = obs::global();
-        for (name, n) in [
-            ("scan.calls", 1),
-            ("scan.fragments_total", stats.fragments_total as u64),
-            ("scan.pruned_by_stats", stats.pruned_by_stats as u64),
-            ("scan.pruned_by_bloom", stats.pruned_by_bloom as u64),
-            ("scan.tails_scanned", stats.tails_scanned as u64),
-            ("scan.zones_total", stats.zones_total as u64),
-            ("scan.zones_pruned", stats.zones_pruned as u64),
-            ("scan.rows_scanned", stats.rows_scanned),
-            ("scan.rows_matched", stats.rows_matched),
-            ("scan.rows_materialized", stats.rows_materialized),
-            ("scan.reads", stats.reads),
-            ("scan.bytes_fetched", stats.bytes_fetched),
-        ] {
-            m.counter(name).add(n);
-        }
-        if self.cache.is_some() {
-            m.counter("scan.cache.hits").add(stats.cache_hits);
-            m.counter("scan.cache.misses").add(stats.cache_misses);
+        let (counters, span) = &self.m;
+        for (counter, (_, n)) in counters.iter().zip(scan_counts(stats)) {
+            counter.add(n);
         }
         if let Some(tt) = &self.tt {
             let end = tt.now().latest;
             if let Some(start) = scan_start {
-                obs::Span::begin("scan", start).end(end);
+                obs::Span::begin(span, start).end(end);
             }
             if let Some(probe) = &self.probe {
                 probe.observe(table, visible_ts.iter().copied(), end);

@@ -37,7 +37,7 @@ use vortex_common::compress::{compress, decompress};
 use vortex_common::crc::crc32c;
 use vortex_common::crypt::{apply_keystream_at, Key, Nonce};
 use vortex_common::error::{VortexError, VortexResult};
-use vortex_common::obs;
+use vortex_common::obs::{Counter, Lazy, Registry};
 use vortex_common::row::{Row, Value};
 use vortex_common::schema::{ChangeType, Schema};
 use vortex_common::stats::ColumnStats;
@@ -45,6 +45,8 @@ use vortex_common::truetime::Timestamp;
 
 use crate::column::{ColumnBuilder, ColumnVec, IntKind, KeyedRows, Prim};
 use crate::encoding::{decode_chunk, distinct_rows, encode_column, le_uint, Encoding};
+
+static ROW_METAS_BUILT: Lazy<Counter> = Lazy::new("ros.row_metas_built", Registry::counter);
 
 const MAGIC: u32 = 0x534F5256; // "VROS"
 const VERSION: u16 = 3;
@@ -528,9 +530,7 @@ impl RosBlock {
         let kinds = self.provenance(CHANGE_TYPE, z)?;
         let (ts, streams) = (self.provenance(TS, z)?, self.provenance(STREAM, z)?);
         let offsets = self.provenance(OFFSET, z)?;
-        obs::global()
-            .counter("ros.row_metas_built")
-            .add(kinds.len() as u64);
+        ROW_METAS_BUILT.add(kinds.len() as u64);
         let meta = |(((kind, ts), stream), offset): (((i64, i64), i64), i64)| {
             Ok(RowMeta {
                 // Past a byte it is no change type, whatever its low bits.

@@ -7,12 +7,13 @@
 //! repeated failure, finalize the streamlet (§5.3, §5.6).
 
 use std::collections::HashSet;
+use std::sync::Arc;
 
 use vortex_colossus::StorageFleet;
 use vortex_common::bloom::BloomFilter;
 use vortex_common::error::{VortexError, VortexResult};
 use vortex_common::ids::{FragmentId, IdGen};
-use vortex_common::obs;
+use vortex_common::obs::{self, Counter, Histogram};
 use vortex_common::row::{Row, RowSet};
 use vortex_common::stats::ColumnStats;
 use vortex_common::truetime::{Timestamp, TrueTime};
@@ -64,6 +65,29 @@ pub struct DoneFragment {
     pub dirty: bool,
 }
 
+/// Registry handles of the server's append leg, interned when the
+/// streamlet opens: the group-commit path never names a metric.
+struct AppendMetrics {
+    replica_write_us: Arc<Histogram>,
+    service_us: Arc<Histogram>,
+    span: Arc<Histogram>,
+    rows: Arc<Counter>,
+    chunks: Arc<Counter>,
+}
+
+impl AppendMetrics {
+    fn intern() -> Self {
+        let m = obs::global();
+        AppendMetrics {
+            replica_write_us: m.histogram("append.server.replica_write_us"),
+            service_us: m.histogram("append.server.service_us"),
+            span: m.span("append.server"),
+            rows: m.counter("append.server.rows"),
+            chunks: m.counter("append.server.chunks"),
+        }
+    }
+}
+
 /// One streamlet hosted by a Stream Server.
 pub struct HostedStreamlet {
     /// The creation spec (table, stream, clusters, schema, key, epoch).
@@ -89,6 +113,7 @@ pub struct HostedStreamlet {
     /// How many entries of `done` have already been handed to the WAL
     /// (see [`HostedStreamlet::drain_unlogged_seals`]).
     wal_logged_seals: usize,
+    m: AppendMetrics,
 }
 
 /// Partition column followed by clustering columns, deduplicated.
@@ -187,6 +212,7 @@ impl HostedStreamlet {
             tracked_cols,
             key_cols,
             wal_logged_seals: 0,
+            m: AppendMetrics::intern(),
         };
         sl.open_fragment(0, ids, fleet, tt)?;
         Ok(sl)
@@ -278,9 +304,7 @@ impl HostedStreamlet {
         }
         // Colossus replica-write leg of the append span: the max of the
         // two synchronous replica writes (§5.6) is what the ack waits on.
-        obs::global()
-            .histogram("append.server.replica_write_us")
-            .record(max_service);
+        self.m.replica_write_us.record(max_service);
         Ok((max_service, completion, lens))
     }
 
@@ -604,7 +628,6 @@ impl HostedStreamlet {
 
         // Resolve per-entry results, in order, and record metrics for the
         // entries that fully landed.
-        let m = obs::global();
         let mut group_rows = 0u64;
         for (i, a) in acc.iter_mut().enumerate() {
             if let Some(e) = a.failed.take() {
@@ -622,8 +645,8 @@ impl HostedStreamlet {
                 continue;
             }
             group_rows += a.total_rows;
-            m.histogram("append.server.service_us").record(a.service_us);
-            obs::Span::begin("append.server", entries[i].start).end(a.completion);
+            self.m.service_us.record(a.service_us);
+            obs::Span::begin(&self.m.span, entries[i].start).end(a.completion);
             // lint:allow(L010, results arena reuse)
             results.push(Ok(AppendAck {
                 first_stream_row: a.first_stream_row,
@@ -633,7 +656,7 @@ impl HostedStreamlet {
             }));
         }
         if group_rows > 0 {
-            m.counter("append.server.rows").add(group_rows);
+            self.m.rows.add(group_rows);
         }
     }
 
@@ -674,9 +697,7 @@ impl HostedStreamlet {
             }
             match self.write_owned(fleet, staged, start) {
                 Ok((svc, done_at)) => {
-                    let m = obs::global();
-                    m.counter("append.server.chunks")
-                        .add(staged_chunks.len() as u64);
+                    self.m.chunks.add(staged_chunks.len() as u64);
                     let mut last_entry = usize::MAX;
                     for c in staged_chunks.drain(..) {
                         let rows = (c.hi - c.lo) as u64;

@@ -18,7 +18,11 @@ use vortex_common::codec::{get_len, get_uvarint, put_uvarint, take};
 use vortex_common::error::{VortexError, VortexResult};
 use vortex_common::frame;
 use vortex_common::ids::{ServerId, StreamletId, TableId};
+use vortex_common::obs::{Counter, Lazy, Registry, GROUP_COMMIT_WAL_EVENTS};
 use vortex_common::truetime::Timestamp;
+
+static RECORDS_LOGGED: Lazy<Counter> = Lazy::new("wal.records_logged", Registry::counter);
+static WAL_EVENTS: Lazy<Counter> = Lazy::new(GROUP_COMMIT_WAL_EVENTS, Registry::counter);
 
 /// One durable metadata event.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -294,10 +298,8 @@ impl ServerLog {
             Timestamp::MIN,
         )?;
         // WAL leg of the append path: one durable record per group.
-        let m = vortex_common::obs::global();
-        m.counter("wal.records_logged").inc();
-        m.counter(vortex_common::obs::GROUP_COMMIT_WAL_EVENTS)
-            .add(events.len() as u64);
+        RECORDS_LOGGED.inc();
+        WAL_EVENTS.add(events.len() as u64);
         Ok(())
     }
 

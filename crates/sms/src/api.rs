@@ -17,6 +17,7 @@
 //! ambiguous ack surfaces as retryable unavailability and the caller's
 //! §5.4/§5.6 reconciliation decides what really happened.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use vortex_common::error::{VortexError, VortexResult};
@@ -198,29 +199,43 @@ pub trait SmsApi: Send + Sync {
 /// A shareable handle to an SMS endpoint.
 pub type SmsHandle = Arc<dyn SmsApi>;
 
-/// An [`SmsHandle`] whose every service call crosses an [`RpcChannel`].
+/// One service instance behind an [`RpcChannel`] — the channel wrapper
+/// of both hops ([`SmsChannel`], [`ServerChannel`]).
 ///
-/// The channel is also the task's *process boundary*: the wrapped task is
-/// swappable (kill/restart chaos replaces a dead instance with one
-/// rebuilt from the metastore), and a [`VortexError::SimulatedCrash`]
-/// surfacing from any service call marks the instance dead — every
-/// subsequent call fails with retryable unavailability until
-/// [`SmsChannel::restart`] installs a replacement. Callers therefore keep
-/// their handles across restarts, exactly like clients keep a service
-/// address across task reschedules (§5.2.1).
-pub struct SmsChannel {
-    inner: parking_lot::RwLock<Arc<SmsTask>>,
+/// The endpoint is also the instance's *process boundary*: the wrapped
+/// instance is swappable (kill/restart chaos replaces a dead one with one
+/// rebuilt from durable state — the metastore for an SMS task, WAL +
+/// checkpoint for a Stream Server), and a
+/// [`VortexError::SimulatedCrash`] surfacing from any call marks the
+/// instance dead — every subsequent call fails with retryable
+/// unavailability until [`Endpoint::restart`] installs a replacement.
+/// Callers therefore keep their handles across restarts, exactly like
+/// clients keep a service address across task reschedules (§5.2.1).
+pub struct Endpoint<S: ?Sized> {
+    /// What the instance is called in this boundary's errors.
+    name: String,
+    inner: parking_lot::RwLock<Arc<S>>,
     channel: Arc<RpcChannel>,
-    dead: std::sync::atomic::AtomicBool,
+    dead: AtomicBool,
 }
 
-impl SmsChannel {
-    /// Wraps an SMS task behind a channel.
-    pub fn new(inner: Arc<SmsTask>, channel: Arc<RpcChannel>) -> Arc<Self> {
-        Arc::new(SmsChannel {
+/// An [`SmsHandle`] whose every service call crosses an [`RpcChannel`].
+pub type SmsChannel = Endpoint<SmsTask>;
+
+/// A [`ServerHandle`] whose data-plane and control calls cross an
+/// [`RpcChannel`]; placement/introspection accessors stay local. Dead, it
+/// answers no RPCs, reports itself quarantined so placement skips it, and
+/// produces empty heartbeats.
+pub type ServerChannel = Endpoint<dyn StreamServerApi>;
+
+impl<S: ?Sized> Endpoint<S> {
+    /// Wraps `inner` — `name` in error messages — behind a channel.
+    pub fn new(name: String, inner: Arc<S>, channel: Arc<RpcChannel>) -> Arc<Self> {
+        Arc::new(Endpoint {
+            name,
             inner: parking_lot::RwLock::new(inner),
             channel,
-            dead: std::sync::atomic::AtomicBool::new(false),
+            dead: AtomicBool::new(false),
         })
     }
 
@@ -229,65 +244,80 @@ impl SmsChannel {
         &self.channel
     }
 
-    /// The wrapped task (rig plumbing; service calls go through the
-    /// trait).
-    pub fn task(&self) -> Arc<SmsTask> {
+    /// The wrapped instance (rig plumbing and local accessors; service
+    /// calls go through the trait).
+    pub fn instance(&self) -> Arc<S> {
         Arc::clone(&self.inner.read())
     }
 
     /// Marks the instance dead: calls fail with retryable unavailability
-    /// until [`SmsChannel::restart`].
+    /// until [`Endpoint::restart`].
     pub fn kill(&self) {
-        self.dead.store(true, std::sync::atomic::Ordering::SeqCst);
+        self.dead.store(true, Ordering::SeqCst);
     }
 
     /// Whether the wrapped instance is currently dead.
     pub fn is_dead(&self) -> bool {
-        self.dead.load(std::sync::atomic::Ordering::SeqCst)
+        self.dead.load(Ordering::SeqCst)
     }
 
-    /// Installs a replacement task (rebuilt from durable state) and
+    /// Installs a replacement instance (rebuilt from durable state) and
     /// brings the endpoint back up.
-    pub fn restart(&self, task: Arc<SmsTask>) {
-        *self.inner.write() = task;
-        self.dead.store(false, std::sync::atomic::Ordering::SeqCst);
+    pub fn restart(&self, inner: Arc<S>) {
+        *self.inner.write() = inner;
+        self.dead.store(false, Ordering::SeqCst);
     }
 
-    /// Routes one service call, enforcing the process boundary: dead
-    /// instances refuse, and a crash point firing inside the call kills
+    /// The process boundary around one call into the instance: a dead
+    /// instance refuses, and a crash point firing inside the call kills
     /// the instance and surfaces as retryable unavailability (callers
     /// handle it like any other task death).
-    fn service<T>(
-        &self,
-        method: &'static str,
-        kind: CallKind,
-        f: impl FnMut(&SmsTask) -> VortexResult<T>,
-    ) -> VortexResult<T> {
-        let mut f = f;
+    fn boundary<T>(&self, call: impl FnOnce(&S) -> VortexResult<T>) -> VortexResult<T> {
         if self.is_dead() {
-            return Err(VortexError::Unavailable(format!(
-                "sms task {} is down",
-                self.task().task_id()
-            )));
+            return Err(VortexError::Unavailable(format!("{} is down", self.name)));
         }
-        let task = self.task();
-        match self.channel.call(method, kind, || f(&task)) {
+        match call(&self.instance()) {
             Err(VortexError::SimulatedCrash(point)) => {
                 self.kill();
                 Err(VortexError::Unavailable(format!(
-                    "sms task {} died at crash point '{point}'",
-                    task.task_id()
+                    "{} died at crash point '{point}'",
+                    self.name
                 )))
             }
             other => other,
         }
     }
+
+    /// Routes one service call through the channel, inside the boundary.
+    fn service<T>(
+        &self,
+        method: &'static str,
+        kind: CallKind,
+        f: impl FnMut(&S) -> VortexResult<T>,
+    ) -> VortexResult<T> {
+        self.service_sized(method, kind, 0, f)
+    }
+
+    /// [`Endpoint::service`] with a declared payload size, charged against
+    /// admission byte quotas (`append` is the only bulk mover).
+    fn service_sized<T>(
+        &self,
+        method: &'static str,
+        kind: CallKind,
+        payload_bytes: u64,
+        mut f: impl FnMut(&S) -> VortexResult<T>,
+    ) -> VortexResult<T> {
+        self.boundary(|inner| {
+            self.channel
+                .call_sized(method, kind, payload_bytes, || f(inner))
+        })
+    }
 }
 
-impl std::fmt::Debug for SmsChannel {
+impl<S: ?Sized> std::fmt::Debug for Endpoint<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SmsChannel")
-            .field("task", &self.task().task_id())
+        f.debug_struct("Endpoint")
+            .field("name", &self.name)
             .field("dead", &self.is_dead())
             .finish_non_exhaustive()
     }
@@ -297,28 +327,28 @@ impl SmsApi for SmsChannel {
     // Shared in-process state, not RPCs: served locally (a dead task's
     // durable metadata remains inspectable, like the metastore itself).
     fn task_id(&self) -> SmsTaskId {
-        self.task().task_id()
+        self.instance().task_id()
     }
     fn bigmeta(&self) -> Arc<BigMeta> {
-        self.task().bigmeta()
+        self.instance().bigmeta()
     }
     fn store(&self) -> Arc<MetaStore> {
-        self.task().store()
+        self.instance().store()
     }
     fn register_server(&self, server: ServerHandle) {
-        self.task().register_server(server)
+        self.instance().register_server(server)
     }
     fn read_snapshot(&self) -> Timestamp {
-        self.task().read_snapshot()
+        self.instance().read_snapshot()
     }
     fn dml_active(&self, table: TableId) -> bool {
-        self.task().dml_active(table)
+        self.instance().dml_active(table)
     }
     fn list_fragments(&self, table: TableId, at: Timestamp) -> Vec<FragmentMeta> {
-        self.task().list_fragments(table, at)
+        self.instance().list_fragments(table, at)
     }
     fn list_streamlets(&self, table: TableId) -> Vec<StreamletMeta> {
-        self.task().list_streamlets(table)
+        self.instance().list_streamlets(table)
     }
 
     // DDL and conversion commits: re-execution would duplicate effects.
@@ -450,7 +480,7 @@ impl SmsApi for SmsChannel {
     fn begin_dml(&self, table: TableId) -> VortexResult<DmlTicket> {
         // Token minted OUTSIDE the retry loop: every attempt writes the
         // same marker key, so an ambiguous ack cannot leak a lock.
-        let token = self.task().mint_dml_token();
+        let token = self.instance().mint_dml_token();
         self.service("begin_dml", CallKind::Idempotent, |t| {
             t.begin_dml_with(table, token)
         })
@@ -482,116 +512,12 @@ impl SmsApi for SmsChannel {
     }
 }
 
-/// A [`ServerHandle`] whose data-plane and control calls cross an
-/// [`RpcChannel`]. Placement/introspection accessors stay local.
-///
-/// Like [`SmsChannel`], this is the server's *process boundary*: the
-/// wrapped instance is swappable (kill/restart chaos replaces a dead
-/// server with one recovered from its WAL + checkpoint), and a
-/// [`VortexError::SimulatedCrash`] surfacing from any call marks the
-/// instance dead. A dead server answers no RPCs, reports itself
-/// quarantined so placement skips it, and produces empty heartbeats —
-/// until [`ServerChannel::restart`] installs the recovered instance.
-pub struct ServerChannel {
-    inner: parking_lot::RwLock<ServerHandle>,
-    channel: Arc<RpcChannel>,
-    dead: std::sync::atomic::AtomicBool,
-}
-
-impl ServerChannel {
-    /// Wraps a server endpoint behind a channel.
-    pub fn new(inner: ServerHandle, channel: Arc<RpcChannel>) -> Arc<Self> {
-        Arc::new(ServerChannel {
-            inner: parking_lot::RwLock::new(inner),
-            channel,
-            dead: std::sync::atomic::AtomicBool::new(false),
-        })
-    }
-
-    /// Wraps and erases to a [`ServerHandle`] in one step.
-    pub fn wrap(inner: ServerHandle, channel: Arc<RpcChannel>) -> ServerHandle {
-        Self::new(inner, channel)
-    }
-
-    /// The channel carrying this handle's traffic.
-    pub fn channel(&self) -> &Arc<RpcChannel> {
-        &self.channel
-    }
-
-    /// The wrapped endpoint.
-    pub fn endpoint(&self) -> ServerHandle {
-        Arc::clone(&self.inner.read())
-    }
-
-    /// Marks the instance dead: RPCs fail with retryable unavailability,
-    /// placement sees a quarantined load, heartbeats go silent.
-    pub fn kill(&self) {
-        self.dead.store(true, std::sync::atomic::Ordering::SeqCst);
-    }
-
-    /// Whether the wrapped instance is currently dead.
-    pub fn is_dead(&self) -> bool {
-        self.dead.load(std::sync::atomic::Ordering::SeqCst)
-    }
-
-    /// Installs a replacement instance (recovered from durable state)
-    /// and brings the endpoint back up.
-    pub fn restart(&self, inner: ServerHandle) {
-        *self.inner.write() = inner;
-        self.dead.store(false, std::sync::atomic::Ordering::SeqCst);
-    }
-
-    /// Routes one service call across the process boundary (same
-    /// contract as `SmsChannel::service`).
-    fn service<T>(
-        &self,
-        method: &'static str,
-        kind: CallKind,
-        f: impl FnMut(&dyn StreamServerApi) -> VortexResult<T>,
-    ) -> VortexResult<T> {
-        self.service_sized(method, kind, 0, f)
-    }
-
-    /// [`ServerChannel::service`] with a declared payload size, charged
-    /// against admission byte quotas (`append` is the only data-plane
-    /// bulk mover on this hop).
-    fn service_sized<T>(
-        &self,
-        method: &'static str,
-        kind: CallKind,
-        payload_bytes: u64,
-        f: impl FnMut(&dyn StreamServerApi) -> VortexResult<T>,
-    ) -> VortexResult<T> {
-        let mut f = f;
-        if self.is_dead() {
-            return Err(VortexError::Unavailable(format!(
-                "stream server {} is down",
-                self.endpoint().server_id()
-            )));
-        }
-        let inner = self.endpoint();
-        match self
-            .channel
-            .call_sized(method, kind, payload_bytes, || f(inner.as_ref()))
-        {
-            Err(VortexError::SimulatedCrash(point)) => {
-                self.kill();
-                Err(VortexError::Unavailable(format!(
-                    "stream server {} died at crash point '{point}'",
-                    inner.server_id()
-                )))
-            }
-            other => other,
-        }
-    }
-}
-
 impl StreamServerApi for ServerChannel {
     fn server_id(&self) -> ServerId {
-        self.endpoint().server_id()
+        self.instance().server_id()
     }
     fn cluster(&self) -> ClusterId {
-        self.endpoint().cluster()
+        self.instance().cluster()
     }
     fn load(&self) -> LoadReport {
         if self.is_dead() {
@@ -602,34 +528,34 @@ impl StreamServerApi for ServerChannel {
                 ..LoadReport::default()
             };
         }
-        self.endpoint().load()
+        self.instance().load()
     }
     fn streamlet_rows(&self, streamlet: StreamletId) -> Option<u64> {
         if self.is_dead() {
             return None;
         }
-        self.endpoint().streamlet_rows(streamlet)
+        self.instance().streamlet_rows(streamlet)
     }
     fn notify_schema_version(&self, table: TableId, version: u32) {
         if self.is_dead() {
             return; // dead processes hear nothing
         }
-        self.endpoint().notify_schema_version(table, version)
+        self.instance().notify_schema_version(table, version)
     }
     fn revoke_streamlet(&self, streamlet: StreamletId) {
         if self.is_dead() {
             return; // recovered streamlets come back revoked anyway
         }
-        self.endpoint().revoke_streamlet(streamlet)
+        self.instance().revoke_streamlet(streamlet)
     }
     fn tick(&self) -> usize {
         if self.is_dead() {
             return 0;
         }
-        self.endpoint().tick()
+        self.instance().tick()
     }
     fn build_heartbeat(&self, full_state: bool) -> HeartbeatReport {
-        let inner = self.endpoint();
+        let inner = self.instance();
         if self.is_dead() {
             // A dead process sends no heartbeats; an empty quarantined
             // report keeps drivers that poll unconditionally harmless.
@@ -650,35 +576,20 @@ impl StreamServerApi for ServerChannel {
         resp: &HeartbeatResponse,
         orphan_age_micros: u64,
     ) -> VortexResult<Vec<(TableId, StreamletId, Vec<u32>)>> {
-        if self.is_dead() {
-            return Err(VortexError::Unavailable(format!(
-                "stream server {} is down",
-                self.endpoint().server_id()
-            )));
-        }
-        let inner = self.endpoint();
-        match inner.apply_heartbeat_response(resp, orphan_age_micros) {
-            Err(VortexError::SimulatedCrash(point)) => {
-                self.kill();
-                Err(VortexError::Unavailable(format!(
-                    "stream server {} died at crash point '{point}'",
-                    inner.server_id()
-                )))
-            }
-            other => other,
-        }
+        // A local call, not an RPC — but the same process boundary.
+        self.boundary(|s| s.apply_heartbeat_response(resp, orphan_age_micros))
     }
     fn reset_heartbeat_window(&self) {
         if self.is_dead() {
             return;
         }
-        self.endpoint().reset_heartbeat_window()
+        self.instance().reset_heartbeat_window()
     }
     fn set_quarantined(&self, quarantined: bool) {
         if self.is_dead() {
             return;
         }
-        self.endpoint().set_quarantined(quarantined)
+        self.instance().set_quarantined(quarantined)
     }
 
     fn create_streamlet(&self, spec: StreamletSpec) -> VortexResult<()> {

@@ -44,7 +44,7 @@ pub mod sms;
 #[cfg(test)]
 mod tests;
 
-pub use api::{ServerChannel, SmsApi, SmsChannel, SmsHandle};
+pub use api::{Endpoint, ServerChannel, SmsApi, SmsChannel, SmsHandle};
 pub use heartbeat::{FragmentDelta, HeartbeatReport, HeartbeatResponse, StreamletDelta};
 pub use meta::{
     FragmentKind, FragmentMeta, FragmentState, StreamMeta, StreamType, StreamletMeta,

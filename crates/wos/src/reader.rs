@@ -21,12 +21,16 @@ use vortex_common::compress::decompress;
 use vortex_common::crc::crc32c;
 use vortex_common::crypt::{decrypt, Key, Nonce};
 use vortex_common::error::{VortexError, VortexResult};
+use vortex_common::obs::{Counter, Lazy, Registry};
 use vortex_common::row::RowSet;
 use vortex_common::truetime::Timestamp;
 
 use crate::format::{
     Footer, FragmentHeader, RecordHeader, RecordType, FOOTER_TOTAL_LEN, RECORD_HEADER_LEN,
 };
+
+static BLOCKS_DECODED: Lazy<Counter> = Lazy::new("wos.blocks_decoded", Registry::counter);
+static ROWS_DECODED: Lazy<Counter> = Lazy::new("wos.rows_decoded", Registry::counter);
 
 /// An indexed data block: where it sits in the log file and what its
 /// record header says of it — everything but the rows.
@@ -313,9 +317,8 @@ impl FragmentIndex {
                 rows.len()
             )));
         }
-        let m = vortex_common::obs::global();
-        m.counter("wos.blocks_decoded").inc();
-        m.counter("wos.rows_decoded").add(block.row_count);
+        BLOCKS_DECODED.inc();
+        ROWS_DECODED.add(block.row_count);
         Ok(DataBlock {
             first_row: block.first_row,
             rows,

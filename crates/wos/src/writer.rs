@@ -12,12 +12,16 @@ use vortex_common::compress::{compress, decompress};
 use vortex_common::crc::crc32c;
 use vortex_common::crypt::{apply_keystream, Nonce};
 use vortex_common::error::{VortexError, VortexResult};
+use vortex_common::obs::{Counter, Lazy, Registry};
 use vortex_common::row::Row;
 use vortex_common::truetime::Timestamp;
 
 use crate::format::{
     FileMapEntry, Footer, FragmentConfig, FragmentHeader, RecordHeader, RecordType, FORMAT_VERSION,
 };
+
+static BLOCKS_ENCODED: Lazy<Counter> = Lazy::new("wos.blocks_encoded", Registry::counter);
+static ROWS_ENCODED: Lazy<Counter> = Lazy::new("wos.rows_encoded", Registry::counter);
 
 /// Writes one fragment's record stream.
 ///
@@ -155,9 +159,8 @@ impl FragmentWriter {
         };
         self.next_row += rows.len() as u64;
         self.rows_in_fragment += rows.len() as u64;
-        let m = vortex_common::obs::global();
-        m.counter("wos.blocks_encoded").inc();
-        m.counter("wos.rows_encoded").add(rows.len() as u64);
+        BLOCKS_ENCODED.inc();
+        ROWS_ENCODED.add(rows.len() as u64);
         Ok(self.frame(rec, &payload))
     }
 

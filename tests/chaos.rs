@@ -231,7 +231,7 @@ fn chaos_soak_exact_ledger() {
         let snap = rpc.metrics().snapshot();
         let injected: u64 = snap
             .values()
-            .map(|m| m.injected_unavailable + m.injected_reply_lost)
+            .map(|m| m.injected_unavailable.get() + m.injected_reply_lost.get())
             .sum();
         assert!(
             injected > 0,

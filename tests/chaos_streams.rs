@@ -309,7 +309,7 @@ fn chaos_mixed_stream_types_exact_ledger() {
         let snap = rpc.metrics().snapshot();
         let injected: u64 = snap
             .values()
-            .map(|m| m.injected_unavailable + m.injected_reply_lost)
+            .map(|m| m.injected_unavailable.get() + m.injected_reply_lost.get())
             .sum();
         assert!(
             injected > 0,

@@ -79,11 +79,15 @@ fn ambiguous_append_ack_is_exactly_once() {
     // and the writer resolved each one by offset reconciliation rather
     // than re-sending the batch — so only the clean batches show as `ok`.
     let append = region.server_rpc().metrics().method("append");
-    assert_eq!(append.injected_reply_lost, 4);
-    assert_eq!(append.err, 4, "each lost reply surfaces to the writer");
-    assert_eq!(append.calls, BATCHES as u64);
+    assert_eq!(append.injected_reply_lost.get(), 4);
     assert_eq!(
-        append.ok,
+        append.err.get(),
+        4,
+        "each lost reply surfaces to the writer"
+    );
+    assert_eq!(append.calls.get(), BATCHES as u64);
+    assert_eq!(
+        append.ok.get(),
         BATCHES as u64 - 4,
         "ambiguous batches must dedup via reconcile, not a second append"
     );
@@ -121,9 +125,9 @@ fn injected_unavailability_is_retried_transparently() {
     // and attempts strictly exceed calls somewhere on each channel.
     for rpc in [region.sms_rpc(), region.server_rpc()] {
         let snap = rpc.metrics().snapshot();
-        let injected: u64 = snap.values().map(|m| m.injected_unavailable).sum();
-        let calls: u64 = snap.values().map(|m| m.calls).sum();
-        let attempts: u64 = snap.values().map(|m| m.attempts).sum();
+        let injected: u64 = snap.values().map(|m| m.injected_unavailable.get()).sum();
+        let calls: u64 = snap.values().map(|m| m.calls.get()).sum();
+        let attempts: u64 = snap.values().map(|m| m.attempts.get()).sum();
         assert!(
             injected > 0,
             "channel {} saw no injected faults",
@@ -159,10 +163,10 @@ fn per_method_metrics_track_injected_latency() {
     assert_eq!(client.read_rows(table).unwrap().rows.len(), 320);
 
     let append = region.server_rpc().metrics().method("append");
-    assert_eq!(append.calls, APPENDS);
-    assert_eq!(append.ok, APPENDS);
-    let p = append.percentiles();
-    assert_eq!(p.count as u64, APPENDS);
+    assert_eq!(append.calls.get(), APPENDS);
+    assert_eq!(append.ok.get(), APPENDS);
+    let p = append.latency.snapshot();
+    assert_eq!(p.count, APPENDS);
     // LogNormal(median 800us, p99 6ms): the virtual p50 sits near the
     // median and the tail stays above it.
     assert!(
@@ -175,9 +179,9 @@ fn per_method_metrics_track_injected_latency() {
 
     // The SMS hop saw the control traffic too.
     let sms = region.sms_rpc().metrics().snapshot();
-    assert!(sms.get("create_table").is_some_and(|m| m.calls == 1));
-    assert!(sms.get("create_stream").is_some_and(|m| m.calls >= 1));
-    assert!(sms.values().all(|m| m.err == 0));
+    assert!(sms.get("create_table").is_some_and(|m| m.calls.get() == 1));
+    assert!(sms.get("create_stream").is_some_and(|m| m.calls.get() >= 1));
+    assert!(sms.values().all(|m| m.err.get() == 0));
 
     // drain() resets: a second snapshot is empty.
     let drained = region.server_rpc().metrics().drain();
