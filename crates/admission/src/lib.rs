@@ -16,8 +16,8 @@
 //!    priority class and by the call's remaining deadline budget. The
 //!    [`WorkClass::Background`] bound is zero — under pressure the lowest
 //!    class sheds first, then batch, and interactive queues longest.
-//! 3. **Adaptive concurrency** ([`limiter::AimdLimiter`]): an AIMD window
-//!    driven by observed per-call p99 latency, with per-class headroom.
+//! 3. **Concurrency window** ([`limiter::AimdLimiter`]): a bound on calls
+//!    in flight, with per-class headroom.
 //!
 //! Shedding always happens *before* the callee executes and surfaces as a
 //! retryable [`VortexError::ResourceExhausted`] whose `retry_after_us`
@@ -90,7 +90,7 @@ pub struct AdmissionConfig {
     /// attempt is shed instead. Background's bound should be 0: shed the
     /// lowest class first rather than queueing deferrable work.
     pub class_queue_us: [u64; 3],
-    /// Adaptive concurrency tuning.
+    /// The concurrency window.
     pub aimd: AimdConfig,
     /// Methods that bypass policy entirely (liveness traffic — shedding
     /// heartbeats would turn overload into spurious failure detection).
@@ -257,6 +257,8 @@ impl AdmissionController {
     /// be installed on multiple channels).
     pub fn new(cfg: AdmissionConfig) -> Arc<Self> {
         let limiter = AimdLimiter::new(cfg.aimd.clone());
+        let m = Handles::intern();
+        m.limit.set(cfg.aimd.initial_limit as i64);
         Arc::new(AdmissionController {
             cfg,
             inner: Mutex::new(Inner {
@@ -265,7 +267,7 @@ impl AdmissionController {
                 limiter,
             }),
             counters: ClassCounters::default(),
-            m: Handles::intern(),
+            m,
         })
     }
 
@@ -376,11 +378,10 @@ impl RpcInterceptor for AdmissionController {
             buckets.take(now_us, payload_bytes);
             depth_us = depth_us.max(buckets.debt_us());
         }
-        let (in_flight, limit) = (limiter.in_flight(), limiter.limit());
+        let in_flight = limiter.in_flight();
         drop(guard);
         self.record_admit(class, wait);
         self.m.in_flight.set(in_flight as i64);
-        self.m.limit.set(limit as i64);
         self.m.queue_depth_us[class.index()].set(depth_us.min(i64::MAX as u64) as i64);
         Ok(wait)
     }
@@ -391,21 +392,6 @@ impl RpcInterceptor for AdmissionController {
         let in_flight = inner.limiter.in_flight();
         drop(inner);
         self.m.in_flight.set(in_flight as i64);
-    }
-
-    fn complete(
-        &self,
-        _channel: &str,
-        _method: &'static str,
-        _ctx: CallCtx,
-        latency_us: u64,
-        ok: bool,
-    ) {
-        // The lock is only worth taking for a limiter that listens: with
-        // no p99 target (the default) `observe` would drop the sample.
-        if self.cfg.enabled && self.cfg.aimd.adapts() {
-            self.inner.lock().limiter.observe(latency_us, ok);
-        }
     }
 }
 
@@ -691,7 +677,6 @@ mod tests {
         let cfg = AdmissionConfig {
             aimd: AimdConfig {
                 initial_limit: 2,
-                min_limit: 1,
                 ..AimdConfig::default()
             },
             ..AdmissionConfig::default()

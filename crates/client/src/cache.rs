@@ -5,13 +5,14 @@
 //! are looking into further avenues to build query aware caching on top
 //! of our ingestion servers."
 //!
-//! [`ReadCache`] caches the *decoded* rows of immutable fragment extents:
-//! the key is `(path, committed_size)`, which uniquely identifies a
-//! fragment's content — a fragment that grows (active WOS) or is replaced
-//! (conversion) gets a different key, so invalidation is structural
-//! rather than time-based. Visibility filtering (snapshot timestamps,
-//! flush limits, deletion masks) happens *after* the cache, so one cached
-//! decode serves every snapshot.
+//! [`ReadCache`] caches the decoded [`Zone`]s of immutable fragment
+//! extents: the key is `(path, committed_size)`, which uniquely identifies
+//! a fragment's content — a fragment that grows (active WOS) or is
+//! replaced (conversion) gets a different key, so invalidation is
+//! structural rather than time-based. Visibility filtering (snapshot
+//! timestamps, flush limits, deletion masks) happens *after* the cache, so
+//! one cached decode serves every snapshot, and a hit shares the zones:
+//! nothing is copied.
 //!
 //! Eviction is a simple FIFO bound on decoded rows — enough to
 //! demonstrate the design point (hot recent fragments stay decoded).
@@ -22,11 +23,14 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use vortex_common::row::Row;
-use vortex_ros::RowMeta;
+use crate::read::Zone;
 
 type Key = (String, u64);
-type Entry = Arc<Vec<(RowMeta, Row)>>;
+type Entry = Arc<Vec<Zone>>;
+
+fn rows_of(extent: &Entry) -> usize {
+    extent.iter().map(|zone| zone.metas.len()).sum()
+}
 
 /// A bounded cache of decoded immutable fragment extents.
 pub struct ReadCache {
@@ -73,19 +77,19 @@ impl ReadCache {
     }
 
     /// Inserts a decoded extent, evicting oldest entries past the bound.
-    pub fn put(&self, path: &str, committed_size: u64, rows: Entry) {
+    pub fn put(&self, path: &str, committed_size: u64, extent: Entry) {
         let mut inner = self.inner.lock();
         let key = (path.to_string(), committed_size);
         if inner.map.contains_key(&key) {
             return;
         }
-        inner.rows += rows.len();
+        inner.rows += rows_of(&extent);
         inner.order.push_back(key.clone());
-        inner.map.insert(key, rows);
+        inner.map.insert(key, extent);
         while inner.rows > self.max_rows && inner.order.len() > 1 {
             if let Some(old) = inner.order.pop_front() {
                 if let Some(e) = inner.map.remove(&old) {
-                    inner.rows -= e.len();
+                    inner.rows -= rows_of(&e);
                 }
             }
         }
@@ -136,23 +140,23 @@ mod tests {
     use super::*;
     use vortex_common::schema::ChangeType;
     use vortex_common::truetime::Timestamp;
+    use vortex_ros::RowMeta;
 
+    /// An extent of `n` rows in zones of four.
     fn rows(n: usize) -> Entry {
-        Arc::new(
-            (0..n)
-                .map(|i| {
-                    (
-                        RowMeta {
-                            change_type: ChangeType::Insert,
-                            ts: Timestamp(i as u64),
-                            stream: 1,
-                            offset: i as u64,
-                        },
-                        Row::insert(vec![]),
-                    )
-                })
-                .collect(),
-        )
+        let meta = |i: usize| RowMeta {
+            change_type: ChangeType::Insert,
+            ts: Timestamp(i as u64),
+            stream: 1,
+            offset: i as u64,
+        };
+        let all: Vec<usize> = (0..n).collect();
+        let zone = |of: &[usize]| Zone {
+            first: of[0] as u64,
+            metas: of.iter().map(|&i| meta(i)).collect(),
+            cols: vec![],
+        };
+        Arc::new(all.chunks(4).map(zone).collect())
     }
 
     #[test]

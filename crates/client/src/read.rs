@@ -39,7 +39,6 @@
 //! reads; `tests/chaos_streams.rs` pins all three properties under fault
 //! injection."
 
-use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
@@ -50,22 +49,22 @@ use vortex_common::crypt::Key;
 use vortex_common::error::{VortexError, VortexResult};
 use vortex_common::ids::{ClusterId, StreamId, StreamletId, TableId};
 use vortex_common::mask::DeletionMask;
-use vortex_common::row::{Row, Value};
+use vortex_common::row::Row;
 use vortex_common::schema::Schema;
 use vortex_common::truetime::Timestamp;
-use vortex_ros::{ReadAt, RosBlock, RowMeta};
+use vortex_ros::{
+    add_rowset, gather_rows, ColumnBuilder, ColumnVec, ReadAt, RosBlock, RowMeta, ZONE_ROWS,
+};
 use vortex_sms::api::SmsHandle;
 use vortex_sms::meta::{FragmentKind, FragmentMeta, FragmentState};
 use vortex_sms::readset::{FragmentReadSpec, ReadSet, TailReadSpec};
-use vortex_wos::{
-    index_fragment, parse_fragment, BlockEntry, DataBlock, FragmentIndex, ParsedFragment,
-};
+use vortex_wos::{index_fragment, BlockEntry, FragmentIndex};
 
 /// Options for table reads.
 #[derive(Debug, Clone, Default)]
 pub struct ReadOptions {
-    /// Optional query-aware cache of decoded immutable fragments (§9
-    /// future work).
+    /// Optional query-aware cache of the decoded zones of immutable
+    /// fragments (§9 future work).
     pub cache: Option<Arc<crate::cache::ReadCache>>,
     /// Best-effort monitoring mode (§9: "low latency is preferred over
     /// 100% data availability"): unreadable fragments and ambiguous tails
@@ -90,8 +89,9 @@ pub struct TableRows {
 
 /// Outcome of probing one streamlet tail.
 pub enum TailOutcome {
-    /// The tail's committed, visible rows.
-    Rows(Vec<(RowMeta, Row)>),
+    /// The tail's committed rows as zones, and which of them are
+    /// visible.
+    Rows(Visible),
     /// The final append cannot be decided locally; the caller must ask
     /// the SMS to reconcile and retry (§7.1).
     NeedsReconcile,
@@ -107,11 +107,11 @@ pub struct TableRead<T> {
     pub schema: Schema,
     /// What the fragment callback returned for the settled read set.
     pub fragments: T,
-    /// Committed, visible rows of the streamlet tails (no cached
-    /// properties, always read — §7.2: "the properties for the tail of a
-    /// Streamlet are maintained by the Stream Server"; the reader goes
-    /// to the log).
-    pub tail_rows: Vec<(RowMeta, Row)>,
+    /// Committed rows of the streamlet tails, and which are visible (no
+    /// cached properties, always read — §7.2: "the properties for the
+    /// tail of a Streamlet are maintained by the Stream Server"; the
+    /// reader goes to the log).
+    pub tail_zones: Vec<Visible>,
     /// Tails probed.
     pub tails: usize,
     /// False only for best-effort reads that skipped a tail.
@@ -137,7 +137,7 @@ pub fn drive_table_read<T>(
     for _round in 0..RECONCILE_ROUNDS {
         let rs = sms.list_read_fragments(table, snapshot)?;
         let fragments = read_fragments(&rs)?;
-        let mut tail_rows = Vec::new();
+        let mut tail_zones = Vec::new();
         let mut complete = true;
         let mut ambiguous = Vec::new();
         for tail in &rs.tails {
@@ -147,13 +147,13 @@ pub fn drive_table_read<T>(
                 // fragment records (listed at the reconcile time) are
                 // authoritative and safe to read at the old snapshot (row
                 // visibility is still gated by block timestamps).
-                tail_rows.extend(read_reconciled_tail(
+                tail_zones.extend(read_reconciled_tail(
                     sms, fleet, key, table, tail, snapshot, list_at,
                 )?);
                 continue;
             }
             match read_tail(tail, fleet, key, snapshot) {
-                Ok(TailOutcome::Rows(r)) => tail_rows.extend(r),
+                Ok(TailOutcome::Rows(zones)) => tail_zones.push(zones),
                 // Monitoring reads don't pay the reconciliation round
                 // trip; they return what is unambiguous (§9).
                 Ok(TailOutcome::NeedsReconcile) if best_effort => complete = false,
@@ -166,7 +166,7 @@ pub fn drive_table_read<T>(
             return Ok(TableRead {
                 schema: rs.schema,
                 fragments,
-                tail_rows,
+                tail_zones,
                 tails: rs.tails.len(),
                 complete,
             });
@@ -192,12 +192,14 @@ pub fn read_table(
 ) -> VortexResult<TableRows> {
     let key = sms.get_table(table)?.encryption_key();
     let mut fragments_complete = true;
+    // Each fragment's zones are gathered into rows and dropped before the
+    // next is read.
     let read = drive_table_read(sms, fleet, &key, table, snapshot, opts.best_effort, |rs| {
         fragments_complete = true;
         let mut rows: Vec<(RowMeta, Row)> = Vec::new();
         for spec in &rs.fragments {
             match read_fragment_cached(spec, fleet, &key, snapshot, opts.cache.as_deref()) {
-                Ok(r) => rows.extend(r),
+                Ok(zones) => zones.rows_into(rs.schema.fields.len(), &mut rows),
                 Err(e) if opts.best_effort && e.is_retryable() => fragments_complete = false,
                 Err(e) => return Err(e),
             }
@@ -205,25 +207,16 @@ pub fn read_table(
         Ok(rows)
     })?;
     let mut rows = read.fragments;
-    rows.extend(read.tail_rows);
+    for zones in &read.tail_zones {
+        zones.rows_into(read.schema.fields.len(), &mut rows);
+    }
     rows.sort_by_key(|(m, _)| (m.stream, m.offset, m.ts));
-    pad_rows(&mut rows, read.schema.fields.len());
     Ok(TableRows {
         snapshot,
         schema: read.schema,
         rows,
         complete: fragments_complete && read.complete,
     })
-}
-
-/// Pads rows written under an earlier schema version with NULLs for the
-/// additive columns they predate (§5.4.1).
-pub fn pad_rows(rows: &mut [(RowMeta, Row)], arity: usize) {
-    for (_, r) in rows {
-        if r.values.len() < arity {
-            r.values.resize(arity, Value::Null);
-        }
-    }
 }
 
 /// Reads a tail whose streamlet was reconciled *after* the read snapshot:
@@ -238,7 +231,7 @@ fn read_reconciled_tail(
     tail: &TailReadSpec,
     snapshot: Timestamp,
     list_at: Timestamp,
-) -> VortexResult<Vec<(RowMeta, Row)>> {
+) -> VortexResult<Vec<Visible>> {
     // List at the reconciliation timestamp, not a fresh `now`: the
     // fragment records written by the reconcile are MVCC-stable there,
     // while at `now` a fast optimizer+GC cycle may have already deleted
@@ -264,11 +257,11 @@ fn read_reconciled_tail(
             streamlet_first_stream_row: tail.first_stream_row,
             meta,
         };
-        for (m, r) in read_fragment_cached(&spec, fleet, key, snapshot, None)? {
-            if m.offset >= from_offset {
-                out.push((m, r));
-            }
+        let mut read = read_fragment_cached(&spec, fleet, key, snapshot, None)?;
+        for (zone, sel) in read.zones.iter().zip(&mut read.sel) {
+            sel.retain(|&i| zone.metas[i].offset >= from_offset);
         }
+        out.push(read);
     }
     Ok(out)
 }
@@ -295,34 +288,166 @@ fn with_replica<T>(
     Err(last_err)
 }
 
-/// A fragment fetched whole from a replica and parsed, its rows not yet
-/// materialized.
-pub enum OpenFragment {
-    /// A columnar block, every chunk of it held.
-    Ros(RosBlock),
-    /// A log file parsed up to the recorded committed size.
-    Wos(ParsedFragment),
+/// The one decoded form: a run of rows of a fragment or a tail as their
+/// provenance plus one [`ColumnVec`] per column — leaf vectors for a log
+/// file's rows, the vectors a block's chunks decode to for a ROS zone. A
+/// column the rows predate (an older schema version) is absent, and reads
+/// NULL; a `Row` is built from a zone only by [`gather_rows`].
+#[derive(Debug, Clone)]
+pub struct Zone {
+    /// The position of the zone's first row, in the coordinate a
+    /// [`RowGate`] and deletion masks address; its rows are consecutive.
+    pub first: u64,
+    /// The provenance of each row.
+    pub metas: Vec<RowMeta>,
+    /// One vector per column.
+    pub cols: Vec<ColumnVec>,
 }
 
-/// Fetches one fragment whole and parses it, with replica failover — for
-/// the readers that go on to decode all of it (table reads, DML, the
-/// optimizer's passes), which one read serves best. A scan opens a ROS
-/// block with [`open_ros_block`] instead.
-pub fn open_fragment(
-    meta: &FragmentMeta,
+/// Decoded zones — a fragment's whole extent, or a tail's committed
+/// blocks — with the rows of each that a read may see.
+#[derive(Debug, Clone)]
+pub struct Visible {
+    zones: Arc<Vec<Zone>>,
+    /// Per zone, the admitted zone-relative rows, ascending.
+    sel: Vec<Vec<usize>>,
+}
+
+impl Visible {
+    /// The rows of `zones` that `gate` admits.
+    fn through(gate: &RowGate<'_>, zones: Arc<Vec<Zone>>) -> Self {
+        // lint:allow(L010, once per fragment or tail read: a selection per zone)
+        let sel = zones.iter().map(|zone| gate.admitted(zone)).collect();
+        Visible { zones, sel }
+    }
+
+    /// Visible rows.
+    pub fn len(&self) -> usize {
+        self.sel.iter().map(Vec::len).sum()
+    }
+
+    /// Whether no row is visible.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Each zone with its visible rows.
+    pub fn iter(&self) -> impl Iterator<Item = (&Zone, &[usize])> {
+        self.zones.iter().zip(self.sel.iter().map(Vec::as_slice))
+    }
+
+    /// The visible rows (`arity` cells each, as [`Visible::rows_into`]),
+    /// each with its position — the coordinate a DML statement's deletion
+    /// mask is written in (§7.3).
+    pub fn positioned_rows(&self, arity: usize) -> Vec<(u64, Row)> {
+        let mut rows = Vec::with_capacity(self.len());
+        self.rows_into(arity, &mut rows);
+        let positions =
+            (self.iter()).flat_map(|(zone, sel)| sel.iter().map(move |&i| zone.first + i as u64));
+        (positions.zip(rows).map(|(pos, (_, row))| (pos, row))).collect()
+    }
+
+    /// Gathers the visible rows, `arity` cells each (at least the zone's
+    /// own width), onto `out`.
+    pub fn rows_into(&self, arity: usize, out: &mut Vec<(RowMeta, Row)>) {
+        for (zone, sel) in self.iter() {
+            let width = arity.max(zone.cols.len());
+            let cols: Vec<_> = (0..width).map(|c| zone.cols.get(c)).collect();
+            gather_rows(&zone.metas, sel, &cols, out);
+        }
+    }
+}
+
+/// Decodes `blocks` of the indexed log file `bytes` — each with the
+/// position of its first row — into zones: consecutive blocks accumulate
+/// into one zone of up to [`ZONE_ROWS`] rows (a tail of 16-row appends is
+/// a few zones, not hundreds), each block's verified plaintext walked
+/// once, cell by cell, into the zone's column builders. A row's
+/// provenance is arithmetic on its block's index entry — in a streamlet
+/// of `stream` whose row 0 is the stream's row `first_stream_row` — plus
+/// its change type.
+fn wos_zones<'i>(
+    (ix, bytes): (&FragmentIndex, &[u8]),
+    key: &Key,
+    blocks: impl IntoIterator<Item = (u64, &'i BlockEntry)>,
+    (stream, first_stream_row): (StreamId, u64),
+) -> VortexResult<Vec<Zone>> {
+    // Each zone as it grows: its first position, provenance and columns.
+    // lint:allow(L010, once per log file decoded: an entry per zone)
+    let mut zones: Vec<(u64, Vec<RowMeta>, Vec<ColumnBuilder>)> = Vec::new();
+    for (pos, b) in blocks {
+        let continues = zones.last().is_some_and(|(first, metas, _)| {
+            let held = metas.len() as u64;
+            pos == first + held && held + b.row_count <= ZONE_ROWS as u64
+        });
+        if !continues {
+            // lint:allow(L010, once per zone decoded)
+            zones.push((pos, Vec::new(), Vec::new()));
+        }
+        let Some((_, metas, cols)) = zones.last_mut() else {
+            continue;
+        };
+        let plain = ix.block_plaintext(bytes, key, b)?;
+        let (ts, stream, held) = (b.timestamp, stream.raw(), metas.len());
+        let mut offset = first_stream_row + b.first_row;
+        let rows = add_rowset(cols, held, &plain, |change_type| {
+            // lint:allow(L010, grows the zone's provenance vector: 32 bytes a row, amortised)
+            metas.push(RowMeta {
+                change_type,
+                ts,
+                stream,
+                offset,
+            });
+            offset += 1;
+        })?;
+        b.decoded(rows as u64)?;
+    }
+    let seal = |(first, metas, cols): (u64, _, Vec<ColumnBuilder>)| Zone {
+        first,
+        metas,
+        // lint:allow(L010, once per zone decoded: a vector per column)
+        cols: cols.into_iter().map(ColumnBuilder::into_column).collect(),
+    };
+    // lint:allow(L010, once per log file decoded: an entry per zone)
+    Ok(zones.into_iter().map(seal).collect())
+}
+
+/// Decodes a fragment's full extent into zones (no visibility filtering),
+/// with replica failover — the cacheable unit: `(path, committed_size)`
+/// uniquely identifies this content. The file is read whole, which serves
+/// best the readers that go on to decode all of it (table reads, DML, the
+/// optimizer's passes); a scan opens a ROS block with [`open_ros_block`]
+/// instead. Positions are fragment-relative: a ROS block's row index, a
+/// log file's row past `meta.first_row`.
+pub fn read_zones(
+    spec: &FragmentReadSpec,
     fleet: &StorageFleet,
     key: &Key,
-) -> VortexResult<OpenFragment> {
+) -> VortexResult<Vec<Zone>> {
+    let meta = &spec.meta;
     with_replica(meta.clusters, &meta.path, fleet, |cluster| {
         let bytes = cluster.read_all(&meta.path)?.data;
-        Ok(match meta.kind {
-            FragmentKind::Ros => {
-                OpenFragment::Ros(RosBlock::from_bytes(&bytes, key, meta.fragment.raw())?)
-            }
-            FragmentKind::Wos => {
-                OpenFragment::Wos(parse_fragment(&bytes, key, Some(meta.committed_size))?)
-            }
-        })
+        if meta.kind == FragmentKind::Wos {
+            let ix = index_fragment(&bytes, Some(meta.committed_size))?;
+            let blocks = ix.blocks.iter().scan(0, |rows, b| {
+                *rows += b.row_count;
+                Some((*rows - b.row_count, b))
+            });
+            let of = (spec.stream, spec.streamlet_first_stream_row);
+            return wos_zones((&ix, &bytes), key, blocks, of);
+        }
+        let block = RosBlock::from_bytes(&bytes, key, meta.fragment.raw())?;
+        let zone = |z: usize| {
+            let cols = (0..block.column_count()).map(|c| block.decode_zone(c, z));
+            Ok(Zone {
+                first: block.zone_range(z).start as u64,
+                metas: block.zone_metas(z)?,
+                // lint:allow(L010, once per zone of a block read whole: a vector per column)
+                cols: cols.collect::<VortexResult<_>>()?,
+            })
+        };
+        // lint:allow(L010, once per block read whole: an entry per zone)
+        (0..block.zone_count()).map(zone).collect()
     })
 }
 
@@ -359,60 +484,6 @@ pub fn read_fragment_bloom(
         vortex_wos::read_bloom(meta.committed_size, |offset, len| {
             Ok(cluster.read(&meta.path, offset, len)?.data)
         })
-    })
-}
-
-/// The rows of a decoded log-file block in position order, each moved out
-/// with its provenance; `stream` and `first_stream_row` are those of the
-/// read spec the block is read under.
-fn block_rows(
-    block: DataBlock,
-    stream: StreamId,
-    first_stream_row: u64,
-) -> impl Iterator<Item = (RowMeta, Row)> {
-    let (ts, first) = (block.timestamp, first_stream_row + block.first_row);
-    let with_meta = move |(row, offset): (Row, u64)| {
-        let meta = RowMeta {
-            change_type: row.change_type,
-            ts,
-            stream: stream.raw(),
-            offset,
-        };
-        (meta, row)
-    };
-    block.rows.rows.into_iter().zip(first..).map(with_meta)
-}
-
-/// The rows of a parsed log file in position order ([`block_rows`] of
-/// every block).
-pub fn wos_rows(
-    parsed: ParsedFragment,
-    stream: StreamId,
-    first_stream_row: u64,
-) -> impl Iterator<Item = (RowMeta, Row)> {
-    (parsed.blocks.into_iter()).flat_map(move |block| block_rows(block, stream, first_stream_row))
-}
-
-/// Decodes a fragment's full extent, positionally ordered (no visibility
-/// filtering) — the cacheable unit: `(path, committed_size)` uniquely
-/// identifies this content. The index in the returned vector is the
-/// fragment-relative position deletion masks address.
-fn decode_fragment(
-    spec: &FragmentReadSpec,
-    fleet: &StorageFleet,
-    key: &Key,
-) -> VortexResult<Vec<(RowMeta, Row)>> {
-    Ok(match open_fragment(&spec.meta, fleet, key)? {
-        OpenFragment::Ros(block) => block.rows()?,
-        OpenFragment::Wos(parsed) => {
-            let mut rows = Vec::with_capacity(parsed.total_rows() as usize);
-            rows.extend(wos_rows(
-                parsed,
-                spec.stream,
-                spec.streamlet_first_stream_row,
-            ));
-            rows
-        }
     })
 }
 
@@ -491,72 +562,41 @@ impl<'a> RowGate<'a> {
             && !self.mask.contains(pos)
     }
 
-    /// The visible rows of a positionally decoded extent, each with its
-    /// position. Takes the extent by value (rows move out) or by
-    /// reference (a cached extent stays shared).
-    pub fn visible<'g, I>(&'g self, decoded: I) -> impl Iterator<Item = (u64, I::Item)> + 'g
-    where
-        I: IntoIterator + 'g,
-        I::Item: Borrow<(RowMeta, Row)>,
-    {
-        decoded
-            .into_iter()
-            .take_while(|row| !self.stops_at(row.borrow().0.ts))
-            .enumerate()
-            .map(|(i, row)| (i as u64, row))
-            .filter(|(pos, _)| self.admits(*pos))
+    /// The visible rows of a decoded zone, zone-relative and ascending.
+    pub fn admitted(&self, zone: &Zone) -> Vec<usize> {
+        let visible =
+            |&i: &usize| !self.stops_at(zone.metas[i].ts) && self.admits(zone.first + i as u64);
+        (0..zone.metas.len()).filter(visible).collect()
     }
 }
 
-/// Reads one fragment's visible rows (WOS or ROS) with replica failover,
-/// through the decoded-extent cache (§9) if one is given.
+/// Reads one fragment (WOS or ROS) into zones with replica failover,
+/// through the decoded-extent cache (§9) if one is given — a hit shares
+/// the cached zones — and marks the rows visible at `snapshot`.
 pub fn read_fragment_cached(
     spec: &FragmentReadSpec,
     fleet: &StorageFleet,
     key: &Key,
     snapshot: Timestamp,
     cache: Option<&crate::cache::ReadCache>,
-) -> VortexResult<Vec<(RowMeta, Row)>> {
+) -> VortexResult<Visible> {
     let gate = RowGate::for_fragment(spec, snapshot);
     if gate.is_shut() {
-        return Ok(vec![]);
+        return Ok(Visible::through(&gate, Arc::default()));
     }
-    let Some(cache) = cache else {
-        let decoded = decode_fragment(spec, fleet, key)?;
-        return Ok(gate.visible(decoded).map(|(_, r)| r).collect());
-    };
     let (path, size) = (&spec.meta.path, spec.meta.committed_size);
-    let decoded = match cache.get(path, size) {
+    let zones = match cache.and_then(|cache| cache.get(path, size)) {
         Some(hit) => hit,
         None => {
-            let decoded = Arc::new(decode_fragment(spec, fleet, key)?);
-            cache.put(path, size, decoded.clone());
-            decoded
+            // lint:allow(L010, once per fragment decoded, so that the cache can share it)
+            let zones = Arc::new(read_zones(spec, fleet, key)?);
+            if let Some(cache) = cache {
+                cache.put(path, size, zones.clone());
+            }
+            zones
         }
     };
-    Ok(gate
-        .visible(decoded.iter())
-        .map(|(_, r)| r.clone())
-        .collect())
-}
-
-/// [`read_fragment_cached`] keeping each visible row's position — the
-/// coordinate a DML statement's deletion mask is written in (§7.3).
-pub fn read_fragment_positions(
-    spec: &FragmentReadSpec,
-    fleet: &StorageFleet,
-    key: &Key,
-    snapshot: Timestamp,
-) -> VortexResult<Vec<(u64, Row)>> {
-    let gate = RowGate::for_fragment(spec, snapshot);
-    if gate.is_shut() {
-        return Ok(vec![]);
-    }
-    let decoded = decode_fragment(spec, fleet, key)?;
-    Ok(gate
-        .visible(decoded)
-        .map(|(pos, (_, row))| (pos, row))
-        .collect())
+    Ok(Visible::through(&gate, zones))
 }
 
 /// The blocks of an indexed log file that matter to a read through
@@ -590,8 +630,9 @@ pub fn read_tail(
     snapshot: Timestamp,
 ) -> VortexResult<TailOutcome> {
     let gate = RowGate::for_tail(tail, snapshot);
+    let nothing = || TailOutcome::Rows(Visible::through(&gate, Arc::default()));
     if gate.is_shut() {
-        return Ok(TailOutcome::Rows(vec![]));
+        return Ok(nothing());
     }
     // ---- Phase 1: probe log files until one is missing. ----
     let replicas: Vec<&Arc<Colossus>> = (tail.clusters.iter())
@@ -619,7 +660,7 @@ pub fn read_tail(
                 tail.streamlet, tail.from_row, tail.expected_rows
             )));
         }
-        return Ok(TailOutcome::Rows(vec![]));
+        return Ok(nothing());
     }
 
     // ---- Phase 2: the latest fragment — commit rules + snapshot-bounded
@@ -666,24 +707,17 @@ pub fn read_tail(
         return Ok(TailOutcome::NeedsReconcile);
     }
 
-    // ---- Phase 3: rows. The gate's pick of an indexed file's relevant
-    // blocks, each decoded once; returns the committed streamlet-relative
+    // ---- Phase 3: zones. The gate's pick of an indexed file's relevant
+    // blocks, each decoded once; with them the committed streamlet-relative
     // row end recovered (before flush/mask gating). ----
-    let mut out = Vec::new();
-    let visible = |ix: &FragmentIndex, bytes: &[u8], out: &mut Vec<(RowMeta, Row)>| {
-        let mut end_row = tail.from_row;
-        for b in relevant(ix, &gate) {
-            end_row = end_row.max(b.first_row + b.row_count);
-            let rows = block_rows(
-                ix.decode_block(bytes, key, b)?,
-                tail.stream,
-                tail.first_stream_row,
-            );
-            let admitted = rows.zip(b.first_row..).filter(|(_, pos)| gate.admits(*pos));
-            out.extend(admitted.map(|(row, _)| row));
-        }
-        Ok(end_row)
+    let zones_of = |ix: &FragmentIndex, bytes: &[u8]| {
+        let blocks = relevant(ix, &gate);
+        let ends = blocks.iter().map(|b| b.first_row + b.row_count);
+        let at = blocks.iter().map(|b| (b.first_row, b));
+        let zones = wos_zones((ix, bytes), key, at, (tail.stream, tail.first_stream_row))?;
+        Ok((ends.fold(tail.from_row, u64::max), zones))
     };
+    let mut zones = Vec::new();
     let mut recovered_end = tail.from_row;
     for ordinal in tail.from_ordinal..end - 1 {
         // A successor file exists, so one replica serves. Prefer the File
@@ -694,19 +728,20 @@ pub fn read_tail(
         // parseable block here (the server opened the next file only
         // after settling this one).
         let entry = (indexes[0].header.file_map.iter()).find(|e| e.ordinal == ordinal);
-        let (file, limit, mark) = (path(ordinal), entry.map(|e| e.committed_size), out.len());
-        let end_row = with_replica(tail.clusters, &file, fleet, |cluster| {
-            out.truncate(mark); // rows of a replica that failed part-way
+        let (file, limit) = (path(ordinal), entry.map(|e| e.committed_size));
+        let (end_row, of_file) = with_replica(tail.clusters, &file, fleet, |cluster| {
             let bytes = cluster.read_all(&file)?.data;
-            visible(&index_fragment(&bytes, limit)?, &bytes, &mut out)
+            zones_of(&index_fragment(&bytes, limit)?, &bytes)
         })?;
+        zones.extend(of_file);
         recovered_end = recovered_end.max(end_row);
     }
     // A copy that frames but does not decode cannot be decided locally
     // either.
-    let Ok(end_row) = visible(&indexes[0], &copies[0], &mut out) else {
+    let Ok((end_row, of_latest)) = zones_of(&indexes[0], &copies[0]) else {
         return Ok(TailOutcome::NeedsReconcile);
     };
+    zones.extend(of_latest);
     let recovered_end = recovered_end.max(end_row);
     if recovered_end < tail.expected_rows {
         return Err(VortexError::NotFound(format!(
@@ -715,5 +750,6 @@ pub fn read_tail(
             tail.streamlet, recovered_end, tail.expected_rows
         )));
     }
-    Ok(TailOutcome::Rows(out))
+    // lint:allow(L010, once per tail read)
+    Ok(TailOutcome::Rows(Visible::through(&gate, Arc::new(zones))))
 }

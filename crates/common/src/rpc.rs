@@ -169,9 +169,7 @@ pub fn table_scope(table: TableId) -> CtxGuard {
 /// sheds it before any work happens, so shedding is always safe to retry
 /// regardless of [`CallKind`]. Every admitted attempt is paired with
 /// exactly one [`RpcInterceptor::release`] when the attempt concludes
-/// (success *or* failure — concurrency windows must not leak), and every
-/// call — admitted or shed — gets one [`RpcInterceptor::complete`] with
-/// the call's total virtual latency for the adaptive (AIMD) feedback loop.
+/// (success *or* failure — concurrency windows must not leak).
 pub trait RpcInterceptor: Send + Sync {
     /// Decides one attempt. Returns the virtual queue wait in µs, or a
     /// (retryable, hint-carrying) error to shed the attempt.
@@ -187,16 +185,6 @@ pub trait RpcInterceptor: Send + Sync {
 
     /// Concludes one *admitted* attempt (releases concurrency state).
     fn release(&self, ctx: CallCtx);
-
-    /// Concludes one call with its total virtual latency and outcome.
-    fn complete(
-        &self,
-        channel: &str,
-        method: &'static str,
-        ctx: CallCtx,
-        latency_us: u64,
-        ok: bool,
-    );
 }
 
 /// Idempotency class of an RPC method, declared at each call site.
@@ -603,15 +591,6 @@ impl RpcChannel {
             call.stats.err.inc();
         }
         call.stats.latency.record(call.consumed_us);
-        if let Some(i) = &self.interceptor {
-            i.complete(
-                &self.name,
-                method,
-                call.ctx,
-                call.consumed_us,
-                result.is_ok(),
-            );
-        }
         result
     }
 
@@ -923,8 +902,6 @@ mod tests {
         admits: AtomicU64,
         sheds: AtomicU64,
         releases: AtomicU64,
-        completes: AtomicU64,
-        completed_ok: AtomicU64,
         classes: Mutex<Vec<WorkClass>>,
         bytes: Mutex<Vec<u64>>,
     }
@@ -937,8 +914,6 @@ mod tests {
                 admits: AtomicU64::new(0),
                 sheds: AtomicU64::new(0),
                 releases: AtomicU64::new(0),
-                completes: AtomicU64::new(0),
-                completed_ok: AtomicU64::new(0),
                 classes: Mutex::new(Vec::new()),
                 bytes: Mutex::new(Vec::new()),
             })
@@ -971,20 +946,6 @@ mod tests {
         fn release(&self, _ctx: CallCtx) {
             self.releases.fetch_add(1, Ordering::SeqCst);
         }
-
-        fn complete(
-            &self,
-            _channel: &str,
-            _method: &'static str,
-            _ctx: CallCtx,
-            _latency_us: u64,
-            ok: bool,
-        ) {
-            self.completes.fetch_add(1, Ordering::SeqCst);
-            if ok {
-                self.completed_ok.fetch_add(1, Ordering::SeqCst);
-            }
-        }
     }
 
     #[test]
@@ -1001,8 +962,6 @@ mod tests {
         assert_eq!((waited.count, waited.sum), (1, 10_000));
         assert_eq!(m.admission_shed.get(), 2);
         assert_eq!(m.attempts.get(), 3);
-        // Shedding is pre-execution: retrying a NonIdempotent call is safe.
-        assert_eq!(icpt.completed_ok.load(Ordering::SeqCst), 1);
     }
 
     #[test]
@@ -1044,9 +1003,8 @@ mod tests {
             other => panic!("expected ResourceExhausted, got {other:?}"),
         }
         assert_eq!(executed.load(Ordering::SeqCst), 0, "shed before execute");
-        // Shed attempts were never admitted: no release, one complete.
+        // Shed attempts were never admitted: no release.
         assert_eq!(icpt.releases.load(Ordering::SeqCst), 0);
-        assert_eq!(icpt.completes.load(Ordering::SeqCst), 1);
         let m = ch.metrics().method("m");
         assert_eq!(m.admission_shed.get(), m.attempts.get());
     }
@@ -1068,7 +1026,6 @@ mod tests {
         });
         let admitted = icpt.admits.load(Ordering::SeqCst);
         assert_eq!(icpt.releases.load(Ordering::SeqCst), admitted);
-        assert_eq!(icpt.completes.load(Ordering::SeqCst), 4);
     }
 
     #[test]

@@ -59,7 +59,7 @@ pub const CLOCK_ALLOWED_FILES: &[&str] = &[
 ];
 
 /// The admission-control subsystem: the single owner of throttling
-/// policy (token buckets, queue bounds, the AIMD limiter). Ad-hoc
+/// policy (token buckets, queue bounds, the concurrency window). Ad-hoc
 /// throttling waits elsewhere bypass its per-class accounting (L009).
 pub const ADMISSION_CRATE_PREFIX: &str = "crates/admission/";
 

@@ -27,16 +27,16 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use vortex_client::read::{open_fragment, wos_rows, OpenFragment, RowGate};
+use vortex_client::read::{read_zones, RowGate, Zone};
 use vortex_colossus::{Colossus, StorageFleet};
 use vortex_common::error::{VortexError, VortexResult};
 use vortex_common::ids::{IdGen, StreamId, StreamletId, TableId};
 use vortex_common::mask::DeletionMask;
-use vortex_common::row::Row;
+use vortex_common::row::Value;
 use vortex_common::rpc::{class_scope, WorkClass};
 use vortex_common::schema::{PartitionSpec, Schema};
 use vortex_common::truetime::Timestamp;
-use vortex_ros::{clustering_order, ColumnVec, RosBlockBuilder, RowMeta};
+use vortex_ros::{clustering_order, ColumnVec, RosBlockBuilder};
 use vortex_sms::api::SmsHandle;
 use vortex_sms::meta::{
     ros_path, FragmentKind, FragmentMeta, FragmentState, StreamType, StreamletMeta, TableMeta,
@@ -159,62 +159,32 @@ impl StorageOptimizer {
         Ok(out)
     }
 
-    /// Hands `sink` the rows of a WOS fragment this pass rewrites that
-    /// `mask` leaves, in position order, each moved out of the parsed log
-    /// file — no row vector is built. Returns how many there were. `sl`
-    /// is the owning streamlet (row provenance).
-    fn for_each_wos_row(
+    /// Decodes a fragment this pass rewrites — log file or ROS block, one
+    /// reader — into zones of one leaf vector per schema column, each with
+    /// the rows `mask` leaves. `sl` is the owning streamlet of a WOS
+    /// fragment (row provenance); ROS rows carry their own.
+    fn source_zones(
         &self,
         f: &FragmentMeta,
         mask: DeletionMask,
-        sl: &StreamletMeta,
-        key: &vortex_common::crypt::Key,
-        mut sink: impl FnMut(RowMeta, Row) -> VortexResult<()>,
-    ) -> VortexResult<u64> {
-        let spec = settled_spec(f, mask, Some(sl));
+        sl: Option<&StreamletMeta>,
+        (schema, key): (&Schema, &vortex_common::crypt::Key),
+    ) -> VortexResult<Vec<(Zone, Vec<usize>)>> {
+        let spec = settled_spec(f, mask, sl);
         let gate = RowGate::for_fragment(&spec, Timestamp::MAX);
-        let OpenFragment::Wos(parsed) = open_fragment(f, &self.fleet, key)? else {
-            return Err(listed_as(f, "a log file"));
+        let leaves = |mut zone: Zone| {
+            let kept = gate.admitted(&zone);
+            let every: Vec<usize> = (0..zone.metas.len()).collect();
+            let cols = std::mem::take(&mut zone.cols);
+            zone.cols = cols.into_iter().map(|c| c.into_leaf(&every)).collect();
+            // Rows that predate a column read NULL in it (§5.4.1).
+            let nulls = || ColumnVec::Any(vec![Value::Null; every.len()]);
+            zone.cols
+                .resize_with(schema.fields.len().max(zone.cols.len()), nulls);
+            (zone, kept)
         };
-        let rows = wos_rows(parsed, spec.stream, spec.streamlet_first_stream_row);
-        let mut visible = gate.visible(rows);
-        visible.try_fold(0, |kept, (_, (meta, row))| {
-            sink(meta, row).map(|()| kept + 1)
-        })
-    }
-
-    /// Decodes a ROS block this pass rewrites zone by zone into leaf
-    /// vectors of the rows `mask` leaves, appending to `zones`.
-    fn read_ros_zones(
-        &self,
-        f: &FragmentMeta,
-        mask: DeletionMask,
-        key: &vortex_common::crypt::Key,
-        zones: &mut Vec<SourceZone>,
-    ) -> VortexResult<()> {
-        let spec = settled_spec(f, mask, None);
-        let gate = RowGate::for_fragment(&spec, Timestamp::MAX);
-        let OpenFragment::Ros(block) = open_fragment(f, &self.fleet, key)? else {
-            return Err(listed_as(f, "a ROS block"));
-        };
-        for z in 0..block.zone_count() {
-            let range = block.zone_range(z);
-            let kept: Vec<usize> = (0..range.len())
-                .filter(|i| gate.admits((range.start + i) as u64))
-                .collect();
-            if kept.is_empty() {
-                continue;
-            }
-            let decode = |c| Ok(block.decode_zone(c, z)?.into_leaf(&kept));
-            let metas = block.zone_metas(z)?;
-            zones.push(SourceZone {
-                metas: kept.iter().map(|&i| metas[i]).collect(),
-                cols: (0..block.column_count())
-                    .map(decode)
-                    .collect::<VortexResult<_>>()?,
-            });
-        }
-        Ok(())
+        let zones = read_zones(&spec, &self.fleet, key)?;
+        Ok(zones.into_iter().map(leaves).collect())
     }
 
     /// Builds one ROS block from the typed columns the pass gathered and
@@ -286,8 +256,8 @@ impl StorageOptimizer {
             fragments_converted: candidates.len(),
             ..ConversionReport::default()
         };
-        // Partition key → its blocks' typed columns, each row moved from
-        // the parsed log file into the last block until that is full.
+        // Partition key → its blocks' typed columns, each row copied from
+        // its zone into the last block until that is full.
         let mut partitions: BTreeMap<Option<i64>, Vec<RosBlockBuilder>> = BTreeMap::new();
         let target = self.cfg.target_block_rows.max(1);
         let partition = partition_column(schema);
@@ -297,15 +267,24 @@ impl StorageOptimizer {
             sources.push((f.fragment, f.masks.len()));
             // Merged conversions apply masks now (the commit will
             // conflict if new masks appear concurrently).
-            let kept = self.for_each_wos_row(f, f.mask_at(snapshot), sl, &key, |meta, row| {
-                let pkey =
-                    partition.and_then(|(col, spec)| spec.partition_key(row.values.get(col)?));
-                let blocks = partitions.entry(pkey).or_default();
-                if blocks.last().map_or(true, |b| b.len() >= target) {
-                    blocks.push(RosBlockBuilder::new(schema));
+            let mut kept = 0;
+            for (zone, rows) in
+                self.source_zones(f, f.mask_at(snapshot), Some(sl), (schema, &key))?
+            {
+                kept += rows.len() as u64;
+                for r in rows {
+                    let of_row = |(col, spec): (usize, &PartitionSpec)| {
+                        spec.partition_key(&zone.cols.get(col)?.value(r))
+                    };
+                    let blocks = partitions.entry(partition.and_then(of_row)).or_default();
+                    if blocks.last().map_or(true, |b| b.len() >= target) {
+                        blocks.push(RosBlockBuilder::new(schema));
+                    }
+                    if let Some(block) = blocks.last_mut() {
+                        block.push_row_of(zone.metas[r], &zone.cols, r)?;
+                    }
                 }
-                blocks.last_mut().map_or(Ok(()), |b| b.push(meta, row))
-            })?;
+            }
             report.rows_masked += f.row_count - kept;
         }
         // Build per-partition clustered blocks.
@@ -345,7 +324,11 @@ impl StorageOptimizer {
             // Masks carry over positionally, so every row is read.
             let mut rows = RosBlockBuilder::new(&tmeta.schema);
             let every = DeletionMask::new();
-            self.for_each_wos_row(f, every, sl, &key, |meta, row| rows.push(meta, row))?;
+            for (zone, kept) in self.source_zones(f, every, Some(sl), (&tmeta.schema, &key))? {
+                for r in kept {
+                    rows.push_row_of(zone.metas[r], &zone.cols, r)?;
+                }
+            }
             if rows.is_empty() {
                 continue;
             }
@@ -415,22 +398,21 @@ impl StorageOptimizer {
         let next_level = ros.iter().map(|f| f.level).max().unwrap_or(0) + 1;
         // Decode all live ROS zones, applying masks. Partition key → its
         // rows as (zone, row) indices, in source order.
-        let mut zones: Vec<SourceZone> = Vec::new();
+        let mut zones: Vec<Zone> = Vec::new();
         let mut partitions: BTreeMap<Option<i64>, Vec<(usize, usize)>> = BTreeMap::new();
         let partition = partition_column(schema);
         let mut sources = Vec::new();
         for f in &ros {
             sources.push((f.fragment, f.masks.len()));
-            let first = zones.len();
-            self.read_ros_zones(f, f.mask_at(now), &key, &mut zones)?;
-            for (z, zone) in zones.iter().enumerate().skip(first) {
-                for r in 0..zone.metas.len() {
+            for (zone, kept) in self.source_zones(f, f.mask_at(now), None, (schema, &key))? {
+                for r in kept {
                     let of_row = |(col, spec): (usize, &PartitionSpec)| {
                         spec.partition_key(&zone.cols.get(col)?.value(r))
                     };
                     let pkey = f.partition_key.or_else(|| partition.and_then(of_row));
-                    partitions.entry(pkey).or_default().push((z, r));
+                    partitions.entry(pkey).or_default().push((zones.len(), r));
                 }
+                zones.push(zone);
             }
         }
         // Per partition: global order by clustering key, then split into
@@ -447,9 +429,9 @@ impl StorageOptimizer {
         for (pkey, mut order) in partitions {
             let row = |&(z, r): &(usize, usize)| (&zones[z].cols[..], &zones[z].metas[r], r);
             order.sort_by(|a, b| clustering_order(&cl_idx, row(a), row(b)));
-            for block_rows in order.chunks(self.cfg.target_block_rows.max(1)) {
+            for of_block in order.chunks(self.cfg.target_block_rows.max(1)) {
                 let mut block = RosBlockBuilder::new(schema);
-                for &(z, r) in block_rows {
+                for &(z, r) in of_block {
                     block.push_row_of(zones[z].metas[r], &zones[z].cols, r)?;
                 }
                 // Unsorted build: the rows are already globally sorted.
@@ -543,13 +525,6 @@ fn write_whole_file(cluster: &Colossus, path: &str, bytes: &[u8]) -> VortexResul
     Err(last)
 }
 
-/// One zone of a ROS block a recluster pass reads, masked rows dropped:
-/// the provenance of its rows and a leaf vector per column.
-struct SourceZone {
-    metas: Vec<RowMeta>,
-    cols: Vec<ColumnVec>,
-}
-
 /// The read spec of a fragment a pass rewrites, minus `mask`.
 /// Stream-level visibility is already settled —
 /// [`StorageOptimizer::candidates`] only admits committed, fully flushed
@@ -568,10 +543,6 @@ fn settled_spec(
         stream: sl.map_or(StreamId::from_raw(0), |sl| sl.stream),
         streamlet_first_stream_row: sl.map_or(0, |sl| sl.first_stream_row),
     }
-}
-
-fn listed_as(f: &FragmentMeta, kind: &str) -> VortexError {
-    VortexError::Internal(format!("{} is listed as {kind} but is not one", f.path))
 }
 
 /// The column a table is partitioned on and the transform that maps its

@@ -569,6 +569,33 @@ fn read_path_mixes_wos_and_ros() {
     let _ = &r.tt;
 }
 
+/// Rows written before an additive schema change are short of the new
+/// column and read NULL in it (§5.4.1) — through conversion and
+/// reclustering too, whose blocks are built at the schema's arity. (A
+/// short row used to fail the conversion with an arity error.)
+#[test]
+fn rows_that_predate_a_column_convert_with_it_null() {
+    let r = rig();
+    let t = r.sms.create_table("t", schema()).unwrap();
+    ingest(&r, t.table, 0, 40);
+    let note = Field::nullable("note", FieldType::String);
+    let evolved = t.schema.evolve_add_column(note).unwrap();
+    r.sms.update_schema(t.table, evolved).unwrap();
+    let mut w = r.client.create_unbuffered_writer(t.table).unwrap();
+    let mut noted = rows(40, 20);
+    (noted.rows.iter_mut()).for_each(|row| row.values.push(Value::String("n".into())));
+    w.append(noted).unwrap();
+    r.sms.finalize_stream(t.table, w.stream_id()).unwrap();
+    assert_eq!(r.opt.convert_wos(t.table).unwrap().rows, 60);
+    assert!(r.opt.recluster(t.table).unwrap().merged);
+    let tr = r.client.read_rows(t.table).unwrap();
+    assert_eq!(amounts(&tr), (0..60).collect::<Vec<i64>>());
+    for (_, row) in &tr.rows {
+        let old = row.values[2].as_i64().unwrap() < 40;
+        assert_eq!(row.values[3].is_null(), old, "{row:?}");
+    }
+}
+
 /// The files a seeded load leaves behind — merged and 1:1 conversions,
 /// deletion masks on WOS and on ROS, three baseline merges — do not
 /// move unnoticed: `(path, committed_size, crc32c)` of every ROS file,

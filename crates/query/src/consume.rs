@@ -1,12 +1,12 @@
 //! Scan consumers: what a scan folds its matching rows into.
 //!
 //! A scan does not return rows for its caller to fold. Every scan shard
-//! owns one [`Consumer`]; each fragment step feeds it — a ROS zone as
-//! typed column vectors plus the selected positions, a WOS / tail / CDC
-//! row as a [`Row`] — and the shards' consumers merge at the end. A
-//! `Row` is born only in [`RowCollector`]; an [`Aggregator`] (and a
-//! count, which is an aggregation without aggregates) folds ROS zones
-//! without building one.
+//! owns one [`Consumer`]; each fragment step feeds it a zone — of a ROS
+//! block, a WOS fragment, a tail or merge-on-read's survivors alike — as
+//! typed column vectors plus the selected positions, and the shards'
+//! consumers merge at the end. A `Row` is born only in [`RowCollector`],
+//! through [`gather_rows`]; an [`Aggregator`] (and a count,
+//! which is an aggregation without aggregates) builds none.
 
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 use vortex_common::error::{VortexError, VortexResult};
 use vortex_common::row::{Row, Value};
 use vortex_common::schema::Schema;
-use vortex_ros::{ColumnVec, IntKind, RowMeta};
+use vortex_ros::{gather_rows, ColumnVec, IntKind, RowMeta};
 
 use crate::engine::AggKind;
 use crate::pushdown::{ScanPlan, ZoneCols};
@@ -29,24 +29,21 @@ pub(crate) trait Consumer: Clone + Send + Sync {
     /// provenance.
     fn reads(&self, plan: &ScanPlan<'_>, columns: &mut [bool]) -> bool;
 
-    /// Folds the rows of one decoded ROS zone at the zone-relative,
-    /// ascending positions `sel`. Returns how many `Row`s it built.
+    /// Folds the rows of one zone at the zone-relative, ascending
+    /// positions `sel`. Returns how many `Row`s it built.
     fn fold_zone(
         &mut self,
-        cols: &mut ZoneCols<'_>,
+        cols: &ZoneCols<'_>,
         sel: &[usize],
         plan: &ScanPlan<'_>,
     ) -> VortexResult<u64>;
-
-    /// Folds one row that arrived decoded, already filtered and projected.
-    fn fold_row(&mut self, meta: RowMeta, row: Row);
 
     /// Folds another shard's consumer into this one.
     fn merge_shard(&mut self, other: Self);
 }
 
-/// Collects the matching rows — the one place a scan turns ROS cells
-/// into `Row`s.
+/// Collects the matching rows — the one place a scan turns cells into
+/// `Row`s.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct RowCollector {
     /// Matching rows, in no particular order.
@@ -60,32 +57,19 @@ impl Consumer for RowCollector {
         true
     }
 
-    /// Late materialization: rows are born all-NULL at schema arity, then
-    /// each projected column the block has gathers its selected values in.
+    /// Late materialization: rows at schema arity, each projected column
+    /// the zone has gathering its selected values in.
     fn fold_zone(
         &mut self,
-        cols: &mut ZoneCols<'_>,
+        cols: &ZoneCols<'_>,
         sel: &[usize],
         plan: &ScanPlan<'_>,
     ) -> VortexResult<u64> {
-        let base = self.rows.len();
-        let metas = cols.metas()?;
-        self.rows.extend(sel.iter().map(|&i| {
-            let nulls = vec![Value::Null; plan.arity()];
-            (metas[i], Row::with_change(nulls, metas[i].change_type))
-        }));
-        for c in 0..plan.arity() {
-            if let Some(col) = plan.zone_column(cols, c)? {
-                col.gather(sel.iter().copied(), |k, v| {
-                    self.rows[base + k].1.values[c] = v
-                });
-            }
-        }
+        let shown = (0..plan.arity()).map(|c| plan.zone_column(cols, c));
+        // lint:allow(L010, once per zone gathered: a reference per column)
+        let shown: Vec<Option<&ColumnVec>> = shown.collect::<VortexResult<_>>()?;
+        gather_rows(&cols.metas()?, sel, &shown, &mut self.rows);
         Ok(sel.len() as u64)
-    }
-
-    fn fold_row(&mut self, meta: RowMeta, row: Row) {
-        self.rows.push((meta, row));
     }
 
     fn merge_shard(&mut self, other: Self) {
@@ -270,7 +254,7 @@ impl Consumer for Aggregator {
     /// selected positions into its slot's accumulator.
     fn fold_zone(
         &mut self,
-        cols: &mut ZoneCols<'_>,
+        cols: &ZoneCols<'_>,
         sel: &[usize],
         plan: &ScanPlan<'_>,
     ) -> VortexResult<u64> {
@@ -319,22 +303,6 @@ impl Consumer for Aggregator {
             }
         }
         Ok(0)
-    }
-
-    fn fold_row(&mut self, _: RowMeta, row: Row) {
-        let cell = |c: usize| row.values.get(c).unwrap_or(&Value::Null);
-        let slot = self.group_slot(self.group.map(|g| cell(g).clone()));
-        for (acc, (kind, c)) in self.groups[slot].1.iter_mut().zip(&self.aggs) {
-            let v = c.map_or(&Value::Null, cell);
-            match kind {
-                AggKind::Count => acc.n += 1,
-                AggKind::Sum | AggKind::Avg => acc.add_value(v),
-                _ if v.is_null() => {}
-                AggKind::Min | AggKind::Max => {
-                    acc.offer(kind.wants(), |m| v.total_cmp(m), || v.clone())
-                }
-            }
-        }
     }
 
     fn merge_shard(&mut self, other: Self) {

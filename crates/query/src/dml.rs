@@ -14,7 +14,7 @@
 //! commit then conflicts and the statement re-resolves against the new
 //! (positionally identical) fragments.
 
-use vortex_client::read::{read_fragment_positions, read_tail, TailOutcome};
+use vortex_client::read::{read_fragment_cached, read_tail, TailOutcome};
 use vortex_client::{VortexClient, WriterOptions};
 use vortex_common::error::{VortexError, VortexResult};
 use vortex_common::ids::{FragmentId, StreamletId, TableId};
@@ -130,7 +130,8 @@ impl DmlExecutor {
                 // Each visible row comes with its mask position
                 // (fragment-relative for WOS, block row index for ROS).
                 let mut matched = Vec::new();
-                for (pos, row) in read_fragment_positions(spec, &fleet, &key, snapshot)? {
+                let visible = read_fragment_cached(spec, &fleet, &key, snapshot, None)?;
+                for (pos, row) in visible.positioned_rows(schema.fields.len()) {
                     if pred.eval(schema, &row)? {
                         matched.push((pos, row));
                     }
@@ -157,7 +158,8 @@ impl DmlExecutor {
             for tail in &rs.tails {
                 let outcome = read_tail(tail, &fleet, &key, snapshot)?;
                 let rows = match outcome {
-                    TailOutcome::Rows(r) => r,
+                    // A tail's positions are streamlet-relative rows.
+                    TailOutcome::Rows(zones) => zones.positioned_rows(schema.fields.len()),
                     TailOutcome::NeedsReconcile => {
                         sms.reconcile_streamlet(table, tail.streamlet)?;
                         continue 'retry;
@@ -167,8 +169,7 @@ impl DmlExecutor {
                 let mut tail_end = tail.from_row;
                 let mut unaffected = Vec::new();
                 let mut matched = Vec::new();
-                for (m, row) in rows {
-                    let streamlet_row = m.offset - tail.first_stream_row;
+                for (streamlet_row, row) in rows {
                     tail_end = tail_end.max(streamlet_row + 1);
                     if pred.eval(schema, &row)? {
                         any_match = true;

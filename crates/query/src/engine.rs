@@ -25,7 +25,7 @@ use vortex_sms::readset::{FragmentReadSpec, ReadSet};
 use crate::cdc::resolve_changes;
 use crate::consume::{Aggregator, Consumer, RowCollector};
 use crate::expr::Expr;
-use crate::pushdown::{scan_ros_block, scan_rows, FragmentYield, ScanPlan};
+use crate::pushdown::{scan_resolved, scan_ros_block, scan_visible, FragmentYield, ScanPlan};
 
 /// Scan configuration.
 #[derive(Debug, Clone)]
@@ -83,10 +83,10 @@ pub struct ScanStats {
     pub rows_scanned: u64,
     /// Rows matching the predicate.
     pub rows_matched: u64,
-    /// Rows this scan held as a `Row`: every visible WOS / tail row (they
-    /// arrive decoded), and the ROS rows a row-returning scan gathered —
-    /// none for `count` and `aggregate`, which fold ROS zones as typed
-    /// vectors.
+    /// Rows this scan built as a `Row`: the matching rows of a
+    /// row-returning scan, every visible row of one that resolves
+    /// changes — none for `count` and `aggregate`, which fold zones as
+    /// typed vectors whatever they were read from.
     pub rows_materialized: u64,
     /// Ranged reads made of the ROS blocks this scan opened: two for a
     /// block's index, then one per run of adjacent chunks it needed.
@@ -96,11 +96,13 @@ pub struct ScanStats {
     /// Bytes those reads returned — against the `committed_size` of the
     /// blocks opened, what the scan paid for what it needed.
     pub bytes_fetched: u64,
-    /// Decoded-extent cache hits during this scan (0 without a cache).
-    /// Attributed from shared-cache counter deltas, so concurrent scans
-    /// may shift hits between each other; totals stay exact.
+    /// WOS fragments whose decoded zones this scan shared from the cache
+    /// (0 without a cache; a ROS block is opened by its index and never
+    /// goes through it). Attributed from shared-cache counter deltas, so
+    /// concurrent scans may shift hits between each other; totals stay
+    /// exact.
     pub cache_hits: u64,
-    /// Decoded-extent cache misses during this scan (0 without a cache).
+    /// WOS fragments this scan decoded and left in the cache.
     pub cache_misses: u64,
 }
 
@@ -375,10 +377,11 @@ impl QueryEngine {
             let rows = |_: &Schema| Ok(RowCollector::default());
             let (all, schema) =
                 self.read_into(&tmeta, snapshot, opts, (&Expr::True, None), &rows)?;
-            let post = ScanPlan::compile(&opts.predicate, projection, &schema, false, None)?;
-            let mut out = FragmentYield::new(make(&schema)?);
+            let sink = make(&schema)?;
+            let post = ScanPlan::compile(&opts.predicate, projection, &schema, false, None, &sink)?;
+            let mut out = FragmentYield::new(sink);
             let resolved = resolve_changes(&tmeta.schema, all.sink.rows);
-            scan_rows(resolved, &schema, &post, &mut out)?;
+            scan_resolved(resolved, &post, &mut out)?;
             // What was read is what `all` read; what matched is what the
             // filter kept afterwards.
             out.stats = ScanStats {
@@ -415,7 +418,9 @@ impl QueryEngine {
         })?;
         let (plan, mut out) = read.fragments;
         out.stats.tails_scanned = read.tails;
-        scan_rows(read.tail_rows, &read.schema, &plan, &mut out)?;
+        for tail in &read.tail_zones {
+            scan_visible(tail, &plan, &mut out)?;
+        }
         Ok((out, read.schema))
     }
 
@@ -438,8 +443,8 @@ impl QueryEngine {
         // measures when *committed* data became readable, not whether a
         // predicate kept it.
         let seen = self.probe.as_ref().map(|p| p.seen_through(tmeta.table));
-        let plan = ScanPlan::compile(pushed.0, pushed.1, &rs.schema, opts.use_bloom, seen)?;
         let sink = make(&rs.schema)?;
+        let plan = ScanPlan::compile(pushed.0, pushed.1, &rs.schema, opts.use_bloom, seen, &sink)?;
         let mut out = FragmentYield::new(sink.clone());
         let stats = &mut out.stats;
         stats.fragments_total = rs.fragments.len();
@@ -467,7 +472,7 @@ impl QueryEngine {
             &survivors,
             opts.parallelism.max(1),
             &fresh,
-            &|out, &spec| self.scan_fragment(spec, key, snapshot, &rs.schema, &plan, out),
+            &|out, &spec| self.scan_fragment(spec, key, snapshot, &plan, out),
         );
         for shard in shards {
             out.absorb(shard?);
@@ -475,18 +480,16 @@ impl QueryEngine {
         Ok((plan, out))
     }
 
-    /// The per-fragment step. A ROS block is never materialized, nor even
-    /// read whole: it is opened by its index, the predicate runs on the
-    /// typed column vectors of the chunks it needs, and the consumer folds
-    /// the selected positions. A WOS fragment is row-oriented; its
-    /// visible rows come decoded (through the cache) and are filtered and
-    /// projected here.
+    /// The per-fragment step. A ROS block is not even read whole: it is
+    /// opened by its index and the chunks the scan needs decode zone by
+    /// zone. A WOS fragment is read whole and decodes to zones once
+    /// (through the cache). Either way the predicate runs on typed column
+    /// vectors and the consumer folds the selected positions.
     fn scan_fragment<C: Consumer>(
         &self,
         spec: &FragmentReadSpec,
         key: &Key,
         snapshot: Timestamp,
-        schema: &Schema,
         plan: &ScanPlan<'_>,
         out: &mut FragmentYield<C>,
     ) -> VortexResult<()> {
@@ -501,8 +504,8 @@ impl QueryEngine {
             }
             FragmentKind::Wos => {
                 let cache = self.cache.as_deref();
-                let rows = read_fragment_cached(spec, &self.fleet, key, snapshot, cache)?;
-                scan_rows(rows, schema, plan, out)
+                let zones = read_fragment_cached(spec, &self.fleet, key, snapshot, cache)?;
+                scan_visible(&zones, plan, out)
             }
         }
     }
@@ -554,9 +557,8 @@ impl QueryEngine {
 
     /// COUNT(*) with a predicate: an aggregation without aggregates, read
     /// off the scan's own `rows_matched`. Counting needs no column
-    /// values: a ROS zone contributes the size of its selection and
-    /// nothing is decoded or materialized for it beyond the predicate's
-    /// columns.
+    /// values: a zone contributes the size of its selection, and of a ROS
+    /// block nothing is decoded beyond the predicate's columns.
     pub fn count(
         &self,
         table: TableId,
@@ -572,9 +574,9 @@ impl QueryEngine {
 
     /// Grouped aggregation over a scan. `group_by` of `None` produces a
     /// single global group; every aggregate but COUNT needs a column.
-    /// Groups come back ordered by the group value's key encoding. ROS
-    /// zones are folded as typed column vectors — only the group and
-    /// aggregate columns are decoded and no row is built.
+    /// Groups come back ordered by the group value's key encoding. Zones
+    /// are folded as typed column vectors — of a ROS block only the group
+    /// and aggregate columns are decoded — and no row is built.
     pub fn aggregate(
         &self,
         table: TableId,

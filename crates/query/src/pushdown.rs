@@ -1,14 +1,15 @@
-//! Compute pushdown over compressed ROS blocks (§7.2 plus ROADMAP's
-//! "cascading encodings with compute pushdown", after spiraldb Vortex).
+//! Compute pushdown over column vectors (§7.2 plus ROADMAP's "cascading
+//! encodings with compute pushdown", after spiraldb Vortex).
 //!
-//! Every scan runs through this module. A ROS block never has all its
-//! rows materialized before the predicate runs; the predicate is
-//! evaluated *inside* the block instead:
+//! Every scan runs through this module, and through one step: a zone —
+//! provenance plus one [`ColumnVec`] per column for a run of rows — is
+//! filtered to a selection and folded ([`scan_zone`]). No row exists
+//! before the predicate has run.
 //!
-//! 0. **Index first** — a block arrives opened by its index alone. Its
-//!    bloom filter can rule the whole block out for a point predicate on
-//!    a key column; what is left gets one fetch plan: the predicate's and
-//!    the consumer's columns × the zones the zone maps keep, adjacent
+//! 0. **Index first** — a ROS block arrives opened by its index alone.
+//!    Its bloom filter can rule the whole block out for a point predicate
+//!    on a key column; what is left gets one fetch plan: the predicate's
+//!    and the consumer's columns × the zones the zone maps keep, adjacent
 //!    chunks in one read ([`vortex_ros::RosBlock::fetch`]). Provenance is
 //!    fetched for a consumer that returns rows, and commit timestamps for
 //!    the zones that hold rows the freshness probe has not seen.
@@ -28,11 +29,11 @@
 //!    a row collector gathers the projected columns (late
 //!    materialization), a count or an aggregate builds no `Row` at all.
 //!
-//! WOS fragments and streamlet tails are row-oriented and arrive
-//! decoded; [`scan_rows`] filters and projects them with [`Expr::eval`]
-//! and hands the same consumer each surviving row.
+//! A WOS fragment, a streamlet tail and the rows merge-on-read leaves
+//! arrive as decoded [`Zone`]s with their visible rows ([`scan_visible`])
+//! and take steps 2 to 4 unchanged.
 //!
-//! Equivalence contract: for any predicate and block, the selected rows
+//! Equivalence contract: for any predicate and zone, the selected rows
 //! are exactly those [`Expr::eval`] keeps over the visible rows — leaf
 //! semantics (NULL comparisons false,
 //! [`vortex_common::row::Value::total_cmp`] ordering) mirror it case for
@@ -41,15 +42,17 @@
 //! this with an equivalence proptest against a `read_rows_at` +
 //! `Expr::eval` oracle.
 
+use std::borrow::Cow;
+use std::cell::OnceCell;
 use std::cmp::Ordering;
 
-use vortex_client::read::{pad_rows, RowGate};
+use vortex_client::read::{RowGate, Visible, Zone};
 use vortex_common::bloom::BloomFilter;
 use vortex_common::error::{VortexError, VortexResult};
 use vortex_common::row::{Row, Value};
 use vortex_common::schema::Schema;
 use vortex_common::truetime::Timestamp;
-use vortex_ros::{Chunk, ColumnVec, IntKind, ReadAt, RosBlock, RowMeta};
+use vortex_ros::{Chunk, ColumnBuilder, ColumnVec, IntKind, ReadAt, RosBlock, RowMeta};
 
 use crate::consume::Consumer;
 use crate::engine::ScanStats;
@@ -133,7 +136,7 @@ impl<'e> CPred<'e> {
     /// predicate keeps. Decodes only referenced columns; a conjunction
     /// tests its right side on what its left side kept.
     // lint:hotpath(pushdown) — selective-scan kernel: zone predicate evaluation
-    fn filter_zone(&self, cols: &mut ZoneCols<'_>, sel: &mut Vec<usize>) -> VortexResult<()> {
+    fn filter_zone(&self, cols: &ZoneCols<'_>, sel: &mut Vec<usize>) -> VortexResult<()> {
         // Drops from `sel` the rows of `gone`, an ascending subset of it.
         fn remove(sel: &mut Vec<usize>, gone: &[usize]) {
             let mut gone = gone.iter().peekable();
@@ -217,53 +220,48 @@ fn filter_leaf(col: &ColumnVec, test: Test<'_>, sel: &mut Vec<usize>) {
     }
 }
 
-/// Lazily decoded vectors of one zone, shared between predicate leaves
-/// (two leaves on the same column decode it once) and the consumer.
-pub(crate) struct ZoneCols<'b> {
-    block: &'b RosBlock,
-    z: usize,
-    cols: Vec<Option<ColumnVec>>,
-    metas: Option<Vec<RowMeta>>,
+/// The vectors of one zone as the predicate and the consumer read them.
+pub(crate) enum ZoneCols<'b> {
+    /// Zone `.1` of a ROS block opened by its index: a column decodes
+    /// when first read — two leaves on one column, or a leaf and the
+    /// consumer, decode it once.
+    Block(&'b RosBlock, usize, Vec<OnceCell<ColumnVec>>),
+    /// A zone that arrived decoded.
+    Decoded(&'b Zone),
 }
 
-impl<'b> ZoneCols<'b> {
-    fn new(block: &'b RosBlock, z: usize) -> Self {
-        ZoneCols {
-            block,
-            z,
-            cols: vec![None; block.column_count()],
-            metas: None,
+impl ZoneCols<'_> {
+    /// The provenance of the zone's rows — of a block's, decoded for the
+    /// one consumer that said it [`Consumer::reads`] it.
+    pub(crate) fn metas(&self) -> VortexResult<Cow<'_, [RowMeta]>> {
+        match self {
+            ZoneCols::Decoded(zone) => Ok(Cow::Borrowed(&zone.metas)),
+            ZoneCols::Block(block, z, _) => block.zone_metas(*z).map(Cow::Owned),
         }
     }
 
-    /// The provenance of the zone's rows, decoded when first asked for —
-    /// by a consumer that said it [`Consumer::reads`] it.
-    pub(crate) fn metas(&mut self) -> VortexResult<&[RowMeta]> {
-        if self.metas.is_none() {
-            self.metas = Some(self.block.zone_metas(self.z)?);
+    /// The vector for schema column `col`, or `None` when the zone's rows
+    /// predate the column (they read NULL).
+    pub(crate) fn get(&self, col: usize) -> VortexResult<Option<&ColumnVec>> {
+        match self {
+            ZoneCols::Decoded(zone) => Ok(zone.cols.get(col)),
+            ZoneCols::Block(block, z, cols) => {
+                let Some(cell) = cols.get(col) else {
+                    return Ok(None);
+                };
+                if cell.get().is_none() {
+                    let _ = cell.set(block.decode_zone(col, *z)?);
+                }
+                Ok(cell.get())
+            }
         }
-        Ok(self.metas.as_deref().unwrap_or_default())
-    }
-
-    /// The decoded vector for schema column `col`, or `None` when the
-    /// block predates the column (rows read NULL).
-    pub(crate) fn get(&mut self, col: usize) -> VortexResult<Option<&ColumnVec>> {
-        if col >= self.cols.len() {
-            return Ok(None);
-        }
-        if self.cols[col].is_none() {
-            self.cols[col] = Some(self.block.decode_zone(col, self.z)?);
-        }
-        Ok(self.cols[col].as_ref())
     }
 }
 
-/// What a scan pushes down to every fragment and tail: the predicate
-/// (compiled for ROS blocks, as written for decoded rows) and the
-/// projection.
+/// What a scan pushes down to every fragment and tail: the compiled
+/// predicate and the projection.
 #[derive(Debug)]
 pub(crate) struct ScanPlan<'e> {
-    expr: &'e Expr,
     pred: CPred<'e>,
     /// Per snapshot-schema column: whether the projection keeps it.
     /// Every yielded row has this arity; the other columns read NULL.
@@ -276,6 +274,10 @@ pub(crate) struct ScanPlan<'e> {
     /// — the freshness probe's watermark when the scan began, below which
     /// it counts nothing; `None` collects none.
     visible_after: Option<Timestamp>,
+    /// What the scan reads of a ROS block, for its fetch plan: the
+    /// predicate's and the consumer's columns, and whether the consumer
+    /// reads provenance — once per scan, not per block.
+    reads: (Vec<bool>, bool),
 }
 
 impl<'e> ScanPlan<'e> {
@@ -287,6 +289,7 @@ impl<'e> ScanPlan<'e> {
         schema: &Schema,
         use_bloom: bool,
         visible_after: Option<Timestamp>,
+        sink: &impl Consumer,
     ) -> VortexResult<Self> {
         let mut keep = vec![projection.is_none(); schema.fields.len()];
         for c in projection.unwrap_or_default() {
@@ -304,14 +307,21 @@ impl<'e> ScanPlan<'e> {
             (schema.fields[i].ftype.name() == v.type_name()).then(|| v.encode_key())
         };
         let key_columns = partition.chain(&schema.clustering).filter(|_| use_bloom);
-        Ok(ScanPlan {
-            expr,
+        let mut plan = ScanPlan {
             pred: CPred::compile(expr, schema)?,
             keep,
             // lint:allow(L010, once per scan: a key per point predicate on a key column)
             bloom_keys: key_columns.filter_map(point).collect(),
             visible_after,
-        })
+            // lint:allow(L010, once per scan, filled in below)
+            reads: (Vec::new(), false),
+        };
+        // lint:allow(L010, once per scan, sized by the schema's columns)
+        let mut columns = vec![false; plan.arity()];
+        plan.pred.mark_columns(&mut columns);
+        let provenance = sink.reads(&plan, &mut columns);
+        plan.reads = (columns, provenance);
+        Ok(plan)
     }
 
     /// Whether a fragment with this bloom filter over its key columns can
@@ -338,10 +348,10 @@ impl<'e> ScanPlan<'e> {
 
     /// Zone vector of column `col` as the projection shows it: `None`
     /// (every row NULL) when the projection drops the column or the
-    /// block predates it.
+    /// zone's rows predate it.
     pub(crate) fn zone_column<'z>(
         &self,
-        cols: &'z mut ZoneCols<'_>,
+        cols: &'z ZoneCols<'_>,
         col: usize,
     ) -> VortexResult<Option<&'z ColumnVec>> {
         match self.keeps(col) {
@@ -390,43 +400,74 @@ impl<C: Consumer> FragmentYield<C> {
     }
 }
 
-/// Filters and projects rows that arrive decoded — a WOS fragment's or a
-/// tail's visible rows — with the same outcome [`scan_ros_block`] has on
-/// a block: the predicate sees stored values, then columns outside the
-/// projection read NULL.
-pub(crate) fn scan_rows<C: Consumer>(
-    mut rows: Vec<(RowMeta, Row)>,
-    schema: &Schema,
+/// The one scan step: narrows `sel` — the zone's visible rows, ascending —
+/// to the rows the predicate keeps and folds them into the consumer.
+fn scan_zone<C: Consumer>(
+    cols: &ZoneCols<'_>,
+    sel: &mut Vec<usize>,
     plan: &ScanPlan<'_>,
     out: &mut FragmentYield<C>,
 ) -> VortexResult<()> {
-    out.stats.rows_scanned += rows.len() as u64;
-    out.stats.rows_materialized += rows.len() as u64;
-    if let Some(seen) = plan.visible_after {
-        let unseen = rows.iter().map(|(m, _)| m.ts).filter(|ts| *ts > seen);
-        out.visible_ts.extend(unseen);
-    }
-    pad_rows(&mut rows, plan.arity());
-    for (meta, mut row) in rows {
-        if !plan.expr.eval(schema, &row)? {
-            continue;
-        }
-        for (v, keep) in row.values.iter_mut().zip(&plan.keep) {
-            if !keep {
-                *v = Value::Null;
-            }
-        }
-        out.stats.rows_matched += 1;
-        out.sink.fold_row(meta, row);
+    plan.pred.filter_zone(cols, sel)?;
+    if !sel.is_empty() {
+        out.stats.rows_matched += sel.len() as u64;
+        out.stats.rows_materialized += out.sink.fold_zone(cols, sel, plan)?;
     }
     Ok(())
+}
+
+/// Scans zones that arrive decoded — a WOS fragment's, a streamlet
+/// tail's — at their visible rows, with the same outcome
+/// [`scan_ros_block`] has on a block.
+pub(crate) fn scan_visible<C: Consumer>(
+    visible: &Visible,
+    plan: &ScanPlan<'_>,
+    out: &mut FragmentYield<C>,
+) -> VortexResult<()> {
+    // lint:allow(L010, once per fragment or tail scanned, reused by its zones)
+    let mut sel: Vec<usize> = Vec::new();
+    for (zone, admitted) in visible.iter() {
+        out.stats.rows_scanned += admitted.len() as u64;
+        if let Some(seen) = plan.visible_after {
+            let ts = admitted.iter().map(|&i| zone.metas[i].ts);
+            out.visible_ts.extend(ts.filter(|ts| *ts > seen));
+        }
+        sel.clear();
+        // lint:allow(L010, refills the reused selection)
+        sel.extend_from_slice(admitted);
+        scan_zone(&ZoneCols::Decoded(zone), &mut sel, plan, out)?;
+    }
+    Ok(())
+}
+
+/// Scans rows that exist as rows — what merge-on-read resolution leaves,
+/// at the plan's arity — by turning them back into one zone.
+pub(crate) fn scan_resolved<C: Consumer>(
+    rows: Vec<(RowMeta, Row)>,
+    plan: &ScanPlan<'_>,
+    out: &mut FragmentYield<C>,
+) -> VortexResult<()> {
+    // lint:allow(L010, once per resolving scan: its rows become one zone)
+    let mut cols: Vec<ColumnBuilder> = Vec::new();
+    cols.resize_with(plan.arity(), ColumnBuilder::default);
+    // lint:allow(L010, once per resolving scan: its rows become one zone)
+    let mut metas = Vec::with_capacity(rows.len());
+    for (meta, row) in rows {
+        metas.push(meta);
+        (cols.iter_mut().zip(row.values)).for_each(|(col, v)| col.add_value(v));
+    }
+    // lint:allow(L010, once per resolving scan: its rows become one zone)
+    let cols = cols.into_iter().map(ColumnBuilder::into_column).collect();
+    // lint:allow(L010, once per resolving scan: its rows become one zone)
+    let (first, mut sel) = (0, (0..metas.len()).collect());
+    let zone = Zone { first, metas, cols };
+    scan_zone(&ZoneCols::Decoded(&zone), &mut sel, plan, out)
 }
 
 /// Scans one ROS block, opened by its index, with the predicate pushed
 /// into the compressed chunks; `read` fetches what of its file the scan
 /// turns out to need and `gate` decides which block rows the snapshot
-/// may see. Each zone hands the consumer its vectors and the selected
-/// positions.
+/// may see. Each surviving zone takes the one scan step.
 pub(crate) fn scan_ros_block<C: Consumer>(
     block: &mut RosBlock,
     read: &mut ReadAt<'_>,
@@ -454,10 +495,7 @@ pub(crate) fn scan_ros_block<C: Consumer>(
         out.stats.zones_pruned += scan.iter().filter(|kept| !**kept).count();
     }
     // One fetch plan for the block.
-    // lint:allow(L010, once per block scanned, sized by its zones and the schema's columns; never per row)
-    let mut columns = vec![false; plan.arity()];
-    plan.pred.mark_columns(&mut columns);
-    let provenance = out.sink.reads(plan, &mut columns);
+    let (columns, provenance) = (&plan.reads.0, plan.reads.1);
     block.fetch(read, |chunk, z| match chunk {
         Chunk::Column(c) => scan[z] && columns.get(c) == Some(&true),
         Chunk::Timestamps => fresh[z] || (scan[z] && provenance),
@@ -477,15 +515,11 @@ pub(crate) fn scan_ros_block<C: Consumer>(
     for z in (0..zones).filter(|&z| scan[z]) {
         let range = block.zone_range(z);
         out.stats.rows_scanned += range.len() as u64;
-        let mut cols = ZoneCols::new(block, z);
         sel.clear();
         sel.extend((0..range.len()).filter(|i| gate.admits((range.start + i) as u64)));
-        plan.pred.filter_zone(&mut cols, &mut sel)?;
-        if sel.is_empty() {
-            continue;
-        }
-        out.stats.rows_matched += sel.len() as u64;
-        out.stats.rows_materialized += out.sink.fold_zone(&mut cols, &sel, plan)?;
+        // lint:allow(L010, once per zone scanned: a cell per column)
+        let cols = ZoneCols::Block(block, z, vec![OnceCell::new(); block.column_count()]);
+        scan_zone(&cols, &mut sel, plan, out)?;
     }
     Ok(())
 }

@@ -1440,25 +1440,41 @@ mod pushdown_equivalence {
         )
     }
 
-    /// Converted ROS + deletion masks + a fresh unconverted tail: every
-    /// storage state the scan path distinguishes.
+    /// Every storage state a scan distinguishes, in one table: a tail
+    /// written under the schema version before `score` (its rows one
+    /// cell short), converted ROS with a deletion mask, a finalized but
+    /// unconverted log file with another, and a fresh tail.
     fn load_mixed(r: &Rig, seed: i64) -> TableId {
-        let t = r.sms.create_table("t", pd_schema()).unwrap();
+        let mut v1 = pd_schema();
+        let score = v1.fields.pop().unwrap();
+        let t = r.sms.create_table("t", v1).unwrap();
+        let mut old = r.client.create_unbuffered_writer(t.table).unwrap();
+        let mut short = pd_rows(230, 15, seed);
+        short.rows.iter_mut().for_each(|row| row.values.truncate(3));
+        old.append(short).unwrap();
+        let v2 = t.schema.evolve_add_column(score).unwrap();
+        r.sms.update_schema(t.table, v2).unwrap();
+
         let mut w = r.client.create_unbuffered_writer(t.table).unwrap();
-        w.append(pd_rows(0, 220, seed)).unwrap();
-        let s = w.stream_id();
-        r.sms.finalize_stream(t.table, s).unwrap();
+        w.append(pd_rows(0, 200, seed)).unwrap();
+        r.sms.finalize_stream(t.table, w.stream_id()).unwrap();
         r.opt.convert_wos(t.table).unwrap();
-        let lo = seed.rem_euclid(180);
-        r.dml
-            .delete_where(
-                t.table,
-                &Expr::ge("amount", Value::Int64(lo))
-                    .and(Expr::lt("amount", Value::Int64(lo + 20))),
-            )
+        let mut wos = r.client.create_unbuffered_writer(t.table).unwrap();
+        wos.append(pd_rows(200, 30, seed)).unwrap();
+        r.sms.finalize_stream(t.table, wos.stream_id()).unwrap();
+        let lo = seed.rem_euclid(160);
+        let between = |lo: i64, hi: i64| {
+            Expr::ge("amount", Value::Int64(lo)).and(Expr::lt("amount", Value::Int64(hi)))
+        };
+        let report = r
+            .dml
+            .delete_where(t.table, &between(lo, lo + 20).or(between(205, 215)))
             .unwrap();
+        // The log file and one or two day partitions of ROS; no tail.
+        assert_eq!((report.rows_matched, report.tails_masked), (30, 0));
+        assert!(report.fragments_masked >= 2, "{report:?}");
         let mut w2 = r.client.create_unbuffered_writer(t.table).unwrap();
-        w2.append(pd_rows(220, 30, seed)).unwrap();
+        w2.append(pd_rows(245, 15, seed)).unwrap();
         t.table
     }
 
@@ -1599,9 +1615,9 @@ fn aggregate_without_a_column_is_invalid_argument() {
     }
 }
 
-/// `count` and `aggregate` fold a converted table as typed vectors — no
-/// `Row` exists at any point — while `scan` builds exactly the rows it
-/// returns; unconverted rows arrive as `Row`s either way.
+/// `count` and `aggregate` fold a table as typed vectors — no `Row`
+/// exists at any point, converted or not — while `scan` builds exactly
+/// the rows it returns.
 #[test]
 fn only_row_returning_scans_materialize_ros_rows() {
     use crate::consume::{Aggregator, RowCollector};
@@ -1631,15 +1647,47 @@ fn only_row_returning_scans_materialize_ros_rows() {
     assert_eq!(scanned.rows_materialized, 250, "{scanned:?}");
     assert_eq!(r.engine.count(t, snap, &opts).unwrap(), 250);
 
-    // A live tail's rows are decoded by the log reader before the filter
-    // sees them: all 40 count (amounts 40..80), though only the 30 at or
-    // above the predicate's 50 fold.
+    // A live tail decodes to zones like everything else: all 40 of its
+    // rows are scanned (amounts 40..80), the 30 at or above the
+    // predicate's 50 fold, and only `scan` turns those into rows.
     let mut w = r.client.create_unbuffered_writer(t).unwrap();
     w.append(rows(40, 40)).unwrap();
     let snap = r.sms.read_snapshot();
     let (_, _, counted) = r.engine.scan_into(t, snap, &opts, &count).unwrap();
-    assert_eq!(counted.rows_matched, 250 + 30, "{counted:?}");
-    assert_eq!(counted.rows_materialized, 40, "{counted:?}");
+    let (_, _, aggregated) = r.engine.scan_into(t, snap, &opts, &agg).unwrap();
+    let (sink, _, scanned) = r.engine.scan_into(t, snap, &opts, &collect).unwrap();
+    for stats in [counted, aggregated, scanned] {
+        assert_eq!(stats.rows_matched, 250 + 30, "{stats:?}");
+        assert_eq!(stats.rows_scanned, 300 + 40, "{stats:?}");
+    }
+    assert_eq!(counted.rows_materialized, 0, "{counted:?}");
+    assert_eq!(aggregated.rows_materialized, 0, "{aggregated:?}");
+    assert_eq!(scanned.rows_materialized, sink.rows.len() as u64);
+    assert_eq!(sink.rows.len(), 250 + 30);
+
+    // The same over tables with nothing converted: a finalized log file,
+    // and a tail alone.
+    for finalize in [true, false] {
+        let name = format!("unconverted-{finalize}");
+        let t = r.sms.create_table(&name, schema()).unwrap().table;
+        let mut w = r.client.create_unbuffered_writer(t).unwrap();
+        w.append(rows(0, 120)).unwrap();
+        if finalize {
+            r.sms.finalize_stream(t, w.stream_id()).unwrap();
+        }
+        let snap = r.sms.read_snapshot();
+        let (_, _, counted) = r.engine.scan_into(t, snap, &opts, &count).unwrap();
+        let (_, _, aggregated) = r.engine.scan_into(t, snap, &opts, &agg).unwrap();
+        let (_, _, scanned) = r.engine.scan_into(t, snap, &opts, &collect).unwrap();
+        for stats in [counted, aggregated, scanned] {
+            assert_eq!(stats.rows_matched, 70, "{stats:?}");
+            assert_eq!(stats.zones_total, 0, "no ROS zone: {stats:?}");
+            assert_eq!(stats.tails_scanned, !finalize as usize, "{stats:?}");
+        }
+        assert_eq!(counted.rows_materialized, 0, "{counted:?}");
+        assert_eq!(aggregated.rows_materialized, 0, "{aggregated:?}");
+        assert_eq!(scanned.rows_materialized, 70, "{scanned:?}");
+    }
 }
 
 mod aggregate_equivalence {
@@ -1667,7 +1715,7 @@ mod aggregate_equivalence {
             Field::required("amount", FieldType::Int64),
             Field::nullable("score", FieldType::Float64),
             Field::nullable("price", FieldType::Numeric),
-            Field::required("at", FieldType::Timestamp),
+            Field::nullable("at", FieldType::Timestamp),
         ])
         .with_partition("day", PartitionTransform::Identity)
         .with_clustering(&["customer"]);
@@ -1712,10 +1760,20 @@ mod aggregate_equivalence {
         RowSet::new((start..start + n as i64).map(row).collect())
     }
 
-    /// Part converted ROS, part finalized-but-unconverted WOS, part live
-    /// tail.
+    /// Part converted ROS, part finalized-but-unconverted WOS under a
+    /// deletion mask, part live tail — and a tail from before the schema
+    /// had `at`, its rows one cell short.
     fn load_three_ways(r: &Rig, seed: i64, keyed: bool) -> TableId {
-        let t = r.sms.create_table("t", agg_schema(keyed)).unwrap();
+        let mut v1 = agg_schema(keyed);
+        let at = v1.fields.pop().unwrap();
+        let t = r.sms.create_table("t", v1).unwrap();
+        let mut old = r.client.create_unbuffered_writer(t.table).unwrap();
+        let mut short = agg_rows(250, 20, seed, keyed);
+        short.rows.iter_mut().for_each(|row| row.values.truncate(5));
+        old.append(short).unwrap();
+        let v2 = t.schema.evolve_add_column(at).unwrap();
+        r.sms.update_schema(t.table, v2).unwrap();
+
         let mut ros = r.client.create_unbuffered_writer(t.table).unwrap();
         ros.append(agg_rows(0, 150, seed, keyed)).unwrap();
         r.sms.finalize_stream(t.table, ros.stream_id()).unwrap();
@@ -1723,6 +1781,11 @@ mod aggregate_equivalence {
         let mut wos = r.client.create_unbuffered_writer(t.table).unwrap();
         wos.append(agg_rows(150, 70, seed, keyed)).unwrap();
         r.sms.finalize_stream(t.table, wos.stream_id()).unwrap();
+        // Rows 160..170, by their amounts: all in the log file.
+        let (lo, hi) = (160 * 3 - 100 + seed, 170 * 3 - 100 + seed);
+        let masked = Expr::ge("amount", Value::Int64(lo)).and(Expr::lt("amount", Value::Int64(hi)));
+        let report = r.dml.delete_where(t.table, &masked).unwrap();
+        assert_eq!((report.rows_matched, report.fragments_masked), (10, 1));
         let mut tail = r.client.create_unbuffered_writer(t.table).unwrap();
         tail.append(agg_rows(220, 30, seed, keyed)).unwrap();
         t.table

@@ -103,7 +103,7 @@ struct ChunkEntry {
 }
 
 /// Provenance of one row inside a ROS block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RowMeta {
     /// `_CHANGE_TYPE` of the ingested row (§4.2.6).
     pub change_type: ChangeType,
@@ -133,6 +133,30 @@ pub fn clustering_order(keys: &[usize], a: RowRef<'_>, b: RowRef<'_>) -> Orderin
     let by_key = |&c: &usize| a.0[c].cmp_rows(a.2, &b.0[c], b.2);
     let by_key = keys.iter().map(by_key).find(|ord| ord.is_ne());
     by_key.unwrap_or_else(|| a.1.order_key().cmp(&b.1.order_key()))
+}
+
+/// The one place cells become `Row`s — the late-materialization gather
+/// every row-returning reader ends in: appends to `out` the rows at the
+/// ascending positions `sel` of a zone with provenance `metas`, one cell
+/// per entry of `cols` (`None`: the column reads NULL).
+pub fn gather_rows(
+    metas: &[RowMeta],
+    sel: &[usize],
+    cols: &[Option<&ColumnVec>],
+    out: &mut Vec<(RowMeta, Row)>,
+) {
+    let base = out.len();
+    // lint:allow(L010, where rows are born: the one allocation per row a read returns)
+    out.extend(sel.iter().map(|&i| {
+        // lint:allow(L010, where rows are born: the one allocation per row a read returns)
+        let nulls = vec![Value::Null; cols.len()];
+        (metas[i], Row::with_change(nulls, metas[i].change_type))
+    }));
+    for (c, col) in cols.iter().enumerate() {
+        if let Some(col) = col {
+            col.gather(sel.iter().copied(), |k, v| out[base + k].1.values[c] = v);
+        }
+    }
 }
 
 /// Builds a [`RosBlock`] from rows plus provenance. Cells are kept as one
@@ -391,19 +415,9 @@ impl RosBlock {
         self.row_count
     }
 
-    /// Schema version the rows conform to.
-    pub fn schema_version(&self) -> u32 {
-        self.schema_version
-    }
-
     /// Number of user columns.
     pub fn column_count(&self) -> usize {
         self.ncols
-    }
-
-    /// Column properties for a column name, if tracked.
-    pub fn stats_for(&self, name: &str) -> Option<&ColumnStats> {
-        self.stats.iter().find(|(n, _)| n == name).map(|(_, s)| s)
     }
 
     /// All tracked column properties.
@@ -500,17 +514,20 @@ impl RosBlock {
         self.decode_chunk_at(col, z)
     }
 
-    /// One provenance column of zone `z` as the integers it stores.
-    fn provenance(&self, col: usize, z: usize) -> VortexResult<Vec<i64>> {
+    /// Hands `put` the integers one provenance column stores for zone
+    /// `z`, row by row. `every` lists the zone's rows and `buf` is scratch,
+    /// both the caller's to share between columns.
+    fn provenance(
+        &self,
+        (col, z): (usize, usize),
+        (every, buf): (&[usize], &mut Vec<usize>),
+        mut put: impl FnMut(usize, i64),
+    ) -> VortexResult<()> {
         let vec = self.decode_chunk_at(self.ncols + col, z)?;
-        // lint:allow(L010, once per zone whose provenance a query reads, sized by the zone's rows)
-        let every: Vec<usize> = (0..vec.len()).collect();
-        // lint:allow(L010, once per zone whose provenance a query reads, sized by the zone's rows)
-        let mut buf = Vec::new();
-        match vec.resolve(&every, &mut buf) {
+        match vec.resolve(every, buf) {
             (ColumnVec::I64(_, ints), at) if ints.nulls.is_none() => {
-                // lint:allow(L010, once per zone whose provenance a query reads, sized by the zone's rows)
-                Ok(at.iter().map(|&i| ints.values[i]).collect())
+                (at.iter().enumerate()).for_each(|(row, &i)| put(row, ints.values[i]));
+                Ok(())
             }
             _ => Err(VortexError::CorruptData(format!(
                 "provenance column {col} zone {z} does not hold integers"
@@ -520,47 +537,54 @@ impl RosBlock {
 
     /// The commit timestamps of the rows of zone `z`.
     pub fn zone_timestamps(&self, z: usize) -> VortexResult<Vec<Timestamp>> {
-        let micros = self.provenance(TS, z)?;
         // lint:allow(L010, once per zone whose provenance a query reads, sized by the zone's rows)
-        Ok(micros.into_iter().map(|t| Timestamp(t as u64)).collect())
+        let every: Vec<usize> = (0..self.zone_range(z).len()).collect();
+        // lint:allow(L010, once per zone whose provenance a query reads, sized by the zone's rows)
+        let (mut out, mut buf) = (vec![Timestamp(0); every.len()], Vec::new());
+        self.provenance((TS, z), (&every, &mut buf), |row, t| {
+            out[row] = Timestamp(t as u64)
+        })?;
+        Ok(out)
     }
 
-    /// The provenance of the rows of zone `z`.
+    /// The provenance of the rows of zone `z`: one row list, and each of
+    /// the four columns written straight into its field.
     pub fn zone_metas(&self, z: usize) -> VortexResult<Vec<RowMeta>> {
-        let kinds = self.provenance(CHANGE_TYPE, z)?;
-        let (ts, streams) = (self.provenance(TS, z)?, self.provenance(STREAM, z)?);
-        let offsets = self.provenance(OFFSET, z)?;
-        ROW_METAS_BUILT.add(kinds.len() as u64);
-        let meta = |(((kind, ts), stream), offset): (((i64, i64), i64), i64)| {
-            Ok(RowMeta {
-                // Past a byte it is no change type, whatever its low bits.
-                change_type: ChangeType::from_u8(u8::try_from(kind).unwrap_or(u8::MAX))?,
-                ts: Timestamp(ts as u64),
-                stream: stream as u64,
-                offset: offset as u64,
-            })
-        };
-        let rows = kinds.into_iter().zip(ts).zip(streams).zip(offsets);
         // lint:allow(L010, once per zone whose provenance a query reads, sized by the zone's rows)
-        rows.map(meta).collect()
+        let every: Vec<usize> = (0..self.zone_range(z).len()).collect();
+        // lint:allow(L010, once per zone whose provenance a query reads, sized by the zone's rows)
+        let mut metas = vec![RowMeta::default(); every.len()];
+        // lint:allow(L010, scratch the zone's four provenance columns share)
+        let (mut buf, mut bad) = (Vec::new(), None);
+        ROW_METAS_BUILT.add(metas.len() as u64);
+        self.provenance((CHANGE_TYPE, z), (&every, &mut buf), |row, kind| {
+            // Past a byte it is no change type, whatever its low bits.
+            match ChangeType::from_u8(u8::try_from(kind).unwrap_or(u8::MAX)) {
+                Ok(kind) => metas[row].change_type = kind,
+                Err(e) => bad = Some(e),
+            }
+        })?;
+        self.provenance((TS, z), (&every, &mut buf), |row, ts| {
+            metas[row].ts = Timestamp(ts as u64)
+        })?;
+        self.provenance((STREAM, z), (&every, &mut buf), |row, s| {
+            metas[row].stream = s as u64
+        })?;
+        self.provenance((OFFSET, z), (&every, &mut buf), |row, o| {
+            metas[row].offset = o as u64
+        })?;
+        bad.map_or(Ok(metas), Err)
     }
 
-    /// Decodes all rows with their provenance. Each `Value` is built
-    /// once, from its zone's vector, and moved into its row.
+    /// Decodes all rows with their provenance, zone by zone.
     pub fn rows(&self) -> VortexResult<Vec<(RowMeta, Row)>> {
         let mut out: Vec<(RowMeta, Row)> = Vec::new();
         for z in 0..self.zone_count() {
-            let first = out.len();
-            out.extend(self.zone_metas(z)?.into_iter().map(|m| {
-                let cells = Vec::with_capacity(self.ncols);
-                (m, Row::with_change(cells, m.change_type))
-            }));
-            for c in 0..self.ncols {
-                let values = self.decode_zone(c, z)?.to_values();
-                for ((_, row), v) in out[first..].iter_mut().zip(values) {
-                    row.values.push(v);
-                }
-            }
+            let every: Vec<usize> = (0..self.zone_range(z).len()).collect();
+            let cols = (0..self.ncols).map(|c| self.decode_zone(c, z));
+            let cols = cols.collect::<VortexResult<Vec<ColumnVec>>>()?;
+            let shown: Vec<_> = cols.iter().map(Some).collect();
+            gather_rows(&self.zone_metas(z)?, &every, &shown, &mut out);
         }
         Ok(out)
     }
@@ -913,9 +937,10 @@ mod tests {
         let back = RosBlock::from_bytes(&bytes, &key, 42).unwrap();
         assert_eq!(back.row_count(), 50);
         assert_eq!(back.rows().unwrap(), block.rows().unwrap());
-        assert_eq!(back.schema_version(), block.schema_version());
+        assert_eq!(back.schema_version, block.schema_version);
         // Stats survive.
-        let s = back.stats_for("k").unwrap();
+        assert_eq!(back.all_stats(), block.all_stats());
+        let (_, s) = &back.all_stats()[0];
         assert_eq!(s.min, Some(Value::Int64(0)));
         assert_eq!(s.max, Some(Value::Int64(49)));
     }
@@ -1012,12 +1037,12 @@ mod tests {
         )
         .unwrap();
         let block = b.build(false).unwrap();
-        assert!(block.stats_for("customerKey").is_some());
+        let tracked: Vec<&str> = block.all_stats().iter().map(|(n, _)| &**n).collect();
+        assert!(tracked.contains(&"customerKey"), "{tracked:?}");
         assert!(
-            block.stats_for("salesOrderLines").is_none(),
+            !tracked.contains(&"salesOrderLines"),
             "repeated col untracked"
         );
-        assert!(block.stats_for("nonexistent").is_none());
     }
 
     #[test]

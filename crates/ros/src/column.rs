@@ -9,7 +9,10 @@
 use std::cmp::Ordering;
 use std::hash::Hash;
 
+use vortex_common::codec::{self, decode_value, get_len, get_uvarint, take};
+use vortex_common::error::{VortexError, VortexResult};
 use vortex_common::row::Value;
+use vortex_common::schema::ChangeType;
 use vortex_common::truetime::Timestamp;
 
 /// Logical type of a [`ColumnVec::I64`] vector.
@@ -439,6 +442,37 @@ pub struct ColumnBuilder {
 }
 
 impl ColumnBuilder {
+    /// Adds one row from its wire encoding ([`codec::encode_value`]) at
+    /// `pos` of `buf`, which moves past it, under every check
+    /// [`decode_value`] makes. Only a string cell would allocate as a
+    /// [`Value`]: one that continues a string vector is checked and copied
+    /// straight into it. Any other cell is decoded and added by value.
+    pub fn add_encoded(&mut self, buf: &[u8], pos: &mut usize) -> VortexResult<()> {
+        if let (Some(ColumnVec::Str(kind, s)), Some(tag)) = (&mut self.col, buf.get(*pos)) {
+            let at = &mut (*pos + 1);
+            let continues = match kind {
+                StrKind::String => *tag == codec::TAG_STRING,
+                StrKind::Json => *tag == codec::TAG_JSON,
+                StrKind::Bytes => *tag == codec::TAG_BYTES,
+            };
+            if continues {
+                let len = get_len(buf, at)?;
+                let cell = take(buf, at, len)?;
+                if *kind != StrKind::Bytes {
+                    std::str::from_utf8(cell)
+                        .map_err(|_| VortexError::Decode("bad utf8".into()))?;
+                }
+                if s.fits(cell.len()) {
+                    s.add_cell(Some(cell));
+                    (self.rows, *pos) = (self.rows + 1, *at);
+                    return Ok(());
+                }
+            }
+        }
+        self.add_value(decode_value(buf, pos)?);
+        Ok(())
+    }
+
     /// Adds one row, moving the cell into the column.
     pub fn add_value(&mut self, v: Value) {
         self.rows += 1;
@@ -514,5 +548,45 @@ impl ColumnBuilder {
     /// The column: `Any` NULLs if no row ever held a value.
     pub fn into_column(self) -> ColumnVec {
         (self.col).unwrap_or_else(|| ColumnVec::Any(vec![Value::Null; self.rows]))
+    }
+}
+
+/// Walks the row set `buf` encodes ([`codec::encode_rowset`]) once, adding
+/// each cell to its column of `cols`, which hold `held` rows each: a row
+/// wider than any before it starts a column that is NULL so far, and a
+/// row that stops short (an older schema version) reads NULL in the rest.
+/// Hands `change` every row's change type in order and returns the row
+/// count. Every cell is checked as [`codec::decode_rowset`] checks it and
+/// the bytes must be consumed in full; a declared count the bytes cannot
+/// back runs out of them, having allocated nothing on its account, and
+/// nothing is allocated per cell.
+pub fn add_rowset(
+    cols: &mut Vec<ColumnBuilder>,
+    held: usize,
+    buf: &[u8],
+    mut change: impl FnMut(ChangeType),
+) -> VortexResult<usize> {
+    let mut pos = 0usize;
+    let rows = get_uvarint(buf, &mut pos)? as usize;
+    for row in 0..rows {
+        let truncated = || VortexError::Decode("row truncated".into());
+        let kind = *buf.get(pos).ok_or_else(truncated)?;
+        pos += 1;
+        let width = get_uvarint(buf, &mut pos)? as usize;
+        for c in 0..width {
+            if c == cols.len() {
+                // A column that is NULL in every row so far.
+                let (rows, col) = (held + row, None);
+                // lint:allow(L010, once per column of a zone under construction)
+                cols.push(ColumnBuilder { rows, col });
+            }
+            cols[c].add_encoded(buf, &mut pos)?;
+        }
+        (cols.iter_mut().skip(width)).for_each(|col| col.add_value(Value::Null));
+        change(ChangeType::from_u8(kind)?);
+    }
+    match pos == buf.len() {
+        true => Ok(rows),
+        false => Err(VortexError::Decode("trailing bytes after rowset".into())),
     }
 }

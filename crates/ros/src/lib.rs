@@ -27,7 +27,10 @@ pub mod column;
 pub mod encoding;
 
 pub use block::{
-    clustering_order, Chunk, ReadAt, RosBlock, RosBlockBuilder, RowMeta, RowRef, ZONE_ROWS,
+    clustering_order, gather_rows, Chunk, ReadAt, RosBlock, RosBlockBuilder, RowMeta, RowRef,
+    ZONE_ROWS,
 };
-pub use column::{ColumnBuilder, ColumnVec, IntKind, KeyedRows, Nulls, Prim, StrKind, Strs};
+pub use column::{
+    add_rowset, ColumnBuilder, ColumnVec, IntKind, KeyedRows, Nulls, Prim, StrKind, Strs,
+};
 pub use encoding::Encoding;

@@ -3,8 +3,9 @@
 //! Map, every data block's extent, flush / sentinel records, bloom,
 //! footer, and where the valid records end — tolerating torn trailing
 //! writes and implementing the paper's commit-visibility rule. It takes no
-//! key, so it cannot decode; [`FragmentIndex::decode_block`] turns one
-//! indexed block into rows, and [`parse_fragment`] is the two composed.
+//! key, so it cannot decode; [`FragmentIndex::block_plaintext`] opens one
+//! indexed block for whoever decodes it: the readers walk it into column
+//! vectors, [`parse_fragment`] — index and row decode composed — into rows.
 //!
 //! §7.1: "if a reader sees that a Fragment contains any additional data
 //! after an append it just read, it knows that append is considered
@@ -283,42 +284,64 @@ pub fn index_fragment(bytes: &[u8], limit: Option<u64>) -> VortexResult<Fragment
     })
 }
 
+impl BlockEntry {
+    fn corrupt(&self, what: &str) -> VortexError {
+        VortexError::CorruptData(format!("block {} {what}", self.rec.block_ordinal))
+    }
+
+    /// Holds a decode of the block's plaintext to the row count its
+    /// header declares, and counts it (`wos.blocks_decoded`,
+    /// `wos.rows_decoded`) — the last step of every decoder.
+    pub fn decoded(&self, rows: u64) -> VortexResult<()> {
+        if rows != self.row_count {
+            return Err(self.corrupt(&format!(
+                "row count mismatch: header {}, decoded {rows}",
+                self.row_count
+            )));
+        }
+        BLOCKS_DECODED.inc();
+        ROWS_DECODED.add(rows);
+        Ok(())
+    }
+}
+
 impl FragmentIndex {
-    /// Decodes one indexed block out of `bytes` — the bytes the index was
-    /// taken of, or a replica copy that agrees with them up to the
-    /// block's end: decrypt → decompress → plaintext CRC → length → rows →
-    /// row count.
-    pub fn decode_block(
+    /// The verified plaintext — an encoded row set — of one indexed block
+    /// out of `bytes`, which are the bytes the index was taken of or a
+    /// replica copy that agrees with them up to the block's end: decrypt →
+    /// decompress → plaintext CRC → length. Whoever decodes it finishes
+    /// with [`BlockEntry::decoded`].
+    pub fn block_plaintext(
         &self,
         bytes: &[u8],
         key: &Key,
         block: &BlockEntry,
-    ) -> VortexResult<DataBlock> {
+    ) -> VortexResult<Vec<u8>> {
         let rec = &block.rec;
-        let corrupt =
-            |what: &str| VortexError::CorruptData(format!("block {} {what}", rec.block_ordinal));
         let payload = (bytes.get(block.offset as usize + RECORD_HEADER_LEN..))
             .and_then(|rest| rest.get(..rec.payload_len as usize))
-            .ok_or_else(|| corrupt("lies outside the bytes given"))?;
+            .ok_or_else(|| block.corrupt("lies outside the bytes given"))?;
         let nonce = Nonce::for_block(self.header.fragment.raw(), rec.block_ordinal);
         let plain = decompress(&decrypt(key, &nonce, payload))
-            .map_err(|e| corrupt(&format!("decompress (wrong key or corruption): {e}")))?;
+            .map_err(|e| block.corrupt(&format!("decompress (wrong key or corruption): {e}")))?;
         if crc32c(&plain) != rec.plain_crc {
-            return Err(corrupt("plaintext crc mismatch"));
+            return Err(block.corrupt("plaintext crc mismatch"));
         }
         if plain.len() != rec.uncompressed_len as usize {
-            return Err(corrupt("uncompressed length mismatch"));
+            return Err(block.corrupt("uncompressed length mismatch"));
         }
-        let rows = decode_rowset(&plain)?;
-        if rows.len() as u64 != block.row_count {
-            return Err(corrupt(&format!(
-                "row count mismatch: header {}, decoded {}",
-                block.row_count,
-                rows.len()
-            )));
-        }
-        BLOCKS_DECODED.inc();
-        ROWS_DECODED.add(block.row_count);
+        Ok(plain)
+    }
+}
+
+/// Parses a fragment file: [`index_fragment`] under the same `limit`, then
+/// every indexed block decoded into rows — the row-wise reference the
+/// columnar walk (`vortex_ros::add_rowset`) is tested against.
+pub fn parse_fragment(bytes: &[u8], key: &Key, limit: Option<u64>) -> VortexResult<ParsedFragment> {
+    let index = index_fragment(bytes, limit)?;
+    let decode = |block: &BlockEntry| {
+        let rows = decode_rowset(&index.block_plaintext(bytes, key, block)?)?;
+        block.decoded(rows.len() as u64)?;
         Ok(DataBlock {
             first_row: block.first_row,
             rows,
@@ -326,16 +349,11 @@ impl FragmentIndex {
             offset: block.offset,
             committed: block.committed,
         })
-    }
-}
-
-/// Parses a fragment file: [`index_fragment`] under the same `limit`, then
-/// every indexed block decoded.
-// lint:hotpath(scan) — decode leg: every fragment read passes through here
-pub fn parse_fragment(bytes: &[u8], key: &Key, limit: Option<u64>) -> VortexResult<ParsedFragment> {
-    let index = index_fragment(bytes, limit)?;
-    let blocks = (index.blocks.iter())
-        .map(|b| index.decode_block(bytes, key, b))
+    };
+    let blocks = index
+        .blocks
+        .iter()
+        .map(decode)
         .collect::<VortexResult<_>>()?;
     Ok(Fragment {
         header: index.header,

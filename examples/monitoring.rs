@@ -89,7 +89,7 @@ fn main() -> vortex::VortexResult<()> {
         std::thread::sleep(Duration::from_millis(300));
         let now = client.snapshot();
         let frags = region.sms().list_fragments(table, now);
-        let (mut wos_n, mut wos_rows, mut wos_bytes) = (0u64, 0u64, 0u64);
+        let (mut wos_n, mut wos_row_count, mut wos_bytes) = (0u64, 0u64, 0u64);
         let (mut ros_n, mut ros_rows, mut ros_bytes) = (0u64, 0u64, 0u64);
         let mut active = 0u64;
         for f in &frags {
@@ -99,7 +99,7 @@ fn main() -> vortex::VortexResult<()> {
             match f.kind {
                 FragmentKind::Wos => {
                     wos_n += 1;
-                    wos_rows += f.row_count;
+                    wos_row_count += f.row_count;
                     wos_bytes += f.committed_size;
                 }
                 FragmentKind::Ros => {
@@ -125,7 +125,7 @@ fn main() -> vortex::VortexResult<()> {
         println!("── snapshot {round} ─────────────────────────────────────");
         println!("  visible rows        {visible}");
         println!(
-            "  WOS fragments       {wos_n:>4}  ({wos_rows} rows, {:.1} KiB, {active} active)",
+            "  WOS fragments       {wos_n:>4}  ({wos_row_count} rows, {:.1} KiB, {active} active)",
             wos_bytes as f64 / 1024.0
         );
         println!(

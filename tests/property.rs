@@ -39,6 +39,114 @@ fn arb_row() -> impl Strategy<Value = Row> {
     proptest::collection::vec(arb_value(), 0..6).prop_map(Row::insert)
 }
 
+/// Row sets shaped like a table's: each of six columns has a type most
+/// of its cells keep (`kinds`), the rest being NULLs and cells of any
+/// type — Struct / Array among them — so that typed, mixed and all-NULL
+/// columns all occur; rows stop at any width (an older schema version)
+/// and carry any change type.
+fn arb_table_rows() -> impl Strategy<Value = Vec<Row>> {
+    use vortex::schema::ChangeType;
+    let typed = |kind: u8, n: i64| match kind {
+        0 => Value::Null,
+        1 => Value::Int64(n),
+        2 => Value::Float64(n as f64 * 0.5),
+        3 => Value::String(format!("s{n}")),
+        4 => Value::Json(format!("{{\"a\":{n}}}")),
+        5 => Value::Bytes(n.to_le_bytes()[..(n & 7) as usize].to_vec()),
+        6 => Value::Timestamp(vortex::Timestamp(n.unsigned_abs())),
+        7 => Value::Date(n as i32),
+        8 => Value::Bool(n & 1 == 0),
+        _ => Value::Numeric(n as i128 * 1_000_000_007),
+    };
+    let cell = (0u8..8, any::<i64>(), arb_value());
+    let row = (0u8..3, proptest::collection::vec(cell, 0..7));
+    let kinds = proptest::collection::vec(0u8..10, 6..7);
+    (kinds, proptest::collection::vec(row, 0..20)).prop_map(move |(kinds, rows)| {
+        let shape = |(change, cells): (u8, Vec<(u8, i64, Value)>)| {
+            let cell = |(c, (how, n, any)): (usize, (u8, i64, Value))| match how {
+                0 => Value::Null,
+                1 => any,
+                _ => typed(kinds[c], n),
+            };
+            let values = cells.into_iter().enumerate().map(cell).collect();
+            Row::with_change(values, ChangeType::from_u8(change).unwrap())
+        };
+        rows.into_iter().map(shape).collect()
+    })
+}
+
+/// Passes every request through to the system allocator and keeps, per
+/// thread, the largest single request — what a length taken from corrupt
+/// bytes would show up as.
+struct Tally;
+
+thread_local! {
+    static LARGEST: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+// SAFETY: both methods forward their arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the tally is a `Cell` in a
+// thread-local without a destructor, so touching it allocates nothing
+// and cannot re-enter.
+unsafe impl std::alloc::GlobalAlloc for Tally {
+    unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
+        let _ = LARGEST.try_with(|l| l.set(l.get().max(layout.size())));
+        // SAFETY: the caller's obligations for `alloc` are passed on as they are.
+        unsafe { std::alloc::System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
+        unsafe { std::alloc::System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static TALLY: Tally = Tally;
+
+/// The columnar walk over `blocks` — encoded row sets accumulating into
+/// one zone, as consecutive blocks of a log file do — under the largest-
+/// request allocator: the columns' values and the change types, or the
+/// first error. No single allocation may exceed what the input's length
+/// accounts for: a column under construction for what can be a one-byte
+/// NULL cell, in a vector that doubles.
+fn columnar(blocks: &[&[u8]]) -> vortex::VortexResult<(Vec<Vec<Value>>, Vec<u8>)> {
+    use vortex_ros::{add_rowset, ColumnBuilder};
+    LARGEST.with(|l| l.set(0));
+    let (mut cols, mut changes) = (Vec::<ColumnBuilder>::new(), Vec::new());
+    let walked = blocks.iter().try_for_each(|bytes| {
+        let held = changes.len();
+        add_rowset(&mut cols, held, bytes, |change| {
+            changes.push(change.to_u8())
+        })
+        .map(|_| ())
+    });
+    let input: usize = blocks.iter().map(|b| b.len()).sum();
+    let bound = 2 * std::mem::size_of::<ColumnBuilder>() * input + 4096;
+    let largest = LARGEST.with(|l| l.get());
+    assert!(
+        largest <= bound,
+        "{largest} bytes requested for {input} of input"
+    );
+    walked?;
+    let values = |col: ColumnBuilder| col.into_column().to_values();
+    Ok((cols.into_iter().map(values).collect(), changes))
+}
+
+/// One row as wide as its bytes allow — every cell a one-byte NULL — is
+/// the most a byte of input can ask for; a width the bytes cannot back is
+/// an error before anything is allocated for it.
+#[test]
+fn columnar_decode_of_a_wide_row_is_bounded() {
+    for (declared, cells) in [(5_000, 5_000), (u64::MAX, 5_000), (u64::MAX, 0)] {
+        let mut wide = vec![1, 0];
+        vortex_common::codec::put_uvarint(&mut wide, declared);
+        wide.resize(wide.len() + cells, 0);
+        let width = columnar(&[&wide]).map(|(cols, _)| cols.len()).ok();
+        assert_eq!(width, (declared == 5_000).then_some(5_000));
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -52,6 +160,54 @@ proptest! {
         let back = decode_rowset(&bytes).unwrap();
         // NaN-safe comparison via re-encoding.
         prop_assert_eq!(encode_rowset(&back), bytes);
+    }
+
+    // ------------------------------------------------------------------
+    // The columnar walk of a log-file block against its row-wise
+    // reference: the columns are `decode_rowset`'s rows transposed and
+    // NULL-padded to the widest, change types in order — across two
+    // blocks accumulating into one zone — and any truncation or wrong
+    // declared count is an error, never a panic or an over-allocation.
+    // ------------------------------------------------------------------
+    #[test]
+    fn columnar_decode_matches_the_row_decode(
+        first in arb_table_rows(),
+        second in arb_table_rows(),
+        loose in proptest::collection::vec(arb_row(), 0..8),
+    ) {
+        use vortex_common::codec::{encode_rows, encode_value, put_uvarint};
+        for (a, b) in [(&first, &second), (&loose, &first), (&second, &loose)] {
+            let (a, b) = (encode_rows(a), encode_rows(b));
+            let (cols, changes) = columnar(&[&a, &b]).unwrap();
+            let mut rows = decode_rowset(&a).unwrap().rows;
+            rows.extend(decode_rowset(&b).unwrap().rows);
+            let wire = |v: &Value| {
+                let mut out = Vec::new();
+                encode_value(&mut out, v);
+                out
+            };
+            prop_assert_eq!(cols.len(), rows.iter().map(|r| r.values.len()).max().unwrap_or(0));
+            for (c, col) in cols.iter().enumerate() {
+                let want = rows.iter().map(|r| wire(r.values.get(c).unwrap_or(&Value::Null)));
+                let got: Vec<_> = col.iter().map(wire).collect();
+                prop_assert_eq!(got, want.collect::<Vec<_>>(), "column {}", c);
+            }
+            let want: Vec<u8> = rows.iter().map(|r| r.change_type.to_u8()).collect();
+            prop_assert_eq!(changes, want);
+
+            for cut in 0..b.len() {
+                prop_assert!(columnar(&[&a, &b[..cut]]).is_err(), "cut at {} decoded", cut);
+            }
+            // The same rows under a declared count one off, and a hostile one.
+            let mut pos = 0;
+            let n = vortex_common::codec::get_uvarint(&b, &mut pos).unwrap();
+            for declared in [n + 1, n.wrapping_sub(1), u64::MAX] {
+                let mut lying = Vec::new();
+                put_uvarint(&mut lying, declared);
+                lying.extend_from_slice(&b[pos..]);
+                prop_assert!(columnar(&[&a, &lying]).is_err(), "{} rows for {}", declared, n);
+            }
+        }
     }
 
     // ------------------------------------------------------------------
