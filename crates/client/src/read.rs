@@ -58,14 +58,17 @@ use vortex_ros::{
 use vortex_sms::api::SmsHandle;
 use vortex_sms::meta::{FragmentKind, FragmentMeta, FragmentState};
 use vortex_sms::readset::{FragmentReadSpec, ReadSet, TailReadSpec};
-use vortex_wos::{index_fragment, BlockEntry, FragmentIndex};
+use vortex_wos::{index_fragment, index_fragment_from, BlockEntry, FragmentIndex};
+
+use crate::cache::{ReadCache, TailFile};
 
 /// Options for table reads.
 #[derive(Debug, Clone, Default)]
 pub struct ReadOptions {
     /// Optional query-aware cache of the decoded zones of immutable
-    /// fragments (§9 future work).
-    pub cache: Option<Arc<crate::cache::ReadCache>>,
+    /// fragments and of the streamlet tails' certified extents (§9 future
+    /// work).
+    pub cache: Option<Arc<ReadCache>>,
     /// Best-effort monitoring mode (§9: "low latency is preferred over
     /// 100% data availability"): unreadable fragments and ambiguous tails
     /// are *skipped* instead of failed over / reconciled; the result is
@@ -108,7 +111,7 @@ pub struct TableRead<T> {
     /// What the fragment callback returned for the settled read set.
     pub fragments: T,
     /// Committed rows of the streamlet tails, and which are visible (no
-    /// cached properties, always read — §7.2: "the properties for the
+    /// cached properties, always probed — §7.2: "the properties for the
     /// tail of a Streamlet are maintained by the Stream Server"; the
     /// reader goes to the log).
     pub tail_zones: Vec<Visible>,
@@ -122,15 +125,16 @@ pub struct TableRead<T> {
 /// hand its fragments to `read_fragments`, read the streamlet tails, and
 /// when a tail's final append cannot be decided locally ask the SMS to
 /// reconcile it and start over with the reconciled metadata.
-/// `best_effort` (§9 monitoring reads) skips unreadable and ambiguous
-/// tails instead, marking the result incomplete.
+/// `opts.best_effort` (§9 monitoring reads) skips unreadable and ambiguous
+/// tails instead, marking the result incomplete; tails are read through
+/// `opts.cache`.
 pub fn drive_table_read<T>(
     sms: &SmsHandle,
     fleet: &StorageFleet,
     key: &Key,
     table: TableId,
     snapshot: Timestamp,
-    best_effort: bool,
+    opts: &ReadOptions,
     mut read_fragments: impl FnMut(&ReadSet) -> VortexResult<T>,
 ) -> VortexResult<TableRead<T>> {
     let mut reconciled: HashMap<StreamletId, Timestamp> = HashMap::new();
@@ -152,13 +156,13 @@ pub fn drive_table_read<T>(
                 )?);
                 continue;
             }
-            match read_tail(tail, fleet, key, snapshot) {
+            match read_tail_cached(tail, fleet, key, snapshot, opts.cache.as_deref()) {
                 Ok(TailOutcome::Rows(zones)) => tail_zones.push(zones),
                 // Monitoring reads don't pay the reconciliation round
                 // trip; they return what is unambiguous (§9).
-                Ok(TailOutcome::NeedsReconcile) if best_effort => complete = false,
+                Ok(TailOutcome::NeedsReconcile) if opts.best_effort => complete = false,
                 Ok(TailOutcome::NeedsReconcile) => ambiguous.push(tail.streamlet),
-                Err(e) if best_effort && e.is_retryable() => complete = false,
+                Err(e) if opts.best_effort && e.is_retryable() => complete = false,
                 Err(e) => return Err(e),
             }
         }
@@ -194,7 +198,7 @@ pub fn read_table(
     let mut fragments_complete = true;
     // Each fragment's zones are gathered into rows and dropped before the
     // next is read.
-    let read = drive_table_read(sms, fleet, &key, table, snapshot, opts.best_effort, |rs| {
+    let read = drive_table_read(sms, fleet, &key, table, snapshot, opts, |rs| {
         fragments_complete = true;
         let mut rows: Vec<(RowMeta, Row)> = Vec::new();
         for spec in &rs.fragments {
@@ -210,7 +214,7 @@ pub fn read_table(
     for zones in &read.tail_zones {
         zones.rows_into(read.schema.fields.len(), &mut rows);
     }
-    rows.sort_by_key(|(m, _)| (m.stream, m.offset, m.ts));
+    rows.sort_unstable_by_key(|(m, _)| (m.stream, m.offset, m.ts));
     Ok(TableRows {
         snapshot,
         schema: read.schema,
@@ -305,17 +309,18 @@ pub struct Zone {
 }
 
 /// Decoded zones — a fragment's whole extent, or a tail's committed
-/// blocks — with the rows of each that a read may see.
+/// blocks — shared with the cache that holds them, with the rows of each
+/// that a read may see.
 #[derive(Debug, Clone)]
 pub struct Visible {
-    zones: Arc<Vec<Zone>>,
+    zones: Vec<Arc<Zone>>,
     /// Per zone, the admitted zone-relative rows, ascending.
     sel: Vec<Vec<usize>>,
 }
 
 impl Visible {
     /// The rows of `zones` that `gate` admits.
-    fn through(gate: &RowGate<'_>, zones: Arc<Vec<Zone>>) -> Self {
+    fn through(gate: &RowGate<'_>, zones: Vec<Arc<Zone>>) -> Self {
         // lint:allow(L010, once per fragment or tail read: a selection per zone)
         let sel = zones.iter().map(|zone| gate.admitted(zone)).collect();
         Visible { zones, sel }
@@ -333,7 +338,7 @@ impl Visible {
 
     /// Each zone with its visible rows.
     pub fn iter(&self) -> impl Iterator<Item = (&Zone, &[usize])> {
-        self.zones.iter().zip(self.sel.iter().map(Vec::as_slice))
+        (self.zones.iter().map(Arc::as_ref)).zip(self.sel.iter().map(Vec::as_slice))
     }
 
     /// The visible rows (`arity` cells each, as [`Visible::rows_into`]),
@@ -362,11 +367,13 @@ impl Visible {
 /// position of its first row — into zones: consecutive blocks accumulate
 /// into one zone of up to [`ZONE_ROWS`] rows (a tail of 16-row appends is
 /// a few zones, not hundreds), each block's verified plaintext walked
-/// once, cell by cell, into the zone's column builders. A row's
-/// provenance is arithmetic on its block's index entry — in a streamlet
-/// of `stream` whose row 0 is the stream's row `first_stream_row` — plus
-/// its change type.
+/// once, cell by cell, into the zone's column builders. The first zone
+/// continues `open`, a copy of the rows an earlier decode left short of a
+/// full zone. A row's provenance is arithmetic on its block's index entry
+/// — in a streamlet of `stream` whose row 0 is the stream's row
+/// `first_stream_row` — plus its change type.
 fn wos_zones<'i>(
+    open: Option<&Zone>,
     (ix, bytes): (&FragmentIndex, &[u8]),
     key: &Key,
     blocks: impl IntoIterator<Item = (u64, &'i BlockEntry)>,
@@ -375,6 +382,15 @@ fn wos_zones<'i>(
     // Each zone as it grows: its first position, provenance and columns.
     // lint:allow(L010, once per log file decoded: an entry per zone)
     let mut zones: Vec<(u64, Vec<RowMeta>, Vec<ColumnBuilder>)> = Vec::new();
+    if let Some(zone) = open {
+        let reopened = zone.cols.iter().map(|col| {
+            let mut builder = ColumnBuilder::default();
+            builder.add_rows(col, 0..zone.metas.len());
+            builder
+        });
+        // lint:allow(L010, once per tail extended: at most a zone of rows copied)
+        zones.push((zone.first, zone.metas.clone(), reopened.collect()));
+    }
     for (pos, b) in blocks {
         let continues = zones.last().is_some_and(|(first, metas, _)| {
             let held = metas.len() as u64;
@@ -434,7 +450,7 @@ pub fn read_zones(
                 Some((*rows - b.row_count, b))
             });
             let of = (spec.stream, spec.streamlet_first_stream_row);
-            return wos_zones((&ix, &bytes), key, blocks, of);
+            return wos_zones(None, (&ix, &bytes), key, blocks, of);
         }
         let block = RosBlock::from_bytes(&bytes, key, meta.fragment.raw())?;
         let zone = |z: usize| {
@@ -578,18 +594,19 @@ pub fn read_fragment_cached(
     fleet: &StorageFleet,
     key: &Key,
     snapshot: Timestamp,
-    cache: Option<&crate::cache::ReadCache>,
+    cache: Option<&ReadCache>,
 ) -> VortexResult<Visible> {
     let gate = RowGate::for_fragment(spec, snapshot);
     if gate.is_shut() {
-        return Ok(Visible::through(&gate, Arc::default()));
+        return Ok(Visible::through(&gate, Vec::new()));
     }
     let (path, size) = (&spec.meta.path, spec.meta.committed_size);
     let zones = match cache.and_then(|cache| cache.get(path, size)) {
         Some(hit) => hit,
         None => {
-            // lint:allow(L010, once per fragment decoded, so that the cache can share it)
-            let zones = Arc::new(read_zones(spec, fleet, key)?);
+            let zones = read_zones(spec, fleet, key)?.into_iter().map(Arc::new);
+            // lint:allow(L010, once per fragment decoded, so that the cache can share its zones)
+            let zones: Vec<Arc<Zone>> = zones.collect();
             if let Some(cache) = cache {
                 cache.put(path, size, zones.clone());
             }
@@ -599,42 +616,113 @@ pub fn read_fragment_cached(
     Ok(Visible::through(&gate, zones))
 }
 
-/// The blocks of an indexed log file that matter to a read through
-/// `gate`: those stamped at or before its snapshot. Divergence from
-/// in-flight appends past the snapshot is a writer at work, not a failure
-/// ("if a reader encounters an append timestamp greater than the read
-/// snapshot timestamp, it can stop reading").
-fn relevant<'i>(ix: &'i FragmentIndex, gate: &RowGate<'_>) -> &'i [BlockEntry] {
-    let n = (ix.blocks.iter().take_while(|b| !gate.stops_at(b.timestamp))).count();
-    &ix.blocks[..n]
+/// The bytes `cluster` holds of `path` past byte `at`.
+fn read_past(cluster: &Colossus, path: &str, at: u64) -> VortexResult<Vec<u8>> {
+    let len = cluster.len(path)?.saturating_sub(at);
+    Ok(cluster.read(path, at, len as usize)?.data)
 }
 
-/// Reads an unfinalized streamlet tail by probing log files past the last
-/// fragment the SMS knows about.
-///
-/// §7.1 in full: fragments with a *successor* log file are bounded by
-/// that successor's File Map ("the committed final file size of each of
-/// the previous Fragments ... serves as a replica of the information that
-/// would otherwise be available from the Stream Server") — no replica
-/// comparison needed, even if one replica carries a torn block, so one
-/// replica is read. Only the *latest* fragment needs the commit rules: a
-/// block at or before the snapshot is committed if anything follows it or
-/// if it is present in both replicas; otherwise the client asks the SMS
-/// to reconcile. The rules need block extents, not rows: every copy of
-/// the latest file is indexed, and each visible block is decoded once.
-// lint:hotpath(scan) — freshness leg: sub-second tail visibility (§4.2.2/§7.1)
+/// §7.1's commit rule over what each readable copy of the latest log file
+/// holds past its certified byte: how many of the new blocks are
+/// committed. One copy: those a record follows. More: those every copy
+/// holds as the same record in the same place — the server acknowledged
+/// only after both writes, and past where the replicas agree nothing can
+/// be decided locally.
+fn committed_blocks(copies: &[FragmentIndex]) -> usize {
+    let Some((first, others)) = copies.split_first() else {
+        return 0;
+    };
+    let agreed = |(i, b): &(usize, &BlockEntry)| match others {
+        [] => b.committed,
+        _ => (others.iter()).all(|o| o.blocks.get(*i).is_some_and(|x| x.same_record(b))),
+    };
+    first.blocks.iter().enumerate().take_while(agreed).count()
+}
+
+/// The one decoder of tail blocks: what is `held` of the log file at
+/// `path`, extended by `blocks` — committed, and indexed by `ix` out of
+/// `bytes`, the `read` bytes fetched of the file past the held extent —
+/// and left in the cache. `sealed` says a successor file exists, so that
+/// this is all the file will ever certify.
+fn extend_tail_file(
+    (path, held): (&str, Option<&TailFile>),
+    (ix, bytes, read): (&FragmentIndex, &[u8], u64),
+    (blocks, sealed): (&[BlockEntry], bool),
+    (tail, key, cache): (&TailReadSpec, &Key, Option<&ReadCache>),
+) -> VortexResult<Arc<TailFile>> {
+    // lint:allow(L010, once per log file extended: a pointer per zone held)
+    let mut zones = held.map_or_else(Vec::new, |f| f.zones.clone());
+    if !blocks.is_empty() {
+        // The open last zone is topped up, not left short by every poll;
+        // a full one stays as it is.
+        let open = match zones.last() {
+            Some(zone) if zone.metas.len() < ZONE_ROWS => zones.pop(),
+            _ => None,
+        };
+        let at = blocks.iter().map(|b| (b.first_row, b));
+        let of = (tail.stream, tail.first_stream_row);
+        let new = wos_zones(open.as_deref(), (ix, bytes), key, at, of)?;
+        // lint:allow(L010, once per log file extended: an `Arc` per new zone, so that reads share them)
+        zones.extend(new.into_iter().map(Arc::new));
+    }
+    let len = match blocks.last() {
+        _ if sealed => ix.valid_len,
+        Some(last) => last.end(),
+        None => held.map_or(ix.header_len, |f| f.len),
+    };
+    // lint:allow(L010, once per log file extended, so that the cache and this read share it)
+    let file = Arc::new(TailFile {
+        len,
+        header: ix.header.clone(),
+        zones,
+        sealed,
+    });
+    if let Some(cache) = cache {
+        cache.put_tail(path, tail.epoch, &file, read);
+    }
+    Ok(file)
+}
+
+/// Reads an unfinalized streamlet tail with nothing remembered: a cold
+/// [`read_tail_cached`].
 pub fn read_tail(
     tail: &TailReadSpec,
     fleet: &StorageFleet,
     key: &Key,
     snapshot: Timestamp,
 ) -> VortexResult<TailOutcome> {
+    read_tail_cached(tail, fleet, key, snapshot, None)
+}
+
+/// Reads an unfinalized streamlet tail by probing log files past the last
+/// fragment the SMS knows about, extending what `cache` holds of each —
+/// its [`TailFile`], certified from byte 0 when there is none — by what
+/// was appended since.
+///
+/// §7.1 in full: fragments with a *successor* log file are bounded by
+/// that successor's File Map ("the committed final file size of each of
+/// the previous Fragments ... serves as a replica of the information that
+/// would otherwise be available from the Stream Server") — no replica
+/// comparison needed, even if one replica carries a torn block, so one
+/// replica is read, once: the extent is final. Only the *latest* fragment
+/// needs the commit rules ([`committed_blocks`]), over every reachable
+/// copy's bytes past the certified extent; a block they leave undecided
+/// stays out of the entry, and if the snapshot would see it the client
+/// asks the SMS to reconcile. Snapshot gating comes after: one entry
+/// serves every snapshot, an older one a prefix.
+// lint:hotpath(scan) — freshness leg: sub-second tail visibility (§4.2.2/§7.1)
+pub fn read_tail_cached(
+    tail: &TailReadSpec,
+    fleet: &StorageFleet,
+    key: &Key,
+    snapshot: Timestamp,
+    cache: Option<&ReadCache>,
+) -> VortexResult<TailOutcome> {
     let gate = RowGate::for_tail(tail, snapshot);
-    let nothing = || TailOutcome::Rows(Visible::through(&gate, Arc::default()));
+    let nothing = || TailOutcome::Rows(Visible::through(&gate, Vec::new()));
     if gate.is_shut() {
         return Ok(nothing());
     }
-    // ---- Phase 1: probe log files until one is missing. ----
     let replicas: Vec<&Arc<Colossus>> = (tail.clusters.iter())
         .filter_map(|c| fleet.get(*c).ok())
         .filter(|c| !c.faults().is_unavailable())
@@ -645,12 +733,28 @@ pub fn read_tail(
             tail.streamlet
         )));
     }
+    // lint:allow(L010, once per log file of a tail read: its path)
     let path = |ordinal: u32| format!("{}f{:08x}", tail.path_prefix, ordinal);
-    let mut end = tail.from_ordinal;
-    while replicas.iter().any(|c| c.exists(&path(end))) {
-        end += 1;
+
+    // ---- Phase 1: probe log files until one is missing; each comes with
+    // what is held of it. What the SMS lists by now is read as fragments,
+    // and of a file that is gone nothing is worth holding. ----
+    // lint:allow(L010, once per tail read: an entry per log file)
+    let mut files: Vec<(String, Option<Arc<TailFile>>)> = Vec::new();
+    let end = loop {
+        let file = path(tail.from_ordinal + files.len() as u32);
+        if !replicas.iter().any(|c| c.exists(&file)) {
+            break file;
+        }
+        let held = cache.and_then(|cache| cache.tail(&file, tail.epoch));
+        // lint:allow(L010, once per tail read: an entry per log file)
+        files.push((file, held));
+    };
+    if let Some(cache) = cache {
+        let live = &path(tail.from_ordinal)..&end;
+        cache.keep_tails(&tail.path_prefix, live, tail.epoch);
     }
-    if end == tail.from_ordinal {
+    let Some((latest_path, held)) = files.pop() else {
         if tail.expected_rows > tail.from_row {
             // The SMS knew committed rows past the fragment specs at this
             // snapshot, yet no log file remains: the tail was converted
@@ -661,95 +765,103 @@ pub fn read_tail(
             )));
         }
         return Ok(nothing());
-    }
+    };
+    let resume = |held: &Option<Arc<TailFile>>| held.as_ref().map(|f| (f.len, f.header.clone()));
 
-    // ---- Phase 2: the latest fragment — commit rules + snapshot-bounded
-    // replica comparison, on block extents. A replica whose read fails
-    // counts as unreachable. A copy that does not even index a header is
-    // a reconciler's poison-only fence: the streamlet was reconciled, so
-    // ask the SMS (idempotent) and re-read through the authoritative
-    // fragment records. ----
-    let latest = path(end - 1);
-    let mut unread = VortexError::Unavailable(format!("no readable copy of {latest}"));
+    // ---- Phase 2: the latest file — every reachable copy read past the
+    // certified extent, and the commit rule over what is new. A replica
+    // whose read fails counts as unreachable. A copy that does not even
+    // index a header is a reconciler's poison-only fence: the streamlet
+    // was reconciled, so ask the SMS (idempotent) and re-read through the
+    // authoritative fragment records. ----
+    let at = held.as_ref().map_or(0, |f| f.len);
+    let mut unread = VortexError::Unavailable(format!("no readable copy of {latest_path}"));
     let mut copies: Vec<Vec<u8>> = Vec::new();
-    for c in replicas.iter().filter(|c| c.exists(&latest)) {
-        match c.read_all(&latest) {
-            Ok(read) => copies.push(read.data),
+    for c in replicas.iter().filter(|c| c.exists(&latest_path)) {
+        match read_past(c, &latest_path, at) {
+            // lint:allow(L010, once per tail read: an entry per replica)
+            Ok(bytes) => copies.push(bytes),
             Err(e) => unread = e,
         }
     }
     if copies.is_empty() {
         return Err(unread);
     }
-    let indexes: VortexResult<Vec<FragmentIndex>> =
-        (copies.iter().map(|c| index_fragment(c, None))).collect();
+    let indexes: VortexResult<Vec<FragmentIndex>> = (copies.iter())
+        .map(|c| index_fragment_from(c, resume(&held), None))
+        .collect();
     let Ok(indexes) = indexes else {
         return Ok(TailOutcome::NeedsReconcile);
     };
-    let extent = |ix: &FragmentIndex| {
-        let blocks = relevant(ix, &gate);
-        let end_row = blocks
-            .last()
-            .map_or(ix.header.first_row, |b| b.first_row + b.row_count);
-        (blocks.len(), end_row)
+    let blocks = &indexes[0].blocks[..committed_blocks(&indexes)];
+    // Divergence from in-flight appends past the snapshot is a writer at
+    // work, not a failure ("if a reader encounters an append timestamp
+    // greater than the read snapshot timestamp, it can stop reading").
+    let undecided = |ix: &FragmentIndex| {
+        let past = ix.blocks.get(blocks.len()..).unwrap_or_default();
+        past.iter().any(|b| !gate.stops_at(b.timestamp))
     };
-    let committed = match &indexes[1..] {
-        // One readable copy: every relevant block needs a successor
-        // record.
-        [] => relevant(&indexes[0], &gate).iter().all(|b| b.committed),
-        // Present in every replica → committed (the server acknowledged
-        // only after both writes); replicas that disagree about data AT
-        // the snapshot cannot be decided locally (§7.1's final-append
-        // reconciliation).
-        others => others.iter().all(|o| extent(o) == extent(&indexes[0])),
-    };
-    if !committed {
+    if indexes.iter().any(undecided) {
         return Ok(TailOutcome::NeedsReconcile);
-    }
-
-    // ---- Phase 3: zones. The gate's pick of an indexed file's relevant
-    // blocks, each decoded once; with them the committed streamlet-relative
-    // row end recovered (before flush/mask gating). ----
-    let zones_of = |ix: &FragmentIndex, bytes: &[u8]| {
-        let blocks = relevant(ix, &gate);
-        let ends = blocks.iter().map(|b| b.first_row + b.row_count);
-        let at = blocks.iter().map(|b| (b.first_row, b));
-        let zones = wos_zones((ix, bytes), key, at, (tail.stream, tail.first_stream_row))?;
-        Ok((ends.fold(tail.from_row, u64::max), zones))
-    };
-    let mut zones = Vec::new();
-    let mut recovered_end = tail.from_row;
-    for ordinal in tail.from_ordinal..end - 1 {
-        // A successor file exists, so one replica serves. Prefer the File
-        // Map bound (headers are written before any divergence can occur,
-        // so any copy's serves); if the map lacks this ordinal (successor
-        // written by a later incarnation after GC), fall back to a lenient
-        // walk — the mere existence of the successor certifies every
-        // parseable block here (the server opened the next file only
-        // after settling this one).
-        let entry = (indexes[0].header.file_map.iter()).find(|e| e.ordinal == ordinal);
-        let (file, limit) = (path(ordinal), entry.map(|e| e.committed_size));
-        let (end_row, of_file) = with_replica(tail.clusters, &file, fleet, |cluster| {
-            let bytes = cluster.read_all(&file)?.data;
-            zones_of(&index_fragment(&bytes, limit)?, &bytes)
-        })?;
-        zones.extend(of_file);
-        recovered_end = recovered_end.max(end_row);
     }
     // A copy that frames but does not decode cannot be decided locally
     // either.
-    let Ok((end_row, of_latest)) = zones_of(&indexes[0], &copies[0]) else {
+    let read = copies.iter().map(|c| c.len() as u64).sum();
+    let Ok(latest) = extend_tail_file(
+        (&latest_path, held.as_deref()),
+        (&indexes[0], &copies[0], read),
+        (blocks, false),
+        (tail, key, cache),
+    ) else {
         return Ok(TailOutcome::NeedsReconcile);
     };
-    zones.extend(of_latest);
-    let recovered_end = recovered_end.max(end_row);
-    if recovered_end < tail.expected_rows {
+
+    // ---- Phase 3: the predecessors. A successor file exists, so one
+    // replica serves and the extent is final. Prefer the File Map bound
+    // (headers are written before any divergence can occur, so any copy's
+    // serves); if the map lacks this ordinal (successor written by a later
+    // incarnation after GC), fall back to a lenient walk — the mere
+    // existence of the successor certifies every parseable block here
+    // (the server opened the next file only after settling this one). ----
+    // lint:allow(L010, once per tail read: a pointer per zone)
+    let mut zones: Vec<Arc<Zone>> = Vec::new();
+    for (ordinal, (file, held)) in (tail.from_ordinal..).zip(files) {
+        let sealed = match held {
+            Some(sealed) if sealed.sealed => sealed,
+            held => {
+                let entry = (latest.header.file_map.iter()).find(|e| e.ordinal == ordinal);
+                let limit = entry.map(|e| e.committed_size);
+                with_replica(tail.clusters, &file, fleet, |cluster| {
+                    let bytes = read_past(cluster, &file, held.as_ref().map_or(0, |f| f.len))?;
+                    let ix = index_fragment_from(&bytes, resume(&held), limit)?;
+                    extend_tail_file(
+                        (&file, held.as_deref()),
+                        (&ix, &bytes, bytes.len() as u64),
+                        (&ix.blocks, true),
+                        (tail, key, cache),
+                    )
+                })?
+            }
+        };
+        // lint:allow(L010, once per tail read: a pointer per zone)
+        zones.extend(sealed.zones.iter().cloned());
+    }
+    // lint:allow(L010, once per tail read: a pointer per zone)
+    zones.extend(latest.zones.iter().cloned());
+
+    // The committed streamlet-relative row end at the snapshot (before
+    // flush / mask gating): rows are in write order.
+    let end_row = |zone: &Arc<Zone>| {
+        let seen = zone.metas.partition_point(|m| !gate.stops_at(m.ts));
+        (seen > 0).then(|| zone.first + seen as u64)
+    };
+    let recovered_end = zones.iter().rev().find_map(end_row).unwrap_or(0);
+    if recovered_end.max(tail.from_row) < tail.expected_rows {
         return Err(VortexError::NotFound(format!(
             "snapshot too old: streamlet {} tail recovered rows to {} but the SMS \
              committed floor at the snapshot was {}",
             tail.streamlet, recovered_end, tail.expected_rows
         )));
     }
-    // lint:allow(L010, once per tail read)
-    Ok(TailOutcome::Rows(Visible::through(&gate, Arc::new(zones))))
+    Ok(TailOutcome::Rows(Visible::through(&gate, zones)))
 }

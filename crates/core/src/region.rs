@@ -658,7 +658,7 @@ impl Region {
     /// assert_eq!(client.read_rows(t).unwrap().rows.len(), 7);
     /// ```
     pub fn dml(&self) -> DmlExecutor {
-        DmlExecutor::new(self.client())
+        DmlExecutor::new(self.client().with_cache(Arc::clone(&self.read_cache)))
     }
 
     /// The storage optimizer.

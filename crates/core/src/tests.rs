@@ -291,3 +291,68 @@ fn doc_example_compiles_and_runs() {
         .unwrap();
     assert_eq!(client.read_rows(table.table).unwrap().rows.len(), 1);
 }
+
+/// GC drops the records of converted log files from under a *live*
+/// streamlet; its tail must still start where they ended (regression:
+/// it restarted at ordinal 0, the probe found nothing and every fresh
+/// read failed "snapshot too old: ... tail collected").
+#[test]
+fn a_fresh_snapshot_is_never_too_old() {
+    let region = Region::create(RegionConfig {
+        fragment_max_bytes: 8 << 10,
+        ..RegionConfig::default()
+    })
+    .unwrap();
+    let client = region.client();
+    let t = client.create_table("live", schema()).unwrap();
+    let (key, t) = (t.encryption_key(), t.table);
+    let mut w = client.create_unbuffered_writer(t).unwrap();
+    let tail_of = |at| region.sms().list_read_fragments(t, at).unwrap().tails[0].clone();
+    // A cache no fragment goes through: what it holds is tail log files.
+    let tails = vortex_client::ReadCache::new(usize::MAX);
+    let read_tail = |at| {
+        let tails = Some(tails.as_ref());
+        vortex_client::read::read_tail_cached(&tail_of(at), region.fleet(), &key, at, tails)
+            .map(drop)
+    };
+    let mut appended = 0u64;
+    for round in 0..6 {
+        for i in 0..40 {
+            w.append(rows(appended as i64, 50)).unwrap();
+            appended += 50;
+            if i % 20 == 19 {
+                region.run_heartbeats(false).unwrap();
+                region.run_ticks();
+            }
+        }
+        let engine = region.engine();
+        let count = |at| engine.count(t, at, &ScanOptions::default());
+        let before = client.snapshot();
+        assert_eq!(count(before).unwrap(), appended, "round {round}");
+        read_tail(before).unwrap();
+        region.run_optimizer_cycle(t).unwrap();
+        region.advance_micros(30_000_000);
+        assert!(
+            region.run_gc(t).unwrap() > 0,
+            "round {round}: nothing collected"
+        );
+
+        let fresh = client.snapshot();
+        let tail = tail_of(fresh);
+        assert!(tail.from_ordinal > 0 && tail.from_row > 0, "{tail:?}");
+        assert_eq!(count(fresh).unwrap(), appended, "round {round}, after GC");
+        // A cache holds the tail's log files and has let go of every
+        // listed, converted or collected one before them.
+        read_tail(fresh).unwrap();
+        let first = format!("{}f{:08x}", tail.path_prefix, tail.from_ordinal);
+        let replica = region.fleet().get(tail.clusters[0]).unwrap();
+        let mut files = replica.list(&tail.path_prefix).unwrap();
+        files.retain(|path| *path >= first);
+        assert_eq!(tails.len(), files.len(), "round {round}");
+        // A snapshot from before the collection still sees the records
+        // and, with nothing cached, looks for the files and fails honestly.
+        let cold = crate::QueryEngine::new(region.sms().clone(), region.fleet().clone());
+        let stale = cold.count(t, before, &ScanOptions::default()).unwrap_err();
+        assert!(matches!(stale, crate::VortexError::NotFound(_)), "{stale}");
+    }
+}

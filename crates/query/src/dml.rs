@@ -14,7 +14,7 @@
 //! commit then conflicts and the statement re-resolves against the new
 //! (positionally identical) fragments.
 
-use vortex_client::read::{read_fragment_cached, read_tail, TailOutcome};
+use vortex_client::read::{read_fragment_cached, read_tail_cached, TailOutcome};
 use vortex_client::{VortexClient, WriterOptions};
 use vortex_common::error::{VortexError, VortexResult};
 use vortex_common::ids::{FragmentId, StreamletId, TableId};
@@ -156,7 +156,8 @@ impl DmlExecutor {
 
             // ---- Tails: whole-tail mask + reinsert unaffected (§7.3) ----
             for tail in &rs.tails {
-                let outcome = read_tail(tail, &fleet, &key, snapshot)?;
+                let cache = self.client.cache().map(std::sync::Arc::as_ref);
+                let outcome = read_tail_cached(tail, &fleet, &key, snapshot, cache)?;
                 let rows = match outcome {
                     // A tail's positions are streamlet-relative rows.
                     TailOutcome::Rows(zones) => zones.positioned_rows(schema.fields.len()),

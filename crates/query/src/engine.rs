@@ -7,7 +7,7 @@ use std::sync::Arc;
 use vortex_client::read::{
     drive_table_read, open_ros_block, read_fragment_bloom, read_fragment_cached, RowGate,
 };
-use vortex_client::ReadCache;
+use vortex_client::{ReadCache, ReadOptions};
 use vortex_colossus::StorageFleet;
 use vortex_common::crypt::Key;
 use vortex_common::error::{VortexError, VortexResult};
@@ -96,14 +96,21 @@ pub struct ScanStats {
     /// Bytes those reads returned — against the `committed_size` of the
     /// blocks opened, what the scan paid for what it needed.
     pub bytes_fetched: u64,
-    /// WOS fragments whose decoded zones this scan shared from the cache
-    /// (0 without a cache; a ROS block is opened by its index and never
-    /// goes through it). Attributed from shared-cache counter deltas, so
-    /// concurrent scans may shift hits between each other; totals stay
-    /// exact.
+    /// WOS fragments and tail log files whose decoded zones this scan
+    /// shared from the cache (0 without a cache; a ROS block is opened by
+    /// its index and never goes through it). These four are attributed
+    /// from shared-cache counter deltas, so concurrent scans may shift
+    /// counts between each other; totals stay exact.
     pub cache_hits: u64,
-    /// WOS fragments this scan decoded and left in the cache.
+    /// WOS fragments and tail log files this scan decoded and left in
+    /// the cache.
     pub cache_misses: u64,
+    /// Bytes this scan read of tail log files, every replica's counted,
+    /// to extend what the cache holds of them: what was appended since
+    /// the previous scan, 0 for a repeat.
+    pub tail_bytes_read: u64,
+    /// Tail rows this scan decoded into the cache.
+    pub tail_rows_decoded: u64,
 }
 
 /// Result of a scan.
@@ -267,7 +274,7 @@ impl AggKind {
 /// The `scan.*` counters mirroring [`ScanStats`], each with what one scan
 /// adds to it: the one table the handles are interned from (for their
 /// names) and fed from (for their values).
-fn scan_counts(stats: &ScanStats) -> [(&'static str, u64); 14] {
+fn scan_counts(stats: &ScanStats) -> [(&'static str, u64); 16] {
     [
         ("scan.calls", 1),
         ("scan.fragments_total", stats.fragments_total as u64),
@@ -284,6 +291,8 @@ fn scan_counts(stats: &ScanStats) -> [(&'static str, u64); 14] {
         // Zero without a cache.
         ("scan.cache.hits", stats.cache_hits),
         ("scan.cache.misses", stats.cache_misses),
+        ("scan.tail.bytes_read", stats.tail_bytes_read),
+        ("scan.tail.rows_decoded", stats.tail_rows_decoded),
     ]
 }
 
@@ -294,13 +303,14 @@ pub struct QueryEngine {
     /// Virtual clock for scan spans and the freshness probe's
     /// "visible at" stamp. Optional: bare engines stay uninstrumented.
     tt: Option<TrueTime>,
-    /// Shared decoded-extent cache (§9 future work).
-    cache: Option<Arc<ReadCache>>,
+    /// How tables are read: through the shared decoded-extent cache (§9
+    /// future work), if any.
+    read: ReadOptions,
     /// End-to-end commit-to-visible freshness probe (§8).
     probe: Option<Arc<FreshnessProbe>>,
     /// Registry handles interned at construction ([`scan_counts`]' names,
     /// then the `scan` span): recording a scan names no metric.
-    m: ([Arc<Counter>; 14], Arc<Histogram>),
+    m: ([Arc<Counter>; 16], Arc<Histogram>),
 }
 
 impl QueryEngine {
@@ -310,7 +320,7 @@ impl QueryEngine {
             sms,
             fleet,
             tt: None,
-            cache: None,
+            read: ReadOptions::default(),
             probe: None,
             m: (
                 scan_counts(&ScanStats::default()).map(|(name, _)| obs::global().counter(name)),
@@ -330,7 +340,7 @@ impl QueryEngine {
         probe: Arc<FreshnessProbe>,
     ) -> Self {
         self.tt = Some(tt);
-        self.cache = Some(cache);
+        self.read.cache = Some(cache);
         self.probe = Some(probe);
         self
     }
@@ -346,7 +356,7 @@ impl QueryEngine {
         let rows = |_: &Schema| Ok(RowCollector::default());
         let (sink, schema, stats) = self.scan_into(table, snapshot, opts, &rows)?;
         let mut rows = sink.rows;
-        rows.sort_by_key(|(m, _)| (m.stream, m.offset, m.ts));
+        rows.sort_unstable_by_key(|(m, _)| (m.stream, m.offset, m.ts));
         Ok(ScanResult {
             snapshot,
             schema,
@@ -368,7 +378,7 @@ impl QueryEngine {
     ) -> VortexResult<(C, Schema, ScanStats)> {
         let tmeta = self.sms.get_table(table)?;
         let scan_start = self.tt.as_ref().map(|tt| tt.now().latest);
-        let cache_base = self.cache.as_ref().map(|c| (c.hits(), c.misses()));
+        let cache_base = self.read.cache.as_ref().map(|c| c.tally());
         let projection = opts.projection.as_deref();
         let (mut out, schema) = if opts.resolve_changes {
             // Merge-on-read must see every version of a key, including
@@ -393,9 +403,12 @@ impl QueryEngine {
         } else {
             self.read_into(&tmeta, snapshot, opts, (&opts.predicate, projection), make)?
         };
-        if let (Some((h0, m0)), Some(c)) = (cache_base, &self.cache) {
-            out.stats.cache_hits = c.hits().saturating_sub(h0);
-            out.stats.cache_misses = c.misses().saturating_sub(m0);
+        if let (Some(base), Some(c)) = (cache_base, &self.read.cache) {
+            let (now, stats) = (c.tally(), &mut out.stats);
+            stats.cache_hits = now.hits - base.hits;
+            stats.cache_misses = now.misses - base.misses;
+            stats.tail_bytes_read = now.tail_bytes - base.tail_bytes;
+            stats.tail_rows_decoded = now.tail_rows - base.tail_rows;
         }
         self.record_scan(table, &out.stats, scan_start, &out.visible_ts);
         Ok((out.sink, schema, out.stats))
@@ -413,7 +426,7 @@ impl QueryEngine {
     ) -> VortexResult<(FragmentYield<C>, Schema)> {
         let key = tmeta.encryption_key();
         let (sms, fleet) = (&self.sms, &self.fleet);
-        let read = drive_table_read(sms, fleet, &key, tmeta.table, snapshot, false, |rs| {
+        let read = drive_table_read(sms, fleet, &key, tmeta.table, snapshot, &self.read, |rs| {
             self.scan_fragments(rs, tmeta, &key, snapshot, opts, pushed, make)
         })?;
         let (plan, mut out) = read.fragments;
@@ -503,7 +516,7 @@ impl QueryEngine {
                 scan_ros_block(&mut block, &mut *read, &gate, plan, out)
             }
             FragmentKind::Wos => {
-                let cache = self.cache.as_deref();
+                let cache = self.read.cache.as_deref();
                 let zones = read_fragment_cached(spec, &self.fleet, key, snapshot, cache)?;
                 scan_visible(&zones, plan, out)
             }

@@ -536,6 +536,11 @@ pub struct StreamletMeta {
     /// Epoch incremented on every ownership change; used to poison
     /// zombies (§5.6).
     pub epoch: u64,
+    /// Where the WOS fragments GC has collected end — next ordinal, next
+    /// streamlet-relative row: the tail starts no earlier once their
+    /// records are gone. It trails the stored record, and only once
+    /// non-zero, so a record GC never touched keeps its bytes.
+    pub collected: (u32, u64),
 }
 
 impl Record for StreamletMeta {
@@ -569,6 +574,10 @@ impl Record for StreamletMeta {
         put_uvarint(&mut out, self.known_fragments as u64);
         put_masks(&mut out, &self.masks);
         put_uvarint(&mut out, self.epoch);
+        if self.collected != (0, 0) {
+            put_uvarint(&mut out, self.collected.0 as u64);
+            put_uvarint(&mut out, self.collected.1);
+        }
         out
     }
 
@@ -595,6 +604,11 @@ impl Record for StreamletMeta {
         let known_fragments = get_uvarint(buf, &mut pos)? as u32;
         let masks = get_masks(buf, &mut pos)?;
         let epoch = get_uvarint(buf, &mut pos)?;
+        let mut collected = (0, 0);
+        if pos < buf.len() {
+            collected.0 = get_uvarint(buf, &mut pos)? as u32;
+            collected.1 = get_uvarint(buf, &mut pos)?;
+        }
         Ok(StreamletMeta {
             streamlet,
             stream,
@@ -608,6 +622,7 @@ impl Record for StreamletMeta {
             known_fragments,
             masks,
             epoch,
+            collected,
         })
     }
 }
@@ -918,6 +933,7 @@ mod tests {
                 (Timestamp(200), DeletionMask::from_range(10, 20)),
             ],
             epoch: 4,
+            collected: (0, 0),
         }
     }
 
@@ -961,6 +977,9 @@ mod tests {
             check_record(sample_stream(stype, committed), t, later);
         }
         check_record(sample_streamlet(), t, (t, StreamletId::from_raw(255)));
+        let mut collected = sample_streamlet();
+        collected.collected = (2, 512);
+        check_record(collected, t, (t, StreamletId::from_raw(255)));
         check_record(sample_fragment(), t, (t, FragmentId::from_raw(10)));
         // Negative and None partition keys.
         let mut ros = sample_fragment();
@@ -989,6 +1008,10 @@ mod tests {
         let pending = sample_stream(StreamType::Pending, Some(Timestamp(42)));
         assert_eq!(pin(&pending), (9, 0xb3f7_389c));
         assert_eq!(pin(&sample_streamlet()), (26, 0xa40d_6718));
+        // The GC floor trails the record only once GC has set it.
+        let mut collected = sample_streamlet();
+        collected.collected = (2, 512);
+        assert_eq!(pin(&collected), (29, 0x1e78_7fea));
         assert_eq!(pin(&sample_fragment()), (119, 0x73a7_1521));
         let mut ros = sample_fragment();
         ros.partition_key = None;

@@ -258,6 +258,7 @@ impl SmsTask {
                 known_fragments: 0,
                 masks: vec![],
                 epoch: 1,
+                collected: (0, 0),
             };
             let spec = StreamletSpec {
                 table: tmeta.table,
@@ -372,11 +373,26 @@ impl SmsTask {
         Ok(all)
     }
 
-    /// Drops the records of fragments whose files are gone.
+    /// Drops the records of fragments whose files are gone. A live
+    /// streamlet's tail starts where its known log files end, so in the
+    /// same transaction its record takes over what the dropped ones said
+    /// of that (a finalized streamlet has no tail).
     fn drop_fragments(&self, gone: &[FragmentMeta]) -> VortexResult<usize> {
         self.txn(|txn| {
             for f in gone {
                 meta::delete::<FragmentMeta>(txn, f.id());
+                if f.kind != FragmentKind::Wos {
+                    continue;
+                }
+                let end = (f.ordinal + 1, f.first_row + f.row_count);
+                let of = meta::load_in::<StreamletMeta>(txn, (f.table, f.streamlet));
+                let live = |sl: &StreamletMeta| sl.state != StreamletState::Finalized;
+                if let Some(mut sl) =
+                    meta::optional(of)?.filter(|sl| live(sl) && sl.collected < end)
+                {
+                    sl.collected = end;
+                    meta::put(txn, &sl);
+                }
             }
             Ok(())
         })?;
@@ -828,8 +844,8 @@ impl SmsApi for SmsTask {
 
         // One pass over the fragment records yields the read specs and,
         // per streamlet, where its known WOS fragments end — finalized
-        // and still live OR already converted — which is where its tail
-        // starts.
+        // and still live OR already converted; `collected` speaks for the
+        // ones GC has dropped — which is where its tail starts.
         let mut fragments = Vec::new();
         let mut known_end: HashMap<StreamletId, (u32, u64)> = HashMap::new();
         for f in meta::scan::<FragmentMeta>(&self.store, table, snapshot) {
@@ -878,7 +894,9 @@ impl SmsApi for SmsTask {
             let Some((stream_type, visibility)) = visibility_of(sl) else {
                 continue;
             };
-            let (from_ordinal, from_row) = known_end.get(&sl.streamlet).copied().unwrap_or((0, 0));
+            let known = known_end.get(&sl.streamlet).copied().unwrap_or((0, 0));
+            // Ordinals and row ends rise together: the later pair wins.
+            let (from_ordinal, from_row) = known.max(sl.collected);
             tails.push(TailReadSpec {
                 streamlet: sl.streamlet,
                 stream: sl.stream,

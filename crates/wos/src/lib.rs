@@ -43,8 +43,8 @@ pub mod writer;
 
 pub use format::{FileMapEntry, Footer, FragmentConfig, FragmentHeader};
 pub use reader::{
-    common_prefix, index_fragment, parse_fragment, read_bloom, BlockEntry, DataBlock, FlushRecord,
-    FragmentIndex, ParsedFragment, SentinelRecord,
+    common_prefix, index_fragment, index_fragment_from, parse_fragment, read_bloom, BlockEntry,
+    DataBlock, FlushRecord, FragmentIndex, ParsedFragment, SentinelRecord,
 };
 pub use writer::FragmentWriter;
 

@@ -102,6 +102,12 @@ pub struct Fragment<B> {
     pub bloom: Option<BloomFilter>,
     /// The footer, present once finalized.
     pub footer: Option<Footer>,
+    /// File offset of the first byte walked: 0, or where
+    /// [`index_fragment_from`] resumed.
+    pub start: u64,
+    /// Bytes of the header record this walk read at byte 0 (none when it
+    /// resumed): the replicas agree on them before anything can diverge.
+    pub header_len: u64,
     /// Bytes of valid records parsed (offset just past the last one).
     pub valid_len: u64,
     /// Trailing bytes ignored as torn/partial.
@@ -192,20 +198,32 @@ fn u64_payload(payload: &[u8], what: &str) -> VortexResult<u64> {
 /// record when no limit is given), bytes are counted in `torn_bytes` and
 /// ignored.
 pub fn index_fragment(bytes: &[u8], limit: Option<u64>) -> VortexResult<FragmentIndex> {
-    let window: &[u8] = match limit {
-        Some(l) if (l as usize) < bytes.len() => &bytes[..l as usize],
+    index_fragment_from(bytes, None, limit)
+}
+
+/// [`index_fragment`] of the file whose bytes from a record boundary on
+/// are `bytes`: `resume` names that offset and the header an earlier walk
+/// read before it (`None` walks from byte 0). Offsets in the index, and
+/// `limit`, stay file-absolute.
+pub fn index_fragment_from(
+    bytes: &[u8],
+    resume: Option<(u64, FragmentHeader)>,
+    limit: Option<u64>,
+) -> VortexResult<FragmentIndex> {
+    let (start, mut header) = resume.map_or((0, None), |(at, header)| (at, Some(header)));
+    let window: &[u8] = match limit.map(|l| l.saturating_sub(start) as usize) {
+        Some(l) if l < bytes.len() => &bytes[..l],
         _ => bytes,
     };
     let strict = limit.is_some();
 
-    let mut pos = 0usize;
-    let mut header: Option<FragmentHeader> = None;
+    let (mut pos, mut header_len) = (0usize, 0);
     let mut blocks: Vec<BlockEntry> = Vec::new();
     let (mut flushes, mut sentinels) = (Vec::new(), Vec::new());
     let (mut bloom, mut footer) = (None, None);
 
     while let Some((rec, payload)) = record_at(window, pos, strict)? {
-        if rec.rtype == RecordType::Header && pos != 0 {
+        if rec.rtype == RecordType::Header && start + pos as u64 != 0 {
             if strict {
                 return Err(VortexError::CorruptData(
                     "duplicate or misplaced fragment header".into(),
@@ -224,7 +242,10 @@ pub fn index_fragment(bytes: &[u8], limit: Option<u64>) -> VortexResult<Fragment
         }
         let timestamp = rec.timestamp;
         match rec.rtype {
-            RecordType::Header => header = Some(FragmentHeader::from_bytes(payload)?),
+            RecordType::Header => {
+                header = Some(FragmentHeader::from_bytes(payload)?);
+                header_len = (RECORD_HEADER_LEN + payload.len()) as u64;
+            }
             RecordType::Data => {
                 if header.is_none() {
                     return Err(VortexError::CorruptData(
@@ -232,7 +253,7 @@ pub fn index_fragment(bytes: &[u8], limit: Option<u64>) -> VortexResult<Fragment
                     ));
                 }
                 blocks.push(BlockEntry {
-                    offset: pos as u64,
+                    offset: start + pos as u64,
                     first_row: rec.first_row,
                     row_count: rec.row_count as u64,
                     timestamp,
@@ -279,12 +300,25 @@ pub fn index_fragment(bytes: &[u8], limit: Option<u64>) -> VortexResult<Fragment
         sentinels,
         bloom,
         footer,
-        valid_len: pos as u64,
+        start,
+        header_len,
+        valid_len: start + pos as u64,
         torn_bytes: (bytes.len() - pos) as u64,
     })
 }
 
 impl BlockEntry {
+    /// File offset just past the block's record.
+    pub fn end(&self) -> u64 {
+        self.offset + (RECORD_HEADER_LEN + self.rec.payload_len as usize) as u64
+    }
+
+    /// Whether `other` — a replica copy's entry — is the same record at
+    /// the same place (payload CRC included), whatever follows either.
+    pub fn same_record(&self, other: &BlockEntry) -> bool {
+        (self.offset, self.rec) == (other.offset, other.rec)
+    }
+
     fn corrupt(&self, what: &str) -> VortexError {
         VortexError::CorruptData(format!("block {} {what}", self.rec.block_ordinal))
     }
@@ -307,8 +341,9 @@ impl BlockEntry {
 
 impl FragmentIndex {
     /// The verified plaintext — an encoded row set — of one indexed block
-    /// out of `bytes`, which are the bytes the index was taken of or a
-    /// replica copy that agrees with them up to the block's end: decrypt →
+    /// out of `bytes`, which are the bytes the index was taken of (the
+    /// file's from `start` on) or a replica copy that agrees with them up
+    /// to the block's end: decrypt →
     /// decompress → plaintext CRC → length. Whoever decodes it finishes
     /// with [`BlockEntry::decoded`].
     pub fn block_plaintext(
@@ -318,7 +353,8 @@ impl FragmentIndex {
         block: &BlockEntry,
     ) -> VortexResult<Vec<u8>> {
         let rec = &block.rec;
-        let payload = (bytes.get(block.offset as usize + RECORD_HEADER_LEN..))
+        let payload = (block.offset.checked_sub(self.start))
+            .and_then(|at| bytes.get(at as usize + RECORD_HEADER_LEN..))
             .and_then(|rest| rest.get(..rec.payload_len as usize))
             .ok_or_else(|| block.corrupt("lies outside the bytes given"))?;
         let nonce = Nonce::for_block(self.header.fragment.raw(), rec.block_ordinal);
@@ -362,6 +398,8 @@ pub fn parse_fragment(bytes: &[u8], key: &Key, limit: Option<u64>) -> VortexResu
         sentinels: index.sentinels,
         bloom: index.bloom,
         footer: index.footer,
+        start: index.start,
+        header_len: index.header_len,
         valid_len: index.valid_len,
         torn_bytes: index.torn_bytes,
     })
@@ -698,6 +736,51 @@ mod tests {
             })
             .collect();
         assert_eq!(indexed, decoded);
+    }
+
+    /// A walk resumed past the header record or any block — what a tail
+    /// read that remembers the file does — finds what the whole walk
+    /// found from there on, at the same offsets, and decodes it out of the
+    /// suffix alone; a strict limit still bounds it.
+    #[test]
+    fn a_resumed_walk_continues_the_whole_one() {
+        let (file, _) = build_full_file();
+        let full = index_fragment(&file, None).unwrap();
+        assert_eq!(full.start, 0);
+        let boundaries = [full.header_len]
+            .into_iter()
+            .chain(full.blocks.iter().map(BlockEntry::end));
+        for (held, at) in boundaries.enumerate() {
+            let resume = || Some((at, full.header.clone()));
+            let rest = index_fragment_from(&file[at as usize..], resume(), None).unwrap();
+            assert_eq!((rest.start, rest.header_len), (at, 0));
+            assert_eq!(rest.blocks, full.blocks[held..]);
+            assert_eq!((rest.valid_len, rest.torn_bytes), (full.valid_len, 0));
+            assert_eq!(rest.footer, full.footer);
+            for b in &rest.blocks {
+                let plain = rest
+                    .block_plaintext(&file[at as usize..], &key(), b)
+                    .unwrap();
+                assert_eq!(plain, full.block_plaintext(&file, &key(), b).unwrap());
+                assert!(rest.block_plaintext(&file, &key(), b).is_err() || at == 0);
+            }
+            // Bounded to the next block's end: that block and no more,
+            // and corruption inside the bound is an error.
+            let Some(next) = full.blocks.get(held) else {
+                continue;
+            };
+            let bounded = index_fragment_from(&file[at as usize..], resume(), Some(next.end()));
+            let bounded = bounded.unwrap();
+            assert_eq!((bounded.blocks.len(), bounded.valid_len), (1, next.end()));
+            assert!(bounded.blocks[0].same_record(next) && bounded.blocks[0].committed);
+            let mut bad = file[at as usize..].to_vec();
+            bad[(next.offset - at) as usize + RECORD_HEADER_LEN] ^= 1;
+            assert!(index_fragment_from(&bad, resume(), Some(next.end())).is_err());
+            assert!(index_fragment_from(&bad, resume(), None)
+                .unwrap()
+                .blocks
+                .is_empty());
+        }
     }
 
     #[test]

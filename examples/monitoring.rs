@@ -187,6 +187,7 @@ fn main() -> vortex::VortexResult<()> {
     for needle in [
         "freshness.commit_to_visible_us",
         "scan.cache.",
+        "scan.tail.",
         "scan.bytes_fetched",
         "colossus.cls-0.bytes_read",
         "append.client.calls",
@@ -201,6 +202,14 @@ fn main() -> vortex::VortexResult<()> {
         region.freshness().rows_observed(),
         fresh.p50,
         fresh.p99
+    );
+    let counter = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
+    println!(
+        "read cache: {} hits, {} misses; tails extended by {} bytes read, {} rows decoded",
+        counter("scan.cache.hits"),
+        counter("scan.cache.misses"),
+        counter("scan.tail.bytes_read"),
+        counter("scan.tail.rows_decoded")
     );
     Ok(())
 }

@@ -5,7 +5,8 @@
 
 use vortex::row::{Row, RowSet, Value};
 use vortex::schema::{Field, FieldType, Schema};
-use vortex::{Region, RegionConfig, ScanOptions};
+use vortex::{QueryEngine, Region, RegionConfig, ScanOptions};
+use vortex_client::read::{read_tail_cached, TailOutcome};
 
 fn rows(start: i64, n: usize) -> RowSet {
     RowSet::new(
@@ -82,4 +83,161 @@ fn every_log_row_is_decoded_once() {
         R,
         "rows decoded by the multi-file tail read"
     );
+
+    repeated_reader(schema());
+    full_zones_are_kept(schema());
+}
+
+/// A last zone that is exactly full — 64 polls of 16 rows — or over-full
+/// from one large block is not open: the poll that extends the file past
+/// it leaves it in the entry (regression: the extend step took the last
+/// zone out to top it up and dropped it when it was full, so a warm read
+/// lost `ZONE_ROWS` or more acked rows). Each poll still decodes what was
+/// appended and no more, and counts what a cold read counts.
+fn full_zones_are_kept(schema: Schema) {
+    let region = Region::create(RegionConfig::default()).unwrap();
+    let client = region.client();
+    let engine = region.engine();
+    let cold = QueryEngine::new(region.sms().clone(), region.fleet().clone());
+    let decoded = || region.metrics_snapshot().counters["wos.rows_decoded"];
+    let plans = [
+        ("sixteens", vec![16; 140]),
+        ("blocks", vec![2000, 50, 1024, 1, 1023, 1024, 5, 1019, 3000]),
+    ];
+    for (name, plan) in plans {
+        let t = client.create_table(name, schema.clone()).unwrap().table;
+        let mut w = client.create_unbuffered_writer(t).unwrap();
+        let mut total = 0;
+        for n in plan {
+            w.append(rows(total as i64, n)).unwrap();
+            total += n;
+            let (at, opts) = (client.snapshot(), ScanOptions::default());
+            let before = decoded();
+            let warm = engine.count(t, at, &opts).unwrap();
+            assert_eq!(warm, total as u64, "{name}: warm count at {total} rows");
+            assert_eq!(decoded() - before, n as u64, "{name}: decoded at {total}");
+            assert_eq!(cold.count(t, at, &opts).unwrap(), warm, "{name}: cold");
+        }
+        // One log file, its zones as full as the appends allow.
+        let at = client.snapshot();
+        let rs = region.sms().list_read_fragments(t, at).unwrap();
+        let key = region.sms().get_table(t).unwrap().encryption_key();
+        let cache = Some(region.read_cache().as_ref());
+        let tail = read_tail_cached(&rs.tails[0], region.fleet(), &key, at, cache).unwrap();
+        let TailOutcome::Rows(tail) = tail else {
+            panic!("a healthy tail needs no reconciliation");
+        };
+        assert_eq!(tail.len(), total);
+        let sizes: Vec<usize> = tail.iter().map(|(zone, _)| zone.metas.len()).collect();
+        if name == "sixteens" {
+            assert_eq!(sizes, [1024, 1024, 192], "{name}");
+        }
+    }
+}
+
+/// The repeated reader: a tail the catalog never hears of grows by `K`
+/// rows between queries and rotates through several log files. What a
+/// query decodes and what it reads of each replica is bounded by what
+/// was appended since the previous one — whatever the tail's length.
+fn repeated_reader(schema: Schema) {
+    const K: usize = 50;
+    const STEPS: usize = 120;
+    // Record headers a query may read again: the records after the last
+    // certified block (an idle-tick commit record, a finalized file's
+    // bloom and footer headers).
+    const SLACK: u64 = 4 * 48;
+    let region = Region::create(RegionConfig {
+        fragment_max_bytes: 16 << 10,
+        ..RegionConfig::default()
+    })
+    .unwrap();
+    let client = region.client();
+    let t = client.create_table("polled", schema).unwrap();
+    let (key, t) = (t.encryption_key(), t.table);
+    let mut w = client.create_unbuffered_writer(t).unwrap();
+    let engine = region.engine();
+    let count = |at| engine.count(t, at, &ScanOptions::default()).unwrap();
+    let decoded = || region.metrics_snapshot().counters["wos.rows_decoded"];
+    let replicas: Vec<_> = region.fleet().clusters().collect();
+    let log_files = |c: usize| replicas[c].list("wos/").unwrap();
+    // Per cluster: bytes its log files hold, bytes it has served.
+    let stored = || {
+        let held = |c| (log_files(c).iter().map(|p| replicas[c].len(p).unwrap())).sum();
+        (0..replicas.len()).map(held).collect::<Vec<u64>>()
+    };
+    let served = || (replicas.iter().map(|c| c.read_counts().1)).collect::<Vec<u64>>();
+
+    let mut at_step = Vec::new();
+    let mut held = stored();
+    for step in 0..STEPS {
+        w.append(rows((step * K) as i64, K)).unwrap();
+        let rows_now = ((step + 1) * K) as u64;
+        let (appended, before) = (stored(), (decoded(), served()));
+        let at = client.snapshot();
+        assert_eq!(count(at), rows_now);
+        at_step.push(at);
+        // Tail lengths 10× apart and everything between: one bound.
+        let gained = decoded() - before.0;
+        assert!(
+            gained <= (K + vortex_ros::ZONE_ROWS) as u64,
+            "step {step}: {gained} rows"
+        );
+        assert!(
+            step == 0 || gained == K as u64,
+            "step {step}: {gained} rows"
+        );
+        for (c, now) in served().into_iter().enumerate() {
+            let (read, new) = (now - before.1[c], appended[c] - held[c]);
+            assert!(
+                read <= new + SLACK,
+                "step {step}, replica {c}: read {read} of {new} new"
+            );
+        }
+        held = appended;
+        // The same snapshot again, twice: nothing decoded, nothing new read.
+        let before = (decoded(), served());
+        assert_eq!((count(at), count(at)), (rows_now, rows_now));
+        assert_eq!(decoded(), before.0, "step {step}: a repeat decoded rows");
+        for (c, now) in served().into_iter().enumerate() {
+            assert!(now - before.1[c] <= 2 * SLACK, "step {step}, replica {c}");
+        }
+    }
+    let files = (0..replicas.len())
+        .map(|c| log_files(c).len())
+        .max()
+        .unwrap();
+    assert!(files >= 3, "the tail rotated: {files} log files");
+
+    // The scan says what it added to the cache: the new rows and their
+    // bytes on both replicas, then nothing — every log file is a hit.
+    let was = stored();
+    w.append(rows((STEPS * K) as i64, K)).unwrap();
+    let new_bytes: u64 = stored().iter().zip(&was).map(|(now, was)| now - was).sum();
+    let at = client.snapshot();
+    let first = engine.scan(t, at, &ScanOptions::default()).unwrap().stats;
+    assert_eq!(first.tail_rows_decoded, K as u64);
+    assert_eq!(first.tail_bytes_read, new_bytes);
+    let again = engine.scan(t, at, &ScanOptions::default()).unwrap().stats;
+    assert_eq!((again.tail_rows_decoded, again.tail_bytes_read), (0, 0));
+    assert_eq!((again.cache_hits, again.cache_misses), (files as u64, 0));
+    assert_eq!(again.rows_scanned, ((STEPS + 1) * K) as u64);
+
+    // An older snapshot after a newer one: a prefix of the same entries.
+    let before = decoded();
+    assert_eq!(count(at_step[11]), 12 * K as u64);
+    assert_eq!(decoded(), before, "an older snapshot decoded rows");
+
+    // Zones are topped up, not left one per poll.
+    let at = client.snapshot();
+    let rs = region.sms().list_read_fragments(t, at).unwrap();
+    assert_eq!((rs.fragments.len(), rs.tails.len()), (0, 1));
+    let cache = Some(region.read_cache().as_ref());
+    let tail = read_tail_cached(&rs.tails[0], region.fleet(), &key, at, cache).unwrap();
+    let TailOutcome::Rows(tail) = tail else {
+        panic!("a healthy tail needs no reconciliation");
+    };
+    assert_eq!(tail.len(), (STEPS + 1) * K);
+    let zones = tail.iter().count();
+    let most = ((STEPS + 1) * K).div_ceil(vortex_ros::ZONE_ROWS) + files;
+    assert!(zones <= most, "{zones} zones for {files} files");
 }

@@ -402,9 +402,12 @@ fn read_cache_serves_repeated_scans() {
     region.run_optimizer_cycle(t).unwrap();
 
     let first = client.read_rows(t).unwrap();
-    assert!(cache.misses() > 0 && cache.hits() == 0);
+    assert!(cache.tally().misses > 0 && cache.tally().hits == 0);
     let second = client.read_rows(t).unwrap();
-    assert!(cache.hits() > 0, "second scan hits the cache: {cache:?}");
+    assert!(
+        cache.tally().hits > 0,
+        "second scan hits the cache: {cache:?}"
+    );
     assert_eq!(first.rows, second.rows, "cache is transparent");
     // Time travel through the cache stays correct: a pre-DML snapshot
     // still sees masked rows (visibility is applied after the cache).

@@ -46,6 +46,8 @@ counter scan.reads
 counter scan.rows_matched
 counter scan.rows_materialized
 counter scan.rows_scanned
+counter scan.tail.bytes_read
+counter scan.tail.rows_decoded
 counter scan.tails_scanned
 counter scan.zones_pruned
 counter scan.zones_total

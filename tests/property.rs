@@ -832,3 +832,211 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// Remembered tails: a read through the region's warm cache — which holds
+// the certified extent of every unlisted log file and extends it by what
+// was appended since — answers exactly as a read that remembers nothing,
+// at current and historical snapshots, across the streamlet lifecycle and
+// with storage faults between two reads of one entry.
+// ---------------------------------------------------------------------
+
+/// One step of [`cached_reads_match_cold_reads`].
+#[derive(Debug, Clone)]
+enum LiveOp {
+    /// Append `n` rows to the UNBUFFERED stream, with a storage fault
+    /// armed first: none, or a failed (1, 2) / torn (3, 4) append on
+    /// either replica. The writer re-drives the append; a torn one leaves
+    /// a final block in one replica only.
+    Append(usize, u8),
+    /// Append `n` rows to the BUFFERED stream (invisible until flushed).
+    Buffer(usize),
+    /// Flush the BUFFERED stream to its end.
+    Flush,
+    /// A heartbeat round and an idle tick: the SMS hears of finalized log
+    /// files, tails shorten, commit records land.
+    Heartbeat,
+    /// Finalize the UNBUFFERED stream and continue on a new one.
+    Finalize,
+    /// Convert and recluster what is finalized.
+    Optimize,
+    /// Reconcile every live streamlet: epochs bump under warm entries.
+    Reconcile,
+    /// Delete keys in `[lo, lo + len)` — tail masks where they are fresh.
+    Delete(i64, i64),
+    /// Read with one replica unavailable (0, 1), or with its next read
+    /// failing (2, 3): new blocks need a successor record or reconcile.
+    ReadUnder(u8),
+}
+
+/// Mostly poll-sized appends; some that fill a zone of `ZONE_ROWS` (1024)
+/// rows exactly — alone, or two or four in a row — or overfill it, so
+/// that warm entries are extended past full and oversized last zones.
+fn arb_append_rows() -> impl Strategy<Value = usize> {
+    prop_oneof![
+        6 => 1usize..40,
+        1 => Just(256usize),
+        1 => Just(512usize),
+        1 => Just(1024usize),
+        1 => 1000usize..1100,
+    ]
+}
+
+fn arb_live_op() -> impl Strategy<Value = LiveOp> {
+    prop_oneof![
+        6 => (arb_append_rows(), 0u8..5).prop_map(|(n, fault)| LiveOp::Append(n, fault)),
+        2 => (1usize..20).prop_map(LiveOp::Buffer),
+        1 => Just(LiveOp::Flush),
+        2 => Just(LiveOp::Heartbeat),
+        1 => Just(LiveOp::Finalize),
+        1 => Just(LiveOp::Optimize),
+        1 => Just(LiveOp::Reconcile),
+        1 => (0i64..300, 1i64..30).prop_map(|(lo, len)| LiveOp::Delete(lo, len)),
+        3 => (0u8..4).prop_map(LiveOp::ReadUnder),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn cached_reads_match_cold_reads(
+        ops in proptest::collection::vec(arb_live_op(), 2..14),
+        picks in proptest::collection::vec(any::<usize>(), 14..15),
+        roomy in any::<bool>(),
+    ) {
+        use vortex::{AggKind, Expr, QueryEngine, Region, RegionConfig, ScanOptions};
+        // Log files that rotate every few appends, or that hold zones of
+        // appends.
+        let region = Region::create(RegionConfig {
+            fragment_max_bytes: if roomy { 256 << 10 } else { 2 << 10 },
+            ..RegionConfig::default()
+        })
+        .unwrap();
+        let client = region.client();
+        let schema = Schema::new(vec![
+            Field::required("k", FieldType::Int64),
+            Field::required("g", FieldType::Int64),
+            Field::required("f", FieldType::Float64),
+        ]);
+        let tmeta = client.create_table("live", schema).unwrap();
+        let t = tmeta.table;
+        let clusters = [tmeta.primary, tmeta.secondary];
+        let replica = |which: u8| region.fleet().get(clusters[which as usize % 2]).unwrap();
+        let mut next = 0i64;
+        // The next `n` keys, and their rows.
+        let mut batch = |n: usize| {
+            let row = |k: i64| {
+                Row::insert(vec![Value::Int64(k), Value::Int64(k % 3), Value::Float64(k as f64 * 0.1)])
+            };
+            next += n as i64;
+            (next - n as i64..next, RowSet::new((next - n as i64..next).map(row).collect()))
+        };
+        let mut w = client.create_unbuffered_writer(t).unwrap();
+        let mut wb = client.create_buffered_writer(t).unwrap();
+        // Keys a fresh read must count: acked and visible, not deleted.
+        let mut live = std::collections::BTreeSet::new();
+        let mut buffered = Vec::new();
+
+        // The same four reads through the warm cache and through none.
+        let warm_client = region.client().with_cache(region.read_cache().clone());
+        let cold = QueryEngine::new(region.sms().clone(), region.fleet().clone());
+        let aggs = [
+            (AggKind::Count, None),
+            (AggKind::Sum, Some("k")),
+            (AggKind::Sum, Some("f")),
+            (AggKind::Min, Some("k")),
+            (AggKind::Max, Some("f")),
+        ];
+        let close = |a: &Value, b: &Value| match (a, b) {
+            (Value::Float64(a), Value::Float64(b)) => (a - b).abs() <= 1e-9 * a.abs().max(b.abs()),
+            _ => a == b,
+        };
+        let agree = |at: vortex::Timestamp, opts: &ScanOptions| {
+            let warm = region.engine();
+            let counted = warm.count(t, at, opts).unwrap();
+            prop_assert_eq!(counted, cold.count(t, at, opts).unwrap());
+            let (rows, cold_rows) = (warm.scan(t, at, opts).unwrap(), cold.scan(t, at, opts).unwrap());
+            prop_assert_eq!(&rows.rows, &cold_rows.rows);
+            let groups = warm.aggregate(t, at, opts, Some("g"), &aggs).unwrap();
+            let cold_groups = cold.aggregate(t, at, opts, Some("g"), &aggs).unwrap();
+            prop_assert_eq!(groups.len(), cold_groups.len());
+            for ((g, vals), (cold_g, cold_vals)) in groups.iter().zip(&cold_groups) {
+                prop_assert_eq!(g, cold_g);
+                prop_assert!(vals.iter().zip(cold_vals).all(|(a, b)| close(a, b)), "{vals:?} vs {cold_vals:?}");
+            }
+            let table = warm_client.read_rows_at(t, at).unwrap();
+            prop_assert_eq!(table.rows, client.read_rows_at(t, at).unwrap().rows);
+            counted
+        };
+
+        let all = ScanOptions::default();
+        let some = ScanOptions {
+            predicate: Expr::ge("k", Value::Int64(17)),
+            ..ScanOptions::default()
+        };
+        let mut snapshots = Vec::new();
+        for (op, pick) in ops.iter().zip(&picks) {
+            match op {
+                LiveOp::Append(n, fault) => {
+                    match fault {
+                        1 | 2 => replica(*fault).faults().fail_next_appends(1),
+                        3 | 4 => replica(*fault).faults().torn_next_appends(1),
+                        _ => {}
+                    }
+                    let (keys, rows) = batch(*n);
+                    w.append(rows).unwrap();
+                    live.extend(keys);
+                }
+                LiveOp::Buffer(n) => {
+                    let (keys, rows) = batch(*n);
+                    wb.append(rows).unwrap();
+                    buffered.extend(keys);
+                }
+                LiveOp::Flush => {
+                    wb.flush(wb.next_offset()).unwrap();
+                    live.extend(buffered.drain(..));
+                }
+                LiveOp::Heartbeat => {
+                    region.run_heartbeats(false).unwrap();
+                    region.run_ticks();
+                }
+                LiveOp::Finalize => {
+                    region.sms().finalize_stream(t, w.stream_id()).unwrap();
+                    w = client.create_unbuffered_writer(t).unwrap();
+                }
+                LiveOp::Optimize => region.run_optimizer_cycle(t).unwrap(),
+                LiveOp::Reconcile => {
+                    for sl in region.sms().list_streamlets(t) {
+                        if sl.state != vortex::StreamletState::Finalized {
+                            region.sms().reconcile_streamlet(t, sl.streamlet).unwrap();
+                        }
+                    }
+                }
+                LiveOp::Delete(lo, len) => {
+                    let range = Expr::ge("k", Value::Int64(*lo)).and(Expr::lt("k", Value::Int64(lo + len)));
+                    region.dml().delete_where(t, &range).unwrap();
+                    live.retain(|k| !(*lo..lo + len).contains(k));
+                }
+                LiveOp::ReadUnder(fault) => {
+                    let at = client.snapshot();
+                    match fault {
+                        0 | 1 => replica(*fault).faults().set_unavailable(true),
+                        _ => replica(*fault).faults().fail_next_reads(1),
+                    }
+                    let counted = region.engine().count(t, at, &all);
+                    // A fault the read had no cause to meet is disarmed: the
+                    // next op's on the other replica would make two.
+                    replica(*fault).faults().set_unavailable(false);
+                    replica(*fault).faults().fail_next_reads(0);
+                    prop_assert_eq!(counted.unwrap(), live.len() as u64, "under fault {}", fault);
+                }
+            }
+            let now = client.snapshot();
+            prop_assert_eq!(agree(now, &all), live.len() as u64, "after {:?}", op);
+            agree(now, &some);
+            snapshots.push(now);
+            agree(snapshots[pick % snapshots.len()], &all);
+        }
+    }
+}
