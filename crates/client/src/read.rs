@@ -357,8 +357,8 @@ impl Visible {
     pub fn rows_into(&self, arity: usize, out: &mut Vec<(RowMeta, Row)>) {
         for (zone, sel) in self.iter() {
             let width = arity.max(zone.cols.len());
-            let cols: Vec<_> = (0..width).map(|c| zone.cols.get(c)).collect();
-            gather_rows(&zone.metas, sel, &cols, out);
+            let cols: Vec<_> = (0..width).map(|c| Some((zone.cols.get(c)?, sel))).collect();
+            gather_rows((&zone.metas, sel), &cols, out);
         }
     }
 }

@@ -252,11 +252,15 @@ pub fn decompress(input: &[u8]) -> Result<Vec<u8>, DecompressError> {
                         produced: out.len(),
                     });
                 }
-                // Overlapping copies are legal (RLE); copy byte-by-byte.
+                // Overlapping copies are legal (RLE): what lies past
+                // `start` has period `offset`, so each pass may copy all
+                // of it that exists — whole periods, until the last.
                 let start = out.len() - offset;
-                for i in 0..len {
-                    let b = out[start + i];
-                    out.push(b);
+                let mut left = len;
+                while left > 0 {
+                    let run = left.min(out.len() - start);
+                    out.extend_from_within(start..start + run);
+                    left -= run;
                 }
             }
             _ => return Err(DecompressError::BadTag(tag)),
@@ -390,6 +394,27 @@ mod tests {
             decompress(&bad),
             Err(DecompressError::BadOffset { .. })
         ));
+    }
+
+    /// A copy that overlaps its own output repeats the last `offset`
+    /// bytes: every offset 1..=8 × every copy length, against the
+    /// byte-by-byte copy the decoder used to make.
+    #[test]
+    fn overlapping_copies_repeat_their_period() {
+        for offset in 1..=8usize {
+            for len in MIN_MATCH..=MAX_COPY_LEN {
+                let seed: Vec<u8> = (0..offset + 3).map(|i| b'a' + i as u8).collect();
+                let mut framed = Vec::new();
+                put_varint(&mut framed, (seed.len() + len) as u64);
+                emit_literal(&mut framed, &seed);
+                emit_copy(&mut framed, offset, len);
+                let mut want = seed.clone();
+                for i in 0..len {
+                    want.push(want[seed.len() - offset + i]);
+                }
+                assert_eq!(decompress(&framed).unwrap(), want, "{offset} × {len}");
+            }
+        }
     }
 
     #[test]

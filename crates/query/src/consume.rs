@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 use vortex_common::error::{VortexError, VortexResult};
 use vortex_common::row::{Row, Value};
 use vortex_common::schema::Schema;
-use vortex_ros::{gather_rows, ColumnVec, IntKind, RowMeta};
+use vortex_ros::{gather_rows, ColumnVec, IntKind, Picked, RowMeta};
 
 use crate::engine::AggKind;
 use crate::pushdown::{ScanPlan, ZoneCols};
@@ -65,10 +65,11 @@ impl Consumer for RowCollector {
         sel: &[usize],
         plan: &ScanPlan<'_>,
     ) -> VortexResult<u64> {
-        let shown = (0..plan.arity()).map(|c| plan.zone_column(cols, c));
+        let shown = (0..plan.arity()).map(|c| plan.zone_column(cols, c, sel));
         // lint:allow(L010, once per zone gathered: a reference per column)
-        let shown: Vec<Option<&ColumnVec>> = shown.collect::<VortexResult<_>>()?;
-        gather_rows(&cols.metas()?, sel, &shown, &mut self.rows);
+        let shown: Vec<Option<Picked<'_, ColumnVec>>> = shown.collect::<VortexResult<_>>()?;
+        let (metas, at) = cols.metas(sel)?;
+        gather_rows((&metas, at), &shown, &mut self.rows);
         Ok(sel.len() as u64)
     }
 
@@ -208,11 +209,18 @@ impl Aggregator {
         if let Some(v) = &g {
             v.encode_key_into(&mut self.key);
         }
+        self.keyed_slot(|| g)
+    }
+
+    /// The group whose key `self.key` holds; `value` builds the group
+    /// value of one seen for the first time.
+    fn keyed_slot(&mut self, value: impl FnOnce() -> Option<Value>) -> usize {
         if let Some(&slot) = self.slots.get(self.key.as_slice()) {
             return slot;
         }
         self.slots.insert(self.key.clone(), self.groups.len());
-        self.groups.push((g, vec![Acc::default(); self.aggs.len()]));
+        let accs = vec![Acc::default(); self.aggs.len()];
+        self.groups.push((value(), accs));
         self.groups.len() - 1
     }
 
@@ -260,15 +268,20 @@ impl Consumer for Aggregator {
     ) -> VortexResult<u64> {
         let mut buf = Vec::new();
         let mut slots = Vec::with_capacity(sel.len());
-        match self.group.map(|g| plan.zone_column(cols, g)).transpose()? {
+        let group = self.group.map(|g| plan.zone_column(cols, g, sel));
+        match group.transpose()? {
             None => slots.resize(sel.len(), self.group_slot(None)),
             Some(None) => slots.resize(sel.len(), self.group_slot(Some(Value::Null))),
-            Some(Some(col)) => {
-                let (leaf, at) = col.resolve(sel, &mut buf);
+            Some(Some((col, at))) => {
+                let (leaf, at) = col.resolve(at, &mut buf);
                 let mut memo = vec![usize::MAX; leaf.len()];
                 for &p in at {
+                    // Looked up by the key where it lies: a `Value` is
+                    // built for a group's first row only.
                     if memo[p] == usize::MAX {
-                        memo[p] = self.group_slot(Some(leaf.value(p)));
+                        self.key.clear();
+                        leaf.key_into(p, &mut self.key);
+                        memo[p] = self.keyed_slot(|| Some(leaf.value(p)));
                     }
                     slots.push(memo[p]);
                 }
@@ -280,9 +293,11 @@ impl Consumer for Aggregator {
                 continue;
             }
             // A column that reads NULL in every row folds nothing.
-            let col = c.map(|c| plan.zone_column(cols, c)).transpose()?;
-            let Some(col) = col.flatten() else { continue };
-            let (leaf, at) = col.resolve(sel, &mut buf);
+            let col = c.map(|c| plan.zone_column(cols, c, sel)).transpose()?;
+            let Some((col, at)) = col.flatten() else {
+                continue;
+            };
+            let (leaf, at) = col.resolve(at, &mut buf);
             for (&p, &s) in at.iter().zip(&slots) {
                 let acc = &mut self.groups[s].1[a];
                 match kind {

@@ -88,6 +88,13 @@ pub struct ScanStats {
     /// changes — none for `count` and `aggregate`, which fold zones as
     /// typed vectors whatever they were read from.
     pub rows_materialized: u64,
+    /// Cells of ROS chunks this scan decoded into column vectors, the four
+    /// provenance columns' included: a zone's rows per column read whole
+    /// (the predicate's, and everything of a zone the filter kept whole),
+    /// the selected rows per column decoded at the selection. Against
+    /// `rows_scanned` × columns, what the filter saved. (WOS fragments and
+    /// tails arrive decoded: `wos.rows_decoded`, `tail_rows_decoded`.)
+    pub cells_decoded: u64,
     /// Ranged reads made of the ROS blocks this scan opened: two for a
     /// block's index, then one per run of adjacent chunks it needed.
     /// (WOS fragments and tails are read whole; every read of either kind
@@ -274,7 +281,7 @@ impl AggKind {
 /// The `scan.*` counters mirroring [`ScanStats`], each with what one scan
 /// adds to it: the one table the handles are interned from (for their
 /// names) and fed from (for their values).
-fn scan_counts(stats: &ScanStats) -> [(&'static str, u64); 16] {
+fn scan_counts(stats: &ScanStats) -> [(&'static str, u64); 17] {
     [
         ("scan.calls", 1),
         ("scan.fragments_total", stats.fragments_total as u64),
@@ -286,6 +293,7 @@ fn scan_counts(stats: &ScanStats) -> [(&'static str, u64); 16] {
         ("scan.rows_scanned", stats.rows_scanned),
         ("scan.rows_matched", stats.rows_matched),
         ("scan.rows_materialized", stats.rows_materialized),
+        ("scan.cells_decoded", stats.cells_decoded),
         ("scan.reads", stats.reads),
         ("scan.bytes_fetched", stats.bytes_fetched),
         // Zero without a cache.
@@ -310,7 +318,7 @@ pub struct QueryEngine {
     probe: Option<Arc<FreshnessProbe>>,
     /// Registry handles interned at construction ([`scan_counts`]' names,
     /// then the `scan` span): recording a scan names no metric.
-    m: ([Arc<Counter>; 16], Arc<Histogram>),
+    m: ([Arc<Counter>; 17], Arc<Histogram>),
 }
 
 impl QueryEngine {

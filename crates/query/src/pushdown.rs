@@ -28,6 +28,10 @@
 //!    [`Consumer`] folds the zone's vectors at the surviving positions:
 //!    a row collector gathers the projected columns (late
 //!    materialization), a count or an aggregate builds no `Row` at all.
+//!    Of a block's zone, unless every row is selected, the columns the
+//!    filter read stay whole and every other column the consumer reads —
+//!    the rows' provenance too — decodes at the selection only
+//!    ([`vortex_ros::RosBlock::decode_zone_at`]).
 //!
 //! A WOS fragment, a streamlet tail and the rows merge-on-read leaves
 //! arrive as decoded [`Zone`]s with their visible rows ([`scan_visible`])
@@ -43,7 +47,7 @@
 //! `Expr::eval` oracle.
 
 use std::borrow::Cow;
-use std::cell::OnceCell;
+use std::cell::{Cell, OnceCell};
 use std::cmp::Ordering;
 
 use vortex_client::read::{RowGate, Visible, Zone};
@@ -52,7 +56,7 @@ use vortex_common::error::{VortexError, VortexResult};
 use vortex_common::row::{Row, Value};
 use vortex_common::schema::Schema;
 use vortex_common::truetime::Timestamp;
-use vortex_ros::{Chunk, ColumnBuilder, ColumnVec, IntKind, ReadAt, RosBlock, RowMeta};
+use vortex_ros::{Chunk, ColumnBuilder, ColumnVec, IntKind, Picked, ReadAt, RosBlock, RowMeta};
 
 use crate::consume::Consumer;
 use crate::engine::ScanStats;
@@ -144,8 +148,8 @@ impl<'e> CPred<'e> {
         }
         match self {
             CPred::True => {}
-            CPred::Leaf(col, test) => match cols.get(*col)? {
-                Some(col) => filter_leaf(col, *test, sel),
+            CPred::Leaf(col, test) => match cols.at(*col, None)? {
+                Some((col, _)) => filter_leaf(col, *test, sel),
                 None if matches!(test, Test::IsNull) => {}
                 None => sel.clear(),
             },
@@ -222,37 +226,83 @@ fn filter_leaf(col: &ColumnVec, test: Test<'_>, sel: &mut Vec<usize>) {
 
 /// The vectors of one zone as the predicate and the consumer read them.
 pub(crate) enum ZoneCols<'b> {
-    /// Zone `.1` of a ROS block opened by its index: a column decodes
-    /// when first read — two leaves on one column, or a leaf and the
-    /// consumer, decode it once.
-    Block(&'b RosBlock, usize, Vec<OnceCell<ColumnVec>>),
+    /// Zone `.1` of a ROS block opened by its index, and what of it has
+    /// been decoded.
+    Block(&'b RosBlock, usize, Held<'b>),
     /// A zone that arrived decoded.
     Decoded(&'b Zone),
 }
 
+/// What a scan has decoded of one zone of a block.
+pub(crate) struct Held<'b> {
+    /// A column decodes when first read — two leaves on one column, or a
+    /// leaf and the consumer, decode it once: whole for the predicate and
+    /// for a selection of every row, else the selected rows alone (a
+    /// vector shorter than the zone).
+    cols: Vec<OnceCell<ColumnVec>>,
+    /// `0..n` for a selection of `n` rows, fewer than the zone's: what
+    /// indexes a vector that holds the selection alone.
+    dense: OnceCell<Vec<usize>>,
+    /// The cells the scan has decoded of the block, provenance included.
+    cells: &'b Cell<u64>,
+}
+
 impl ZoneCols<'_> {
-    /// The provenance of the zone's rows — of a block's, decoded for the
-    /// one consumer that said it [`Consumer::reads`] it.
-    pub(crate) fn metas(&self) -> VortexResult<Cow<'_, [RowMeta]>> {
+    /// The provenance of the rows `sel` — of a block's, decoded for the
+    /// one consumer that said it [`Consumer::reads`] it, at `sel` alone
+    /// unless that is every row — and where in it each of them lies.
+    pub(crate) fn metas<'s>(
+        &'s self,
+        sel: &'s [usize],
+    ) -> VortexResult<(Cow<'s, [RowMeta]>, &'s [usize])> {
         match self {
-            ZoneCols::Decoded(zone) => Ok(Cow::Borrowed(&zone.metas)),
-            ZoneCols::Block(block, z, _) => block.zone_metas(*z).map(Cow::Owned),
+            ZoneCols::Decoded(zone) => Ok((Cow::Borrowed(&zone.metas), sel)),
+            ZoneCols::Block(block, z, held) => {
+                let metas = block.zone_metas_at(*z, sel)?;
+                held.cells.set(held.cells.get() + 4 * metas.len() as u64);
+                // Every row of the zone is `0..n` already.
+                let at = match sel.len() < block.zone_range(*z).len() {
+                    // lint:allow(L010, once per zone whose selection is not every row, sized by it)
+                    true => held.dense.get_or_init(|| (0..sel.len()).collect()),
+                    false => sel,
+                };
+                Ok((Cow::Owned(metas), at))
+            }
         }
     }
 
-    /// The vector for schema column `col`, or `None` when the zone's rows
-    /// predate the column (they read NULL).
-    pub(crate) fn get(&self, col: usize) -> VortexResult<Option<&ColumnVec>> {
+    /// The vector for schema column `col` with the index in it of each
+    /// row of `sel` — `None` for the predicate, which reads the column
+    /// whole — or `None` when the zone's rows predate the column (they
+    /// read NULL). Of a block's zone, a column not yet decoded decodes at
+    /// `sel` alone unless that is every row: the one rule, no threshold.
+    pub(crate) fn at<'s>(
+        &'s self,
+        col: usize,
+        sel: Option<&'s [usize]>,
+    ) -> VortexResult<Option<Picked<'s, ColumnVec>>> {
+        let every = sel.unwrap_or_default();
         match self {
-            ZoneCols::Decoded(zone) => Ok(zone.cols.get(col)),
-            ZoneCols::Block(block, z, cols) => {
-                let Some(cell) = cols.get(col) else {
+            ZoneCols::Decoded(zone) => Ok(zone.cols.get(col).map(|col| (col, every))),
+            ZoneCols::Block(block, z, held) => {
+                let Some(cell) = held.cols.get(col) else {
                     return Ok(None);
                 };
+                let rows = block.zone_range(*z).len();
                 if cell.get().is_none() {
-                    let _ = cell.set(block.decode_zone(col, *z)?);
+                    let decoded = match sel.filter(|sel| sel.len() < rows) {
+                        Some(sel) => block.decode_zone_at(col, *z, sel)?,
+                        None => block.decode_zone(col, *z)?,
+                    };
+                    held.cells.set(held.cells.get() + decoded.len() as u64);
+                    let _ = cell.set(decoded);
                 }
-                Ok(cell.get())
+                let held = cell.get().map(|col| match col.len() < rows {
+                    // lint:allow(L010, once per zone whose selection is not every row, sized by it)
+                    true => (col, &**held.dense.get_or_init(|| (0..col.len()).collect())),
+                    false => (col, every),
+                });
+                Ok(held)
             }
         }
     }
@@ -346,16 +396,17 @@ impl<'e> ScanPlan<'e> {
         self.keep.get(col) == Some(&true)
     }
 
-    /// Zone vector of column `col` as the projection shows it: `None`
-    /// (every row NULL) when the projection drops the column or the
-    /// zone's rows predate it.
+    /// Zone vector of column `col` as the projection shows it, with the
+    /// index in it of each row of `sel`: `None` (every row NULL) when the
+    /// projection drops the column or the zone's rows predate it.
     pub(crate) fn zone_column<'z>(
         &self,
         cols: &'z ZoneCols<'_>,
         col: usize,
-    ) -> VortexResult<Option<&'z ColumnVec>> {
+        sel: &'z [usize],
+    ) -> VortexResult<Option<Picked<'z, ColumnVec>>> {
         match self.keeps(col) {
-            true => cols.get(col),
+            true => cols.at(col, Some(sel)),
             false => Ok(None),
         }
     }
@@ -397,6 +448,7 @@ impl<C: Consumer> FragmentYield<C> {
         self.stats.rows_scanned += other.stats.rows_scanned;
         self.stats.rows_matched += other.stats.rows_matched;
         self.stats.rows_materialized += other.stats.rows_materialized;
+        self.stats.cells_decoded += other.stats.cells_decoded;
     }
 }
 
@@ -503,11 +555,13 @@ pub(crate) fn scan_ros_block<C: Consumer>(
     })?;
     let block = &*block;
     let (reads, bytes) = block.fetched();
+    let cells = Cell::new(0); // decoded of the block, provenance included
     out.stats.reads += reads;
     out.stats.bytes_fetched += bytes;
     for z in (0..zones).filter(|&z| fresh[z]) {
         let range = block.zone_range(z);
         let ts = block.zone_timestamps(z)?;
+        cells.set(ts.len() as u64 + cells.get());
         let visible = (range.zip(ts)).filter(|(i, ts)| Some(*ts) > seen && gate.admits(*i as u64));
         out.visible_ts.extend(visible.map(|(_, ts)| ts));
     }
@@ -518,8 +572,11 @@ pub(crate) fn scan_ros_block<C: Consumer>(
         sel.clear();
         sel.extend((0..range.len()).filter(|i| gate.admits((range.start + i) as u64)));
         // lint:allow(L010, once per zone scanned: a cell per column)
-        let cols = ZoneCols::Block(block, z, vec![OnceCell::new(); block.column_count()]);
-        scan_zone(&cols, &mut sel, plan, out)?;
+        let cols = vec![OnceCell::new(); block.column_count()];
+        let (dense, cells) = (OnceCell::new(), &cells);
+        let held = Held { cols, dense, cells };
+        scan_zone(&ZoneCols::Block(block, z, held), &mut sel, plan, out)?;
     }
+    out.stats.cells_decoded += cells.get();
     Ok(())
 }

@@ -973,13 +973,24 @@ impl SqlSession {
         let snapshot = as_of
             .map(Timestamp)
             .unwrap_or_else(|| self.client.snapshot());
+        // CDC tables resolve UPSERT/DELETE at read time (§4.2.6).
+        let resolve_changes = !tmeta.schema.primary_key.is_empty();
+        let has_agg = items.iter().any(|i| matches!(i, SelectItem::Agg(_, _)));
+        // A list of plain columns is all its scan decodes (ORDER BY names
+        // one of them); `*`, aggregates and change resolution read by
+        // their own rules.
+        let columns = items.iter().map(|i| match i {
+            SelectItem::Column(c) if !resolve_changes => Some(c.clone()),
+            _ => None,
+        });
         let opts = ScanOptions {
             predicate,
-            // CDC tables resolve UPSERT/DELETE at read time (§4.2.6).
-            resolve_changes: !tmeta.schema.primary_key.is_empty(),
+            resolve_changes,
+            projection: columns
+                .collect::<Option<Vec<String>>>()
+                .filter(|_| group_by.is_none()),
             ..ScanOptions::default()
         };
-        let has_agg = items.iter().any(|i| matches!(i, SelectItem::Agg(_, _)));
         let (columns, mut rows) = if has_agg || group_by.is_some() {
             // Aggregate path: every non-aggregate item must be the GROUP
             // BY column.

@@ -1894,7 +1894,6 @@ mod aggregate_equivalence {
             let r = rig();
             let t = load_three_ways(&r, seed, keyed);
             let snap = r.sms.read_snapshot();
-            let group_by = COLUMNS.get(group).copied();
             let opts = ScanOptions {
                 predicate: pred.clone(),
                 resolve_changes: keyed,
@@ -1906,29 +1905,33 @@ mod aggregate_equivalence {
             };
             let schema = agg_schema(keyed);
             let cell = |row: &'_ Row, c: &str| row.values[schema.column_index(c).unwrap()].clone();
-            let mut want: BTreeMap<Vec<u8>, (Option<Value>, Vec<Row>)> = BTreeMap::new();
-            if group_by.is_none() {
-                want.insert(Vec::new(), (None, Vec::new()));
-            }
-            for (_, row) in &rows {
-                let g = group_by.map(|c| cell(row, c));
-                let key = g.as_ref().map(|v| v.encode_key()).unwrap_or_default();
-                want.entry(key).or_insert((g, Vec::new())).1.push(row.clone());
-            }
-            let got = r.engine.aggregate(t, snap, &opts, group_by, &aggs).unwrap();
             prop_assert_eq!(r.engine.count(t, snap, &opts).unwrap(), rows.len() as u64);
-            prop_assert_eq!(got.len(), want.len());
-            for ((g, vals), (wg, members)) in got.iter().zip(want.values()) {
-                prop_assert!(match (g, wg) {
-                    (Some(g), Some(w)) => g.key_eq(w),
-                    (g, w) => g.is_none() && w.is_none(),
-                }, "group {:?} != {:?}", g, wg);
-                for (v, (kind, col)) in vals.iter().zip(&aggs) {
-                    let cells: Vec<Value> = (members.iter())
-                        .map(|row| col.map_or(Value::Null, |c| cell(row, c)))
-                        .collect();
-                    let w = reference(*kind, &cells.iter().collect::<Vec<_>>());
-                    prop_assert!(same(v, &w), "{:?}({:?}) of group {:?}: {:?} != {:?}", kind, col, g, v, w);
+            // The drawn grouping, and always the string column: its cells
+            // are looked up by their key bytes where they lie.
+            for group_by in [COLUMNS.get(group).copied(), Some("customer")] {
+                let mut want: BTreeMap<Vec<u8>, (Option<Value>, Vec<Row>)> = BTreeMap::new();
+                if group_by.is_none() {
+                    want.insert(Vec::new(), (None, Vec::new()));
+                }
+                for (_, row) in &rows {
+                    let g = group_by.map(|c| cell(row, c));
+                    let key = g.as_ref().map(|v| v.encode_key()).unwrap_or_default();
+                    want.entry(key).or_insert((g, Vec::new())).1.push(row.clone());
+                }
+                let got = r.engine.aggregate(t, snap, &opts, group_by, &aggs).unwrap();
+                prop_assert_eq!(got.len(), want.len());
+                for ((g, vals), (wg, members)) in got.iter().zip(want.values()) {
+                    prop_assert!(match (g, wg) {
+                        (Some(g), Some(w)) => g.key_eq(w),
+                        (g, w) => g.is_none() && w.is_none(),
+                    }, "group {:?} != {:?}", g, wg);
+                    for (v, (kind, col)) in vals.iter().zip(&aggs) {
+                        let cells: Vec<Value> = (members.iter())
+                            .map(|row| col.map_or(Value::Null, |c| cell(row, c)))
+                            .collect();
+                        let w = reference(*kind, &cells.iter().collect::<Vec<_>>());
+                        prop_assert!(same(v, &w), "{:?}({:?}) of group {:?}: {:?} != {:?}", kind, col, g, v, w);
+                    }
                 }
             }
         }

@@ -44,7 +44,7 @@ use vortex_common::stats::ColumnStats;
 use vortex_common::truetime::Timestamp;
 
 use crate::column::{ColumnBuilder, ColumnVec, IntKind, KeyedRows, Prim};
-use crate::encoding::{decode_chunk, distinct_rows, encode_column, le_uint, Encoding};
+use crate::encoding::{decode_chunk_at, distinct_rows, encode_column, le_uint, Encoding};
 
 static ROW_METAS_BUILT: Lazy<Counter> = Lazy::new("ros.row_metas_built", Registry::counter);
 
@@ -135,26 +135,28 @@ pub fn clustering_order(keys: &[usize], a: RowRef<'_>, b: RowRef<'_>) -> Orderin
     by_key.unwrap_or_else(|| a.1.order_key().cmp(&b.1.order_key()))
 }
 
+/// A vector and, per row wanted of it, that row's index there.
+pub type Picked<'a, V> = (&'a V, &'a [usize]);
+
 /// The one place cells become `Row`s — the late-materialization gather
-/// every row-returning reader ends in: appends to `out` the rows at the
-/// ascending positions `sel` of a zone with provenance `metas`, one cell
-/// per entry of `cols` (`None`: the column reads NULL).
+/// every row-returning reader ends in: appends to `out` one row per index
+/// of `metas`, its cells from the vectors of `cols` at their own indices,
+/// each ascending and as many (`None`: the column reads NULL).
 pub fn gather_rows(
-    metas: &[RowMeta],
-    sel: &[usize],
-    cols: &[Option<&ColumnVec>],
+    (metas, at): Picked<'_, [RowMeta]>,
+    cols: &[Option<Picked<'_, ColumnVec>>],
     out: &mut Vec<(RowMeta, Row)>,
 ) {
     let base = out.len();
     // lint:allow(L010, where rows are born: the one allocation per row a read returns)
-    out.extend(sel.iter().map(|&i| {
+    out.extend(at.iter().map(|&i| {
         // lint:allow(L010, where rows are born: the one allocation per row a read returns)
         let nulls = vec![Value::Null; cols.len()];
         (metas[i], Row::with_change(nulls, metas[i].change_type))
     }));
     for (c, col) in cols.iter().enumerate() {
-        if let Some(col) = col {
-            col.gather(sel.iter().copied(), |k, v| out[base + k].1.values[c] = v);
+        if let Some((col, at)) = col {
+            col.gather(at.iter().copied(), |k, v| out[base + k].1.values[c] = v);
         }
     }
 }
@@ -484,48 +486,76 @@ impl RosBlock {
         }
     }
 
-    /// Decodes chunk `z` of column `col`, provenance columns included.
-    fn decode_chunk_at(&self, col: usize, z: usize) -> VortexResult<ColumnVec> {
+    /// Decodes chunk `z` of column `col`, provenance columns included:
+    /// whole, or its leaf at the ascending zone-relative `rows`.
+    fn decode_stored(
+        &self,
+        col: usize,
+        z: usize,
+        rows: Option<&[usize]>,
+    ) -> VortexResult<ColumnVec> {
         let (i, chunk) = self.chunk(col, z)?;
-        let rows = self.zone_range(z).len();
+        let count = self.zone_range(z).len();
         let bytes = self.held(i).ok_or_else(|| {
             VortexError::Internal(format!(
                 "column {col} zone {z} is read before it is fetched"
             ))
         })?;
-        if chunk.compressed {
-            let plain = decompress(bytes)
-                .map_err(|e| VortexError::CorruptData(format!("column {col} zone {z}: {e}")))?;
-            decode_chunk(chunk.enc, &plain, rows)
-        } else {
-            decode_chunk(chunk.enc, bytes, rows)
-        }
+        let plain = match chunk.compressed {
+            true => std::borrow::Cow::Owned(
+                decompress(bytes)
+                    .map_err(|e| VortexError::CorruptData(format!("column {col} zone {z}: {e}")))?,
+            ),
+            false => std::borrow::Cow::Borrowed(bytes),
+        };
+        decode_chunk_at(chunk.enc, &plain, count, rows)
+    }
+
+    /// `col` if it is a user column.
+    fn user_column(&self, col: usize, z: usize) -> VortexResult<usize> {
+        let out_of_range = || format!("column {col} zone {z} out of range");
+        let user = (col < self.ncols).then_some(col);
+        user.ok_or_else(|| VortexError::InvalidArgument(out_of_range()))
     }
 
     /// Decodes one zone of one column into a typed vector, preserving
     /// dictionary/run structure so predicates can be evaluated on the
     /// compressed form.
     pub fn decode_zone(&self, col: usize, z: usize) -> VortexResult<ColumnVec> {
-        if col >= self.ncols {
-            return Err(VortexError::InvalidArgument(format!(
-                "column {col} zone {z} out of range"
-            )));
-        }
-        self.decode_chunk_at(col, z)
+        self.decode_stored(self.user_column(col, z)?, z, None)
     }
 
-    /// Hands `put` the integers one provenance column stores for zone
-    /// `z`, row by row. `every` lists the zone's rows and `buf` is scratch,
-    /// both the caller's to share between columns.
+    /// The ascending zone-relative `rows` of one zone of one column as a
+    /// leaf vector of `rows.len()` rows ([`decode_chunk_at`]): what a scan
+    /// decodes of a column its predicate did not read.
+    pub fn decode_zone_at(&self, col: usize, z: usize, rows: &[usize]) -> VortexResult<ColumnVec> {
+        self.decode_stored(self.user_column(col, z)?, z, Some(rows))
+    }
+
+    /// Hands `put` the integers one provenance column stores for the
+    /// ascending `rows` of zone `z`, each with its index in `rows`; `buf`
+    /// is scratch, the caller's to share between columns.
     fn provenance(
         &self,
         (col, z): (usize, usize),
-        (every, buf): (&[usize], &mut Vec<usize>),
+        (rows, buf): (&[usize], &mut Vec<usize>),
         mut put: impl FnMut(usize, i64),
     ) -> VortexResult<()> {
-        let vec = self.decode_chunk_at(self.ncols + col, z)?;
-        match vec.resolve(every, buf) {
-            (ColumnVec::I64(_, ints), at) if ints.nulls.is_none() => {
+        // Every row: the chunk whole, its runs and codes resolved. Fewer:
+        // a leaf of those rows alone.
+        let every = rows.len() == self.zone_range(z).len();
+        let vec = self.decode_stored(self.ncols + col, z, (!every).then_some(rows))?;
+        let (leaf, at) = match every {
+            true => vec.resolve(rows, buf),
+            false => {
+                buf.clear();
+                // lint:allow(L010, scratch the zone's four provenance columns share)
+                buf.extend(0..rows.len());
+                (&vec, buf.as_slice())
+            }
+        };
+        match leaf {
+            ColumnVec::I64(_, ints) if ints.nulls.is_none() => {
                 (at.iter().enumerate()).for_each(|(row, &i)| put(row, ints.values[i]));
                 Ok(())
             }
@@ -547,30 +577,36 @@ impl RosBlock {
         Ok(out)
     }
 
-    /// The provenance of the rows of zone `z`: one row list, and each of
-    /// the four columns written straight into its field.
+    /// The provenance of the rows of zone `z`.
     pub fn zone_metas(&self, z: usize) -> VortexResult<Vec<RowMeta>> {
         // lint:allow(L010, once per zone whose provenance a query reads, sized by the zone's rows)
         let every: Vec<usize> = (0..self.zone_range(z).len()).collect();
-        // lint:allow(L010, once per zone whose provenance a query reads, sized by the zone's rows)
-        let mut metas = vec![RowMeta::default(); every.len()];
+        self.zone_metas_at(z, &every)
+    }
+
+    /// The provenance of the ascending zone-relative `rows` of zone `z`,
+    /// one `RowMeta` each: each of the four columns decoded at `rows` and
+    /// written straight into its field.
+    pub fn zone_metas_at(&self, z: usize, rows: &[usize]) -> VortexResult<Vec<RowMeta>> {
+        // lint:allow(L010, once per zone whose provenance a query reads, sized by the rows it returns)
+        let mut metas = vec![RowMeta::default(); rows.len()];
         // lint:allow(L010, scratch the zone's four provenance columns share)
         let (mut buf, mut bad) = (Vec::new(), None);
         ROW_METAS_BUILT.add(metas.len() as u64);
-        self.provenance((CHANGE_TYPE, z), (&every, &mut buf), |row, kind| {
+        self.provenance((CHANGE_TYPE, z), (rows, &mut buf), |row, kind| {
             // Past a byte it is no change type, whatever its low bits.
             match ChangeType::from_u8(u8::try_from(kind).unwrap_or(u8::MAX)) {
                 Ok(kind) => metas[row].change_type = kind,
                 Err(e) => bad = Some(e),
             }
         })?;
-        self.provenance((TS, z), (&every, &mut buf), |row, ts| {
+        self.provenance((TS, z), (rows, &mut buf), |row, ts| {
             metas[row].ts = Timestamp(ts as u64)
         })?;
-        self.provenance((STREAM, z), (&every, &mut buf), |row, s| {
+        self.provenance((STREAM, z), (rows, &mut buf), |row, s| {
             metas[row].stream = s as u64
         })?;
-        self.provenance((OFFSET, z), (&every, &mut buf), |row, o| {
+        self.provenance((OFFSET, z), (rows, &mut buf), |row, o| {
             metas[row].offset = o as u64
         })?;
         bad.map_or(Ok(metas), Err)
@@ -583,8 +619,8 @@ impl RosBlock {
             let every: Vec<usize> = (0..self.zone_range(z).len()).collect();
             let cols = (0..self.ncols).map(|c| self.decode_zone(c, z));
             let cols = cols.collect::<VortexResult<Vec<ColumnVec>>>()?;
-            let shown: Vec<_> = cols.iter().map(Some).collect();
-            gather_rows(&self.zone_metas(z)?, &every, &shown, &mut out);
+            let shown: Vec<_> = cols.iter().map(|col| Some((col, &every[..]))).collect();
+            gather_rows((&self.zone_metas(z)?, &every), &shown, &mut out);
         }
         Ok(out)
     }
@@ -1161,6 +1197,9 @@ mod tests {
         assert_eq!(log.borrow().len(), 9);
         let metas = open.zone_metas(2).unwrap();
         assert_eq!(metas, block.zone_metas(2).unwrap());
+        let fifth: Vec<usize> = (0..metas.len()).step_by(5).collect();
+        let picked: Vec<RowMeta> = fifth.iter().map(|&i| metas[i]).collect();
+        assert_eq!(open.zone_metas_at(2, &fifth).unwrap(), picked);
         let ts: Vec<Timestamp> = metas.iter().map(|m| m.ts).collect();
         assert_eq!(open.zone_timestamps(2).unwrap(), ts);
         assert_eq!(open.zone_newest(2), ts.iter().copied().max());
@@ -1201,9 +1240,21 @@ mod tests {
         // A decoded row takes more memory than its bytes in the file, and
         // a vector that grows asks for twice what it holds.
         let bound = |len: usize| 64 * len + 4096;
+        // Every third row of a zone, for the positional entry.
+        let third = |block: &RosBlock, z: usize| -> Vec<usize> {
+            (0..block.zone_range(z).len()).step_by(3).collect()
+        };
         let read_whole = |bytes: &[u8]| {
             let (rows, largest) = largest_request(|| {
-                RosBlock::from_bytes(bytes, &key, 11).and_then(|block| block.rows())
+                let block = RosBlock::from_bytes(bytes, &key, 11)?;
+                for z in 0..block.zone_count() {
+                    let metas = block.zone_metas_at(z, &third(&block, z))?;
+                    assert_eq!(metas.len(), third(&block, z).len());
+                    for col in 0..block.column_count() {
+                        block.decode_zone_at(col, z, &third(&block, z))?;
+                    }
+                }
+                block.rows()
             });
             assert!(
                 largest <= bound(bytes.len()),
@@ -1261,6 +1312,10 @@ mod tests {
                     let same = got.iter().zip(&want[block.zone_range(z)]);
                     assert!(same.clone().all(|(g, (_, row))| g.key_eq(&row.values[col])));
                     assert_eq!(same.count(), block.zone_range(z).len());
+                    let rows = third(&block, z);
+                    let picked = open.decode_zone_at(col, z, &rows).unwrap().to_values();
+                    assert_eq!(picked.len(), rows.len());
+                    assert!((picked.iter().zip(&rows)).all(|(g, &i)| g.key_eq(&got[i])));
                 }
             }
             let damaged = open.fetch(&mut *read, |_, _| true);

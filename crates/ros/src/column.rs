@@ -53,6 +53,19 @@ pub(crate) fn null_at(nulls: &Option<Nulls>, i: usize) -> bool {
     nulls.as_ref().is_some_and(|n| n.is_null(i))
 }
 
+/// `nulls`, or the bitmap of the in-bounds `rows` alone in the order
+/// given: `None` when none of them is NULL.
+pub(crate) fn nulls_at(nulls: Option<Nulls>, rows: Option<&[usize]>) -> Option<Nulls> {
+    let Some(rows) = rows else { return nulls };
+    let mut picked = None;
+    for (k, _) in (rows.iter().enumerate()).filter(|(_, &i)| null_at(&nulls, i)) {
+        // lint:allow(L010, once per chunk decoded at a selection, sized by the selection)
+        let bits: &mut Nulls = picked.get_or_insert_with(|| Nulls(vec![0; rows.len().div_ceil(8)]));
+        bits.0[k / 8] |= 1 << (k % 8);
+    }
+    picked
+}
+
 /// A fixed-width leaf: one element per row, a placeholder at NULL rows.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Prim<T> {
@@ -373,11 +386,15 @@ impl ColumnVec {
             ColumnVec::Str(kind, s) if !null_at(&s.nulls, i) => {
                 // A string's key is its type's key prefix, then its bytes.
                 match kind {
+                    // lint:allow(L010, an empty string allocates nothing)
                     StrKind::String => Value::String(String::new()),
+                    // lint:allow(L010, an empty string allocates nothing)
                     StrKind::Json => Value::Json(String::new()),
+                    // lint:allow(L010, an empty vector allocates nothing)
                     StrKind::Bytes => Value::Bytes(Vec::new()),
                 }
                 .encode_key_into(out);
+                // lint:allow(L010, appends to the key buffer the caller reuses)
                 out.extend_from_slice(s.get(i));
             }
             ColumnVec::Any(values) => values[i].encode_key_into(out),
@@ -420,6 +437,7 @@ impl ColumnVec {
         if typed_leaf && rows.len() == self.len() {
             return self;
         }
+        // lint:allow(L010, once per chunk decoded whole and picked from)
         let mut buf = Vec::new();
         let (leaf, at) = self.resolve(rows, &mut buf);
         let mut out = ColumnBuilder::default();
@@ -547,6 +565,7 @@ impl ColumnBuilder {
 
     /// The column: `Any` NULLs if no row ever held a value.
     pub fn into_column(self) -> ColumnVec {
+        // lint:allow(L010, once per all-NULL column built, sized by its rows)
         (self.col).unwrap_or_else(|| ColumnVec::Any(vec![Value::Null; self.rows]))
     }
 }

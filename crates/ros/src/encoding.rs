@@ -40,7 +40,7 @@ use std::collections::HashMap;
 use std::hash::Hash;
 
 use crate::column::{
-    null_at, ColumnBuilder, ColumnVec, IntKind, KeyedRows, Nulls, Prim, StrKind, Strs,
+    null_at, nulls_at, ColumnBuilder, ColumnVec, IntKind, KeyedRows, Nulls, Prim, StrKind, Strs,
 };
 use vortex_common::codec::{
     decode_value, encode_value, get_ivarint, get_uvarint, put_bytes, put_ivarint, put_uvarint,
@@ -167,6 +167,8 @@ fn pack_bits(out: &mut Vec<u8>, vals: impl Iterator<Item = u64>, width: u8) {
 
 /// Reads values packed at `width` bits each, LSB-first.
 struct BitReader<'a> {
+    /// Every packed byte, and those `next_value` has yet to read.
+    packed: &'a [u8],
     bytes: std::slice::Iter<'a, u8>,
     width: u32,
     mask: u64,
@@ -181,8 +183,10 @@ impl<'a> BitReader<'a> {
     fn new(buf: &'a [u8], pos: &mut usize, n: usize, width: u8) -> VortexResult<Self> {
         ensure(width <= 64, format_args!("bit width {width} > 64"))?;
         let nbytes = n.saturating_mul(width as usize).div_ceil(8);
+        let packed = take(buf, pos, nbytes)?;
         Ok(BitReader {
-            bytes: take(buf, pos, nbytes)?.iter(),
+            packed,
+            bytes: packed.iter(),
             width: width as u32,
             mask: u64::MAX.checked_shr(64 - width as u32).unwrap_or(0),
             acc: 0,
@@ -200,6 +204,15 @@ impl<'a> BitReader<'a> {
         self.acc >>= self.width;
         self.nbits -= self.width;
         v
+    }
+
+    /// The `k`-th value (0 past the `n`-th), wherever `next_value` stands.
+    fn value_at(&self, k: usize) -> u64 {
+        let bit = k.saturating_mul(self.width as usize);
+        let from = (bit / 8).min(self.packed.len());
+        // Up to 64 bits from up to 7 bits into a byte: nine bytes hold them.
+        let window = &self.packed[from..self.packed.len().min(from + 9)];
+        (le_uint(window) >> (bit % 8)) as u64 & self.mask
     }
 }
 
@@ -752,28 +765,72 @@ fn ensure(ok: bool, what: impl std::fmt::Display) -> VortexResult<()> {
 /// Decodes a column chunk of `count` rows, preserving dictionary / run
 /// structure where the encoding has it.
 pub fn decode_chunk(enc: Encoding, bytes: &[u8], count: usize) -> VortexResult<ColumnVec> {
+    decode_chunk_at(enc, bytes, count, None)
+}
+
+/// `col` whole, or its leaf at `rows`.
+fn picked(col: ColumnVec, rows: Option<&[usize]>) -> ColumnVec {
+    match rows {
+        Some(rows) => col.into_leaf(rows),
+        None => col,
+    }
+}
+
+/// The positional entry: the strictly ascending in-bounds `rows` of a
+/// chunk of `count` as one leaf vector of `rows.len()` rows, cell for cell
+/// what `decode_chunk(..)?.into_leaf(rows)` holds (`None`: the chunk
+/// whole, as [`decode_chunk`]). String values (Fsst, Plain) are expanded
+/// and UTF-8-checked at `rows` only and bit-packed values (IntPack without
+/// deltas or NULLs, DictV2 codes) read at their index; the other forms of
+/// IntPack, Alp, RleV2 and the other Plain types decode whole and are
+/// picked from. The framing — every length prefix, every count, the
+/// trailing bytes — is checked as for the whole chunk; a defect inside a
+/// value that is not picked may go unseen (the chunk's CRC is the
+/// integrity check).
+pub fn decode_chunk_at(
+    enc: Encoding,
+    bytes: &[u8],
+    count: usize,
+    rows: Option<&[usize]>,
+) -> VortexResult<ColumnVec> {
+    let in_order = |r: &[usize]| r.windows(2).all(|w| w[0] < w[1]) && r.last() < Some(&count);
+    debug_assert!(rows.map_or(true, in_order));
     let pos = &mut 0usize;
     let col = match enc {
-        Encoding::Plain => decode_plain(bytes, pos, count)?,
-        Encoding::IntPack => decode_intpack(bytes, pos, count)?,
-        Encoding::Alp => decode_alp(bytes, pos, count)?,
-        Encoding::Fsst => decode_fsst(bytes, pos, count)?,
+        Encoding::Plain => decode_plain(bytes, pos, count, rows)?,
+        Encoding::IntPack => decode_intpack(bytes, pos, count, rows)?,
+        Encoding::Alp => picked(decode_alp(bytes, pos, count)?, rows),
+        Encoding::Fsst => decode_fsst(bytes, pos, count, rows)?,
         Encoding::DictV2 => {
             let dict_len = get_count(bytes, pos, count, "dict size")?;
             ensure(dict_len > 0 || count == 0, "empty dict for non-empty chunk")?;
             let dict = Box::new(decode_nested(bytes, pos, dict_len)?);
             let width = take_byte(bytes, pos)?;
             let mut bits = BitReader::new(bytes, pos, count, width)?;
-            let mut codes = Vec::with_capacity(count);
-            for _ in 0..count {
-                let id = bits.next_value();
-                ensure(
-                    id < dict_len as u64,
-                    format_args!("dict id {id} out of range"),
-                )?;
-                codes.push(id as u32);
+            let code = |id: u64| {
+                let known = id < dict_len as u64;
+                ensure(known, format_args!("dict id {id} out of range")).map(|()| id as u32)
+            };
+            match rows {
+                None => {
+                    let mut codes = Vec::with_capacity(count);
+                    for _ in 0..count {
+                        codes.push(code(bits.next_value())?);
+                    }
+                    ColumnVec::Dict { codes, dict }
+                }
+                Some(rows) => {
+                    // lint:allow(L010, once per chunk decoded at a selection, sized by the selection)
+                    let mut at = Vec::with_capacity(rows.len());
+                    for &i in rows {
+                        // lint:allow(L010, fills the vector sized above)
+                        at.push(code(bits.value_at(i))? as usize);
+                    }
+                    let mut leaf = ColumnBuilder::default();
+                    leaf.add_rows(&dict, at);
+                    leaf.into_column()
+                }
             }
-            ColumnVec::Dict { codes, dict }
         }
         Encoding::RleV2 => {
             let nruns = get_count(bytes, pos, count, "run count")?;
@@ -791,7 +848,7 @@ pub fn decode_chunk(enc: Encoding, bytes: &[u8], count: usize) -> VortexResult<C
                 format_args!("rle runs leave {left} of {count} rows"),
             )?;
             let values = Box::new(decode_nested(bytes, pos, nruns)?);
-            ColumnVec::Runs { lens, values }
+            picked(ColumnVec::Runs { lens, values }, rows)
         }
     };
     let trailing = bytes.len() - *pos;
@@ -843,7 +900,12 @@ fn read_nulls(
     Ok((flags, nulls, m))
 }
 
-fn decode_intpack(bytes: &[u8], pos: &mut usize, count: usize) -> VortexResult<ColumnVec> {
+fn decode_intpack(
+    bytes: &[u8],
+    pos: &mut usize,
+    count: usize,
+    rows: Option<&[usize]>,
+) -> VortexResult<ColumnVec> {
     let tag = take_byte(bytes, pos)? as usize;
     let kinds = [IntKind::Int64, IntKind::Date, IntKind::Timestamp]; // TY_INT64..
     let kind = *kinds
@@ -857,6 +919,20 @@ fn decode_intpack(bytes: &[u8], pos: &mut usize, count: usize) -> VortexResult<C
     let base = get_ivarint(bytes, pos)?;
     let width = take_byte(bytes, pos)?;
     let mut bits = BitReader::new(bytes, pos, m - delta as usize, width)?;
+    let in_range = |v: Option<i64>| {
+        let v = v.filter(|&v| kind != IntKind::Date || i32::try_from(v).is_ok());
+        v.ok_or_else(|| corrupt("intpack value out of range"))
+    };
+    // Without NULLs a row's value is the one at its index.
+    if let (Some(rows), false, None) = (rows, delta, &nulls) {
+        // lint:allow(L010, once per chunk decoded at a selection, sized by the selection)
+        let mut values = Vec::with_capacity(rows.len());
+        for &i in rows {
+            // lint:allow(L010, fills the vector sized above)
+            values.push(in_range(base.checked_add_unsigned(bits.value_at(i)))?);
+        }
+        return Ok(ColumnVec::I64(kind, Prim { values, nulls }));
+    }
     let mut first = delta;
     let mut values = Vec::with_capacity(count);
     for row in 0..count {
@@ -872,10 +948,9 @@ fn decode_intpack(bytes: &[u8], pos: &mut usize, count: usize) -> VortexResult<C
             }
             i64::try_from(acc).ok()
         };
-        let v = v.filter(|&v| kind != IntKind::Date || i32::try_from(v).is_ok());
-        values.push(v.ok_or_else(|| corrupt("intpack value out of range"))?);
+        values.push(in_range(v)?);
     }
-    Ok(ColumnVec::I64(kind, Prim { values, nulls }))
+    Ok(picked(ColumnVec::I64(kind, Prim { values, nulls }), rows))
 }
 
 fn decode_alp(bytes: &[u8], pos: &mut usize, count: usize) -> VortexResult<ColumnVec> {
@@ -913,7 +988,12 @@ fn decode_alp(bytes: &[u8], pos: &mut usize, count: usize) -> VortexResult<Colum
     Ok(ColumnVec::F64(Prim { values, nulls }))
 }
 
-fn decode_fsst(bytes: &[u8], pos: &mut usize, count: usize) -> VortexResult<ColumnVec> {
+fn decode_fsst(
+    bytes: &[u8],
+    pos: &mut usize,
+    count: usize,
+    rows: Option<&[usize]>,
+) -> VortexResult<ColumnVec> {
     let tag = take_byte(bytes, pos)? as usize;
     let kinds = [StrKind::String, StrKind::Json, StrKind::Bytes]; // TY_STRING..
     let kind = *kinds
@@ -934,14 +1014,19 @@ fn decode_fsst(bytes: &[u8], pos: &mut usize, count: usize) -> VortexResult<Colu
         )?;
         symbols.push(take(bytes, pos, l)?);
     }
-    let mut offsets = Vec::with_capacity(count + 1);
-    let mut data = Vec::with_capacity(bytes.len() - *pos);
+    // Every value's length prefix is walked; only a wanted value's codes
+    // are expanded.
+    let kept = rows.map_or(count, <[usize]>::len);
+    let mut want = rows.map(|rows| rows.iter().peekable());
+    let mut offsets = Vec::with_capacity(kept + 1);
+    let mut data = Vec::with_capacity((bytes.len() - *pos) * kept / count.max(1));
     offsets.push(0);
     for row in 0..count {
+        let wanted = (want.as_mut()).map_or(true, |w| w.next_if_eq(&&row).is_some());
         if !null_at(&nulls, row) {
             let elen = get_count(bytes, pos, bytes.len() - *pos, "fsst value")?;
             let mut codes = take(bytes, pos, elen)?.iter();
-            while let Some(&c) = codes.next() {
+            while let (true, Some(&c)) = (wanted, codes.next()) {
                 if c == FSST_ESCAPE {
                     data.push(
                         *codes
@@ -956,9 +1041,11 @@ fn decode_fsst(bytes: &[u8], pos: &mut usize, count: usize) -> VortexResult<Colu
                 }
             }
         }
-        offsets.push(data.len() as u32);
+        if wanted {
+            offsets.push(data.len() as u32);
+        }
     }
-    str_vec(kind, offsets, data, nulls)
+    str_vec(kind, offsets, data, nulls_at(nulls, rows))
 }
 
 /// Finishes a `Str` vector: the rows of a String / Json vector must each
@@ -1015,7 +1102,12 @@ fn plain_cells<T: Default>(
 /// Plain stores tagged values back to back. The first non-NULL tag names
 /// the vector type; a column that then shows another type, nested cells
 /// or nothing but NULLs decodes cell by cell into `Any`.
-fn decode_plain(bytes: &[u8], pos: &mut usize, count: usize) -> VortexResult<ColumnVec> {
+fn decode_plain(
+    bytes: &[u8],
+    pos: &mut usize,
+    count: usize,
+    rows: Option<&[usize]>,
+) -> VortexResult<ColumnVec> {
     let start = *pos;
     let tag = bytes[start..].iter().take(count).find(|&&t| t != TAG_NULL);
     let tag = tag.copied().unwrap_or(TAG_NULL);
@@ -1046,33 +1138,38 @@ fn decode_plain(bytes: &[u8], pos: &mut usize, count: usize) -> VortexResult<Col
                 TAG_JSON => StrKind::Json,
                 _ => StrKind::Bytes,
             };
-            let mut data = Vec::with_capacity(bytes.len() - start);
-            // Each cell yields where its bytes end; a NULL yields 0, which
-            // the running maximum turns into "where the last row ended".
-            let ends = plain_cells(bytes, pos, count, tag, |b, p| {
+            // Each cell yields where its bytes lie (a NULL nowhere); the
+            // wanted rows' are then copied out.
+            let spans = plain_cells(bytes, pos, count, tag, |b, p| {
                 let n = get_count(b, p, b.len() - *p, "string length")?;
-                data.extend_from_slice(take(b, p, n)?);
-                Ok(data.len() as u32)
+                take(b, p, n).map(|_| (*p - n, n))
             })?;
-            let vec = ends.map(|Prim { values, nulls }| {
-                let mut offsets = vec![0u32];
-                offsets.extend(values);
-                (1..offsets.len()).for_each(|i| offsets[i] = offsets[i].max(offsets[i - 1]));
-                str_vec(kind, offsets, data, nulls)
-            });
-            vec.transpose()?
+            if let Some(Prim { values, nulls }) = spans {
+                let wanted = rows.map_or(count, <[usize]>::len);
+                let span = |k: usize| values[rows.map_or(k, |rows| rows[k])];
+                let mut offsets = Vec::with_capacity(wanted + 1);
+                let mut data = Vec::with_capacity((0..wanted).map(|k| span(k).1).sum());
+                // lint:allow(L010, fills the vector sized above)
+                offsets.push(0);
+                for (at, n) in (0..wanted).map(span) {
+                    data.extend_from_slice(&bytes[at..at + n]);
+                    offsets.push(data.len() as u32);
+                }
+                return str_vec(kind, offsets, data, nulls_at(nulls, rows));
+            }
+            None
         }
         _ => None,
     };
     if let Some(col) = typed {
-        return Ok(col);
+        return Ok(picked(col, rows));
     }
     *pos = start;
     let mut cells = Vec::with_capacity(count.min(bytes.len() - start));
     for _ in 0..count {
         cells.push(decode_value(bytes, pos)?);
     }
-    Ok(ColumnVec::Any(cells))
+    Ok(picked(ColumnVec::Any(cells), rows))
 }
 
 #[cfg(test)]
@@ -1510,13 +1607,26 @@ pub(crate) mod tests {
             let len = (next() % 197) as usize;
             let buf: Vec<u8> = (0..len).map(|_| next() as u8).collect();
             let count = (next() % 300) as usize;
+            // Every third row, from a random first, for the positional entry.
+            let rows: Vec<usize> = ((next() % 3) as usize..count).step_by(3).collect();
             for enc in ALL_ENCODINGS {
                 // Must return (usually Err), never panic.
-                let (_, requested) = requested_by(|| decode_chunk(enc, &buf, count));
+                let (whole, requested) = requested_by(|| decode_chunk(enc, &buf, count));
                 assert!(
                     requested <= 64 * (count + len) + 1024,
                     "{enc:?}: {requested} bytes requested for {count} rows from {len} bytes"
                 );
+                let (at, requested) =
+                    requested_by(|| decode_chunk_at(enc, &buf, count, Some(&rows)));
+                assert!(
+                    requested <= 64 * (count + len) + 1024,
+                    "{enc:?}: {requested} bytes requested for {count} rows at a selection"
+                );
+                // What decodes whole decodes at a selection, to the same.
+                if let Ok(whole) = whole {
+                    let (at, whole) = (at.unwrap().to_values(), whole.into_leaf(&rows));
+                    assert_key_eq(&at, &whole.to_values());
+                }
             }
             // Also mutate valid chunks: flip bytes in real encodings.
             if round % 4 == 0 {
@@ -1533,11 +1643,25 @@ pub(crate) mod tests {
                 if !bytes.is_empty() {
                     let at = (next() as usize) % bytes.len();
                     bytes[at] ^= (next() as u8) | 1;
-                    let (_, requested) = requested_by(|| decode_column(enc, &bytes, vals.len()));
+                    let (whole, requested) =
+                        requested_by(|| decode_column(enc, &bytes, vals.len()));
                     assert!(
                         requested <= 64 * (vals.len() + bytes.len()) + 1024,
                         "{enc:?}"
                     );
+                    let rows: Vec<usize> = (at % 2..vals.len()).step_by(2).collect();
+                    let (picked, requested) =
+                        requested_by(|| decode_chunk_at(enc, &bytes, vals.len(), Some(&rows)));
+                    assert!(
+                        requested <= 64 * (vals.len() + bytes.len()) + 1024,
+                        "{enc:?}"
+                    );
+                    // A flip the whole decode survives is in a value: the
+                    // positional one sees it where it is picked.
+                    if let (Ok(whole), Ok(picked)) = (whole, picked) {
+                        let want: Vec<Value> = rows.iter().map(|&i| whole[i].clone()).collect();
+                        assert_key_eq(&picked.to_values(), &want);
+                    }
                 }
             }
         }
@@ -1946,6 +2070,109 @@ pub(crate) mod tests {
                     .flat_map(|(v, n)| std::iter::repeat(v).take(n))
                     .collect()
             })
+        }
+
+        /// One column per family of leaf the chooser tells apart — integers
+        /// (Int64 / Date / Timestamp), floats (decimals, and the NaN, -0.0
+        /// and irrationals Alp patches), strings (String / Json / Bytes,
+        /// long enough for a symbol table), the rest (Bool, Numeric,
+        /// nested, mixed) — in runs, under one null pattern: none, some,
+        /// all.
+        fn family_columns_strategy() -> impl Strategy<Value = Vec<Vec<Value>>> {
+            let cells = proptest::collection::vec((any::<u64>(), 1usize..6), 4..40);
+            (0u64..3, 0u64..3, cells).prop_map(|(nulls, kind, cells)| {
+                let cell = |family: u64, r: u64| match (family, kind, r % 7) {
+                    (0, 0, 0) => Value::Int64(r as i64),
+                    (0, 0, _) => Value::Int64((r % 2000) as i64 - 1000),
+                    (0, 1, _) => Value::Date((r % 4000) as i32 - 2000),
+                    (0, _, _) => Value::Timestamp(Timestamp::from_micros(r % 100_000)),
+                    (1, _, 0) => {
+                        Value::Float64([f64::NAN, -0.0, std::f64::consts::PI][kind as usize])
+                    }
+                    (1, _, _) => Value::Float64((r % 100_000) as f64 / 100.0),
+                    (2, 0, _) => Value::String(format!("cust-{:05} é", r % 300)),
+                    (2, 1, _) => Value::Json(format!(r#"{{"region":"us","n":{}}}"#, r % 300)),
+                    (2, _, _) => Value::Bytes(format!("\u{0}\u{ff}{:x}", r % 1000).into_bytes()),
+                    (_, 0, _) => Value::Bool(r % 2 == 0),
+                    (_, 1, _) => Value::Numeric(r as i128 - (1 << 40)),
+                    (_, _, 0) => Value::Array(vec![Value::Int64(r as i64 % 3)]),
+                    (_, _, _) => Value::String(format!("{}", r % 5)),
+                };
+                let column = |family: u64| {
+                    let run = |&(r, n): &(u64, usize)| {
+                        let null = nulls == 2 || (nulls == 1 && r % 4 == 0);
+                        let v = if null {
+                            Value::Null
+                        } else {
+                            cell(family, r >> 8)
+                        };
+                        std::iter::repeat(v).take(n)
+                    };
+                    cells.iter().flat_map(run).collect()
+                };
+                (0..4).map(column).collect()
+            })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            /// Positional ≡ whole-then-pick: for every encoding that takes
+            /// the column — both forms of IntPack — and any ascending
+            /// subset of its rows (none, the first, the last, every row,
+            /// a random one), `decode_chunk_at` holds, cell for cell, what
+            /// `decode_chunk(..).into_leaf(rows)` holds, as a leaf.
+            fn positional_cases(
+                columns in family_columns_strategy(),
+                subset in 0usize..8,
+                pick in any::<u64>(),
+            ) {
+                for vals in columns {
+                    let (col, n) = (leaf(&vals), vals.len());
+                    let rows: Vec<usize> = match subset {
+                        0 => vec![],
+                        1 => vec![0],
+                        2 => vec![n - 1],
+                        3 => (0..n).collect(),
+                        _ => (0..n).filter(|i| pick.rotate_left(*i as u32 * 5) & 3 == 0).collect(),
+                    };
+                    let mut chunks: Vec<(Encoding, Vec<u8>)> = (ALL_ENCODINGS.into_iter())
+                        .filter_map(|enc| Some((enc, encode_column_with(&col, enc).ok()?)))
+                        .collect();
+                    if let ColumnVec::I64(_, p) = &col {
+                        let forms = [false, true].map(|d| intpack_bytes(TY_INT64, &col, &non_null(p), d));
+                        chunks.extend(forms.into_iter().flatten().map(|b| (Encoding::IntPack, b)));
+                    }
+                    for (enc, bytes) in chunks {
+                        let want = decode_chunk(enc, &bytes, n).unwrap().into_leaf(&rows);
+                        let got = decode_chunk_at(enc, &bytes, n, Some(&rows)).unwrap();
+                        prop_assert!(
+                            !matches!(got, ColumnVec::Dict { .. } | ColumnVec::Runs { .. }),
+                            "{:?} is no leaf", enc
+                        );
+                        prop_assert_eq!(got.len(), rows.len());
+                        assert_key_eq(&got.to_values(), &want.to_values());
+                        APPLIED.with(|a| a.borrow_mut()[enc.to_u8() as usize] += 1);
+                    }
+                }
+            }
+        }
+
+        thread_local! {
+            /// Chunks `positional_cases` compared on this thread, by
+            /// encoding.
+            static APPLIED: std::cell::RefCell<[usize; 8]> = const { std::cell::RefCell::new([0; 8]) };
+        }
+
+        /// The property, over at least 256 chunks of every encoding.
+        #[test]
+        fn positional_decode_equals_whole_then_pick() {
+            positional_cases();
+            let applied = APPLIED.with(|a| *a.borrow());
+            for enc in ALL_ENCODINGS {
+                let n = applied[enc.to_u8() as usize];
+                assert!(n >= 256, "{enc:?} compared {n} times: {applied:?}");
+            }
         }
 
         proptest! {

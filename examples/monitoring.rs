@@ -189,6 +189,7 @@ fn main() -> vortex::VortexResult<()> {
         "scan.cache.",
         "scan.tail.",
         "scan.bytes_fetched",
+        "scan.cells_decoded",
         "colossus.cls-0.bytes_read",
         "append.client.calls",
         "rpc",
@@ -204,6 +205,12 @@ fn main() -> vortex::VortexResult<()> {
         fresh.p99
     );
     let counter = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
+    println!(
+        "scans: {} rows scanned, {} matched; {} cells of ROS chunks decoded",
+        counter("scan.rows_scanned"),
+        counter("scan.rows_matched"),
+        counter("scan.cells_decoded")
+    );
     println!(
         "read cache: {} hits, {} misses; tails extended by {} bytes read, {} rows decoded",
         counter("scan.cache.hits"),

@@ -39,6 +39,7 @@ counter scan.bytes_fetched
 counter scan.cache.hits
 counter scan.cache.misses
 counter scan.calls
+counter scan.cells_decoded
 counter scan.fragments_total
 counter scan.pruned_by_bloom
 counter scan.pruned_by_stats

@@ -9,7 +9,7 @@ use std::collections::BTreeMap;
 
 use vortex::row::{Row, RowSet, Value};
 use vortex::schema::{Field, FieldType, PartitionTransform, Schema};
-use vortex::{AggKind, Expr, FragmentKind, Region, RegionConfig, ScanOptions};
+use vortex::{AggKind, Expr, FragmentKind, Region, RegionConfig, ScanOptions, SqlSession};
 use vortex_sms::readset::ReadSet;
 
 const DAYS: i64 = 4;
@@ -57,6 +57,7 @@ fn counters(region: &Region) -> BTreeMap<&'static str, u64> {
         ("bytes_fetched", one("scan.bytes_fetched")),
         ("reads", one("scan.reads")),
         ("row_metas", one("ros.row_metas_built")),
+        ("cells", one("scan.cells_decoded")),
         ("cluster_reads", sum(".reads")),
         ("cluster_bytes", sum(".bytes_read")),
     ])
@@ -220,6 +221,52 @@ fn a_scan_pays_for_the_chunks_it_decodes() {
     );
     // Two columns apart and four together: three runs after the index.
     assert_eq!(d["reads"], (2 + 3) * of_day);
+    // The SQL shell passes its select list down: it decodes what the
+    // engine call with that projection decodes.
+    let narrow_cells = d["cells"];
+    assert_eq!(narrow_cells as i64, (2 + 4) * ROWS_PER_DAY);
+    let sql = SqlSession::new(client.clone());
+    let (res, d) = moved(&region, || {
+        sql.execute("SELECT amount FROM orders WHERE day = 2")
+            .unwrap()
+    });
+    assert!(
+        matches!(res, vortex::SqlResult::Rows { rows, .. } if rows.len() as i64 == ROWS_PER_DAY)
+    );
+    assert_eq!(d["cells"], narrow_cells);
+
+    // A tenth of the rows, spread over every zone, as rows: the
+    // predicate's column decodes whole, every other column and the
+    // provenance at the rows the filter kept — and the fetch plan is the
+    // full scan's, chunk for chunk.
+    let tenth = ScanOptions {
+        predicate: Expr::lt("amount", Value::Int64(100_000)),
+        ..ScanOptions::default()
+    };
+    let (scan, d) = moved(&region, || engine.scan(t, at, &tenth).unwrap());
+    let (scanned, kept) = (scan.stats.rows_scanned, scan.rows.len() as u64);
+    assert_eq!(scanned as i64, DAYS * ROWS_PER_DAY);
+    assert!(kept * 9 < scanned && scanned < kept * 11, "{kept} rows");
+    assert_eq!(d["row_metas"], kept);
+    assert_eq!(d["cells"], scanned + kept * (5 + 4));
+    assert_eq!(scan.stats.cells_decoded, d["cells"]);
+    assert_eq!((d["reads"], d["bytes_fetched"]), (3 * blocks, table_bytes));
+    // Two string columns of them: the strings of the kept rows only.
+    let strings = ScanOptions {
+        projection: Some(vec!["customer".into(), "note".into()]),
+        ..tenth.clone()
+    };
+    let (scan, d) = moved(&region, || engine.scan(t, at, &strings).unwrap());
+    assert_eq!(scan.rows.len() as u64, kept);
+    assert_eq!(d["row_metas"], kept);
+    assert_eq!(d["cells"], scanned + kept * (2 + 4));
+    // `customer` and `amount` side by side, `note`, the provenance: three
+    // runs after the index, and the bytes of those chunks whole — the
+    // fetch plan is made before the filter runs and owes it nothing.
+    assert_eq!(
+        (d["reads"], d["bytes_fetched"]),
+        ((2 + 3) * blocks, 718_294)
+    );
 
     // An aggregate over three of six columns, every row of the table.
     let three = ScanOptions {
