@@ -27,7 +27,6 @@
 //! two calls over a buffer that holds the whole file.
 
 use std::cmp::Ordering;
-use std::hash::Hash;
 
 use vortex_common::bloom::BloomFilter;
 use vortex_common::codec::{
@@ -43,8 +42,10 @@ use vortex_common::schema::{ChangeType, Schema};
 use vortex_common::stats::ColumnStats;
 use vortex_common::truetime::Timestamp;
 
-use crate::column::{ColumnBuilder, ColumnVec, IntKind, KeyedRows, Prim};
-use crate::encoding::{decode_chunk_at, distinct_rows, encode_column, le_uint, Encoding};
+use crate::column::{ColumnBuilder, ColumnVec, IntKind, Prim};
+use crate::encoding::{
+    decode_chunk_at, distinct_rows, encode_profiled, le_uint, profile, Encoding, Profile,
+};
 
 static ROW_METAS_BUILT: Lazy<Counter> = Lazy::new("ros.row_metas_built", Registry::counter);
 
@@ -300,9 +301,10 @@ impl RosBlockBuilder {
             ints(IntKind::Int64, &|m| m.offset),
         ]);
         // Encode per zone: each zone's rows are gathered in block order
-        // into a leaf vector of their own, which gets its own encoding
-        // choice (cascading chooser), zone map, and — when it shrinks the
-        // chunk — vsnap compression on top. Chunks tile the body.
+        // into a leaf vector of their own, which is profiled once for its
+        // own encoding choice (cascading chooser) and its zone map, and
+        // gets — when it shrinks the chunk — vsnap compression on top.
+        // Chunks tile the body.
         let mut body = Vec::new();
         let mut chunks = Vec::with_capacity(cols.len() * n.div_ceil(ZONE_ROWS));
         for col in &cols {
@@ -310,14 +312,15 @@ impl RosBlockBuilder {
                 let mut zone = ColumnBuilder::default();
                 zone.add_rows(col, rows.iter().copied());
                 let zone = zone.into_column();
-                let (enc, bytes) = encode_column(&zone);
+                let profile = profile(&zone);
+                let (enc, bytes) = encode_profiled(&zone, &profile);
                 let packed = compress(&bytes);
                 let compressed = packed.len() < bytes.len();
                 let bytes = if compressed { packed } else { bytes };
                 chunks.push(ChunkEntry {
                     enc,
                     compressed,
-                    stats: summarize_zone(&zone),
+                    stats: summarize_zone(&zone, &profile),
                     offset: body.len(),
                     len: bytes.len(),
                     crc: 0,
@@ -355,34 +358,18 @@ impl RosBlockBuilder {
 /// The false-positive rate a block's bloom filter is sized for.
 const BLOOM_FALSE_POSITIVES: f64 = 0.01;
 
-/// The pass behind a typed zone map: the rows of the first smallest and
-/// the first largest cell, and whether any row is NULL.
-struct Ends;
-
-impl KeyedRows for Ends {
-    type Out = (Option<usize>, Option<usize>, bool);
-
-    fn fold_keys<K: Ord + Hash>(self, n: usize, key: impl Fn(usize) -> Option<K>) -> Self::Out {
-        let valued = || (0..n).filter(|&i| key(i).is_some());
-        // Of equal cells `min_by_key` keeps the first, `max_by_key` the last.
-        let lo = valued().min_by_key(|&i| key(i));
-        let hi = valued().rev().max_by_key(|&i| key(i));
-        (lo, hi, valued().count() < n)
-    }
-}
-
-/// The zone map of one leaf vector: what [`ColumnStats::observe`] makes
-/// of its cells in order.
-fn summarize_zone(zone: &ColumnVec) -> ColumnStats {
+/// The zone map of one leaf vector, from its profile: what
+/// [`ColumnStats::observe`] makes of its cells in order.
+fn summarize_zone(zone: &ColumnVec, profile: &Profile) -> ColumnStats {
     let mut stats = ColumnStats::new();
-    match zone.with_keys(Ends) {
-        Some((lo, hi, has_null)) => {
-            stats.count = zone.len() as u64;
-            stats.has_null = has_null;
-            stats.min = lo.map(|i| zone.value(i));
-            stats.max = hi.map(|i| zone.value(i));
+    match zone {
+        ColumnVec::Any(cells) => cells.iter().for_each(|v| stats.observe(v)),
+        typed => {
+            stats.count = typed.len() as u64;
+            stats.has_null = profile.nulls > 0;
+            stats.min = profile.ends.map(|(lo, _)| typed.value(lo));
+            stats.max = profile.ends.map(|(_, hi)| typed.value(hi));
         }
-        None => (0..zone.len()).for_each(|i| stats.observe(&zone.value(i))),
     }
     stats
 }
@@ -1751,6 +1738,17 @@ mod tests {
         });
         assert_eq!(crc32c(&a), crc32c(&b));
         assert_eq!(a, b);
+    }
+
+    /// Nor may the keys of the hasher the numbering pass runs under: the
+    /// bloom filter takes distinct cells and a dictionary first
+    /// appearances, neither a hash.
+    #[test]
+    fn two_hasher_keyings_build_identical_bytes() {
+        use crate::encoding::tests::with_hasher_keys;
+        let sealed =
+            |keys| with_hasher_keys(keys, || orders_block(2_500).to_bytes(&Key::zero(), 7));
+        assert_eq!(sealed([1, 2]), sealed([0xDEAD_BEEF, 0x5EED]));
     }
 
     /// `(len, crc32c)` of `to_bytes` for a fixed set of blocks, recorded

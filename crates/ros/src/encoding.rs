@@ -22,11 +22,12 @@
 //! takes one zone of a column as a leaf vector, and decoding writes one —
 //! neither builds a `Value` per cell of a typed column.
 //!
-//! The chooser classifies the zone (its runs and its distinct cells, both
-//! under the `Value::key_eq` equality so the estimate and the encoders
-//! agree on NaN / -0.0; the vector's type decides which leaf encoding
-//! applies), then encodes every applicable candidate in full and keeps
-//! the smallest. A zone is at most [`crate::ZONE_ROWS`] cells, so there
+//! The chooser profiles the zone once (its NULLs, ends, runs and Plain
+//! size, the frames of its integers, its distinct cells — under the
+//! `Value::key_eq` equality so sizes and encoders agree on NaN / -0.0; the
+//! vector's type decides which leaf encoding applies), sizes every
+//! candidate that has a closed form from the profile, and encodes the
+//! winner alone. A zone is at most [`crate::ZONE_ROWS`] cells, so there
 //! is no sampling stage: every candidate is sized exactly.
 //!
 //! Decoding preserves the compressed structure (dictionary codes, run
@@ -36,8 +37,10 @@
 
 use std::borrow::Cow;
 use std::cmp::Reverse;
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
-use std::hash::Hash;
+use std::hash::{BuildHasher, Hash, Hasher};
+use std::sync::OnceLock;
 
 use crate::column::{
     null_at, nulls_at, ColumnBuilder, ColumnVec, IntKind, KeyedRows, Nulls, Prim, StrKind, Strs,
@@ -48,6 +51,7 @@ use vortex_common::codec::{
     TAG_STRING, TAG_TIMESTAMP,
 };
 use vortex_common::error::{VortexError, VortexResult};
+use vortex_common::obs::{Counter, Lazy, Registry};
 
 /// How a column chunk is encoded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -144,25 +148,24 @@ fn bits_for(max: u64) -> u8 {
     (64 - max.leading_zeros()) as u8
 }
 
-/// Appends `vals` packed at `width` bits each, LSB-first.
+/// Appends `vals` (each below `2^width`) packed at `width` bits each,
+/// LSB-first, a word at a time.
 fn pack_bits(out: &mut Vec<u8>, vals: impl Iterator<Item = u64>, width: u8) {
     if width == 0 {
         return;
     }
-    let mut acc: u128 = 0;
-    let mut nbits: u32 = 0;
+    let (mut acc, mut nbits, width) = (0u64, 0u32, width as u32);
     for v in vals {
-        acc |= (v as u128) << nbits;
-        nbits += width as u32;
-        while nbits >= 8 {
-            out.push(acc as u8);
-            acc >>= 8;
-            nbits -= 8;
+        acc |= v << nbits;
+        nbits += width;
+        if nbits >= 64 {
+            out.extend_from_slice(&acc.to_le_bytes());
+            nbits -= 64;
+            // What of `v` the word had no room for.
+            acc = v.checked_shr(width - nbits).unwrap_or(0);
         }
     }
-    if nbits > 0 {
-        out.push(acc as u8);
-    }
+    out.extend_from_slice(&acc.to_le_bytes()[..nbits.div_ceil(8) as usize]);
 }
 
 /// Reads values packed at `width` bits each, LSB-first.
@@ -222,16 +225,170 @@ pub(crate) fn le_uint(b: &[u8]) -> u128 {
 }
 
 // ---------------------------------------------------------------------------
-// Chooser
+// Chooser: one profile of the zone, every closed-form candidate sized from
+// it, the winner encoded.
 // ---------------------------------------------------------------------------
+
+static CHUNKS_BUILT: Lazy<Counter> = Lazy::new("ros.chunks_built", Registry::counter);
+static CANDIDATES_ENCODED: Lazy<Counter> = Lazy::new("ros.candidates_encoded", Registry::counter);
+
+/// What the chooser and the zone map take from the cells of a zone, so
+/// that neither looks at them again: all the sizes of Plain, IntPack and
+/// the RleV2 / DictV2 shells are made of.
+#[derive(Debug)]
+pub(crate) struct Profile {
+    /// NULL rows.
+    pub(crate) nulls: usize,
+    /// The rows of the first smallest and the first largest cell, if any
+    /// has a value (a typed leaf's, in its cells' order).
+    pub(crate) ends: Option<(usize, usize)>,
+    /// The row each run of equal cells (NULL is one) starts at.
+    runs: Vec<usize>,
+    /// Bytes of the Plain chunk.
+    plain: usize,
+    /// Of an integer leaf that has a value, as IntPack packs them: the
+    /// first, their frame, and the frame of the steps from each to the
+    /// next, where it has one.
+    ints: Option<(i64, Option<Frame>, Option<Frame>)>,
+}
+
+/// A frame of reference: the base, and the bit width of the largest
+/// offset from it.
+type Frame = (i64, u8);
+
+/// Bytes of `v` as an unsigned LEB128 varint.
+fn uvarint_len(v: u64) -> usize {
+    (70 - (v | 1).leading_zeros() as usize) / 7
+}
+
+/// Bytes of `v` as a zigzag varint.
+fn ivarint_len(v: i64) -> usize {
+    uvarint_len(((v << 1) ^ (v >> 63)) as u64)
+}
+
+/// The pass behind a [`Profile`], compiled for the leaf's key type: the
+/// NULL rows, the ends and the run starts; the sizes are [`profile`]'s.
+struct Profiler;
+
+impl KeyedRows for Profiler {
+    type Out = Profile;
+
+    fn fold_keys<K: Ord + Hash>(self, n: usize, key: impl Fn(usize) -> Option<K>) -> Profile {
+        let (mut runs, mut nulls, mut lo, mut hi) = (Vec::new(), 0, None, None);
+        for i in 0..n {
+            let k = key(i);
+            if i == 0 || k != key(i - 1) {
+                runs.push(i);
+            }
+            if k.is_none() {
+                nulls += 1;
+                continue;
+            }
+            lo = lo.filter(|&lo| k >= key(lo)).or(Some(i));
+            hi = hi.filter(|&hi| k <= key(hi)).or(Some(i));
+        }
+        Profile {
+            nulls,
+            ends: lo.zip(hi),
+            runs,
+            plain: 0,
+            ints: None,
+        }
+    }
+}
+
+/// Runs `pass` over the cells of `col` as keys: a typed leaf's own, and
+/// the `encode_key` bytes of cells that have no typed key.
+fn keyed<P: KeyedRows>(col: &ColumnVec, pass: impl Fn() -> P) -> P::Out {
+    col.with_keys(pass()).unwrap_or_else(|| {
+        let (mut keys, mut ends) = (Vec::new(), vec![0]);
+        for i in 0..col.len() {
+            col.key_into(i, &mut keys);
+            ends.push(keys.len());
+        }
+        let key = |i: usize| (!col.is_null(i)).then(|| &keys[ends[i]..ends[i + 1]]);
+        pass().fold_keys(col.len(), key)
+    })
+}
+
+/// Profiles one zone of a column: the keyed pass and, where a cell's
+/// Plain size is not its type's alone, one more over the leaf's integers
+/// or its string lengths.
+pub(crate) fn profile(col: &ColumnVec) -> Profile {
+    let mut p = keyed(col, || Profiler);
+    let (n, m) = (col.len(), col.len() - p.nulls);
+    p.plain = match col {
+        ColumnVec::I64(kind, ints) => {
+            let ints = non_null(ints);
+            let len = |&v: &i64| match kind {
+                IntKind::Timestamp => uvarint_len(v as u64),
+                _ => ivarint_len(v),
+            };
+            let steps = ints.windows(2).map(|w| w[1] as i128 - w[0] as i128);
+            let frames = (frame_of(ints.iter().map(|&v| v as i128)), frame_of(steps));
+            p.ints = ints.first().map(|&first| (first, frames.0, frames.1));
+            n + ints.iter().map(len).sum::<usize>()
+        }
+        ColumnVec::Str(_, s) => {
+            let valued = (0..n).filter(|&i| !null_at(&s.nulls, i));
+            let lens = valued.map(|i| uvarint_len(s.get(i).len() as u64));
+            n + s.bytes.len() + lens.sum::<usize>()
+        }
+        ColumnVec::F64(_) => n + 8 * m,
+        ColumnVec::I128(_) => n + 16 * m,
+        ColumnVec::Bool(_) => n + m,
+        // Nested or mixed cells, or none but NULLs: Plain is their only
+        // leaf encoding, and it is its own sizer.
+        untyped => encode_plain(untyped).len(),
+    };
+    p
+}
+
+/// Hashes cells for [`Numbering`]: a folded multiply per word, under two
+/// keys drawn once per process — cells are user data. No stored byte
+/// depends on it: a dictionary is in order of first appearance.
+#[derive(Clone, Copy)]
+struct CellHasher(u64, u64);
+
+impl Hasher for CellHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let words = (0..bytes.len()).step_by(8);
+        words.for_each(|at| self.write_u64(word_at(bytes, at)));
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        let wide = (self.0 ^ word) as u128 * 0x9E37_79B9_7F4A_7C15;
+        self.0 = wide as u64 ^ (wide >> 64) as u64;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.wrapping_mul(self.1).rotate_left(26)
+    }
+}
+
+impl BuildHasher for CellHasher {
+    type Hasher = Self;
+
+    fn build_hasher(&self) -> Self {
+        *self
+    }
+}
+
+/// The process's [`CellHasher`].
+fn cell_hasher() -> CellHasher {
+    static KEYS: OnceLock<[u64; 2]> = OnceLock::new();
+    let drawn = || *KEYS.get_or_init(|| [0, 1].map(|k| RandomState::new().hash_one(k)));
+    #[cfg(test)]
+    let drawn = || tests::hasher_keys().unwrap_or_else(drawn);
+    let [state, pad] = drawn();
+    CellHasher(state, pad | 1)
+}
 
 /// A column's distinct cells under `Value::key_eq` identity, in order of
 /// first appearance: the row each first appears at, and every row's
-/// index into those.
-struct Dictionary {
-    firsts: Vec<usize>,
-    codes: Vec<u32>,
-}
+/// index into those (none for a dictionary of one, whose codes take no
+/// bits).
+type Dictionary = (Vec<usize>, Vec<u32>);
 
 /// The pass that numbers cells into a [`Dictionary`], hashing each key
 /// where it lies; `None` once there are more than `limit` distinct.
@@ -243,7 +400,7 @@ impl KeyedRows for Numbering {
     type Out = Option<Dictionary>;
 
     fn fold_keys<K: Ord + Hash>(self, n: usize, key: impl Fn(usize) -> Option<K>) -> Self::Out {
-        let mut ids: HashMap<Option<K>, u32> = HashMap::with_capacity(n.min(self.limit));
+        let mut ids = HashMap::with_capacity_and_hasher(n.min(self.limit), cell_hasher());
         let mut firsts = Vec::new();
         let mut codes = Vec::with_capacity(n);
         for i in 0..n {
@@ -257,121 +414,164 @@ impl KeyedRows for Numbering {
             }
             codes.push(id);
         }
-        Some(Dictionary { firsts, codes })
+        Some((firsts, codes))
     }
-}
-
-/// The pass that finds the row each run of equal cells starts at.
-struct RunStarts;
-
-impl KeyedRows for RunStarts {
-    type Out = Vec<usize>;
-
-    fn fold_keys<K: Ord + Hash>(self, n: usize, key: impl Fn(usize) -> Option<K>) -> Self::Out {
-        let starts = (0..n).filter(|&i| i == 0 || key(i - 1) != key(i));
-        starts.collect()
-    }
-}
-
-/// An encoding and the chunk it makes of a column, if it applies.
-type Sized = (Encoding, Option<Vec<u8>>);
-
-/// The leaf encodings of `col`: the one of the vector's type applies —
-/// [`ColumnBuilder`] gives a column that vector whenever its cells allow
-/// it.
-fn leaf_candidates(col: &ColumnVec) -> [Sized; 3] {
-    [
-        (Encoding::IntPack, try_encode_intpack(col)),
-        (Encoding::Alp, try_encode_alp(col)),
-        (Encoding::Fsst, try_encode_fsst(col)),
-    ]
-}
-
-/// Runs `pass` over the cells of `col` as keys: a typed leaf's own, and
-/// the `encode_key` bytes of cells that have no typed key.
-fn keyed<P: KeyedRows>(col: &ColumnVec, pass: impl Fn() -> P) -> P::Out {
-    let key_bytes = |i: usize| {
-        let mut key = Vec::new();
-        col.key_into(i, &mut key);
-        Some(key)
-    };
-    (col.with_keys(pass())).unwrap_or_else(|| pass().fold_keys(col.len(), key_bytes))
 }
 
 /// The row each distinct cell of `col` (NULL is one) first appears at.
 pub(crate) fn distinct_rows(col: &ColumnVec) -> Vec<usize> {
     let all = || Numbering { limit: usize::MAX };
-    keyed(col, all).map_or_else(Vec::new, |d| d.firsts)
+    keyed(col, all).map_or_else(Vec::new, |(firsts, _)| firsts)
 }
 
-/// Every encoding of `col` the chooser sizes against Plain, in the order
-/// that breaks ties: run lengths for a column at most half runs, a
-/// dictionary for one at most half distinct cells (`all` lifts both bars,
-/// for a test that names its encoding), then the leaf encodings.
-fn sized_candidates(col: &ColumnVec, all: bool) -> impl Iterator<Item = Sized> {
-    let n = col.len();
-    let runs = keyed(col, || RunStarts);
-    let limit = if all { MAX_DICT } else { MAX_DICT.min(n / 2) };
-    // A column of one run is a dictionary of one entry, which it takes no
-    // hashing of its cells to find out.
-    let dict = match runs.len() == 1 && limit >= 1 {
-        true => Some(Dictionary {
-            firsts: vec![0],
-            codes: vec![0; n],
-        }),
-        false => keyed(col, || Numbering { limit }),
+/// A nested value section: its leaf encoding and bytes.
+type Section = (Encoding, Vec<u8>);
+
+/// A candidate: its encoding, its exact size, and its bytes once asked
+/// for — which only the winner is.
+type Sized<'a> = (Encoding, usize, Box<dyn FnOnce() -> Vec<u8> + 'a>);
+
+/// Bytes of the header IntPack / Alp / Fsst share ([`push_nulls_header`])
+/// for `n` rows of which `m` hold a value.
+fn nulls_header_len(n: usize, m: usize) -> usize {
+    uvarint_len(m as u64) + if m < n { n.div_ceil(8) } else { 0 }
+}
+
+/// The exact sizes of the two forms of an integer leaf's IntPack chunk
+/// — its values framed, its steps framed — each with whether it is the
+/// delta form and its frame; `None` for a form that does not apply.
+fn intpack_forms(n: usize, p: &Profile) -> [Option<(usize, bool, Frame)>; 2] {
+    let Some((first, values, steps)) = p.ints else {
+        return [None, None];
     };
-    let runs_pay = all || runs.len() * 2 <= n;
-    let nesting = [
-        (Encoding::RleV2, runs_pay.then(|| encode_rle_v2(col, &runs))),
-        (Encoding::DictV2, dict.map(|d| encode_dict_v2(col, &d))),
-    ];
-    nesting.into_iter().chain(leaf_candidates(col))
+    let m = n - p.nulls;
+    let header = 2 + nulls_header_len(n, m);
+    let stepped = steps.filter(|_| m >= 2);
+    [
+        values.map(|f| (header + frame_len(f, m), false, f)),
+        stepped.map(|f| (header + ivarint_len(first) + frame_len(f, m - 1), true, f)),
+    ]
 }
 
-/// The smallest of a column's Plain chunk and its other candidates, each
-/// sized exactly; of two equals the earlier wins, Plain first.
-fn smallest(plain: Vec<u8>, others: impl IntoIterator<Item = Sized>) -> (Encoding, Vec<u8>) {
-    let mut best = (Encoding::Plain, plain);
-    for (e, bytes) in others {
-        if let Some(bytes) = bytes.filter(|b| b.len() < best.1.len()) {
-            best = (e, bytes);
+/// The leaf encoding of `col` other than Plain — the one of the vector's
+/// type; [`ColumnBuilder`] gives a column that vector whenever its cells
+/// allow it — with its size: of IntPack from the profile, the smaller of
+/// its forms and the plain one of two equals.
+fn leaf_candidate<'a>(col: &'a ColumnVec, p: &Profile, must_beat: usize) -> Option<Sized<'a>> {
+    let made = |enc, b: Vec<u8>| -> Sized<'a> { (enc, b.len(), Box::new(move || b)) };
+    match col {
+        ColumnVec::I64(kind, ints) => {
+            let forms = intpack_forms(col.len(), p).into_iter().flatten();
+            let (len, delta, frame) = forms.min()?;
+            let encode = move || intpack_bytes(*kind, ints, delta, frame);
+            Some((Encoding::IntPack, len, Box::new(encode)))
         }
-    }
-    best
-}
-
-/// Encodes one zone of a column — a leaf vector — as the [`smallest`] of
-/// Plain and its [`sized_candidates`]. Plain always applies, so every
-/// column encodes.
-pub fn encode_column(col: &ColumnVec) -> (Encoding, Vec<u8>) {
-    match col.is_empty() {
-        true => (Encoding::Plain, Vec::new()),
-        false => smallest(encode_plain(col), sized_candidates(col, false)),
+        ColumnVec::F64(_) => try_encode_alp(col).map(|b| made(Encoding::Alp, b)),
+        ColumnVec::Str(..) => try_encode_fsst(col, must_beat).map(|b| made(Encoding::Fsst, b)),
+        _ => None,
     }
 }
 
-/// Encodes with a specific encoding. Errors when the encoding doesn't
-/// apply to this vector (e.g. IntPack on strings).
-#[cfg(test)]
-fn encode_column_with(col: &ColumnVec, enc: Encoding) -> VortexResult<Vec<u8>> {
-    let plain = [(Encoding::Plain, Some(encode_plain(col)))];
-    let mut sized = plain.into_iter().chain(sized_candidates(col, true));
-    let named = sized.find_map(|(e, bytes)| bytes.filter(|_| e == enc));
-    named.ok_or_else(|| VortexError::InvalidArgument(format!("{enc:?} does not apply here")))
+/// The Plain candidate, which always applies.
+fn plain_candidate<'a>(col: &'a ColumnVec, p: &Profile) -> Sized<'a> {
+    (Encoding::Plain, p.plain, Box::new(|| encode_plain(col)))
 }
 
-/// Appends a nested value section (dictionary values, run values): the
-/// cells at `rows` as a leaf vector of their own, in its cheapest leaf
-/// encoding.
-fn push_nested(out: &mut Vec<u8>, col: &ColumnVec, rows: &[usize]) {
+/// The smaller of two candidates, each sized exactly; of two equals the
+/// earlier, `best`.
+fn smaller<'a>(best: Sized<'a>, other: Option<Sized<'a>>) -> Sized<'a> {
+    match other {
+        Some(other) if other.1 < best.1 => other,
+        _ => best,
+    }
+}
+
+/// The nested value section (dictionary values, run values) of the cells
+/// at `rows`: a leaf vector of their own, in its smallest leaf encoding.
+fn section(col: &ColumnVec, rows: &[usize]) -> Section {
     let mut values = ColumnBuilder::default();
     values.add_rows(col, rows.iter().copied());
     let values = values.into_column();
-    let (enc, bytes) = smallest(encode_plain(&values), leaf_candidates(&values));
-    out.push(enc.to_u8());
-    put_uvarint(out, bytes.len() as u64);
-    out.extend_from_slice(&bytes);
+    let p = profile(&values);
+    let leaf = leaf_candidate(&values, &p, p.plain);
+    let (enc, _, encode) = smaller(plain_candidate(&values, &p), leaf);
+    (enc, encode())
+}
+
+/// Bytes a section takes in its shell: encoding, length, bytes.
+fn section_len((_, bytes): &Section) -> usize {
+    1 + uvarint_len(bytes.len() as u64) + bytes.len()
+}
+
+/// The length of each run of `n` rows in the runs that start at `runs`.
+fn run_lens(n: usize, runs: &[usize]) -> impl Iterator<Item = u64> + '_ {
+    let ends = runs.iter().skip(1).copied().chain([n]);
+    runs.iter().zip(ends).map(|(from, to)| (to - from) as u64)
+}
+
+/// Bytes of the RleV2 chunk of `n` rows in the runs that start at `runs`.
+fn rle_len(n: usize, runs: &[usize], values: &Section) -> usize {
+    let lens: usize = run_lens(n, runs).map(uvarint_len).sum();
+    uvarint_len(runs.len() as u64) + lens + section_len(values)
+}
+
+/// Bytes of the DictV2 chunk of `n` rows over `distinct` cells.
+fn dict_len(n: usize, distinct: usize, values: &Section) -> usize {
+    let codes = n * bits_for(distinct.saturating_sub(1) as u64) as usize;
+    uvarint_len(distinct as u64) + section_len(values) + 1 + codes.div_ceil(8)
+}
+
+/// Encodes one zone of a column — a leaf vector — as the smallest of
+/// Plain and, in the order that breaks ties: run lengths for a column at
+/// most half runs, a dictionary for one at most half distinct cells, the
+/// leaf encoding of its type. Plain always applies, so every column
+/// encodes.
+pub fn encode_column(col: &ColumnVec) -> (Encoding, Vec<u8>) {
+    encode_profiled(col, &profile(col))
+}
+
+/// [`encode_column`] of a column already profiled. Every candidate but
+/// Alp and Fsst is sized from the profile and only the winner encoded.
+pub(crate) fn encode_profiled(col: &ColumnVec, p: &Profile) -> (Encoding, Vec<u8>) {
+    let (n, runs) = (col.len(), &p.runs[..]);
+    // A column of one run is a dictionary of one entry, which it takes no
+    // hashing of its cells to find out.
+    let limit = MAX_DICT.min(n / 2);
+    let numbered = match runs.len() == 1 && limit >= 1 {
+        true => Some((vec![0], Vec::new())),
+        false => keyed(col, || Numbering { limit }),
+    };
+    let run_values = (runs.len() * 2 <= n).then(|| section(col, runs));
+    // Distinct cells that are the run starts (one run; a sorted column)
+    // make the same section.
+    let dict_values = numbered.as_ref().map(|(firsts, _)| match &run_values {
+        Some(values) if firsts == runs => Cow::Borrowed(values),
+        _ => Cow::Owned(section(col, firsts)),
+    });
+    let rle = run_values.as_ref().map(|values| -> Sized<'_> {
+        let encode = move || encode_rle_v2(n, runs, values);
+        (Encoding::RleV2, rle_len(n, runs, values), Box::new(encode))
+    });
+    let dict = numbered.as_ref().zip(dict_values.as_deref());
+    let dict = dict.map(|(d, values)| -> Sized<'_> {
+        let len = dict_len(n, d.0.len(), values);
+        (
+            Encoding::DictV2,
+            len,
+            Box::new(move || encode_dict_v2(d, values)),
+        )
+    });
+    let nesting = smaller(smaller(plain_candidate(col, p), rle), dict);
+    let leaf = leaf_candidate(col, p, nesting.1);
+    // Alp and Fsst have no closed form: sizing them took encoding them.
+    let made = |enc| matches!(enc, Encoding::Alp | Encoding::Fsst);
+    let sized = leaf.as_ref().is_some_and(|leaf| made(leaf.0));
+    let (enc, len, encode) = smaller(nesting, leaf);
+    CHUNKS_BUILT.inc();
+    CANDIDATES_ENCODED.add(sized as u64 + !made(enc) as u64);
+    let bytes = encode();
+    debug_assert_eq!(bytes.len(), len, "{enc:?} sized wrong");
+    (enc, bytes)
 }
 
 // ---------------------------------------------------------------------------
@@ -415,46 +615,27 @@ fn non_null<T: Copy>(p: &Prim<T>) -> Cow<'_, [T]> {
     }
 }
 
-fn try_encode_intpack(col: &ColumnVec) -> Option<Vec<u8>> {
-    let ColumnVec::I64(kind, p) = col else {
-        return None;
-    };
-    let tag = match kind {
+/// The IntPack chunk of an integer leaf: its values in the frame of
+/// their ends, or (`delta`) the first value and then the steps from each
+/// to the next in the frame of theirs.
+fn intpack_bytes(kind: IntKind, p: &Prim<i64>, delta: bool, frame: Frame) -> Vec<u8> {
+    let (n, ints) = (p.values.len(), non_null(p));
+    let mut out = Vec::with_capacity(16 + n.div_ceil(8) + ints.len() * 8);
+    out.push(match kind {
         IntKind::Int64 => TY_INT64,
         IntKind::Date => TY_DATE,
         IntKind::Timestamp => TY_TIMESTAMP,
-    };
-    let ints = non_null(p);
-    let plain = intpack_bytes(tag, col, &ints, false);
-    let delta = intpack_bytes(tag, col, &ints, true);
-    match (plain, delta) {
-        (Some(p), Some(d)) => Some(if d.len() < p.len() { d } else { p }),
-        (p, d) => p.or(d),
-    }
-}
-
-fn intpack_bytes(tag: u8, col: &ColumnVec, ints: &[i64], delta: bool) -> Option<Vec<u8>> {
-    if delta && ints.len() < 2 {
-        return None;
-    }
-    let has_null = ints.len() < col.len();
-    let mut out = Vec::with_capacity(16 + col.len().div_ceil(8) + ints.len() * 8);
-    out.push(tag);
-    out.push((has_null as u8) | if delta { FLAG_DELTA } else { 0 });
-    push_nulls_header(&mut out, col, ints.len());
-    // Deltas / frame-of-reference computed in i128 so i64 extremes can't
-    // overflow; a candidate whose relative range exceeds u64 (only
-    // possible for deltas) is rejected rather than widened.
+    });
+    out.push(((ints.len() < n) as u8) | if delta { FLAG_DELTA } else { 0 });
+    push_nulls_header(&mut out, n, &p.nulls, ints.len());
     if delta {
         put_ivarint(&mut out, ints[0]);
-        push_frame(
-            &mut out,
-            ints.windows(2).map(|w| w[1] as i128 - w[0] as i128),
-        )?;
+        let steps = ints.windows(2).map(|w| w[1] as i128 - w[0] as i128);
+        push_frame(&mut out, frame, steps);
     } else {
-        push_frame(&mut out, ints.iter().map(|&v| v as i128))?;
+        push_frame(&mut out, frame, ints.iter().map(|&v| v as i128));
     }
-    Some(out)
+    out
 }
 
 /// The header IntPack / Alp / Fsst share after their flags: the non-null
@@ -462,28 +643,38 @@ fn intpack_bytes(tag: u8, col: &ColumnVec, ints: &[i64], delta: bool) -> Option<
 /// validate the caller's row count (bit-packed data is not
 /// self-delimiting the way varint streams are) — then the null bitmap if
 /// there are NULLs (bit set = null, one bit per row).
-fn push_nulls_header(out: &mut Vec<u8>, col: &ColumnVec, non_null: usize) {
+fn push_nulls_header(out: &mut Vec<u8>, n: usize, nulls: &Option<Nulls>, non_null: usize) {
     put_uvarint(out, non_null as u64);
-    if non_null < col.len() {
+    if non_null < n {
         let start = out.len();
-        out.resize(start + col.len().div_ceil(8), 0);
-        for i in (0..col.len()).filter(|&i| col.is_null(i)) {
+        out.resize(start + n.div_ceil(8), 0);
+        for i in (0..n).filter(|&i| null_at(nulls, i)) {
             out[start + i / 8] |= 1 << (i % 8);
         }
     }
 }
 
-/// Appends `work` frame-of-reference packed: the minimum as base, the
-/// bit width of the largest offset from it, the offsets. `None` when the
-/// base leaves i64 or an offset leaves u64 (only deltas can).
-fn push_frame(out: &mut Vec<u8>, work: impl Iterator<Item = i128> + Clone) -> Option<()> {
+/// The frame of reference of `work`: the smallest as base, and the bit
+/// width of the largest offset from it. Computed in i128 so i64 extremes
+/// can't overflow; `None` when the base leaves i64 or an offset leaves u64
+/// (only deltas can), which is refused rather than widened.
+fn frame_of(work: impl Iterator<Item = i128> + Clone) -> Option<Frame> {
     let base = work.clone().min().unwrap_or(0);
-    let span = work.clone().max().map_or(0, |hi| hi - base);
+    let span = work.max().map_or(0, |hi| hi - base);
     let width = bits_for(u64::try_from(span).ok()?);
-    put_ivarint(out, i64::try_from(base).ok()?);
+    Some((i64::try_from(base).ok()?, width))
+}
+
+/// Bytes [`push_frame`] appends for `count` integers.
+fn frame_len((base, width): Frame, count: usize) -> usize {
+    ivarint_len(base) + 1 + (count * width as usize).div_ceil(8)
+}
+
+/// Appends `work` packed in `frame`: the base, the width, the offsets.
+fn push_frame(out: &mut Vec<u8>, (base, width): Frame, work: impl Iterator<Item = i128>) {
+    put_ivarint(out, base);
     out.push(width);
-    pack_bits(out, work.map(|v| (v - base) as u64), width);
-    Some(())
+    pack_bits(out, work.map(|v| (v - base as i128) as u64), width);
 }
 
 const POW10: [f64; 15] = [
@@ -541,7 +732,7 @@ fn try_encode_alp(col: &ColumnVec) -> Option<Vec<u8>> {
     }
     let mut out = Vec::with_capacity(16 + col.len().div_ceil(8) + floats.len() * 8);
     out.push((floats.len() < col.len()) as u8);
-    push_nulls_header(&mut out, col, floats.len());
+    push_nulls_header(&mut out, col.len(), &p.nulls, floats.len());
     out.push(exp);
     put_uvarint(&mut out, patches.len() as u64);
     let mut prev = 0usize;
@@ -552,21 +743,23 @@ fn try_encode_alp(col: &ColumnVec) -> Option<Vec<u8>> {
     for &(_, bits) in &patches {
         out.extend_from_slice(&bits.to_le_bytes());
     }
-    push_frame(&mut out, ints.iter().map(|&i| i as i128))?;
+    let ints = ints.iter().map(|&i| i as i128);
+    push_frame(&mut out, frame_of(ints.clone())?, ints);
     Some(out)
 }
 
-fn try_encode_fsst(col: &ColumnVec) -> Option<Vec<u8>> {
+/// The Fsst chunk of a string leaf, unless it cannot come to fewer than
+/// `must_beat` bytes: a value takes a length byte and a code per eight
+/// of its bytes at the least.
+fn try_encode_fsst(col: &ColumnVec, must_beat: usize) -> Option<Vec<u8>> {
     let ColumnVec::Str(kind, s) = col else {
         return None;
     };
-    let values = || {
-        (0..col.len())
-            .filter(|&i| !null_at(&s.nulls, i))
-            .map(|i| s.get(i))
-    };
-    let (m, total) = values().fold((0, 0), |(m, total), v| (m + 1, total + v.len()));
-    if total < 64 {
+    let valued = || (0..col.len()).filter(|&i| !null_at(&s.nulls, i));
+    let values = || valued().map(|i| s.get(i));
+    let (m, total) = (valued().count(), s.bytes.len());
+    let at_least: usize = values().map(|v| 1 + v.len().div_ceil(FSST_MAX_SYM)).sum();
+    if total < 64 || 3 + nulls_header_len(col.len(), m) + at_least >= must_beat {
         return None; // not enough material for a table to pay off
     }
     let table = FsstTable::build(values());
@@ -577,7 +770,7 @@ fn try_encode_fsst(col: &ColumnVec) -> Option<Vec<u8>> {
         StrKind::Bytes => TY_BYTES,
     });
     out.push((m < col.len()) as u8);
-    push_nulls_header(&mut out, col, m);
+    push_nulls_header(&mut out, col.len(), &s.nulls, m);
     table.push_symbols(&mut out);
     let mut enc = Vec::new();
     for v in values() {
@@ -591,10 +784,12 @@ fn try_encode_fsst(col: &ColumnVec) -> Option<Vec<u8>> {
 
 /// Up to eight bytes of `s` from `pos`, first byte lowest, zero-padded.
 fn word_at(s: &[u8], pos: usize) -> u64 {
-    let tail = &s[pos..s.len().min(pos + FSST_MAX_SYM)];
-    match <[u8; FSST_MAX_SYM]>::try_from(tail) {
-        Ok(full) => u64::from_le_bytes(full),
-        Err(_) => le_uint(tail) as u64,
+    let full = |at: usize| <[u8; 8]>::try_from(&s[at..at + 8]).map_or(0, u64::from_le_bytes);
+    match s.len().checked_sub(8) {
+        Some(last) if pos <= last => full(pos),
+        // Past the last full word: that word, moved down to start at `pos`.
+        Some(last) => full(last).checked_shr(8 * (pos - last) as u32).unwrap_or(0),
+        None => le_uint(&s[pos.min(s.len())..]) as u64,
     }
 }
 
@@ -603,15 +798,23 @@ fn low_bytes(word: u64, len: usize) -> u64 {
     word & (u64::MAX >> (64 - 8 * len))
 }
 
+/// Slots of the hash index over a table's two-byte prefixes: twice the
+/// symbols there can be, so a probe always ends.
+const FSST_SLOTS: usize = 512;
+
 /// An FSST symbol table laid out for matching. A symbol is its bytes as
-/// a [`word_at`] word, and how many they are.
+/// a [`word_at`] word, how many they are, and its code.
 struct FsstTable {
     /// In code order.
-    symbols: Vec<(u64, u8)>,
-    /// `(word, len, code)` per symbol: those that start with byte `b` at
-    /// `by_first[starts[b]..starts[b + 1]]`, longest first.
-    by_first: Vec<(u64, u8, u8)>,
-    starts: [u16; 257],
+    symbols: Vec<(u64, u8, u8)>,
+    /// The symbols of two bytes or more: those that share their first two
+    /// lie together, longest first.
+    long: Vec<(u64, u8, u8)>,
+    /// Where in `long` the symbols of a two-byte prefix start, at the
+    /// first free slot from the prefix's hash; `u8::MAX` is free.
+    slots: [u8; FSST_SLOTS],
+    /// The code of each one-byte symbol, at that byte.
+    short: [u8; 256],
 }
 
 impl FsstTable {
@@ -622,128 +825,167 @@ impl FsstTable {
     /// comparison in the chooser absorbs.
     fn build<'a>(values: impl Iterator<Item = &'a [u8]>) -> FsstTable {
         const SAMPLE_BUDGET: usize = 4096;
-        // Occurrences per (word, len) in an open-addressed table: slot
-        // `at` holds a substring's word in `words` and `count << 4 | len`
-        // in `tally` (0 = free). At most eight substrings start at each
-        // sampled byte, so the table stays at most half full and a probe
-        // always ends.
-        const SLOTS: usize = 16 * SAMPLE_BUDGET;
-        let mut words = vec![0u64; SLOTS];
-        let mut tally = vec![0u32; SLOTS];
-        let mut used: Vec<u32> = Vec::new();
-        let mut budget = SAMPLE_BUDGET;
+        // The window at each sampled byte: its word with the first byte
+        // highest, so that words order as their byte strings do, and how
+        // many of its bytes are the value's own (the rest is padding).
+        let mut windows: Vec<(u64, usize)> = Vec::with_capacity(SAMPLE_BUDGET);
+        let mut starts = [0usize; 257];
         for v in values {
-            let v = &v[..v.len().min(budget)];
-            budget -= v.len();
+            let v = &v[..v.len().min(SAMPLE_BUDGET - windows.len())];
             for pos in 0..v.len() {
-                let window = word_at(v, pos);
-                for len in 1..=FSST_MAX_SYM.min(v.len() - pos) {
-                    let word = low_bytes(window, len);
-                    let hash = (word ^ len as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                    let mut at = (hash >> 40) as usize % SLOTS;
-                    while tally[at] != 0 && (words[at], tally[at] as usize & 15) != (word, len) {
-                        at = (at + 1) % SLOTS;
-                    }
-                    if tally[at] == 0 {
-                        (words[at], tally[at]) = (word, len as u32);
-                        used.push(at as u32);
-                    }
-                    tally[at] += 1 << 4;
-                }
+                let own = FSST_MAX_SYM.min(v.len() - pos);
+                windows.push((word_at(v, pos).swap_bytes(), own));
+                starts[v[pos] as usize + 1] += 1;
+            }
+            if windows.len() == SAMPLE_BUDGET {
+                break;
             }
         }
-        // Rank by score, ties in the symbols' byte order (a word's bytes
-        // swapped compare as its byte string does): a total order, so
-        // the slots' order never shows. A symbol emits 1 byte. Without
-        // it, each byte costs 1 code byte at best (2 if escaped): saving
-        // ≥ len-1 per occurrence; single bytes only pay if they'd
-        // otherwise be escaped.
-        let counted = used
-            .iter()
-            .map(|&at| (words[at as usize], tally[at as usize]));
-        let mut ranked: Vec<(Reverse<u64>, u64, u8)> = counted
-            .filter(|&(_, tally)| tally >> 4 >= 2)
-            .map(|(word, tally)| {
-                let (n, len) = ((tally >> 4) as u64, tally as u8 & 15);
-                (Reverse(n * (len as u64 - 1).max(1)), word.swap_bytes(), len)
-            })
-            .collect();
+        // Counting sort by first byte, then each bucket by the other
+        // seven: a window is those seven bytes above its own-count.
+        (0..256).for_each(|b| starts[b + 1] += starts[b]);
+        let (mut next, mut sorted) = (starts, vec![0u64; windows.len()]);
+        for (word, own) in windows {
+            let at = &mut next[(word >> 56) as usize];
+            sorted[*at] = word << 8 | own as u64;
+            *at += 1;
+        }
+        // Windows that share their first `len` bytes now lie together,
+        // for every `len` at once: one walk counts, per length, the run
+        // of windows that own that many bytes (a padding zero is not a
+        // byte of the value) — eight 16-bit lanes of one word, lane
+        // `len - 1`; a run is at most the sample — and closes the runs
+        // longer than what a window shares with the one after it. Rank
+        // by score, ties in the symbols' byte order: a total order. A
+        // symbol emits 1 byte. Without it, each byte costs 1 code byte at
+        // best (2 if escaped): saving ≥ len-1 per occurrence; single
+        // bytes only pay if they'd otherwise be escaped.
+        const LANES: u128 = 0x0001_0001_0001_0001_0001_0001_0001_0001;
+        let below: [u128; FSST_MAX_SYM + 1] =
+            std::array::from_fn(|len| !u128::MAX.checked_shl(16 * len as u32).unwrap_or(0));
+        let mut ranked: Vec<(Reverse<u64>, u64, u8)> = Vec::with_capacity(sorted.len() / 2);
+        for first in 0..256 {
+            let bucket = &mut sorted[starts[first]..starts[first + 1]];
+            bucket.sort_unstable();
+            let mut counts = 0u128;
+            for (i, &window) in bucket.iter().enumerate() {
+                counts += LANES & below[(window & 0xFF) as usize];
+                // What the window shares with the next ends no run; of
+                // the longer ones, few are of two windows or more.
+                let shared = bucket
+                    .get(i + 1)
+                    .map_or(0, |next| ((next ^ window) >> 8).leading_zeros() / 8);
+                let mut repeated = counts & !below[shared as usize] & !LANES;
+                while repeated != 0 {
+                    let lane = repeated.trailing_zeros() / 16;
+                    let (n, len) = ((counts >> (16 * lane)) as u16 as u64, lane as usize + 1);
+                    let symbol = ((first as u64) << 56 | window >> 8) & u64::MAX << (64 - 8 * len);
+                    ranked.push((Reverse(n * (len as u64 - 1).max(1)), symbol, len as u8));
+                    repeated &= !(0xFFFF << (16 * lane));
+                }
+                counts &= below[shared as usize];
+            }
+        }
         let keep = (FSST_ESCAPE as usize - 1).min(ranked.len());
         if keep < ranked.len() {
             ranked.select_nth_unstable(keep);
             ranked.truncate(keep);
         }
         ranked.sort_unstable();
-        let symbols: Vec<(u64, u8)> = (ranked.iter())
-            .map(|&(_, bytes, len)| (bytes.swap_bytes(), len))
+        let symbols: Vec<(u64, u8, u8)> = (ranked.iter().zip(0u8..))
+            .map(|(&(_, bytes, len), code)| (bytes.swap_bytes(), len, code))
             .collect();
-        let coded = symbols.iter().zip(0u8..);
-        let mut by_first: Vec<(u64, u8, u8)> = coded
-            .map(|(&(word, len), code)| (word, len, code))
-            .collect();
-        by_first.sort_unstable_by_key(|&(word, len, _)| (word as u8, Reverse(len)));
-        let mut starts = [0u16; 257];
-        for b in 0..256 {
-            starts[b + 1] = by_first.partition_point(|&(word, ..)| word as u8 as usize <= b) as u16;
-        }
-        FsstTable {
+        let coded = symbols.iter().copied();
+        let (short, mut long): (Vec<_>, Vec<_>) = coded.partition(|&(_, len, _)| len == 1);
+        long.sort_unstable_by_key(|&(word, len, _)| (word as u16, Reverse(len)));
+        let mut table = FsstTable {
             symbols,
-            by_first,
-            starts,
+            long,
+            slots: [u8::MAX; FSST_SLOTS],
+            short: [FSST_ESCAPE; 256],
+        };
+        short
+            .iter()
+            .for_each(|&(word, _, code)| table.short[word as usize] = code);
+        for (i, &(word, ..)) in table.long.iter().enumerate().rev() {
+            // The earliest symbol of a prefix writes its slot last.
+            let at = table.slot_of(word as u16);
+            table.slots[at] = i as u8;
         }
+        table
     }
 
     /// Appends the table as chunks store it: the symbol count, then each
     /// symbol's length and bytes, in code order.
     fn push_symbols(&self, out: &mut Vec<u8>) {
         out.push(self.symbols.len() as u8);
-        for &(word, len) in &self.symbols {
+        for &(word, len, _) in &self.symbols {
             out.push(len);
             out.extend_from_slice(&word.to_le_bytes()[..len as usize]);
         }
     }
 
-    /// Appends the codes of one value: greedy longest match.
+    /// The slot of a two-byte prefix: the one that holds it, or the free
+    /// one a probe for it ends at.
+    fn slot_of(&self, pair: u16) -> usize {
+        // The top nine bits of a multiplicative hash.
+        let mut at = (pair as u32).wrapping_mul(0x9E37_79B1) as usize >> 23;
+        while self.slots[at] != u8::MAX && self.long[self.slots[at] as usize].0 as u16 != pair {
+            at = (at + 1) % FSST_SLOTS;
+        }
+        at
+    }
+
+    /// Appends the codes of one value: greedy longest match. At each
+    /// byte, the symbols that share the next two are tried longest first,
+    /// then the one-byte one.
     fn emit_codes(&self, s: &[u8], out: &mut Vec<u8>) {
         let mut pos = 0usize;
         while pos < s.len() {
-            let (window, left, first) = (word_at(s, pos), s.len() - pos, s[pos] as usize);
-            let bucket = self.starts[first] as usize..self.starts[first + 1] as usize;
-            let fits = |&&(word, len, _): &&(u64, u8, u8)| {
-                len as usize <= left && low_bytes(window, len as usize) == word
-            };
-            match self.by_first[bucket].iter().find(fits) {
-                Some(&(_, len, code)) => {
-                    out.push(code);
-                    pos += len as usize;
+            let (window, left) = (word_at(s, pos), s.len() - pos);
+            let mut at = self.slots[self.slot_of(window as u16)] as usize;
+            let (mut len, mut code) = (1, self.short[s[pos] as usize]);
+            while let Some(&(word, long, coded)) = self.long.get(at) {
+                if word as u16 != window as u16 {
+                    break;
                 }
-                None => {
-                    out.extend_from_slice(&[FSST_ESCAPE, s[pos]]);
-                    pos += 1;
+                if long as usize <= left && low_bytes(window, long as usize) == word {
+                    (len, code) = (long as usize, coded);
+                    break;
                 }
+                at += 1;
             }
+            match code {
+                FSST_ESCAPE => out.extend_from_slice(&[code, s[pos]]),
+                _ => out.push(code),
+            }
+            pos += len;
         }
     }
 }
 
-fn encode_dict_v2(col: &ColumnVec, dict: &Dictionary) -> Vec<u8> {
+/// Appends a nested value section.
+fn push_section(out: &mut Vec<u8>, (enc, bytes): &Section) {
+    out.push(enc.to_u8());
+    put_uvarint(out, bytes.len() as u64);
+    out.extend_from_slice(bytes);
+}
+
+fn encode_dict_v2((firsts, codes): &Dictionary, values: &Section) -> Vec<u8> {
     let mut out = Vec::new();
-    put_uvarint(&mut out, dict.firsts.len() as u64);
-    push_nested(&mut out, col, &dict.firsts);
-    let width = bits_for(dict.firsts.len().saturating_sub(1) as u64);
+    put_uvarint(&mut out, firsts.len() as u64);
+    push_section(&mut out, values);
+    let width = bits_for(firsts.len().saturating_sub(1) as u64);
     out.push(width);
-    pack_bits(&mut out, dict.codes.iter().map(|&c| c as u64), width);
+    pack_bits(&mut out, codes.iter().map(|&c| c as u64), width);
     out
 }
 
-fn encode_rle_v2(col: &ColumnVec, runs: &[usize]) -> Vec<u8> {
+fn encode_rle_v2(n: usize, runs: &[usize], values: &Section) -> Vec<u8> {
     let mut out = Vec::new();
     put_uvarint(&mut out, runs.len() as u64);
-    let ends = runs.iter().skip(1).copied().chain([col.len()]);
-    for (start, end) in runs.iter().zip(ends) {
-        put_uvarint(&mut out, (end - start) as u64);
-    }
-    push_nested(&mut out, col, runs);
+    run_lens(n, runs).for_each(|len| put_uvarint(&mut out, len));
+    push_section(&mut out, values);
     out
 }
 
@@ -1235,6 +1477,135 @@ pub(crate) mod tests {
         let out = f();
         let after = REQUESTED.with(|r| r.get());
         (out, after.0 - before.0, after.1 - before.1)
+    }
+
+    thread_local! {
+        /// This thread's keys for [`cell_hasher`] instead of the
+        /// process's, for the test that no byte depends on them.
+        static HASHER_KEYS: std::cell::Cell<Option<[u64; 2]>> =
+            const { std::cell::Cell::new(None) };
+    }
+
+    pub(super) fn hasher_keys() -> Option<[u64; 2]> {
+        HASHER_KEYS.with(|keys| keys.get())
+    }
+
+    /// Runs `f` with [`cell_hasher`] keyed by `keys` on this thread.
+    pub(crate) fn with_hasher_keys<T>(keys: [u64; 2], f: impl FnOnce() -> T) -> T {
+        HASHER_KEYS.with(|k| k.set(Some(keys)));
+        let out = f();
+        HASHER_KEYS.with(|k| k.set(None));
+        out
+    }
+
+    // ---- The chooser this crate used to run — every candidate encoded in
+    // full, the smallest kept — as the oracle of the one that sizes first.
+    // It finds its own runs, distinct cells and frames. ------------------
+
+    /// An encoding and the chunk it makes of a column, if it applies.
+    type Made = (Encoding, Option<Vec<u8>>);
+
+    fn reference_runs(col: &ColumnVec) -> Vec<usize> {
+        let cells = col.to_values();
+        let starts = |&i: &usize| i == 0 || !cells[i - 1].key_eq(&cells[i]);
+        (0..cells.len()).filter(starts).collect()
+    }
+
+    fn reference_dictionary(col: &ColumnVec, limit: usize) -> Option<Dictionary> {
+        let mut ids: HashMap<Vec<u8>, u32> = HashMap::new();
+        let (mut firsts, mut codes) = (Vec::new(), Vec::new());
+        for (i, v) in col.to_values().iter().enumerate() {
+            let next = firsts.len() as u32;
+            let id = *ids.entry(v.encode_key()).or_insert(next);
+            if id == next {
+                if firsts.len() >= limit {
+                    return None;
+                }
+                firsts.push(i);
+            }
+            codes.push(id);
+        }
+        Some((firsts, codes))
+    }
+
+    /// One form of IntPack, in the frame of the integers themselves.
+    fn reference_intpack(col: &ColumnVec, delta: bool) -> Option<Vec<u8>> {
+        let ColumnVec::I64(kind, p) = col else {
+            return None;
+        };
+        let ints = non_null(p);
+        let work: Vec<i128> = match delta {
+            true if ints.len() < 2 => return None,
+            true => (ints.windows(2).map(|w| w[1] as i128 - w[0] as i128)).collect(),
+            false => ints.iter().map(|&v| v as i128).collect(),
+        };
+        let lo = work.iter().copied().min().unwrap_or(0);
+        let span = work.iter().copied().max().map_or(0, |hi| hi - lo);
+        let width = bits_for(u64::try_from(span).ok()?);
+        let frame = (i64::try_from(lo).ok()?, width);
+        Some(intpack_bytes(*kind, p, delta, frame))
+    }
+
+    fn reference_leaf_candidates(col: &ColumnVec) -> [Made; 3] {
+        let forms = (reference_intpack(col, false), reference_intpack(col, true));
+        let intpack = match forms {
+            (Some(p), Some(d)) => Some(if d.len() < p.len() { d } else { p }),
+            (p, d) => p.or(d),
+        };
+        [
+            (Encoding::IntPack, intpack),
+            (Encoding::Alp, try_encode_alp(col)),
+            (Encoding::Fsst, try_encode_fsst(col, usize::MAX)),
+        ]
+    }
+
+    fn reference_smallest(plain: Vec<u8>, others: impl IntoIterator<Item = Made>) -> Section {
+        let mut best = (Encoding::Plain, plain);
+        for (e, bytes) in others {
+            if let Some(bytes) = bytes.filter(|b| b.len() < best.1.len()) {
+                best = (e, bytes);
+            }
+        }
+        best
+    }
+
+    fn reference_section(col: &ColumnVec, rows: &[usize]) -> Section {
+        let mut values = ColumnBuilder::default();
+        values.add_rows(col, rows.iter().copied());
+        let values = values.into_column();
+        reference_smallest(encode_plain(&values), reference_leaf_candidates(&values))
+    }
+
+    /// Every encoding of `col` the chooser compares with Plain, in the
+    /// order that breaks ties (`all` lifts the bars on runs and distinct
+    /// cells, for a test that names its encoding).
+    fn reference_candidates(col: &ColumnVec, all: bool) -> Vec<Made> {
+        let n = col.len();
+        let runs = reference_runs(col);
+        let limit = if all { MAX_DICT } else { MAX_DICT.min(n / 2) };
+        let dict = reference_dictionary(col, limit);
+        let rle = (all || runs.len() * 2 <= n)
+            .then(|| encode_rle_v2(n, &runs, &reference_section(col, &runs)));
+        let dict = dict.map(|d| encode_dict_v2(&d, &reference_section(col, &d.0)));
+        let nesting = [(Encoding::RleV2, rle), (Encoding::DictV2, dict)];
+        (nesting.into_iter().chain(reference_leaf_candidates(col))).collect()
+    }
+
+    /// What [`encode_column`] must return.
+    fn reference_encode_column(col: &ColumnVec) -> Section {
+        match col.is_empty() {
+            true => (Encoding::Plain, Vec::new()),
+            false => reference_smallest(encode_plain(col), reference_candidates(col, false)),
+        }
+    }
+
+    /// Encodes with a specific encoding. Errors when the encoding doesn't
+    /// apply to this vector (e.g. IntPack on strings).
+    fn encode_column_with(col: &ColumnVec, enc: Encoding) -> VortexResult<Vec<u8>> {
+        let plain = [(Encoding::Plain, Some(encode_plain(col)))];
+        let mut made = plain.into_iter().chain(reference_candidates(col, true));
+        let named = made.find_map(|(e, bytes)| bytes.filter(|_| e == enc));
+        named.ok_or_else(|| VortexError::InvalidArgument(format!("{enc:?} does not apply here")))
     }
 
     /// The leaf vector of these cells, as the block builder holds them.
@@ -1922,13 +2293,114 @@ pub(crate) mod tests {
         Some(out)
     }
 
+    /// The trainer the sorting one replaced: occurrences per (word, len)
+    /// in an open-addressed table (slot `at` holds a substring's word in
+    /// `words` and `count << 4 | len` in `tally`, 0 = free), ranked the
+    /// same way. The symbols, in code order.
+    fn hashing_fsst_table(values: &[&[u8]]) -> Vec<(u64, u8)> {
+        const SAMPLE_BUDGET: usize = 4096;
+        const SLOTS: usize = 16 * SAMPLE_BUDGET;
+        let mut words = vec![0u64; SLOTS];
+        let mut tally = vec![0u32; SLOTS];
+        let mut used: Vec<u32> = Vec::new();
+        let mut budget = SAMPLE_BUDGET;
+        for v in values {
+            let v = &v[..v.len().min(budget)];
+            budget -= v.len();
+            for pos in 0..v.len() {
+                let window = le_uint(&v[pos..v.len().min(pos + FSST_MAX_SYM)]) as u64;
+                for len in 1..=FSST_MAX_SYM.min(v.len() - pos) {
+                    let word = low_bytes(window, len);
+                    let hash = (word ^ len as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                    let mut at = (hash >> 40) as usize % SLOTS;
+                    while tally[at] != 0 && (words[at], tally[at] as usize & 15) != (word, len) {
+                        at = (at + 1) % SLOTS;
+                    }
+                    if tally[at] == 0 {
+                        (words[at], tally[at]) = (word, len as u32);
+                        used.push(at as u32);
+                    }
+                    tally[at] += 1 << 4;
+                }
+            }
+        }
+        let counted = used
+            .iter()
+            .map(|&at| (words[at as usize], tally[at as usize]));
+        let mut ranked: Vec<(Reverse<u64>, u64, u8)> = counted
+            .filter(|&(_, tally)| tally >> 4 >= 2)
+            .map(|(word, tally)| {
+                let (n, len) = ((tally >> 4) as u64, tally as u8 & 15);
+                (Reverse(n * (len as u64 - 1).max(1)), word.swap_bytes(), len)
+            })
+            .collect();
+        ranked.sort_unstable();
+        ranked.truncate(FSST_ESCAPE as usize - 1);
+        (ranked.iter())
+            .map(|&(_, bytes, len)| (bytes.swap_bytes(), len))
+            .collect()
+    }
+
+    /// The matcher the two-byte lookup replaced: the first symbol that
+    /// fits, of those that start with the byte, longest first.
+    fn linear_fsst_codes(symbols: &[(u64, u8)], s: &[u8]) -> Vec<u8> {
+        let mut by_len: Vec<(u64, u8, u8)> = (symbols.iter().zip(0u8..))
+            .map(|(&(word, len), code)| (word, len, code))
+            .collect();
+        by_len.sort_by_key(|&(_, len, _)| Reverse(len));
+        let (mut out, mut pos) = (Vec::new(), 0usize);
+        while pos < s.len() {
+            let left = &s[pos..];
+            let fits = |&&(word, len, _): &&(u64, u8, u8)| {
+                left.starts_with(&word.to_le_bytes()[..len as usize])
+            };
+            match by_len.iter().find(fits) {
+                Some(&(_, len, code)) => {
+                    out.push(code);
+                    pos += len as usize;
+                }
+                None => {
+                    out.extend_from_slice(&[FSST_ESCAPE, s[pos]]);
+                    pos += 1;
+                }
+            }
+        }
+        out
+    }
+
+    /// A table's symbols, in code order.
+    fn trained(table: &FsstTable) -> Vec<(u64, u8)> {
+        let coded = table.symbols.iter().zip(0u8..);
+        coded
+            .map(|(&(word, len, code), at)| {
+                assert_eq!(code, at);
+                (word, len)
+            })
+            .collect()
+    }
+
+    /// The sorting trainer builds the hashing one's table, and the
+    /// two-byte lookup emits the linear matcher's codes.
+    fn assert_fsst_table_and_codes(values: &[&[u8]]) {
+        let table = FsstTable::build(values.iter().copied());
+        let symbols = trained(&table);
+        assert_eq!(symbols, hashing_fsst_table(values));
+        for v in values {
+            let mut codes = Vec::new();
+            table.emit_codes(v, &mut codes);
+            assert_eq!(codes, linear_fsst_codes(&symbols, v), "{v:?}");
+        }
+    }
+
     fn assert_fsst_matches_reference(values: &[Option<Vec<u8>>]) {
         let cells: Vec<Value> = (values.iter().cloned())
             .map(|v| v.map_or(Value::Null, Value::Bytes))
             .collect();
         let col = leaf(&cells);
-        let got = try_encode_fsst(&col);
+        let got = try_encode_fsst(&col, usize::MAX);
         assert_eq!(got, reference_fsst_chunk(values));
+        let slices: Vec<&[u8]> = values.iter().flatten().map(Vec::as_slice).collect();
+        assert_fsst_table_and_codes(&slices);
         if let Some(bytes) = got {
             assert_eq!(
                 decode_chunk(Encoding::Fsst, &bytes, cells.len()).unwrap(),
@@ -1957,9 +2429,211 @@ pub(crate) mod tests {
         assert_fsst_matches_reference(&[rep(b"\xff\xfe", 33), None, None, rep(b"\xff", 3)]);
     }
 
+    /// Order-note text as the benchmark writes it, seeded random strings,
+    /// values of 0 / 1 / 8 / 9 bytes, and a sample the budget cuts in the
+    /// middle of a value whose tail then must not train the table.
+    #[test]
+    fn fsst_trains_and_matches_as_the_hashing_trainer_and_linear_matcher() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let notes: Vec<Vec<u8>> = (0..300)
+            .map(|i| format!("order note {:016x} for the ledger, line {i:04}", next()).into_bytes())
+            .collect();
+        let random: Vec<Vec<u8>> = (0..200)
+            .map(|_| {
+                (0..next() % 40)
+                    .map(|_| b"ab\0c \xff"[(next() % 6) as usize])
+                    .collect()
+            })
+            .collect();
+        let sized: Vec<Vec<u8>> = [0usize, 1, 8, 9, 8, 1, 9, 0, 9]
+            .iter()
+            .map(|&n| b"abcabcabc"[..n].to_vec())
+            .collect();
+        let mut cut = vec![b"xy".repeat(2047), b"xyzzy plugh".repeat(40)];
+        for values in [&notes, &random, &sized, &cut.clone()] {
+            let slices: Vec<&[u8]> = values.iter().map(Vec::as_slice).collect();
+            assert_fsst_table_and_codes(&slices);
+        }
+        // What lies past the budget leaves the table as it was.
+        let slices =
+            |values: &[Vec<u8>]| trained(&FsstTable::build(values.iter().map(Vec::as_slice)));
+        let before = slices(&cut);
+        cut[1].truncate(2);
+        cut.push(b"never sampled".repeat(9));
+        assert_eq!(slices(&cut), before);
+    }
+
+    /// Word-at-a-time packing writes the bytes the byte loop wrote, and
+    /// `BitReader` reads the values back, at every width.
+    #[test]
+    fn pack_bits_matches_the_byte_loop() {
+        fn pack_bytewise(out: &mut Vec<u8>, vals: &[u64], width: u8) {
+            let (mut acc, mut nbits) = (0u128, 0u32);
+            for &v in vals {
+                acc |= (v as u128) << nbits;
+                nbits += width as u32;
+                while nbits >= 8 {
+                    out.push(acc as u8);
+                    acc >>= 8;
+                    nbits -= 8;
+                }
+            }
+            if nbits > 0 {
+                out.push(acc as u8);
+            }
+        }
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        for width in 1..=64u8 {
+            for len in 0..=130usize {
+                let vals: Vec<u64> = (0..len)
+                    .map(|_| {
+                        state ^= state << 13;
+                        state ^= state >> 7;
+                        state ^= state << 17;
+                        state >> (64 - width as u32)
+                    })
+                    .collect();
+                let (mut got, mut want) = (vec![0xAB], vec![0xAB]);
+                pack_bits(&mut got, vals.iter().copied(), width);
+                pack_bytewise(&mut want, &vals, width);
+                assert_eq!(got, want, "width {width}, {len} values");
+                let mut bits = BitReader::new(&got, &mut 1, len, width).unwrap();
+                let back: Vec<u64> = vals.iter().map(|_| bits.next_value()).collect();
+                assert_eq!(back, vals, "width {width}, {len} values");
+            }
+        }
+    }
+
+    /// A dictionary is in first-appearance order whatever the hasher's
+    /// keys: two keyings that hash differently number alike.
+    #[test]
+    fn the_hashers_keys_reach_no_dictionary() {
+        let cells: Vec<Value> = (0..3000u64)
+            .map(|i| match i % 7 {
+                0 => Value::Null,
+                _ => Value::String(format!("cust-{:05}", i.wrapping_mul(0x9E37_79B9) % 600)),
+            })
+            .collect();
+        let col = leaf(&cells);
+        let numbered = |keys| {
+            with_hasher_keys(keys, || {
+                let d: Dictionary = keyed(&col, || Numbering { limit: usize::MAX }).unwrap();
+                (d.0, d.1, cell_hasher().hash_one(b"cust-00001".as_slice()))
+            })
+        };
+        let (a, b) = (numbered([1, 2]), numbered([0xDEAD_BEEF, 0x5EED]));
+        assert_eq!((&a.0, &a.1), (&b.0, &b.1));
+        assert_ne!(a.2, b.2);
+        assert!(a.0.len() > 100);
+        let want = reference_dictionary(&col, usize::MAX).unwrap();
+        assert_eq!((a.0, a.1), want);
+    }
+
     mod properties {
         use super::*;
         use proptest::prelude::*;
+
+        /// One column of one leaf family — Int64 / Date / Timestamp, each
+        /// also at the extremes where a delta frame leaves `u64` and is
+        /// refused; Float64 with NaN and -0.0; String / Json / Bytes; Bool;
+        /// Numeric; cells only `Any` holds — in one shape: constant,
+        /// arithmetic, runs, low cardinality, unique, empty, one row;
+        /// with or without NULLs.
+        fn shaped_column_strategy() -> impl Strategy<Value = Vec<Value>> {
+            let knobs = (0usize..12, 0usize..7, any::<bool>(), any::<u64>(), 2u64..80);
+            knobs.prop_map(|(family, shape, nulls, seed, len)| {
+                let mix = |i: u64| {
+                    (seed ^ i)
+                        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                        .rotate_left(29)
+                };
+                let micros = |k: u64| Value::Timestamp(Timestamp::from_micros(k));
+                let cell = |k: u64| match family {
+                    0 => Value::Int64(k as i64 * 7 - 50),
+                    1 => Value::Int64([i64::MIN, i64::MAX, 0, -1][(k % 4) as usize]),
+                    2 => Value::Date(k as i32 * 3 - 40),
+                    3 => Value::Date([i32::MIN, i32::MAX][(k % 2) as usize]),
+                    4 => micros(1_700_000_000_000_000 + k * 1000),
+                    5 => micros([u64::MAX, 0, 1 << 63, 77][(k % 4) as usize]),
+                    6 => Value::Float64(match k % 5 {
+                        0 => f64::NAN,
+                        1 => -0.0,
+                        2 => std::f64::consts::PI,
+                        _ => k as f64 / 100.0,
+                    }),
+                    7 => Value::String(format!("order note {k:04} for the ledger é")),
+                    8 => match k % 2 {
+                        0 => Value::Json(format!(r#"{{"region":"us","n":{k}}}"#)),
+                        _ => Value::Json("{}".into()),
+                    },
+                    9 => Value::Bytes(
+                        format!("\u{0}\u{ff}{k:x}")
+                            .repeat(1 + k as usize % 3)
+                            .into_bytes(),
+                    ),
+                    10 => match k % 2 {
+                        0 => Value::Bool(k % 4 == 0),
+                        _ => Value::Numeric(k as i128 * -1_000_000_007),
+                    },
+                    _ => match k % 3 {
+                        0 => Value::Array(vec![Value::Int64(k as i64), Value::Null]),
+                        1 => Value::Struct(vec![Value::String(format!("{k}"))]),
+                        _ => Value::Int64(k as i64),
+                    },
+                };
+                let rows = [len, len, len, len, len, 0, 1][shape];
+                let row = |i: u64| match shape {
+                    _ if nulls && mix(i) % 4 == 0 => Value::Null,
+                    0 => cell(3),
+                    2 => cell(i / 5),
+                    3 => cell(mix(i) % 4),
+                    4 => cell(mix(i) % 1000),
+                    _ => cell(i),
+                };
+                (0..rows).map(row).collect()
+            })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(1024))]
+
+            /// The sizers are the encoders' lengths: what the profile says
+            /// a Plain, an IntPack of either form, an RleV2 or a DictV2
+            /// chunk takes is what the chunk takes, a form it says does
+            /// not apply is one that errors, and the chooser that sizes
+            /// first returns the encoding and the bytes of the one that
+            /// encoded everything.
+            #[test]
+            fn the_sizers_are_the_encoders_lengths(vals in shaped_column_strategy()) {
+                let col = leaf(&vals);
+                let (p, n) = (profile(&col), col.len());
+                let len_of = |enc| encode_column_with(&col, enc).ok().map(|b| b.len());
+                prop_assert_eq!(Some(p.plain), len_of(Encoding::Plain));
+                prop_assert_eq!(p.nulls, vals.iter().filter(|v| v.is_null()).count());
+                let forms = intpack_forms(n, &p);
+                for (form, delta) in forms.iter().zip([false, true]) {
+                    let made = reference_intpack(&col, delta);
+                    prop_assert_eq!(form.map(|f| f.0), made.map(|b| b.len()), "delta: {}", delta);
+                }
+                let applies = forms.iter().any(Option::is_some);
+                prop_assert_eq!(applies, encode_column_with(&col, Encoding::IntPack).is_ok());
+                if n > 0 {
+                    prop_assert_eq!(&p.runs, &reference_runs(&col));
+                    let rle = rle_len(n, &p.runs, &section(&col, &p.runs));
+                    prop_assert_eq!(Some(rle), len_of(Encoding::RleV2));
+                    let firsts = distinct_rows(&col);
+                    let dict = dict_len(n, firsts.len(), &section(&col, &firsts));
+                    prop_assert_eq!(Some(dict), len_of(Encoding::DictV2));
+                }
+                prop_assert_eq!(encode_column(&col), reference_encode_column(&col));
+            }
+        }
 
         /// Byte strings over the first 2–5 letters of an alphabet that
         /// has NUL and 0xFF in it (so scores tie and symbols repeat):
@@ -2139,8 +2813,8 @@ pub(crate) mod tests {
                     let mut chunks: Vec<(Encoding, Vec<u8>)> = (ALL_ENCODINGS.into_iter())
                         .filter_map(|enc| Some((enc, encode_column_with(&col, enc).ok()?)))
                         .collect();
-                    if let ColumnVec::I64(_, p) = &col {
-                        let forms = [false, true].map(|d| intpack_bytes(TY_INT64, &col, &non_null(p), d));
+                    if let ColumnVec::I64(..) = &col {
+                        let forms = [false, true].map(|d| reference_intpack(&col, d));
                         chunks.extend(forms.into_iter().flatten().map(|b| (Encoding::IntPack, b)));
                     }
                     for (enc, bytes) in chunks {

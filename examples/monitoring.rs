@@ -211,6 +211,14 @@ fn main() -> vortex::VortexResult<()> {
         counter("scan.rows_matched"),
         counter("scan.cells_decoded")
     );
+    let (chunks, encoded) = (
+        counter("ros.chunks_built"),
+        counter("ros.candidates_encoded"),
+    );
+    println!(
+        "optimizer: {chunks} ROS chunks built from {encoded} candidates encoded ({:.2} per chunk)",
+        encoded as f64 / chunks.max(1) as f64
+    );
     println!(
         "read cache: {} hits, {} misses; tails extended by {} bytes read, {} rows decoded",
         counter("scan.cache.hits"),

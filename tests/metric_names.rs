@@ -34,6 +34,8 @@ counter colossus.cls-1499.reads
 counter colossus.cls-2828.bytes_read
 counter colossus.cls-2828.reads
 counter freshness.rows_observed
+counter ros.candidates_encoded
+counter ros.chunks_built
 counter ros.row_metas_built
 counter scan.bytes_fetched
 counter scan.cache.hits
