@@ -40,7 +40,7 @@ pub mod bucket;
 pub mod limiter;
 
 pub use bucket::TokenBucket;
-pub use limiter::{AimdConfig, AimdLimiter};
+pub use limiter::AimdLimiter;
 
 /// Rate quota for one principal (tenant or table). `0` = unlimited on
 /// that axis.
@@ -90,8 +90,6 @@ pub struct AdmissionConfig {
     /// attempt is shed instead. Background's bound should be 0: shed the
     /// lowest class first rather than queueing deferrable work.
     pub class_queue_us: [u64; 3],
-    /// The concurrency window.
-    pub aimd: AimdConfig,
     /// Methods that bypass policy entirely (liveness traffic — shedding
     /// heartbeats would turn overload into spurious failure detection).
     pub exempt_methods: Vec<&'static str>,
@@ -104,7 +102,6 @@ impl Default for AdmissionConfig {
             tenant_quota: Quota::UNLIMITED,
             table_quota: Quota::UNLIMITED,
             class_queue_us: [2_000_000, 500_000, 0],
-            aimd: AimdConfig::default(),
             exempt_methods: vec!["heartbeat"],
         }
     }
@@ -256,9 +253,9 @@ impl AdmissionController {
     /// Builds a controller (wrap in `Arc` via this constructor so it can
     /// be installed on multiple channels).
     pub fn new(cfg: AdmissionConfig) -> Arc<Self> {
-        let limiter = AimdLimiter::new(cfg.aimd.clone());
+        let limiter = AimdLimiter::new();
         let m = Handles::intern();
-        m.limit.set(cfg.aimd.initial_limit as i64);
+        m.limit.set(limiter::WINDOW as i64);
         Arc::new(AdmissionController {
             cfg,
             inner: Mutex::new(Inner {
@@ -365,7 +362,7 @@ impl RpcInterceptor for AdmissionController {
             // lint:allow(L010, names the bucket in the error a shed returns; an admitted attempt builds no string)
             return Err(self.shed(class, binding.to_string(), wait.max(1)));
         }
-        // Adaptive concurrency: shed before committing quota tokens.
+        // The concurrency window: shed before committing quota tokens.
         if let Err(retry_after_us) = limiter.try_acquire(class) {
             drop(guard);
             return Err(self.shed(class, "aimd limit".into(), retry_after_us));
@@ -674,32 +671,18 @@ mod tests {
 
     #[test]
     fn limiter_sheds_with_hint_when_window_full() {
-        let cfg = AdmissionConfig {
-            aimd: AimdConfig {
-                initial_limit: 2,
-                ..AimdConfig::default()
-            },
-            ..AdmissionConfig::default()
-        };
-        let c = AdmissionController::new(cfg);
-        c.admit(
-            "s",
-            "m",
-            ctx(WorkClass::Interactive),
-            0,
-            Timestamp(0),
-            u64::MAX,
-        )
-        .unwrap();
-        c.admit(
-            "s",
-            "m",
-            ctx(WorkClass::Interactive),
-            0,
-            Timestamp(0),
-            u64::MAX,
-        )
-        .unwrap();
+        let c = AdmissionController::new(AdmissionConfig::default());
+        for _ in 0..limiter::WINDOW {
+            c.admit(
+                "s",
+                "m",
+                ctx(WorkClass::Interactive),
+                0,
+                Timestamp(0),
+                u64::MAX,
+            )
+            .unwrap();
+        }
         let err = c
             .admit(
                 "s",
@@ -716,7 +699,7 @@ mod tests {
                 retry_after_us,
             } => {
                 assert_eq!(scope, "aimd limit");
-                assert!(retry_after_us > 0);
+                assert_eq!(retry_after_us, limiter::SHED_RETRY_US);
             }
             other => panic!("expected ResourceExhausted, got {other:?}"),
         }

@@ -10,59 +10,34 @@
 
 use vortex_common::rpc::WorkClass;
 
-/// Static limiter tuning.
-#[derive(Debug, Clone)]
-pub struct AimdConfig {
-    /// The concurrency window.
-    pub initial_limit: u64,
-    /// Backoff hint handed to shed callers, virtual µs (> 0).
-    pub shed_retry_us: u64,
-    /// Per-class share of the window, permille, indexed by
-    /// [`WorkClass::index`]. Lower-priority classes get less headroom so
-    /// they shed first.
-    pub class_headroom_permille: [u64; 3],
-}
-
-impl Default for AimdConfig {
-    fn default() -> Self {
-        AimdConfig {
-            initial_limit: 256,
-            shed_retry_us: 5_000,
-            class_headroom_permille: [1_000, 850, 600],
-        }
-    }
-}
+/// The concurrency window: calls in flight across every channel of a
+/// region (the one value any caller has used since the window was added).
+pub const WINDOW: u64 = 256;
+/// Backoff hint handed to a shed caller, virtual µs (> 0, lint L009).
+pub const SHED_RETRY_US: u64 = 5_000;
+/// Per-class share of the window, permille, indexed by
+/// [`WorkClass::index`]: Batch and Background get less headroom so they
+/// shed first, and Interactive holds the whole window — the limiter
+/// degrades service, it never halts it.
+pub const CLASS_HEADROOM_PERMILLE: [u64; 3] = [1_000, 850, 600];
 
 /// The concurrency limiter. Callers hold the controller's lock, so the
 /// limiter itself is plain mutable state.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct AimdLimiter {
-    cfg: AimdConfig,
     in_flight: u64,
 }
 
 impl AimdLimiter {
     /// A limiter with nothing in flight.
-    pub fn new(cfg: AimdConfig) -> Self {
-        AimdLimiter { cfg, in_flight: 0 }
-    }
-
-    /// Slots the given class may occupy under the window.
-    fn allowed(&self, class: WorkClass) -> u64 {
-        let share =
-            self.cfg.initial_limit * self.cfg.class_headroom_permille[class.index()] / 1_000;
-        // Interactive always gets at least one slot: the limiter degrades
-        // service, it never halts it.
-        match class {
-            WorkClass::Interactive => share.max(1),
-            _ => share,
-        }
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Tries to occupy a slot; `Err(retry_after_us)` = shed.
     pub fn try_acquire(&mut self, class: WorkClass) -> Result<(), u64> {
-        if self.in_flight >= self.allowed(class) {
-            return Err(self.cfg.shed_retry_us.max(1));
+        if self.in_flight >= WINDOW * CLASS_HEADROOM_PERMILLE[class.index()] / 1_000 {
+            return Err(SHED_RETRY_US);
         }
         self.in_flight += 1;
         Ok(())
@@ -89,27 +64,26 @@ impl AimdLimiter {
 mod tests {
     use super::*;
 
+    /// Acquires until `class` is shed; returns the slots it took.
+    fn fill(l: &mut AimdLimiter, class: WorkClass) -> u64 {
+        let mut n = 0;
+        while l.try_acquire(class).is_ok() {
+            n += 1;
+        }
+        n
+    }
+
     #[test]
     fn background_sheds_before_interactive() {
-        let cfg = AimdConfig {
-            initial_limit: 10,
-            ..AimdConfig::default()
-        };
-        let mut l = AimdLimiter::new(cfg);
-        // Fill to the background share (60% of 10 = 6 slots).
-        for _ in 0..6 {
-            l.try_acquire(WorkClass::Background).unwrap();
-        }
-        assert!(l.try_acquire(WorkClass::Background).is_err());
-        // Batch (85%) and interactive (100%) still have headroom.
-        l.try_acquire(WorkClass::Batch).unwrap();
-        l.try_acquire(WorkClass::Batch).unwrap();
-        assert!(l.try_acquire(WorkClass::Batch).is_err());
-        l.try_acquire(WorkClass::Interactive).unwrap();
-        l.try_acquire(WorkClass::Interactive).unwrap();
-        assert!(l.try_acquire(WorkClass::Interactive).is_err());
+        let mut l = AimdLimiter::new();
+        // Fill to the background share (60% of 256 = 153 slots).
+        assert_eq!(fill(&mut l, WorkClass::Background), 153);
+        assert_eq!(l.try_acquire(WorkClass::Background), Err(SHED_RETRY_US));
+        // Batch (85% = 217) and interactive (100%) still have headroom.
+        assert_eq!(fill(&mut l, WorkClass::Batch), 217 - 153);
+        assert_eq!(fill(&mut l, WorkClass::Interactive), WINDOW - 217);
         // Releases reopen the window.
-        for _ in 0..10 {
+        for _ in 0..WINDOW {
             l.release();
         }
         assert_eq!(l.in_flight(), 0);
@@ -118,11 +92,10 @@ mod tests {
 
     #[test]
     fn interactive_always_keeps_one_slot() {
-        let cfg = AimdConfig {
-            initial_limit: 0, // pathological window
-            ..AimdConfig::default()
-        };
-        let mut l = AimdLimiter::new(cfg);
+        let mut l = AimdLimiter::new();
+        assert_eq!(fill(&mut l, WorkClass::Interactive), WINDOW);
+        l.release();
+        // With one slot left, only interactive may take it.
         assert!(l.try_acquire(WorkClass::Background).is_err());
         assert!(l.try_acquire(WorkClass::Batch).is_err());
         l.try_acquire(WorkClass::Interactive).unwrap();

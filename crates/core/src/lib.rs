@@ -84,9 +84,7 @@ pub use daemon::{DaemonConfig, RegionDaemon};
 pub use region::{Region, RegionConfig};
 
 // Re-exports: the public API surface downstream code should use.
-pub use vortex_admission::{
-    AdmissionConfig, AdmissionController, AimdConfig, ClassStats, Quota, TokenBucket,
-};
+pub use vortex_admission::{AdmissionConfig, AdmissionController, ClassStats, Quota, TokenBucket};
 pub use vortex_client::{
     read_table, AppendResult, ReadCache, ReadOptions, StreamWriter, TableRows, VortexClient,
     WriterOptions,

@@ -37,10 +37,6 @@ pub struct ScanOptions {
     /// rows the filter would drop, so such scans read every column of
     /// every visible row and filter + project after resolution.
     pub resolve_changes: bool,
-    /// Consult bloom filters — a WOS fragment's by footer reads, a ROS
-    /// block's in its index — for point predicates on
-    /// partition/clustering columns (§7.2).
-    pub use_bloom: bool,
     /// Parallel scan shards.
     pub parallelism: usize,
     /// Columns the caller needs materialized (`None` = all). Columns
@@ -54,7 +50,6 @@ impl Default for ScanOptions {
         ScanOptions {
             predicate: Expr::True,
             resolve_changes: false,
-            use_bloom: true,
             parallelism: 8,
             projection: None,
         }
@@ -396,7 +391,7 @@ impl QueryEngine {
             let (all, schema) =
                 self.read_into(&tmeta, snapshot, opts, (&Expr::True, None), &rows)?;
             let sink = make(&schema)?;
-            let post = ScanPlan::compile(&opts.predicate, projection, &schema, false, None, &sink)?;
+            let post = ScanPlan::compile(&opts.predicate, projection, &schema, None, &sink)?;
             let mut out = FragmentYield::new(sink);
             let resolved = resolve_changes(&tmeta.schema, all.sink.rows);
             scan_resolved(resolved, &post, &mut out)?;
@@ -465,7 +460,7 @@ impl QueryEngine {
         // predicate kept it.
         let seen = self.probe.as_ref().map(|p| p.seen_through(tmeta.table));
         let sink = make(&rs.schema)?;
-        let plan = ScanPlan::compile(pushed.0, pushed.1, &rs.schema, opts.use_bloom, seen, &sink)?;
+        let plan = ScanPlan::compile(pushed.0, pushed.1, &rs.schema, seen, &sink)?;
         let mut out = FragmentYield::new(sink.clone());
         let stats = &mut out.stats;
         stats.fragments_total = rs.fragments.len();

@@ -337,7 +337,6 @@ impl<'e> ScanPlan<'e> {
         expr: &'e Expr,
         projection: Option<&[String]>,
         schema: &Schema,
-        use_bloom: bool,
         visible_after: Option<Timestamp>,
         sink: &impl Consumer,
     ) -> VortexResult<Self> {
@@ -351,12 +350,12 @@ impl<'e> ScanPlan<'e> {
         // A literal of another type than the column's can equal a stored
         // cell (3 = 3.0) under a different key, so only a literal of the
         // declared type is worth a lookup.
-        let partition = schema.partition.iter().map(|p| &p.column);
+        let key_columns = schema.partition.iter().map(|p| &p.column);
+        let key_columns = key_columns.chain(&schema.clustering);
         let point = |c: &String| {
             let (i, v) = (schema.column_index(c)?, expr.required_point(c)?);
             (schema.fields[i].ftype.name() == v.type_name()).then(|| v.encode_key())
         };
-        let key_columns = partition.chain(&schema.clustering).filter(|_| use_bloom);
         let mut plan = ScanPlan {
             pred: CPred::compile(expr, schema)?,
             keep,

@@ -246,18 +246,6 @@ fn bloom_pruning_on_wos_fragments() {
         "{:?}",
         res.stats
     );
-    // With bloom disabled, more fragments get scanned.
-    let opts_nb = ScanOptions {
-        predicate: Expr::eq("customer", Value::String("part2-cust7".into())),
-        use_bloom: false,
-        ..ScanOptions::default()
-    };
-    let res_nb = r
-        .engine
-        .scan(t.table, r.sms.read_snapshot(), &opts_nb)
-        .unwrap();
-    assert_eq!(res_nb.rows.len(), 1);
-    assert!(res_nb.stats.rows_scanned >= res.stats.rows_scanned);
 }
 
 #[test]

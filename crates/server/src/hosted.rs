@@ -1,10 +1,13 @@
 //! Per-streamlet write state: the heart of the data plane.
 //!
 //! A [`HostedStreamlet`] owns the current fragment's [`FragmentWriter`],
-//! performs the dual-cluster synchronous writes, accumulates column
-//! properties and bloom keys, and runs the paper's error path: failed
-//! replica write → close fragment → retry on the next fragment → on
-//! repeated failure, finalize the streamlet (§5.3, §5.6).
+//! accumulates column properties and bloom keys, and lands every byte it
+//! writes — headers, data groups, commit and flush records, footers —
+//! through one dual-cluster write with the sole-writer check
+//! (`CurrentFragment::write`) and one rule for its failures
+//! (`HostedStreamlet::land`): failed replica write → close fragment →
+//! retry on the next fragment → on repeated failure, finalize the
+//! streamlet; foreign bytes relinquish it (§5.3, §5.6).
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -12,7 +15,7 @@ use std::sync::Arc;
 use vortex_colossus::StorageFleet;
 use vortex_common::bloom::BloomFilter;
 use vortex_common::error::{VortexError, VortexResult};
-use vortex_common::ids::{FragmentId, IdGen};
+use vortex_common::ids::{ClusterId, FragmentId, IdGen};
 use vortex_common::obs::{self, Counter, Histogram};
 use vortex_common::row::{Row, RowSet};
 use vortex_common::stats::ColumnStats;
@@ -27,21 +30,81 @@ use crate::wal::WalEvent;
 
 pub use vortex_sms::server_ctl::AppendAck;
 
+/// Idle period after which a lone commit record is written (§7.1: "after
+/// a small period of inactivity"): 100 ms of virtual time. A writer that
+/// appends more often than that gets its tail committed by its next data
+/// block instead, at no extra write.
+pub(crate) const COMMIT_IDLE_MICROS: u64 = 100_000;
+
+/// What a streamlet borrows from the shard that owns it in order to
+/// write.
+pub struct ShardEnv {
+    /// The server's configuration (block and fragment sizes, home cluster).
+    pub cfg: ServerConfig,
+    /// The replica clusters.
+    pub fleet: StorageFleet,
+    /// Record timestamps.
+    pub tt: TrueTime,
+    /// Fragment ids.
+    pub ids: Arc<IdGen>,
+}
+
 /// State of one fragment currently being written.
 struct CurrentFragment {
     writer: FragmentWriter,
     fragment: FragmentId,
     ordinal: u32,
     path: String,
+    clusters: [ClusterId; 2],
     stats: Vec<(usize, String, ColumnStats)>,
     bloom_keys: HashSet<Vec<u8>>,
     ts_range: Option<(Timestamp, Timestamp)>,
     dirty: bool,
-    /// Expected log-file length per replica cluster. The server assumes
-    /// it is the sole writer; a length mismatch after an append means a
-    /// foreign record (a reconciliation sentinel, §5.6) landed in the
-    /// file — ownership is relinquished immediately.
-    expected_lens: [u64; 2],
+    /// The length both replica files have, by the sole-writer rule: the
+    /// fragment's acked extent. A fresh fragment starts at 0.
+    len: u64,
+}
+
+impl CurrentFragment {
+    /// The one dual write (§5.6): appends `bytes` to the log file in both
+    /// replica clusters, then holds both to the sole-writer rule — each
+    /// file must have grown from `len` by exactly our bytes, otherwise a
+    /// foreign record (a reconciler's sentinel) got in and ownership is
+    /// gone (`LeaseLost`). A header therefore expects empty files. Returns
+    /// (service µs, completion).
+    fn write(
+        &mut self,
+        fleet: &StorageFleet,
+        replica_write_us: &Histogram,
+        bytes: &[u8],
+        start: Timestamp,
+    ) -> VortexResult<(u64, Timestamp)> {
+        let want = self.len + bytes.len() as u64;
+        let (mut service, mut completion, mut lens) = (0u64, Timestamp::MIN, [0u64; 2]);
+        for (i, c) in self.clusters.into_iter().enumerate() {
+            if i == 1 {
+                // One replica now has the bytes and the other does not —
+                // the §5.6 worst-case instruction for a process death;
+                // reconciliation must converge on the common prefix.
+                vortex_common::crash_point!("server.replica.mid_write");
+            }
+            let out = fleet.get(c)?.append(&self.path, bytes, start)?;
+            // The two replica writes run in parallel in production; the
+            // ack waits on the slower, which is what the clock records.
+            service = service.max(out.service_us);
+            completion = completion.max(out.completion);
+            lens[i] = out.new_len;
+        }
+        replica_write_us.record(service);
+        if lens != [want; 2] {
+            return Err(VortexError::LeaseLost(format!(
+                "foreign bytes in {}: expected length {want}, observed {lens:?}",
+                self.path
+            )));
+        }
+        self.len = want;
+        Ok((service, completion))
+    }
 }
 
 /// A fragment this streamlet finished writing.
@@ -149,7 +212,7 @@ pub struct GroupAppend<'a> {
 }
 
 /// A staged encoded block: `entry`'s rows `[lo, hi)`, encoded at `ts`,
-/// sitting in the group arena awaiting the next flush.
+/// sitting in the group arena awaiting the next landing.
 struct StagedChunk {
     entry: usize,
     lo: usize,
@@ -189,12 +252,7 @@ impl GroupScratch {
 impl HostedStreamlet {
     /// Opens the streamlet: creates fragment 0 by writing its header to
     /// both replica clusters.
-    pub fn open(
-        spec: StreamletSpec,
-        ids: &IdGen,
-        fleet: &StorageFleet,
-        tt: &TrueTime,
-    ) -> VortexResult<Self> {
+    pub fn open(spec: StreamletSpec, env: &ShardEnv) -> VortexResult<Self> {
         let tracked_cols = spec.schema.tracked_columns();
         let key_cols = key_columns(&spec);
         let mut sl = Self {
@@ -214,18 +272,17 @@ impl HostedStreamlet {
             wal_logged_seals: 0,
             m: AppendMetrics::intern(),
         };
-        sl.open_fragment(0, ids, fleet, tt)?;
+        sl.open_fragment(env)?;
         Ok(sl)
     }
 
-    fn open_fragment(
-        &mut self,
-        ordinal: u32,
-        ids: &IdGen,
-        fleet: &StorageFleet,
-        tt: &TrueTime,
-    ) -> VortexResult<()> {
-        let fragment = ids.next_fragment();
+    /// Opens the fragment after the last one done, with a File Map
+    /// covering every previous fragment; its header must land on empty
+    /// files (a previous incarnation or a zombie owning the path is
+    /// foreign bytes).
+    fn open_fragment(&mut self, env: &ShardEnv) -> VortexResult<()> {
+        let ordinal = self.done.last().map_or(0, |d| d.ordinal + 1);
+        let fragment = env.ids.next_fragment();
         let cfg = FragmentConfig {
             streamlet: self.spec.streamlet,
             fragment,
@@ -245,169 +302,131 @@ impl HostedStreamlet {
             })
             .collect();
         let (writer, header) =
-            FragmentWriter::new(cfg, self.rows_acked, file_map, tt.record_timestamp());
-        let path = wos_path(self.spec.table, self.spec.streamlet, ordinal);
-        let header_len = header.len() as u64;
-        let (_, _, lens) = self.write_both(fleet, &path, &header, Timestamp::MIN)?;
-        // A fresh fragment file must contain exactly our header; anything
-        // else means a previous incarnation (or a zombie) owns the path.
-        if lens != [header_len, header_len] {
-            return Err(VortexError::LeaseLost(format!(
-                "fragment file {path} not empty at open: {lens:?}"
-            )));
-        }
-        let stats = self
-            .tracked_cols
-            .iter()
-            .map(|(i, n)| (*i, n.clone(), ColumnStats::new()))
-            .collect();
-        self.current = Some(CurrentFragment {
+            FragmentWriter::new(cfg, self.rows_acked, file_map, env.tt.record_timestamp());
+        let mut cur = CurrentFragment {
             writer,
             fragment,
             ordinal,
-            path,
-            stats,
+            path: wos_path(self.spec.table, self.spec.streamlet, ordinal),
+            clusters: self.spec.clusters,
+            stats: self
+                .tracked_cols
+                .iter()
+                .map(|(i, n)| (*i, n.clone(), ColumnStats::new()))
+                .collect(),
             bloom_keys: HashSet::new(),
             ts_range: None,
             dirty: true,
-            expected_lens: [header_len, header_len],
-        });
+            len: 0,
+        };
+        let m = &self.m.replica_write_us;
+        cur.write(&env.fleet, m, &header, Timestamp::MIN)?;
+        self.current = Some(cur);
         Ok(())
     }
 
-    /// Appends `bytes` to the same path in both replica clusters —
-    /// physical replication (§5.6). Returns (service_us, completion).
-    fn write_both(
-        &self,
-        fleet: &StorageFleet,
-        path: &str,
-        bytes: &[u8],
-        start: Timestamp,
-    ) -> VortexResult<(u64, Timestamp, [u64; 2])> {
-        let mut completion = Timestamp::MIN;
-        // The two replica writes happen in parallel in production; the
-        // latency is their max, which is what the virtual clock records.
-        let mut max_service = 0u64;
-        let mut lens = [0u64; 2];
-        for (i, c) in self.spec.clusters.into_iter().enumerate() {
-            if i == 1 {
-                // One replica now has the bytes and the other does not —
-                // the §5.6 worst-case instruction for a process death;
-                // reconciliation must converge on the common prefix.
-                vortex_common::crash_point!("server.replica.mid_write");
-            }
-            let cluster = fleet.get(c)?;
-            let out = cluster.append(path, bytes, start)?;
-            max_service = max_service.max(out.service_us);
-            completion = completion.max(out.completion);
-            lens[i] = out.new_len;
-        }
-        // Colossus replica-write leg of the append span: the max of the
-        // two synchronous replica writes (§5.6) is what the ack waits on.
-        self.m.replica_write_us.record(max_service);
-        Ok((max_service, completion, lens))
-    }
-
-    /// Dual write with the sole-writer check: the append only counts if
-    /// BOTH files grew by exactly our bytes from the expected lengths —
-    /// otherwise a sentinel (or any foreign writer) got in and ownership
-    /// is gone (§5.6: the sentinel "causes it to relinquish ownership").
-    fn write_owned(
-        &mut self,
-        fleet: &StorageFleet,
-        bytes: &[u8],
-        start: Timestamp,
-    ) -> VortexResult<(u64, Timestamp)> {
-        let cur = self
-            .current
-            .as_ref()
-            .ok_or(VortexError::StreamletFinalized(self.spec.streamlet))?;
-        let expected = cur.expected_lens;
-        let (svc, done, lens) = self.write_both(fleet, &cur.path, bytes, start)?;
-        let want = [
-            expected[0] + bytes.len() as u64,
-            expected[1] + bytes.len() as u64,
-        ];
-        if lens != want {
-            let path = self
-                .current
-                .as_ref()
-                .map(|c| c.path.as_str())
-                .unwrap_or("<closed>");
-            return Err(VortexError::LeaseLost(format!(
-                "foreign bytes in {path}: expected lens {want:?}, observed {lens:?}"
-            )));
-        }
-        if let Some(cur) = self.current.as_mut() {
-            cur.expected_lens = want;
-        }
-        Ok((svc, done))
-    }
-
-    /// Rotates to the next fragment: records the current one as done
-    /// (optionally writing bloom + footer) and opens the next with a File
-    /// Map covering all previous fragments.
-    fn rotate(
-        &mut self,
-        write_footer: bool,
-        ids: &IdGen,
-        fleet: &StorageFleet,
-        tt: &TrueTime,
-    ) -> VortexResult<()> {
-        let cur = self
-            .current
-            .take()
-            .ok_or_else(|| VortexError::Internal("rotate without current fragment".into()))?;
-        let done = self.seal_fragment(cur, write_footer, fleet, tt);
-        let next_ordinal = done.ordinal + 1;
-        self.done.push(done);
-        self.open_fragment(next_ordinal, ids, fleet, tt)
-    }
-
-    /// Seals a fragment: writes bloom + footer when asked (and possible),
-    /// and produces its [`DoneFragment`] record.
-    fn seal_fragment(
-        &mut self,
-        mut cur: CurrentFragment,
-        write_footer: bool,
-        fleet: &StorageFleet,
-        tt: &TrueTime,
-    ) -> DoneFragment {
-        let first_row = cur.writer.first_row();
-        let row_count = cur.writer.rows_written();
-        let mut committed_size = cur.writer.logical_size();
-        if write_footer {
+    /// Closes the current fragment into `done`. With `footer`, bloom +
+    /// footer are written best-effort: a failed or poisoned footer write
+    /// leaves the committed size where it was. Without one (a replica is
+    /// failing) the fragment ends at its acked extent, which the next
+    /// fragment's File Map records (§5.6).
+    fn close_current(&mut self, env: &ShardEnv, footer: bool) {
+        let Some(mut cur) = self.current.take() else {
+            return;
+        };
+        if footer {
             let mut bloom = BloomFilter::with_capacity(cur.bloom_keys.len().max(16), 0.01);
             for k in &cur.bloom_keys {
                 bloom.insert(k);
             }
-            if let Ok(chunk) = cur.writer.finalize(&bloom, tt.record_timestamp()) {
-                // Best-effort, but still length-checked: a poisoned file
-                // must not have its committed size extended.
-                let want = [
-                    cur.expected_lens[0] + chunk.len() as u64,
-                    cur.expected_lens[1] + chunk.len() as u64,
-                ];
-                if let Ok((_, _, lens)) = self.write_both(fleet, &cur.path, &chunk, Timestamp::MIN)
-                {
-                    if lens == want {
-                        cur.expected_lens = want;
-                        committed_size = cur.writer.logical_size();
-                        self.uncommitted_tail = false;
-                    }
+            if let Ok(chunk) = cur.writer.finalize(&bloom, env.tt.record_timestamp()) {
+                let m = &self.m.replica_write_us;
+                if cur.write(&env.fleet, m, &chunk, Timestamp::MIN).is_ok() {
+                    self.uncommitted_tail = false;
                 }
             }
         }
-        DoneFragment {
+        self.done.push(DoneFragment {
             fragment: cur.fragment,
             ordinal: cur.ordinal,
-            first_row,
-            row_count,
-            committed_size,
+            first_row: cur.writer.first_row(),
+            row_count: self.rows_acked - cur.writer.first_row(),
+            committed_size: cur.len,
             stats: cur.stats.drain(..).map(|(_, n, s)| (n, s)).collect(),
             ts_range: cur.ts_range,
             dirty: true,
+        });
+    }
+
+    /// Rotates at max size: seals the current fragment with bloom +
+    /// footer and opens the next. Failing to open it finalizes the
+    /// streamlet, like any write the rule gives up on.
+    fn rotate(&mut self, env: &ShardEnv) -> VortexResult<()> {
+        self.close_current(env, true);
+        self.open_fragment(env).map_err(|e| self.fail(e))
+    }
+
+    /// The §5.3 write rule — the one way a record reaches the log. Lands
+    /// `bytes` (already encoded for the current fragment; when empty,
+    /// `encode` makes them) with one dual write. A failure is sorted into
+    /// one of four outcomes: a simulated crash unwinds untouched, foreign
+    /// bytes relinquish the streamlet, and a first failure — the write may
+    /// be torn in one replica — closes the fragment at its acked extent,
+    /// opens the next one, re-`encode`s there and retries once; a second
+    /// failure, or failing to open the next fragment, finalizes the
+    /// streamlet ([`Self::fail`]). Returns the write's (service µs,
+    /// completion).
+    fn land(
+        &mut self,
+        env: &ShardEnv,
+        bytes: &mut Vec<u8>,
+        start: Timestamp,
+        encode: impl Fn(&mut FragmentWriter) -> VortexResult<Vec<u8>>,
+    ) -> VortexResult<(u64, Timestamp)> {
+        let mut retried = false;
+        loop {
+            let cur = self
+                .current
+                .as_mut()
+                .ok_or(VortexError::StreamletFinalized(self.spec.streamlet))?;
+            if bytes.is_empty() {
+                *bytes = encode(&mut cur.writer)?;
+            }
+            let e = match cur.write(&env.fleet, &self.m.replica_write_us, bytes, start) {
+                Ok(landed) => return Ok(landed),
+                Err(e) => e,
+            };
+            let terminal = matches!(
+                e,
+                VortexError::SimulatedCrash(_) | VortexError::LeaseLost(_)
+            );
+            if retried || terminal {
+                return Err(self.fail(e));
+            }
+            retried = true;
+            self.close_current(env, false);
+            self.open_fragment(env).map_err(|e| self.fail(e))?;
+            bytes.clear();
         }
+    }
+
+    /// Where the write rule ends. A simulated crash unwinds to the service
+    /// boundary untouched: this server is dead at that instruction. Foreign
+    /// bytes mean a reconciler poisoned the log (§5.6): the streamlet is
+    /// relinquished, never retried — the SMS owns its fate now. Anything
+    /// else finalizes it, and the client reconciles with the SMS and
+    /// writes elsewhere (§5.3). Both surface as a retryable `Unavailable`.
+    fn fail(&mut self, e: VortexError) -> VortexError {
+        let outcome = match e {
+            VortexError::SimulatedCrash(_) => return e,
+            VortexError::LeaseLost(_) => {
+                self.revoked = true;
+                "relinquished"
+            }
+            _ => "finalized after repeated write failures",
+        };
+        self.finalized = true;
+        VortexError::Unavailable(format!("streamlet {} {outcome}: {e}", self.spec.streamlet))
     }
 
     /// Group commit (§5.3 re-architected): lands a run of appends for this
@@ -427,17 +446,13 @@ impl HostedStreamlet {
     /// observes the same semantics as the old serial path. A terminal
     /// failure (lease loss, repeated write failure, simulated crash)
     /// fails every entry whose rows were not yet durable; entries that
-    /// already flushed keep their acks — the shard layer decides whether
+    /// already landed keep their acks — the shard layer decides whether
     /// a simulated crash widens to the whole group.
-    #[allow(clippy::too_many_arguments)]
     pub fn append_group(
         &mut self,
         entries: &[GroupAppend<'_>],
         latest_version: u32,
-        cfg: &ServerConfig,
-        ids: &IdGen,
-        fleet: &StorageFleet,
-        tt: &TrueTime,
+        env: &ShardEnv,
         scratch: &mut GroupScratch,
         results: &mut Vec<VortexResult<AppendAck>>,
     ) {
@@ -445,199 +460,99 @@ impl HostedStreamlet {
         scratch.chunks.clear();
         scratch.acc.clear();
         scratch.acc.resize_with(entries.len(), EntryAcc::default);
-        let GroupScratch {
-            staged,
-            chunks: staged_chunks,
-            acc,
-        } = scratch;
-        let mut staged_rows: u64 = 0;
-        // Acked fragment extent excluding staged-but-unflushed blocks: a
-        // failed group write force-closes the fragment here.
-        let mut stage_base = self.stage_base();
-        // Virtual write start chains across flushes the way the old
+        // Virtual write start chains across landings the way the old
         // per-chunk path chained completions.
         let mut write_start: Option<Timestamp> = None;
-        // Terminal error: everything staged or later-arriving fails with
-        // (a clone of) this.
+        // The next entry to stage, and its first row not yet staged.
+        let (mut i, mut lo) = (0usize, 0usize);
+        // Terminal error: everything not yet durable fails with (a clone
+        // of) this.
         let mut dead: Option<VortexError> = None;
-
-        for (i, entry) in entries.iter().enumerate() {
-            if let Some(e) = &dead {
-                acc[i].failed = Some(e.clone()); // lint:allow(L010, cold terminal-error path)
-                continue;
-            }
-            if self.revoked || self.finalized {
-                acc[i].failed = Some(VortexError::StreamletFinalized(self.spec.streamlet));
-                continue;
-            }
-            if entry.rows.is_empty() {
-                acc[i].failed = Some(VortexError::InvalidArgument("empty append".into()));
-                continue;
-            }
-            if entry.declared_schema_version < latest_version {
-                acc[i].failed = Some(VortexError::SchemaVersionMismatch {
-                    table: self.spec.table,
-                    writer_version: entry.declared_schema_version,
-                    current_version: latest_version,
-                });
-                continue;
-            }
-            // Offset check sees staged rows: earlier group entries count
-            // as landed for idempotency purposes.
-            let next_offset = self.spec.first_stream_row + self.rows_acked + staged_rows;
-            if let Some(expected) = entry.expected_stream_offset {
-                if expected != next_offset {
-                    acc[i].failed = Some(VortexError::OffsetMismatch {
-                        stream: self.spec.stream,
-                        provided: expected,
-                        expected: next_offset,
-                    });
-                    continue;
-                }
-            }
-            // Row validation against the schema the server holds (when
-            // the writer speaks the same version).
-            if entry.declared_schema_version == self.spec.schema.version {
-                let mut bad = None;
-                for r in &entry.rows.rows {
-                    if let Err(e) = self.spec.schema.validate_row(r) {
-                        bad = Some(e);
-                        break;
+        while dead.is_none() {
+            // Stage blocks until the fragment is full or the entries run out.
+            let mut full = false;
+            while i < entries.len() && !full {
+                let (entry, acc) = (&entries[i], &mut scratch.acc[i]);
+                if lo == 0 {
+                    match self.check(entry, latest_version) {
+                        Ok(offset) => acc.first_stream_row = offset,
+                        Err(e) => {
+                            acc.failed = Some(e);
+                            i += 1;
+                            continue;
+                        }
                     }
+                    acc.total_rows = entry.rows.len() as u64;
+                    acc.completion = entry.start;
+                    write_start.get_or_insert(entry.start);
                 }
-                if let Some(e) = bad {
-                    acc[i].failed = Some(e);
-                    continue;
-                }
-            }
-            acc[i].first_stream_row = next_offset;
-            acc[i].total_rows = entry.rows.len() as u64;
-            acc[i].completion = entry.start;
-            if write_start.is_none() {
-                write_start = Some(entry.start);
-            }
-
-            // Chunk into ≤ block_buffer_bytes blocks (§5.4.4) and stage
-            // each encoded block into the group arena. Chunks are index
-            // ranges over the caller's rows — the hot path borrows slices
-            // instead of cloning rows into scratch RowSets.
-            let all = &entry.rows.rows[..];
-            let mut lo = 0usize;
-            while lo < all.len() {
-                let mut hi = lo;
-                let mut acc_bytes = 0usize;
+                // Chunk into ≤ block_buffer_bytes blocks (§5.4.4), each an
+                // index range over the caller's rows — the hot path borrows
+                // slices instead of cloning rows into scratch RowSets.
+                let all = &entry.rows.rows[..];
+                let (mut hi, mut bytes) = (lo, 0usize);
                 while hi < all.len() {
                     let rb = all[hi].approx_bytes();
-                    if hi > lo && acc_bytes + rb > cfg.block_buffer_bytes {
+                    if hi > lo && bytes + rb > env.cfg.block_buffer_bytes {
                         break;
                     }
-                    acc_bytes += rb;
+                    bytes += rb;
                     hi += 1;
                 }
-                let ts = tt.record_timestamp();
-                let Some(cur) = self.current.as_mut() else {
-                    acc[i].failed = Some(VortexError::StreamletFinalized(self.spec.streamlet));
-                    break;
+                let ts = env.tt.record_timestamp();
+                let block = match self.current.as_mut() {
+                    Some(cur) => cur.writer.data_block(&all[lo..hi], ts),
+                    None => Err(VortexError::StreamletFinalized(self.spec.streamlet)),
                 };
-                match cur.writer.data_block(&all[lo..hi], ts) {
-                    Ok(block) => staged.extend_from_slice(&block), // lint:allow(L010, group arena reuse)
+                match block {
+                    Ok(block) => scratch.staged.extend_from_slice(&block), // lint:allow(L010, group arena reuse)
                     Err(e) => {
-                        acc[i].failed = Some(e);
-                        break;
+                        acc.failed = Some(e);
+                        (i, lo) = (i + 1, 0);
+                        continue;
                     }
                 }
-                staged_chunks.push(StagedChunk {
+                // lint:allow(L010, chunk-index arena reuse)
+                scratch.chunks.push(StagedChunk {
                     entry: i,
                     lo,
                     hi,
                     ts,
-                }); // lint:allow(L010, chunk-index arena reuse)
-                staged_rows += (hi - lo) as u64;
-                lo = hi;
-                // Rotate when the fragment hits its max size: flush the
-                // staged arena first so the sealed fragment carries it.
-                let needs_rotate = self
+                });
+                (i, lo) = if hi == all.len() { (i + 1, 0) } else { (i, hi) };
+                // At max size the fragment rotates, after the staged
+                // blocks land so that the sealed fragment carries them.
+                full = self
                     .current
                     .as_ref()
-                    .map(|c| c.writer.logical_size() >= cfg.fragment_max_bytes)
-                    .unwrap_or(false);
-                if needs_rotate {
-                    let ws = write_start.unwrap_or(entry.start);
-                    match self.flush_staged_group(
-                        fleet,
-                        ids,
-                        tt,
-                        entries,
-                        staged,
-                        staged_chunks,
-                        acc.as_mut_slice(),
-                        &mut stage_base,
-                        ws,
-                    ) {
-                        Ok(Some(done_at)) => {
-                            staged_rows = 0;
-                            write_start = Some(done_at);
-                        }
-                        Ok(None) => {}
-                        Err(e) => {
-                            dead = Some(e);
-                            break;
-                        }
-                    }
-                    if dead.is_none() {
-                        if let Err(e) = self.rotate(true, ids, fleet, tt) {
-                            dead = Some(e);
-                            break;
-                        }
-                        stage_base = self.stage_base();
-                    }
+                    .is_some_and(|c| c.writer.logical_size() >= env.cfg.fragment_max_bytes);
+            }
+            if !scratch.chunks.is_empty() {
+                let ws = write_start.unwrap_or(Timestamp::MIN);
+                match self.land_staged(env, entries, scratch, ws) {
+                    Ok(done_at) => write_start = Some(done_at),
+                    Err(e) => dead = Some(e),
                 }
             }
-            if dead.is_some() {
-                continue;
+            if !full {
+                break;
             }
-        }
-
-        // Land whatever is still staged.
-        if dead.is_none() && !staged_chunks.is_empty() {
-            let ws = write_start.unwrap_or(Timestamp::MIN);
-            match self.flush_staged_group(
-                fleet,
-                ids,
-                tt,
-                entries,
-                staged,
-                staged_chunks,
-                acc.as_mut_slice(),
-                &mut stage_base,
-                ws,
-            ) {
-                Ok(_) => {}
-                Err(e) => dead = Some(e),
-            }
-        }
-        if let Some(e) = &dead {
-            // Unflushed staged entries (and any entry not yet failed but
-            // not fully flushed) inherit the terminal error.
-            for c in staged_chunks.iter() {
-                if acc[c.entry].failed.is_none() {
-                    acc[c.entry].failed = Some(e.clone()); // lint:allow(L010, cold terminal-error path)
-                }
+            if dead.is_none() {
+                dead = self.rotate(env).err();
             }
         }
 
         // Resolve per-entry results, in order, and record metrics for the
         // entries that fully landed.
         let mut group_rows = 0u64;
-        for (i, a) in acc.iter_mut().enumerate() {
+        for (entry, a) in entries.iter().zip(scratch.acc.iter_mut()) {
             if let Some(e) = a.failed.take() {
                 results.push(Err(e)); // lint:allow(L010, results arena reuse)
                 continue;
             }
-            if a.flushed_rows != a.total_rows {
+            if a.total_rows == 0 || a.flushed_rows != a.total_rows {
                 // A terminal error stopped the group before this entry's
-                // rows became durable (covered above unless the entry
-                // staged nothing at all).
+                // rows became durable, or before it was reached.
                 let e = dead
                     .clone() // lint:allow(L010, cold terminal-error path)
                     .unwrap_or(VortexError::StreamletFinalized(self.spec.streamlet));
@@ -646,7 +561,7 @@ impl HostedStreamlet {
             }
             group_rows += a.total_rows;
             self.m.service_us.record(a.service_us);
-            obs::Span::begin(&self.m.span, entries[i].start).end(a.completion);
+            obs::Span::begin(&self.m.span, entry.start).end(a.completion);
             // lint:allow(L010, results arena reuse)
             results.push(Ok(AppendAck {
                 first_stream_row: a.first_stream_row,
@@ -660,116 +575,87 @@ impl HostedStreamlet {
         }
     }
 
-    /// Acked extent of the current fragment (size, rows), excluding any
-    /// blocks staged in the writer but not yet durable.
-    fn stage_base(&self) -> (u64, u64) {
-        self.current
-            .as_ref()
-            .map(|c| (c.writer.logical_size(), c.writer.rows_written()))
-            .unwrap_or((0, 0))
+    /// Whether `entry` may be staged, as if every earlier entry of the
+    /// group had landed; returns its first stream row.
+    fn check(&self, entry: &GroupAppend<'_>, latest_version: u32) -> VortexResult<u64> {
+        let cur = match &self.current {
+            Some(cur) if self.is_writable() => cur,
+            _ => return Err(VortexError::StreamletFinalized(self.spec.streamlet)),
+        };
+        if entry.rows.is_empty() {
+            return Err(VortexError::InvalidArgument("empty append".into()));
+        }
+        if entry.declared_schema_version < latest_version {
+            return Err(VortexError::SchemaVersionMismatch {
+                table: self.spec.table,
+                writer_version: entry.declared_schema_version,
+                current_version: latest_version,
+            });
+        }
+        // The writer's next row counts staged blocks: earlier group
+        // entries count as landed for idempotency purposes.
+        let next_offset = self.spec.first_stream_row + cur.writer.next_row();
+        if let Some(expected) = entry.expected_stream_offset {
+            if expected != next_offset {
+                return Err(VortexError::OffsetMismatch {
+                    stream: self.spec.stream,
+                    provided: expected,
+                    expected: next_offset,
+                });
+            }
+        }
+        // Row validation against the schema the server holds (when the
+        // writer speaks the same version).
+        if entry.declared_schema_version == self.spec.schema.version {
+            for r in &entry.rows.rows {
+                self.spec.schema.validate_row(r)?;
+            }
+        }
+        Ok(next_offset)
     }
 
-    /// Lands the staged arena with one dual-replica write, running the
-    /// §5.3 error path on failure: close the fragment at its pre-group
-    /// extent, re-encode the staged chunks on the next fragment, retry
-    /// once; a second failure finalizes the streamlet. Returns the write
-    /// completion (None when nothing was staged); a terminal error fails
-    /// the rest of the group.
-    #[allow(clippy::too_many_arguments)]
-    fn flush_staged_group(
+    /// Lands the staged blocks through the write rule — re-encoded on the
+    /// next fragment if the first write fails — and credits each entry
+    /// with its rows. Returns the write's completion.
+    fn land_staged(
         &mut self,
-        fleet: &StorageFleet,
-        ids: &IdGen,
-        tt: &TrueTime,
+        env: &ShardEnv,
         entries: &[GroupAppend<'_>],
-        staged: &mut Vec<u8>,
-        staged_chunks: &mut Vec<StagedChunk>,
-        acc: &mut [EntryAcc],
-        stage_base: &mut (u64, u64),
+        scratch: &mut GroupScratch,
         start: Timestamp,
-    ) -> VortexResult<Option<Timestamp>> {
-        if staged_chunks.is_empty() {
-            return Ok(None);
-        }
-        for attempt in 0..2 {
-            if self.current.is_none() {
-                return Err(VortexError::StreamletFinalized(self.spec.streamlet));
-            }
-            match self.write_owned(fleet, staged, start) {
-                Ok((svc, done_at)) => {
-                    self.m.chunks.add(staged_chunks.len() as u64);
-                    let mut last_entry = usize::MAX;
-                    for c in staged_chunks.drain(..) {
-                        let rows = (c.hi - c.lo) as u64;
-                        self.rows_acked += rows;
-                        self.rows_dirty = true;
-                        self.uncommitted_tail = true;
-                        self.last_append_at = c.ts;
-                        self.record_properties(&entries[c.entry].rows.rows[c.lo..c.hi], c.ts);
-                        acc[c.entry].flushed_rows += rows;
-                        acc[c.entry].completion = done_at;
-                        // The group's single write is charged once per
-                        // participating entry's ack (each waited on it).
-                        if c.entry != last_entry {
-                            acc[c.entry].service_us += svc;
-                            last_entry = c.entry;
-                        }
-                    }
-                    staged.clear();
-                    *stage_base = self.stage_base();
-                    return Ok(Some(done_at));
-                }
-                Err(e @ VortexError::LeaseLost(_)) => {
-                    // A reconciler poisoned the log (§5.6): relinquish
-                    // ownership immediately — never retry on a new
-                    // fragment, the SMS owns this streamlet's fate now.
-                    self.finalized = true;
-                    self.revoked = true;
-                    return Err(VortexError::Unavailable(format!(
-                        "streamlet {} relinquished: {e}",
-                        self.spec.streamlet
-                    )));
-                }
-                Err(e @ VortexError::SimulatedCrash(_)) => {
-                    // A crash point fired: this server is dead at this
-                    // instruction. No §5.3 local recovery — the error
-                    // unwinds to the service boundary untouched.
-                    return Err(e);
-                }
-                Err(e) if attempt == 0 => {
-                    // First failure: the group write may be torn in one
-                    // replica. Close this fragment at its pre-group acked
-                    // extent, open the next one, and re-encode the staged
-                    // chunks there (§5.3); the new fragment's File Map
-                    // records the committed size of this one.
-                    let _ = e;
-                    self.force_close_current(fleet, tt, stage_base.0, stage_base.1);
-                    self.open_fragment_after_failure(ids, fleet, tt)?;
-                    *stage_base = self.stage_base();
-                    staged.clear();
-                    for c in staged_chunks.iter() {
-                        let cur = self
-                            .current
-                            .as_mut()
-                            .ok_or(VortexError::StreamletFinalized(self.spec.streamlet))?;
-                        let block = cur
-                            .writer
-                            .data_block(&entries[c.entry].rows.rows[c.lo..c.hi], c.ts)?;
-                        staged.extend_from_slice(&block); // lint:allow(L010, group arena reuse)
-                    }
-                }
-                Err(e) => {
-                    // Second failure: finalize the streamlet; the client
-                    // reconciles with the SMS and writes elsewhere (§5.3).
-                    self.finalized = true;
-                    return Err(VortexError::Unavailable(format!(
-                        "streamlet {} finalized after repeated write failures: {e}",
-                        self.spec.streamlet
-                    )));
-                }
+    ) -> VortexResult<Timestamp> {
+        let GroupScratch {
+            staged,
+            chunks,
+            acc,
+        } = scratch;
+        let rows = |c: &StagedChunk| &entries[c.entry].rows.rows[c.lo..c.hi];
+        let (service, done_at) = self.land(env, staged, start, |w| {
+            let blocks = chunks.iter().map(|c| w.data_block(rows(c), c.ts));
+            // lint:allow(L010, cold retry path: the group re-encoded on the next fragment)
+            Ok(blocks.collect::<VortexResult<Vec<_>>>()?.concat())
+        })?;
+        self.m.chunks.add(chunks.len() as u64);
+        let mut last_entry = usize::MAX;
+        for c in chunks.drain(..) {
+            let n = (c.hi - c.lo) as u64;
+            self.rows_acked += n;
+            self.last_append_at = c.ts;
+            self.record_properties(rows(&c), c.ts);
+            let a = &mut acc[c.entry];
+            a.flushed_rows += n;
+            a.completion = done_at;
+            // The group's single write is charged once per participating
+            // entry's ack (each waited on it).
+            if c.entry != last_entry {
+                a.service_us += service;
+                last_entry = c.entry;
             }
         }
-        unreachable!("loop returns or errors");
+        self.rows_dirty = true;
+        self.uncommitted_tail = true;
+        staged.clear();
+        Ok(done_at)
     }
 
     /// WAL events for fragments sealed since the last drain. The shard
@@ -785,47 +671,6 @@ impl HostedStreamlet {
                 rows: d.first_row + d.row_count,
             });
             self.wal_logged_seals += 1;
-        }
-    }
-
-    fn force_close_current(
-        &mut self,
-        fleet: &StorageFleet,
-        tt: &TrueTime,
-        acked_size: u64,
-        acked_rows: u64,
-    ) {
-        if let Some(cur) = self.current.take() {
-            // The fragment is closed at its last *acked* extent; no footer
-            // (a replica is failing). The next fragment's File Map records
-            // the committed size (§5.6).
-            let mut done = self.seal_fragment(cur, false, fleet, tt);
-            done.committed_size = acked_size;
-            done.row_count = acked_rows; // fragment-relative acked rows
-            self.done.push(done);
-        }
-    }
-
-    fn open_fragment_after_failure(
-        &mut self,
-        ids: &IdGen,
-        fleet: &StorageFleet,
-        tt: &TrueTime,
-    ) -> VortexResult<()> {
-        let next = self.done.last().map(|d| d.ordinal + 1).unwrap_or(0);
-        match self.open_fragment(next, ids, fleet, tt) {
-            Err(e @ VortexError::LeaseLost(_)) => {
-                // A reconciler fenced the next ordinal with a poison file
-                // (§5.6): ownership is gone; relinquish instead of
-                // retrying.
-                self.finalized = true;
-                self.revoked = true;
-                Err(VortexError::Unavailable(format!(
-                    "streamlet {} relinquished at rotation: {e}",
-                    self.spec.streamlet
-                )))
-            }
-            other => other,
         }
     }
 
@@ -853,92 +698,24 @@ impl HostedStreamlet {
         cur.dirty = true;
     }
 
-    /// Writes one metadata record (commit/flush) with the same error
-    /// path data blocks use: a failed replica write closes the fragment
-    /// at its pre-record extent and retries once on the next fragment; a
-    /// second failure finalizes the streamlet (§5.3). Without this, the
-    /// writer's logical offsets would drift ahead of the file and later
-    /// committed-size reports would point past real bytes.
-    fn write_meta_record(
-        &mut self,
-        ids: &IdGen,
-        fleet: &StorageFleet,
-        tt: &TrueTime,
-        encode: impl Fn(&mut FragmentWriter, Timestamp) -> VortexResult<Vec<u8>>,
-    ) -> VortexResult<()> {
-        for attempt in 0..2 {
-            let cur = self
-                .current
-                .as_mut()
-                .ok_or(VortexError::StreamletFinalized(self.spec.streamlet))?;
-            let pre_size = cur.writer.logical_size();
-            let pre_rows = cur.writer.rows_written();
-            let rec = encode(&mut cur.writer, tt.record_timestamp())?;
-            match self.write_owned(fleet, &rec, Timestamp::MIN) {
-                Ok(_) => return Ok(()),
-                Err(e @ VortexError::LeaseLost(_)) => {
-                    self.finalized = true;
-                    self.revoked = true;
-                    return Err(VortexError::Unavailable(format!(
-                        "streamlet {} relinquished: {e}",
-                        self.spec.streamlet
-                    )));
-                }
-                Err(e @ VortexError::SimulatedCrash(_)) => {
-                    // Simulated process death: unwind to the boundary.
-                    return Err(e);
-                }
-                Err(e) if attempt == 0 => {
-                    let _ = e;
-                    self.force_close_current(fleet, tt, pre_size, pre_rows);
-                    self.open_fragment_after_failure(ids, fleet, tt)?;
-                }
-                Err(e) => {
-                    self.finalized = true;
-                    return Err(VortexError::Unavailable(format!(
-                        "streamlet {} finalized after repeated write failures: {e}",
-                        self.spec.streamlet
-                    )));
-                }
-            }
-        }
-        unreachable!("loop returns or errors");
-    }
-
     /// Writes a commit record if the tail is uncommitted and the streamlet
-    /// has been idle since `idle_after` (§7.1: "written after a small
-    /// period of inactivity").
-    pub fn commit_if_idle(
-        &mut self,
-        now: Timestamp,
-        idle_micros: u64,
-        ids: &IdGen,
-        fleet: &StorageFleet,
-        tt: &TrueTime,
-    ) -> VortexResult<bool> {
-        if !self.uncommitted_tail || self.finalized || self.revoked {
+    /// has been idle for `COMMIT_IDLE_MICROS` at `now` (§7.1: "written
+    /// after a small period of inactivity").
+    pub fn commit_if_idle(&mut self, now: Timestamp, env: &ShardEnv) -> VortexResult<bool> {
+        let idle = now.micros().saturating_sub(self.last_append_at.micros());
+        if !self.uncommitted_tail || !self.is_writable() || idle < COMMIT_IDLE_MICROS {
             return Ok(false);
         }
-        if now.micros().saturating_sub(self.last_append_at.micros()) < idle_micros {
-            return Ok(false);
-        }
-        if self.current.is_none() {
-            return Ok(false);
-        }
-        self.write_meta_record(ids, fleet, tt, |w, ts| w.commit_record(ts))?;
+        let commit = |w: &mut FragmentWriter| w.commit_record(env.tt.record_timestamp());
+        // lint:allow(L010, an empty Vec allocates nothing; `land` encodes into it)
+        self.land(env, &mut Vec::new(), Timestamp::MIN, commit)?;
         self.uncommitted_tail = false;
         Ok(true)
     }
 
     /// Persists a `FlushStream` watermark (streamlet-relative rows) as a
     /// flush record in the log (§5.4.4).
-    pub fn flush(
-        &mut self,
-        flush_row: u64,
-        ids: &IdGen,
-        fleet: &StorageFleet,
-        tt: &TrueTime,
-    ) -> VortexResult<()> {
+    pub fn flush(&mut self, flush_row: u64, env: &ShardEnv) -> VortexResult<()> {
         if self.revoked {
             return Err(VortexError::StreamletFinalized(self.spec.streamlet));
         }
@@ -948,10 +725,9 @@ impl HostedStreamlet {
                 self.rows_acked
             )));
         }
-        if self.current.is_none() {
-            return Err(VortexError::StreamletFinalized(self.spec.streamlet));
-        }
-        self.write_meta_record(ids, fleet, tt, |w, ts| w.flush_record(flush_row, ts))?;
+        let record = |w: &mut FragmentWriter| w.flush_record(flush_row, env.tt.record_timestamp());
+        // lint:allow(L010, an empty Vec allocates nothing; `land` encodes into it)
+        self.land(env, &mut Vec::new(), Timestamp::MIN, record)?;
         self.uncommitted_tail = false;
         self.max_flush_row = Some(self.max_flush_row.unwrap_or(0).max(flush_row));
         self.flush_dirty = true;
@@ -960,14 +736,11 @@ impl HostedStreamlet {
 
     /// Finalizes the streamlet: seals the current fragment with bloom +
     /// footer; no further appends are accepted.
-    pub fn finalize(&mut self, fleet: &StorageFleet, tt: &TrueTime) -> VortexResult<()> {
+    pub fn finalize(&mut self, env: &ShardEnv) -> VortexResult<()> {
         if self.finalized {
             return Ok(());
         }
-        if let Some(cur) = self.current.take() {
-            let done = self.seal_fragment(cur, true, fleet, tt);
-            self.done.push(done);
-        }
+        self.close_current(env, true);
         self.finalized = true;
         self.rows_dirty = true;
         Ok(())
@@ -981,6 +754,12 @@ impl HostedStreamlet {
     /// Whether the streamlet still accepts appends.
     pub fn is_writable(&self) -> bool {
         !self.finalized && !self.revoked
+    }
+
+    /// Whether the streamlet has written anything: rows, or a fragment
+    /// it finished.
+    pub(crate) fn has_written(&self) -> bool {
+        self.rows_acked > 0 || !self.done.is_empty()
     }
 
     /// Committed streamlet-relative row count.
@@ -1044,5 +823,77 @@ impl HostedStreamlet {
             max_flush_row: self.max_flush_row,
             finalized: self.finalized,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use vortex_common::crypt::Key;
+    use vortex_common::ids::{ServerId, StreamId, StreamletId, TableId};
+    use vortex_common::latency::WriteProfile;
+    use vortex_common::truetime::SimClock;
+
+    use super::*;
+    use crate::tests::{rows, schema};
+
+    /// A max-size rotation whose next fragment cannot be opened — the
+    /// footer (best-effort) and the header both fail on one replica —
+    /// finalizes the streamlet like any write the rule gives up on: it no
+    /// longer counts as writable and the next append gets a retryable
+    /// error. No fault schedule fails only those two writes behind a
+    /// group's data write, so this drives `rotate` directly.
+    #[test]
+    fn failed_open_at_rotation_finalizes_streamlet() {
+        let mut cfg = ServerConfig::new(ServerId::from_raw(1), ClusterId::from_raw(0));
+        cfg.fragment_max_bytes = 1_000;
+        let env = ShardEnv {
+            cfg,
+            fleet: StorageFleet::with_mem_clusters(2, WriteProfile::instant(), 5),
+            tt: TrueTime::simulated(SimClock::new(1_000_000), 100, 0),
+            ids: Arc::new(IdGen::new(1)),
+        };
+        let spec = StreamletSpec {
+            table: TableId::from_raw(1),
+            stream: StreamId::from_raw(2),
+            streamlet: StreamletId::from_raw(3),
+            clusters: [ClusterId::from_raw(0), ClusterId::from_raw(1)],
+            schema: schema(),
+            first_stream_row: 0,
+            key: Key::derive_from_passphrase("tbl"),
+            epoch: 1,
+        };
+        let mut sl = HostedStreamlet::open(spec, &env).unwrap();
+        let mut scratch = GroupScratch::new();
+        let mut append = |sl: &mut HostedStreamlet, rows: &RowSet| {
+            let entry = GroupAppend {
+                rows,
+                declared_schema_version: 1,
+                expected_stream_offset: None,
+                start: Timestamp::MIN,
+            };
+            let mut results = vec![];
+            sl.append_group(&[entry], 1, &env, &mut scratch, &mut results);
+            results.pop().unwrap()
+        };
+        append(&mut sl, &rows(0, 5)).unwrap();
+        let acked = sl.current.as_ref().unwrap().len;
+
+        let c1 = env.fleet.get(ClusterId::from_raw(1)).unwrap();
+        c1.faults().fail_next_appends(2);
+        let err = sl.rotate(&env).unwrap_err();
+        assert!(err.is_retryable(), "{err}");
+        assert!(
+            !sl.is_writable(),
+            "a streamlet with no fragment is not counted"
+        );
+        let sealed = &sl.done_fragments()[0];
+        assert_eq!(
+            sealed.committed_size, acked,
+            "the failed footer is not counted"
+        );
+        assert_eq!(sealed.row_count, 5);
+        let err = append(&mut sl, &rows(5, 1)).unwrap_err();
+        assert!(err.is_retryable(), "{err}");
+        assert_eq!(sl.rows(), 5);
     }
 }

@@ -8,11 +8,13 @@
 //!   checks (§5.4.1), row validation, 2 MB write buffering, column
 //!   properties and bloom keys per fragment, and **synchronous physical
 //!   replication** to two Colossus clusters before acknowledging (§5.6);
-//! - the **error path**: a failed replica write finalizes the current
-//!   Fragment and retries on the next one (whose File Map records the
-//!   committed size of the failed file); repeated failures finalize the
-//!   Streamlet and surface the failure so the client asks the SMS for a
-//!   new one (§5.3);
+//! - the **error path**, one rule for every write (`HostedStreamlet::land`
+//!   in [`hosted`]): a failed replica write finalizes the current Fragment
+//!   and retries on the next one (whose File Map records the committed
+//!   size of the failed file); a repeated failure, or a next Fragment that
+//!   cannot be opened, finalizes the Streamlet and surfaces the failure so
+//!   the client asks the SMS for a new one (§5.3); foreign bytes in a log
+//!   file relinquish it (§5.6);
 //! - **fragment rotation** at a configurable max size — "small enough
 //!   that conversion ... happens frequently, but not so small that too
 //!   many Fragments are created in the metadata";

@@ -26,6 +26,7 @@ use vortex_common::truetime::{Timestamp, TrueTime};
 use vortex_sms::heartbeat::{HeartbeatReport, HeartbeatResponse};
 use vortex_sms::server_ctl::{LoadReport, StreamServerApi, StreamletSpec};
 
+use crate::hosted::ShardEnv;
 use crate::shard::{AppendReq, Shard, ShardMsg};
 use crate::wal::{self, ServerLog, WalEvent};
 
@@ -51,6 +52,11 @@ const SHARDS: usize = 4;
 /// deep enough to ride out one slow Colossus write, shallow enough that
 /// a shed comes before the queue alone exceeds a client's deadline.
 const SHARD_QUEUE_DEPTH: usize = 1024;
+/// Flow-control cap on in-flight (admitted, unacked) append bytes
+/// (§5.4.2: "flow control protects the Stream Server from running out of
+/// memory"): 256 MiB, 128 full 2 MB write buffers (§5.4.4), before a
+/// writer is throttled.
+const FLOW_CONTROL_BYTES: u64 = 256 << 20;
 
 /// Stream Server configuration.
 #[derive(Debug, Clone)]
@@ -64,10 +70,6 @@ pub struct ServerConfig {
     pub block_buffer_bytes: usize,
     /// Max logical fragment size before rotation (§5.3).
     pub fragment_max_bytes: u64,
-    /// Idle period after which a lone commit record is written (§7.1).
-    pub commit_idle_micros: u64,
-    /// Flow-control cap on in-flight (admitted, unacked) bytes (§5.4.2).
-    pub flow_control_bytes: u64,
 }
 
 impl ServerConfig {
@@ -78,8 +80,6 @@ impl ServerConfig {
             cluster,
             block_buffer_bytes: vortex_wos::DEFAULT_BLOCK_BUFFER_BYTES,
             fragment_max_bytes: vortex_wos::DEFAULT_FRAGMENT_MAX_BYTES,
-            commit_idle_micros: 100_000, // 100ms of virtual inactivity
-            flow_control_bytes: 256 << 20,
         }
     }
 }
@@ -161,15 +161,13 @@ impl StreamServer {
             let log = ServerLog::open(cfg.server, idx as u32, home)?;
             let (tx, rx) = mailbox::<ShardMsg>(SHARD_QUEUE_DEPTH);
             let w = Arc::new(AtomicU64::new(0)); // lint:allow(L010, cold construction)
-            let shard = Shard::new(
-                idx as u32,
-                cfg.clone(), // lint:allow(L010, cold construction)
-                fleet.clone(), // lint:allow(L010, cold construction)
-                tt.clone(), // lint:allow(L010, cold construction)
-                Arc::clone(&ids),
-                log,
-                Arc::clone(&w),
-            );
+            let env = ShardEnv {
+                cfg: cfg.clone(),     // lint:allow(L010, cold construction)
+                fleet: fleet.clone(), // lint:allow(L010, cold construction)
+                tt: tt.clone(),       // lint:allow(L010, cold construction)
+                ids: Arc::clone(&ids),
+            };
+            let shard = Shard::new(idx as u32, env, log, Arc::clone(&w));
             // The shard loop runs on its own thread: blocking there never
             // blocks the spawner. The fn-pointer indirection marks that
             // thread boundary for the call-graph lint (whose reachability
@@ -260,11 +258,11 @@ impl StreamServer {
     /// of memory"). The returned guard releases on drop.
     pub fn admit(&self, bytes: u64) -> VortexResult<FlowGuard<'_>> {
         let prev = self.in_flight_bytes.fetch_add(bytes, Ordering::SeqCst);
-        if prev + bytes > self.cfg.flow_control_bytes {
+        if prev + bytes > FLOW_CONTROL_BYTES {
             self.in_flight_bytes.fetch_sub(bytes, Ordering::SeqCst);
             return Err(VortexError::Throttled {
                 in_flight_bytes: prev + bytes,
-                limit_bytes: self.cfg.flow_control_bytes,
+                limit_bytes: FLOW_CONTROL_BYTES,
             });
         }
         Ok(FlowGuard {

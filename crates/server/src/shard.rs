@@ -26,19 +26,17 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use vortex_colossus::StorageFleet;
 use vortex_common::error::{VortexError, VortexResult};
-use vortex_common::ids::{IdGen, StreamletId, TableId};
+use vortex_common::ids::{StreamletId, TableId};
 use vortex_common::mailbox::{MailboxReceiver, ReplySlot};
 use vortex_common::obs::{self, Counter, Histogram};
 use vortex_common::row::RowSet;
-use vortex_common::truetime::{Timestamp, TrueTime};
+use vortex_common::truetime::Timestamp;
 use vortex_sms::heartbeat::StreamletDelta;
 use vortex_sms::meta::wos_path;
 use vortex_sms::server_ctl::StreamletSpec;
 
-use crate::hosted::{AppendAck, GroupAppend, GroupScratch, HostedStreamlet};
-use crate::server::ServerConfig;
+use crate::hosted::{AppendAck, GroupAppend, GroupScratch, HostedStreamlet, ShardEnv};
 use crate::wal::{self, ServerLog, WalEvent};
 
 /// Max appends coalesced into one group commit: with ~600µs of fixed
@@ -88,10 +86,7 @@ fn group_pre_ack() -> VortexResult<()> {
 /// this thread alone (the one exception, `writable`, is an atomic the
 /// facade reads for load reports).
 pub(crate) struct Shard {
-    cfg: ServerConfig,
-    fleet: StorageFleet,
-    tt: TrueTime,
-    ids: Arc<IdGen>,
+    env: ShardEnv,
     log: ServerLog,
     streamlets: HashMap<StreamletId, HostedStreamlet>,
     latest_schema: HashMap<TableId, u32>,
@@ -111,15 +106,7 @@ pub(crate) struct Shard {
 }
 
 impl Shard {
-    pub(crate) fn new(
-        idx: u32,
-        cfg: ServerConfig,
-        fleet: StorageFleet,
-        tt: TrueTime,
-        ids: Arc<IdGen>,
-        log: ServerLog,
-        writable: Arc<AtomicU64>,
-    ) -> Self {
+    pub(crate) fn new(idx: u32, env: ShardEnv, log: ServerLog, writable: Arc<AtomicU64>) -> Self {
         let m = obs::global();
         Shard {
             m_group_appends: m.histogram(obs::GROUP_COMMIT_APPENDS),
@@ -127,10 +114,7 @@ impl Shard {
             m_groups: m.counter(obs::GROUP_COMMIT_GROUPS),
             // lint:allow(L010, cold construction — once per shard lifetime)
             m_shard_appends: m.counter(&format!("{}{idx:02}.appends", obs::SHARD_APPENDS_PREFIX)),
-            cfg,
-            fleet,
-            tt,
-            ids,
+            env,
             log,
             streamlets: HashMap::new(), // lint:allow(L010, cold construction)
             latest_schema: HashMap::new(), // lint:allow(L010, cold construction)
@@ -240,16 +224,7 @@ impl Shard {
                         });
                     }
                     let before = results.len();
-                    sl.append_group(
-                        &entries,
-                        latest,
-                        &self.cfg,
-                        &self.ids,
-                        &self.fleet,
-                        &self.tt,
-                        &mut self.scratch,
-                        &mut results,
-                    );
+                    sl.append_group(&entries, latest, &self.env, &mut self.scratch, &mut results);
                     sl.drain_unlogged_seals(&mut wal_events);
                     if let Some(e) = results[before..]
                         .iter()
@@ -269,7 +244,7 @@ impl Shard {
             // log). Record-aligned framing means a torn tail truncates
             // to a whole-group prefix on recovery.
             if !wal_events.is_empty() {
-                if let Ok(home) = self.fleet.get(self.cfg.cluster) {
+                if let Ok(home) = self.env.fleet.get(self.env.cfg.cluster) {
                     let _ = self.log.log_batch(home, &wal_events);
                 }
             }
@@ -308,7 +283,7 @@ impl Shard {
     }
 
     fn log_one(&mut self, ev: WalEvent) {
-        if let Ok(home) = self.fleet.get(self.cfg.cluster) {
+        if let Ok(home) = self.env.fleet.get(self.env.cfg.cluster) {
             let _ = self.log.log(home, &ev);
         }
     }
@@ -321,7 +296,7 @@ impl Shard {
             streamlet: spec.streamlet,
             first_stream_row: spec.first_stream_row,
         };
-        let sl = HostedStreamlet::open(spec, &self.ids, &self.fleet, &self.tt)?;
+        let sl = HostedStreamlet::open(spec, &self.env)?;
         self.streamlets.insert(sl.spec.streamlet, sl); // lint:allow(L010, control plane: once per streamlet)
         self.log_one(opened);
         self.publish_writable();
@@ -329,12 +304,16 @@ impl Shard {
     }
 
     /// Persists a flush watermark (streamlet-relative) to the log (§5.4.4).
+    /// A record the write rule gives up on finalizes the streamlet, so the
+    /// writable count is republished.
     pub(crate) fn flush(&mut self, streamlet: StreamletId, flush_row: u64) -> VortexResult<()> {
         let sl = self
             .streamlets
             .get_mut(&streamlet)
             .ok_or(VortexError::StreamletFinalized(streamlet))?;
-        sl.flush(flush_row, &self.ids, &self.fleet, &self.tt)
+        let flushed = sl.flush(flush_row, &self.env);
+        self.publish_writable();
+        flushed
     }
 
     /// Seals the streamlet's last fragment (bloom + footer).
@@ -344,7 +323,7 @@ impl Shard {
             .get_mut(&streamlet)
             // lint:allow(L010, control plane: cold not-hosted error)
             .ok_or_else(|| VortexError::NotFound(format!("streamlet {streamlet} not hosted")))?;
-        sl.finalize(&self.fleet, &self.tt)?;
+        sl.finalize(&self.env)?;
         self.log_one(WalEvent::StreamletFinalized { streamlet });
         self.publish_writable();
         Ok(())
@@ -367,13 +346,15 @@ impl Shard {
     /// Idle tick: standalone commit records for streamlets whose tail has
     /// been quiet (§7.1). Returns how many were written.
     pub(crate) fn tick(&mut self, now: Timestamp) -> usize {
-        let idle = self.cfg.commit_idle_micros;
-        let (ids, fleet, tt) = (&self.ids, &self.fleet, &self.tt);
-        self.streamlets
+        let env = &self.env;
+        let committed = self
+            .streamlets
             .values_mut()
-            .filter_map(|sl| sl.commit_if_idle(now, idle, ids, fleet, tt).ok())
+            .filter_map(|sl| sl.commit_if_idle(now, env).ok())
             .filter(|&committed| committed)
-            .count()
+            .count();
+        self.publish_writable();
+        committed
     }
 
     /// This shard's slice of the heartbeat (§5.5).
@@ -399,7 +380,7 @@ impl Shard {
                 fragments: sl.done_fragments().len() as u64,
                 writable: sl.is_writable(),
             }));
-        let home = self.fleet.get(self.cfg.cluster)?;
+        let home = self.env.fleet.get(self.env.cfg.cluster)?;
         self.log.checkpoint(home, &snapshot)
     }
 
@@ -419,8 +400,8 @@ impl Shard {
             vortex_common::crash_point!("server.gc.mid");
             let path = wos_path(table, streamlet, *ord);
             let mut ok = true;
-            for c in self.fleet.cluster_ids() {
-                if let Ok(cluster) = self.fleet.get(c) {
+            for c in self.env.fleet.cluster_ids() {
+                if let Ok(cluster) = self.env.fleet.get(c) {
                     if cluster.exists(&path) && cluster.delete(&path).is_err() {
                         ok = false;
                     }
@@ -440,8 +421,11 @@ impl Shard {
     }
 
     /// Deletes a streamlet the SMS does not know, but only if it is old
-    /// enough ("this avoids any in-flight races", §5.4.3). Returns
-    /// whether the streamlet was removed.
+    /// enough ("this avoids any in-flight races", §5.4.3). Hosted
+    /// streamlets keep no creation instant: one that has written nothing
+    /// may still be racing its own creation and is never old enough, one
+    /// that has is once the clock passes `min_age_micros`. Returns whether
+    /// the streamlet was removed.
     pub(crate) fn gc_unknown(
         &mut self,
         streamlet: StreamletId,
@@ -451,7 +435,7 @@ impl Shard {
         let Some(sl) = self.streamlets.get(&streamlet) else {
             return Ok(false);
         };
-        if now.micros().saturating_sub(sl.spec_created_micros()) < min_age_micros {
+        if !sl.has_written() || now.micros() < min_age_micros {
             return Ok(false);
         }
         let table = sl.spec.table;
@@ -463,22 +447,6 @@ impl Shard {
                 self.publish_writable();
                 Ok(true)
             }
-        }
-    }
-}
-
-impl HostedStreamlet {
-    /// Creation time proxy used for the orphan age guard.
-    fn spec_created_micros(&self) -> u64 {
-        // The epoch in the spec is a counter, not a time; hosted
-        // streamlets track no absolute creation instant, so treat epoch 0
-        // as "old". For simulation purposes the age guard only needs to
-        // distinguish "just created" from "long-lived": long-lived ones
-        // have produced fragments.
-        if self.done_fragments().is_empty() && self.rows() == 0 {
-            u64::MAX // brand new: never old enough to delete
-        } else {
-            0
         }
     }
 }

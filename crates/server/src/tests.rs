@@ -15,6 +15,7 @@ use vortex_sms::meta::wos_path;
 use vortex_sms::server_ctl::{StreamServerApi, StreamletSpec};
 use vortex_wos::parse_fragment;
 
+use crate::hosted::COMMIT_IDLE_MICROS;
 use crate::server::{shard_index, ServerConfig, StreamServer};
 
 struct Rig {
@@ -24,7 +25,7 @@ struct Rig {
     key: Key,
 }
 
-fn schema() -> Schema {
+pub(crate) fn schema() -> Schema {
     Schema::new(vec![
         Field::required("day", FieldType::Int64),
         Field::required("customer", FieldType::String),
@@ -71,7 +72,7 @@ fn spec(r: &Rig, slid: u64, first_stream_row: u64) -> StreamletSpec {
     }
 }
 
-fn rows(start: i64, n: usize) -> RowSet {
+pub(crate) fn rows(start: i64, n: usize) -> RowSet {
     RowSet::new(
         (0..n)
             .map(|i| {
@@ -405,11 +406,13 @@ fn repeated_failures_finalize_streamlet() {
         err.is_retryable(),
         "client should seek a new streamlet: {err}"
     );
-    // Subsequent appends rejected.
+    // Subsequent appends rejected, and the streamlet no longer counts as
+    // writable: the retry's failed open finalized it.
     assert!(matches!(
         r.server.append(sl, &rows(2, 2), 1, None, Timestamp::MIN),
         Err(VortexError::StreamletFinalized(_))
     ));
+    assert_eq!(r.server.load().streamlets, 0);
     // The acked rows survive.
     assert_eq!(r.server.streamlet_rows(sl), Some(2));
 }
@@ -441,7 +444,7 @@ fn flush_record_persists_watermark() {
 
 #[test]
 fn idle_tick_writes_commit_record() {
-    let r = rig_with(|c| c.commit_idle_micros = 1_000);
+    let r = rig();
     r.server.create_streamlet(spec(&r, 19, 0)).unwrap();
     let sl = StreamletId::from_raw(19);
     r.server
@@ -450,6 +453,8 @@ fn idle_tick_writes_commit_record() {
     // Not idle yet.
     assert_eq!(r.server.tick(), 0);
     r.clock.advance(10_000);
+    assert_eq!(r.server.tick(), 0);
+    r.clock.advance(COMMIT_IDLE_MICROS);
     assert_eq!(r.server.tick(), 1);
     // Idempotent: already committed.
     assert_eq!(r.server.tick(), 0);
@@ -463,6 +468,104 @@ fn idle_tick_writes_commit_record() {
         .data;
     let parsed = parse_fragment(&data, &r.key, None).unwrap();
     assert_eq!(parsed.committed_rows(), 3, "commit record seals the tail");
+}
+
+/// The log files of streamlet `sl` on cluster 0, in ordinal order.
+fn fragment_files(r: &Rig, sl: u64) -> Vec<Vec<u8>> {
+    let c0 = r.fleet.get(ClusterId::from_raw(0)).unwrap();
+    let files = c0.list(&format!("wos/t{:016x}/l{:016x}/", 1, sl)).unwrap();
+    files.iter().map(|f| c0.read_all(f).unwrap().data).collect()
+}
+
+/// A commit or flush record whose write fails on one replica goes the
+/// way data does (§5.3): fragment 0 closes at its acked extent — the
+/// record cluster 0 kept is past it — and the record lands on fragment 1.
+#[test]
+fn record_write_that_fails_once_lands_on_the_next_fragment() {
+    for flush in [true, false] {
+        let r = rig();
+        let slid = if flush { 50 } else { 51 };
+        r.server.create_streamlet(spec(&r, slid, 0)).unwrap();
+        let sl = StreamletId::from_raw(slid);
+        r.server
+            .append(sl, &rows(0, 10), 1, None, Timestamp::MIN)
+            .unwrap();
+        r.fleet
+            .get(ClusterId::from_raw(1))
+            .unwrap()
+            .faults()
+            .fail_next_appends(1);
+        if flush {
+            r.server.flush(sl, 7).unwrap();
+        } else {
+            r.clock.advance(2 * COMMIT_IDLE_MICROS);
+            assert_eq!(r.server.tick(), 1, "the idle commit lands after a retry");
+        }
+        assert_eq!(r.server.load().streamlets, 1, "still writable");
+        assert_eq!(r.server.streamlet_rows(sl), Some(10));
+
+        let files = fragment_files(&r, slid);
+        assert_eq!(files.len(), 2, "the record moved to fragment 1");
+        let f1 = parse_fragment(&files[1], &r.key, None).unwrap();
+        assert_eq!(f1.header.first_row, 10);
+        assert_eq!(f1.total_rows(), 0);
+        let fm = f1.header.file_map[0];
+        assert_eq!(fm.row_count, 10);
+        assert!(
+            (files[0].len() as u64) > fm.committed_size,
+            "cluster 0 kept the failed record past the acked extent"
+        );
+        let f0 = parse_fragment(&files[0], &r.key, Some(fm.committed_size)).unwrap();
+        assert_eq!(f0.total_rows(), 10);
+        assert_eq!(f0.max_flush_row(), None, "the failed bytes are excluded");
+        if flush {
+            assert_eq!(f1.max_flush_row(), Some(7), "the watermark survives");
+            let hb = r.server.build_heartbeat(true);
+            assert_eq!(hb.streamlets[0].max_flush_row, Some(7));
+        } else {
+            assert_eq!(r.server.tick(), 0, "the tail is committed");
+        }
+        // Appends continue on fragment 1.
+        let ack = r
+            .server
+            .append(sl, &rows(10, 2), 1, None, Timestamp::MIN)
+            .unwrap();
+        assert_eq!(ack.first_stream_row, 10);
+    }
+}
+
+/// A record write that fails and whose next fragment cannot be opened
+/// either finalizes the streamlet with a retryable error.
+#[test]
+fn record_write_that_fails_twice_finalizes_streamlet() {
+    for flush in [true, false] {
+        let r = rig();
+        let slid = if flush { 52 } else { 53 };
+        r.server.create_streamlet(spec(&r, slid, 0)).unwrap();
+        let sl = StreamletId::from_raw(slid);
+        r.server
+            .append(sl, &rows(0, 4), 1, None, Timestamp::MIN)
+            .unwrap();
+        r.fleet
+            .get(ClusterId::from_raw(1))
+            .unwrap()
+            .faults()
+            .fail_next_appends(2);
+        if flush {
+            let err = r.server.flush(sl, 4).unwrap_err();
+            assert!(err.is_retryable(), "{err}");
+            assert!(matches!(err, VortexError::Unavailable(_)), "{err}");
+        } else {
+            r.clock.advance(2 * COMMIT_IDLE_MICROS);
+            assert_eq!(r.server.tick(), 0, "no commit landed");
+        }
+        assert_eq!(r.server.load().streamlets, 0, "finalized");
+        assert!(matches!(
+            r.server.append(sl, &rows(4, 1), 1, None, Timestamp::MIN),
+            Err(VortexError::StreamletFinalized(_))
+        ));
+        assert_eq!(r.server.streamlet_rows(sl), Some(4), "acked rows survive");
+    }
 }
 
 #[test]
@@ -532,17 +635,27 @@ fn revoked_streamlet_rejects_appends() {
 
 #[test]
 fn flow_control_throttles_oversized_admission() {
-    let r = rig_with(|c| c.flow_control_bytes = 100);
+    let r = rig();
     r.server.create_streamlet(spec(&r, 23, 0)).unwrap();
-    let big = rows(0, 50); // ≫ 100 bytes
-    match r
-        .server
-        .append(StreamletId::from_raw(23), &big, 1, None, Timestamp::MIN)
-    {
-        Err(VortexError::Throttled { limit_bytes, .. }) => assert_eq!(limit_bytes, 100),
-        other => panic!("expected Throttled, got {other:?}"),
-    }
-    // Small appends still pass, and the guard releases (no leak).
+    // Admission past the cap is refused with the cap in the error.
+    let cap = match r.server.admit(u64::MAX / 2) {
+        Err(VortexError::Throttled { limit_bytes, .. }) => limit_bytes,
+        other => panic!("expected Throttled, got {:?}", other.map(|_| ())),
+    };
+    // Bytes held in flight count against it until their guard drops.
+    let held = r.server.admit(cap).unwrap();
+    assert!(matches!(
+        r.server.append(
+            StreamletId::from_raw(23),
+            &rows(0, 1),
+            1,
+            None,
+            Timestamp::MIN
+        ),
+        Err(VortexError::Throttled { .. })
+    ));
+    drop(held);
+    // Small appends pass again, and each guard releases (no leak).
     let small = rows(0, 1);
     for _ in 0..5 {
         r.server
