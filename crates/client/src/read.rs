@@ -53,7 +53,8 @@ use vortex_common::row::Row;
 use vortex_common::schema::Schema;
 use vortex_common::truetime::Timestamp;
 use vortex_ros::{
-    add_rowset, gather_rows, ColumnBuilder, ColumnVec, ReadAt, RosBlock, RowMeta, ZONE_ROWS,
+    add_rowset, gather_rows, Chunk, ColumnBuilder, ColumnVec, Fetched, ReadAt, RosBlock, RowMeta,
+    ZONE_ROWS,
 };
 use vortex_sms::api::SmsHandle;
 use vortex_sms::meta::{FragmentKind, FragmentMeta, FragmentState};
@@ -65,9 +66,9 @@ use crate::cache::{ReadCache, TailFile};
 /// Options for table reads.
 #[derive(Debug, Clone, Default)]
 pub struct ReadOptions {
-    /// Optional query-aware cache of the decoded zones of immutable
-    /// fragments and of the streamlet tails' certified extents (§9 future
-    /// work).
+    /// Optional query-aware cache of opened ROS blocks, of the decoded
+    /// zones of WOS fragments and of the streamlet tails' certified
+    /// extents (§9 future work).
     pub cache: Option<Arc<ReadCache>>,
     /// Best-effort monitoring mode (§9: "low latency is preferred over
     /// 100% data availability"): unreadable fragments and ambiguous tails
@@ -429,12 +430,12 @@ fn wos_zones<'i>(
 }
 
 /// Decodes a fragment's full extent into zones (no visibility filtering),
-/// with replica failover — the cacheable unit: `(path, committed_size)`
-/// uniquely identifies this content. The file is read whole, which serves
-/// best the readers that go on to decode all of it (table reads, DML, the
-/// optimizer's passes); a scan opens a ROS block with [`open_ros_block`]
-/// instead. Positions are fragment-relative: a ROS block's row index, a
-/// log file's row past `meta.first_row`.
+/// with replica failover. The file is read whole, which serves best the
+/// readers that go on to decode all of it and remember nothing (table
+/// reads, DML, the optimizer's passes); a scan, or a reader with a cache,
+/// opens a ROS block with [`open_ros_block`] instead. Positions are
+/// fragment-relative: a ROS block's row index, a log file's row past
+/// `meta.first_row`.
 pub fn read_zones(
     spec: &FragmentReadSpec,
     fleet: &StorageFleet,
@@ -452,31 +453,60 @@ pub fn read_zones(
             let of = (spec.stream, spec.streamlet_first_stream_row);
             return wos_zones(None, (&ix, &bytes), key, blocks, of);
         }
-        let block = RosBlock::from_bytes(&bytes, key, meta.fragment.raw())?;
-        let zone = |z: usize| {
-            let cols = (0..block.column_count()).map(|c| block.decode_zone(c, z));
-            Ok(Zone {
-                first: block.zone_range(z).start as u64,
-                metas: block.zone_metas(z)?,
-                // lint:allow(L010, once per zone of a block read whole: a vector per column)
-                cols: cols.collect::<VortexResult<_>>()?,
-            })
-        };
-        // lint:allow(L010, once per block read whole: an entry per zone)
-        (0..block.zone_count()).map(zone).collect()
+        block_zones(&RosBlock::from_bytes(&bytes, key, meta.fragment.raw())?)
     })
 }
 
-/// Opens a ROS block by its index alone — two ranged reads, bounded by
-/// the recorded size — and returns it with the reader that fetches the
-/// chunks a scan turns out to need ([`RosBlock::fetch`]). Every read runs
+/// Every zone of a block whose every chunk is held, decoded whole.
+fn block_zones(block: &RosBlock) -> VortexResult<Vec<Zone>> {
+    let zone = |z: usize| {
+        let cols = (0..block.column_count()).map(|c| block.decode_zone(c, z));
+        Ok(Zone {
+            first: block.zone_range(z).start as u64,
+            metas: block.zone_metas(z)?,
+            // lint:allow(L010, once per zone of a block read whole: a vector per column)
+            cols: cols.collect::<VortexResult<_>>()?,
+        })
+    };
+    // lint:allow(L010, once per block read whole: an entry per zone)
+    (0..block.zone_count()).map(zone).collect()
+}
+
+/// A ROS block opened for a read, with the reader of its file.
+pub struct OpenBlock<'a> {
+    /// The block — the cache's, shared, when it went through one.
+    pub block: Arc<RosBlock>,
+    read: Box<ReadAt<'a>>,
+    cache: Option<(&'a ReadCache, &'a FragmentMeta)>,
+    /// What this read has read of the file so far: nothing, on a hit.
+    pub fetched: Fetched,
+}
+
+impl OpenBlock<'_> {
+    /// Fetches the chunks `wanted` picks that no cell holds yet
+    /// ([`RosBlock::fetch`]), and charges the cells filled to the cache.
+    pub fn fetch(&mut self, wanted: impl Fn(Chunk, usize) -> bool) -> VortexResult<()> {
+        let got = self.block.fetch(&mut *self.read, wanted)?;
+        if let Some((cache, meta)) = self.cache.filter(|_| got.kept > 0) {
+            cache.charge(&meta.path, meta.committed_size, got.kept);
+        }
+        self.fetched += got;
+        Ok(())
+    }
+}
+
+/// Opens a ROS block: the one `cache` holds for the file, or the file's
+/// by its index alone — two ranged reads, bounded by the recorded size —
+/// then left in `cache`. The block comes with the reader that fetches the
+/// chunks a scan turns out to need ([`OpenBlock::fetch`]). Every read runs
 /// under the failover rule by itself: a replica whose read fails, or
 /// whose bytes fail the block's CRC for them, hands over to the other.
 pub fn open_ros_block<'a>(
     meta: &'a FragmentMeta,
     fleet: &'a StorageFleet,
     key: &Key,
-) -> VortexResult<(RosBlock, Box<ReadAt<'a>>)> {
+    cache: Option<&'a ReadCache>,
+) -> VortexResult<OpenBlock<'a>> {
     let read = move |offset: u64, len: usize, check: &dyn Fn(&[u8]) -> VortexResult<()>| {
         with_replica(meta.clusters, &meta.path, fleet, |cluster| {
             let data = cluster.read(&meta.path, offset, len)?.data;
@@ -485,8 +515,19 @@ pub fn open_ros_block<'a>(
     };
     // lint:allow(L010, one small box per block opened, so that its reader has a type to name)
     let mut read: Box<ReadAt<'a>> = Box::new(read);
-    let block = RosBlock::open_index(meta.committed_size, key, meta.fragment.raw(), &mut *read)?;
-    Ok((block, read))
+    let (path, size) = (&meta.path, meta.committed_size);
+    let mut open = || RosBlock::open_index(size, key, meta.fragment.raw(), &mut *read);
+    let (block, fetched) = match cache {
+        Some(cache) => cache.block(path, size, open)?,
+        // lint:allow(L010, once per block opened from its file, so that its reads can share it)
+        None => open().map(|(block, index)| (Arc::new(block), index))?,
+    };
+    Ok(OpenBlock {
+        block,
+        read,
+        cache: cache.map(|cache| (cache, meta)),
+        fetched,
+    })
 }
 
 /// The on-file bloom filter of a finalized WOS fragment, by two ranged
@@ -587,8 +628,9 @@ impl<'a> RowGate<'a> {
 }
 
 /// Reads one fragment (WOS or ROS) into zones with replica failover,
-/// through the decoded-extent cache (§9) if one is given — a hit shares
-/// the cached zones — and marks the rows visible at `snapshot`.
+/// through the read cache (§9) if one is given — a WOS fragment's decoded
+/// zones are shared from it, a ROS block decodes from the chunks it holds
+/// — and marks the rows visible at `snapshot`.
 pub fn read_fragment_cached(
     spec: &FragmentReadSpec,
     fleet: &StorageFleet,
@@ -601,17 +643,26 @@ pub fn read_fragment_cached(
         return Ok(Visible::through(&gate, Vec::new()));
     }
     let (path, size) = (&spec.meta.path, spec.meta.committed_size);
-    let zones = match cache.and_then(|cache| cache.get(path, size)) {
-        Some(hit) => hit,
-        None => {
-            let zones = read_zones(spec, fleet, key)?.into_iter().map(Arc::new);
-            // lint:allow(L010, once per fragment decoded, so that the cache can share its zones)
-            let zones: Vec<Arc<Zone>> = zones.collect();
-            if let Some(cache) = cache {
-                cache.put(path, size, zones.clone());
-            }
-            zones
+    let zones = match (spec.meta.kind, cache) {
+        (FragmentKind::Ros, Some(cache)) => {
+            let mut open = open_ros_block(&spec.meta, fleet, key, Some(cache))?;
+            open.fetch(|_, _| true)?;
+            let zones = block_zones(&open.block)?.into_iter().map(Arc::new);
+            // lint:allow(L010, once per block decoded whole: an `Arc` per zone)
+            zones.collect()
         }
+        _ => match cache.and_then(|cache| cache.get(path, size)) {
+            Some(hit) => hit,
+            None => {
+                let zones = read_zones(spec, fleet, key)?.into_iter().map(Arc::new);
+                // lint:allow(L010, once per fragment decoded, so that the cache can share its zones)
+                let zones: Vec<Arc<Zone>> = zones.collect();
+                if let Some(cache) = cache {
+                    cache.put(path, size, zones.clone());
+                }
+                zones
+            }
+        },
     };
     Ok(Visible::through(&gate, zones))
 }

@@ -292,6 +292,48 @@ fn doc_example_compiles_and_runs() {
     assert_eq!(client.read_rows(table.table).unwrap().rows.len(), 1);
 }
 
+/// GC lets go of what the region's read cache holds of the files it
+/// deletes: a queried table's log files are converted and its first blocks
+/// reclustered away, and after the sweep no entry names a deleted file and
+/// the bytes held fall by exactly those entries'.
+#[test]
+fn gc_drops_the_cache_entries_of_collected_files() {
+    let region = Region::create(RegionConfig::default()).unwrap();
+    let client = region.client();
+    let t = client.create_table("collected", schema()).unwrap().table;
+    let engine = region.engine();
+    let scan = || {
+        let all = engine.scan(t, client.snapshot(), &ScanOptions::default());
+        all.unwrap().rows.len()
+    };
+    // Two streams over the same days and customers: each converts to
+    // blocks of its own, which a recluster merges.
+    for stream in 1..=2 {
+        let mut w = client.create_unbuffered_writer(t).unwrap();
+        w.append(rows(0, 500)).unwrap();
+        region.sms().finalize_stream(t, w.stream_id()).unwrap();
+        assert_eq!(scan(), 500 * stream);
+        region.optimizer().convert_wos(t).unwrap();
+        assert_eq!(scan(), 500 * stream);
+    }
+    assert!(region.optimizer().recluster(t).unwrap().merged);
+    assert_eq!(scan(), 1_000);
+    let cache = region.read_cache();
+    let (held, bytes) = (cache.entries(), cache.bytes());
+    region.advance_micros(30_000_000);
+    assert!(region.run_gc(t).unwrap() > 0);
+    let exists = |path: &str| region.fleet().clusters().any(|c| c.exists(path));
+    let (gone, kept): (Vec<_>, Vec<_>) = held.into_iter().partition(|(p, _)| !exists(p));
+    let collected = |kind: &str| gone.iter().filter(|(p, _)| p.starts_with(kind)).count();
+    assert!(collected("wos/") > 0 && collected("ros/") > 0, "{gone:?}");
+    assert_eq!(cache.entries(), kept);
+    assert_eq!(
+        cache.bytes(),
+        bytes - gone.iter().map(|(_, n)| n).sum::<usize>()
+    );
+    assert_eq!(scan(), 1_000);
+}
+
 /// GC drops the records of converted log files from under a *live*
 /// streamlet; its tail must still start where they ended (regression:
 /// it restarted at ordinal 0, the probe found nothing and every fresh

@@ -90,22 +90,24 @@ pub struct ScanStats {
     /// `rows_scanned` × columns, what the filter saved. (WOS fragments and
     /// tails arrive decoded: `wos.rows_decoded`, `tail_rows_decoded`.)
     pub cells_decoded: u64,
-    /// Ranged reads made of the ROS blocks this scan opened: two for a
-    /// block's index, then one per run of adjacent chunks it needed.
-    /// (WOS fragments and tails are read whole; every read of either kind
-    /// is in the clusters' `colossus.<cluster>.reads`.)
+    /// Ranged reads this scan made of the ROS blocks it opened: two for
+    /// the index of a block the cache did not hold, then one per run of
+    /// adjacent chunks it needed that no cell held — none for a block the
+    /// cache held whole. (WOS fragments and tails are read whole; every
+    /// read of either kind is in the clusters' `colossus.<cluster>.reads`.)
     pub reads: u64,
     /// Bytes those reads returned — against the `committed_size` of the
-    /// blocks opened, what the scan paid for what it needed.
+    /// blocks opened, what the scan paid for what it needed; 0 for a
+    /// scan the cache served.
     pub bytes_fetched: u64,
-    /// WOS fragments and tail log files whose decoded zones this scan
-    /// shared from the cache (0 without a cache; a ROS block is opened by
-    /// its index and never goes through it). These four are attributed
-    /// from shared-cache counter deltas, so concurrent scans may shift
-    /// counts between each other; totals stay exact.
+    /// ROS blocks, WOS fragments and tail log files this scan found in
+    /// the cache (0 without a cache): a block opened from what it holds,
+    /// decoded zones shared. These four are attributed from shared-cache
+    /// counter deltas, so concurrent scans may shift counts between each
+    /// other; totals stay exact.
     pub cache_hits: u64,
-    /// WOS fragments and tail log files this scan decoded and left in
-    /// the cache.
+    /// ROS blocks this scan opened from their files, and WOS fragments
+    /// and tail log files it decoded, and left in the cache.
     pub cache_misses: u64,
     /// Bytes this scan read of tail log files, every replica's counted,
     /// to extend what the cache holds of them: what was appended since
@@ -306,8 +308,8 @@ pub struct QueryEngine {
     /// Virtual clock for scan spans and the freshness probe's
     /// "visible at" stamp. Optional: bare engines stay uninstrumented.
     tt: Option<TrueTime>,
-    /// How tables are read: through the shared decoded-extent cache (§9
-    /// future work), if any.
+    /// How tables are read: through the shared read cache (§9 future
+    /// work), if any.
     read: ReadOptions,
     /// End-to-end commit-to-visible freshness probe (§8).
     probe: Option<Arc<FreshnessProbe>>,
@@ -496,11 +498,12 @@ impl QueryEngine {
         Ok((plan, out))
     }
 
-    /// The per-fragment step. A ROS block is not even read whole: it is
-    /// opened by its index and the chunks the scan needs decode zone by
-    /// zone. A WOS fragment is read whole and decodes to zones once
-    /// (through the cache). Either way the predicate runs on typed column
-    /// vectors and the consumer folds the selected positions.
+    /// The per-fragment step, through the cache. A ROS block is not even
+    /// read whole: it is opened — held, or by its index — and the chunks
+    /// the scan needs that no cell holds are fetched, then decode zone by
+    /// zone. A WOS fragment is read whole and decodes to zones once.
+    /// Either way the predicate runs on typed column vectors and the
+    /// consumer folds the selected positions.
     fn scan_fragment<C: Consumer>(
         &self,
         spec: &FragmentReadSpec,
@@ -513,13 +516,13 @@ impl QueryEngine {
         if gate.is_shut() {
             return Ok(());
         }
+        let cache = self.read.cache.as_deref();
         match spec.meta.kind {
             FragmentKind::Ros => {
-                let (mut block, mut read) = open_ros_block(&spec.meta, &self.fleet, key)?;
-                scan_ros_block(&mut block, &mut *read, &gate, plan, out)
+                let mut open = open_ros_block(&spec.meta, &self.fleet, key, cache)?;
+                scan_ros_block(&mut open, &gate, plan, out)
             }
             FragmentKind::Wos => {
-                let cache = self.read.cache.as_deref();
                 let zones = read_fragment_cached(spec, &self.fleet, key, snapshot, cache)?;
                 scan_visible(&zones, plan, out)
             }

@@ -6,13 +6,14 @@
 //! filtered to a selection and folded ([`scan_zone`]). No row exists
 //! before the predicate has run.
 //!
-//! 0. **Index first** — a ROS block arrives opened by its index alone.
-//!    Its bloom filter can rule the whole block out for a point predicate
-//!    on a key column; what is left gets one fetch plan: the predicate's
-//!    and the consumer's columns × the zones the zone maps keep, adjacent
-//!    chunks in one read ([`vortex_ros::RosBlock::fetch`]). Provenance is
-//!    fetched for a consumer that returns rows, and commit timestamps for
-//!    the zones that hold rows the freshness probe has not seen.
+//! 0. **Index first** — a ROS block arrives opened: held by the read
+//!    cache, or by its index alone. Its bloom filter can rule the whole
+//!    block out for a point predicate on a key column; what is left gets
+//!    one fetch plan: the predicate's and the consumer's columns × the
+//!    zones the zone maps keep, adjacent chunks no cell holds yet in one
+//!    read ([`vortex_ros::RosBlock::fetch`]). Provenance is fetched for a
+//!    consumer that returns rows, and commit timestamps for the zones that
+//!    hold rows the freshness probe has not seen.
 //! 1. **Zone-map short-circuit** — every column chunk (one zone of
 //!    [`vortex_ros::ZONE_ROWS`] rows) carries min/max/null properties;
 //!    zones the predicate provably cannot match are never fetched.
@@ -49,14 +50,15 @@
 use std::borrow::Cow;
 use std::cell::{Cell, OnceCell};
 use std::cmp::Ordering;
+use std::sync::Arc;
 
-use vortex_client::read::{RowGate, Visible, Zone};
+use vortex_client::read::{OpenBlock, RowGate, Visible, Zone};
 use vortex_common::bloom::BloomFilter;
 use vortex_common::error::{VortexError, VortexResult};
 use vortex_common::row::{Row, Value};
 use vortex_common::schema::Schema;
 use vortex_common::truetime::Timestamp;
-use vortex_ros::{Chunk, ColumnBuilder, ColumnVec, IntKind, Picked, ReadAt, RosBlock, RowMeta};
+use vortex_ros::{Chunk, ColumnBuilder, ColumnVec, IntKind, Picked, RosBlock, RowMeta};
 
 use crate::consume::Consumer;
 use crate::engine::ScanStats;
@@ -515,17 +517,18 @@ pub(crate) fn scan_resolved<C: Consumer>(
     scan_zone(&ZoneCols::Decoded(&zone), &mut sel, plan, out)
 }
 
-/// Scans one ROS block, opened by its index, with the predicate pushed
-/// into the compressed chunks; `read` fetches what of its file the scan
-/// turns out to need and `gate` decides which block rows the snapshot
-/// may see. Each surviving zone takes the one scan step.
+/// Scans one opened ROS block with the predicate pushed into the
+/// compressed chunks, fetching what of its file the scan turns out to
+/// need and no cell holds yet; `gate` decides which block rows the
+/// snapshot may see. Each surviving zone takes the one scan step.
 pub(crate) fn scan_ros_block<C: Consumer>(
-    block: &mut RosBlock,
-    read: &mut ReadAt<'_>,
+    open: &mut OpenBlock<'_>,
     gate: &RowGate<'_>,
     plan: &ScanPlan<'_>,
     out: &mut FragmentYield<C>,
 ) -> VortexResult<()> {
+    let held = Arc::clone(&open.block);
+    let block = &*held;
     // A zone holds rows the freshness probe has not seen if its newest is
     // past the probe's watermark (a zone map that does not say is read).
     let seen = plan.visible_after;
@@ -547,16 +550,14 @@ pub(crate) fn scan_ros_block<C: Consumer>(
     }
     // One fetch plan for the block.
     let (columns, provenance) = (&plan.reads.0, plan.reads.1);
-    block.fetch(read, |chunk, z| match chunk {
+    open.fetch(|chunk, z| match chunk {
         Chunk::Column(c) => scan[z] && columns.get(c) == Some(&true),
         Chunk::Timestamps => fresh[z] || (scan[z] && provenance),
         Chunk::Provenance => scan[z] && provenance,
     })?;
-    let block = &*block;
-    let (reads, bytes) = block.fetched();
     let cells = Cell::new(0); // decoded of the block, provenance included
-    out.stats.reads += reads;
-    out.stats.bytes_fetched += bytes;
+    out.stats.reads += open.fetched.reads;
+    out.stats.bytes_fetched += open.fetched.bytes;
     for z in (0..zones).filter(|&z| fresh[z]) {
         let range = block.zone_range(z);
         let ts = block.zone_timestamps(z)?;

@@ -23,10 +23,13 @@
 //! A reader needs the trailer and the index (two reads whose lengths the
 //! file's size bounds), then only the chunks its query decodes:
 //! [`RosBlock::open_index`] parses the first two, [`RosBlock::fetch`] reads
-//! runs of adjacent wanted chunks. [`RosBlock::from_bytes`] is the same
+//! runs of adjacent wanted chunks into write-once cells — verified,
+//! decrypted and expanded, so the block can be shared and every later
+//! reader decodes straight from them. [`RosBlock::from_bytes`] is the same
 //! two calls over a buffer that holds the whole file.
 
 use std::cmp::Ordering;
+use std::sync::OnceLock;
 
 use vortex_common::bloom::BloomFilter;
 use vortex_common::codec::{
@@ -77,6 +80,26 @@ const TRAILER_LEN: usize = TRAILER_FIELDS + 4;
 /// when a read, or the check of what it returned, fails.
 pub type ReadAt<'r> =
     dyn FnMut(u64, usize, &dyn Fn(&[u8]) -> VortexResult<()>) -> VortexResult<Vec<u8>> + 'r;
+
+/// What one open or [`RosBlock::fetch`] read of a block's file and kept.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Fetched {
+    /// Ranged reads made.
+    pub reads: u64,
+    /// Bytes they returned.
+    pub bytes: u64,
+    /// Bytes the block now holds that it did not: the index an open
+    /// parsed, the cells a fetch filled.
+    pub kept: u64,
+}
+
+impl std::ops::AddAssign for Fetched {
+    fn add_assign(&mut self, other: Fetched) {
+        self.reads += other.reads;
+        self.bytes += other.bytes;
+        self.kept += other.kept;
+    }
+}
 
 /// What one chunk of a block holds — how [`RosBlock::fetch`] names a
 /// chunk to the reader that picks which to read.
@@ -304,9 +327,10 @@ impl RosBlockBuilder {
         // into a leaf vector of their own, which is profiled once for its
         // own encoding choice (cascading chooser) and its zone map, and
         // gets — when it shrinks the chunk — vsnap compression on top.
-        // Chunks tile the body.
+        // Chunks tile the body; each cell keeps what its decoder reads.
         let mut body = Vec::new();
         let mut chunks = Vec::with_capacity(cols.len() * n.div_ceil(ZONE_ROWS));
+        let mut cells = Vec::with_capacity(chunks.capacity());
         for col in &cols {
             for rows in order.chunks(ZONE_ROWS) {
                 let mut zone = ColumnBuilder::default();
@@ -316,16 +340,17 @@ impl RosBlockBuilder {
                 let (enc, bytes) = encode_profiled(&zone, &profile);
                 let packed = compress(&bytes);
                 let compressed = packed.len() < bytes.len();
-                let bytes = if compressed { packed } else { bytes };
+                let stored = if compressed { &packed } else { &bytes };
                 chunks.push(ChunkEntry {
                     enc,
                     compressed,
                     stats: summarize_zone(&zone, &profile),
                     offset: body.len(),
-                    len: bytes.len(),
+                    len: stored.len(),
                     crc: 0,
                 });
-                body.extend_from_slice(&bytes);
+                body.extend_from_slice(stored);
+                cells.push(OnceLock::from(bytes));
             }
         }
         // A block's column properties are its zones' merged: in a typed
@@ -348,9 +373,9 @@ impl RosBlockBuilder {
                 .collect(),
             bloom,
             chunks,
-            held: vec![(0, body)],
+            cells,
+            body: Some(body),
             seal: None,
-            fetched: (0, 0),
         })
     }
 }
@@ -374,8 +399,9 @@ fn summarize_zone(zone: &ColumnVec, profile: &Profile) -> ColumnStats {
     stats
 }
 
-/// A read-optimized columnar block: its index, and the plaintext of as
-/// much of its body as has been built or fetched.
+/// A read-optimized columnar block: its index, and the chunks it holds —
+/// all of them for a block as built, those fetched so far for one opened
+/// from a file.
 #[derive(Debug, Clone)]
 pub struct RosBlock {
     schema_version: u32,
@@ -389,13 +415,14 @@ pub struct RosBlock {
     bloom: BloomFilter,
     /// Column-major, in file order: chunk `col * zones + zone`.
     chunks: Vec<ChunkEntry>,
-    /// The byte ranges of the body held, decrypted, by file offset: the
-    /// whole body of a block as built, else the runs fetched so far.
-    held: Vec<(usize, Vec<u8>)>,
+    /// Per chunk, once held: the bytes its decoder reads — CRC-checked,
+    /// decrypted and, for a vsnap chunk, expanded. Written once, so
+    /// readers sharing the block may fill them at the same time.
+    cells: Vec<OnceLock<Vec<u8>>>,
+    /// The body as stored, unencrypted, of a block as built.
+    body: Option<Vec<u8>>,
     /// What a fetched range decrypts with; `None` in a block as built.
     seal: Option<(Key, Nonce)>,
-    /// Reads made of the file, and the bytes they returned.
-    fetched: (u64, u64),
 }
 
 impl RosBlock {
@@ -417,11 +444,6 @@ impl RosBlock {
     /// The block's bloom filter over partition/clustering key values.
     pub fn bloom(&self) -> &BloomFilter {
         &self.bloom
-    }
-
-    /// Reads made of the block's file so far and the bytes they returned.
-    pub fn fetched(&self) -> (u64, u64) {
-        self.fetched
     }
 
     /// Number of zones (column chunks per column).
@@ -461,16 +483,10 @@ impl RosBlock {
         }
     }
 
-    /// The decrypted bytes of chunk `i`, if the block holds them.
-    fn held(&self, i: usize) -> Option<&[u8]> {
-        let c = &self.chunks[i];
-        let within = |(at, bytes): &&(usize, Vec<u8>)| {
-            *at <= c.offset && c.offset + c.len <= at + bytes.len()
-        };
-        match self.held.iter().find(within) {
-            Some((at, bytes)) => Some(&bytes[c.offset - at..][..c.len]),
-            None => (c.len == 0).then_some(&[]),
-        }
+    /// The cell of chunk `i`, if the block holds it.
+    fn cell(&self, i: usize) -> Option<&[u8]> {
+        let empty = || (self.chunks[i].len == 0).then_some(&[][..]);
+        self.cells[i].get().map(Vec::as_slice).or_else(empty)
     }
 
     /// Decodes chunk `z` of column `col`, provenance columns included:
@@ -482,20 +498,12 @@ impl RosBlock {
         rows: Option<&[usize]>,
     ) -> VortexResult<ColumnVec> {
         let (i, chunk) = self.chunk(col, z)?;
-        let count = self.zone_range(z).len();
-        let bytes = self.held(i).ok_or_else(|| {
+        let bytes = self.cell(i).ok_or_else(|| {
             VortexError::Internal(format!(
                 "column {col} zone {z} is read before it is fetched"
             ))
         })?;
-        let plain = match chunk.compressed {
-            true => std::borrow::Cow::Owned(
-                decompress(bytes)
-                    .map_err(|e| VortexError::CorruptData(format!("column {col} zone {z}: {e}")))?,
-            ),
-            false => std::borrow::Cow::Borrowed(bytes),
-        };
-        decode_chunk_at(chunk.enc, &plain, count, rows)
+        decode_chunk_at(chunk.enc, bytes, self.zone_range(z).len(), rows)
     }
 
     /// `col` if it is a user column.
@@ -625,10 +633,21 @@ impl RosBlock {
         // The index is a few percent of a block of any size worth sizing.
         let body: usize = self.chunks.iter().map(|c| c.len).sum();
         let mut out = Vec::with_capacity(body + body / 8);
-        for i in 0..self.chunks.len() {
-            let bytes = self.held(i);
-            // lint:allow(L002, a block that is serialized was built or read whole; a chunk missing here is a bug in the caller, not input)
-            out.extend_from_slice(bytes.expect("every chunk of a block being sealed is held"));
+        match &self.body {
+            // lint:allow(L010, sealing writes the file: the body once)
+            Some(body) => out.extend_from_slice(body),
+            // An opened block's cells, a vsnap chunk compressed again:
+            // vsnap is deterministic, so to the bytes it was read from.
+            None => {
+                for (i, c) in self.chunks.iter().enumerate() {
+                    let cell = self.cell(i);
+                    // lint:allow(L002, a block that is serialized was built or read whole; a chunk missing here is a bug in the caller, not input)
+                    let cell = cell.expect("every chunk of a block being sealed is held");
+                    let packed = c.compressed.then(|| compress(cell));
+                    // lint:allow(L010, sealing writes the file: each chunk once)
+                    out.extend_from_slice(packed.as_deref().unwrap_or(cell));
+                }
+            }
         }
         encrypt(&mut out, 0);
         let index_at = out.len();
@@ -673,7 +692,7 @@ impl RosBlock {
             let bytes = bytes.ok_or_else(|| VortexError::Decode("ros block truncated".into()))?;
             check(bytes).map(|()| bytes.to_vec())
         };
-        let mut block = Self::open_index(data.len() as u64, key, block_raw_id, &mut read)?;
+        let (block, _) = Self::open_index(data.len() as u64, key, block_raw_id, &mut read)?;
         block.fetch(&mut read, |_, _| true)?;
         Ok(block)
     }
@@ -686,7 +705,7 @@ impl RosBlock {
         key: &Key,
         block_raw_id: u64,
         read: &mut ReadAt<'_>,
-    ) -> VortexResult<Self> {
+    ) -> VortexResult<(Self, Fetched)> {
         let nonce = Nonce::for_block(block_raw_id, u32::MAX);
         let too_short = || VortexError::Decode(format!("{size} bytes are no ros block"));
         let size = usize::try_from(size).map_err(|_| too_short())?;
@@ -722,8 +741,12 @@ impl RosBlock {
         let mut block = Self::parse_index(&index, index_at)?;
         // lint:allow(L010, 32 bytes per block opened, to decrypt what is fetched of it later)
         block.seal = Some((key.clone(), nonce));
-        block.fetched = (2, (TRAILER_LEN + index_len) as u64);
-        Ok(block)
+        let index = Fetched {
+            reads: 2,
+            bytes: (TRAILER_LEN + index_len) as u64,
+            kept: index_len as u64,
+        };
+        Ok((block, index))
     }
 
     /// Parses a decrypted index; the chunks it lists must tile the
@@ -805,30 +828,33 @@ impl RosBlock {
             ncols,
             stats,
             bloom,
+            // lint:allow(L010, once per block opened: an empty cell per chunk)
+            cells: vec![OnceLock::new(); chunks.len()],
             chunks,
-            held: Vec::new(),
+            body: None,
             seal: None,
-            fetched: (0, 0),
         })
     }
 
-    /// Reads the chunks `wanted` picks and the block does not hold yet —
-    /// it is asked about each by what it holds and its zone — one read
-    /// per run of chunks adjacent in the file (a column's zones are one
-    /// run, and so is the whole body). Each chunk is verified against its
-    /// CRC before the read counts as done, then the run is decrypted.
+    /// Reads the chunks `wanted` picks and no cell holds yet — it is asked
+    /// about each by what it holds and its zone — one read per run of
+    /// chunks adjacent in the file (a column's zones are one run, and so
+    /// is the whole body). Each chunk is verified against its CRC before
+    /// the read counts as done; the run is decrypted, its vsnap chunks
+    /// expanded, and only then is a cell filled. A cell another reader
+    /// filled meanwhile keeps its bytes: they are the same.
     pub fn fetch(
-        &mut self,
+        &self,
         read: &mut ReadAt<'_>,
         wanted: impl Fn(Chunk, usize) -> bool,
-    ) -> VortexResult<()> {
+    ) -> VortexResult<Fetched> {
         let zones = self.zone_count().max(1);
         let kind = |col: usize| match col.checked_sub(self.ncols) {
             None => Chunk::Column(col),
             Some(TS) => Chunk::Timestamps,
             Some(_) => Chunk::Provenance,
         };
-        let missing = |i: usize| wanted(kind(i / zones), i % zones) && self.held(i).is_none();
+        let missing = |i: usize| wanted(kind(i / zones), i % zones) && self.cell(i).is_none();
         // lint:allow(L010, once per fetch plan — per block — and an entry per read it makes)
         let mut runs: Vec<(usize, usize)> = Vec::new(); // chunks first..end
         for i in (0..self.chunks.len()).filter(|&i| missing(i)) {
@@ -838,14 +864,15 @@ impl RosBlock {
                 _ => runs.push((i, i + 1)),
             }
         }
+        let mut fetched = Fetched::default();
         for (first, end) in runs {
-            self.fetch_run(first, end, read)?;
+            fetched += self.fetch_run(first, end, read)?;
         }
-        Ok(())
+        Ok(fetched)
     }
 
-    /// One read of the adjacent chunks `first..end`.
-    fn fetch_run(&mut self, first: usize, end: usize, read: &mut ReadAt<'_>) -> VortexResult<()> {
+    /// One read of the adjacent chunks `first..end`, into their cells.
+    fn fetch_run(&self, first: usize, end: usize, read: &mut ReadAt<'_>) -> VortexResult<Fetched> {
         let Some((key, nonce)) = &self.seal else {
             return Err(VortexError::Internal(
                 "a ros block that was built has no file to fetch from".into(),
@@ -861,10 +888,30 @@ impl RosBlock {
             run.iter().enumerate().try_for_each(each)
         })?;
         apply_keystream_at(key, nonce, start as u64, &mut bytes);
-        self.fetched = (self.fetched.0 + 1, self.fetched.1 + len as u64);
-        // lint:allow(L010, an entry per read made of the block's file)
-        self.held.push((start, bytes));
-        Ok(())
+        let cell = |(k, c): (usize, &ChunkEntry)| {
+            let plain = &bytes[c.offset - start..][..c.len];
+            match c.compressed {
+                true => decompress(plain).map_err(|e| {
+                    // lint:allow(L010, the error of a chunk that passed its CRC and does not expand)
+                    VortexError::CorruptData(format!("chunk {}: {e}", first + k))
+                }),
+                // lint:allow(L010, once per chunk fetched: the cell every later reader decodes from)
+                false => Ok(plain.to_vec()),
+            }
+        };
+        // lint:allow(L010, once per read made of the block's file: its chunks' cells)
+        let filled: VortexResult<Vec<_>> = (run.iter().enumerate()).map(cell).collect();
+        let mut kept = 0;
+        for (cell, plain) in self.cells[first..end].iter().zip(filled?) {
+            let n = plain.len() as u64;
+            kept += cell.set(plain).map_or(0, |()| n);
+        }
+        let bytes = len as u64;
+        Ok(Fetched {
+            reads: 1,
+            bytes,
+            kept,
+        })
     }
 }
 
@@ -1136,15 +1183,24 @@ mod tests {
         let file = block.to_bytes(&key, 9);
         let log = std::cell::RefCell::new(Vec::new());
         let mut read = ranges_of(&file, &log);
-        let mut open = RosBlock::open_index(file.len() as u64, &key, 9, &mut *read).unwrap();
+        let (open, mut fetched) =
+            RosBlock::open_index(file.len() as u64, &key, 9, &mut *read).unwrap();
         // Two reads, the trailer and then the index, make the index.
         assert_eq!(log.borrow().len(), 2);
         assert_eq!(
             log.borrow()[0],
             ((file.len() - TRAILER_LEN) as u64, TRAILER_LEN)
         );
-        let index_bytes = (TRAILER_LEN + log.borrow()[1].1) as u64;
-        assert_eq!(open.fetched(), (2, index_bytes));
+        let index_len = log.borrow()[1].1 as u64;
+        let index_bytes = TRAILER_LEN as u64 + index_len;
+        assert_eq!(
+            fetched,
+            Fetched {
+                reads: 2,
+                bytes: index_bytes,
+                kept: index_len
+            }
+        );
         assert_eq!(open.zone_count(), 3);
         assert_eq!(open.all_stats(), block.all_stats());
         assert_eq!(open.bloom(), block.bloom());
@@ -1154,7 +1210,8 @@ mod tests {
             Err(VortexError::Internal(_))
         ));
         // One zone of one column: one read, of that chunk alone.
-        open.fetch(&mut *read, |chunk, z| chunk == Chunk::Column(4) && z == 1)
+        fetched += open
+            .fetch(&mut *read, |chunk, z| chunk == Chunk::Column(4) && z == 1)
             .unwrap();
         let (_, c) = open.chunk(4, 1).unwrap();
         assert_eq!(log.borrow()[2..], [(c.offset as u64, c.len)]);
@@ -1165,22 +1222,25 @@ mod tests {
         assert!(open.decode_zone(4, 0).is_err() && open.zone_metas(1).is_err());
         // Two neighbouring columns, whole: one read (what is held already
         // splits it in two).
-        open.fetch(&mut *read, |chunk, _| matches!(chunk, Chunk::Column(4 | 5)))
+        fetched += open
+            .fetch(&mut *read, |chunk, _| matches!(chunk, Chunk::Column(4 | 5)))
             .unwrap();
         assert_eq!(log.borrow().len(), 5);
         // Provenance of one zone: four chunks in four columns, four reads;
         // its timestamps alone were one of them.
-        open.fetch(&mut *read, |chunk, z| chunk == Chunk::Timestamps && z == 2)
+        fetched += open
+            .fetch(&mut *read, |chunk, z| chunk == Chunk::Timestamps && z == 2)
             .unwrap();
         assert_eq!(log.borrow().len(), 6);
         assert_eq!(
             open.zone_timestamps(2).unwrap().len(),
             2_500 - 2 * ZONE_ROWS
         );
-        open.fetch(&mut *read, |chunk, z| {
-            !matches!(chunk, Chunk::Column(_)) && z == 2
-        })
-        .unwrap();
+        fetched += open
+            .fetch(&mut *read, |chunk, z| {
+                !matches!(chunk, Chunk::Column(_)) && z == 2
+            })
+            .unwrap();
         assert_eq!(log.borrow().len(), 9);
         let metas = open.zone_metas(2).unwrap();
         assert_eq!(metas, block.zone_metas(2).unwrap());
@@ -1191,23 +1251,34 @@ mod tests {
         assert_eq!(open.zone_timestamps(2).unwrap(), ts);
         assert_eq!(open.zone_newest(2), ts.iter().copied().max());
         // What is held is not read again.
-        open.fetch(&mut *read, |chunk, _| chunk == Chunk::Column(5))
+        fetched += open
+            .fetch(&mut *read, |chunk, _| chunk == Chunk::Column(5))
             .unwrap();
         assert_eq!(log.borrow().len(), 9);
         // The rest, and the block reads as the one that was built.
-        open.fetch(&mut *read, |_, _| true).unwrap();
+        fetched += open.fetch(&mut *read, |_, _| true).unwrap();
         assert_eq!(open.rows().unwrap(), block.rows().unwrap());
-        let (reads, bytes) = open.fetched();
-        assert_eq!(reads as usize, log.borrow().len());
-        assert_eq!(bytes as usize, file.len(), "every byte once");
+        assert_eq!(fetched.reads as usize, log.borrow().len());
+        assert_eq!(fetched.bytes as usize, file.len(), "every byte once");
+        // What it keeps is the index and every cell, once: the built block's.
+        let cells: usize = block
+            .cells
+            .iter()
+            .filter_map(|c| c.get())
+            .map(Vec::len)
+            .sum();
+        assert_eq!(fetched.kept, index_len + cells as u64);
 
         // A full read of a block opened by its index is one read more.
         log.borrow_mut().clear();
-        let mut whole = RosBlock::open_index(file.len() as u64, &key, 9, &mut *read).unwrap();
-        whole.fetch(&mut *read, |_, _| true).unwrap();
+        let (whole, index) = RosBlock::open_index(file.len() as u64, &key, 9, &mut *read).unwrap();
+        let body = whole.fetch(&mut *read, |_, _| true).unwrap();
         assert_eq!(log.borrow().len(), 3);
         assert_eq!(log.borrow()[2].0, 0, "the body, from its first byte");
-        assert_eq!(whole.fetched(), (3, file.len() as u64));
+        assert_eq!(
+            (body.reads, index.bytes + body.bytes),
+            (1, file.len() as u64)
+        );
         assert_eq!(whole.to_bytes(&key, 9), file, "and seals to the same file");
     }
 
@@ -1284,7 +1355,7 @@ mod tests {
                 );
                 continue;
             };
-            let (mut open, hit) = (open.unwrap(), (hit / zones, hit % zones));
+            let ((open, _), hit) = (open.unwrap(), (hit / zones, hit % zones));
             let others = |col: usize, z: usize| col < block.column_count() && (col, z) != hit;
             let column = |chunk| match chunk {
                 Chunk::Column(c) => c,
@@ -1310,6 +1381,8 @@ mod tests {
                 matches!(damaged, Err(VortexError::CorruptData(_))),
                 "flip at {at}"
             );
+            // A run that fails keeps nothing: the damaged cell stays empty.
+            assert!(open.cell(hit.0 * zones + hit.1).is_none(), "flip at {at}");
         }
     }
 

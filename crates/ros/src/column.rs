@@ -175,6 +175,24 @@ impl ColumnVec {
         self.len() == 0
     }
 
+    /// The bytes the vector's elements take on the heap (an `Any` cell
+    /// counted at its inline size).
+    pub fn heap_bytes(&self) -> usize {
+        fn prim<T>(p: &Prim<T>) -> usize {
+            std::mem::size_of_val(&p.values[..]) + p.nulls.as_ref().map_or(0, |n| n.0.len())
+        }
+        match self {
+            ColumnVec::I64(_, p) => prim(p),
+            ColumnVec::F64(p) => prim(p),
+            ColumnVec::Bool(p) => prim(p),
+            ColumnVec::I128(p) => prim(p),
+            ColumnVec::Str(_, s) => 4 * s.offsets.len() + s.bytes.len(),
+            ColumnVec::Any(values) => std::mem::size_of_val(&values[..]),
+            ColumnVec::Dict { codes, dict } => 4 * codes.len() + dict.heap_bytes(),
+            ColumnVec::Runs { lens, values } => 4 * lens.len() + values.heap_bytes(),
+        }
+    }
+
     /// Peels `Dict` / `Runs`: the leaf vector under this one and, for
     /// each of the strictly ascending in-bounds `rows`, its index there
     /// (`buf` backs the indices when they differ from `rows`).

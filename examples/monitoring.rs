@@ -187,6 +187,7 @@ fn main() -> vortex::VortexResult<()> {
     for needle in [
         "freshness.commit_to_visible_us",
         "scan.cache.",
+        "cache.bytes",
         "scan.tail.",
         "scan.bytes_fetched",
         "scan.cells_decoded",
@@ -220,9 +221,10 @@ fn main() -> vortex::VortexResult<()> {
         encoded as f64 / chunks.max(1) as f64
     );
     println!(
-        "read cache: {} hits, {} misses; tails extended by {} bytes read, {} rows decoded",
+        "read cache: {} hits, {} misses, {} bytes held; tails extended by {} bytes read, {} rows decoded",
         counter("scan.cache.hits"),
         counter("scan.cache.misses"),
+        snap.gauges.get("cache.bytes").copied().unwrap_or(0),
         counter("scan.tail.bytes_read"),
         counter("scan.tail.rows_decoded")
     );

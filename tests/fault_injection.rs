@@ -3,7 +3,7 @@
 
 use vortex::row::{Row, RowSet, Value};
 use vortex::schema::{Field, FieldType, Schema};
-use vortex::{Expr, Region, RegionConfig, ScanOptions};
+use vortex::{Expr, QueryEngine, Region, RegionConfig, ScanOptions};
 
 fn schema() -> Schema {
     Schema::new(vec![
@@ -588,13 +588,15 @@ fn one_ros_block(region: &Region, name: &str) -> (vortex::ids::TableId, vortex::
     (t, live.remove(0))
 }
 
-/// `COUNT(*) WHERE k >= 100`: the index of the block, then `k`.
+/// `COUNT(*) WHERE k >= 100` through an engine without a cache, so that
+/// every count reads the file: the index of the block, then `k`.
 fn count_from_100(region: &Region, t: vortex::ids::TableId) -> vortex::VortexResult<u64> {
     let opts = ScanOptions {
         predicate: Expr::ge("k", Value::Int64(100)),
         ..ScanOptions::default()
     };
-    region.engine().count(t, region.client().snapshot(), &opts)
+    let cold = QueryEngine::new(region.sms().clone(), region.fleet().clone());
+    cold.count(t, region.client().snapshot(), &opts)
 }
 
 /// Each ranged read of a ROS block fails over by itself: whichever of the
@@ -606,7 +608,7 @@ fn ros_ranged_reads_fail_over_one_by_one() {
     let (t, file) = one_ros_block(&region, "ranged");
     let primary = region.fleet().get(file.clusters[0]).unwrap();
     let secondary = region.fleet().get(file.clusters[1]).unwrap();
-    assert_eq!(count_from_100(&region, t).unwrap(), 1_400); // and the probe has seen the rows
+    assert_eq!(count_from_100(&region, t).unwrap(), 1_400);
     for failing in 1..=3 {
         let served = secondary.read_counts().0;
         primary.faults().fail_next_reads(failing);
@@ -667,4 +669,77 @@ fn a_corrupt_ros_chunk_fails_over_then_fails() {
     assert_eq!(engine.count(t, at, &on_v).unwrap(), 1);
     let err = region.client().read_rows(t).unwrap_err();
     assert!(matches!(err, vortex::VortexError::CorruptData(_)), "{err}");
+}
+
+/// The region's cache keeps a chunk only once its CRC has passed. Damaged
+/// in both copies, a scan fails, leaves the chunk's cell empty, and the
+/// next scan reads it again; damaged in the primary alone, the read fails
+/// over and the cell holds the secondary's good bytes — which later scans
+/// decode without reading either copy. Scans racing on a block nothing
+/// holds yet share one and agree.
+#[test]
+fn only_verified_chunks_are_cached() {
+    let region = Region::create(RegionConfig::default()).unwrap();
+    let (raced, _) = one_ros_block(&region, "raced");
+    let (t, file) = one_ros_block(&region, "verified");
+    let (engine, at) = (region.engine(), region.client().snapshot());
+
+    let all = ScanOptions::default();
+    let start = std::sync::Barrier::new(4);
+    let scans: Vec<_> = std::thread::scope(|s| {
+        let scan = || {
+            start.wait();
+            engine.scan(raced, at, &all).unwrap().rows
+        };
+        let racers: Vec<_> = (0..4).map(|_| s.spawn(scan)).collect();
+        racers.into_iter().map(|r| r.join().unwrap()).collect()
+    });
+    assert_eq!(scans[0].len(), 1_500);
+    assert!(scans.iter().all(|rows| *rows == scans[0]));
+    let cold = QueryEngine::new(region.sms().clone(), region.fleet().clone());
+    assert_eq!(cold.scan(raced, at, &all).unwrap().rows, scans[0]);
+    assert_eq!(region.read_cache().len(), 1, "one block, shared");
+
+    let cluster = |which: usize| region.fleet().get(file.clusters[which]).unwrap();
+    let write = |which: usize, bytes: &[u8]| {
+        cluster(which).delete(&file.path).unwrap();
+        cluster(which)
+            .append(&file.path, bytes, vortex::Timestamp::MIN)
+            .unwrap();
+    };
+    let good = cluster(0).read_all(&file.path).unwrap().data;
+    let mut bad = good.clone();
+    bad[0] ^= 0x40; // the first zone of `k`
+    let served = || (cluster(0).read_counts(), cluster(1).read_counts());
+    let from_100 = ScanOptions {
+        predicate: Expr::ge("k", Value::Int64(100)),
+        ..ScanOptions::default()
+    };
+    let count = || engine.count(t, at, &from_100);
+
+    write(0, &bad);
+    write(1, &bad);
+    let err = count().unwrap_err();
+    assert!(matches!(err, vortex::VortexError::CorruptData(_)), "{err}");
+    let held = || panic!("the index passed its CRC and is held");
+    let (block, _) = (region.read_cache())
+        .block(&file.path, file.committed_size, held)
+        .unwrap();
+    let empty = block.decode_zone(0, 0);
+    assert!(
+        matches!(empty, Err(vortex::VortexError::Internal(_))),
+        "{empty:?}"
+    );
+    let before = served();
+    assert!(count().is_err());
+    assert_ne!(served(), before, "the next scan reads the chunk again");
+
+    write(1, &good);
+    assert_eq!(count().unwrap(), 1_400);
+    let first_zone: Vec<Value> = (0..1_024).map(Value::Int64).collect();
+    assert_eq!(block.decode_zone(0, 0).unwrap().to_values(), first_zone);
+    write(1, &bad);
+    let before = served();
+    assert_eq!(count().unwrap(), 1_400);
+    assert_eq!(served(), before, "a warm count reads nothing");
 }

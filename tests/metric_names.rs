@@ -72,6 +72,7 @@ gauge admission.limit
 gauge admission.queue_depth.background.us
 gauge admission.queue_depth.batch.us
 gauge admission.queue_depth.interactive.us
+gauge cache.bytes
 histogram admission.queue_wait.background.us
 histogram admission.queue_wait.batch.us
 histogram admission.queue_wait.interactive.us

@@ -1,15 +1,19 @@
 //! Read amplification of scans over ROS as numbers: what a query fetches
 //! (`scan.bytes_fetched`, `scan.reads`, the clusters' own `bytes_read`)
 //! against the size of the files it could not rule out by their catalogued
-//! column properties. One test in a binary of its own — the metrics
-//! registry is process-global, and any neighbour that scans would move
-//! the counters.
+//! column properties — cold, on a first scan or through an engine without
+//! a cache, and warm, through the region's read cache. One test in a
+//! binary of its own — the metrics registry is process-global, and any
+//! neighbour that scans would move the counters.
 
 use std::collections::BTreeMap;
 
 use vortex::row::{Row, RowSet, Value};
 use vortex::schema::{Field, FieldType, PartitionTransform, Schema};
-use vortex::{AggKind, Expr, FragmentKind, Region, RegionConfig, ScanOptions, SqlSession};
+use vortex::{
+    AggKind, Expr, FragmentKind, QueryEngine, ReadCache, Region, RegionConfig, ScanOptions,
+    SqlSession,
+};
 use vortex_sms::readset::ReadSet;
 
 const DAYS: i64 = 4;
@@ -122,6 +126,16 @@ fn a_scan_pays_for_the_chunks_it_decodes() {
     let (blocks, table_bytes) = surviving(&rs, &Expr::True);
     assert!(blocks >= 8, "{blocks} blocks");
     let engine = region.engine();
+    // Engines that remember nothing, and one with a cache of its own that
+    // feeds the region's freshness probe.
+    let cold = QueryEngine::new(region.sms().clone(), region.fleet().clone());
+    let fresh = || {
+        QueryEngine::new(region.sms().clone(), region.fleet().clone()).with_observability(
+            region.truetime().clone(),
+            ReadCache::new(usize::MAX),
+            region.freshness().clone(),
+        )
+    };
     let share = |part: u64, whole: u64| part as f64 / whole as f64;
 
     // A full scan: the index in two reads and the body in one, every byte
@@ -141,6 +155,21 @@ fn a_scan_pays_for_the_chunks_it_decodes() {
         (d["reads"], d["bytes_fetched"])
     );
     assert_eq!(d["row_metas"] as i64, DAYS * ROWS_PER_DAY);
+    // The region's cache now holds every byte of every file but the
+    // trailers' (14 bytes of fields and a CRC), vsnap chunks expanded.
+    let held = region.metrics_snapshot().gauges["cache.bytes"] as u64;
+    assert!(held >= table_bytes - 18 * blocks, "{held} of {table_bytes}");
+    // The same scan again reads nothing: every block is a hit, its index
+    // and every chunk held — no read, no CRC, no cipher, no vsnap pass.
+    let (again, d) = moved(&region, || engine.scan(t, at, &every).unwrap());
+    assert_eq!(again.rows, scan.rows);
+    assert_eq!(
+        (d["reads"], d["bytes_fetched"], d["cluster_reads"]),
+        (0, 0, 0)
+    );
+    assert_eq!((again.stats.reads, again.stats.bytes_fetched), (0, 0));
+    assert!(again.stats.cache_hits >= blocks, "{:?}", again.stats);
+    assert_eq!(again.stats.cache_misses, 0);
 
     // A point count on the clustering key: the blocks whose customer
     // range covers it, less those the bloom filter rules out; of the
@@ -152,7 +181,7 @@ fn a_scan_pays_for_the_chunks_it_decodes() {
     };
     let expected = scan.rows.iter().filter(|(_, r)| r.values[1] == who).count();
     assert!(expected > 0);
-    let (counted, d) = moved(&region, || engine.count(t, at, &point).unwrap());
+    let (counted, d) = moved(&region, || cold.count(t, at, &point).unwrap());
     assert_eq!(counted as usize, expected);
     let (covering, covering_bytes) = surviving(&rs, &point.predicate);
     assert!(
@@ -170,7 +199,7 @@ fn a_scan_pays_for_the_chunks_it_decodes() {
         (d["reads"], d["bytes_fetched"])
     );
     // Its reads: the index, then at most a run per zone of one column.
-    let s = engine.scan(
+    let s = cold.scan(
         t,
         at,
         &ScanOptions {
@@ -184,6 +213,12 @@ fn a_scan_pays_for_the_chunks_it_decodes() {
     let zones_read = (s.zones_total - s.zones_pruned) as u64;
     assert!(d["reads"] >= 2 * covering && d["reads"] <= 2 * covering + zones_read);
     assert!(zones_read <= 2 * opened, "{s:?}");
+    // Warm, the same count reads no index, and no chunk either.
+    let (counted, d) = moved(&region, || engine.count(t, at, &point).unwrap());
+    assert_eq!(
+        (counted as usize, d["reads"], d["cluster_reads"]),
+        (expected, 0, 0)
+    );
 
     // A customer inside the blocks' ranges who has no row: the bloom
     // filters say so, and the indexes are all that is read.
@@ -192,7 +227,7 @@ fn a_scan_pays_for_the_chunks_it_decodes() {
         projection: Some(vec![]),
         ..ScanOptions::default()
     };
-    let (scan, d) = moved(&region, || engine.scan(t, at, &nobody).unwrap());
+    let (scan, d) = moved(&region, || cold.scan(t, at, &nobody).unwrap());
     let (covering, _) = surviving(&rs, &nobody.predicate);
     assert_eq!(covering * 2, blocks, "min/max cannot tell");
     assert_eq!(
@@ -210,7 +245,7 @@ fn a_scan_pays_for_the_chunks_it_decodes() {
         projection: Some(vec!["amount".into()]),
         ..ScanOptions::default()
     };
-    let (scan, d) = moved(&region, || engine.scan(t, at, &narrow).unwrap());
+    let (scan, d) = moved(&region, || cold.scan(t, at, &narrow).unwrap());
     assert_eq!(scan.rows.len() as i64, ROWS_PER_DAY);
     let (of_day, of_day_bytes) = surviving(&rs, &narrow.predicate);
     assert_eq!(of_day * DAYS as u64, blocks);
@@ -234,6 +269,23 @@ fn a_scan_pays_for_the_chunks_it_decodes() {
         matches!(res, vortex::SqlResult::Rows { rows, .. } if rows.len() as i64 == ROWS_PER_DAY)
     );
     assert_eq!(d["cells"], narrow_cells);
+    // Through a cache that holds the partition's blocks — index, `day`,
+    // `amount`, provenance — a column no cell holds is one run a block,
+    // and nothing else is read.
+    let warm = fresh();
+    warm.scan(t, at, &narrow).unwrap();
+    let prices = [(AggKind::Sum, Some("price"))];
+    let on_day = |engine: &QueryEngine| {
+        let opts = ScanOptions {
+            projection: None,
+            ..narrow.clone()
+        };
+        engine.aggregate(t, at, &opts, None, &prices).unwrap()
+    };
+    let (sum, d) = moved(&region, || on_day(&warm));
+    assert_eq!(sum, on_day(&cold));
+    assert_eq!(d["reads"], of_day);
+    assert!(d["bytes_fetched"] > 0 && d["bytes_fetched"] * 8 < of_day_bytes);
 
     // A tenth of the rows, spread over every zone, as rows: the
     // predicate's column decodes whole, every other column and the
@@ -243,7 +295,7 @@ fn a_scan_pays_for_the_chunks_it_decodes() {
         predicate: Expr::lt("amount", Value::Int64(100_000)),
         ..ScanOptions::default()
     };
-    let (scan, d) = moved(&region, || engine.scan(t, at, &tenth).unwrap());
+    let (scan, d) = moved(&region, || cold.scan(t, at, &tenth).unwrap());
     let (scanned, kept) = (scan.stats.rows_scanned, scan.rows.len() as u64);
     assert_eq!(scanned as i64, DAYS * ROWS_PER_DAY);
     assert!(kept * 9 < scanned && scanned < kept * 11, "{kept} rows");
@@ -256,7 +308,7 @@ fn a_scan_pays_for_the_chunks_it_decodes() {
         projection: Some(vec!["customer".into(), "note".into()]),
         ..tenth.clone()
     };
-    let (scan, d) = moved(&region, || engine.scan(t, at, &strings).unwrap());
+    let (scan, d) = moved(&region, || cold.scan(t, at, &strings).unwrap());
     assert_eq!(scan.rows.len() as u64, kept);
     assert_eq!(d["row_metas"], kept);
     assert_eq!(d["cells"], scanned + kept * (2 + 4));
@@ -279,7 +331,7 @@ fn a_scan_pays_for_the_chunks_it_decodes() {
         (AggKind::Avg, Some("price")),
     ];
     let (groups, d) = moved(&region, || {
-        engine.aggregate(t, at, &three, Some("day"), &aggs).unwrap()
+        cold.aggregate(t, at, &three, Some("day"), &aggs).unwrap()
     });
     assert_eq!(groups.len() as i64, DAYS);
     assert!(groups
@@ -307,7 +359,7 @@ fn a_scan_pays_for_the_chunks_it_decodes() {
     region.sms().finalize_stream(t, w.stream_id()).unwrap();
     region.optimizer().convert_wos(t).unwrap();
     let later = client.snapshot();
-    let (counted, d) = moved(&region, || engine.count(t, later, &every).unwrap());
+    let (counted, d) = moved(&region, || fresh().count(t, later, &every).unwrap());
     assert_eq!(counted as i64, (DAYS + 1) * ROWS_PER_DAY);
     assert_eq!(d["row_metas"], 0);
     let fresh_blocks = (ROWS_PER_DAY as u64).div_ceil(4_096);
