@@ -407,7 +407,7 @@ fn wos_zones<'i>(
         let plain = ix.block_plaintext(bytes, key, b)?;
         let (ts, stream, held) = (b.timestamp, stream.raw(), metas.len());
         let mut offset = first_stream_row + b.first_row;
-        let rows = add_rowset(cols, held, &plain, |change_type| {
+        let rows = add_rowset(cols, held, &plain, |change_type, _| {
             // lint:allow(L010, grows the zone's provenance vector: 32 bytes a row, amortised)
             metas.push(RowMeta {
                 change_type,

@@ -51,10 +51,15 @@ impl BloomFilter {
         }
     }
 
-    /// Inserts a key.
-    pub fn insert(&mut self, key: &[u8]) {
-        let h1 = fnv1a64(key, 0);
-        let h2 = fnv1a64(key, 0x9E3779B97F4A7C15) | 1;
+    /// The pair of hashes a key is inserted and probed by: which bits it
+    /// sets depends on nothing else, so a writer may keep distinct keys as
+    /// pairs and insert them later.
+    pub fn hashes(key: &[u8]) -> (u64, u64) {
+        (fnv1a64(key, 0), fnv1a64(key, 0x9E3779B97F4A7C15) | 1)
+    }
+
+    /// Inserts the key whose [`BloomFilter::hashes`] are `(h1, h2)`.
+    pub fn insert_hashes(&mut self, (h1, h2): (u64, u64)) {
         for i in 0..self.num_hashes as u64 {
             let bit = h1.wrapping_add(i.wrapping_mul(h2)) % self.num_bits;
             self.bits[(bit / 64) as usize] |= 1 << (bit % 64);
@@ -62,11 +67,15 @@ impl BloomFilter {
         self.num_items += 1;
     }
 
+    /// Inserts a key.
+    pub fn insert(&mut self, key: &[u8]) {
+        self.insert_hashes(Self::hashes(key));
+    }
+
     /// Tests a key. `false` is definite absence; `true` may be a false
     /// positive.
     pub fn may_contain(&self, key: &[u8]) -> bool {
-        let h1 = fnv1a64(key, 0);
-        let h2 = fnv1a64(key, 0x9E3779B97F4A7C15) | 1;
+        let (h1, h2) = Self::hashes(key);
         for i in 0..self.num_hashes as u64 {
             let bit = h1.wrapping_add(i.wrapping_mul(h2)) % self.num_bits;
             if self.bits[(bit / 64) as usize] & (1 << (bit % 64)) == 0 {
@@ -188,6 +197,20 @@ mod tests {
         let f = BloomFilter::with_capacity(100, 0.01);
         assert!(f.is_empty());
         assert!(!f.may_contain(b"anything"));
+    }
+
+    #[test]
+    fn inserting_hashes_is_inserting_the_key() {
+        let (mut by_key, mut by_pair) = (
+            BloomFilter::with_capacity(300, 0.01),
+            BloomFilter::with_capacity(300, 0.01),
+        );
+        for i in 0..300u32 {
+            let key = format!("k{}", i * 7919 % 1000);
+            by_key.insert(key.as_bytes());
+            by_pair.insert_hashes(BloomFilter::hashes(key.as_bytes()));
+            assert_eq!(by_key.to_bytes(), by_pair.to_bytes(), "after {i}");
+        }
     }
 
     #[test]

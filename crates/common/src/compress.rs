@@ -136,11 +136,43 @@ fn emit_copy(out: &mut Vec<u8>, offset: usize, mut len: usize) {
     debug_assert_eq!(len, 0);
 }
 
+/// The match finder's hash table, kept by each thread across calls so
+/// that none pays to allocate and zero 64 KiB: a call stores positions
+/// offset by its `base`, above every entry an earlier call left, so those
+/// read as position 0 — what a zeroed table holds. `next` is the next
+/// call's base; the table is zeroed again only when bases run out.
+struct MatchTable {
+    slots: Vec<u32>,
+    next: u32,
+}
+
+thread_local! {
+    static TABLE: std::cell::RefCell<MatchTable> = std::cell::RefCell::new(MatchTable {
+        // lint:allow(L010, once per thread: every later call reuses it)
+        slots: vec![0; 1 << HASH_BITS],
+        next: 0,
+    });
+}
+
 /// Compresses `input`, returning the vsnap-framed bytes.
 ///
 /// Worst case output is `input.len() + input.len()/60 + 10` bytes (pure
 /// literals), so incompressible data costs under 2% expansion.
 pub fn compress(input: &[u8]) -> Vec<u8> {
+    TABLE.with_borrow_mut(|t| {
+        if input.len() > (u32::MAX - t.next) as usize {
+            t.slots.fill(0);
+            t.next = 0;
+        }
+        let base = t.next;
+        t.next = base.saturating_add(u32::try_from(input.len()).unwrap_or(u32::MAX));
+        compress_with(input, &mut t.slots, base)
+    })
+}
+
+/// [`compress`] over `table`, whose entries below `base` all read as
+/// position 0.
+fn compress_with(input: &[u8], table: &mut [u32], base: u32) -> Vec<u8> {
     let mut out = Vec::with_capacity(input.len() / 2 + 16);
     put_varint(&mut out, input.len() as u64);
     if input.len() < MIN_MATCH {
@@ -150,7 +182,6 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
         return out;
     }
 
-    let mut table = vec![0u32; 1 << HASH_BITS];
     let mut pos = 0usize;
     let mut lit_start = 0usize;
     // The last position where a 4-byte read is valid.
@@ -158,8 +189,8 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
 
     while pos <= limit {
         let h = hash4(&input[pos..]);
-        let candidate = table[h] as usize;
-        table[h] = pos as u32;
+        let candidate = table[h].saturating_sub(base) as usize;
+        table[h] = base.wrapping_add(pos as u32);
         let dist = pos.wrapping_sub(candidate);
         if candidate < pos
             && dist <= MAX_OFFSET
@@ -179,7 +210,7 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
             let end = pos + len;
             let mut seed = pos + 1;
             while seed <= limit && seed < end {
-                table[hash4(&input[seed..])] = seed as u32;
+                table[hash4(&input[seed..])] = base.wrapping_add(seed as u32);
                 seed += 13;
             }
             pos = end;
@@ -442,6 +473,57 @@ mod tests {
         ));
         // The bound is the format's own: a run compresses to it exactly.
         roundtrip(&vec![7u8; 4 + 66 * 1000]);
+    }
+
+    /// What `compress` made when every call allocated a zeroed table.
+    fn zeroed_table_reference(input: &[u8]) -> Vec<u8> {
+        compress_with(input, &mut vec![0; 1 << HASH_BITS], 0)
+    }
+
+    /// The kept table changes no output byte: a random sequence of calls
+    /// on one thread — short and long, repetitive and not, sharing bytes
+    /// with the call before — each matches a freshly zeroed table, and so
+    /// do calls across a forced wrap-around of the bases.
+    #[test]
+    fn kept_table_matches_a_zeroed_one() {
+        let mut state = 0x0DDB_1A5E_5BAD_5EEDu64;
+        let mut next = |bound: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % bound
+        };
+        let mut prev: Vec<u8> = Vec::new();
+        for call in 0..600 {
+            let len = [0, 3, 4, 17, 300, 1_200, 20_000][next(7) as usize];
+            let alphabet = 1 + next(255);
+            let mut input: Vec<u8> = (0..len).map(|_| next(alphabet) as u8).collect();
+            if next(2) == 0 {
+                let shared = prev.len().min(input.len());
+                input[..shared].copy_from_slice(&prev[..shared]);
+            }
+            if call % 100 == 99 {
+                TABLE.with_borrow_mut(|t| t.next = u32::MAX - next(40_000) as u32);
+            }
+            assert_eq!(
+                compress(&input),
+                zeroed_table_reference(&input),
+                "call {call}"
+            );
+            prev = input;
+        }
+        // A wrap-around forgets: the call before stored position 197 for a
+        // 4-gram that this call has at 197 too, but skips there (inside a
+        // copy) and meets again at 250 — a zeroed table finds no match.
+        let mut random = |n: usize| (0..n).map(|_| next(256) as u8).collect::<Vec<u8>>();
+        let (r, s) = (random(100), random(50));
+        let q = [&random(97)[..], &r[97..]].concat();
+        let before = [&r[..], &q, &s].concat();
+        let after = [&r[..], &r, &s, &r[97..], &s[..1]].concat();
+        for input in [before, after] {
+            TABLE.with_borrow_mut(|t| t.next = u32::MAX - 5);
+            assert_eq!(compress(&input), zeroed_table_reference(&input));
+        }
     }
 
     #[test]

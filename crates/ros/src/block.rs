@@ -47,7 +47,7 @@ use vortex_common::truetime::Timestamp;
 
 use crate::column::{ColumnBuilder, ColumnVec, IntKind, Prim};
 use crate::encoding::{
-    decode_chunk_at, distinct_rows, encode_profiled, le_uint, profile, Encoding, Profile,
+    decode_chunk_at, distinct_rows, encode_profiled, le_uint, profile, Encoding,
 };
 
 static ROW_METAS_BUILT: Lazy<Counter> = Lazy::new("ros.row_metas_built", Registry::counter);
@@ -344,7 +344,7 @@ impl RosBlockBuilder {
                 chunks.push(ChunkEntry {
                     enc,
                     compressed,
-                    stats: summarize_zone(&zone, &profile),
+                    stats: summarize_zone(&zone, profile.nulls, profile.ends),
                     offset: body.len(),
                     len: stored.len(),
                     crc: 0,
@@ -383,20 +383,40 @@ impl RosBlockBuilder {
 /// The false-positive rate a block's bloom filter is sized for.
 const BLOOM_FALSE_POSITIVES: f64 = 0.01;
 
-/// The zone map of one leaf vector, from its profile: what
-/// [`ColumnStats::observe`] makes of its cells in order.
-fn summarize_zone(zone: &ColumnVec, profile: &Profile) -> ColumnStats {
+/// The zone map of one leaf vector, from its profile's NULL count and
+/// ends: what [`ColumnStats::observe`] makes of its cells in order.
+fn summarize_zone(zone: &ColumnVec, nulls: usize, ends: Option<(usize, usize)>) -> ColumnStats {
     let mut stats = ColumnStats::new();
     match zone {
         ColumnVec::Any(cells) => cells.iter().for_each(|v| stats.observe(v)),
         typed => {
             stats.count = typed.len() as u64;
-            stats.has_null = profile.nulls > 0;
-            stats.min = profile.ends.map(|(lo, _)| typed.value(lo));
-            stats.max = profile.ends.map(|(_, hi)| typed.value(hi));
+            stats.has_null = nulls > 0;
+            stats.min = ends.map(|(lo, _)| typed.value(lo));
+            stats.max = ends.map(|(_, hi)| typed.value(hi));
         }
     }
     stats
+}
+
+/// [`summarize_zone`] of a leaf vector that is not being encoded: its ends
+/// found by [`ColumnVec::cmp_rows`], the order its profile's keys have.
+pub fn zone_map(zone: &ColumnVec) -> ColumnStats {
+    let (mut nulls, mut ends) = (0, None);
+    for i in 0..zone.len() {
+        if zone.is_null(i) {
+            nulls += 1;
+            continue;
+        }
+        let (lo, hi) = ends.get_or_insert((i, i));
+        if zone.cmp_rows(i, zone, *lo).is_lt() {
+            *lo = i;
+        }
+        if zone.cmp_rows(i, zone, *hi).is_gt() {
+            *hi = i;
+        }
+    }
+    summarize_zone(zone, nulls, ends)
 }
 
 /// A read-optimized columnar block: its index, and the chunks it holds —

@@ -592,8 +592,8 @@ impl ColumnBuilder {
 /// each cell to its column of `cols`, which hold `held` rows each: a row
 /// wider than any before it starts a column that is NULL so far, and a
 /// row that stops short (an older schema version) reads NULL in the rest.
-/// Hands `change` every row's change type in order and returns the row
-/// count. Every cell is checked as [`codec::decode_rowset`] checks it and
+/// Hands `row` every row's change type and width in order and returns the
+/// row count. Every cell is checked as [`codec::decode_rowset`] checks it and
 /// the bytes must be consumed in full; a declared count the bytes cannot
 /// back runs out of them, having allocated nothing on its account, and
 /// nothing is allocated per cell.
@@ -601,11 +601,11 @@ pub fn add_rowset(
     cols: &mut Vec<ColumnBuilder>,
     held: usize,
     buf: &[u8],
-    mut change: impl FnMut(ChangeType),
+    mut row: impl FnMut(ChangeType, usize),
 ) -> VortexResult<usize> {
     let mut pos = 0usize;
     let rows = get_uvarint(buf, &mut pos)? as usize;
-    for row in 0..rows {
+    for r in 0..rows {
         let truncated = || VortexError::Decode("row truncated".into());
         let kind = *buf.get(pos).ok_or_else(truncated)?;
         pos += 1;
@@ -613,14 +613,14 @@ pub fn add_rowset(
         for c in 0..width {
             if c == cols.len() {
                 // A column that is NULL in every row so far.
-                let (rows, col) = (held + row, None);
+                let (rows, col) = (held + r, None);
                 // lint:allow(L010, once per column of a zone under construction)
                 cols.push(ColumnBuilder { rows, col });
             }
             cols[c].add_encoded(buf, &mut pos)?;
         }
         (cols.iter_mut().skip(width)).for_each(|col| col.add_value(Value::Null));
-        change(ChangeType::from_u8(kind)?);
+        row(ChangeType::from_u8(kind)?, width);
     }
     match pos == buf.len() {
         true => Ok(rows),

@@ -27,8 +27,8 @@ pub mod column;
 pub mod encoding;
 
 pub use block::{
-    clustering_order, gather_rows, Chunk, Fetched, Picked, ReadAt, RosBlock, RosBlockBuilder,
-    RowMeta, RowRef, ZONE_ROWS,
+    clustering_order, gather_rows, zone_map, Chunk, Fetched, Picked, ReadAt, RosBlock,
+    RosBlockBuilder, RowMeta, RowRef, ZONE_ROWS,
 };
 pub use column::{
     add_rowset, ColumnBuilder, ColumnVec, IntKind, KeyedRows, Nulls, Prim, StrKind, Strs,

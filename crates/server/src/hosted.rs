@@ -57,7 +57,11 @@ struct CurrentFragment {
     path: String,
     clusters: [ClusterId; 2],
     stats: Vec<(usize, String, ColumnStats)>,
-    bloom_keys: HashSet<Vec<u8>>,
+    /// Distinct key values as their [`BloomFilter::hashes`], which is all
+    /// the filter built at close depends on.
+    bloom_keys: HashSet<(u64, u64)>,
+    /// Where each key value is encoded to be hashed.
+    key: Vec<u8>,
     ts_range: Option<(Timestamp, Timestamp)>,
     dirty: bool,
     /// The length both replica files have, by the sole-writer rule: the
@@ -315,6 +319,7 @@ impl HostedStreamlet {
                 .map(|(i, n)| (*i, n.clone(), ColumnStats::new()))
                 .collect(),
             bloom_keys: HashSet::new(),
+            key: Vec::new(),
             ts_range: None,
             dirty: true,
             len: 0,
@@ -336,8 +341,8 @@ impl HostedStreamlet {
         };
         if footer {
             let mut bloom = BloomFilter::with_capacity(cur.bloom_keys.len().max(16), 0.01);
-            for k in &cur.bloom_keys {
-                bloom.insert(k);
+            for &pair in &cur.bloom_keys {
+                bloom.insert_hashes(pair);
             }
             if let Ok(chunk) = cur.writer.finalize(&bloom, env.tt.record_timestamp()) {
                 let m = &self.m.replica_write_us;
@@ -687,7 +692,9 @@ impl HostedStreamlet {
             }
             for k in key_cols {
                 if let Some(v) = r.values.get(*k) {
-                    cur.bloom_keys.insert(v.encode_key());
+                    cur.key.clear();
+                    v.encode_key_into(&mut cur.key);
+                    cur.bloom_keys.insert(BloomFilter::hashes(&cur.key));
                 }
             }
         }

@@ -621,6 +621,31 @@ fn finalize_streamlet_writes_footer_and_blocks_appends() {
     assert!(!bloom.may_contain(&Value::String("cust-404".into()).encode_key()));
 }
 
+/// The streamlet keeps each distinct key value as its hash pair; the
+/// bloom record it closes with is, byte for byte, the filter built from
+/// the distinct encoded keys themselves.
+#[test]
+fn closed_bloom_is_the_filter_of_the_key_set() {
+    let r = rig();
+    r.server.create_streamlet(spec(&r, 23, 0)).unwrap();
+    let sl = StreamletId::from_raw(23);
+    let mut keys = std::collections::HashSet::new();
+    for (start, n) in [(0, 40), (35, 10), (100, 3)] {
+        let rows = rows(start, n);
+        for row in &rows.rows {
+            keys.extend(row.values[..2].iter().map(Value::encode_key));
+        }
+        r.server.append(sl, &rows, 1, None, Timestamp::MIN).unwrap();
+    }
+    r.server.finalize_streamlet_ctl(sl).unwrap();
+    let path = wos_path(TableId::from_raw(1), sl, 0);
+    let data = r.fleet.get(ClusterId::from_raw(1)).unwrap();
+    let closed = vortex_wos::index_fragment(&data.read_all(&path).unwrap().data, None);
+    let mut want = vortex_common::bloom::BloomFilter::with_capacity(keys.len().max(16), 0.01);
+    keys.iter().for_each(|k| want.insert(k));
+    assert_eq!(closed.unwrap().bloom.unwrap().to_bytes(), want.to_bytes());
+}
+
 #[test]
 fn revoked_streamlet_rejects_appends() {
     let r = rig();

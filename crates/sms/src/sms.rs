@@ -12,6 +12,7 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 
 use vortex_colossus::StorageFleet;
+use vortex_common::crypt::Key;
 use vortex_common::error::{VortexError, VortexResult};
 use vortex_common::ids::{
     ClusterId, FragmentId, IdGen, ServerId, SmsTaskId, StreamId, StreamletId, TableId,
@@ -21,7 +22,8 @@ use vortex_common::schema::Schema;
 use vortex_common::stats::ColumnStats;
 use vortex_common::truetime::{Timestamp, TrueTime};
 use vortex_metastore::{MetaStore, Txn};
-use vortex_wos::{common_prefix, parse_fragment, FragmentWriter};
+use vortex_ros::{add_rowset, zone_map};
+use vortex_wos::{common_prefix, FragmentWriter};
 
 use crate::api::SmsApi;
 use crate::bigmeta::BigMeta;
@@ -112,12 +114,12 @@ pub struct SmsTask {
 }
 
 /// What reconciliation established about one log file of a streamlet.
-struct ReconciledFragment {
-    ordinal: u32,
-    committed_size: u64,
-    first_row: u64,
-    rows: u64,
-    stats: Vec<(String, ColumnStats)>,
+pub(crate) struct ReconciledFragment {
+    pub(crate) ordinal: u32,
+    pub(crate) committed_size: u64,
+    pub(crate) first_row: u64,
+    pub(crate) rows: u64,
+    pub(crate) stats: Vec<(String, ColumnStats)>,
 }
 
 impl SmsTask {
@@ -414,8 +416,6 @@ impl SmsTask {
             .iter()
             .filter_map(|c| self.fleet.get(*c).ok().cloned())
             .collect();
-        // Column properties are recomputed from the parsed rows, for the
-        // same columns the Stream Server tracks (§7.2).
         let tracked = tmeta.schema.tracked_columns();
         let mut found = Vec::new();
         for ordinal in 0u32.. {
@@ -459,32 +459,57 @@ impl SmsTask {
             // Headerless stubs only: no committed rows here, but a later
             // ordinal may exist (a failed open was retried on the next
             // file).
-            let Some((first, v)) = common_prefix(&copies)? else {
-                continue;
-            };
-            // Everything inside V is committed: decode it, once.
-            let authoritative = parse_fragment(&copies[first], &key, Some(v))?;
-            let mut stats: Vec<(String, ColumnStats)> = tracked
-                .iter()
-                .map(|(_, n)| (n.clone(), ColumnStats::new()))
-                .collect();
-            for row in authoritative.blocks.iter().flat_map(|b| &b.rows.rows) {
-                for (slot, (idx, _)) in tracked.iter().enumerate() {
-                    if let Some(val) = row.values.get(*idx) {
-                        stats[slot].1.observe(val);
-                    }
-                }
-            }
-            found.push(ReconciledFragment {
-                ordinal,
-                committed_size: v,
-                first_row: authoritative.header.first_row,
-                rows: authoritative.total_rows(),
-                stats,
-            });
+            // lint:allow(L010, once per log file reconciled)
+            found.extend(reconcile_copies(ordinal, &copies, &key, &tracked)?);
         }
         Ok(found)
     }
+}
+
+/// What the replica `copies` of log file `ordinal` agree was committed
+/// (`None` when none has a header), with the column properties of the
+/// `tracked` columns (§7.2) — what [`ColumnStats::observe`] makes of the
+/// rows, a row that predates a column counting nothing for it. Each block
+/// of the copy read is opened once and walked into columns; no `Row` is
+/// built. Everything inside the agreed extent is committed.
+pub(crate) fn reconcile_copies(
+    ordinal: u32,
+    copies: &[Vec<u8>],
+    key: &Key,
+    tracked: &[(usize, String)],
+) -> VortexResult<Option<ReconciledFragment>> {
+    let Some((first, index)) = common_prefix(copies)? else {
+        return Ok(None);
+    };
+    // lint:allow(L010, once per log file reconciled: the stats it reports)
+    let (mut rows, mut stats) = (0, vec![ColumnStats::new(); tracked.len()]);
+    for block in &index.blocks {
+        // lint:allow(L010, once per block reconciled, replacing its `Row`s)
+        let (mut cols, mut widths) = (Vec::new(), Vec::new());
+        let plain = index.block_plaintext(&copies[first], key, block)?;
+        let n = add_rowset(&mut cols, 0, &plain, |_, width| widths.push(width))?;
+        block.decoded(n as u64)?;
+        rows += n as u64;
+        for (&(c, _), stats) in tracked.iter().zip(&mut stats) {
+            let Some(col) = cols.get_mut(c) else { continue };
+            let zone = std::mem::take(col).into_column();
+            let mut zs = zone_map(&zone);
+            // NULL-padded rows that predate the column are not its rows.
+            let present = widths.iter().filter(|&&w| w > c).count();
+            if present < n {
+                let nulls = (0..n).filter(|&i| zone.is_null(i)).count();
+                (zs.count, zs.has_null) = (present as u64, nulls > n - present);
+            }
+            stats.merge(&zs);
+        }
+    }
+    Ok(Some(ReconciledFragment {
+        ordinal,
+        committed_size: index.valid_len,
+        first_row: index.header.first_row,
+        rows,
+        stats: (tracked.iter().map(|(_, n)| n.clone()).zip(stats)).collect(),
+    }))
 }
 
 impl SmsApi for SmsTask {

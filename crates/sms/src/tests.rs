@@ -1454,3 +1454,136 @@ fn bloom_helper_available_for_future_extension() {
     b.insert(b"x");
     assert!(b.may_contain(b"x"));
 }
+
+/// The reconciler's extent and column properties by the rule it replaced:
+/// every copy with a header walked, the byte-wise common prefix walked
+/// again, the file parsed into rows under it and each tracked cell of
+/// each row observed. Stats are compared as bytes: NaN and −0.0 included.
+type Reconciled = (u64, u64, u64, Vec<(String, Vec<u8>)>);
+
+fn reference_reconcile(copies: &[Vec<u8>], tracked: &[(usize, String)]) -> Option<Reconciled> {
+    use vortex_common::stats::ColumnStats;
+    use vortex_wos::{index_fragment, parse_fragment};
+    let headed: Vec<_> = (copies.iter())
+        .filter(|c| index_fragment(c, None).is_ok())
+        .collect();
+    let first = headed.first()?;
+    let common = headed[1..].iter().fold(first.len(), |acc, c| {
+        let same = first.iter().zip(c.iter()).take(acc);
+        same.take_while(|(a, b)| a == b).count()
+    });
+    let v = index_fragment(&first[..common], None).unwrap().valid_len;
+    let parsed = parse_fragment(first, &reconcile_key(), Some(v)).unwrap();
+    let mut stats = vec![ColumnStats::new(); tracked.len()];
+    for row in parsed.blocks.iter().flat_map(|b| &b.rows.rows) {
+        for (s, (c, _)) in stats.iter_mut().zip(tracked) {
+            if let Some(value) = row.values.get(*c) {
+                s.observe(value);
+            }
+        }
+    }
+    let stats = (tracked.iter().zip(stats)).map(|((_, n), s)| (n.clone(), s.to_bytes()));
+    Some((
+        v,
+        parsed.header.first_row,
+        parsed.total_rows(),
+        stats.collect(),
+    ))
+}
+
+fn reconcile_key() -> vortex_common::crypt::Key {
+    vortex_common::crypt::Key::derive_from_passphrase("reconcile")
+}
+
+/// A log file of `blocks` data blocks whose rows are of two schema
+/// versions (four columns, or five with the added one) in any order,
+/// with an all-NULL column, NaN / −0.0 / 0.0 floats and a column that
+/// turns mixed; returns the header, each block's record and a commit.
+fn reconcile_file(seed: u64, blocks: usize) -> (Vec<u8>, Vec<Vec<u8>>, Vec<u8>) {
+    let mut state = seed;
+    let mut next = |bound: u64| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) % bound
+    };
+    let cfg = FragmentConfig {
+        streamlet: StreamletId::from_raw(9),
+        fragment: FragmentId::from_raw(70_000 + seed),
+        ordinal: 0,
+        schema_version: 2,
+        key: reconcile_key(),
+    };
+    let (mut w, header) = FragmentWriter::new(cfg, 40, vec![], Timestamp(10));
+    let floats = [f64::NAN, -f64::NAN, -0.0, 0.0, 1.5, -2.25, f64::INFINITY];
+    let mut records = Vec::new();
+    for b in 0..blocks {
+        let rows: Vec<Row> = (0..1 + next(40))
+            .map(|_| {
+                let mut values = vec![
+                    Value::Int64(next(1000) as i64 - 500),
+                    match next(6) {
+                        0 => Value::Null,
+                        _ => Value::Float64(floats[next(7) as usize]),
+                    },
+                    match next(20) {
+                        0 => Value::Null,
+                        1 if seed % 2 == 0 => Value::Int64(7),
+                        _ => Value::String(format!("s{}", next(50))),
+                    },
+                    Value::Null,
+                ];
+                if next(3) > 0 {
+                    values.push(match next(4) {
+                        0 => Value::Null,
+                        _ => Value::Int64(next(100) as i64),
+                    });
+                }
+                Row::insert(values)
+            })
+            .collect();
+        records.push(w.data_block(&rows, Timestamp(20 + b as u64)).unwrap());
+    }
+    (header, records, w.commit_record(Timestamp(99)).unwrap())
+}
+
+/// Reconciliation walks each copy once and builds no rows, and finds the
+/// extent, first row, row count and column properties the row-wise rule
+/// found: copies that agree, a torn tail on one, sentinels at different
+/// offsets, headerless stubs — over rows of two schema versions.
+#[test]
+fn reconciliation_matches_the_row_wise_reference() {
+    let tracked: Vec<(usize, String)> = (0..6).map(|c| (c, format!("c{c}"))).collect();
+    let check = |copies: &[Vec<u8>]| {
+        let got = crate::sms::reconcile_copies(3, copies, &reconcile_key(), &tracked).unwrap();
+        let got = got.map(|r| {
+            assert_eq!(r.ordinal, 3);
+            let stats = r.stats.iter().map(|(n, s)| (n.clone(), s.to_bytes()));
+            (r.committed_size, r.first_row, r.rows, stats.collect())
+        });
+        assert_eq!(got, reference_reconcile(copies, &tracked));
+        got
+    };
+    for seed in 0..12 {
+        let (header, records, commit) = reconcile_file(seed, 1 + seed as usize % 5);
+        let upto = |k: usize| [&[header.clone()][..], &records[..k]].concat().concat();
+        let whole = [upto(records.len()), commit].concat();
+        let poison = |bytes: &[u8], epoch| {
+            let sentinel = FragmentWriter::sentinel_record(epoch, Timestamp(500));
+            [bytes, &sentinel[..]].concat()
+        };
+        let last = records.last().unwrap();
+        let torn = [&whole[..], &last[..last.len() / 2]].concat();
+        let early = records.len() / 2;
+        let stub = FragmentWriter::sentinel_record(4, Timestamp(1));
+        let agreed = check(&[poison(&whole, 4), poison(&whole, 4)]).unwrap();
+        assert!(agreed.2 > 0 && agreed.0 > whole.len() as u64, "seed {seed}");
+        check(&[torn.clone(), whole.clone()]);
+        check(&[whole.clone(), poison(&torn, 4)]);
+        check(&[poison(&upto(early), 4), poison(&whole, 4)]);
+        check(&[poison(&whole, 4), poison(&upto(early), 4)]);
+        check(&[stub.clone(), poison(&whole, 4)]);
+        check(&[Vec::new(), upto(early)]);
+        assert_eq!(check(&[stub.clone(), Vec::new()]), None);
+    }
+}

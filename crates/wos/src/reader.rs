@@ -32,6 +32,7 @@ use crate::format::{
 
 static BLOCKS_DECODED: Lazy<Counter> = Lazy::new("wos.blocks_decoded", Registry::counter);
 static ROWS_DECODED: Lazy<Counter> = Lazy::new("wos.rows_decoded", Registry::counter);
+static RECORDS_INDEXED: Lazy<Counter> = Lazy::new("wos.records_indexed", Registry::counter);
 
 /// An indexed data block: where it sits in the log file and what its
 /// record header says of it — everything but the rows.
@@ -217,7 +218,7 @@ pub fn index_fragment_from(
     };
     let strict = limit.is_some();
 
-    let (mut pos, mut header_len) = (0usize, 0);
+    let (mut pos, mut header_len, mut records) = (0usize, 0, 0);
     let mut blocks: Vec<BlockEntry> = Vec::new();
     let (mut flushes, mut sentinels) = (Vec::new(), Vec::new());
     let (mut bloom, mut footer) = (None, None);
@@ -279,7 +280,9 @@ pub fn index_fragment_from(
             RecordType::Footer => footer = Some(Footer::from_bytes(payload)?),
         }
         pos += RECORD_HEADER_LEN + payload.len();
+        records += 1;
     }
+    RECORDS_INDEXED.add(records);
 
     let header = header.ok_or_else(|| {
         VortexError::CorruptData("fragment has no parseable header record".into())
@@ -412,20 +415,27 @@ pub fn parse_fragment(bytes: &[u8], key: &Key, limit: Option<u64>) -> VortexResu
 /// back to a record boundary. The acked prefix is byte-identical in every
 /// replica (physical replication); past it the copies may diverge — a
 /// torn block in one, sentinels at different offsets. Returns which copy
-/// to read, the first with a header, and that length; `None` when no copy
-/// has a header. With one copy, everything parseable.
-pub fn common_prefix<C: AsRef<[u8]>>(copies: &[C]) -> VortexResult<Option<(usize, u64)>> {
+/// to read, the first with a header, and its index up to that length
+/// (`valid_len`); `None` when no copy has a header. With one copy,
+/// everything parseable. Each copy is walked once; the one read is walked
+/// again only when another copy diverges before its valid end.
+pub fn common_prefix<C: AsRef<[u8]>>(copies: &[C]) -> VortexResult<Option<(usize, FragmentIndex)>> {
     let mut with_header = (copies.iter().map(AsRef::as_ref).enumerate())
-        .filter(|(_, copy)| index_fragment(copy, None).is_ok());
-    let Some((at, first)) = with_header.next() else {
+        .filter_map(|(at, copy)| Some((at, copy, index_fragment(copy, None).ok()?)));
+    let Some((at, first, index)) = with_header.next() else {
         return Ok(None);
     };
-    let common = with_header.fold(first.len(), |acc, (_, c)| {
-        let differ = first.iter().zip(c).take(acc).position(|(a, b)| a != b);
-        differ.unwrap_or(acc.min(c.len()))
+    let valid = index.valid_len as usize;
+    let common = with_header.fold(valid, |acc, (_, c, _)| match c.get(..acc) {
+        Some(same) if same == &first[..acc] => acc,
+        _ => (first.iter().zip(c).take(acc))
+            .take_while(|(a, b)| a == b)
+            .count(),
     });
-    let aligned = index_fragment(&first[..common], None)?.valid_len;
-    Ok(Some((at, aligned)))
+    match common == valid {
+        true => Ok(Some((at, index))),
+        false => Ok(Some((at, index_fragment(&first[..common], None)?))),
+    }
 }
 
 /// The bloom filter of a finalized log file of `size` committed bytes,
@@ -866,19 +876,28 @@ mod tests {
         let (file, _) = build_fragment();
         let index = index_fragment(&file, None).unwrap();
         let (block2, whole) = (index.blocks[1].offset, file.len() as u64);
+        let agreed = |copies: &[&Vec<u8>]| {
+            let found = common_prefix(copies).unwrap();
+            found.map(|(at, index)| (at, index.valid_len, index.blocks.len()))
+        };
         // One copy: everything parseable.
-        assert_eq!(common_prefix(&[&file]).unwrap(), Some((0, whole)));
+        assert_eq!(agreed(&[&file]), Some((0, whole, 2)));
         // A copy torn inside the second block, then poisoned: the prefix
         // is cut back to the block's start, in either order.
         let mut torn = file[..block2 as usize + 60].to_vec();
         torn.extend(FragmentWriter::sentinel_record(7, Timestamp(9)));
-        assert_eq!(common_prefix(&[&file, &torn]).unwrap(), Some((0, block2)));
-        assert_eq!(common_prefix(&[&torn, &file]).unwrap(), Some((0, block2)));
+        assert_eq!(agreed(&[&file, &torn]), Some((0, block2, 1)));
+        assert_eq!(agreed(&[&torn, &file]), Some((0, block2, 1)));
         // Headerless stubs do not shrink the answer, and alone give none.
         let stub = FragmentWriter::sentinel_record(7, Timestamp(9));
-        assert_eq!(common_prefix(&[&stub, &file]).unwrap(), Some((1, whole)));
-        assert_eq!(common_prefix(&[&stub, &Vec::new()]).unwrap(), None);
-        assert_eq!(common_prefix::<Vec<u8>>(&[]).unwrap(), None);
+        assert_eq!(agreed(&[&stub, &file]), Some((1, whole, 2)));
+        assert_eq!(agreed(&[&stub, &Vec::new()]), None);
+        assert_eq!(agreed(&[]), None);
+        // A copy that runs on past the other's end agrees on all of it.
+        let mut poisoned = file.clone();
+        poisoned.extend(FragmentWriter::sentinel_record(7, Timestamp(9)));
+        assert_eq!(agreed(&[&file, &poisoned]), Some((0, whole, 2)));
+        assert_eq!(agreed(&[&poisoned, &file]), Some((0, whole, 2)));
     }
 
     #[test]

@@ -228,5 +228,11 @@ fn main() -> vortex::VortexResult<()> {
         counter("scan.tail.bytes_read"),
         counter("scan.tail.rows_decoded")
     );
+    println!(
+        "log files: {} records framed (CRC-checked) by index walks, {} blocks / {} rows decoded",
+        counter("wos.records_indexed"),
+        counter("wos.blocks_decoded"),
+        counter("wos.rows_decoded")
+    );
     Ok(())
 }

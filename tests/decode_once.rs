@@ -1,5 +1,6 @@
 //! Read amplification as a number: what `wos.rows_decoded` gains against
-//! the rows a reconciliation or a tail read is about. One test in a
+//! the rows a reconciliation or a tail read is about, and what
+//! `wos.records_indexed` gains against the records a reconciliation reads. One test in a
 //! binary of its own — the metrics registry is process-global, and any
 //! neighbour that reads a log file would move the counter.
 
@@ -39,9 +40,29 @@ fn every_log_row_is_decoded_once() {
     let mut w = client.create_pending_writer(bulk).unwrap();
     w.append(rows(0, 60)).unwrap();
     w.append(rows(60, 40)).unwrap();
-    let before = decoded();
+    let indexed = || {
+        let counters = region.metrics_snapshot().counters;
+        counters.get("wos.records_indexed").copied().unwrap_or(0)
+    };
+    let (before, walked) = (decoded(), indexed());
     w.finalize().unwrap();
     assert_eq!(decoded() - before, R, "rows decoded by finalize");
+    // The two copies agree, so each is framed once and no more: twice the
+    // records the finalized (and poisoned) log file holds.
+    let walked = indexed() - walked;
+    let files = region
+        .fleet()
+        .get(region.sms().get_table(bulk).unwrap().primary);
+    let files = files.unwrap();
+    let log = files.list("wos/").unwrap();
+    assert_eq!(log.len(), 1);
+    let before = indexed();
+    vortex_wos::index_fragment(&files.read_all(&log[0]).unwrap().data, None).unwrap();
+    assert_eq!(
+        walked,
+        2 * (indexed() - before),
+        "records framed by finalize"
+    );
 
     // A count over a table whose only data is a single-file tail: both
     // copies are indexed for the commit rule, one is decoded.

@@ -65,6 +65,7 @@ counter sms.reconcile_streamlet
 counter wal.records_logged
 counter wos.blocks_decoded
 counter wos.blocks_encoded
+counter wos.records_indexed
 counter wos.rows_decoded
 counter wos.rows_encoded
 gauge admission.in_flight

@@ -116,7 +116,7 @@ fn columnar(blocks: &[&[u8]]) -> vortex::VortexResult<(Vec<Vec<Value>>, Vec<u8>)
     let (mut cols, mut changes) = (Vec::<ColumnBuilder>::new(), Vec::new());
     let walked = blocks.iter().try_for_each(|bytes| {
         let held = changes.len();
-        add_rowset(&mut cols, held, bytes, |change| {
+        add_rowset(&mut cols, held, bytes, |change, _| {
             changes.push(change.to_u8())
         })
         .map(|_| ())
@@ -545,7 +545,8 @@ proptest! {
         // The reconciler's own rule. `other` drops out when the cut fell
         // inside its header record; the survivor then stands whole.
         let copies = [&file, &other];
-        let (first, v) = vortex_wos::common_prefix(&copies).unwrap().unwrap();
+        let (first, index) = vortex_wos::common_prefix(&copies).unwrap().unwrap();
+        let v = index.valid_len;
         prop_assert_eq!(first, 0);
         match vortex_wos::index_fragment(&other, None) {
             Ok(_) => prop_assert!(v as usize <= other.len()),
