@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 use vortex_common::error::{VortexError, VortexResult};
 use vortex_common::row::{Row, Value};
 use vortex_common::schema::Schema;
-use vortex_ros::{gather_rows, ColumnVec, IntKind, Picked, RowMeta};
+use vortex_ros::{gather_rows, ColumnVec, IntKind, Picked, Prim, RowMeta};
 
 use crate::engine::AggKind;
 use crate::pushdown::{ScanPlan, ZoneCols};
@@ -161,6 +161,63 @@ impl Acc {
     }
 }
 
+/// The accumulator a typed loop folds the `k`-th selected row of a zone
+/// into.
+trait Target {
+    fn acc(&mut self, k: usize) -> &mut Acc;
+}
+
+/// Every row into one.
+impl Target for &mut Acc {
+    fn acc(&mut self, _: usize) -> &mut Acc {
+        self
+    }
+}
+
+/// Each row into its group's accumulator of one aggregate: the rows'
+/// group slots, the groups, the aggregate.
+impl Target for (&[usize], &mut [(Option<Value>, Vec<Acc>)], usize) {
+    fn acc(&mut self, k: usize) -> &mut Acc {
+        &mut self.1[self.0[k]].1[self.2]
+    }
+}
+
+/// Folds the rows `at` of a leaf into `into` under `kind` (not COUNT), in
+/// row order: the kind and the leaf's type are matched once, and a row is
+/// tested for NULL only where the leaf has a bitmap. SUM and AVG ignore
+/// non-numeric cells.
+fn fold_leaf(kind: AggKind, leaf: &ColumnVec, at: &[usize], mut into: impl Target) {
+    match (kind, leaf) {
+        (AggKind::Min | AggKind::Max, _) => {
+            for (k, &p) in at.iter().enumerate().filter(|&(_, &p)| !leaf.is_null(p)) {
+                into.acc(k)
+                    .offer(kind.wants(), |m| leaf.cmp_at(p, m), || leaf.value(p));
+            }
+        }
+        (_, ColumnVec::I64(IntKind::Int64, ints)) => {
+            valued(ints, at, |k, v| into.acc(k).add_int(v as i128, false))
+        }
+        (_, ColumnVec::I128(ints)) => valued(ints, at, |k, v| into.acc(k).add_int(v, true)),
+        (_, ColumnVec::F64(floats)) => valued(floats, at, |k, v| into.acc(k).add_float(v)),
+        (_, ColumnVec::Any(values)) => {
+            (at.iter().enumerate()).for_each(|(k, &p)| into.acc(k).add_value(&values[p]))
+        }
+        _ => {}
+    }
+}
+
+/// Hands `f` the value of each of the rows `at` of `p` that has one, with
+/// its index in `at`.
+fn valued<T: Copy>(p: &Prim<T>, at: &[usize], mut f: impl FnMut(usize, T)) {
+    let rows = at.iter().enumerate();
+    match &p.nulls {
+        None => rows.for_each(|(k, &i)| f(k, p.values[i])),
+        Some(nulls) => {
+            (rows.filter(|&(_, &i)| !nulls.is_null(i))).for_each(|(k, &i)| f(k, p.values[i]))
+        }
+    }
+}
+
 /// Grouped aggregation: one [`Acc`] per aggregate per group, keyed by
 /// the group value's [`Value::encode_key`] bytes (which also order the
 /// output).
@@ -258,8 +315,10 @@ impl Consumer for Aggregator {
     }
 
     /// Maps the group column's dictionary codes / runs / rows to group
-    /// slots once, then folds each aggregate column's vector at the
-    /// selected positions into its slot's accumulator.
+    /// slots once — one slot when every selected row is in one group —
+    /// then folds each aggregate column's vector at the selected
+    /// positions into its slots' accumulators, in a loop typed once per
+    /// zone.
     fn fold_zone(
         &mut self,
         cols: &ZoneCols<'_>,
@@ -267,14 +326,16 @@ impl Consumer for Aggregator {
         plan: &ScanPlan<'_>,
     ) -> VortexResult<u64> {
         let mut buf = Vec::new();
-        let mut slots = Vec::with_capacity(sel.len());
+        // Each selected row's group, unless `one` holds them all.
+        let mut slots = Vec::new();
         let group = self.group.map(|g| plan.zone_column(cols, g, sel));
-        match group.transpose()? {
-            None => slots.resize(sel.len(), self.group_slot(None)),
-            Some(None) => slots.resize(sel.len(), self.group_slot(Some(Value::Null))),
+        let one = match group.transpose()? {
+            None => Some(self.group_slot(None)),
+            Some(None) => Some(self.group_slot(Some(Value::Null))),
             Some(Some((col, at))) => {
                 let (leaf, at) = col.resolve(at, &mut buf);
                 let mut memo = vec![usize::MAX; leaf.len()];
+                slots.reserve(at.len());
                 for &p in at {
                     // Looked up by the key where it lies: a `Value` is
                     // built for a group's first row only.
@@ -285,11 +346,17 @@ impl Consumer for Aggregator {
                     }
                     slots.push(memo[p]);
                 }
+                (slots.first())
+                    .filter(|&&s| slots.iter().all(|&t| t == s))
+                    .copied()
             }
-        }
-        for (a, (kind, c)) in self.aggs.iter().enumerate() {
-            if *kind == AggKind::Count {
-                slots.iter().for_each(|&s| self.groups[s].1[a].n += 1);
+        };
+        for (a, &(kind, c)) in self.aggs.iter().enumerate() {
+            if kind == AggKind::Count {
+                match one {
+                    Some(s) => self.groups[s].1[a].n += sel.len() as u64,
+                    None => slots.iter().for_each(|&s| self.groups[s].1[a].n += 1),
+                }
                 continue;
             }
             // A column that reads NULL in every row folds nothing.
@@ -298,23 +365,9 @@ impl Consumer for Aggregator {
                 continue;
             };
             let (leaf, at) = col.resolve(at, &mut buf);
-            for (&p, &s) in at.iter().zip(&slots) {
-                let acc = &mut self.groups[s].1[a];
-                match kind {
-                    _ if leaf.is_null(p) => {}
-                    AggKind::Min | AggKind::Max => {
-                        acc.offer(kind.wants(), |m| leaf.cmp_at(p, m), || leaf.value(p))
-                    }
-                    _ => match leaf {
-                        ColumnVec::I64(IntKind::Int64, ints) => {
-                            acc.add_int(ints.values[p] as i128, false)
-                        }
-                        ColumnVec::I128(ints) => acc.add_int(ints.values[p], true),
-                        ColumnVec::F64(floats) => acc.add_float(floats.values[p]),
-                        ColumnVec::Any(values) => acc.add_value(&values[p]),
-                        _ => {} // non-numerics ignored
-                    },
-                }
+            match one {
+                Some(s) => fold_leaf(kind, leaf, at, &mut self.groups[s].1[a]),
+                None => fold_leaf(kind, leaf, at, (&slots[..], &mut self.groups[..], a)),
             }
         }
         Ok(0)
@@ -325,6 +378,189 @@ impl Consumer for Aggregator {
             let slot = self.group_slot(g);
             for ((acc, o), (kind, _)) in self.groups[slot].1.iter_mut().zip(accs).zip(&self.aggs) {
                 acc.merge_acc(*kind, o);
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use vortex_client::read::Zone;
+    use vortex_common::schema::{Field, FieldType};
+    use vortex_ros::ColumnBuilder;
+
+    use super::*;
+    use crate::expr::Expr;
+
+    impl Aggregator {
+        /// The fold this consumer used to run — the kind, the NULL test
+        /// and the leaf type matched at every row, and every row folded
+        /// into its group's accumulator by index — as the oracle of the
+        /// typed loops.
+        fn fold_zone_rowwise(
+            &mut self,
+            cols: &ZoneCols<'_>,
+            sel: &[usize],
+            plan: &ScanPlan<'_>,
+        ) -> VortexResult<()> {
+            let mut buf = Vec::new();
+            let mut slots = Vec::with_capacity(sel.len());
+            let group = self.group.map(|g| plan.zone_column(cols, g, sel));
+            match group.transpose()? {
+                None => slots.resize(sel.len(), self.group_slot(None)),
+                Some(None) => slots.resize(sel.len(), self.group_slot(Some(Value::Null))),
+                Some(Some((col, at))) => {
+                    let (leaf, at) = col.resolve(at, &mut buf);
+                    for &p in at {
+                        slots.push(self.group_slot(Some(leaf.value(p))));
+                    }
+                }
+            }
+            for (a, (kind, c)) in self.aggs.iter().enumerate() {
+                if *kind == AggKind::Count {
+                    slots.iter().for_each(|&s| self.groups[s].1[a].n += 1);
+                    continue;
+                }
+                let col = c.map(|c| plan.zone_column(cols, c, sel)).transpose()?;
+                let Some((col, at)) = col.flatten() else {
+                    continue;
+                };
+                let (leaf, at) = col.resolve(at, &mut buf);
+                for (&p, &s) in at.iter().zip(&slots) {
+                    let acc = &mut self.groups[s].1[a];
+                    match kind {
+                        _ if leaf.is_null(p) => {}
+                        AggKind::Min | AggKind::Max => {
+                            acc.offer(kind.wants(), |m| leaf.cmp_at(p, m), || leaf.value(p))
+                        }
+                        _ => match leaf {
+                            ColumnVec::I64(IntKind::Int64, ints) => {
+                                acc.add_int(ints.values[p] as i128, false)
+                            }
+                            ColumnVec::I128(ints) => acc.add_int(ints.values[p], true),
+                            ColumnVec::F64(floats) => acc.add_float(floats.values[p]),
+                            ColumnVec::Any(values) => acc.add_value(&values[p]),
+                            _ => {}
+                        },
+                    }
+                }
+            }
+            Ok(())
+        }
+    }
+
+    /// The leaf vector of `n` cells.
+    fn leaf(n: usize, cell: impl Fn(usize) -> Value) -> ColumnVec {
+        let mut col = ColumnBuilder::default();
+        (0..n).for_each(|k| col.add_value(cell(k)));
+        col.into_column()
+    }
+
+    /// The typed loops fold what the row loop folded, bit for bit, over
+    /// zones of one group (a run of one value; no group column at all)
+    /// and of many (a dictionary, NULL among its entries): COUNT by the
+    /// selection's length; SUM / AVG / MIN / MAX of an Int64 and a
+    /// Float64 leaf with a bitmap, a Float64 one without, a Numeric one,
+    /// an `Any` column mixing Int64, Float64 and NULL, and a string one —
+    /// float sums in row order over magnitudes where order shows.
+    #[test]
+    fn typed_fold_equals_the_row_loop() {
+        let names = ["i", "f", "h", "a", "n", "s", "g"];
+        let types = [
+            FieldType::Int64,
+            FieldType::Float64,
+            FieldType::Float64,
+            FieldType::Float64,
+            FieldType::Numeric,
+            FieldType::String,
+            FieldType::Int64,
+        ];
+        let fields = names.iter().zip(types).map(|(c, t)| Field::nullable(c, t));
+        let schema = Schema::new(fields.collect());
+        let n = 300;
+        let cols = |g: ColumnVec| {
+            let mut cols = vec![
+                leaf(n, |k| match k % 7 {
+                    0 => Value::Null,
+                    _ => Value::Int64((k as i64 * 37) % 1000 - 500),
+                }),
+                leaf(n, |k| match k % 11 {
+                    0 => Value::Null,
+                    1 => Value::Float64(1e16),
+                    2 => Value::Float64(-1e16),
+                    3 => Value::Float64(-0.0),
+                    _ => Value::Float64(k as f64 * 0.1 + 1.0 / 3.0),
+                }),
+                leaf(n, |k| {
+                    Value::Float64((k as f64).sqrt() * 1e15 - 7.0 / (k + 1) as f64)
+                }),
+                leaf(n, |k| match k % 3 {
+                    0 => Value::Int64(k as i64 - 150),
+                    1 => Value::Float64(k as f64 / 7.0),
+                    _ => Value::Null,
+                }),
+                leaf(n, |k| match k % 5 {
+                    0 => Value::Null,
+                    _ => Value::Numeric(k as i128 * 1_000_000_007),
+                }),
+                leaf(n, |k| Value::String(format!("s{:03}", (k * 13) % 97))),
+                g,
+            ];
+            // A zone from before the group column: it reads NULL.
+            if cols[6].is_empty() {
+                cols.pop();
+            }
+            cols
+        };
+        let one = ColumnVec::Runs {
+            lens: vec![n as u32],
+            values: Box::new(leaf(1, |_| Value::Int64(7))),
+        };
+        let many = ColumnVec::Dict {
+            codes: (0..n as u32).map(|k| k % 3).collect(),
+            dict: Box::new(leaf(3, |k| {
+                [Value::Int64(1), Value::Int64(7), Value::Null][k].clone()
+            })),
+        };
+        let zones = [one, many, leaf(0, |_| Value::Null)].map(|g| Zone {
+            first: 0,
+            metas: vec![RowMeta::default(); n],
+            cols: cols(g),
+        });
+        assert!(matches!(
+            zones[0].cols[0],
+            ColumnVec::I64(_, Prim { nulls: Some(_), .. })
+        ));
+        assert!(matches!(
+            zones[0].cols[2],
+            ColumnVec::F64(Prim { nulls: None, .. })
+        ));
+        assert!(matches!(zones[0].cols[3], ColumnVec::Any(_)));
+        let kinds = [AggKind::Sum, AggKind::Avg, AggKind::Min, AggKind::Max];
+        let mut aggs = vec![(AggKind::Count, None)];
+        aggs.extend(names[..6].iter().flat_map(|c| kinds.map(|k| (k, Some(*c)))));
+        let every: Vec<usize> = (0..n).collect();
+        let some: Vec<usize> = (0..n).filter(|k| k % 4 != 1).collect();
+        let all = Expr::True;
+        for group in [None, Some("g")] {
+            for sel in [&every, &some] {
+                let mut got = Aggregator::new(&schema, group, &aggs).unwrap();
+                let mut want = got.clone();
+                let plan = ScanPlan::compile(&all, None, &schema, None, &got).unwrap();
+                for zone in zones.iter().chain(&zones[..1]) {
+                    let zone = ZoneCols::Decoded(zone);
+                    assert_eq!(got.fold_zone(&zone, sel, &plan).unwrap(), 0);
+                    want.fold_zone_rowwise(&zone, sel, &plan).unwrap();
+                }
+                let (got, want) = (got.into_groups(), want.into_groups());
+                assert_eq!(got.len(), want.len(), "{group:?}");
+                assert_eq!(got.len(), if group.is_some() { 3 } else { 1 });
+                for ((g, vals), (wg, wvals)) in got.iter().zip(&want) {
+                    assert_eq!(g, wg);
+                    for ((v, w), agg) in vals.iter().zip(wvals).zip(&aggs) {
+                        assert!(v.key_eq(w), "{agg:?} of group {g:?}: {v:?} != {w:?}");
+                    }
+                }
             }
         }
     }

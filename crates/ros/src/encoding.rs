@@ -168,15 +168,16 @@ fn pack_bits(out: &mut Vec<u8>, vals: impl Iterator<Item = u64>, width: u8) {
     out.extend_from_slice(&acc.to_le_bytes()[..nbits.div_ceil(8) as usize]);
 }
 
-/// Reads values packed at `width` bits each, LSB-first.
+/// Reads values packed at `width` bits each, LSB-first: each from one
+/// little-endian 16-byte window at its first byte, shifted by its bit
+/// offset in that byte — up to 64 bits from up to 7 bits in, so a window
+/// always holds it. Past the bytes the window reads zeros.
 struct BitReader<'a> {
-    /// Every packed byte, and those `next_value` has yet to read.
     packed: &'a [u8],
-    bytes: std::slice::Iter<'a, u8>,
-    width: u32,
+    width: usize,
     mask: u64,
-    acc: u128,
-    nbits: u32,
+    /// The first bit of the value `next_value` returns.
+    next: usize,
 }
 
 impl<'a> BitReader<'a> {
@@ -189,33 +190,31 @@ impl<'a> BitReader<'a> {
         let packed = take(buf, pos, nbytes)?;
         Ok(BitReader {
             packed,
-            bytes: packed.iter(),
-            width: width as u32,
+            width: width as usize,
             mask: u64::MAX.checked_shr(64 - width as u32).unwrap_or(0),
-            acc: 0,
-            nbits: 0,
+            next: 0,
         })
+    }
+
+    /// The value whose first bit is `bit`.
+    fn bits_at(&self, bit: usize) -> u64 {
+        let rest = self.packed.get(bit / 8..).unwrap_or_default();
+        let window = rest.get(..16).and_then(|w| <[u8; 16]>::try_from(w).ok());
+        // The last 15 bytes are folded.
+        let window = window.map_or_else(|| le_uint(rest), u128::from_le_bytes);
+        (window >> (bit % 8)) as u64 & self.mask
     }
 
     /// The next value (0 past the `n`-th).
     fn next_value(&mut self) -> u64 {
-        while self.nbits < self.width {
-            self.acc |= (self.bytes.next().copied().unwrap_or(0) as u128) << self.nbits;
-            self.nbits += 8;
-        }
-        let v = self.acc as u64 & self.mask;
-        self.acc >>= self.width;
-        self.nbits -= self.width;
+        let v = self.bits_at(self.next);
+        self.next = self.next.saturating_add(self.width);
         v
     }
 
     /// The `k`-th value (0 past the `n`-th), wherever `next_value` stands.
     fn value_at(&self, k: usize) -> u64 {
-        let bit = k.saturating_mul(self.width as usize);
-        let from = (bit / 8).min(self.packed.len());
-        // Up to 64 bits from up to 7 bits into a byte: nine bytes hold them.
-        let window = &self.packed[from..self.packed.len().min(from + 9)];
-        (le_uint(window) >> (bit % 8)) as u64 & self.mask
+        self.bits_at(k.saturating_mul(self.width))
     }
 }
 
@@ -1023,12 +1022,12 @@ fn picked(col: ColumnVec, rows: Option<&[usize]>) -> ColumnVec {
 /// what `decode_chunk(..)?.into_leaf(rows)` holds (`None`: the chunk
 /// whole, as [`decode_chunk`]). String values (Fsst, Plain) are expanded
 /// and UTF-8-checked at `rows` only and bit-packed values (IntPack without
-/// deltas or NULLs, DictV2 codes) read at their index; the other forms of
-/// IntPack, Alp, RleV2 and the other Plain types decode whole and are
-/// picked from. The framing — every length prefix, every count, the
-/// trailing bytes — is checked as for the whole chunk; a defect inside a
-/// value that is not picked may go unseen (the chunk's CRC is the
-/// integrity check).
+/// deltas or NULLs, Alp without NULLs or patches, DictV2 codes) read at
+/// their index; the other forms of IntPack and Alp, RleV2 and the other
+/// Plain types decode whole and are picked from. The framing — every
+/// length prefix, every count, the trailing bytes — is checked as for the
+/// whole chunk; a defect inside a value that is not picked may go unseen
+/// (the chunk's CRC is the integrity check).
 pub fn decode_chunk_at(
     enc: Encoding,
     bytes: &[u8],
@@ -1041,7 +1040,7 @@ pub fn decode_chunk_at(
     let col = match enc {
         Encoding::Plain => decode_plain(bytes, pos, count, rows)?,
         Encoding::IntPack => decode_intpack(bytes, pos, count, rows)?,
-        Encoding::Alp => picked(decode_alp(bytes, pos, count)?, rows),
+        Encoding::Alp => decode_alp(bytes, pos, count, rows)?,
         Encoding::Fsst => decode_fsst(bytes, pos, count, rows)?,
         Encoding::DictV2 => {
             let dict_len = get_count(bytes, pos, count, "dict size")?;
@@ -1133,7 +1132,14 @@ fn read_nulls(
         true => Some(Nulls(take(bytes, pos, count.div_ceil(8))?.to_vec())),
         false => None,
     };
-    let m = (0..count).filter(|&i| !null_at(&nulls, i)).count();
+    // The bits of the last byte past `count` are no rows.
+    let nulls_in = |bits: &[u8]| {
+        let (whole, last) = bits.split_at(count / 8);
+        let last = last.first().map_or(0, |&b| b & !(u8::MAX << (count % 8)));
+        let ones = |b: &u8| b.count_ones() as usize;
+        whole.iter().map(ones).sum::<usize>() + ones(&last)
+    };
+    let m = count - nulls.as_ref().map_or(0, |Nulls(bits)| nulls_in(bits));
     let agree = stored == m;
     ensure(
         agree,
@@ -1195,7 +1201,12 @@ fn decode_intpack(
     Ok(picked(ColumnVec::I64(kind, Prim { values, nulls }), rows))
 }
 
-fn decode_alp(bytes: &[u8], pos: &mut usize, count: usize) -> VortexResult<ColumnVec> {
+fn decode_alp(
+    bytes: &[u8],
+    pos: &mut usize,
+    count: usize,
+    rows: Option<&[usize]>,
+) -> VortexResult<ColumnVec> {
     let (_, nulls, m) = read_nulls(bytes, pos, count, FLAG_NULLS)?;
     let exp = take_byte(bytes, pos)? as usize;
     let p10 = *POW10
@@ -1213,21 +1224,36 @@ fn decode_alp(bytes: &[u8], pos: &mut usize, count: usize) -> VortexResult<Colum
     }
     let patch_bits = take(bytes, pos, npatch * 8)?.chunks_exact(8);
     let mut patches = patch_rows.iter().zip(patch_bits).peekable();
-    let base = get_ivarint(bytes, pos)? as i128;
+    let base = get_ivarint(bytes, pos)?;
     let width = take_byte(bytes, pos)?;
     let mut bits = BitReader::new(bytes, pos, m - npatch, width)?;
-    let mut values = Vec::with_capacity(count);
-    for row in 0..count {
-        values.push(if null_at(&nulls, row) {
-            0.0
-        } else if let Some((_, raw)) = patches.next_if(|&(&prow, _)| prow == row) {
-            f64::from_bits(le_uint(raw) as u64)
-        } else {
-            (base + bits.next_value() as i128) as f64 / p10
-        });
-    }
+    // An `i128` sum past `i64` is the same integer, so the same float.
+    let value = |v: u64| match base.checked_add_unsigned(v) {
+        Some(i) => i as f64 / p10,
+        None => (base as i128 + v as i128) as f64 / p10,
+    };
+    // Without NULLs or patches a row's value is the one at its index.
+    let plain = nulls.is_none() && npatch == 0;
+    let values = match rows {
+        // lint:allow(L010, once per chunk decoded at a selection, sized by the selection)
+        Some(rows) if plain => rows.iter().map(|&i| value(bits.value_at(i))).collect(),
+        _ if plain => (0..count).map(|_| value(bits.next_value())).collect(),
+        _ => {
+            let cell = |row| {
+                if null_at(&nulls, row) {
+                    0.0
+                } else if let Some((_, raw)) = patches.next_if(|&(&prow, _)| prow == row) {
+                    f64::from_bits(le_uint(raw) as u64)
+                } else {
+                    value(bits.next_value())
+                }
+            };
+            (0..count).map(cell).collect()
+        }
+    };
     ensure(patches.next().is_none(), "alp patch at null row")?;
-    Ok(ColumnVec::F64(Prim { values, nulls }))
+    let col = ColumnVec::F64(Prim { values, nulls });
+    Ok(if plain { col } else { picked(col, rows) })
 }
 
 fn decode_fsst(
@@ -1417,6 +1443,7 @@ fn decode_plain(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use rand::{rngs::StdRng, Rng, RngCore, SeedableRng};
     use vortex_common::row::Value;
     use vortex_common::truetime::Timestamp;
 
@@ -2510,6 +2537,301 @@ pub(crate) mod tests {
         }
     }
 
+    // ---- The bit reader, NULL count and Alp decoder this crate used to
+    // run, as the oracles of the ones that read a window, popcount the
+    // bitmap and add in `i64`. -------------------------------------------
+
+    /// A `u128` refilled a byte per turn; the value at an index folded
+    /// from nine bytes.
+    struct BytewiseBits<'a> {
+        packed: &'a [u8],
+        bytes: std::slice::Iter<'a, u8>,
+        width: u32,
+        mask: u64,
+        acc: u128,
+        nbits: u32,
+    }
+
+    impl<'a> BytewiseBits<'a> {
+        fn new(packed: &'a [u8], width: u8) -> Self {
+            let width = width as u32;
+            let mask = u64::MAX.checked_shr(64 - width).unwrap_or(0);
+            let (bytes, acc, nbits) = (packed.iter(), 0, 0);
+            BytewiseBits {
+                packed,
+                bytes,
+                width,
+                mask,
+                acc,
+                nbits,
+            }
+        }
+
+        fn next_value(&mut self) -> u64 {
+            while self.nbits < self.width {
+                self.acc |= (self.bytes.next().copied().unwrap_or(0) as u128) << self.nbits;
+                self.nbits += 8;
+            }
+            let v = self.acc as u64 & self.mask;
+            self.acc >>= self.width;
+            self.nbits -= self.width;
+            v
+        }
+
+        fn value_at(&self, k: usize) -> u64 {
+            let bit = k.saturating_mul(self.width as usize);
+            let from = (bit / 8).min(self.packed.len());
+            let window = &self.packed[from..self.packed.len().min(from + 9)];
+            (le_uint(window) >> (bit % 8)) as u64 & self.mask
+        }
+    }
+
+    /// `read_nulls` counting the non-NULL rows one row at a time.
+    fn reference_read_nulls(
+        bytes: &[u8],
+        pos: &mut usize,
+        count: usize,
+        allowed: u8,
+    ) -> VortexResult<(u8, Option<Nulls>, usize)> {
+        let flags = take_byte(bytes, pos)?;
+        ensure(
+            flags & !allowed == 0,
+            format_args!("bad chunk flags {flags:#x}"),
+        )?;
+        let stored = get_count(bytes, pos, count, "non-null count")?;
+        let nulls = match flags & FLAG_NULLS != 0 {
+            true => Some(Nulls(take(bytes, pos, count.div_ceil(8))?.to_vec())),
+            false => None,
+        };
+        let m = (0..count).filter(|&i| !null_at(&nulls, i)).count();
+        ensure(
+            stored == m,
+            format_args!("chunk declares {stored} values, row count implies {m}"),
+        )?;
+        Ok((flags, nulls, m))
+    }
+
+    /// The Alp decoder that added the frame base in `i128` and tested
+    /// every row for NULL and patch, over a whole chunk.
+    fn reference_decode_alp(bytes: &[u8], count: usize) -> VortexResult<ColumnVec> {
+        let pos = &mut 0;
+        let (_, nulls, m) = reference_read_nulls(bytes, pos, count, FLAG_NULLS)?;
+        let exp = take_byte(bytes, pos)? as usize;
+        let p10 = *POW10.get(exp).ok_or_else(|| corrupt("bad alp exponent"))?;
+        let npatch = get_count(bytes, pos, m, "alp patches")?;
+        let mut patch_rows = Vec::with_capacity(npatch);
+        let mut prev = 0usize;
+        for i in 0..npatch {
+            let gap = get_uvarint(bytes, pos)? as usize;
+            prev = prev.saturating_add(gap);
+            let ascends = (i == 0 || gap > 0) && prev < count;
+            ensure(ascends, format_args!("bad alp patch row {prev}"))?;
+            patch_rows.push(prev);
+        }
+        let patch_bits = take(bytes, pos, npatch * 8)?.chunks_exact(8);
+        let mut patches = patch_rows.iter().zip(patch_bits).peekable();
+        let base = get_ivarint(bytes, pos)? as i128;
+        let width = take_byte(bytes, pos)?;
+        ensure(width <= 64, "bit width")?;
+        let packed = take(bytes, pos, ((m - npatch) * width as usize).div_ceil(8))?;
+        let mut bits = BytewiseBits::new(packed, width);
+        let mut values = Vec::with_capacity(count);
+        for row in 0..count {
+            values.push(if null_at(&nulls, row) {
+                0.0
+            } else if let Some((_, raw)) = patches.next_if(|&(&prow, _)| prow == row) {
+                f64::from_bits(le_uint(raw) as u64)
+            } else {
+                (base + bits.next_value() as i128) as f64 / p10
+            });
+        }
+        ensure(patches.next().is_none(), "alp patch at null row")?;
+        ensure(*pos == bytes.len(), "trailing bytes")?;
+        Ok(ColumnVec::F64(Prim { values, nulls }))
+    }
+
+    /// The window reader reads what the byte loop read at every width,
+    /// value by value and at every index — past the `n`-th value too,
+    /// where the last byte's stray high bits are read, then zeros.
+    #[test]
+    fn bit_reader_matches_the_byte_loop() {
+        let mut rng = StdRng::seed_from_u64(0xB175);
+        for width in 0..=64u8 {
+            for n in 0..=130usize {
+                let bits = n * width as usize;
+                let mut packed = vec![0u8; bits.div_ceil(8)];
+                rng.fill_bytes(&mut packed);
+                if let (Some(last), 1..) = (packed.last_mut(), bits % 8) {
+                    *last |= u8::MAX << (bits % 8);
+                }
+                let mut got = BitReader::new(&packed, &mut 0, n, width).unwrap();
+                let mut want = BytewiseBits::new(&packed, width);
+                for k in 0..n + 3 {
+                    let at = got.value_at(k);
+                    assert_eq!(at, want.value_at(k), "width {width}, {n} values, at {k}");
+                    if k * width as usize >= 8 * packed.len() {
+                        assert_eq!(at, 0, "width {width}, {n} values, at {k}");
+                    }
+                    let next = got.next_value();
+                    assert_eq!(
+                        next,
+                        want.next_value(),
+                        "width {width}, {n} values, next {k}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A bitmap whose last byte has bits set past `count` is counted —
+    /// and its chunk accepted or refused — as the row loop counted it.
+    #[test]
+    fn null_count_matches_the_row_loop() {
+        let mut rng = StdRng::seed_from_u64(0x4E55);
+        for count in 0..=70usize {
+            for _ in 0..8 {
+                let mut bitmap = vec![0u8; count.div_ceil(8)];
+                rng.fill_bytes(&mut bitmap);
+                if let (Some(last), 1..) = (bitmap.last_mut(), count % 8) {
+                    *last |= u8::MAX << (count % 8);
+                }
+                let valued = (0..count).filter(|&i| bitmap[i / 8] >> (i % 8) & 1 == 0);
+                let m = valued.count();
+                let set: usize = bitmap.iter().map(|b| b.count_ones() as usize).sum();
+                for stored in [m, m + 1, m.wrapping_sub(1), count.saturating_sub(set)] {
+                    for flags in [FLAG_NULLS, 0, FLAG_DELTA] {
+                        let mut chunk = vec![flags];
+                        put_uvarint(&mut chunk, stored as u64);
+                        chunk.extend_from_slice(&bitmap);
+                        let (got_at, want_at) = (&mut 0, &mut 0);
+                        let got = read_nulls(&chunk, got_at, count, FLAG_NULLS);
+                        let want = reference_read_nulls(&chunk, want_at, count, FLAG_NULLS);
+                        let err = |e: VortexError| e.to_string();
+                        assert_eq!(got.map_err(err), want.map_err(err), "{count} rows");
+                        assert_eq!(got_at, want_at);
+                    }
+                }
+            }
+        }
+    }
+
+    /// One cell of a hand-made Alp chunk.
+    #[derive(Clone, Copy)]
+    enum AlpCell {
+        Null,
+        /// A float stored as its raw bits.
+        Patch(f64),
+        /// An offset from the frame base.
+        Packed(u64),
+    }
+
+    /// The Alp chunk of `cells` at exponent `exp` in the frame `(base,
+    /// width)`, which the encoder would not make of most: a frame whose
+    /// `base + offset` leaves `i64`, a patch that decomposes.
+    fn alp_chunk(cells: &[AlpCell], exp: u8, (base, width): Frame) -> Vec<u8> {
+        let n = cells.len();
+        let mut bitmap = vec![0u8; n.div_ceil(8)];
+        let (mut patches, mut packed) = (Vec::new(), Vec::new());
+        for (row, cell) in cells.iter().enumerate() {
+            match *cell {
+                AlpCell::Null => bitmap[row / 8] |= 1 << (row % 8),
+                AlpCell::Patch(f) => patches.push((row, f.to_bits())),
+                AlpCell::Packed(v) => packed.push(v),
+            }
+        }
+        let m = patches.len() + packed.len();
+        let mut out = vec![(m < n) as u8];
+        push_nulls_header(&mut out, n, &Some(Nulls(bitmap)), m);
+        out.push(exp);
+        put_uvarint(&mut out, patches.len() as u64);
+        let mut prev = 0;
+        for &(row, _) in &patches {
+            put_uvarint(&mut out, (row - prev) as u64);
+            prev = row;
+        }
+        patches
+            .iter()
+            .for_each(|(_, bits)| out.extend_from_slice(&bits.to_le_bytes()));
+        put_ivarint(&mut out, base);
+        out.push(width);
+        pack_bits(&mut out, packed.into_iter(), width);
+        out
+    }
+
+    /// Each row's float bits, `None` at a NULL row.
+    fn float_bits(col: &ColumnVec) -> Vec<Option<u64>> {
+        let bits = |v: Value| match v {
+            Value::Float64(f) => Some(f.to_bits()),
+            Value::Null => None,
+            other => panic!("not a float: {other:?}"),
+        };
+        col.to_values().into_iter().map(bits).collect()
+    }
+
+    /// Decoded whole and at a selection, an Alp chunk holds the bits the
+    /// `i128` decoder made of it — with NaN, −NaN, −0.0 and irrational
+    /// patches, with NULLs, with neither, and in frames whose
+    /// `base + offset` leaves `i64` — and a chunk cut short or followed
+    /// by a byte is refused by both.
+    #[test]
+    fn alp_decodes_bit_exactly_as_the_i128_decoder() {
+        let mut rng = StdRng::seed_from_u64(0xA1F);
+        let specials = [
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(0x7FF8_0000_0000_0ABC),
+            -0.0,
+            std::f64::consts::PI,
+            1.25,
+        ];
+        let (mut overflowed, mut positional) = (0, 0);
+        for case in 0..600 {
+            let (nulls, patched) = (case % 3 == 0, case % 2 == 0);
+            let width = [0u8, 1, 7, 17, 40, 52, 63, 64][rng.gen_range(0..8usize)];
+            let base = match rng.gen_range(0..4u8) {
+                0 => rng.gen_range(-1000..1000i64),
+                1 => i64::MAX - rng.gen_range(0..1000i64),
+                2 => i64::MIN + rng.gen_range(0..1000i64),
+                _ => rng.next_u64() as i64,
+            };
+            let mask = u64::MAX.checked_shr(64 - width as u32).unwrap_or(0);
+            let cells: Vec<AlpCell> = (0..rng.gen_range(0..200usize))
+                .map(|_| match rng.gen_range(0..10u8) {
+                    0 | 1 if nulls => AlpCell::Null,
+                    2 if patched => AlpCell::Patch(specials[rng.gen_range(0..specials.len())]),
+                    _ => AlpCell::Packed(rng.next_u64() & mask),
+                })
+                .collect();
+            overflowed += cells.iter().any(|c| match *c {
+                AlpCell::Packed(v) => base.checked_add_unsigned(v).is_none(),
+                _ => false,
+            }) as usize;
+            let bytes = alp_chunk(&cells, rng.gen_range(0..15u8), (base, width));
+            let n = cells.len();
+            let want = reference_decode_alp(&bytes, n).unwrap();
+            let got = decode_chunk(Encoding::Alp, &bytes, n).unwrap();
+            assert_eq!(float_bits(&got), float_bits(&want), "case {case}");
+            for keep in [0u8, 1, 3, 8] {
+                let rows: Vec<usize> = (0..n).filter(|_| rng.gen_range(0..8u8) < keep).collect();
+                let got = decode_chunk_at(Encoding::Alp, &bytes, n, Some(&rows)).unwrap();
+                let want = want.clone().into_leaf(&rows);
+                assert_eq!(float_bits(&got), float_bits(&want), "case {case}, {rows:?}");
+            }
+            positional += (!nulls && !patched) as usize;
+            for bad in [
+                bytes[..bytes.len() - 1].to_vec(),
+                [&bytes[..], &[0]].concat(),
+            ] {
+                assert!(decode_chunk(Encoding::Alp, &bad, n).is_err(), "case {case}");
+                assert!(reference_decode_alp(&bad, n).is_err(), "case {case}");
+            }
+        }
+        assert!(
+            overflowed >= 100 && positional >= 100,
+            "{overflowed} / {positional}"
+        );
+    }
+
     /// A dictionary is in first-appearance order whatever the hasher's
     /// keys: two keyings that hash differently number alike.
     #[test]
@@ -2750,8 +3072,8 @@ pub(crate) mod tests {
         /// (Int64 / Date / Timestamp), floats (decimals, and the NaN, -0.0
         /// and irrationals Alp patches), strings (String / Json / Bytes,
         /// long enough for a symbol table), the rest (Bool, Numeric,
-        /// nested, mixed) — in runs, under one null pattern: none, some,
-        /// all.
+        /// nested, mixed), and decimals alone (an Alp chunk without
+        /// patches) — in runs, under one null pattern: none, some, all.
         fn family_columns_strategy() -> impl Strategy<Value = Vec<Vec<Value>>> {
             let cells = proptest::collection::vec((any::<u64>(), 1usize..6), 4..40);
             (0u64..3, 0u64..3, cells).prop_map(|(nulls, kind, cells)| {
@@ -2763,7 +3085,7 @@ pub(crate) mod tests {
                     (1, _, 0) => {
                         Value::Float64([f64::NAN, -0.0, std::f64::consts::PI][kind as usize])
                     }
-                    (1, _, _) => Value::Float64((r % 100_000) as f64 / 100.0),
+                    (1 | 4, _, _) => Value::Float64((r % 100_000) as f64 / 100.0),
                     (2, 0, _) => Value::String(format!("cust-{:05} é", r % 300)),
                     (2, 1, _) => Value::Json(format!(r#"{{"region":"us","n":{}}}"#, r % 300)),
                     (2, _, _) => Value::Bytes(format!("\u{0}\u{ff}{:x}", r % 1000).into_bytes()),
@@ -2784,7 +3106,7 @@ pub(crate) mod tests {
                     };
                     cells.iter().flat_map(run).collect()
                 };
-                (0..4).map(column).collect()
+                (0..5).map(column).collect()
             })
         }
 
@@ -2827,6 +3149,10 @@ pub(crate) mod tests {
                         prop_assert_eq!(got.len(), rows.len());
                         assert_key_eq(&got.to_values(), &want.to_values());
                         APPLIED.with(|a| a.borrow_mut()[enc.to_u8() as usize] += 1);
+                        if enc == Encoding::Alp {
+                            let patched = alp_patches(&bytes, n) > 0;
+                            ALP_PATCHED.with(|a| a.borrow_mut()[patched as usize] += 1);
+                        }
                     }
                 }
             }
@@ -2836,9 +3162,21 @@ pub(crate) mod tests {
             /// Chunks `positional_cases` compared on this thread, by
             /// encoding.
             static APPLIED: std::cell::RefCell<[usize; 8]> = const { std::cell::RefCell::new([0; 8]) };
+            /// Alp chunks it compared without patches, and with.
+            static ALP_PATCHED: std::cell::RefCell<[usize; 2]> = const { std::cell::RefCell::new([0; 2]) };
         }
 
-        /// The property, over at least 256 chunks of every encoding.
+        /// The patches an Alp chunk of `count` rows declares.
+        fn alp_patches(bytes: &[u8], count: usize) -> usize {
+            let pos = &mut 0;
+            read_nulls(bytes, pos, count, FLAG_NULLS).unwrap();
+            take_byte(bytes, pos).unwrap();
+            get_uvarint(bytes, pos).unwrap() as usize
+        }
+
+        /// The property, over at least 256 chunks of every encoding, and
+        /// of Alp both without patches (read at the selection when it has
+        /// no NULLs either) and with.
         #[test]
         fn positional_decode_equals_whole_then_pick() {
             positional_cases();
@@ -2847,6 +3185,11 @@ pub(crate) mod tests {
                 let n = applied[enc.to_u8() as usize];
                 assert!(n >= 256, "{enc:?} compared {n} times: {applied:?}");
             }
+            let [plain, patched] = ALP_PATCHED.with(|a| *a.borrow());
+            assert!(
+                plain >= 256 && patched >= 256,
+                "Alp: {plain} unpatched, {patched} patched"
+            );
         }
 
         proptest! {
