@@ -90,6 +90,11 @@ pub struct ScanStats {
     /// `rows_scanned` × columns, what the filter saved. (WOS fragments and
     /// tails arrive decoded: `wos.rows_decoded`, `tail_rows_decoded`.)
     pub cells_decoded: u64,
+    /// Bytes of the chunk cells (verified, decrypted, vsnap-expanded) of
+    /// the ROS chunks behind `cells_decoded`: a chunk's whole whether it
+    /// decoded whole or at a selection, since either walks all of it.
+    /// Against `cells_decoded`, what was decoded but not returned.
+    pub bytes_decoded: u64,
     /// Ranged reads this scan made of the ROS blocks it opened: two for
     /// the index of a block the cache did not hold, then one per run of
     /// adjacent chunks it needed that no cell held — none for a block the
@@ -278,7 +283,7 @@ impl AggKind {
 /// The `scan.*` counters mirroring [`ScanStats`], each with what one scan
 /// adds to it: the one table the handles are interned from (for their
 /// names) and fed from (for their values).
-fn scan_counts(stats: &ScanStats) -> [(&'static str, u64); 17] {
+fn scan_counts(stats: &ScanStats) -> [(&'static str, u64); 18] {
     [
         ("scan.calls", 1),
         ("scan.fragments_total", stats.fragments_total as u64),
@@ -291,6 +296,7 @@ fn scan_counts(stats: &ScanStats) -> [(&'static str, u64); 17] {
         ("scan.rows_matched", stats.rows_matched),
         ("scan.rows_materialized", stats.rows_materialized),
         ("scan.cells_decoded", stats.cells_decoded),
+        ("scan.bytes_decoded", stats.bytes_decoded),
         ("scan.reads", stats.reads),
         ("scan.bytes_fetched", stats.bytes_fetched),
         // Zero without a cache.
@@ -315,7 +321,7 @@ pub struct QueryEngine {
     probe: Option<Arc<FreshnessProbe>>,
     /// Registry handles interned at construction ([`scan_counts`]' names,
     /// then the `scan` span): recording a scan names no metric.
-    m: ([Arc<Counter>; 17], Arc<Histogram>),
+    m: ([Arc<Counter>; 18], Arc<Histogram>),
 }
 
 impl QueryEngine {

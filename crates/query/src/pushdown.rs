@@ -245,8 +245,24 @@ pub(crate) struct Held<'b> {
     /// `0..n` for a selection of `n` rows, fewer than the zone's: what
     /// indexes a vector that holds the selection alone.
     dense: OnceCell<Vec<usize>>,
-    /// The cells the scan has decoded of the block, provenance included.
-    cells: &'b Cell<u64>,
+    /// What the scan has decoded of the block.
+    tally: &'b Decoded,
+}
+
+/// What a scan has decoded of one block, provenance included: the cells
+/// it turned into column vectors, and the bytes of the chunk cells they
+/// came from — a chunk's whole, whether decoded whole or at a selection.
+#[derive(Default)]
+struct Decoded {
+    cells: Cell<u64>,
+    bytes: Cell<u64>,
+}
+
+impl Decoded {
+    fn add(&self, cells: usize, bytes: u64) {
+        self.cells.set(self.cells.get() + cells as u64);
+        self.bytes.set(self.bytes.get() + bytes);
+    }
 }
 
 impl ZoneCols<'_> {
@@ -261,7 +277,8 @@ impl ZoneCols<'_> {
             ZoneCols::Decoded(zone) => Ok((Cow::Borrowed(&zone.metas), sel)),
             ZoneCols::Block(block, z, held) => {
                 let metas = block.zone_metas_at(*z, sel)?;
-                held.cells.set(held.cells.get() + 4 * metas.len() as u64);
+                let bytes = [Chunk::Timestamps, Chunk::Provenance].map(|c| block.cell_bytes(c, *z));
+                held.tally.add(4 * metas.len(), bytes.iter().sum());
                 // Every row of the zone is `0..n` already.
                 let at = match sel.len() < block.zone_range(*z).len() {
                     // lint:allow(L010, once per zone whose selection is not every row, sized by it)
@@ -296,7 +313,8 @@ impl ZoneCols<'_> {
                         Some(sel) => block.decode_zone_at(col, *z, sel)?,
                         None => block.decode_zone(col, *z)?,
                     };
-                    held.cells.set(held.cells.get() + decoded.len() as u64);
+                    let bytes = block.cell_bytes(Chunk::Column(col), *z);
+                    held.tally.add(decoded.len(), bytes);
                     let _ = cell.set(decoded);
                 }
                 let held = cell.get().map(|col| match col.len() < rows {
@@ -450,6 +468,7 @@ impl<C: Consumer> FragmentYield<C> {
         self.stats.rows_matched += other.stats.rows_matched;
         self.stats.rows_materialized += other.stats.rows_materialized;
         self.stats.cells_decoded += other.stats.cells_decoded;
+        self.stats.bytes_decoded += other.stats.bytes_decoded;
     }
 }
 
@@ -555,13 +574,13 @@ pub(crate) fn scan_ros_block<C: Consumer>(
         Chunk::Timestamps => fresh[z] || (scan[z] && provenance),
         Chunk::Provenance => scan[z] && provenance,
     })?;
-    let cells = Cell::new(0); // decoded of the block, provenance included
+    let decoded = Decoded::default();
     out.stats.reads += open.fetched.reads;
     out.stats.bytes_fetched += open.fetched.bytes;
     for z in (0..zones).filter(|&z| fresh[z]) {
         let range = block.zone_range(z);
         let ts = block.zone_timestamps(z)?;
-        cells.set(ts.len() as u64 + cells.get());
+        decoded.add(ts.len(), block.cell_bytes(Chunk::Timestamps, z));
         let visible = (range.zip(ts)).filter(|(i, ts)| Some(*ts) > seen && gate.admits(*i as u64));
         out.visible_ts.extend(visible.map(|(_, ts)| ts));
     }
@@ -573,10 +592,11 @@ pub(crate) fn scan_ros_block<C: Consumer>(
         sel.extend((0..range.len()).filter(|i| gate.admits((range.start + i) as u64)));
         // lint:allow(L010, once per zone scanned: a cell per column)
         let cols = vec![OnceCell::new(); block.column_count()];
-        let (dense, cells) = (OnceCell::new(), &cells);
-        let held = Held { cols, dense, cells };
+        let (dense, tally) = (OnceCell::new(), &decoded);
+        let held = Held { cols, dense, tally };
         scan_zone(&ZoneCols::Block(block, z, held), &mut sel, plan, out)?;
     }
-    out.stats.cells_decoded += cells.get();
+    out.stats.cells_decoded += decoded.cells.get();
+    out.stats.bytes_decoded += decoded.bytes.get();
     Ok(())
 }

@@ -509,6 +509,24 @@ impl RosBlock {
         self.cells[i].get().map(Vec::as_slice).or_else(empty)
     }
 
+    /// Bytes of the cells of the chunks `chunk` names in zone `z` — what
+    /// their decoder walks, whole or at a selection; 0 for a chunk not
+    /// held.
+    pub fn cell_bytes(&self, chunk: Chunk, z: usize) -> u64 {
+        let named = (0..self.ncols + PROVENANCE).filter(|&col| self.kind(col) == chunk);
+        let cells = named.filter_map(|col| self.cell(self.chunk(col, z).ok()?.0));
+        cells.map(|cell| cell.len() as u64).sum()
+    }
+
+    /// What the chunks of column `col` hold, provenance columns included.
+    fn kind(&self, col: usize) -> Chunk {
+        match col.checked_sub(self.ncols) {
+            None => Chunk::Column(col),
+            Some(TS) => Chunk::Timestamps,
+            Some(_) => Chunk::Provenance,
+        }
+    }
+
     /// Decodes chunk `z` of column `col`, provenance columns included:
     /// whole, or its leaf at the ascending zone-relative `rows`.
     fn decode_stored(
@@ -869,12 +887,7 @@ impl RosBlock {
         wanted: impl Fn(Chunk, usize) -> bool,
     ) -> VortexResult<Fetched> {
         let zones = self.zone_count().max(1);
-        let kind = |col: usize| match col.checked_sub(self.ncols) {
-            None => Chunk::Column(col),
-            Some(TS) => Chunk::Timestamps,
-            Some(_) => Chunk::Provenance,
-        };
-        let missing = |i: usize| wanted(kind(i / zones), i % zones) && self.cell(i).is_none();
+        let missing = |i: usize| wanted(self.kind(i / zones), i % zones) && self.cell(i).is_none();
         // lint:allow(L010, once per fetch plan — per block — and an entry per read it makes)
         let mut runs: Vec<(usize, usize)> = Vec::new(); // chunks first..end
         for i in (0..self.chunks.len()).filter(|&i| missing(i)) {

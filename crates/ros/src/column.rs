@@ -231,8 +231,12 @@ impl ColumnVec {
     /// Builds the [`Value`] of row `i` (a linear walk on `Runs`; use
     /// [`ColumnVec::gather`] for more than one row).
     pub fn value(&self, i: usize) -> Value {
-        // Strings were validated at decode, so `lossy` replaces nothing.
-        let text = |s: &Strs| String::from_utf8_lossy(s.get(i)).into_owned();
+        // Strings were validated at decode, a chunk's buffer whole: one
+        // fast check and a copy. The lossy form only keeps this total.
+        let text = |s: &Strs| match std::str::from_utf8(s.get(i)) {
+            Ok(text) => text.to_owned(),
+            Err(_) => String::from_utf8_lossy(s.get(i)).into_owned(),
+        };
         match self {
             ColumnVec::Dict { codes, dict } => dict.value(codes[i] as usize),
             ColumnVec::Runs { lens, values } => {

@@ -46,9 +46,9 @@ use crate::column::{
     null_at, nulls_at, ColumnBuilder, ColumnVec, IntKind, KeyedRows, Nulls, Prim, StrKind, Strs,
 };
 use vortex_common::codec::{
-    decode_value, encode_value, get_ivarint, get_uvarint, put_bytes, put_ivarint, put_uvarint,
-    take, TAG_BOOL, TAG_BYTES, TAG_DATE, TAG_FLOAT64, TAG_INT64, TAG_JSON, TAG_NULL, TAG_NUMERIC,
-    TAG_STRING, TAG_TIMESTAMP,
+    decode_value, encode_value, get_ivarint, get_len, get_uvarint, put_bytes, put_ivarint,
+    put_uvarint, take, TAG_BOOL, TAG_BYTES, TAG_DATE, TAG_FLOAT64, TAG_INT64, TAG_JSON, TAG_NULL,
+    TAG_NUMERIC, TAG_STRING, TAG_TIMESTAMP,
 };
 use vortex_common::error::{VortexError, VortexResult};
 use vortex_common::obs::{Counter, Lazy, Registry};
@@ -1256,6 +1256,81 @@ fn decode_alp(
     Ok(if plain { col } else { picked(col, rows) })
 }
 
+/// An Fsst chunk's symbol table as its expander reads it: each code's
+/// symbol as a little-endian word, and its length — 0 for a code past the
+/// table (the escape is tested before the lookup).
+struct FsstSymbols {
+    words: [u64; 256],
+    lens: [u8; 256],
+}
+
+impl FsstSymbols {
+    /// Parses the table at `pos`: fewer than 255 symbols of 1..=8 bytes.
+    fn parse(bytes: &[u8], pos: &mut usize) -> VortexResult<FsstSymbols> {
+        let nsyms = take_byte(bytes, pos)? as usize;
+        ensure(
+            nsyms < FSST_ESCAPE as usize,
+            format_args!("fsst table of {nsyms} symbols"),
+        )?;
+        let (mut words, mut lens) = ([0; 256], [0; 256]);
+        for code in 0..nsyms {
+            let l = take_byte(bytes, pos)? as usize;
+            ensure(
+                (1..=FSST_MAX_SYM).contains(&l),
+                format_args!("fsst symbol of {l} bytes"),
+            )?;
+            take(bytes, pos, l)?;
+            words[code] = low_bytes(word_at(bytes, *pos - l), l);
+            lens[code] = l as u8;
+        }
+        Ok(FsstSymbols { words, lens })
+    }
+
+    /// Appends what the codes of one value stand for, a word per code:
+    /// the symbol's eight bytes are stored and the end moves by its
+    /// length.
+    fn expand(&self, codes: &[u8], out: &mut Vec<u8>) -> VortexResult<()> {
+        let mut codes = codes.iter();
+        while let Some(&c) = codes.next() {
+            if c == FSST_ESCAPE {
+                let literal = codes
+                    .next()
+                    .ok_or_else(|| corrupt("fsst escape truncated"))?;
+                out.push(*literal);
+                continue;
+            }
+            let len = self.lens[c as usize] as usize;
+            if len == 0 {
+                return Err(corrupt(format_args!("fsst code {c} out of range")));
+            }
+            let end = out.len() + len;
+            out.extend_from_slice(&self.words[c as usize].to_le_bytes());
+            out.truncate(end);
+        }
+        Ok(())
+    }
+}
+
+/// The codes of the value at `pos`: a length prefix under 128 is its own
+/// byte, a longer one a varint; either is checked against the bytes that
+/// remain.
+fn fsst_codes<'a>(bytes: &'a [u8], pos: &mut usize) -> VortexResult<&'a [u8]> {
+    let n = match bytes.get(*pos) {
+        Some(&n) if n < 0x80 => {
+            *pos += 1;
+            n as usize
+        }
+        _ => get_len(bytes, pos)?,
+    };
+    take(bytes, pos, n)
+}
+
+/// Decodes an Fsst chunk: whole, a word stored per code; or at a
+/// selection, where the values between picked ones are only skipped and
+/// the picked ones expanded afterwards. Either way the buffer grows once,
+/// to eight bytes per code of the values it holds (a code stands for at
+/// most eight), so no store grows it, and the vector keeps a copy at its
+/// length.
 fn decode_fsst(
     bytes: &[u8],
     pos: &mut usize,
@@ -1268,52 +1343,54 @@ fn decode_fsst(
         .get(tag)
         .ok_or_else(|| corrupt(format_args!("bad fsst type {tag}")))?;
     let (_, nulls, _) = read_nulls(bytes, pos, count, FLAG_NULLS)?;
-    let nsyms = take_byte(bytes, pos)? as usize;
-    ensure(
-        nsyms < FSST_ESCAPE as usize,
-        format_args!("fsst table of {nsyms} symbols"),
-    )?;
-    let mut symbols: Vec<&[u8]> = Vec::with_capacity(nsyms);
-    for _ in 0..nsyms {
-        let l = take_byte(bytes, pos)? as usize;
-        ensure(
-            (1..=FSST_MAX_SYM).contains(&l),
-            format_args!("fsst symbol of {l} bytes"),
-        )?;
-        symbols.push(take(bytes, pos, l)?);
-    }
-    // Every value's length prefix is walked; only a wanted value's codes
-    // are expanded.
-    let kept = rows.map_or(count, <[usize]>::len);
-    let mut want = rows.map(|rows| rows.iter().peekable());
-    let mut offsets = Vec::with_capacity(kept + 1);
-    let mut data = Vec::with_capacity((bytes.len() - *pos) * kept / count.max(1));
+    let table = FsstSymbols::parse(bytes, pos)?;
+    let picked = rows.filter(|rows| rows.len() < count);
+    let mut offsets = Vec::with_capacity(picked.map_or(count, <[_]>::len) + 1);
+    let mut data = Vec::new();
     offsets.push(0);
-    for row in 0..count {
-        let wanted = (want.as_mut()).map_or(true, |w| w.next_if_eq(&&row).is_some());
-        if !null_at(&nulls, row) {
-            let elen = get_count(bytes, pos, bytes.len() - *pos, "fsst value")?;
-            let mut codes = take(bytes, pos, elen)?.iter();
-            while let (true, Some(&c)) = (wanted, codes.next()) {
-                if c == FSST_ESCAPE {
-                    data.push(
-                        *codes
-                            .next()
-                            .ok_or_else(|| corrupt("fsst escape truncated"))?,
-                    );
-                } else {
-                    let sym = symbols.get(c as usize);
-                    let sym =
-                        sym.ok_or_else(|| corrupt(format_args!("fsst code {c} out of range")))?;
-                    data.extend_from_slice(sym);
+    match picked {
+        None => {
+            data.reserve(8 * (bytes.len() - *pos));
+            for row in 0..count {
+                if !null_at(&nulls, row) {
+                    table.expand(fsst_codes(bytes, pos)?, &mut data)?;
                 }
+                offsets.push(data.len() as u32);
             }
         }
-        if wanted {
-            offsets.push(data.len() as u32);
+        Some(rows) => {
+            // lint:allow(L010, once per chunk decoded at a selection, sized by the selection)
+            let (mut values, mut next) = (Vec::with_capacity(rows.len()), 0);
+            for &row in rows.iter().chain([&count]) {
+                // A skipped NULL row is one bitmap test, a skipped length
+                // prefix under 128 an add; the run's end is checked once,
+                // before a byte past it is read.
+                let mut at = *pos;
+                for _ in (next..row).filter(|&i| !null_at(&nulls, i)) {
+                    match bytes.get(at) {
+                        Some(&n) if n < 0x80 => at += 1 + n as usize,
+                        _ => fsst_codes(bytes, &mut at).map(|_| ())?,
+                    }
+                }
+                ensure(at <= bytes.len(), "fsst value past the end of its chunk")?;
+                *pos = at;
+                if row < count {
+                    let valued = !null_at(&nulls, row);
+                    values.push(if valued { fsst_codes(bytes, pos)? } else { &[] });
+                }
+                next = row + 1;
+            }
+            let code_bytes: usize = values.iter().map(|codes: &&[u8]| codes.len()).sum();
+            data.reserve(8 * code_bytes);
+            for codes in values {
+                table.expand(codes, &mut data)?;
+                // lint:allow(L010, fills the vector sized above)
+                offsets.push(data.len() as u32);
+            }
         }
     }
-    str_vec(kind, offsets, data, nulls_at(nulls, rows))
+    // lint:allow(L010, once per chunk decoded: its bytes without the slack of eight a code)
+    str_vec(kind, offsets, data.to_vec(), nulls_at(nulls, rows))
 }
 
 /// Finishes a `Str` vector: the rows of a String / Json vector must each
@@ -2832,6 +2909,282 @@ pub(crate) mod tests {
         );
     }
 
+    // ---- The Fsst decoder this crate used to run — a varint and a slice
+    // per length prefix, a symbol slice copied per code — as the oracle of
+    // the one that skips what it does not pick and stores words. ---------
+
+    /// The byte-loop decoder, over a whole chunk (trailing bytes refused).
+    fn reference_decode_fsst(
+        bytes: &[u8],
+        count: usize,
+        rows: Option<&[usize]>,
+    ) -> VortexResult<ColumnVec> {
+        let pos = &mut 0usize;
+        let tag = take_byte(bytes, pos)? as usize;
+        let kinds = [StrKind::String, StrKind::Json, StrKind::Bytes];
+        let kind = *kinds.get(tag).ok_or_else(|| corrupt("bad fsst type"))?;
+        let (_, nulls, _) = reference_read_nulls(bytes, pos, count, FLAG_NULLS)?;
+        let nsyms = take_byte(bytes, pos)? as usize;
+        ensure(nsyms < FSST_ESCAPE as usize, "fsst table")?;
+        let mut symbols: Vec<&[u8]> = Vec::with_capacity(nsyms);
+        for _ in 0..nsyms {
+            let l = take_byte(bytes, pos)? as usize;
+            ensure((1..=FSST_MAX_SYM).contains(&l), "fsst symbol")?;
+            symbols.push(take(bytes, pos, l)?);
+        }
+        let kept = rows.map_or(count, <[usize]>::len);
+        let mut want = rows.map(|rows| rows.iter().peekable());
+        let (mut offsets, mut data) = (Vec::with_capacity(kept + 1), Vec::new());
+        offsets.push(0);
+        for row in 0..count {
+            let wanted = (want.as_mut()).map_or(true, |w| w.next_if_eq(&&row).is_some());
+            if !null_at(&nulls, row) {
+                let elen = get_count(bytes, pos, bytes.len() - *pos, "fsst value")?;
+                let mut codes = take(bytes, pos, elen)?.iter();
+                while let (true, Some(&c)) = (wanted, codes.next()) {
+                    if c == FSST_ESCAPE {
+                        data.push(*codes.next().ok_or_else(|| corrupt("escape truncated"))?);
+                    } else {
+                        let sym = symbols.get(c as usize);
+                        data.extend_from_slice(sym.ok_or_else(|| corrupt("code out of range"))?);
+                    }
+                }
+            }
+            if wanted {
+                offsets.push(data.len() as u32);
+            }
+        }
+        ensure(*pos == bytes.len(), "trailing bytes")?;
+        str_vec(kind, offsets, data, nulls_at(nulls, rows))
+    }
+
+    /// An Fsst chunk of type `tag` over the table `symbols`, of the
+    /// values' codes (`None` is NULL), whatever they say.
+    fn fsst_chunk(tag: u8, symbols: &[Vec<u8>], values: &[Option<Vec<u8>>]) -> Vec<u8> {
+        let n = values.len();
+        let mut bitmap = vec![0u8; n.div_ceil(8)];
+        for (row, _) in values.iter().enumerate().filter(|(_, v)| v.is_none()) {
+            bitmap[row / 8] |= 1 << (row % 8);
+        }
+        let m = values.iter().flatten().count();
+        let mut out = vec![tag, (m < n) as u8];
+        push_nulls_header(&mut out, n, &Some(Nulls(bitmap)), m);
+        out.push(symbols.len() as u8);
+        for s in symbols {
+            out.push(s.len() as u8);
+            out.extend_from_slice(s);
+        }
+        for codes in values.iter().flatten() {
+            put_uvarint(&mut out, codes.len() as u64);
+            out.extend_from_slice(codes);
+        }
+        out
+    }
+
+    /// What both decoders make of a chunk, whole or at `rows`: the same
+    /// vector, or an error from each.
+    fn assert_fsst_decoders_agree(bytes: &[u8], n: usize, rows: Option<&[usize]>) -> bool {
+        let got = decode_chunk_at(Encoding::Fsst, bytes, n, rows);
+        let want = reference_decode_fsst(bytes, n, rows);
+        match (got, want) {
+            (Ok(got), Ok(want)) => assert_eq!(got, want, "{rows:?}"),
+            (Err(_), Err(_)) => return false,
+            (got, want) => panic!("{rows:?}: {got:?} against {want:?}"),
+        }
+        true
+    }
+
+    /// The Fsst decoder makes, whole and at every shape of selection, the
+    /// vector its byte loop made of hand-made chunks — 1 to 254 symbols
+    /// of 1 to 8 bytes, escapes, empty values, values of 128 code bytes
+    /// or more, NULLs — and refuses, without a panic, what it refused: a
+    /// length prefix past the end inside a skipped run, an escape as a
+    /// picked value's last byte, a picked code past the table, a table
+    /// cut short, every cut and flip of a chunk.
+    #[test]
+    fn fsst_decodes_as_the_byte_loop() {
+        let mut rng = StdRng::seed_from_u64(0xF557);
+        let chars = ['a', 'z', ' ', '{', 'é', '€', '𝄞'];
+        let (mut decoded, mut nulled, mut long, mut refused) = (0, 0, 0, 0);
+        for case in 0..400 {
+            let tag = [TY_STRING, TY_JSON, TY_BYTES][case % 3];
+            let text = tag != TY_BYTES;
+            let symbol = |rng: &mut StdRng| -> Vec<u8> {
+                let len = rng.gen_range(1..=FSST_MAX_SYM);
+                if !text {
+                    return (0..len).map(|_| rng.next_u32() as u8).collect();
+                }
+                let mut s = String::new();
+                loop {
+                    let c = chars[rng.gen_range(0..chars.len())];
+                    if s.len() + c.len_utf8() > len {
+                        break;
+                    }
+                    s.push(c);
+                }
+                s.push_str(if s.is_empty() { "q" } else { "" });
+                s.into_bytes()
+            };
+            let symbols: Vec<Vec<u8>> = (0..rng.gen_range(1..=254usize))
+                .map(|_| symbol(&mut rng))
+                .collect();
+            let nsyms = symbols.len() as u8;
+            let null_share = [0u8, 2, 6][case % 5 % 3];
+            let n = rng.gen_range(0..200usize);
+            let values: Vec<Option<Vec<u8>>> = (0..n)
+                .map(|_| {
+                    if rng.gen_range(0..8u8) < null_share {
+                        return None;
+                    }
+                    let codes = match rng.gen_range(0..6u8) {
+                        0 => 0,
+                        1 => rng.gen_range(130..400),
+                        _ => rng.gen_range(1..24),
+                    };
+                    let mut out = Vec::new();
+                    while out.len() < codes {
+                        match rng.gen_range(0..10u8) {
+                            0 if text => {
+                                out.extend_from_slice(&[FSST_ESCAPE, rng.gen_range(b'a'..=b'z')])
+                            }
+                            0 => out.extend_from_slice(&[FSST_ESCAPE, rng.next_u32() as u8]),
+                            _ => out.push(rng.gen_range(0..nsyms)),
+                        }
+                    }
+                    Some(out)
+                })
+                .collect();
+            let bytes = fsst_chunk(tag, &symbols, &values);
+            assert!(assert_fsst_decoders_agree(&bytes, n, None), "case {case}");
+            let third: Vec<usize> = (rng.gen_range(0..3)..n).step_by(3).collect();
+            let some: Vec<usize> = (0..n).filter(|_| rng.gen_range(0..8u8) == 0).collect();
+            let every: Vec<usize> = (0..n).collect();
+            let (first, last) = (&every[..n.min(1)], &every[n.saturating_sub(1)..]);
+            for rows in [&[][..], first, last, &every, &third, &some] {
+                assert!(assert_fsst_decoders_agree(&bytes, n, Some(rows)));
+            }
+            decoded += 1;
+            nulled += values.iter().any(Option::is_none) as usize;
+            long += values.iter().flatten().any(|codes| codes.len() >= 128) as usize;
+
+            // Cut short, by a byte or inside the table; flipped anywhere.
+            let framed = |codes: &Vec<u8>| uvarint_len(codes.len() as u64) + codes.len();
+            let table_end = bytes.len() - values.iter().flatten().map(framed).sum::<usize>();
+            let table_len: usize = symbols.iter().map(|s| 1 + s.len()).sum();
+            let cuts = [
+                bytes.len() - 1,
+                rng.gen_range(table_end - table_len..table_end),
+            ];
+            for cut in cuts {
+                for rows in [None, Some(&[][..]), Some(first), Some(&third)] {
+                    refused += !assert_fsst_decoders_agree(&bytes[..cut], n, rows) as usize;
+                }
+            }
+            let mut flipped = bytes.clone();
+            if let Some(at) = (!bytes.is_empty()).then(|| rng.gen_range(0..bytes.len())) {
+                flipped[at] ^= 1 << rng.gen_range(0..8u32);
+                for rows in [None, Some(&third[..]), Some(&some[..])] {
+                    assert_fsst_decoders_agree(&flipped, n, rows);
+                }
+            }
+
+            // One value made bad: past the table, or an escape last.
+            let Some(bad) = (0..n).rev().find(|&i| values[i].is_some()) else {
+                continue;
+            };
+            for tail in [[FSST_ESCAPE], [rng.gen_range(nsyms..FSST_ESCAPE)]] {
+                let mut broken = values.clone();
+                broken[bad].as_mut().unwrap().extend_from_slice(&tail);
+                let bytes = fsst_chunk(tag, &symbols, &broken);
+                let skipping: Vec<usize> = (0..bad).collect();
+                for rows in [None, Some(&[bad][..]), Some(&every)] {
+                    assert!(!assert_fsst_decoders_agree(&bytes, n, rows), "case {case}");
+                }
+                assert!(assert_fsst_decoders_agree(&bytes, n, Some(&skipping)));
+            }
+            // A length prefix past the end, inside a run of values no
+            // selection picks.
+            if bad > 0 {
+                let mut cut = bytes.clone();
+                cut.truncate(bytes.len() - values[bad].as_ref().unwrap().len().min(1));
+                if cut.len() < bytes.len() {
+                    for rows in [Some(&[][..]), Some(&[0][..])] {
+                        assert!(!assert_fsst_decoders_agree(&cut, n, rows), "case {case}");
+                    }
+                }
+            }
+        }
+        assert!(
+            decoded == 400 && nulled >= 200 && long >= 200 && refused >= 400,
+            "{decoded} decoded, {nulled} with NULLs, {long} with a two-byte prefix, {refused} refused"
+        );
+    }
+
+    /// A String / Json cell leaves a decoded vector as the `String` the
+    /// lossy copy built — through `value`, `gather` and `to_values`, with
+    /// 2-, 3- and 4-byte characters at the ends of values, empty values
+    /// and NULLs, from every encoding that takes the column.
+    #[test]
+    fn string_cells_leave_as_the_lossy_copy_built_them() {
+        let mut rng = StdRng::seed_from_u64(0x57E);
+        let chars = ['a', 'q', '"', 'é', '€', '𝄞'];
+        let mut compared = [0usize; 8];
+        for case in 0..240 {
+            let n = rng.gen_range(1..120usize);
+            let cells: Vec<Value> = (0..n)
+                .map(|_| {
+                    if rng.gen_range(0..8u8) == 0 {
+                        return Value::Null;
+                    }
+                    let len = rng.gen_range(0..10usize);
+                    let mut s: String = (0..len).map(|_| chars[rng.gen_range(0..6usize)]).collect();
+                    if rng.gen_bool(0.5) {
+                        s.push(chars[rng.gen_range(3..6usize)]);
+                    }
+                    match case % 2 {
+                        0 => Value::String(s),
+                        _ => Value::Json(s),
+                    }
+                })
+                .collect();
+            for enc in ALL_ENCODINGS {
+                let Ok(bytes) = encode_column_with(&leaf(&cells), enc) else {
+                    continue;
+                };
+                let col = decode_chunk(enc, &bytes, n).unwrap();
+                let every: Vec<usize> = (0..n).collect();
+                let lossy = match col.clone().into_leaf(&every) {
+                    ColumnVec::Str(kind, s) => (0..n)
+                        .map(|i| match (null_at(&s.nulls, i), kind) {
+                            (true, _) => Value::Null,
+                            (_, StrKind::Json) => {
+                                Value::Json(String::from_utf8_lossy(s.get(i)).into_owned())
+                            }
+                            _ => Value::String(String::from_utf8_lossy(s.get(i)).into_owned()),
+                        })
+                        .collect::<Vec<Value>>(),
+                    _ => continue, // no string cell
+                };
+                assert_eq!(lossy, cells);
+                assert_eq!(col.to_values(), lossy, "{enc:?}");
+                assert!((0..n).all(|i| col.value(i) == lossy[i]), "{enc:?}");
+                let rows: Vec<usize> = (0..n).filter(|_| rng.gen_bool(0.3)).collect();
+                let mut got = Vec::new();
+                col.gather(rows.iter().copied(), |k, v| {
+                    assert_eq!(k, got.len());
+                    got.push(v)
+                });
+                assert!(
+                    rows.iter().zip(&got).all(|(&i, v)| *v == lossy[i]),
+                    "{enc:?}"
+                );
+                compared[enc.to_u8() as usize] += 1;
+            }
+        }
+        let fsst = compared[Encoding::Fsst.to_u8() as usize];
+        assert!(fsst >= 100 && compared[0] >= 200, "{compared:?}");
+    }
+
     /// A dictionary is in first-appearance order whatever the hasher's
     /// keys: two keyings that hash differently number alike.
     #[test]
@@ -3072,8 +3425,10 @@ pub(crate) mod tests {
         /// (Int64 / Date / Timestamp), floats (decimals, and the NaN, -0.0
         /// and irrationals Alp patches), strings (String / Json / Bytes,
         /// long enough for a symbol table), the rest (Bool, Numeric,
-        /// nested, mixed), and decimals alone (an Alp chunk without
-        /// patches) — in runs, under one null pattern: none, some, all.
+        /// nested, mixed), decimals alone (an Alp chunk without patches),
+        /// and strings long enough for a two-byte length prefix of codes —
+        /// in runs, under one null pattern: none, some, all (the long
+        /// strings have some NULLs under none too).
         fn family_columns_strategy() -> impl Strategy<Value = Vec<Vec<Value>>> {
             let cells = proptest::collection::vec((any::<u64>(), 1usize..6), 4..40);
             (0u64..3, 0u64..3, cells).prop_map(|(nulls, kind, cells)| {
@@ -3089,6 +3444,13 @@ pub(crate) mod tests {
                     (2, 0, _) => Value::String(format!("cust-{:05} é", r % 300)),
                     (2, 1, _) => Value::Json(format!(r#"{{"region":"us","n":{}}}"#, r % 300)),
                     (2, _, _) => Value::Bytes(format!("\u{0}\u{ff}{:x}", r % 1000).into_bytes()),
+                    (5, _, _) => Value::String(
+                        (0..24)
+                            .map(|k| {
+                                format!("{:016x}", (r ^ k).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+                            })
+                            .collect(),
+                    ),
                     (_, 0, _) => Value::Bool(r % 2 == 0),
                     (_, 1, _) => Value::Numeric(r as i128 - (1 << 40)),
                     (_, _, 0) => Value::Array(vec![Value::Int64(r as i64 % 3)]),
@@ -3096,7 +3458,8 @@ pub(crate) mod tests {
                 };
                 let column = |family: u64| {
                     let run = |&(r, n): &(u64, usize)| {
-                        let null = nulls == 2 || (nulls == 1 && r % 4 == 0);
+                        let some = nulls == 1 || family == 5;
+                        let null = nulls == 2 || (some && r % 4 == 0);
                         let v = if null {
                             Value::Null
                         } else {
@@ -3106,7 +3469,7 @@ pub(crate) mod tests {
                     };
                     cells.iter().flat_map(run).collect()
                 };
-                (0..5).map(column).collect()
+                (0..6).map(column).collect()
             })
         }
 
@@ -3153,6 +3516,14 @@ pub(crate) mod tests {
                             let patched = alp_patches(&bytes, n) > 0;
                             ALP_PATCHED.with(|a| a.borrow_mut()[patched as usize] += 1);
                         }
+                        if enc == Encoding::Fsst {
+                            let (nulled, long) = fsst_shape(&bytes, n);
+                            FSST_SHAPES.with(|s| {
+                                let mut s = s.borrow_mut();
+                                s[0] += nulled as usize;
+                                s[1] += long as usize;
+                            });
+                        }
                     }
                 }
             }
@@ -3164,6 +3535,9 @@ pub(crate) mod tests {
             static APPLIED: std::cell::RefCell<[usize; 8]> = const { std::cell::RefCell::new([0; 8]) };
             /// Alp chunks it compared without patches, and with.
             static ALP_PATCHED: std::cell::RefCell<[usize; 2]> = const { std::cell::RefCell::new([0; 2]) };
+            /// Fsst chunks it compared with NULLs, and with a value whose
+            /// codes take a two-byte length prefix.
+            static FSST_SHAPES: std::cell::RefCell<[usize; 2]> = const { std::cell::RefCell::new([0; 2]) };
         }
 
         /// The patches an Alp chunk of `count` rows declares.
@@ -3174,9 +3548,24 @@ pub(crate) mod tests {
             get_uvarint(bytes, pos).unwrap() as usize
         }
 
-        /// The property, over at least 256 chunks of every encoding, and
-        /// of Alp both without patches (read at the selection when it has
-        /// no NULLs either) and with.
+        /// Of an Fsst chunk of `count` rows: whether it has NULLs, and
+        /// whether a value's length prefix takes two bytes or more.
+        fn fsst_shape(bytes: &[u8], count: usize) -> (bool, bool) {
+            let pos = &mut 1;
+            let (_, _, m) = read_nulls(bytes, pos, count, FLAG_NULLS).unwrap();
+            FsstSymbols::parse(bytes, pos).unwrap();
+            let mut long = false;
+            for _ in 0..m {
+                long |= bytes[*pos] >= 0x80;
+                fsst_codes(bytes, pos).unwrap();
+            }
+            (m < count, long)
+        }
+
+        /// The property, over at least 256 chunks of every encoding; of
+        /// Alp both without patches (read at the selection when it has no
+        /// NULLs either) and with; of Fsst both with NULLs and with a
+        /// two-byte length prefix.
         #[test]
         fn positional_decode_equals_whole_then_pick() {
             positional_cases();
@@ -3189,6 +3578,11 @@ pub(crate) mod tests {
             assert!(
                 plain >= 256 && patched >= 256,
                 "Alp: {plain} unpatched, {patched} patched"
+            );
+            let [nulled, long] = FSST_SHAPES.with(|s| *s.borrow());
+            assert!(
+                nulled >= 256 && long >= 256,
+                "Fsst: {nulled} with NULLs, {long} with a two-byte prefix"
             );
         }
 

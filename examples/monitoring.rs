@@ -191,6 +191,7 @@ fn main() -> vortex::VortexResult<()> {
         "scan.tail.",
         "scan.bytes_fetched",
         "scan.cells_decoded",
+        "scan.bytes_decoded",
         "colossus.cls-0.bytes_read",
         "append.client.calls",
         "rpc",
@@ -207,10 +208,11 @@ fn main() -> vortex::VortexResult<()> {
     );
     let counter = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
     println!(
-        "scans: {} rows scanned, {} matched; {} cells of ROS chunks decoded",
+        "scans: {} rows scanned, {} matched; {} cells of ROS chunks decoded, from {} chunk bytes",
         counter("scan.rows_scanned"),
         counter("scan.rows_matched"),
-        counter("scan.cells_decoded")
+        counter("scan.cells_decoded"),
+        counter("scan.bytes_decoded")
     );
     let (chunks, encoded) = (
         counter("ros.chunks_built"),

@@ -37,6 +37,7 @@ counter freshness.rows_observed
 counter ros.candidates_encoded
 counter ros.chunks_built
 counter ros.row_metas_built
+counter scan.bytes_decoded
 counter scan.bytes_fetched
 counter scan.cache.hits
 counter scan.cache.misses

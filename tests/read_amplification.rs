@@ -62,6 +62,7 @@ fn counters(region: &Region) -> BTreeMap<&'static str, u64> {
         ("reads", one("scan.reads")),
         ("row_metas", one("ros.row_metas_built")),
         ("cells", one("scan.cells_decoded")),
+        ("bytes_decoded", one("scan.bytes_decoded")),
         ("cluster_reads", sum(".reads")),
         ("cluster_bytes", sum(".bytes_read")),
     ])
@@ -303,6 +304,28 @@ fn a_scan_pays_for_the_chunks_it_decodes() {
     assert_eq!(d["cells"], scanned + kept * (5 + 4));
     assert_eq!(scan.stats.cells_decoded, d["cells"]);
     assert_eq!((d["reads"], d["bytes_fetched"]), (3 * blocks, table_bytes));
+    // Decoded but not returned: the filter kept a row in every zone, so
+    // every chunk of the table was walked — the chunk bytes a scan that
+    // returns every row decodes whole — for a tenth of its cells.
+    let (tenth_bytes, tenth_cells) = (d["bytes_decoded"], d["cells"]);
+    assert_eq!(scan.stats.bytes_decoded, tenth_bytes);
+    let all_of = |tenth: &ScanOptions| ScanOptions {
+        predicate: Expr::ge("amount", Value::Int64(0)),
+        ..tenth.clone()
+    };
+    let (all, d) = moved(&region, || cold.scan(t, at, &all_of(&tenth)).unwrap());
+    assert_eq!(all.stats.rows_scanned, scanned);
+    assert_eq!(
+        (all.rows.len() as u64, d["cells"]),
+        (scanned, scanned * (6 + 4))
+    );
+    assert_eq!(d["bytes_decoded"], tenth_bytes);
+    assert!(tenth_cells * 5 < d["cells"]);
+    // The chunk cells are what the region's cache holds less the indexes.
+    assert!(
+        tenth_bytes < held && tenth_bytes * 10 > held * 9,
+        "{tenth_bytes} of {held}"
+    );
     // Two string columns of them: the strings of the kept rows only.
     let strings = ScanOptions {
         projection: Some(vec!["customer".into(), "note".into()]),
@@ -312,6 +335,13 @@ fn a_scan_pays_for_the_chunks_it_decodes() {
     assert_eq!(scan.rows.len() as u64, kept);
     assert_eq!(d["row_metas"], kept);
     assert_eq!(d["cells"], scanned + kept * (2 + 4));
+    // And the bytes of exactly those chunks: `amount`, `customer`, `note`
+    // and the provenance of every zone.
+    let strings_bytes = d["bytes_decoded"];
+    let (_, whole) = moved(&region, || cold.scan(t, at, &all_of(&strings)).unwrap());
+    assert_eq!(whole["cells"], scanned * (3 + 4));
+    assert_eq!(strings_bytes, whole["bytes_decoded"]);
+    assert!(strings_bytes < tenth_bytes);
     // `customer` and `amount` side by side, `note`, the provenance: three
     // runs after the index, and the bytes of those chunks whole — the
     // fetch plan is made before the filter runs and owes it nothing.
