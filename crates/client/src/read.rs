@@ -342,20 +342,9 @@ impl Visible {
         (self.zones.iter().map(Arc::as_ref)).zip(self.sel.iter().map(Vec::as_slice))
     }
 
-    /// The visible rows (`arity` cells each, as [`Visible::rows_into`]),
-    /// each with its position — the coordinate a DML statement's deletion
-    /// mask is written in (§7.3).
-    pub fn positioned_rows(&self, arity: usize) -> Vec<(u64, Row)> {
-        let mut rows = Vec::with_capacity(self.len());
-        self.rows_into(arity, &mut rows);
-        let positions =
-            (self.iter()).flat_map(|(zone, sel)| sel.iter().map(move |&i| zone.first + i as u64));
-        (positions.zip(rows).map(|(pos, (_, row))| (pos, row))).collect()
-    }
-
     /// Gathers the visible rows, `arity` cells each (at least the zone's
     /// own width), onto `out`.
-    pub fn rows_into(&self, arity: usize, out: &mut Vec<(RowMeta, Row)>) {
+    fn rows_into(&self, arity: usize, out: &mut Vec<(RowMeta, Row)>) {
         for (zone, sel) in self.iter() {
             let width = arity.max(zone.cols.len());
             let cols: Vec<_> = (0..width).map(|c| Some((zone.cols.get(c)?, sel))).collect();
@@ -432,7 +421,7 @@ fn wos_zones<'i>(
 /// Decodes a fragment's full extent into zones (no visibility filtering),
 /// with replica failover. The file is read whole, which serves best the
 /// readers that go on to decode all of it and remember nothing (table
-/// reads, DML, the optimizer's passes); a scan, or a reader with a cache,
+/// reads, the optimizer's passes); a scan, or a reader with a cache,
 /// opens a ROS block with [`open_ros_block`] instead. Positions are
 /// fragment-relative: a ROS block's row index, a log file's row past
 /// `meta.first_row`.

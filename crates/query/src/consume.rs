@@ -6,7 +6,8 @@
 //! typed column vectors plus the selected positions, and the shards'
 //! consumers merge at the end. A `Row` is born only in [`RowCollector`],
 //! through [`gather_rows`]; an [`Aggregator`] (and a count,
-//! which is an aggregation without aggregates) builds none.
+//! which is an aggregation without aggregates) builds none, and DML's
+//! [`Positions`] only the rows it rewrites, through a `RowCollector`.
 
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
@@ -75,6 +76,46 @@ impl Consumer for RowCollector {
 
     fn merge_shard(&mut self, other: Self) {
         self.rows.extend(other.rows);
+    }
+}
+
+/// What a DML statement (§7.3) takes of the rows its predicate matches:
+/// their deletion-mask positions and, when it rewrites or reinserts them,
+/// the rows themselves.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Positions {
+    /// Each selected row's position: its zone's first plus the
+    /// zone-relative row — the coordinate of `RowGate` and masks.
+    pub at: Vec<u64>,
+    /// The selected rows, gathered as [`RowCollector`] gathers them
+    /// (change types included); `None` reads no column and no provenance,
+    /// so the fetch plan is a count's.
+    pub rows: Option<RowCollector>,
+}
+
+impl Consumer for Positions {
+    fn reads(&self, plan: &ScanPlan<'_>, columns: &mut [bool]) -> bool {
+        (self.rows.as_ref()).is_some_and(|rows| rows.reads(plan, columns))
+    }
+
+    fn fold_zone(
+        &mut self,
+        cols: &ZoneCols<'_>,
+        sel: &[usize],
+        plan: &ScanPlan<'_>,
+    ) -> VortexResult<u64> {
+        let first = cols.first();
+        // lint:allow(L010, DML only: a position per row the statement masks)
+        self.at.extend(sel.iter().map(|&i| first + i as u64));
+        (self.rows.as_mut()).map_or(Ok(0), |rows| rows.fold_zone(cols, sel, plan))
+    }
+
+    fn merge_shard(&mut self, other: Self) {
+        // lint:allow(L010, DML only: a position per row the statement masks)
+        self.at.extend(other.at);
+        if let (Some(rows), Some(other)) = (&mut self.rows, other.rows) {
+            rows.merge_shard(other);
+        }
     }
 }
 

@@ -8,21 +8,28 @@
 //! the DML. ... UPDATE statements are implemented as a combination of
 //! deletion of the old rows and an insertion of the updated rows."
 //!
+//! The candidate rows are found by the engine's one scan step: partition
+//! elimination, then each surviving fragment and each tail scanned on its
+//! own into a [`Positions`] consumer, so a DELETE reads what a count of
+//! its predicate reads, and an UPDATE that plus the matched rows' cells.
+//!
 //! The DML runs under the table's DML marker (so the optimizer yields,
 //! §7.3) and commits masks + reinserted-row streams atomically through
 //! the SMS. A concurrent 1:1 conversion swaps fragment ids under us; the
 //! commit then conflicts and the statement re-resolves against the new
 //! (positionally identical) fragments.
 
-use vortex_client::read::{read_fragment_cached, read_tail_cached, TailOutcome};
-use vortex_client::{VortexClient, WriterOptions};
+use vortex_client::read::{read_tail_cached, TailOutcome, Zone};
+use vortex_client::VortexClient;
 use vortex_common::error::{VortexError, VortexResult};
 use vortex_common::ids::{FragmentId, StreamletId, TableId};
 use vortex_common::mask::DeletionMask;
 use vortex_common::row::{Row, RowSet, Value};
-use vortex_sms::meta::StreamType;
 
+use crate::consume::{Positions, RowCollector};
+use crate::engine::QueryEngine;
 use crate::expr::Expr;
+use crate::pushdown::{scan_visible, FragmentYield, ScanPlan};
 
 /// Outcome of a DML statement.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -44,12 +51,18 @@ pub struct DmlReport {
 /// Executes DML statements against a table.
 pub struct DmlExecutor {
     client: VortexClient,
+    /// The scan that finds the candidate rows, over the client's SMS,
+    /// fleet and read cache.
+    engine: QueryEngine,
 }
 
 impl DmlExecutor {
     /// Creates an executor over a client handle.
     pub fn new(client: VortexClient) -> Self {
-        Self { client }
+        // lint:allow(L010, once per executor built; on no read path but by the name `new`)
+        let mut engine = QueryEngine::new(client.sms().clone(), client.fleet().clone());
+        engine.read.cache = client.cache().cloned();
+        Self { client, engine }
     }
 
     /// `DELETE FROM table WHERE pred`.
@@ -87,8 +100,11 @@ impl DmlExecutor {
         pred: &Expr,
         set: Option<&[(&str, Value)]>,
     ) -> VortexResult<DmlReport> {
-        let sms = self.client.sms().clone();
-        let fleet = self.client.fleet().clone();
+        let sms = self.client.sms();
+        let (fleet, cache) = (self.client.fleet(), self.engine.read.cache.as_deref());
+        // What a masked tail keeps: NOT is the exact complement of the
+        // predicate over the rows it is offered.
+        let unaffected = pred.clone().not();
         let mut attempts = 0u32;
         'retry: loop {
             attempts += 1;
@@ -97,106 +113,86 @@ impl DmlExecutor {
                     "DML could not commit after repeated conversion races".into(),
                 ));
             }
-            let tmeta = sms.get_table(table)?;
-            let key = tmeta.encryption_key();
-            let schema = &tmeta.schema;
-            let set_idx: Vec<(usize, Value)> = match set {
-                Some(pairs) => pairs
-                    .iter()
-                    .map(|(c, v)| {
-                        schema
-                            .column_index(c)
-                            .map(|i| (i, v.clone()))
-                            .ok_or_else(|| {
-                                VortexError::InvalidArgument(format!("unknown column {c}"))
-                            })
-                    })
-                    .collect::<VortexResult<_>>()?,
-                None => vec![],
-            };
+            let key = sms.get_table(table)?.encryption_key();
             let snapshot = sms.read_snapshot();
             let rs = sms.list_read_fragments(table, snapshot)?;
-
-            let mut report = DmlReport {
-                attempts,
-                ..DmlReport::default()
+            let set_idx = (set.unwrap_or_default().iter()).map(|(c, v)| {
+                let unknown = || VortexError::InvalidArgument(format!("unknown column {c}"));
+                Ok((rs.schema.column_index(c).ok_or_else(unknown)?, v.clone()))
+            });
+            let set_idx: Vec<(usize, Value)> = set_idx.collect::<VortexResult<_>>()?;
+            // The matched rows' positions, and for an UPDATE the rows.
+            let matched = Positions {
+                rows: set.is_some().then(RowCollector::default),
+                ..Positions::default()
+            };
+            let plan = ScanPlan::compile(pred, None, &rs.schema, None, &matched)?;
+            let all = RowCollector::default();
+            let rest = ScanPlan::compile(&unaffected, None, &rs.schema, None, &all)?;
+            let mut scanned = FragmentYield::new(Positions::default());
+            let survivors = (self.engine).survivors(&rs, pred, &plan, &mut scanned.stats)?;
+            // Each fragment and tail is scanned into a consumer of its own,
+            // so that its positions stay its own.
+            let mut scan = |step: &dyn Fn(&mut FragmentYield<Positions>) -> VortexResult<()>| {
+                let mut out = FragmentYield::new(matched.clone());
+                step(&mut out)?;
+                let hit = std::mem::take(&mut out.sink);
+                scanned.absorb(out);
+                VortexResult::Ok((hit.at, hit.rows.map_or_else(Vec::new, |found| found.rows)))
             };
             let mut fragment_masks: Vec<(FragmentId, DeletionMask)> = Vec::new();
             let mut tail_masks: Vec<(StreamletId, DeletionMask)> = Vec::new();
             let mut reinserts: Vec<Row> = Vec::new();
+            let updated =
+                |rows: Vec<(_, Row)>| rows.into_iter().map(|(_, r)| apply_set(r, &set_idx));
 
-            // ---- Fragments: positional scan, mask matched rows ----
-            for spec in &rs.fragments {
-                // Each visible row comes with its mask position
-                // (fragment-relative for WOS, block row index for ROS).
-                let mut matched = Vec::new();
-                let visible = read_fragment_cached(spec, &fleet, &key, snapshot, None)?;
-                for (pos, row) in visible.positioned_rows(schema.fields.len()) {
-                    if pred.eval(schema, &row)? {
-                        matched.push((pos, row));
-                    }
-                }
-                if matched.is_empty() {
-                    continue;
-                }
-                let mut mask = DeletionMask::new();
-                for &(pos, _) in &matched {
-                    mask.delete_row(pos);
-                }
-                report.rows_matched += matched.len() as u64;
-                report.fragments_masked += 1;
-                fragment_masks.push((spec.meta.fragment, mask));
-                if set.is_some() {
-                    for (_, row) in matched {
-                        reinserts.push(apply_set(row, &set_idx));
-                        report.rows_updated += 1;
-                    }
+            // ---- Fragments: mask the matched rows ----
+            for spec in survivors {
+                let (at, rows) =
+                    scan(&|out| (self.engine).scan_fragment(spec, &key, snapshot, &plan, out))?;
+                if !at.is_empty() {
+                    let mut mask = DeletionMask::new();
+                    at.iter().for_each(|&pos| mask.delete_row(pos));
+                    fragment_masks.push((spec.meta.fragment, mask));
+                    reinserts.extend(updated(rows));
                 }
             }
 
             // ---- Tails: whole-tail mask + reinsert unaffected (§7.3) ----
             for tail in &rs.tails {
-                let cache = self.client.cache().map(std::sync::Arc::as_ref);
-                let outcome = read_tail_cached(tail, &fleet, &key, snapshot, cache)?;
-                let rows = match outcome {
-                    // A tail's positions are streamlet-relative rows.
-                    TailOutcome::Rows(zones) => zones.positioned_rows(schema.fields.len()),
+                let visible = match read_tail_cached(tail, fleet, &key, snapshot, cache)? {
+                    TailOutcome::Rows(visible) => visible,
                     TailOutcome::NeedsReconcile => {
                         sms.reconcile_streamlet(table, tail.streamlet)?;
                         continue 'retry;
                     }
                 };
-                let mut any_match = false;
-                let mut tail_end = tail.from_row;
-                let mut unaffected = Vec::new();
-                let mut matched = Vec::new();
-                for (streamlet_row, row) in rows {
-                    tail_end = tail_end.max(streamlet_row + 1);
-                    if pred.eval(schema, &row)? {
-                        any_match = true;
-                        matched.push(row);
-                    } else {
-                        unaffected.push(row);
-                    }
-                }
-                if !any_match {
+                let (at, rows) = scan(&|out| scan_visible(&visible, &plan, out))?;
+                if at.is_empty() {
                     continue;
                 }
-                report.rows_matched += matched.len() as u64;
-                report.tails_masked += 1;
-                tail_masks.push((
-                    tail.streamlet,
-                    DeletionMask::from_range(tail.from_row, tail_end),
-                ));
-                report.rows_reinserted_unaffected += unaffected.len() as u64;
-                reinserts.extend(unaffected);
-                if set.is_some() {
-                    for row in matched {
-                        reinserts.push(apply_set(row, &set_idx));
-                        report.rows_updated += 1;
-                    }
-                }
+                // A tail's positions are streamlet-relative rows; the mask
+                // runs to the last visible one.
+                let last = |(z, sel): (&Zone, &[usize])| Some(z.first + *sel.last()? as u64 + 1);
+                let end = visible.iter().filter_map(last).max().unwrap_or_default();
+                tail_masks.push((tail.streamlet, DeletionMask::from_range(tail.from_row, end)));
+                let mut kept = FragmentYield::new(all.clone());
+                scan_visible(&visible, &rest, &mut kept)?;
+                reinserts.extend(kept.sink.rows.into_iter().map(|(_, row)| row));
+                reinserts.extend(updated(rows));
             }
+            scanned.stats.tails_scanned = rs.tails.len();
+            self.engine.record_scan(table, &scanned.stats, None, &[]);
+            let rows_matched = scanned.stats.rows_matched;
+            let rows_updated = set.map_or(0, |_| rows_matched);
+            let report = DmlReport {
+                rows_matched,
+                rows_reinserted_unaffected: reinserts.len() as u64 - rows_updated,
+                rows_updated,
+                fragments_masked: fragment_masks.len(),
+                tails_masked: tail_masks.len(),
+                attempts,
+            };
 
             if fragment_masks.is_empty() && tail_masks.is_empty() {
                 return Ok(report); // nothing matched anywhere
@@ -207,14 +203,8 @@ impl DmlExecutor {
             // with the commit of the deletion mask"). ----
             let mut reinsert_streams = Vec::new();
             if !reinserts.is_empty() {
-                let mut w = self.client.create_writer(
-                    table,
-                    WriterOptions {
-                        stream_type: StreamType::Pending,
-                        ..WriterOptions::default()
-                    },
-                )?;
-                w.append(RowSet::new(reinserts.clone()))?;
+                let mut w = self.client.create_pending_writer(table)?;
+                w.append(RowSet::new(reinserts))?;
                 reinsert_streams.push(w.stream_id());
             }
             match sms.commit_dml(table, &fragment_masks, &tail_masks, &reinsert_streams) {
@@ -222,8 +212,10 @@ impl DmlExecutor {
                 Err(VortexError::TxnConflict(_)) | Err(VortexError::NotFound(_)) => {
                     // A conversion swapped fragments (or masks raced);
                     // re-resolve against fresh metadata. The orphaned
-                    // PENDING reinsert stream stays invisible forever and
-                    // is eventually groomed.
+                    // PENDING reinsert stream is never committed, so its
+                    // rows are never visible; nothing reclaims it, and the
+                    // stream and its log file stay until the table is
+                    // dropped (the groomer reaps only dropped tables).
                     continue 'retry;
                 }
                 Err(e) => return Err(e),

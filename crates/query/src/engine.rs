@@ -316,7 +316,7 @@ pub struct QueryEngine {
     tt: Option<TrueTime>,
     /// How tables are read: through the shared read cache (§9 future
     /// work), if any.
-    read: ReadOptions,
+    pub(crate) read: ReadOptions,
     /// End-to-end commit-to-visible freshness probe (§8).
     probe: Option<Arc<FreshnessProbe>>,
     /// Registry handles interned at construction ([`scan_counts`]' names,
@@ -470,27 +470,7 @@ impl QueryEngine {
         let sink = make(&rs.schema)?;
         let plan = ScanPlan::compile(pushed.0, pushed.1, &rs.schema, seen, &sink)?;
         let mut out = FragmentYield::new(sink.clone());
-        let stats = &mut out.stats;
-        stats.fragments_total = rs.fragments.len();
-        let mut survivors: Vec<&FragmentReadSpec> = Vec::new();
-        for spec in &rs.fragments {
-            let lookup = |col: &str| -> Option<ColumnStats> {
-                spec.meta
-                    .stats
-                    .iter()
-                    .find(|(n, _)| n == col)
-                    .map(|(_, s)| s.clone())
-            };
-            if !pushed.0.may_match_stats(&lookup) {
-                stats.pruned_by_stats += 1;
-                continue;
-            }
-            if spec.meta.kind == FragmentKind::Wos && !self.bloom_may_match(spec, &plan)? {
-                stats.pruned_by_bloom += 1;
-                continue;
-            }
-            survivors.push(spec);
-        }
+        let survivors = self.survivors(rs, pushed.0, &plan, &mut out.stats)?;
         let fresh = || FragmentYield::new(sink.clone());
         let shards = scan_shards(
             &survivors,
@@ -504,13 +484,47 @@ impl QueryEngine {
         Ok((plan, out))
     }
 
+    /// Partition elimination (§7.2): the fragments of `rs` that neither
+    /// their catalogued column properties nor, for a WOS fragment, its
+    /// bloom filter rule out for `pred` (compiled as `plan`), in list
+    /// order; what was ruled out is counted into `stats`.
+    pub(crate) fn survivors<'r>(
+        &self,
+        rs: &'r ReadSet,
+        pred: &Expr,
+        plan: &ScanPlan<'_>,
+        stats: &mut ScanStats,
+    ) -> VortexResult<Vec<&'r FragmentReadSpec>> {
+        stats.fragments_total += rs.fragments.len();
+        let mut survivors: Vec<&FragmentReadSpec> = Vec::new();
+        for spec in &rs.fragments {
+            let lookup = |col: &str| -> Option<ColumnStats> {
+                spec.meta
+                    .stats
+                    .iter()
+                    .find(|(n, _)| n == col)
+                    .map(|(_, s)| s.clone())
+            };
+            if !pred.may_match_stats(&lookup) {
+                stats.pruned_by_stats += 1;
+                continue;
+            }
+            if spec.meta.kind == FragmentKind::Wos && !self.bloom_may_match(spec, plan)? {
+                stats.pruned_by_bloom += 1;
+                continue;
+            }
+            survivors.push(spec);
+        }
+        Ok(survivors)
+    }
+
     /// The per-fragment step, through the cache. A ROS block is not even
     /// read whole: it is opened — held, or by its index — and the chunks
     /// the scan needs that no cell holds are fetched, then decode zone by
     /// zone. A WOS fragment is read whole and decodes to zones once.
     /// Either way the predicate runs on typed column vectors and the
     /// consumer folds the selected positions.
-    fn scan_fragment<C: Consumer>(
+    pub(crate) fn scan_fragment<C: Consumer>(
         &self,
         spec: &FragmentReadSpec,
         key: &Key,
@@ -540,7 +554,7 @@ impl QueryEngine {
     /// (virtual time; usually 0 because the sim clock does not advance
     /// during scan CPU work), and the commit-to-visible freshness probe
     /// (§8) stamped at the moment results are handed to the caller.
-    fn record_scan(
+    pub(crate) fn record_scan(
         &self,
         table: TableId,
         stats: &ScanStats,

@@ -10,9 +10,7 @@
 
 use std::cmp::Ordering;
 
-use vortex_common::error::{VortexError, VortexResult};
-use vortex_common::row::{Row, Value};
-use vortex_common::schema::Schema;
+use vortex_common::row::Value;
 use vortex_common::stats::ColumnStats;
 
 /// Comparison operators.
@@ -178,37 +176,6 @@ impl Expr {
         Expr::Not(Box::new(self))
     }
 
-    /// Evaluates against a row (SQL three-valued logic collapsed to
-    /// boolean: NULL comparisons are false).
-    pub fn eval(&self, schema: &Schema, row: &Row) -> VortexResult<bool> {
-        // Rows written before an additive schema change are short of the
-        // new columns; those columns read as NULL.
-        let cell = |column: &str| match schema.column_index(column) {
-            Some(idx) => Ok(row.values.get(idx).unwrap_or(&Value::Null)),
-            None => Err(VortexError::InvalidArgument(format!(
-                "unknown column {column}"
-            ))),
-        };
-        Ok(match self {
-            Expr::True => true,
-            Expr::Cmp { column, op, value } => {
-                let v = cell(column)?;
-                !v.is_null() && !value.is_null() && op.holds(v.total_cmp(value))
-            }
-            Expr::In { column, values } => {
-                let v = cell(column)?;
-                !v.is_null()
-                    && values
-                        .iter()
-                        .any(|l| !l.is_null() && v.total_cmp(l) == Ordering::Equal)
-            }
-            Expr::IsNull(column) => cell(column)?.is_null(),
-            Expr::And(a, b) => a.eval(schema, row)? && b.eval(schema, row)?,
-            Expr::Or(a, b) => a.eval(schema, row)? || b.eval(schema, row)?,
-            Expr::Not(a) => !a.eval(schema, row)?,
-        })
-    }
-
     /// The §7.2 derivative expression over column properties: returns
     /// `false` only if NO row summarized by `stats` can satisfy the
     /// filter. `stats_of` maps a column name to its properties (absent =
@@ -260,7 +227,43 @@ impl Expr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vortex_common::schema::{Field, FieldType};
+    use vortex_common::error::{VortexError, VortexResult};
+    use vortex_common::row::Row;
+    use vortex_common::schema::{Field, FieldType, Schema};
+
+    impl Expr {
+        /// Evaluates against a row (SQL three-valued logic collapsed to
+        /// boolean: NULL comparisons are false) — the reference the scan
+        /// step (`pushdown`) and DML are tested against.
+        pub(crate) fn eval(&self, schema: &Schema, row: &Row) -> VortexResult<bool> {
+            // Rows written before an additive schema change are short of
+            // the new columns; those columns read as NULL.
+            let cell = |column: &str| match schema.column_index(column) {
+                Some(idx) => Ok(row.values.get(idx).unwrap_or(&Value::Null)),
+                None => Err(VortexError::InvalidArgument(format!(
+                    "unknown column {column}"
+                ))),
+            };
+            Ok(match self {
+                Expr::True => true,
+                Expr::Cmp { column, op, value } => {
+                    let v = cell(column)?;
+                    !v.is_null() && !value.is_null() && op.holds(v.total_cmp(value))
+                }
+                Expr::In { column, values } => {
+                    let v = cell(column)?;
+                    !v.is_null()
+                        && values
+                            .iter()
+                            .any(|l| !l.is_null() && v.total_cmp(l) == Ordering::Equal)
+                }
+                Expr::IsNull(column) => cell(column)?.is_null(),
+                Expr::And(a, b) => a.eval(schema, row)? && b.eval(schema, row)?,
+                Expr::Or(a, b) => a.eval(schema, row)? || b.eval(schema, row)?,
+                Expr::Not(a) => !a.eval(schema, row)?,
+            })
+        }
+    }
 
     fn schema() -> Schema {
         Schema::new(vec![

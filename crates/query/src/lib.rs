@@ -3,14 +3,14 @@
 //! "To process a table, a processing engine requests the partitioned
 //! metadata for the table as of a specific snapshot read time ... the SMS
 //! returns the union of the data in WOS and ROS." This crate is the
-//! processing engine: a typed expression evaluator ([`expr`]), a
-//! partition-eliminating parallel scan ([`engine`], §7.2) with compute
-//! pushdown over compressed ROS blocks ([`pushdown`]) that folds what
-//! matches straight into the query's consumer (`consume`: rows, a count
-//! or group accumulators), merge-on-read
+//! processing engine: filter expressions and their pruning derivatives
+//! ([`expr`]), a partition-eliminating parallel scan ([`engine`], §7.2)
+//! with compute pushdown over compressed ROS blocks ([`pushdown`]) that
+//! folds what matches straight into the query's consumer (`consume`:
+//! rows, a count, group accumulators or DML's positions), merge-on-read
 //! resolution of UPSERT/DELETE change types ([`cdc`], §4.2.6), and the
 //! DML path — DELETE/UPDATE via deletion masks with reinserted rows,
-//! including whole-tail deletes (§7.3).
+//! including whole-tail deletes (§7.3), its rows found by the same scan.
 
 #![warn(missing_docs)]
 

@@ -36,16 +36,17 @@
 //!
 //! A WOS fragment, a streamlet tail and the rows merge-on-read leaves
 //! arrive as decoded [`Zone`]s with their visible rows ([`scan_visible`])
-//! and take steps 2 to 4 unchanged.
+//! and take steps 2 to 4 unchanged. So does DML (`dml`), which finds the
+//! rows it masks with this step and evaluates no predicate of its own.
 //!
 //! Equivalence contract: for any predicate and zone, the selected rows
-//! are exactly those [`Expr::eval`] keeps over the visible rows — leaf
-//! semantics (NULL comparisons false,
-//! [`vortex_common::row::Value::total_cmp`] ordering) mirror it case for
-//! case, and row visibility is the client's
+//! are exactly those `Expr::eval` — the row-at-a-time reference, kept
+//! for tests only — keeps over the visible rows: leaf semantics (NULL
+//! comparisons false, [`vortex_common::row::Value::total_cmp`] ordering)
+//! mirror it case for case, and row visibility is the client's
 //! [`vortex_client::read::RowGate`]. `crates/query/src/tests.rs` pins
-//! this with an equivalence proptest against a `read_rows_at` +
-//! `Expr::eval` oracle.
+//! this, for scans and for DML, with proptests against an oracle that
+//! runs `Expr::eval` over `read_rows_at`.
 
 use std::borrow::Cow;
 use std::cell::{Cell, OnceCell};
@@ -178,7 +179,7 @@ impl<'e> CPred<'e> {
 }
 
 /// Keeps the rows of `sel` whose cell in `col` passes `test`, mirroring
-/// [`Expr::eval`]: a NULL cell or literal fails every comparison,
+/// `Expr::eval`: a NULL cell or literal fails every comparison,
 /// otherwise [`Value::total_cmp`] decides. A `Dict` vector decides each
 /// dictionary entry once, a `Runs` vector each run once; a leaf vector is
 /// one typed loop — `i64::cmp` / `f64::total_cmp` when the literal has
@@ -266,6 +267,15 @@ impl Decoded {
 }
 
 impl ZoneCols<'_> {
+    /// The position of the zone's first row, in the coordinate a
+    /// [`RowGate`] and deletion masks address.
+    pub(crate) fn first(&self) -> u64 {
+        match self {
+            ZoneCols::Decoded(zone) => zone.first,
+            ZoneCols::Block(block, z, _) => block.zone_range(*z).start as u64,
+        }
+    }
+
     /// The provenance of the rows `sel` — of a block's, decoded for the
     /// one consumer that said it [`Consumer::reads`] it, at `sel` alone
     /// unless that is every row — and where in it each of them lies.

@@ -1568,6 +1568,74 @@ mod pushdown_equivalence {
             prop_assert_eq!(on.schema.fields.len(), pd_schema().fields.len());
         }
     }
+
+    /// The rows' cells and change types as a sorted multiset: a DML
+    /// statement moves the rows of a masked tail to a stream of its own,
+    /// so provenance is not theirs to keep.
+    fn cells(rows: &[(vortex_ros::RowMeta, Row)]) -> Vec<(u8, Vec<Vec<u8>>)> {
+        let mut cells: Vec<_> = (rows.iter())
+            .map(|(_, r)| {
+                let values = r.values.iter().map(|v| v.encode_key()).collect();
+                (r.change_type as u8, values)
+            })
+            .collect();
+        cells.sort();
+        cells
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        // DML finds its rows through the scan step: over masked ROS, a
+        // masked log file, a live tail and a tail of short rows it must
+        // match what `Expr::eval` keeps of the visible rows, a DELETE
+        // must leave exactly the rest, and an UPDATE must rewrite exactly
+        // those rows and keep every other.
+        #[test]
+        fn dml_equals_the_eval_oracle(pred in arb_pred(), seed in 0i64..6) {
+            let marker = Value::Int64(-1_000);
+            for update in [false, true] {
+                let r = rig();
+                let t = load_mixed(&r, seed);
+                let snap = r.sms.read_snapshot();
+                let hit = oracle_scan(&r, t, snap, &pred, None);
+                let rest = oracle_scan(&r, t, snap, &pred.clone().not(), None);
+                let report = match update {
+                    false => r.dml.delete_where(t, &pred),
+                    true => r.dml.update_where(t, &pred, &[("amount", marker.clone())]),
+                };
+                let report = report.unwrap();
+                prop_assert_eq!(report.rows_matched, hit.len() as u64);
+                prop_assert_eq!(report.rows_updated, if update { hit.len() as u64 } else { 0 });
+                let mut want = rest;
+                if update {
+                    want.extend(hit.into_iter().map(|(meta, mut row)| {
+                        row.values[2] = marker.clone();
+                        (meta, row)
+                    }));
+                }
+                let got = r.client.read_rows(t).unwrap().rows;
+                prop_assert_eq!(cells(&got), cells(&want), "update: {}", update);
+            }
+        }
+    }
+}
+
+/// A DML predicate is compiled by the scan: a column the schema lacks is
+/// `InvalidArgument` before any row is read — even on a table with none.
+#[test]
+fn dml_on_an_unknown_column_is_invalid_argument() {
+    use vortex_common::error::VortexError;
+    let r = rig();
+    let t = r.sms.create_table("t", schema()).unwrap().table;
+    let pred = Expr::eq("nope", Value::Int64(1));
+    let set = [("amount", Value::Int64(0))];
+    for err in [
+        r.dml.delete_where(t, &pred).unwrap_err(),
+        r.dml.update_where(t, &pred, &set).unwrap_err(),
+    ] {
+        assert!(matches!(err, VortexError::InvalidArgument(_)), "{err}");
+    }
 }
 
 /// Every aggregate but COUNT needs a column; asking for one without is a

@@ -655,6 +655,11 @@ enum TableOp {
     Delete(u64, u64),
     /// Set `v = marker` for keys in `[lo, lo+len)`.
     Update(u64, u64),
+    /// Finalize the writer's stream, convert what is finalized to ROS —
+    /// and recluster, every other time — then write through a fresh
+    /// writer: later DML runs over zone maps, block and log-file blooms
+    /// and tails alike.
+    Convert,
 }
 
 fn arb_table_op() -> impl Strategy<Value = TableOp> {
@@ -662,6 +667,7 @@ fn arb_table_op() -> impl Strategy<Value = TableOp> {
         3 => (1usize..60).prop_map(TableOp::Append),
         2 => (0u64..200, 1u64..25).prop_map(|(a, b)| TableOp::Delete(a, b)),
         2 => (0u64..200, 1u64..25).prop_map(|(a, b)| TableOp::Update(a, b)),
+        1 => Just(TableOp::Convert),
     ]
 }
 
@@ -676,15 +682,26 @@ proptest! {
         let schema = Schema::new(vec![
             Field::required("k", FieldType::Int64),
             Field::required("v", FieldType::Int64),
-        ]);
+        ])
+        .with_clustering(&["k"]);
         let t = client.create_table("model", schema).unwrap().table;
         let mut w = client.create_unbuffered_writer(t).unwrap();
         let dml = region.dml();
         let mut model: std::collections::BTreeMap<i64, i64> = Default::default();
         let mut next = 0i64;
         let mut marker = 1_000_000i64;
+        let mut converts = 0;
         for op in &ops {
             match op {
+                TableOp::Convert => {
+                    region.sms().finalize_stream(t, w.stream_id()).unwrap();
+                    region.optimizer().convert_wos(t).unwrap();
+                    converts += 1;
+                    if converts % 2 == 1 {
+                        region.optimizer().recluster(t).unwrap();
+                    }
+                    w = client.create_unbuffered_writer(t).unwrap();
+                }
                 TableOp::Append(n) => {
                     let rs = RowSet::new(
                         (0..*n as i64)

@@ -2,17 +2,18 @@
 //! (`scan.bytes_fetched`, `scan.reads`, the clusters' own `bytes_read`)
 //! against the size of the files it could not rule out by their catalogued
 //! column properties — cold, on a first scan or through an engine without
-//! a cache, and warm, through the region's read cache. One test in a
-//! binary of its own — the metrics registry is process-global, and any
-//! neighbour that scans would move the counters.
+//! a cache, and warm, through the region's read cache — and what a DELETE
+//! or an UPDATE reads to find its rows. One test in a binary of its own —
+//! the metrics registry is process-global, and any neighbour that scans
+//! would move the counters.
 
 use std::collections::BTreeMap;
 
 use vortex::row::{Row, RowSet, Value};
 use vortex::schema::{Field, FieldType, PartitionTransform, Schema};
 use vortex::{
-    AggKind, Expr, FragmentKind, QueryEngine, ReadCache, Region, RegionConfig, ScanOptions,
-    SqlSession,
+    AggKind, DmlExecutor, Expr, FragmentKind, QueryEngine, ReadCache, Region, RegionConfig,
+    ScanOptions, SqlSession,
 };
 use vortex_sms::readset::ReadSet;
 
@@ -398,4 +399,56 @@ fn a_scan_pays_for_the_chunks_it_decodes() {
         region.freshness().rows_observed() as i64,
         (DAYS + 1) * ROWS_PER_DAY
     );
+
+    // DML finds its candidate rows (§7.3) with the same scan, through a
+    // client without a cache: a DELETE reads and decodes exactly what the
+    // cold count of its predicate does — the index, the bloom filter, the
+    // zone maps and one chunk run per surviving zone of `customer`.
+    let dml = DmlExecutor::new(client.clone());
+    let count = |predicate: &Expr| {
+        let opts = ScanOptions {
+            predicate: predicate.clone(),
+            ..ScanOptions::default()
+        };
+        moved(&region, || cold.count(t, client.snapshot(), &opts).unwrap())
+    };
+    let gone = Expr::eq("customer", who);
+    let (counted, by_count) = count(&gone);
+    assert!(counted > 0);
+    let (report, d) = moved(&region, || dml.delete_where(t, &gone).unwrap());
+    assert_eq!(report.rows_matched, counted);
+    for k in [
+        "reads",
+        "bytes_fetched",
+        "cluster_reads",
+        "cluster_bytes",
+        "cells",
+    ] {
+        assert_eq!(d[k], by_count[k], "{k}: {d:?} vs {by_count:?}");
+    }
+    assert_eq!(d["row_metas"], 0, "a DELETE builds no RowMeta");
+    // The masks hit those rows, in every zone of a block.
+    assert_eq!(count(&gone).0, 0);
+    // An UPDATE reads that, and the matched rows' cells at most: of the
+    // files their properties keep, and every column and the provenance of
+    // the rows it rewrites.
+    let moving = Expr::eq("customer", customer(0xD0E));
+    let rs = region
+        .sms()
+        .list_read_fragments(t, client.snapshot())
+        .unwrap();
+    let (_, moving_bytes) = surviving(&rs, &moving);
+    let (counted, by_count) = count(&moving);
+    assert!(counted > 0);
+    let set = [("amount", Value::Int64(-1))];
+    let (report, d) = moved(&region, || dml.update_where(t, &moving, &set).unwrap());
+    assert_eq!(
+        (report.rows_matched, report.rows_updated),
+        (counted, counted)
+    );
+    assert!(d["cluster_bytes"] <= moving_bytes, "{d:?}");
+    assert!(d["cells"] <= by_count["cells"] + counted * (6 + 4), "{d:?}");
+    assert_eq!(d["row_metas"], counted);
+    let rewritten = moving.clone().and(Expr::eq("amount", Value::Int64(-1)));
+    assert_eq!((count(&moving).0, count(&rewritten).0), (counted, counted));
 }
