@@ -36,7 +36,7 @@ use vortex_common::row::Value;
 use vortex_common::rpc::{class_scope, WorkClass};
 use vortex_common::schema::{PartitionSpec, Schema};
 use vortex_common::truetime::Timestamp;
-use vortex_ros::{clustering_order, ColumnVec, RosBlockBuilder};
+use vortex_ros::{dictionary, ColumnVec, RosBlock, RosBlockBuilder};
 use vortex_sms::api::SmsHandle;
 use vortex_sms::meta::{
     ros_path, FragmentKind, FragmentMeta, FragmentState, StreamType, StreamletMeta, TableMeta,
@@ -187,16 +187,13 @@ impl StorageOptimizer {
         Ok(zones.into_iter().map(leaves).collect())
     }
 
-    /// Builds one ROS block from the typed columns the pass gathered and
-    /// writes it where the table keeps its ROS.
+    /// Writes a block the pass built where the table keeps its ROS.
     fn write_ros_block(
         &self,
         tmeta: &TableMeta,
         key: &vortex_common::crypt::Key,
-        rows: RosBlockBuilder,
-        sort_by_clustering: bool,
+        block: &RosBlock,
     ) -> VortexResult<FragmentMeta> {
-        let block = rows.build(sort_by_clustering)?;
         let table = tmeta.table;
         let fragment = self.ids.next_fragment();
         let bytes = block.to_bytes(key, fragment.raw());
@@ -256,8 +253,9 @@ impl StorageOptimizer {
             fragments_converted: candidates.len(),
             ..ConversionReport::default()
         };
-        // Partition key → its blocks' typed columns, each row copied from
-        // its zone into the last block until that is full.
+        // Partition key → its blocks' typed columns, each partition's rows
+        // of a zone copied a column at a time into the last block until
+        // that is full.
         let mut partitions: BTreeMap<Option<i64>, Vec<RosBlockBuilder>> = BTreeMap::new();
         let target = self.cfg.target_block_rows.max(1);
         let partition = partition_column(schema);
@@ -272,16 +270,18 @@ impl StorageOptimizer {
                 self.source_zones(f, f.mask_at(snapshot), Some(sl), (schema, &key))?
             {
                 kept += rows.len() as u64;
-                for r in rows {
-                    let of_row = |(col, spec): (usize, &PartitionSpec)| {
-                        spec.partition_key(&zone.cols.get(col)?.value(r))
-                    };
-                    let blocks = partitions.entry(partition.and_then(of_row)).or_default();
-                    if blocks.last().map_or(true, |b| b.len() >= target) {
-                        blocks.push(RosBlockBuilder::new(schema));
-                    }
-                    if let Some(block) = blocks.last_mut() {
-                        block.push_row_of(zone.metas[r], &zone.cols, r)?;
+                for (pkey, rows) in partitioned(&zone, partition, rows) {
+                    let (blocks, mut rows) = (partitions.entry(pkey).or_default(), &rows[..]);
+                    while !rows.is_empty() {
+                        if blocks.last().map_or(true, |b| b.len() >= target) {
+                            blocks.push(RosBlockBuilder::new(schema));
+                        }
+                        let Some(block) = blocks.last_mut() else {
+                            break;
+                        };
+                        let (now, rest) = rows.split_at(rows.len().min(target - block.len()));
+                        block.push_rows(&zone.metas, &zone.cols, now)?;
+                        rows = rest;
                     }
                 }
             }
@@ -291,7 +291,7 @@ impl StorageOptimizer {
         let mut replacements = Vec::new();
         for (pkey, blocks) in partitions {
             for block in blocks {
-                let mut meta = self.write_ros_block(&tmeta, &key, block, true)?;
+                let mut meta = self.write_ros_block(&tmeta, &key, &block.build(true)?)?;
                 report.rows += meta.row_count;
                 meta.partition_key = pkey;
                 meta.level = 0; // delta level
@@ -325,16 +325,14 @@ impl StorageOptimizer {
             let mut rows = RosBlockBuilder::new(&tmeta.schema);
             let every = DeletionMask::new();
             for (zone, kept) in self.source_zones(f, every, Some(sl), (&tmeta.schema, &key))? {
-                for r in kept {
-                    rows.push_row_of(zone.metas[r], &zone.cols, r)?;
-                }
+                rows.push_rows(&zone.metas, &zone.cols, &kept)?;
             }
             if rows.is_empty() {
                 continue;
             }
             // NOTE: unsorted — row order must match the WOS fragment so
             // masks stay positionally valid.
-            let mut meta = self.write_ros_block(&tmeta, &key, rows, false)?;
+            let mut meta = self.write_ros_block(&tmeta, &key, &rows.build(false)?)?;
             meta.masks = f.masks.clone(); // §7.3: masks carry over
             meta.streamlet = f.streamlet;
             meta.ordinal = f.ordinal;
@@ -359,32 +357,7 @@ impl StorageOptimizer {
         let key = tmeta.encryption_key();
         let schema = &tmeta.schema;
         let now = self.sms.read_snapshot();
-        let ros: Vec<FragmentMeta> = self
-            .sms
-            .list_fragments(table, now)
-            .into_iter()
-            .filter(|f| {
-                f.kind == FragmentKind::Ros
-                    && f.state == FragmentState::Finalized
-                    && f.deleted_at == Timestamp::MAX
-            })
-            .collect();
-        let baseline_rows: u64 = ros
-            .iter()
-            .filter(|f| f.level > 0)
-            .map(|f| f.row_count)
-            .sum();
-        let delta_rows: u64 = ros
-            .iter()
-            .filter(|f| f.level == 0)
-            .map(|f| f.row_count)
-            .sum();
-        let total = baseline_rows + delta_rows;
-        let ratio_before = if total == 0 {
-            1.0
-        } else {
-            baseline_rows as f64 / total as f64
-        };
+        let (ros, baseline_rows, delta_rows) = self.live_ros(table, now);
         let should_merge = delta_rows > 0
             && (baseline_rows == 0
                 || delta_rows as f64 >= self.cfg.merge_trigger * baseline_rows as f64);
@@ -392,56 +365,43 @@ impl StorageOptimizer {
             return Ok(ReclusterReport {
                 merged: false,
                 baseline_blocks: 0,
-                clustering_ratio: ratio_before,
+                clustering_ratio: ratio(baseline_rows, delta_rows),
             });
         }
         let next_level = ros.iter().map(|f| f.level).max().unwrap_or(0) + 1;
-        // Decode all live ROS zones, applying masks. Partition key → its
-        // rows as (zone, row) indices, in source order.
-        let mut zones: Vec<Zone> = Vec::new();
-        let mut partitions: BTreeMap<Option<i64>, Vec<(usize, usize)>> = BTreeMap::new();
+        // Decode all live ROS zones, applying masks: partition key → its
+        // rows' typed columns, in source order, each zone dropped once
+        // copied. Then per partition one global order by clustering key,
+        // split into non-overlapping blocks, each gathered from the
+        // partition's columns in that order.
+        let mut partitions: BTreeMap<Option<i64>, RosBlockBuilder> = BTreeMap::new();
         let partition = partition_column(schema);
         let mut sources = Vec::new();
         for f in &ros {
             sources.push((f.fragment, f.masks.len()));
             for (zone, kept) in self.source_zones(f, f.mask_at(now), None, (schema, &key))? {
-                for r in kept {
-                    let of_row = |(col, spec): (usize, &PartitionSpec)| {
-                        spec.partition_key(&zone.cols.get(col)?.value(r))
-                    };
-                    let pkey = f.partition_key.or_else(|| partition.and_then(of_row));
-                    partitions.entry(pkey).or_default().push((zones.len(), r));
+                let groups = match f.partition_key {
+                    Some(pkey) => vec![(Some(pkey), kept)],
+                    None => partitioned(&zone, partition, kept),
+                };
+                for (pkey, rows) in groups {
+                    let of = partitions.entry(pkey);
+                    let of = of.or_insert_with(|| RosBlockBuilder::new(schema));
+                    of.push_rows(&zone.metas, &zone.cols, &rows)?;
                 }
-                zones.push(zone);
             }
         }
-        // Per partition: global order by clustering key, then split into
-        // non-overlapping blocks. The sort is stable and merges runs that
-        // are already in order — every source block is one — so this is
-        // the k-way merge of the sources.
-        let cl_idx: Vec<usize> = schema
-            .clustering
-            .iter()
-            .filter_map(|c| schema.column_index(c))
-            .collect();
         let mut replacements = Vec::new();
-        let mut baseline_blocks = 0usize;
-        for (pkey, mut order) in partitions {
-            let row = |&(z, r): &(usize, usize)| (&zones[z].cols[..], &zones[z].metas[r], r);
-            order.sort_by(|a, b| clustering_order(&cl_idx, row(a), row(b)));
-            for of_block in order.chunks(self.cfg.target_block_rows.max(1)) {
-                let mut block = RosBlockBuilder::new(schema);
-                for &(z, r) in of_block {
-                    block.push_row_of(zones[z].metas[r], &zones[z].cols, r)?;
-                }
-                // Unsorted build: the rows are already globally sorted.
-                let mut meta = self.write_ros_block(&tmeta, &key, block, false)?;
+        for (pkey, rows) in partitions {
+            rows.build_clustered(self.cfg.target_block_rows, |block| {
+                let mut meta = self.write_ros_block(&tmeta, &key, &block)?;
                 meta.partition_key = pkey;
                 meta.level = next_level;
-                baseline_blocks += 1;
                 replacements.push(meta);
-            }
+                Ok(())
+            })?;
         }
+        let baseline_blocks = replacements.len();
         // Same invariant as conversion: merged blocks written but not
         // yet registered are invisible; sources remain authoritative.
         vortex_common::crash_point!("optimizer.recluster.pre_commit");
@@ -456,28 +416,23 @@ impl StorageOptimizer {
 
     /// Current clustering ratio of the table's ROS data (§6.1).
     pub fn clustering_ratio(&self, table: TableId) -> VortexResult<f64> {
-        let now = self.sms.read_snapshot();
-        let ros: Vec<FragmentMeta> = self
-            .sms
-            .list_fragments(table, now)
-            .into_iter()
-            .filter(|f| {
-                f.kind == FragmentKind::Ros
-                    && f.state == FragmentState::Finalized
-                    && f.deleted_at == Timestamp::MAX
-            })
-            .collect();
-        let baseline: u64 = ros
-            .iter()
-            .filter(|f| f.level > 0)
-            .map(|f| f.row_count)
-            .sum();
-        let total: u64 = ros.iter().map(|f| f.row_count).sum();
-        Ok(if total == 0 {
-            1.0
-        } else {
-            baseline as f64 / total as f64
-        })
+        let (_, baseline_rows, delta_rows) = self.live_ros(table, self.sms.read_snapshot());
+        Ok(ratio(baseline_rows, delta_rows))
+    }
+
+    /// The table's live ROS fragments at `now`, and the rows they hold in
+    /// the baseline (level > 0) and in deltas.
+    fn live_ros(&self, table: TableId, now: Timestamp) -> (Vec<FragmentMeta>, u64, u64) {
+        let live = |f: &FragmentMeta| {
+            f.kind == FragmentKind::Ros
+                && f.state == FragmentState::Finalized
+                && f.deleted_at == Timestamp::MAX
+        };
+        let ros: Vec<FragmentMeta> = self.sms.list_fragments(table, now);
+        let ros: Vec<FragmentMeta> = ros.into_iter().filter(live).collect();
+        let rows = |delta: bool| ros.iter().filter(move |f| (f.level == 0) == delta);
+        let [baseline, delta] = [false, true].map(|d| rows(d).map(|f| f.row_count).sum());
+        (ros, baseline, delta)
     }
 
     /// Runs Big Metadata compaction for the table (§6.2): the watermark
@@ -542,6 +497,45 @@ fn settled_spec(
         visibility: RowVisibility::unconstrained(),
         stream: sl.map_or(StreamId::from_raw(0), |sl| sl.stream),
         streamlet_first_stream_row: sl.map_or(0, |sl| sl.first_stream_row),
+    }
+}
+
+/// The rows `kept` of `zone` grouped by partition key, the partitions in
+/// key order and each one's rows ascending (`partition`: the column and
+/// its transform; none, or a column the rows predate, keys them `None`).
+fn partitioned(
+    zone: &Zone,
+    partition: Option<(usize, &PartitionSpec)>,
+    kept: Vec<usize>,
+) -> Vec<(Option<i64>, Vec<usize>)> {
+    let Some((col, spec)) = partition.and_then(|(c, spec)| Some((zone.cols.get(c)?, spec))) else {
+        return vec![(None, kept)];
+    };
+    // One key per distinct cell of the zone, each row keyed by its code.
+    let (firsts, codes) = dictionary(col);
+    let of = |&i: &usize| spec.partition_key(&col.value(i));
+    let pkeys: Vec<Option<i64>> = firsts.iter().map(of).collect();
+    let mut keyed: Vec<_> = kept
+        .into_iter()
+        .map(|r| (pkeys[codes[r] as usize], r))
+        .collect();
+    keyed.sort_unstable();
+    let mut groups: Vec<(Option<i64>, Vec<usize>)> = Vec::new();
+    for (pkey, r) in keyed {
+        match groups.last_mut() {
+            Some((at, rows)) if *at == pkey => rows.push(r),
+            _ => groups.push((pkey, vec![r])),
+        }
+    }
+    groups
+}
+
+/// The clustering ratio: rows in baseline blocks over all ROS rows, 1 for
+/// none.
+fn ratio(baseline_rows: u64, delta_rows: u64) -> f64 {
+    match baseline_rows + delta_rows {
+        0 => 1.0,
+        total => baseline_rows as f64 / total as f64,
     }
 }
 

@@ -599,9 +599,9 @@ fn rows_that_predate_a_column_convert_with_it_null() {
 /// The files a seeded load leaves behind — merged and 1:1 conversions,
 /// deletion masks on WOS and on ROS, three baseline merges — do not
 /// move unnoticed: `(path, committed_size, crc32c)` of every ROS file,
-/// recorded when the block layout became version 3 (the version 2 list
-/// this replaced was recorded from the row-at-a-time passes and held
-/// through the typed ones: same files, same rows in them).
+/// recorded when a block's string zones began to share one FSST table
+/// (the list before was recorded when the layout became version 3 and
+/// held through the column-at-a-time passes: same files, same rows).
 #[test]
 fn converted_and_reclustered_files_are_pinned() {
     let r = rig_with(OptimizerConfig {
@@ -707,135 +707,189 @@ fn converted_and_reclustered_files_are_pinned() {
 const PINNED_FILES: &[(&str, u64, u32)] = &[
     (
         "ros/t0000000000000001/b0000000000000006",
-        21_279,
-        0x8d322b2c,
+        21_334,
+        0xadc56996,
     ),
     ("ros/t0000000000000001/b0000000000000007", 4_961, 0x53e1824d),
     (
         "ros/t0000000000000001/b0000000000000008",
-        21_550,
-        0x1eb02876,
+        21_558,
+        0x2958c52c,
     ),
     ("ros/t0000000000000001/b0000000000000009", 5_991, 0xd639aef1),
     (
         "ros/t0000000000000001/b000000000000000a",
-        21_419,
-        0x786bf6bb,
+        21_496,
+        0x69374539,
     ),
     ("ros/t0000000000000001/b000000000000000b", 5_523, 0xe2e9999a),
     (
         "ros/t0000000000000001/b000000000000000c",
-        21_040,
-        0x07588412,
+        21_206,
+        0xfc01c998,
     ),
     ("ros/t0000000000000001/b000000000000000d", 4_689, 0xe5c92ae3),
     (
         "ros/t0000000000000001/b000000000000000e",
-        21_402,
-        0xe6b66f9e,
+        21_320,
+        0x50a65537,
     ),
     ("ros/t0000000000000001/b000000000000000f", 5_618, 0x5545da76),
     (
         "ros/t0000000000000001/b0000000000000010",
-        21_126,
-        0xbf3ef1b4,
+        21_123,
+        0x7451ddef,
     ),
     ("ros/t0000000000000001/b0000000000000011", 5_228, 0xcd29ba10),
     (
         "ros/t0000000000000001/b0000000000000016",
-        15_750,
-        0x946706b3,
+        15_858,
+        0xa77c65e9,
     ),
     (
         "ros/t0000000000000001/b0000000000000017",
-        16_009,
-        0xc03336da,
+        16_059,
+        0x185ca68f,
     ),
     (
         "ros/t0000000000000001/b0000000000000018",
-        16_514,
-        0xc967c8c0,
+        16_542,
+        0xba7e0e00,
     ),
     (
         "ros/t0000000000000001/b0000000000000019",
-        20_739,
-        0xfd838066,
+        20_783,
+        0xc066c7dd,
     ),
     (
         "ros/t0000000000000001/b000000000000001a",
-        11_247,
-        0x618666be,
+        11_314,
+        0x91ef350e,
     ),
     (
         "ros/t0000000000000001/b000000000000001b",
-        20_570,
-        0x7cf1b9db,
+        20_669,
+        0x1f123bd8,
     ),
     (
         "ros/t0000000000000001/b000000000000001c",
-        19_020,
-        0x12d6f72c,
+        18_920,
+        0x46fa878c,
     ),
     (
         "ros/t0000000000000001/b000000000000001d",
-        20_518,
-        0x4d119007,
+        20_528,
+        0xbf76a3e2,
     ),
     (
         "ros/t0000000000000001/b000000000000001e",
-        19_076,
-        0x172c5b56,
+        19_128,
+        0x4c888363,
     ),
     (
         "ros/t0000000000000001/b0000000000000023",
-        69_828,
-        0xad6523bc,
+        70_177,
+        0x723d05a5,
     ),
     (
         "ros/t0000000000000001/b0000000000000024",
-        20_543,
-        0xc591b17e,
+        20_546,
+        0x7e1dac64,
     ),
     (
         "ros/t0000000000000001/b0000000000000025",
-        20_236,
-        0xcf933f3e,
+        20_226,
+        0x7e952294,
     ),
     (
         "ros/t0000000000000001/b0000000000000026",
-        15_922,
-        0xb677be41,
+        16_003,
+        0x25d9c2e5,
     ),
     (
         "ros/t0000000000000001/b0000000000000027",
-        20_369,
-        0x366d40bd,
+        20_380,
+        0xb8233073,
     ),
     (
         "ros/t0000000000000001/b0000000000000028",
-        20_546,
-        0xa28b3073,
+        20_545,
+        0xf5cb72eb,
     ),
     (
         "ros/t0000000000000001/b0000000000000029",
-        20_243,
-        0xcf100e2c,
+        20_287,
+        0x85da06a2,
     ),
     ("ros/t0000000000000001/b000000000000002a", 1_354, 0xecbb12e9),
     (
         "ros/t0000000000000001/b000000000000002b",
-        20_366,
-        0x9c303fdc,
+        20_364,
+        0x846498e6,
     ),
     (
         "ros/t0000000000000001/b000000000000002c",
-        20_475,
-        0x40785658,
+        20_499,
+        0x968286e7,
     ),
     (
         "ros/t0000000000000001/b000000000000002d",
-        20_327,
-        0xc3499908,
+        20_407,
+        0x8527f5d3,
     ),
     ("ros/t0000000000000001/b000000000000002e", 2_483, 0xe9817c49),
 ];
+
+/// Conversion and reclustering copy a typed table's cells as typed
+/// slices, a column at a time: not one cell of the `orders`-shaped table
+/// goes through a `Value` (`ros.cells_by_value`). The count is the
+/// process's, and every table this binary's tests convert is typed, so
+/// none of them adds to it either.
+#[test]
+fn a_typed_table_converts_without_a_value_per_cell() {
+    let by_value = || {
+        vortex_common::obs::global()
+            .counter("ros.cells_by_value")
+            .get()
+    };
+    let r = rig_with(OptimizerConfig {
+        target_block_rows: 700,
+        merge_trigger: 0.5,
+    });
+    let orders = Schema::new(vec![
+        Field::required("day", FieldType::Int64),
+        Field::required("customer", FieldType::String),
+        Field::required("amount", FieldType::Int64),
+        Field::required("price", FieldType::Float64),
+        Field::nullable("note", FieldType::String),
+        Field::required("seq", FieldType::Int64),
+    ])
+    .with_partition("day", PartitionTransform::Identity)
+    .with_clustering(&["customer"]);
+    let t = r.sms.create_table("orders", orders).unwrap().table;
+    let before = by_value();
+    for round in 0..3i64 {
+        let rows = (0..1_500).map(|i| {
+            let k = round * 1_500 + i;
+            let note = match k % 10 {
+                0 => Value::Null,
+                _ => Value::String(format!("order note {k:08x} for the ledger")),
+            };
+            Row::insert(vec![
+                Value::Int64(k % 3),
+                Value::String(format!("cust-{:05}", (k * 7_919) % 997)),
+                Value::Int64(k * 31 % 1_000),
+                Value::Float64((k % 10_000) as f64 / 100.0),
+                note,
+                Value::Int64(k),
+            ])
+        });
+        let mut w = r.client.create_unbuffered_writer(t).unwrap();
+        w.append(RowSet::new(rows.collect())).unwrap();
+        r.sms.finalize_stream(t, w.stream_id()).unwrap();
+        assert_eq!(r.opt.convert_wos(t).unwrap().rows, 1_500);
+        assert!(r.opt.recluster(t).unwrap().merged);
+    }
+    assert_eq!(by_value() - before, 0);
+    assert_eq!(r.client.read_rows(t).unwrap().rows.len(), 4_500);
+}

@@ -28,7 +28,7 @@
 //! reader decodes straight from them. [`RosBlock::from_bytes`] is the same
 //! two calls over a buffer that holds the whole file.
 
-use std::cmp::Ordering;
+use std::hash::Hash;
 use std::sync::OnceLock;
 
 use vortex_common::bloom::BloomFilter;
@@ -45,9 +45,9 @@ use vortex_common::schema::{ChangeType, Schema};
 use vortex_common::stats::ColumnStats;
 use vortex_common::truetime::Timestamp;
 
-use crate::column::{ColumnBuilder, ColumnVec, IntKind, Prim};
+use crate::column::{ColumnBuilder, ColumnVec, IntKind, KeyedRows, Prim};
 use crate::encoding::{
-    decode_chunk_at, distinct_rows, encode_profiled, le_uint, profile, Encoding,
+    decode_chunk_at, distinct_rows, encode_profiled, le_uint, profile, BlockTable, Encoding,
 };
 
 static ROW_METAS_BUILT: Lazy<Counter> = Lazy::new("ros.row_metas_built", Registry::counter);
@@ -147,16 +147,55 @@ impl RowMeta {
     }
 }
 
-/// A row of decoded leaf vectors, one per column: the vectors, the row's
-/// provenance, its index in them.
-pub type RowRef<'a> = (&'a [ColumnVec], &'a RowMeta, usize);
+/// One sort of [`clustered`]: the rows `order` holds by their keys, ties
+/// by `tie`, then by row. Each row's `(key, tie, row)` is built once and
+/// the triples sorted — a total order — by a merge sort, which takes
+/// runs already in that order, such as a reclustered block, as they are.
+struct ByKey<'a, T> {
+    order: &'a mut Vec<u32>,
+    tie: &'a dyn Fn(usize) -> T,
+}
 
-/// The clustering order of two rows: by the cells of the columns `keys`
-/// under `Value::total_cmp`, ties by provenance.
-pub fn clustering_order(keys: &[usize], a: RowRef<'_>, b: RowRef<'_>) -> Ordering {
-    let by_key = |&c: &usize| a.0[c].cmp_rows(a.2, &b.0[c], b.2);
-    let by_key = keys.iter().map(by_key).find(|ord| ord.is_ne());
-    by_key.unwrap_or_else(|| a.1.order_key().cmp(&b.1.order_key()))
+impl<T: Ord> KeyedRows for ByKey<'_, T> {
+    type Out = ();
+
+    fn fold_keys<K: Ord + Hash>(self, _: usize, key: impl Fn(usize) -> Option<K>) {
+        let tie = |i: u32| (key(i as usize), (self.tie)(i as usize), i);
+        let mut keyed: Vec<_> = self.order.iter().map(|&i| tie(i)).collect();
+        keyed.sort();
+        (self.order.iter_mut().zip(keyed)).for_each(|(at, (.., i))| *at = i);
+    }
+}
+
+/// Sorts `order` by the cells of `col`, ties by `tie`, then by row.
+fn sort_pass<T: Ord>(col: &ColumnVec, order: &mut Vec<u32>, tie: impl Fn(usize) -> T) {
+    if col.with_keys(ByKey { order, tie: &tie }).is_none() {
+        // A column without typed keys compares its cells.
+        order.sort_by(|&a, &b| {
+            let (a, b) = (a as usize, b as usize);
+            let by_cell = col.cmp_rows(a, col, b);
+            by_cell.then_with(|| tie(a).cmp(&tie(b))).then(a.cmp(&b))
+        });
+    }
+}
+
+/// The rows of `metas` in clustering order: by the cells of the columns
+/// `keys` of `cols` (NULL first, `Value::total_cmp`), ties by provenance,
+/// then by row — what a stable sort by a comparator of cells gives. One
+/// sort per key column, the last first, each by that column's typed keys
+/// and the order the sorts before it left.
+fn clustered(keys: &[usize], cols: &[ColumnVec], metas: &[RowMeta]) -> Vec<u32> {
+    let mut order: Vec<u32> = (0..metas.len() as u32).collect();
+    let mut rank = vec![0u32; order.len()];
+    for (pass, &c) in keys.iter().rev().enumerate() {
+        if pass == 0 {
+            sort_pass(&cols[c], &mut order, |i| metas[i].order_key());
+            continue;
+        }
+        (order.iter().zip(0..)).for_each(|(&i, at)| rank[i as usize] = at);
+        sort_pass(&cols[c], &mut order, |i| rank[i]);
+    }
+    order
 }
 
 /// A vector and, per row wanted of it, that row's index there.
@@ -185,17 +224,24 @@ pub fn gather_rows(
     }
 }
 
-/// Builds a [`RosBlock`] from rows plus provenance. Cells are kept as one
-/// typed leaf vector per column from the moment they arrive; `build`
-/// orders, summarizes and encodes those vectors and never a row.
+/// Builds [`RosBlock`]s from rows plus provenance. Cells are kept as one
+/// typed leaf vector per column from the moment they arrive; a build
+/// orders a permutation of the rows, then summarizes and encodes those
+/// vectors in its order, and never builds a row.
 #[derive(Debug)]
 pub struct RosBlockBuilder {
+    shape: Shape,
+    metas: Vec<RowMeta>,
+    cols: Vec<ColumnBuilder>,
+}
+
+/// What a table's schema says about its blocks.
+#[derive(Debug)]
+struct Shape {
     schema_version: u32,
     clustering_idx: Vec<usize>,
     tracked: Vec<(usize, String)>,
     key_cols: Vec<usize>,
-    metas: Vec<RowMeta>,
-    cols: Vec<ColumnBuilder>,
 }
 
 impl RosBlockBuilder {
@@ -215,13 +261,16 @@ impl RosBlockBuilder {
                 key_cols.push(i);
             }
         }
-        Self {
+        let shape = Shape {
             schema_version: schema.version,
             clustering_idx,
             // Stats for every scalar top-level column (Big Metadata
             // tracks "fine grained column properties", §6.2).
             tracked: schema.tracked_columns(),
             key_cols,
+        };
+        Self {
+            shape,
             metas: Vec::new(),
             cols: (schema.fields.iter().map(|_| ColumnBuilder::default())).collect(),
         }
@@ -248,13 +297,19 @@ impl RosBlockBuilder {
         Ok(())
     }
 
-    /// Adds row `i` of decoded leaf vectors, one per column, copying
-    /// typed cells straight across.
-    pub fn push_row_of(&mut self, meta: RowMeta, cols: &[ColumnVec], i: usize) -> VortexResult<()> {
+    /// Adds the `rows` of a decoded zone — its provenance `metas`, one
+    /// leaf vector per column in `cols` — in the order given, a column at
+    /// a time, copying typed cells straight across.
+    pub fn push_rows(
+        &mut self,
+        metas: &[RowMeta],
+        cols: &[ColumnVec],
+        rows: &[usize],
+    ) -> VortexResult<()> {
         self.check_arity(cols.len())?;
-        self.metas.push(meta);
+        self.metas.extend(rows.iter().map(|&i| metas[i]));
         for (col, src) in self.cols.iter_mut().zip(cols) {
-            col.add_rows(src, [i]);
+            col.add_rows(src, rows.iter().copied());
         }
         Ok(())
     }
@@ -269,46 +324,59 @@ impl RosBlockBuilder {
         self.metas.is_empty()
     }
 
+    /// The columns the rows were added to.
+    fn columns(self) -> (Shape, Vec<ColumnVec>, Vec<RowMeta>) {
+        let cols = self.cols.into_iter().map(ColumnBuilder::into_column);
+        (self.shape, cols.collect(), self.metas)
+    }
+
     /// Finishes the block. With `sort_by_clustering`, rows are ordered by
     /// the clustering key tuple (ties by provenance) — this is what the
     /// local range-partitioning step of automatic reclustering produces
     /// (§6.1). Only a permutation is sorted, on the key columns alone.
     pub fn build(self, sort_by_clustering: bool) -> VortexResult<RosBlock> {
-        let n = self.metas.len();
-        if n == 0 {
+        if self.is_empty() {
             return Err(VortexError::InvalidArgument(
                 "cannot build an empty ROS block".into(),
             ));
         }
-        let mut cols: Vec<ColumnVec> = self
-            .cols
-            .into_iter()
-            .map(ColumnBuilder::into_column)
-            .collect();
-        let ncols = cols.len();
-        let mut order: Vec<usize> = (0..n).collect();
-        if sort_by_clustering && !self.clustering_idx.is_empty() {
-            let row = |&i: &usize| (&cols[..], &self.metas[i], i);
-            order.sort_by(|a, b| clustering_order(&self.clustering_idx, row(a), row(b)));
+        let (shape, cols, metas) = self.columns();
+        let order = match sort_by_clustering {
+            true => clustered(&shape.clustering_idx, &cols, &metas),
+            false => (0..metas.len() as u32).collect(),
+        };
+        Ok(shape.build(&cols, &metas, &order))
+    }
+
+    /// Builds the rows in clustering order as blocks of `block_rows` rows
+    /// (the last takes what is left), one sort for all of them, and hands
+    /// `put` each block as it is built: reclustering's global order split
+    /// into non-overlapping blocks (§6.1).
+    pub fn build_clustered(
+        self,
+        block_rows: usize,
+        mut put: impl FnMut(RosBlock) -> VortexResult<()>,
+    ) -> VortexResult<()> {
+        let (shape, cols, metas) = self.columns();
+        let order = clustered(&shape.clustering_idx, &cols, &metas);
+        for rows in order.chunks(block_rows.max(1)) {
+            put(shape.build(&cols, &metas, rows))?;
         }
-        // A bloom filter holds a set: each key column's distinct cells go
-        // in once, and their number is what the filter is sized for.
-        let firsts: Vec<Vec<usize>> = (self.key_cols.iter())
-            .map(|&k| distinct_rows(&cols[k]))
-            .collect();
-        let distinct: usize = firsts.iter().map(Vec::len).sum();
-        let mut bloom = BloomFilter::with_capacity(distinct.max(16), BLOOM_FALSE_POSITIVES);
-        let mut key = Vec::new();
-        for (&k, rows) in self.key_cols.iter().zip(&firsts) {
-            for &i in rows {
-                key.clear();
-                cols[k].key_into(i, &mut key);
-                bloom.insert(&key);
-            }
-        }
-        // Provenance is four more columns, of integers.
+        Ok(())
+    }
+}
+
+impl Shape {
+    /// The block of the rows `order` of `cols` and `metas`, in that order.
+    fn build(&self, cols: &[ColumnVec], metas: &[RowMeta], order: &[u32]) -> RosBlock {
+        let n = order.len();
+        let bloom = block_bloom(&self.key_cols, cols, order);
+        // Provenance is four more columns, of integers, in block order.
         let ints = |kind, of: &dyn Fn(&RowMeta) -> u64| {
-            let values = self.metas.iter().map(|m| of(m) as i64).collect();
+            let values = order
+                .iter()
+                .map(|&i| of(&metas[i as usize]) as i64)
+                .collect();
             ColumnVec::I64(
                 kind,
                 Prim {
@@ -317,27 +385,35 @@ impl RosBlockBuilder {
                 },
             )
         };
-        cols.extend([
+        let provenance = [
             ints(IntKind::Int64, &|m| m.change_type.to_u8() as u64),
             ints(IntKind::Timestamp, &|m| m.ts.micros()),
             ints(IntKind::Int64, &|m| m.stream),
             ints(IntKind::Int64, &|m| m.offset),
-        ]);
+        ];
         // Encode per zone: each zone's rows are gathered in block order
         // into a leaf vector of their own, which is profiled once for its
         // own encoding choice (cascading chooser) and its zone map, and
         // gets — when it shrinks the chunk — vsnap compression on top.
         // Chunks tile the body; each cell keeps what its decoder reads.
+        let zones = n.div_ceil(ZONE_ROWS);
+        let ncols = cols.len();
         let mut body = Vec::new();
-        let mut chunks = Vec::with_capacity(cols.len() * n.div_ceil(ZONE_ROWS));
+        let mut chunks = Vec::with_capacity((ncols + PROVENANCE) * zones);
         let mut cells = Vec::with_capacity(chunks.capacity());
-        for col in &cols {
-            for rows in order.chunks(ZONE_ROWS) {
+        let user = cols.iter().map(|col| (col, Some(order)));
+        for (col, by) in user.chain(provenance.iter().map(|col| (col, None))) {
+            let shared = by.and_then(|order| BlockTable::of(col, order));
+            for z in 0..zones {
+                let range = z * ZONE_ROWS..((z + 1) * ZONE_ROWS).min(n);
                 let mut zone = ColumnBuilder::default();
-                zone.add_rows(col, rows.iter().copied());
+                match by {
+                    Some(order) => zone.add_rows(col, order[range].iter().map(|&i| i as usize)),
+                    None => zone.add_rows(col, range),
+                }
                 let zone = zone.into_column();
                 let profile = profile(&zone);
-                let (enc, bytes) = encode_profiled(&zone, &profile);
+                let (enc, bytes) = encode_profiled(&zone, &profile, shared.as_ref());
                 let packed = compress(&bytes);
                 let compressed = packed.len() < bytes.len();
                 let stored = if compressed { &packed } else { &bytes };
@@ -356,28 +432,53 @@ impl RosBlockBuilder {
         // A block's column properties are its zones' merged: in a typed
         // column equal cells are identical, and among mixed cells that
         // compare equal both keep the first.
-        let zones = n.div_ceil(ZONE_ROWS);
         let block_stats = |col: usize| {
             let mut stats = ColumnStats::new();
             let of_col = &chunks[col * zones..(col + 1) * zones];
             of_col.iter().for_each(|chunk| stats.merge(&chunk.stats));
             stats
         };
-        Ok(RosBlock {
+        let stats = (self.tracked.iter())
+            .map(|(col, name)| (name.clone(), block_stats(*col)))
+            .collect();
+        RosBlock {
             schema_version: self.schema_version,
             row_count: n,
             zone_rows: ZONE_ROWS,
             ncols,
-            stats: (self.tracked.into_iter())
-                .map(|(col, name)| (name, block_stats(col)))
-                .collect(),
+            stats,
             bloom,
             chunks,
             cells,
             body: Some(body),
             seal: None,
-        })
+        }
     }
+}
+
+/// The bloom filter of a block whose rows are `order` of `cols`. It holds
+/// a set: each key column's distinct cells go in once, and their number
+/// is what the filter is sized for ([`distinct_rows`]: the starts of its
+/// runs when the column does not decrease in block order).
+fn block_bloom(key_cols: &[usize], cols: &[ColumnVec], order: &[u32]) -> BloomFilter {
+    let in_order = |&k: &usize| {
+        let mut leaf = ColumnBuilder::default();
+        leaf.add_rows(&cols[k], order.iter().map(|&i| i as usize));
+        leaf.into_column()
+    };
+    let keys: Vec<ColumnVec> = key_cols.iter().map(in_order).collect();
+    let firsts: Vec<Vec<usize>> = keys.iter().map(distinct_rows).collect();
+    let distinct: usize = firsts.iter().map(Vec::len).sum();
+    let mut bloom = BloomFilter::with_capacity(distinct.max(16), BLOOM_FALSE_POSITIVES);
+    let mut key = Vec::new();
+    for (col, rows) in keys.iter().zip(&firsts) {
+        for &i in rows {
+            key.clear();
+            col.key_into(i, &mut key);
+            bloom.insert(&key);
+        }
+    }
+    bloom
 }
 
 /// The false-positive rate a block's bloom filter is sized for.
@@ -1484,6 +1585,142 @@ mod tests {
         assert_eq!(b.build(true).unwrap().bloom().len(), 10 + 1);
     }
 
+    // ---- The paths the typed build replaced, as its oracles --------------
+
+    /// A row of decoded leaf vectors, one per column: the vectors, the
+    /// row's provenance, its index in them.
+    type RowRef<'a> = (&'a [ColumnVec], &'a RowMeta, usize);
+
+    /// The clustering order of two rows as the builder compared them
+    /// before typed keys: by the cells of the columns `keys` under
+    /// `Value::total_cmp`, ties by provenance.
+    fn clustering_order(keys: &[usize], a: RowRef<'_>, b: RowRef<'_>) -> std::cmp::Ordering {
+        let by_key = |&c: &usize| a.0[c].cmp_rows(a.2, &b.0[c], b.2);
+        let by_key = keys.iter().map(by_key).find(|ord| ord.is_ne());
+        by_key.unwrap_or_else(|| a.1.order_key().cmp(&b.1.order_key()))
+    }
+
+    /// The bloom filter the builder made by hashing: each key column of
+    /// the block's rows, as the block stores them, numbered by its cells'
+    /// encoded keys.
+    fn hashed_bloom(block: &RosBlock, key_cols: &[usize]) -> BloomFilter {
+        use crate::encoding::tests::reference_dictionary;
+        let stored = |k: usize| {
+            let mut col = ColumnBuilder::default();
+            for z in 0..block.zone_count() {
+                let every: Vec<usize> = block.zone_range(z).map(|i| i - z * ZONE_ROWS).collect();
+                col.add_rows(&block.decode_zone(k, z).unwrap().into_leaf(&every), every);
+            }
+            col.into_column()
+        };
+        let cols: Vec<ColumnVec> = key_cols.iter().map(|&k| stored(k)).collect();
+        let firsts = |col: &ColumnVec| reference_dictionary(col, usize::MAX).unwrap().0;
+        let firsts: Vec<Vec<usize>> = cols.iter().map(firsts).collect();
+        let distinct = firsts.iter().map(Vec::len).sum::<usize>();
+        let mut bloom = BloomFilter::with_capacity(distinct.max(16), BLOOM_FALSE_POSITIVES);
+        for (col, rows) in cols.iter().zip(&firsts) {
+            for &i in rows {
+                let mut key = Vec::new();
+                col.key_into(i, &mut key);
+                bloom.insert(&key);
+            }
+        }
+        bloom
+    }
+
+    /// A block's bloom filter, its key columns' distinct cells found from
+    /// their runs where a column does not decrease in block order, is byte
+    /// for byte the one hashing every key column made: a sorted key and
+    /// an unsorted one, a constant and an all-NULL partition column, a
+    /// 1:1-converted block (partitions in arrival order) and the blocks
+    /// one reclustered partition splits into.
+    #[test]
+    fn the_bloom_from_sorted_runs_is_the_hashed_one() {
+        let schema = small_schema(); // key columns: `day`, then `name`
+        let key_cols = RosBlockBuilder::new(&schema).shape.key_cols;
+        assert_eq!(key_cols, [2, 1]);
+        let mut mix = Mix(47);
+        let mut rows = |day: &dyn Fn(usize) -> Value| {
+            let mut b = RosBlockBuilder::new(&schema);
+            for i in 0..3_000 {
+                let name = Value::String(format!("name-{:03}", mix.next() % 700));
+                let values = vec![Value::Int64(i as i64), name, day(i)];
+                b.push(pinned_meta(i, i as u64 % 7), Row::insert(values))
+                    .unwrap();
+            }
+            b
+        };
+        let mut blocks = vec![
+            // Arrival order: `day` runs up, `name` is unsorted.
+            rows(&|i| Value::Date((i / 700) as i32))
+                .build(false)
+                .unwrap(),
+            // Clustered: `name` runs up, `day` is unsorted.
+            rows(&|i| Value::Date((i % 5) as i32)).build(true).unwrap(),
+            // One partition: `day` is one run, or all NULL.
+            rows(&|_| Value::Date(4)).build(true).unwrap(),
+            rows(&|_| Value::Null).build(true).unwrap(),
+        ];
+        let split = rows(&|_| Value::Date(9)).build_clustered(1_100, |block| {
+            blocks.push(block);
+            Ok(())
+        });
+        split.unwrap();
+        assert_eq!(blocks.len(), 4 + 3);
+        for (k, block) in blocks.iter().enumerate() {
+            let want = hashed_bloom(block, &key_cols);
+            assert_eq!(block.bloom().to_bytes(), want.to_bytes(), "block {k}");
+        }
+    }
+
+    mod properties {
+        use super::*;
+        use crate::encoding::tests::leaf;
+        use crate::encoding::tests::properties::{column_strategy, shaped_column_strategy};
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            /// The typed-key order is what a stable sort under the cell
+            /// comparator gives: over NULLs, NaN and -0.0, Date and
+            /// Timestamp extremes, strings, `Any` cells, one key column or
+            /// two, duplicate keys and provenance that ties.
+            #[test]
+            fn typed_key_order_is_the_comparators(
+                first in shaped_column_strategy(),
+                second in prop_oneof![shaped_column_strategy(), column_strategy()],
+                keys in 0usize..4,
+                seed in any::<u64>(),
+            ) {
+                // Past 2^53, or a Numeric between an Int64 and a String,
+                // `Value::total_cmp` is no order at all; keep to where it
+                // is one.
+                let ordered = |v: &Value| match v {
+                    Value::Int64(x) => Value::Int64(x >> 12),
+                    Value::Numeric(x) => Value::Int64(*x as i64 >> 12),
+                    other => other.clone(),
+                };
+                let n = first.len();
+                let cycled = |i: usize| second.get(i % second.len().max(1)).map(ordered);
+                let second: Vec<Value> = (0..n).map(|i| cycled(i).unwrap_or(Value::Null)).collect();
+                let cols = [leaf(&first), leaf(&second)];
+                let keys: &[usize] = [&[0][..], &[1], &[0, 1], &[1, 0]][keys];
+                let mut mix = Mix(seed);
+                let metas: Vec<RowMeta> = (0..n).map(|i| {
+                    let r = mix.next();
+                    let ts = Timestamp(r % 3);
+                    RowMeta { ts, stream: r >> 8 & 1, offset: (r >> 16) % 3, ..pinned_meta(i, r) }
+                }).collect();
+                let mut want: Vec<usize> = (0..n).collect();
+                let row = |i: usize| (&cols[..], &metas[i], i);
+                want.sort_by(|&a, &b| clustering_order(keys, row(a), row(b)));
+                let got: Vec<usize> = clustered(keys, &cols, &metas).iter().map(|&i| i as usize).collect();
+                prop_assert_eq!(got, want);
+            }
+        }
+    }
+
     // ---- Pinned bytes ---------------------------------------------------
 
     /// splitmix64: the pinned blocks' only source of randomness.
@@ -1858,10 +2095,10 @@ mod tests {
     }
 
     /// `(len, crc32c)` of `to_bytes` for a fixed set of blocks, recorded
-    /// when the layout became version 3: a change that moves a stored byte
-    /// owns up to it here. The encoded chunks are still those the builder
-    /// that took `&[Value]` zones wrote — the version 2 pins this replaced
-    /// were recorded from it and held until the layout changed.
+    /// when a block's string zones began to share one FSST table: a change
+    /// that moves a stored byte owns up to it here. The pins before were
+    /// recorded when the layout became version 3 and held through the
+    /// typed builder and its typed sort keys.
     #[test]
     fn block_bytes_are_pinned() {
         let key = Key::derive_from_passphrase("pinned");
@@ -1899,22 +2136,22 @@ mod tests {
             })
             .collect();
         let want = [
-            ("leaves", 53_988, 0xacb8a828),
-            ("leaves sorted", 56_411, 0xf8c8025d),
-            ("leaves nulls", 49_814, 0xde4e8eb8),
-            ("leaves nulls sorted", 52_857, 0x99cbe194),
+            ("leaves", 54_114, 0x48084800),
+            ("leaves sorted", 56_680, 0x96f458e1),
+            ("leaves nulls", 49_764, 0x083861d0),
+            ("leaves nulls sorted", 52_828, 0x6b1b937c),
             ("leaves one row", 641, 0x1b7dc53d),
-            ("leaves one zone", 36_853, 0xf672c3ea),
+            ("leaves one zone", 36_936, 0x061d0723),
             ("floats", 14_783, 0x42934ae3),
             ("extremes", 13_679, 0x4ec65cc5),
-            ("strings", 40_959, 0x11c1a463),
+            ("strings", 41_010, 0x87da019e),
             ("all null", 6_436, 0x199b2fa1),
             ("all null one row", 175, 0xc828ccc0),
             ("any", 7_110, 0x79d0d626),
             ("any sorted", 8_399, 0x65e9d355),
             ("ties", 721, 0x54e4ba68),
             ("shapes", 23_408, 0xa59be37c),
-            ("orders", 156_373, 0xc1575585),
+            ("orders", 155_386, 0xc1bc5eea),
         ];
         assert_eq!(got, want);
     }

@@ -11,6 +11,7 @@ use std::hash::Hash;
 
 use vortex_common::codec::{self, decode_value, get_len, get_uvarint, take};
 use vortex_common::error::{VortexError, VortexResult};
+use vortex_common::obs::{Counter, Lazy, Registry};
 use vortex_common::row::Value;
 use vortex_common::schema::ChangeType;
 use vortex_common::truetime::Timestamp;
@@ -300,6 +301,8 @@ impl ColumnVec {
 // The write side: leaf vectors grown cell by cell.
 // ---------------------------------------------------------------------------
 
+static CELLS_BY_VALUE: Lazy<Counter> = Lazy::new("ros.cells_by_value", Registry::counter);
+
 /// Records whether row `i` — the next row of a growing vector — is NULL.
 /// The bitmap exists from the first NULL on and then covers every row.
 fn mark_row(nulls: &mut Option<Nulls>, i: usize, null: bool) {
@@ -315,12 +318,22 @@ fn mark_row(nulls: &mut Option<Nulls>, i: usize, null: bool) {
     }
 }
 
-impl<T: Default> Prim<T> {
+impl<T: Copy + Default> Prim<T> {
     /// Adds one row; `None` is NULL.
     fn add_cell(&mut self, v: Option<T>) {
         mark_row(&mut self.nulls, self.values.len(), v.is_none());
         // lint:allow(L010, grows a column under construction; its only scan edge is the name-resolved `RosBlockBuilder::push`)
         self.values.push(v.unwrap_or_default());
+    }
+
+    /// Adds the in-bounds `rows` of `src`: a copy of the elements while
+    /// neither side has a NULL.
+    fn add_cells(&mut self, src: &Prim<T>, rows: impl Iterator<Item = usize>) {
+        match (&self.nulls, &src.nulls) {
+            // lint:allow(L010, grows a column under construction; its only scan edge is the name-resolved `RosBlockBuilder::push`)
+            (None, None) => self.values.extend(rows.map(|i| src.values[i])),
+            _ => rows.for_each(|i| self.add_cell((!null_at(&src.nulls, i)).then(|| src.values[i]))),
+        }
     }
 }
 
@@ -347,6 +360,19 @@ impl Strs {
         self.bytes.extend_from_slice(v.unwrap_or_default());
         // lint:allow(L010, grows a column under construction; its only scan edge is the name-resolved `RosBlockBuilder::push`)
         self.offsets.push(self.bytes.len() as u32);
+    }
+
+    /// Adds the in-bounds `rows` of `src` up to the first that does not
+    /// [`Strs::fits`], which it returns.
+    fn add_cells(&mut self, src: &Strs, rows: impl Iterator<Item = usize>) -> Option<usize> {
+        for i in rows {
+            let cell = (!null_at(&src.nulls, i)).then(|| src.get(i));
+            if !self.fits(cell.map_or(0, <[u8]>::len)) {
+                return Some(i);
+            }
+            self.add_cell(cell);
+        }
+        None
     }
 }
 
@@ -423,6 +449,19 @@ impl ColumnVec {
             // A fixed-width cell's value lives on the stack.
             other => other.value(i).encode_key_into(out),
         }
+    }
+
+    /// An empty leaf of this typed leaf's type; `None` for `Any` and
+    /// nested vectors.
+    fn blank(&self) -> Option<ColumnVec> {
+        Some(match self {
+            ColumnVec::I64(kind, _) => ColumnVec::I64(*kind, Prim::default()),
+            ColumnVec::F64(_) => ColumnVec::F64(Prim::default()),
+            ColumnVec::Bool(_) => ColumnVec::Bool(Prim::default()),
+            ColumnVec::I128(_) => ColumnVec::I128(Prim::default()),
+            ColumnVec::Str(kind, _) => ColumnVec::Str(*kind, Strs::blank()),
+            _ => return None,
+        })
     }
 
     /// Adds a NULL row to a leaf under construction.
@@ -559,30 +598,56 @@ impl ColumnBuilder {
     }
 
     /// Adds the in-bounds `rows` of the leaf vector `src`, in the order
-    /// given, copying typed cells straight across.
+    /// given. The types are matched once per call: a typed `src` whose
+    /// type the column has — or takes, at its first value — is copied
+    /// straight across; a cell of another type, of an `Any` or nested
+    /// `src`, or past a string vector's `u32` offsets goes by value
+    /// (`ros.cells_by_value`).
     pub fn add_rows(&mut self, src: &ColumnVec, rows: impl IntoIterator<Item = usize>) {
-        for i in rows {
-            match (&mut self.col, src) {
-                (_, src) if src.is_null(i) => self.add_value(Value::Null),
-                (Some(ColumnVec::I64(ka, a)), ColumnVec::I64(kb, b)) if ka == kb => {
-                    a.add_cell(Some(b.values[i]));
-                    self.rows += 1;
+        let mut rows = rows.into_iter();
+        let mut first = None;
+        if self.col.is_none() {
+            // Leading NULLs leave the column untyped; its first value names it.
+            for i in rows.by_ref() {
+                if !src.is_null(i) {
+                    first = Some(i);
+                    break;
                 }
-                (Some(ColumnVec::F64(a)), ColumnVec::F64(b)) => {
-                    a.add_cell(Some(b.values[i]));
-                    self.rows += 1;
-                }
-                (Some(ColumnVec::Str(ka, a)), ColumnVec::Str(kb, b))
-                    if ka == kb && a.fits(b.get(i).len()) =>
-                {
-                    a.add_cell(Some(b.get(i)));
-                    self.rows += 1;
-                }
-                // Bool and Numeric cells, a column's first typed cell,
-                // `Any` on either side: by value.
-                _ => self.add_value(src.value(i)),
+                self.rows += 1;
             }
+            let Some(mut col) = first.and_then(|_| src.blank()) else {
+                return self.by_value(src, first.into_iter().chain(rows));
+            };
+            (0..self.rows).for_each(|_| col.add_null());
+            self.col = Some(col);
         }
+        let mut rows = first.into_iter().chain(rows);
+        let mut unfit = None;
+        match (&mut self.col, src) {
+            (Some(ColumnVec::I64(ka, a)), ColumnVec::I64(kb, b)) if ka == kb => {
+                a.add_cells(b, rows.by_ref())
+            }
+            (Some(ColumnVec::F64(a)), ColumnVec::F64(b)) => a.add_cells(b, rows.by_ref()),
+            (Some(ColumnVec::Bool(a)), ColumnVec::Bool(b)) => a.add_cells(b, rows.by_ref()),
+            (Some(ColumnVec::I128(a)), ColumnVec::I128(b)) => a.add_cells(b, rows.by_ref()),
+            (Some(ColumnVec::Str(ka, a)), ColumnVec::Str(kb, b)) if ka == kb => {
+                unfit = a.add_cells(b, rows.by_ref())
+            }
+            _ => {}
+        }
+        self.rows = self.col.as_ref().map_or(self.rows, ColumnVec::len);
+        self.by_value(src, unfit.into_iter().chain(rows));
+    }
+
+    /// Adds the `rows` of `src` one [`Value`] at a time.
+    fn by_value(&mut self, src: &ColumnVec, rows: impl Iterator<Item = usize>) {
+        let mut cells = 0;
+        for i in rows {
+            let v = src.value(i);
+            cells += !v.is_null() as u64;
+            self.add_value(v);
+        }
+        CELLS_BY_VALUE.add(cells);
     }
 
     /// The column: `Any` NULLs if no row ever held a value.

@@ -36,7 +36,7 @@
 //! bounded by the *remaining* input before any allocation.
 
 use std::borrow::Cow;
-use std::cmp::Reverse;
+use std::cmp::{Ordering, Reverse};
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hash, Hasher};
@@ -243,6 +243,9 @@ pub(crate) struct Profile {
     pub(crate) ends: Option<(usize, usize)>,
     /// The row each run of equal cells (NULL is one) starts at.
     runs: Vec<usize>,
+    /// Whether no cell is smaller than the one before it: then each
+    /// distinct cell is one run.
+    ascending: bool,
     /// Bytes of the Plain chunk.
     plain: usize,
     /// Of an integer leaf that has a value, as IntPack packs them: the
@@ -266,7 +269,8 @@ fn ivarint_len(v: i64) -> usize {
 }
 
 /// The pass behind a [`Profile`], compiled for the leaf's key type: the
-/// NULL rows, the ends and the run starts; the sizes are [`profile`]'s.
+/// NULL rows, the ends, the run starts and whether the keys ascend; the
+/// sizes are [`profile`]'s.
 struct Profiler;
 
 impl KeyedRows for Profiler {
@@ -274,10 +278,13 @@ impl KeyedRows for Profiler {
 
     fn fold_keys<K: Ord + Hash>(self, n: usize, key: impl Fn(usize) -> Option<K>) -> Profile {
         let (mut runs, mut nulls, mut lo, mut hi) = (Vec::new(), 0, None, None);
+        let mut ascending = true;
         for i in 0..n {
             let k = key(i);
-            if i == 0 || k != key(i - 1) {
+            let step = (i > 0).then(|| k.cmp(&key(i - 1)));
+            if step != Some(Ordering::Equal) {
                 runs.push(i);
+                ascending &= step != Some(Ordering::Less);
             }
             if k.is_none() {
                 nulls += 1;
@@ -290,6 +297,7 @@ impl KeyedRows for Profiler {
             nulls,
             ends: lo.zip(hi),
             runs,
+            ascending,
             plain: 0,
             ints: None,
         }
@@ -417,10 +425,22 @@ impl KeyedRows for Numbering {
     }
 }
 
-/// The row each distinct cell of `col` (NULL is one) first appears at.
+/// The row each distinct cell of `col` (NULL is one) first appears at: the
+/// starts of its runs when its cells ascend, else numbered by hashing.
 pub(crate) fn distinct_rows(col: &ColumnVec) -> Vec<usize> {
-    let all = || Numbering { limit: usize::MAX };
-    keyed(col, all).map_or_else(Vec::new, |(firsts, _)| firsts)
+    let p = keyed(col, || Profiler);
+    if p.ascending {
+        p.runs
+    } else {
+        dictionary(col).0
+    }
+}
+
+/// `col`'s distinct cells (NULL is one) under `Value::key_eq`, numbered in
+/// order of first appearance: the row each first appears at, and every
+/// row's number. One pass over the typed keys, hashing each where it lies.
+pub fn dictionary(col: &ColumnVec) -> (Vec<usize>, Vec<u32>) {
+    keyed(col, || Numbering { limit: usize::MAX }).unwrap_or_default()
 }
 
 /// A nested value section: its leaf encoding and bytes.
@@ -456,7 +476,12 @@ fn intpack_forms(n: usize, p: &Profile) -> [Option<(usize, bool, Frame)>; 2] {
 /// type; [`ColumnBuilder`] gives a column that vector whenever its cells
 /// allow it — with its size: of IntPack from the profile, the smaller of
 /// its forms and the plain one of two equals.
-fn leaf_candidate<'a>(col: &'a ColumnVec, p: &Profile, must_beat: usize) -> Option<Sized<'a>> {
+fn leaf_candidate<'a>(
+    col: &'a ColumnVec,
+    p: &Profile,
+    must_beat: usize,
+    shared: Option<&BlockTable>,
+) -> Option<Sized<'a>> {
     let made = |enc, b: Vec<u8>| -> Sized<'a> { (enc, b.len(), Box::new(move || b)) };
     match col {
         ColumnVec::I64(kind, ints) => {
@@ -466,7 +491,9 @@ fn leaf_candidate<'a>(col: &'a ColumnVec, p: &Profile, must_beat: usize) -> Opti
             Some((Encoding::IntPack, len, Box::new(encode)))
         }
         ColumnVec::F64(_) => try_encode_alp(col).map(|b| made(Encoding::Alp, b)),
-        ColumnVec::Str(..) => try_encode_fsst(col, must_beat).map(|b| made(Encoding::Fsst, b)),
+        ColumnVec::Str(..) => {
+            try_encode_fsst(col, must_beat, shared).map(|b| made(Encoding::Fsst, b))
+        }
         _ => None,
     }
 }
@@ -492,7 +519,7 @@ fn section(col: &ColumnVec, rows: &[usize]) -> Section {
     values.add_rows(col, rows.iter().copied());
     let values = values.into_column();
     let p = profile(&values);
-    let leaf = leaf_candidate(&values, &p, p.plain);
+    let leaf = leaf_candidate(&values, &p, p.plain, None);
     let (enc, _, encode) = smaller(plain_candidate(&values, &p), leaf);
     (enc, encode())
 }
@@ -526,19 +553,31 @@ fn dict_len(n: usize, distinct: usize, values: &Section) -> usize {
 /// leaf encoding of its type. Plain always applies, so every column
 /// encodes.
 pub fn encode_column(col: &ColumnVec) -> (Encoding, Vec<u8>) {
-    encode_profiled(col, &profile(col))
+    encode_profiled(col, &profile(col), None)
 }
 
-/// [`encode_column`] of a column already profiled. Every candidate but
-/// Alp and Fsst is sized from the profile and only the winner encoded.
-pub(crate) fn encode_profiled(col: &ColumnVec, p: &Profile) -> (Encoding, Vec<u8>) {
+/// [`encode_column`] of a column already profiled, its Fsst candidate
+/// under the table of the block column it is a zone of, if `shared`.
+/// Every candidate but Alp and Fsst is sized from the profile and only
+/// the winner encoded.
+pub(crate) fn encode_profiled(
+    col: &ColumnVec,
+    p: &Profile,
+    shared: Option<&BlockTable>,
+) -> (Encoding, Vec<u8>) {
     let (n, runs) = (col.len(), &p.runs[..]);
-    // A column of one run is a dictionary of one entry, which it takes no
-    // hashing of its cells to find out.
+    // A column of one run is a dictionary of one entry, and one whose
+    // cells ascend a dictionary of its runs, which it takes no hashing of
+    // its cells to find out.
     let limit = MAX_DICT.min(n / 2);
-    let numbered = match runs.len() == 1 && limit >= 1 {
-        true => Some((vec![0], Vec::new())),
-        false => keyed(col, || Numbering { limit }),
+    let numbered = match (runs.len(), p.ascending) {
+        (1, _) if limit >= 1 => Some((vec![0], Vec::new())),
+        (_, true) => (runs.len() <= limit).then(|| {
+            let codes =
+                (run_lens(n, runs).zip(0..)).flat_map(|(len, code)| (0..len).map(move |_| code));
+            (runs.to_vec(), codes.collect())
+        }),
+        _ => keyed(col, || Numbering { limit }),
     };
     let run_values = (runs.len() * 2 <= n).then(|| section(col, runs));
     // Distinct cells that are the run starts (one run; a sorted column)
@@ -561,7 +600,7 @@ pub(crate) fn encode_profiled(col: &ColumnVec, p: &Profile) -> (Encoding, Vec<u8
         )
     });
     let nesting = smaller(smaller(plain_candidate(col, p), rle), dict);
-    let leaf = leaf_candidate(col, p, nesting.1);
+    let leaf = leaf_candidate(col, p, nesting.1, shared);
     // Alp and Fsst have no closed form: sizing them took encoding them.
     let made = |enc| matches!(enc, Encoding::Alp | Encoding::Fsst);
     let sized = leaf.as_ref().is_some_and(|leaf| made(leaf.0));
@@ -749,8 +788,12 @@ fn try_encode_alp(col: &ColumnVec) -> Option<Vec<u8>> {
 
 /// The Fsst chunk of a string leaf, unless it cannot come to fewer than
 /// `must_beat` bytes: a value takes a length byte and a code per eight
-/// of its bytes at the least.
-fn try_encode_fsst(col: &ColumnVec, must_beat: usize) -> Option<Vec<u8>> {
+/// of its bytes at the least. Its table is `shared`'s, or trained on it.
+fn try_encode_fsst(
+    col: &ColumnVec,
+    must_beat: usize,
+    shared: Option<&BlockTable>,
+) -> Option<Vec<u8>> {
     let ColumnVec::Str(kind, s) = col else {
         return None;
     };
@@ -761,7 +804,14 @@ fn try_encode_fsst(col: &ColumnVec, must_beat: usize) -> Option<Vec<u8>> {
     if total < 64 || 3 + nulls_header_len(col.len(), m) + at_least >= must_beat {
         return None; // not enough material for a table to pay off
     }
-    let table = FsstTable::build(values());
+    let own;
+    let table = match shared {
+        Some(shared) => shared.table(),
+        None => {
+            own = FsstTable::build(values());
+            &own
+        }
+    };
     let mut out = Vec::with_capacity(16 + col.len().div_ceil(8) + total);
     out.push(match kind {
         StrKind::String => TY_STRING,
@@ -781,6 +831,37 @@ fn try_encode_fsst(col: &ColumnVec, must_beat: usize) -> Option<Vec<u8>> {
     Some(out)
 }
 
+/// The FSST table the string zones of one block column share: trained
+/// once, when a zone first asks, on a sample spread over the column's
+/// rows in the block. Each chunk still stores it, so a zone decodes alone.
+pub(crate) struct BlockTable<'a> {
+    col: &'a Strs,
+    rows: &'a [u32],
+    table: OnceLock<FsstTable>,
+}
+
+impl<'a> BlockTable<'a> {
+    /// The table of the rows `rows` of `col`, if it is a string leaf.
+    pub(crate) fn of(col: &'a ColumnVec, rows: &'a [u32]) -> Option<Self> {
+        let ColumnVec::Str(_, col) = col else {
+            return None;
+        };
+        let table = OnceLock::new();
+        Some(BlockTable { col, rows, table })
+    }
+
+    fn table(&self) -> &FsstTable {
+        self.table.get_or_init(|| {
+            let valued = || {
+                (self.rows.iter().map(|&i| i as usize)).filter(|&i| !null_at(&self.col.nulls, i))
+            };
+            let bytes: usize = valued().map(|i| self.col.get(i).len()).sum();
+            let every = bytes.div_ceil(FSST_SAMPLE_BUDGET).max(1);
+            FsstTable::build(valued().step_by(every).map(|i| self.col.get(i)))
+        })
+    }
+}
+
 /// Up to eight bytes of `s` from `pos`, first byte lowest, zero-padded.
 fn word_at(s: &[u8], pos: usize) -> u64 {
     let full = |at: usize| <[u8; 8]>::try_from(&s[at..at + 8]).map_or(0, u64::from_le_bytes);
@@ -796,6 +877,9 @@ fn word_at(s: &[u8], pos: usize) -> u64 {
 fn low_bytes(word: u64, len: usize) -> u64 {
     word & (u64::MAX >> (64 - 8 * len))
 }
+
+/// Bytes of the values a symbol table is trained on, at most.
+const FSST_SAMPLE_BUDGET: usize = 4096;
 
 /// Slots of the hash index over a table's two-byte prefixes: twice the
 /// symbols there can be, so a probe always ends.
@@ -823,20 +907,19 @@ impl FsstTable {
     /// overlapping occurrences are over-counted, which the final size
     /// comparison in the chooser absorbs.
     fn build<'a>(values: impl Iterator<Item = &'a [u8]>) -> FsstTable {
-        const SAMPLE_BUDGET: usize = 4096;
         // The window at each sampled byte: its word with the first byte
         // highest, so that words order as their byte strings do, and how
         // many of its bytes are the value's own (the rest is padding).
-        let mut windows: Vec<(u64, usize)> = Vec::with_capacity(SAMPLE_BUDGET);
+        let mut windows: Vec<(u64, usize)> = Vec::with_capacity(FSST_SAMPLE_BUDGET);
         let mut starts = [0usize; 257];
         for v in values {
-            let v = &v[..v.len().min(SAMPLE_BUDGET - windows.len())];
+            let v = &v[..v.len().min(FSST_SAMPLE_BUDGET - windows.len())];
             for pos in 0..v.len() {
                 let own = FSST_MAX_SYM.min(v.len() - pos);
                 windows.push((word_at(v, pos).swap_bytes(), own));
                 starts[v[pos] as usize + 1] += 1;
             }
-            if windows.len() == SAMPLE_BUDGET {
+            if windows.len() == FSST_SAMPLE_BUDGET {
                 break;
             }
         }
@@ -1615,7 +1698,7 @@ pub(crate) mod tests {
         (0..cells.len()).filter(starts).collect()
     }
 
-    fn reference_dictionary(col: &ColumnVec, limit: usize) -> Option<Dictionary> {
+    pub(crate) fn reference_dictionary(col: &ColumnVec, limit: usize) -> Option<Dictionary> {
         let mut ids: HashMap<Vec<u8>, u32> = HashMap::new();
         let (mut firsts, mut codes) = (Vec::new(), Vec::new());
         for (i, v) in col.to_values().iter().enumerate() {
@@ -1659,7 +1742,7 @@ pub(crate) mod tests {
         [
             (Encoding::IntPack, intpack),
             (Encoding::Alp, try_encode_alp(col)),
-            (Encoding::Fsst, try_encode_fsst(col, usize::MAX)),
+            (Encoding::Fsst, try_encode_fsst(col, usize::MAX, None)),
         ]
     }
 
@@ -1713,7 +1796,7 @@ pub(crate) mod tests {
     }
 
     /// The leaf vector of these cells, as the block builder holds them.
-    fn leaf(values: &[Value]) -> ColumnVec {
+    pub(crate) fn leaf(values: &[Value]) -> ColumnVec {
         let mut col = ColumnBuilder::default();
         values.iter().for_each(|v| col.add_value(v.clone()));
         col.into_column()
@@ -2501,7 +2584,7 @@ pub(crate) mod tests {
             .map(|v| v.map_or(Value::Null, Value::Bytes))
             .collect();
         let col = leaf(&cells);
-        let got = try_encode_fsst(&col, usize::MAX);
+        let got = try_encode_fsst(&col, usize::MAX, None);
         assert_eq!(got, reference_fsst_chunk(values));
         let slices: Vec<&[u8]> = values.iter().flatten().map(Vec::as_slice).collect();
         assert_fsst_table_and_codes(&slices);
@@ -3210,7 +3293,7 @@ pub(crate) mod tests {
         assert_eq!((a.0, a.1), want);
     }
 
-    mod properties {
+    pub(crate) mod properties {
         use super::*;
         use proptest::prelude::*;
 
@@ -3220,7 +3303,7 @@ pub(crate) mod tests {
         /// Numeric; cells only `Any` holds — in one shape: constant,
         /// arithmetic, runs, low cardinality, unique, empty, one row;
         /// with or without NULLs.
-        fn shaped_column_strategy() -> impl Strategy<Value = Vec<Value>> {
+        pub(crate) fn shaped_column_strategy() -> impl Strategy<Value = Vec<Value>> {
             let knobs = (0usize..12, 0usize..7, any::<bool>(), any::<u64>(), 2u64..80);
             knobs.prop_map(|(family, shape, nulls, seed, len)| {
                 let mix = |i: u64| {
@@ -3373,6 +3456,40 @@ pub(crate) mod tests {
                 }
             }
 
+            /// Rows added a column at a time make the column their cells
+            /// make added one by one: a NULL prefix and the first value
+            /// that names the type, a second slice of that type, then one
+            /// of any type — each vector matched once, the cells of a
+            /// type it cannot hold added by value and counted.
+            #[test]
+            fn typed_slices_add_as_their_cells(
+                first in shaped_column_strategy(),
+                then in shaped_column_strategy(),
+                pick in any::<u64>(),
+            ) {
+                let by_value = || vortex_common::obs::global().counter("ros.cells_by_value").get();
+                let (mut typed, mut cells) = (ColumnBuilder::default(), ColumnBuilder::default());
+                let (mut counted, mut untyped) = (0, 0);
+                for (vals, turn) in [(&first, 0), (&first, 17), (&then, 33)] {
+                    let src = leaf(vals);
+                    let rows: Vec<usize> =
+                        (0..vals.len()).filter(|&i| pick.rotate_left((i + turn) as u32) & 1 == 1).collect();
+                    let before = by_value();
+                    typed.add_rows(&src, rows.iter().copied());
+                    counted += by_value() - before;
+                    rows.iter().for_each(|&i| cells.add_value(vals[i].clone()));
+                    if let ColumnVec::Any(_) = src {
+                        untyped += rows.iter().filter(|&&i| !vals[i].is_null()).count() as u64;
+                    }
+                }
+                let (got, want) = (typed.into_column(), cells.into_column());
+                prop_assert_eq!(std::mem::discriminant(&got), std::mem::discriminant(&want));
+                assert_key_eq(&got.to_values(), &want.to_values());
+                // Every cell of an `Any` vector but a NULL went by value
+                // (other tests add to the count too, never take from it).
+                prop_assert!(counted >= untyped, "{} < {}", counted, untyped);
+            }
+
             /// The table-driven FSST encoder writes the chunk the
             /// slice-keyed one wrote, and it reads back.
             #[test]
@@ -3412,7 +3529,7 @@ pub(crate) mod tests {
         }
 
         /// Columns biased toward runs: repeat each drawn value 1..8 times.
-        fn column_strategy() -> impl Strategy<Value = Vec<Value>> {
+        pub(crate) fn column_strategy() -> impl Strategy<Value = Vec<Value>> {
             proptest::collection::vec((value_strategy(), 1usize..8), 0..40).prop_map(|pairs| {
                 pairs
                     .into_iter()

@@ -27,10 +27,10 @@ pub mod column;
 pub mod encoding;
 
 pub use block::{
-    clustering_order, gather_rows, zone_map, Chunk, Fetched, Picked, ReadAt, RosBlock,
-    RosBlockBuilder, RowMeta, RowRef, ZONE_ROWS,
+    gather_rows, zone_map, Chunk, Fetched, Picked, ReadAt, RosBlock, RosBlockBuilder, RowMeta,
+    ZONE_ROWS,
 };
 pub use column::{
     add_rowset, ColumnBuilder, ColumnVec, IntKind, KeyedRows, Nulls, Prim, StrKind, Strs,
 };
-pub use encoding::Encoding;
+pub use encoding::{dictionary, Encoding};

@@ -219,8 +219,9 @@ fn main() -> vortex::VortexResult<()> {
         counter("ros.candidates_encoded"),
     );
     println!(
-        "optimizer: {chunks} ROS chunks built from {encoded} candidates encoded ({:.2} per chunk)",
-        encoded as f64 / chunks.max(1) as f64
+        "optimizer: {chunks} ROS chunks built from {encoded} candidates encoded ({:.2} per chunk); {} cells copied by value",
+        encoded as f64 / chunks.max(1) as f64,
+        counter("ros.cells_by_value")
     );
     println!(
         "read cache: {} hits, {} misses, {} bytes held; tails extended by {} bytes read, {} rows decoded",

@@ -35,6 +35,7 @@ counter colossus.cls-2828.bytes_read
 counter colossus.cls-2828.reads
 counter freshness.rows_observed
 counter ros.candidates_encoded
+counter ros.cells_by_value
 counter ros.chunks_built
 counter ros.row_metas_built
 counter scan.bytes_decoded

@@ -348,7 +348,7 @@ fn a_scan_pays_for_the_chunks_it_decodes() {
     // fetch plan is made before the filter runs and owes it nothing.
     assert_eq!(
         (d["reads"], d["bytes_fetched"]),
-        ((2 + 3) * blocks, 718_294)
+        ((2 + 3) * blocks, 718_896)
     );
 
     // An aggregate over three of six columns, every row of the table.
