@@ -608,6 +608,21 @@ impl<'a> RowGate<'a> {
             && !self.mask.contains(pos)
     }
 
+    /// Whether every row of `range` is visible: [`RowGate::admits`] of
+    /// each, decided once for the range.
+    pub fn admits_all(&self, range: Range<u64>) -> bool {
+        let masks = self.mask.ranges();
+        let after = masks.partition_point(|&(_, end)| end <= range.start);
+        range.is_empty()
+            || (!self.is_shut()
+                && self.extent.start <= range.start
+                && range.end <= self.extent.end
+                && (self.flush_limit).map_or(true, |limit| self.base + (range.end - 1) < limit)
+                && masks
+                    .get(after)
+                    .map_or(true, |&(start, _)| start >= range.end))
+    }
+
     /// The visible rows of a decoded zone, zone-relative and ascending.
     pub fn admitted(&self, zone: &Zone) -> Vec<usize> {
         let visible =

@@ -528,3 +528,87 @@ fn dedup_ledger_evicts_after_ambiguous_retry_resolves() {
         (0..24).collect::<Vec<_>>()
     );
 }
+
+mod gate {
+    use std::sync::OnceLock;
+
+    use proptest::prelude::*;
+    use vortex_common::mask::DeletionMask;
+    use vortex_common::truetime::Timestamp;
+    use vortex_sms::readset::{FragmentReadSpec, RowVisibility, TailReadSpec};
+
+    use super::*;
+    use crate::read::RowGate;
+
+    /// A fragment's read spec and a tail's, from one rig: the tail of a
+    /// streamlet before reconciliation, its fragment after.
+    fn specs() -> &'static (FragmentReadSpec, TailReadSpec) {
+        static SPECS: OnceLock<(FragmentReadSpec, TailReadSpec)> = OnceLock::new();
+        SPECS.get_or_init(|| {
+            let r = rig();
+            let t = r.client.create_table("t", schema()).unwrap().table;
+            let mut w = r.client.create_unbuffered_writer(t).unwrap();
+            w.append(rows(0, 10)).unwrap();
+            let listed = || r.sms.list_read_fragments(t, r.sms.read_snapshot()).unwrap();
+            let tail = listed().tails.remove(0);
+            let sl = r.sms.list_streamlets(t)[0].streamlet;
+            r.sms.reconcile_streamlet(t, sl).unwrap();
+            (listed().fragments.remove(0), tail)
+        })
+    }
+
+    /// Masks of up to three ranges, each starting one row before, at or
+    /// after the edge of a zone of 8 rows.
+    fn masks() -> impl Strategy<Value = DeletionMask> {
+        let range = (0u64..6, 0u64..3, 1u64..12);
+        proptest::collection::vec(range, 0..3).prop_map(|ranges| {
+            let mut mask = DeletionMask::new();
+            for (zone, shift, len) in ranges {
+                let start = (zone * 8 + shift).saturating_sub(1);
+                mask.delete_range(start, start + len);
+            }
+            mask
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `admits_all` of a range is `admits` of every row in it, for
+        /// each zone of a fragment or a tail and for ranges across zone
+        /// edges: under masks at zone edges, a flush limit mid-zone, a
+        /// shut gate, a fragment's extent past its first row and a tail's
+        /// from its first unlisted row.
+        #[test]
+        fn admits_all_is_admits_of_every_row(
+            mask in masks(),
+            flush_limit in prop_oneof![Just(None), (0u64..56).prop_map(Some)],
+            shut in any::<bool>(),
+            tail in any::<bool>(),
+            (first_row, row_count, from_row) in (0u64..12, 0u64..44, 0u64..20),
+            spans in proptest::collection::vec((0u64..48, 0u64..20), 0..6),
+        ) {
+            let (fragment, tail_spec) = specs();
+            let visibility = RowVisibility {
+                visible_from: Timestamp(if shut { 200 } else { 0 }),
+                flush_limit,
+            };
+            let snapshot = Timestamp(100);
+            let (mut fragment, mut tail_spec) = (fragment.clone(), tail_spec.clone());
+            fragment.meta.first_row = first_row;
+            fragment.meta.row_count = row_count;
+            (fragment.mask, tail_spec.mask) = (mask.clone(), mask);
+            (fragment.visibility, tail_spec.visibility) = (visibility.clone(), visibility);
+            tail_spec.from_row = from_row;
+            let gate = match tail {
+                true => RowGate::for_tail(&tail_spec, snapshot),
+                false => RowGate::for_fragment(&fragment, snapshot),
+            };
+            let zones = (0..7).map(|z| z * 8..z * 8 + 8);
+            for range in zones.chain(spans.into_iter().map(|(at, len)| at..at + len)) {
+                let each = range.clone().all(|pos| gate.admits(pos));
+                prop_assert_eq!(gate.admits_all(range.clone()), each, "{:?}", range);
+            }
+        }
+    }
+}

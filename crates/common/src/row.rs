@@ -77,22 +77,24 @@ impl Value {
         }
     }
 
-    /// Numeric view for cross-type numeric comparisons (SQL coercion):
-    /// `Numeric` is fixed-point scaled by 10^9.
-    fn as_numeric_f64(&self) -> Option<f64> {
+    /// Numeric view for cross-type numeric comparisons (SQL coercion): a
+    /// float, or an integer scaled by 10^9 (`Numeric`'s fixed point).
+    fn as_number(&self) -> Option<Result<f64, i128>> {
         match self {
-            Value::Int64(i) => Some(*i as f64),
-            Value::Float64(f) => Some(*f),
-            Value::Numeric(n) => Some(*n as f64 / 1e9),
+            Value::Int64(i) => Some(Err(*i as i128 * NUMERIC_SCALE)),
+            Value::Float64(f) => Some(Ok(*f)),
+            Value::Numeric(n) => Some(Err(*n)),
             _ => None,
         }
     }
 
     /// A total order over values. NULL sorts first; numeric types
-    /// (INT64/FLOAT64/NUMERIC) compare numerically across each other (SQL
-    /// coercion); remaining cross-type pairs order by a fixed type rank
-    /// (they only arise in corrupted or mixed inputs — within a column
-    /// the type is fixed by the schema).
+    /// (INT64/FLOAT64/NUMERIC) are one group, at INT64's rank, and compare
+    /// exactly across each other (SQL coercion: `Int64(3)` equals
+    /// `Float64(3.0)`, and `Int64(2^53 + 1)` is above `Float64(2^53)`);
+    /// remaining cross-type pairs order by a fixed type rank (they only
+    /// arise in corrupted or mixed inputs — within a column the type is
+    /// fixed by the schema).
     pub fn total_cmp(&self, other: &Value) -> Ordering {
         use Value::*;
         match (self, other) {
@@ -115,9 +117,16 @@ impl Value {
                 }
                 a.len().cmp(&b.len())
             }
-            (a, b) => match (a.as_numeric_f64(), b.as_numeric_f64()) {
-                (Some(x), Some(y)) => x.total_cmp(&y),
-                _ => a.type_rank().cmp(&b.type_rank()),
+            (a, b) => match (a.as_number(), b.as_number()) {
+                (Some(Ok(x)), Some(Ok(y))) => x.total_cmp(&y),
+                (Some(Err(x)), Some(Err(y))) => x.cmp(&y),
+                (Some(Ok(f)), Some(Err(x))) => cmp_float_scaled(f, x),
+                (Some(Err(x)), Some(Ok(f))) => cmp_float_scaled(f, x).reverse(),
+                _ => {
+                    let int64 = Int64(0).type_rank();
+                    let rank = |v: &Value| v.as_number().map_or(v.type_rank(), |_| int64);
+                    rank(a).cmp(&rank(b))
+                }
             },
         }
     }
@@ -296,6 +305,44 @@ impl RowSet {
     }
 }
 
+/// `Numeric`'s fixed point: 10^9 units per one.
+const NUMERIC_SCALE: i128 = 1_000_000_000;
+
+/// `f` against the integer `x` scaled by 10^9, exactly, in
+/// `f64::total_cmp`'s order of the floats: `-0.0` below zero and a NaN
+/// past the infinity of its sign.
+fn cmp_float_scaled(f: f64, x: i128) -> Ordering {
+    match (f.is_sign_negative(), x < 0) {
+        _ if f.is_nan() => f.total_cmp(&0.0),
+        (false, true) => Ordering::Greater,
+        (true, false) => Ordering::Less,
+        (false, false) => cmp_magnitude(f, x.unsigned_abs()),
+        (true, true) => cmp_magnitude(-f, x.unsigned_abs()).reverse(),
+    }
+}
+
+/// `f` (not negative, not NaN) against `x` scaled by 10^9, exactly: `f`
+/// is `m · 2^e`, so that is `m · 10^9 · 2^e` (`m · 10^9` < 2^83) against
+/// `x`.
+fn cmp_magnitude(f: f64, x: u128) -> Ordering {
+    let (exp, bits) = ((f.to_bits() >> 52) as i32, f.to_bits() & ((1 << 52) - 1));
+    let (m, e) = match exp {
+        0 => (bits, -1074),
+        _ => (bits | 1 << 52, exp - 1075),
+    };
+    let scaled = m as u128 * NUMERIC_SCALE as u128;
+    match e.unsigned_abs() {
+        // Past 2^127, which no `x` is.
+        _ if e > 45 => Ordering::Greater,
+        k if e >= 0 => (scaled << k).cmp(&x),
+        k => {
+            let whole = scaled.checked_shr(k).unwrap_or(0);
+            let part = whole.checked_shl(k).unwrap_or(0) < scaled;
+            whole.cmp(&x).then(part.cmp(&false))
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -335,6 +382,126 @@ mod tests {
         assert_eq!(
             Value::Int64(3).total_cmp(&Value::Numeric(2_500_000_000)),
             Ordering::Greater
+        );
+    }
+
+    /// Cells where comparing through `f64` went wrong: integers past
+    /// 2^53, fixed-point values finer than a float, the zeros, NaNs and
+    /// infinities, and non-numerics between numerics' type ranks.
+    fn tricky_cells() -> Vec<Value> {
+        let big = 1i64 << 53;
+        let mut cells = vec![
+            Value::Null,
+            Value::Bool(true),
+            Value::String("s".into()),
+            Value::Date(0),
+            Value::Json("{}".into()),
+            Value::Float64(f64::NAN),
+            Value::Float64(-f64::NAN),
+            Value::Float64(f64::INFINITY),
+            Value::Float64(f64::NEG_INFINITY),
+            Value::Float64(0.0),
+            Value::Float64(-0.0),
+            Value::Float64(1e-10),
+            Value::Float64(-1e-300),
+            Value::Float64(big as f64),
+            Value::Float64(i64::MAX as f64),
+            Value::Float64(1e30),
+            Value::Numeric(0),
+            Value::Numeric(1),
+            Value::Numeric(-1),
+            Value::Numeric(i128::MAX),
+            Value::Numeric(i128::MIN),
+            Value::Numeric(big as i128 * NUMERIC_SCALE + 1),
+        ];
+        for i in [0, 1, -1, big - 1, big, big + 1, i64::MAX, i64::MIN] {
+            cells.push(Value::Int64(i));
+        }
+        cells
+    }
+
+    /// Across every type, over [`tricky_cells`]: antisymmetric, and
+    /// transitive in both `Less` and `Equal`.
+    #[test]
+    fn total_cmp_is_a_total_order_on_mixed_cells() {
+        let cells = tricky_cells();
+        for a in &cells {
+            for b in &cells {
+                assert_eq!(a.total_cmp(b), b.total_cmp(a).reverse(), "{a:?} {b:?}");
+                for c in &cells {
+                    let (ab, bc, ac) = (a.total_cmp(b), b.total_cmp(c), a.total_cmp(c));
+                    if ab == bc {
+                        assert_eq!(ac, ab, "{a:?} {b:?} {c:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// `f` (finite, not negative) against `x` scaled by 10^9 through
+    /// their exact decimal expansions: an integer part, then 1 100
+    /// fraction digits, more than a float's 1 074 binary ones need.
+    fn decimal_cmp(f: f64, x: u128) -> Ordering {
+        let (whole, part) = (x / NUMERIC_SCALE as u128, x % NUMERIC_SCALE as u128);
+        let fixed = format!("{whole}.{part:09}{}", "0".repeat(1_091));
+        let float = format!("{f:.1100}");
+        let digits = |s: &str| s.find('.').unwrap();
+        (digits(&float).cmp(&digits(&fixed))).then_with(|| float.cmp(&fixed))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2_000))]
+
+        /// The exact comparison is the decimal one: over floats drawn at
+        /// random and floats next to a fixed-point value, integer parts
+        /// up to 2^127.
+        #[test]
+        fn the_exact_comparison_is_the_decimal_one(
+            (hi, lo, shift) in (proptest::prelude::any::<u64>(), proptest::prelude::any::<u64>(), 0u32..128),
+            (step, raw) in (-2i64..3, proptest::prelude::any::<f64>()),
+        ) {
+            let x = ((hi as u128) << 64 | lo as u128) >> shift >> 1;
+            let near = x as f64 / 1e9;
+            let near = f64::from_bits((near.to_bits() as i64 + step).max(0) as u64);
+            for f in [near, raw.abs(), (x % 1_000_000_000) as f64 / 1e9] {
+                if f.is_finite() {
+                    assert_eq!(cmp_magnitude(f, x), decimal_cmp(f, x), "{f:e} against {x}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn numerics_compare_exactly() {
+        let big = 1i64 << 53;
+        let cmp = |a: Value, b: Value| a.total_cmp(&b);
+        assert_eq!(
+            cmp(Value::Int64(big + 1), Value::Float64(big as f64)),
+            Ordering::Greater
+        );
+        assert_eq!(
+            cmp(Value::Int64(big), Value::Float64(big as f64)),
+            Ordering::Equal
+        );
+        assert_eq!(cmp(Value::Numeric(1), Value::Int64(0)), Ordering::Greater);
+        assert_eq!(
+            cmp(Value::Numeric(1), Value::Float64(1e-10)),
+            Ordering::Greater
+        );
+        assert_eq!(
+            cmp(Value::Numeric(3_000_000_000), Value::Int64(3)),
+            Ordering::Equal
+        );
+        assert_eq!(cmp(Value::Float64(-0.0), Value::Int64(0)), Ordering::Less);
+        assert_eq!(cmp(Value::Float64(0.0), Value::Numeric(0)), Ordering::Equal);
+        // Numerics are one group: no String between them.
+        assert_eq!(
+            cmp(Value::Numeric(0), Value::String("s".into())),
+            Ordering::Less
+        );
+        assert_eq!(
+            cmp(Value::Float64(1e300), Value::String("s".into())),
+            Ordering::Less
         );
     }
 

@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 use vortex_common::error::{VortexError, VortexResult};
 use vortex_common::row::{Row, Value};
 use vortex_common::schema::Schema;
-use vortex_ros::{gather_rows, ColumnVec, IntKind, Picked, Prim, RowMeta};
+use vortex_ros::{gather_rows, ColumnVec, IntKind, Picked, Prim, RosBlock, RowMeta, Sink};
 
 use crate::engine::AggKind;
 use crate::pushdown::{ScanPlan, ZoneCols};
@@ -202,6 +202,22 @@ impl Acc {
     }
 }
 
+/// SUM / AVG of the `Int64` cells of a chunk folded in its stored form,
+/// as [`fold_leaf`] adds those of the leaf it decodes to.
+impl Sink<i64> for Acc {
+    fn cells(&mut self, cells: impl Iterator<Item = Option<i64>>) {
+        cells.flatten().for_each(|v| self.add_int(v as i128, false));
+    }
+}
+
+/// SUM / AVG of the floats of a chunk folded in its stored form, in row
+/// order.
+impl Sink<f64> for Acc {
+    fn cells(&mut self, cells: impl Iterator<Item = Option<f64>>) {
+        cells.flatten().for_each(|v| self.add_float(v));
+    }
+}
+
 /// The accumulator a typed loop folds the `k`-th selected row of a zone
 /// into.
 trait Target {
@@ -359,7 +375,9 @@ impl Consumer for Aggregator {
     /// slots once — one slot when every selected row is in one group —
     /// then folds each aggregate column's vector at the selected
     /// positions into its slots' accumulators, in a loop typed once per
-    /// zone.
+    /// zone. Of a block's zone selected whole, a group column its zone map
+    /// answers is not decoded, and into one slot a SUM or AVG folds an
+    /// IntPack or Alp chunk as it unpacks it.
     fn fold_zone(
         &mut self,
         cols: &ZoneCols<'_>,
@@ -369,11 +387,21 @@ impl Consumer for Aggregator {
         let mut buf = Vec::new();
         // Each selected row's group, unless `one` holds them all.
         let mut slots = Vec::new();
-        let group = self.group.map(|g| plan.zone_column(cols, g, sel));
-        let one = match group.transpose()? {
-            None => Some(self.group_slot(None)),
-            Some(None) => Some(self.group_slot(Some(Value::Null))),
-            Some(Some((col, at))) => {
+        // The group column's one value, if the zone map answers for it.
+        let constant = (self.group.filter(|&g| plan.keeps(g)))
+            .and_then(|g| cols.stored(g, sel, |block, z| block.zone_constant(g, z)));
+        let group = self.group.filter(|_| constant.is_none());
+        let group = group.map(|g| plan.zone_column(cols, g, sel));
+        let one = match (constant, group.transpose()?) {
+            (Some(one), _) => {
+                self.key.clear();
+                one.encode_key_into(&mut self.key);
+                // lint:allow(L010, once per group: its value on first sight)
+                Some(self.keyed_slot(|| Some(one.clone())))
+            }
+            (None, None) => Some(self.group_slot(None)),
+            (None, Some(None)) => Some(self.group_slot(Some(Value::Null))),
+            (None, Some(Some((col, at)))) => {
                 let (leaf, at) = col.resolve(at, &mut buf);
                 let mut memo = vec![usize::MAX; leaf.len()];
                 slots.reserve(at.len());
@@ -399,6 +427,18 @@ impl Consumer for Aggregator {
                     None => slots.iter().for_each(|&s| self.groups[s].1[a].n += 1),
                 }
                 continue;
+            }
+            // Into one group, SUM and AVG fold a chunk as it unpacks.
+            let summed = matches!(kind, AggKind::Sum | AggKind::Avg);
+            if let Some((s, c)) = one.zip(c).filter(|&(_, c)| summed && plan.keeps(c)) {
+                let acc = &mut self.groups[s].1[a];
+                let fold = |block: &RosBlock, z| {
+                    let folded = block.fold_zone(c, z, acc);
+                    folded.map(|folded| folded.then_some(())).transpose()
+                };
+                if cols.stored(c, sel, fold).transpose()?.is_some() {
+                    continue;
+                }
             }
             // A column that reads NULL in every row folds nothing.
             let col = c.map(|c| plan.zone_column(cols, c, sel)).transpose()?;
@@ -427,11 +467,14 @@ impl Consumer for Aggregator {
 #[cfg(test)]
 mod tests {
     use vortex_client::read::Zone;
+    use vortex_common::row::Row;
     use vortex_common::schema::{Field, FieldType};
-    use vortex_ros::ColumnBuilder;
+    use vortex_ros::{ColumnBuilder, RosBlockBuilder, ZONE_ROWS};
 
     use super::*;
     use crate::expr::Expr;
+    use crate::pushdown::Decoded;
+    use crate::tally;
 
     impl Aggregator {
         /// The fold this consumer used to run — the kind, the NULL test
@@ -604,5 +647,131 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The zones of a block with a column per shape the stored-form fold
+    /// and the zone-map group tell apart — integers with NULLs, ones whose
+    /// sum leaves `i64`, floats with NaN, -0.0, an irrational and NULLs,
+    /// dates, numerics, strings, a constant, and `Any` cells that tie an
+    /// `Int64` with the equal `Float64` — grouped by a column constant in
+    /// some zones and not in others.
+    fn stored_block() -> (Schema, RosBlock, Vec<&'static str>) {
+        let names = vec!["g", "i", "big", "f", "d", "n", "s", "c", "a"];
+        let types = [
+            FieldType::Int64,
+            FieldType::Int64,
+            FieldType::Int64,
+            FieldType::Float64,
+            FieldType::Date,
+            FieldType::Numeric,
+            FieldType::String,
+            FieldType::Int64,
+            FieldType::Int64,
+        ];
+        let fields = names.iter().zip(types).map(|(c, t)| Field::nullable(c, t));
+        let schema = Schema::new(fields.collect());
+        let mut b = RosBlockBuilder::new(&schema);
+        let tie = 1i64 << 53;
+        for k in 0..2_500usize {
+            let r = (k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 20;
+            let values = vec![
+                Value::Int64(match k / ZONE_ROWS {
+                    1 => (r % 3) as i64,
+                    z => 7 + z as i64,
+                }),
+                match r % 7 {
+                    0 => Value::Null,
+                    _ => Value::Int64((r % 100_000) as i64 - 50_000),
+                },
+                Value::Int64(i64::MAX - (r % 9) as i64),
+                Value::Float64(match r % 13 {
+                    0 => f64::NAN,
+                    1 => -0.0,
+                    2 => std::f64::consts::E,
+                    _ => (r % 100_000) as f64 / 100.0,
+                }),
+                Value::Date((r % 400) as i32),
+                Value::Numeric(r as i128 * 1_000_003),
+                Value::String(format!("s{}", r % 50)),
+                Value::Int64(42),
+                [Value::Int64(tie), Value::Float64(tie as f64)][k % 2].clone(),
+            ];
+            let values = match k % 11 {
+                0 => values
+                    .into_iter()
+                    .enumerate()
+                    .map(|(c, v)| if c == 3 { Value::Null } else { v })
+                    .collect(),
+                _ => values,
+            };
+            b.push(RowMeta::default(), Row::insert(values)).unwrap();
+        }
+        (schema, b.build(false).unwrap(), names)
+    }
+
+    /// The stored-form fold and the zone-map group give what decoding the
+    /// zone first gives, bit for bit, group by group: over every zone of
+    /// [`stored_block`], selected whole and in part (which decodes),
+    /// under COUNT / SUM / AVG / MIN /
+    /// MAX of every column, grouped by nothing, by `g`, by the `Any`
+    /// column and by the strings. And a zone whose group and aggregates
+    /// all come from its stored form allocates nothing.
+    #[test]
+    fn the_stored_form_fold_is_the_decoded_one() {
+        let (schema, block, names) = stored_block();
+        let kinds = [AggKind::Sum, AggKind::Avg, AggKind::Min, AggKind::Max];
+        let mut aggs = vec![(AggKind::Count, None)];
+        aggs.extend(names.iter().flat_map(|c| kinds.map(|k| (k, Some(*c)))));
+        let all = Expr::True;
+        let tally = Decoded::default();
+        for group in [None, Some("g"), Some("a"), Some("s")] {
+            let mut got = Aggregator::new(&schema, group, &aggs).unwrap();
+            let mut want = got.clone();
+            let plan = ScanPlan::compile(&all, None, &schema, None, &got).unwrap();
+            for z in 0..block.zone_count() {
+                let every: Vec<usize> = (0..block.zone_range(z).len()).collect();
+                let some: Vec<usize> = every.iter().copied().filter(|k| k % 4 != 1).collect();
+                let cols = (0..names.len()).map(|c| block.decode_zone(c, z).unwrap());
+                let zone = Zone {
+                    first: 0,
+                    metas: vec![RowMeta::default(); every.len()],
+                    cols: cols.collect(),
+                };
+                for sel in [&every, &some] {
+                    let stored = ZoneCols::of_block(&block, z, &tally);
+                    got.fold_zone(&stored, sel, &plan).unwrap();
+                    want.fold_zone(&ZoneCols::Decoded(&zone), sel, &plan)
+                        .unwrap();
+                }
+            }
+            let (got, want) = (got.into_groups(), want.into_groups());
+            assert_eq!(got.len(), want.len(), "{group:?}");
+            for ((g, vals), (wg, wvals)) in got.iter().zip(&want) {
+                assert!(g
+                    .as_ref()
+                    .map_or(wg.is_none(), |g| wg.as_ref().is_some_and(|w| g.key_eq(w))));
+                for ((v, w), agg) in vals.iter().zip(wvals).zip(&aggs) {
+                    assert!(v.key_eq(w), "{agg:?} of group {g:?}: {v:?} != {w:?}");
+                }
+            }
+        }
+        // Every zone into the one global group, zones 0 and 2 by `g`.
+        assert_eq!(tally.zones_folded.get(), 3 + 2);
+
+        let aggs = [
+            (AggKind::Count, None),
+            (AggKind::Sum, Some("big")),
+            (AggKind::Avg, Some("f")),
+        ];
+        let mut agg = Aggregator::new(&schema, Some("g"), &aggs).unwrap();
+        let plan = ScanPlan::compile(&all, None, &schema, None, &agg).unwrap();
+        let every: Vec<usize> = (0..ZONE_ROWS).collect();
+        let (zone, again) = (
+            ZoneCols::of_block(&block, 0, &tally),
+            ZoneCols::of_block(&block, 0, &tally),
+        );
+        agg.fold_zone(&zone, &every, &plan).unwrap();
+        let (_, _, requests) = tally::tallied(|| agg.fold_zone(&again, &every, &plan).unwrap());
+        assert_eq!(requests, 0, "a zone folded from its stored form allocates");
     }
 }

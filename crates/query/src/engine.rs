@@ -95,6 +95,10 @@ pub struct ScanStats {
     /// decoded whole or at a selection, since either walks all of it.
     /// Against `cells_decoded`, what was decoded but not returned.
     pub bytes_decoded: u64,
+    /// Zones of ROS blocks an aggregate folded a column of without
+    /// decoding it: a SUM or AVG from its stored form, the group from its
+    /// zone map. Why an aggregate can decode nothing.
+    pub zones_folded: u64,
     /// Ranged reads this scan made of the ROS blocks it opened: two for
     /// the index of a block the cache did not hold, then one per run of
     /// adjacent chunks it needed that no cell held — none for a block the
@@ -283,7 +287,7 @@ impl AggKind {
 /// The `scan.*` counters mirroring [`ScanStats`], each with what one scan
 /// adds to it: the one table the handles are interned from (for their
 /// names) and fed from (for their values).
-fn scan_counts(stats: &ScanStats) -> [(&'static str, u64); 18] {
+fn scan_counts(stats: &ScanStats) -> [(&'static str, u64); 19] {
     [
         ("scan.calls", 1),
         ("scan.fragments_total", stats.fragments_total as u64),
@@ -297,6 +301,7 @@ fn scan_counts(stats: &ScanStats) -> [(&'static str, u64); 18] {
         ("scan.rows_materialized", stats.rows_materialized),
         ("scan.cells_decoded", stats.cells_decoded),
         ("scan.bytes_decoded", stats.bytes_decoded),
+        ("scan.zones_folded", stats.zones_folded),
         ("scan.reads", stats.reads),
         ("scan.bytes_fetched", stats.bytes_fetched),
         // Zero without a cache.
@@ -321,7 +326,7 @@ pub struct QueryEngine {
     probe: Option<Arc<FreshnessProbe>>,
     /// Registry handles interned at construction ([`scan_counts`]' names,
     /// then the `scan` span): recording a scan names no metric.
-    m: ([Arc<Counter>; 18], Arc<Histogram>),
+    m: ([Arc<Counter>; 19], Arc<Histogram>),
 }
 
 impl QueryEngine {

@@ -23,6 +23,9 @@ pub mod pushdown;
 pub mod sql;
 
 #[cfg(test)]
+#[path = "../../../tests/support/tally.rs"]
+mod tally;
+#[cfg(test)]
 mod tests;
 
 pub use cdc::resolve_changes;

@@ -248,15 +248,20 @@ pub(crate) struct Held<'b> {
     dense: OnceCell<Vec<usize>>,
     /// What the scan has decoded of the block.
     tally: &'b Decoded,
+    /// Whether a consumer took a column of the zone from its stored form
+    /// or its zone map instead of decoding it.
+    folded: Cell<bool>,
 }
 
 /// What a scan has decoded of one block, provenance included: the cells
 /// it turned into column vectors, and the bytes of the chunk cells they
 /// came from — a chunk's whole, whether decoded whole or at a selection.
 #[derive(Default)]
-struct Decoded {
+pub(crate) struct Decoded {
     cells: Cell<u64>,
     bytes: Cell<u64>,
+    /// Zones a consumer folded a column of without decoding it.
+    pub(crate) zones_folded: Cell<u64>,
 }
 
 impl Decoded {
@@ -266,7 +271,22 @@ impl Decoded {
     }
 }
 
-impl ZoneCols<'_> {
+impl<'b> ZoneCols<'b> {
+    /// Zone `z` of `block`, nothing of it decoded yet; what a scan decodes
+    /// of it is added to `tally`.
+    pub(crate) fn of_block(block: &'b RosBlock, z: usize, tally: &'b Decoded) -> Self {
+        // lint:allow(L010, once per zone scanned: a cell per column)
+        let cols = vec![OnceCell::new(); block.column_count()];
+        let (dense, folded) = (OnceCell::new(), Cell::new(false));
+        let held = Held {
+            cols,
+            dense,
+            tally,
+            folded,
+        };
+        ZoneCols::Block(block, z, held)
+    }
+
     /// The position of the zone's first row, in the coordinate a
     /// [`RowGate`] and deletion masks address.
     pub(crate) fn first(&self) -> u64 {
@@ -298,6 +318,29 @@ impl ZoneCols<'_> {
                 Ok((Cow::Owned(metas), at))
             }
         }
+    }
+
+    /// `read` of the block and the zone, if this is a block's zone every
+    /// row of which `sel` selects and whose column `col` is not decoded yet
+    /// — a consumer reading the stored form or the zone map instead of the
+    /// vector. The zone counts as folded if `read` answers.
+    pub(crate) fn stored<T>(
+        &self,
+        col: usize,
+        sel: &[usize],
+        read: impl FnOnce(&'b RosBlock, usize) -> Option<T>,
+    ) -> Option<T> {
+        let ZoneCols::Block(block, z, held) = self else {
+            return None;
+        };
+        let undecoded = held.cols.get(col).is_some_and(|cell| cell.get().is_none());
+        let whole = sel.len() == block.zone_range(*z).len();
+        let out = (undecoded && whole).then(|| read(block, *z)).flatten();
+        let zones = &held.tally.zones_folded;
+        if out.is_some() && !held.folded.replace(true) {
+            zones.set(zones.get() + 1);
+        }
+        out
     }
 
     /// The vector for schema column `col` with the index in it of each
@@ -479,6 +522,7 @@ impl<C: Consumer> FragmentYield<C> {
         self.stats.rows_materialized += other.stats.rows_materialized;
         self.stats.cells_decoded += other.stats.cells_decoded;
         self.stats.bytes_decoded += other.stats.bytes_decoded;
+        self.stats.zones_folded += other.stats.zones_folded;
     }
 }
 
@@ -599,14 +643,15 @@ pub(crate) fn scan_ros_block<C: Consumer>(
         let range = block.zone_range(z);
         out.stats.rows_scanned += range.len() as u64;
         sel.clear();
-        sel.extend((0..range.len()).filter(|i| gate.admits((range.start + i) as u64)));
-        // lint:allow(L010, once per zone scanned: a cell per column)
-        let cols = vec![OnceCell::new(); block.column_count()];
-        let (dense, tally) = (OnceCell::new(), &decoded);
-        let held = Held { cols, dense, tally };
-        scan_zone(&ZoneCols::Block(block, z, held), &mut sel, plan, out)?;
+        match gate.admits_all(range.start as u64..range.end as u64) {
+            // lint:allow(L010, refills the reused selection)
+            true => sel.extend(0..range.len()),
+            false => sel.extend((0..range.len()).filter(|i| gate.admits((range.start + i) as u64))),
+        }
+        scan_zone(&ZoneCols::of_block(block, z, &decoded), &mut sel, plan, out)?;
     }
     out.stats.cells_decoded += decoded.cells.get();
     out.stats.bytes_decoded += decoded.bytes.get();
+    out.stats.zones_folded += decoded.zones_folded.get();
     Ok(())
 }

@@ -47,7 +47,8 @@ use vortex_common::truetime::Timestamp;
 
 use crate::column::{ColumnBuilder, ColumnVec, IntKind, KeyedRows, Prim};
 use crate::encoding::{
-    decode_chunk_at, distinct_rows, encode_profiled, le_uint, profile, BlockTable, Encoding,
+    decode_chunk_at, distinct_rows, encode_profiled, fold_chunk, holds_one_key, le_uint, profile,
+    BlockTable, Encoding, Sink,
 };
 
 static ROW_METAS_BUILT: Lazy<Counter> = Lazy::new("ros.row_metas_built", Registry::counter);
@@ -628,6 +629,18 @@ impl RosBlock {
         }
     }
 
+    /// The encoding, the cell and the rows of chunk `z` of column `col`,
+    /// provenance columns included.
+    fn stored(&self, col: usize, z: usize) -> VortexResult<(Encoding, &[u8], usize)> {
+        let (i, chunk) = self.chunk(col, z)?;
+        let bytes = self.cell(i).ok_or_else(|| {
+            VortexError::Internal(format!(
+                "column {col} zone {z} is read before it is fetched"
+            ))
+        })?;
+        Ok((chunk.enc, bytes, self.zone_range(z).len()))
+    }
+
     /// Decodes chunk `z` of column `col`, provenance columns included:
     /// whole, or its leaf at the ascending zone-relative `rows`.
     fn decode_stored(
@@ -636,13 +649,8 @@ impl RosBlock {
         z: usize,
         rows: Option<&[usize]>,
     ) -> VortexResult<ColumnVec> {
-        let (i, chunk) = self.chunk(col, z)?;
-        let bytes = self.cell(i).ok_or_else(|| {
-            VortexError::Internal(format!(
-                "column {col} zone {z} is read before it is fetched"
-            ))
-        })?;
-        decode_chunk_at(chunk.enc, bytes, self.zone_range(z).len(), rows)
+        let (enc, bytes, count) = self.stored(col, z)?;
+        decode_chunk_at(enc, bytes, count, rows)
     }
 
     /// `col` if it is a user column.
@@ -664,6 +672,40 @@ impl RosBlock {
     /// decodes of a column its predicate did not read.
     pub fn decode_zone_at(&self, col: usize, z: usize, rows: &[usize]) -> VortexResult<ColumnVec> {
         self.decode_stored(self.user_column(col, z)?, z, Some(rows))
+    }
+
+    /// Hands `sink` the cells of one zone of one column that
+    /// [`RosBlock::decode_zone`] decodes, without decoding it
+    /// ([`fold_chunk`]): `false` unless the chunk is IntPack of `Int64`s
+    /// or Alp.
+    pub fn fold_zone(
+        &self,
+        col: usize,
+        z: usize,
+        sink: &mut (impl Sink<i64> + Sink<f64>),
+    ) -> VortexResult<bool> {
+        let (enc, bytes, count) = self.stored(self.user_column(col, z)?, z)?;
+        fold_chunk(enc, bytes, count, sink)
+    }
+
+    /// The one value every row of zone `z` of column `col` holds, from
+    /// its zone map alone: the zone has no NULL, its min and max are
+    /// key-equal, and its chunk is one whose order ties no two cells of
+    /// different keys ([`holds_one_key`]) — not an `Any` leaf, which ties
+    /// an `Int64` with the equal `Float64`. `None` otherwise, and for a
+    /// chunk not held. The chunk is not decoded, so a defect inside it
+    /// goes unseen (its CRC is the integrity check).
+    pub fn zone_constant(&self, col: usize, z: usize) -> Option<&Value> {
+        let (i, chunk) = self.chunk(self.user_column(col, z).ok()?, z).ok()?;
+        let (Some(min), Some(max), false) =
+            (&chunk.stats.min, &chunk.stats.max, chunk.stats.has_null)
+        else {
+            return None;
+        };
+        let one = self
+            .cell(i)
+            .is_some_and(|bytes| holds_one_key(chunk.enc, bytes));
+        (one && min.key_eq(max)).then_some(min)
     }
 
     /// Hands `put` the integers one provenance column stores for the
@@ -1083,6 +1125,8 @@ fn verify(stored: &[u8], crc: u32, what: impl std::fmt::Display) -> VortexResult
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::encoding::tests::Sum;
+    use crate::tally::tallied;
     use vortex_common::row::Value;
     use vortex_common::schema::{sales_schema, Field, FieldType, PartitionTransform};
 
@@ -1120,6 +1164,73 @@ mod tests {
             .unwrap();
         }
         b.build(false).unwrap()
+    }
+
+    /// A zone's one value comes from its zone map where the chunk holds
+    /// one key — a constant integer, float or string column, whatever it
+    /// encodes to — and from nowhere for a zone with a NULL, two values, or
+    /// an `Any` zone whose min and max are key-equal while it holds a
+    /// second value: `Int64(2^53)` beside the `Float64` it equals.
+    /// Neither the zone map nor the stored-form fold allocates.
+    #[test]
+    fn a_zone_map_answers_a_zone_of_one_key_alone() {
+        let schema = Schema::new(
+            ["int", "float", "string", "nulls", "two", "mixed"]
+                .map(|c| Field::nullable(c, FieldType::Int64))
+                .to_vec(),
+        );
+        let big = 1i64 << 53;
+        let mut b = RosBlockBuilder::new(&schema);
+        for i in 0..300 {
+            let values = vec![
+                Value::Int64(7),
+                Value::Float64(2.5),
+                Value::String("one".into()),
+                [Value::Int64(7), Value::Null][i % 2].clone(),
+                Value::Int64(i as i64 % 2),
+                [Value::Int64(big), Value::Float64(big as f64)][i % 2].clone(),
+            ];
+            b.push(meta(i as u64), Row::insert(values)).unwrap();
+        }
+        let block = b.build(false).unwrap();
+        let stats = block.zone_stats(5, 0).unwrap();
+        let (min, max) = (stats.min.as_ref().unwrap(), stats.max.as_ref().unwrap());
+        assert!(min.key_eq(max) && !stats.has_null, "{stats:?}");
+        let (ones, _, requests) = tallied(|| {
+            (0..6)
+                .map(|c| block.zone_constant(c, 0))
+                .collect::<Vec<_>>()
+        });
+        assert_eq!(requests, 1, "the vector the answers are collected in");
+        let ones: Vec<Option<Value>> = ones.into_iter().map(Option::<&Value>::cloned).collect();
+        let want = [
+            Value::Int64(7),
+            Value::Float64(2.5),
+            Value::String("one".into()),
+        ];
+        assert_eq!(
+            ones,
+            want.map(Some)
+                .into_iter()
+                .chain([None, None, None])
+                .collect::<Vec<_>>()
+        );
+        let mut folded = 0;
+        for (col, int, float) in [(0, 2_100, 0.0), (1, 0, 750.0), (4, 150, 0.0)] {
+            let mut sum = Sum::default();
+            let (leaf, _, requests) = tallied(|| block.fold_zone(col, 0, &mut sum));
+            assert_eq!(requests, 0, "column {col}");
+            match leaf.unwrap() {
+                // A dictionary or runs decode instead.
+                false => assert!(matches!(
+                    block.decode_zone(col, 0).unwrap(),
+                    ColumnVec::Dict { .. } | ColumnVec::Runs { .. }
+                )),
+                true => assert_eq!(sum, Sum { n: 300, int, float }, "column {col}"),
+            }
+            folded += usize::from(sum.n > 0);
+        }
+        assert!(folded > 0);
     }
 
     #[test]
@@ -1421,7 +1532,7 @@ mod tests {
     /// it, and a chunk is only checked by the read that needs it.
     #[test]
     fn every_truncation_flip_and_tail_is_handled() {
-        use crate::encoding::tests::largest_request;
+        use crate::tally::largest_request;
         use rand::{Rng, SeedableRng};
         // Two zones; NULLs, Struct and Array cells, mixed types.
         let block = any_block(false);
@@ -1679,30 +1790,46 @@ mod tests {
         use crate::encoding::tests::properties::{column_strategy, shaped_column_strategy};
         use proptest::prelude::*;
 
+        /// A numeric cell near 2^53 or zero, of any numeric type, or a
+        /// String between them.
+        fn numeric_tie() -> impl Strategy<Value = Value> {
+            let big = 1i64 << 53;
+            (0u8..5, -2i64..3).prop_map(move |(kind, k)| match kind {
+                0 => Value::Int64(big + k),
+                1 => Value::Float64((big + 2 * k) as f64),
+                2 => Value::Numeric((big + k) as i128 * 1_000_000_000 + k as i128),
+                3 => [
+                    Value::Int64(k),
+                    Value::Float64(k as f64),
+                    Value::Float64(-0.0),
+                ][k.rem_euclid(3) as usize]
+                    .clone(),
+                _ => Value::String(format!("{k}")),
+            })
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(512))]
 
             /// The typed-key order is what a stable sort under the cell
             /// comparator gives: over NULLs, NaN and -0.0, Date and
-            /// Timestamp extremes, strings, `Any` cells, one key column or
-            /// two, duplicate keys and provenance that ties.
+            /// Timestamp extremes, strings, `Any` cells — numerics of
+            /// every type among them, equal across types or apart by less
+            /// than a float tells — one key column or two, duplicate keys
+            /// and provenance that ties.
             #[test]
             fn typed_key_order_is_the_comparators(
                 first in shaped_column_strategy(),
-                second in prop_oneof![shaped_column_strategy(), column_strategy()],
+                second in prop_oneof![
+                    shaped_column_strategy(),
+                    column_strategy(),
+                    proptest::collection::vec(numeric_tie(), 0..60),
+                ],
                 keys in 0usize..4,
                 seed in any::<u64>(),
             ) {
-                // Past 2^53, or a Numeric between an Int64 and a String,
-                // `Value::total_cmp` is no order at all; keep to where it
-                // is one.
-                let ordered = |v: &Value| match v {
-                    Value::Int64(x) => Value::Int64(x >> 12),
-                    Value::Numeric(x) => Value::Int64(*x as i64 >> 12),
-                    other => other.clone(),
-                };
                 let n = first.len();
-                let cycled = |i: usize| second.get(i % second.len().max(1)).map(ordered);
+                let cycled = |i: usize| second.get(i % second.len().max(1)).cloned();
                 let second: Vec<Value> = (0..n).map(|i| cycled(i).unwrap_or(Value::Null)).collect();
                 let cols = [leaf(&first), leaf(&second)];
                 let keys: &[usize] = [&[0][..], &[1], &[0, 1], &[1, 0]][keys];
@@ -2098,7 +2225,10 @@ mod tests {
     /// when a block's string zones began to share one FSST table: a change
     /// that moves a stored byte owns up to it here. The pins before were
     /// recorded when the layout became version 3 and held through the
-    /// typed builder and its typed sort keys.
+    /// typed builder and its typed sort keys. The two `Any` blocks were
+    /// re-recorded when `Value::total_cmp` became a total order: their
+    /// `mixed` column holds `Int64(3)`, `Float64(3.0)` and `Numeric(3.0)`
+    /// beside strings and dates, the cells it used to order in a cycle.
     #[test]
     fn block_bytes_are_pinned() {
         let key = Key::derive_from_passphrase("pinned");
@@ -2147,8 +2277,8 @@ mod tests {
             ("strings", 41_010, 0x87da019e),
             ("all null", 6_436, 0x199b2fa1),
             ("all null one row", 175, 0xc828ccc0),
-            ("any", 7_110, 0x79d0d626),
-            ("any sorted", 8_399, 0x65e9d355),
+            ("any", 7_095, 0x1546ff30),
+            ("any sorted", 8_268, 0xb82e3525),
             ("ties", 721, 0x54e4ba68),
             ("shapes", 23_408, 0xa59be37c),
             ("orders", 155_386, 0xc1bc5eea),

@@ -1122,8 +1122,22 @@ pub fn decode_chunk_at(
     let pos = &mut 0usize;
     let col = match enc {
         Encoding::Plain => decode_plain(bytes, pos, count, rows)?,
-        Encoding::IntPack => decode_intpack(bytes, pos, count, rows)?,
-        Encoding::Alp => decode_alp(bytes, pos, count, rows)?,
+        // A walker reads `rows` alone, or the chunk whole to be picked from.
+        Encoding::IntPack => {
+            let mut values = Vec::with_capacity(rows.map_or(count, <[usize]>::len));
+            let (kind, nulls, at) = walk_intpack(bytes, pos, (count, rows), &mut values)?;
+            let nulls = nulls.map(|bits| Nulls(bits.to_vec()));
+            picked(
+                ColumnVec::I64(kind, Prim { values, nulls }),
+                rows.filter(|_| !at),
+            )
+        }
+        Encoding::Alp => {
+            let mut values = Vec::with_capacity(rows.map_or(count, <[usize]>::len));
+            let (nulls, at) = walk_alp(bytes, pos, (count, rows), &mut values)?;
+            let nulls = nulls.map(|bits| Nulls(bits.to_vec()));
+            picked(ColumnVec::F64(Prim { values, nulls }), rows.filter(|_| !at))
+        }
         Encoding::Fsst => decode_fsst(bytes, pos, count, rows)?,
         Encoding::DictV2 => {
             let dict_len = get_count(bytes, pos, count, "dict size")?;
@@ -1175,12 +1189,30 @@ pub fn decode_chunk_at(
             picked(ColumnVec::Runs { lens, values }, rows)
         }
     };
-    let trailing = bytes.len() - *pos;
+    consumed(bytes, *pos)?;
+    Ok(col)
+}
+
+/// `Ok` if a chunk's decoder stopped at `pos`, its end.
+fn consumed(bytes: &[u8], pos: usize) -> VortexResult<()> {
+    let trailing = bytes.len() - pos;
     ensure(
         trailing == 0,
         format_args!("column chunk has {trailing} trailing bytes"),
-    )?;
-    Ok(col)
+    )
+}
+
+/// Whether a chunk whose cells have no NULL and key-equal ends under
+/// their order holds one key: an IntPack, Alp or Fsst chunk is a typed
+/// leaf, ordered so that only key-equal cells tie; a DictV2 chunk of one
+/// entry or an RleV2 chunk of one run holds one cell. A Plain chunk, or
+/// a longer dictionary, may be an `Any` leaf.
+pub(crate) fn holds_one_key(enc: Encoding, bytes: &[u8]) -> bool {
+    match enc {
+        Encoding::IntPack | Encoding::Alp | Encoding::Fsst => true,
+        Encoding::DictV2 | Encoding::RleV2 => get_uvarint(bytes, &mut 0).is_ok_and(|n| n == 1),
+        Encoding::Plain => false,
+    }
 }
 
 /// The value section of a DictV2 / RleV2 chunk: `n` values in a leaf
@@ -1197,14 +1229,14 @@ fn decode_nested(bytes: &[u8], pos: &mut usize, n: usize) -> VortexResult<Column
 
 /// What IntPack / Alp / Fsst chunks share after their type tag: the
 /// flags (`allowed` of them), the stored non-null count, and the null
-/// bitmap if flagged. Returns the flags, the bitmap and the non-null
-/// count, which must agree with the stored one.
-fn read_nulls(
-    bytes: &[u8],
+/// bitmap if flagged. Returns the flags, the bitmap as stored and the
+/// non-null count, which must agree with the stored one.
+fn read_nulls<'a>(
+    bytes: &'a [u8],
     pos: &mut usize,
     count: usize,
     allowed: u8,
-) -> VortexResult<(u8, Option<Nulls>, usize)> {
+) -> VortexResult<(u8, Option<&'a [u8]>, usize)> {
     let flags = take_byte(bytes, pos)?;
     ensure(
         flags & !allowed == 0,
@@ -1212,7 +1244,7 @@ fn read_nulls(
     )?;
     let stored = get_count(bytes, pos, count, "non-null count")?;
     let nulls = match flags & FLAG_NULLS != 0 {
-        true => Some(Nulls(take(bytes, pos, count.div_ceil(8))?.to_vec())),
+        true => Some(take(bytes, pos, count.div_ceil(8))?),
         false => None,
     };
     // The bits of the last byte past `count` are no rows.
@@ -1222,7 +1254,7 @@ fn read_nulls(
         let ones = |b: &u8| b.count_ones() as usize;
         whole.iter().map(ones).sum::<usize>() + ones(&last)
     };
-    let m = count - nulls.as_ref().map_or(0, |Nulls(bits)| nulls_in(bits));
+    let m = count - nulls.map_or(0, nulls_in);
     let agree = stored == m;
     ensure(
         agree,
@@ -1231,12 +1263,60 @@ fn read_nulls(
     Ok((flags, nulls, m))
 }
 
-fn decode_intpack(
+/// Whether row `i` of a stored bitmap is NULL.
+fn null_bit(bits: Option<&[u8]>, i: usize) -> bool {
+    bits.is_some_and(|bits| bits[i / 8] >> (i % 8) & 1 == 1)
+}
+
+/// Where an IntPack or Alp walker puts the cells it reads, in order
+/// (`None` for NULL): a vector it decodes into, or what [`fold_chunk`]
+/// folds into. One walker per encoding serves both, so every check of
+/// the bytes guards either.
+pub trait Sink<T> {
+    /// Takes the next cells.
+    fn cells(&mut self, cells: impl Iterator<Item = Option<T>>);
+}
+
+/// Decoding: a placeholder at NULL rows.
+impl<T: Default> Sink<T> for Vec<T> {
+    fn cells(&mut self, cells: impl Iterator<Item = Option<T>>) {
+        self.extend(cells.map(Option::unwrap_or_default));
+    }
+}
+
+/// Hands `sink` the cells of an IntPack chunk of `Int64`s or of an Alp
+/// chunk of `count` rows, in row order, as [`decode_chunk`] would decode
+/// them — with every check decode makes — but without a vector; `false`
+/// for another chunk.
+pub fn fold_chunk(
+    enc: Encoding,
     bytes: &[u8],
-    pos: &mut usize,
     count: usize,
-    rows: Option<&[usize]>,
-) -> VortexResult<ColumnVec> {
+    sink: &mut (impl Sink<i64> + Sink<f64>),
+) -> VortexResult<bool> {
+    let pos = &mut 0usize;
+    match enc {
+        Encoding::IntPack if bytes.first() == Some(&TY_INT64) => {
+            walk_intpack(bytes, pos, (count, None), sink)?;
+        }
+        Encoding::Alp => {
+            walk_alp(bytes, pos, (count, None), sink)?;
+        }
+        _ => return Ok(false),
+    }
+    consumed(bytes, *pos).map(|()| true)
+}
+
+/// Walks an IntPack chunk of `count` rows into `sink`: every row's cell
+/// in order or, without NULLs or deltas, the ascending `rows` alone, each
+/// read at its index. Fails at the first value out of range. Returns the
+/// integer kind, the bitmap, and whether the cells are of `rows` alone.
+fn walk_intpack<'a>(
+    bytes: &'a [u8],
+    pos: &mut usize,
+    (count, rows): (usize, Option<&[usize]>),
+    sink: &mut impl Sink<i64>,
+) -> VortexResult<(IntKind, Option<&'a [u8]>, bool)> {
     let tag = take_byte(bytes, pos)? as usize;
     let kinds = [IntKind::Int64, IntKind::Date, IntKind::Timestamp]; // TY_INT64..
     let kind = *kinds
@@ -1250,63 +1330,72 @@ fn decode_intpack(
     let base = get_ivarint(bytes, pos)?;
     let width = take_byte(bytes, pos)?;
     let mut bits = BitReader::new(bytes, pos, m - delta as usize, width)?;
-    let in_range = |v: Option<i64>| {
-        let v = v.filter(|&v| kind != IntKind::Date || i32::try_from(v).is_ok());
-        v.ok_or_else(|| corrupt("intpack value out of range"))
+    let in_range = |v: i64| kind != IntKind::Date || i32::try_from(v).is_ok();
+    let (plain, mut failed, mut first) = (!delta && nulls.is_none(), false, delta);
+    let mut checked = |v: Option<i64>| {
+        let v = v.filter(|&v| in_range(v));
+        failed |= v.is_none();
+        v.map(Some)
     };
-    // Without NULLs a row's value is the one at its index.
-    if let (Some(rows), false, None) = (rows, delta, &nulls) {
-        // lint:allow(L010, once per chunk decoded at a selection, sized by the selection)
-        let mut values = Vec::with_capacity(rows.len());
-        for &i in rows {
-            // lint:allow(L010, fills the vector sized above)
-            values.push(in_range(base.checked_add_unsigned(bits.value_at(i)))?);
+    // A frame whose every value is in range needs no check per value.
+    let top = base.checked_add_unsigned(bits.mask);
+    match rows.filter(|_| plain) {
+        None if plain && in_range(base) && top.is_some_and(in_range) => {
+            let value = |_| Some(base.wrapping_add_unsigned(bits.next_value()));
+            sink.cells((0..count).map(value))
         }
-        return Ok(ColumnVec::I64(kind, Prim { values, nulls }));
-    }
-    let mut first = delta;
-    let mut values = Vec::with_capacity(count);
-    for row in 0..count {
-        if null_at(&nulls, row) {
-            values.push(0);
-            continue;
+        Some(rows) => {
+            let at = |&i: &usize| checked(base.checked_add_unsigned(bits.value_at(i)));
+            sink.cells(rows.iter().map_while(at))
         }
-        let v = if !delta {
-            base.checked_add_unsigned(bits.next_value())
-        } else {
-            if !std::mem::take(&mut first) {
-                acc += base as i128 + bits.next_value() as i128;
+        None => sink.cells((0..count).map_while(|row| match null_bit(nulls, row) {
+            true => Some(None),
+            false if !delta => checked(base.checked_add_unsigned(bits.next_value())),
+            false => {
+                if !std::mem::take(&mut first) {
+                    acc += base as i128 + bits.next_value() as i128;
+                }
+                checked(i64::try_from(acc).ok())
             }
-            i64::try_from(acc).ok()
-        };
-        values.push(in_range(v)?);
+        })),
     }
-    Ok(picked(ColumnVec::I64(kind, Prim { values, nulls }), rows))
+    ensure(!failed, "intpack value out of range")?;
+    Ok((kind, nulls, plain && rows.is_some()))
 }
 
-fn decode_alp(
-    bytes: &[u8],
+/// Walks an Alp chunk of `count` rows into `sink`: every row's cell in
+/// order or, without NULLs or patches, the ascending `rows` alone, each
+/// read at its index. Fails if a patch is left over (at a NULL row).
+/// Returns the bitmap, and whether the cells are of `rows` alone.
+fn walk_alp<'a>(
+    bytes: &'a [u8],
     pos: &mut usize,
-    count: usize,
-    rows: Option<&[usize]>,
-) -> VortexResult<ColumnVec> {
+    (count, rows): (usize, Option<&[usize]>),
+    sink: &mut impl Sink<f64>,
+) -> VortexResult<(Option<&'a [u8]>, bool)> {
     let (_, nulls, m) = read_nulls(bytes, pos, count, FLAG_NULLS)?;
     let exp = take_byte(bytes, pos)? as usize;
     let p10 = *POW10
         .get(exp)
         .ok_or_else(|| corrupt(format_args!("bad alp exponent {exp}")))?;
     let npatch = get_count(bytes, pos, m, "alp patches")?;
-    let mut patch_rows = Vec::with_capacity(npatch);
-    let mut prev = 0usize;
+    let (gaps, mut prev) = (*pos, 0usize);
     for i in 0..npatch {
         let gap = get_uvarint(bytes, pos)? as usize;
         prev = prev.saturating_add(gap);
         let ascends = (i == 0 || gap > 0) && prev < count;
         ensure(ascends, format_args!("bad alp patch row {prev}"))?;
-        patch_rows.push(prev);
     }
-    let patch_bits = take(bytes, pos, npatch * 8)?.chunks_exact(8);
-    let mut patches = patch_rows.iter().zip(patch_bits).peekable();
+    // The patches in row order, read again from the gaps just checked:
+    // each one's row and value.
+    let (gaps, mut at, mut row) = (&bytes[gaps..*pos], 0, 0usize);
+    let mut raw = take(bytes, pos, npatch * 8)?.chunks_exact(8);
+    let mut patches = std::iter::from_fn(move || {
+        let bits = le_uint(raw.next()?) as u64;
+        row = row.saturating_add(get_uvarint(gaps, &mut at).ok()? as usize);
+        Some((row, f64::from_bits(bits)))
+    })
+    .peekable();
     let base = get_ivarint(bytes, pos)?;
     let width = take_byte(bytes, pos)?;
     let mut bits = BitReader::new(bytes, pos, m - npatch, width)?;
@@ -1315,28 +1404,20 @@ fn decode_alp(
         Some(i) => i as f64 / p10,
         None => (base as i128 + v as i128) as f64 / p10,
     };
-    // Without NULLs or patches a row's value is the one at its index.
     let plain = nulls.is_none() && npatch == 0;
-    let values = match rows {
-        // lint:allow(L010, once per chunk decoded at a selection, sized by the selection)
-        Some(rows) if plain => rows.iter().map(|&i| value(bits.value_at(i))).collect(),
-        _ if plain => (0..count).map(|_| value(bits.next_value())).collect(),
-        _ => {
-            let cell = |row| {
-                if null_at(&nulls, row) {
-                    0.0
-                } else if let Some((_, raw)) = patches.next_if(|&(&prow, _)| prow == row) {
-                    f64::from_bits(le_uint(raw) as u64)
-                } else {
-                    value(bits.next_value())
-                }
-            };
-            (0..count).map(cell).collect()
-        }
-    };
+    match rows.filter(|_| plain) {
+        Some(rows) => sink.cells(rows.iter().map(|&i| Some(value(bits.value_at(i))))),
+        None if plain => sink.cells((0..count).map(|_| Some(value(bits.next_value())))),
+        None => sink.cells((0..count).map(|row| match null_bit(nulls, row) {
+            true => None,
+            false => match patches.next_if(|&(prow, _)| prow == row) {
+                Some((_, patch)) => Some(patch),
+                None => Some(value(bits.next_value())),
+            },
+        })),
+    }
     ensure(patches.next().is_none(), "alp patch at null row")?;
-    let col = ColumnVec::F64(Prim { values, nulls });
-    Ok(if plain { col } else { picked(col, rows) })
+    Ok((nulls, plain && rows.is_some()))
 }
 
 /// An Fsst chunk's symbol table as its expander reads it: each code's
@@ -1426,6 +1507,7 @@ fn decode_fsst(
         .get(tag)
         .ok_or_else(|| corrupt(format_args!("bad fsst type {tag}")))?;
     let (_, nulls, _) = read_nulls(bytes, pos, count, FLAG_NULLS)?;
+    let nulls = nulls.map(|bits| Nulls(bits.to_vec()));
     let table = FsstSymbols::parse(bytes, pos)?;
     let picked = rows.filter(|rows| rows.len() < count);
     let mut offsets = Vec::with_capacity(picked.map_or(count, <[_]>::len) + 1);
@@ -1603,67 +1685,15 @@ fn decode_plain(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::tally::tallied;
     use rand::{rngs::StdRng, Rng, RngCore, SeedableRng};
     use vortex_common::row::Value;
     use vortex_common::truetime::Timestamp;
-
-    /// Passes every request through to the system allocator and adds it
-    /// to a per-thread tally of bytes, of requests and of the largest
-    /// single request, so the fuzz tests can bound what a decode of
-    /// corrupt bytes reserves and the build guard how often an encode
-    /// goes to the heap.
-    struct Tally;
-
-    thread_local! {
-        static REQUESTED: std::cell::Cell<(usize, usize)> = const { std::cell::Cell::new((0, 0)) };
-        static LARGEST: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-    }
-
-    // SAFETY: both methods forward their arguments unchanged to `System`,
-    // which upholds the `GlobalAlloc` contract; the tally is a `Cell` in
-    // a thread-local without a destructor, so touching it allocates
-    // nothing and cannot re-enter.
-    unsafe impl std::alloc::GlobalAlloc for Tally {
-        unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
-            let _ = REQUESTED.try_with(|r| {
-                let (bytes, requests) = r.get();
-                r.set((bytes.saturating_add(layout.size()), requests + 1))
-            });
-            let _ = LARGEST.try_with(|l| l.set(l.get().max(layout.size())));
-            // SAFETY: the caller's obligations for `alloc` are passed on as they are.
-            unsafe { std::alloc::System.alloc(layout) }
-        }
-
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
-            // SAFETY: `ptr` came from `System.alloc` with this `layout`.
-            unsafe { std::alloc::System.dealloc(ptr, layout) }
-        }
-    }
-
-    #[global_allocator]
-    static TALLY: Tally = Tally;
 
     /// Bytes this thread requested from the allocator while `f` ran.
     fn requested_by<T>(f: impl FnOnce() -> T) -> (T, usize) {
         let (out, bytes, _) = tallied(f);
         (out, bytes)
-    }
-
-    /// The largest single allocator request this thread made while `f`
-    /// ran — what a length taken from corrupt bytes would show up as.
-    pub(crate) fn largest_request<T>(f: impl FnOnce() -> T) -> (T, usize) {
-        LARGEST.with(|l| l.set(0));
-        let out = f();
-        (out, LARGEST.with(|l| l.get()))
-    }
-
-    /// Bytes this thread requested from the allocator while `f` ran, and
-    /// in how many requests (a vector that regrows asks again).
-    fn tallied<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
-        let before = REQUESTED.with(|r| r.get());
-        let out = f();
-        let after = REQUESTED.with(|r| r.get());
-        (out, after.0 - before.0, after.1 - before.1)
     }
 
     thread_local! {
@@ -2864,7 +2894,9 @@ pub(crate) mod tests {
                         put_uvarint(&mut chunk, stored as u64);
                         chunk.extend_from_slice(&bitmap);
                         let (got_at, want_at) = (&mut 0, &mut 0);
-                        let got = read_nulls(&chunk, got_at, count, FLAG_NULLS);
+                        let got = read_nulls(&chunk, got_at, count, FLAG_NULLS).map(
+                            |(flags, bits, m)| (flags, bits.map(|bits| Nulls(bits.to_vec())), m),
+                        );
                         let want = reference_read_nulls(&chunk, want_at, count, FLAG_NULLS);
                         let err = |e: VortexError| e.to_string();
                         assert_eq!(got.map_err(err), want.map_err(err), "{count} rows");
@@ -3780,6 +3812,269 @@ pub(crate) mod tests {
             assert_eq!(back, vals, "width {width}");
             // One byte short is caught up front, not while reading.
             assert!(width == 0 || BitReader::new(&buf, &mut 1, vals.len(), width).is_err());
+        }
+    }
+
+    // ---- The stored-form fold, held to decode-then-fold -----------------
+
+    /// What SUM folds of the cells a sink takes: how many have a value,
+    /// their exact integer sum, and `float` plus each float in row order.
+    #[derive(Debug, Clone, Copy, Default, PartialEq)]
+    pub(crate) struct Sum {
+        pub(crate) n: u64,
+        pub(crate) int: i128,
+        pub(crate) float: f64,
+    }
+
+    impl Sink<i64> for Sum {
+        fn cells(&mut self, cells: impl Iterator<Item = Option<i64>>) {
+            for v in cells.flatten() {
+                (self.n, self.int) = (self.n + 1, self.int + v as i128);
+            }
+        }
+    }
+
+    impl Sink<f64> for Sum {
+        fn cells(&mut self, cells: impl Iterator<Item = Option<f64>>) {
+            for v in cells.flatten() {
+                (self.n, self.float) = (self.n + 1, self.float + v);
+            }
+        }
+    }
+
+    /// What SUM folds of the leaf a chunk decodes to, onto `float` — the
+    /// oracle of [`fold_chunk`] — if it is an `Int64` or a `Float64` one.
+    fn decode_then_fold(
+        enc: Encoding,
+        bytes: &[u8],
+        count: usize,
+        float: f64,
+    ) -> VortexResult<Option<Sum>> {
+        let mut sum = Sum {
+            float,
+            ..Sum::default()
+        };
+        let valued = |nulls: &Option<Nulls>| (0..count).filter(|&i| !null_at(nulls, i)).count();
+        match decode_chunk(enc, bytes, count)? {
+            ColumnVec::I64(IntKind::Int64, p) => {
+                sum.n = valued(&p.nulls) as u64;
+                let values = (0..count).filter(|&i| !null_at(&p.nulls, i));
+                sum.int = values.map(|i| p.values[i] as i128).sum();
+            }
+            ColumnVec::F64(p) => {
+                sum.n = valued(&p.nulls) as u64;
+                for i in (0..count).filter(|&i| !null_at(&p.nulls, i)) {
+                    sum.float += p.values[i];
+                }
+            }
+            _ => return Ok(None),
+        }
+        Ok(Some(sum))
+    }
+
+    /// The chunks of `col` the fold reads: IntPack without deltas and with
+    /// them, where each applies, and Alp.
+    fn fold_chunks(col: &ColumnVec) -> Vec<(Encoding, Vec<u8>)> {
+        let ints = [false, true].map(|delta| reference_intpack(col, delta));
+        let ints = ints.into_iter().flatten().map(|b| (Encoding::IntPack, b));
+        ints.chain(try_encode_alp(col).map(|b| (Encoding::Alp, b)))
+            .collect()
+    }
+
+    /// Cells of the shapes the fold walks differently: small integers, a
+    /// constant (width 0), both extremes (width 64, and width 64 deltas
+    /// when they alternate), frames at `i64::MAX` and at `i32::MAX` for
+    /// dates whose top overflows, arithmetic (deltas), timestamps, a frame
+    /// at `i64::MIN`; decimals, and decimals with NaN, -0.0 and
+    /// irrationals (patches).
+    fn fold_cells(shape: u8, r: u64, i: usize) -> Value {
+        let tiny = (r % 5) as i64;
+        match shape {
+            0 => Value::Int64((r % 2000) as i64 - 1000),
+            1 => Value::Int64(-77),
+            2 => Value::Int64([i64::MIN, i64::MAX][r as usize % 2]),
+            3 => Value::Int64([0, i64::MAX][i % 2]),
+            4 => Value::Int64(i64::MAX - tiny),
+            5 => Value::Date(i32::MAX - tiny as i32),
+            6 => Value::Int64(1_000 + 7 * i as i64),
+            7 => Value::Timestamp(vortex_common::truetime::Timestamp::from_micros(r % 90_000)),
+            8 => Value::Float64((r % 100_000) as f64 / 100.0),
+            9 => Value::Int64(i64::MIN + tiny + 7 * (i as i64 % 2)),
+            _ => Value::Float64(match r % 9 {
+                0 => f64::NAN,
+                1 => -0.0,
+                2 => std::f64::consts::PI,
+                3 => 1e300,
+                _ => (r % 100_000) as f64 / 100.0,
+            }),
+        }
+    }
+
+    /// Of every shape, with no NULL, some or all: the stored-form fold
+    /// allocates nothing, not for a bitmap, a patch list or a value.
+    #[test]
+    fn the_stored_form_fold_allocates_nothing() {
+        let mut walked = 0;
+        for shape in 0..11 {
+            for nulls in [0, 3, 1] {
+                let cell = |i: usize| match nulls != 0 && i % nulls == 0 {
+                    true => Value::Null,
+                    false => fold_cells(shape, (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15), i),
+                };
+                let col = leaf(&(0..300).map(cell).collect::<Vec<_>>());
+                for (enc, bytes) in fold_chunks(&col) {
+                    let mut sum = Sum::default();
+                    let (folded, _, requests) = tallied(|| fold_chunk(enc, &bytes, 300, &mut sum));
+                    // Dates and timestamps are not summed.
+                    assert_eq!(folded.unwrap(), !matches!(shape, 5 | 7), "shape {shape}");
+                    assert_eq!(requests, 0, "shape {shape}, {enc:?}, NULLs every {nulls}");
+                    walked += 1;
+                }
+            }
+        }
+        assert!(walked >= 30, "{walked} chunks");
+    }
+
+    /// Only a chunk that holds one key answers from its zone map: a
+    /// constant in every encoding that can hold it but Plain, which may
+    /// be an `Any` leaf; never `Int64(2^53)` beside the `Float64` it
+    /// equals, which tie in their order but are two keys, in any
+    /// encoding.
+    #[test]
+    fn only_a_chunk_of_one_key_is_answered_by_its_zone_map() {
+        let big = 1i64 << 53;
+        let constant = leaf(&vec![Value::Int64(big); 40]);
+        let ties: Vec<Value> = (0..40)
+            .map(|i| [Value::Int64(big), Value::Float64(big as f64)][i % 2].clone())
+            .collect();
+        for enc in [
+            Encoding::IntPack,
+            Encoding::DictV2,
+            Encoding::RleV2,
+            Encoding::Plain,
+        ] {
+            let bytes = encode_column_with(&constant, enc).unwrap();
+            assert_eq!(
+                holds_one_key(enc, &bytes),
+                enc != Encoding::Plain,
+                "{enc:?}"
+            );
+        }
+        for enc in [Encoding::Plain, Encoding::DictV2, Encoding::RleV2] {
+            let bytes = encode_column_with(&leaf(&ties), enc).unwrap();
+            assert!(!holds_one_key(enc, &bytes), "{enc:?}");
+        }
+    }
+
+    /// A frame whose top is past its kind's range is checked value by
+    /// value: a packed value the frame can hold but `i64` (or a date)
+    /// cannot is refused, by decode and fold alike.
+    #[test]
+    fn a_value_past_the_range_of_its_kind_is_refused() {
+        let extremes = [(i64::MAX, IntKind::Int64), (i32::MAX as i64, IntKind::Date)];
+        for (top, kind) in extremes {
+            let values = (0..5).map(|k| top - k).collect();
+            let col = ColumnVec::I64(
+                kind,
+                Prim {
+                    values,
+                    nulls: None,
+                },
+            );
+            let mut bytes = reference_intpack(&col, false).unwrap();
+            assert!(decode_chunk(Encoding::IntPack, &bytes, 5).is_ok());
+            // Width 3 from `top - 4`: the first value, packed as 7.
+            let at = bytes.len() - 2;
+            bytes[at] |= 0b111;
+            assert!(
+                decode_chunk(Encoding::IntPack, &bytes, 5).is_err(),
+                "{kind:?}"
+            );
+            // A date chunk is not summed: declined, it decodes, refused.
+            let folded = fold_chunk(Encoding::IntPack, &bytes, 5, &mut Sum::default());
+            let refused = (kind, folded.map_err(drop));
+            assert!(matches!(
+                refused,
+                (IntKind::Int64, Err(())) | (IntKind::Date, Ok(false))
+            ));
+        }
+    }
+
+    mod fold_properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// `fold_chunk` agrees with decode-then-fold on `bytes`: both
+        /// fail, or both fold the same count, integer sum and float bits —
+        /// or the fold declines a chunk that decodes to no `Int64` or
+        /// `Float64` leaf, or does not decode.
+        fn agrees(enc: Encoding, bytes: &[u8], count: usize, float: f64) {
+            let mut got = Sum {
+                float,
+                ..Sum::default()
+            };
+            let folded = fold_chunk(enc, bytes, count, &mut got);
+            match (folded, decode_then_fold(enc, bytes, count, float)) {
+                (Ok(true), Ok(Some(want))) => {
+                    prop_assert_eq!((got.n, got.int), (want.n, want.int));
+                    prop_assert_eq!(got.float.to_bits(), want.float.to_bits());
+                }
+                (Ok(false), Ok(None) | Err(_)) | (Err(_), Err(_)) => {}
+                (got, want) => panic!("{enc:?}: fold {got:?}, decode {want:?}"),
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            /// The stored-form fold is decode-then-fold, bit for bit, over
+            /// IntPack with and without deltas, NULLs, widths 0 and 64 and
+            /// frames whose top overflows (a valid chunk, folded value by
+            /// value), and Alp with patches, NaN, -0.0 and NULLs, onto a
+            /// float sum already under way; and over every such chunk cut
+            /// short or with a bit flipped, it accepts and rejects what
+            /// decode does, without panicking.
+            #[test]
+            fn the_stored_form_fold_is_decode_then_fold(
+                shape in 0u8..11,
+                cells in proptest::collection::vec((any::<u64>(), 0u8..8), 0..200),
+                nulls in 0u8..3,
+                float in prop_oneof![Just(0.0), Just(-0.0), Just(1e16), any::<f64>()],
+                (cut, flip) in (any::<usize>(), any::<usize>()),
+            ) {
+                let cell = |(i, &(r, p)): (usize, &(u64, u8))| match (nulls, p) {
+                    (1, 0) | (2, _) => Value::Null,
+                    _ => fold_cells(shape, r, i),
+                };
+                let values: Vec<Value> = cells.iter().enumerate().map(cell).collect();
+                // What the cells themselves sum to.
+                let mut want = Sum { float, ..Sum::default() };
+                for v in &values {
+                    match v {
+                        Value::Int64(i) => (want.n, want.int) = (want.n + 1, want.int + *i as i128),
+                        Value::Float64(f) => (want.n, want.float) = (want.n + 1, want.float + f),
+                        _ => {}
+                    }
+                }
+                let (col, count) = (leaf(&values), cells.len());
+                for (enc, bytes) in fold_chunks(&col) {
+                    agrees(enc, &bytes, count, float);
+                    let mut sum = Sum { float, ..Sum::default() };
+                    let folded = fold_chunk(enc, &bytes, count, &mut sum);
+                    prop_assert_eq!(folded.ok(), Some(!matches!(shape, 5 | 7)));
+                    if !matches!(shape, 5 | 7) {
+                        prop_assert_eq!((sum.n, sum.int), (want.n, want.int));
+                        prop_assert_eq!(sum.float.to_bits(), want.float.to_bits());
+                    }
+                    agrees(enc, &bytes[..cut % (bytes.len() + 1)], count, float);
+                    let mut flipped = bytes.clone();
+                    if !flipped.is_empty() {
+                        let bit = flip % (8 * flipped.len());
+                        flipped[bit / 8] ^= 1 << (bit % 8);
+                    }
+                    agrees(enc, &flipped, count, float);
+                }
+            }
         }
     }
 }

@@ -25,6 +25,9 @@
 pub mod block;
 pub mod column;
 pub mod encoding;
+#[cfg(test)]
+#[path = "../../../tests/support/tally.rs"]
+mod tally;
 
 pub use block::{
     gather_rows, zone_map, Chunk, Fetched, Picked, ReadAt, RosBlock, RosBlockBuilder, RowMeta,
@@ -33,4 +36,4 @@ pub use block::{
 pub use column::{
     add_rowset, ColumnBuilder, ColumnVec, IntKind, KeyedRows, Nulls, Prim, StrKind, Strs,
 };
-pub use encoding::{dictionary, Encoding};
+pub use encoding::{dictionary, fold_chunk, Encoding, Sink};

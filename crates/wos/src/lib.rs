@@ -39,6 +39,9 @@
 
 mod format;
 pub mod reader;
+#[cfg(test)]
+#[path = "../../../tests/support/tally.rs"]
+mod tally;
 pub mod writer;
 
 pub use format::{FileMapEntry, Footer, FragmentConfig, FragmentHeader};

@@ -473,6 +473,7 @@ pub fn read_bloom(
 mod tests {
     use super::*;
     use crate::format::{FileMapEntry, FragmentConfig};
+    use crate::tally::largest_request;
     use crate::writer::FragmentWriter;
     use vortex_common::ids::{FragmentId, StreamletId};
     use vortex_common::row::{Row, Value};
@@ -641,42 +642,6 @@ mod tests {
     fn headerless_bytes_rejected() {
         assert!(parse_fragment(&[], &key(), None).is_err());
         assert!(parse_fragment(&[0u8; 200], &key(), None).is_err());
-    }
-
-    /// Passes every request through to the system allocator and keeps,
-    /// per thread, the largest single request — what a length taken from
-    /// corrupt bytes would show up as.
-    struct Tally;
-
-    thread_local! {
-        static LARGEST: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-    }
-
-    // SAFETY: both methods forward their arguments unchanged to `System`,
-    // which upholds the `GlobalAlloc` contract; the tally is a `Cell` in a
-    // thread-local without a destructor, so touching it allocates nothing
-    // and cannot re-enter.
-    unsafe impl std::alloc::GlobalAlloc for Tally {
-        unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
-            let _ = LARGEST.try_with(|l| l.set(l.get().max(layout.size())));
-            // SAFETY: the caller's obligations for `alloc` are passed on as they are.
-            unsafe { std::alloc::System.alloc(layout) }
-        }
-
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
-            // SAFETY: `ptr` came from `System.alloc` with this `layout`.
-            unsafe { std::alloc::System.dealloc(ptr, layout) }
-        }
-    }
-
-    #[global_allocator]
-    static TALLY: Tally = Tally;
-
-    /// The largest single allocator request this thread made while `f` ran.
-    fn largest_request<T>(f: impl FnOnce() -> T) -> (T, usize) {
-        LARGEST.with(|l| l.set(0));
-        let out = f();
-        (out, LARGEST.with(|l| l.get()))
     }
 
     /// What an allocation made on behalf of `len` input bytes may reach:

@@ -192,6 +192,7 @@ fn main() -> vortex::VortexResult<()> {
         "scan.bytes_fetched",
         "scan.cells_decoded",
         "scan.bytes_decoded",
+        "scan.zones_folded",
         "colossus.cls-0.bytes_read",
         "append.client.calls",
         "rpc",
@@ -208,11 +209,12 @@ fn main() -> vortex::VortexResult<()> {
     );
     let counter = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
     println!(
-        "scans: {} rows scanned, {} matched; {} cells of ROS chunks decoded, from {} chunk bytes",
+        "scans: {} rows scanned, {} matched; {} cells of ROS chunks decoded, from {} chunk bytes; {} zones folded from their stored form",
         counter("scan.rows_scanned"),
         counter("scan.rows_matched"),
         counter("scan.cells_decoded"),
-        counter("scan.bytes_decoded")
+        counter("scan.bytes_decoded"),
+        counter("scan.zones_folded")
     );
     let (chunks, encoded) = (
         counter("ros.chunks_built"),

@@ -54,6 +54,7 @@ counter scan.rows_scanned
 counter scan.tail.bytes_read
 counter scan.tail.rows_decoded
 counter scan.tails_scanned
+counter scan.zones_folded
 counter scan.zones_pruned
 counter scan.zones_total
 counter server.group_commit.groups

@@ -75,34 +75,8 @@ fn arb_table_rows() -> impl Strategy<Value = Vec<Row>> {
     })
 }
 
-/// Passes every request through to the system allocator and keeps, per
-/// thread, the largest single request — what a length taken from corrupt
-/// bytes would show up as.
-struct Tally;
-
-thread_local! {
-    static LARGEST: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-}
-
-// SAFETY: both methods forward their arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the tally is a `Cell` in a
-// thread-local without a destructor, so touching it allocates nothing
-// and cannot re-enter.
-unsafe impl std::alloc::GlobalAlloc for Tally {
-    unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
-        let _ = LARGEST.try_with(|l| l.set(l.get().max(layout.size())));
-        // SAFETY: the caller's obligations for `alloc` are passed on as they are.
-        unsafe { std::alloc::System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
-        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
-        unsafe { std::alloc::System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static TALLY: Tally = Tally;
+#[path = "support/tally.rs"]
+mod tally;
 
 /// The columnar walk over `blocks` — encoded row sets accumulating into
 /// one zone, as consecutive blocks of a log file do — under the largest-
@@ -112,18 +86,18 @@ static TALLY: Tally = Tally;
 /// NULL cell, in a vector that doubles.
 fn columnar(blocks: &[&[u8]]) -> vortex::VortexResult<(Vec<Vec<Value>>, Vec<u8>)> {
     use vortex_ros::{add_rowset, ColumnBuilder};
-    LARGEST.with(|l| l.set(0));
     let (mut cols, mut changes) = (Vec::<ColumnBuilder>::new(), Vec::new());
-    let walked = blocks.iter().try_for_each(|bytes| {
-        let held = changes.len();
-        add_rowset(&mut cols, held, bytes, |change, _| {
-            changes.push(change.to_u8())
+    let (walked, largest) = tally::largest_request(|| {
+        blocks.iter().try_for_each(|bytes| {
+            let held = changes.len();
+            add_rowset(&mut cols, held, bytes, |change, _| {
+                changes.push(change.to_u8())
+            })
+            .map(|_| ())
         })
-        .map(|_| ())
     });
     let input: usize = blocks.iter().map(|b| b.len()).sum();
     let bound = 2 * std::mem::size_of::<ColumnBuilder>() * input + 4096;
-    let largest = LARGEST.with(|l| l.get());
     assert!(
         largest <= bound,
         "{largest} bytes requested for {input} of input"

@@ -64,6 +64,8 @@ fn counters(region: &Region) -> BTreeMap<&'static str, u64> {
         ("row_metas", one("ros.row_metas_built")),
         ("cells", one("scan.cells_decoded")),
         ("bytes_decoded", one("scan.bytes_decoded")),
+        ("zones", one("scan.zones_total")),
+        ("zones_folded", one("scan.zones_folded")),
         ("cluster_reads", sum(".reads")),
         ("cluster_bytes", sum(".bytes_read")),
     ])
@@ -373,6 +375,13 @@ fn a_scan_pays_for_the_chunks_it_decodes() {
     assert_eq!(d["row_metas"], 0, "an aggregate builds no RowMeta");
     // `day`, then `amount` and `price` side by side.
     assert_eq!(d["reads"], (2 + 2) * blocks);
+    // Every zone is selected whole, so its group comes from its zone map
+    // and SUM / AVG fold `amount` and `price` as they unpack: nothing
+    // decodes into a vector.
+    assert_eq!((d["cells"], d["bytes_decoded"]), (0, 0));
+    assert_eq!(d["zones_folded"], d["zones"]);
+    // A block is half a day's 6 000 rows: three zones.
+    assert_eq!(d["zones"], 3 * blocks);
 
     // A table read goes for whole files, one read each.
     let (rows, d) = moved(&region, || client.read_rows_at(t, at).unwrap());
