@@ -551,22 +551,21 @@ impl Region {
         self.clock.advance(us)
     }
 
-    /// A client bound to the region (single-task: task 0).
+    /// A client bound to the region (single-task: task 0), reading
+    /// through the region's read cache.
     pub fn client(&self) -> VortexClient {
-        VortexClient::new(
-            self.sms_handles[0].clone(),
-            self.fleet.clone(),
-            self.tt.clone(),
-        )
+        self.client_of(&self.sms_handles[0])
     }
 
-    /// A client routed to the SMS task owning `table`.
+    /// A client routed to the SMS task owning `table`, reading through
+    /// the region's read cache.
     pub fn client_for(&self, table: TableId) -> VortexClient {
-        VortexClient::new(
-            self.sms_for(table).clone(),
-            self.fleet.clone(),
-            self.tt.clone(),
-        )
+        self.client_of(self.sms_for(table))
+    }
+
+    fn client_of(&self, sms: &SmsHandle) -> VortexClient {
+        VortexClient::new(sms.clone(), self.fleet.clone(), self.tt.clone())
+            .with_cache(Arc::clone(&self.read_cache))
     }
 
     /// The query engine.
@@ -664,7 +663,7 @@ impl Region {
     /// assert_eq!(client.read_rows(t).unwrap().rows.len(), 7);
     /// ```
     pub fn dml(&self) -> DmlExecutor {
-        DmlExecutor::new(self.client().with_cache(Arc::clone(&self.read_cache)))
+        DmlExecutor::new(self.client())
     }
 
     /// The storage optimizer.

@@ -599,9 +599,10 @@ fn rows_that_predate_a_column_convert_with_it_null() {
 /// The files a seeded load leaves behind — merged and 1:1 conversions,
 /// deletion masks on WOS and on ROS, three baseline merges — do not
 /// move unnoticed: `(path, committed_size, crc32c)` of every ROS file,
-/// recorded when a block's string zones began to share one FSST table
-/// (the list before was recorded when the layout became version 3 and
-/// held through the column-at-a-time passes: same files, same rows).
+/// recorded when the layout became version 4 and each `Int64` zone's
+/// index entry gained its sum and NULL count (the list before, recorded
+/// when a block's string zones began to share one FSST table, had the
+/// same files, rows and bodies).
 #[test]
 fn converted_and_reclustered_files_are_pinned() {
     let r = rig_with(OptimizerConfig {
@@ -707,137 +708,137 @@ fn converted_and_reclustered_files_are_pinned() {
 const PINNED_FILES: &[(&str, u64, u32)] = &[
     (
         "ros/t0000000000000001/b0000000000000006",
-        21_334,
-        0xadc56996,
+        21_342,
+        0x4252d468,
     ),
-    ("ros/t0000000000000001/b0000000000000007", 4_961, 0x53e1824d),
+    ("ros/t0000000000000001/b0000000000000007", 4_969, 0xe56dd48f),
     (
         "ros/t0000000000000001/b0000000000000008",
-        21_558,
-        0x2958c52c,
+        21_567,
+        0x3df61485,
     ),
-    ("ros/t0000000000000001/b0000000000000009", 5_991, 0xd639aef1),
+    ("ros/t0000000000000001/b0000000000000009", 6_000, 0x6f3d859f),
     (
         "ros/t0000000000000001/b000000000000000a",
-        21_496,
-        0x69374539,
+        21_505,
+        0x7262ecc4,
     ),
-    ("ros/t0000000000000001/b000000000000000b", 5_523, 0xe2e9999a),
+    ("ros/t0000000000000001/b000000000000000b", 5_532, 0x4d6daf5a),
     (
         "ros/t0000000000000001/b000000000000000c",
-        21_206,
-        0xfc01c998,
+        21_214,
+        0x22b51b72,
     ),
-    ("ros/t0000000000000001/b000000000000000d", 4_689, 0xe5c92ae3),
+    ("ros/t0000000000000001/b000000000000000d", 4_697, 0x69927e52),
     (
         "ros/t0000000000000001/b000000000000000e",
-        21_320,
-        0x50a65537,
+        21_329,
+        0x7a65e740,
     ),
-    ("ros/t0000000000000001/b000000000000000f", 5_618, 0x5545da76),
+    ("ros/t0000000000000001/b000000000000000f", 5_627, 0x42df1be1),
     (
         "ros/t0000000000000001/b0000000000000010",
-        21_123,
-        0x7451ddef,
+        21_132,
+        0x54bef1ee,
     ),
-    ("ros/t0000000000000001/b0000000000000011", 5_228, 0xcd29ba10),
+    ("ros/t0000000000000001/b0000000000000011", 5_237, 0x5bdbc423),
     (
         "ros/t0000000000000001/b0000000000000016",
-        15_858,
-        0xa77c65e9,
+        15_866,
+        0x90f0013d,
     ),
     (
         "ros/t0000000000000001/b0000000000000017",
-        16_059,
-        0x185ca68f,
+        16_068,
+        0x56926cfc,
     ),
     (
         "ros/t0000000000000001/b0000000000000018",
-        16_542,
-        0xba7e0e00,
+        16_551,
+        0xa858e05e,
     ),
     (
         "ros/t0000000000000001/b0000000000000019",
-        20_783,
-        0xc066c7dd,
+        20_791,
+        0x7c28bf87,
     ),
     (
         "ros/t0000000000000001/b000000000000001a",
-        11_314,
-        0x91ef350e,
+        11_322,
+        0xa1919357,
     ),
     (
         "ros/t0000000000000001/b000000000000001b",
-        20_669,
-        0x1f123bd8,
+        20_678,
+        0xf6186e39,
     ),
     (
         "ros/t0000000000000001/b000000000000001c",
-        18_920,
-        0x46fa878c,
+        18_929,
+        0xf3cadf2b,
     ),
     (
         "ros/t0000000000000001/b000000000000001d",
-        20_528,
-        0xbf76a3e2,
+        20_537,
+        0x2ce88ce1,
     ),
     (
         "ros/t0000000000000001/b000000000000001e",
-        19_128,
-        0x4c888363,
+        19_137,
+        0x3765b8c7,
     ),
     (
         "ros/t0000000000000001/b0000000000000023",
-        70_177,
-        0x723d05a5,
+        70_204,
+        0x2f738950,
     ),
     (
         "ros/t0000000000000001/b0000000000000024",
-        20_546,
-        0x7e1dac64,
+        20_554,
+        0x3f89a59d,
     ),
     (
         "ros/t0000000000000001/b0000000000000025",
-        20_226,
-        0x7e952294,
+        20_234,
+        0xbafc50da,
     ),
     (
         "ros/t0000000000000001/b0000000000000026",
-        16_003,
-        0x25d9c2e5,
+        16_011,
+        0x0bb5b675,
     ),
     (
         "ros/t0000000000000001/b0000000000000027",
-        20_380,
-        0xb8233073,
+        20_389,
+        0xc7abcac2,
     ),
     (
         "ros/t0000000000000001/b0000000000000028",
-        20_545,
-        0xf5cb72eb,
+        20_554,
+        0x40d1d595,
     ),
     (
         "ros/t0000000000000001/b0000000000000029",
-        20_287,
-        0x85da06a2,
+        20_296,
+        0xb732096b,
     ),
-    ("ros/t0000000000000001/b000000000000002a", 1_354, 0xecbb12e9),
+    ("ros/t0000000000000001/b000000000000002a", 1_362, 0x7b69ef90),
     (
         "ros/t0000000000000001/b000000000000002b",
-        20_364,
-        0x846498e6,
+        20_373,
+        0x07e75a98,
     ),
     (
         "ros/t0000000000000001/b000000000000002c",
-        20_499,
-        0x968286e7,
+        20_508,
+        0x424f31af,
     ),
     (
         "ros/t0000000000000001/b000000000000002d",
-        20_407,
-        0x8527f5d3,
+        20_416,
+        0x086336f8,
     ),
-    ("ros/t0000000000000001/b000000000000002e", 2_483, 0xe9817c49),
+    ("ros/t0000000000000001/b000000000000002e", 2_492, 0xb2492ab5),
 ];
 
 /// Conversion and reclustering copy a typed table's cells as typed

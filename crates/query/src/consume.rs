@@ -30,6 +30,14 @@ pub(crate) trait Consumer: Clone + Send + Sync {
     /// provenance.
     fn reads(&self, plan: &ScanPlan<'_>, columns: &mut [bool]) -> bool;
 
+    /// Whether [`Consumer::fold_zone`] of zone `z` of `block`, every row
+    /// selected and no column decoded, takes column `col` from the
+    /// block's index instead of its chunk — so that a fetch plan that
+    /// knows the zone will be selected whole reads no chunk of it.
+    fn index_answers(&self, _: &ScanPlan<'_>, _: &RosBlock, _: usize, _: usize) -> bool {
+        false
+    }
+
     /// Folds the rows of one zone at the zone-relative, ascending
     /// positions `sel`. Returns how many `Row`s it built.
     fn fold_zone(
@@ -202,14 +210,6 @@ impl Acc {
     }
 }
 
-/// SUM / AVG of the `Int64` cells of a chunk folded in its stored form,
-/// as [`fold_leaf`] adds those of the leaf it decodes to.
-impl Sink<i64> for Acc {
-    fn cells(&mut self, cells: impl Iterator<Item = Option<i64>>) {
-        cells.flatten().for_each(|v| self.add_int(v as i128, false));
-    }
-}
-
 /// SUM / AVG of the floats of a chunk folded in its stored form, in row
 /// order.
 impl Sink<f64> for Acc {
@@ -371,13 +371,33 @@ impl Consumer for Aggregator {
         false
     }
 
+    /// The group column when its zone map answers it
+    /// ([`RosBlock::zone_constant`]), and a column read only by COUNT and
+    /// by SUMs and AVGs the index sums ([`RosBlock::zone_sum`]) into one
+    /// group it names.
+    fn index_answers(&self, plan: &ScanPlan<'_>, block: &RosBlock, z: usize, col: usize) -> bool {
+        let constant = |g: usize| block.zone_constant(g, z).is_some();
+        let kept = self
+            .group
+            .filter(|&g| plan.keeps(g) && g < block.column_count());
+        let one = kept.map_or(true, constant);
+        let summed = |&(kind, c): &(AggKind, Option<usize>)| match kind {
+            _ if c != Some(col) => true,
+            AggKind::Count => true,
+            AggKind::Sum | AggKind::Avg => one && block.zone_sum(col, z).is_some(),
+            AggKind::Min | AggKind::Max => false,
+        };
+        (self.group != Some(col) || constant(col)) && self.aggs.iter().all(summed)
+    }
+
     /// Maps the group column's dictionary codes / runs / rows to group
     /// slots once — one slot when every selected row is in one group —
     /// then folds each aggregate column's vector at the selected
     /// positions into its slots' accumulators, in a loop typed once per
     /// zone. Of a block's zone selected whole, a group column its zone map
-    /// answers is not decoded, and into one slot a SUM or AVG folds an
-    /// IntPack or Alp chunk as it unpacks it.
+    /// answers is not decoded, and into one slot a SUM or AVG adds the
+    /// index's sum of an `Int64` zone, or folds an Alp chunk as it unpacks
+    /// it.
     fn fold_zone(
         &mut self,
         cols: &ZoneCols<'_>,
@@ -428,10 +448,15 @@ impl Consumer for Aggregator {
                 }
                 continue;
             }
-            // Into one group, SUM and AVG fold a chunk as it unpacks.
+            // Into one group, SUM and AVG add the index's sum, or fold a
+            // chunk as it unpacks.
             let summed = matches!(kind, AggKind::Sum | AggKind::Avg);
             if let Some((s, c)) = one.zip(c).filter(|&(_, c)| summed && plan.keeps(c)) {
                 let acc = &mut self.groups[s].1[a];
+                if let Some((sum, n)) = cols.stored(c, sel, |block, z| block.zone_sum(c, z)) {
+                    (acc.n, acc.int) = (acc.n + n, acc.int + sum);
+                    continue;
+                }
                 let fold = |block: &RosBlock, z| {
                     let folded = block.fold_zone(c, z, acc);
                     folded.map(|folded| folded.then_some(())).transpose()
@@ -467,9 +492,10 @@ impl Consumer for Aggregator {
 #[cfg(test)]
 mod tests {
     use vortex_client::read::Zone;
+    use vortex_common::crypt::Key;
     use vortex_common::row::Row;
     use vortex_common::schema::{Field, FieldType};
-    use vortex_ros::{ColumnBuilder, RosBlockBuilder, ZONE_ROWS};
+    use vortex_ros::{Chunk, ColumnBuilder, RosBlockBuilder, ZONE_ROWS};
 
     use super::*;
     use crate::expr::Expr;
@@ -773,5 +799,140 @@ mod tests {
         agg.fold_zone(&zone, &every, &plan).unwrap();
         let (_, _, requests) = tally::tallied(|| agg.fold_zone(&again, &every, &plan).unwrap());
         assert_eq!(requests, 0, "a zone folded from its stored form allocates");
+    }
+
+    /// A column [`Consumer::index_answers`] says the index answers of a
+    /// zone selected whole is one [`Aggregator::fold_zone`] never decodes:
+    /// of a block opened from its bytes, with the chunks the fetch plan
+    /// reads and no other — a decode of any other fails — every zone
+    /// folds whole to what decoding it gives. Grouped by nothing, by `g`
+    /// (one key in zones 0 and 2), by the strings `k` (one key in zones 0
+    /// and 2, which their dictionary of one entry says once fetched:
+    /// fetched first, and not), and by a column past the block's; under
+    /// COUNT(i) alone, SUM(g), SUM and MIN of `i`, and SUM / AVG of
+    /// integers with NULLs, of a constant and of floats.
+    #[test]
+    fn what_the_index_answers_is_not_fetched() {
+        let names = ["g", "i", "c", "f", "k"];
+        let types = [
+            FieldType::Int64,
+            FieldType::Int64,
+            FieldType::Int64,
+            FieldType::Float64,
+            FieldType::String,
+        ];
+        let fields = names.iter().zip(types).map(|(c, t)| Field::nullable(c, t));
+        let stored = Schema::new(fields.collect());
+        let mut b = RosBlockBuilder::new(&stored);
+        for k in 0..2_500usize {
+            let (r, z) = (
+                (k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 20,
+                k / ZONE_ROWS,
+            );
+            let one = |v: i64| if z == 1 { (r % 3) as i64 } else { v + z as i64 };
+            let values = vec![
+                Value::Int64(one(7)),
+                match r % 7 {
+                    0 => Value::Null,
+                    _ => Value::Int64((r % 100_000) as i64 - 50_000),
+                },
+                Value::Int64(42),
+                Value::Float64((r % 100_000) as f64 / 100.0 + 1.0 / 3.0),
+                Value::String(format!("key {}", one(0))),
+            ];
+            b.push(RowMeta::default(), Row::insert(values)).unwrap();
+        }
+        let block = b.build(false).unwrap();
+        let schema = (stored.evolve_add_column(Field::nullable("late", FieldType::Int64))).unwrap();
+        let key = Key::derive_from_passphrase("index answers");
+        let bytes = block.to_bytes(&key, 1);
+        let mut read = |at: u64, len: usize, check: &dyn Fn(&[u8]) -> VortexResult<()>| {
+            let held = &bytes[at as usize..][..len];
+            check(held).map(|()| held.to_vec())
+        };
+        let (count, sum) = (AggKind::Count, AggKind::Sum);
+        let aggs: [&[(AggKind, Option<&str>)]; 4] = [
+            &[(count, Some("i"))],
+            &[(sum, Some("g"))],
+            &[(sum, Some("i")), (AggKind::Min, Some("i"))],
+            &[
+                (count, None),
+                (sum, Some("i")),
+                (AggKind::Avg, Some("c")),
+                (AggKind::Avg, Some("f")),
+            ],
+        ];
+        let all = Expr::True;
+        let mut answered = Vec::new();
+        for group in [None, Some("g"), Some("k"), Some("late")] {
+            for (set, aggs) in aggs.iter().enumerate() {
+                for warm in [false, true] {
+                    let mut got = Aggregator::new(&schema, group, aggs).unwrap();
+                    let mut want = got.clone();
+                    let plan = ScanPlan::compile(&all, None, &schema, None, &got).unwrap();
+                    let mut columns = vec![false; schema.fields.len()];
+                    got.reads(&plan, &mut columns);
+                    let (cold, _) =
+                        RosBlock::open_index(bytes.len() as u64, &key, 1, &mut read).unwrap();
+                    if warm {
+                        cold.fetch(&mut read, |chunk, _| chunk == Chunk::Column(4))
+                            .unwrap();
+                    }
+                    let index = |c: usize, z: usize| got.index_answers(&plan, &cold, z, c);
+                    let pairs = (0..cold.zone_count()).flat_map(|z| (0..5).map(move |c| (z, c)));
+                    let read_by = |&(z, c): &(usize, usize)| columns[c] && index(c, z);
+                    let pairs: Vec<(usize, usize)> = pairs.filter(read_by).collect();
+                    let wanted = |chunk: Chunk, z: usize| match chunk {
+                        Chunk::Column(c) => columns[c] && !pairs.contains(&(z, c)),
+                        _ => false,
+                    };
+                    cold.fetch(&mut read, wanted).unwrap();
+                    answered.push(((group, set, warm), pairs));
+                    let tally = Decoded::default();
+                    for z in 0..block.zone_count() {
+                        let every: Vec<usize> = (0..block.zone_range(z).len()).collect();
+                        let held = ZoneCols::of_block(&cold, z, &tally);
+                        got.fold_zone(&held, &every, &plan).unwrap();
+                        let cols = (0..names.len()).map(|c| block.decode_zone(c, z).unwrap());
+                        let zone = Zone {
+                            first: 0,
+                            metas: vec![RowMeta::default(); every.len()],
+                            cols: cols.collect(),
+                        };
+                        want.fold_zone(&ZoneCols::Decoded(&zone), &every, &plan)
+                            .unwrap();
+                    }
+                    let (got, want) = (got.into_groups(), want.into_groups());
+                    assert_eq!(got.len(), want.len(), "{group:?}, {aggs:?}");
+                    for ((g, vals), (wg, wvals)) in got.iter().zip(&want) {
+                        assert!(g
+                            .as_ref()
+                            .map_or(wg.is_none(), |g| wg.as_ref().is_some_and(|w| g.key_eq(w))));
+                        for ((v, w), agg) in vals.iter().zip(wvals).zip(aggs.iter()) {
+                            assert!(v.key_eq(w), "{agg:?} of group {g:?}: {v:?} != {w:?}");
+                        }
+                    }
+                }
+            }
+        }
+        // The (zone, column) pairs the index answered, of some of the runs.
+        let of = |run: (Option<&str>, usize, bool)| {
+            let pairs = answered.iter().find(|(r, _)| *r == run);
+            pairs.map(|(_, pairs)| pairs.clone()).unwrap()
+        };
+        let (i, c, k) = (1, 2, 4);
+        assert_eq!(of((None, 0, false)), [(0, i), (1, i), (2, i)]);
+        assert_eq!(of((Some("g"), 1, false)), [(0, 0), (2, 0)]);
+        // MIN reads what SUM alone would not.
+        for group in [None, Some("g"), Some("k"), Some("late")] {
+            let pairs = of((group, 2, true));
+            assert!(pairs.iter().all(|&(_, col)| col != i), "{group:?}");
+        }
+        assert_eq!(of((Some("g"), 2, false)), [(0, 0), (2, 0)]);
+        assert_eq!(of((Some("k"), 3, false)), []);
+        let warm = [(0, i), (0, c), (0, k), (2, i), (2, c), (2, k)];
+        assert_eq!(of((Some("k"), 3, true)), warm);
+        let late = [(0, i), (0, c), (1, i), (1, c), (2, i), (2, c)];
+        assert_eq!(of((Some("late"), 3, false)), late);
     }
 }

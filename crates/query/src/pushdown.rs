@@ -10,8 +10,10 @@
 //!    cache, or by its index alone. Its bloom filter can rule the whole
 //!    block out for a point predicate on a key column; what is left gets
 //!    one fetch plan: the predicate's and the consumer's columns × the
-//!    zones the zone maps keep, adjacent chunks no cell holds yet in one
-//!    read ([`vortex_ros::RosBlock::fetch`]). Provenance is fetched for a
+//!    zones the zone maps keep — less, of a zone selected whole under no
+//!    predicate, the columns the consumer takes from the index
+//!    ([`Consumer::index_answers`]) — adjacent chunks no cell holds yet in
+//!    one read ([`vortex_ros::RosBlock::fetch`]). Provenance is fetched for a
 //!    consumer that returns rows, and commit timestamps for the zones that
 //!    hold rows the freshness probe has not seen.
 //! 1. **Zone-map short-circuit** — every column chunk (one zone of
@@ -621,10 +623,22 @@ pub(crate) fn scan_ros_block<C: Consumer>(
         out.stats.zones_total += zones;
         out.stats.zones_pruned += scan.iter().filter(|kept| !**kept).count();
     }
+    // Kept zones the gate admits whole; with no predicate to narrow them,
+    // every row is selected, and a column the consumer takes from the
+    // index needs no chunk.
+    let admitted = |z: usize| {
+        let range = block.zone_range(z);
+        scan[z] && gate.admits_all(range.start as u64..range.end as u64)
+    };
+    // lint:allow(L010, once per block scanned, sized by its zones and the schema's columns; never per row)
+    let whole: Vec<bool> = (0..zones).map(admitted).collect();
+    let every = matches!(plan.pred, CPred::True);
+    let indexed =
+        |c: usize, z: usize| every && whole[z] && out.sink.index_answers(plan, block, z, c);
     // One fetch plan for the block.
     let (columns, provenance) = (&plan.reads.0, plan.reads.1);
     open.fetch(|chunk, z| match chunk {
-        Chunk::Column(c) => scan[z] && columns.get(c) == Some(&true),
+        Chunk::Column(c) => scan[z] && columns.get(c) == Some(&true) && !indexed(c, z),
         Chunk::Timestamps => fresh[z] || (scan[z] && provenance),
         Chunk::Provenance => scan[z] && provenance,
     })?;
@@ -643,7 +657,7 @@ pub(crate) fn scan_ros_block<C: Consumer>(
         let range = block.zone_range(z);
         out.stats.rows_scanned += range.len() as u64;
         sel.clear();
-        match gate.admits_all(range.start as u64..range.end as u64) {
+        match whole[z] {
             // lint:allow(L010, refills the reused selection)
             true => sel.extend(0..range.len()),
             false => sel.extend((0..range.len()).filter(|i| gate.admits((range.start + i) as u64))),

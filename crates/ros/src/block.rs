@@ -1,15 +1,17 @@
 //! ROS blocks: columnar, stats-annotated, bloom-filtered units of
 //! read-optimized storage produced by the Storage Optimization Service.
 //!
-//! # File layout (version 3)
+//! # File layout (version 4)
 //!
 //! ```text
 //! body     one chunk per (column, zone), column-major: the user columns,
 //!          then the four provenance columns change_type, ts, stream,
 //!          offset — ordinary integer columns through the same chooser
 //! index    schema version, rows, zone size, user columns; per chunk, in
-//!          body order: encoding, flags, length, CRC32C, zone map; the
-//!          block's column properties; the bloom filter
+//!          body order: encoding, flags, length, CRC32C, zone map and, of
+//!          a user column's zone of `Int64` cells, their sum (zigzagged,
+//!          low then high 64 bits) and NULL count; the block's column
+//!          properties; the bloom filter
 //! trailer  index length, index CRC32C, version, magic | trailer CRC32C
 //! ```
 //!
@@ -54,7 +56,7 @@ use crate::encoding::{
 static ROW_METAS_BUILT: Lazy<Counter> = Lazy::new("ros.row_metas_built", Registry::counter);
 
 const MAGIC: u32 = 0x534F5256; // "VROS"
-const VERSION: u16 = 3;
+const VERSION: u16 = 4;
 
 /// Rows per column chunk (zone). Each column is encoded per zone with its
 /// own encoding choice and min/max zone map, so scans can short-circuit
@@ -63,6 +65,8 @@ pub const ZONE_ROWS: usize = 1024;
 
 /// Chunk flag: the encoded bytes are additionally vsnap-compressed.
 const CHUNK_COMPRESSED: u8 = 0b1;
+/// Chunk flag: the entry ends in the zone's sum and NULL count.
+const CHUNK_SUMMED: u8 = 0b10;
 
 /// The provenance columns, in the order they follow the user columns.
 const PROVENANCE: usize = 4;
@@ -120,6 +124,9 @@ struct ChunkEntry {
     enc: Encoding,
     compressed: bool,
     stats: ColumnStats,
+    /// Of a user column's zone of `Int64` cells: their exact sum and how
+    /// many rows are NULL.
+    sum: Option<(i128, usize)>,
     /// Where the chunk lies in the file.
     offset: usize,
     len: usize,
@@ -422,6 +429,7 @@ impl Shape {
                     enc,
                     compressed,
                     stats: summarize_zone(&zone, profile.nulls, profile.ends),
+                    sum: by.and_then(|_| int_sum(&zone, profile.nulls)),
                     offset: body.len(),
                     len: stored.len(),
                     crc: 0,
@@ -499,6 +507,15 @@ fn summarize_zone(zone: &ColumnVec, nulls: usize, ends: Option<(usize, usize)>) 
         }
     }
     stats
+}
+
+/// Of a zone of `Int64` cells: their exact sum and its `nulls`.
+fn int_sum(zone: &ColumnVec, nulls: usize) -> Option<(i128, usize)> {
+    let ColumnVec::I64(IntKind::Int64, ints) = zone else {
+        return None;
+    };
+    let valued = (0..ints.values.len()).filter(|&i| !zone.is_null(i));
+    Some((valued.map(|i| ints.values[i] as i128).sum(), nulls))
 }
 
 /// [`summarize_zone`] of a leaf vector that is not being encoded: its ends
@@ -676,14 +693,8 @@ impl RosBlock {
 
     /// Hands `sink` the cells of one zone of one column that
     /// [`RosBlock::decode_zone`] decodes, without decoding it
-    /// ([`fold_chunk`]): `false` unless the chunk is IntPack of `Int64`s
-    /// or Alp.
-    pub fn fold_zone(
-        &self,
-        col: usize,
-        z: usize,
-        sink: &mut (impl Sink<i64> + Sink<f64>),
-    ) -> VortexResult<bool> {
+    /// ([`fold_chunk`]): `false` unless the chunk is Alp.
+    pub fn fold_zone(&self, col: usize, z: usize, sink: &mut impl Sink<f64>) -> VortexResult<bool> {
         let (enc, bytes, count) = self.stored(self.user_column(col, z)?, z)?;
         fold_chunk(enc, bytes, count, sink)
     }
@@ -692,9 +703,10 @@ impl RosBlock {
     /// its zone map alone: the zone has no NULL, its min and max are
     /// key-equal, and its chunk is one whose order ties no two cells of
     /// different keys ([`holds_one_key`]) — not an `Any` leaf, which ties
-    /// an `Int64` with the equal `Float64`. `None` otherwise, and for a
-    /// chunk not held. The chunk is not decoded, so a defect inside it
-    /// goes unseen (its CRC is the integrity check).
+    /// an `Int64` with the equal `Float64`. A zone of `Int64` cells says
+    /// so by its sum, from the index alone, whatever its encoding. `None`
+    /// otherwise. The chunk is not decoded, so a defect inside it goes
+    /// unseen (its CRC is the integrity check).
     pub fn zone_constant(&self, col: usize, z: usize) -> Option<&Value> {
         let (i, chunk) = self.chunk(self.user_column(col, z).ok()?, z).ok()?;
         let (Some(min), Some(max), false) =
@@ -702,10 +714,17 @@ impl RosBlock {
         else {
             return None;
         };
-        let one = self
-            .cell(i)
-            .is_some_and(|bytes| holds_one_key(chunk.enc, bytes));
+        let one = chunk.sum.is_some() || holds_one_key(chunk.enc, self.cell(i));
         (one && min.key_eq(max)).then_some(min)
+    }
+
+    /// SUM and AVG of every row of zone `z` of column `col`, from the
+    /// index alone: the exact sum of its cells and how many are not NULL.
+    /// `None` unless the zone holds `Int64` cells and NULLs only.
+    pub fn zone_sum(&self, col: usize, z: usize) -> Option<(i128, u64)> {
+        let (_, chunk) = self.chunk(self.user_column(col, z).ok()?, z).ok()?;
+        let (sum, nulls) = chunk.sum?;
+        Some((sum, (self.zone_range(z).len() - nulls) as u64))
     }
 
     /// Hands `put` the integers one provenance column stores for the
@@ -839,10 +858,18 @@ impl RosBlock {
         for c in &self.chunks {
             let crc = crc32c(&out[c.offset..c.offset + c.len]);
             out.push(c.enc.to_u8());
-            out.push(if c.compressed { CHUNK_COMPRESSED } else { 0 });
+            let summed = if c.sum.is_some() { CHUNK_SUMMED } else { 0 };
+            out.push(summed | if c.compressed { CHUNK_COMPRESSED } else { 0 });
             put_uvarint(&mut out, c.len as u64);
             out.extend_from_slice(&crc.to_le_bytes());
             out.extend_from_slice(&c.stats.to_bytes());
+            if let Some((sum, nulls)) = c.sum {
+                // Zigzagged, its low 64 bits, then its high.
+                let z = ((sum << 1) ^ (sum >> 127)) as u128;
+                for v in [z as u64, (z >> 64) as u64, nulls as u64] {
+                    put_uvarint(&mut out, v);
+                }
+            }
         }
         put_uvarint(&mut out, self.stats.len() as u64);
         for (name, s) in &self.stats {
@@ -953,16 +980,19 @@ impl RosBlock {
         // Every chunk costs its index entry 9 bytes or more, so more
         // entries than that is corrupt — reject before any allocation is
         // sized by them.
-        let entries = (ncols + PROVENANCE).checked_mul(row_count.div_ceil(zone_rows));
+        let zones = row_count.div_ceil(zone_rows);
+        let entries = (ncols + PROVENANCE).checked_mul(zones);
         let entries = entries.filter(|&n| n <= b.len() / 9);
         let entries =
             entries.ok_or_else(|| VortexError::Decode("implausible chunk directory".into()))?;
         let mut chunks = Vec::with_capacity(entries);
         let mut offset = 0usize;
-        for _ in 0..entries {
+        for i in 0..entries {
             let enc = Encoding::from_u8(take(b, pos, 1)?[0])?;
             let flags = take(b, pos, 1)?[0];
-            if flags & !CHUNK_COMPRESSED != 0 {
+            // Only a user column's zone is summed.
+            let allowed = CHUNK_COMPRESSED | if i / zones < ncols { CHUNK_SUMMED } else { 0 };
+            if flags & !allowed != 0 {
                 return Err(VortexError::Decode(format!("bad chunk flags {flags:#x}")));
             }
             let len = get_uvarint(b, pos)?;
@@ -973,10 +1003,30 @@ impl RosBlock {
                 .ok_or_else(|| VortexError::Decode("chunks run past the ros block body".into()))?;
             let crc = u32::from_le_bytes(take_array(b, pos)?);
             let stats = ColumnStats::from_bytes(b, pos)?;
+            let rows = zone_rows.min(row_count - i % zones * zone_rows);
+            let sum = match flags & CHUNK_SUMMED != 0 {
+                true => {
+                    let (lo, hi) = (get_uvarint(b, pos)?, get_uvarint(b, pos)?);
+                    let z = (hi as u128) << 64 | lo as u128;
+                    let sum = (z >> 1) as i128 ^ -((z & 1) as i128);
+                    // No more NULLs than rows, and a sum the other rows'
+                    // `i64`s can make: no fold of the sums can overflow.
+                    let nulls = usize::try_from(get_uvarint(b, pos)?).ok();
+                    let nulls = nulls.filter(|&n| n <= rows);
+                    let held = nulls.filter(|&n| sum.unsigned_abs() <= ((rows - n) as u128) << 63);
+                    let nulls = held.ok_or_else(|| {
+                        // lint:allow(L010, the error of an index that fails its parse)
+                        VortexError::Decode(format!("chunk {i}: a sum {rows} rows cannot hold"))
+                    })?;
+                    Some((sum, nulls))
+                }
+                false => None,
+            };
             chunks.push(ChunkEntry {
                 enc,
                 compressed: flags & CHUNK_COMPRESSED != 0,
                 stats,
+                sum,
                 offset,
                 len,
                 crc,
@@ -1215,22 +1265,36 @@ mod tests {
                 .chain([None, None, None])
                 .collect::<Vec<_>>()
         );
-        let mut folded = 0;
-        for (col, int, float) in [(0, 2_100, 0.0), (1, 0, 750.0), (4, 150, 0.0)] {
-            let mut sum = Sum::default();
-            let (leaf, _, requests) = tallied(|| block.fold_zone(col, 0, &mut sum));
-            assert_eq!(requests, 0, "column {col}");
-            match leaf.unwrap() {
-                // A dictionary or runs decode instead.
-                false => assert!(matches!(
-                    block.decode_zone(col, 0).unwrap(),
-                    ColumnVec::Dict { .. } | ColumnVec::Runs { .. }
-                )),
-                true => assert_eq!(sum, Sum { n: 300, int, float }, "column {col}"),
-            }
-            folded += usize::from(sum.n > 0);
+        // The `Int64` zones' sums are the index's, NULLs not counted; the
+        // others have none.
+        let (sums, _, requests) =
+            tallied(|| (0..6).map(|c| block.zone_sum(c, 0)).collect::<Vec<_>>());
+        assert_eq!(requests, 1, "the vector the sums are collected in");
+        let int = [
+            Some((2_100, 300)),
+            None,
+            None,
+            Some((1_050, 150)),
+            Some((150, 300)),
+        ];
+        assert_eq!(sums, int.into_iter().chain([None]).collect::<Vec<_>>());
+        let mut sum = Sum::default();
+        let (leaf, _, requests) = tallied(|| block.fold_zone(1, 0, &mut sum));
+        assert_eq!(requests, 0);
+        match leaf.unwrap() {
+            // A dictionary or runs decode instead.
+            false => assert!(matches!(
+                block.decode_zone(1, 0).unwrap(),
+                ColumnVec::Dict { .. } | ColumnVec::Runs { .. }
+            )),
+            true => assert_eq!(
+                sum,
+                Sum {
+                    n: 300,
+                    float: 750.0
+                }
+            ),
         }
-        assert!(folded > 0);
     }
 
     #[test]
@@ -1571,6 +1635,40 @@ mod tests {
             other => panic!("{what}: {:?}", other.map(|rows| rows.len())),
         };
         assert_eq!(read_whole(&file).unwrap(), want);
+        // The index's zone sums read back, down to a zone of `i64::MIN`s.
+        // A NULL count past its zone's rows, a sum its other rows cannot
+        // make, or a sum on a provenance chunk, is refused.
+        let sums = |block: &RosBlock| block.chunks.iter().map(|c| c.sum).collect::<Vec<_>>();
+        let back = RosBlock::from_bytes(&file, &key, 11).unwrap();
+        assert_eq!(sums(&back), sums(&block));
+        let summed = block.chunks.iter().position(|c| c.sum.is_some());
+        let summed = summed.expect("an Int64 zone");
+        let (col, z) = (summed / block.zone_count(), summed % block.zone_count());
+        let rows = block.zone_range(z).len();
+        let least = -((rows as i128) << 63);
+        let provenance = block.column_count() * block.zone_count();
+        for (i, sum, nulls, held) in [
+            (summed, 0, rows, true),
+            (summed, least, 0, true),
+            (summed, least - 1, 0, false),
+            (summed, 0, rows + 1, false),
+            (summed, -1, rows, false),
+            (provenance, 0, 0, false),
+        ] {
+            let mut edited = block.clone();
+            edited.chunks[i].sum = Some((sum, nulls));
+            let opened = RosBlock::from_bytes(&edited.to_bytes(&key, 11), &key, 11);
+            match held {
+                true => assert_eq!(
+                    opened.unwrap().zone_sum(col, z),
+                    Some((sum, (rows - nulls) as u64))
+                ),
+                false => assert!(
+                    matches!(opened, Err(VortexError::Decode(_))),
+                    "{sum}, {nulls}"
+                ),
+            }
+        }
         for cut in 0..file.len() {
             refused(&file[..cut], &format_args!("cut at {cut}"));
         }
@@ -1844,6 +1942,133 @@ mod tests {
                 want.sort_by(|&a, &b| clustering_order(keys, row(a), row(b)));
                 let got: Vec<usize> = clustered(keys, &cols, &metas).iter().map(|&i| i as usize).collect();
                 prop_assert_eq!(got, want);
+            }
+        }
+    }
+
+    // ---- The index's zone sums -------------------------------------------
+
+    /// An `Int64` cell of the shapes the chooser stores differently: small
+    /// (IntPack), arithmetic (IntPack with deltas; width 0 with no noise),
+    /// the whole range (width 64), a few wide values (DictV2), long runs
+    /// of them (RleV2) and a constant (a DictV2 of one entry).
+    fn int_cell(shape: u8, r: u64, i: usize) -> i64 {
+        match shape {
+            0 => (r % 2_000) as i64 - 1_000,
+            1 => 1_000 + 7 * i as i64 + (r % 3) as i64,
+            2 => 1_000 - 7 * i as i64,
+            3 => r as i64,
+            4 => [i64::MIN, -1, i64::MAX, 1 << 40][r as usize % 4],
+            5 => [i64::MIN, i64::MAX, 5][i / 200 % 3],
+            _ => -77,
+        }
+    }
+
+    /// A block of one nullable `Int64` column of `n` cells of `shape`, a
+    /// NULL where `null` says, sealed and opened again.
+    fn sums_block(shape: u8, n: usize, seed: u64, null: impl Fn(u64) -> bool) -> RosBlock {
+        let schema = Schema::new(vec![Field::nullable("v", FieldType::Int64)]);
+        let mut b = RosBlockBuilder::new(&schema);
+        let mut mix = Mix(seed);
+        for i in 0..n {
+            let r = mix.next();
+            let v = match null(r) {
+                true => Value::Null,
+                false => Value::Int64(int_cell(shape, r, i)),
+            };
+            b.push(meta(i as u64), Row::insert(vec![v])).unwrap();
+        }
+        let block = b.build(false).unwrap();
+        RosBlock::from_bytes(&block.to_bytes(&Key::zero(), 3), &Key::zero(), 3).unwrap()
+    }
+
+    /// Every zone's index sum against its decoded cells: their exact sum
+    /// and how many are not NULL — none for a column with no value, which
+    /// is no `Int64` column.
+    fn sums_are_the_cells(block: &RosBlock) -> Result<(), String> {
+        let valued = (block.rows().unwrap().iter()).any(|(_, row)| !row.values[0].is_null());
+        for z in 0..block.zone_count() {
+            let cells = block.decode_zone(0, z).unwrap().to_values();
+            let ints = cells.iter().filter_map(|v| match v {
+                Value::Int64(i) => Some(*i as i128),
+                _ => None,
+            });
+            let want = ints.fold((0, 0), |(sum, n), i| (sum + i, n + 1));
+            let got = block.zone_sum(0, z);
+            if got != valued.then_some(want) {
+                return Err(format!("zone {z}: index {got:?}, cells {want:?}"));
+            }
+        }
+        Ok(())
+    }
+
+    /// Each shape full and without NULLs takes the encoding it is for, and
+    /// its index sum is its cells'.
+    #[test]
+    fn every_integer_encoding_is_summed() {
+        let mut seen = Vec::new();
+        for shape in 0..7 {
+            let block = sums_block(shape, ZONE_ROWS, 5, |_| false);
+            sums_are_the_cells(&block).unwrap();
+            let chunk = &block.chunks[0];
+            let frame = match chunk.enc {
+                // Tag, flags, non-null count, the first value of a delta
+                // chunk, the base, the width.
+                Encoding::IntPack => {
+                    let bytes = block.cell(0).unwrap();
+                    let pos = &mut 2;
+                    get_uvarint(bytes, pos).unwrap();
+                    let delta = bytes[1] & 0b10 != 0;
+                    if delta {
+                        vortex_common::codec::get_ivarint(bytes, pos).unwrap();
+                    }
+                    vortex_common::codec::get_ivarint(bytes, pos).unwrap();
+                    Some((delta, bytes[*pos]))
+                }
+                _ => None,
+            };
+            seen.push((chunk.enc, frame));
+        }
+        let intpack = |delta, width| (Encoding::IntPack, Some((delta, width)));
+        assert!(
+            matches!(seen[0], (Encoding::IntPack, Some((false, 1..=63)))),
+            "{seen:?}"
+        );
+        assert!(
+            matches!(seen[1], (Encoding::IntPack, Some((true, 1..=63)))),
+            "{seen:?}"
+        );
+        assert_eq!(seen[2..4], [intpack(true, 0), intpack(false, 64)]);
+        let dict = (Encoding::DictV2, None);
+        assert_eq!(seen[4..], [dict, (Encoding::RleV2, None), dict]);
+    }
+
+    mod sum_properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// The index's sum of every zone is the sum of the cells the
+            /// zone decodes to, and its count their non-NULL ones: over
+            /// IntPack with and without deltas, widths 0 and 64, DictV2
+            /// and RleV2, with no NULL, some, or only NULLs, in zones full
+            /// and short.
+            #[test]
+            fn the_index_sum_is_the_decoded_cells_sum(
+                shape in 0u8..7,
+                n in 1usize..2_600,
+                nulls in 0u64..3,
+                seed in any::<u64>(),
+            ) {
+                let null = |r: u64| match nulls {
+                    0 => false,
+                    1 => r >> 32 & 7 == 0,
+                    _ => true,
+                };
+                let block = sums_block(shape, n, seed, null);
+                prop_assert_eq!(sums_are_the_cells(&block), Ok(()));
             }
         }
     }
@@ -2222,13 +2447,11 @@ mod tests {
     }
 
     /// `(len, crc32c)` of `to_bytes` for a fixed set of blocks, recorded
-    /// when a block's string zones began to share one FSST table: a change
-    /// that moves a stored byte owns up to it here. The pins before were
-    /// recorded when the layout became version 3 and held through the
-    /// typed builder and its typed sort keys. The two `Any` blocks were
-    /// re-recorded when `Value::total_cmp` became a total order: their
-    /// `mixed` column holds `Int64(3)`, `Float64(3.0)` and `Numeric(3.0)`
-    /// beside strings and dates, the cells it used to order in a cycle.
+    /// when the layout became version 4 and the index entry of an `Int64`
+    /// zone gained its sum and NULL count: a change that moves a stored
+    /// byte owns up to it here. Every body byte is as it was at version 3
+    /// (FSST's exact symbol lookup emits the codes the scan of a prefix's
+    /// symbols did); a block with no `Int64` user column grew by nothing.
     #[test]
     fn block_bytes_are_pinned() {
         let key = Key::derive_from_passphrase("pinned");
@@ -2266,22 +2489,22 @@ mod tests {
             })
             .collect();
         let want = [
-            ("leaves", 54_114, 0x48084800),
-            ("leaves sorted", 56_680, 0x96f458e1),
-            ("leaves nulls", 49_764, 0x083861d0),
-            ("leaves nulls sorted", 52_828, 0x6b1b937c),
-            ("leaves one row", 641, 0x1b7dc53d),
-            ("leaves one zone", 36_936, 0x061d0723),
-            ("floats", 14_783, 0x42934ae3),
-            ("extremes", 13_679, 0x4ec65cc5),
-            ("strings", 41_010, 0x87da019e),
-            ("all null", 6_436, 0x199b2fa1),
-            ("all null one row", 175, 0xc828ccc0),
-            ("any", 7_095, 0x1546ff30),
-            ("any sorted", 8_268, 0xb82e3525),
-            ("ties", 721, 0x54e4ba68),
-            ("shapes", 23_408, 0xa59be37c),
-            ("orders", 155_386, 0xc1bc5eea),
+            ("leaves", 54_127, 0xd29a4c81),
+            ("leaves sorted", 56_694, 0xa8152e6c),
+            ("leaves nulls", 49_778, 0xda071b47),
+            ("leaves nulls sorted", 52_842, 0x1239aaee),
+            ("leaves one row", 644, 0x676ece70),
+            ("leaves one zone", 36_944, 0x0772036e),
+            ("floats", 14_783, 0xc4dab64e),
+            ("extremes", 13_702, 0x7afad540),
+            ("strings", 41_010, 0x0193fd33),
+            ("all null", 6_446, 0xd0ac6b3d),
+            ("all null one row", 178, 0xd817f07a),
+            ("any", 7_100, 0x2533243b),
+            ("any sorted", 8_268, 0x3e67c988),
+            ("ties", 726, 0xccd0c6cb),
+            ("shapes", 23_475, 0x42b042d7),
+            ("orders", 155_454, 0x9332d482),
         ];
         assert_eq!(got, want);
     }

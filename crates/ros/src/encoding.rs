@@ -1205,12 +1205,14 @@ fn consumed(bytes: &[u8], pos: usize) -> VortexResult<()> {
 /// Whether a chunk whose cells have no NULL and key-equal ends under
 /// their order holds one key: an IntPack, Alp or Fsst chunk is a typed
 /// leaf, ordered so that only key-equal cells tie; a DictV2 chunk of one
-/// entry or an RleV2 chunk of one run holds one cell. A Plain chunk, or
-/// a longer dictionary, may be an `Any` leaf.
-pub(crate) fn holds_one_key(enc: Encoding, bytes: &[u8]) -> bool {
+/// entry or an RleV2 chunk of one run holds one cell, which its `bytes`
+/// say once they are held. A Plain chunk, or a longer dictionary, may be
+/// an `Any` leaf.
+pub(crate) fn holds_one_key(enc: Encoding, bytes: Option<&[u8]>) -> bool {
+    let one = |b: &[u8]| get_uvarint(b, &mut 0).is_ok_and(|n| n == 1);
     match enc {
         Encoding::IntPack | Encoding::Alp | Encoding::Fsst => true,
-        Encoding::DictV2 | Encoding::RleV2 => get_uvarint(bytes, &mut 0).is_ok_and(|n| n == 1),
+        Encoding::DictV2 | Encoding::RleV2 => bytes.is_some_and(one),
         Encoding::Plain => false,
     }
 }
@@ -1268,10 +1270,10 @@ fn null_bit(bits: Option<&[u8]>, i: usize) -> bool {
     bits.is_some_and(|bits| bits[i / 8] >> (i % 8) & 1 == 1)
 }
 
-/// Where an IntPack or Alp walker puts the cells it reads, in order
-/// (`None` for NULL): a vector it decodes into, or what [`fold_chunk`]
-/// folds into. One walker per encoding serves both, so every check of
-/// the bytes guards either.
+/// Where a walker puts the cells it reads, in order (`None` for NULL): a
+/// vector it decodes into or, of an Alp chunk, what [`fold_chunk`] folds
+/// into. One walker serves both, so every check of the bytes guards
+/// either.
 pub trait Sink<T> {
     /// Takes the next cells.
     fn cells(&mut self, cells: impl Iterator<Item = Option<T>>);
@@ -1284,30 +1286,24 @@ impl<T: Default> Sink<T> for Vec<T> {
     }
 }
 
-/// Hands `sink` the cells of an IntPack chunk of `Int64`s or of an Alp
-/// chunk of `count` rows, in row order, as [`decode_chunk`] would decode
-/// them — with every check decode makes — but without a vector; `false`
-/// for another chunk.
+/// Hands `sink` the cells of an Alp chunk of `count` rows, in row order,
+/// as [`decode_chunk`] would decode them — with every check decode makes
+/// — but without a vector; `false` for another chunk.
 pub fn fold_chunk(
     enc: Encoding,
     bytes: &[u8],
     count: usize,
-    sink: &mut (impl Sink<i64> + Sink<f64>),
+    sink: &mut impl Sink<f64>,
 ) -> VortexResult<bool> {
-    let pos = &mut 0usize;
-    match enc {
-        Encoding::IntPack if bytes.first() == Some(&TY_INT64) => {
-            walk_intpack(bytes, pos, (count, None), sink)?;
-        }
-        Encoding::Alp => {
-            walk_alp(bytes, pos, (count, None), sink)?;
-        }
-        _ => return Ok(false),
+    if enc != Encoding::Alp {
+        return Ok(false);
     }
+    let pos = &mut 0usize;
+    walk_alp(bytes, pos, (count, None), sink)?;
     consumed(bytes, *pos).map(|()| true)
 }
 
-/// Walks an IntPack chunk of `count` rows into `sink`: every row's cell
+/// Walks an IntPack chunk of `count` rows into `values`: every row's cell
 /// in order or, without NULLs or deltas, the ascending `rows` alone, each
 /// read at its index. Fails at the first value out of range. Returns the
 /// integer kind, the bitmap, and whether the cells are of `rows` alone.
@@ -1315,7 +1311,7 @@ fn walk_intpack<'a>(
     bytes: &'a [u8],
     pos: &mut usize,
     (count, rows): (usize, Option<&[usize]>),
-    sink: &mut impl Sink<i64>,
+    values: &mut Vec<i64>,
 ) -> VortexResult<(IntKind, Option<&'a [u8]>, bool)> {
     let tag = take_byte(bytes, pos)? as usize;
     let kinds = [IntKind::Int64, IntKind::Date, IntKind::Timestamp]; // TY_INT64..
@@ -1342,13 +1338,13 @@ fn walk_intpack<'a>(
     match rows.filter(|_| plain) {
         None if plain && in_range(base) && top.is_some_and(in_range) => {
             let value = |_| Some(base.wrapping_add_unsigned(bits.next_value()));
-            sink.cells((0..count).map(value))
+            values.cells((0..count).map(value))
         }
         Some(rows) => {
             let at = |&i: &usize| checked(base.checked_add_unsigned(bits.value_at(i)));
-            sink.cells(rows.iter().map_while(at))
+            values.cells(rows.iter().map_while(at))
         }
-        None => sink.cells((0..count).map_while(|row| match null_bit(nulls, row) {
+        None => values.cells((0..count).map_while(|row| match null_bit(nulls, row) {
             true => Some(None),
             false if !delta => checked(base.checked_add_unsigned(bits.next_value())),
             false => {
@@ -2646,9 +2642,11 @@ pub(crate) mod tests {
         assert_fsst_matches_reference(&[rep(b"\xff\xfe", 33), None, None, rep(b"\xff", 3)]);
     }
 
-    /// Order-note text as the benchmark writes it, seeded random strings,
-    /// values of 0 / 1 / 8 / 9 bytes, and a sample the budget cuts in the
-    /// middle of a value whose tail then must not train the table.
+    /// Order-note text and customer keys as the benchmark writes them
+    /// (the keys' symbols share a few prefixes, dozens each), seeded
+    /// random strings, values of 0 / 1 / 8 / 9 bytes, and a sample the
+    /// budget cuts in the middle of a value whose tail then must not train
+    /// the table.
     #[test]
     fn fsst_trains_and_matches_as_the_hashing_trainer_and_linear_matcher() {
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
@@ -2660,6 +2658,9 @@ pub(crate) mod tests {
         };
         let notes: Vec<Vec<u8>> = (0..300)
             .map(|i| format!("order note {:016x} for the ledger, line {i:04}", next()).into_bytes())
+            .collect();
+        let customers: Vec<Vec<u8>> = (0..400)
+            .map(|_| format!("cust-{:05}", next() % 2_000).into_bytes())
             .collect();
         let random: Vec<Vec<u8>> = (0..200)
             .map(|_| {
@@ -2673,7 +2674,7 @@ pub(crate) mod tests {
             .map(|&n| b"abcabcabc"[..n].to_vec())
             .collect();
         let mut cut = vec![b"xy".repeat(2047), b"xyzzy plugh".repeat(40)];
-        for values in [&notes, &random, &sized, &cut.clone()] {
+        for values in [&notes, &customers, &random, &sized, &cut.clone()] {
             let slices: Vec<&[u8]> = values.iter().map(Vec::as_slice).collect();
             assert_fsst_table_and_codes(&slices);
         }
@@ -3817,21 +3818,12 @@ pub(crate) mod tests {
 
     // ---- The stored-form fold, held to decode-then-fold -----------------
 
-    /// What SUM folds of the cells a sink takes: how many have a value,
-    /// their exact integer sum, and `float` plus each float in row order.
+    /// What SUM folds of the floats a sink takes: how many have a value,
+    /// and `float` plus each in row order.
     #[derive(Debug, Clone, Copy, Default, PartialEq)]
     pub(crate) struct Sum {
         pub(crate) n: u64,
-        pub(crate) int: i128,
         pub(crate) float: f64,
-    }
-
-    impl Sink<i64> for Sum {
-        fn cells(&mut self, cells: impl Iterator<Item = Option<i64>>) {
-            for v in cells.flatten() {
-                (self.n, self.int) = (self.n + 1, self.int + v as i128);
-            }
-        }
     }
 
     impl Sink<f64> for Sum {
@@ -3843,7 +3835,7 @@ pub(crate) mod tests {
     }
 
     /// What SUM folds of the leaf a chunk decodes to, onto `float` — the
-    /// oracle of [`fold_chunk`] — if it is an `Int64` or a `Float64` one.
+    /// oracle of [`fold_chunk`] — if it is a `Float64` one.
     fn decode_then_fold(
         enc: Encoding,
         bytes: &[u8],
@@ -3854,26 +3846,18 @@ pub(crate) mod tests {
             float,
             ..Sum::default()
         };
-        let valued = |nulls: &Option<Nulls>| (0..count).filter(|&i| !null_at(nulls, i)).count();
-        match decode_chunk(enc, bytes, count)? {
-            ColumnVec::I64(IntKind::Int64, p) => {
-                sum.n = valued(&p.nulls) as u64;
-                let values = (0..count).filter(|&i| !null_at(&p.nulls, i));
-                sum.int = values.map(|i| p.values[i] as i128).sum();
-            }
-            ColumnVec::F64(p) => {
-                sum.n = valued(&p.nulls) as u64;
-                for i in (0..count).filter(|&i| !null_at(&p.nulls, i)) {
-                    sum.float += p.values[i];
-                }
-            }
-            _ => return Ok(None),
+        let ColumnVec::F64(p) = decode_chunk(enc, bytes, count)? else {
+            return Ok(None);
+        };
+        sum.n = (0..count).filter(|&i| !null_at(&p.nulls, i)).count() as u64;
+        for i in (0..count).filter(|&i| !null_at(&p.nulls, i)) {
+            sum.float += p.values[i];
         }
         Ok(Some(sum))
     }
 
-    /// The chunks of `col` the fold reads: IntPack without deltas and with
-    /// them, where each applies, and Alp.
+    /// The chunks of `col` the fold is offered: IntPack without deltas and
+    /// with them, where each applies, which it declines, and Alp.
     fn fold_chunks(col: &ColumnVec) -> Vec<(Encoding, Vec<u8>)> {
         let ints = [false, true].map(|delta| reference_intpack(col, delta));
         let ints = ints.into_iter().flatten().map(|b| (Encoding::IntPack, b));
@@ -3881,12 +3865,13 @@ pub(crate) mod tests {
             .collect()
     }
 
-    /// Cells of the shapes the fold walks differently: small integers, a
-    /// constant (width 0), both extremes (width 64, and width 64 deltas
-    /// when they alternate), frames at `i64::MAX` and at `i32::MAX` for
-    /// dates whose top overflows, arithmetic (deltas), timestamps, a frame
-    /// at `i64::MIN`; decimals, and decimals with NaN, -0.0 and
-    /// irrationals (patches).
+    /// Cells of the shapes the fold is offered: the integers of every
+    /// IntPack frame, which it declines — small integers, a constant
+    /// (width 0), both extremes (width 64, and width 64 deltas when they
+    /// alternate), frames at `i64::MAX` and at `i32::MAX` for dates whose
+    /// top overflows, arithmetic (deltas), timestamps, a frame at
+    /// `i64::MIN` — and the decimals it walks differently: plain, and with
+    /// NaN, -0.0 and irrationals (patches).
     fn fold_cells(shape: u8, r: u64, i: usize) -> Value {
         let tiny = (r % 5) as i64;
         match shape {
@@ -3925,8 +3910,7 @@ pub(crate) mod tests {
                 for (enc, bytes) in fold_chunks(&col) {
                     let mut sum = Sum::default();
                     let (folded, _, requests) = tallied(|| fold_chunk(enc, &bytes, 300, &mut sum));
-                    // Dates and timestamps are not summed.
-                    assert_eq!(folded.unwrap(), !matches!(shape, 5 | 7), "shape {shape}");
+                    assert_eq!(folded.unwrap(), enc == Encoding::Alp, "shape {shape}");
                     assert_eq!(requests, 0, "shape {shape}, {enc:?}, NULLs every {nulls}");
                     walked += 1;
                 }
@@ -3955,20 +3939,20 @@ pub(crate) mod tests {
         ] {
             let bytes = encode_column_with(&constant, enc).unwrap();
             assert_eq!(
-                holds_one_key(enc, &bytes),
+                holds_one_key(enc, Some(&bytes)),
                 enc != Encoding::Plain,
                 "{enc:?}"
             );
         }
         for enc in [Encoding::Plain, Encoding::DictV2, Encoding::RleV2] {
             let bytes = encode_column_with(&leaf(&ties), enc).unwrap();
-            assert!(!holds_one_key(enc, &bytes), "{enc:?}");
+            assert!(!holds_one_key(enc, Some(&bytes)), "{enc:?}");
         }
     }
 
     /// A frame whose top is past its kind's range is checked value by
     /// value: a packed value the frame can hold but `i64` (or a date)
-    /// cannot is refused, by decode and fold alike.
+    /// cannot is refused.
     #[test]
     fn a_value_past_the_range_of_its_kind_is_refused() {
         let extremes = [(i64::MAX, IntKind::Int64), (i32::MAX as i64, IntKind::Date)];
@@ -3990,13 +3974,6 @@ pub(crate) mod tests {
                 decode_chunk(Encoding::IntPack, &bytes, 5).is_err(),
                 "{kind:?}"
             );
-            // A date chunk is not summed: declined, it decodes, refused.
-            let folded = fold_chunk(Encoding::IntPack, &bytes, 5, &mut Sum::default());
-            let refused = (kind, folded.map_err(drop));
-            assert!(matches!(
-                refused,
-                (IntKind::Int64, Err(())) | (IntKind::Date, Ok(false))
-            ));
         }
     }
 
@@ -4005,9 +3982,9 @@ pub(crate) mod tests {
         use proptest::prelude::*;
 
         /// `fold_chunk` agrees with decode-then-fold on `bytes`: both
-        /// fail, or both fold the same count, integer sum and float bits —
-        /// or the fold declines a chunk that decodes to no `Int64` or
-        /// `Float64` leaf, or does not decode.
+        /// fail, or both fold the same count and float bits — or the fold
+        /// declines a chunk that decodes to no `Float64` leaf, or does not
+        /// decode.
         fn agrees(enc: Encoding, bytes: &[u8], count: usize, float: f64) {
             let mut got = Sum {
                 float,
@@ -4016,7 +3993,7 @@ pub(crate) mod tests {
             let folded = fold_chunk(enc, bytes, count, &mut got);
             match (folded, decode_then_fold(enc, bytes, count, float)) {
                 (Ok(true), Ok(Some(want))) => {
-                    prop_assert_eq!((got.n, got.int), (want.n, want.int));
+                    prop_assert_eq!(got.n, want.n);
                     prop_assert_eq!(got.float.to_bits(), want.float.to_bits());
                 }
                 (Ok(false), Ok(None) | Err(_)) | (Err(_), Err(_)) => {}
@@ -4028,12 +4005,10 @@ pub(crate) mod tests {
             #![proptest_config(ProptestConfig::with_cases(512))]
 
             /// The stored-form fold is decode-then-fold, bit for bit, over
-            /// IntPack with and without deltas, NULLs, widths 0 and 64 and
-            /// frames whose top overflows (a valid chunk, folded value by
-            /// value), and Alp with patches, NaN, -0.0 and NULLs, onto a
-            /// float sum already under way; and over every such chunk cut
-            /// short or with a bit flipped, it accepts and rejects what
-            /// decode does, without panicking.
+            /// Alp with patches, NaN, -0.0 and NULLs, onto a float sum
+            /// already under way, and declines every IntPack chunk; and
+            /// over every such chunk cut short or with a bit flipped, it
+            /// accepts and rejects what decode does, without panicking.
             #[test]
             fn the_stored_form_fold_is_decode_then_fold(
                 shape in 0u8..11,
@@ -4050,10 +4025,8 @@ pub(crate) mod tests {
                 // What the cells themselves sum to.
                 let mut want = Sum { float, ..Sum::default() };
                 for v in &values {
-                    match v {
-                        Value::Int64(i) => (want.n, want.int) = (want.n + 1, want.int + *i as i128),
-                        Value::Float64(f) => (want.n, want.float) = (want.n + 1, want.float + f),
-                        _ => {}
+                    if let Value::Float64(f) = v {
+                        (want.n, want.float) = (want.n + 1, want.float + f);
                     }
                 }
                 let (col, count) = (leaf(&values), cells.len());
@@ -4061,9 +4034,9 @@ pub(crate) mod tests {
                     agrees(enc, &bytes, count, float);
                     let mut sum = Sum { float, ..Sum::default() };
                     let folded = fold_chunk(enc, &bytes, count, &mut sum);
-                    prop_assert_eq!(folded.ok(), Some(!matches!(shape, 5 | 7)));
-                    if !matches!(shape, 5 | 7) {
-                        prop_assert_eq!((sum.n, sum.int), (want.n, want.int));
+                    prop_assert_eq!(folded.ok(), Some(enc == Encoding::Alp));
+                    if enc == Encoding::Alp {
+                        prop_assert_eq!(sum.n, want.n);
                         prop_assert_eq!(sum.float.to_bits(), want.float.to_bits());
                     }
                     agrees(enc, &bytes[..cut % (bytes.len() + 1)], count, float);

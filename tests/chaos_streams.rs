@@ -405,7 +405,7 @@ fn scans_at_fixed_snapshot_are_repeatable() {
                 let mut w = client.create_unbuffered_writer(table).unwrap();
                 let mut next = 0i64;
                 while !stop.load(Ordering::Relaxed) {
-                    w.append(batch(LANE_UNBUFFERED, next, 40)).unwrap();
+                    retry_append(&mut w, batch(LANE_UNBUFFERED, next, 40));
                     next += 40;
                 }
             });

@@ -661,13 +661,19 @@ fn a_corrupt_ros_chunk_fails_over_then_fails() {
         served,
         "the primary alone served it"
     );
-    // Whole-file readers check every chunk of the copy they take.
-    assert_eq!(region.client().read_rows(t).unwrap().rows.len(), 1_500);
+    // Whole-file readers check every chunk of the copy they take (a
+    // client without a cache: the region's would keep what it read).
+    let uncached = vortex::VortexClient::new(
+        region.sms().clone(),
+        region.fleet().clone(),
+        region.truetime().clone(),
+    );
+    assert_eq!(uncached.read_rows(t).unwrap().rows.len(), 1_500);
     damage(1);
     let err = count_from_100(&region, t).unwrap_err();
     assert!(matches!(err, vortex::VortexError::CorruptData(_)), "{err}");
     assert_eq!(engine.count(t, at, &on_v).unwrap(), 1);
-    let err = region.client().read_rows(t).unwrap_err();
+    let err = uncached.read_rows(t).unwrap_err();
     assert!(matches!(err, vortex::VortexError::CorruptData(_)), "{err}");
 }
 

@@ -13,7 +13,7 @@ use vortex::row::{Row, RowSet, Value};
 use vortex::schema::{Field, FieldType, PartitionTransform, Schema};
 use vortex::{
     AggKind, DmlExecutor, Expr, FragmentKind, QueryEngine, ReadCache, Region, RegionConfig,
-    ScanOptions, SqlSession,
+    ScanOptions, SqlSession, VortexClient,
 };
 use vortex_sms::readset::ReadSet;
 
@@ -350,7 +350,7 @@ fn a_scan_pays_for_the_chunks_it_decodes() {
     // fetch plan is made before the filter runs and owes it nothing.
     assert_eq!(
         (d["reads"], d["bytes_fetched"]),
-        ((2 + 3) * blocks, 718_896)
+        ((2 + 3) * blocks, 719_298)
     );
 
     // An aggregate over three of six columns, every row of the table.
@@ -370,27 +370,49 @@ fn a_scan_pays_for_the_chunks_it_decodes() {
     assert!(groups
         .iter()
         .all(|(_, v)| v[0] == Value::Int64(ROWS_PER_DAY)));
-    let fetched = share(d["bytes_fetched"], table_bytes);
-    assert!(fetched <= 0.40, "three columns of six fetched {fetched:.3}");
     assert_eq!(d["row_metas"], 0, "an aggregate builds no RowMeta");
-    // `day`, then `amount` and `price` side by side.
-    assert_eq!(d["reads"], (2 + 2) * blocks);
-    // Every zone is selected whole, so its group comes from its zone map
-    // and SUM / AVG fold `amount` and `price` as they unpack: nothing
-    // decodes into a vector.
+    // Every zone is selected whole, so the index answers its group (its
+    // zone map) and SUM(amount) (its sum), and AVG folds `price` as it
+    // unpacks: nothing decodes into a vector, and of the chunks `price`
+    // alone is read — the index, then one run a block, the bytes a MIN,
+    // which the index does not answer, reads of `price`.
     assert_eq!((d["cells"], d["bytes_decoded"]), (0, 0));
     assert_eq!(d["zones_folded"], d["zones"]);
     // A block is half a day's 6 000 rows: three zones.
     assert_eq!(d["zones"], 3 * blocks);
+    let price = ScanOptions {
+        projection: Some(vec!["price".into()]),
+        ..ScanOptions::default()
+    };
+    let least = [(AggKind::Min, Some("price"))];
+    let (_, of_price) = moved(&region, || {
+        cold.aggregate(t, at, &price, None, &least).unwrap()
+    });
+    assert_eq!(d["reads"], (2 + 1) * blocks);
+    assert_eq!(
+        (d["reads"], d["bytes_fetched"]),
+        (of_price["reads"], of_price["bytes_fetched"])
+    );
+    assert!(share(d["bytes_fetched"], table_bytes) <= 0.15, "{d:?}");
 
-    // A table read goes for whole files, one read each.
-    let (rows, d) = moved(&region, || client.read_rows_at(t, at).unwrap());
+    // A table read through a client without a cache goes for whole files,
+    // one read each; the region's client reads through its cache, which
+    // the full scan filled, and reads nothing.
+    let uncached = VortexClient::new(
+        region.sms().clone(),
+        region.fleet().clone(),
+        region.truetime().clone(),
+    );
+    let (rows, d) = moved(&region, || uncached.read_rows_at(t, at).unwrap());
     assert_eq!(rows.rows.len() as i64, DAYS * ROWS_PER_DAY);
     assert_eq!(
         (d["cluster_reads"], d["cluster_bytes"]),
         (blocks, table_bytes)
     );
     assert_eq!((d["reads"], d["bytes_fetched"]), (0, 0), "not a scan");
+    let (warm_rows, d) = moved(&region, || client.read_rows_at(t, at).unwrap());
+    assert_eq!(warm_rows.rows, rows.rows);
+    assert_eq!((d["cluster_reads"], d["cluster_bytes"]), (0, 0));
 
     // A later query that does owe the probe timestamps fetches those
     // zones' and nothing else of provenance.
@@ -413,7 +435,7 @@ fn a_scan_pays_for_the_chunks_it_decodes() {
     // client without a cache: a DELETE reads and decodes exactly what the
     // cold count of its predicate does — the index, the bloom filter, the
     // zone maps and one chunk run per surviving zone of `customer`.
-    let dml = DmlExecutor::new(client.clone());
+    let dml = DmlExecutor::new(uncached);
     let count = |predicate: &Expr| {
         let opts = ScanOptions {
             predicate: predicate.clone(),
