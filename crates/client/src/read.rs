@@ -153,7 +153,9 @@ pub fn drive_table_read<T>(
                 // authoritative and safe to read at the old snapshot (row
                 // visibility is still gated by block timestamps).
                 tail_zones.extend(read_reconciled_tail(
-                    sms, fleet, key, table, tail, snapshot, list_at,
+                    (sms, fleet, key, opts.cache.as_deref()),
+                    (table, tail),
+                    (snapshot, list_at),
                 )?);
                 continue;
             }
@@ -227,15 +229,11 @@ pub fn read_table(
 /// Reads a tail whose streamlet was reconciled *after* the read snapshot:
 /// the reconciled fragment records (visible at the current metastore
 /// time) bound what is committed; block timestamps still gate row
-/// visibility at the old snapshot.
-fn read_reconciled_tail(
-    sms: &SmsHandle,
-    fleet: &StorageFleet,
-    key: &Key,
-    table: TableId,
-    tail: &TailReadSpec,
-    snapshot: Timestamp,
-    list_at: Timestamp,
+/// visibility at the old snapshot. The fragments are read through `cache`.
+pub(crate) fn read_reconciled_tail(
+    (sms, fleet, key, cache): (&SmsHandle, &StorageFleet, &Key, Option<&ReadCache>),
+    (table, tail): (TableId, &TailReadSpec),
+    (snapshot, list_at): (Timestamp, Timestamp),
 ) -> VortexResult<Vec<Visible>> {
     // List at the reconciliation timestamp, not a fresh `now`: the
     // fragment records written by the reconcile are MVCC-stable there,
@@ -262,7 +260,7 @@ fn read_reconciled_tail(
             streamlet_first_stream_row: tail.first_stream_row,
             meta,
         };
-        let mut read = read_fragment_cached(&spec, fleet, key, snapshot, None)?;
+        let mut read = read_fragment_cached(&spec, fleet, key, snapshot, cache)?;
         for (zone, sel) in read.zones.iter().zip(&mut read.sel) {
             sel.retain(|&i| zone.metas[i].offset >= from_offset);
         }

@@ -612,3 +612,39 @@ mod gate {
         }
     }
 }
+
+/// A tail whose streamlet was reconciled after the read's snapshot is
+/// read from its reconciled fragment records through the read's cache: a
+/// second read of it at the same snapshot is a hit and reads, so decodes,
+/// nothing.
+#[test]
+fn a_reconciled_tail_is_read_through_the_cache() {
+    use crate::cache::ReadCache;
+    use crate::read::read_reconciled_tail;
+    let r = rig();
+    let t = r.client.create_table("t", schema()).unwrap().table;
+    let mut w = r.client.create_unbuffered_writer(t).unwrap();
+    w.append(rows(0, 8)).unwrap();
+    let snap = r.client.snapshot();
+    let tail = r.sms.list_read_fragments(t, snap).unwrap().tails.remove(0);
+    r.sms.reconcile_streamlet(t, tail.streamlet).unwrap();
+    let list_at = r.sms.read_snapshot();
+    let sms: vortex_sms::api::SmsHandle = r.sms.clone();
+    let key = r.sms.get_table(t).unwrap().encryption_key();
+    let cache = ReadCache::new(usize::MAX);
+    let read = || {
+        let at = (&sms, &r.fleet, &key, Some(&*cache));
+        let visible = read_reconciled_tail(at, (t, &tail), (snap, list_at)).unwrap();
+        let zones = visible.iter().flat_map(|v| v.iter());
+        let offsets = zones.flat_map(|(zone, at)| at.iter().map(|&i| zone.metas[i].offset));
+        offsets.collect::<Vec<u64>>()
+    };
+    let reads = || r.fleet.clusters().map(|c| c.read_counts().0).sum::<u64>();
+    let first = read();
+    assert_eq!(first, (0..8).collect::<Vec<_>>());
+    let (tally, before) = (cache.tally(), reads());
+    assert_eq!((tally.hits, tally.misses), (0, 1));
+    assert_eq!(read(), first);
+    let tally = cache.tally();
+    assert_eq!((tally.hits, tally.misses, reads()), (1, 1, before));
+}

@@ -56,20 +56,56 @@ pub(crate) enum Test<'e> {
     IsNull,
 }
 
+/// What the column properties of a set of rows decide of a predicate:
+/// no row passes it, some may, or every row does. The order is AND's:
+/// a conjunction is as decided as its least decided side.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum Verdict {
+    /// No row passes.
+    None,
+    /// The properties cannot tell.
+    Some,
+    /// Every row passes.
+    All,
+}
+
 impl Test<'_> {
-    /// The §7.2 derivative expression of one leaf: `false` only if no
-    /// cell summarized by `s` can pass the test.
-    pub(crate) fn may_match(&self, s: &ColumnStats) -> bool {
+    /// The §7.2 derivative expression of one leaf over the rows `s`
+    /// summarizes: every cell lies between its min and max under
+    /// [`Value::total_cmp`], so the orderings a cell can take against a
+    /// literal run from the min's to the max's, and the test is decided if
+    /// it holds at none of them, or — no cell NULL, the literal of the
+    /// ends' own type, under which the order is total — at all of them.
+    /// Strict inequalities decide exactly; `<>` decides when the literal
+    /// lies outside the range or is its only value.
+    pub(crate) fn verdict(&self, s: &ColumnStats) -> Verdict {
+        let cmp = |op: CmpOp, v: &Value| {
+            // No value (every row NULL), or a NULL literal: no row passes.
+            let (Some(lo), Some(hi), false) = (&s.min, &s.max, v.is_null()) else {
+                return Verdict::None;
+            };
+            let reach = lo.total_cmp(v)..=hi.total_cmp(v);
+            let orders = [Ordering::Less, Ordering::Equal, Ordering::Greater];
+            let held = || {
+                (orders.iter())
+                    .filter(|o| reach.contains(o))
+                    .map(|o| op.holds(*o))
+            };
+            let same = |end: &Value| std::mem::discriminant(end) == std::mem::discriminant(v);
+            match held().any(|h| h) {
+                false => Verdict::None,
+                true if held().all(|h| h) && !s.has_null && same(lo) && same(hi) => Verdict::All,
+                true => Verdict::Some,
+            }
+        };
         match self {
-            Test::Cmp(CmpOp::Eq, value) => s.may_contain_point(value),
-            Test::Cmp(CmpOp::Ne, _) => true, // pruning != needs distinct counts; keep
-            // Strict inequalities reuse the inclusive overlap check:
-            // conservative (a fragment whose min==max==v is kept for
-            // `< v`), never incorrect.
-            Test::Cmp(CmpOp::Lt | CmpOp::Le, value) => s.may_overlap_range(None, Some(value)),
-            Test::Cmp(CmpOp::Gt | CmpOp::Ge, value) => s.may_overlap_range(Some(value), None),
-            Test::In(values) => values.iter().any(|v| s.may_contain_point(v)),
-            Test::IsNull => s.has_null,
+            Test::Cmp(op, value) => cmp(*op, value),
+            Test::In(values) => {
+                (values.iter()).fold(Verdict::None, |v, l| v.max(cmp(CmpOp::Eq, l)))
+            }
+            Test::IsNull if !s.has_null => Verdict::None,
+            Test::IsNull if s.min.is_none() => Verdict::All,
+            Test::IsNull => Verdict::Some,
         }
     }
 }
@@ -182,8 +218,9 @@ impl Expr {
     /// unknown = cannot prune).
     pub fn may_match_stats(&self, stats_of: &dyn Fn(&str) -> Option<ColumnStats>) -> bool {
         // Unknown column properties cannot prune: keep.
-        let leaf =
-            |column: &str, test: Test<'_>| stats_of(column).map_or(true, |s| test.may_match(&s));
+        let leaf = |column: &str, test: Test<'_>| {
+            stats_of(column).map_or(true, |s| test.verdict(&s) != Verdict::None)
+        };
         match self {
             Expr::True => true,
             Expr::Cmp { column, op, value } => leaf(column, Test::Cmp(*op, value)),
@@ -351,9 +388,11 @@ mod tests {
         let lookup = |c: &str| (c == "a").then(|| stats(10, 20));
         assert!(Expr::eq("a", Value::Int64(15)).may_match_stats(&lookup));
         assert!(!Expr::eq("a", Value::Int64(25)).may_match_stats(&lookup));
-        // Strict bounds at the edge are kept (conservative, documented).
-        assert!(Expr::lt("a", Value::Int64(10)).may_match_stats(&lookup));
-        assert!(Expr::gt("a", Value::Int64(20)).may_match_stats(&lookup));
+        // Strict bounds at the edge prune exactly.
+        assert!(!Expr::lt("a", Value::Int64(10)).may_match_stats(&lookup));
+        assert!(!Expr::gt("a", Value::Int64(20)).may_match_stats(&lookup));
+        assert!(Expr::lt("a", Value::Int64(11)).may_match_stats(&lookup));
+        assert!(Expr::gt("a", Value::Int64(19)).may_match_stats(&lookup));
         // But clearly-out-of-range strict bounds do prune.
         assert!(!Expr::lt("a", Value::Int64(9)).may_match_stats(&lookup));
         assert!(!Expr::gt("a", Value::Int64(21)).may_match_stats(&lookup));

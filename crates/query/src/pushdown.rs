@@ -9,19 +9,24 @@
 //! 0. **Index first** — a ROS block arrives opened: held by the read
 //!    cache, or by its index alone. Its bloom filter can rule the whole
 //!    block out for a point predicate on a key column; what is left gets
-//!    one fetch plan: the predicate's and the consumer's columns × the
-//!    zones the zone maps keep — less, of a zone selected whole under no
-//!    predicate, the columns the consumer takes from the index
-//!    ([`Consumer::index_answers`]) — adjacent chunks no cell holds yet in
-//!    one read ([`vortex_ros::RosBlock::fetch`]). Provenance is fetched for a
-//!    consumer that returns rows, and commit timestamps for the zones that
-//!    hold rows the freshness probe has not seen.
-//! 1. **Zone-map short-circuit** — every column chunk (one zone of
-//!    [`vortex_ros::ZONE_ROWS`] rows) carries min/max/null properties;
-//!    zones the predicate provably cannot match are never fetched.
+//!    one fetch plan ([`ScanPlan::fetches`]) whose adjacent chunks no cell
+//!    holds yet are one read ([`vortex_ros::RosBlock::fetch`]). Provenance
+//!    is fetched for a consumer that returns rows, and commit timestamps
+//!    for the zones that hold rows the freshness probe has not seen.
+//! 1. **Zone-map verdicts** — every column chunk (one zone of
+//!    [`vortex_ros::ZONE_ROWS`] rows) carries min/max/null properties,
+//!    from which each part of the predicate gets a verdict per zone: no
+//!    row passes, every row does, or it cannot tell ([`Verdict`]). A zone
+//!    no row of which passes is skipped; a decided part reads no column,
+//!    and a zone every row of which passes is one under no predicate to
+//!    a consumer that takes columns from the index
+//!    ([`Consumer::index_answers`]). The plan and the filter take the
+//!    verdict from one function, so they cannot disagree.
 //! 2. **Typed kernels** — a surviving zone decodes to typed
 //!    [`ColumnVec`]s and every predicate leaf is a loop over one of them
-//!    (`i64`, `f64`, byte slices); no `Value` is built to compare.
+//!    (`i64`, `f64`, byte slices); no `Value` is built to compare. An
+//!    equality on a string chunk not decoded yet compares its stored
+//!    FSST codes with the literal's instead.
 //! 3. **Dictionary-id rewrite** — on a `Dict` vector the leaf is decided
 //!    once per distinct value and rows look the verdict up by their u32
 //!    code; on a `Runs` vector it is decided once per run.
@@ -65,7 +70,7 @@ use vortex_ros::{Chunk, ColumnBuilder, ColumnVec, IntKind, Picked, RosBlock, Row
 
 use crate::consume::Consumer;
 use crate::engine::ScanStats;
-use crate::expr::{Expr, Test};
+use crate::expr::{CmpOp, Expr, Test, Verdict};
 
 /// A predicate compiled against the snapshot schema: column names are
 /// resolved to positional indices once, so per-zone evaluation does no
@@ -109,41 +114,48 @@ impl<'e> CPred<'e> {
         })
     }
 
-    /// Marks the schema columns the predicate reads.
-    fn mark_columns(&self, reads: &mut [bool]) {
+    /// What the zone map of zone `z` decides of the predicate — the one
+    /// verdict the fetch plan and the filter both take. Columns past the
+    /// block's arity were added by later schema versions and read as NULL
+    /// for every row, which decides those leaves too.
+    fn verdict(&self, block: &RosBlock, z: usize) -> Verdict {
         match self {
-            CPred::True => {}
-            CPred::Leaf(col, _) => reads[*col] = true,
-            CPred::And(a, b) | CPred::Or(a, b) => {
-                a.mark_columns(reads);
-                b.mark_columns(reads);
+            CPred::True => Verdict::All,
+            CPred::Leaf(col, Test::IsNull) if *col >= block.column_count() => Verdict::All,
+            CPred::Leaf(col, _) if *col >= block.column_count() => Verdict::None,
+            CPred::Leaf(col, test) => {
+                (block.zone_stats(*col, z)).map_or(Verdict::Some, |s| test.verdict(s))
             }
-            CPred::Not(a) => a.mark_columns(reads),
+            CPred::And(a, b) => a.verdict(block, z).min(b.verdict(block, z)),
+            CPred::Or(a, b) => a.verdict(block, z).max(b.verdict(block, z)),
+            // NULL comparisons are false, so NOT is a complement: it
+            // flips a decided verdict.
+            CPred::Not(a) => {
+                [Verdict::All, Verdict::Some, Verdict::None][a.verdict(block, z) as usize]
+            }
         }
     }
 
-    /// The zone-map short-circuit: `false` means no row of zone `z` can
-    /// satisfy the predicate. Columns past the block's arity were added
-    /// by later schema versions and read as NULL for every row, which
-    /// decides those leaves exactly instead of conservatively.
-    fn may_match_zone(&self, block: &RosBlock, z: usize) -> bool {
-        match self {
-            CPred::True => true,
-            // All-NULL column: only IS NULL matches.
-            CPred::Leaf(col, test) if *col >= block.column_count() => matches!(test, Test::IsNull),
-            CPred::Leaf(col, test) => block
-                .zone_stats(*col, z)
-                .map_or(true, |s| test.may_match(s)),
-            CPred::And(a, b) => a.may_match_zone(block, z) && b.may_match_zone(block, z),
-            CPred::Or(a, b) => a.may_match_zone(block, z) || b.may_match_zone(block, z),
-            // NOT needs interval complements to prune; stay safe.
-            CPred::Not(_) => true,
-        }
+    /// Whether [`CPred::filter_zone`] of zone `z` reads column `col`: a
+    /// leaf on it that no zone map decides, found by the filter's walk.
+    fn reads(&self, block: &RosBlock, z: usize, col: usize) -> bool {
+        self.verdict(block, z) == Verdict::Some
+            && match self {
+                CPred::True => false,
+                CPred::Leaf(c, _) => *c == col,
+                CPred::And(a, b) | CPred::Or(a, b) => {
+                    a.reads(block, z, col) || b.reads(block, z, col)
+                }
+                CPred::Not(a) => a.reads(block, z, col),
+            }
     }
 
     /// Narrows `sel` — ascending zone-relative rows — to the ones the
-    /// predicate keeps. Decodes only referenced columns; a conjunction
-    /// tests its right side on what its left side kept.
+    /// predicate keeps. Of a block's zone, a part the zone map decides
+    /// keeps or drops `sel` whole and reads nothing; a leaf reads its
+    /// column — an `=`, `<>` or `IN` leaf the FSST codes of its chunk,
+    /// else the column decoded whole. A conjunction tests its right side
+    /// on what its left side kept.
     // lint:hotpath(pushdown) — selective-scan kernel: zone predicate evaluation
     fn filter_zone(&self, cols: &ZoneCols<'_>, sel: &mut Vec<usize>) -> VortexResult<()> {
         // Drops from `sel` the rows of `gone`, an ascending subset of it.
@@ -151,8 +163,15 @@ impl<'e> CPred<'e> {
             let mut gone = gone.iter().peekable();
             sel.retain(|i| gone.next_if_eq(&i).is_none());
         }
+        let decided = match cols {
+            ZoneCols::Block(block, z, _) => self.verdict(block, *z),
+            ZoneCols::Decoded(_) => Verdict::Some,
+        };
         match self {
+            _ if decided == Verdict::None => sel.clear(),
+            _ if decided == Verdict::All => {}
             CPred::True => {}
+            CPred::Leaf(col, test) if cols.retain_coded(*col, *test, sel)? => {}
             CPred::Leaf(col, test) => match cols.at(*col, None)? {
                 Some((col, _)) => filter_leaf(col, *test, sel),
                 None if matches!(test, Test::IsNull) => {}
@@ -257,7 +276,8 @@ pub(crate) struct Held<'b> {
 
 /// What a scan has decoded of one block, provenance included: the cells
 /// it turned into column vectors, and the bytes of the chunk cells they
-/// came from — a chunk's whole, whether decoded whole or at a selection.
+/// came from — a chunk's whole, whether decoded whole, at a selection or
+/// compared on its codes, which turns no cell into a vector.
 #[derive(Default)]
 pub(crate) struct Decoded {
     cells: Cell<u64>,
@@ -345,6 +365,32 @@ impl<'b> ZoneCols<'b> {
         out
     }
 
+    /// Of a block's zone whose column `col` is not decoded yet, keeps the
+    /// rows of `sel` that pass `test` — `=`, `<>` or `IN` — by comparing
+    /// the FSST codes its chunk stores with the literals'
+    /// ([`RosBlock::retain_coded`]). `false` for another test, zone or
+    /// chunk.
+    fn retain_coded(&self, col: usize, test: Test<'_>, sel: &mut Vec<usize>) -> VortexResult<bool> {
+        let (literals, equal) = match test {
+            Test::Cmp(op @ (CmpOp::Eq | CmpOp::Ne), v) => {
+                (std::slice::from_ref(v), op == CmpOp::Eq)
+            }
+            Test::In(list) => (list, true),
+            _ => return Ok(false),
+        };
+        let ZoneCols::Block(block, z, held) = self else {
+            return Ok(false);
+        };
+        if held.cols.get(col).map_or(true, |cell| cell.get().is_some()) {
+            return Ok(false);
+        }
+        let done = block.retain_coded((col, *z), (literals, equal), sel)?;
+        if done {
+            held.tally.add(0, block.cell_bytes(Chunk::Column(col), *z));
+        }
+        Ok(done)
+    }
+
     /// The vector for schema column `col` with the index in it of each
     /// row of `sel` — `None` for the predicate, which reads the column
     /// whole — or `None` when the zone's rows predate the column (they
@@ -399,9 +445,9 @@ pub(crate) struct ScanPlan<'e> {
     /// — the freshness probe's watermark when the scan began, below which
     /// it counts nothing; `None` collects none.
     visible_after: Option<Timestamp>,
-    /// What the scan reads of a ROS block, for its fetch plan: the
-    /// predicate's and the consumer's columns, and whether the consumer
-    /// reads provenance — once per scan, not per block.
+    /// What the consumer reads of a ROS block, for its fetch plan: its
+    /// columns, and whether it reads provenance — once per scan, not per
+    /// block. What the predicate reads, the zone maps decide zone by zone.
     reads: (Vec<bool>, bool),
 }
 
@@ -442,7 +488,6 @@ impl<'e> ScanPlan<'e> {
         };
         // lint:allow(L010, once per scan, sized by the schema's columns)
         let mut columns = vec![false; plan.arity()];
-        plan.pred.mark_columns(&mut columns);
         let provenance = sink.reads(&plan, &mut columns);
         plan.reads = (columns, provenance);
         Ok(plan)
@@ -463,6 +508,25 @@ impl<'e> ScanPlan<'e> {
     /// Snapshot-schema column count.
     pub(crate) fn arity(&self) -> usize {
         self.keep.len()
+    }
+
+    /// Whether a scan into `sink` fetches column `c` of zone `z` of
+    /// `block`, a zone its zone maps give `verdict` and the snapshot sees
+    /// `whole` or not. Of a zone no row of which passes, nothing; else a
+    /// column the consumer reads — unless it takes it from the index of a
+    /// zone every row of which is selected — and a column a leaf no zone
+    /// map decides reads.
+    fn fetches(
+        &self,
+        sink: &impl Consumer,
+        block: &RosBlock,
+        (c, z): (usize, usize),
+        (verdict, whole): (Verdict, bool),
+    ) -> bool {
+        let selected = verdict == Verdict::All && whole;
+        let consumed = self.reads.0.get(c) == Some(&true)
+            && !(selected && sink.index_answers(self, block, z, c));
+        verdict != Verdict::None && (consumed || self.pred.reads(block, z, c))
     }
 
     /// Whether the projection keeps schema column `col`.
@@ -614,33 +678,29 @@ pub(crate) fn scan_ros_block<C: Consumer>(
     // The bloom filter first: no chunk of a block it rules out is read,
     // but for the timestamps the probe is owed.
     let ruled_out = !plan.may_match_bloom(block.bloom());
-    let survives = |z: usize| !ruled_out && plan.pred.may_match_zone(block, z);
     // lint:allow(L010, once per block scanned, sized by its zones and the schema's columns; never per row)
-    let scan: Vec<bool> = (0..zones).map(survives).collect();
+    let verdicts: Vec<Verdict> = (0..zones).map(|z| plan.pred.verdict(block, z)).collect();
+    let scan = |z: usize| !ruled_out && verdicts[z] != Verdict::None;
     if ruled_out {
         out.stats.pruned_by_bloom += 1;
     } else {
         out.stats.zones_total += zones;
-        out.stats.zones_pruned += scan.iter().filter(|kept| !**kept).count();
+        out.stats.zones_pruned += (0..zones).filter(|&z| !scan(z)).count();
     }
-    // Kept zones the gate admits whole; with no predicate to narrow them,
-    // every row is selected, and a column the consumer takes from the
-    // index needs no chunk.
+    // Kept zones the gate admits whole: where the zone maps select every
+    // row, so is every row.
     let admitted = |z: usize| {
         let range = block.zone_range(z);
-        scan[z] && gate.admits_all(range.start as u64..range.end as u64)
+        scan(z) && gate.admits_all(range.start as u64..range.end as u64)
     };
     // lint:allow(L010, once per block scanned, sized by its zones and the schema's columns; never per row)
     let whole: Vec<bool> = (0..zones).map(admitted).collect();
-    let every = matches!(plan.pred, CPred::True);
-    let indexed =
-        |c: usize, z: usize| every && whole[z] && out.sink.index_answers(plan, block, z, c);
     // One fetch plan for the block.
-    let (columns, provenance) = (&plan.reads.0, plan.reads.1);
+    let (sink, provenance) = (&out.sink, plan.reads.1);
     open.fetch(|chunk, z| match chunk {
-        Chunk::Column(c) => scan[z] && columns.get(c) == Some(&true) && !indexed(c, z),
-        Chunk::Timestamps => fresh[z] || (scan[z] && provenance),
-        Chunk::Provenance => scan[z] && provenance,
+        Chunk::Column(c) => scan(z) && plan.fetches(sink, block, (c, z), (verdicts[z], whole[z])),
+        Chunk::Timestamps => fresh[z] || (scan(z) && provenance),
+        Chunk::Provenance => scan(z) && provenance,
     })?;
     let decoded = Decoded::default();
     out.stats.reads += open.fetched.reads;
@@ -653,7 +713,7 @@ pub(crate) fn scan_ros_block<C: Consumer>(
         out.visible_ts.extend(visible.map(|(_, ts)| ts));
     }
     let mut sel: Vec<usize> = Vec::new(); // zone-relative selected rows
-    for z in (0..zones).filter(|&z| scan[z]) {
+    for z in (0..zones).filter(|&z| scan(z)) {
         let range = block.zone_range(z);
         out.stats.rows_scanned += range.len() as u64;
         sel.clear();
@@ -668,4 +728,182 @@ pub(crate) fn scan_ros_block<C: Consumer>(
     out.stats.bytes_decoded += decoded.bytes.get();
     out.stats.zones_folded += decoded.zones_folded.get();
     Ok(())
+}
+
+/// The fetch plan and the filter take one verdict of the zone maps
+/// ([`ScanPlan::fetches`], `CPred::filter_zone`): of a block opened
+/// from its bytes with the chunks the plan fetches and no other — a
+/// read of any other fails — every zone filters and folds to what
+/// `Expr::eval` keeps of the block's rows, under any predicate, NOT and
+/// OR included, into a DML's positions and into a count and a sum
+/// grouped by a column. Its columns: `g`, one value in zones 0 and 2;
+/// `i`, with NULLs; `s`, distinct strings (FSST); `k`, four strings,
+/// one in zone 2; and `late`, past the block's.
+#[cfg(test)]
+mod tests {
+    use proptest::prelude::*;
+
+    use vortex_client::read::Zone;
+    use vortex_common::crypt::Key;
+    use vortex_common::schema::{Field, FieldType};
+    use vortex_ros::{RosBlockBuilder, ZONE_ROWS};
+
+    use super::*;
+    use crate::consume::{Aggregator, Positions};
+    use crate::engine::AggKind;
+
+    const ROWS: usize = 2_500;
+
+    fn cells(k: usize) -> Vec<Value> {
+        let (r, z) = (
+            (k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 20,
+            k / ZONE_ROWS,
+        );
+        vec![
+            Value::Int64([7, (r % 3) as i64, 9][z]),
+            match r % 7 {
+                0 => Value::Null,
+                _ => Value::Int64((r % 1_000) as i64 - 500),
+            },
+            Value::String(format!("sess={r:08x} ua=Chrome os=Linux")),
+            Value::String(format!("key {}", if z == 2 { 9 } else { r % 4 })),
+        ]
+    }
+
+    /// The block's columns: all but `late`.
+    fn stored() -> Schema {
+        let types = [
+            FieldType::Int64,
+            FieldType::Int64,
+            FieldType::String,
+            FieldType::String,
+        ];
+        let fields = ["g", "i", "s", "k"].iter().zip(types);
+        Schema::new(fields.map(|(c, t)| Field::nullable(c, t)).collect())
+    }
+
+    fn arb_op() -> impl Strategy<Value = CmpOp> {
+        let ops = [
+            CmpOp::Eq,
+            CmpOp::Ne,
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Gt,
+            CmpOp::Ge,
+        ];
+        (0usize..6).prop_map(move |i| ops[i])
+    }
+
+    fn arb_pred() -> impl Strategy<Value = Expr> {
+        let cmp = |column: &'static str| {
+            move |(op, value): (CmpOp, Value)| Expr::Cmp {
+                column: column.into(),
+                op,
+                value,
+            }
+        };
+        let string = |k: usize| cells(k).swap_remove(2);
+        let leaf = prop_oneof![
+            (arb_op(), (5i64..11).prop_map(Value::Int64)).prop_map(cmp("g")),
+            (arb_op(), (-600i64..600).prop_map(Value::Int64)).prop_map(cmp("i")),
+            collection::vec((-600i64..600).prop_map(Value::Int64), 0..3)
+                .prop_map(|vs| Expr::is_in("i", vs)),
+            (arb_op(), (0..ROWS).prop_map(string)).prop_map(cmp("s")),
+            collection::vec((0..ROWS + 9).prop_map(string), 0..3)
+                .prop_map(|vs| Expr::is_in("s", vs)),
+            (
+                arb_op(),
+                (0u64..10).prop_map(|k| Value::String(format!("key {k}")))
+            )
+                .prop_map(cmp("k")),
+            (arb_op(), (0i64..3).prop_map(Value::Int64)).prop_map(cmp("late")),
+            prop_oneof![Just("g"), Just("i"), Just("late")]
+                .prop_map(|c| Expr::IsNull(c.to_string())),
+        ];
+        leaf.prop_recursive(3, 12, 2, |inner| {
+            prop_oneof![
+                (inner.clone(), inner.clone()).prop_map(|(a, b)| a.and(b)),
+                (inner.clone(), inner.clone()).prop_map(|(a, b)| a.or(b)),
+                inner.prop_map(|a| a.not()),
+            ]
+        })
+    }
+
+    /// Folds into `got` what a scan of the block opened from `bytes`
+    /// under `pred` selects, fetching what the plan fetches; into
+    /// `want`, the zones decoded whole at the rows `Expr::eval` keeps.
+    fn scan<C: Consumer>(
+        pred: &Expr,
+        (block, bytes): (&RosBlock, &[u8]),
+        (mut got, mut want): (C, C),
+    ) -> (C, C) {
+        let schema = stored().evolve_add_column(Field::nullable("late", FieldType::Int64));
+        let schema = schema.unwrap();
+        let plan = ScanPlan::compile(pred, None, &schema, None, &got).unwrap();
+        let key = Key::derive_from_passphrase("plan and filter");
+        let mut read = |at: u64, len: usize, check: &dyn Fn(&[u8]) -> VortexResult<()>| {
+            let held = &bytes[at as usize..][..len];
+            check(held).map(|()| held.to_vec())
+        };
+        let (cold, _) = RosBlock::open_index(bytes.len() as u64, &key, 1, &mut read).unwrap();
+        let verdicts: Vec<_> = (0..cold.zone_count())
+            .map(|z| plan.pred.verdict(&cold, z))
+            .collect();
+        let wanted = |chunk: Chunk, z: usize| match chunk {
+            Chunk::Column(c) => plan.fetches(&got, &cold, (c, z), (verdicts[z], true)),
+            _ => false,
+        };
+        cold.fetch(&mut read, wanted).unwrap();
+        let (tally, rows) = (Decoded::default(), block.rows().unwrap());
+        for z in 0..block.zone_count() {
+            let range = block.zone_range(z);
+            let mut sel: Vec<usize> = (0..range.len()).collect();
+            let held = ZoneCols::of_block(&cold, z, &tally);
+            plan.pred.filter_zone(&held, &mut sel).unwrap();
+            if !sel.is_empty() {
+                got.fold_zone(&held, &sel, &plan).unwrap();
+            }
+            let keep = |&i: &usize| pred.eval(&schema, &rows[range.start + i].1).unwrap();
+            let kept: Vec<usize> = (0..range.len()).filter(keep).collect();
+            let cols = (0..4).map(|c| block.decode_zone(c, z).unwrap());
+            let zone = Zone {
+                first: range.start as u64,
+                metas: vec![RowMeta::default(); range.len()],
+                cols: cols.collect(),
+            };
+            want.fold_zone(&ZoneCols::Decoded(&zone), &kept, &plan)
+                .unwrap();
+        }
+        (got, want)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn the_plan_fetches_what_the_filter_reads(pred in arb_pred()) {
+            let stored = stored();
+            let mut b = RosBlockBuilder::new(&stored);
+            for k in 0..ROWS {
+                b.push(RowMeta::default(), Row::insert(cells(k))).unwrap();
+            }
+            let block = b.build(false).unwrap();
+            let key = Key::derive_from_passphrase("plan and filter");
+            let bytes = block.to_bytes(&key, 1);
+            let at = |sink: Positions| sink.at;
+            let dml = Positions { at: Vec::new(), rows: None };
+            let (got, want) = scan(&pred, (&block, &bytes), (dml.clone(), dml));
+            prop_assert_eq!(at(got), at(want), "{:?}", pred);
+            let schema = stored.evolve_add_column(Field::nullable("late", FieldType::Int64));
+            let aggs = [(AggKind::Count, None), (AggKind::Sum, Some("i"))];
+            let agg = Aggregator::new(&schema.unwrap(), Some("g"), &aggs).unwrap();
+            let (got, want) = scan(&pred, (&block, &bytes), (agg.clone(), agg));
+            let key_eq = |(g, vals): &(Option<Value>, Vec<Value>)| {
+                let g = g.as_ref().map(Value::encode_key);
+                (g, vals.iter().map(Value::encode_key).collect::<Vec<_>>())
+            };
+            let groups = |agg: Aggregator| agg.into_groups().iter().map(key_eq).collect::<Vec<_>>();
+            prop_assert_eq!(groups(got), groups(want), "{:?}", pred);
+        }
+    }
 }

@@ -1619,6 +1619,154 @@ mod pushdown_equivalence {
             }
         }
     }
+
+    /// A table whose string zones are FSST-coded: `s` is distinct row to
+    /// row but for a few repeats, with NULLs, empty values, multi-byte
+    /// UTF-8 and values of more than 127 code bytes among them.
+    fn coded_schema() -> Schema {
+        Schema::new(vec![
+            Field::required("k", FieldType::Int64),
+            Field::nullable("s", FieldType::String),
+        ])
+    }
+
+    /// The `s` of row `k`.
+    fn coded_cell(k: i64) -> Value {
+        let r = (k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 20;
+        Value::String(match k % 13 {
+            0 => return Value::Null,
+            1 => String::new(),
+            2 => format!("é€😀 {k:04} ünïcode"),
+            3 => (0..40)
+                .map(|i| format!("{:016x}", r.rotate_left(i)))
+                .collect(),
+            4 if k > 9 => return coded_cell(k - 9),
+            _ => format!(
+                "sess={:08x} ua=Chrome os=Linux",
+                k as u64 * 2_654_435_761 % (1 << 32)
+            ),
+        })
+    }
+
+    fn coded_rows(start: i64, n: usize) -> RowSet {
+        let row = |k: i64| Row::insert(vec![Value::Int64(k), coded_cell(k)]);
+        RowSet::new((start..start + n as i64).map(row).collect())
+    }
+
+    /// Converted ROS — three blocks of 128 rows — with a deletion mask,
+    /// and a tail.
+    fn load_coded(r: &Rig) -> TableId {
+        let t = r.sms.create_table("t", coded_schema()).unwrap().table;
+        let mut w = r.client.create_unbuffered_writer(t).unwrap();
+        w.append(coded_rows(0, 384)).unwrap();
+        r.sms.finalize_stream(t, w.stream_id()).unwrap();
+        r.opt.convert_wos(t).unwrap();
+        let gone = Expr::ge("k", Value::Int64(100)).and(Expr::lt("k", Value::Int64(120)));
+        assert_eq!(r.dml.delete_where(t, &gone).unwrap().rows_matched, 20);
+        let mut tail = r.client.create_unbuffered_writer(t).unwrap();
+        tail.append(coded_rows(384, 30)).unwrap();
+        t
+    }
+
+    /// A literal for `s`: a row's value, one that is no row's, one of
+    /// bytes the tables lack, empty, of another type, or NULL.
+    fn arb_coded_literal() -> impl Strategy<Value = Value> {
+        prop_oneof![
+            4 => (0i64..430).prop_map(coded_cell),
+            1 => (0i64..430).prop_map(|k| match coded_cell(k) {
+                Value::String(s) => Value::String(s + "~"),
+                v => v,
+            }),
+            1 => Just(Value::String("QZJ\u{7f}\u{0}".into())),
+            1 => Just(Value::String(String::new())),
+            1 => (0i64..430).prop_map(|k| match coded_cell(k) {
+                Value::String(s) => Value::Bytes(s.into_bytes()),
+                v => v,
+            }),
+            1 => Just(Value::Null),
+        ]
+    }
+
+    fn arb_coded_pred() -> impl Strategy<Value = Expr> {
+        let leaf = prop_oneof![
+            4 => (arb_op(), arb_coded_literal()).prop_map(|(op, value)| Expr::Cmp {
+                column: "s".into(),
+                op,
+                value,
+            }),
+            2 => collection::vec(arb_coded_literal(), 0..4).prop_map(|vs| Expr::is_in("s", vs)),
+            1 => Just(Expr::IsNull("s".into())),
+            1 => (arb_op(), 0i64..440).prop_map(|(op, v)| Expr::Cmp {
+                column: "k".into(),
+                op,
+                value: Value::Int64(v),
+            }),
+        ];
+        leaf.prop_recursive(2, 8, 2, |inner| {
+            prop_oneof![
+                (inner.clone(), inner.clone()).prop_map(|(a, b)| a.and(b)),
+                (inner.clone(), inner.clone()).prop_map(|(a, b)| a.or(b)),
+                inner.prop_map(|a| a.not()),
+            ]
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        // Equality on FSST codes, and the zone maps' verdicts, are
+        // indistinguishable from decode-then-filter over string zones
+        // coded FSST: a scan, a count and a DELETE select what
+        // `Expr::eval` keeps of the visible rows.
+        #[test]
+        fn coded_strings_equal_decode_then_filter(pred in arb_coded_pred()) {
+            let r = super::rig();
+            let t = load_coded(&r);
+            let snap = r.sms.read_snapshot();
+            let want = oracle_scan(&r, t, snap, &pred, None);
+            let opts = ScanOptions {
+                predicate: pred.clone(),
+                ..ScanOptions::default()
+            };
+            let got = r.engine.scan(t, snap, &opts).unwrap();
+            prop_assert_eq!(keys(&got.rows), keys(&want));
+            prop_assert_eq!(r.engine.count(t, snap, &opts).unwrap(), want.len() as u64);
+            let rest = oracle_scan(&r, t, snap, &pred.clone().not(), None);
+            prop_assert_eq!(r.dml.delete_where(t, &pred).unwrap().rows_matched, want.len() as u64);
+            prop_assert_eq!(cells(&r.client.read_rows(t).unwrap().rows), cells(&rest));
+        }
+    }
+
+    /// Over that table a count of `s = X` and of `s IN (…)`, `s <> X`
+    /// among them, compares codes: of its ROS zones it decodes no cell.
+    #[test]
+    fn a_string_equality_decodes_no_cell() {
+        use crate::consume::Aggregator;
+        let r = super::rig();
+        let t = load_coded(&r);
+        let snap = r.sms.read_snapshot();
+        // Row 212 repeats row 203's value.
+        let present = coded_cell(203);
+        let list = Expr::is_in("s", vec![coded_cell(7), Value::Null, coded_cell(301)]);
+        let unequal = Expr::Cmp {
+            column: "s".into(),
+            op: CmpOp::Ne,
+            value: present.clone(),
+        };
+        for pred in [Expr::eq("s", present), list, unequal] {
+            let opts = ScanOptions {
+                predicate: pred.clone(),
+                ..ScanOptions::default()
+            };
+            let count = |_: &Schema| Ok(Aggregator::default());
+            let (_, _, stats) = r.engine.scan_into(t, snap, &opts, &count).unwrap();
+            let want = oracle_scan(&r, t, snap, &pred, None).len() as u64;
+            assert!(want >= 2, "{pred:?}");
+            assert_eq!(stats.rows_matched, want, "{pred:?}");
+            assert_eq!(stats.cells_decoded, 0, "{pred:?}: {stats:?}");
+            assert!(stats.bytes_decoded > 0, "{pred:?}: {stats:?}");
+        }
+    }
 }
 
 /// A DML predicate is compiled by the scan: a column the schema lacks is

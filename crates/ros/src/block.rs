@@ -50,7 +50,7 @@ use vortex_common::truetime::Timestamp;
 use crate::column::{ColumnBuilder, ColumnVec, IntKind, KeyedRows, Prim};
 use crate::encoding::{
     decode_chunk_at, distinct_rows, encode_profiled, fold_chunk, holds_one_key, le_uint, profile,
-    BlockTable, Encoding, Sink,
+    retain_coded, BlockTable, Encoding, SharedTable, Sink,
 };
 
 static ROW_METAS_BUILT: Lazy<Counter> = Lazy::new("ros.row_metas_built", Registry::counter);
@@ -459,6 +459,7 @@ impl Shape {
             bloom,
             chunks,
             cells,
+            tables: vec![OnceLock::new(); ncols],
             body: Some(body),
             seal: None,
         }
@@ -558,6 +559,8 @@ pub struct RosBlock {
     /// decrypted and, for a vsnap chunk, expanded. Written once, so
     /// readers sharing the block may fill them at the same time.
     cells: Vec<OnceLock<Vec<u8>>>,
+    /// Per user column, the matcher of the FSST table its chunks share.
+    tables: Vec<SharedTable>,
     /// The body as stored, unencrypted, of a block as built.
     body: Option<Vec<u8>>,
     /// What a fetched range decrypts with; `None` in a block as built.
@@ -697,6 +700,22 @@ impl RosBlock {
     pub fn fold_zone(&self, col: usize, z: usize, sink: &mut impl Sink<f64>) -> VortexResult<bool> {
         let (enc, bytes, count) = self.stored(self.user_column(col, z)?, z)?;
         fold_chunk(enc, bytes, count, sink)
+    }
+
+    /// Keeps the rows of `sel` whose cell in zone `z` of column `col`
+    /// equals one of `literals` (`equal`), or is not NULL and equals none
+    /// of them, by comparing the stored FSST codes of its chunk with the
+    /// literals' ([`retain_coded`]): nothing decodes. `false`, and `sel`
+    /// untouched, for a chunk that is neither Fsst nor RleV2 of Fsst run
+    /// values.
+    pub fn retain_coded(
+        &self,
+        (col, z): (usize, usize),
+        (literals, equal): (&[Value], bool),
+        sel: &mut Vec<usize>,
+    ) -> VortexResult<bool> {
+        let stored = self.stored(self.user_column(col, z)?, z)?;
+        retain_coded(stored, (literals, equal), &self.tables[col], sel)
     }
 
     /// The one value every row of zone `z` of column `col` holds, from
@@ -1061,6 +1080,8 @@ impl RosBlock {
             bloom,
             // lint:allow(L010, once per block opened: an empty cell per chunk)
             cells: vec![OnceLock::new(); chunks.len()],
+            // lint:allow(L010, once per block opened: an empty cell per column)
+            tables: vec![OnceLock::new(); ncols],
             chunks,
             body: None,
             seal: None,

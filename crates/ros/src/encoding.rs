@@ -52,6 +52,7 @@ use vortex_common::codec::{
 };
 use vortex_common::error::{VortexError, VortexResult};
 use vortex_common::obs::{Counter, Lazy, Registry};
+use vortex_common::row::Value;
 
 /// How a column chunk is encoded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -887,7 +888,8 @@ const FSST_SLOTS: usize = 512;
 
 /// An FSST symbol table laid out for matching. A symbol is its bytes as
 /// a [`word_at`] word, how many they are, and its code.
-struct FsstTable {
+#[derive(Debug, Clone)]
+pub(crate) struct FsstTable {
     /// In code order.
     symbols: Vec<(u64, u8, u8)>,
     /// The symbols of two bytes or more: those that share their first two
@@ -974,21 +976,33 @@ impl FsstTable {
             ranked.truncate(keep);
         }
         ranked.sort_unstable();
-        let symbols: Vec<(u64, u8, u8)> = (ranked.iter().zip(0u8..))
+        let symbols = (ranked.iter().zip(0u8..))
             .map(|(&(_, bytes, len), code)| (bytes.swap_bytes(), len, code))
             .collect();
-        let coded = symbols.iter().copied();
-        let (short, mut long): (Vec<_>, Vec<_>) = coded.partition(|&(_, len, _)| len == 1);
-        long.sort_unstable_by_key(|&(word, len, _)| (word as u16, Reverse(len)));
+        FsstTable::matching(symbols)
+    }
+
+    /// The table that matches `symbols`, in code order — what `build`
+    /// trained, or what a chunk stores: its stored symbols rebuild exactly
+    /// the encoder that wrote it.
+    fn matching(symbols: Vec<(u64, u8, u8)>) -> FsstTable {
         let mut table = FsstTable {
+            // lint:allow(L010, once per FSST table built: its symbols of two bytes or more)
+            long: Vec::with_capacity(symbols.len()),
             symbols,
-            long,
             slots: [u8::MAX; FSST_SLOTS],
             short: [FSST_ESCAPE; 256],
         };
-        short
-            .iter()
-            .for_each(|&(word, _, code)| table.short[word as usize] = code);
+        for &(word, len, code) in &table.symbols {
+            match len {
+                1 => table.short[word as usize] = code,
+                // lint:allow(L010, fills the vector sized above)
+                _ => table.long.push((word, len, code)),
+            }
+        }
+        // By prefix, longest first.
+        let key = |&(word, len, _): &(u64, u8, u8)| (word as u16 as u32) << 8 | (!len) as u32;
+        table.long.sort_unstable_by_key(key);
         for (i, &(word, ..)) in table.long.iter().enumerate().rev() {
             // The earliest symbol of a prefix writes its slot last.
             let at = table.slot_of(word as u16);
@@ -1038,7 +1052,9 @@ impl FsstTable {
                 at += 1;
             }
             match code {
+                // lint:allow(L010, into the caller's buffer: a chunk's, or once per FSST table a literal's)
                 FSST_ESCAPE => out.extend_from_slice(&[code, s[pos]]),
+                // lint:allow(L010, into the caller's buffer: a chunk's, or once per FSST table a literal's)
                 _ => out.push(code),
             }
             pos += len;
@@ -1171,21 +1187,8 @@ pub fn decode_chunk_at(
             }
         }
         Encoding::RleV2 => {
-            let nruns = get_count(bytes, pos, count, "run count")?;
-            let mut lens = Vec::with_capacity(nruns);
-            let mut left = count;
-            for _ in 0..nruns {
-                let run = get_uvarint(bytes, pos)? as usize;
-                let fits = run > 0 && run <= left;
-                ensure(fits, format_args!("rle run {run} exceeds remaining {left}"))?;
-                lens.push(run as u32);
-                left -= run;
-            }
-            ensure(
-                left == 0,
-                format_args!("rle runs leave {left} of {count} rows"),
-            )?;
-            let values = Box::new(decode_nested(bytes, pos, nruns)?);
+            let lens = read_runs(bytes, pos, count)?;
+            let values = Box::new(decode_nested(bytes, pos, lens.len())?);
             picked(ColumnVec::Runs { lens, values }, rows)
         }
     };
@@ -1217,16 +1220,37 @@ pub(crate) fn holds_one_key(enc: Encoding, bytes: Option<&[u8]>) -> bool {
     }
 }
 
+/// The run lengths of an RleV2 chunk of `count` rows, which they cover.
+fn read_runs(bytes: &[u8], pos: &mut usize, count: usize) -> VortexResult<Vec<u32>> {
+    let nruns = get_count(bytes, pos, count, "run count")?;
+    let mut lens = Vec::with_capacity(nruns);
+    let mut left = count;
+    for _ in 0..nruns {
+        let run = get_uvarint(bytes, pos)? as usize;
+        let fits = run > 0 && run <= left;
+        ensure(fits, format_args!("rle run {run} exceeds remaining {left}"))?;
+        lens.push(run as u32);
+        left -= run;
+    }
+    let covered = format_args!("rle runs leave {left} of {count} rows");
+    ensure(left == 0, covered).map(|()| lens)
+}
+
+/// The value section of a DictV2 / RleV2 chunk: its leaf encoding and
+/// its bytes.
+fn nested<'a>(bytes: &'a [u8], pos: &mut usize) -> VortexResult<(Encoding, &'a [u8])> {
+    let venc = Encoding::from_u8(take_byte(bytes, pos)?)?;
+    let leaf = format_args!("value section cannot be {venc:?}");
+    ensure(venc.nestable(), leaf)?;
+    let vlen = get_count(bytes, pos, bytes.len() - *pos, "value section bytes")?;
+    Ok((venc, take(bytes, pos, vlen)?))
+}
+
 /// The value section of a DictV2 / RleV2 chunk: `n` values in a leaf
 /// encoding.
 fn decode_nested(bytes: &[u8], pos: &mut usize, n: usize) -> VortexResult<ColumnVec> {
-    let venc = Encoding::from_u8(take_byte(bytes, pos)?)?;
-    ensure(
-        venc.nestable(),
-        format_args!("value section cannot be {venc:?}"),
-    )?;
-    let vlen = get_count(bytes, pos, bytes.len() - *pos, "value section bytes")?;
-    decode_chunk(venc, take(bytes, pos, vlen)?, n)
+    let (venc, section) = nested(bytes, pos)?;
+    decode_chunk(venc, section, n)
 }
 
 /// What IntPack / Alp / Fsst chunks share after their type tag: the
@@ -1427,21 +1451,9 @@ struct FsstSymbols {
 impl FsstSymbols {
     /// Parses the table at `pos`: fewer than 255 symbols of 1..=8 bytes.
     fn parse(bytes: &[u8], pos: &mut usize) -> VortexResult<FsstSymbols> {
-        let nsyms = take_byte(bytes, pos)? as usize;
-        ensure(
-            nsyms < FSST_ESCAPE as usize,
-            format_args!("fsst table of {nsyms} symbols"),
-        )?;
         let (mut words, mut lens) = ([0; 256], [0; 256]);
-        for code in 0..nsyms {
-            let l = take_byte(bytes, pos)? as usize;
-            ensure(
-                (1..=FSST_MAX_SYM).contains(&l),
-                format_args!("fsst symbol of {l} bytes"),
-            )?;
-            take(bytes, pos, l)?;
-            words[code] = low_bytes(word_at(bytes, *pos - l), l);
-            lens[code] = l as u8;
+        for (word, len, code) in stored_symbols(fsst_table(bytes, pos)?) {
+            (words[code as usize], lens[code as usize]) = (word, len);
         }
         Ok(FsstSymbols { words, lens })
     }
@@ -1471,6 +1483,38 @@ impl FsstSymbols {
     }
 }
 
+/// The symbol table of an Fsst chunk at `pos`, as stored: its count, then
+/// each symbol's length and bytes. Checked: fewer than 255 symbols, of
+/// 1..=8 bytes each.
+fn fsst_table<'a>(bytes: &'a [u8], pos: &mut usize) -> VortexResult<&'a [u8]> {
+    let (start, nsyms) = (*pos, take_byte(bytes, pos)? as usize);
+    ensure(
+        nsyms < FSST_ESCAPE as usize,
+        format_args!("fsst table of {nsyms} symbols"),
+    )?;
+    for _ in 0..nsyms {
+        let l = take_byte(bytes, pos)? as usize;
+        ensure(
+            (1..=FSST_MAX_SYM).contains(&l),
+            format_args!("fsst symbol of {l} bytes"),
+        )?;
+        take(bytes, pos, l)?;
+    }
+    Ok(&bytes[start..*pos])
+}
+
+/// Each symbol of a checked table ([`fsst_table`]) as a [`word_at`] word,
+/// its length and its code, in code order.
+fn stored_symbols(table: &[u8]) -> impl Iterator<Item = (u64, u8, u8)> + '_ {
+    let mut at = 1;
+    (0..table[0]).map(move |code| {
+        let len = table[at];
+        at += 1 + len as usize;
+        let word = low_bytes(word_at(table, at - len as usize), len as usize);
+        (word, len, code)
+    })
+}
+
 /// The codes of the value at `pos`: a length prefix under 128 is its own
 /// byte, a longer one a varint; either is checked against the bytes that
 /// remain.
@@ -1485,6 +1529,123 @@ fn fsst_codes<'a>(bytes: &'a [u8], pos: &mut usize) -> VortexResult<&'a [u8]> {
     take(bytes, pos, n)
 }
 
+/// The string kind an Fsst chunk's type tag names.
+fn fsst_kind(tag: u8) -> VortexResult<StrKind> {
+    let kinds = [StrKind::String, StrKind::Json, StrKind::Bytes]; // TY_STRING..
+    let kind = kinds.get(tag as usize).copied();
+    kind.ok_or_else(|| corrupt(format_args!("bad fsst type {tag}")))
+}
+
+/// The matcher of the FSST table a block column's chunks share, with
+/// that table as stored: built by the first equality compared in one of
+/// them, and kept with the block.
+pub(crate) type SharedTable = OnceLock<(Vec<u8>, FsstTable)>;
+
+/// Keeps the rows of `sel` — ascending, in bounds — whose cell in a chunk
+/// of `count` rows equals one of `literals` (`equal`), or is not NULL and
+/// equals none of them (not `equal`), comparing FSST codes: of an Fsst
+/// chunk, each value's; of an RleV2 chunk whose run values are Fsst, each
+/// run's. `false`, and `sel` untouched, for another chunk. Nothing is
+/// expanded, and the framing is checked as [`decode_chunk`] checks it.
+pub(crate) fn retain_coded(
+    (enc, bytes, count): (Encoding, &[u8], usize),
+    test: (&[Value], bool),
+    shared: &SharedTable,
+    sel: &mut Vec<usize>,
+) -> VortexResult<bool> {
+    let pos = &mut 0usize;
+    match enc {
+        Encoding::Fsst => retain_fsst(bytes, count, test, shared, sel).map(|()| true),
+        Encoding::RleV2 => {
+            let lens = read_runs(bytes, pos, count)?;
+            let (venc, section) = nested(bytes, pos)?;
+            consumed(bytes, *pos)?;
+            if venc != Encoding::Fsst {
+                return Ok(false);
+            }
+            // lint:allow(L010, once per zone compared on its codes, sized by its runs)
+            let mut runs: Vec<usize> = (0..lens.len()).collect();
+            retain_fsst(section, lens.len(), test, shared, &mut runs)?;
+            // `sel` ascends, so a cursor over the runs follows it.
+            let (mut runs, mut run, mut end, mut kept) = (runs.into_iter().peekable(), 0, 0, false);
+            sel.retain(|&i| {
+                while i >= end {
+                    kept = runs.next_if_eq(&run).is_some();
+                    end += lens[run] as usize;
+                    run += 1;
+                }
+                kept
+            });
+            Ok(true)
+        }
+        _ => Ok(false),
+    }
+}
+
+/// [`retain_coded`] of an Fsst chunk: each value's stored codes are
+/// compared with the literals' codes under the chunk's own table, rebuilt
+/// from its stored symbols — which encodes every value to exactly its
+/// stored codes, so that codes are equal iff values are. The matcher of
+/// the table the block column shares is built once (`shared`); a chunk
+/// with a table of its own builds its own.
+fn retain_fsst(
+    bytes: &[u8],
+    count: usize,
+    (literals, equal): (&[Value], bool),
+    shared: &SharedTable,
+    sel: &mut Vec<usize>,
+) -> VortexResult<()> {
+    let pos = &mut 0usize;
+    let kind = fsst_kind(take_byte(bytes, pos)?)?;
+    let (_, nulls, _) = read_nulls(bytes, pos, count, FLAG_NULLS)?;
+    let table = fsst_table(bytes, pos)?;
+    // lint:allow(L010, once per FSST table a string leaf compares with: its symbols, in code order)
+    let matching = || FsstTable::matching(stored_symbols(table).collect());
+    // lint:allow(L010, once per block column: the table its matcher is kept for)
+    let (held, built) = shared.get_or_init(|| (table.to_vec(), matching()));
+    let own = (held[..] != *table).then(matching);
+    let matcher = own.as_ref().unwrap_or(built);
+    // Each literal a cell of the chunk's type can equal (`Value::total_cmp`),
+    // as the chunk would store it: its codes' count, then the codes.
+    let stored = |literal: &[u8]| {
+        // lint:allow(L010, once per zone and literal compared on codes: its codes)
+        let (mut codes, mut stored) = (Vec::new(), Vec::new());
+        matcher.emit_codes(literal, &mut codes);
+        put_uvarint(&mut stored, codes.len() as u64);
+        // lint:allow(L010, once per zone and literal compared on codes: its codes)
+        stored.extend_from_slice(&codes);
+        stored
+    };
+    let literals = literals.iter().filter_map(|v| match (kind, v) {
+        (StrKind::String, Value::String(s)) | (StrKind::Json, Value::Json(s)) => Some(s.as_bytes()),
+        (StrKind::Bytes, Value::Bytes(b)) => Some(b),
+        _ => None,
+    });
+    // lint:allow(L010, once per zone compared on codes: a code string per literal)
+    let literals: Vec<Vec<u8>> = literals.map(stored).collect();
+    // One pass over the values, a length prefix under 128 an add; a
+    // selected one compares as stored, length prefix first.
+    let past_the_end = || corrupt("fsst value past the end of its chunk");
+    let (mut kept, mut k) = (0, 0);
+    for row in 0..count {
+        let (start, valued) = (*pos, !null_bit(nulls, row));
+        match bytes.get(*pos) {
+            _ if !valued => {}
+            Some(&n) if n < 0x80 => *pos += 1 + n as usize,
+            _ => fsst_codes(bytes, pos).map(|_| ())?,
+        }
+        if sel.get(k) == Some(&row) {
+            let stored = bytes.get(start..*pos).ok_or_else(past_the_end)?;
+            let matched = literals.iter().any(|literal| literal[..] == *stored);
+            (sel[kept], k) = (row, k + 1);
+            kept += (valued && matched == equal) as usize;
+        }
+    }
+    sel.truncate(kept);
+    ensure(*pos <= bytes.len(), "fsst value past the end of its chunk")?;
+    consumed(bytes, *pos)
+}
+
 /// Decodes an Fsst chunk: whole, a word stored per code; or at a
 /// selection, where the values between picked ones are only skipped and
 /// the picked ones expanded afterwards. Either way the buffer grows once,
@@ -1497,11 +1658,7 @@ fn decode_fsst(
     count: usize,
     rows: Option<&[usize]>,
 ) -> VortexResult<ColumnVec> {
-    let tag = take_byte(bytes, pos)? as usize;
-    let kinds = [StrKind::String, StrKind::Json, StrKind::Bytes]; // TY_STRING..
-    let kind = *kinds
-        .get(tag)
-        .ok_or_else(|| corrupt(format_args!("bad fsst type {tag}")))?;
+    let kind = fsst_kind(take_byte(bytes, pos)?)?;
     let (_, nulls, _) = read_nulls(bytes, pos, count, FLAG_NULLS)?;
     let nulls = nulls.map(|bits| Nulls(bits.to_vec()));
     let table = FsstSymbols::parse(bytes, pos)?;
@@ -4047,6 +4204,146 @@ pub(crate) mod tests {
                     }
                     agrees(enc, &flipped, count, float);
                 }
+            }
+        }
+    }
+    mod coded_properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Strings a table must code whole or in part: shared prefixes,
+        /// empty values, multi-byte UTF-8, bytes no symbol holds, values
+        /// of more than 127 code bytes, NULLs — in runs.
+        fn cells() -> impl Strategy<Value = Vec<Option<String>>> {
+            let cell = prop_oneof![
+                4 => (0u64..40).prop_map(|r| Some(format!("cust-{r:05}"))),
+                1 => Just(Some(String::new())),
+                1 => "[a-c\u{0}\u{7f}é€😀]{0,12}".prop_map(Some),
+                1 => any::<u64>().prop_map(|r| {
+                    Some((0..24).map(|k| format!("{:016x}|", r.rotate_left(k))).collect())
+                }),
+                1 => Just(None),
+            ];
+            let runs = proptest::collection::vec((cell, 1usize..4), 8..60);
+            runs.prop_map(|runs| {
+                let cells = runs
+                    .into_iter()
+                    .flat_map(|(c, n)| std::iter::repeat(c).take(n));
+                cells.collect()
+            })
+        }
+
+        /// A cell of `kind` holding `s`.
+        fn cell(kind: u8, s: &str) -> Value {
+            match kind {
+                0 => Value::String(s.into()),
+                1 => Value::Json(s.into()),
+                _ => Value::Bytes([s.as_bytes(), b"\xff"].concat()),
+            }
+        }
+
+        /// The RleV2 chunk of `values` whose run values are the Fsst chunk
+        /// of its runs' cells, if there are enough of them for a table.
+        fn rle_of_fsst(values: &[Value]) -> Option<Vec<u8>> {
+            let mut runs: Vec<(Value, u64)> = Vec::new();
+            for v in values {
+                match runs.last_mut() {
+                    Some((last, n)) if last.key_eq(v) => *n += 1,
+                    _ => runs.push((v.clone(), 1)),
+                }
+            }
+            let heads: Vec<Value> = runs.iter().map(|(v, _)| v.clone()).collect();
+            let section = try_encode_fsst(&leaf(&heads), usize::MAX, None)?;
+            let mut out = Vec::new();
+            put_uvarint(&mut out, runs.len() as u64);
+            runs.iter().for_each(|&(_, n)| put_uvarint(&mut out, n));
+            push_section(&mut out, &(Encoding::Fsst, section));
+            Some(out)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// The table rebuilt from a chunk's stored symbols encodes every
+            /// stored value to exactly its stored codes — its own table or
+            /// one trained on a sample of the rows, which the others' bytes
+            /// escape from — so codes are equal iff values are; and
+            /// `retain_coded` keeps, of any selection, the rows
+            /// decode-then-compare keeps under `=`, `<>` and `IN`, of an
+            /// Fsst chunk and of an RleV2 chunk of Fsst run values, for
+            /// literals of the cells' kind, of another kind and NULL, whether
+            /// the matcher it shares is its table's or another's — and a
+            /// chunk cut short or with a bit flipped does not panic.
+            #[test]
+            fn stored_symbols_rebuild_the_encoder(
+                cells in cells(),
+                kind in 0u8..3,
+                probes in proptest::collection::vec((any::<usize>(), 0u8..4), 0..3),
+                equal in any::<bool>(),
+                pick in any::<u64>(),
+            ) {
+                let values: Vec<Value> = (cells.iter())
+                    .map(|c| c.as_deref().map_or(Value::Null, |s| cell(kind, s)))
+                    .collect();
+                let (col, n) = (leaf(&values), values.len());
+                let ColumnVec::Str(_, strs) = &col else {
+                    return; // every cell NULL
+                };
+                let sample: Vec<u32> = (0..n as u32).step_by(3).collect();
+                let shared = BlockTable::of(&col, &sample).unwrap();
+                let chunks = [None, Some(&shared)].map(|t| try_encode_fsst(&col, usize::MAX, t));
+                for bytes in chunks.iter().flatten() {
+                    let pos = &mut 1; // past the type tag
+                    let (_, nulls, m) = read_nulls(bytes, pos, n, FLAG_NULLS).unwrap();
+                    let table = fsst_table(bytes, pos).unwrap();
+                    let matcher = FsstTable::matching(stored_symbols(table).collect());
+                    let valued = (0..n).filter(|&i| !null_bit(nulls, i));
+                    prop_assert_eq!(valued.clone().count(), m);
+                    for i in valued {
+                        let mut codes = Vec::new();
+                        matcher.emit_codes(strs.get(i), &mut codes);
+                        prop_assert_eq!(&codes[..], fsst_codes(bytes, pos).unwrap());
+                    }
+                }
+                let literals: Vec<Value> = (probes.iter())
+                    .map(|(at, how)| match (how, &cells[at % n]) {
+                        (0, Some(s)) => cell(kind, s),
+                        (0 | 1, _) => cell(kind, "cust-00007 no such"),
+                        (2, s) => cell((kind + 1) % 3, s.as_deref().unwrap_or("")),
+                        _ => Value::Null,
+                    })
+                    .collect();
+                let sel: Vec<usize> = (0..n).filter(|i| pick.rotate_left(*i as u32) & 3 != 0).collect();
+                let is = |v: &Value| literals.iter().any(|l| !l.is_null() && v.total_cmp(l).is_eq());
+                let want: Vec<usize> = (sel.iter().copied())
+                    .filter(|&i| !values[i].is_null() && is(&values[i]) == equal)
+                    .collect();
+                let rle = rle_of_fsst(&values);
+                // One shared matcher: the first table fills it, the others
+                // build their own, and the first, again, finds it.
+                let coded = chunks.iter().flatten().map(|b| (Encoding::Fsst, b));
+                let coded: Vec<_> = coded.chain(rle.iter().map(|b| (Encoding::RleV2, b))).collect();
+                let shared = SharedTable::new();
+                for &(enc, bytes) in coded.iter().chain(&coded) {
+                    let mut got = sel.clone();
+                    let test = (&literals[..], equal);
+                    prop_assert!(retain_coded((enc, bytes, n), test, &shared, &mut got).unwrap());
+                    prop_assert_eq!(&got, &want, "{:?}", enc);
+                    // Cut short or with a bit flipped, a chunk is refused or
+                    // walked, never read past.
+                    let mut flipped = bytes.to_vec();
+                    flipped[pick as usize % bytes.len()] ^= 1 << (pick % 8);
+                    for bad in [&bytes[..pick as usize % bytes.len()], &flipped[..]] {
+                        let _ = retain_coded((enc, bad, n), test, &SharedTable::new(), &mut sel.clone());
+                    }
+                }
+                let plain = encode_column_with(&col, Encoding::Plain).unwrap();
+                let mut untouched = sel.clone();
+                let test = (&literals[..], equal);
+                let shared = &SharedTable::new();
+                let declined = retain_coded((Encoding::Plain, &plain, n), test, shared, &mut untouched);
+                prop_assert!(!declined.unwrap());
+                prop_assert_eq!(untouched, sel);
             }
         }
     }

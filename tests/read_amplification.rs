@@ -202,6 +202,10 @@ fn a_scan_pays_for_the_chunks_it_decodes() {
         (d["cluster_reads"], d["cluster_bytes"]),
         (d["reads"], d["bytes_fetched"])
     );
+    // The zones of `customer` it fetches are compared on their FSST codes
+    // (its runs' values, here), and not one cell of them decodes.
+    assert_eq!((d["bytes_fetched"], d["cells"]), (23_868, 0));
+    assert!(d["bytes_decoded"] > 0);
     // Its reads: the index, then at most a run per zone of one column.
     let s = cold.scan(
         t,
@@ -223,6 +227,7 @@ fn a_scan_pays_for_the_chunks_it_decodes() {
         (counted as usize, d["reads"], d["cluster_reads"]),
         (expected, 0, 0)
     );
+    assert_eq!(d["cells"], 0);
 
     // A customer inside the blocks' ranges who has no row: the bloom
     // filters say so, and the indexes are all that is read.
@@ -243,7 +248,8 @@ fn a_scan_pays_for_the_chunks_it_decodes() {
     assert_eq!(d["reads"], 2 * covering);
 
     // One column of one partition, as rows: that partition's blocks, and
-    // of them `day`, `amount` and the rows' provenance.
+    // of them `amount` and the rows' provenance — every zone's map says it
+    // holds that day alone, so `day` is neither fetched nor decoded.
     let narrow = ScanOptions {
         predicate: Expr::eq("day", Value::Int64(2)),
         projection: Some(vec!["amount".into()]),
@@ -258,12 +264,24 @@ fn a_scan_pays_for_the_chunks_it_decodes() {
         fetched <= 0.35,
         "one column of a partition fetched {fetched:.3}"
     );
-    // Two columns apart and four together: three runs after the index.
-    assert_eq!(d["reads"], (2 + 3) * of_day);
+    // A column and the four of provenance: two runs after the index.
+    assert_eq!(d["reads"], (2 + 2) * of_day);
+    let narrow_cells = d["cells"];
+    assert_eq!(narrow_cells as i64, (1 + 4) * ROWS_PER_DAY);
+    // Counted, that partition is its blocks' indexes alone: their zone
+    // maps decide `day`, and a count reads no other column.
+    let day_count = ScanOptions {
+        projection: None,
+        ..narrow.clone()
+    };
+    let (counted, d) = moved(&region, || cold.count(t, at, &day_count).unwrap());
+    assert_eq!(counted as i64, ROWS_PER_DAY);
+    assert_eq!(
+        (d["reads"], d["cells"], d["bytes_decoded"]),
+        (2 * of_day, 0, 0)
+    );
     // The SQL shell passes its select list down: it decodes what the
     // engine call with that projection decodes.
-    let narrow_cells = d["cells"];
-    assert_eq!(narrow_cells as i64, (2 + 4) * ROWS_PER_DAY);
     let sql = SqlSession::new(client.clone());
     let (res, d) = moved(&region, || {
         sql.execute("SELECT amount FROM orders WHERE day = 2")
@@ -273,9 +291,9 @@ fn a_scan_pays_for_the_chunks_it_decodes() {
         matches!(res, vortex::SqlResult::Rows { rows, .. } if rows.len() as i64 == ROWS_PER_DAY)
     );
     assert_eq!(d["cells"], narrow_cells);
-    // Through a cache that holds the partition's blocks — index, `day`,
-    // `amount`, provenance — a column no cell holds is one run a block,
-    // and nothing else is read.
+    // Through a cache that holds the partition's blocks — index, `amount`,
+    // provenance — a column no cell holds is one run a block, and nothing
+    // else is read.
     let warm = fresh();
     warm.scan(t, at, &narrow).unwrap();
     let prices = [(AggKind::Sum, Some("price"))];
@@ -312,8 +330,10 @@ fn a_scan_pays_for_the_chunks_it_decodes() {
     // returns every row decodes whole — for a tenth of its cells.
     let (tenth_bytes, tenth_cells) = (d["bytes_decoded"], d["cells"]);
     assert_eq!(scan.stats.bytes_decoded, tenth_bytes);
+    // Every row, by a predicate on `amount` that no zone map decides (one
+    // they decide reads no column: `amount >= 0` selects every zone whole).
     let all_of = |tenth: &ScanOptions| ScanOptions {
-        predicate: Expr::ge("amount", Value::Int64(0)),
+        predicate: tenth.predicate.clone().or(tenth.predicate.clone().not()),
         ..tenth.clone()
     };
     let (all, d) = moved(&region, || cold.scan(t, at, &all_of(&tenth)).unwrap());
