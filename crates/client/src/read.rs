@@ -107,8 +107,9 @@ const RECONCILE_ROUNDS: usize = 8;
 
 /// What the settled round of [`drive_table_read`] produced.
 pub struct TableRead<T> {
-    /// Schema at the snapshot.
-    pub schema: Schema,
+    /// The settled read set, as the SMS shares it: the schema at the
+    /// snapshot is its `schema`.
+    pub listed: Arc<ReadSet>,
     /// What the fragment callback returned for the settled read set.
     pub fragments: T,
     /// Committed rows of the streamlet tails, and which are visible (no
@@ -116,8 +117,6 @@ pub struct TableRead<T> {
     /// tail of a Streamlet are maintained by the Stream Server"; the
     /// reader goes to the log).
     pub tail_zones: Vec<Visible>,
-    /// Tails probed.
-    pub tails: usize,
     /// False only for best-effort reads that skipped a tail.
     pub complete: bool,
 }
@@ -171,10 +170,9 @@ pub fn drive_table_read<T>(
         }
         if ambiguous.is_empty() {
             return Ok(TableRead {
-                schema: rs.schema,
+                listed: rs,
                 fragments,
                 tail_zones,
-                tails: rs.tails.len(),
                 complete,
             });
         }
@@ -215,12 +213,13 @@ pub fn read_table(
     })?;
     let mut rows = read.fragments;
     for zones in &read.tail_zones {
-        zones.rows_into(read.schema.fields.len(), &mut rows);
+        zones.rows_into(read.listed.schema.fields.len(), &mut rows);
     }
     rows.sort_unstable_by_key(|(m, _)| (m.stream, m.offset, m.ts));
     Ok(TableRows {
         snapshot,
-        schema: read.schema,
+        // lint:allow(L010, once per table read: the schema its rows carry)
+        schema: read.listed.schema.clone(),
         rows,
         complete: fragments_complete && read.complete,
     })
@@ -474,11 +473,18 @@ impl OpenBlock<'_> {
     /// ([`RosBlock::fetch`]), and charges the cells filled to the cache.
     pub fn fetch(&mut self, wanted: impl Fn(Chunk, usize) -> bool) -> VortexResult<()> {
         let got = self.block.fetch(&mut *self.read, wanted)?;
-        if let Some((cache, meta)) = self.cache.filter(|_| got.kept > 0) {
-            cache.charge(&meta.path, meta.committed_size, got.kept);
-        }
+        self.charge(got.kept);
         self.fetched += got;
         Ok(())
+    }
+
+    /// Charges `kept` bytes the block holds more — filled cells, or an
+    /// FSST matcher [`RosBlock::retain_coded`] built — to the cache it
+    /// came through, if any.
+    pub fn charge(&self, kept: u64) {
+        if let Some((cache, meta)) = self.cache.filter(|_| kept > 0) {
+            cache.charge(&meta.path, meta.committed_size, kept);
+        }
     }
 }
 

@@ -550,10 +550,10 @@ mod gate {
             let mut w = r.client.create_unbuffered_writer(t).unwrap();
             w.append(rows(0, 10)).unwrap();
             let listed = || r.sms.list_read_fragments(t, r.sms.read_snapshot()).unwrap();
-            let tail = listed().tails.remove(0);
+            let tail = listed().tails[0].clone();
             let sl = r.sms.list_streamlets(t)[0].streamlet;
             r.sms.reconcile_streamlet(t, sl).unwrap();
-            (listed().fragments.remove(0), tail)
+            (listed().fragments[0].clone(), tail)
         })
     }
 
@@ -626,7 +626,7 @@ fn a_reconciled_tail_is_read_through_the_cache() {
     let mut w = r.client.create_unbuffered_writer(t).unwrap();
     w.append(rows(0, 8)).unwrap();
     let snap = r.client.snapshot();
-    let tail = r.sms.list_read_fragments(t, snap).unwrap().tails.remove(0);
+    let tail = r.sms.list_read_fragments(t, snap).unwrap().tails[0].clone();
     r.sms.reconcile_streamlet(t, tail.streamlet).unwrap();
     let list_at = r.sms.read_snapshot();
     let sms: vortex_sms::api::SmsHandle = r.sms.clone();
@@ -647,4 +647,89 @@ fn a_reconciled_tail_is_read_through_the_cache() {
     assert_eq!(read(), first);
     let tally = cache.tally();
     assert_eq!((tally.hits, tally.misses, reads()), (1, 1, before));
+}
+
+/// The FSST matcher a coded equality builds for a cached block is charged
+/// to the cache with the block's cells: `cache.bytes` grows by its size
+/// once — a second equality on the column shares it — and falls back by
+/// it, with the rest of the block, when the block is evicted.
+#[test]
+fn a_built_matcher_is_charged_to_the_cache() {
+    use crate::cache::ReadCache;
+    use crate::read::{open_ros_block, Zone};
+    use vortex_common::ids::FragmentId;
+    use vortex_common::truetime::Timestamp;
+    use vortex_ros::{RosBlockBuilder, RowMeta, ZONE_ROWS};
+    use vortex_sms::meta::{FragmentKind, FragmentMeta, FragmentState};
+    let r = rig();
+    let schema = Schema::new(vec![Field::required("s", FieldType::String)]);
+    let cell = |i: u64| {
+        format!(
+            "sess={:08x} ua=Chrome os=Linux",
+            i * 2_654_435_761 % (1 << 32)
+        )
+    };
+    let mut b = RosBlockBuilder::new(&schema);
+    for i in 0..2 * ZONE_ROWS as u64 {
+        let meta = RowMeta {
+            offset: i,
+            ..RowMeta::default()
+        };
+        b.push(meta, Row::insert(vec![Value::String(cell(i))]))
+            .unwrap();
+    }
+    let key = vortex_common::crypt::Key::zero();
+    let file = b.build(false).unwrap().to_bytes(&key, 5);
+    let clusters = [ClusterId::from_raw(0), ClusterId::from_raw(1)];
+    for c in clusters {
+        let cluster = r.fleet.get(c).unwrap();
+        cluster.append("ros/matcher", &file, Timestamp(0)).unwrap();
+    }
+    let meta = FragmentMeta {
+        fragment: FragmentId::from_raw(5),
+        table: vortex_common::ids::TableId::from_raw(1),
+        streamlet: vortex_common::ids::StreamletId::from_raw(0),
+        kind: FragmentKind::Ros,
+        ordinal: 0,
+        first_row: 0,
+        row_count: 2 * ZONE_ROWS as u64,
+        committed_size: file.len() as u64,
+        state: FragmentState::Finalized,
+        created_at: Timestamp::MIN,
+        deleted_at: Timestamp::MAX,
+        clusters,
+        path: "ros/matcher".into(),
+        stats: vec![],
+        masks: vec![],
+        partition_key: None,
+        level: 1,
+    };
+    let cache = ReadCache::new(1 << 20);
+    let mut open = open_ros_block(&meta, &r.fleet, &key, Some(&cache)).unwrap();
+    open.fetch(|_, _| true).unwrap();
+    let held = cache.bytes() as u64;
+    let equal = |z: usize, i: u64| {
+        let mut sel: Vec<usize> = (0..ZONE_ROWS).collect();
+        let literal = [Value::String(cell(i))];
+        let kept = open.block.retain_coded((0, z), (&literal, true), &mut sel);
+        (kept.unwrap().expect("an Fsst chunk"), sel)
+    };
+    let (kept, sel) = equal(0, 7);
+    assert_eq!(sel, [7]);
+    assert!(kept > 0, "the matcher is held with the block");
+    open.charge(kept);
+    assert_eq!(cache.bytes() as u64, held + kept);
+    let (again, sel) = equal(1, ZONE_ROWS as u64 + 3);
+    assert_eq!((again, sel), (0, vec![3]), "one matcher per column");
+    open.charge(again);
+    assert_eq!(cache.bytes() as u64, held + kept);
+    // A newer entry past the bound evicts the block, matcher and all.
+    let zone = Zone {
+        first: 0,
+        metas: vec![RowMeta::default(); (1 << 20) / std::mem::size_of::<RowMeta>()],
+        cols: vec![],
+    };
+    cache.put("wos/other", 1, vec![Arc::new(zone)]);
+    assert_eq!(cache.len(), 1);
+    assert_eq!(cache.bytes(), 1 << 20);
 }

@@ -63,6 +63,9 @@ pub struct MetaStore {
     pub(crate) data: RwLock<BTreeMap<String, Vec<Version>>>,
     pub(crate) commit_lock: Mutex<()>,
     pub(crate) last_commit: AtomicU64,
+    /// Bumped by each [`MetaStore::gc_versions`] that removes a version:
+    /// a read at a snapshot below its watermark may answer differently.
+    prunes: AtomicU64,
     tt: TrueTime,
     /// Optional WAL + checkpoint machinery. Empty for plain in-memory
     /// stores ([`MetaStore::new`]); set exactly once by
@@ -86,6 +89,7 @@ impl MetaStore {
             data: RwLock::new(data),
             commit_lock: Mutex::new(()),
             last_commit: AtomicU64::new(last_commit),
+            prunes: AtomicU64::new(0),
             tt,
             durability: OnceLock::new(),
         }
@@ -101,6 +105,12 @@ impl MetaStore {
     /// committed transactions.
     pub fn now(&self) -> Timestamp {
         Timestamp(self.last_commit.load(Ordering::SeqCst))
+    }
+
+    /// How many [`MetaStore::gc_versions`] calls have removed a version:
+    /// while it stands, a snapshot read answers as it did.
+    pub fn prune_generation(&self) -> u64 {
+        self.prunes.load(Ordering::SeqCst)
     }
 
     /// A fresh read-write transaction snapshotted at [`MetaStore::now`].
@@ -185,6 +195,9 @@ impl MetaStore {
             }
             true
         });
+        if removed > 0 {
+            self.prunes.fetch_add(1, Ordering::SeqCst);
+        }
         removed
     }
 
@@ -678,6 +691,10 @@ mod tests {
         let removed = s.gc_versions(now);
         assert_eq!(removed, 9);
         assert_eq!(s.read_at("k", now), Some(vec![9]));
+        // A sweep that removes nothing leaves the prune generation.
+        assert_eq!(s.prune_generation(), 1);
+        assert_eq!(s.gc_versions(now), 0);
+        assert_eq!(s.prune_generation(), 1);
     }
 
     #[test]

@@ -370,12 +370,13 @@ impl QueryEngine {
         opts: &ScanOptions,
     ) -> VortexResult<ScanResult> {
         let rows = |_: &Schema| Ok(RowCollector::default());
-        let (sink, schema, stats) = self.scan_into(table, snapshot, opts, &rows)?;
+        let (sink, listed, stats) = self.scan_into(table, snapshot, opts, &rows)?;
         let mut rows = sink.rows;
         rows.sort_unstable_by_key(|(m, _)| (m.stream, m.offset, m.ts));
         Ok(ScanResult {
             snapshot,
-            schema,
+            // lint:allow(L010, once per row-returning scan: the schema its result carries)
+            schema: listed.schema.clone(),
             rows,
             stats,
         })
@@ -383,7 +384,7 @@ impl QueryEngine {
 
     /// The one scan every query runs: folds the rows visible at
     /// `snapshot` that match `opts` into the consumer `make` builds for
-    /// the snapshot schema.
+    /// the snapshot schema; with it comes the read set it listed.
     // lint:hotpath(scan) — query leg: prune, parallel fragment reads, tail
     pub(crate) fn scan_into<C: Consumer>(
         &self,
@@ -391,20 +392,20 @@ impl QueryEngine {
         snapshot: Timestamp,
         opts: &ScanOptions,
         make: &dyn Fn(&Schema) -> VortexResult<C>,
-    ) -> VortexResult<(C, Schema, ScanStats)> {
+    ) -> VortexResult<(C, Arc<ReadSet>, ScanStats)> {
         let tmeta = self.sms.get_table(table)?;
         let scan_start = self.tt.as_ref().map(|tt| tt.now().latest);
         let cache_base = self.read.cache.as_ref().map(|c| c.tally());
         let projection = opts.projection.as_deref();
-        let (mut out, schema) = if opts.resolve_changes {
+        let (mut out, listed) = if opts.resolve_changes {
             // Merge-on-read must see every version of a key, including
             // rows the filter would drop: collect every column of every
             // visible row, resolve, then filter + project into `sink`.
             let rows = |_: &Schema| Ok(RowCollector::default());
-            let (all, schema) =
+            let (all, listed) =
                 self.read_into(&tmeta, snapshot, opts, (&Expr::True, None), &rows)?;
-            let sink = make(&schema)?;
-            let post = ScanPlan::compile(&opts.predicate, projection, &schema, None, &sink)?;
+            let sink = make(&listed.schema)?;
+            let post = ScanPlan::compile(&opts.predicate, projection, &listed.schema, None, &sink)?;
             let mut out = FragmentYield::new(sink);
             let resolved = resolve_changes(&tmeta.schema, all.sink.rows);
             scan_resolved(resolved, &post, &mut out)?;
@@ -415,7 +416,7 @@ impl QueryEngine {
                 ..all.stats
             };
             out.visible_ts = all.visible_ts;
-            (out, schema)
+            (out, listed)
         } else {
             self.read_into(&tmeta, snapshot, opts, (&opts.predicate, projection), make)?
         };
@@ -427,7 +428,7 @@ impl QueryEngine {
             stats.tail_rows_decoded = now.tail_rows - base.tail_rows;
         }
         self.record_scan(table, &out.stats, scan_start, &out.visible_ts);
-        Ok((out.sink, schema, out.stats))
+        Ok((out.sink, listed, out.stats))
     }
 
     /// Lists the table at `snapshot` and folds every fragment and tail,
@@ -439,18 +440,18 @@ impl QueryEngine {
         opts: &ScanOptions,
         pushed: (&'e Expr, Option<&[String]>),
         make: &dyn Fn(&Schema) -> VortexResult<C>,
-    ) -> VortexResult<(FragmentYield<C>, Schema)> {
+    ) -> VortexResult<(FragmentYield<C>, Arc<ReadSet>)> {
         let key = tmeta.encryption_key();
         let (sms, fleet) = (&self.sms, &self.fleet);
         let read = drive_table_read(sms, fleet, &key, tmeta.table, snapshot, &self.read, |rs| {
             self.scan_fragments(rs, tmeta, &key, snapshot, opts, pushed, make)
         })?;
         let (plan, mut out) = read.fragments;
-        out.stats.tails_scanned = read.tails;
+        out.stats.tails_scanned = read.listed.tails.len();
         for tail in &read.tail_zones {
             scan_visible(tail, &plan, &mut out)?;
         }
-        Ok((out, read.schema))
+        Ok((out, read.listed))
     }
 
     /// One read set's fragments: partition elimination (§7.2), then the

@@ -284,6 +284,9 @@ pub(crate) struct Decoded {
     bytes: Cell<u64>,
     /// Zones a consumer folded a column of without decoding it.
     pub(crate) zones_folded: Cell<u64>,
+    /// Bytes the block holds more: the FSST matchers a coded comparison
+    /// built.
+    kept: Cell<u64>,
 }
 
 impl Decoded {
@@ -384,11 +387,12 @@ impl<'b> ZoneCols<'b> {
         if held.cols.get(col).map_or(true, |cell| cell.get().is_some()) {
             return Ok(false);
         }
-        let done = block.retain_coded((col, *z), (literals, equal), sel)?;
-        if done {
-            held.tally.add(0, block.cell_bytes(Chunk::Column(col), *z));
-        }
-        Ok(done)
+        let Some(kept) = block.retain_coded((col, *z), (literals, equal), sel)? else {
+            return Ok(false);
+        };
+        held.tally.add(0, block.cell_bytes(Chunk::Column(col), *z));
+        held.tally.kept.set(held.tally.kept.get() + kept);
+        Ok(true)
     }
 
     /// The vector for schema column `col` with the index in it of each
@@ -727,6 +731,7 @@ pub(crate) fn scan_ros_block<C: Consumer>(
     out.stats.cells_decoded += decoded.cells.get();
     out.stats.bytes_decoded += decoded.bytes.get();
     out.stats.zones_folded += decoded.zones_folded.get();
+    open.charge(decoded.kept.get());
     Ok(())
 }
 

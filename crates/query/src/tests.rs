@@ -1767,6 +1767,36 @@ mod pushdown_equivalence {
             assert!(stats.bytes_decoded > 0, "{pred:?}: {stats:?}");
         }
     }
+
+    /// Through a cached engine a coded equality charges the cache for the
+    /// FSST matcher each block column builds, once: it holds more than
+    /// after the same rows found by a range on `s`, which fetches the same
+    /// chunks and builds no matcher, and a repeat adds nothing.
+    #[test]
+    fn a_coded_equality_charges_its_matchers() {
+        let r = super::rig();
+        let t = load_coded(&r);
+        let snap = r.sms.read_snapshot();
+        let held = |preds: &[&Expr]| {
+            let cache = vortex_client::ReadCache::new(usize::MAX);
+            let mut engine = super::QueryEngine::new(r.sms.clone(), r.client.fleet().clone());
+            engine.read.cache = Some(std::sync::Arc::clone(&cache));
+            for pred in preds {
+                let opts = ScanOptions {
+                    predicate: (*pred).clone(),
+                    ..ScanOptions::default()
+                };
+                engine.count(t, snap, &opts).unwrap();
+            }
+            cache.bytes()
+        };
+        let x = coded_cell(203);
+        let (eq, range) = (Expr::eq("s", x.clone()), Expr::ge("s", x.clone()));
+        let range = range.and(Expr::le("s", x));
+        let coded = held(&[&eq]);
+        assert!(coded > held(&[&range]), "the matchers are on the books");
+        assert_eq!(held(&[&eq, &eq]), coded, "and only once");
+    }
 }
 
 /// A DML predicate is compiled by the scan: a column the schema lacks is

@@ -705,15 +705,16 @@ impl RosBlock {
     /// Keeps the rows of `sel` whose cell in zone `z` of column `col`
     /// equals one of `literals` (`equal`), or is not NULL and equals none
     /// of them, by comparing the stored FSST codes of its chunk with the
-    /// literals' ([`retain_coded`]): nothing decodes. `false`, and `sel`
+    /// literals' ([`retain_coded`]): nothing decodes. `None`, and `sel`
     /// untouched, for a chunk that is neither Fsst nor RleV2 of Fsst run
-    /// values.
+    /// values; else the bytes the block holds more since the call: the
+    /// matcher of the column's table, built by the first such call.
     pub fn retain_coded(
         &self,
         (col, z): (usize, usize),
         (literals, equal): (&[Value], bool),
         sel: &mut Vec<usize>,
-    ) -> VortexResult<bool> {
+    ) -> VortexResult<Option<u64>> {
         let stored = self.stored(self.user_column(col, z)?, z)?;
         retain_coded(stored, (literals, equal), &self.tables[col], sel)
     }

@@ -1011,6 +1011,12 @@ impl FsstTable {
         table
     }
 
+    /// The bytes the table holds: its own, and its symbol vectors'.
+    fn held_bytes(&self) -> usize {
+        let entries = self.symbols.capacity() + self.long.capacity();
+        std::mem::size_of::<Self>() + entries * std::mem::size_of::<(u64, u8, u8)>()
+    }
+
     /// Appends the table as chunks store it: the symbol count, then each
     /// symbol's length and bytes, in code order.
     fn push_symbols(&self, out: &mut Vec<u8>) {
@@ -1545,27 +1551,28 @@ pub(crate) type SharedTable = OnceLock<(Vec<u8>, FsstTable)>;
 /// of `count` rows equals one of `literals` (`equal`), or is not NULL and
 /// equals none of them (not `equal`), comparing FSST codes: of an Fsst
 /// chunk, each value's; of an RleV2 chunk whose run values are Fsst, each
-/// run's. `false`, and `sel` untouched, for another chunk. Nothing is
-/// expanded, and the framing is checked as [`decode_chunk`] checks it.
+/// run's. `None`, and `sel` untouched, for another chunk; else the bytes
+/// of the matcher this call left in `shared` (0 if one was there). Nothing
+/// is expanded, and the framing is checked as [`decode_chunk`] checks it.
 pub(crate) fn retain_coded(
     (enc, bytes, count): (Encoding, &[u8], usize),
     test: (&[Value], bool),
     shared: &SharedTable,
     sel: &mut Vec<usize>,
-) -> VortexResult<bool> {
+) -> VortexResult<Option<u64>> {
     let pos = &mut 0usize;
     match enc {
-        Encoding::Fsst => retain_fsst(bytes, count, test, shared, sel).map(|()| true),
+        Encoding::Fsst => retain_fsst(bytes, count, test, shared, sel).map(Some),
         Encoding::RleV2 => {
             let lens = read_runs(bytes, pos, count)?;
             let (venc, section) = nested(bytes, pos)?;
             consumed(bytes, *pos)?;
             if venc != Encoding::Fsst {
-                return Ok(false);
+                return Ok(None);
             }
             // lint:allow(L010, once per zone compared on its codes, sized by its runs)
             let mut runs: Vec<usize> = (0..lens.len()).collect();
-            retain_fsst(section, lens.len(), test, shared, &mut runs)?;
+            let built = retain_fsst(section, lens.len(), test, shared, &mut runs)?;
             // `sel` ascends, so a cursor over the runs follows it.
             let (mut runs, mut run, mut end, mut kept) = (runs.into_iter().peekable(), 0, 0, false);
             sel.retain(|&i| {
@@ -1576,9 +1583,9 @@ pub(crate) fn retain_coded(
                 }
                 kept
             });
-            Ok(true)
+            Ok(Some(built))
         }
-        _ => Ok(false),
+        _ => Ok(None),
     }
 }
 
@@ -1586,23 +1593,29 @@ pub(crate) fn retain_coded(
 /// compared with the literals' codes under the chunk's own table, rebuilt
 /// from its stored symbols — which encodes every value to exactly its
 /// stored codes, so that codes are equal iff values are. The matcher of
-/// the table the block column shares is built once (`shared`); a chunk
-/// with a table of its own builds its own.
+/// the table the block column shares is built once (`shared`), and its
+/// bytes returned by the call that built it; a chunk with a table of its
+/// own builds its own.
 fn retain_fsst(
     bytes: &[u8],
     count: usize,
     (literals, equal): (&[Value], bool),
     shared: &SharedTable,
     sel: &mut Vec<usize>,
-) -> VortexResult<()> {
+) -> VortexResult<u64> {
     let pos = &mut 0usize;
     let kind = fsst_kind(take_byte(bytes, pos)?)?;
     let (_, nulls, _) = read_nulls(bytes, pos, count, FLAG_NULLS)?;
     let table = fsst_table(bytes, pos)?;
     // lint:allow(L010, once per FSST table a string leaf compares with: its symbols, in code order)
     let matching = || FsstTable::matching(stored_symbols(table).collect());
-    // lint:allow(L010, once per block column: the table its matcher is kept for)
-    let (held, built) = shared.get_or_init(|| (table.to_vec(), matching()));
+    let mut kept_now = 0;
+    let (held, built) = shared.get_or_init(|| {
+        // lint:allow(L010, once per block column: the table its matcher is kept for)
+        let (held, built) = (table.to_vec(), matching());
+        kept_now = (held.len() + built.held_bytes()) as u64;
+        (held, built)
+    });
     let own = (held[..] != *table).then(matching);
     let matcher = own.as_ref().unwrap_or(built);
     // Each literal a cell of the chunk's type can equal (`Value::total_cmp`),
@@ -1643,7 +1656,7 @@ fn retain_fsst(
     }
     sel.truncate(kept);
     ensure(*pos <= bytes.len(), "fsst value past the end of its chunk")?;
-    consumed(bytes, *pos)
+    consumed(bytes, *pos).map(|()| kept_now)
 }
 
 /// Decodes an Fsst chunk: whole, a word stored per code; or at a
@@ -4327,7 +4340,7 @@ pub(crate) mod tests {
                 for &(enc, bytes) in coded.iter().chain(&coded) {
                     let mut got = sel.clone();
                     let test = (&literals[..], equal);
-                    prop_assert!(retain_coded((enc, bytes, n), test, &shared, &mut got).unwrap());
+                    prop_assert!(retain_coded((enc, bytes, n), test, &shared, &mut got).unwrap().is_some());
                     prop_assert_eq!(&got, &want, "{:?}", enc);
                     // Cut short or with a bit flipped, a chunk is refused or
                     // walked, never read past.
@@ -4342,7 +4355,7 @@ pub(crate) mod tests {
                 let test = (&literals[..], equal);
                 let shared = &SharedTable::new();
                 let declined = retain_coded((Encoding::Plain, &plain, n), test, shared, &mut untouched);
-                prop_assert!(!declined.unwrap());
+                prop_assert!(declined.unwrap().is_none());
                 prop_assert_eq!(untouched, sel);
             }
         }

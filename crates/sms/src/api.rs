@@ -122,10 +122,11 @@ pub trait SmsApi: Send + Sync {
         streamlet: StreamletId,
         ordinals: &[u32],
     ) -> VortexResult<usize>;
-    /// The union of WOS and ROS visible at `snapshot`: fragment read
+    /// The union of WOS and ROS visible at snapshot `at`: fragment read
     /// specs plus unfinalized streamlet tails (§7). Reads each record
-    /// class of the table once.
-    fn list_read_fragments(&self, table: TableId, snapshot: Timestamp) -> VortexResult<ReadSet>;
+    /// class of the table once; a repeat at the same snapshot that no
+    /// commit or version GC can have changed shares the last listing.
+    fn list_read_fragments(&self, table: TableId, at: Timestamp) -> VortexResult<Arc<ReadSet>>;
     /// Runs the disaster-resilience reconciliation protocol on a
     /// streamlet (§5.6, §7.1): bump the epoch, poison zombie writers with
     /// sentinel records in every reachable replica, determine the
@@ -463,9 +464,9 @@ impl SmsApi for SmsChannel {
             t.ack_gc(table, streamlet, ordinals)
         })
     }
-    fn list_read_fragments(&self, table: TableId, snapshot: Timestamp) -> VortexResult<ReadSet> {
+    fn list_read_fragments(&self, table: TableId, at: Timestamp) -> VortexResult<Arc<ReadSet>> {
         self.service("list_read_fragments", CallKind::Idempotent, |t| {
-            t.list_read_fragments(table, snapshot)
+            t.list_read_fragments(table, at)
         })
     }
     fn reconcile_streamlet(

@@ -132,11 +132,3 @@ pub struct ReadSet {
     /// Unfinalized streamlet tails to probe.
     pub tails: Vec<TailReadSpec>,
 }
-
-impl ReadSet {
-    /// Total committed rows the SMS knows about (pre-mask); the tail may
-    /// add more.
-    pub fn known_rows(&self) -> u64 {
-        self.fragments.iter().map(|f| f.meta.row_count).sum()
-    }
-}

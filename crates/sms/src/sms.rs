@@ -9,7 +9,7 @@ use std::collections::btree_map::{BTreeMap, Entry};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 
 use vortex_colossus::StorageFleet;
 use vortex_common::crypt::Key;
@@ -18,6 +18,7 @@ use vortex_common::ids::{
     ClusterId, FragmentId, IdGen, ServerId, SmsTaskId, StreamId, StreamletId, TableId,
 };
 use vortex_common::mask::DeletionMask;
+use vortex_common::obs::{self, Counter};
 use vortex_common::schema::Schema;
 use vortex_common::stats::ColumnStats;
 use vortex_common::truetime::{Timestamp, TrueTime};
@@ -111,6 +112,29 @@ pub struct SmsTask {
     servers: RwLock<HashMap<ServerId, ServerHandle>>,
     bigmeta: Arc<BigMeta>,
     view: Option<SlicerView>,
+    /// Per table, its last listing: served again while [`Listing::serves`].
+    listings: Mutex<HashMap<TableId, Listing>>,
+    /// `sms.list_read_fragments`, `sms.list_read_fragments.shared` and
+    /// `sms.reconcile_streamlet`, interned at construction.
+    m: [Arc<Counter>; 3],
+}
+
+/// A table's read set at a snapshot, with the metastore's last commit
+/// and prune generation as read before it was listed.
+struct Listing {
+    listed: (Timestamp, Arc<ReadSet>),
+    marks: (Timestamp, u64),
+}
+
+impl Listing {
+    /// Whether a listing at `at` under `marks` (read now) would equal
+    /// this one: no version was pruned, and no commit can have landed at
+    /// or below the snapshot since — commits are serialized and rise, so
+    /// one after the recorded last commit lands above it.
+    fn serves(&self, at: Timestamp, (now, prunes): (Timestamp, u64)) -> bool {
+        let (then, pruned) = self.marks;
+        self.listed.0 == at && pruned == prunes && (at <= then || now == then)
+    }
 }
 
 /// What reconciliation established about one log file of a streamlet.
@@ -143,6 +167,13 @@ impl SmsTask {
             servers: RwLock::new(HashMap::new()),
             bigmeta: Arc::new(BigMeta::new()),
             view,
+            listings: Mutex::default(),
+            m: [
+                "sms.list_read_fragments",
+                "sms.list_read_fragments.shared",
+                "sms.reconcile_streamlet",
+            ]
+            .map(|name| obs::global().counter(name)),
         })
     }
 
@@ -362,6 +393,105 @@ impl SmsTask {
             }
             last => Ok(last),
         }
+    }
+
+    /// The read set of `table` at `snapshot`, listed from the metastore:
+    /// what [`SmsApi::list_read_fragments`] shares until it may differ.
+    pub(crate) fn list_at(&self, table: TableId, snapshot: Timestamp) -> VortexResult<ReadSet> {
+        // Each record class is read once at the snapshot.
+        let tmeta: TableMeta = meta::load(&self.store, table, snapshot)?;
+        let streams: HashMap<StreamId, StreamMeta> = meta::scan(&self.store, table, snapshot)
+            .map(|m| m.map(|m: StreamMeta| (m.stream, m)))
+            .collect::<VortexResult<_>>()?;
+        let streamlets: HashMap<StreamletId, StreamletMeta> =
+            meta::scan(&self.store, table, snapshot)
+                .map(|m| m.map(|m: StreamletMeta| (m.streamlet, m)))
+                .collect::<VortexResult<_>>()?;
+        // What the snapshot may see of a streamlet's rows; `None` hides
+        // them (stream unknown, or PENDING and not committed by then).
+        let visibility_of = |sl: &StreamletMeta| {
+            let stream = streams.get(&sl.stream)?;
+            Some((stream.stype, RowVisibility::of(stream, sl, snapshot)?))
+        };
+
+        // One pass over the fragment records yields the read specs and,
+        // per streamlet, where its known WOS fragments end — finalized
+        // and still live OR already converted; `collected` speaks for the
+        // ones GC has dropped — which is where its tail starts.
+        let mut fragments = Vec::new();
+        let mut known_end: HashMap<StreamletId, (u32, u64)> = HashMap::new();
+        for f in meta::scan::<FragmentMeta>(&self.store, table, snapshot) {
+            let f = f?;
+            if f.kind == FragmentKind::Wos && f.state != FragmentState::Active {
+                let (next_ordinal, next_row) = known_end.entry(f.streamlet).or_default();
+                *next_ordinal = (*next_ordinal).max(f.ordinal + 1);
+                *next_row = (*next_row).max(f.first_row + f.row_count);
+            }
+            if !f.visible_at(snapshot) {
+                continue;
+            }
+            // A ROS block stands alone; a WOS fragment is read under its
+            // stream's visibility rules, and only once finalized — the
+            // active one is covered by its streamlet tail.
+            let placed = match f.kind {
+                FragmentKind::Ros => {
+                    Some((RowVisibility::unconstrained(), StreamId::from_raw(0), 0))
+                }
+                FragmentKind::Wos if f.state == FragmentState::Finalized => {
+                    streamlets.get(&f.streamlet).and_then(|sl| {
+                        let (_, visibility) = visibility_of(sl)?;
+                        Some((visibility, sl.stream, sl.first_stream_row))
+                    })
+                }
+                FragmentKind::Wos => None,
+            };
+            if let Some((visibility, stream, streamlet_first_stream_row)) = placed {
+                fragments.push(FragmentReadSpec {
+                    mask: f.mask_at(snapshot),
+                    visibility,
+                    stream,
+                    streamlet_first_stream_row,
+                    meta: f,
+                });
+            }
+        }
+
+        // Tails: streamlets not finalized → the reader probes log files
+        // past the last known fragment.
+        let mut tails = Vec::new();
+        for sl in streamlets.values() {
+            if sl.state == StreamletState::Finalized {
+                continue;
+            }
+            let Some((stream_type, visibility)) = visibility_of(sl) else {
+                continue;
+            };
+            let known = known_end.get(&sl.streamlet).copied().unwrap_or((0, 0));
+            // Ordinals and row ends rise together: the later pair wins.
+            let (from_ordinal, from_row) = known.max(sl.collected);
+            tails.push(TailReadSpec {
+                streamlet: sl.streamlet,
+                stream: sl.stream,
+                stream_type,
+                clusters: sl.clusters,
+                from_ordinal,
+                from_row,
+                path_prefix: wos_streamlet_prefix(table, sl.streamlet),
+                mask: meta::effective_mask(&sl.masks, snapshot),
+                visibility,
+                epoch: sl.epoch,
+                first_stream_row: sl.first_stream_row,
+                expected_rows: sl.row_count,
+            });
+        }
+        tails.sort_by_key(|t| t.streamlet);
+        fragments.sort_by_key(|f| (f.meta.streamlet, f.meta.ordinal, f.meta.fragment));
+        Ok(ReadSet {
+            snapshot,
+            schema: tmeta.schema,
+            fragments,
+            tails,
+        })
     }
 
     /// The table's fragments whose files and records may be removed now:
@@ -604,7 +734,9 @@ impl SmsApi for SmsTask {
             txn.delete(&meta::name_key(&tmeta.name));
             meta::delete::<TableMeta>(txn, table);
             Ok(())
-        })
+        })?;
+        self.listings.lock().remove(&table);
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -847,104 +979,23 @@ impl SmsApi for SmsTask {
     // Read path (§7).
     // ------------------------------------------------------------------
 
-    fn list_read_fragments(&self, table: TableId, snapshot: Timestamp) -> VortexResult<ReadSet> {
-        vortex_common::obs::global()
-            .counter("sms.list_read_fragments")
-            .inc();
-        // Each record class is read once at the snapshot.
-        let tmeta: TableMeta = meta::load(&self.store, table, snapshot)?;
-        let streams: HashMap<StreamId, StreamMeta> = meta::scan(&self.store, table, snapshot)
-            .map(|m| m.map(|m: StreamMeta| (m.stream, m)))
-            .collect::<VortexResult<_>>()?;
-        let streamlets: HashMap<StreamletId, StreamletMeta> =
-            meta::scan(&self.store, table, snapshot)
-                .map(|m| m.map(|m: StreamletMeta| (m.streamlet, m)))
-                .collect::<VortexResult<_>>()?;
-        // What the snapshot may see of a streamlet's rows; `None` hides
-        // them (stream unknown, or PENDING and not committed by then).
-        let visibility_of = |sl: &StreamletMeta| {
-            let stream = streams.get(&sl.stream)?;
-            Some((stream.stype, RowVisibility::of(stream, sl, snapshot)?))
-        };
-
-        // One pass over the fragment records yields the read specs and,
-        // per streamlet, where its known WOS fragments end — finalized
-        // and still live OR already converted; `collected` speaks for the
-        // ones GC has dropped — which is where its tail starts.
-        let mut fragments = Vec::new();
-        let mut known_end: HashMap<StreamletId, (u32, u64)> = HashMap::new();
-        for f in meta::scan::<FragmentMeta>(&self.store, table, snapshot) {
-            let f = f?;
-            if f.kind == FragmentKind::Wos && f.state != FragmentState::Active {
-                let (next_ordinal, next_row) = known_end.entry(f.streamlet).or_default();
-                *next_ordinal = (*next_ordinal).max(f.ordinal + 1);
-                *next_row = (*next_row).max(f.first_row + f.row_count);
-            }
-            if !f.visible_at(snapshot) {
-                continue;
-            }
-            // A ROS block stands alone; a WOS fragment is read under its
-            // stream's visibility rules, and only once finalized — the
-            // active one is covered by its streamlet tail.
-            let placed = match f.kind {
-                FragmentKind::Ros => {
-                    Some((RowVisibility::unconstrained(), StreamId::from_raw(0), 0))
-                }
-                FragmentKind::Wos if f.state == FragmentState::Finalized => {
-                    streamlets.get(&f.streamlet).and_then(|sl| {
-                        let (_, visibility) = visibility_of(sl)?;
-                        Some((visibility, sl.stream, sl.first_stream_row))
-                    })
-                }
-                FragmentKind::Wos => None,
-            };
-            if let Some((visibility, stream, streamlet_first_stream_row)) = placed {
-                fragments.push(FragmentReadSpec {
-                    mask: f.mask_at(snapshot),
-                    visibility,
-                    stream,
-                    streamlet_first_stream_row,
-                    meta: f,
-                });
-            }
+    fn list_read_fragments(&self, table: TableId, at: Timestamp) -> VortexResult<Arc<ReadSet>> {
+        self.m[0].inc();
+        let marks = (self.store.now(), self.store.prune_generation());
+        let listings = &self.listings;
+        // lint:allow(L011, held for one map lookup; no listing happens under it)
+        if let Some(held) = listings.lock().get(&table).filter(|l| l.serves(at, marks)) {
+            self.m[1].inc();
+            return Ok(Arc::clone(&held.listed.1));
         }
-
-        // Tails: streamlets not finalized → the reader probes log files
-        // past the last known fragment.
-        let mut tails = Vec::new();
-        for sl in streamlets.values() {
-            if sl.state == StreamletState::Finalized {
-                continue;
-            }
-            let Some((stream_type, visibility)) = visibility_of(sl) else {
-                continue;
-            };
-            let known = known_end.get(&sl.streamlet).copied().unwrap_or((0, 0));
-            // Ordinals and row ends rise together: the later pair wins.
-            let (from_ordinal, from_row) = known.max(sl.collected);
-            tails.push(TailReadSpec {
-                streamlet: sl.streamlet,
-                stream: sl.stream,
-                stream_type,
-                clusters: sl.clusters,
-                from_ordinal,
-                from_row,
-                path_prefix: wos_streamlet_prefix(table, sl.streamlet),
-                mask: meta::effective_mask(&sl.masks, snapshot),
-                visibility,
-                epoch: sl.epoch,
-                first_stream_row: sl.first_stream_row,
-                expected_rows: sl.row_count,
-            });
-        }
-        tails.sort_by_key(|t| t.streamlet);
-        fragments.sort_by_key(|f| (f.meta.streamlet, f.meta.ordinal, f.meta.fragment));
-        Ok(ReadSet {
-            snapshot,
-            schema: tmeta.schema,
-            fragments,
-            tails,
-        })
+        // lint:allow(L010, once per listing the memo cannot serve: the set it shares)
+        let set = Arc::new(self.list_at(table, at)?);
+        let listed = (at, Arc::clone(&set));
+        // lint:allow(L011, held for one map update; no listing happens under it)
+        let mut held = listings.lock();
+        // lint:allow(L010, once per listing the memo cannot serve: its table's entry)
+        held.insert(table, Listing { listed, marks });
+        Ok(set)
     }
 
     // ------------------------------------------------------------------
@@ -956,9 +1007,7 @@ impl SmsApi for SmsTask {
         table: TableId,
         streamlet: StreamletId,
     ) -> VortexResult<StreamletMeta> {
-        vortex_common::obs::global()
-            .counter("sms.reconcile_streamlet")
-            .inc();
+        self.m[2].inc();
         let tmeta = self.get_table(table)?;
         // Phase 1: close + bump epoch so the outcome is sticky even if
         // two SMS tasks reconcile concurrently (the txn serializes them).

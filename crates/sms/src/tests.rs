@@ -25,6 +25,7 @@ use crate::meta::{
     self, wos_path, FragmentKind, FragmentMeta, FragmentState, Record, StreamMeta, StreamType,
     StreamletMeta, StreamletState,
 };
+use crate::readset::ReadSet;
 use crate::server_ctl::{LoadReport, StreamServerApi, StreamletSpec};
 use crate::sms::{SmsConfig, SmsTask};
 
@@ -564,7 +565,7 @@ fn read_set_includes_finalized_fragments_and_tail() {
     let tail = &rs.tails[0];
     assert_eq!(tail.from_ordinal, 1);
     assert_eq!(tail.from_row, 5);
-    assert_eq!(rs.known_rows(), 5);
+    assert_eq!(rs.fragments[0].meta.row_count, 5);
 }
 
 #[test]
@@ -1586,4 +1587,242 @@ fn reconciliation_matches_the_row_wise_reference() {
         check(&[Vec::new(), upto(early)]);
         assert_eq!(check(&[stub.clone(), Vec::new()]), None);
     }
+}
+
+/// Lists `t` at `at` as a reader does — through the SMS's last listing
+/// when it serves — and from the metastore, and requires the two to be
+/// the same read set (or the same error).
+fn shared_is_fresh(r: &Rig, t: TableId, at: Timestamp) -> Option<Arc<ReadSet>> {
+    let shared = r.sms.list_read_fragments(t, at);
+    let fresh = r.sms.list_at(t, at);
+    assert_eq!(format!("{shared:?}"), format!("{fresh:?}"), "at {at:?}");
+    shared.ok()
+}
+
+/// One random schedule of metadata changes over a table, each followed
+/// by listings at a snapshot the last listing may have been at — an old
+/// one, the last commit, a fresh read snapshot, or one ahead of every
+/// commit so far — checked by [`shared_is_fresh`]. Returns how many
+/// listings were shared and how many were listed again.
+fn shared_listing_schedule(seed: u64) -> (usize, usize) {
+    use rand::{Rng, SeedableRng};
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let r = rig_with_servers(1);
+    let tmeta = r.sms.create_table("t", simple_schema()).unwrap();
+    let (t, key, store) = (tmeta.table, tmeta.encryption_key(), r.sms.store());
+    // Per writable stream: its handle and its fragments, as `delta_of`
+    // takes them.
+    type Fragments = Vec<(u64, u32, u64, bool)>;
+    let mut open: Vec<(crate::sms::StreamHandle, Fragments)> = Vec::new();
+    let mut next_id = 100_000 + 1_000 * seed;
+    let (mut at, mut history) = (r.sms.read_snapshot(), Vec::new());
+    let mut last = shared_is_fresh(&r, t, at);
+    let (mut shared, mut relisted) = (0, 0);
+    for _ in 0..40 {
+        next_id += 1;
+        let live = |kind: FragmentKind| {
+            let all = r.sms.list_fragments(t, store.now()).into_iter();
+            let live = all.filter(move |f| f.kind == kind && f.deleted_at == Timestamp::MAX);
+            live.filter(|f| f.state == FragmentState::Finalized)
+                .collect::<Vec<_>>()
+        };
+        match rng.gen_range(0..10u32) {
+            // A stream of any type.
+            0 => {
+                let stype = [
+                    StreamType::Unbuffered,
+                    StreamType::Buffered,
+                    StreamType::Pending,
+                ][rng.gen_range(0..3usize)];
+                open.push((r.sms.create_stream(t, stype).unwrap(), Vec::new()));
+            }
+            // An append: a log file, then the heartbeat that reports it.
+            1..=3 if !open.is_empty() => {
+                let i = rng.gen_range(0..open.len());
+                let (h, frags) = &mut open[i];
+                let (ordinal, rows) = (frags.len() as u32, rng.gen_range(1..20u64));
+                let first_row = frags.iter().map(|f| f.2).sum();
+                let (sl, clusters) = (h.streamlet.streamlet, h.streamlet.clusters);
+                write_fragment(
+                    &r,
+                    t,
+                    sl,
+                    ordinal,
+                    first_row,
+                    rows as usize,
+                    &key,
+                    clusters,
+                    true,
+                );
+                frags.iter_mut().for_each(|f| f.3 = true);
+                frags.push((next_id, ordinal, rows, rng.gen_bool(0.7)));
+                let _ = r.sms.heartbeat(&report_of(vec![delta_of(h, frags)]));
+                r.servers[0].live_rows.lock().insert(sl, first_row + rows);
+            }
+            // A flush of a BUFFERED stream, or a PENDING stream committed.
+            4 if !open.is_empty() => {
+                let i = rng.gen_range(0..open.len());
+                let (h, frags) = &open[i];
+                let rows: u64 = frags.iter().map(|f| f.2).sum();
+                match h.stream.stype {
+                    StreamType::Buffered => {
+                        let to = rng.gen_range(0..=rows);
+                        let _ = r.sms.flush_stream(t, h.stream.stream, to);
+                    }
+                    StreamType::Pending => {
+                        let _ = r.sms.batch_commit_streams(t, &[h.stream.stream]);
+                        open.remove(i);
+                    }
+                    StreamType::Unbuffered => {}
+                }
+            }
+            // Conversion of sealed log files, then a recluster of blocks.
+            5 => {
+                let wos = live(FragmentKind::Wos);
+                let picked = wos.iter().take(rng.gen_range(1..3usize));
+                let sources: Vec<_> = picked.map(|f| (f.fragment, f.masks.len())).collect();
+                let ros = make_ros_meta(&r, t, next_id, 10);
+                let _ = r.sms.commit_conversion(t, &sources, vec![ros], false);
+                let blocks = live(FragmentKind::Ros);
+                if blocks.len() >= 2 && rng.gen_bool(0.5) {
+                    let sources: Vec<_> = (blocks.iter().take(2))
+                        .map(|f| (f.fragment, f.masks.len()))
+                        .collect();
+                    let mut merged = make_ros_meta(&r, t, next_id + 500, 20);
+                    merged.level = 2;
+                    let _ = r.sms.commit_conversion(t, &sources, vec![merged], false);
+                }
+            }
+            // GC past the grace, and version GC at a watermark that the
+            // snapshot listed last may be below or above.
+            6 => {
+                if rng.gen_bool(0.5) {
+                    r.clock.advance(20_000_000);
+                }
+                let _ = r.sms.run_gc(t);
+                let watermark = match history.len() {
+                    0 => store.now(),
+                    n => history[rng.gen_range(0..n)],
+                };
+                store.gc_versions(watermark);
+            }
+            // Reconciliation of an open streamlet.
+            7 if !open.is_empty() => {
+                let (h, _) = open.remove(rng.gen_range(0..open.len()));
+                let _ = r.sms.reconcile_streamlet(t, h.streamlet.streamlet);
+            }
+            // A DML mask on a sealed fragment and on a tail.
+            8 => {
+                let wos = live(FragmentKind::Wos);
+                let masked = wos.iter().take(1).map(|f| {
+                    let end = rng.gen_range(1..f.row_count.max(1) + 1);
+                    (f.fragment, DeletionMask::from_range(0, end))
+                });
+                let masked: Vec<_> = masked.collect();
+                let tails: Vec<_> = (open.iter().take(1))
+                    .map(|(h, _)| (h.streamlet.streamlet, DeletionMask::from_range(1, 3)))
+                    .collect();
+                let _ = r.sms.commit_dml(t, &masked, &tails, &[]);
+            }
+            _ => {}
+        }
+        // The snapshot listed last, then — now and then — another.
+        let mut check = |at: Timestamp, last: &mut Option<Arc<ReadSet>>| {
+            let now = shared_is_fresh(&r, t, at);
+            match (&*last, &now) {
+                (Some(a), Some(b)) if Arc::ptr_eq(a, b) => shared += 1,
+                _ => relisted += 1,
+            }
+            *last = now;
+        };
+        check(at, &mut last);
+        if rng.gen_bool(0.4) {
+            history.push(at);
+            at = match rng.gen_range(0..4u32) {
+                0 => r.sms.read_snapshot(),
+                1 => store.now(),
+                2 => Timestamp(r.sms.read_snapshot().0 + rng.gen_range(1..100_000u64)),
+                _ => history[rng.gen_range(0..history.len())],
+            };
+            check(at, &mut last);
+            check(at, &mut last);
+        }
+    }
+    // Dropping the table drops its listing: the next is listed afresh.
+    r.sms.drop_table(t).unwrap();
+    let after = shared_is_fresh(&r, t, at);
+    assert!(!matches!((&last, &after), (Some(a), Some(b)) if Arc::ptr_eq(a, b)));
+    assert!(shared_is_fresh(&r, t, r.sms.read_snapshot()).is_none());
+    (shared, relisted)
+}
+
+/// Commits that land while a listing at a snapshot ahead of every commit
+/// is being read: once one has landed, the listing shared at that
+/// snapshot is a fresh one. Returns the rounds where it was not.
+fn shared_listing_under_racing_commits() -> Vec<u32> {
+    use std::sync::Barrier;
+    use std::time::Instant;
+    const ROUNDS: u32 = 64;
+    let r = rig_with_servers(1);
+    let t = r.sms.create_table("t", simple_schema()).unwrap().table;
+    let h = r.sms.create_stream(t, StreamType::Unbuffered).unwrap();
+    let many: Vec<_> = (0..300u64)
+        .map(|o| (10_000 + o, o as u32, 1, true))
+        .collect();
+    r.sms
+        .heartbeat(&report_of(vec![delta_of(&h, &many)]))
+        .unwrap();
+    let ahead = r.sms.read_snapshot().0 + 1_000_000_000;
+    let start = Instant::now();
+    r.sms.list_at(t, Timestamp(ahead)).unwrap();
+    let took = start.elapsed();
+    let both = Barrier::new(2);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            for round in 0..ROUNDS {
+                both.wait();
+                // Lands somewhere inside the racing listing.
+                std::thread::sleep(took.mul_f64(f64::from(round % 8 + 1) / 10.0));
+                let one = delta_of(&h, &[(20_000 + u64::from(round), 300 + round, 1, true)]);
+                let _ = r.sms.heartbeat(&report_of(vec![one]));
+                both.wait();
+            }
+        });
+        // Each round at a snapshot the last listing was not at, so the
+        // racing one is read; the check runs once the commit has landed.
+        let stale = |&round: &u32| {
+            let at = Timestamp(ahead + u64::from(round));
+            both.wait();
+            let _ = r.sms.list_read_fragments(t, at);
+            both.wait();
+            let shared = r.sms.list_read_fragments(t, at);
+            format!("{shared:?}") != format!("{:?}", r.sms.list_at(t, at))
+        };
+        (0..ROUNDS).filter(stale).collect()
+    })
+}
+
+/// The SMS shares a table's last listing only while a listing afresh
+/// would equal it: at the same snapshot, with no version pruned and no
+/// commit possibly landed at or below the snapshot since. Random
+/// schedules of appends and heartbeats, PENDING commits, flushes,
+/// conversions and reclusters, GC and version GC, reconciliation, DML
+/// masks and a dropped table, and commits racing a listing, each checked
+/// listing by listing against the metastore's.
+#[test]
+fn a_shared_listing_is_a_fresh_one() {
+    let (mut shared, mut relisted) = (0, 0);
+    for seed in 0..16 {
+        let (s, l) = shared_listing_schedule(seed);
+        (shared, relisted) = (shared + s, relisted + l);
+    }
+    assert!(
+        shared > 0 && relisted > 0,
+        "{shared} shared, {relisted} listed"
+    );
+    let stale = shared_listing_under_racing_commits();
+    assert!(
+        stale.is_empty(),
+        "rounds {stale:?} shared a listing a commit changed"
+    );
 }

@@ -239,5 +239,10 @@ fn main() -> vortex::VortexResult<()> {
         counter("wos.blocks_decoded"),
         counter("wos.rows_decoded")
     );
+    println!(
+        "read sets: {} listed, {} of them shared from the SMS's last listing at their snapshot",
+        counter("sms.list_read_fragments"),
+        counter("sms.list_read_fragments.shared")
+    );
     Ok(())
 }

@@ -64,6 +64,7 @@ counter server.shard01.appends
 counter server.shard02.appends
 counter server.shard03.appends
 counter sms.list_read_fragments
+counter sms.list_read_fragments.shared
 counter sms.reconcile_streamlet
 counter wal.records_logged
 counter wos.blocks_decoded
