@@ -260,7 +260,7 @@ pub(crate) fn read_reconciled_tail(
             meta,
         };
         let mut read = read_fragment_cached(&spec, fleet, key, snapshot, cache)?;
-        for (zone, sel) in read.zones.iter().zip(&mut read.sel) {
+        for (zone, (sel, _)) in read.zones.iter().zip(&mut read.sel) {
             sel.retain(|&i| zone.metas[i].offset >= from_offset);
         }
         out.push(read);
@@ -312,8 +312,9 @@ pub struct Zone {
 #[derive(Debug, Clone)]
 pub struct Visible {
     zones: Vec<Arc<Zone>>,
-    /// Per zone, the admitted zone-relative rows, ascending.
-    sel: Vec<Vec<usize>>,
+    /// Per zone, the admitted zone-relative rows, ascending, and the
+    /// newest stamp of the zone's rows.
+    sel: Vec<(Vec<usize>, Timestamp)>,
 }
 
 impl Visible {
@@ -326,7 +327,7 @@ impl Visible {
 
     /// Visible rows.
     pub fn len(&self) -> usize {
-        self.sel.iter().map(Vec::len).sum()
+        self.sel.iter().map(|(sel, _)| sel.len()).sum()
     }
 
     /// Whether no row is visible.
@@ -336,7 +337,12 @@ impl Visible {
 
     /// Each zone with its visible rows.
     pub fn iter(&self) -> impl Iterator<Item = (&Zone, &[usize])> {
-        (self.zones.iter().map(Arc::as_ref)).zip(self.sel.iter().map(Vec::as_slice))
+        (self.zones.iter().map(Arc::as_ref)).zip(self.sel.iter().map(|(sel, _)| &sel[..]))
+    }
+
+    /// Each zone's newest stamp, in [`Visible::iter`]'s order.
+    pub fn newest(&self) -> impl Iterator<Item = Timestamp> + '_ {
+        self.sel.iter().map(|&(_, newest)| newest)
     }
 
     /// Gathers the visible rows, `arity` cells each (at least the zone's
@@ -627,11 +633,20 @@ impl<'a> RowGate<'a> {
                     .map_or(true, |&(start, _)| start >= range.end))
     }
 
-    /// The visible rows of a decoded zone, zone-relative and ascending.
-    pub fn admitted(&self, zone: &Zone) -> Vec<usize> {
+    /// The visible rows of a decoded zone, zone-relative and ascending,
+    /// and the newest stamp of its rows: every row, untested one by one,
+    /// when none is stamped after the read ([`RowGate::stops_at`]) and
+    /// [`RowGate::admits_all`] holds.
+    pub fn admitted(&self, zone: &Zone) -> (Vec<usize>, Timestamp) {
+        let (n, newest) = (zone.metas.len(), zone.metas.iter().map(|m| m.ts).max());
+        let newest = newest.unwrap_or_default();
+        if !self.stops_at(newest) && self.admits_all(zone.first..zone.first + n as u64) {
+            // lint:allow(L010, once per zone admitted whole: its selection)
+            return ((0..n).collect(), newest);
+        }
         let visible =
             |&i: &usize| !self.stops_at(zone.metas[i].ts) && self.admits(zone.first + i as u64);
-        (0..zone.metas.len()).filter(visible).collect()
+        ((0..n).filter(visible).collect(), newest)
     }
 }
 

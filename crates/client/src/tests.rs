@@ -610,6 +610,64 @@ mod gate {
                 prop_assert_eq!(gate.admits_all(range.clone()), each, "{:?}", range);
             }
         }
+
+        /// `admitted` of a decoded zone is the rows `admits` and no stamp
+        /// past the snapshot stops, with the zone's newest stamp: over the
+        /// zones and spans above, stamped in write order, one step after
+        /// another or backwards, from before, across or after the
+        /// snapshot; of a fragment's gate, a tail's and a ROS block's
+        /// (which no stamp stops), under the masks, flush limits, shut
+        /// gates and extents above.
+        #[test]
+        fn admitted_is_admits_of_every_row(
+            mask in masks(),
+            flush_limit in prop_oneof![Just(None), (0u64..56).prop_map(Some)],
+            shut in any::<bool>(),
+            (tail, ros) in (any::<bool>(), any::<bool>()),
+            (first_row, row_count, from_row) in (0u64..12, 0u64..44, 0u64..20),
+            spans in proptest::collection::vec((0u64..48, 0u64..20), 0..6),
+            stamps in proptest::collection::vec((60u64..130, 0u64..6, any::<bool>()), 13..14),
+        ) {
+            use vortex_ros::RowMeta;
+            use vortex_sms::meta::FragmentKind;
+            use crate::read::Zone;
+            let (fragment, tail_spec) = specs();
+            let visibility = RowVisibility {
+                visible_from: Timestamp(if shut { 200 } else { 0 }),
+                flush_limit,
+            };
+            let snapshot = Timestamp(100);
+            let (mut fragment, mut tail_spec) = (fragment.clone(), tail_spec.clone());
+            fragment.meta.first_row = first_row;
+            fragment.meta.row_count = row_count;
+            if ros {
+                fragment.meta.kind = FragmentKind::Ros;
+            }
+            (fragment.mask, tail_spec.mask) = (mask.clone(), mask);
+            (fragment.visibility, tail_spec.visibility) = (visibility.clone(), visibility);
+            tail_spec.from_row = from_row;
+            let gate = match tail {
+                true => RowGate::for_tail(&tail_spec, snapshot),
+                false => RowGate::for_fragment(&fragment, snapshot),
+            };
+            let zones = (0..7).map(|z| z * 8..z * 8 + 8);
+            let ranges = zones.chain(spans.into_iter().map(|(at, len)| at..at + len));
+            for (range, (start, step, backwards)) in ranges.zip(stamps) {
+                let n = (range.end - range.start) as usize;
+                let ts = |i: usize| {
+                    let i = if backwards { n - 1 - i } else { i };
+                    Timestamp(start + step * i as u64)
+                };
+                let metas = (0..n).map(|i| RowMeta { ts: ts(i), ..RowMeta::default() });
+                let zone = Zone { first: range.start, metas: metas.collect(), cols: vec![] };
+                let each = (0..n).filter(|&i| {
+                    !gate.stops_at(ts(i)) && gate.admits(range.start + i as u64)
+                });
+                let newest = (0..n).map(ts).max().unwrap_or_default();
+                let want = (each.collect::<Vec<usize>>(), newest);
+                prop_assert_eq!(gate.admitted(&zone), want, "{:?}", range);
+            }
+        }
     }
 }
 

@@ -173,7 +173,7 @@ impl StorageOptimizer {
         let spec = settled_spec(f, mask, sl);
         let gate = RowGate::for_fragment(&spec, Timestamp::MAX);
         let leaves = |mut zone: Zone| {
-            let kept = gate.admitted(&zone);
+            let (kept, _) = gate.admitted(&zone);
             let every: Vec<usize> = (0..zone.metas.len()).collect();
             let cols = std::mem::take(&mut zone.cols);
             zone.cols = cols.into_iter().map(|c| c.into_leaf(&every)).collect();

@@ -15,7 +15,9 @@ use std::collections::BTreeMap;
 use vortex_common::error::{VortexError, VortexResult};
 use vortex_common::row::{Row, Value};
 use vortex_common::schema::Schema;
-use vortex_ros::{gather_rows, ColumnVec, IntKind, Picked, Prim, RosBlock, RowMeta, Sink};
+use vortex_ros::{
+    dictionary, gather_rows, ColumnVec, IntKind, Picked, Prim, RosBlock, RowMeta, Sink,
+};
 
 use crate::engine::AggKind;
 use crate::pushdown::{ScanPlan, ZoneCols};
@@ -390,14 +392,14 @@ impl Consumer for Aggregator {
         (self.group != Some(col) || constant(col)) && self.aggs.iter().all(summed)
     }
 
-    /// Maps the group column's dictionary codes / runs / rows to group
-    /// slots once — one slot when every selected row is in one group —
-    /// then folds each aggregate column's vector at the selected
-    /// positions into its slots' accumulators, in a loop typed once per
-    /// zone. Of a block's zone selected whole, a group column its zone map
-    /// answers is not decoded, and into one slot a SUM or AVG adds the
-    /// index's sum of an `Int64` zone, or folds an Alp chunk as it unpacks
-    /// it.
+    /// Maps each entry of the group column — a dictionary code, a run, a
+    /// distinct cell — to its group slot once, one slot when every
+    /// selected row is in one group, then folds each aggregate column's
+    /// vector at the selected positions into its slots' accumulators, in
+    /// a loop typed once per zone. Of a block's zone selected whole, a
+    /// group column its zone map answers is not decoded, and into one
+    /// slot a SUM or AVG adds the index's sum of an `Int64` zone, or folds
+    /// an Alp chunk as it unpacks it.
     fn fold_zone(
         &mut self,
         cols: &ZoneCols<'_>,
@@ -422,18 +424,25 @@ impl Consumer for Aggregator {
             (None, None) => Some(self.group_slot(None)),
             (None, Some(None)) => Some(self.group_slot(Some(Value::Null))),
             (None, Some(Some((col, at)))) => {
+                // The column as entries, each looked up once: a
+                // dictionary's codes, a run's index, a typed leaf's
+                // distinct cells numbered, an `Any` leaf's own rows.
                 let (leaf, at) = col.resolve(at, &mut buf);
+                let typed = col.is_typed_leaf().then(|| dictionary(leaf));
+                let (firsts, codes) = typed.unwrap_or_default();
                 let mut memo = vec![usize::MAX; leaf.len()];
                 slots.reserve(at.len());
                 for &p in at {
-                    // Looked up by the key where it lies: a `Value` is
-                    // built for a group's first row only.
-                    if memo[p] == usize::MAX {
+                    let e = codes.get(p).map_or(p, |&e| e as usize);
+                    if memo[e] == usize::MAX {
+                        // Looked up by the key where the entry lies: a
+                        // `Value` is built for a group's first row only.
+                        let row = firsts.get(e).copied().unwrap_or(e);
                         self.key.clear();
-                        leaf.key_into(p, &mut self.key);
-                        memo[p] = self.keyed_slot(|| Some(leaf.value(p)));
+                        leaf.key_into(row, &mut self.key);
+                        memo[e] = self.keyed_slot(|| Some(leaf.value(row)));
                     }
-                    slots.push(memo[p]);
+                    slots.push(memo[e]);
                 }
                 (slots.first())
                     .filter(|&&s| slots.iter().all(|&t| t == s))
@@ -669,6 +678,103 @@ mod tests {
                     assert_eq!(g, wg);
                     for ((v, w), agg) in vals.iter().zip(wvals).zip(&aggs) {
                         assert!(v.key_eq(w), "{agg:?} of group {g:?}: {v:?} != {w:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Grouped by a leaf vector — as a WOS fragment, a tail or merge-on-
+    /// read's survivors arrive — the per-entry lookup folds what the row
+    /// loop folds, group for group and bit for bit: over a zone of one key
+    /// and one of keys distinct but for NULL (and `Bool`'s two), selected
+    /// whole and in part, grouped by `Int64` with NULLs, `Float64` with
+    /// -0.0, 0.0 and two NaN payloads, `Date`, `Timestamp`, `Numeric`,
+    /// `Bool`, `String` with NULL and "", `Bytes`, and an `Any` leaf whose
+    /// `Int64(1)` and `Float64(1.0)` are two groups.
+    #[test]
+    fn a_leaf_group_is_the_row_loop() {
+        use vortex_common::truetime::Timestamp;
+        let names = ["i", "f", "d", "t", "n", "b", "s", "y", "a", "v", "w"];
+        let types = [
+            FieldType::Int64,
+            FieldType::Float64,
+            FieldType::Date,
+            FieldType::Timestamp,
+            FieldType::Numeric,
+            FieldType::Bool,
+            FieldType::String,
+            FieldType::Bytes,
+            FieldType::Int64,
+            FieldType::Int64,
+            FieldType::Float64,
+        ];
+        let fields = names.iter().zip(types).map(|(c, t)| Field::nullable(c, t));
+        let schema = Schema::new(fields.collect());
+        // Column `c`'s cell of key `k`.
+        let cell = |c: usize, k: usize| match (c, k) {
+            (0, k) if k % 5 == 0 => Value::Null,
+            (0, k) => Value::Int64(k as i64 - 50),
+            (1, 0) => Value::Float64(-0.0),
+            (1, 1) => Value::Float64(0.0),
+            (1, 2) => Value::Float64(f64::NAN),
+            (1, 3) => Value::Float64(f64::from_bits(0x7ff0_0000_0000_0001)),
+            (1, 4) => Value::Null,
+            (1, k) => Value::Float64(k as f64 * 0.25 - 9.0),
+            (2, k) => Value::Date(k as i32 - 10),
+            (3, k) => Value::Timestamp(Timestamp::from_micros(k as u64 * 1_000)),
+            (4, k) => Value::Numeric(k as i128 * 1_000_000_007),
+            (5, k) if k % 3 == 0 => Value::Null,
+            (5, k) => Value::Bool(k % 2 == 0),
+            (6, 0) => Value::Null,
+            (6, 1) => Value::String(String::new()),
+            (6, k) => Value::String(format!("g{k}")),
+            (7, k) => Value::Bytes(vec![0xff; k % 3].into_iter().chain([k as u8]).collect()),
+            (8, k) if k % 2 == 0 => Value::Int64(k as i64 / 2),
+            (8, k) => Value::Float64((k / 2) as f64),
+            (9, k) => Value::Int64((k as i64 * 37) % 101 - 50),
+            (_, k) => Value::Float64(k as f64 / 3.0),
+        };
+        let n = 200;
+        // A zone of one key per group column, and one of distinct keys.
+        let zone = |key: &dyn Fn(usize) -> usize| Zone {
+            first: 0,
+            metas: vec![RowMeta::default(); n],
+            cols: (0..names.len())
+                .map(|c| leaf(n, |k| cell(c, if c < 9 { key(k) } else { k })))
+                .collect(),
+        };
+        let zones = [zone(&|_| 3), zone(&|k| k)];
+        assert!(zones[1].cols[..8].iter().all(ColumnVec::is_typed_leaf));
+        assert!(matches!(zones[1].cols[8], ColumnVec::Any(_)));
+        let aggs = [
+            (AggKind::Count, None),
+            (AggKind::Sum, Some("v")),
+            (AggKind::Avg, Some("w")),
+            (AggKind::Min, Some("s")),
+            (AggKind::Max, Some("v")),
+        ];
+        let every: Vec<usize> = (0..n).collect();
+        let some: Vec<usize> = (0..n).filter(|k| k % 4 != 1).collect();
+        let all = Expr::True;
+        for group in &names[..9] {
+            for sel in [&every, &some] {
+                let mut got = Aggregator::new(&schema, Some(group), &aggs).unwrap();
+                let mut want = got.clone();
+                let plan = ScanPlan::compile(&all, None, &schema, None, &got).unwrap();
+                for zone in zones.iter().chain(&zones[..1]) {
+                    let zone = ZoneCols::Decoded(zone);
+                    got.fold_zone(&zone, sel, &plan).unwrap();
+                    want.fold_zone_rowwise(&zone, sel, &plan).unwrap();
+                }
+                let (got, want) = (got.into_groups(), want.into_groups());
+                assert_eq!(got.len(), want.len(), "{group}");
+                assert!(got.len() > 2, "{group}");
+                for ((g, vals), (wg, wvals)) in got.iter().zip(&want) {
+                    let (g, wg) = (g.as_ref().unwrap(), wg.as_ref().unwrap());
+                    assert!(g.key_eq(wg), "{group}: {g:?} != {wg:?}");
+                    for ((v, w), agg) in vals.iter().zip(wvals).zip(&aggs) {
+                        assert!(v.key_eq(w), "{agg:?} of {group} = {g:?}: {v:?} != {w:?}");
                     }
                 }
             }

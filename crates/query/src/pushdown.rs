@@ -203,8 +203,8 @@ impl<'e> CPred<'e> {
 /// `Expr::eval`: a NULL cell or literal fails every comparison,
 /// otherwise [`Value::total_cmp`] decides. A `Dict` vector decides each
 /// dictionary entry once, a `Runs` vector each run once; a leaf vector is
-/// one typed loop — `i64::cmp` / `f64::total_cmp` when the literal has
-/// the vector's type, [`ColumnVec::cmp_at`] (cross-type numeric
+/// one typed loop — `i64::cmp` / `f64::total_cmp` / byte order when the
+/// literal has the vector's type, [`ColumnVec::cmp_at`] (cross-type numeric
 /// coercion, type-rank order) when it has not.
 fn filter_leaf(col: &ColumnVec, test: Test<'_>, sel: &mut Vec<usize>) {
     // The test on one cell of a leaf vector.
@@ -243,6 +243,20 @@ fn filter_leaf(col: &ColumnVec, test: Test<'_>, sel: &mut Vec<usize>) {
         }
         (ColumnVec::F64(p), Test::Cmp(op, Value::Float64(x))) if p.nulls.is_none() => {
             sel.retain(|&i| op.holds(p.values[i].total_cmp(x)))
+        }
+        // Strings against literals of their kind: lengths, then bytes.
+        (ColumnVec::Str(kind, s), Test::Cmp(op, lit)) if kind.bytes_of(lit).is_some() => {
+            let x = kind.bytes_of(lit).unwrap_or_default();
+            match op {
+                CmpOp::Eq | CmpOp::Ne => {
+                    sel.retain(|&i| !s.is_null(i) && (s.get(i) == x) == (op == CmpOp::Eq))
+                }
+                _ => sel.retain(|&i| !s.is_null(i) && op.holds(s.get(i).cmp(x))),
+            }
+        }
+        (ColumnVec::Str(kind, s), Test::In(list)) => {
+            let equal = |i, lit| kind.bytes_of(lit).is_some_and(|x| s.get(i) == x);
+            sel.retain(|&i| !s.is_null(i) && list.iter().any(|lit| equal(i, lit)))
         }
         (leaf, _) => sel.retain(|&i| cell(leaf, i)),
     }
@@ -622,9 +636,11 @@ pub(crate) fn scan_visible<C: Consumer>(
 ) -> VortexResult<()> {
     // lint:allow(L010, once per fragment or tail scanned, reused by its zones)
     let mut sel: Vec<usize> = Vec::new();
-    for (zone, admitted) in visible.iter() {
+    for ((zone, admitted), newest) in visible.iter().zip(visible.newest()) {
         out.stats.rows_scanned += admitted.len() as u64;
-        if let Some(seen) = plan.visible_after {
+        // A zone stamped at or before the probe's watermark has no row it
+        // has not seen.
+        if let Some(seen) = plan.visible_after.filter(|&seen| newest > seen) {
             let ts = admitted.iter().map(|&i| zone.metas[i].ts);
             out.visible_ts.extend(ts.filter(|ts| *ts > seen));
         }

@@ -1737,6 +1737,57 @@ mod pushdown_equivalence {
         }
     }
 
+    /// The same rows as decoded zones alone: a finalized stream's log
+    /// file, masked, and a live tail, so that every string cell — NULLs
+    /// among them — is tested on a decoded `Str` leaf.
+    fn load_fresh_coded(r: &Rig) -> TableId {
+        let t = r.sms.create_table("t", coded_schema()).unwrap().table;
+        let mut w = r.client.create_unbuffered_writer(t).unwrap();
+        w.append(coded_rows(0, 200)).unwrap();
+        r.sms.finalize_stream(t, w.stream_id()).unwrap();
+        let gone = Expr::ge("k", Value::Int64(50)).and(Expr::lt("k", Value::Int64(60)));
+        assert_eq!(r.dml.delete_where(t, &gone).unwrap().rows_matched, 10);
+        let mut tail = r.client.create_unbuffered_writer(t).unwrap();
+        tail.append(coded_rows(200, 230)).unwrap();
+        let listed = r.sms.list_read_fragments(t, r.sms.read_snapshot()).unwrap();
+        assert!(!listed.fragments.is_empty() && !listed.tails.is_empty());
+        t
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        // The typed string kernel over WOS and tail zones — `=`, `<>`,
+        // `<` and the other orders on a literal, and NOT of each, `IN`
+        // on a list, each literal of the column's type, of another or
+        // NULL, and a predicate under AND / OR / NOT — selects what
+        // `Expr::eval` keeps of the visible rows, to a scan and a count.
+        #[test]
+        fn fresh_strings_equal_decode_then_filter(
+            pred in arb_coded_pred(),
+            lit in arb_coded_literal(),
+            list in collection::vec(arb_coded_literal(), 0..4),
+        ) {
+            let r = super::rig();
+            let t = load_fresh_coded(&r);
+            let snap = r.sms.read_snapshot();
+            let ops = [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge];
+            let cmp = |op| Expr::Cmp { column: "s".into(), op, value: lit.clone() };
+            let mut preds: Vec<Expr> = ops.into_iter().flat_map(|op| [cmp(op), cmp(op).not()]).collect();
+            preds.extend([Expr::is_in("s", list), pred]);
+            for pred in preds {
+                let want = oracle_scan(&r, t, snap, &pred, None);
+                let opts = ScanOptions {
+                    predicate: pred.clone(),
+                    ..ScanOptions::default()
+                };
+                let got = r.engine.scan(t, snap, &opts).unwrap();
+                prop_assert_eq!(keys(&got.rows), keys(&want), "{:?}", pred);
+                prop_assert_eq!(r.engine.count(t, snap, &opts).unwrap(), want.len() as u64);
+            }
+        }
+    }
+
     /// Over that table a count of `s = X` and of `s IN (…)`, `s <> X`
     /// among them, compares codes: of its ROS zones it decodes no cell.
     #[test]

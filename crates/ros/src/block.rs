@@ -169,6 +169,7 @@ impl<T: Ord> KeyedRows for ByKey<'_, T> {
 
     fn fold_keys<K: Ord + Hash>(self, _: usize, key: impl Fn(usize) -> Option<K>) {
         let tie = |i: u32| (key(i as usize), (self.tie)(i as usize), i);
+        // lint:allow(L010, the build's sort; a scan reaches it only by the name-resolved `fold_keys` of `dictionary`)
         let mut keyed: Vec<_> = self.order.iter().map(|&i| tie(i)).collect();
         keyed.sort();
         (self.order.iter_mut().zip(keyed)).for_each(|(at, (.., i))| *at = i);

@@ -38,6 +38,19 @@ pub enum StrKind {
     Bytes,
 }
 
+impl StrKind {
+    /// The bytes of `v` if it is a value of this kind, which a cell of
+    /// the kind orders against byte for byte ([`Value::total_cmp`]).
+    pub fn bytes_of(self, v: &Value) -> Option<&[u8]> {
+        match (self, v) {
+            (StrKind::String, Value::String(x)) => Some(x.as_bytes()),
+            (StrKind::Json, Value::Json(x)) => Some(x.as_bytes()),
+            (StrKind::Bytes, Value::Bytes(x)) => Some(x),
+            _ => None,
+        }
+    }
+}
+
 /// A null bitmap in the on-disk form: bit `i % 8` of byte `i / 8` set
 /// means row `i` is NULL.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -92,6 +105,11 @@ impl Strs {
     /// The bytes of row `i`.
     pub fn get(&self, i: usize) -> &[u8] {
         &self.bytes[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+
+    /// Whether row `i` is NULL.
+    pub fn is_null(&self, i: usize) -> bool {
+        null_at(&self.nulls, i)
     }
 }
 
@@ -223,7 +241,7 @@ impl ColumnVec {
             ColumnVec::F64(p) => null_at(&p.nulls, i),
             ColumnVec::Bool(p) => null_at(&p.nulls, i),
             ColumnVec::I128(p) => null_at(&p.nulls, i),
-            ColumnVec::Str(_, s) => null_at(&s.nulls, i),
+            ColumnVec::Str(_, s) => s.is_null(i),
             ColumnVec::Any(values) => values[i].is_null(),
             nested => nested.value(i).is_null(),
         }
@@ -291,7 +309,10 @@ impl ColumnVec {
             (ColumnVec::I64(IntKind::Int64, p), Value::Int64(x)) => p.values[i].cmp(x),
             (ColumnVec::F64(p), Value::Float64(x)) => p.values[i].total_cmp(x),
             (ColumnVec::I128(p), Value::Numeric(x)) => p.values[i].cmp(x),
-            (ColumnVec::Str(StrKind::String, s), Value::String(x)) => s.get(i).cmp(x.as_bytes()),
+            (ColumnVec::Str(kind, s), _) => match kind.bytes_of(other) {
+                Some(x) => s.get(i).cmp(x),
+                None => self.value(i).total_cmp(other),
+            },
             _ => self.value(i).total_cmp(other),
         }
     }
@@ -451,6 +472,14 @@ impl ColumnVec {
         }
     }
 
+    /// Whether this is a leaf of one type: not `Any`, `Dict` or `Runs`.
+    pub fn is_typed_leaf(&self) -> bool {
+        !matches!(
+            self,
+            ColumnVec::Any(_) | ColumnVec::Dict { .. } | ColumnVec::Runs { .. }
+        )
+    }
+
     /// An empty leaf of this typed leaf's type; `None` for `Any` and
     /// nested vectors.
     fn blank(&self) -> Option<ColumnVec> {
@@ -491,11 +520,7 @@ impl ColumnVec {
     /// vector, `Dict` / `Runs` flattened — the vector itself when that
     /// is every row of a typed leaf.
     pub fn into_leaf(self, rows: &[usize]) -> ColumnVec {
-        let typed_leaf = !matches!(
-            self,
-            ColumnVec::Any(_) | ColumnVec::Dict { .. } | ColumnVec::Runs { .. }
-        );
-        if typed_leaf && rows.len() == self.len() {
+        if self.is_typed_leaf() && rows.len() == self.len() {
             return self;
         }
         // lint:allow(L010, once per chunk decoded whole and picked from)
@@ -584,14 +609,8 @@ impl ColumnBuilder {
             (ColumnVec::F64(p), Value::Float64(x)) => p.add_cell(Some(x)),
             (ColumnVec::Bool(p), Value::Bool(x)) => p.add_cell(Some(x)),
             (ColumnVec::I128(p), Value::Numeric(x)) => p.add_cell(Some(x)),
-            (ColumnVec::Str(StrKind::String, s), Value::String(x)) if s.fits(x.len()) => {
-                s.add_cell(Some(x.as_bytes()))
-            }
-            (ColumnVec::Str(StrKind::Json, s), Value::Json(x)) if s.fits(x.len()) => {
-                s.add_cell(Some(x.as_bytes()))
-            }
-            (ColumnVec::Str(StrKind::Bytes, s), Value::Bytes(x)) if s.fits(x.len()) => {
-                s.add_cell(Some(&x))
+            (ColumnVec::Str(kind, s), v) if kind.bytes_of(&v).is_some_and(|x| s.fits(x.len())) => {
+                s.add_cell(kind.bytes_of(&v))
             }
             (col, v) => col.add_untyped(v),
         }

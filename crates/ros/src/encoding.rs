@@ -278,12 +278,14 @@ impl KeyedRows for Profiler {
     type Out = Profile;
 
     fn fold_keys<K: Ord + Hash>(self, n: usize, key: impl Fn(usize) -> Option<K>) -> Profile {
+        // lint:allow(L010, a zone's profile; a scan reaches it only by the name-resolved `fold_keys` of `dictionary`)
         let (mut runs, mut nulls, mut lo, mut hi) = (Vec::new(), 0, None, None);
         let mut ascending = true;
         for i in 0..n {
             let k = key(i);
             let step = (i > 0).then(|| k.cmp(&key(i - 1)));
             if step != Some(Ordering::Equal) {
+                // lint:allow(L010, a zone's profile; a scan reaches it only by the name-resolved `fold_keys` of `dictionary`)
                 runs.push(i);
                 ascending &= step != Some(Ordering::Less);
             }
@@ -291,8 +293,8 @@ impl KeyedRows for Profiler {
                 nulls += 1;
                 continue;
             }
-            lo = lo.filter(|&lo| k >= key(lo)).or(Some(i));
-            hi = hi.filter(|&hi| k <= key(hi)).or(Some(i));
+            lo = Some(lo.filter(|&lo| k >= key(lo)).unwrap_or(i));
+            hi = Some(hi.filter(|&hi| k <= key(hi)).unwrap_or(i));
         }
         Profile {
             nulls,
@@ -309,9 +311,11 @@ impl KeyedRows for Profiler {
 /// the `encode_key` bytes of cells that have no typed key.
 fn keyed<P: KeyedRows>(col: &ColumnVec, pass: impl Fn() -> P) -> P::Out {
     col.with_keys(pass()).unwrap_or_else(|| {
+        // lint:allow(L010, once per zone keyed: an untyped column's keys; a scan keys typed leaves only)
         let (mut keys, mut ends) = (Vec::new(), vec![0]);
         for i in 0..col.len() {
             col.key_into(i, &mut keys);
+            // lint:allow(L010, once per zone keyed: an untyped column's keys; a scan keys typed leaves only)
             ends.push(keys.len());
         }
         let key = |i: usize| (!col.is_null(i)).then(|| &keys[ends[i]..ends[i + 1]]);
@@ -409,7 +413,9 @@ impl KeyedRows for Numbering {
 
     fn fold_keys<K: Ord + Hash>(self, n: usize, key: impl Fn(usize) -> Option<K>) -> Self::Out {
         let mut ids = HashMap::with_capacity_and_hasher(n.min(self.limit), cell_hasher());
+        // lint:allow(L010, once per zone numbered, as a GROUP BY of a decoded leaf does: its first rows and codes)
         let mut firsts = Vec::new();
+        // lint:allow(L010, once per zone numbered, as a GROUP BY of a decoded leaf does: its first rows and codes)
         let mut codes = Vec::with_capacity(n);
         for i in 0..n {
             let next = firsts.len() as u32;
@@ -418,8 +424,10 @@ impl KeyedRows for Numbering {
                 if firsts.len() >= self.limit {
                     return None;
                 }
+                // lint:allow(L010, once per zone numbered, as a GROUP BY of a decoded leaf does: its first rows and codes)
                 firsts.push(i);
             }
+            // lint:allow(L010, once per zone numbered, as a GROUP BY of a decoded leaf does: its first rows and codes)
             codes.push(id);
         }
         Some((firsts, codes))
@@ -1629,11 +1637,7 @@ fn retain_fsst(
         stored.extend_from_slice(&codes);
         stored
     };
-    let literals = literals.iter().filter_map(|v| match (kind, v) {
-        (StrKind::String, Value::String(s)) | (StrKind::Json, Value::Json(s)) => Some(s.as_bytes()),
-        (StrKind::Bytes, Value::Bytes(b)) => Some(b),
-        _ => None,
-    });
+    let literals = literals.iter().filter_map(|v| kind.bytes_of(v));
     // lint:allow(L010, once per zone compared on codes: a code string per literal)
     let literals: Vec<Vec<u8>> = literals.map(stored).collect();
     // One pass over the values, a length prefix under 128 an add; a
@@ -3957,6 +3961,48 @@ pub(crate) mod tests {
                             }
                         }
                     }
+                }
+            }
+        }
+    }
+
+    /// `cmp_at` of a String, Json or Bytes leaf is `value(i).total_cmp`:
+    /// byte order against a literal of its own kind — multi-byte UTF-8,
+    /// the empty string, prefix pairs — and type rank against any other.
+    #[test]
+    fn cmp_at_orders_every_string_kind_as_its_values() {
+        let texts = [
+            "", "a", "ab", "abc", "b", "é", "é€", "e\u{301}", "😀", "\u{7f}", "z",
+        ];
+        let kinds: [fn(&str) -> Value; 3] = [
+            |s| Value::String(s.into()),
+            |s| Value::Json(s.into()),
+            |s| Value::Bytes(s.as_bytes().to_vec()),
+        ];
+        let others = [
+            Value::Null,
+            Value::Bool(true),
+            Value::Int64(3),
+            Value::Float64(1.5),
+            Value::Numeric(7),
+            Value::Date(1),
+        ];
+        for make in kinds {
+            let mut vals: Vec<Value> = texts.iter().map(|s| make(s)).collect();
+            vals.insert(3, Value::Null);
+            let col = leaf(&vals);
+            assert!(matches!(
+                col,
+                ColumnVec::Str(_, Strs { nulls: Some(_), .. })
+            ));
+            let literals = kinds.iter().flat_map(|k| texts.map(k));
+            for lit in literals.chain(others.iter().cloned()) {
+                for (i, v) in vals.iter().enumerate().filter(|(_, v)| !v.is_null()) {
+                    assert_eq!(
+                        col.cmp_at(i, &lit),
+                        v.total_cmp(&lit),
+                        "{v:?} against {lit:?}"
+                    );
                 }
             }
         }
