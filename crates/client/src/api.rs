@@ -12,8 +12,15 @@ use vortex_common::truetime::{Timestamp, TrueTime};
 use vortex_sms::api::SmsHandle;
 use vortex_sms::meta::{StreamType, TableMeta};
 
-use crate::read::{read_table, ReadOptions, TableRows};
+use crate::engine::{QueryEngine, ScanOptions, ScanResult};
+use crate::read::ReadOptions;
 use crate::write::{StreamWriter, WriterOptions};
+
+/// All rows of a table visible at a snapshot, with provenance: the result
+/// of the scan a table read runs, under no predicate and no projection.
+/// Change types come back as written (UPDATE/DELETE resolution is the
+/// query engine's merge-on-read step), every row at `schema`'s arity.
+pub type TableRows = ScanResult;
 
 /// A handle to a Vortex region from the application's point of view.
 ///
@@ -157,7 +164,14 @@ impl VortexClient {
         snapshot: Timestamp,
         opts: ReadOptions,
     ) -> VortexResult<TableRows> {
-        read_table(&self.sms, &self.fleet, table, snapshot, &opts)
+        let mut engine = QueryEngine::new(self.sms.clone(), self.fleet.clone());
+        engine.read = opts;
+        // One shard: the read is sequential.
+        let one = ScanOptions {
+            parallelism: 1,
+            ..ScanOptions::default()
+        };
+        engine.scan(table, snapshot, &one)
     }
 
     /// Best-effort monitoring read (§9): returns whatever is unambiguous

@@ -84,8 +84,12 @@ impl Consumer for RowCollector {
         Ok(sel.len() as u64)
     }
 
+    /// The first shard's rows are taken as they are, not copied.
     fn merge_shard(&mut self, other: Self) {
-        self.rows.extend(other.rows);
+        match self.rows.is_empty() {
+            true => self.rows = other.rows,
+            false => self.rows.extend(other.rows),
+        }
     }
 }
 
@@ -500,7 +504,6 @@ impl Consumer for Aggregator {
 
 #[cfg(test)]
 mod tests {
-    use vortex_client::read::Zone;
     use vortex_common::crypt::Key;
     use vortex_common::row::Row;
     use vortex_common::schema::{Field, FieldType};
@@ -509,6 +512,7 @@ mod tests {
     use super::*;
     use crate::expr::Expr;
     use crate::pushdown::Decoded;
+    use crate::read::Zone;
     use crate::tally;
 
     impl Aggregator {

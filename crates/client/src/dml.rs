@@ -19,8 +19,6 @@
 //! commit then conflicts and the statement re-resolves against the new
 //! (positionally identical) fragments.
 
-use vortex_client::read::{read_tail_cached, TailOutcome, Zone};
-use vortex_client::VortexClient;
 use vortex_common::error::{VortexError, VortexResult};
 use vortex_common::ids::{FragmentId, StreamletId, TableId};
 use vortex_common::mask::DeletionMask;
@@ -30,6 +28,8 @@ use crate::consume::{Positions, RowCollector};
 use crate::engine::QueryEngine;
 use crate::expr::Expr;
 use crate::pushdown::{scan_visible, FragmentYield, ScanPlan};
+use crate::read::{read_tail_cached, TailOutcome, Zone};
+use crate::VortexClient;
 
 /// Outcome of a DML statement.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -59,9 +59,7 @@ pub struct DmlExecutor {
 impl DmlExecutor {
     /// Creates an executor over a client handle.
     pub fn new(client: VortexClient) -> Self {
-        // lint:allow(L010, once per executor built; on no read path but by the name `new`)
-        let mut engine = QueryEngine::new(client.sms().clone(), client.fleet().clone());
-        engine.read.cache = client.cache().cloned();
+        let engine = QueryEngine::for_client(&client);
         Self { client, engine }
     }
 

@@ -2,16 +2,13 @@
 //! scans (§7's "dispatches these Fragments and Streamlets to different
 //! Dremel shards to process them in parallel") + aggregation.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
-use vortex_client::read::{
-    drive_table_read, open_ros_block, read_fragment_bloom, read_fragment_cached, RowGate,
-};
-use vortex_client::{ReadCache, ReadOptions};
 use vortex_colossus::StorageFleet;
 use vortex_common::crypt::Key;
 use vortex_common::error::{VortexError, VortexResult};
-use vortex_common::ids::TableId;
+use vortex_common::ids::{StreamletId, TableId};
 use vortex_common::obs::{self, Counter, FreshnessProbe, Histogram};
 use vortex_common::row::{Row, Value};
 use vortex_common::schema::Schema;
@@ -26,6 +23,11 @@ use crate::cdc::resolve_changes;
 use crate::consume::{Aggregator, Consumer, RowCollector};
 use crate::expr::Expr;
 use crate::pushdown::{scan_resolved, scan_ros_block, scan_visible, FragmentYield, ScanPlan};
+use crate::read::{
+    open_ros_block, read_fragment_bloom, read_fragment_cached, read_reconciled_tail,
+    read_tail_cached, RowGate, TailOutcome,
+};
+use crate::{ReadCache, ReadOptions, VortexClient};
 
 /// Scan configuration.
 #[derive(Debug, Clone)]
@@ -124,6 +126,9 @@ pub struct ScanStats {
     pub tail_bytes_read: u64,
     /// Tail rows this scan decoded into the cache.
     pub tail_rows_decoded: u64,
+    /// Fragments and tails a best-effort read skipped, unreadable or
+    /// ambiguous (§9); 0 for every other read.
+    pub skipped: usize,
 }
 
 /// Result of a scan.
@@ -133,8 +138,11 @@ pub struct ScanResult {
     pub snapshot: Timestamp,
     /// Schema at the snapshot.
     pub schema: Schema,
-    /// Matching rows with provenance.
+    /// Matching rows with provenance, ordered by `(stream, offset, ts)`,
+    /// change types as written unless the scan resolved them.
     pub rows: Vec<(RowMeta, Row)>,
+    /// False only for best-effort reads that had to skip data.
+    pub complete: bool,
     /// Pruning/scan counters.
     pub stats: ScanStats,
 }
@@ -257,6 +265,10 @@ mod shard_tests {
     }
 }
 
+/// Reconcile-and-retry rounds a table read runs before giving up on an
+/// ambiguous streamlet tail.
+const RECONCILE_ROUNDS: usize = 8;
+
 /// Aggregate functions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AggKind {
@@ -284,9 +296,9 @@ impl AggKind {
     }
 }
 
-/// The `scan.*` counters mirroring [`ScanStats`], each with what one scan
-/// adds to it: the one table the handles are interned from (for their
-/// names) and fed from (for their values).
+/// The `scan.*` counters mirroring [`ScanStats`] but `skipped`, each with
+/// what one scan adds to it: the one table the handles are interned from
+/// (for their names) and fed from (for their values).
 fn scan_counts(stats: &ScanStats) -> [(&'static str, u64); 19] {
     [
         ("scan.calls", 1),
@@ -345,6 +357,14 @@ impl QueryEngine {
         }
     }
 
+    /// An engine that reads as `client` does: over its control plane and
+    /// storage fleet, through its read cache.
+    pub fn for_client(client: &VortexClient) -> Self {
+        let mut engine = Self::new(client.sms().clone(), client.fleet().clone());
+        engine.read.cache = client.cache().cloned();
+        engine
+    }
+
     /// Wires the engine into the observability layer: scans go through
     /// `cache`, record `scan.*` metrics and spans against the global
     /// registry, and feed `probe` with commit-to-visible latencies
@@ -378,6 +398,7 @@ impl QueryEngine {
             // lint:allow(L010, once per row-returning scan: the schema its result carries)
             schema: listed.schema.clone(),
             rows,
+            complete: stats.skipped == 0,
             stats,
         })
     }
@@ -431,8 +452,12 @@ impl QueryEngine {
         Ok((out.sink, listed, out.stats))
     }
 
-    /// Lists the table at `snapshot` and folds every fragment and tail,
-    /// with `pushed` (predicate, projection) pushed down, into `sink`.
+    /// The table read (§7, §7.1): lists the read set at `snapshot` and
+    /// folds every fragment and tail, with `pushed` (predicate, projection)
+    /// pushed down, into `sink`. When a tail's final append cannot be
+    /// decided locally the SMS reconciles it and the read starts over with
+    /// the reconciled metadata; a best-effort read (§9 monitoring) skips
+    /// such a tail, or one it cannot read, instead.
     fn read_into<'e, C: Consumer>(
         &self,
         tmeta: &TableMeta,
@@ -442,16 +467,53 @@ impl QueryEngine {
         make: &dyn Fn(&Schema) -> VortexResult<C>,
     ) -> VortexResult<(FragmentYield<C>, Arc<ReadSet>)> {
         let key = tmeta.encryption_key();
-        let (sms, fleet) = (&self.sms, &self.fleet);
-        let read = drive_table_read(sms, fleet, &key, tmeta.table, snapshot, &self.read, |rs| {
-            self.scan_fragments(rs, tmeta, &key, snapshot, opts, pushed, make)
-        })?;
-        let (plan, mut out) = read.fragments;
-        out.stats.tails_scanned = read.listed.tails.len();
-        for tail in &read.tail_zones {
-            scan_visible(tail, &plan, &mut out)?;
+        let (sms, fleet, cache) = (&self.sms, &self.fleet, self.read.cache.as_deref());
+        let table = tmeta.table;
+        let mut reconciled: HashMap<StreamletId, Timestamp> = HashMap::new();
+        for _round in 0..RECONCILE_ROUNDS {
+            let rs = sms.list_read_fragments(table, snapshot)?;
+            let (plan, mut out) =
+                self.scan_fragments(&rs, tmeta, &key, snapshot, opts, pushed, make)?;
+            out.stats.tails_scanned = rs.tails.len();
+            let mut ambiguous = Vec::new();
+            for tail in &rs.tails {
+                if let Some(&list_at) = reconciled.get(&tail.streamlet) {
+                    // The snapshot predates the reconciliation commit, so
+                    // the metadata still shows a tail — but the reconciled
+                    // fragment records (listed at the reconcile time) are
+                    // authoritative and safe to read at the old snapshot
+                    // (row visibility is still gated by block timestamps).
+                    let at = (snapshot, list_at);
+                    for visible in
+                        read_reconciled_tail((sms, fleet, &key, cache), (table, tail), at)?
+                    {
+                        scan_visible(&visible, &plan, &mut out)?;
+                    }
+                    continue;
+                }
+                match read_tail_cached(tail, fleet, &key, snapshot, cache) {
+                    Ok(TailOutcome::Rows(visible)) => scan_visible(&visible, &plan, &mut out)?,
+                    // Monitoring reads don't pay the reconciliation round
+                    // trip; they return what is unambiguous (§9).
+                    Ok(TailOutcome::NeedsReconcile) if self.read.best_effort => {
+                        out.stats.skipped += 1
+                    }
+                    Ok(TailOutcome::NeedsReconcile) => ambiguous.push(tail.streamlet),
+                    Err(e) if self.read.best_effort && e.is_retryable() => out.stats.skipped += 1,
+                    Err(e) => return Err(e),
+                }
+            }
+            if ambiguous.is_empty() {
+                return Ok((out, rs));
+            }
+            for slid in ambiguous {
+                sms.reconcile_streamlet(table, slid)?;
+                reconciled.insert(slid, sms.read_snapshot());
+            }
         }
-        Ok((out, read.listed))
+        Err(VortexError::Unavailable(format!(
+            "table {table}: streamlet tails still ambiguous after reconciliation"
+        )))
     }
 
     /// One read set's fragments: partition elimination (§7.2), then the
@@ -529,7 +591,8 @@ impl QueryEngine {
     /// the scan needs that no cell holds are fetched, then decode zone by
     /// zone. A WOS fragment is read whole and decodes to zones once.
     /// Either way the predicate runs on typed column vectors and the
-    /// consumer folds the selected positions.
+    /// consumer folds the selected positions. A best-effort read skips a
+    /// fragment no replica of which it can read.
     pub(crate) fn scan_fragment<C: Consumer>(
         &self,
         spec: &FragmentReadSpec,
@@ -543,15 +606,20 @@ impl QueryEngine {
             return Ok(());
         }
         let cache = self.read.cache.as_deref();
-        match spec.meta.kind {
-            FragmentKind::Ros => {
-                let mut open = open_ros_block(&spec.meta, &self.fleet, key, cache)?;
-                scan_ros_block(&mut open, &gate, plan, out)
+        // Either fails before it folds a row: a block is fetched, and a
+        // log file decoded, before any zone is scanned.
+        let scanned = match spec.meta.kind {
+            FragmentKind::Ros => open_ros_block(&spec.meta, &self.fleet, key, cache)
+                .and_then(|mut open| scan_ros_block(&mut open, &gate, plan, out)),
+            FragmentKind::Wos => read_fragment_cached(spec, &self.fleet, key, snapshot, cache)
+                .and_then(|zones| scan_visible(&zones, plan, out)),
+        };
+        match scanned {
+            Err(e) if self.read.best_effort && e.is_retryable() => {
+                out.stats.skipped += 1;
+                Ok(())
             }
-            FragmentKind::Wos => {
-                let zones = read_fragment_cached(spec, &self.fleet, key, snapshot, cache)?;
-                scan_visible(&zones, plan, out)
-            }
+            scanned => scanned,
         }
     }
 

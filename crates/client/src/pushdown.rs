@@ -51,16 +51,15 @@
 //! for tests only — keeps over the visible rows: leaf semantics (NULL
 //! comparisons false, [`vortex_common::row::Value::total_cmp`] ordering)
 //! mirror it case for case, and row visibility is the client's
-//! [`vortex_client::read::RowGate`]. `crates/query/src/tests.rs` pins
+//! [`crate::read::RowGate`]. `crates/client/src/tests.rs` pins
 //! this, for scans and for DML, with proptests against an oracle that
-//! runs `Expr::eval` over `read_rows_at`.
+//! runs `Expr::eval` over every row a decode-everything read returns.
 
 use std::borrow::Cow;
 use std::cell::{Cell, OnceCell};
 use std::cmp::Ordering;
 use std::sync::Arc;
 
-use vortex_client::read::{OpenBlock, RowGate, Visible, Zone};
 use vortex_common::bloom::BloomFilter;
 use vortex_common::error::{VortexError, VortexResult};
 use vortex_common::row::{Row, Value};
@@ -71,6 +70,7 @@ use vortex_ros::{Chunk, ColumnBuilder, ColumnVec, IntKind, Picked, RosBlock, Row
 use crate::consume::Consumer;
 use crate::engine::ScanStats;
 use crate::expr::{CmpOp, Expr, Test, Verdict};
+use crate::read::{OpenBlock, RowGate, Visible, Zone};
 
 /// A predicate compiled against the snapshot schema: column names are
 /// resolved to positional indices once, so per-zone evaluation does no
@@ -607,6 +607,7 @@ impl<C: Consumer> FragmentYield<C> {
         self.stats.cells_decoded += other.stats.cells_decoded;
         self.stats.bytes_decoded += other.stats.bytes_decoded;
         self.stats.zones_folded += other.stats.zones_folded;
+        self.stats.skipped += other.stats.skipped;
     }
 }
 
@@ -764,7 +765,6 @@ pub(crate) fn scan_ros_block<C: Consumer>(
 mod tests {
     use proptest::prelude::*;
 
-    use vortex_client::read::Zone;
     use vortex_common::crypt::Key;
     use vortex_common::schema::{Field, FieldType};
     use vortex_ros::{RosBlockBuilder, ZONE_ROWS};
@@ -772,6 +772,7 @@ mod tests {
     use super::*;
     use crate::consume::{Aggregator, Positions};
     use crate::engine::AggKind;
+    use crate::read::Zone;
 
     const ROWS: usize = 2_500;
 

@@ -39,7 +39,6 @@
 //! reads; `tests/chaos_streams.rs` pins all three properties under fault
 //! injection."
 
-use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -47,18 +46,17 @@ use vortex_colossus::{Colossus, StorageFleet};
 use vortex_common::bloom::BloomFilter;
 use vortex_common::crypt::Key;
 use vortex_common::error::{VortexError, VortexResult};
-use vortex_common::ids::{ClusterId, StreamId, StreamletId, TableId};
+use vortex_common::ids::{ClusterId, StreamId, TableId};
 use vortex_common::mask::DeletionMask;
-use vortex_common::row::Row;
-use vortex_common::schema::Schema;
 use vortex_common::truetime::Timestamp;
+#[cfg(test)]
+use vortex_common::{row::Row, schema::Schema};
 use vortex_ros::{
-    add_rowset, gather_rows, Chunk, ColumnBuilder, ColumnVec, Fetched, ReadAt, RosBlock, RowMeta,
-    ZONE_ROWS,
+    add_rowset, Chunk, ColumnBuilder, ColumnVec, Fetched, ReadAt, RosBlock, RowMeta, ZONE_ROWS,
 };
 use vortex_sms::api::SmsHandle;
 use vortex_sms::meta::{FragmentKind, FragmentMeta, FragmentState};
-use vortex_sms::readset::{FragmentReadSpec, ReadSet, TailReadSpec};
+use vortex_sms::readset::{FragmentReadSpec, TailReadSpec};
 use vortex_wos::{index_fragment, index_fragment_from, BlockEntry, FragmentIndex};
 
 use crate::cache::{ReadCache, TailFile};
@@ -77,20 +75,6 @@ pub struct ReadOptions {
     pub best_effort: bool,
 }
 
-/// All rows of a table visible at a snapshot, with provenance.
-#[derive(Debug, Clone)]
-pub struct TableRows {
-    /// The snapshot timestamp.
-    pub snapshot: Timestamp,
-    /// Schema at the snapshot.
-    pub schema: Schema,
-    /// Rows (change types unresolved — UPSERT/DELETE resolution is the
-    /// query engine's merge-on-read step).
-    pub rows: Vec<(RowMeta, Row)>,
-    /// False only for best-effort reads that had to skip data.
-    pub complete: bool,
-}
-
 /// Outcome of probing one streamlet tail.
 pub enum TailOutcome {
     /// The tail's committed rows as zones, and which of them are
@@ -99,130 +83,6 @@ pub enum TailOutcome {
     /// The final append cannot be decided locally; the caller must ask
     /// the SMS to reconcile and retry (§7.1).
     NeedsReconcile,
-}
-
-/// Reconcile-and-retry rounds a table read runs before giving up on an
-/// ambiguous streamlet tail.
-const RECONCILE_ROUNDS: usize = 8;
-
-/// What the settled round of [`drive_table_read`] produced.
-pub struct TableRead<T> {
-    /// The settled read set, as the SMS shares it: the schema at the
-    /// snapshot is its `schema`.
-    pub listed: Arc<ReadSet>,
-    /// What the fragment callback returned for the settled read set.
-    pub fragments: T,
-    /// Committed rows of the streamlet tails, and which are visible (no
-    /// cached properties, always probed — §7.2: "the properties for the
-    /// tail of a Streamlet are maintained by the Stream Server"; the
-    /// reader goes to the log).
-    pub tail_zones: Vec<Visible>,
-    /// False only for best-effort reads that skipped a tail.
-    pub complete: bool,
-}
-
-/// The table-read driver (§7, §7.1): list the read set at `snapshot`,
-/// hand its fragments to `read_fragments`, read the streamlet tails, and
-/// when a tail's final append cannot be decided locally ask the SMS to
-/// reconcile it and start over with the reconciled metadata.
-/// `opts.best_effort` (§9 monitoring reads) skips unreadable and ambiguous
-/// tails instead, marking the result incomplete; tails are read through
-/// `opts.cache`.
-pub fn drive_table_read<T>(
-    sms: &SmsHandle,
-    fleet: &StorageFleet,
-    key: &Key,
-    table: TableId,
-    snapshot: Timestamp,
-    opts: &ReadOptions,
-    mut read_fragments: impl FnMut(&ReadSet) -> VortexResult<T>,
-) -> VortexResult<TableRead<T>> {
-    let mut reconciled: HashMap<StreamletId, Timestamp> = HashMap::new();
-    for _round in 0..RECONCILE_ROUNDS {
-        let rs = sms.list_read_fragments(table, snapshot)?;
-        let fragments = read_fragments(&rs)?;
-        let mut tail_zones = Vec::new();
-        let mut complete = true;
-        let mut ambiguous = Vec::new();
-        for tail in &rs.tails {
-            if let Some(&list_at) = reconciled.get(&tail.streamlet) {
-                // The snapshot predates the reconciliation commit, so the
-                // metadata still shows a tail — but the reconciled
-                // fragment records (listed at the reconcile time) are
-                // authoritative and safe to read at the old snapshot (row
-                // visibility is still gated by block timestamps).
-                tail_zones.extend(read_reconciled_tail(
-                    (sms, fleet, key, opts.cache.as_deref()),
-                    (table, tail),
-                    (snapshot, list_at),
-                )?);
-                continue;
-            }
-            match read_tail_cached(tail, fleet, key, snapshot, opts.cache.as_deref()) {
-                Ok(TailOutcome::Rows(zones)) => tail_zones.push(zones),
-                // Monitoring reads don't pay the reconciliation round
-                // trip; they return what is unambiguous (§9).
-                Ok(TailOutcome::NeedsReconcile) if opts.best_effort => complete = false,
-                Ok(TailOutcome::NeedsReconcile) => ambiguous.push(tail.streamlet),
-                Err(e) if opts.best_effort && e.is_retryable() => complete = false,
-                Err(e) => return Err(e),
-            }
-        }
-        if ambiguous.is_empty() {
-            return Ok(TableRead {
-                listed: rs,
-                fragments,
-                tail_zones,
-                complete,
-            });
-        }
-        for slid in ambiguous {
-            sms.reconcile_streamlet(table, slid)?;
-            reconciled.insert(slid, sms.read_snapshot());
-        }
-    }
-    Err(VortexError::Unavailable(format!(
-        "table {table}: streamlet tails still ambiguous after reconciliation"
-    )))
-}
-
-/// Reads a whole table at `snapshot`: union of ROS blocks, committed WOS
-/// fragments, and streamlet tails (§7).
-pub fn read_table(
-    sms: &SmsHandle,
-    fleet: &StorageFleet,
-    table: TableId,
-    snapshot: Timestamp,
-    opts: &ReadOptions,
-) -> VortexResult<TableRows> {
-    let key = sms.get_table(table)?.encryption_key();
-    let mut fragments_complete = true;
-    // Each fragment's zones are gathered into rows and dropped before the
-    // next is read.
-    let read = drive_table_read(sms, fleet, &key, table, snapshot, opts, |rs| {
-        fragments_complete = true;
-        let mut rows: Vec<(RowMeta, Row)> = Vec::new();
-        for spec in &rs.fragments {
-            match read_fragment_cached(spec, fleet, &key, snapshot, opts.cache.as_deref()) {
-                Ok(zones) => zones.rows_into(rs.schema.fields.len(), &mut rows),
-                Err(e) if opts.best_effort && e.is_retryable() => fragments_complete = false,
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(rows)
-    })?;
-    let mut rows = read.fragments;
-    for zones in &read.tail_zones {
-        zones.rows_into(read.listed.schema.fields.len(), &mut rows);
-    }
-    rows.sort_unstable_by_key(|(m, _)| (m.stream, m.offset, m.ts));
-    Ok(TableRows {
-        snapshot,
-        // lint:allow(L010, once per table read: the schema its rows carry)
-        schema: read.listed.schema.clone(),
-        rows,
-        complete: fragments_complete && read.complete,
-    })
 }
 
 /// Reads a tail whose streamlet was reconciled *after* the read snapshot:
@@ -341,17 +201,16 @@ impl Visible {
     }
 
     /// Each zone's newest stamp, in [`Visible::iter`]'s order.
-    pub fn newest(&self) -> impl Iterator<Item = Timestamp> + '_ {
+    pub(crate) fn newest(&self) -> impl Iterator<Item = Timestamp> + '_ {
         self.sel.iter().map(|&(_, newest)| newest)
     }
 
-    /// Gathers the visible rows, `arity` cells each (at least the zone's
-    /// own width), onto `out`.
+    /// Gathers the visible rows, `arity` cells each, onto `out`.
+    #[cfg(test)]
     fn rows_into(&self, arity: usize, out: &mut Vec<(RowMeta, Row)>) {
         for (zone, sel) in self.iter() {
-            let width = arity.max(zone.cols.len());
-            let cols: Vec<_> = (0..width).map(|c| Some((zone.cols.get(c)?, sel))).collect();
-            gather_rows((&zone.metas, sel), &cols, out);
+            let cols: Vec<_> = (0..arity).map(|c| Some((zone.cols.get(c)?, sel))).collect();
+            vortex_ros::gather_rows((&zone.metas, sel), &cols, out);
         }
     }
 }
@@ -423,11 +282,10 @@ fn wos_zones<'i>(
 
 /// Decodes a fragment's full extent into zones (no visibility filtering),
 /// with replica failover. The file is read whole, which serves best the
-/// readers that go on to decode all of it and remember nothing (table
-/// reads, the optimizer's passes); a scan, or a reader with a cache,
-/// opens a ROS block with [`open_ros_block`] instead. Positions are
-/// fragment-relative: a ROS block's row index, a log file's row past
-/// `meta.first_row`.
+/// readers that go on to decode all of it and remember nothing (the
+/// optimizer's passes); a scan opens a ROS block by its index instead.
+/// Positions are fragment-relative: a ROS block's row index, a log file's
+/// row past `meta.first_row`.
 pub fn read_zones(
     spec: &FragmentReadSpec,
     fleet: &StorageFleet,
@@ -465,7 +323,7 @@ fn block_zones(block: &RosBlock) -> VortexResult<Vec<Zone>> {
 }
 
 /// A ROS block opened for a read, with the reader of its file.
-pub struct OpenBlock<'a> {
+pub(crate) struct OpenBlock<'a> {
     /// The block — the cache's, shared, when it went through one.
     pub block: Arc<RosBlock>,
     read: Box<ReadAt<'a>>,
@@ -477,7 +335,7 @@ pub struct OpenBlock<'a> {
 impl OpenBlock<'_> {
     /// Fetches the chunks `wanted` picks that no cell holds yet
     /// ([`RosBlock::fetch`]), and charges the cells filled to the cache.
-    pub fn fetch(&mut self, wanted: impl Fn(Chunk, usize) -> bool) -> VortexResult<()> {
+    pub(crate) fn fetch(&mut self, wanted: impl Fn(Chunk, usize) -> bool) -> VortexResult<()> {
         let got = self.block.fetch(&mut *self.read, wanted)?;
         self.charge(got.kept);
         self.fetched += got;
@@ -487,7 +345,7 @@ impl OpenBlock<'_> {
     /// Charges `kept` bytes the block holds more — filled cells, or an
     /// FSST matcher [`RosBlock::retain_coded`] built — to the cache it
     /// came through, if any.
-    pub fn charge(&self, kept: u64) {
+    pub(crate) fn charge(&self, kept: u64) {
         if let Some((cache, meta)) = self.cache.filter(|_| kept > 0) {
             cache.charge(&meta.path, meta.committed_size, kept);
         }
@@ -500,7 +358,7 @@ impl OpenBlock<'_> {
 /// chunks a scan turns out to need ([`OpenBlock::fetch`]). Every read runs
 /// under the failover rule by itself: a replica whose read fails, or
 /// whose bytes fail the block's CRC for them, hands over to the other.
-pub fn open_ros_block<'a>(
+pub(crate) fn open_ros_block<'a>(
     meta: &'a FragmentMeta,
     fleet: &'a StorageFleet,
     key: &Key,
@@ -532,7 +390,7 @@ pub fn open_ros_block<'a>(
 /// The on-file bloom filter of a finalized WOS fragment, by two ranged
 /// reads with replica failover and without touching row data (§5.4.4);
 /// `None` for a file closed without a footer.
-pub fn read_fragment_bloom(
+pub(crate) fn read_fragment_bloom(
     meta: &FragmentMeta,
     fleet: &StorageFleet,
 ) -> VortexResult<Option<BloomFilter>> {
@@ -583,7 +441,7 @@ impl<'a> RowGate<'a> {
     }
 
     /// The rule for a streamlet tail.
-    pub fn for_tail(tail: &'a TailReadSpec, snapshot: Timestamp) -> Self {
+    pub(crate) fn for_tail(tail: &'a TailReadSpec, snapshot: Timestamp) -> Self {
         RowGate {
             snapshot,
             visible_from: tail.visibility.visible_from,
@@ -597,19 +455,19 @@ impl<'a> RowGate<'a> {
 
     /// Whether no row at all is visible (the stream was not yet committed
     /// at the snapshot): the caller can skip the fetch.
-    pub fn is_shut(&self) -> bool {
+    pub(crate) fn is_shut(&self) -> bool {
         self.visible_from > self.snapshot
     }
 
     /// Whether a row stamped `ts` ends the read (§7.1: "If a reader
     /// encounters an append timestamp greater than the read snapshot
     /// timestamp, it can stop reading").
-    pub fn stops_at(&self, ts: Timestamp) -> bool {
+    pub(crate) fn stops_at(&self, ts: Timestamp) -> bool {
         self.write_ordered && ts > self.snapshot
     }
 
     /// Whether the row at `pos` is visible.
-    pub fn admits(&self, pos: u64) -> bool {
+    pub(crate) fn admits(&self, pos: u64) -> bool {
         !self.is_shut()
             && self.extent.contains(&pos)
             && self
@@ -620,7 +478,7 @@ impl<'a> RowGate<'a> {
 
     /// Whether every row of `range` is visible: [`RowGate::admits`] of
     /// each, decided once for the range.
-    pub fn admits_all(&self, range: Range<u64>) -> bool {
+    pub(crate) fn admits_all(&self, range: Range<u64>) -> bool {
         let masks = self.mask.ranges();
         let after = masks.partition_point(|&(_, end)| end <= range.start);
         range.is_empty()
@@ -650,10 +508,10 @@ impl<'a> RowGate<'a> {
     }
 }
 
-/// Reads one fragment (WOS or ROS) into zones with replica failover,
-/// through the read cache (§9) if one is given — a WOS fragment's decoded
-/// zones are shared from it, a ROS block decodes from the chunks it holds
-/// — and marks the rows visible at `snapshot`.
+/// Reads one fragment (WOS or ROS) whole into zones with replica
+/// failover, through the read cache (§9) if one is given — a WOS
+/// fragment's decoded zones are shared from it — and marks the rows
+/// visible at `snapshot`. A scan opens a ROS block by its index instead.
 pub fn read_fragment_cached(
     spec: &FragmentReadSpec,
     fleet: &StorageFleet,
@@ -666,26 +524,17 @@ pub fn read_fragment_cached(
         return Ok(Visible::through(&gate, Vec::new()));
     }
     let (path, size) = (&spec.meta.path, spec.meta.committed_size);
-    let zones = match (spec.meta.kind, cache) {
-        (FragmentKind::Ros, Some(cache)) => {
-            let mut open = open_ros_block(&spec.meta, fleet, key, Some(cache))?;
-            open.fetch(|_, _| true)?;
-            let zones = block_zones(&open.block)?.into_iter().map(Arc::new);
-            // lint:allow(L010, once per block decoded whole: an `Arc` per zone)
-            zones.collect()
-        }
-        _ => match cache.and_then(|cache| cache.get(path, size)) {
-            Some(hit) => hit,
-            None => {
-                let zones = read_zones(spec, fleet, key)?.into_iter().map(Arc::new);
-                // lint:allow(L010, once per fragment decoded, so that the cache can share its zones)
-                let zones: Vec<Arc<Zone>> = zones.collect();
-                if let Some(cache) = cache {
-                    cache.put(path, size, zones.clone());
-                }
-                zones
+    let zones = match cache.and_then(|cache| cache.get(path, size)) {
+        Some(hit) => hit,
+        None => {
+            let zones = read_zones(spec, fleet, key)?.into_iter().map(Arc::new);
+            // lint:allow(L010, once per fragment decoded, so that the cache can share its zones)
+            let zones: Vec<Arc<Zone>> = zones.collect();
+            if let Some(cache) = cache {
+                cache.put(path, size, zones.clone());
             }
-        },
+            zones
+        }
     };
     Ok(Visible::through(&gate, zones))
 }
@@ -938,4 +787,39 @@ pub fn read_tail_cached(
         )));
     }
     Ok(TailOutcome::Rows(Visible::through(&gate, zones)))
+}
+
+/// The decode-everything table read, kept as the reference the scan is
+/// tested against: list the read set at `snapshot`, read every fragment
+/// whole ([`read_zones`]) and every tail cold, gate each row, gather every
+/// visible row at the snapshot schema's arity, and sort by `(stream,
+/// offset, ts)`. An ambiguous tail is an error: it reconciles nothing.
+#[cfg(test)]
+pub(crate) fn decode_everything(
+    sms: &SmsHandle,
+    fleet: &StorageFleet,
+    table: TableId,
+    snapshot: Timestamp,
+) -> VortexResult<(Schema, Vec<(RowMeta, Row)>)> {
+    let key = sms.get_table(table)?.encryption_key();
+    let rs = sms.list_read_fragments(table, snapshot)?;
+    let (arity, mut rows) = (rs.schema.fields.len(), Vec::new());
+    for spec in &rs.fragments {
+        let zones = read_zones(spec, fleet, &key)?.into_iter().map(Arc::new);
+        let gate = RowGate::for_fragment(spec, snapshot);
+        Visible::through(&gate, zones.collect()).rows_into(arity, &mut rows);
+    }
+    for tail in &rs.tails {
+        match read_tail(tail, fleet, &key, snapshot)? {
+            TailOutcome::Rows(zones) => zones.rows_into(arity, &mut rows),
+            TailOutcome::NeedsReconcile => {
+                let slid = tail.streamlet;
+                return Err(VortexError::Unavailable(format!(
+                    "tail {slid} is ambiguous"
+                )));
+            }
+        }
+    }
+    rows.sort_unstable_by_key(|(m, _)| (m.stream, m.offset, m.ts));
+    Ok((rs.schema.clone(), rows))
 }

@@ -23,10 +23,9 @@
 //! SYSTEM_TIME AS OF <micros>` reads at an explicit snapshot (time
 //! travel).
 
+use std::collections::hash_map::Entry;
 use std::fmt::Write as _;
-use std::sync::Arc;
 
-use vortex_client::VortexClient;
 use vortex_common::error::{VortexError, VortexResult};
 use vortex_common::row::Value;
 use vortex_common::truetime::Timestamp;
@@ -34,6 +33,7 @@ use vortex_common::truetime::Timestamp;
 use crate::dml::{DmlExecutor, DmlReport};
 use crate::engine::{AggKind, QueryEngine, ScanOptions};
 use crate::expr::Expr;
+use crate::VortexClient;
 
 // ---------------------------------------------------------------------
 // Lexer.
@@ -110,9 +110,9 @@ fn lex(input: &str) -> VortexResult<Vec<Tok>> {
                 out.push(Tok::Ident(chars[start..i].iter().collect()));
             }
             '<' | '>' | '!' => {
-                let next = chars.get(i + 1).copied();
-                if next == Some('=') || (c == '<' && next == Some('>')) {
-                    out.push(Tok::Sym2([c, next.unwrap()]));
+                let pair = |&n: &char| n == '=' || (c == '<' && n == '>');
+                if let Some(next) = chars.get(i + 1).copied().filter(pair) {
+                    out.push(Tok::Sym2([c, next]));
                     i += 2;
                 } else if c == '!' {
                     return Err(VortexError::InvalidArgument("lone '!'".into()));
@@ -767,13 +767,13 @@ pub struct SqlSession {
     dml: DmlExecutor,
     /// One UNBUFFERED writer per table this session INSERTed into (a
     /// session holds its own dedicated streams, §4.1).
-    writers: parking_lot::Mutex<std::collections::HashMap<String, vortex_client::StreamWriter>>,
+    writers: parking_lot::Mutex<std::collections::HashMap<String, crate::StreamWriter>>,
 }
 
 impl SqlSession {
     /// Creates a session.
     pub fn new(client: VortexClient) -> Self {
-        let engine = QueryEngine::new(Arc::clone(client.sms()), client.fleet().clone());
+        let engine = QueryEngine::for_client(&client);
         let dml = DmlExecutor::new(client.clone());
         Self {
             client,
@@ -807,15 +807,15 @@ impl SqlSession {
                         .collect(),
                 );
                 let n = batch.len() as u64;
+                // lint:allow(L005, the map's lock is its writers': one INSERT appends through a session's writer at a time)
                 let mut writers = self.writers.lock();
-                if !writers.contains_key(&table) {
-                    let w = self.client.create_unbuffered_writer(tmeta.table)?;
-                    writers.insert(table.clone(), w);
-                }
-                writers
-                    .get_mut(&table)
-                    .expect("just inserted")
-                    .append(batch)?;
+                let writer = match writers.entry(table) {
+                    Entry::Occupied(held) => held.into_mut(),
+                    Entry::Vacant(slot) => {
+                        slot.insert(self.client.create_unbuffered_writer(tmeta.table)?)
+                    }
+                };
+                writer.append(batch)?;
                 Ok(SqlResult::Dml(DmlReport {
                     rows_matched: n,
                     ..DmlReport::default()
@@ -1056,9 +1056,9 @@ impl SqlSession {
             for i in &items {
                 match i {
                     SelectItem::Star => {
-                        for f in &res.schema.fields {
+                        for (at, f) in res.schema.fields.iter().enumerate() {
                             columns.push(f.name.clone());
-                            indices.push(Some(res.schema.column_index(&f.name).unwrap()));
+                            indices.push(Some(at));
                         }
                     }
                     SelectItem::Column(c) => {

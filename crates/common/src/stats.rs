@@ -64,38 +64,6 @@ impl ColumnStats {
         self.count += other.count;
     }
 
-    /// Whether a point predicate `col == v` could match rows summarized
-    /// by these stats.
-    pub fn may_contain_point(&self, v: &Value) -> bool {
-        if v.is_null() {
-            return self.has_null;
-        }
-        match (&self.min, &self.max) {
-            (Some(lo), Some(hi)) => lo.total_cmp(v).is_le() && hi.total_cmp(v).is_ge(),
-            // No non-null values at all: only NULLs can match.
-            _ => false,
-        }
-    }
-
-    /// Whether a range predicate `lo <= col <= hi` (either bound optional)
-    /// could match.
-    pub fn may_overlap_range(&self, lo: Option<&Value>, hi: Option<&Value>) -> bool {
-        let (Some(smin), Some(smax)) = (&self.min, &self.max) else {
-            return false;
-        };
-        if let Some(lo) = lo {
-            if smax.total_cmp(lo).is_lt() {
-                return false;
-            }
-        }
-        if let Some(hi) = hi {
-            if smin.total_cmp(hi).is_gt() {
-                return false;
-            }
-        }
-        true
-    }
-
     /// Binary serialization (embedded in heartbeats and ROS block
     /// metadata).
     pub fn to_bytes(&self) -> Vec<u8> {
@@ -164,40 +132,25 @@ mod tests {
         assert_eq!(s.count, 4);
     }
 
-    #[test]
-    fn point_containment() {
-        let mut s = ColumnStats::new();
-        s.observe(&Value::String("f".into()));
-        s.observe(&Value::String("m".into()));
-        assert!(s.may_contain_point(&Value::String("g".into())));
-        assert!(s.may_contain_point(&Value::String("f".into())));
-        assert!(!s.may_contain_point(&Value::String("a".into())));
-        assert!(!s.may_contain_point(&Value::String("z".into())));
-        assert!(!s.may_contain_point(&Value::Null));
-        s.observe(&Value::Null);
-        assert!(s.may_contain_point(&Value::Null));
-    }
-
-    #[test]
-    fn range_overlap() {
-        let mut s = ColumnStats::new();
-        s.observe(&Value::Int64(10));
-        s.observe(&Value::Int64(20));
-        let v = |i| Value::Int64(i);
-        assert!(s.may_overlap_range(Some(&v(15)), Some(&v(25))));
-        assert!(s.may_overlap_range(Some(&v(0)), Some(&v(10))));
-        assert!(!s.may_overlap_range(Some(&v(21)), None));
-        assert!(!s.may_overlap_range(None, Some(&v(9))));
-        assert!(s.may_overlap_range(None, None));
-    }
-
+    /// An all-NULL column records no bounds, only its NULLs: the pruning
+    /// rule (`Expr::may_match_stats`) reads that as "no value but NULL",
+    /// so `= 0` prunes it and `IS NULL` keeps it. The stats must keep
+    /// that shape through merging and serialization.
     #[test]
     fn all_null_column_matches_nothing_but_null() {
         let mut s = ColumnStats::new();
         s.observe(&Value::Null);
-        assert!(!s.may_contain_point(&Value::Int64(0)));
-        assert!(s.may_contain_point(&Value::Null));
-        assert!(!s.may_overlap_range(Some(&Value::Int64(0)), None));
+        s.observe(&Value::Null);
+        assert_eq!(s.min, None);
+        assert_eq!(s.max, None);
+        assert!(s.has_null);
+        assert_eq!(s.count, 2);
+        let mut merged = ColumnStats::new();
+        merged.merge(&s);
+        assert_eq!(merged, s);
+        let bytes = s.to_bytes();
+        let mut pos = 0;
+        assert_eq!(ColumnStats::from_bytes(&bytes, &mut pos).unwrap(), s);
     }
 
     #[test]

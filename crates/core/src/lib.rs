@@ -9,9 +9,9 @@
 //! - a Spanner-lite transactional metastore ([`vortex_metastore`]),
 //! - SMS control-plane tasks with Slicer sharding ([`vortex_sms`]),
 //! - Stream Server data-plane tasks ([`vortex_server`]),
-//! - the thick client library ([`vortex_client`]),
+//! - the thick client library with the Dremel-lite query engine + DML
+//!   that reads through it ([`vortex_client`]),
 //! - the Storage Optimization Service ([`vortex_optimizer`]),
-//! - the Dremel-lite query engine + DML ([`vortex_query`]),
 //! - the exactly-once Beam-style connector ([`vortex_connector`]),
 //! - and the §6.3 verification pipelines ([`vortex_verify`]).
 //!
@@ -86,8 +86,9 @@ pub use region::{Region, RegionConfig};
 // Re-exports: the public API surface downstream code should use.
 pub use vortex_admission::{AdmissionConfig, AdmissionController, ClassStats, Quota, TokenBucket};
 pub use vortex_client::{
-    read_table, AppendResult, ReadCache, ReadOptions, StreamWriter, TableRows, VortexClient,
-    WriterOptions,
+    resolve_changes, AggKind, AppendResult, DmlExecutor, DmlReport, Expr, QueryEngine, ReadCache,
+    ReadOptions, ScanOptions, ScanResult, ScanStats, SqlResult, SqlSession, StreamWriter,
+    TableRows, VortexClient, WriterOptions,
 };
 pub use vortex_common::error::{VortexError, VortexResult};
 pub use vortex_common::ids;
@@ -104,10 +105,6 @@ pub use vortex_common::truetime::{SimClock, Timestamp, TrueTime};
 pub use vortex_connector::{BeamSink, SinkConfig, SinkReport};
 pub use vortex_metastore::{MetaCheckpointOutcome, MetaRecovery, MetaStore};
 pub use vortex_optimizer::{ConversionReport, OptimizerConfig, ReclusterReport, StorageOptimizer};
-pub use vortex_query::{
-    resolve_changes, AggKind, DmlExecutor, DmlReport, Expr, QueryEngine, ScanOptions, ScanResult,
-    ScanStats, SqlResult, SqlSession,
-};
 pub use vortex_sms::api::{ServerChannel, SmsApi, SmsChannel, SmsHandle};
 pub use vortex_sms::meta::{
     FragmentKind, FragmentMeta, FragmentState, StreamType, StreamletMeta, StreamletState, TableMeta,

@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use vortex_admission::{AdmissionConfig, AdmissionController};
-use vortex_client::{ReadCache, VortexClient};
+use vortex_client::{DmlExecutor, QueryEngine, ReadCache, VortexClient};
 use vortex_colossus::{Colossus, StorageFleet};
 use vortex_common::error::VortexResult;
 use vortex_common::ids::{ClusterId, IdGen, ServerId, SmsTaskId, TableId};
@@ -15,7 +15,6 @@ use vortex_common::rpc::{class_scope, RpcChannel, RpcChannelConfig, RpcIntercept
 use vortex_common::truetime::{SimClock, Timestamp, TrueTime};
 use vortex_metastore::{MetaCheckpointOutcome, MetaRecovery, MetaStore};
 use vortex_optimizer::{OptimizerConfig, StorageOptimizer};
-use vortex_query::{DmlExecutor, QueryEngine};
 use vortex_server::{ServerConfig, StreamServer};
 use vortex_sms::api::{ServerChannel, SmsApi, SmsChannel, SmsHandle};
 use vortex_sms::server_ctl::ServerHandle;

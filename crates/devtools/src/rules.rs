@@ -39,7 +39,6 @@ pub const STORAGE_PATH_CRATES: &[&str] = &[
 /// and metrics see every call (L006).
 pub const RPC_CONSUMER_CRATES: &[&str] = &[
     "vortex-client",
-    "vortex-query",
     "vortex-optimizer",
     "vortex-verify",
     "vortex-connector",

@@ -3,8 +3,6 @@
 
 use std::sync::Arc;
 
-use vortex_client::read::read_table;
-use vortex_client::ReadOptions;
 use vortex_colossus::StorageFleet;
 use vortex_common::ids::{ClusterId, IdGen, ServerId, SmsTaskId};
 use vortex_common::latency::WriteProfile;
@@ -557,14 +555,10 @@ fn read_path_mixes_wos_and_ros() {
     // Fresh unconverted data.
     let mut w = r.client.create_unbuffered_writer(t.table).unwrap();
     w.append(rows(100, 100)).unwrap();
-    let tr = read_table(
-        r.client.sms(),
-        &r.fleet,
-        t.table,
-        r.sms.read_snapshot(),
-        &ReadOptions::default(),
-    )
-    .unwrap();
+    let tr = r
+        .client
+        .read_rows_at(t.table, r.sms.read_snapshot())
+        .unwrap();
     assert_eq!(amounts(&tr), (0..200).collect::<Vec<_>>());
     let _ = &r.tt;
 }

@@ -22,7 +22,6 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 
 use vortex_common::ids::{FragmentId, TableId};
-use vortex_common::row::Value;
 use vortex_common::stats::ColumnStats;
 use vortex_common::truetime::Timestamp;
 
@@ -147,28 +146,6 @@ impl BigMeta {
             .map(|t| t.watermark)
             .unwrap_or(Timestamp::MIN)
     }
-
-    /// Point-prune against the index: fragments whose stats could match
-    /// `col == v`. Fragments without stats for the column are kept
-    /// (cannot be pruned safely).
-    pub fn prune_point(&self, table: TableId, col: &str, v: &Value) -> Option<Vec<FragmentId>> {
-        let tables = self.tables.read();
-        let idx = tables.get(&table)?;
-        Some(
-            idx.fragments
-                .values()
-                .filter(|f| f.deleted_at == Timestamp::MAX)
-                .filter(|f| {
-                    f.stats
-                        .iter()
-                        .find(|(n, _)| n == col)
-                        .map(|(_, s)| s.may_contain_point(v))
-                        .unwrap_or(true)
-                })
-                .map(|f| f.fragment)
-                .collect(),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -176,6 +153,7 @@ mod tests {
     use super::*;
     use crate::meta::{FragmentKind, FragmentState};
     use vortex_common::ids::{ClusterId, StreamletId};
+    use vortex_common::row::Value;
 
     fn frag(id: u64, min: i64, max: i64) -> FragmentMeta {
         let mut s = ColumnStats::new();
@@ -203,21 +181,6 @@ mod tests {
     }
 
     #[test]
-    fn index_and_prune() {
-        let bm = BigMeta::new();
-        let t = TableId::from_raw(1);
-        bm.index_fragments(t, &[frag(1, 0, 10), frag(2, 20, 30), frag(3, 40, 50)]);
-        assert_eq!(bm.indexed_count(t), 3);
-        let hits = bm.prune_point(t, "k", &Value::Int64(25)).unwrap();
-        assert_eq!(hits, vec![FragmentId::from_raw(2)]);
-        let misses = bm.prune_point(t, "k", &Value::Int64(99)).unwrap();
-        assert!(misses.is_empty());
-        // Unknown column: nothing can be pruned.
-        let all = bm.prune_point(t, "other", &Value::Int64(1)).unwrap();
-        assert_eq!(all.len(), 3);
-    }
-
-    #[test]
     fn tail_counts_unindexed_live_fragments() {
         let bm = BigMeta::new();
         let t = TableId::from_raw(1);
@@ -239,9 +202,9 @@ mod tests {
         assert_eq!(dropped, 1);
         assert_eq!(bm.indexed_count(t), 1);
         assert_eq!(bm.watermark(t), Timestamp(100));
-        // Pruning no longer returns the dropped fragment.
-        let hits = bm.prune_point(t, "k", &Value::Int64(5)).unwrap();
-        assert!(hits.is_empty());
+        // Compacting again drops nothing more: the live fragment stays.
+        assert_eq!(bm.compact(t, Timestamp(200)), 0);
+        assert_eq!(bm.indexed_count(t), 1);
     }
 
     #[test]

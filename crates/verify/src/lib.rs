@@ -21,7 +21,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use vortex_client::read::{read_table, ReadOptions};
+use vortex_client::{QueryEngine, ScanOptions, TableRows};
 use vortex_colossus::StorageFleet;
 use vortex_common::codec::encode_row;
 use vortex_common::crc::crc32c;
@@ -124,6 +124,13 @@ impl Verifier {
         Self { sms, fleet }
     }
 
+    /// Every row of `table` visible at `snapshot`, scanned through no
+    /// cache.
+    fn rows_at(&self, table: TableId, snapshot: Timestamp) -> VortexResult<TableRows> {
+        let engine = QueryEngine::new(self.sms.clone(), self.fleet.clone());
+        engine.scan(table, snapshot, &ScanOptions::default())
+    }
+
     /// Pipeline 1+2: every traced append's rows exist at their expected
     /// (stream, row_offset) location with matching content, and every
     /// location in the table is unique.
@@ -135,13 +142,7 @@ impl Verifier {
         // Verification is deferrable maintenance: shed first under load.
         let _bg = class_scope(WorkClass::Background);
         let snapshot = self.sms.read_snapshot();
-        let tr = read_table(
-            &self.sms,
-            &self.fleet,
-            table,
-            snapshot,
-            &ReadOptions::default(),
-        )?;
+        let tr = self.rows_at(table, snapshot)?;
         let mut report = VerificationReport::default();
         // Index the table by (stream, offset).
         let mut by_loc: HashMap<(u64, u64), Vec<u32>> = HashMap::new();
@@ -198,20 +199,7 @@ impl Verifier {
         after: Timestamp,
     ) -> VortexResult<VerificationReport> {
         let _bg = class_scope(WorkClass::Background);
-        let a = read_table(
-            &self.sms,
-            &self.fleet,
-            table,
-            before,
-            &ReadOptions::default(),
-        )?;
-        let b = read_table(
-            &self.sms,
-            &self.fleet,
-            table,
-            after,
-            &ReadOptions::default(),
-        )?;
+        let (a, b) = (self.rows_at(table, before)?, self.rows_at(table, after)?);
         let mut report = VerificationReport {
             rows_checked: (a.rows.len() + b.rows.len()) as u64,
             ..VerificationReport::default()

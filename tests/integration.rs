@@ -4,8 +4,8 @@
 use vortex::row::{Row, RowSet, Value};
 use vortex::schema::{ChangeType, Field, FieldType, PartitionTransform, Schema};
 use vortex::{
-    AggKind, AuditLog, BeamSink, Expr, Region, RegionConfig, ScanOptions, SinkConfig, StreamType,
-    WriterOptions,
+    AggKind, AuditLog, BeamSink, Expr, Region, RegionConfig, ScanOptions, SinkConfig, SqlResult,
+    SqlSession, StreamType, WriterOptions,
 };
 
 fn sales_schema() -> Schema {
@@ -449,6 +449,90 @@ fn best_effort_read_skips_ambiguity() {
     let full = client.read_rows(t.table).unwrap();
     assert!(full.complete);
     assert_eq!(full.rows.len(), 100);
+}
+
+/// Best-effort monitoring reads (§9): a fragment that no replica can
+/// serve is skipped and the read says it is incomplete, where a normal
+/// read fails with a retryable error; once the fault clears, everything
+/// is back.
+#[test]
+fn best_effort_read_skips_an_unreadable_fragment() {
+    let region = Region::create(RegionConfig::default()).unwrap();
+    // A client without the region's cache, so that every read goes to
+    // the clusters.
+    let cold = vortex::VortexClient::new(
+        region.sms().clone(),
+        region.fleet().clone(),
+        region.truetime().clone(),
+    );
+    let tm = cold.create_table("flaky", sales_schema()).unwrap();
+    let t = tm.table;
+    for (start, n) in [(0, 30), (30, 70)] {
+        let mut w = cold.create_unbuffered_writer(t).unwrap();
+        w.append(sales_rows(start, n)).unwrap();
+        region.sms().finalize_stream(t, w.stream_id()).unwrap();
+    }
+    let rs = region
+        .sms()
+        .list_read_fragments(t, cold.snapshot())
+        .unwrap();
+    assert_eq!((rs.fragments.len(), rs.tails.len()), (2, 0));
+    let kept = &rs.fragments[1];
+    let clusters = [tm.primary, tm.secondary].map(|c| region.fleet().get(c).unwrap());
+    // The next read of each replica fails: the first fragment's, on both.
+    let fail_first = || clusters.iter().for_each(|c| c.faults().fail_next_reads(1));
+
+    fail_first();
+    let partial = cold.read_rows_best_effort(t).unwrap();
+    assert!(!partial.complete, "a skipped fragment is missing data");
+    assert_eq!(partial.rows.len() as u64, kept.meta.row_count);
+    assert!(partial
+        .rows
+        .iter()
+        .all(|(m, _)| m.stream == kept.stream.raw()));
+    assert!(clusters.iter().all(|c| !c.faults().take_read_failure()));
+
+    fail_first();
+    let failed = cold.read_rows(t).unwrap_err();
+    assert!(failed.is_retryable(), "{failed:?}");
+    assert!(clusters.iter().all(|c| !c.faults().take_read_failure()));
+
+    let full = cold.read_rows_best_effort(t).unwrap();
+    assert!(full.complete);
+    assert_eq!(full.rows.len(), 100);
+}
+
+/// A SQL session reads through its client's cache: a repeated `SELECT`
+/// over a Region's client is served by the region's read cache and reads
+/// nothing of the table's files again.
+#[test]
+fn sql_select_reads_through_the_client_cache() {
+    let region = Region::create(RegionConfig::default()).unwrap();
+    let client = region.client();
+    let tm = client.create_table("sold", sales_schema()).unwrap();
+    let t = tm.table;
+    // A ROS block, then a finalized WOS fragment beside it.
+    for (start, convert) in [(0, true), (300, false)] {
+        let mut w = client.create_unbuffered_writer(t).unwrap();
+        w.append(sales_rows(start, 300)).unwrap();
+        region.sms().finalize_stream(t, w.stream_id()).unwrap();
+        if convert {
+            region.run_optimizer_cycle(t).unwrap();
+        }
+    }
+    let sql = SqlSession::new(region.client());
+    let reads = || [tm.primary, tm.secondary].map(|c| region.fleet().get(c).unwrap().read_counts());
+    let query = "SELECT COUNT(*), SUM(amount) FROM sold WHERE amount >= 0";
+    let first = sql.execute(query).unwrap();
+    let (hits, before) = (region.read_cache().tally().hits, reads());
+    let second = sql.execute(query).unwrap();
+    assert!(region.read_cache().tally().hits > hits, "no cache hit");
+    assert_eq!(reads(), before, "the repeat read the table's files");
+    let SqlResult::Rows { rows, .. } = second else {
+        panic!("a SELECT returns rows");
+    };
+    assert_eq!(rows, [[Value::Int64(600), Value::Int64(599 * 600 / 2)]]);
+    assert!(matches!(first, SqlResult::Rows { rows: r, .. } if r == rows));
 }
 
 /// A fragment finalized by heartbeat (the server's running column stats)

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 
 use vortex::row::{Row, RowSet, Value};
 use vortex::schema::{Field, FieldType, Schema};
-use vortex::DeletionMask;
+use vortex::{DeletionMask, Expr};
 use vortex_common::codec::{decode_rowset, encode_rowset};
 use vortex_common::compress::{compress, decompress};
 use vortex_common::crypt::{apply_keystream_at, decrypt, encrypt, Key, Nonce};
@@ -267,8 +267,9 @@ proptest! {
     }
 
     // ------------------------------------------------------------------
-    // Column stats: pruning is conservative (never prunes a fragment
-    // that contains a matching value).
+    // Column stats: the rule scans prune by (`Expr::may_match_stats`) is
+    // conservative — it never prunes a fragment that holds a matching
+    // value — and an all-NULL column matches nothing but `IS NULL`.
     // ------------------------------------------------------------------
     #[test]
     fn stats_pruning_is_conservative(values in proptest::collection::vec(any::<i64>(), 1..60),
@@ -277,12 +278,19 @@ proptest! {
         for v in &values {
             s.observe(&Value::Int64(*v));
         }
+        let lookup = |c: &str| (c == "k").then(|| s.clone());
         if values.contains(&probe) {
-            prop_assert!(s.may_contain_point(&Value::Int64(probe)));
+            prop_assert!(Expr::eq("k", Value::Int64(probe)).may_match_stats(&lookup));
         }
         let lo = *values.iter().min().unwrap();
         let hi = *values.iter().max().unwrap();
-        prop_assert!(s.may_overlap_range(Some(&Value::Int64(lo)), Some(&Value::Int64(hi))));
+        let range = Expr::ge("k", Value::Int64(lo)).and(Expr::le("k", Value::Int64(hi)));
+        prop_assert!(range.may_match_stats(&lookup));
+        let mut nulls = ColumnStats::new();
+        nulls.observe(&Value::Null);
+        let lookup = |c: &str| (c == "k").then(|| nulls.clone());
+        prop_assert!(!Expr::eq("k", Value::Int64(0)).may_match_stats(&lookup));
+        prop_assert!(Expr::IsNull("k".into()).may_match_stats(&lookup));
     }
 
     // ------------------------------------------------------------------
@@ -625,6 +633,15 @@ proptest! {
 enum TableOp {
     /// Append `n` fresh sequential keys.
     Append(usize),
+    /// Append `n` fresh keys to a BUFFERED stream: invisible until flushed.
+    AppendBuffered(usize),
+    /// Flush the BUFFERED stream through its last row.
+    Flush,
+    /// Append `n` fresh keys to a PENDING stream: invisible until
+    /// committed.
+    AppendPending(usize),
+    /// Batch-commit the PENDING stream, then write through a fresh one.
+    Commit,
     /// Delete keys in `[lo, lo+len)`.
     Delete(u64, u64),
     /// Set `v = marker` for keys in `[lo, lo+len)`.
@@ -639,6 +656,10 @@ enum TableOp {
 fn arb_table_op() -> impl Strategy<Value = TableOp> {
     prop_oneof![
         3 => (1usize..60).prop_map(TableOp::Append),
+        2 => (1usize..40).prop_map(TableOp::AppendBuffered),
+        1 => Just(TableOp::Flush),
+        2 => (1usize..40).prop_map(TableOp::AppendPending),
+        1 => Just(TableOp::Commit),
         2 => (0u64..200, 1u64..25).prop_map(|(a, b)| TableOp::Delete(a, b)),
         2 => (0u64..200, 1u64..25).prop_map(|(a, b)| TableOp::Update(a, b)),
         1 => Just(TableOp::Convert),
@@ -648,23 +669,40 @@ fn arb_table_op() -> impl Strategy<Value = TableOp> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
+    /// One reference model — a map from key to value — after every op,
+    /// and at the end every snapshot taken on the way read four ways:
+    /// `read_rows_at`, a row scan, a count and a `SUM(v)` grouped by `g`.
+    /// Nothing collects garbage, so every snapshot stays readable.
     #[test]
-    fn dml_random_ops_match_model(ops in proptest::collection::vec(arb_table_op(), 1..14)) {
-        use vortex::{Expr, Region, RegionConfig, ScanOptions};
+    fn dml_random_ops_match_model(ops in proptest::collection::vec(arb_table_op(), 1..16)) {
+        use std::collections::BTreeMap;
+        use vortex::{AggKind, Expr, Region, RegionConfig, ScanOptions};
         let region = Region::create(RegionConfig::default()).unwrap();
         let client = region.client();
         let schema = Schema::new(vec![
             Field::required("k", FieldType::Int64),
             Field::required("v", FieldType::Int64),
+            Field::required("g", FieldType::Int64),
         ])
         .with_clustering(&["k"]);
         let t = client.create_table("model", schema).unwrap().table;
         let mut w = client.create_unbuffered_writer(t).unwrap();
+        let mut buffered = client.create_buffered_writer(t).unwrap();
+        let mut pending = client.create_pending_writer(t).unwrap();
         let dml = region.dml();
-        let mut model: std::collections::BTreeMap<i64, i64> = Default::default();
+        let mut model: BTreeMap<i64, i64> = Default::default();
+        // Rows written but not yet visible, by stream type.
+        let (mut unflushed, mut uncommitted) = (Vec::new(), Vec::new());
         let mut next = 0i64;
         let mut marker = 1_000_000i64;
         let mut converts = 0;
+        let mut fresh = |n: usize| {
+            let keys: Vec<i64> = (next..next + n as i64).collect();
+            next += n as i64;
+            let row = |k: i64| Row::insert(vec![Value::Int64(k), Value::Int64(-k), Value::Int64(k % 3)]);
+            (RowSet::new(keys.iter().map(|&k| row(k)).collect()), keys)
+        };
+        let mut seen = Vec::new();
         for op in &ops {
             match op {
                 TableOp::Convert => {
@@ -677,19 +715,29 @@ proptest! {
                     w = client.create_unbuffered_writer(t).unwrap();
                 }
                 TableOp::Append(n) => {
-                    let rs = RowSet::new(
-                        (0..*n as i64)
-                            .map(|i| Row::insert(vec![
-                                Value::Int64(next + i),
-                                Value::Int64(-(next + i)),
-                            ]))
-                            .collect(),
-                    );
-                    w.append(rs).unwrap();
-                    for i in 0..*n as i64 {
-                        model.insert(next + i, -(next + i));
-                    }
-                    next += *n as i64;
+                    let (rows, keys) = fresh(*n);
+                    w.append(rows).unwrap();
+                    model.extend(keys.into_iter().map(|k| (k, -k)));
+                }
+                TableOp::AppendBuffered(n) => {
+                    let (rows, keys) = fresh(*n);
+                    buffered.append(rows).unwrap();
+                    unflushed.extend(keys);
+                }
+                TableOp::Flush => {
+                    buffered.flush(buffered.next_offset()).unwrap();
+                    model.extend(unflushed.drain(..).map(|k| (k, -k)));
+                }
+                TableOp::AppendPending(n) => {
+                    let (rows, keys) = fresh(*n);
+                    pending.append(rows).unwrap();
+                    uncommitted.extend(keys);
+                }
+                TableOp::Commit if uncommitted.is_empty() => {}
+                TableOp::Commit => {
+                    client.batch_commit(t, &[pending.stream_id()]).unwrap();
+                    model.extend(uncommitted.drain(..).map(|k| (k, -k)));
+                    pending = client.create_pending_writer(t).unwrap();
                 }
                 TableOp::Delete(lo, len) => {
                     let (lo, hi) = (*lo as i64, (*lo + *len) as i64);
@@ -716,17 +764,36 @@ proptest! {
                     }
                 }
             }
+            seen.push((op, client.snapshot(), model.clone()));
         }
         let engine = region.engine();
-        let res = engine.scan(t, client.snapshot(), &ScanOptions::default()).unwrap();
-        let mut got: Vec<(i64, i64)> = res
-            .rows
-            .iter()
-            .map(|(_, r)| (r.values[0].as_i64().unwrap(), r.values[1].as_i64().unwrap()))
-            .collect();
-        got.sort_unstable();
-        let want: Vec<(i64, i64)> = model.into_iter().collect();
-        prop_assert_eq!(got, want);
+        let every = ScanOptions::default();
+        let pairs = |rows: &[(_, Row)]| {
+            let kv = |(_, r): &(_, Row)| (r.values[0].as_i64().unwrap(), r.values[1].as_i64().unwrap());
+            let mut got: Vec<(i64, i64)> = rows.iter().map(kv).collect();
+            got.sort_unstable();
+            got
+        };
+        for (op, at, model) in seen {
+            let want: Vec<(i64, i64)> = model.iter().map(|(&k, &v)| (k, v)).collect();
+            let read = client.read_rows_at(t, at).unwrap();
+            prop_assert!(read.complete);
+            prop_assert_eq!(&pairs(&read.rows), &want, "read_rows_at after {:?}", op);
+            let scanned = engine.scan(t, at, &every).unwrap();
+            prop_assert_eq!(&pairs(&scanned.rows), &want, "scan after {:?}", op);
+            prop_assert_eq!(engine.count(t, at, &every).unwrap(), want.len() as u64, "count after {:?}", op);
+            let mut sums: BTreeMap<i64, i64> = BTreeMap::new();
+            for (k, v) in &want {
+                *sums.entry(k % 3).or_default() += v;
+            }
+            let sum = [(AggKind::Sum, Some("v"))];
+            let groups = engine.aggregate(t, at, &every, Some("g"), &sum).unwrap();
+            let groups: BTreeMap<i64, i64> = groups
+                .iter()
+                .map(|(g, s)| (g.as_ref().unwrap().as_i64().unwrap(), s[0].as_i64().unwrap()))
+                .collect();
+            prop_assert_eq!(groups, sums, "grouped SUM after {:?}", op);
+        }
     }
 }
 

@@ -415,24 +415,34 @@ fn a_scan_pays_for_the_chunks_it_decodes() {
     );
     assert!(share(d["bytes_fetched"], table_bytes) <= 0.15, "{d:?}");
 
-    // A table read through a client without a cache goes for whole files,
-    // one read each; the region's client reads through its cache, which
-    // the full scan filled, and reads nothing.
+    // A table read is the scan under no predicate: through a client
+    // without a cache it makes the reads of a cold `scan(Expr::True)` and
+    // fetches its bytes; through the region's client, whose cache the full
+    // scan filled, those of a warm one — none. Either returns its rows.
     let uncached = VortexClient::new(
         region.sms().clone(),
         region.fleet().clone(),
         region.truetime().clone(),
     );
+    let reads = |d: &BTreeMap<&str, u64>| {
+        let keys = ["reads", "bytes_fetched", "cluster_reads", "cluster_bytes"];
+        keys.map(|k| d[k])
+    };
     let (rows, d) = moved(&region, || uncached.read_rows_at(t, at).unwrap());
+    let (cold_scan, s) = moved(&region, || cold.scan(t, at, &every).unwrap());
     assert_eq!(rows.rows.len() as i64, DAYS * ROWS_PER_DAY);
+    assert_eq!(rows.rows, cold_scan.rows);
+    assert_eq!(reads(&d), reads(&s));
     assert_eq!(
-        (d["cluster_reads"], d["cluster_bytes"]),
-        (blocks, table_bytes)
+        reads(&d),
+        [3 * blocks, table_bytes, 3 * blocks, table_bytes]
     );
-    assert_eq!((d["reads"], d["bytes_fetched"]), (0, 0), "not a scan");
     let (warm_rows, d) = moved(&region, || client.read_rows_at(t, at).unwrap());
+    let (warm_scan, s) = moved(&region, || engine.scan(t, at, &every).unwrap());
     assert_eq!(warm_rows.rows, rows.rows);
-    assert_eq!((d["cluster_reads"], d["cluster_bytes"]), (0, 0));
+    assert_eq!(warm_rows.rows, warm_scan.rows);
+    assert_eq!(reads(&d), reads(&s));
+    assert_eq!(reads(&d), [0; 4]);
 
     // A later query that does owe the probe timestamps fetches those
     // zones' and nothing else of provenance.
