@@ -5,22 +5,21 @@
 //! are looking into further avenues to build query aware caching on top
 //! of our ingestion servers."
 //!
-//! [`ReadCache`] holds three kinds of entry, under keys none of which can
-//! name changed content, so invalidation is structural rather than
-//! time-based:
+//! [`ReadCache`] holds one entry per file, by its path, of two kinds,
+//! neither of which can name changed content, so invalidation is
+//! structural rather than time-based:
 //!
-//! - an opened [`RosBlock`] by `(path, committed_size)` — its parsed index
-//!   and one write-once cell per chunk read so far, holding what the
-//!   chunk's decoder reads: CRC-checked, decrypted, vsnap-expanded. A hit
-//!   makes no read and runs no CRC, cipher or vsnap pass;
-//! - the decoded zones of a listed WOS fragment by `(path,
-//!   committed_size)`; a fragment that is replaced (conversion) is
-//!   another path;
-//! - a [`TailFile`] by `(path, epoch)`: the certified extent *so far* of a
-//!   log file the SMS does not list yet (§7.1's streamlet tail). The file
-//!   only grows and a tail read extends the entry by what was appended
-//!   since; reconciliation, which alone may cut a log file short, bumps
-//!   the streamlet's epoch.
+//! - an opened [`RosBlock`] of the `committed_size` it was opened at —
+//!   its parsed index and one write-once cell per chunk read so far,
+//!   holding what the chunk's decoder reads: CRC-checked, decrypted,
+//!   vsnap-expanded. A hit makes no read and runs no CRC, cipher or vsnap
+//!   pass; a lookup at another size is a miss;
+//! - a [`LogFile`]: the certified extent *so far* of a WOS log file,
+//!   whether the SMS lists it (a fragment) or not yet (§7.1's streamlet
+//!   tail). The file only grows and a read extends the entry by what was
+//!   appended since; reconciliation, which alone may cut a log file short,
+//!   bumps the streamlet's epoch, and an entry not yet sealed serves only
+//!   tail reads at the epoch it holds.
 //!
 //! Only verified bytes enter: a chunk is kept after its CRC has passed,
 //! and one that fails on every replica leaves its cell empty for the next
@@ -43,19 +42,11 @@ use vortex_wos::FragmentHeader;
 
 use crate::read::Zone;
 
-/// `(path, committed size or epoch, whether a tail's)`.
-type Key = (String, u64, bool);
-
-/// The key of the entry of `path` at `at`.
-fn key_of(path: &str, at: u64, tail: bool) -> Key {
-    // lint:allow(L010, once per lookup or update of an entry: its key)
-    (path.to_string(), at, tail)
-}
-
-/// What a tail read remembers of one log file: the rows of the blocks
-/// §7.1's commit rule has certified, and where the next read resumes.
+/// What a read remembers of one log file: the rows of the blocks §7.1's
+/// commit rule (or the catalogued size) has certified, and where the next
+/// read resumes.
 #[derive(Debug)]
-pub(crate) struct TailFile {
+pub(crate) struct LogFile {
     /// Certified bytes — a record boundary every replica agrees on.
     pub len: u64,
     /// The file's header: the block nonce's fragment id, and the File Map
@@ -63,14 +54,17 @@ pub(crate) struct TailFile {
     pub header: FragmentHeader,
     /// The certified blocks' rows, at streamlet-relative positions.
     pub zones: Vec<Arc<Zone>>,
-    /// A successor file was seen: the extent is final and never re-read.
+    /// The streamlet's epoch when a tail read certified the extent.
+    pub epoch: u64,
+    /// A successor file was seen, or the catalogued size reached: the
+    /// extent is final, serves every epoch and is never re-read.
     pub sealed: bool,
 }
 
 enum Entry {
-    Fragment(Vec<Arc<Zone>>),
-    Tail(Arc<TailFile>),
-    Block(Arc<RosBlock>),
+    Log(Arc<LogFile>),
+    /// A block, and the committed size it was opened at.
+    Block(Arc<RosBlock>, u64),
 }
 
 /// Rows of `zones`.
@@ -94,13 +88,13 @@ pub struct Tally {
     pub hits: u64,
     /// Lookups that did not, and had it read.
     pub misses: u64,
-    /// Bytes read to extend tail entries.
+    /// Bytes read to extend log-file entries.
     pub tail_bytes: u64,
-    /// Rows decoded to extend tail entries.
+    /// Rows decoded to extend log-file entries.
     pub tail_rows: u64,
 }
 
-/// A bounded cache of verified block chunks and decoded fragment extents.
+/// A bounded cache of verified block chunks and decoded log-file extents.
 pub struct ReadCache {
     inner: Mutex<Inner>,
     max_bytes: usize,
@@ -108,9 +102,9 @@ pub struct ReadCache {
 
 #[derive(Default)]
 struct Inner {
-    /// Each entry with the bytes charged for it.
-    map: HashMap<Key, (Entry, usize)>,
-    order: VecDeque<Key>,
+    /// Each file's entry with the bytes charged for it.
+    map: HashMap<String, (Entry, usize)>,
+    order: VecDeque<String>,
     bytes: usize,
     tally: Tally,
 }
@@ -124,13 +118,18 @@ impl ReadCache {
         })
     }
 
-    /// Sets `key`'s entry, charged `bytes`, evicting oldest entries past
+    /// Sets `path`'s entry, charged `bytes`, evicting oldest entries past
     /// the bound.
-    fn insert(&self, inner: &mut Inner, key: Key, entry: Entry, bytes: usize) {
+    fn insert(&self, inner: &mut Inner, path: &str, entry: Entry, bytes: usize) {
         inner.bytes += bytes;
-        match inner.map.insert(key.clone(), (entry, bytes)) {
-            Some((_, old)) => inner.bytes -= old,
-            None => inner.order.push_back(key),
+        match inner.map.get_mut(path) {
+            Some(held) => inner.bytes -= std::mem::replace(held, (entry, bytes)).1,
+            None => {
+                // lint:allow(L010, once per file entered: its map slot)
+                inner.map.insert(path.to_string(), (entry, bytes));
+                // lint:allow(L010, once per file entered: its place in line)
+                inner.order.push_back(path.to_string());
+            }
         }
         self.evict(inner);
     }
@@ -145,31 +144,15 @@ impl ReadCache {
         }
     }
 
-    /// Looks up the fragment or block entry of `path` at `committed_size`
-    /// and what `pick` takes of it: a hit if that is anything, else a miss.
-    fn lookup<T>(&self, path: &str, size: u64, pick: impl Fn(&Entry) -> Option<T>) -> Option<T> {
+    /// What `pick` takes of `path`'s entry: a hit if that is anything, and
+    /// else a miss if `miss` says so.
+    fn lookup<T>(&self, path: &str, miss: bool, pick: impl Fn(&Entry) -> Option<T>) -> Option<T> {
         // lint:allow(L011, held for one map lookup; no read happens under it)
         let Inner { map, tally, .. } = &mut *self.inner.lock();
-        let entry = map.get(&key_of(path, size, false));
-        let hit = entry.and_then(|(entry, _)| pick(entry));
+        let hit = map.get(path).and_then(|(entry, _)| pick(entry));
         tally.hits += hit.is_some() as u64;
-        tally.misses += hit.is_none() as u64;
+        tally.misses += (miss && hit.is_none()) as u64;
         hit
-    }
-
-    /// Looks up a fragment extent.
-    pub fn get(&self, path: &str, committed_size: u64) -> Option<Vec<Arc<Zone>>> {
-        self.lookup(path, committed_size, |entry| match entry {
-            // lint:allow(L010, once per fragment read: a pointer per zone of a hit)
-            Entry::Fragment(zones) => Some(zones.clone()),
-            _ => None,
-        })
-    }
-
-    /// Inserts a decoded extent, evicting oldest entries past the bound.
-    pub fn put(&self, path: &str, committed_size: u64, extent: Vec<Arc<Zone>>) {
-        let (key, bytes) = (key_of(path, committed_size, false), heap_bytes(&extent));
-        self.insert(&mut self.inner.lock(), key, Entry::Fragment(extent), bytes);
     }
 
     /// The opened ROS block at `path` of `size`, with what opening it
@@ -183,24 +166,22 @@ impl ReadCache {
         open: impl FnOnce() -> VortexResult<(RosBlock, Fetched)>,
     ) -> VortexResult<(Arc<RosBlock>, Fetched)> {
         let held = |entry: &Entry| match entry {
-            Entry::Block(block) => Some(Arc::clone(block)),
+            Entry::Block(block, at) if *at == size => Some(Arc::clone(block)),
             _ => None,
         };
-        if let Some(hit) = self.lookup(path, size, held) {
+        if let Some(hit) = self.lookup(path, true, held) {
             return Ok((hit, Fetched::default()));
         }
         let (block, index) = open()?;
-        let key = key_of(path, size, false);
         // lint:allow(L011, held for a map update; no read happens under it)
         let inner = &mut *self.inner.lock();
-        if let Some(raced) = inner.map.get(&key).and_then(|(entry, _)| held(entry)) {
+        if let Some(raced) = inner.map.get(path).and_then(|(entry, _)| held(entry)) {
             return Ok((raced, index));
         }
         // lint:allow(L010, once per block opened from its file, so that reads can share it)
         let block = Arc::new(block);
-        let entry = Entry::Block(Arc::clone(&block));
-        // lint:allow(L010, once per block opened from its file: its map slot)
-        self.insert(inner, key, entry, index.kept as usize);
+        let entry = Entry::Block(Arc::clone(&block), size);
+        self.insert(inner, path, entry, index.kept as usize);
         Ok((block, index))
     }
 
@@ -209,89 +190,75 @@ impl ReadCache {
     pub fn charge(&self, path: &str, committed_size: u64, kept: u64) {
         // lint:allow(L011, held for a map update; no read happens under it)
         let inner = &mut *self.inner.lock();
-        let Some((_, n)) = inner.map.get_mut(&key_of(path, committed_size, false)) else {
-            return;
-        };
-        *n += kept as usize;
+        match inner.map.get_mut(path) {
+            Some((Entry::Block(_, at), n)) if *at == committed_size => *n += kept as usize,
+            _ => return,
+        }
         inner.bytes += kept as usize;
         self.evict(inner);
     }
 
-    /// What is held of the unlisted log file at `path` of a streamlet at
-    /// `epoch`; finding it is a hit.
-    pub(crate) fn tail(&self, path: &str, epoch: u64) -> Option<Arc<TailFile>> {
-        // lint:allow(L011, held for one map lookup; no read happens under it)
-        let Inner { map, tally, .. } = &mut *self.inner.lock();
-        let Some((Entry::Tail(file), _)) = map.get(&key_of(path, epoch, true)) else {
-            return None;
-        };
-        tally.hits += 1;
-        Some(Arc::clone(file))
+    /// What is held of the log file at `path`, if `usable` takes it;
+    /// finding it is a hit.
+    pub(crate) fn log_file(
+        &self,
+        path: &str,
+        usable: impl Fn(&LogFile) -> bool,
+    ) -> Option<Arc<LogFile>> {
+        self.lookup(path, false, |entry| match entry {
+            Entry::Log(file) if usable(file) => Some(Arc::clone(file)),
+            _ => None,
+        })
     }
 
-    /// Keeps `file`, which `read` bytes were fetched to build, for `path`
-    /// — unless what is held is certified at least as far (two reads may
-    /// extend one entry at once). A first entry is a miss.
-    pub(crate) fn put_tail(&self, path: &str, epoch: u64, file: &Arc<TailFile>, read: u64) {
-        let key = key_of(path, epoch, true);
+    /// Keeps `file` for `path`, extended from `from` by `read` bytes
+    /// fetched — unless what is held is certified at least as far and
+    /// serves `file`'s epoch (two reads may extend one entry at once). An
+    /// entry read from nothing is a miss.
+    pub(crate) fn put_log(
+        &self,
+        path: &str,
+        file: &Arc<LogFile>,
+        from: Option<&LogFile>,
+        read: u64,
+    ) {
         // lint:allow(L011, held for a map update; no read happens under it)
         let inner = &mut *self.inner.lock();
-        let held = match inner.map.get(&key) {
-            Some((Entry::Tail(held), _)) if (held.sealed, held.len) >= (file.sealed, file.len) => {
-                return
+        if let Some((Entry::Log(held), _)) = inner.map.get(path) {
+            let serves = held.sealed || held.epoch == file.epoch;
+            if serves && (held.sealed, held.len) >= (file.sealed, file.len) {
+                return;
             }
-            Some((Entry::Tail(held), _)) => row_count(&held.zones),
-            _ => {
-                inner.tally.misses += 1;
-                0
-            }
-        };
+        }
+        let rows = row_count(&file.zones).saturating_sub(from.map_or(0, |f| row_count(&f.zones)));
+        inner.tally.misses += from.is_none() as u64;
         inner.tally.tail_bytes += read;
-        inner.tally.tail_rows += row_count(&file.zones).saturating_sub(held) as u64;
+        inner.tally.tail_rows += rows as u64;
         let bytes = heap_bytes(&file.zones);
-        // lint:allow(L010, once per log file extended: its map slot)
-        self.insert(inner, key, Entry::Tail(Arc::clone(file)), bytes);
+        self.insert(inner, path, Entry::Log(Arc::clone(file)), bytes);
     }
 
-    /// Drops every entry `gone` names.
-    fn drop_where(&self, gone: impl Fn(&Key) -> bool) {
-        // lint:allow(L011, held for a pass over the keys; no read happens under it)
-        let inner = &mut *self.inner.lock();
-        inner.order.retain(|key| !gone(key));
-        let Inner { map, bytes, .. } = inner;
-        map.retain(|key, (_, n)| {
-            let keep = !gone(key);
-            *bytes -= if keep { 0 } else { *n };
-            keep
-        });
-    }
-
-    /// Drops the tail entries of the log files under `prefix` — one
-    /// streamlet's, which sort by ordinal — but those in `live` held at
-    /// `epoch`: the SMS lists the files before by now, the ones after are
-    /// gone, and an entry of an earlier epoch can never be found again.
-    pub(crate) fn keep_tails(&self, prefix: &str, live: std::ops::Range<&String>, epoch: u64) {
-        self.drop_where(|(path, at, tail)| {
-            *tail && path.starts_with(prefix) && !(live.contains(&path) && *at == epoch)
-        });
-    }
-
-    /// Drops every entry of a file at one of the `gone` paths — files GC
-    /// deleted, whose entries could only hold budget.
+    /// Drops the entry of each of the `gone` paths — files GC deleted,
+    /// whose entries could only hold budget.
     pub fn forget(&self, gone: &[String]) {
-        self.drop_where(|(path, ..)| gone.contains(path));
+        // lint:allow(L011, held for a pass over the entries; no read happens under it)
+        let inner = &mut *self.inner.lock();
+        for path in gone {
+            inner.bytes -= inner.map.remove(path).map_or(0, |(_, n)| n);
+        }
+        inner.order.retain(|path| inner.map.contains_key(path));
     }
 
     /// The file of every entry, oldest first, with the bytes charged for
     /// it.
     pub fn entries(&self) -> Vec<(String, usize)> {
         let inner = self.inner.lock();
-        let entry = |key: &Key| (key.0.clone(), inner.map.get(key).map_or(0, |(_, n)| *n));
+        let entry = |path: &String| (path.clone(), inner.map.get(path).map_or(0, |(_, n)| *n));
         inner.order.iter().map(entry).collect()
     }
 
-    /// Hits, misses, and the bytes read and rows decoded to extend tail
-    /// entries, so far.
+    /// Hits, misses, and the bytes read and rows decoded to extend
+    /// log-file entries, so far.
     pub fn tally(&self) -> Tally {
         // lint:allow(L011, held for a copy of four counters)
         self.inner.lock().tally
@@ -328,6 +295,7 @@ impl std::fmt::Debug for ReadCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vortex_common::crypt::Key;
     use vortex_common::schema::ChangeType;
     use vortex_common::truetime::Timestamp;
     use vortex_ros::RowMeta;
@@ -335,8 +303,10 @@ mod tests {
     /// What one row of the zones below is charged: its provenance alone.
     const ROW: usize = std::mem::size_of::<RowMeta>();
 
-    /// An extent of `n` rows in zones of four.
-    fn rows(n: usize) -> Vec<Arc<Zone>> {
+    /// A log-file entry of `n` rows in zones of four, certified through
+    /// byte `len` at `epoch`.
+    fn log(n: usize, len: u64, epoch: u64, sealed: bool) -> Arc<LogFile> {
+        use vortex_common::ids::{FragmentId, StreamletId};
         let meta = |i: usize| RowMeta {
             change_type: ChangeType::Insert,
             ts: Timestamp(i as u64),
@@ -351,76 +321,36 @@ mod tests {
                 cols: vec![],
             })
         };
-        all.chunks(4).map(zone).collect()
+        let header = FragmentHeader {
+            format_version: 1,
+            streamlet: StreamletId::from_raw(1),
+            fragment: FragmentId::from_raw(2),
+            ordinal: 0,
+            schema_version: 1,
+            first_row: 0,
+            file_map: vec![],
+        };
+        Arc::new(LogFile {
+            len,
+            header,
+            zones: all.chunks(4).map(zone).collect(),
+            epoch,
+            sealed,
+        })
     }
 
-    #[test]
-    fn hit_miss_accounting() {
-        let c = ReadCache::new(1000 * ROW);
-        assert!(c.get("a", 10).is_none());
-        c.put("a", 10, rows(5));
-        assert!(c.get("a", 10).is_some());
-        // Different committed_size = different content = miss.
-        assert!(c.get("a", 20).is_none());
-        assert_eq!((c.tally().hits, c.tally().misses), (1, 2));
+    /// Keeps a first entry of `n` rows for `path`.
+    fn put(c: &ReadCache, path: &str, n: usize) {
+        c.put_log(path, &log(n, 1, 0, true), None, 0);
     }
 
-    /// A byte bound worth 100 rows keeps about 100 rows, newest first.
-    #[test]
-    fn eviction_bounds_rows() {
-        let c = ReadCache::new(100 * ROW);
-        for i in 0..20 {
-            c.put(&format!("f{i}"), 1, rows(10));
-        }
-        assert!(c.len() <= 11, "bounded to ~100 rows: {}", c.len());
-        // Newest entries survive.
-        assert!(c.get("f19", 1).is_some());
-        assert!(c.get("f0", 1).is_none());
+    /// Whether an entry for `path` is held; a hit if it is.
+    fn held(c: &ReadCache, path: &str) -> bool {
+        c.log_file(path, |_| true).is_some()
     }
 
-    #[test]
-    fn oversized_extent_keeps_accounting_exact() {
-        // A single extent larger than the bound must stay resident (the
-        // `order.len() > 1` guard: evicting the only entry would make
-        // the cache useless for it) with its bytes accounted exactly —
-        // and the books must return to exact once it IS evicted.
-        let c = ReadCache::new(100 * ROW);
-        c.put("big", 1, rows(250));
-        assert_eq!(c.len(), 1, "oversized sole entry stays resident");
-        assert_eq!(
-            c.bytes(),
-            250 * ROW,
-            "accounting covers the oversized entry"
-        );
-        assert!(c.get("big", 1).is_some());
-        // A second insert trips eviction: FIFO pops the oversized entry
-        // first; accounting must drop by exactly its bytes.
-        c.put("small", 1, rows(10));
-        assert_eq!(c.len(), 1);
-        assert!(c.get("big", 1).is_none(), "oversized entry evicted FIFO");
-        assert!(c.get("small", 1).is_some());
-        assert_eq!(c.bytes(), 10 * ROW, "books exact after oversized eviction");
-        // Duplicate put of a resident key must not inflate the books.
-        c.put("small", 1, rows(10));
-        assert_eq!(c.bytes(), 10 * ROW);
-    }
-
-    #[test]
-    fn duplicate_put_is_noop() {
-        let c = ReadCache::new(100 * ROW);
-        c.put("x", 1, rows(10));
-        c.put("x", 1, rows(10));
-        assert_eq!(c.len(), 1);
-        assert!(!c.is_empty());
-    }
-
-    /// A block opened from its file is charged its index, then each cell
-    /// as a fetch fills it; a hit reads nothing, an open that a racing one
-    /// beat to the entry shares the winner's block, and GC's `forget`
-    /// takes the block's bytes off the books.
-    #[test]
-    fn blocks_are_charged_as_their_cells_fill() {
-        use vortex_common::crypt::Key;
+    /// A one-column ROS block file of 3 000 rows, under `Key::zero`.
+    fn block_file() -> Vec<u8> {
         use vortex_common::row::{Row, Value};
         use vortex_common::schema::{Field, FieldType, Schema};
         let schema = Schema::new(vec![Field::required("s", FieldType::String)]);
@@ -433,18 +363,103 @@ mod tests {
             let s = Value::String(format!("a rather repetitive string {}", i % 7));
             b.push(meta, Row::insert(vec![s])).unwrap();
         }
-        let key = Key::zero();
-        let file = b.build(false).unwrap().to_bytes(&key, 5);
-        let reader = || -> Box<vortex_ros::ReadAt<'_>> {
-            Box::new(|at, len, check| {
-                let bytes = &file[at as usize..][..len];
-                check(bytes).map(|()| bytes.to_vec())
-            })
-        };
-        let size = file.len() as u64;
-        let open = || RosBlock::open_index(size, &key, 5, &mut *reader());
+        b.build(false).unwrap().to_bytes(&Key::zero(), 5)
+    }
+
+    /// A reader of `file`'s ranges.
+    fn reader(file: &[u8]) -> Box<vortex_ros::ReadAt<'_>> {
+        Box::new(|at, len, check| {
+            let bytes = &file[at as usize..][..len];
+            check(bytes).map(|()| bytes.to_vec())
+        })
+    }
+
+    /// Opens the block of `file` by its index.
+    fn open(file: &[u8]) -> VortexResult<(RosBlock, Fetched)> {
+        RosBlock::open_index(file.len() as u64, &Key::zero(), 5, &mut *reader(file))
+    }
+
+    /// A lookup that finds its entry is a hit; a block at another size is
+    /// a miss, and a log file is a miss when it is first read, not when a
+    /// lookup finds nothing.
+    #[test]
+    fn hit_miss_accounting() {
         let c = ReadCache::new(1 << 20);
-        let (block, index) = c.block("b", size, open).unwrap();
+        let file = block_file();
+        let size = file.len() as u64;
+        c.block("a", size, || open(&file)).unwrap();
+        c.block("a", size, || panic!("a hit opens nothing"))
+            .unwrap();
+        assert_eq!((c.tally().hits, c.tally().misses), (1, 1));
+        // Different committed_size = different content = miss.
+        c.block("a", size + 1, || open(&file)).unwrap();
+        assert_eq!((c.tally().hits, c.tally().misses), (1, 2));
+        assert!(!held(&c, "l"));
+        put(&c, "l", 5);
+        assert!(held(&c, "l"));
+        assert_eq!((c.tally().hits, c.tally().misses), (2, 3));
+    }
+
+    /// A byte bound worth 100 rows keeps about 100 rows, newest first.
+    #[test]
+    fn eviction_bounds_rows() {
+        let c = ReadCache::new(100 * ROW);
+        for i in 0..20 {
+            put(&c, &format!("f{i}"), 10);
+        }
+        assert!(c.len() <= 11, "bounded to ~100 rows: {}", c.len());
+        // Newest entries survive.
+        assert!(held(&c, "f19"));
+        assert!(!held(&c, "f0"));
+    }
+
+    #[test]
+    fn oversized_extent_keeps_accounting_exact() {
+        // A single extent larger than the bound must stay resident (the
+        // `order.len() > 1` guard: evicting the only entry would make
+        // the cache useless for it) with its bytes accounted exactly —
+        // and the books must return to exact once it IS evicted.
+        let c = ReadCache::new(100 * ROW);
+        put(&c, "big", 250);
+        assert_eq!(c.len(), 1, "oversized sole entry stays resident");
+        assert_eq!(
+            c.bytes(),
+            250 * ROW,
+            "accounting covers the oversized entry"
+        );
+        assert!(held(&c, "big"));
+        // A second insert trips eviction: FIFO pops the oversized entry
+        // first; accounting must drop by exactly its bytes.
+        put(&c, "small", 10);
+        assert_eq!(c.len(), 1);
+        assert!(!held(&c, "big"), "oversized entry evicted FIFO");
+        assert!(held(&c, "small"));
+        assert_eq!(c.bytes(), 10 * ROW, "books exact after oversized eviction");
+        // Duplicate put of a resident entry must not inflate the books.
+        put(&c, "small", 10);
+        assert_eq!(c.bytes(), 10 * ROW);
+    }
+
+    #[test]
+    fn duplicate_put_is_noop() {
+        let c = ReadCache::new(100 * ROW);
+        put(&c, "x", 10);
+        put(&c, "x", 10);
+        assert_eq!((c.len(), c.bytes()), (1, 10 * ROW));
+        assert_eq!(c.tally().misses, 1, "the duplicate is not counted");
+        assert!(!c.is_empty());
+    }
+
+    /// A block opened from its file is charged its index, then each cell
+    /// as a fetch fills it; a hit reads nothing, an open that a racing one
+    /// beat to the entry shares the winner's block, and GC's `forget`
+    /// takes the block's bytes off the books.
+    #[test]
+    fn blocks_are_charged_as_their_cells_fill() {
+        let file = block_file();
+        let size = file.len() as u64;
+        let c = ReadCache::new(1 << 20);
+        let (block, index) = c.block("b", size, || open(&file)).unwrap();
         assert_eq!(c.bytes() as u64, index.kept);
         let (hit, nothing) = c
             .block("b", size, || panic!("a hit opens nothing"))
@@ -453,94 +468,73 @@ mod tests {
         assert_eq!((c.tally().hits, c.tally().misses), (1, 1));
         let mut won = None;
         let (lost, _) = (c.block("r", size, || {
-            won = Some(c.block("r", size, open).unwrap().0);
-            open()
+            won = Some(c.block("r", size, || open(&file)).unwrap().0);
+            open(&file)
         }))
         .unwrap();
         assert!(Arc::ptr_eq(&won.unwrap(), &lost));
         assert_eq!(c.bytes() as u64, 2 * index.kept);
-        let body = block.fetch(&mut *reader(), |_, _| true).unwrap();
+        let body = block.fetch(&mut *reader(&file), |_, _| true).unwrap();
         assert!(body.kept > body.bytes, "vsnap chunks are held expanded");
         c.charge("b", size, body.kept);
+        // A charge at another size is another block's.
+        c.charge("b", size + 1, body.kept);
         assert_eq!(c.bytes() as u64, 2 * index.kept + body.kept);
-        let again = block.fetch(&mut *reader(), |_, _| true).unwrap();
+        let again = block.fetch(&mut *reader(&file), |_, _| true).unwrap();
         assert_eq!(again, Fetched::default());
         c.forget(&["b".to_string()]);
         assert_eq!(c.entries(), [("r".to_string(), index.kept as usize)]);
         assert_eq!(c.bytes() as u64, index.kept);
     }
 
-    /// A tail entry of `n` rows certified through byte `len`.
-    fn tail(n: usize, len: u64, sealed: bool) -> Arc<TailFile> {
-        use vortex_common::ids::{FragmentId, StreamletId};
-        let header = FragmentHeader {
-            format_version: 1,
-            streamlet: StreamletId::from_raw(1),
-            fragment: FragmentId::from_raw(2),
-            ordinal: 0,
-            schema_version: 1,
-            first_row: 0,
-            file_map: vec![],
-        };
-        let zones = rows(n);
-        Arc::new(TailFile {
-            len,
-            header,
-            zones,
-            sealed,
-        })
-    }
-
+    /// A log file's one entry grows in place; of two extents the longer
+    /// is kept, a sealed one over any open one, and an open one serves
+    /// only its own epoch; GC's `forget` drops entries by path.
     #[test]
     fn tail_entries_grow_in_place_and_go_by_range() {
         let c = ReadCache::new(100 * ROW);
-        assert!(c.tail("s/f00000001", 1).is_none());
+        let at = |epoch: u64| move |f: &LogFile| f.sealed || f.epoch == epoch;
+        assert!(c.log_file("s/f00000001", at(1)).is_none());
         assert_eq!(
             c.tally(),
             Tally::default(),
-            "an absent tail is not a miss yet"
+            "an absent entry is not a miss yet"
         );
-        c.put_tail("s/f00000001", 1, &tail(10, 400, false), 400);
-        c.put_tail("s/f00000001", 1, &tail(30, 900, false), 1000);
+        let first = log(10, 400, 1, false);
+        c.put_log("s/f00000001", &first, None, 400);
+        c.put_log("s/f00000001", &log(30, 900, 1, false), Some(&first), 1000);
         assert_eq!(
             (c.len(), c.bytes()),
             (1, 30 * ROW),
             "extended, not added beside"
         );
         // A shorter certified extent loses to the one held; sealed wins.
-        c.put_tail("s/f00000001", 1, &tail(20, 700, false), 0);
-        assert_eq!(c.tail("s/f00000001", 1).unwrap().len, 900);
-        c.put_tail("s/f00000001", 1, &tail(30, 900, true), 0);
-        assert!(c.tail("s/f00000001", 1).unwrap().sealed);
-        c.put_tail("s/f00000001", 1, &tail(40, 950, false), 0);
-        assert_eq!(c.tail("s/f00000001", 1).unwrap().len, 900);
-        // One first entry, three hits, the bytes read, the rows added.
+        c.put_log("s/f00000001", &log(20, 700, 1, false), Some(&first), 0);
+        assert_eq!(c.log_file("s/f00000001", at(1)).unwrap().len, 900);
+        // Another epoch does not take an open entry, and replaces it.
+        assert!(c.log_file("s/f00000001", at(2)).is_none());
+        c.put_log("s/f00000001", &log(20, 700, 2, false), None, 0);
+        assert_eq!(c.log_file("s/f00000001", at(2)).unwrap().len, 700);
+        c.put_log("s/f00000001", &log(30, 900, 0, true), None, 0);
+        assert!(c.log_file("s/f00000001", at(7)).unwrap().sealed);
+        c.put_log("s/f00000001", &log(40, 950, 2, false), None, 0);
+        assert_eq!(c.log_file("s/f00000001", at(2)).unwrap().len, 900);
+        // Three first entries, four hits, the bytes read, the rows added.
         let counted = Tally {
-            hits: 3,
-            misses: 1,
+            hits: 4,
+            misses: 3,
             tail_bytes: 1400,
-            tail_rows: 30,
+            tail_rows: 80,
         };
         assert_eq!(c.tally(), counted);
-        // Another epoch, another size, another kind: other entries.
-        assert!(c.tail("s/f00000001", 2).is_none());
-        assert!(c.get("s/f00000001", 1).is_none());
-        c.put("s/f00000001", 1, rows(5));
-        c.put_tail("s/f00000000", 1, &tail(10, 100, true), 0);
-        c.put_tail("s/f00000002", 1, &tail(10, 100, false), 0);
-        c.put_tail("t/f00000000", 1, &tail(10, 100, false), 0);
-        c.put_tail("s/f00000001", 0, &tail(7, 100, false), 0);
-        assert_eq!((c.len(), c.bytes()), (6, 72 * ROW));
-        // Streamlet `s/` keeps ordinal 1 alone, and of it the entry at
-        // the epoch it is read at; fragments and `t/` stay.
-        let (lo, hi) = ("s/f00000001".to_string(), "s/f00000002".to_string());
-        c.keep_tails("s/", &lo..&hi, 1);
-        assert_eq!((c.len(), c.bytes()), (3, 45 * ROW));
-        assert!(c.tail("s/f00000001", 0).is_none());
-        assert!(c.tail("s/f00000001", 1).is_some() && c.tail("t/f00000000", 1).is_some());
-        assert!(c.get("s/f00000001", 1).is_some());
+        c.put_log("s/f00000000", &log(10, 100, 1, true), None, 0);
+        c.put_log("t/f00000000", &log(10, 100, 1, false), None, 0);
+        assert_eq!((c.len(), c.bytes()), (3, 50 * ROW));
+        c.forget(&["s/f00000000".to_string(), "s/f00000009".to_string()]);
+        assert_eq!((c.len(), c.bytes()), (2, 40 * ROW));
+        assert!(held(&c, "s/f00000001") && held(&c, "t/f00000000"));
         // Eviction counts a grown entry at its grown size.
-        c.put("big", 1, rows(80));
-        assert!(c.bytes() <= 100 * ROW && c.tail("s/f00000001", 1).is_none());
+        put(&c, "big", 80);
+        assert!(c.bytes() <= 100 * ROW && !held(&c, "s/f00000001"));
     }
 }

@@ -99,7 +99,8 @@ impl Consumer for RowCollector {
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Positions {
     /// Each selected row's position: its zone's first plus the
-    /// zone-relative row — the coordinate of `RowGate` and masks.
+    /// zone-relative row — the coordinate of `RowGate`, a mask's row past
+    /// the fragment's origin.
     pub at: Vec<u64>,
     /// The selected rows, gathered as [`RowCollector`] gathers them
     /// (change types included); `None` reads no column and no provenance,

@@ -28,7 +28,7 @@ use crate::consume::{Positions, RowCollector};
 use crate::engine::QueryEngine;
 use crate::expr::Expr;
 use crate::pushdown::{scan_visible, FragmentYield, ScanPlan};
-use crate::read::{read_tail_cached, TailOutcome, Zone};
+use crate::read::{origin, read_tail_cached, TailOutcome, Zone};
 use crate::VortexClient;
 
 /// Outcome of a DML statement.
@@ -144,13 +144,14 @@ impl DmlExecutor {
             let updated =
                 |rows: Vec<(_, Row)>| rows.into_iter().map(|(_, r)| apply_set(r, &set_idx));
 
-            // ---- Fragments: mask the matched rows ----
+            // ---- Fragments: mask the matched rows, fragment-relative ----
             for spec in survivors {
                 let (at, rows) =
                     scan(&|out| (self.engine).scan_fragment(spec, &key, snapshot, &plan, out))?;
                 if !at.is_empty() {
                     let mut mask = DeletionMask::new();
-                    at.iter().for_each(|&pos| mask.delete_row(pos));
+                    at.iter()
+                        .for_each(|&pos| mask.delete_row(pos - origin(spec)));
                     fragment_masks.push((spec.meta.fragment, mask));
                     reinserts.extend(updated(rows));
                 }

@@ -104,27 +104,29 @@ pub struct ScanStats {
     /// Ranged reads this scan made of the ROS blocks it opened: two for
     /// the index of a block the cache did not hold, then one per run of
     /// adjacent chunks it needed that no cell held — none for a block the
-    /// cache held whole. (WOS fragments and tails are read whole; every
-    /// read of either kind is in the clusters' `colossus.<cluster>.reads`.)
+    /// cache held whole. (Log files are read past what the cache holds of
+    /// them; every read of either kind is in the clusters'
+    /// `colossus.<cluster>.reads`.)
     pub reads: u64,
     /// Bytes those reads returned — against the `committed_size` of the
     /// blocks opened, what the scan paid for what it needed; 0 for a
     /// scan the cache served.
     pub bytes_fetched: u64,
-    /// ROS blocks, WOS fragments and tail log files this scan found in
+    /// ROS blocks and log files — listed or a tail's — this scan found in
     /// the cache (0 without a cache): a block opened from what it holds,
-    /// decoded zones shared. These four are attributed from shared-cache
-    /// counter deltas, so concurrent scans may shift counts between each
-    /// other; totals stay exact.
+    /// a log file's decoded zones shared, and extended if need be. These
+    /// four are attributed from shared-cache counter deltas, so
+    /// concurrent scans may shift counts between each other; totals stay
+    /// exact.
     pub cache_hits: u64,
-    /// ROS blocks this scan opened from their files, and WOS fragments
-    /// and tail log files it decoded, and left in the cache.
+    /// ROS blocks this scan opened from their files, and log files it
+    /// decoded from byte 0, and left in the cache.
     pub cache_misses: u64,
-    /// Bytes this scan read of tail log files, every replica's counted,
-    /// to extend what the cache holds of them: what was appended since
-    /// the previous scan, 0 for a repeat.
+    /// Bytes this scan read of log files, every replica's counted, to
+    /// extend what the cache holds of them: what was appended since the
+    /// previous scan, 0 for a repeat.
     pub tail_bytes_read: u64,
-    /// Tail rows this scan decoded into the cache.
+    /// Log-file rows this scan decoded into the cache.
     pub tail_rows_decoded: u64,
     /// Fragments and tails a best-effort read skipped, unreadable or
     /// ambiguous (§9); 0 for every other read.
@@ -589,10 +591,10 @@ impl QueryEngine {
     /// The per-fragment step, through the cache. A ROS block is not even
     /// read whole: it is opened — held, or by its index — and the chunks
     /// the scan needs that no cell holds are fetched, then decode zone by
-    /// zone. A WOS fragment is read whole and decodes to zones once.
-    /// Either way the predicate runs on typed column vectors and the
-    /// consumer folds the selected positions. A best-effort read skips a
-    /// fragment no replica of which it can read.
+    /// zone. A WOS fragment is its log file's cache entry, extended to the
+    /// catalogued size. Either way the predicate runs on typed column
+    /// vectors and the consumer folds the selected positions. A
+    /// best-effort read skips a fragment no replica of which it can read.
     pub(crate) fn scan_fragment<C: Consumer>(
         &self,
         spec: &FragmentReadSpec,

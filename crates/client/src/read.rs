@@ -57,16 +57,15 @@ use vortex_ros::{
 use vortex_sms::api::SmsHandle;
 use vortex_sms::meta::{FragmentKind, FragmentMeta, FragmentState};
 use vortex_sms::readset::{FragmentReadSpec, TailReadSpec};
-use vortex_wos::{index_fragment, index_fragment_from, BlockEntry, FragmentIndex};
+use vortex_wos::{index_fragment_from, BlockEntry, FragmentIndex};
 
-use crate::cache::{ReadCache, TailFile};
+use crate::cache::{LogFile, ReadCache};
 
 /// Options for table reads.
 #[derive(Debug, Clone, Default)]
 pub struct ReadOptions {
-    /// Optional query-aware cache of opened ROS blocks, of the decoded
-    /// zones of WOS fragments and of the streamlet tails' certified
-    /// extents (§9 future work).
+    /// Optional query-aware cache of opened ROS blocks and of the
+    /// certified extents of log files, listed or not (§9 future work).
     pub cache: Option<Arc<ReadCache>>,
     /// Best-effort monitoring mode (§9: "low latency is preferred over
     /// 100% data availability"): unreadable fragments and ambiguous tails
@@ -281,28 +280,26 @@ fn wos_zones<'i>(
 }
 
 /// Decodes a fragment's full extent into zones (no visibility filtering),
-/// with replica failover. The file is read whole, which serves best the
-/// readers that go on to decode all of it and remember nothing (the
+/// with replica failover and nothing remembered. The file is read whole,
+/// which serves best the readers that go on to decode all of it (the
 /// optimizer's passes); a scan opens a ROS block by its index instead.
-/// Positions are fragment-relative: a ROS block's row index, a log file's
-/// row past `meta.first_row`.
+/// Positions are a ROS block's row index, a log file's streamlet-relative
+/// row.
 pub fn read_zones(
     spec: &FragmentReadSpec,
     fleet: &StorageFleet,
     key: &Key,
 ) -> VortexResult<Vec<Zone>> {
     let meta = &spec.meta;
+    if meta.kind == FragmentKind::Wos {
+        let file = read_log_fragment(spec, fleet, key, None)?;
+        let zones = Arc::try_unwrap(file).map_or_else(|f| f.zones.clone(), |f| f.zones);
+        let unshared = |z: Arc<Zone>| Arc::try_unwrap(z).unwrap_or_else(|z| Zone::clone(&z));
+        // lint:allow(L010, once per log file read whole: an entry per zone)
+        return Ok(zones.into_iter().map(unshared).collect());
+    }
     with_replica(meta.clusters, &meta.path, fleet, |cluster| {
         let bytes = cluster.read_all(&meta.path)?.data;
-        if meta.kind == FragmentKind::Wos {
-            let ix = index_fragment(&bytes, Some(meta.committed_size))?;
-            let blocks = ix.blocks.iter().scan(0, |rows, b| {
-                *rows += b.row_count;
-                Some((*rows - b.row_count, b))
-            });
-            let of = (spec.stream, spec.streamlet_first_stream_row);
-            return wos_zones(None, (&ix, &bytes), key, blocks, of);
-        }
         block_zones(&RosBlock::from_bytes(&bytes, key, meta.fragment.raw())?)
     })
 }
@@ -401,11 +398,20 @@ pub(crate) fn read_fragment_bloom(
     })
 }
 
+/// The position of row 0 of `spec`'s deletion masks: a WOS fragment's
+/// rows sit at streamlet-relative positions, a ROS block's at its row
+/// index.
+pub(crate) fn origin(spec: &FragmentReadSpec) -> u64 {
+    match spec.meta.kind {
+        FragmentKind::Wos => spec.meta.first_row,
+        FragmentKind::Ros => 0,
+    }
+}
+
 /// The one row-visibility rule (§7.1, §7.3): which rows of a fragment or
-/// a streamlet tail a read at `snapshot` may see. Rows are named by the
-/// position deletion masks address — fragment-relative for a fragment
-/// (ROS block row index, WOS row past `meta.first_row`),
-/// streamlet-relative for a tail.
+/// a streamlet tail a read at `snapshot` may see. Rows are named by their
+/// position — a ROS block's row index, a log file's streamlet-relative
+/// row — and a deletion mask addresses the row at `pos − origin`.
 pub struct RowGate<'a> {
     snapshot: Timestamp,
     /// PENDING streams: nothing is visible before the batch commit.
@@ -413,9 +419,9 @@ pub struct RowGate<'a> {
     /// WOS rows are in write order, so the first one stamped after the
     /// snapshot ends the read; a ROS block's rows all predate the block.
     write_ordered: bool,
-    /// Streamlet-relative row of position 0 (flush limits are
-    /// streamlet-relative).
-    base: u64,
+    /// The position of a mask's row 0: a WOS fragment's `first_row`
+    /// (its masks are fragment-relative), else 0.
+    origin: u64,
     /// Positions this read owns: a fragment's committed extent, or a
     /// tail's rows past the fragments the SMS already lists.
     extent: Range<u64>,
@@ -429,12 +435,13 @@ pub struct RowGate<'a> {
 impl<'a> RowGate<'a> {
     /// The rule for a fragment of the read set.
     pub fn for_fragment(spec: &'a FragmentReadSpec, snapshot: Timestamp) -> Self {
+        let origin = origin(spec);
         RowGate {
             snapshot,
             visible_from: spec.visibility.visible_from,
             write_ordered: spec.meta.kind == FragmentKind::Wos,
-            base: spec.meta.first_row,
-            extent: 0..spec.meta.row_count,
+            origin,
+            extent: origin..origin + spec.meta.row_count,
             flush_limit: spec.visibility.flush_limit,
             mask: &spec.mask,
         }
@@ -446,7 +453,7 @@ impl<'a> RowGate<'a> {
             snapshot,
             visible_from: tail.visibility.visible_from,
             write_ordered: true,
-            base: 0,
+            origin: 0,
             extent: tail.from_row..u64::MAX,
             flush_limit: tail.visibility.flush_limit,
             mask: &tail.mask,
@@ -470,25 +477,23 @@ impl<'a> RowGate<'a> {
     pub(crate) fn admits(&self, pos: u64) -> bool {
         !self.is_shut()
             && self.extent.contains(&pos)
-            && self
-                .flush_limit
-                .map_or(true, |limit| self.base + pos < limit)
-            && !self.mask.contains(pos)
+            && self.flush_limit.map_or(true, |limit| pos < limit)
+            && !self.mask.contains(pos - self.origin)
     }
 
     /// Whether every row of `range` is visible: [`RowGate::admits`] of
     /// each, decided once for the range.
     pub(crate) fn admits_all(&self, range: Range<u64>) -> bool {
-        let masks = self.mask.ranges();
-        let after = masks.partition_point(|&(_, end)| end <= range.start);
+        let (masks, origin) = (self.mask.ranges(), self.origin);
+        let after = masks.partition_point(|&(_, end)| end + origin <= range.start);
         range.is_empty()
             || (!self.is_shut()
                 && self.extent.start <= range.start
                 && range.end <= self.extent.end
-                && (self.flush_limit).map_or(true, |limit| self.base + (range.end - 1) < limit)
+                && (self.flush_limit).map_or(true, |limit| range.end - 1 < limit)
                 && masks
                     .get(after)
-                    .map_or(true, |&(start, _)| start >= range.end))
+                    .map_or(true, |&(start, _)| start + origin >= range.end))
     }
 
     /// The visible rows of a decoded zone, zone-relative and ascending,
@@ -508,10 +513,11 @@ impl<'a> RowGate<'a> {
     }
 }
 
-/// Reads one fragment (WOS or ROS) whole into zones with replica
-/// failover, through the read cache (§9) if one is given — a WOS
-/// fragment's decoded zones are shared from it — and marks the rows
-/// visible at `snapshot`. A scan opens a ROS block by its index instead.
+/// Reads a listed WOS fragment — its log file's entry in the read cache
+/// (§9) if one is given, shared, and extended to the catalogued size if
+/// need be — with replica failover, and marks the rows visible at
+/// `snapshot`. A ROS block is opened by its index ([`open_ros_block`]) or
+/// read whole ([`read_zones`]).
 pub fn read_fragment_cached(
     spec: &FragmentReadSpec,
     fleet: &StorageFleet,
@@ -523,20 +529,30 @@ pub fn read_fragment_cached(
     if gate.is_shut() {
         return Ok(Visible::through(&gate, Vec::new()));
     }
-    let (path, size) = (&spec.meta.path, spec.meta.committed_size);
-    let zones = match cache.and_then(|cache| cache.get(path, size)) {
-        Some(hit) => hit,
-        None => {
-            let zones = read_zones(spec, fleet, key)?.into_iter().map(Arc::new);
-            // lint:allow(L010, once per fragment decoded, so that the cache can share its zones)
-            let zones: Vec<Arc<Zone>> = zones.collect();
-            if let Some(cache) = cache {
-                cache.put(path, size, zones.clone());
-            }
-            zones
-        }
-    };
+    let zones = read_log_fragment(spec, fleet, key, cache)?.zones.clone();
     Ok(Visible::through(&gate, zones))
+}
+
+/// What is certified of a listed WOS fragment's log file through its
+/// catalogued `committed_size`: the entry `cache` holds if it certifies
+/// that far, or else that entry (or nothing) extended to that size from
+/// one replica, sealed and left in `cache`. A sealed entry may still be
+/// short of it: reconciliation appends its sentinel to every file.
+fn read_log_fragment(
+    spec: &FragmentReadSpec,
+    fleet: &StorageFleet,
+    key: &Key,
+    cache: Option<&ReadCache>,
+) -> VortexResult<Arc<LogFile>> {
+    let (meta, size) = (&spec.meta, spec.meta.committed_size);
+    let held = cache.and_then(|cache| cache.log_file(&meta.path, |_| true));
+    if let Some(held) = held.as_ref().filter(|f| f.len >= size) {
+        return Ok(Arc::clone(held));
+    }
+    let epoch = held.as_ref().map_or(0, |f| f.epoch);
+    let of = (spec.stream, spec.streamlet_first_stream_row, epoch);
+    let file = (meta.path.as_str(), meta.clusters, Some(size));
+    seal_log_file(file, fleet, held.as_deref(), (of, key, cache))
 }
 
 /// The bytes `cluster` holds of `path` past byte `at`.
@@ -562,17 +578,18 @@ fn committed_blocks(copies: &[FragmentIndex]) -> usize {
     first.blocks.iter().enumerate().take_while(agreed).count()
 }
 
-/// The one decoder of tail blocks: what is `held` of the log file at
+/// The one decoder of log-file blocks: what is `held` of the log file at
 /// `path`, extended by `blocks` — committed, and indexed by `ix` out of
-/// `bytes`, the `read` bytes fetched of the file past the held extent —
-/// and left in the cache. `sealed` says a successor file exists, so that
-/// this is all the file will ever certify.
-fn extend_tail_file(
-    (path, held): (&str, Option<&TailFile>),
+/// `bytes`, the `read` bytes fetched of the file past the held extent — in
+/// a streamlet of `stream` at `epoch` whose row 0 is the stream's row
+/// `first_stream_row`, and left in the cache. `sealed` says the extent
+/// is final: a successor file exists, or the catalog recorded its size.
+fn extend_log_file(
+    (path, held): (&str, Option<&LogFile>),
     (ix, bytes, read): (&FragmentIndex, &[u8], u64),
     (blocks, sealed): (&[BlockEntry], bool),
-    (tail, key, cache): (&TailReadSpec, &Key, Option<&ReadCache>),
-) -> VortexResult<Arc<TailFile>> {
+    ((stream, first_stream_row, epoch), key, cache): Extend<'_>,
+) -> VortexResult<Arc<LogFile>> {
     // lint:allow(L010, once per log file extended: a pointer per zone held)
     let mut zones = held.map_or_else(Vec::new, |f| f.zones.clone());
     if !blocks.is_empty() {
@@ -583,8 +600,13 @@ fn extend_tail_file(
             _ => None,
         };
         let at = blocks.iter().map(|b| (b.first_row, b));
-        let of = (tail.stream, tail.first_stream_row);
-        let new = wos_zones(open.as_deref(), (ix, bytes), key, at, of)?;
+        let new = wos_zones(
+            open.as_deref(),
+            (ix, bytes),
+            key,
+            at,
+            (stream, first_stream_row),
+        )?;
         // lint:allow(L010, once per log file extended: an `Arc` per new zone, so that reads share them)
         zones.extend(new.into_iter().map(Arc::new));
     }
@@ -594,16 +616,39 @@ fn extend_tail_file(
         None => held.map_or(ix.header_len, |f| f.len),
     };
     // lint:allow(L010, once per log file extended, so that the cache and this read share it)
-    let file = Arc::new(TailFile {
+    let file = Arc::new(LogFile {
         len,
         header: ix.header.clone(),
         zones,
+        epoch,
         sealed,
     });
     if let Some(cache) = cache {
-        cache.put_tail(path, tail.epoch, &file, read);
+        cache.put_log(path, &file, held, read);
     }
     Ok(file)
+}
+
+/// Where [`extend_log_file`] decodes a log file's rows to: its streamlet's
+/// stream, the stream row of the streamlet's row 0 and the epoch read at;
+/// then the key, and the cache the entry is left in.
+type Extend<'a> = ((StreamId, u64, u64), &'a Key, Option<&'a ReadCache>);
+
+/// Extends what is `held` of the log file at `path` to its final extent
+/// — through `limit`, the size the catalog or a File Map records, else
+/// every block it frames — from one replica, and seals it.
+fn seal_log_file(
+    (path, clusters, limit): (&str, [ClusterId; 2], Option<u64>),
+    fleet: &StorageFleet,
+    held: Option<&LogFile>,
+    to: Extend<'_>,
+) -> VortexResult<Arc<LogFile>> {
+    with_replica(clusters, path, fleet, |cluster| {
+        let bytes = read_past(cluster, path, held.map_or(0, |f| f.len))?;
+        let ix = index_fragment_from(&bytes, held.map(|f| (f.len, f.header.clone())), limit)?;
+        let read = bytes.len() as u64;
+        extend_log_file((path, held), (&ix, &bytes, read), (&ix.blocks, true), to)
+    })
 }
 
 /// Reads an unfinalized streamlet tail with nothing remembered: a cold
@@ -619,8 +664,8 @@ pub fn read_tail(
 
 /// Reads an unfinalized streamlet tail by probing log files past the last
 /// fragment the SMS knows about, extending what `cache` holds of each —
-/// its [`TailFile`], certified from byte 0 when there is none — by what
-/// was appended since.
+/// its [`LogFile`], sealed or of the tail's epoch, certified from byte 0
+/// when there is none — by what was appended since.
 ///
 /// §7.1 in full: fragments with a *successor* log file are bounded by
 /// that successor's File Map ("the committed final file size of each of
@@ -660,22 +705,18 @@ pub fn read_tail_cached(
     let path = |ordinal: u32| format!("{}f{:08x}", tail.path_prefix, ordinal);
 
     // ---- Phase 1: probe log files until one is missing; each comes with
-    // what is held of it. What the SMS lists by now is read as fragments,
-    // and of a file that is gone nothing is worth holding. ----
+    // what is held of it that serves this epoch. ----
     // lint:allow(L010, once per tail read: an entry per log file)
-    let mut files: Vec<(String, Option<Arc<TailFile>>)> = Vec::new();
-    let end = loop {
+    let mut files: Vec<(String, Option<Arc<LogFile>>)> = Vec::new();
+    let usable = |f: &LogFile| f.sealed || f.epoch == tail.epoch;
+    loop {
         let file = path(tail.from_ordinal + files.len() as u32);
         if !replicas.iter().any(|c| c.exists(&file)) {
-            break file;
+            break;
         }
-        let held = cache.and_then(|cache| cache.tail(&file, tail.epoch));
+        let held = cache.and_then(|cache| cache.log_file(&file, usable));
         // lint:allow(L010, once per tail read: an entry per log file)
         files.push((file, held));
-    };
-    if let Some(cache) = cache {
-        let live = &path(tail.from_ordinal)..&end;
-        cache.keep_tails(&tail.path_prefix, live, tail.epoch);
     }
     let Some((latest_path, held)) = files.pop() else {
         if tail.expected_rows > tail.from_row {
@@ -689,7 +730,8 @@ pub fn read_tail_cached(
         }
         return Ok(nothing());
     };
-    let resume = |held: &Option<Arc<TailFile>>| held.as_ref().map(|f| (f.len, f.header.clone()));
+    let resume = |held: &Option<Arc<LogFile>>| held.as_ref().map(|f| (f.len, f.header.clone()));
+    let of = (tail.stream, tail.first_stream_row, tail.epoch);
 
     // ---- Phase 2: the latest file — every reachable copy read past the
     // certified extent, and the commit rule over what is new. A replica
@@ -730,11 +772,11 @@ pub fn read_tail_cached(
     // A copy that frames but does not decode cannot be decided locally
     // either.
     let read = copies.iter().map(|c| c.len() as u64).sum();
-    let Ok(latest) = extend_tail_file(
+    let Ok(latest) = extend_log_file(
         (&latest_path, held.as_deref()),
         (&indexes[0], &copies[0], read),
         (blocks, false),
-        (tail, key, cache),
+        (of, key, cache),
     ) else {
         return Ok(TailOutcome::NeedsReconcile);
     };
@@ -754,16 +796,8 @@ pub fn read_tail_cached(
             held => {
                 let entry = (latest.header.file_map.iter()).find(|e| e.ordinal == ordinal);
                 let limit = entry.map(|e| e.committed_size);
-                with_replica(tail.clusters, &file, fleet, |cluster| {
-                    let bytes = read_past(cluster, &file, held.as_ref().map_or(0, |f| f.len))?;
-                    let ix = index_fragment_from(&bytes, resume(&held), limit)?;
-                    extend_tail_file(
-                        (&file, held.as_deref()),
-                        (&ix, &bytes, bytes.len() as u64),
-                        (&ix.blocks, true),
-                        (tail, key, cache),
-                    )
-                })?
+                let file = (file.as_str(), tail.clusters, limit);
+                seal_log_file(file, fleet, held.as_deref(), (of, key, cache))?
             }
         };
         // lint:allow(L010, once per tail read: a pointer per zone)

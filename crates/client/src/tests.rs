@@ -795,7 +795,25 @@ fn a_built_matcher_is_charged_to_the_cache() {
         metas: vec![RowMeta::default(); (1 << 20) / std::mem::size_of::<RowMeta>()],
         cols: vec![],
     };
-    cache.put("wos/other", 1, vec![Arc::new(zone)]);
+    let header = vortex_wos::FragmentHeader {
+        format_version: 1,
+        streamlet: vortex_common::ids::StreamletId::from_raw(1),
+        fragment: FragmentId::from_raw(2),
+        ordinal: 0,
+        schema_version: 1,
+        first_row: 0,
+        file_map: vec![],
+    };
+    let zones = vec![Arc::new(zone)];
+    let (len, epoch, sealed) = (1, 0, true);
+    let log = crate::cache::LogFile {
+        len,
+        header,
+        zones,
+        epoch,
+        sealed,
+    };
+    cache.put_log("wos/other", &Arc::new(log), None, 0);
     assert_eq!(cache.len(), 1);
     assert_eq!(cache.bytes(), 1 << 20);
 }

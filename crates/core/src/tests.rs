@@ -383,14 +383,21 @@ fn a_fresh_snapshot_is_never_too_old() {
         let tail = tail_of(fresh);
         assert!(tail.from_ordinal > 0 && tail.from_row > 0, "{tail:?}");
         assert_eq!(count(fresh).unwrap(), appended, "round {round}, after GC");
-        // A cache holds the tail's log files and has let go of every
-        // listed, converted or collected one before them.
+        // A cache holds an entry for each of the tail's log files, and
+        // once it forgets the collected ones, none of a deleted file.
         read_tail(fresh).unwrap();
         let first = format!("{}f{:08x}", tail.path_prefix, tail.from_ordinal);
         let replica = region.fleet().get(tail.clusters[0]).unwrap();
         let mut files = replica.list(&tail.path_prefix).unwrap();
         files.retain(|path| *path >= first);
-        assert_eq!(tails.len(), files.len(), "round {round}");
+        let held = || tails.entries().into_iter().map(|(path, _)| path);
+        let exists = |path: &String| region.fleet().clusters().any(|c| c.exists(path));
+        assert!(
+            files.iter().all(|f| held().any(|p| p == *f)),
+            "round {round}"
+        );
+        tails.forget(&held().filter(|p| !exists(p)).collect::<Vec<_>>());
+        assert!(held().all(|p| exists(&p)), "round {round}");
         // A snapshot from before the collection still sees the records
         // and, with nothing cached, looks for the files and fails honestly.
         let cold = crate::QueryEngine::new(region.sms().clone(), region.fleet().clone());

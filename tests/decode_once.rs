@@ -105,6 +105,28 @@ fn every_log_row_is_decoded_once() {
         "rows decoded by the multi-file tail read"
     );
 
+    // Once the catalog lists those files, they are read as fragments from
+    // the entries the tail read left: every file a hit, no row decoded.
+    // The same after reconciliation, counted from where it left off.
+    let primary = small.sms().get_table(rotated).unwrap().primary;
+    let log_files = small.fleet().get(primary).unwrap().list("wos/").unwrap();
+    let files = log_files.len() as u64;
+    small.run_heartbeats(false).unwrap();
+    let listed = small.sms().list_read_fragments(rotated, client.snapshot());
+    assert!(!listed.unwrap().fragments.is_empty(), "files listed");
+    let scan = || {
+        let (before, at) = (decoded(), client.snapshot());
+        let all = small.engine().scan(rotated, at, &ScanOptions::default());
+        let stats = all.unwrap().stats;
+        assert_eq!(stats.rows_matched, R);
+        (decoded() - before, stats.cache_hits, stats.cache_misses)
+    };
+    assert_eq!(scan(), (0, files, 0), "a listed file decoded again");
+    let slid = small.sms().list_read_fragments(rotated, client.snapshot());
+    let slid = slid.unwrap().tails[0].streamlet;
+    small.sms().reconcile_streamlet(rotated, slid).unwrap();
+    assert_eq!(scan().0, 0, "a reconciled file decoded again");
+
     repeated_reader(schema());
     full_zones_are_kept(schema());
 }

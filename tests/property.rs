@@ -651,6 +651,9 @@ enum TableOp {
     /// writer: later DML runs over zone maps, block and log-file blooms
     /// and tails alike.
     Convert,
+    /// A heartbeat round: the catalog lists the log files rotated so far,
+    /// so later DML masks WOS fragments that start past row 0.
+    Heartbeat,
 }
 
 fn arb_table_op() -> impl Strategy<Value = TableOp> {
@@ -663,6 +666,7 @@ fn arb_table_op() -> impl Strategy<Value = TableOp> {
         2 => (0u64..200, 1u64..25).prop_map(|(a, b)| TableOp::Delete(a, b)),
         2 => (0u64..200, 1u64..25).prop_map(|(a, b)| TableOp::Update(a, b)),
         1 => Just(TableOp::Convert),
+        3 => Just(TableOp::Heartbeat),
     ]
 }
 
@@ -672,12 +676,17 @@ proptest! {
     /// One reference model — a map from key to value — after every op,
     /// and at the end every snapshot taken on the way read four ways:
     /// `read_rows_at`, a row scan, a count and a `SUM(v)` grouped by `g`.
-    /// Nothing collects garbage, so every snapshot stays readable.
+    /// Nothing collects garbage, so every snapshot stays readable. Log
+    /// files rotate at 128 bytes, so a stream spans several.
     #[test]
     fn dml_random_ops_match_model(ops in proptest::collection::vec(arb_table_op(), 1..16)) {
         use std::collections::BTreeMap;
         use vortex::{AggKind, Expr, Region, RegionConfig, ScanOptions};
-        let region = Region::create(RegionConfig::default()).unwrap();
+        let region = Region::create(RegionConfig {
+            fragment_max_bytes: 128,
+            ..RegionConfig::default()
+        })
+        .unwrap();
         let client = region.client();
         let schema = Schema::new(vec![
             Field::required("k", FieldType::Int64),
@@ -713,6 +722,9 @@ proptest! {
                         region.optimizer().recluster(t).unwrap();
                     }
                     w = client.create_unbuffered_writer(t).unwrap();
+                }
+                TableOp::Heartbeat => {
+                    region.run_heartbeats(false).unwrap();
                 }
                 TableOp::Append(n) => {
                     let (rows, keys) = fresh(*n);
