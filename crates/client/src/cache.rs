@@ -27,10 +27,10 @@
 //! masks) happens *after* the cache, so one entry serves every snapshot,
 //! and a hit shares it: nothing is copied.
 //!
-//! One bound, in bytes: zones are charged their heap bytes, a block its
-//! index and then each cell as it fills. Eviction is FIFO in insertion
-//! order, and GC drops the entries of the files it deletes
-//! ([`ReadCache::forget`]).
+//! One bound, in bytes: zones are charged their heap bytes, statistics
+//! included, a block its index and then each cell as it fills. Eviction
+//! is FIFO in insertion order, and GC drops the entries of the files it
+//! deletes ([`ReadCache::forget`]).
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -40,7 +40,7 @@ use vortex_common::error::VortexResult;
 use vortex_ros::{ColumnVec, Fetched, RosBlock};
 use vortex_wos::FragmentHeader;
 
-use crate::read::Zone;
+use crate::read::Stated;
 
 /// What a read remembers of one log file: the rows of the blocks §7.1's
 /// commit rule (or the catalogued size) has certified, and where the next
@@ -52,8 +52,9 @@ pub(crate) struct LogFile {
     /// The file's header: the block nonce's fragment id, and the File Map
     /// that certifies the streamlet's earlier files.
     pub header: FragmentHeader,
-    /// The certified blocks' rows, at streamlet-relative positions.
-    pub zones: Vec<Arc<Zone>>,
+    /// The certified blocks' rows, at streamlet-relative positions, with
+    /// each zone's statistics.
+    pub zones: Vec<Stated>,
     /// The streamlet's epoch when a tail read certified the extent.
     pub epoch: u64,
     /// A successor file was seen, or the catalogued size reached: the
@@ -68,15 +69,15 @@ enum Entry {
 }
 
 /// Rows of `zones`.
-fn row_count(zones: &[Arc<Zone>]) -> usize {
-    zones.iter().map(|zone| zone.metas.len()).sum()
+fn row_count(zones: &[Stated]) -> usize {
+    zones.iter().map(|(zone, _)| zone.metas.len()).sum()
 }
 
-/// The heap bytes of `zones`: provenance and column vectors.
-fn heap_bytes(zones: &[Arc<Zone>]) -> usize {
-    let zone = |z: &Arc<Zone>| {
+/// The heap bytes of `zones`: provenance, column vectors and statistics.
+fn heap_bytes(zones: &[Stated]) -> usize {
+    let zone = |(z, stats): &Stated| {
         let cols: usize = z.cols.iter().map(ColumnVec::heap_bytes).sum();
-        std::mem::size_of_val(&z.metas[..]) + cols
+        std::mem::size_of_val(&z.metas[..]) + cols + stats.heap_bytes()
     };
     zones.iter().map(zone).sum()
 }
@@ -300,6 +301,8 @@ mod tests {
     use vortex_common::truetime::Timestamp;
     use vortex_ros::RowMeta;
 
+    use crate::read::{Zone, ZoneStats};
+
     /// What one row of the zones below is charged: its provenance alone.
     const ROW: usize = std::mem::size_of::<RowMeta>();
 
@@ -315,11 +318,21 @@ mod tests {
         };
         let all: Vec<usize> = (0..n).collect();
         let zone = |of: &[usize]| {
-            Arc::new(Zone {
+            let zone = Zone {
                 first: of[0] as u64,
                 metas: of.iter().map(|&i| meta(i)).collect(),
                 cols: vec![],
-            })
+            };
+            let (maps, bloom) = (vec![], None);
+            let newest = Timestamp(*of.last().unwrap() as u64);
+            (
+                Arc::new(zone),
+                Arc::new(ZoneStats {
+                    maps,
+                    newest,
+                    bloom,
+                }),
+            )
         };
         let header = FragmentHeader {
             format_version: 1,

@@ -69,14 +69,15 @@ pub struct ScanStats {
     pub pruned_by_bloom: usize,
     /// Streamlet tails probed.
     pub tails_scanned: usize,
-    /// Column-chunk zones inspected across the ROS blocks scanned.
+    /// Zones inspected: of the ROS blocks scanned, and the decoded zones
+    /// of the WOS fragments and tails.
     pub zones_total: usize,
-    /// Zones skipped via per-zone min/max properties (the zone map).
+    /// Zones skipped by their statistics: a ROS zone by its zone map, a
+    /// decoded zone by its zone maps or its clustering-key bloom.
     pub zones_pruned: usize,
-    /// Rows decoded from storage. For ROS blocks this counts the rows of
-    /// zones the zone map could not skip (masked rows included — the
-    /// zone was decoded regardless); for WOS fragments and tails, every
-    /// visible row.
+    /// Rows of the zones their statistics could not skip: of a ROS
+    /// block's, every row (masked rows included — the zone was decoded
+    /// regardless); of a WOS fragment's or a tail's, every visible row.
     pub rows_scanned: u64,
     /// Rows matching the predicate.
     pub rows_matched: u64,

@@ -64,13 +64,14 @@ use vortex_common::bloom::BloomFilter;
 use vortex_common::error::{VortexError, VortexResult};
 use vortex_common::row::{Row, Value};
 use vortex_common::schema::Schema;
+use vortex_common::stats::ColumnStats;
 use vortex_common::truetime::Timestamp;
 use vortex_ros::{Chunk, ColumnBuilder, ColumnVec, IntKind, Picked, RosBlock, RowMeta};
 
 use crate::consume::Consumer;
 use crate::engine::ScanStats;
 use crate::expr::{CmpOp, Expr, Test, Verdict};
-use crate::read::{OpenBlock, RowGate, Visible, Zone};
+use crate::read::{OpenBlock, RowGate, Visible, Zone, ZoneStats};
 
 /// A predicate compiled against the snapshot schema: column names are
 /// resolved to positional indices once, so per-zone evaluation does no
@@ -114,32 +115,31 @@ impl<'e> CPred<'e> {
         })
     }
 
-    /// What the zone map of zone `z` decides of the predicate — the one
-    /// verdict the fetch plan and the filter both take. Columns past the
-    /// block's arity were added by later schema versions and read as NULL
-    /// for every row, which decides those leaves too.
-    fn verdict(&self, block: &RosBlock, z: usize) -> Verdict {
+    /// What a zone's zone maps decide of the predicate — the one verdict
+    /// the fetch plan and the filter both take, of a ROS block's zone and
+    /// of a decoded log-file zone alike. Columns past the zone's arity were
+    /// added by later schema versions and read as NULL for every row,
+    /// which decides those leaves too.
+    pub(crate) fn verdict(&self, zone: &impl ZoneMaps) -> Verdict {
         match self {
             CPred::True => Verdict::All,
-            CPred::Leaf(col, Test::IsNull) if *col >= block.column_count() => Verdict::All,
-            CPred::Leaf(col, _) if *col >= block.column_count() => Verdict::None,
-            CPred::Leaf(col, test) => {
-                (block.zone_stats(*col, z)).map_or(Verdict::Some, |s| test.verdict(s))
-            }
-            CPred::And(a, b) => a.verdict(block, z).min(b.verdict(block, z)),
-            CPred::Or(a, b) => a.verdict(block, z).max(b.verdict(block, z)),
+            CPred::Leaf(col, test) => match zone.map(*col) {
+                None if matches!(test, Test::IsNull) => Verdict::All,
+                None => Verdict::None,
+                Some(map) => map.map_or(Verdict::Some, |s| test.verdict(s)),
+            },
+            CPred::And(a, b) => a.verdict(zone).min(b.verdict(zone)),
+            CPred::Or(a, b) => a.verdict(zone).max(b.verdict(zone)),
             // NULL comparisons are false, so NOT is a complement: it
             // flips a decided verdict.
-            CPred::Not(a) => {
-                [Verdict::All, Verdict::Some, Verdict::None][a.verdict(block, z) as usize]
-            }
+            CPred::Not(a) => [Verdict::All, Verdict::Some, Verdict::None][a.verdict(zone) as usize],
         }
     }
 
     /// Whether [`CPred::filter_zone`] of zone `z` reads column `col`: a
     /// leaf on it that no zone map decides, found by the filter's walk.
     fn reads(&self, block: &RosBlock, z: usize, col: usize) -> bool {
-        self.verdict(block, z) == Verdict::Some
+        self.verdict(&(block, z)) == Verdict::Some
             && match self {
                 CPred::True => false,
                 CPred::Leaf(c, _) => *c == col,
@@ -164,7 +164,8 @@ impl<'e> CPred<'e> {
             sel.retain(|i| gone.next_if_eq(&i).is_none());
         }
         let decided = match cols {
-            ZoneCols::Block(block, z, _) => self.verdict(block, *z),
+            ZoneCols::Block(block, z, _) => self.verdict(&(*block, *z)),
+            ZoneCols::Fresh(_, stats) => self.verdict(*stats),
             ZoneCols::Decoded(_) => Verdict::Some,
         };
         match self {
@@ -196,6 +197,27 @@ impl<'e> CPred<'e> {
             }
         }
         Ok(())
+    }
+}
+
+/// A zone's statistics as [`CPred::verdict`] reads them.
+pub(crate) trait ZoneMaps {
+    /// Of column `col`: `None` when the zone's rows predate it, else its
+    /// zone map if the zone has one.
+    fn map(&self, col: usize) -> Option<Option<&ColumnStats>>;
+}
+
+/// Zone `.1` of a ROS block: its index's zone maps.
+impl ZoneMaps for (&RosBlock, usize) {
+    fn map(&self, col: usize) -> Option<Option<&ColumnStats>> {
+        (col < self.0.column_count()).then(|| self.0.zone_stats(col, self.1))
+    }
+}
+
+/// A decoded log-file zone: the zone maps its decode recorded.
+impl ZoneMaps for ZoneStats {
+    fn map(&self, col: usize) -> Option<Option<&ColumnStats>> {
+        self.maps.get(col).map(Some)
     }
 }
 
@@ -267,7 +289,9 @@ pub(crate) enum ZoneCols<'b> {
     /// Zone `.1` of a ROS block opened by its index, and what of it has
     /// been decoded.
     Block(&'b RosBlock, usize, Held<'b>),
-    /// A zone that arrived decoded.
+    /// A log-file zone that arrived decoded, with its statistics.
+    Fresh(&'b Zone, &'b ZoneStats),
+    /// Rows that arrived decoded without statistics.
     Decoded(&'b Zone),
 }
 
@@ -330,7 +354,7 @@ impl<'b> ZoneCols<'b> {
     /// [`RowGate`] and deletion masks address.
     pub(crate) fn first(&self) -> u64 {
         match self {
-            ZoneCols::Decoded(zone) => zone.first,
+            ZoneCols::Decoded(zone) | ZoneCols::Fresh(zone, _) => zone.first,
             ZoneCols::Block(block, z, _) => block.zone_range(*z).start as u64,
         }
     }
@@ -343,7 +367,9 @@ impl<'b> ZoneCols<'b> {
         sel: &'s [usize],
     ) -> VortexResult<(Cow<'s, [RowMeta]>, &'s [usize])> {
         match self {
-            ZoneCols::Decoded(zone) => Ok((Cow::Borrowed(&zone.metas), sel)),
+            ZoneCols::Decoded(zone) | ZoneCols::Fresh(zone, _) => {
+                Ok((Cow::Borrowed(&zone.metas), sel))
+            }
             ZoneCols::Block(block, z, held) => {
                 let metas = block.zone_metas_at(*z, sel)?;
                 let bytes = [Chunk::Timestamps, Chunk::Provenance].map(|c| block.cell_bytes(c, *z));
@@ -421,7 +447,9 @@ impl<'b> ZoneCols<'b> {
     ) -> VortexResult<Option<Picked<'s, ColumnVec>>> {
         let every = sel.unwrap_or_default();
         match self {
-            ZoneCols::Decoded(zone) => Ok(zone.cols.get(col).map(|col| (col, every))),
+            ZoneCols::Decoded(zone) | ZoneCols::Fresh(zone, _) => {
+                Ok(zone.cols.get(col).map(|col| (col, every)))
+            }
             ZoneCols::Block(block, z, held) => {
                 let Some(cell) = held.cols.get(col) else {
                     return Ok(None);
@@ -457,8 +485,9 @@ pub(crate) struct ScanPlan<'e> {
     keep: Vec<bool>,
     /// What a bloom filter over the partition and clustering columns
     /// must hold for a fragment to matter: the key of every value the
-    /// predicate requires one of those columns to equal.
-    bloom_keys: Vec<Vec<u8>>,
+    /// predicate requires a partition column, then a clustering column,
+    /// to equal. A decoded zone's bloom holds the clustering keys alone.
+    bloom_keys: (Vec<Vec<u8>>, Vec<Vec<u8>>),
     /// Collect [`FragmentYield::visible_ts`] of rows committed after this
     /// — the freshness probe's watermark when the scan began, below which
     /// it counts nothing; `None` collects none.
@@ -489,17 +518,19 @@ impl<'e> ScanPlan<'e> {
         // A literal of another type than the column's can equal a stored
         // cell (3 = 3.0) under a different key, so only a literal of the
         // declared type is worth a lookup.
-        let key_columns = schema.partition.iter().map(|p| &p.column);
-        let key_columns = key_columns.chain(&schema.clustering);
         let point = |c: &String| {
             let (i, v) = (schema.column_index(c)?, expr.required_point(c)?);
             (schema.fields[i].ftype.name() == v.type_name()).then(|| v.encode_key())
         };
+        let partition = schema.partition.iter().filter_map(|p| point(&p.column));
+        // lint:allow(L010, once per scan: a key per point predicate on a key column)
+        let partition = partition.collect();
+        // lint:allow(L010, once per scan: a key per point predicate on a key column)
+        let clustering = schema.clustering.iter().filter_map(point).collect();
         let mut plan = ScanPlan {
             pred: CPred::compile(expr, schema)?,
             keep,
-            // lint:allow(L010, once per scan: a key per point predicate on a key column)
-            bloom_keys: key_columns.filter_map(point).collect(),
+            bloom_keys: (partition, clustering),
             visible_after,
             // lint:allow(L010, once per scan, filled in below)
             reads: (Vec::new(), false),
@@ -514,13 +545,28 @@ impl<'e> ScanPlan<'e> {
     /// Whether a fragment with this bloom filter over its key columns can
     /// hold a matching row.
     pub(crate) fn may_match_bloom(&self, bloom: &BloomFilter) -> bool {
-        self.bloom_keys.iter().all(|key| bloom.may_contain(key))
+        let (partition, clustering) = &self.bloom_keys;
+        partition
+            .iter()
+            .chain(clustering)
+            .all(|key| bloom.may_contain(key))
     }
 
     /// Whether the predicate requires a key column to equal some value,
     /// so that a bloom filter can decide anything.
     pub(crate) fn has_bloom_keys(&self) -> bool {
-        !self.bloom_keys.is_empty()
+        !(self.bloom_keys.0.is_empty() && self.bloom_keys.1.is_empty())
+    }
+
+    /// What a decoded zone's statistics decide of the scan: its bloom, over
+    /// the clustering columns, rules it out as a ROS block's rules the
+    /// block out; then its zone maps give the predicate's verdict.
+    fn zone_verdict(&self, stats: &ZoneStats) -> Verdict {
+        let holds = |bloom: &BloomFilter| self.bloom_keys.1.iter().all(|k| bloom.may_contain(k));
+        match stats.bloom.as_ref().map_or(true, holds) {
+            true => self.pred.verdict(stats),
+            false => Verdict::None,
+        }
     }
 
     /// Snapshot-schema column count.
@@ -629,7 +675,8 @@ fn scan_zone<C: Consumer>(
 
 /// Scans zones that arrive decoded — a WOS fragment's, a streamlet
 /// tail's — at their visible rows, with the same outcome
-/// [`scan_ros_block`] has on a block.
+/// [`scan_ros_block`] has on a block: a zone its statistics rule out
+/// reads nothing but the stamps the freshness probe is owed.
 pub(crate) fn scan_visible<C: Consumer>(
     visible: &Visible,
     plan: &ScanPlan<'_>,
@@ -637,18 +684,23 @@ pub(crate) fn scan_visible<C: Consumer>(
 ) -> VortexResult<()> {
     // lint:allow(L010, once per fragment or tail scanned, reused by its zones)
     let mut sel: Vec<usize> = Vec::new();
-    for ((zone, admitted), newest) in visible.iter().zip(visible.newest()) {
-        out.stats.rows_scanned += admitted.len() as u64;
+    for ((zone, admitted), stats) in visible.iter().zip(visible.stats()) {
         // A zone stamped at or before the probe's watermark has no row it
         // has not seen.
-        if let Some(seen) = plan.visible_after.filter(|&seen| newest > seen) {
+        if let Some(seen) = plan.visible_after.filter(|&seen| stats.newest > seen) {
             let ts = admitted.iter().map(|&i| zone.metas[i].ts);
             out.visible_ts.extend(ts.filter(|ts| *ts > seen));
         }
+        out.stats.zones_total += 1;
+        if plan.zone_verdict(stats) == Verdict::None {
+            out.stats.zones_pruned += 1;
+            continue;
+        }
+        out.stats.rows_scanned += admitted.len() as u64;
         sel.clear();
         // lint:allow(L010, refills the reused selection)
         sel.extend_from_slice(admitted);
-        scan_zone(&ZoneCols::Decoded(zone), &mut sel, plan, out)?;
+        scan_zone(&ZoneCols::Fresh(zone, stats), &mut sel, plan, out)?;
     }
     Ok(())
 }
@@ -700,7 +752,7 @@ pub(crate) fn scan_ros_block<C: Consumer>(
     // but for the timestamps the probe is owed.
     let ruled_out = !plan.may_match_bloom(block.bloom());
     // lint:allow(L010, once per block scanned, sized by its zones and the schema's columns; never per row)
-    let verdicts: Vec<Verdict> = (0..zones).map(|z| plan.pred.verdict(block, z)).collect();
+    let verdicts: Vec<Verdict> = (0..zones).map(|z| plan.pred.verdict(&(block, z))).collect();
     let scan = |z: usize| !ruled_out && verdicts[z] != Verdict::None;
     if ruled_out {
         out.stats.pruned_by_bloom += 1;
@@ -869,7 +921,7 @@ mod tests {
         };
         let (cold, _) = RosBlock::open_index(bytes.len() as u64, &key, 1, &mut read).unwrap();
         let verdicts: Vec<_> = (0..cold.zone_count())
-            .map(|z| plan.pred.verdict(&cold, z))
+            .map(|z| plan.pred.verdict(&(&cold, z)))
             .collect();
         let wanted = |chunk: Chunk, z: usize| match chunk {
             Chunk::Column(c) => plan.fetches(&got, &cold, (c, z), (verdicts[z], true)),

@@ -39,6 +39,7 @@
 //! reads; `tests/chaos_streams.rs` pins all three properties under fault
 //! injection."
 
+use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -48,11 +49,13 @@ use vortex_common::crypt::Key;
 use vortex_common::error::{VortexError, VortexResult};
 use vortex_common::ids::{ClusterId, StreamId, TableId};
 use vortex_common::mask::DeletionMask;
+use vortex_common::stats::ColumnStats;
 use vortex_common::truetime::Timestamp;
 #[cfg(test)]
 use vortex_common::{row::Row, schema::Schema};
 use vortex_ros::{
-    add_rowset, Chunk, ColumnBuilder, ColumnVec, Fetched, ReadAt, RosBlock, RowMeta, ZONE_ROWS,
+    add_rowset, zone_map, Chunk, ColumnBuilder, ColumnVec, Fetched, ReadAt, RosBlock, RowMeta,
+    ZONE_ROWS,
 };
 use vortex_sms::api::SmsHandle;
 use vortex_sms::meta::{FragmentKind, FragmentMeta, FragmentState};
@@ -117,10 +120,12 @@ pub(crate) fn read_reconciled_tail(
             stream: tail.stream,
             streamlet_first_stream_row: tail.first_stream_row,
             meta,
+            clustering: Arc::clone(&tail.clustering),
         };
         let mut read = read_fragment_cached(&spec, fleet, key, snapshot, cache)?;
-        for (zone, (sel, _)) in read.zones.iter().zip(&mut read.sel) {
-            sel.retain(|&i| zone.metas[i].offset >= from_offset);
+        for ((zone, _), sel) in read.zones.iter().zip(&mut read.sel) {
+            sel.to_mut()
+                .retain(|&i| zone.metas[i].offset >= from_offset);
         }
         out.push(read);
     }
@@ -165,28 +170,95 @@ pub struct Zone {
     pub cols: Vec<ColumnVec>,
 }
 
+/// What the decode of a log file records of each of its zones, once per
+/// row, so that a scan decides the zone as it decides a ROS block's
+/// (§7.2): per column its zone map, the newest stamp of its rows, and a
+/// bloom filter over the keys of its clustering columns' cells.
+#[derive(Debug, Clone)]
+pub(crate) struct ZoneStats {
+    /// Per column the zone's rows have, [`zone_map`] of its vector.
+    pub maps: Vec<ColumnStats>,
+    /// The newest stamp of the zone's rows.
+    pub newest: Timestamp,
+    /// The clustering columns' keys; `None` for a table without any.
+    pub bloom: Option<BloomFilter>,
+}
+
+/// The false-positive rate a decoded zone's bloom filter is sized for.
+const ZONE_BLOOM_FALSE_POSITIVES: f64 = 0.05;
+
+impl ZoneStats {
+    /// `held` — the statistics of the first `from` rows of `zone`, or
+    /// nothing when `from` is 0 — grown by the rows past them, whose
+    /// clustering columns are `keys`.
+    fn grown(held: Option<&ZoneStats>, zone: &Zone, (from, keys): (usize, &[usize])) -> Self {
+        let n = zone.metas.len();
+        let bloom =
+            || BloomFilter::with_capacity(ZONE_ROWS * keys.len(), ZONE_BLOOM_FALSE_POSITIVES);
+        let mut stats = held.cloned().unwrap_or_else(|| ZoneStats {
+            // lint:allow(L010, once per zone decoded: a zone map per column)
+            maps: Vec::with_capacity(zone.cols.len()),
+            newest: Timestamp::default(),
+            bloom: (!keys.is_empty()).then(bloom),
+        });
+        for (c, col) in zone.cols.iter().enumerate() {
+            match stats.maps.get_mut(c) {
+                Some(map) => map.merge(&zone_map(col, from..n)),
+                // A column the held rows predate: they read NULL in it.
+                // lint:allow(L010, once per zone decoded: a zone map per column)
+                None => stats.maps.push(zone_map(col, 0..n)),
+            }
+        }
+        let newest = zone.metas[from..].iter().map(|m| m.ts).max();
+        stats.newest = stats.newest.max(newest.unwrap_or_default());
+        if let Some(bloom) = stats.bloom.as_mut() {
+            // lint:allow(L010, once per zone decoded: the key buffer its rows share)
+            let mut key = Vec::new();
+            for col in keys.iter().filter_map(|&c| zone.cols.get(c)) {
+                for i in from..n {
+                    key.clear();
+                    col.key_into(i, &mut key);
+                    // lint:allow(L010, sets bits of a filter sized once per zone)
+                    bloom.insert(&key);
+                }
+            }
+        }
+        stats
+    }
+
+    /// The bytes the statistics take on the heap (a zone map counted at
+    /// its inline size).
+    pub(crate) fn heap_bytes(&self) -> usize {
+        let bloom = self.bloom.as_ref().map_or(0, BloomFilter::heap_bytes);
+        std::mem::size_of_val(&self.maps[..]) + bloom
+    }
+}
+
+/// A decoded log-file zone and what its decode recorded of it.
+pub(crate) type Stated = (Arc<Zone>, Arc<ZoneStats>);
+
 /// Decoded zones — a fragment's whole extent, or a tail's committed
-/// blocks — shared with the cache that holds them, with the rows of each
-/// that a read may see.
+/// blocks — shared with the cache that holds them, with their statistics
+/// and the rows of each that a read may see.
 #[derive(Debug, Clone)]
 pub struct Visible {
-    zones: Vec<Arc<Zone>>,
-    /// Per zone, the admitted zone-relative rows, ascending, and the
-    /// newest stamp of the zone's rows.
-    sel: Vec<(Vec<usize>, Timestamp)>,
+    zones: Vec<Stated>,
+    /// Per zone, the admitted zone-relative rows, ascending.
+    sel: Vec<Cow<'static, [usize]>>,
 }
 
 impl Visible {
     /// The rows of `zones` that `gate` admits.
-    fn through(gate: &RowGate<'_>, zones: Vec<Arc<Zone>>) -> Self {
+    fn through(gate: &RowGate<'_>, zones: Vec<Stated>) -> Self {
+        let admitted = |(zone, stats): &Stated| gate.select(zone, stats.newest);
         // lint:allow(L010, once per fragment or tail read: a selection per zone)
-        let sel = zones.iter().map(|zone| gate.admitted(zone)).collect();
+        let sel = zones.iter().map(admitted).collect();
         Visible { zones, sel }
     }
 
     /// Visible rows.
     pub fn len(&self) -> usize {
-        self.sel.iter().map(|(sel, _)| sel.len()).sum()
+        self.sel.iter().map(|sel| sel.len()).sum()
     }
 
     /// Whether no row is visible.
@@ -196,21 +268,12 @@ impl Visible {
 
     /// Each zone with its visible rows.
     pub fn iter(&self) -> impl Iterator<Item = (&Zone, &[usize])> {
-        (self.zones.iter().map(Arc::as_ref)).zip(self.sel.iter().map(|(sel, _)| &sel[..]))
+        (self.zones.iter().map(|(zone, _)| &**zone)).zip(self.sel.iter().map(|sel| &**sel))
     }
 
-    /// Each zone's newest stamp, in [`Visible::iter`]'s order.
-    pub(crate) fn newest(&self) -> impl Iterator<Item = Timestamp> + '_ {
-        self.sel.iter().map(|&(_, newest)| newest)
-    }
-
-    /// Gathers the visible rows, `arity` cells each, onto `out`.
-    #[cfg(test)]
-    fn rows_into(&self, arity: usize, out: &mut Vec<(RowMeta, Row)>) {
-        for (zone, sel) in self.iter() {
-            let cols: Vec<_> = (0..arity).map(|c| Some((zone.cols.get(c)?, sel))).collect();
-            vortex_ros::gather_rows((&zone.metas, sel), &cols, out);
-        }
+    /// Each zone's statistics, in [`Visible::iter`]'s order.
+    pub(crate) fn stats(&self) -> impl Iterator<Item = &ZoneStats> + '_ {
+        self.zones.iter().map(|(_, stats)| &**stats)
     }
 }
 
@@ -291,16 +354,17 @@ pub fn read_zones(
     key: &Key,
 ) -> VortexResult<Vec<Zone>> {
     let meta = &spec.meta;
-    if meta.kind == FragmentKind::Wos {
-        let file = read_log_fragment(spec, fleet, key, None)?;
-        let zones = Arc::try_unwrap(file).map_or_else(|f| f.zones.clone(), |f| f.zones);
-        let unshared = |z: Arc<Zone>| Arc::try_unwrap(z).unwrap_or_else(|z| Zone::clone(&z));
-        // lint:allow(L010, once per log file read whole: an entry per zone)
-        return Ok(zones.into_iter().map(unshared).collect());
-    }
     with_replica(meta.clusters, &meta.path, fleet, |cluster| {
-        let bytes = cluster.read_all(&meta.path)?.data;
-        block_zones(&RosBlock::from_bytes(&bytes, key, meta.fragment.raw())?)
+        if meta.kind == FragmentKind::Ros {
+            let bytes = cluster.read_all(&meta.path)?.data;
+            return block_zones(&RosBlock::from_bytes(&bytes, key, meta.fragment.raw())?);
+        }
+        // Its committed blocks, with no statistics: a pass reads it once.
+        let bytes = read_past(cluster, &meta.path, 0)?;
+        let ix = index_fragment_from(&bytes, None, Some(meta.committed_size))?;
+        let at = ix.blocks.iter().map(|b| (b.first_row, b));
+        let of = (spec.stream, spec.streamlet_first_stream_row);
+        wos_zones(None, (&ix, &bytes), key, at, of)
     })
 }
 
@@ -501,17 +565,34 @@ impl<'a> RowGate<'a> {
     /// when none is stamped after the read ([`RowGate::stops_at`]) and
     /// [`RowGate::admits_all`] holds.
     pub fn admitted(&self, zone: &Zone) -> (Vec<usize>, Timestamp) {
-        let (n, newest) = (zone.metas.len(), zone.metas.iter().map(|m| m.ts).max());
-        let newest = newest.unwrap_or_default();
+        let newest = zone.metas.iter().map(|m| m.ts).max().unwrap_or_default();
+        (self.select(zone, newest).into_owned(), newest)
+    }
+
+    /// [`RowGate::admitted`] of a zone whose newest stamp is `newest`; a
+    /// zone admitted whole shares [`EVERY_ROW`] unless it is past full.
+    fn select(&self, zone: &Zone, newest: Timestamp) -> Cow<'static, [usize]> {
+        let n = zone.metas.len();
         if !self.stops_at(newest) && self.admits_all(zone.first..zone.first + n as u64) {
-            // lint:allow(L010, once per zone admitted whole: its selection)
-            return ((0..n).collect(), newest);
+            let every = EVERY_ROW.get(..n).map(Cow::Borrowed);
+            // lint:allow(L010, once per zone past full admitted whole: its selection)
+            return every.unwrap_or_else(|| (0..n).collect());
         }
         let visible =
             |&i: &usize| !self.stops_at(zone.metas[i].ts) && self.admits(zone.first + i as u64);
-        ((0..n).filter(visible).collect(), newest)
+        Cow::Owned((0..n).filter(visible).collect())
     }
 }
+
+/// `0..ZONE_ROWS`: the selection of every row of a zone, shared.
+static EVERY_ROW: [usize; ZONE_ROWS] = {
+    let (mut rows, mut i) = ([0; ZONE_ROWS], 0);
+    while i < ZONE_ROWS {
+        rows[i] = i;
+        i += 1;
+    }
+    rows
+};
 
 /// Reads a listed WOS fragment — its log file's entry in the read cache
 /// (§9) if one is given, shared, and extended to the catalogued size if
@@ -551,8 +632,9 @@ fn read_log_fragment(
     }
     let epoch = held.as_ref().map_or(0, |f| f.epoch);
     let of = (spec.stream, spec.streamlet_first_stream_row, epoch);
+    let to = (of, (key, &*spec.clustering), cache);
     let file = (meta.path.as_str(), meta.clusters, Some(size));
-    seal_log_file(file, fleet, held.as_deref(), (of, key, cache))
+    seal_log_file(file, fleet, held.as_deref(), to)
 }
 
 /// The bytes `cluster` holds of `path` past byte `at`.
@@ -588,7 +670,7 @@ fn extend_log_file(
     (path, held): (&str, Option<&LogFile>),
     (ix, bytes, read): (&FragmentIndex, &[u8], u64),
     (blocks, sealed): (&[BlockEntry], bool),
-    ((stream, first_stream_row, epoch), key, cache): Extend<'_>,
+    ((stream, first_stream_row, epoch), (key, clustering), cache): Extend<'_>,
 ) -> VortexResult<Arc<LogFile>> {
     // lint:allow(L010, once per log file extended: a pointer per zone held)
     let mut zones = held.map_or_else(Vec::new, |f| f.zones.clone());
@@ -596,19 +678,21 @@ fn extend_log_file(
         // The open last zone is topped up, not left short by every poll;
         // a full one stays as it is.
         let open = match zones.last() {
-            Some(zone) if zone.metas.len() < ZONE_ROWS => zones.pop(),
+            Some((zone, _)) if zone.metas.len() < ZONE_ROWS => zones.pop(),
             _ => None,
         };
         let at = blocks.iter().map(|b| (b.first_row, b));
-        let new = wos_zones(
-            open.as_deref(),
-            (ix, bytes),
-            key,
-            at,
-            (stream, first_stream_row),
-        )?;
-        // lint:allow(L010, once per log file extended: an `Arc` per new zone, so that reads share them)
-        zones.extend(new.into_iter().map(Arc::new));
+        let reopened = open.as_ref().map(|(zone, _)| &**zone);
+        let new = wos_zones(reopened, (ix, bytes), key, at, (stream, first_stream_row))?;
+        // The first new zone is the reopened one: its statistics keep what
+        // they held and grow by its new rows alone.
+        let mut open = open.map(|(zone, stats)| (zone.metas.len(), stats));
+        for zone in new {
+            let (from, held) = open.take().map_or((0, None), |(n, stats)| (n, Some(stats)));
+            let stats = ZoneStats::grown(held.as_deref(), &zone, (from, clustering));
+            // lint:allow(L010, once per log file extended: two `Arc`s per new zone, so that reads share them)
+            zones.push((Arc::new(zone), Arc::new(stats)));
+        }
     }
     let len = match blocks.last() {
         _ if sealed => ix.valid_len,
@@ -631,8 +715,13 @@ fn extend_log_file(
 
 /// Where [`extend_log_file`] decodes a log file's rows to: its streamlet's
 /// stream, the stream row of the streamlet's row 0 and the epoch read at;
-/// then the key, and the cache the entry is left in.
-type Extend<'a> = ((StreamId, u64, u64), &'a Key, Option<&'a ReadCache>);
+/// then the key and the clustering columns its zones' blooms hold, and the
+/// cache the entry is left in.
+type Extend<'a> = (
+    (StreamId, u64, u64),
+    (&'a Key, &'a [usize]),
+    Option<&'a ReadCache>,
+);
 
 /// Extends what is `held` of the log file at `path` to its final extent
 /// — through `limit`, the size the catalog or a File Map records, else
@@ -732,6 +821,7 @@ pub fn read_tail_cached(
     };
     let resume = |held: &Option<Arc<LogFile>>| held.as_ref().map(|f| (f.len, f.header.clone()));
     let of = (tail.stream, tail.first_stream_row, tail.epoch);
+    let to = (of, (key, &*tail.clustering), cache);
 
     // ---- Phase 2: the latest file — every reachable copy read past the
     // certified extent, and the commit rule over what is new. A replica
@@ -776,7 +866,7 @@ pub fn read_tail_cached(
         (&latest_path, held.as_deref()),
         (&indexes[0], &copies[0], read),
         (blocks, false),
-        (of, key, cache),
+        to,
     ) else {
         return Ok(TailOutcome::NeedsReconcile);
     };
@@ -789,7 +879,7 @@ pub fn read_tail_cached(
     // existence of the successor certifies every parseable block here
     // (the server opened the next file only after settling this one). ----
     // lint:allow(L010, once per tail read: a pointer per zone)
-    let mut zones: Vec<Arc<Zone>> = Vec::new();
+    let mut zones: Vec<Stated> = Vec::new();
     for (ordinal, (file, held)) in (tail.from_ordinal..).zip(files) {
         let sealed = match held {
             Some(sealed) if sealed.sealed => sealed,
@@ -797,7 +887,7 @@ pub fn read_tail_cached(
                 let entry = (latest.header.file_map.iter()).find(|e| e.ordinal == ordinal);
                 let limit = entry.map(|e| e.committed_size);
                 let file = (file.as_str(), tail.clusters, limit);
-                seal_log_file(file, fleet, held.as_deref(), (of, key, cache))?
+                seal_log_file(file, fleet, held.as_deref(), to)?
             }
         };
         // lint:allow(L010, once per tail read: a pointer per zone)
@@ -808,7 +898,7 @@ pub fn read_tail_cached(
 
     // The committed streamlet-relative row end at the snapshot (before
     // flush / mask gating): rows are in write order.
-    let end_row = |zone: &Arc<Zone>| {
+    let end_row = |(zone, _): &Stated| {
         let seen = zone.metas.partition_point(|m| !gate.stops_at(m.ts));
         (seen > 0).then(|| zone.first + seen as u64)
     };
@@ -838,14 +928,19 @@ pub(crate) fn decode_everything(
     let key = sms.get_table(table)?.encryption_key();
     let rs = sms.list_read_fragments(table, snapshot)?;
     let (arity, mut rows) = (rs.schema.fields.len(), Vec::new());
+    let gather = |(zone, sel): (&Zone, &[usize]), out: &mut Vec<(RowMeta, Row)>| {
+        let cols: Vec<_> = (0..arity).map(|c| Some((zone.cols.get(c)?, sel))).collect();
+        vortex_ros::gather_rows((&zone.metas, sel), &cols, out);
+    };
     for spec in &rs.fragments {
-        let zones = read_zones(spec, fleet, &key)?.into_iter().map(Arc::new);
         let gate = RowGate::for_fragment(spec, snapshot);
-        Visible::through(&gate, zones.collect()).rows_into(arity, &mut rows);
+        for zone in read_zones(spec, fleet, &key)? {
+            gather((&zone, &gate.admitted(&zone).0), &mut rows);
+        }
     }
     for tail in &rs.tails {
         match read_tail(tail, fleet, &key, snapshot)? {
-            TailOutcome::Rows(zones) => zones.rows_into(arity, &mut rows),
+            TailOutcome::Rows(zones) => zones.iter().for_each(|z| gather(z, &mut rows)),
             TailOutcome::NeedsReconcile => {
                 let slid = tail.streamlet;
                 return Err(VortexError::Unavailable(format!(

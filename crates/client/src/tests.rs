@@ -804,7 +804,13 @@ fn a_built_matcher_is_charged_to_the_cache() {
         first_row: 0,
         file_map: vec![],
     };
-    let zones = vec![Arc::new(zone)];
+    let (maps, newest, bloom) = (vec![], Timestamp(0), None);
+    let stats = crate::read::ZoneStats {
+        maps,
+        newest,
+        bloom,
+    };
+    let zones = vec![(Arc::new(zone), Arc::new(stats))];
     let (len, epoch, sealed) = (1, 0, true);
     let log = crate::cache::LogFile {
         len,
@@ -1078,10 +1084,19 @@ fn scan_includes_fresh_tail_data() {
         Arc::clone(&probe),
     );
     let mut acked = 150;
+    // A key inside every zone's range that no zone holds: its bloom skips
+    // each, and the probe still sees the rows a skipped zone holds.
+    let absent = ScanOptions {
+        predicate: Expr::eq("customer", Value::String("cust-0000x".into())),
+        ..ScanOptions::default()
+    };
     for i in 0..5 {
         w.append(rows(150 + i * 10, 10)).unwrap();
         acked += 10;
         r.clock.advance(50_000);
+        let skipped = polling.scan(t, r.sms.read_snapshot(), &absent).unwrap();
+        assert!(skipped.rows.is_empty() && skipped.stats.zones_pruned > 0);
+        assert_eq!(probe.rows_observed(), acked, "append {i}, zones skipped");
         for _poll in 0..2 {
             let visible = polling
                 .count(t, r.sms.read_snapshot(), &ScanOptions::default())
@@ -2770,12 +2785,192 @@ fn only_row_returning_scans_materialize_ros_rows() {
         let (_, _, scanned) = r.engine.scan_into(t, snap, &opts, &collect).unwrap();
         for stats in [counted, aggregated, scanned] {
             assert_eq!(stats.rows_matched, 70, "{stats:?}");
-            assert_eq!(stats.zones_total, 0, "no ROS zone: {stats:?}");
+            assert_eq!(stats.zones_total, 1, "no ROS zone: {stats:?}");
             assert_eq!(stats.tails_scanned, !finalize as usize, "{stats:?}");
         }
         assert_eq!(counted.rows_materialized, 0, "{counted:?}");
         assert_eq!(aggregated.rows_materialized, 0, "{aggregated:?}");
         assert_eq!(scanned.rows_materialized, 70, "{scanned:?}");
+    }
+}
+
+/// Fresh zones carry statistics: a log file's decoded zones are decided
+/// by their zone maps and a bloom over the clustering key, as a ROS
+/// block's are, and the row gate still runs after the verdict.
+mod fresh_zone_stats {
+    use proptest::prelude::*;
+    use vortex_ros::{zone_map, ZONE_ROWS};
+
+    use super::*;
+    use crate::cache::ReadCache;
+    use crate::read::{read_tail, read_tail_cached, TailOutcome};
+
+    /// A live tail of four full zones, each holding customers of its own
+    /// whose ranges interleave — so only the bloom tells them apart — and
+    /// an open zone holding zone 2's. A point count on one of zone 2's
+    /// keys scans that zone and the open one, no other (it scanned every
+    /// row before zones carried statistics), and counts what the
+    /// decode-then-filter oracle keeps.
+    #[test]
+    fn a_point_count_scans_the_fresh_zones_holding_its_key() {
+        let r = rig();
+        let t = r.sms.create_table("t", schema()).unwrap().table;
+        let mut w = r.client.create_unbuffered_writer(t).unwrap();
+        let sizes = [ZONE_ROWS, ZONE_ROWS, ZONE_ROWS, ZONE_ROWS, 100];
+        for (group, n) in [0, 1, 2, 3, 2].into_iter().zip(sizes) {
+            let row = |k: usize| {
+                Row::insert(vec![
+                    Value::Int64(0),
+                    Value::String(format!("cust-{:04}", (k % 25) * 4 + group)),
+                    Value::Int64(k as i64),
+                ])
+            };
+            for from in (0..n).step_by(256) {
+                w.append(RowSet::new((from..n.min(from + 256)).map(row).collect()))
+                    .unwrap();
+            }
+        }
+        let snap = r.sms.read_snapshot();
+        let key = r.sms.get_table(t).unwrap().encryption_key();
+        let rs = r.sms.list_read_fragments(t, snap).unwrap();
+        let Ok(TailOutcome::Rows(tail)) = read_tail(&rs.tails[0], r.client.fleet(), &key, snap)
+        else {
+            panic!("an unbuffered tail is decided");
+        };
+        let zones: Vec<usize> = tail.iter().map(|(zone, _)| zone.metas.len()).collect();
+        assert_eq!(zones, sizes);
+
+        let pred = Expr::eq("customer", Value::String("cust-0042".into()));
+        let want = oracle_scan(&r, t, snap, &pred, None);
+        let opts = ScanOptions {
+            predicate: pred,
+            ..ScanOptions::default()
+        };
+        let got = r.engine.scan(t, snap, &opts).unwrap();
+        assert_eq!(amounts(&got.rows), amounts(&want));
+        assert_eq!(r.engine.count(t, snap, &opts).unwrap(), want.len() as u64);
+        let stats = got.stats;
+        assert_eq!(stats.rows_matched, want.len() as u64, "{stats:?}");
+        assert_eq!((stats.zones_total, stats.zones_pruned), (5, 3), "{stats:?}");
+        assert_eq!(stats.rows_scanned, (ZONE_ROWS + 100) as u64, "{stats:?}");
+    }
+
+    /// The zone bloom holds the clustering columns alone: a point on the
+    /// partition column `day` is the zone maps' to decide, beside a point
+    /// on the clustering key or not, over a finalized log file and a tail.
+    #[test]
+    fn a_partition_point_is_not_asked_of_the_zone_bloom() {
+        let r = rig();
+        let t = r.sms.create_table("t", schema()).unwrap().table;
+        let mut w = r.client.create_unbuffered_writer(t).unwrap();
+        w.append(rows(0, 300)).unwrap();
+        r.sms.finalize_stream(t, w.stream_id()).unwrap();
+        let mut tail = r.client.create_unbuffered_writer(t).unwrap();
+        tail.append(rows(300, 150)).unwrap();
+        let snap = r.sms.read_snapshot();
+        let listed = r.sms.list_read_fragments(t, snap).unwrap();
+        assert!(!listed.fragments.is_empty() && !listed.tails.is_empty());
+        let day = |d: i64| Expr::eq("day", Value::Int64(d));
+        let customer = |c: &str| Expr::eq("customer", Value::String(c.into()));
+        let preds = [
+            day(1),
+            day(3),
+            day(1).and(customer("cust-0007")),
+            day(3).and(customer("cust-0007")),
+            day(9),
+            day(1).and(customer("cust-9999")),
+        ];
+        for (i, pred) in preds.into_iter().enumerate() {
+            let want = oracle_scan(&r, t, snap, &pred, None);
+            assert_eq!(want.is_empty(), i >= 4, "{pred:?}");
+            let opts = ScanOptions {
+                predicate: pred.clone(),
+                ..ScanOptions::default()
+            };
+            let got = r.engine.scan(t, snap, &opts).unwrap();
+            assert_eq!(amounts(&got.rows), amounts(&want), "{pred:?}");
+            assert_eq!(r.engine.count(t, snap, &opts).unwrap(), want.len() as u64);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// A live tail extended in steps of random size — its open zone
+        /// reopened by each — keeps per zone what a recount gives: each
+        /// column's zone map, the newest stamp, and a bloom holding every
+        /// clustering key. Then, beside buffered rows past the flush, an
+        /// uncommitted PENDING stream and masked rows, counts and scans
+        /// whose verdicts decide zones whole, or none of them, select what
+        /// the oracle keeps: the gate runs after the verdict.
+        #[test]
+        fn fresh_zone_statistics_equal_a_recount(
+            steps in collection::vec(1usize..400, 2..8),
+            flushed in 0u64..=40,
+            (lo, len) in (0i64..2_000, 0i64..300),
+        ) {
+            let r = rig();
+            let t = r.sms.create_table("t", schema()).unwrap().table;
+            let key = r.sms.get_table(t).unwrap().encryption_key();
+            let cache = ReadCache::new(1 << 26);
+            let mut w = r.client.create_unbuffered_writer(t).unwrap();
+            let mut start = 0;
+            for n in steps {
+                w.append(rows(start, n)).unwrap();
+                start += n as i64;
+                let snap = r.sms.read_snapshot();
+                let rs = r.sms.list_read_fragments(t, snap).unwrap();
+                for spec in &rs.tails {
+                    let read = read_tail_cached(spec, r.client.fleet(), &key, snap, Some(&cache));
+                    let Ok(TailOutcome::Rows(tail)) = read else {
+                        panic!("an unbuffered tail is decided");
+                    };
+                    for ((zone, _), stats) in tail.iter().zip(tail.stats()) {
+                        let n = zone.metas.len();
+                        let maps: Vec<_> = zone.cols.iter().map(|c| zone_map(c, 0..n)).collect();
+                        prop_assert_eq!(&stats.maps, &maps);
+                        prop_assert_eq!(Some(stats.newest), zone.metas.iter().map(|m| m.ts).max());
+                        let (bloom, mut cell) = (stats.bloom.as_ref().unwrap(), Vec::new());
+                        for i in 0..n {
+                            cell.clear();
+                            zone.cols[1].key_into(i, &mut cell);
+                            prop_assert!(bloom.may_contain(&cell), "row {} of {:?}", i, zone.first);
+                        }
+                    }
+                }
+            }
+            let mut buffered = r.client.create_buffered_writer(t).unwrap();
+            buffered.append(rows(10_000, 40)).unwrap();
+            buffered.flush(flushed).unwrap();
+            let mut pending = r.client.create_pending_writer(t).unwrap();
+            pending.append(rows(20_000, 30)).unwrap();
+            let gone = Expr::ge("amount", Value::Int64(lo)).and(Expr::lt("amount", Value::Int64(lo + len)));
+            r.dml.delete_where(t, &gone).unwrap();
+            let snap = r.sms.read_snapshot();
+            let customer = Expr::eq("customer", Value::String("cust-0007".into()));
+            let preds = [
+                customer.clone(),
+                customer.and(Expr::eq("day", Value::Int64(100))),
+                Expr::ge("day", Value::Int64(0)),
+                Expr::lt("day", Value::Int64(0)),
+                Expr::ge("amount", Value::Int64(lo)),
+            ];
+            let handle: vortex_sms::api::SmsHandle = r.sms.clone();
+            let mut warm = QueryEngine::new(handle, r.client.fleet().clone());
+            warm.read.cache = Some(cache);
+            for pred in preds {
+                let want = oracle_scan(&r, t, snap, &pred, None);
+                let opts = ScanOptions {
+                    predicate: pred.clone(),
+                    ..ScanOptions::default()
+                };
+                for engine in [&r.engine, &warm] {
+                    let got = engine.scan(t, snap, &opts).unwrap();
+                    prop_assert_eq!(amounts(&got.rows), amounts(&want), "{:?}", pred);
+                    prop_assert_eq!(engine.count(t, snap, &opts).unwrap(), want.len() as u64);
+                }
+            }
+        }
     }
 }
 

@@ -90,6 +90,11 @@ impl BloomFilter {
         self.num_items
     }
 
+    /// The bytes its bits take on the heap.
+    pub fn heap_bytes(&self) -> usize {
+        std::mem::size_of_val(&self.bits[..])
+    }
+
     /// Whether no keys have been inserted.
     pub fn is_empty(&self) -> bool {
         self.num_items == 0

@@ -480,7 +480,8 @@ fn write_whole_file(cluster: &Colossus, path: &str, bytes: &[u8]) -> VortexResul
     Err(last)
 }
 
-/// The read spec of a fragment a pass rewrites, minus `mask`.
+/// The read spec of a fragment a pass rewrites, minus `mask` and the
+/// clustering columns, which [`read_zones`] keeps no statistics for.
 /// Stream-level visibility is already settled —
 /// [`StorageOptimizer::candidates`] only admits committed, fully flushed
 /// WOS fragments, and ROS blocks carry no gate — so the whole committed
@@ -497,6 +498,7 @@ fn settled_spec(
         visibility: RowVisibility::unconstrained(),
         stream: sl.map_or(StreamId::from_raw(0), |sl| sl.stream),
         streamlet_first_stream_row: sl.map_or(0, |sl| sl.first_stream_row),
+        clustering: Arc::default(),
     }
 }
 

@@ -31,6 +31,7 @@
 //! two calls over a buffer that holds the whole file.
 
 use std::hash::Hash;
+use std::ops::Range;
 use std::sync::OnceLock;
 
 use vortex_common::bloom::BloomFilter;
@@ -429,7 +430,7 @@ impl Shape {
                 chunks.push(ChunkEntry {
                     enc,
                     compressed,
-                    stats: summarize_zone(&zone, profile.nulls, profile.ends),
+                    stats: summarize_zone((&zone, 0..zone.len()), profile.nulls, profile.ends),
                     sum: by.and_then(|_| int_sum(&zone, profile.nulls)),
                     offset: body.len(),
                     len: stored.len(),
@@ -495,14 +496,19 @@ fn block_bloom(key_cols: &[usize], cols: &[ColumnVec], order: &[u32]) -> BloomFi
 /// The false-positive rate a block's bloom filter is sized for.
 const BLOOM_FALSE_POSITIVES: f64 = 0.01;
 
-/// The zone map of one leaf vector, from its profile's NULL count and
-/// ends: what [`ColumnStats::observe`] makes of its cells in order.
-fn summarize_zone(zone: &ColumnVec, nulls: usize, ends: Option<(usize, usize)>) -> ColumnStats {
+/// The zone map of the rows `rows` of one leaf vector, from their NULL
+/// count and ends: what [`ColumnStats::observe`] makes of those cells in
+/// order.
+fn summarize_zone(
+    (zone, rows): (&ColumnVec, Range<usize>),
+    nulls: usize,
+    ends: Option<(usize, usize)>,
+) -> ColumnStats {
     let mut stats = ColumnStats::new();
     match zone {
-        ColumnVec::Any(cells) => cells.iter().for_each(|v| stats.observe(v)),
+        ColumnVec::Any(cells) => cells[rows].iter().for_each(|v| stats.observe(v)),
         typed => {
-            stats.count = typed.len() as u64;
+            stats.count = rows.len() as u64;
             stats.has_null = nulls > 0;
             stats.min = ends.map(|(lo, _)| typed.value(lo));
             stats.max = ends.map(|(_, hi)| typed.value(hi));
@@ -520,24 +526,40 @@ fn int_sum(zone: &ColumnVec, nulls: usize) -> Option<(i128, usize)> {
     Some((valued.map(|i| ints.values[i] as i128).sum(), nulls))
 }
 
-/// [`summarize_zone`] of a leaf vector that is not being encoded: its ends
-/// found by [`ColumnVec::cmp_rows`], the order its profile's keys have.
-pub fn zone_map(zone: &ColumnVec) -> ColumnStats {
-    let (mut nulls, mut ends) = (0, None);
-    for i in 0..zone.len() {
-        if zone.is_null(i) {
-            nulls += 1;
-            continue;
+/// [`summarize_zone`] of the rows `rows` of a leaf vector that is not
+/// being encoded: their ends found by the typed keys of its profile. Of
+/// two runs of rows, the zone map of both is the first's merged with the
+/// second's ([`ColumnStats::merge`]).
+pub fn zone_map(zone: &ColumnVec, rows: Range<usize>) -> ColumnStats {
+    // An `Any` leaf has no typed keys: its cells are observed instead.
+    // lint:allow(L010, a range is copied, nothing allocated)
+    let (nulls, ends) = zone.with_keys(Ends(rows.clone())).unwrap_or_default();
+    summarize_zone((zone, rows), nulls, ends)
+}
+
+/// A pass that finds, among the rows `.0`, how many are NULL and the first
+/// rows of the least and the greatest keys.
+struct Ends(Range<usize>);
+
+impl KeyedRows for Ends {
+    type Out = (usize, Option<(usize, usize)>);
+
+    fn fold_keys<K: Ord + Hash>(self, _: usize, key: impl Fn(usize) -> Option<K>) -> Self::Out {
+        let (mut nulls, mut ends) = (0, None);
+        for i in self.0 {
+            let Some(k) = key(i) else {
+                nulls += 1;
+                continue;
+            };
+            match &mut ends {
+                None => ends = key(i).map(|again| ((i, k), (i, again))),
+                Some((lo, _)) if k < lo.1 => *lo = (i, k),
+                Some((_, hi)) if k > hi.1 => *hi = (i, k),
+                Some(_) => {}
+            }
         }
-        let (lo, hi) = ends.get_or_insert((i, i));
-        if zone.cmp_rows(i, zone, *lo).is_lt() {
-            *lo = i;
-        }
-        if zone.cmp_rows(i, zone, *hi).is_gt() {
-            *hi = i;
-        }
+        (nulls, ends.map(|((lo, _), (hi, _))| (lo, hi)))
     }
-    summarize_zone(zone, nulls, ends)
 }
 
 /// A read-optimized columnar block: its index, and the chunks it holds —

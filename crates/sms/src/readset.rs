@@ -8,6 +8,8 @@
 //! heartbeat, discoverable only by reading the log files themselves
 //! (§7.1).
 
+use std::sync::Arc;
+
 use vortex_common::ids::{ClusterId, StreamId, StreamletId};
 use vortex_common::mask::DeletionMask;
 use vortex_common::schema::Schema;
@@ -78,6 +80,9 @@ pub struct FragmentReadSpec {
     /// WOS row's stream offset is `streamlet_first_stream_row +
     /// fragment.first_row + index` (exactly-once verification, §6.3).
     pub streamlet_first_stream_row: u64,
+    /// The table's clustering columns, as snapshot-schema positions: what
+    /// the bloom filter a reader keeps per decoded log-file zone holds.
+    pub clustering: Arc<[usize]>,
 }
 
 /// One unfinalized streamlet whose tail may hold rows the SMS hasn't
@@ -117,6 +122,8 @@ pub struct TailReadSpec {
     /// — the read must fail as "snapshot too old" rather than silently
     /// under-count.
     pub expected_rows: u64,
+    /// The table's clustering columns, as in [`FragmentReadSpec`].
+    pub clustering: Arc<[usize]>,
 }
 
 /// Everything a query engine needs to read a table at a snapshot.

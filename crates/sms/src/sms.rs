@@ -419,6 +419,13 @@ impl SmsTask {
         // and still live OR already converted; `collected` speaks for the
         // ones GC has dropped — which is where its tail starts.
         let mut fragments = Vec::new();
+        let schema = &tmeta.schema;
+        let clustering = schema
+            .clustering
+            .iter()
+            .filter_map(|c| schema.column_index(c));
+        // lint:allow(L010, once per listing: the clustering columns its specs share)
+        let clustering: Arc<[usize]> = clustering.collect();
         let mut known_end: HashMap<StreamletId, (u32, u64)> = HashMap::new();
         for f in meta::scan::<FragmentMeta>(&self.store, table, snapshot) {
             let f = f?;
@@ -452,6 +459,7 @@ impl SmsTask {
                     stream,
                     streamlet_first_stream_row,
                     meta: f,
+                    clustering: Arc::clone(&clustering),
                 });
             }
         }
@@ -482,6 +490,7 @@ impl SmsTask {
                 epoch: sl.epoch,
                 first_stream_row: sl.first_stream_row,
                 expected_rows: sl.row_count,
+                clustering: Arc::clone(&clustering),
             });
         }
         tails.sort_by_key(|t| t.streamlet);
@@ -623,7 +632,7 @@ pub(crate) fn reconcile_copies(
         for (&(c, _), stats) in tracked.iter().zip(&mut stats) {
             let Some(col) = cols.get_mut(c) else { continue };
             let zone = std::mem::take(col).into_column();
-            let mut zs = zone_map(&zone);
+            let mut zs = zone_map(&zone, 0..n);
             // NULL-padded rows that predate the column are not its rows.
             let present = widths.iter().filter(|&&w| w > c).count();
             if present < n {
