@@ -236,6 +236,9 @@ impl StreamWriter {
         // connector worker).
         let _table = table_scope(self.table);
         let cpu = self.transport.on_request(now);
+        // The batch is handed to the server shard by reference; every
+        // retry below shares it.
+        let rows = Arc::new(rows); // lint:allow(L010, one per append: replaces the shard's deep copy of the rows)
         let slot = InFlight(self);
         slot.0.submit(&rows, now, start, cpu)
     }
@@ -243,7 +246,7 @@ impl StreamWriter {
     /// The retry loop of one append, from first send to its outcome.
     fn submit(
         &mut self,
-        rows: &RowSet,
+        rows: &Arc<RowSet>,
         now: Timestamp,
         start: Timestamp,
         transport_cpu_us: u64,
@@ -261,9 +264,9 @@ impl StreamWriter {
                 // lint:allow(L010, bounded dedup ledger — evicted below the committed watermark)
                 self.submitted.insert(self.next_offset, row_count);
             }
-            let outcome = self.handle.server.append(
+            let outcome = self.handle.server.append_shared(
                 self.handle.streamlet.streamlet,
-                rows,
+                Arc::clone(rows),
                 self.schema.version,
                 expected,
                 start,

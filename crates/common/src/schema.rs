@@ -231,6 +231,25 @@ impl Schema {
         self.fields.iter().position(|f| f.name == name)
     }
 
+    /// Indexes of the columns a log file's or a ROS block's bloom filter
+    /// keys on (§5.4.4): the partition column, then the clustering
+    /// columns, each once.
+    pub fn bloom_key_columns(&self) -> Vec<usize> {
+        let named = self
+            .partition
+            .iter()
+            .map(|p| &p.column)
+            .chain(&self.clustering);
+        // lint:allow(L010, once per streamlet open or block builder, like `tracked_columns`)
+        let mut cols = Vec::new();
+        for i in named.filter_map(|c| self.column_index(c)) {
+            if !cols.contains(&i) {
+                cols.push(i); // lint:allow(L010, at most one per key column)
+            }
+        }
+        cols
+    }
+
     /// `(column index, name)` of the columns that carry per-fragment
     /// zone-map stats (§7.2): top-level scalars, i.e. neither structs nor
     /// repeated. The Stream Server tracks these while it writes and

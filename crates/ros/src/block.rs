@@ -262,22 +262,13 @@ impl RosBlockBuilder {
             .iter()
             .filter_map(|c| schema.column_index(c))
             .collect();
-        // Bloom keys: partitioning and clustering columns (§5.4.4).
-        let partition = schema.partition.as_ref();
-        let partition = partition.and_then(|p| schema.column_index(&p.column));
-        let mut key_cols: Vec<usize> = Vec::new();
-        for i in partition.into_iter().chain(clustering_idx.iter().copied()) {
-            if !key_cols.contains(&i) {
-                key_cols.push(i);
-            }
-        }
         let shape = Shape {
             schema_version: schema.version,
             clustering_idx,
             // Stats for every scalar top-level column (Big Metadata
             // tracks "fine grained column properties", §6.2).
             tracked: schema.tracked_columns(),
-            key_cols,
+            key_cols: schema.bloom_key_columns(),
         };
         Self {
             shape,

@@ -10,12 +10,14 @@
 //! streamlet; foreign bytes relinquish it (§5.3, §5.6).
 
 use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use vortex_colossus::StorageFleet;
 use vortex_common::bloom::BloomFilter;
 use vortex_common::error::{VortexError, VortexResult};
-use vortex_common::ids::{ClusterId, FragmentId, IdGen};
+use vortex_common::ids::{ClusterId, FragmentId, IdGen, StreamletId};
+use vortex_common::mailbox::ReplySlot;
 use vortex_common::obs::{self, Counter, Histogram};
 use vortex_common::row::{Row, RowSet};
 use vortex_common::stats::ColumnStats;
@@ -59,7 +61,7 @@ struct CurrentFragment {
     stats: Vec<(usize, String, ColumnStats)>,
     /// Distinct key values as their [`BloomFilter::hashes`], which is all
     /// the filter built at close depends on.
-    bloom_keys: HashSet<(u64, u64)>,
+    bloom_keys: HashSet<(u64, u64), BuildHasherDefault<PairHasher>>,
     /// Where each key value is encoded to be hashed.
     key: Vec<u8>,
     ts_range: Option<(Timestamp, Timestamp)>,
@@ -111,25 +113,24 @@ impl CurrentFragment {
     }
 }
 
-/// A fragment this streamlet finished writing.
-#[derive(Debug, Clone)]
-pub struct DoneFragment {
-    /// Fragment id.
-    pub fragment: FragmentId,
-    /// Ordinal within the streamlet.
-    pub ordinal: u32,
-    /// Streamlet-relative first row.
-    pub first_row: u64,
-    /// Committed rows.
-    pub row_count: u64,
-    /// Committed (logical) byte size.
-    pub committed_size: u64,
-    /// Column properties at finalization.
-    pub stats: Vec<(String, ColumnStats)>,
-    /// Record timestamp range.
-    pub ts_range: Option<(Timestamp, Timestamp)>,
-    /// Whether this fragment still needs to appear in a heartbeat.
-    pub dirty: bool,
+/// Hashes the bloom-key pairs, which are hashes already: one folded
+/// multiply per word. What a set of them builds does not depend on it.
+#[derive(Default)]
+struct PairHasher(u64);
+
+impl Hasher for PairHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(b.into()));
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        let wide = u128::from(self.0 ^ word) * 0x9E37_79B9_7F4A_7C15;
+        self.0 = wide as u64 ^ (wide >> 64) as u64;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// Registry handles of the server's append leg, interned when the
@@ -160,7 +161,9 @@ pub struct HostedStreamlet {
     /// The creation spec (table, stream, clusters, schema, key, epoch).
     pub spec: StreamletSpec,
     current: Option<CurrentFragment>,
-    done: Vec<DoneFragment>,
+    /// The fragments this streamlet finished writing, as a heartbeat
+    /// reports them.
+    done: Vec<FragmentDelta>,
     rows_acked: u64,
     finalized: bool,
     revoked: bool,
@@ -180,39 +183,26 @@ pub struct HostedStreamlet {
     /// How many entries of `done` have already been handed to the WAL
     /// (see [`HostedStreamlet::drain_unlogged_seals`]).
     wal_logged_seals: usize,
+    /// How many entries of `done` a heartbeat has reported.
+    heartbeat_seals: usize,
     m: AppendMetrics,
 }
 
-/// Partition column followed by clustering columns, deduplicated.
-fn key_columns(spec: &StreamletSpec) -> Vec<usize> {
-    let schema = &spec.schema;
-    let mut cols = Vec::new();
-    if let Some(p) = &schema.partition {
-        if let Some(i) = schema.column_index(&p.column) {
-            cols.push(i);
-        }
-    }
-    for c in &schema.clustering {
-        if let Some(i) = schema.column_index(c) {
-            if !cols.contains(&i) {
-                cols.push(i);
-            }
-        }
-    }
-    cols
-}
-
-/// One append inside a shard group commit: a borrowed view of the
-/// caller's rows plus the per-append protocol fields of §4.2.2/§5.4.1.
-pub struct GroupAppend<'a> {
-    /// Rows to append (borrowed from the request; never cloned).
-    pub rows: &'a RowSet,
+/// One append routed to a shard and landed by its group commit: the
+/// caller's rows — shared, never copied — plus the per-append protocol
+/// fields of §4.2.2/§5.4.1 and the slot its ack goes to.
+pub(crate) struct AppendReq {
+    pub streamlet: StreamletId,
+    pub rows: Arc<RowSet>,
     /// The writer's declared schema version (§5.4.1 schema relay).
     pub declared_schema_version: u32,
     /// The §4.2.2 offset-idempotency token, when the writer sent one.
     pub expected_stream_offset: Option<u64>,
     /// Virtual send time; ack latency is measured from here.
     pub start: Timestamp,
+    /// The rows' summed [`Row::approx_bytes`], as admission counted them.
+    pub bytes: u64,
+    pub reply: Arc<ReplySlot<VortexResult<AppendAck>>>,
 }
 
 /// A staged encoded block: `entry`'s rows `[lo, hi)`, encoded at `ts`,
@@ -258,7 +248,7 @@ impl HostedStreamlet {
     /// both replica clusters.
     pub fn open(spec: StreamletSpec, env: &ShardEnv) -> VortexResult<Self> {
         let tracked_cols = spec.schema.tracked_columns();
-        let key_cols = key_columns(&spec);
+        let key_cols = spec.schema.bloom_key_columns();
         let mut sl = Self {
             spec,
             current: None,
@@ -274,6 +264,7 @@ impl HostedStreamlet {
             tracked_cols,
             key_cols,
             wal_logged_seals: 0,
+            heartbeat_seals: 0,
             m: AppendMetrics::intern(),
         };
         sl.open_fragment(env)?;
@@ -318,7 +309,7 @@ impl HostedStreamlet {
                 .iter()
                 .map(|(i, n)| (*i, n.clone(), ColumnStats::new()))
                 .collect(),
-            bloom_keys: HashSet::new(),
+            bloom_keys: HashSet::default(),
             key: Vec::new(),
             ts_range: None,
             dirty: true,
@@ -351,15 +342,15 @@ impl HostedStreamlet {
                 }
             }
         }
-        self.done.push(DoneFragment {
+        self.done.push(FragmentDelta {
             fragment: cur.fragment,
             ordinal: cur.ordinal,
             first_row: cur.writer.first_row(),
             row_count: self.rows_acked - cur.writer.first_row(),
             committed_size: cur.len,
+            finalized: true,
             stats: cur.stats.drain(..).map(|(_, n, s)| (n, s)).collect(),
             ts_range: cur.ts_range,
-            dirty: true,
         });
     }
 
@@ -453,9 +444,9 @@ impl HostedStreamlet {
     /// fails every entry whose rows were not yet durable; entries that
     /// already landed keep their acks — the shard layer decides whether
     /// a simulated crash widens to the whole group.
-    pub fn append_group(
+    pub(crate) fn append_group(
         &mut self,
-        entries: &[GroupAppend<'_>],
+        entries: &[AppendReq],
         latest_version: u32,
         env: &ShardEnv,
         scratch: &mut GroupScratch,
@@ -493,9 +484,12 @@ impl HostedStreamlet {
                 }
                 // Chunk into ≤ block_buffer_bytes blocks (§5.4.4), each an
                 // index range over the caller's rows — the hot path borrows
-                // slices instead of cloning rows into scratch RowSets.
+                // slices instead of cloning rows into scratch RowSets. An
+                // entry that fits one block is that block: the per-row walk
+                // below would cut it in the same place.
                 let all = &entry.rows.rows[..];
-                let (mut hi, mut bytes) = (lo, 0usize);
+                let fits = lo == 0 && entry.bytes <= env.cfg.block_buffer_bytes as u64;
+                let (mut hi, mut bytes) = (if fits { all.len() } else { lo }, 0usize);
                 while hi < all.len() {
                     let rb = all[hi].approx_bytes();
                     if hi > lo && bytes + rb > env.cfg.block_buffer_bytes {
@@ -582,7 +576,7 @@ impl HostedStreamlet {
 
     /// Whether `entry` may be staged, as if every earlier entry of the
     /// group had landed; returns its first stream row.
-    fn check(&self, entry: &GroupAppend<'_>, latest_version: u32) -> VortexResult<u64> {
+    fn check(&self, entry: &AppendReq, latest_version: u32) -> VortexResult<u64> {
         let cur = match &self.current {
             Some(cur) if self.is_writable() => cur,
             _ => return Err(VortexError::StreamletFinalized(self.spec.streamlet)),
@@ -625,7 +619,7 @@ impl HostedStreamlet {
     fn land_staged(
         &mut self,
         env: &ShardEnv,
-        entries: &[GroupAppend<'_>],
+        entries: &[AppendReq],
         scratch: &mut GroupScratch,
         start: Timestamp,
     ) -> VortexResult<Timestamp> {
@@ -775,29 +769,17 @@ impl HostedStreamlet {
     }
 
     /// Completed fragments (metadata view).
-    pub fn done_fragments(&self) -> &[DoneFragment] {
+    pub fn done_fragments(&self) -> &[FragmentDelta] {
         &self.done
     }
 
     /// Builds this streamlet's heartbeat delta. With `full`, reports all
-    /// fragments; otherwise only dirty ones. Clears dirty flags.
+    /// fragments; otherwise only those not reported yet, and the current
+    /// one if it changed. Clears the dirty marks.
     pub fn heartbeat_delta(&mut self, full: bool) -> Option<StreamletDelta> {
-        let mut fragments = Vec::new();
-        for d in self.done.iter_mut() {
-            if full || d.dirty {
-                fragments.push(FragmentDelta {
-                    fragment: d.fragment,
-                    ordinal: d.ordinal,
-                    first_row: d.first_row,
-                    row_count: d.row_count,
-                    committed_size: d.committed_size,
-                    finalized: true,
-                    stats: d.stats.clone(),
-                    ts_range: d.ts_range,
-                });
-                d.dirty = false;
-            }
-        }
+        let unsent = if full { 0 } else { self.heartbeat_seals };
+        let mut fragments = self.done[unsent..].to_vec();
+        self.heartbeat_seals = self.done.len();
         if let Some(cur) = self.current.as_mut() {
             if full || cur.dirty {
                 fragments.push(FragmentDelta {
@@ -872,11 +854,14 @@ mod tests {
         let mut sl = HostedStreamlet::open(spec, &env).unwrap();
         let mut scratch = GroupScratch::new();
         let mut append = |sl: &mut HostedStreamlet, rows: &RowSet| {
-            let entry = GroupAppend {
-                rows,
+            let entry = AppendReq {
+                streamlet: sl.spec.streamlet,
+                rows: Arc::new(rows.clone()),
                 declared_schema_version: 1,
                 expected_stream_offset: None,
                 start: Timestamp::MIN,
+                bytes: rows.approx_bytes() as u64,
+                reply: ReplySlot::for_caller(),
             };
             let mut results = vec![];
             sl.append_group(&[entry], 1, &env, &mut scratch, &mut results);

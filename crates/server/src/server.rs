@@ -23,11 +23,11 @@ use vortex_common::mailbox::{mailbox, MailboxReceiver, MailboxSender, PostError,
 use vortex_common::obs;
 use vortex_common::row::RowSet;
 use vortex_common::truetime::{Timestamp, TrueTime};
-use vortex_sms::heartbeat::{HeartbeatReport, HeartbeatResponse};
+use vortex_sms::heartbeat::{FragmentDelta, HeartbeatReport, HeartbeatResponse};
 use vortex_sms::server_ctl::{LoadReport, StreamServerApi, StreamletSpec};
 
-use crate::hosted::ShardEnv;
-use crate::shard::{AppendReq, Shard, ShardMsg};
+use crate::hosted::{AppendReq, ShardEnv};
+use crate::shard::{Shard, ShardMsg};
 use crate::wal::{self, ServerLog, WalEvent};
 
 pub use crate::hosted::AppendAck;
@@ -134,11 +134,7 @@ impl StreamServer {
         tt: TrueTime,
         ids: Arc<IdGen>,
     ) -> VortexResult<Arc<Self>> {
-        let summary = Self::recover_summary(&cfg, &fleet)?;
-        let mut recovered = HashMap::new();
-        for (table, slid, rows) in summary {
-            recovered.insert(slid, (table, rows));
-        }
+        let recovered = Self::recover_summary(&cfg, &fleet)?;
         Self::start(cfg, fleet, tt, ids, recovered)
     }
 
@@ -281,14 +277,14 @@ impl StreamServer {
     }
 
     /// Recovers hosted-streamlet *identity* from the metadata logs of a
-    /// crashed instance: the returned streamlets are known (table, id,
-    /// rows) tuples that the restarted server can heartbeat, but never
-    /// writes to again (the SMS reconciles and re-places them). Merges
-    /// every shard log the dead incarnation left behind.
+    /// crashed instance: the (table, rows) of each streamlet it hosted,
+    /// which the restarted server can heartbeat but never writes to again
+    /// (the SMS reconciles and re-places them). Merges every shard log the
+    /// dead incarnation left behind.
     pub fn recover_summary(
         cfg: &ServerConfig,
         fleet: &StorageFleet,
-    ) -> VortexResult<Vec<(TableId, StreamletId, u64)>> {
+    ) -> VortexResult<HashMap<StreamletId, (TableId, u64)>> {
         let home = fleet.get(cfg.cluster)?;
         let mut known: HashMap<StreamletId, (TableId, u64)> = HashMap::new();
         for shard in wal::shards_present(cfg.server, home)? {
@@ -316,10 +312,7 @@ impl StreamServer {
                 }
             }
         }
-        Ok(known
-            .into_iter()
-            .map(|(slid, (t, rows))| (t, slid, rows))
-            .collect())
+        Ok(known)
     }
 
     /// Closes every shard mailbox: queued work drains, later posts fail
@@ -425,17 +418,17 @@ impl StreamServerApi for StreamServer {
         let _ = self.on_shard(self.shard_of(streamlet), move |s| s.revoke(streamlet));
     }
 
-    fn finalize_streamlet_ctl(&self, streamlet: StreamletId) -> VortexResult<()> {
+    fn finalize_streamlet_ctl(&self, streamlet: StreamletId) -> VortexResult<Vec<FragmentDelta>> {
         self.on_shard(self.shard_of(streamlet), move |s| s.finalize(streamlet))?
     }
 
     /// Admit under flow control, route to the owning shard's bounded
     /// mailbox, park until the shard's group commit resolves the ack.
     // lint:hotpath(append) — facade leg: admit → mailbox post → park for group ack
-    fn append(
+    fn append_shared(
         &self,
         streamlet: StreamletId,
-        rows: &RowSet,
+        rows: Arc<RowSet>,
         declared_schema_version: u32,
         expected_stream_offset: Option<u64>,
         start: Timestamp,
@@ -445,7 +438,7 @@ impl StreamServerApi for StreamServer {
         let reply = ReplySlot::for_caller(); // lint:allow(L010, one-shot reply slot shared with the shard)
         let req = AppendReq {
             streamlet,
-            rows: rows.clone(), // lint:allow(L010, ownership handoff into the share-nothing shard)
+            rows,
             declared_schema_version,
             expected_stream_offset,
             start,

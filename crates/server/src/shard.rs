@@ -28,15 +28,14 @@ use std::sync::Arc;
 
 use vortex_common::error::{VortexError, VortexResult};
 use vortex_common::ids::{StreamletId, TableId};
-use vortex_common::mailbox::{MailboxReceiver, ReplySlot};
+use vortex_common::mailbox::MailboxReceiver;
 use vortex_common::obs::{self, Counter, Histogram};
-use vortex_common::row::RowSet;
 use vortex_common::truetime::Timestamp;
-use vortex_sms::heartbeat::StreamletDelta;
+use vortex_sms::heartbeat::{FragmentDelta, StreamletDelta};
 use vortex_sms::meta::wos_path;
 use vortex_sms::server_ctl::StreamletSpec;
 
-use crate::hosted::{AppendAck, GroupAppend, GroupScratch, HostedStreamlet, ShardEnv};
+use crate::hosted::{AppendAck, AppendReq, GroupScratch, HostedStreamlet, ShardEnv};
 use crate::wal::{self, ServerLog, WalEvent};
 
 /// Max appends coalesced into one group commit: with ~600µs of fixed
@@ -46,19 +45,6 @@ const GROUP_MAX_APPENDS: usize = 64;
 /// Max bytes coalesced into one group commit: four 2 MB write buffers
 /// (§5.4.4), so one group never holds more than a few blocks in its arena.
 const GROUP_MAX_BYTES: u64 = 8 << 20;
-
-/// One append routed to a shard. The rows are owned: the facade clones
-/// them out of the caller's request so the shard shares nothing with
-/// other threads.
-pub(crate) struct AppendReq {
-    pub streamlet: StreamletId,
-    pub rows: RowSet,
-    pub declared_schema_version: u32,
-    pub expected_stream_offset: Option<u64>,
-    pub start: Timestamp,
-    pub bytes: u64,
-    pub reply: Arc<ReplySlot<VortexResult<AppendAck>>>,
-}
 
 /// The one control message: work carried to the owning thread. Rare,
 /// never shed, run in posting order relative to appends from the same
@@ -211,20 +197,14 @@ impl Shard {
                         .get(&sl.spec.table)
                         .copied()
                         .unwrap_or(sl.spec.schema.version);
-                    // Borrow the run's rows into a bounded entry list
-                    // (≤ GROUP_MAX_APPENDS, usually a handful).
-                    let mut entries = Vec::with_capacity(j - i); // lint:allow(L010, bounded per-run entry list)
-                    for r in &batch[i..j] {
-                        // lint:allow(L010, bounded per-run entry list)
-                        entries.push(GroupAppend {
-                            rows: &r.rows,
-                            declared_schema_version: r.declared_schema_version,
-                            expected_stream_offset: r.expected_stream_offset,
-                            start: r.start,
-                        });
-                    }
                     let before = results.len();
-                    sl.append_group(&entries, latest, &self.env, &mut self.scratch, &mut results);
+                    sl.append_group(
+                        &batch[i..j],
+                        latest,
+                        &self.env,
+                        &mut self.scratch,
+                        &mut results,
+                    );
                     sl.drain_unlogged_seals(&mut wal_events);
                     if let Some(e) = results[before..]
                         .iter()
@@ -316,17 +296,19 @@ impl Shard {
         flushed
     }
 
-    /// Seals the streamlet's last fragment (bloom + footer).
-    pub(crate) fn finalize(&mut self, streamlet: StreamletId) -> VortexResult<()> {
+    /// Seals the streamlet's last fragment (bloom + footer) and reports
+    /// every fragment it sealed, leaving the heartbeat's dirty flags be.
+    pub(crate) fn finalize(&mut self, streamlet: StreamletId) -> VortexResult<Vec<FragmentDelta>> {
         let sl = self
             .streamlets
             .get_mut(&streamlet)
             // lint:allow(L010, control plane: cold not-hosted error)
             .ok_or_else(|| VortexError::NotFound(format!("streamlet {streamlet} not hosted")))?;
         sl.finalize(&self.env)?;
+        let sealed = sl.done_fragments().to_vec();
         self.log_one(WalEvent::StreamletFinalized { streamlet });
         self.publish_writable();
-        Ok(())
+        Ok(sealed)
     }
 
     /// The SMS took ownership away (reconciliation, §5.6).

@@ -745,7 +745,7 @@ fn checkpoint_and_recovery_restore_streamlet_identities() {
     // "Crash" and recover from the metadata log.
     let cfg = r.server.config().clone();
     let summary = StreamServer::recover_summary(&cfg, &r.fleet).unwrap();
-    let mut known: Vec<(u64, u64)> = summary.iter().map(|(_, s, n)| (s.raw(), *n)).collect();
+    let mut known: Vec<(u64, u64)> = summary.iter().map(|(s, (_, n))| (s.raw(), *n)).collect();
     known.sort_unstable();
     assert_eq!(known, vec![(27, 5), (28, 0)], "rows come from the snapshot");
 }

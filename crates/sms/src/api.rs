@@ -32,7 +32,7 @@ use vortex_common::truetime::Timestamp;
 use vortex_metastore::MetaStore;
 
 use crate::bigmeta::BigMeta;
-use crate::heartbeat::{HeartbeatReport, HeartbeatResponse};
+use crate::heartbeat::{FragmentDelta, HeartbeatReport, HeartbeatResponse};
 use crate::meta::{FragmentMeta, StreamMeta, StreamType, StreamletMeta, TableMeta};
 use crate::readset::ReadSet;
 use crate::server_ctl::{AppendAck, LoadReport, ServerHandle, StreamServerApi, StreamletSpec};
@@ -608,15 +608,15 @@ impl StreamServerApi for ServerChannel {
             s.gc_fragments(table, streamlet, ordinals.clone())
         })
     }
-    fn finalize_streamlet_ctl(&self, streamlet: StreamletId) -> VortexResult<()> {
+    fn finalize_streamlet_ctl(&self, streamlet: StreamletId) -> VortexResult<Vec<FragmentDelta>> {
         self.service("finalize_streamlet_ctl", CallKind::Idempotent, |s| {
             s.finalize_streamlet_ctl(streamlet)
         })
     }
-    fn append(
+    fn append_shared(
         &self,
         streamlet: StreamletId,
-        rows: &RowSet,
+        rows: Arc<RowSet>,
         declared_schema_version: u32,
         expected_stream_offset: Option<u64>,
         start: Timestamp,
@@ -630,9 +630,9 @@ impl StreamServerApi for ServerChannel {
             CallKind::NonIdempotent,
             rows.approx_bytes() as u64,
             |s| {
-                s.append(
+                s.append_shared(
                     streamlet,
-                    rows,
+                    Arc::clone(&rows),
                     declared_schema_version,
                     expected_stream_offset,
                     start,

@@ -18,7 +18,7 @@ use vortex_common::row::RowSet;
 use vortex_common::schema::Schema;
 use vortex_common::truetime::Timestamp;
 
-use crate::heartbeat::{HeartbeatReport, HeartbeatResponse};
+use crate::heartbeat::{FragmentDelta, HeartbeatReport, HeartbeatResponse};
 
 /// Acknowledgement of a successful append (§4.2.2).
 #[derive(Debug, Clone, Copy)]
@@ -135,21 +135,24 @@ pub trait StreamServerApi: Send + Sync {
 
     /// Asks the server to gracefully finalize a hosted streamlet (bloom
     /// filter + footer on the last fragment) before the SMS reconciles
-    /// it. Best effort — a dead server simply doesn't answer.
-    fn finalize_streamlet_ctl(&self, streamlet: StreamletId) -> VortexResult<()>;
+    /// it, and returns what the server knows of every fragment it sealed:
+    /// the report reconciliation may adopt instead of decoding the log
+    /// (§5.6). Best effort — a dead server simply doesn't answer.
+    fn finalize_streamlet_ctl(&self, streamlet: StreamletId) -> VortexResult<Vec<FragmentDelta>>;
 
     // --------------------------------------------------------------
     // Data plane (§4.2.2 / §5.3). Default implementations refuse, so
     // control-only mocks stay small; the concrete server overrides.
     // --------------------------------------------------------------
 
-    /// Appends `rows` to a hosted streamlet. `expected_stream_offset` is
+    /// Appends `rows` to a hosted streamlet. The rows reach the owning
+    /// shard through the `Arc`, never copied. `expected_stream_offset` is
     /// the client's offset-validation token (§4.2.2); `start` is the
     /// virtual submission time for latency accounting.
-    fn append(
+    fn append_shared(
         &self,
         streamlet: StreamletId,
-        rows: &RowSet,
+        rows: Arc<RowSet>,
         declared_schema_version: u32,
         expected_stream_offset: Option<u64>,
         start: Timestamp,
@@ -158,6 +161,20 @@ pub trait StreamServerApi: Send + Sync {
         Err(VortexError::Unavailable(format!(
             "streamlet {streamlet}: endpoint has no data plane"
         )))
+    }
+
+    /// [`Self::append_shared`] of a copy of borrowed rows: the adapter
+    /// kept for the benchmark's per-layer probes (`benchmark/src/layers.rs`).
+    fn append(
+        &self,
+        streamlet: StreamletId,
+        rows: &RowSet,
+        version: u32,
+        offset: Option<u64>,
+        start: Timestamp,
+    ) -> VortexResult<AppendAck> {
+        // lint:allow(L010, the borrowing adapter copies by definition)
+        self.append_shared(streamlet, Arc::new(rows.clone()), version, offset, start)
     }
 
     /// Persists a flush record at streamlet-relative `flush_row` so the

@@ -24,11 +24,11 @@ use vortex_common::stats::ColumnStats;
 use vortex_common::truetime::{Timestamp, TrueTime};
 use vortex_metastore::{MetaStore, Txn};
 use vortex_ros::{add_rowset, zone_map};
-use vortex_wos::{common_prefix, FragmentWriter};
+use vortex_wos::{common_prefix, FragmentIndex, FragmentWriter};
 
 use crate::api::SmsApi;
 use crate::bigmeta::BigMeta;
-use crate::heartbeat::{HeartbeatReport, HeartbeatResponse};
+use crate::heartbeat::{FragmentDelta, HeartbeatReport, HeartbeatResponse};
 use crate::meta::{
     self, wos_path, wos_streamlet_prefix, FragmentKind, FragmentMeta, FragmentState, Record,
     StreamMeta, StreamType, StreamletMeta, StreamletState, TableMeta,
@@ -135,15 +135,6 @@ impl Listing {
         let (then, pruned) = self.marks;
         self.listed.0 == at && pruned == prunes && (at <= then || now == then)
     }
-}
-
-/// What reconciliation established about one log file of a streamlet.
-pub(crate) struct ReconciledFragment {
-    pub(crate) ordinal: u32,
-    pub(crate) committed_size: u64,
-    pub(crate) first_row: u64,
-    pub(crate) rows: u64,
-    pub(crate) stats: Vec<(String, ColumnStats)>,
 }
 
 impl SmsTask {
@@ -542,12 +533,14 @@ impl SmsTask {
 
     /// Reconciliation phase 2 (§5.6): walks the streamlet's log files in
     /// ordinal order, poisons each in every reachable replica, then reads
-    /// the poisoned copies to establish what was committed.
+    /// the poisoned copies to establish what was committed — adopting
+    /// what the server `reported` of a file where the copies vouch for it.
     fn inspect_replicas(
         &self,
         tmeta: &TableMeta,
         slmeta: &StreamletMeta,
-    ) -> VortexResult<Vec<ReconciledFragment>> {
+        mut reported: Vec<FragmentDelta>,
+    ) -> VortexResult<Vec<FragmentDelta>> {
         let (table, streamlet) = (slmeta.table, slmeta.streamlet);
         let key = tmeta.encryption_key();
         let replicas: Vec<_> = slmeta
@@ -595,11 +588,13 @@ impl SmsTask {
                 .filter_map(|r| r.read_all(&path).ok())
                 .map(|read| read.data)
                 .collect();
+            let report = (reported.iter().position(|r| r.ordinal == ordinal))
+                .map(|at| reported.swap_remove(at));
             // Headerless stubs only: no committed rows here, but a later
             // ordinal may exist (a failed open was retried on the next
             // file).
             // lint:allow(L010, once per log file reconciled)
-            found.extend(reconcile_copies(ordinal, &copies, &key, &tracked)?);
+            found.extend(reconcile_copies(ordinal, &copies, &key, &tracked, report)?);
         }
         Ok(found)
     }
@@ -608,18 +603,29 @@ impl SmsTask {
 /// What the replica `copies` of log file `ordinal` agree was committed
 /// (`None` when none has a header), with the column properties of the
 /// `tracked` columns (§7.2) — what [`ColumnStats::observe`] makes of the
-/// rows, a row that predates a column counting nothing for it. Each block
-/// of the copy read is opened once and walked into columns; no `Row` is
-/// built. Everything inside the agreed extent is committed.
+/// rows, a row that predates a column counting nothing for it — and the
+/// blocks' timestamp range. Where the copies vouch for the server's
+/// `report` ([`vouches`]), that is the report at the agreed extent;
+/// otherwise each block of the copy read is opened once and walked into
+/// columns, and no `Row` is built. Everything inside the agreed extent is
+/// committed.
 pub(crate) fn reconcile_copies(
     ordinal: u32,
     copies: &[Vec<u8>],
     key: &Key,
     tracked: &[(usize, String)],
-) -> VortexResult<Option<ReconciledFragment>> {
+    report: Option<FragmentDelta>,
+) -> VortexResult<Option<FragmentDelta>> {
     let Some((first, index)) = common_prefix(copies)? else {
         return Ok(None);
     };
+    let committed_size = index.valid_len;
+    if let Some(r) = report.filter(|r| vouches(&index, r, tracked)) {
+        return Ok(Some(FragmentDelta {
+            committed_size,
+            ..r
+        }));
+    }
     // lint:allow(L010, once per log file reconciled: the stats it reports)
     let (mut rows, mut stats) = (0, vec![ColumnStats::new(); tracked.len()]);
     for block in &index.blocks {
@@ -642,13 +648,33 @@ pub(crate) fn reconcile_copies(
             stats.merge(&zs);
         }
     }
-    Ok(Some(ReconciledFragment {
+    let stamps = || index.blocks.iter().map(|b| b.timestamp);
+    Ok(Some(FragmentDelta {
+        fragment: index.header.fragment,
         ordinal,
-        committed_size: index.valid_len,
         first_row: index.header.first_row,
-        rows,
+        row_count: rows,
+        committed_size,
+        finalized: true,
         stats: (tracked.iter().map(|(_, n)| n.clone()).zip(stats)).collect(),
+        ts_range: stamps().min().zip(stamps().max()),
     }))
+}
+
+/// Whether the agreed extent `index` vouches for the server's report of a
+/// sealed log file: it ends in the footer the server wrote (nothing but
+/// poison after it), its blocks' headers hold the reported rows from the
+/// reported first row, and the report's properties are of the columns
+/// tracked now — a column added since the file opened was not observed.
+fn vouches(index: &FragmentIndex, r: &FragmentDelta, tracked: &[(usize, String)]) -> bool {
+    let blocks = &index.blocks;
+    index
+        .footer
+        .is_some_and(|f| f.committed_size == r.committed_size)
+        && blocks.iter().all(|b| b.end() <= r.committed_size)
+        && blocks.iter().map(|b| b.row_count).sum::<u64>() == r.row_count
+        && (index.header.fragment, index.header.first_row) == (r.fragment, r.first_row)
+        && (r.stats.iter().map(|(n, _)| n)).eq(tracked.iter().map(|(_, n)| n))
 }
 
 impl SmsApi for SmsTask {
@@ -1032,22 +1058,23 @@ impl SmsApi for SmsTask {
         if slmeta.state == StreamletState::Finalized {
             return Ok(slmeta); // already reconciled — idempotent
         }
-        // Ask the server to finalize gracefully (bloom + footer), then
-        // revoke ownership. A dead server simply doesn't answer; the
-        // inspection below works either way.
-        if let Some(h) = self.servers.read().get(&slmeta.server) {
-            let _ = h.finalize_streamlet_ctl(streamlet);
+        // Ask the server to finalize gracefully (bloom + footer) and to
+        // report what it sealed, then revoke ownership. A dead server
+        // simply doesn't answer; the inspection below decodes instead.
+        let reported = self.servers.read().get(&slmeta.server).map(|h| {
+            let sealed = h.finalize_streamlet_ctl(streamlet);
             h.revoke_streamlet(streamlet);
-        }
+            sealed.unwrap_or_default()
+        });
         // Phase 2: inspect replicas fragment by fragment.
-        let found = self.inspect_replicas(&tmeta, &slmeta)?;
+        let found = self.inspect_replicas(&tmeta, &slmeta, reported.unwrap_or_default())?;
         // Phase 3: record the reconciled truth.
         self.txn(|txn| {
             let mut m: StreamletMeta = meta::load_in(txn, (table, streamlet))?;
             m.state = StreamletState::Finalized;
             m.row_count = found
                 .iter()
-                .map(|r| r.first_row + r.rows)
+                .map(|r| r.first_row + r.row_count)
                 .max()
                 .unwrap_or(0);
             m.known_fragments = found.len() as u32;
@@ -1067,7 +1094,7 @@ impl SmsApi for SmsTask {
                     continue; // converted already; reconciliation cannot resurrect
                 }
                 f.first_row = r.first_row;
-                f.row_count = r.rows;
+                f.row_count = r.row_count;
                 f.committed_size = r.committed_size;
                 f.stats = r.stats.clone();
                 if f.state == FragmentState::Active {

@@ -106,8 +106,8 @@ impl StreamServerApi for MockServer {
         self.revoked.lock().push(streamlet);
     }
 
-    fn finalize_streamlet_ctl(&self, _streamlet: StreamletId) -> VortexResult<()> {
-        Ok(())
+    fn finalize_streamlet_ctl(&self, _streamlet: StreamletId) -> VortexResult<Vec<FragmentDelta>> {
+        Ok(Vec::new())
     }
 }
 
@@ -1556,11 +1556,12 @@ fn reconcile_file(seed: u64, blocks: usize) -> (Vec<u8>, Vec<Vec<u8>>, Vec<u8>) 
 fn reconciliation_matches_the_row_wise_reference() {
     let tracked: Vec<(usize, String)> = (0..6).map(|c| (c, format!("c{c}"))).collect();
     let check = |copies: &[Vec<u8>]| {
-        let got = crate::sms::reconcile_copies(3, copies, &reconcile_key(), &tracked).unwrap();
+        let got =
+            crate::sms::reconcile_copies(3, copies, &reconcile_key(), &tracked, None).unwrap();
         let got = got.map(|r| {
             assert_eq!(r.ordinal, 3);
             let stats = r.stats.iter().map(|(n, s)| (n.clone(), s.to_bytes()));
-            (r.committed_size, r.first_row, r.rows, stats.collect())
+            (r.committed_size, r.first_row, r.row_count, stats.collect())
         });
         assert_eq!(got, reference_reconcile(copies, &tracked));
         got
@@ -1586,6 +1587,125 @@ fn reconciliation_matches_the_row_wise_reference() {
         check(&[stub.clone(), poison(&whole, 4)]);
         check(&[Vec::new(), upto(early)]);
         assert_eq!(check(&[stub.clone(), Vec::new()]), None);
+    }
+}
+
+/// A log file sealed with bloom + footer, its rows of every tracked type
+/// (NULLs included), the last column only in the later rows of two
+/// schema versions; and what the server that wrote it reports: each row
+/// observed as it was appended, the footer's committed size.
+fn sealed_file(seed: u64, blocks: usize, tracked: &[(usize, String)]) -> (Vec<u8>, FragmentDelta) {
+    let fragment = FragmentId::from_raw(80_000 + seed);
+    let cfg = FragmentConfig {
+        streamlet: StreamletId::from_raw(9),
+        fragment,
+        ordinal: 3,
+        schema_version: 2,
+        key: reconcile_key(),
+    };
+    let (mut w, mut file) = FragmentWriter::new(cfg, 40, vec![], Timestamp(10));
+    let mut stats = vec![vortex_common::stats::ColumnStats::new(); tracked.len()];
+    let mut rows = 0u64;
+    for b in 0..blocks as u64 {
+        let block: Vec<Row> = (0..1 + (seed * 7 + b * 13) % 30)
+            .map(|i| {
+                let k = (seed * 31 + b * 17 + i * 5) % 23;
+                let valued = |v: Value| if k % 5 == 0 { Value::Null } else { v };
+                let mut values = vec![
+                    valued(Value::Bool(k % 2 == 0)),
+                    valued(Value::Int64(k as i64 - 11)),
+                    valued(Value::Float64([f64::NAN, -0.0, 0.0, 2.5][k as usize % 4])),
+                    valued(Value::String(format!("s{k}"))),
+                    valued(Value::Bytes(vec![k as u8; k as usize % 3])),
+                    valued(Value::Timestamp(Timestamp(1_000 + k))),
+                    valued(Value::Date(k as i32 - 4)),
+                    valued(Value::Numeric(k as i128 * 1_000_000_007 - 9)),
+                    valued(Value::Json(format!("{{\"k\":{k}}}"))),
+                ];
+                if b > 0 && i % 2 == 0 {
+                    values.push(valued(Value::Int64(k as i64)));
+                }
+                Row::insert(values)
+            })
+            .collect();
+        for row in &block {
+            for (s, (c, _)) in stats.iter_mut().zip(tracked) {
+                if let Some(v) = row.values.get(*c) {
+                    s.observe(v);
+                }
+            }
+        }
+        rows += block.len() as u64;
+        file.extend(w.data_block(&block, Timestamp(20 + b)).unwrap());
+    }
+    let bloom = BloomFilter::with_capacity(16, 0.01);
+    file.extend(w.finalize(&bloom, Timestamp(90)).unwrap());
+    let report = FragmentDelta {
+        fragment,
+        ordinal: 3,
+        first_row: 40,
+        row_count: rows,
+        committed_size: file.len() as u64,
+        finalized: true,
+        stats: (tracked.iter().map(|(_, n)| n.clone()).zip(stats)).collect(),
+        ts_range: Some((Timestamp(20), Timestamp(19 + blocks as u64))),
+    };
+    (file, report)
+}
+
+/// A graceful finalize's report stands in for the decode only where the
+/// copies vouch for it, and then says what the decode says: the same
+/// extent, first row, rows and properties, bit for bit. Where it is
+/// adopted no block is opened — the copies reconcile even under a key that
+/// cannot open one; anywhere else the decode runs, and that key fails it.
+#[test]
+fn a_vouched_report_is_the_decode() {
+    let tracked: Vec<(usize, String)> = (0..10).map(|c| (c, format!("c{c}"))).collect();
+    let wrong = vortex_common::crypt::Key::derive_from_passphrase("not the table's");
+    let reconcile = |copies: &[Vec<u8>], key: &_, tracked: &[_], report: Option<&FragmentDelta>| {
+        let got = crate::sms::reconcile_copies(3, copies, key, tracked, report.cloned());
+        got.map(|r| {
+            let r = r.unwrap();
+            let stats = r.stats.iter().map(|(n, s)| (n.clone(), s.to_bytes()));
+            let stats: Vec<_> = stats.collect();
+            let at = (r.fragment, r.ordinal, r.first_row, r.ts_range);
+            (at, r.row_count, r.committed_size, stats)
+        })
+    };
+    // Whether `report` is adopted for `copies`; either way the answer is
+    // the decode's.
+    let adopted = |copies: &[Vec<u8>], tracked: &[_], report: &FragmentDelta| {
+        let decoded = reconcile(copies, &reconcile_key(), tracked, None).unwrap();
+        let given = reconcile(copies, &reconcile_key(), tracked, Some(report));
+        assert_eq!(given.unwrap(), decoded);
+        reconcile(copies, &wrong, tracked, Some(report)).is_ok()
+    };
+    let poison = |bytes: &[u8]| {
+        let sentinel = FragmentWriter::sentinel_record(4, Timestamp(500));
+        [bytes, &sentinel[..]].concat()
+    };
+    for seed in 0..8 {
+        let (file, report) = sealed_file(seed, 1 + seed as usize % 4, &tracked);
+        let sealed = poison(&file);
+        assert!(adopted(
+            &[sealed.clone(), sealed.clone()],
+            &tracked,
+            &report
+        ));
+        assert!(adopted(std::slice::from_ref(&sealed), &tracked, &report));
+        assert!(adopted(&[file.clone(), sealed.clone()], &tracked, &report));
+
+        let torn = poison(&file[..file.len() - 3]);
+        assert!(!adopted(&[sealed.clone(), torn], &tracked, &report));
+        let mut off = report.clone();
+        off.row_count -= 1;
+        assert!(!adopted(&[sealed.clone(), sealed.clone()], &tracked, &off));
+        let mut off = report.clone();
+        off.committed_size += 1;
+        assert!(!adopted(&[sealed.clone(), sealed.clone()], &tracked, &off));
+        let mut grown = tracked.clone();
+        grown.push((10, "added".into()));
+        assert!(!adopted(&[sealed.clone(), sealed.clone()], &grown, &report));
     }
 }
 

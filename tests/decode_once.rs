@@ -1,8 +1,10 @@
 //! Read amplification as a number: what `wos.rows_decoded` gains against
-//! the rows a reconciliation or a tail read is about, and what
-//! `wos.records_indexed` gains against the records a reconciliation reads. One test in a
-//! binary of its own — the metrics registry is process-global, and any
-//! neighbour that reads a log file would move the counter.
+//! the rows a reconciliation or a tail read is about — none when a live
+//! server's report of what it sealed is adopted, each row once when its
+//! server is dead — and what `wos.records_indexed` gains against the
+//! records a reconciliation reads. One test in a binary of its own — the
+//! metrics registry is process-global, and any neighbour that reads a log
+//! file would move the counter.
 
 use vortex::row::{Row, RowSet, Value};
 use vortex::schema::{Field, FieldType, Schema};
@@ -34,8 +36,9 @@ fn every_log_row_is_decoded_once() {
     };
 
     // Finalizing a PENDING stream reconciles its streamlet: two healthy
-    // replicas are compared by their bytes and the authoritative copy is
-    // decoded once, for its row count and column properties.
+    // replicas are compared by their bytes, and the row count and column
+    // properties are the live server's, which the copies vouch for — no
+    // row is decoded.
     let bulk = client.create_table("bulk", schema()).unwrap().table;
     let mut w = client.create_pending_writer(bulk).unwrap();
     w.append(rows(0, 60)).unwrap();
@@ -46,7 +49,7 @@ fn every_log_row_is_decoded_once() {
     };
     let (before, walked) = (decoded(), indexed());
     w.finalize().unwrap();
-    assert_eq!(decoded() - before, R, "rows decoded by finalize");
+    assert_eq!(decoded() - before, 0, "rows decoded by finalize");
     // The two copies agree, so each is framed once and no more: twice the
     // records the finalized (and poisoned) log file holds.
     let walked = indexed() - walked;
@@ -76,6 +79,23 @@ fn every_log_row_is_decoded_once() {
         .count(fresh, client.snapshot(), &ScanOptions::default());
     assert_eq!(counted.unwrap(), R);
     assert_eq!(decoded() - before, R, "rows decoded by the tail read");
+
+    // With the hosting server dead nothing is reported: the authoritative
+    // copy is decoded once, for its row count and column properties.
+    let orphaned = client.create_table("orphaned", schema()).unwrap().table;
+    let mut w = client.create_pending_writer(orphaned).unwrap();
+    w.append(rows(0, 60)).unwrap();
+    w.append(rows(60, 40)).unwrap();
+    for i in 0..region.server_channels().len() {
+        region.kill_server(i);
+    }
+    let before = decoded();
+    w.finalize().unwrap();
+    assert_eq!(
+        decoded() - before,
+        R,
+        "rows decoded by a finalize without a server"
+    );
 
     // The same over a tail of several log files the catalog has not heard
     // of: predecessors come from one replica, the File Map vouching.
