@@ -4,7 +4,7 @@
 //! that conversion by the Storage Optimization Service to the ROS format
 //! happens frequently, but not so small that too many Fragments are
 //! created in the metadata." Sweeps the rotation threshold and records
-//! fragment counts (metadata volume / Big Metadata tail) vs how much data
+//! fragment counts (metadata volume) vs how much data
 //! a conversion wave can pick up mid-stream.
 
 use rand::rngs::StdRng;

@@ -4,7 +4,8 @@
 //! such as min/max values and bloom filters for columns on which the data
 //! is partitioned or clustered" (§7.2). The Stream Server accumulates
 //! these per Streamlet/Fragment as data is written; the Storage Optimizer
-//! and Big Metadata track them per ROS block.
+//! tracks them per ROS block, and the catalog keeps them in each
+//! fragment's metadata.
 
 use crate::codec::{decode_value, encode_value, get_uvarint, put_uvarint};
 use crate::error::{VortexError, VortexResult};

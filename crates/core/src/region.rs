@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use vortex_admission::{AdmissionConfig, AdmissionController};
 use vortex_client::{DmlExecutor, QueryEngine, ReadCache, VortexClient};
-use vortex_colossus::{Colossus, StorageFleet};
+use vortex_colossus::{Colossus, StorageFleet, BUCKET_CLUSTER_ID, META_CLUSTER_ID};
 use vortex_common::error::VortexResult;
 use vortex_common::ids::{ClusterId, IdGen, ServerId, SmsTaskId, TableId};
 use vortex_common::latency::WriteProfile;
@@ -169,59 +169,31 @@ impl Region {
         assert!(cfg.clusters >= 2, "dual-replica writes need ≥ 2 clusters");
         let clock = SimClock::new(cfg.start_micros);
         let tt = TrueTime::simulated(clock.clone(), cfg.tt_epsilon_micros, 0);
+        // A cluster on disk under `disk_root/dir`, else in memory.
+        let storage = |id, dir: &str, seed: u64| -> VortexResult<Arc<Colossus>> {
+            let seed = cfg.seed.wrapping_add(seed);
+            Ok(match &cfg.disk_root {
+                Some(root) => Colossus::new_disk(id, root.join(dir), cfg.write_profile, seed)?,
+                None => Colossus::new_mem(id, cfg.write_profile, seed),
+            })
+        };
         let mut fleet = StorageFleet::new();
         for i in 0..cfg.clusters {
             let id = ClusterId::from_raw(i as u64);
-            let cluster = match &cfg.disk_root {
-                Some(root) => Colossus::new_disk(
-                    id,
-                    root.join(format!("cluster-{i}")),
-                    cfg.write_profile,
-                    cfg.seed.wrapping_add(i as u64),
-                )?,
-                None => Colossus::new_mem(id, cfg.write_profile, cfg.seed.wrapping_add(i as u64)),
-            };
-            fleet.add(cluster);
+            fleet.add(storage(id, &format!("cluster-{i}"), i as u64)?);
         }
         // The customer-bucket store for BigLake Managed Tables (§6.4).
-        let bucket_store = match &cfg.disk_root {
-            Some(root) => Colossus::new_disk(
-                vortex_colossus::BUCKET_CLUSTER_ID,
-                root.join("bucket"),
-                cfg.write_profile,
-                cfg.seed.wrapping_add(0xB0C),
-            )?,
-            None => Colossus::new_mem(
-                vortex_colossus::BUCKET_CLUSTER_ID,
-                cfg.write_profile,
-                cfg.seed.wrapping_add(0xB0C),
-            ),
-        };
-        fleet.add(bucket_store);
+        fleet.add(storage(BUCKET_CLUSTER_ID, "bucket", 0xB0C)?);
         // The metastore durability domain: a dedicated cluster standing
         // in for the regional Spanner deployment (§5.1) — a separate
         // failure domain from the WOS replica fleet, so a dark data
         // cluster never blocks metadata commits.
-        let meta_cluster = match &cfg.disk_root {
-            Some(root) => Colossus::new_disk(
-                vortex_colossus::META_CLUSTER_ID,
-                root.join("meta"),
-                cfg.write_profile,
-                cfg.seed.wrapping_add(0x5DB),
-            )?,
-            None => Colossus::new_mem(
-                vortex_colossus::META_CLUSTER_ID,
-                cfg.write_profile,
-                cfg.seed.wrapping_add(0x5DB),
-            ),
-        };
-        fleet.add(meta_cluster);
+        fleet.add(storage(META_CLUSTER_ID, "meta", 0x5DB)?);
         // Recover control-plane metadata from the latest valid
         // published checkpoint plus the WAL tail. A fresh region cold
         // starts from an empty cluster; every commit from here on is
         // WAL-logged before it is acknowledged.
-        let (store, meta_recovery) =
-            MetaStore::recover(tt.clone(), fleet.get(vortex_colossus::META_CLUSTER_ID)?)?;
+        let (store, meta_recovery) = MetaStore::recover(tt.clone(), fleet.get(META_CLUSTER_ID)?)?;
         // The restored metadata carries timestamps from the previous
         // incarnation; the fresh virtual clock must start beyond them or
         // new writes would sort before old snapshots.
@@ -233,11 +205,7 @@ impl Region {
         let slicer = Slicer::new(task_ids.clone());
         let mut sms_tasks = Vec::new();
         for (i, task) in task_ids.iter().enumerate() {
-            let view = if cfg.sms_tasks > 1 {
-                Some(SlicerView::new(Arc::clone(&slicer), *task))
-            } else {
-                None
-            };
+            let view = slicer_view(&slicer, cfg.sms_tasks, *task);
             let mut sms_cfg = SmsConfig::new(*task, ClusterId::from_raw((i % cfg.clusters) as u64));
             if let Some(g) = cfg.gc_grace_micros {
                 sms_cfg.gc_grace_micros = g;
@@ -366,7 +334,7 @@ impl Region {
     /// so chaos suites can aim fault injection at the control plane's
     /// storage specifically.
     pub fn meta_cluster(&self) -> VortexResult<&Arc<Colossus>> {
-        self.fleet.get(vortex_colossus::META_CLUSTER_ID)
+        self.fleet.get(META_CLUSTER_ID)
     }
 
     /// The (channel-wrapped) SMS handle that owns `table` (Slicer
@@ -462,25 +430,21 @@ impl Region {
 
     /// Simulates the death of SMS task `idx` (see [`Region::kill_server`]
     /// — same boundary semantics). Durable control-plane state lives in
-    /// the metastore, so nothing but the in-memory Big Metadata index and
-    /// server registry dies with the task.
+    /// the metastore, so nothing but the in-memory server registry and
+    /// listing cache dies with the task.
     pub fn kill_sms_task(&self, idx: usize) {
         self.sms_channels[idx].kill();
     }
 
     /// Restarts SMS task `idx` after [`Region::kill_sms_task`]: a fresh
-    /// task over the same (durable) metastore, with an empty Big Metadata
-    /// index and a re-registered server set — exactly what a rescheduled
+    /// task over the same (durable) metastore, with an empty listing
+    /// cache and a re-registered server set — exactly what a rescheduled
     /// task rebuilds (§5.2.1). Servers are told to re-report full state
     /// on their next heartbeat.
     pub fn restart_sms_task(&self, idx: usize) -> VortexResult<()> {
         let old = self.sms_channels[idx].instance();
         let cfg = old.config().clone();
-        let view = if self.sms_channels.len() > 1 {
-            Some(SlicerView::new(Arc::clone(&self.slicer), cfg.task))
-        } else {
-            None
-        };
+        let view = slicer_view(&self.slicer, self.sms_channels.len(), cfg.task);
         let task = SmsTask::new(
             cfg,
             Arc::clone(&self.store),
@@ -724,7 +688,7 @@ impl Region {
     }
 
     /// One optimization cycle for a table: WOS→ROS conversion, then a
-    /// recluster check, then metadata compaction (§6).
+    /// recluster check (§6).
     pub fn run_optimizer_cycle(&self, table: TableId) -> VortexResult<()> {
         // Optimization is the canonical background class: under overload
         // its RPCs are shed before any interactive or batch work.
@@ -742,9 +706,7 @@ impl Region {
             Err(e) => Err(e),
         };
         tolerate(self.optimizer.convert_wos(table).map(|_| ()))?;
-        tolerate(self.optimizer.recluster(table).map(|_| ()))?;
-        self.optimizer.compact_metadata(table)?;
-        Ok(())
+        tolerate(self.optimizer.recluster(table).map(|_| ()))
     }
 
     /// Checkpoint + compaction: prunes metastore MVCC versions below
@@ -783,4 +745,10 @@ impl std::fmt::Debug for Region {
             .field("sms_tasks", &self.sms_handles.len())
             .finish()
     }
+}
+
+/// A task's Slicer view: `None` ("owns everything") when it is the
+/// region's only task.
+fn slicer_view(slicer: &Arc<Slicer>, tasks: usize, task: SmsTaskId) -> Option<SlicerView> {
+    (tasks > 1).then(|| SlicerView::new(Arc::clone(slicer), task))
 }

@@ -19,8 +19,11 @@
 //!   delta blocks are range-partitioned and, once large enough relative to
 //!   the baseline, merged with it into a new non-overlapping baseline
 //!   (Figure 6); the **clustering ratio** — the fraction of ROS rows in
-//!   non-overlapping baseline blocks — is the service's steering metric;
-//! - Big Metadata compaction driven by the optimization watermark (§6.2).
+//!   non-overlapping baseline blocks — is the service's steering metric.
+//!
+//! Each replacement block's column properties are committed with it in
+//! its catalog entry (`FragmentMeta::stats`), which is where readers
+//! prune (§6.2).
 
 #![warn(missing_docs)]
 
@@ -433,18 +436,6 @@ impl StorageOptimizer {
         let rows = |delta: bool| ros.iter().filter(move |f| (f.level == 0) == delta);
         let [baseline, delta] = [false, true].map(|d| rows(d).map(|f| f.row_count).sum());
         (ros, baseline, delta)
-    }
-
-    /// Runs Big Metadata compaction for the table (§6.2): the watermark
-    /// is the current snapshot once every candidate has been converted.
-    pub fn compact_metadata(&self, table: TableId) -> VortexResult<usize> {
-        let _bg = class_scope(WorkClass::Background);
-        let pending = self.candidates(table)?.len();
-        if pending > 0 {
-            return Ok(0); // watermark pinned by unoptimized fragments
-        }
-        let wm = self.sms.read_snapshot();
-        Ok(self.sms.bigmeta().compact(table, wm))
     }
 
     /// Number of live WOS fragments waiting for conversion (the

@@ -500,40 +500,6 @@ fn gc_after_conversion_removes_wos_files() {
 }
 
 #[test]
-fn bigmeta_indexes_conversions_and_compacts() {
-    let r = rig();
-    let t = r.sms.create_table("t", schema()).unwrap();
-    ingest(&r, t.table, 0, 120);
-    assert_eq!(r.sms.bigmeta().indexed_count(t.table), 0);
-    let live = r.sms.list_fragments(t.table, r.sms.read_snapshot());
-    assert!(
-        r.sms.bigmeta().tail_count(t.table, &live) > 0,
-        "unindexed tail"
-    );
-    r.opt.convert_wos(t.table).unwrap();
-    assert!(r.sms.bigmeta().indexed_count(t.table) >= 3);
-    let live = r.sms.list_fragments(t.table, r.sms.read_snapshot());
-    let ros_live: Vec<_> = live
-        .iter()
-        .filter(|f| f.deleted_at == Timestamp::MAX)
-        .cloned()
-        .collect();
-    assert_eq!(
-        r.sms.bigmeta().tail_count(t.table, &ros_live),
-        0,
-        "everything indexed after conversion"
-    );
-    let compacted = r.opt.compact_metadata(t.table).unwrap();
-    let _ = compacted; // nothing tombstoned yet; next conversion creates tombstones
-                       // A reclustering creates tombstones for the old delta blocks.
-    ingest(&r, t.table, 120, 120);
-    r.opt.convert_wos(t.table).unwrap();
-    r.opt.recluster(t.table).unwrap();
-    let dropped = r.opt.compact_metadata(t.table).unwrap();
-    assert!(dropped > 0, "compaction drops converted-away entries");
-}
-
-#[test]
 fn empty_table_conversion_is_noop() {
     let r = rig();
     let t = r.sms.create_table("t", schema()).unwrap();

@@ -265,8 +265,8 @@ impl RosBlockBuilder {
         let shape = Shape {
             schema_version: schema.version,
             clustering_idx,
-            // Stats for every scalar top-level column (Big Metadata
-            // tracks "fine grained column properties", §6.2).
+            // Stats for every scalar top-level column: the catalog's
+            // "fine grained column properties" (§6.2).
             tracked: schema.tracked_columns(),
             key_cols: schema.bloom_key_columns(),
         };

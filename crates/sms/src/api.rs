@@ -31,7 +31,6 @@ use vortex_common::schema::Schema;
 use vortex_common::truetime::Timestamp;
 use vortex_metastore::MetaStore;
 
-use crate::bigmeta::BigMeta;
 use crate::heartbeat::{FragmentDelta, HeartbeatReport, HeartbeatResponse};
 use crate::meta::{FragmentMeta, StreamMeta, StreamType, StreamletMeta, TableMeta};
 use crate::readset::ReadSet;
@@ -41,17 +40,13 @@ use crate::sms::{DmlTicket, SmsTask, StreamHandle};
 /// The complete SMS service surface. `impl SmsApi for SmsTask` (in
 /// [`crate::sms`]) is the implementation; [`SmsChannel`] wraps it.
 ///
-/// Infrastructure accessors (`bigmeta`, `store`, `register_server`, the
-/// listing diagnostics) are part of the trait so consumers never need the
+/// Infrastructure accessors (`store`, `register_server`, the listing
+/// diagnostics) are part of the trait so consumers never need the
 /// concrete type, but channel wrappers treat them as local calls — they
 /// model in-process state shared with the caller, not RPCs.
 pub trait SmsApi: Send + Sync {
     /// This task's id.
     fn task_id(&self) -> SmsTaskId;
-    /// The Big Metadata index this task maintains (§6.2). Owned so
-    /// channel wrappers can swap the task behind a handle (kill/restart
-    /// chaos) without dangling borrows.
-    fn bigmeta(&self) -> Arc<BigMeta>;
     /// The shared metastore (used by verification pipelines).
     fn store(&self) -> Arc<MetaStore>;
     /// Registers a Stream Server endpoint.
@@ -329,9 +324,6 @@ impl SmsApi for SmsChannel {
     // durable metadata remains inspectable, like the metastore itself).
     fn task_id(&self) -> SmsTaskId {
         self.instance().task_id()
-    }
-    fn bigmeta(&self) -> Arc<BigMeta> {
-        self.instance().bigmeta()
     }
     fn store(&self) -> Arc<MetaStore> {
         self.instance().store()

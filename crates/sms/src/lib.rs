@@ -1,6 +1,5 @@
 //! The Vortex control plane: Stream Metadata Server (SMS), Slicer-style
-//! sharding, Big Metadata, and the disaster-recovery reconciliation
-//! protocol.
+//! sharding, and the disaster-recovery reconciliation protocol.
 //!
 //! "The Stream Metadata Server (SMS) is the control plane of Vortex. It
 //! manages the physical metadata of Streams, Streamlets and Fragments and
@@ -26,14 +25,15 @@
 //!   tails, with reinserted rows made visible atomically (§7.3);
 //! - Slicer-style eventually-consistent table→task assignment whose
 //!   double-ownership hazard is neutralized by metastore transactions
-//!   (§5.2.1);
-//! - Big Metadata (§6.2): a column-property index over optimized
-//!   fragments with a compaction watermark over the live tail.
+//!   (§5.2.1).
+//!
+//! Fine grained column properties (§6.2) live in the catalog: each
+//! [`FragmentMeta`] carries its columns' statistics, committed with the
+//! fragment, so a restarted task prunes exactly as its predecessor did.
 
 #![warn(missing_docs)]
 
 pub mod api;
-pub mod bigmeta;
 pub mod heartbeat;
 pub mod meta;
 pub mod readset;

@@ -27,7 +27,6 @@ use vortex_ros::{add_rowset, zone_map};
 use vortex_wos::{common_prefix, FragmentIndex, FragmentWriter};
 
 use crate::api::SmsApi;
-use crate::bigmeta::BigMeta;
 use crate::heartbeat::{FragmentDelta, HeartbeatReport, HeartbeatResponse};
 use crate::meta::{
     self, wos_path, wos_streamlet_prefix, FragmentKind, FragmentMeta, FragmentState, Record,
@@ -110,7 +109,6 @@ pub struct SmsTask {
     tt: TrueTime,
     ids: Arc<IdGen>,
     servers: RwLock<HashMap<ServerId, ServerHandle>>,
-    bigmeta: Arc<BigMeta>,
     view: Option<SlicerView>,
     /// Per table, its last listing: served again while [`Listing::serves`].
     listings: Mutex<HashMap<TableId, Listing>>,
@@ -156,7 +154,6 @@ impl SmsTask {
             tt,
             ids,
             servers: RwLock::new(HashMap::new()),
-            bigmeta: Arc::new(BigMeta::new()),
             view,
             listings: Mutex::default(),
             m: [
@@ -682,10 +679,6 @@ impl SmsApi for SmsTask {
         self.cfg.task
     }
 
-    fn bigmeta(&self) -> Arc<BigMeta> {
-        Arc::clone(&self.bigmeta)
-    }
-
     fn store(&self) -> Arc<MetaStore> {
         Arc::clone(&self.store)
     }
@@ -1175,9 +1168,6 @@ impl SmsApi for SmsTask {
             }
             Ok(())
         })?;
-        self.bigmeta.index_fragments(table, &replacements);
-        self.bigmeta
-            .note_conversion(table, &sources.iter().map(|(f, _)| *f).collect::<Vec<_>>());
         self.tt.commit_wait(commit_ts);
         Ok(commit_ts)
     }

@@ -189,7 +189,20 @@ fn chaos_kill_restart_exact_ledger() {
             let caller = Caller::enter(&callers);
             s.spawn(move || {
                 let _caller = caller;
-                let mut writer = client.create_unbuffered_writer(table).unwrap();
+                // The SMS crash points are armed already: opening the
+                // stream follows the same retry rule as an append.
+                let mut writer = loop {
+                    match client.create_unbuffered_writer(table) {
+                        Ok(writer) => break writer,
+                        Err(e) if e.is_retryable() => {
+                            if stop.load(Ordering::Relaxed) {
+                                return;
+                            }
+                            std::thread::sleep(Duration::from_millis(1));
+                        }
+                        Err(e) => panic!("writer {w} failed to open (seed {seed}): {e}"),
+                    }
+                };
                 let mut next = 0i64;
                 while !stop.load(Ordering::Relaxed) {
                     let batch = RowSet::new(

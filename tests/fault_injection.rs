@@ -391,11 +391,34 @@ fn kill_restart_server_recovers_acked_rows() {
 /// while it is down, appends to already-open streamlets keep working
 /// (the data plane does not transit the SMS), and the restarted task —
 /// a fresh instance over the same durable metastore — serves the same
-/// tables with an initially cold Big Metadata index.
+/// tables, and prunes a converted table on the column properties its
+/// catalog holds exactly as the task before the kill did.
 #[test]
 fn kill_restart_sms_task_preserves_control_plane() {
     let region = Region::create(RegionConfig::default()).unwrap();
     let client = region.client();
+    // Two converted ROS blocks with disjoint keys: `k >= 200` prunes one
+    // on its catalogued stats.
+    let conv = client.create_table("converted", schema()).unwrap().table;
+    for start in [100, 200] {
+        let mut w = client.create_unbuffered_writer(conv).unwrap();
+        w.append(rows(start, 10)).unwrap();
+        region.sms().finalize_stream(conv, w.stream_id()).unwrap();
+        region.optimizer().convert_wos(conv).unwrap();
+    }
+    let filtered = || {
+        let opts = ScanOptions {
+            predicate: Expr::ge("k", Value::Int64(200)),
+            ..ScanOptions::default()
+        };
+        let cold = QueryEngine::new(region.sms().clone(), region.fleet().clone());
+        let res = cold.scan(conv, client.snapshot(), &opts).unwrap();
+        let s = res.stats;
+        (keys(&res.rows), s.pruned_by_stats, s.fragments_total)
+    };
+    let before = filtered();
+    assert_eq!(before, ((200..210).collect(), 1, 2));
+
     let t = client.create_table("smskr", schema()).unwrap().table;
     let mut w = client.create_unbuffered_writer(t).unwrap();
     w.append(rows(0, 20)).unwrap();
@@ -417,6 +440,8 @@ fn kill_restart_sms_task_preserves_control_plane() {
     w2.append(rows(0, 5)).unwrap();
     assert_eq!(client.read_rows(t).unwrap().rows.len(), 40);
     assert_eq!(client.read_rows(t2).unwrap().rows.len(), 5);
+    // Column properties live in the catalog, not in task memory.
+    assert_eq!(filtered(), before);
 }
 
 /// Satellite of the crash framework: cluster failover (§5.2.1) swapping
