@@ -16,8 +16,9 @@
 //! The DML runs under the table's DML marker (so the optimizer yields,
 //! §7.3) and commits masks + reinserted-row streams atomically through
 //! the SMS. A concurrent 1:1 conversion swaps fragment ids under us; the
-//! commit then conflicts and the statement re-resolves against the new
-//! (positionally identical) fragments.
+//! commit then fails with `NotFound` (a mask on a replaced fragment, or a
+//! tail mask over rows converted since the snapshot) and the statement
+//! re-resolves against the new (positionally identical) fragments.
 
 use vortex_common::error::{VortexError, VortexResult};
 use vortex_common::ids::{FragmentId, StreamletId, TableId};

@@ -872,10 +872,7 @@ fn rig_with_block_rows(target_block_rows: usize) -> Rig {
         handle,
         fleet.clone(),
         ids,
-        OptimizerConfig {
-            target_block_rows,
-            merge_trigger: 0.5,
-        },
+        OptimizerConfig { target_block_rows },
     );
     let dml = DmlExecutor::new(client.clone());
     Rig {

@@ -12,17 +12,22 @@
 //!   blocks split by partition (Figure 5), committed atomically through
 //!   the SMS so "a row is included exactly once";
 //! - **stable 1:1 conversion** ([`StorageOptimizer::convert_one_to_one`]):
-//!   the DML-race-free mode of §7.3 — one WOS fragment becomes exactly one
-//!   ROS block with identical row order, so deletion masks carry over
-//!   positionally and the optimizer does not need to yield;
+//!   the mode of §7.3 that does not yield to DML — one WOS fragment
+//!   becomes exactly one ROS block with identical row order, so deletion
+//!   masks carry over positionally. A mask committed after the pass
+//!   listed its source fails that commit (the next pass converts it with
+//!   the mask), and a statement that masked a fragment, or tail rows,
+//!   converted since its snapshot fails its commit and re-resolves;
 //! - **automatic reclustering** ([`StorageOptimizer::recluster`]): level-0
 //!   delta blocks are range-partitioned and, once large enough relative to
 //!   the baseline, merged with it into a new non-overlapping baseline
 //!   (Figure 6); the **clustering ratio** — the fraction of ROS rows in
 //!   non-overlapping baseline blocks — is the service's steering metric.
 //!
-//! Each replacement block's column properties are committed with it in
-//! its catalog entry (`FragmentMeta::stats`), which is where readers
+//! Every pass plans from one read set at a fresh snapshot — the answer
+//! readers plan from (§7) — and reads each source through its listed
+//! spec. Each replacement block's column properties are committed with it
+//! in its catalog entry (`FragmentMeta::stats`), which is where readers
 //! prune (§6.2).
 
 #![warn(missing_docs)]
@@ -33,7 +38,7 @@ use std::sync::Arc;
 use vortex_client::read::{read_zones, RowGate, Zone};
 use vortex_colossus::{Colossus, StorageFleet};
 use vortex_common::error::{VortexError, VortexResult};
-use vortex_common::ids::{IdGen, StreamId, StreamletId, TableId};
+use vortex_common::ids::{IdGen, StreamletId, TableId};
 use vortex_common::mask::DeletionMask;
 use vortex_common::row::Value;
 use vortex_common::rpc::{class_scope, WorkClass};
@@ -41,10 +46,8 @@ use vortex_common::schema::{PartitionSpec, Schema};
 use vortex_common::truetime::Timestamp;
 use vortex_ros::{dictionary, ColumnVec, RosBlock, RosBlockBuilder};
 use vortex_sms::api::SmsHandle;
-use vortex_sms::meta::{
-    ros_path, FragmentKind, FragmentMeta, FragmentState, StreamType, StreamletMeta, TableMeta,
-};
-use vortex_sms::readset::{FragmentReadSpec, RowVisibility};
+use vortex_sms::meta::{ros_path, FragmentKind, FragmentMeta, FragmentState, TableMeta};
+use vortex_sms::readset::{FragmentReadSpec, ReadSet};
 
 #[cfg(test)]
 mod tests;
@@ -54,18 +57,17 @@ mod tests;
 pub struct OptimizerConfig {
     /// Target rows per ROS block.
     pub target_block_rows: usize,
-    /// Merge deltas into the baseline once `delta_rows >= trigger ×
-    /// baseline_rows` (§6.1: "after the deltas have accumulated
-    /// sufficient data comparable in size to the size of the current
-    /// baseline").
-    pub merge_trigger: f64,
 }
+
+/// Deltas merge into the baseline once `delta_rows >= MERGE_TRIGGER ×
+/// baseline_rows` (§6.1: "after the deltas have accumulated sufficient
+/// data comparable in size to the size of the current baseline").
+const MERGE_TRIGGER: f64 = 0.5;
 
 impl Default for OptimizerConfig {
     fn default() -> Self {
         OptimizerConfig {
             target_block_rows: 4096,
-            merge_trigger: 0.5,
         }
     }
 }
@@ -119,62 +121,25 @@ impl StorageOptimizer {
         }
     }
 
-    /// Returns WOS fragments eligible for conversion: finalized, live,
-    /// and with fully-visible rows (PENDING streams must be committed,
-    /// BUFFERED fragments fully flushed — ROS blocks carry no stream
-    /// visibility gate).
-    fn candidates(&self, table: TableId) -> VortexResult<Vec<(FragmentMeta, StreamletMeta)>> {
-        let now = self.sms.read_snapshot();
-        let streamlets: BTreeMap<StreamletId, StreamletMeta> = self
-            .sms
-            .list_streamlets(table)
-            .into_iter()
-            .map(|m| (m.streamlet, m))
-            .collect();
-        let mut out = Vec::new();
-        for f in self.sms.list_fragments(table, now) {
-            if f.kind != FragmentKind::Wos
-                || f.state != FragmentState::Finalized
-                || f.deleted_at != Timestamp::MAX
-                || f.row_count == 0
-            {
-                continue;
-            }
-            let Some(sl) = streamlets.get(&f.streamlet) else {
-                continue;
-            };
-            let Ok(stream) = self.sms.get_stream(table, sl.stream) else {
-                continue;
-            };
-            let eligible = match stream.stype {
-                StreamType::Unbuffered => true,
-                StreamType::Pending => stream.committed_at.is_some(),
-                StreamType::Buffered => {
-                    // Entire fragment must be below the flush watermark.
-                    let flushed_rel = stream.flushed_row.saturating_sub(sl.first_stream_row);
-                    f.first_row + f.row_count <= flushed_rel
-                }
-            };
-            if eligible {
-                out.push((f, sl.clone()));
-            }
-        }
-        Ok(out)
+    /// The table's read set at a fresh snapshot: what every pass plans
+    /// from, listed as Background work.
+    fn read_set(&self, table: TableId) -> VortexResult<Arc<ReadSet>> {
+        let _bg = class_scope(WorkClass::Background);
+        self.sms
+            .list_read_fragments(table, self.sms.read_snapshot())
     }
 
-    /// Decodes a fragment this pass rewrites — log file or ROS block, one
-    /// reader — into zones of one leaf vector per schema column, each with
-    /// the rows `mask` leaves. `sl` is the owning streamlet of a WOS
-    /// fragment (row provenance); ROS rows carry their own.
+    /// Decodes a listed fragment this pass rewrites — log file or ROS
+    /// block, one reader — into zones of one leaf vector per schema
+    /// column, each with the rows its mask leaves. The whole committed
+    /// extent is read: a source's stream visibility is settled (see
+    /// [`convertible`]) and ROS blocks carry none.
     fn source_zones(
         &self,
-        f: &FragmentMeta,
-        mask: DeletionMask,
-        sl: Option<&StreamletMeta>,
+        spec: &FragmentReadSpec,
         (schema, key): (&Schema, &vortex_common::crypt::Key),
     ) -> VortexResult<Vec<(Zone, Vec<usize>)>> {
-        let spec = settled_spec(f, mask, sl);
-        let gate = RowGate::for_fragment(&spec, Timestamp::MAX);
+        let gate = RowGate::for_fragment(spec, Timestamp::MAX);
         let leaves = |mut zone: Zone| {
             let (kept, _) = gate.admitted(&zone);
             let every: Vec<usize> = (0..zone.metas.len()).collect();
@@ -186,7 +151,7 @@ impl StorageOptimizer {
                 .resize_with(schema.fields.len().max(zone.cols.len()), nulls);
             (zone, kept)
         };
-        let zones = read_zones(&spec, &self.fleet, key)?;
+        let zones = read_zones(spec, &self.fleet, key)?;
         Ok(zones.into_iter().map(leaves).collect())
     }
 
@@ -247,11 +212,11 @@ impl StorageOptimizer {
         let tmeta = self.sms.get_table(table)?;
         let key = tmeta.encryption_key();
         let schema = &tmeta.schema;
-        let candidates = self.candidates(table)?;
+        let rs = self.read_set(table)?;
+        let candidates: Vec<&FragmentReadSpec> = convertible(&rs).collect();
         if candidates.is_empty() {
             return Ok(ConversionReport::default());
         }
-        let snapshot = self.sms.read_snapshot();
         let mut report = ConversionReport {
             fragments_converted: candidates.len(),
             ..ConversionReport::default()
@@ -263,15 +228,14 @@ impl StorageOptimizer {
         let target = self.cfg.target_block_rows.max(1);
         let partition = partition_column(schema);
         let mut sources = Vec::with_capacity(candidates.len());
-        for (f, sl) in &candidates {
+        for spec in candidates {
+            let f = &spec.meta;
             report.bytes_in += f.committed_size;
             sources.push((f.fragment, f.masks.len()));
             // Merged conversions apply masks now (the commit will
             // conflict if new masks appear concurrently).
             let mut kept = 0;
-            for (zone, rows) in
-                self.source_zones(f, f.mask_at(snapshot), Some(sl), (schema, &key))?
-            {
+            for (zone, rows) in self.source_zones(spec, (schema, &key))? {
                 kept += rows.len() as u64;
                 for (pkey, rows) in partitioned(&zone, partition, rows) {
                     let (blocks, mut rows) = (partitions.entry(pkey).or_default(), &rows[..]);
@@ -315,19 +279,24 @@ impl StorageOptimizer {
 
     /// Stable 1:1 conversion (§7.3): each WOS fragment becomes exactly
     /// one ROS block with the same rows in the same order; deletion masks
-    /// carry over positionally, so this never races with DML and does not
-    /// yield.
+    /// carry over positionally, so this does not yield to DML. A mask
+    /// committed after the listing fails the commit, and the next pass
+    /// converts that fragment with it.
     pub fn convert_one_to_one(&self, table: TableId) -> VortexResult<ConversionReport> {
         let _bg = class_scope(WorkClass::Background);
         let tmeta = self.sms.get_table(table)?;
         let key = tmeta.encryption_key();
-        let candidates = self.candidates(table)?;
+        let rs = self.read_set(table)?;
         let mut report = ConversionReport::default();
-        for (f, sl) in &candidates {
+        for spec in convertible(&rs) {
+            let f = &spec.meta;
             // Masks carry over positionally, so every row is read.
             let mut rows = RosBlockBuilder::new(&tmeta.schema);
-            let every = DeletionMask::new();
-            for (zone, kept) in self.source_zones(f, every, Some(sl), (&tmeta.schema, &key))? {
+            let every = FragmentReadSpec {
+                mask: DeletionMask::new(),
+                ..spec.clone()
+            };
+            for (zone, kept) in self.source_zones(&every, (&tmeta.schema, &key))? {
                 rows.push_rows(&zone.metas, &zone.cols, &kept)?;
             }
             if rows.is_empty() {
@@ -359,11 +328,10 @@ impl StorageOptimizer {
         let tmeta = self.sms.get_table(table)?;
         let key = tmeta.encryption_key();
         let schema = &tmeta.schema;
-        let now = self.sms.read_snapshot();
-        let (ros, baseline_rows, delta_rows) = self.live_ros(table, now);
+        let rs = self.read_set(table)?;
+        let (ros, baseline_rows, delta_rows) = ros_of(&rs);
         let should_merge = delta_rows > 0
-            && (baseline_rows == 0
-                || delta_rows as f64 >= self.cfg.merge_trigger * baseline_rows as f64);
+            && (baseline_rows == 0 || delta_rows as f64 >= MERGE_TRIGGER * baseline_rows as f64);
         if !should_merge {
             return Ok(ReclusterReport {
                 merged: false,
@@ -371,7 +339,7 @@ impl StorageOptimizer {
                 clustering_ratio: ratio(baseline_rows, delta_rows),
             });
         }
-        let next_level = ros.iter().map(|f| f.level).max().unwrap_or(0) + 1;
+        let next_level = ros.iter().map(|s| s.meta.level).max().unwrap_or(0) + 1;
         // Decode all live ROS zones, applying masks: partition key → its
         // rows' typed columns, in source order, each zone dropped once
         // copied. Then per partition one global order by clustering key,
@@ -380,9 +348,10 @@ impl StorageOptimizer {
         let mut partitions: BTreeMap<Option<i64>, RosBlockBuilder> = BTreeMap::new();
         let partition = partition_column(schema);
         let mut sources = Vec::new();
-        for f in &ros {
+        for spec in ros {
+            let f = &spec.meta;
             sources.push((f.fragment, f.masks.len()));
-            for (zone, kept) in self.source_zones(f, f.mask_at(now), None, (schema, &key))? {
+            for (zone, kept) in self.source_zones(spec, (schema, &key))? {
                 let groups = match f.partition_key {
                     Some(pkey) => vec![(Some(pkey), kept)],
                     None => partitioned(&zone, partition, kept),
@@ -410,38 +379,25 @@ impl StorageOptimizer {
         vortex_common::crash_point!("optimizer.recluster.pre_commit");
         self.sms
             .commit_conversion(table, &sources, replacements, true)?;
+        // Every ROS row the pass listed is now in the baseline.
         Ok(ReclusterReport {
             merged: true,
             baseline_blocks,
-            clustering_ratio: self.clustering_ratio(table)?,
+            clustering_ratio: 1.0,
         })
     }
 
     /// Current clustering ratio of the table's ROS data (§6.1).
     pub fn clustering_ratio(&self, table: TableId) -> VortexResult<f64> {
-        let (_, baseline_rows, delta_rows) = self.live_ros(table, self.sms.read_snapshot());
+        let (_, baseline_rows, delta_rows) = ros_of(&*self.read_set(table)?);
         Ok(ratio(baseline_rows, delta_rows))
-    }
-
-    /// The table's live ROS fragments at `now`, and the rows they hold in
-    /// the baseline (level > 0) and in deltas.
-    fn live_ros(&self, table: TableId, now: Timestamp) -> (Vec<FragmentMeta>, u64, u64) {
-        let live = |f: &FragmentMeta| {
-            f.kind == FragmentKind::Ros
-                && f.state == FragmentState::Finalized
-                && f.deleted_at == Timestamp::MAX
-        };
-        let ros: Vec<FragmentMeta> = self.sms.list_fragments(table, now);
-        let ros: Vec<FragmentMeta> = ros.into_iter().filter(live).collect();
-        let rows = |delta: bool| ros.iter().filter(move |f| (f.level == 0) == delta);
-        let [baseline, delta] = [false, true].map(|d| rows(d).map(|f| f.row_count).sum());
-        (ros, baseline, delta)
     }
 
     /// Number of live WOS fragments waiting for conversion (the
     /// optimizer backlog; grows when yielding to DML, §7.3).
     pub fn backlog(&self, table: TableId) -> usize {
-        self.candidates(table).map(|c| c.len()).unwrap_or(0)
+        self.read_set(table)
+            .map_or(0, |rs| convertible(&rs).count())
     }
 }
 
@@ -471,26 +427,28 @@ fn write_whole_file(cluster: &Colossus, path: &str, bytes: &[u8]) -> VortexResul
     Err(last)
 }
 
-/// The read spec of a fragment a pass rewrites, minus `mask` and the
-/// clustering columns, which [`read_zones`] keeps no statistics for.
-/// Stream-level visibility is already settled —
-/// [`StorageOptimizer::candidates`] only admits committed, fully flushed
-/// WOS fragments, and ROS blocks carry no gate — so the whole committed
-/// extent is read. `sl` is the owning streamlet of a WOS fragment (row
-/// provenance); ROS rows carry their own and pass `None`.
-fn settled_spec(
-    f: &FragmentMeta,
-    mask: DeletionMask,
-    sl: Option<&StreamletMeta>,
-) -> FragmentReadSpec {
-    FragmentReadSpec {
-        meta: f.clone(),
-        mask,
-        visibility: RowVisibility::unconstrained(),
-        stream: sl.map_or(StreamId::from_raw(0), |sl| sl.stream),
-        streamlet_first_stream_row: sl.map_or(0, |sl| sl.first_stream_row),
-        clustering: Arc::default(),
-    }
+/// The listed WOS fragments a conversion may take: those with rows,
+/// every one of them visible to every later snapshot. The read set lists
+/// a PENDING stream's fragments only once it is committed, so what is left
+/// to check is a BUFFERED stream's flush watermark, which must cover the
+/// whole fragment — ROS blocks carry no stream visibility.
+fn convertible(rs: &ReadSet) -> impl Iterator<Item = &FragmentReadSpec> {
+    rs.fragments.iter().filter(|s| {
+        let (f, end) = (&s.meta, s.meta.first_row + s.meta.row_count);
+        let flushed = s.visibility.flush_limit.map_or(true, |limit| limit >= end);
+        f.kind == FragmentKind::Wos && f.row_count > 0 && flushed
+    })
+}
+
+/// The listed ROS blocks, and the rows they hold in the baseline
+/// (level > 0) and in deltas.
+fn ros_of(rs: &ReadSet) -> (Vec<&FragmentReadSpec>, u64, u64) {
+    let ros: Vec<&FragmentReadSpec> = (rs.fragments.iter())
+        .filter(|s| s.meta.kind == FragmentKind::Ros)
+        .collect();
+    let rows = |delta: bool| ros.iter().filter(move |s| (s.meta.level == 0) == delta);
+    let [baseline, delta] = [false, true].map(|d| rows(d).map(|s| s.meta.row_count).sum());
+    (ros, baseline, delta)
 }
 
 /// The rows `kept` of `zone` grouped by partition key, the partitions in

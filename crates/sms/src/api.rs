@@ -146,13 +146,13 @@ pub trait SmsApi: Send + Sync {
     ///
     /// With `yield_to_dml` (merged conversions), the commit aborts if a
     /// DML statement is running (§7.3). Stable 1:1 conversions pass
-    /// `false`: they are race-free because masks carry over positionally.
+    /// `false`: masks carry over positionally, so they need not wait.
     ///
     /// `sources` carries, per source fragment, the number of mask
     /// versions the optimizer *observed* when it read the data: if a DML
-    /// statement added a mask in between (it started and finished inside
-    /// the optimizer's window, so the lock check alone cannot see it),
-    /// the commit aborts with a conflict and the optimizer re-reads.
+    /// statement added a mask in between, the commit aborts with a
+    /// conflict and the optimizer re-reads — whatever `yield_to_dml`
+    /// says, since a 1:1 replacement carries the masks it observed.
     fn commit_conversion(
         &self,
         table: TableId,
@@ -162,7 +162,10 @@ pub trait SmsApi: Send + Sync {
     ) -> VortexResult<Timestamp>;
     /// Atomically commits a DML statement's effects (§7.3): new mask
     /// versions on fragments, tail masks on streamlets, and visibility of
-    /// reinserted-row streams — all at one timestamp.
+    /// reinserted-row streams — all at one timestamp. Fails with
+    /// `NotFound` when a conversion has replaced a masked fragment, or
+    /// rows a tail mask covers, since the statement's snapshot: the
+    /// statement re-resolves against the replacements.
     fn commit_dml(
         &self,
         table: TableId,
@@ -185,8 +188,9 @@ pub trait SmsApi: Send + Sync {
     /// from storage, and drops their metadata. Returns (entities removed,
     /// files deleted).
     fn run_groomer(&self) -> VortexResult<(usize, usize)>;
-    /// All fragment metadata of a table at a snapshot (diagnostics,
-    /// optimizer candidate selection).
+    /// All fragment metadata of a table at a snapshot (diagnostics, and
+    /// a tail read whose streamlet was reconciled past its snapshot).
+    /// Operations plan from [`SmsApi::list_read_fragments`].
     fn list_fragments(&self, table: TableId, at: Timestamp) -> Vec<FragmentMeta>;
     /// All streamlet metadata of a table (diagnostics).
     fn list_streamlets(&self, table: TableId) -> Vec<StreamletMeta>;

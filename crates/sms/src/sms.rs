@@ -47,9 +47,10 @@ pub struct SmsConfig {
     /// GC'd ("kept sufficiently long to ensure that any active queries
     /// that are reading from them do not fail", §5.4.3).
     pub gc_grace_micros: u64,
-    /// Transaction retry budget.
-    pub txn_retries: usize,
 }
+
+/// How often an SMS transaction is retried on a commit conflict.
+const TXN_RETRIES: usize = 64;
 
 impl SmsConfig {
     /// Defaults for tests and examples.
@@ -58,7 +59,6 @@ impl SmsConfig {
             task,
             cluster,
             gc_grace_micros: 10_000_000, // 10 virtual seconds
-            txn_retries: 64,
         }
     }
 }
@@ -191,7 +191,7 @@ impl SmsTask {
 
     /// Runs `f` as one metastore transaction, retried on conflict.
     fn txn<T>(&self, f: impl FnMut(&mut Txn) -> VortexResult<T>) -> VortexResult<T> {
-        self.store.with_txn(self.cfg.txn_retries, f)
+        self.store.with_txn(TXN_RETRIES, f)
     }
 
     fn check_owns(&self, table: TableId) -> VortexResult<()> {
@@ -882,7 +882,7 @@ impl SmsApi for SmsTask {
             self.finalize_stream(table, s)?;
         }
         let visible_from = self.tt.record_timestamp();
-        let ((), commit_ts) = self.store.with_txn_at(self.cfg.txn_retries, |txn| {
+        let ((), commit_ts) = self.store.with_txn_at(TXN_RETRIES, |txn| {
             for &s in streams {
                 let mut m: StreamMeta = meta::load_in(txn, (table, s))?;
                 if m.stype != StreamType::Pending {
@@ -1132,7 +1132,7 @@ impl SmsApi for SmsTask {
     ) -> VortexResult<Timestamp> {
         self.check_owns(table)?;
         let ts = self.tt.record_timestamp();
-        let ((), commit_ts) = self.store.with_txn_at(self.cfg.txn_retries, |txn| {
+        let ((), commit_ts) = self.store.with_txn_at(TXN_RETRIES, |txn| {
             if yield_to_dml && !txn.scan_prefix(&meta::dml_lock_prefix(table)).is_empty() {
                 return Err(VortexError::Unavailable(format!(
                     "optimizer yielding to active DML on {table}"
@@ -1140,7 +1140,7 @@ impl SmsApi for SmsTask {
             }
             for (src, seen_masks) in sources {
                 meta::update(txn, (table, *src), |f: &mut FragmentMeta| {
-                    if yield_to_dml && f.masks.len() != *seen_masks {
+                    if f.masks.len() != *seen_masks {
                         return Err(VortexError::TxnConflict(format!(
                             "fragment {src} gained deletion masks during conversion"
                         )));
@@ -1187,9 +1187,16 @@ impl SmsApi for SmsTask {
             self.finalize_stream(table, s)?;
         }
         let ts = self.tt.record_timestamp();
-        let ((), commit_ts) = self.store.with_txn_at(self.cfg.txn_retries, |txn| {
+        let ((), commit_ts) = self.store.with_txn_at(TXN_RETRIES, |txn| {
+            // A mask on a fragment a conversion has replaced since the
+            // statement's snapshot would reach no reader: the statement
+            // re-resolves (`NotFound` is not retried on the channel).
+            let replaced = |what: String| VortexError::NotFound(format!("{what} was converted"));
             for (fid, mask) in fragment_masks {
                 meta::update(txn, (table, *fid), |f: &mut FragmentMeta| {
+                    if f.state == FragmentState::Deleted {
+                        return Err(replaced(format!("fragment {fid}")));
+                    }
                     f.masks.push((ts, mask.clone()));
                     Ok(())
                 })?;
@@ -1206,12 +1213,23 @@ impl SmsApi for SmsTask {
                 // have happened mid-statement).
                 let frags: Vec<FragmentMeta> =
                     meta::scan_in(txn, table).collect::<VortexResult<_>>()?;
+                // Rows sealed and then converted since would lose the mask.
                 for mut f in frags {
-                    let sealed_here = f.streamlet == *slid
-                        && f.kind == FragmentKind::Wos
-                        && f.state == FragmentState::Finalized;
-                    if sealed_here && f.add_tail_mask(ts, mask) {
-                        meta::put(txn, &f);
+                    if f.streamlet != *slid
+                        || f.kind != FragmentKind::Wos
+                        || !f.add_tail_mask(ts, mask)
+                    {
+                        continue;
+                    }
+                    match f.state {
+                        FragmentState::Finalized => meta::put(txn, &f),
+                        FragmentState::Deleted => {
+                            return Err(replaced(format!(
+                                "tail of {slid}: fragment {}",
+                                f.fragment
+                            )))
+                        }
+                        FragmentState::Active => {}
                     }
                 }
             }

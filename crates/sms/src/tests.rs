@@ -937,6 +937,107 @@ fn tail_mask_maps_to_fragment_on_heartbeat() {
     );
 }
 
+/// A table with one sealed, reconciled 10-row WOS fragment.
+fn one_sealed_fragment(r: &Rig) -> (TableId, FragmentMeta) {
+    let t = r.sms.create_table("t", simple_schema()).unwrap();
+    let h = r
+        .sms
+        .create_stream(t.table, StreamType::Unbuffered)
+        .unwrap();
+    let (key, clusters) = (t.encryption_key(), h.streamlet.clusters);
+    let streamlet = h.streamlet.streamlet;
+    write_fragment(r, t.table, streamlet, 0, 0, 10, &key, clusters, true);
+    r.sms.reconcile_streamlet(t.table, streamlet).unwrap();
+    let listed = r.sms.list_fragments(t.table, r.sms.read_snapshot());
+    let wos = listed.into_iter().find(|f| f.kind == FragmentKind::Wos);
+    (t.table, wos.unwrap())
+}
+
+/// The kinds and deleted-row counts a fresh read set lists.
+fn listed_masks(r: &Rig, t: TableId) -> Vec<(FragmentKind, u64)> {
+    let rs = r.sms.list_read_fragments(t, r.sms.read_snapshot()).unwrap();
+    let of = |f: &crate::readset::FragmentReadSpec| (f.meta.kind, f.mask.deleted_count());
+    rs.fragments.iter().map(of).collect()
+}
+
+#[test]
+fn a_one_to_one_commit_conflicts_with_a_mask_it_did_not_see() {
+    let r = rig_with_servers(1);
+    let (t, wos) = one_sealed_fragment(&r);
+    // The conversion read its source with no mask; a DML masks a row.
+    let row = DeletionMask::from_range(3, 4);
+    r.sms
+        .commit_dml(t, &[(wos.fragment, row)], &[], &[])
+        .unwrap();
+    // The 1:1 replacement carries the masks it saw: none.
+    let ros = FragmentMeta {
+        level: 0,
+        ..make_ros_meta(&r, t, 7200, 10)
+    };
+    let err = r
+        .sms
+        .commit_conversion(t, &[(wos.fragment, 0)], vec![ros], false)
+        .unwrap_err();
+    assert!(matches!(err, VortexError::TxnConflict(_)), "{err}");
+    assert_eq!(listed_masks(&r, t), vec![(FragmentKind::Wos, 1)]);
+}
+
+#[test]
+fn a_mask_on_a_fragment_converted_since_fails() {
+    let r = rig_with_servers(1);
+    let (t, wos) = one_sealed_fragment(&r);
+    // A statement resolved its rows to the WOS fragment; a 1:1 conversion
+    // replaces it before the statement commits.
+    let ros = FragmentMeta {
+        level: 0,
+        ..make_ros_meta(&r, t, 7300, 10)
+    };
+    (r.sms)
+        .commit_conversion(t, &[(wos.fragment, 0)], vec![ros], false)
+        .unwrap();
+    let row = DeletionMask::from_range(3, 4);
+    let err = r
+        .sms
+        .commit_dml(t, &[(wos.fragment, row)], &[], &[])
+        .unwrap_err();
+    assert!(matches!(err, VortexError::NotFound(_)), "{err}");
+    assert!(
+        !err.is_retryable(),
+        "the statement re-resolves, not the channel"
+    );
+    assert_eq!(listed_masks(&r, t), vec![(FragmentKind::Ros, 0)]);
+}
+
+#[test]
+fn a_tail_mask_over_rows_converted_since_fails() {
+    let r = rig_with_servers(1);
+    let t = r.sms.create_table("t", simple_schema()).unwrap().table;
+    let h = r.sms.create_stream(t, StreamType::Unbuffered).unwrap();
+    let streamlet = h.streamlet.streamlet;
+    // The statement's snapshot has all 30 rows in the streamlet's tail.
+    let rs = r.sms.list_read_fragments(t, r.sms.read_snapshot()).unwrap();
+    assert_eq!((rs.fragments.len(), rs.tails[0].from_row), (0, 0));
+    // Then a heartbeat seals them and a 1:1 conversion replaces them.
+    heartbeat_one_fragment(&r, &h, FragmentId::from_raw(906), 30, true);
+    let ros = FragmentMeta {
+        streamlet,
+        level: 0,
+        ..make_ros_meta(&r, t, 7400, 30)
+    };
+    (r.sms)
+        .commit_conversion(t, &[(FragmentId::from_raw(906), 0)], vec![ros], false)
+        .unwrap();
+    let tail = DeletionMask::from_range(0, 30);
+    let err = r
+        .sms
+        .commit_dml(t, &[], &[(streamlet, tail)], &[])
+        .unwrap_err();
+    assert!(matches!(err, VortexError::NotFound(_)), "{err}");
+    assert_eq!(listed_masks(&r, t), vec![(FragmentKind::Ros, 0)]);
+    let sl = r.sms.get_streamlet(t, streamlet).unwrap();
+    assert!(sl.masks.is_empty(), "nothing of the statement committed");
+}
+
 #[test]
 fn gc_deletes_files_after_grace() {
     let r = rig_with_servers(1);

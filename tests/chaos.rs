@@ -45,7 +45,6 @@ fn chaos_soak_exact_ledger() {
             seed,
             optimizer: vortex::OptimizerConfig {
                 target_block_rows: 512,
-                merge_trigger: 0.5,
             },
             // Time-travel horizon ≫ the 10 s virtual jumps below, so a
             // snapshot held across a scan never falls off it.

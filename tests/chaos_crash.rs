@@ -97,7 +97,6 @@ fn chaos_kill_restart_exact_ledger() {
             seed,
             optimizer: vortex::OptimizerConfig {
                 target_block_rows: 512,
-                merge_trigger: 0.5,
             },
             // Time-travel horizon ≫ the 10 s virtual jumps below.
             gc_grace_micros: Some(3_600_000_000),

@@ -818,3 +818,95 @@ fn daemon_shutdown_is_prompt_even_with_long_periods() {
         started.elapsed()
     );
 }
+
+/// Every optimizer pass plans from one read-set listing: no per-stream
+/// lookups, and the read set's visibility rule decides what converts —
+/// UNBUFFERED and committed PENDING fragments do, a BUFFERED fragment once
+/// its flush watermark covers it, an uncommitted PENDING one not at all.
+#[test]
+fn an_optimizer_pass_plans_from_one_listing() {
+    let region = Region::create(RegionConfig {
+        fragment_max_bytes: 1024,
+        ..RegionConfig::default()
+    })
+    .unwrap();
+    let (client, sms) = (region.client(), region.sms().clone());
+    let t = client.create_table("passes", sales_schema()).unwrap().table;
+    let mut streams = Vec::new();
+    for (i, stype) in [
+        StreamType::Unbuffered,
+        StreamType::Buffered,
+        StreamType::Pending,
+        StreamType::Pending,
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let mut w = match stype {
+            StreamType::Unbuffered => client.create_unbuffered_writer(t),
+            StreamType::Buffered => client.create_buffered_writer(t),
+            StreamType::Pending => client.create_pending_writer(t),
+        }
+        .unwrap();
+        for chunk in 0..10 {
+            w.append(sales_rows(i as i64 * 100 + chunk * 10, 10))
+                .unwrap();
+        }
+        if stype == StreamType::Buffered {
+            w.flush(80).unwrap();
+        }
+        sms.finalize_stream(t, w.stream_id()).unwrap();
+        streams.push(w.stream_id());
+    }
+    sms.batch_commit_streams(t, &streams[2..3]).unwrap();
+
+    // What converts, from the catalog: per stream, its sealed fragments'
+    // row ends (each stream has one streamlet, starting at row 0).
+    let stream_of: std::collections::HashMap<_, _> = (sms.list_streamlets(t).into_iter())
+        .map(|sl| (sl.streamlet, sl.stream))
+        .collect();
+    let mut ends = vec![Vec::new(); streams.len()];
+    for f in sms.list_fragments(t, sms.read_snapshot()) {
+        let i = streams.iter().position(|s| *s == stream_of[&f.streamlet]);
+        ends[i.unwrap()].push(f.first_row + f.row_count);
+    }
+    let flushed = ends[1].iter().filter(|&&end| end <= 80).count();
+    let unflushed = ends[1].len() - flushed;
+    assert!(
+        flushed > 0 && unflushed > 0 && !ends[3].is_empty(),
+        "{ends:?}"
+    );
+    let eligible = ends[0].len() + flushed + ends[2].len();
+
+    let optimizer = region.optimizer();
+    let calls = |method| {
+        let of = region.sms_rpc().metrics().snapshot();
+        of.get(method).map_or(0, |m| m.calls.get())
+    };
+    region.sms_rpc().metrics().drain();
+    let mut passes = 0;
+    let mut listed_once = |pass: &str| {
+        passes += 1;
+        assert_eq!(calls("list_read_fragments"), passes, "{pass}");
+    };
+    assert_eq!(optimizer.backlog(t), eligible);
+    listed_once("backlog");
+    let report = optimizer.convert_one_to_one(t).unwrap();
+    assert_eq!(report.fragments_converted, eligible);
+    listed_once("convert_one_to_one");
+    assert_eq!(optimizer.backlog(t), 0);
+    listed_once("backlog");
+    sms.flush_stream(t, streams[1], 100).unwrap();
+    assert_eq!(optimizer.backlog(t), unflushed);
+    listed_once("backlog");
+    let report = optimizer.convert_wos(t).unwrap();
+    assert_eq!(report.fragments_converted, unflushed);
+    listed_once("convert_wos");
+    assert!(optimizer.recluster(t).unwrap().merged);
+    listed_once("recluster");
+    assert_eq!(optimizer.clustering_ratio(t).unwrap(), 1.0);
+    listed_once("clustering_ratio");
+    assert_eq!(calls("get_stream"), 0);
+    // Every committed row converted once; the uncommitted ones stay out.
+    assert_eq!(client.read_rows(t).unwrap().rows.len(), 300);
+}
