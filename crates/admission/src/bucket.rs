@@ -44,11 +44,6 @@ impl TokenBucket {
         }
     }
 
-    /// Whether this bucket enforces anything at all.
-    pub fn is_unlimited(&self) -> bool {
-        self.rate_per_sec == 0
-    }
-
     /// Monotone refill: credits `rate × dt` for the time the running
     /// maximum of observed `now` advanced, capped at `burst`. Stale or
     /// repeated `now` values are no-ops.
@@ -184,7 +179,6 @@ mod tests {
     #[test]
     fn zero_rate_is_unlimited() {
         let mut b = TokenBucket::new(0, 0);
-        assert!(b.is_unlimited());
         for t in 0..100 {
             b.try_take(t, u64::MAX / 128).unwrap();
         }

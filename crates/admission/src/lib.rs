@@ -1,5 +1,5 @@
-//! `vortex-admission` — multi-tenant admission control, priority-based
-//! load shedding, and adaptive overload protection.
+//! `vortex-admission` — region admission control: a rate quota,
+//! priority-based load shedding, and a concurrency window.
 //!
 //! Vortex §5.4's client flow control caps in-flight bytes per connection;
 //! it says nothing about *which* work gets served when the region as a
@@ -8,16 +8,16 @@
 //! region wiring time, so every RPC in the tree passes through one policy
 //! point:
 //!
-//! 1. **Quota buckets** ([`bucket::TokenBucket`]): per-tenant and
-//!    per-table bytes/s + requests/s with burst, charged from the call's
-//!    declared payload size (`RpcChannel::call_sized`).
+//! 1. **Quota buckets** ([`bucket::TokenBucket`]): the region's bytes/s +
+//!    requests/s with burst, charged from the call's declared payload size
+//!    (`RpcChannel::call_sized`).
 //! 2. **Bounded, deadline-aware admission queues**: a take the bucket
 //!    cannot cover queues as *virtual delay* (future debt), bounded per
 //!    priority class and by the call's remaining deadline budget. The
 //!    [`WorkClass::Background`] bound is zero — under pressure the lowest
 //!    class sheds first, then batch, and interactive queues longest.
-//! 3. **Concurrency window** ([`limiter::AimdLimiter`]): a bound on calls
-//!    in flight, with per-class headroom.
+//! 3. **Concurrency window** ([`limiter::AimdLimiter`]): a fixed bound on
+//!    calls in flight, with per-class headroom.
 //!
 //! Shedding always happens *before* the callee executes and surfaces as a
 //! retryable [`VortexError::ResourceExhausted`] whose `retry_after_us`
@@ -25,15 +25,13 @@
 //! `RESOURCE_EXHAUSTED` + `RetryInfo` semantics). Everything runs in
 //! virtual time; a seeded soak is bit-for-bit reproducible.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 use vortex_common::error::{VortexError, VortexResult};
-use vortex_common::ids::TableId;
 use vortex_common::obs::{self, Counter, Gauge, Histogram};
-use vortex_common::rpc::{CallCtx, RpcInterceptor, WorkClass};
+use vortex_common::rpc::{RpcInterceptor, WorkClass};
 use vortex_common::truetime::Timestamp;
 
 pub mod bucket;
@@ -42,9 +40,8 @@ pub mod limiter;
 pub use bucket::TokenBucket;
 pub use limiter::AimdLimiter;
 
-/// Rate quota for one principal (tenant or table). `0` = unlimited on
-/// that axis.
-#[derive(Debug, Clone, Copy)]
+/// The region's rate quota. `0` = unlimited on that axis.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct Quota {
     /// Payload bytes per virtual second.
     pub bytes_per_sec: u64,
@@ -66,11 +63,16 @@ impl Quota {
     };
 }
 
-impl Default for Quota {
-    fn default() -> Self {
-        Quota::UNLIMITED
-    }
-}
+/// Admission-queue bound per class, virtual µs, indexed by
+/// [`WorkClass::index`]. A class may wait at most this long (and never
+/// past the call's remaining deadline budget) before the attempt is shed
+/// instead. Background's bound is 0: the lowest class sheds first rather
+/// than queueing deferrable work.
+pub const CLASS_QUEUE_US: [u64; 3] = [2_000_000, 500_000, 0];
+
+/// Methods that bypass policy entirely (liveness traffic — shedding
+/// heartbeats would turn overload into spurious failure detection).
+pub const EXEMPT_METHODS: [&str; 1] = ["heartbeat"];
 
 /// Static configuration of an [`AdmissionController`].
 #[derive(Debug, Clone)]
@@ -79,30 +81,16 @@ pub struct AdmissionConfig {
     /// instantly (the overload-bench control arm) while still keeping
     /// in-flight accounting balanced.
     pub enabled: bool,
-    /// Quota applied to each tenant (uniform; tenants get independent
-    /// buckets keyed by `CallCtx::tenant`).
-    pub tenant_quota: Quota,
-    /// Quota applied to each table seen in `CallCtx::table`.
-    pub table_quota: Quota,
-    /// Admission-queue bound per class, virtual µs, indexed by
-    /// [`WorkClass::index`]. A class may wait at most this long (and
-    /// never past the call's remaining deadline budget) before the
-    /// attempt is shed instead. Background's bound should be 0: shed the
-    /// lowest class first rather than queueing deferrable work.
-    pub class_queue_us: [u64; 3],
-    /// Methods that bypass policy entirely (liveness traffic — shedding
-    /// heartbeats would turn overload into spurious failure detection).
-    pub exempt_methods: Vec<&'static str>,
+    /// The region's quota: every admitted RPC draws from one pair of
+    /// buckets.
+    pub quota: Quota,
 }
 
 impl Default for AdmissionConfig {
     fn default() -> Self {
         AdmissionConfig {
             enabled: true,
-            tenant_quota: Quota::UNLIMITED,
-            table_quota: Quota::UNLIMITED,
-            class_queue_us: [2_000_000, 500_000, 0],
-            exempt_methods: vec!["heartbeat"],
+            quota: Quota::UNLIMITED,
         }
     }
 }
@@ -210,30 +198,13 @@ impl BucketPair {
 }
 
 struct Inner {
-    tenants: HashMap<u64, BucketPair>,
-    tables: HashMap<TableId, BucketPair>,
+    quota: BucketPair,
     limiter: AimdLimiter,
-}
-
-/// Which bucket bound a wait: named only in the error of a shed.
-#[derive(Clone, Copy)]
-enum Binding {
-    Tenant(u64, &'static str),
-    Table(TableId, &'static str),
-}
-
-impl std::fmt::Display for Binding {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Binding::Tenant(tenant, axis) => write!(f, "tenant {tenant} {axis}"),
-            Binding::Table(table, axis) => write!(f, "table {table} {axis}"),
-        }
-    }
 }
 
 /// The policy engine: one per region, handed to every channel at
 /// construction (`RpcChannel::new`), shared so all hops drain the same
-/// quota pool.
+/// quota.
 pub struct AdmissionController {
     cfg: AdmissionConfig,
     inner: Mutex<Inner>,
@@ -253,24 +224,17 @@ impl AdmissionController {
     /// Builds a controller (wrap in `Arc` via this constructor so it can
     /// be installed on multiple channels).
     pub fn new(cfg: AdmissionConfig) -> Arc<Self> {
-        let limiter = AimdLimiter::new();
         let m = Handles::intern();
         m.limit.set(limiter::WINDOW as i64);
         Arc::new(AdmissionController {
-            cfg,
             inner: Mutex::new(Inner {
-                tenants: HashMap::new(),
-                tables: HashMap::new(),
-                limiter,
+                quota: BucketPair::new(cfg.quota),
+                limiter: AimdLimiter::new(),
             }),
+            cfg,
             counters: ClassCounters::default(),
             m,
         })
-    }
-
-    /// The controller's configuration.
-    pub fn config(&self) -> &AdmissionConfig {
-        &self.cfg
     }
 
     /// Counters for one priority class.
@@ -301,11 +265,11 @@ impl AdmissionController {
         }
     }
 
-    fn shed(&self, class: WorkClass, scope: String, retry_after_us: u64) -> VortexError {
+    fn shed(&self, class: WorkClass, scope: &'static str, retry_after_us: u64) -> VortexError {
         self.counters.shed[class.index()].fetch_add(1, Ordering::Relaxed);
         self.m.shed[class.index()].inc();
         VortexError::ResourceExhausted {
-            scope,
+            scope: scope.into(),
             retry_after_us,
         }
     }
@@ -314,67 +278,40 @@ impl AdmissionController {
 impl RpcInterceptor for AdmissionController {
     fn admit(
         &self,
-        _channel: &str,
         method: &'static str,
-        ctx: CallCtx,
+        class: WorkClass,
         payload_bytes: u64,
         now: Timestamp,
         budget_remaining_us: u64,
     ) -> VortexResult<u64> {
         let mut guard = self.inner.lock();
-        if !self.cfg.enabled || self.cfg.exempt_methods.contains(&method) {
+        if !self.cfg.enabled || EXEMPT_METHODS.contains(&method) {
             // Still pair with release() so in-flight stays balanced.
             guard.limiter.acquire_exempt();
             return Ok(0);
         }
-        let Inner {
-            tenants,
-            tables,
-            limiter,
-        } = &mut *guard;
+        let Inner { quota, limiter } = &mut *guard;
         let now_us = now.micros();
-        let class = ctx.class;
         // Deadline-aware bounded queue: the class bound, clipped to what
         // the caller can actually still wait.
-        let max_wait = self.cfg.class_queue_us[class.index()].min(budget_remaining_us);
+        let max_wait = CLASS_QUEUE_US[class.index()].min(budget_remaining_us);
 
-        // Peek every bucket first, commit only if all admit: a shed must
-        // not partially drain quotas.
-        let tenant = tenants
-            .entry(ctx.tenant)
-            .or_insert_with(|| BucketPair::new(self.cfg.tenant_quota));
-        let mut table = ctx.table.map(|id| {
-            let buckets = tables
-                .entry(id)
-                .or_insert_with(|| BucketPair::new(self.cfg.table_quota));
-            (id, buckets)
-        });
-        let (mut wait, axis) = tenant.required_wait_us(now_us, payload_bytes);
-        let mut binding = Binding::Tenant(ctx.tenant, axis);
-        if let Some((id, buckets)) = &mut table {
-            let (w, axis) = buckets.required_wait_us(now_us, payload_bytes);
-            if w > wait {
-                (wait, binding) = (w, Binding::Table(*id, axis));
-            }
-        }
+        // Peek both buckets first, commit only if the attempt is admitted:
+        // a shed must not partially drain the quota.
+        let (wait, axis) = quota.required_wait_us(now_us, payload_bytes);
         if wait > max_wait {
             drop(guard);
-            // lint:allow(L010, names the bucket in the error a shed returns; an admitted attempt builds no string)
-            return Err(self.shed(class, binding.to_string(), wait.max(1)));
+            return Err(self.shed(class, axis, wait.max(1)));
         }
         // The concurrency window: shed before committing quota tokens.
         if let Err(retry_after_us) = limiter.try_acquire(class) {
             drop(guard);
-            return Err(self.shed(class, "aimd limit".into(), retry_after_us));
+            return Err(self.shed(class, "aimd limit", retry_after_us));
         }
-        // Commit: drain every bucket (possibly into bounded future debt —
+        // Commit: drain both buckets (possibly into bounded future debt —
         // that debt IS the admission queue).
-        tenant.take(now_us, payload_bytes);
-        let mut depth_us = tenant.debt_us();
-        if let Some((_, buckets)) = &mut table {
-            buckets.take(now_us, payload_bytes);
-            depth_us = depth_us.max(buckets.debt_us());
-        }
+        quota.take(now_us, payload_bytes);
+        let depth_us = quota.debt_us();
         let in_flight = limiter.in_flight();
         drop(guard);
         self.record_admit(class, wait);
@@ -383,7 +320,7 @@ impl RpcInterceptor for AdmissionController {
         Ok(wait)
     }
 
-    fn release(&self, _ctx: CallCtx) {
+    fn release(&self) {
         let mut inner = self.inner.lock();
         inner.limiter.release();
         let in_flight = inner.limiter.in_flight();
@@ -396,16 +333,22 @@ impl RpcInterceptor for AdmissionController {
 mod tests {
     use super::*;
 
-    fn ctx(class: WorkClass) -> CallCtx {
-        CallCtx {
-            class,
-            ..CallCtx::DEFAULT
-        }
+    use WorkClass::{Background, Interactive};
+
+    /// One attempt of method `m` at virtual time 0.
+    fn admit(
+        c: &AdmissionController,
+        method: &'static str,
+        class: WorkClass,
+        bytes: u64,
+        budget_us: u64,
+    ) -> VortexResult<u64> {
+        c.admit(method, class, bytes, Timestamp(0), budget_us)
     }
 
     fn quota_cfg() -> AdmissionConfig {
         AdmissionConfig {
-            tenant_quota: Quota {
+            quota: Quota {
                 requests_per_sec: 100,
                 burst_requests: 10,
                 ..Quota::UNLIMITED
@@ -414,80 +357,51 @@ mod tests {
         }
     }
 
+    /// Drains a [`quota_cfg`] burst (10 requests) at t=0.
+    fn drain_burst(c: &AdmissionController) {
+        for _ in 0..10 {
+            admit(c, "m", Interactive, 0, u64::MAX).unwrap();
+            c.release();
+        }
+    }
+
     #[test]
     fn default_config_admits_everything_instantly() {
         let c = AdmissionController::new(AdmissionConfig::default());
         for i in 0..1_000u64 {
             let q = c
-                .admit(
-                    "server",
-                    "append",
-                    ctx(WorkClass::Interactive),
-                    1 << 20,
-                    Timestamp(i),
-                    u64::MAX,
-                )
+                .admit("append", Interactive, 1 << 20, Timestamp(i), u64::MAX)
                 .unwrap();
             assert_eq!(q, 0);
-            c.release(ctx(WorkClass::Interactive));
+            c.release();
         }
-        assert_eq!(c.class_stats(WorkClass::Interactive).shed, 0);
+        assert_eq!(c.class_stats(Interactive).shed, 0);
         assert_eq!(c.in_flight(), 0);
     }
 
     #[test]
     fn background_sheds_first_interactive_queues() {
         let c = AdmissionController::new(quota_cfg());
-        // Drain the burst (10 requests) at t=0.
-        for _ in 0..10 {
-            c.admit(
-                "s",
-                "m",
-                ctx(WorkClass::Interactive),
-                0,
-                Timestamp(0),
-                u64::MAX,
-            )
-            .unwrap();
-            c.release(ctx(WorkClass::Interactive));
-        }
+        drain_burst(&c);
         // Background has a zero queue bound: shed immediately, with the
         // bucket's refill time as the hint.
-        let err = c
-            .admit(
-                "s",
-                "m",
-                ctx(WorkClass::Background),
-                0,
-                Timestamp(0),
-                u64::MAX,
-            )
-            .unwrap_err();
+        let err = admit(&c, "m", Background, 0, u64::MAX).unwrap_err();
         match &err {
             VortexError::ResourceExhausted {
                 scope,
                 retry_after_us,
             } => {
-                assert_eq!(scope, "tenant 0 requests/s");
+                assert_eq!(scope, "requests/s");
                 assert_eq!(*retry_after_us, 10_000, "1 token at 100/s");
             }
             other => panic!("expected ResourceExhausted, got {other:?}"),
         }
         // Interactive queues instead (bound 2s > 10ms wait).
-        let q = c
-            .admit(
-                "s",
-                "m",
-                ctx(WorkClass::Interactive),
-                0,
-                Timestamp(0),
-                u64::MAX,
-            )
-            .unwrap();
+        let q = admit(&c, "m", Interactive, 0, u64::MAX).unwrap();
         assert_eq!(q, 10_000);
-        c.release(ctx(WorkClass::Interactive));
-        assert_eq!(c.class_stats(WorkClass::Background).shed, 1);
-        let istats = c.class_stats(WorkClass::Interactive);
+        c.release();
+        assert_eq!(c.class_stats(Background).shed, 1);
+        let istats = c.class_stats(Interactive);
         assert_eq!(istats.queued, 1);
         assert_eq!(istats.queued_us, 10_000);
     }
@@ -495,94 +409,29 @@ mod tests {
     #[test]
     fn queue_is_deadline_aware() {
         let c = AdmissionController::new(quota_cfg());
-        for _ in 0..10 {
-            c.admit(
-                "s",
-                "m",
-                ctx(WorkClass::Interactive),
-                0,
-                Timestamp(0),
-                u64::MAX,
-            )
-            .unwrap();
-            c.release(ctx(WorkClass::Interactive));
-        }
+        drain_burst(&c);
         // Needs 10ms of queueing but only 5ms of budget remain: shed, do
         // not admit a call that is guaranteed to miss its deadline.
-        let err = c
-            .admit(
-                "s",
-                "m",
-                ctx(WorkClass::Interactive),
-                0,
-                Timestamp(0),
-                5_000,
-            )
-            .unwrap_err();
+        let err = admit(&c, "m", Interactive, 0, 5_000).unwrap_err();
         assert_eq!(err.retry_after_us(), Some(10_000));
     }
 
     #[test]
     fn shed_does_not_drain_quota() {
         let c = AdmissionController::new(quota_cfg());
-        for _ in 0..10 {
-            c.admit(
-                "s",
-                "m",
-                ctx(WorkClass::Interactive),
-                0,
-                Timestamp(0),
-                u64::MAX,
-            )
-            .unwrap();
-            c.release(ctx(WorkClass::Interactive));
-        }
+        drain_burst(&c);
         // 100 background sheds must not push the bucket further into
         // debt: the refill hint stays the single-token wait.
         for _ in 0..100 {
-            let err = c
-                .admit(
-                    "s",
-                    "m",
-                    ctx(WorkClass::Background),
-                    0,
-                    Timestamp(0),
-                    u64::MAX,
-                )
-                .unwrap_err();
+            let err = admit(&c, "m", Background, 0, u64::MAX).unwrap_err();
             assert_eq!(err.retry_after_us(), Some(10_000));
         }
     }
 
     #[test]
-    fn tenants_get_independent_buckets() {
-        let c = AdmissionController::new(quota_cfg());
-        let t1 = CallCtx {
-            tenant: 1,
-            ..CallCtx::DEFAULT
-        };
-        for _ in 0..10 {
-            c.admit(
-                "s",
-                "m",
-                ctx(WorkClass::Interactive),
-                0,
-                Timestamp(0),
-                u64::MAX,
-            )
-            .unwrap();
-            c.release(ctx(WorkClass::Interactive));
-        }
-        // Tenant 0 exhausted its burst; tenant 1 is untouched.
-        let q = c.admit("s", "m", t1, 0, Timestamp(0), u64::MAX).unwrap();
-        assert_eq!(q, 0);
-        c.release(t1);
-    }
-
-    #[test]
-    fn per_table_byte_quota_charges_payload() {
+    fn byte_quota_charges_payload() {
         let cfg = AdmissionConfig {
-            table_quota: Quota {
+            quota: Quota {
                 bytes_per_sec: 1_000,
                 burst_bytes: 4_096,
                 ..Quota::UNLIMITED
@@ -590,42 +439,25 @@ mod tests {
             ..AdmissionConfig::default()
         };
         let c = AdmissionController::new(cfg);
-        let tctx = CallCtx {
-            table: Some(TableId::from_raw(7)),
-            class: WorkClass::Background,
-            ..CallCtx::DEFAULT
-        };
-        let q = c
-            .admit("s", "append", tctx, 4_096, Timestamp(0), u64::MAX)
-            .unwrap();
+        let q = admit(&c, "append", Background, 4_096, u64::MAX).unwrap();
         assert_eq!(q, 0);
-        c.release(tctx);
-        let err = c
-            .admit("s", "append", tctx, 1_000, Timestamp(0), u64::MAX)
-            .unwrap_err();
+        c.release();
+        let err = admit(&c, "append", Background, 1_000, u64::MAX).unwrap_err();
         assert!(
             err.to_string().contains("bytes/s"),
             "byte axis must be the binding constraint: {err}"
         );
-        // A table-less call is not charged against table quotas.
-        let q = c
-            .admit(
-                "s",
-                "append",
-                ctx(WorkClass::Background),
-                1_000,
-                Timestamp(0),
-                u64::MAX,
-            )
-            .unwrap();
+        // A call that moves no bytes is charged on the requests axis
+        // alone, which is unlimited here.
+        let q = admit(&c, "get_table", Background, 0, u64::MAX).unwrap();
         assert_eq!(q, 0);
-        c.release(ctx(WorkClass::Background));
+        c.release();
     }
 
     #[test]
     fn exempt_methods_bypass_policy_but_stay_balanced() {
         let cfg = AdmissionConfig {
-            tenant_quota: Quota {
+            quota: Quota {
                 requests_per_sec: 1,
                 burst_requests: 1,
                 ..Quota::UNLIMITED
@@ -634,37 +466,20 @@ mod tests {
         };
         let c = AdmissionController::new(cfg);
         for _ in 0..100 {
-            c.admit(
-                "s",
-                "heartbeat",
-                ctx(WorkClass::Background),
-                0,
-                Timestamp(0),
-                u64::MAX,
-            )
-            .unwrap();
-            c.release(ctx(WorkClass::Background));
+            admit(&c, "heartbeat", Background, 0, u64::MAX).unwrap();
+            c.release();
         }
         assert_eq!(c.in_flight(), 0);
-        assert_eq!(c.class_stats(WorkClass::Background).shed, 0);
+        assert_eq!(c.class_stats(Background).shed, 0);
     }
 
     #[test]
     fn disabled_controller_is_transparent() {
         let c = AdmissionController::new(AdmissionConfig::disabled());
         for _ in 0..1_000 {
-            let q = c
-                .admit(
-                    "s",
-                    "append",
-                    ctx(WorkClass::Background),
-                    u64::MAX / 4,
-                    Timestamp(0),
-                    0,
-                )
-                .unwrap();
+            let q = admit(&c, "append", Background, u64::MAX / 4, 0).unwrap();
             assert_eq!(q, 0);
-            c.release(ctx(WorkClass::Background));
+            c.release();
         }
         assert_eq!(c.in_flight(), 0);
     }
@@ -673,26 +488,9 @@ mod tests {
     fn limiter_sheds_with_hint_when_window_full() {
         let c = AdmissionController::new(AdmissionConfig::default());
         for _ in 0..limiter::WINDOW {
-            c.admit(
-                "s",
-                "m",
-                ctx(WorkClass::Interactive),
-                0,
-                Timestamp(0),
-                u64::MAX,
-            )
-            .unwrap();
+            admit(&c, "m", Interactive, 0, u64::MAX).unwrap();
         }
-        let err = c
-            .admit(
-                "s",
-                "m",
-                ctx(WorkClass::Interactive),
-                0,
-                Timestamp(0),
-                u64::MAX,
-            )
-            .unwrap_err();
+        let err = admit(&c, "m", Interactive, 0, u64::MAX).unwrap_err();
         match err {
             VortexError::ResourceExhausted {
                 scope,
@@ -703,15 +501,7 @@ mod tests {
             }
             other => panic!("expected ResourceExhausted, got {other:?}"),
         }
-        c.release(ctx(WorkClass::Interactive));
-        c.admit(
-            "s",
-            "m",
-            ctx(WorkClass::Interactive),
-            0,
-            Timestamp(0),
-            u64::MAX,
-        )
-        .unwrap();
+        c.release();
+        admit(&c, "m", Interactive, 0, u64::MAX).unwrap();
     }
 }

@@ -23,7 +23,7 @@ fn an_admitted_fault_free_call_allocates_nothing() {
             .call_sized("append", CallKind::NonIdempotent, 4_096, || Ok(()))
             .unwrap()
     };
-    // The first call interns the method's record and the tenant's buckets.
+    // The first call interns the method's record.
     append();
     let ((), _, requests) = tally::tallied(|| (0..100).for_each(|_| append()));
     assert_eq!(requests, 0, "allocator requests");

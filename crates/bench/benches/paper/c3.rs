@@ -10,9 +10,7 @@
 //! seeds agree exactly.
 
 use vortex_bench::Run;
-use vortex_common::transport::{
-    AdaptivePolicy, AdaptiveTransport, TransportCosts, TransportLedger,
-};
+use vortex_common::transport::{AdaptivePolicy, AdaptiveTransport, TransportLedger};
 use vortex_common::truetime::Timestamp;
 
 /// Per-stream request counts with a 90/10 skew: 10% of streams get ~90%
@@ -36,7 +34,7 @@ fn run_policy(
 ) -> TransportLedger {
     let mut total = TransportLedger::default();
     for (i, &n) in counts.iter().enumerate() {
-        let mut tr = AdaptiveTransport::new(TransportCosts::default(), policy);
+        let mut tr = AdaptiveTransport::new(policy);
         // Hot streams send fast (1ms apart), cold ones sparsely (20s).
         let gap = if n > 100 { 1_000 } else { 20_000_000 };
         for r in 0..n {

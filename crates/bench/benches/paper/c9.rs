@@ -1,6 +1,6 @@
 //! **C9 — graceful degradation under overload** (§4.2.1, §7.2).
 //!
-//! Sweeps offered load from 1× to 8× the admitted capacity (the tenant
+//! Sweeps offered load from 1× to 8× the admitted capacity (the region
 //! requests/s quota) and measures, for both arms — admission enabled
 //! vs the disabled control — interactive goodput, interactive p99, and
 //! how deep the background stream's storage backlog grows.
@@ -20,7 +20,7 @@ use vortex::{
 };
 use vortex_bench::Run;
 
-/// Admitted capacity: the tenant requests/s quota.
+/// Admitted capacity: the region requests/s quota.
 const QUOTA_RPS: u64 = 130;
 /// Interactive offered rate, req/s — always inside quota.
 const INTERACTIVE_RPS: u64 = 50;
@@ -77,7 +77,7 @@ fn try_append(w: &mut StreamWriter, k: i64) -> Option<u64> {
 fn run_point(run: &Run, mult: u64, enabled: bool) -> Point {
     let admission = if enabled {
         AdmissionConfig {
-            tenant_quota: Quota {
+            quota: Quota {
                 requests_per_sec: QUOTA_RPS,
                 burst_requests: 20,
                 ..Quota::UNLIMITED

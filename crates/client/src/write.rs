@@ -8,7 +8,6 @@ use vortex_common::error::{VortexError, VortexResult};
 use vortex_common::ids::{StreamId, TableId};
 use vortex_common::obs::{self, Counter, Histogram};
 use vortex_common::row::{RowSet, Value};
-use vortex_common::rpc::table_scope;
 use vortex_common::schema::Schema;
 use vortex_common::transport::AdaptiveTransport;
 use vortex_common::truetime::{Timestamp, TrueTime};
@@ -230,11 +229,6 @@ impl StreamWriter {
             // to arrive over the network before sending the next request.
             now.max(self.last_completion.plus_micros(self.opts.ack_delay_us))
         };
-        // Tag every RPC below with the table so per-table admission
-        // quotas attribute the traffic (the class stays whatever the
-        // caller scoped — Interactive for direct clients, Batch inside a
-        // connector worker).
-        let _table = table_scope(self.table);
         let cpu = self.transport.on_request(now);
         // The batch is handed to the server shard by reference; every
         // retry below shares it.

@@ -77,15 +77,15 @@ pub enum VortexError {
     SimulatedCrash(String),
     /// Admission control rejected the request before it executed: a
     /// quota bucket is empty, the admission queue for the caller's
-    /// priority class is full, or the adaptive concurrency limiter is
-    /// clamped (`vortex-admission`). Retryable — and unlike every other
+    /// priority class is full, or the concurrency window is full
+    /// (`vortex-admission`). Retryable — and unlike every other
     /// retryable error it carries an explicit server-side backoff hint,
     /// which [`crate::rpc::RpcChannel`]'s retry rule honors instead of
     /// blind exponential backoff (the gRPC `RESOURCE_EXHAUSTED` +
     /// `RetryInfo` contract). `retry_after_us` must be nonzero (lint
     /// L009): a zero hint strands hint-directed retriers in a busy loop.
     ResourceExhausted {
-        /// What was exhausted, e.g. `tenant 0 bytes/s` or `aimd limit`.
+        /// What was exhausted, e.g. `bytes/s` or `aimd limit`.
         scope: String,
         /// Server-suggested backoff before retrying, virtual µs (> 0).
         retry_after_us: u64,
@@ -222,7 +222,7 @@ mod tests {
         }
         .is_retryable());
         assert!(VortexError::ResourceExhausted {
-            scope: "tenant 0 bytes/s".into(),
+            scope: "bytes/s".into(),
             retry_after_us: 2_500
         }
         .is_retryable());

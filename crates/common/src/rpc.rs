@@ -29,7 +29,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::error::{VortexError, VortexResult};
-use crate::ids::TableId;
 use crate::latency::LogNormal;
 use crate::obs::{Counter, Histogram};
 use crate::rng;
@@ -75,85 +74,38 @@ impl WorkClass {
     }
 }
 
-/// Ambient per-call context an [`RpcInterceptor`] classifies traffic by:
-/// which tenant is calling, which table the call concerns (when known),
-/// and the work's priority class. Carried in a thread-local and set with
-/// scoped guards ([`class_scope`] / [`tenant_scope`] / [`table_scope`]),
-/// so callers several layers above the channel (the optimizer's cycle
-/// loop, a connector pipeline) tag every RPC they transitively issue
-/// without threading a parameter through the whole call graph — the
-/// in-process analogue of request metadata / baggage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CallCtx {
-    /// Tenant charged for the call (0 = the default tenant).
-    pub tenant: u64,
-    /// Table the call concerns, when the caller knows it.
-    pub table: Option<TableId>,
-    /// Priority class ([`WorkClass::Interactive`] unless scoped).
-    pub class: WorkClass,
-}
-
-impl CallCtx {
-    /// The ambient default: tenant 0, no table, interactive.
-    pub const DEFAULT: CallCtx = CallCtx {
-        tenant: 0,
-        table: None,
-        class: WorkClass::Interactive,
-    };
-}
-
 thread_local! {
-    static CALL_CTX: std::cell::Cell<CallCtx> = const { std::cell::Cell::new(CallCtx::DEFAULT) };
+    static CALL_CLASS: std::cell::Cell<WorkClass> = const { std::cell::Cell::new(WorkClass::Interactive) };
 }
 
-/// The calling thread's current [`CallCtx`].
-pub fn current_ctx() -> CallCtx {
-    CALL_CTX.with(|c| c.get())
+/// The calling thread's current [`WorkClass`] ([`WorkClass::Interactive`]
+/// unless scoped). Carried in a thread-local so callers several layers
+/// above the channel (the optimizer's cycle loop, a connector pipeline)
+/// class every RPC they transitively issue without threading a parameter
+/// through the whole call graph.
+fn current_class() -> WorkClass {
+    CALL_CLASS.with(|c| c.get())
 }
 
-/// Restores the previous [`CallCtx`] on drop (scoped tagging).
-#[must_use = "the context reverts when the guard drops"]
+/// Restores the previous [`WorkClass`] on drop (scoped tagging).
+#[must_use = "the class reverts when the guard drops"]
 #[derive(Debug)]
-pub struct CtxGuard {
-    prev: CallCtx,
+pub struct ClassGuard {
+    prev: WorkClass,
 }
 
-impl Drop for CtxGuard {
+impl Drop for ClassGuard {
     fn drop(&mut self) {
-        CALL_CTX.with(|c| c.set(self.prev));
+        CALL_CLASS.with(|c| c.set(self.prev));
     }
-}
-
-fn set_ctx(next: CallCtx) -> CtxGuard {
-    let prev = CALL_CTX.with(|c| c.replace(next));
-    CtxGuard { prev }
 }
 
 /// Tags every RPC issued by this thread (until the guard drops) with the
 /// given priority class. Background services wrap their cycle bodies in
 /// `let _bg = class_scope(WorkClass::Background);`.
-pub fn class_scope(class: WorkClass) -> CtxGuard {
-    set_ctx(CallCtx {
-        class,
-        ..current_ctx()
-    })
-}
-
-/// Tags every RPC issued by this thread with a tenant id (quota key).
-pub fn tenant_scope(tenant: u64) -> CtxGuard {
-    set_ctx(CallCtx {
-        tenant,
-        ..current_ctx()
-    })
-}
-
-/// Tags every RPC issued by this thread with the table it concerns
-/// (per-table quota key).
-pub fn table_scope(table: TableId) -> CtxGuard {
-    set_ctx(CallCtx {
-        table: Some(table),
-        ..current_ctx()
-    })
+pub fn class_scope(class: WorkClass) -> ClassGuard {
+    let prev = CALL_CLASS.with(|c| c.replace(class));
+    ClassGuard { prev }
 }
 
 /// Admission hook invoked by [`RpcChannel::call`] around every attempt —
@@ -175,16 +127,15 @@ pub trait RpcInterceptor: Send + Sync {
     /// (retryable, hint-carrying) error to shed the attempt.
     fn admit(
         &self,
-        channel: &str,
         method: &'static str,
-        ctx: CallCtx,
+        class: WorkClass,
         payload_bytes: u64,
         now: Timestamp,
         budget_remaining_us: u64,
     ) -> VortexResult<u64>;
 
     /// Concludes one *admitted* attempt (releases concurrency state).
-    fn release(&self, ctx: CallCtx);
+    fn release(&self);
 }
 
 /// Idempotency class of an RPC method, declared at each call site.
@@ -463,9 +414,9 @@ struct Call {
     method: &'static str,
     kind: CallKind,
     payload_bytes: u64,
-    /// Captured once per call: a class/tenant scope installed mid-call
-    /// must not split one call's accounting.
-    ctx: CallCtx,
+    /// Captured once per call: a class scope installed mid-call must not
+    /// split one call's accounting.
+    class: WorkClass,
     /// The method's record, resolved once per call.
     stats: Arc<MethodStats>,
     /// Virtual time charged so far: attempt latencies, queue waits,
@@ -546,9 +497,9 @@ impl RpcChannel {
     }
 
     /// [`RpcChannel::call`] with an explicit payload size, charged against
-    /// the admission interceptor's bytes/s quota buckets. Call sites that
-    /// move bulk data (`append`) use this so multi-tenant byte quotas see
-    /// real volume; metadata calls use `call` (zero bytes — only the
+    /// the admission interceptor's bytes/s quota bucket. Call sites that
+    /// move bulk data (`append`) use this so the byte quota sees real
+    /// volume; metadata calls use `call` (zero bytes — only the
     /// requests/s bucket is charged).
     // lint:hotpath(rpc) — the service hop itself: under every append and every query
     pub fn call_sized<T>(
@@ -562,7 +513,7 @@ impl RpcChannel {
             method,
             kind,
             payload_bytes,
-            ctx: current_ctx(),
+            class: current_class(),
             stats: self.metrics.method(method),
             consumed_us: 0,
         };
@@ -615,14 +566,7 @@ impl RpcChannel {
         if let Some(i) = &self.interceptor {
             let remaining = CALL_BUDGET_US - call.consumed_us;
             let now = self.clock.now();
-            match i.admit(
-                &self.name,
-                method,
-                call.ctx,
-                call.payload_bytes,
-                now,
-                remaining,
-            ) {
+            match i.admit(method, call.class, call.payload_bytes, now, remaining) {
                 Ok(0) => {}
                 Ok(queued_us) => {
                     debug_assert!(queued_us <= remaining, "queued past the deadline");
@@ -645,7 +589,7 @@ impl RpcChannel {
             Some(f())
         };
         if let Some(i) = &self.interceptor {
-            i.release(call.ctx);
+            i.release();
         }
         match result {
             None => Attempt::Retry(self.unavailable(method, "injected unavailability")),
@@ -923,14 +867,13 @@ mod tests {
     impl RpcInterceptor for ShedFirst {
         fn admit(
             &self,
-            _channel: &str,
             _method: &'static str,
-            ctx: CallCtx,
+            class: WorkClass,
             payload_bytes: u64,
             _now: Timestamp,
             _budget_remaining_us: u64,
         ) -> VortexResult<u64> {
-            self.classes.lock().push(ctx.class);
+            self.classes.lock().push(class);
             self.bytes.lock().push(payload_bytes);
             let n = self.admits.fetch_add(1, Ordering::SeqCst);
             if n < u64::from(self.shed_first) {
@@ -943,7 +886,7 @@ mod tests {
             Ok(0)
         }
 
-        fn release(&self, _ctx: CallCtx) {
+        fn release(&self) {
             self.releases.fetch_add(1, Ordering::SeqCst);
         }
     }
@@ -1041,24 +984,17 @@ mod tests {
 
     #[test]
     fn call_ctx_scopes_nest_and_restore() {
-        assert_eq!(current_ctx(), CallCtx::DEFAULT);
+        assert_eq!(current_class(), WorkClass::Interactive);
         {
-            let _t = tenant_scope(7);
             let _c = class_scope(WorkClass::Background);
-            assert_eq!(current_ctx().tenant, 7);
-            assert_eq!(current_ctx().class, WorkClass::Background);
+            assert_eq!(current_class(), WorkClass::Background);
             {
                 let _b = class_scope(WorkClass::Batch);
-                let _tab = table_scope(TableId::from_raw(3));
-                let ctx = current_ctx();
-                assert_eq!(ctx.class, WorkClass::Batch);
-                assert_eq!(ctx.tenant, 7, "tenant survives inner class scope");
-                assert_eq!(ctx.table, Some(TableId::from_raw(3)));
+                assert_eq!(current_class(), WorkClass::Batch);
             }
-            assert_eq!(current_ctx().class, WorkClass::Background);
-            assert_eq!(current_ctx().table, None);
+            assert_eq!(current_class(), WorkClass::Background);
         }
-        assert_eq!(current_ctx(), CallCtx::DEFAULT);
+        assert_eq!(current_class(), WorkClass::Interactive);
     }
 
     #[test]

@@ -32,40 +32,23 @@ pub enum TransportKind {
     Bidi,
 }
 
-/// Cost constants of the transport model (microseconds / bytes). Values
-/// are representative of gRPC-style stacks; benches only depend on their
-/// *relative* magnitudes.
-#[derive(Debug, Clone, Copy)]
-pub struct TransportCosts {
-    /// CPU cost of a unary request hitting a pooled connection.
-    pub unary_pooled_cpu_us: u64,
-    /// CPU cost of a unary request that must establish a connection.
-    pub unary_setup_cpu_us: u64,
-    /// Probability (×1000) that a unary request misses the pool.
-    pub unary_pool_miss_permille: u64,
-    /// CPU cost of a request on an established bi-di connection.
-    pub bidi_request_cpu_us: u64,
-    /// CPU cost of establishing the bi-di connection.
-    pub bidi_setup_cpu_us: u64,
-    /// Standing memory of an open bi-di connection.
-    pub bidi_standing_bytes: u64,
-    /// Per-in-flight-request tracking memory on a bi-di connection.
-    pub bidi_tracking_bytes: u64,
-}
-
-impl Default for TransportCosts {
-    fn default() -> Self {
-        TransportCosts {
-            unary_pooled_cpu_us: 25,
-            unary_setup_cpu_us: 400,
-            unary_pool_miss_permille: 100, // 10% pool misses
-            bidi_request_cpu_us: 5,
-            bidi_setup_cpu_us: 600,
-            bidi_standing_bytes: 512 * 1024,
-            bidi_tracking_bytes: 4 * 1024,
-        }
-    }
-}
+// Cost constants of the transport model (microseconds / bytes). Values
+// are representative of gRPC-style stacks; benches only depend on their
+// *relative* magnitudes.
+/// CPU cost of a unary request hitting a pooled connection.
+const UNARY_POOLED_CPU_US: u64 = 25;
+/// CPU cost of a unary request that must establish a connection.
+const UNARY_SETUP_CPU_US: u64 = 400;
+/// Probability (×1000) that a unary request misses the pool: 10 %.
+const UNARY_POOL_MISS_PERMILLE: u64 = 100;
+/// CPU cost of a request on an established bi-di connection.
+const BIDI_REQUEST_CPU_US: u64 = 5;
+/// CPU cost of establishing the bi-di connection.
+const BIDI_SETUP_CPU_US: u64 = 600;
+/// Standing memory of an open bi-di connection.
+const BIDI_STANDING_BYTES: u64 = 512 * 1024;
+/// Per-in-flight-request tracking memory on a bi-di connection.
+const BIDI_TRACKING_BYTES: u64 = 4 * 1024;
 
 /// Switching policy for [`AdaptiveTransport`].
 #[derive(Debug, Clone, Copy)]
@@ -107,7 +90,6 @@ pub struct TransportLedger {
 /// A connection that adaptively chooses between unary and bi-di modes.
 #[derive(Debug)]
 pub struct AdaptiveTransport {
-    costs: TransportCosts,
     policy: AdaptivePolicy,
     kind: TransportKind,
     recent: VecDeque<Timestamp>,
@@ -119,9 +101,8 @@ pub struct AdaptiveTransport {
 
 impl AdaptiveTransport {
     /// A transport starting in unary mode.
-    pub fn new(costs: TransportCosts, policy: AdaptivePolicy) -> Self {
+    pub fn new(policy: AdaptivePolicy) -> Self {
         Self {
-            costs,
             policy,
             kind: TransportKind::Unary,
             recent: VecDeque::new(),
@@ -134,7 +115,7 @@ impl AdaptiveTransport {
 
     /// A transport with defaults.
     pub fn with_defaults() -> Self {
-        Self::new(TransportCosts::default(), AdaptivePolicy::default())
+        Self::new(AdaptivePolicy::default())
     }
 
     /// Current mode.
@@ -186,24 +167,23 @@ impl AdaptiveTransport {
         if self.kind == TransportKind::Unary && self.recent.len() >= self.policy.upgrade_requests {
             self.kind = TransportKind::Bidi;
             self.ledger.switches += 1;
-            cpu += self.costs.bidi_setup_cpu_us;
+            cpu += BIDI_SETUP_CPU_US;
         }
         match self.kind {
             TransportKind::Unary => {
                 self.ledger.unary_requests += 1;
-                let miss = self.next_rand_permille() < self.costs.unary_pool_miss_permille;
+                let miss = self.next_rand_permille() < UNARY_POOL_MISS_PERMILLE;
                 cpu += if miss {
-                    self.costs.unary_setup_cpu_us
+                    UNARY_SETUP_CPU_US
                 } else {
-                    self.costs.unary_pooled_cpu_us
+                    UNARY_POOLED_CPU_US
                 };
             }
             TransportKind::Bidi => {
                 self.ledger.bidi_requests += 1;
-                cpu += self.costs.bidi_request_cpu_us;
+                cpu += BIDI_REQUEST_CPU_US;
                 self.in_flight += 1;
-                let mem = self.costs.bidi_standing_bytes
-                    + self.in_flight * self.costs.bidi_tracking_bytes;
+                let mem = BIDI_STANDING_BYTES + self.in_flight * BIDI_TRACKING_BYTES;
                 self.ledger.peak_memory_bytes = self.ledger.peak_memory_bytes.max(mem);
             }
         }
@@ -283,15 +263,11 @@ mod tests {
         // The §5.4.2 claim: persistent connections are CPU-efficient for
         // high request volumes; unary avoids standing memory for sparse
         // writers.
-        let costs = TransportCosts::default();
-        let mut hot_adaptive = AdaptiveTransport::new(costs, AdaptivePolicy::default());
-        let mut hot_unary_only = AdaptiveTransport::new(
-            costs,
-            AdaptivePolicy {
-                upgrade_requests: usize::MAX, // never upgrade
-                ..AdaptivePolicy::default()
-            },
-        );
+        let mut hot_adaptive = AdaptiveTransport::with_defaults();
+        let mut hot_unary_only = AdaptiveTransport::new(AdaptivePolicy {
+            upgrade_requests: usize::MAX, // never upgrade
+            ..AdaptivePolicy::default()
+        });
         for i in 0..10_000 {
             hot_adaptive.on_request(t(1_000_000 + i * 100));
             hot_adaptive.on_response();

@@ -71,7 +71,7 @@ impl BeamSink {
     pub fn run(&self, input: Vec<Row>, cfg: &SinkConfig) -> VortexResult<SinkReport> {
         // Connector ingest is throughput-oriented batch work: it queues
         // behind interactive traffic and sheds before it under overload.
-        // (Workers tag their own threads in `run_worker` — CallCtx is
+        // (Workers tag their own threads in `run_worker` — the class is
         // thread-local and does not cross `thread::scope`.)
         let _batch = class_scope(WorkClass::Batch);
         if cfg.workers == 0 {

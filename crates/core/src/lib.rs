@@ -97,8 +97,8 @@ pub use vortex_common::mask::DeletionMask;
 pub use vortex_common::obs;
 pub use vortex_common::row;
 pub use vortex_common::rpc::{
-    class_scope, table_scope, tenant_scope, CallCtx, CallKind, MethodStats, RpcChannel,
-    RpcChannelConfig, RpcFaultPlan, RpcMetrics, WorkClass,
+    class_scope, CallKind, MethodStats, RpcChannel, RpcChannelConfig, RpcFaultPlan, RpcMetrics,
+    WorkClass,
 };
 pub use vortex_common::schema;
 pub use vortex_common::truetime::{SimClock, Timestamp, TrueTime};

@@ -35,10 +35,6 @@ pub struct RegionConfig {
     pub write_profile: WriteProfile,
     /// Seed for the latency model's RNGs.
     pub seed: u64,
-    /// Starting virtual time (microseconds).
-    pub start_micros: u64,
-    /// TrueTime uncertainty half-width (§5.4.4: single-digit ms).
-    pub tt_epsilon_micros: u64,
     /// Per-server overrides applied to every Stream Server.
     pub block_buffer_bytes: usize,
     /// Fragment rotation threshold.
@@ -58,10 +54,10 @@ pub struct RegionConfig {
     /// Server hops. Fault plans are armed at runtime
     /// via [`Region::sms_rpc`] / [`Region::server_rpc`].
     pub rpc: RpcChannelConfig,
-    /// Admission-control policy installed on both RPC channels (quotas,
-    /// priority-class shedding, adaptive overload protection). The
-    /// default admits everything (unlimited quotas) while still keeping
-    /// per-class counters; overload soaks set real quotas, and
+    /// Admission-control policy installed on both RPC channels (the
+    /// region quota, priority-class shedding, the concurrency window).
+    /// The default admits everything (an unlimited quota) while still
+    /// keeping per-class counters; overload soaks set a real quota, and
     /// [`vortex_admission::AdmissionConfig::disabled`] is the
     /// no-protection control arm.
     pub admission: AdmissionConfig,
@@ -75,8 +71,6 @@ impl Default for RegionConfig {
             sms_tasks: 1,
             write_profile: WriteProfile::instant(),
             seed: 7,
-            start_micros: 1_000_000,
-            tt_epsilon_micros: 3_500,
             block_buffer_bytes: vortex_wos::DEFAULT_BLOCK_BUFFER_BYTES,
             fragment_max_bytes: vortex_wos::DEFAULT_FRAGMENT_MAX_BYTES,
             optimizer: OptimizerConfig::default(),
@@ -97,6 +91,12 @@ impl RegionConfig {
         }
     }
 }
+
+/// Starting virtual time of a region's clock, microseconds.
+const START_MICROS: u64 = 1_000_000;
+
+/// TrueTime uncertainty half-width, microseconds (§5.4.4: single-digit ms).
+const TT_EPSILON_MICROS: u64 = 3_500;
 
 /// Floor of the metastore version-GC horizon: even with a short
 /// fragment-GC grace configured, MVCC history younger than this stays
@@ -145,8 +145,6 @@ pub struct Region {
     /// Region-wide commit-to-visible freshness probe (§8), fed by every
     /// [`Region::engine`] scan.
     freshness: Arc<FreshnessProbe>,
-    /// How construction rebuilt the metastore (checkpoint + WAL tail).
-    meta_recovery: MetaRecovery,
     /// Effective metastore version-GC grace in virtual microseconds.
     meta_gc_grace: u64,
 }
@@ -167,8 +165,8 @@ impl Region {
     /// ```
     pub fn create(cfg: RegionConfig) -> VortexResult<Self> {
         assert!(cfg.clusters >= 2, "dual-replica writes need ≥ 2 clusters");
-        let clock = SimClock::new(cfg.start_micros);
-        let tt = TrueTime::simulated(clock.clone(), cfg.tt_epsilon_micros, 0);
+        let clock = SimClock::new(START_MICROS);
+        let tt = TrueTime::simulated(clock.clone(), TT_EPSILON_MICROS, 0);
         // A cluster on disk under `disk_root/dir`, else in memory.
         let storage = |id, dir: &str, seed: u64| -> VortexResult<Arc<Colossus>> {
             let seed = cfg.seed.wrapping_add(seed);
@@ -193,7 +191,7 @@ impl Region {
         // published checkpoint plus the WAL tail. A fresh region cold
         // starts from an empty cluster; every commit from here on is
         // WAL-logged before it is acknowledged.
-        let (store, meta_recovery) = MetaStore::recover(tt.clone(), fleet.get(META_CLUSTER_ID)?)?;
+        let (store, _) = MetaStore::recover(tt.clone(), fleet.get(META_CLUSTER_ID)?)?;
         // The restored metadata carries timestamps from the previous
         // incarnation; the fresh virtual clock must start beyond them or
         // new writes would sort before old snapshots.
@@ -224,8 +222,8 @@ impl Region {
         // (which go through the handles the SMS gives out) cross the
         // server channel too.
         // One admission controller across both hops: every RPC in the
-        // region drains the same quota pool and the same adaptive
-        // concurrency window (the single policy point for overload).
+        // region drains the same quota and the same concurrency window
+        // (the single policy point for overload).
         let admission = AdmissionController::new(cfg.admission.clone());
         let rpc = |hop| {
             let admission = Some(admission.clone() as Arc<dyn RpcInterceptor>);
@@ -299,18 +297,11 @@ impl Region {
             optimizer,
             read_cache: ReadCache::new(READ_CACHE_MAX_BYTES),
             freshness: Arc::new(FreshnessProbe::new(obs::global())),
-            meta_recovery,
             meta_gc_grace: cfg
                 .gc_grace_micros
                 .unwrap_or(0)
                 .max(META_GC_GRACE_FLOOR_MICROS),
         })
-    }
-
-    /// How construction rebuilt the metastore: which checkpoint version
-    /// it loaded and how much WAL tail it replayed on top.
-    pub fn meta_recovery(&self) -> &MetaRecovery {
-        &self.meta_recovery
     }
 
     /// The metastore version-GC watermark: visible history older than
@@ -370,16 +361,10 @@ impl Region {
 
     /// The raw Stream Server tasks — host-process concerns only
     /// (checkpointing, crash recovery). Service traffic goes through
-    /// [`Region::server_handles`]. Returns a snapshot: restart swaps
+    /// [`Region::server_channels`]. Returns a snapshot: restart swaps
     /// instances underneath.
     pub fn servers(&self) -> Vec<Arc<StreamServer>> {
         self.servers.read().clone()
-    }
-
-    /// Channel-wrapped Stream Server handles, index-aligned with
-    /// [`Region::servers`].
-    pub fn server_handles(&self) -> &[ServerHandle] {
-        &self.server_handles
     }
 
     /// The concrete Stream Server channels (process boundaries),
@@ -477,9 +462,9 @@ impl Region {
         &self.server_rpc
     }
 
-    /// The region's admission controller (quotas, per-class shed/queue
-    /// counters, the adaptive concurrency window) — installed on both
-    /// RPC channels at construction.
+    /// The region's admission controller (the quota, per-class shed/queue
+    /// counters, the concurrency window) — installed on both RPC channels
+    /// at construction.
     pub fn admission(&self) -> &Arc<AdmissionController> {
         &self.admission
     }
@@ -492,11 +477,6 @@ impl Region {
     /// The shared metastore.
     pub fn store(&self) -> &Arc<MetaStore> {
         &self.store
-    }
-
-    /// The shared id generator.
-    pub fn ids(&self) -> &Arc<IdGen> {
-        &self.ids
     }
 
     /// The virtual clock.

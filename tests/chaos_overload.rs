@@ -3,7 +3,7 @@
 //! appends, batch ingest, and a background write storm — through lossy
 //! RPC channels with one Stream Server kill/restart cycle mid-run.
 //!
-//! With admission enabled, the tenant token bucket plus the per-class
+//! With admission enabled, the region token bucket plus the per-class
 //! queue bounds must shed the lowest class first: interactive appends
 //! keep ≥95% goodput and a bounded p99 while background work is shed
 //! wholesale. Every acked append must survive to the final exact
@@ -38,7 +38,7 @@ const TICKS: u64 = 500;
 const ROWS_PER_APPEND: i64 = 4;
 /// Keyspace stride between the class-dedicated writers.
 const KEYSPACE_STRIDE: i64 = 1_000_000;
-/// Admitted capacity: the tenant requests/s quota. The offered schedule
+/// Admitted capacity: the region requests/s quota. The offered schedule
 /// below (1 interactive + 0.5 batch + 9 background appends per 20 ms
 /// tick = 525 req/s) is ≥ 4× this rate.
 const QUOTA_RPS: u64 = 130;
@@ -360,11 +360,11 @@ fn overload_sheds_background_first_and_keeps_interactive_bounded() {
     let seed = chaos_seed();
     eprintln!("chaos_overload seed = {seed} (override with VORTEX_CHAOS_SEED)");
 
-    // ---- Arm A: admission enabled, tenant quota = admitted capacity ----
+    // ---- Arm A: admission enabled, region quota = admitted capacity ----
     let adm = run_arm(
         seed,
         AdmissionConfig {
-            tenant_quota: Quota {
+            quota: Quota {
                 requests_per_sec: QUOTA_RPS,
                 burst_requests: 20,
                 ..Quota::UNLIMITED
