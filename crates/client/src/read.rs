@@ -99,10 +99,13 @@ pub(crate) fn read_reconciled_tail(
     // List at the reconciliation timestamp, not a fresh `now`: the
     // fragment records written by the reconcile are MVCC-stable there,
     // while at `now` a fast optimizer+GC cycle may have already deleted
-    // them — which would silently drop their rows from this snapshot.
+    // them — which would silently drop their rows from this snapshot. A
+    // record that does not decode fails the read: leaving it out would
+    // drop its rows just as silently.
     let mut out = Vec::new();
     let from_offset = tail.first_stream_row + tail.from_row;
-    for meta in sms.list_fragments(table, list_at).into_iter().filter(|f| {
+    let listed = sms.try_list_fragments(table, list_at)?;
+    for meta in listed.into_iter().filter(|f| {
         // Include Deleted fragments still visible at the snapshot:
         // the optimizer may convert the reconciled fragments before
         // this read runs, and skipping them would silently drop rows

@@ -715,6 +715,45 @@ fn a_reconciled_tail_is_read_through_the_cache() {
     assert_eq!((tally.hits, tally.misses, reads()), (1, 1, before));
 }
 
+/// A reconciled tail's fragment record that does not decode fails the
+/// read: the listing it plans from leaves no record out.
+#[test]
+fn an_undecodable_fragment_record_fails_a_reconciled_tail() {
+    use crate::read::{read_reconciled_tail, Visible};
+    use vortex_sms::meta::{FragmentMeta, Record};
+    let r = client_rig();
+    let t = r.client.create_table("t", kv_schema()).unwrap().table;
+    let mut w = r.client.create_unbuffered_writer(t).unwrap();
+    w.append(kv_rows(0, 8)).unwrap();
+    let snap = r.client.snapshot();
+    let tail = r.sms.list_read_fragments(t, snap).unwrap().tails[0].clone();
+    r.sms.reconcile_streamlet(t, tail.streamlet).unwrap();
+    let sms: vortex_sms::api::SmsHandle = r.sms.clone();
+    let key = r.sms.get_table(t).unwrap().encryption_key();
+    let read = |list_at| {
+        let at = (&sms, &r.fleet, &key, None);
+        read_reconciled_tail(at, (t, &tail), (snap, list_at))
+    };
+    let rows = |visible: Vec<Visible>| visible.iter().map(Visible::len).sum::<usize>();
+    let list_at = r.sms.read_snapshot();
+    assert_eq!(rows(read(list_at).unwrap()), 8);
+    let listed = sms.try_list_fragments(t, list_at).unwrap();
+    let fragment = listed
+        .iter()
+        .find(|f| f.streamlet == tail.streamlet)
+        .unwrap();
+    let store = r.sms.store();
+    let mut txn = store.begin();
+    txn.put(&FragmentMeta::key((t, fragment.fragment)), vec![0xff]);
+    txn.commit().unwrap();
+    let list_at = r.sms.read_snapshot();
+    let failed = read(list_at);
+    assert!(
+        matches!(failed, Err(VortexError::Decode(_))),
+        "not fewer rows"
+    );
+}
+
 /// The FSST matcher a coded equality builds for a cached block is charged
 /// to the cache with the block's cells: `cache.bytes` grows by its size
 /// once — a second equality on the column shares it — and falls back by

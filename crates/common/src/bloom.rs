@@ -19,13 +19,9 @@ pub struct BloomFilter {
     num_items: u64,
 }
 
-fn fnv1a64(data: &[u8], seed: u64) -> u64 {
-    let mut h = 0xcbf29ce484222325u64 ^ seed;
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    // Final avalanche (splitmix64 tail) so nearby keys spread.
+/// The final avalanche (splitmix64 tail) of an FNV-1a state, so nearby
+/// keys spread.
+fn avalanche(mut h: u64) -> u64 {
     h ^= h >> 30;
     h = h.wrapping_mul(0xbf58476d1ce4e5b9);
     h ^= h >> 27;
@@ -55,7 +51,14 @@ impl BloomFilter {
     /// sets depends on nothing else, so a writer may keep distinct keys as
     /// pairs and insert them later.
     pub fn hashes(key: &[u8]) -> (u64, u64) {
-        (fnv1a64(key, 0), fnv1a64(key, 0x9E3779B97F4A7C15) | 1)
+        // FNV-1a from two seeds, 0 and a second, in one walk of the key.
+        let mut a = 0xcbf29ce484222325u64;
+        let mut b = a ^ 0x9E3779B97F4A7C15;
+        for &byte in key {
+            a = (a ^ byte as u64).wrapping_mul(0x100000001b3);
+            b = (b ^ byte as u64).wrapping_mul(0x100000001b3);
+        }
+        (avalanche(a), avalanche(b) | 1)
     }
 
     /// Inserts the key whose [`BloomFilter::hashes`] are `(h1, h2)`.
@@ -215,6 +218,32 @@ mod tests {
             by_key.insert(key.as_bytes());
             by_pair.insert_hashes(BloomFilter::hashes(key.as_bytes()));
             assert_eq!(by_key.to_bytes(), by_pair.to_bytes(), "after {i}");
+        }
+    }
+
+    /// One seeded FNV-1a walk and its avalanche: what each of the two
+    /// hashes was before they shared a walk.
+    fn fnv1a64(data: &[u8], seed: u64) -> u64 {
+        let mut h = 0xcbf29ce484222325u64 ^ seed;
+        for &b in data {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x100000001b3);
+        }
+        avalanche(h)
+    }
+
+    #[test]
+    fn one_walk_hashes_are_the_two_walks() {
+        let mut state = 0x5EED_u64;
+        for len in (0..64).chain([255, 1000]) {
+            let key: Vec<u8> = (0..len)
+                .map(|_| {
+                    state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                    (state >> 56) as u8
+                })
+                .collect();
+            let two_walks = (fnv1a64(&key, 0), fnv1a64(&key, 0x9E3779B97F4A7C15) | 1);
+            assert_eq!(BloomFilter::hashes(&key), two_walks, "{key:?}");
         }
     }
 

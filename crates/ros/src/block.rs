@@ -50,7 +50,7 @@ use vortex_common::truetime::Timestamp;
 
 use crate::column::{ColumnBuilder, ColumnVec, IntKind, KeyedRows, Prim};
 use crate::encoding::{
-    decode_chunk_at, distinct_rows, encode_profiled, fold_chunk, holds_one_key, le_uint, profile,
+    decode_chunk_at, dictionary, encode_profiled, fold_chunk, holds_one_key, le_uint, profile,
     retain_coded, BlockTable, Encoding, SharedTable, Sink,
 };
 
@@ -371,7 +371,6 @@ impl Shape {
     /// The block of the rows `order` of `cols` and `metas`, in that order.
     fn build(&self, cols: &[ColumnVec], metas: &[RowMeta], order: &[u32]) -> RosBlock {
         let n = order.len();
-        let bloom = block_bloom(&self.key_cols, cols, order);
         // Provenance is four more columns, of integers, in block order.
         let ints = |kind, of: &dyn Fn(&RowMeta) -> u64| {
             let values = order
@@ -394,7 +393,8 @@ impl Shape {
         ];
         // Encode per zone: each zone's rows are gathered in block order
         // into a leaf vector of their own, which is profiled once for its
-        // own encoding choice (cascading chooser) and its zone map, and
+        // own encoding choice (cascading chooser), its zone map, its sum
+        // and, of a key column, its runs for the bloom filter, and
         // gets — when it shrinks the chunk — vsnap compression on top.
         // Chunks tile the body; each cell keeps what its decoder reads.
         let zones = n.div_ceil(ZONE_ROWS);
@@ -402,8 +402,9 @@ impl Shape {
         let mut body = Vec::new();
         let mut chunks = Vec::with_capacity((ncols + PROVENANCE) * zones);
         let mut cells = Vec::with_capacity(chunks.capacity());
-        let user = cols.iter().map(|col| (col, Some(order)));
-        for (col, by) in user.chain(provenance.iter().map(|col| (col, None))) {
+        let mut key_runs: Vec<Runs> = vec![Vec::with_capacity(zones); self.key_cols.len()];
+        for (c, col) in cols.iter().chain(&provenance).enumerate() {
+            let by = (c < ncols).then_some(order);
             let shared = by.and_then(|order| BlockTable::of(col, order));
             for z in 0..zones {
                 let range = z * ZONE_ROWS..((z + 1) * ZONE_ROWS).min(n);
@@ -413,7 +414,7 @@ impl Shape {
                     None => zone.add_rows(col, range),
                 }
                 let zone = zone.into_column();
-                let profile = profile(&zone);
+                let mut profile = profile(&zone);
                 let (enc, bytes) = encode_profiled(&zone, &profile, shared.as_ref());
                 let packed = compress(&bytes);
                 let compressed = packed.len() < bytes.len();
@@ -422,15 +423,19 @@ impl Shape {
                     enc,
                     compressed,
                     stats: summarize_zone((&zone, 0..zone.len()), profile.nulls, profile.ends),
-                    sum: by.and_then(|_| int_sum(&zone, profile.nulls)),
+                    sum: by.and(profile.sum.map(|sum| (sum, profile.nulls))),
                     offset: body.len(),
                     len: stored.len(),
                     crc: 0,
                 });
                 body.extend_from_slice(stored);
                 cells.push(OnceLock::from(bytes));
+                if let Some(k) = self.key_cols.iter().position(|&k| k == c) {
+                    key_runs[k].push((std::mem::take(&mut profile.runs), profile.ascending));
+                }
             }
         }
+        let bloom = block_bloom(&self.key_cols, cols, order, &key_runs);
         // A block's column properties are its zones' merged: in a typed
         // column equal cells are identical, and among mixed cells that
         // compare equal both keep the first.
@@ -459,29 +464,55 @@ impl Shape {
     }
 }
 
-/// The bloom filter of a block whose rows are `order` of `cols`. It holds
-/// a set: each key column's distinct cells go in once, and their number
-/// is what the filter is sized for ([`distinct_rows`]: the starts of its
-/// runs when the column does not decrease in block order).
-fn block_bloom(key_cols: &[usize], cols: &[ColumnVec], order: &[u32]) -> BloomFilter {
-    let in_order = |&k: &usize| {
-        let mut leaf = ColumnBuilder::default();
-        leaf.add_rows(&cols[k], order.iter().map(|&i| i as usize));
-        leaf.into_column()
-    };
-    let keys: Vec<ColumnVec> = key_cols.iter().map(in_order).collect();
-    let firsts: Vec<Vec<usize>> = keys.iter().map(distinct_rows).collect();
+/// Of one key column, per zone in block order: the rows its runs start
+/// at, and whether its keys ascend ([`crate::encoding::Profile`]).
+type Runs = Vec<(Vec<usize>, bool)>;
+
+/// The bloom filter of a block whose rows are `order` of `cols`, from
+/// the runs the zone pass found in each of the key columns `keys`. It
+/// holds a set: each key column's distinct cells go in once, and their
+/// number is what the filter is sized for.
+fn block_bloom(keys: &[usize], cols: &[ColumnVec], order: &[u32], runs: &[Runs]) -> BloomFilter {
+    let firsts = keys.iter().zip(runs).map(|(&k, runs)| {
+        ascending_runs(&cols[k], order, runs).unwrap_or_else(|| {
+            // Keys that do not ascend through the block are numbered.
+            let mut leaf = ColumnBuilder::default();
+            leaf.add_rows(&cols[k], order.iter().map(|&i| i as usize));
+            dictionary(&leaf.into_column()).0
+        })
+    });
+    let firsts: Vec<Vec<usize>> = firsts.collect();
     let distinct: usize = firsts.iter().map(Vec::len).sum();
     let mut bloom = BloomFilter::with_capacity(distinct.max(16), BLOOM_FALSE_POSITIVES);
     let mut key = Vec::new();
-    for (col, rows) in keys.iter().zip(&firsts) {
+    for (&k, rows) in keys.iter().zip(&firsts) {
         for &i in rows {
             key.clear();
-            col.key_into(i, &mut key);
+            cols[k].key_into(order[i] as usize, &mut key);
             bloom.insert(&key);
         }
     }
     bloom
+}
+
+/// The rows in block order at which the typed leaf `col`'s runs start —
+/// its distinct cells' first rows, as [`dictionary`] numbers them — when
+/// its keys ascend through the block: each zone's keys ascend, and so does
+/// each zone's last up to the next zone's first, which starts no run when
+/// the two are equal. `None` otherwise.
+fn ascending_runs(col: &ColumnVec, order: &[u32], runs: &Runs) -> Option<Vec<usize>> {
+    // lint:allow(L010, once per key column of a block built)
+    let mut starts = Vec::new();
+    for (z, (runs, ascending)) in runs.iter().enumerate() {
+        let at = z * ZONE_ROWS;
+        let step = (z > 0).then(|| col.cmp_rows(order[at - 1] as usize, col, order[at] as usize));
+        if !col.is_typed_leaf() || !ascending || step == Some(std::cmp::Ordering::Greater) {
+            return None;
+        }
+        let continued = step == Some(std::cmp::Ordering::Equal);
+        starts.extend(runs.iter().skip(continued as usize).map(|&r| at + r));
+    }
+    Some(starts)
 }
 
 /// The false-positive rate a block's bloom filter is sized for.
@@ -506,15 +537,6 @@ fn summarize_zone(
         }
     }
     stats
-}
-
-/// Of a zone of `Int64` cells: their exact sum and its `nulls`.
-fn int_sum(zone: &ColumnVec, nulls: usize) -> Option<(i128, usize)> {
-    let ColumnVec::I64(IntKind::Int64, ints) = zone else {
-        return None;
-    };
-    let valued = (0..ints.values.len()).filter(|&i| !zone.is_null(i));
-    Some((valued.map(|i| ints.values[i] as i128).sum(), nulls))
 }
 
 /// [`summarize_zone`] of the rows `rows` of a leaf vector that is not
@@ -1918,6 +1940,33 @@ mod tests {
         }
     }
 
+    /// The bloom filter as the builder made it before the zone pass: each
+    /// key column gathered in block order again, its distinct rows found
+    /// from that whole column.
+    fn reference_block_bloom(key_cols: &[usize], cols: &[ColumnVec], order: &[u32]) -> BloomFilter {
+        let in_order = |&k: &usize| {
+            let mut leaf = ColumnBuilder::default();
+            leaf.add_rows(&cols[k], order.iter().map(|&i| i as usize));
+            leaf.into_column()
+        };
+        let keys: Vec<ColumnVec> = key_cols.iter().map(in_order).collect();
+        let firsts: Vec<Vec<usize>> = keys
+            .iter()
+            .map(crate::encoding::tests::distinct_rows)
+            .collect();
+        let distinct: usize = firsts.iter().map(Vec::len).sum();
+        let mut bloom = BloomFilter::with_capacity(distinct.max(16), BLOOM_FALSE_POSITIVES);
+        let mut key = Vec::new();
+        for (col, rows) in keys.iter().zip(&firsts) {
+            for &i in rows {
+                key.clear();
+                col.key_into(i, &mut key);
+                bloom.insert(&key);
+            }
+        }
+        bloom
+    }
+
     mod properties {
         use super::*;
         use crate::encoding::tests::leaf;
@@ -1978,6 +2027,91 @@ mod tests {
                 want.sort_by(|&a, &b| clustering_order(keys, row(a), row(b)));
                 let got: Vec<usize> = clustered(keys, &cols, &metas).iter().map(|&i| i as usize).collect();
                 prop_assert_eq!(got, want);
+            }
+        }
+
+        /// A key cell of one family: Int64, Timestamp at its extremes,
+        /// Float64 with NaN and -0.0, a string, or — mixed — an Int64 or a
+        /// string; NULL one cell in `nulls` (never when 0).
+        fn key_cell(family: u8, k: u64, r: u64, nulls: u64) -> Value {
+            if nulls > 0 && r % nulls == 0 {
+                return Value::Null;
+            }
+            match (family, k % 4) {
+                (0, _) => Value::Int64(k as i64 - 20),
+                (1, 0) => Value::Timestamp(Timestamp::from_micros(u64::MAX - k)),
+                (1, _) => Value::Timestamp(Timestamp::from_micros(k)),
+                (2, 0) => Value::Float64(f64::NAN),
+                (2, 1) => Value::Float64(-0.0),
+                (2, _) => Value::Float64(k as f64 / 4.0),
+                (3, _) => Value::String(format!("key-{k:04}")),
+                (_, 0) => Value::String(format!("{k}")),
+                _ => Value::Int64(k as i64),
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(96))]
+
+            /// The bloom filter from the zone pass's runs is byte for byte
+            /// the one numbered from each key column gathered whole: keys
+            /// of few values whose runs cross zone boundaries and of many,
+            /// blocks of one zone and of several, sorted (a clustered
+            /// build, the blocks a split makes) and not (a 1:1 build), a
+            /// partition column constant, random or ascending within each
+            /// zone and falling at the next, with NULLs, mixed cells.
+            #[test]
+            fn the_bloom_from_zones_is_block_bloom(
+                (n, distinct, family, nulls) in (1usize..3_500, 1u64..3_000, 0u8..5, 0u64..4),
+                (partition, sorted, split, seed) in (0u8..3, any::<bool>(), 500usize..2_500, any::<u64>()),
+            ) {
+                let schema = Schema::new(vec![
+                    Field::required("v", FieldType::Int64),
+                    Field::nullable("c", FieldType::String),
+                    Field::nullable("p", FieldType::Int64),
+                    Field::nullable("d", FieldType::String),
+                ])
+                .with_partition("p", PartitionTransform::Identity)
+                .with_clustering(&["c", "d"]);
+                let mut mix = Mix(seed);
+                let mut builders = [RosBlockBuilder::new(&schema), RosBlockBuilder::new(&schema)];
+                for i in 0..n {
+                    let (r, s) = (mix.next(), mix.next());
+                    let p = match partition {
+                        0 => Value::Int64(5),
+                        1 => key_cell(0, r % 3, s, nulls),
+                        _ => Value::Int64((i % ZONE_ROWS) as i64 / 100),
+                    };
+                    let values = vec![
+                        Value::Int64(i as i64),
+                        key_cell(family, r % distinct, s >> 8, nulls),
+                        p,
+                        key_cell(family, s % 7, r >> 8, nulls),
+                    ];
+                    for b in &mut builders {
+                        b.push(pinned_meta(i, r), Row::insert(values.clone())).unwrap();
+                    }
+                }
+                let [built, twin] = builders;
+                let (shape, cols, metas) = twin.columns();
+                let order = match sorted {
+                    true => clustered(&shape.clustering_idx, &cols, &metas),
+                    false => (0..n as u32).collect(),
+                };
+                let want = reference_block_bloom(&shape.key_cols, &cols, &order);
+                let block = shape.build(&cols, &metas, &order);
+                prop_assert_eq!(block.bloom().to_bytes(), want.to_bytes());
+                let mut blocks = Vec::new();
+                let put = |b| {
+                    blocks.push(b);
+                    Ok(())
+                };
+                built.build_clustered(split, put).unwrap();
+                let order = clustered(&shape.clustering_idx, &cols, &metas);
+                for (b, rows) in blocks.iter().zip(order.chunks(split)) {
+                    let want = reference_block_bloom(&shape.key_cols, &cols, rows);
+                    prop_assert_eq!(b.bloom().to_bytes(), want.to_bytes());
+                }
             }
         }
     }

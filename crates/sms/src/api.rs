@@ -188,10 +188,15 @@ pub trait SmsApi: Send + Sync {
     /// from storage, and drops their metadata. Returns (entities removed,
     /// files deleted).
     fn run_groomer(&self) -> VortexResult<(usize, usize)>;
-    /// All fragment metadata of a table at a snapshot (diagnostics, and
-    /// a tail read whose streamlet was reconciled past its snapshot).
+    /// All fragment metadata of a table at a snapshot (diagnostics).
     /// Operations plan from [`SmsApi::list_read_fragments`].
     fn list_fragments(&self, table: TableId, at: Timestamp) -> Vec<FragmentMeta>;
+    /// [`SmsApi::list_fragments`] that fails on a record that does not
+    /// decode instead of leaving it out: what a tail read whose streamlet
+    /// was reconciled past its snapshot plans from.
+    fn try_list_fragments(&self, table: TableId, at: Timestamp) -> VortexResult<Vec<FragmentMeta>> {
+        crate::meta::scan(&self.store(), table, at).collect()
+    }
     /// All streamlet metadata of a table (diagnostics).
     fn list_streamlets(&self, table: TableId) -> Vec<StreamletMeta>;
 }

@@ -402,4 +402,47 @@ mod tests {
         assert_eq!(rec.rtype, RecordType::Commit);
         assert_eq!(rec.first_row, 57);
     }
+
+    /// `orders`-shaped rows — a day, a customer, an amount, a price, a
+    /// note that is NULL one row in ten, a sequence number — from a fixed
+    /// generator.
+    fn orders_rows(n: usize, seed: u64) -> Vec<Row> {
+        let mut state = seed;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 16
+        };
+        let row = |i: usize, r: u64, cents: u64| {
+            let note = match r % 10 {
+                0 => Value::Null,
+                _ => Value::String(format!("sess={:08x} ua=Chrome os=Linux", r as u32)),
+            };
+            Row::insert(vec![
+                Value::Int64((r % 8) as i64),
+                Value::String(format!("cust-{:05}", (r >> 8) % 20_000)),
+                Value::Int64((r >> 20) as i64 % 1_000_000),
+                Value::Float64((cents % 100_000) as f64 / 100.0),
+                note,
+                Value::Int64(i as i64),
+            ])
+        };
+        (0..n).map(|i| row(i, next(), next())).collect()
+    }
+
+    /// The bytes an append writes — rows encoded, vsnap-compressed,
+    /// encrypted, framed — do not move: the length and CRC32C of a writer's
+    /// header, a 16-row and a 2 000-row data block. A change that moves
+    /// them on purpose re-records them.
+    #[test]
+    fn data_block_bytes_are_pinned() {
+        let (mut w, header) = FragmentWriter::new(cfg(), 0, vec![], Timestamp(1));
+        let small = w.data_block(&orders_rows(16, 1), Timestamp(2)).unwrap();
+        let large = w.data_block(&orders_rows(2_000, 2), Timestamp(3)).unwrap();
+        let got = [&header, &small, &large].map(|b| (b.len(), crc32c(b)));
+        assert_eq!(got, PINNED, "{got:?}");
+    }
+
+    const PINNED: [(usize, u32); 3] = [(86, 383401335), (674, 3550164837), (67732, 971338879)];
 }
