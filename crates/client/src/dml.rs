@@ -112,12 +112,12 @@ impl DmlExecutor {
                     "DML could not commit after repeated conversion races".into(),
                 ));
             }
-            let key = sms.get_table(table)?.encryption_key();
             let snapshot = sms.read_snapshot();
             let rs = sms.list_read_fragments(table, snapshot)?;
+            let (schema, key) = (&rs.table.schema, rs.table.encryption_key());
             let set_idx = (set.unwrap_or_default().iter()).map(|(c, v)| {
                 let unknown = || VortexError::InvalidArgument(format!("unknown column {c}"));
-                Ok((rs.schema.column_index(c).ok_or_else(unknown)?, v.clone()))
+                Ok((schema.column_index(c).ok_or_else(unknown)?, v.clone()))
             });
             let set_idx: Vec<(usize, Value)> = set_idx.collect::<VortexResult<_>>()?;
             // The matched rows' positions, and for an UPDATE the rows.
@@ -125,11 +125,11 @@ impl DmlExecutor {
                 rows: set.is_some().then(RowCollector::default),
                 ..Positions::default()
             };
-            let plan = ScanPlan::compile(pred, None, &rs.schema, None, &matched)?;
+            let plan = ScanPlan::compile(pred, None, schema, None, &matched)?;
             let all = RowCollector::default();
-            let rest = ScanPlan::compile(&unaffected, None, &rs.schema, None, &all)?;
+            let rest = ScanPlan::compile(&unaffected, None, schema, None, &all)?;
             let mut scanned = FragmentYield::new(Positions::default());
-            let survivors = (self.engine).survivors(&rs, pred, &plan, &mut scanned.stats)?;
+            let survivors = (self.engine).survivors(&rs, &plan, &mut scanned.stats)?;
             // Each fragment and tail is scanned into a consumer of its own,
             // so that its positions stay its own.
             let mut scan = |step: &dyn Fn(&mut FragmentYield<Positions>) -> VortexResult<()>| {

@@ -12,16 +12,15 @@ use vortex_common::ids::{StreamletId, TableId};
 use vortex_common::obs::{self, Counter, FreshnessProbe, Histogram};
 use vortex_common::row::{Row, Value};
 use vortex_common::schema::Schema;
-use vortex_common::stats::ColumnStats;
 use vortex_common::truetime::{Timestamp, TrueTime};
 use vortex_ros::RowMeta;
 use vortex_sms::api::SmsHandle;
-use vortex_sms::meta::{FragmentKind, TableMeta};
+use vortex_sms::meta::FragmentKind;
 use vortex_sms::readset::{FragmentReadSpec, ReadSet};
 
 use crate::cdc::resolve_changes;
 use crate::consume::{Aggregator, Consumer, RowCollector};
-use crate::expr::Expr;
+use crate::expr::{Expr, Verdict};
 use crate::pushdown::{scan_resolved, scan_ros_block, scan_visible, FragmentYield, ScanPlan};
 use crate::read::{
     open_ros_block, read_fragment_bloom, read_fragment_cached, read_reconciled_tail,
@@ -399,7 +398,7 @@ impl QueryEngine {
         Ok(ScanResult {
             snapshot,
             // lint:allow(L010, once per row-returning scan: the schema its result carries)
-            schema: listed.schema.clone(),
+            schema: listed.table.schema.clone(),
             rows,
             complete: stats.skipped == 0,
             stats,
@@ -417,7 +416,6 @@ impl QueryEngine {
         opts: &ScanOptions,
         make: &dyn Fn(&Schema) -> VortexResult<C>,
     ) -> VortexResult<(C, Arc<ReadSet>, ScanStats)> {
-        let tmeta = self.sms.get_table(table)?;
         let scan_start = self.tt.as_ref().map(|tt| tt.now().latest);
         let cache_base = self.read.cache.as_ref().map(|c| c.tally());
         let projection = opts.projection.as_deref();
@@ -427,11 +425,12 @@ impl QueryEngine {
             // visible row, resolve, then filter + project into `sink`.
             let rows = |_: &Schema| Ok(RowCollector::default());
             let (all, listed) =
-                self.read_into(&tmeta, snapshot, opts, (&Expr::True, None), &rows)?;
-            let sink = make(&listed.schema)?;
-            let post = ScanPlan::compile(&opts.predicate, projection, &listed.schema, None, &sink)?;
+                self.read_into(table, snapshot, opts, (&Expr::True, None), &rows)?;
+            let schema = &listed.table.schema;
+            let sink = make(schema)?;
+            let post = ScanPlan::compile(&opts.predicate, projection, schema, None, &sink)?;
             let mut out = FragmentYield::new(sink);
-            let resolved = resolve_changes(&tmeta.schema, all.sink.rows);
+            let resolved = resolve_changes(schema, all.sink.rows);
             scan_resolved(resolved, &post, &mut out)?;
             // What was read is what `all` read; what matched is what the
             // filter kept afterwards.
@@ -442,7 +441,7 @@ impl QueryEngine {
             out.visible_ts = all.visible_ts;
             (out, listed)
         } else {
-            self.read_into(&tmeta, snapshot, opts, (&opts.predicate, projection), make)?
+            self.read_into(table, snapshot, opts, (&opts.predicate, projection), make)?
         };
         if let (Some(base), Some(c)) = (cache_base, &self.read.cache) {
             let (now, stats) = (c.tally(), &mut out.stats);
@@ -463,20 +462,18 @@ impl QueryEngine {
     /// such a tail, or one it cannot read, instead.
     fn read_into<'e, C: Consumer>(
         &self,
-        tmeta: &TableMeta,
+        table: TableId,
         snapshot: Timestamp,
         opts: &ScanOptions,
         pushed: (&'e Expr, Option<&[String]>),
         make: &dyn Fn(&Schema) -> VortexResult<C>,
     ) -> VortexResult<(FragmentYield<C>, Arc<ReadSet>)> {
-        let key = tmeta.encryption_key();
         let (sms, fleet, cache) = (&self.sms, &self.fleet, self.read.cache.as_deref());
-        let table = tmeta.table;
         let mut reconciled: HashMap<StreamletId, Timestamp> = HashMap::new();
         for _round in 0..RECONCILE_ROUNDS {
             let rs = sms.list_read_fragments(table, snapshot)?;
-            let (plan, mut out) =
-                self.scan_fragments(&rs, tmeta, &key, snapshot, opts, pushed, make)?;
+            let key = rs.table.encryption_key();
+            let (plan, mut out) = self.scan_fragments(&rs, &key, snapshot, opts, pushed, make)?;
             out.stats.tails_scanned = rs.tails.len();
             let mut ambiguous = Vec::new();
             for tail in &rs.tails {
@@ -522,11 +519,9 @@ impl QueryEngine {
     /// One read set's fragments: partition elimination (§7.2), then the
     /// survivors scanned in parallel — each shard folds its fragments'
     /// matching rows into its own clone of `sink`, merged at the end.
-    #[allow(clippy::too_many_arguments)]
     fn scan_fragments<'e, C: Consumer>(
         &self,
         rs: &ReadSet,
-        tmeta: &TableMeta,
         key: &Key,
         snapshot: Timestamp,
         opts: &ScanOptions,
@@ -537,11 +532,11 @@ impl QueryEngine {
         // CDC resolution / filtering can drop rows — freshness (§8)
         // measures when *committed* data became readable, not whether a
         // predicate kept it.
-        let seen = self.probe.as_ref().map(|p| p.seen_through(tmeta.table));
-        let sink = make(&rs.schema)?;
-        let plan = ScanPlan::compile(pushed.0, pushed.1, &rs.schema, seen, &sink)?;
+        let seen = self.probe.as_ref().map(|p| p.seen_through(rs.table.table));
+        let sink = make(&rs.table.schema)?;
+        let plan = ScanPlan::compile(pushed.0, pushed.1, &rs.table.schema, seen, &sink)?;
         let mut out = FragmentYield::new(sink.clone());
-        let survivors = self.survivors(rs, pushed.0, &plan, &mut out.stats)?;
+        let survivors = self.survivors(rs, &plan, &mut out.stats)?;
         let fresh = || FragmentYield::new(sink.clone());
         let shards = scan_shards(
             &survivors,
@@ -557,26 +552,18 @@ impl QueryEngine {
 
     /// Partition elimination (§7.2): the fragments of `rs` that neither
     /// their catalogued column properties nor, for a WOS fragment, its
-    /// bloom filter rule out for `pred` (compiled as `plan`), in list
+    /// bloom filter rule out for the predicate `plan` compiled, in list
     /// order; what was ruled out is counted into `stats`.
     pub(crate) fn survivors<'r>(
         &self,
         rs: &'r ReadSet,
-        pred: &Expr,
         plan: &ScanPlan<'_>,
         stats: &mut ScanStats,
     ) -> VortexResult<Vec<&'r FragmentReadSpec>> {
         stats.fragments_total += rs.fragments.len();
         let mut survivors: Vec<&FragmentReadSpec> = Vec::new();
         for spec in &rs.fragments {
-            let lookup = |col: &str| -> Option<ColumnStats> {
-                spec.meta
-                    .stats
-                    .iter()
-                    .find(|(n, _)| n == col)
-                    .map(|(_, s)| s.clone())
-            };
-            if !pred.may_match_stats(&lookup) {
+            if plan.pred.verdict(&(&rs.table.schema, &spec.meta)) == Verdict::None {
                 stats.pruned_by_stats += 1;
                 continue;
             }

@@ -67,6 +67,7 @@ use vortex_common::schema::Schema;
 use vortex_common::stats::ColumnStats;
 use vortex_common::truetime::Timestamp;
 use vortex_ros::{Chunk, ColumnBuilder, ColumnVec, IntKind, Picked, RosBlock, RowMeta};
+use vortex_sms::meta::FragmentMeta;
 
 use crate::consume::Consumer;
 use crate::engine::ScanStats;
@@ -218,6 +219,18 @@ impl ZoneMaps for (&RosBlock, usize) {
 impl ZoneMaps for ZoneStats {
     fn map(&self, col: usize) -> Option<Option<&ColumnStats>> {
         self.maps.get(col).map(Some)
+    }
+}
+
+/// A listed fragment as one zone (§7.2): its catalogued properties of the
+/// snapshot schema's columns. Properties that observed fewer rows than
+/// the fragment holds — rows written before the column was added — do
+/// not summarize it, and decide nothing.
+impl ZoneMaps for (&Schema, &FragmentMeta) {
+    fn map(&self, col: usize) -> Option<Option<&ColumnStats>> {
+        let (name, meta) = (&self.0.fields[col].name, self.1);
+        let of = meta.stats.iter().find(|(n, _)| n == name).map(|(_, s)| s);
+        Some(of.filter(|s| s.count == meta.row_count))
     }
 }
 
@@ -479,7 +492,7 @@ impl<'b> ZoneCols<'b> {
 /// predicate and the projection.
 #[derive(Debug)]
 pub(crate) struct ScanPlan<'e> {
-    pred: CPred<'e>,
+    pub(crate) pred: CPred<'e>,
     /// Per snapshot-schema column: whether the projection keeps it.
     /// Every yielded row has this arity; the other columns read NULL.
     keep: Vec<bool>,

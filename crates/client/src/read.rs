@@ -928,9 +928,9 @@ pub(crate) fn decode_everything(
     table: TableId,
     snapshot: Timestamp,
 ) -> VortexResult<(Schema, Vec<(RowMeta, Row)>)> {
-    let key = sms.get_table(table)?.encryption_key();
     let rs = sms.list_read_fragments(table, snapshot)?;
-    let (arity, mut rows) = (rs.schema.fields.len(), Vec::new());
+    let key = rs.table.encryption_key();
+    let (arity, mut rows) = (rs.table.schema.fields.len(), Vec::new());
     let gather = |(zone, sel): (&Zone, &[usize]), out: &mut Vec<(RowMeta, Row)>| {
         let cols: Vec<_> = (0..arity).map(|c| Some((zone.cols.get(c)?, sel))).collect();
         vortex_ros::gather_rows((&zone.metas, sel), &cols, out);
@@ -953,5 +953,5 @@ pub(crate) fn decode_everything(
         }
     }
     rows.sort_unstable_by_key(|(m, _)| (m.stream, m.offset, m.ts));
-    Ok((rs.schema.clone(), rows))
+    Ok((rs.table.schema.clone(), rows))
 }

@@ -2237,13 +2237,17 @@ fn pushdown_handles_columns_added_after_conversion() {
 mod pushdown_equivalence {
     use proptest::prelude::*;
 
-    use vortex_common::ids::TableId;
+    use vortex_common::ids::{ClusterId, FragmentId, StreamletId, TableId};
     use vortex_common::row::{Row, RowSet, Value};
     use vortex_common::schema::{Field, FieldType, PartitionTransform, Schema};
+    use vortex_common::stats::ColumnStats;
+    use vortex_common::truetime::Timestamp;
+    use vortex_sms::meta::{FragmentKind, FragmentMeta, FragmentState};
 
     use super::{oracle_scan, rig, Rig, SmsApi};
     use crate::engine::ScanOptions;
-    use crate::expr::{CmpOp, Expr};
+    use crate::expr::{CmpOp, Expr, Verdict};
+    use crate::pushdown::CPred;
 
     /// Like the shared test schema but with a nullable float column so
     /// NULL, NaN and -0.0 flow through both evaluation paths.
@@ -2342,8 +2346,8 @@ mod pushdown_equivalence {
         ]
     }
 
-    fn arb_pred() -> impl Strategy<Value = Expr> {
-        let leaf = prop_oneof![
+    fn arb_leaf() -> impl Strategy<Value = Expr> {
+        prop_oneof![
             (arb_op(), -10i64..260).prop_map(|(op, v)| Expr::Cmp {
                 column: "amount".into(),
                 op,
@@ -2369,8 +2373,11 @@ mod pushdown_equivalence {
             collection::vec(arb_score_literal(), 1..3).prop_map(|vs| Expr::is_in("score", vs)),
             prop_oneof![Just("day"), Just("customer"), Just("amount"), Just("score")]
                 .prop_map(|c| Expr::IsNull(c.to_string())),
-        ];
-        leaf.prop_recursive(3, 16, 2, |inner| {
+        ]
+    }
+
+    fn arb_pred() -> impl Strategy<Value = Expr> {
+        arb_leaf().prop_recursive(3, 16, 2, |inner| {
             prop_oneof![
                 (inner.clone(), inner.clone()).prop_map(|(a, b)| a.and(b)),
                 (inner.clone(), inner.clone()).prop_map(|(a, b)| a.or(b)),
@@ -2472,6 +2479,131 @@ mod pushdown_equivalence {
                 let got = r.client.read_rows(t).unwrap().rows;
                 prop_assert_eq!(cells(&got), cells(&want), "update: {}", update);
             }
+        }
+    }
+
+    /// Rows a log file took before its table gained a column read NULL
+    /// there, and reconciliation's properties of the column do not count
+    /// them: properties of fewer rows than the fragment holds rule out
+    /// nothing.
+    #[test]
+    fn rows_older_than_a_column_survive_its_properties() {
+        let r = rig();
+        let mut v1 = pd_schema();
+        let score = v1.fields.pop().unwrap();
+        let t = r.sms.create_table("t", v1).unwrap();
+        let mut old = r.client.create_unbuffered_writer(t.table).unwrap();
+        let mut short = pd_rows(0, 15, 0);
+        short.rows.iter_mut().for_each(|row| row.values.truncate(3));
+        old.append(short).unwrap();
+        let v2 = t.schema.evolve_add_column(score).unwrap();
+        r.sms.update_schema(t.table, v2).unwrap();
+        r.sms.finalize_stream(t.table, old.stream_id()).unwrap();
+        let snap = r.sms.read_snapshot();
+        let listed = r.sms.list_read_fragments(t.table, snap).unwrap();
+        let of_score = |f: &FragmentMeta| f.stats.iter().find(|(n, _)| n == "score").cloned();
+        let score = listed
+            .fragments
+            .iter()
+            .map(|f| of_score(&f.meta))
+            .collect::<Vec<_>>();
+        assert!(
+            matches!(&score[..], [Some((_, s))] if s.count == 0),
+            "{score:?}"
+        );
+        let pred = Expr::IsNull("score".into());
+        let opts = ScanOptions {
+            predicate: pred.clone(),
+            ..ScanOptions::default()
+        };
+        assert_eq!(oracle_scan(&r, t.table, snap, &pred, None).len(), 15);
+        assert_eq!(r.engine.count(t.table, snap, &opts).unwrap(), 15);
+    }
+
+    /// Properties a catalog may hold of a column of `rows` rows with
+    /// values from `value`: none, every row NULL, or a range, with NULLs
+    /// or without.
+    fn arb_stats(
+        value: BoxedStrategy<Value>,
+        rows: u64,
+    ) -> impl Strategy<Value = Option<ColumnStats>> {
+        let range = (value.clone(), value, any::<bool>()).prop_map(move |(a, b, has_null)| {
+            let (min, max) = if a.total_cmp(&b).is_le() {
+                (a, b)
+            } else {
+                (b, a)
+            };
+            ColumnStats {
+                min: Some(min),
+                max: Some(max),
+                has_null,
+                count: rows,
+            }
+        });
+        let nulls = ColumnStats {
+            has_null: true,
+            count: rows,
+            ..ColumnStats::new()
+        };
+        prop_oneof![Just(None), Just(Some(nulls)), range.prop_map(Some)]
+    }
+
+    /// A listed fragment of `rows` rows with catalogued `stats`.
+    fn fragment_with(rows: u64, stats: Vec<(String, ColumnStats)>) -> FragmentMeta {
+        FragmentMeta {
+            fragment: FragmentId::from_raw(1),
+            table: TableId::from_raw(1),
+            streamlet: StreamletId::from_raw(0),
+            kind: FragmentKind::Ros,
+            ordinal: 0,
+            first_row: 0,
+            row_count: rows,
+            committed_size: 0,
+            state: FragmentState::Finalized,
+            created_at: Timestamp::MIN,
+            deleted_at: Timestamp::MAX,
+            clusters: [ClusterId::from_raw(0), ClusterId::from_raw(1)],
+            path: String::new(),
+            stats,
+            masks: vec![],
+            partition_key: None,
+            level: 0,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        // Partition elimination decides a fragment with the zone-map
+        // verdict over its catalogued properties; `Expr::may_match_stats`,
+        // the reference the benchmark prunes with, must rule out exactly
+        // the same fragments for a predicate without NOT (which the
+        // reference never prunes).
+        #[test]
+        fn catalog_verdicts_are_may_match_stats(
+            pred in arb_leaf().prop_recursive(3, 16, 2, |inner| prop_oneof![
+                (inner.clone(), inner.clone()).prop_map(|(a, b)| a.and(b)),
+                (inner.clone(), inner).prop_map(|(a, b)| a.or(b)),
+            ]),
+            stats in (
+                arb_stats((0i64..3).prop_map(Value::Int64).boxed(), 40),
+                arb_stats((0i64..55).prop_map(|v| Value::String(format!("cust-{v:04}"))).boxed(), 40),
+                arb_stats((-10i64..260).prop_map(Value::Int64).boxed(), 40),
+                arb_stats(prop_oneof![
+                    (0i64..40).prop_map(|v| Value::Float64(v as f64 * 0.5)),
+                    Just(Value::Float64(f64::NAN)),
+                    Just(Value::Float64(-0.0)),
+                ].boxed(), 40),
+            ),
+        ) {
+            let schema = pd_schema();
+            let (day, customer, amount, score) = stats;
+            let named = ["day", "customer", "amount", "score"].into_iter().map(String::from);
+            let stats = named.zip([day, customer, amount, score]);
+            let meta = fragment_with(40, stats.filter_map(|(n, s)| Some((n, s?))).collect());
+            let lookup = |c: &str| meta.stats.iter().find(|(n, _)| n == c).map(|(_, s)| s.clone());
+            let verdict = CPred::compile(&pred, &schema).unwrap().verdict(&(&schema, &meta));
+            prop_assert_eq!(verdict != Verdict::None, pred.may_match_stats(&lookup));
         }
     }
 

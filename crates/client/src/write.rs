@@ -58,8 +58,6 @@ pub struct AppendResult {
     /// End-to-end virtual latency in microseconds (send → durable),
     /// including queueing behind earlier pipelined appends.
     pub latency_us: u64,
-    /// CPU charged to the transport for this request.
-    pub transport_cpu_us: u64,
 }
 
 /// Registry handles of the client's append leg, interned when the writer
@@ -116,9 +114,11 @@ pub struct StreamWriter {
     submitted: BTreeMap<u64, u64>,
     transport: AdaptiveTransport,
     last_completion: Timestamp,
-    max_rotate_retries: usize,
     m: ClientMetrics,
 }
+
+/// Streamlet rotations one append or flush may try before it fails.
+const MAX_ROTATE_RETRIES: usize = 4;
 
 impl StreamWriter {
     /// Creates a stream of the requested type on `table` and returns a
@@ -152,7 +152,6 @@ impl StreamWriter {
             opts,
             transport: AdaptiveTransport::with_defaults(),
             last_completion: Timestamp::MIN,
-            max_rotate_retries: 4,
             m: ClientMetrics::intern(),
         })
     }
@@ -229,12 +228,12 @@ impl StreamWriter {
             // to arrive over the network before sending the next request.
             now.max(self.last_completion.plus_micros(self.opts.ack_delay_us))
         };
-        let cpu = self.transport.on_request(now);
+        self.transport.on_request(now);
         // The batch is handed to the server shard by reference; every
         // retry below shares it.
         let rows = Arc::new(rows); // lint:allow(L010, one per append: replaces the shard's deep copy of the rows)
         let slot = InFlight(self);
-        slot.0.submit(&rows, now, start, cpu)
+        slot.0.submit(&rows, now, start)
     }
 
     /// The retry loop of one append, from first send to its outcome.
@@ -243,7 +242,6 @@ impl StreamWriter {
         rows: &Arc<RowSet>,
         now: Timestamp,
         start: Timestamp,
-        transport_cpu_us: u64,
     ) -> VortexResult<AppendResult> {
         let row_count = rows.len() as u64;
         let mut schema_refetches = 0usize;
@@ -281,7 +279,6 @@ impl StreamWriter {
                         row_count: ack.row_count,
                         completion: ack.completion,
                         latency_us: ack.completion.micros().saturating_sub(now.micros()),
-                        transport_cpu_us,
                     });
                 }
                 Err(VortexError::OffsetMismatch {
@@ -295,12 +292,7 @@ impl StreamWriter {
                     // back to the same streamlet: the server's
                     // authoritative length shows exactly this batch
                     // landed.
-                    return Ok(self.duplicate(
-                        provided..expected,
-                        row_count,
-                        now,
-                        transport_cpu_us,
-                    ));
+                    return Ok(self.duplicate(provided..expected, row_count, now));
                 }
                 Err(VortexError::SchemaVersionMismatch { .. }) if schema_refetches < 2 => {
                     // §5.4.1: fetch the updated schema from the SMS, then
@@ -318,7 +310,7 @@ impl StreamWriter {
                     throttle_retries += 1;
                     self.m.throttled.inc();
                 }
-                Err(e) if e.is_retryable() && rotations < self.max_rotate_retries => {
+                Err(e) if e.is_retryable() && rotations < MAX_ROTATE_RETRIES => {
                     // §5.4: finalize the current streamlet, obtain a new
                     // one from the SMS, and retry the write there. The
                     // rotation itself can hit the same transient storage
@@ -341,7 +333,7 @@ impl StreamWriter {
                     if self.opts.exactly_once && reconciled > self.next_offset {
                         // Our "failed" rows actually committed.
                         let landed = self.next_offset..reconciled;
-                        return Ok(self.duplicate(landed, row_count, now, transport_cpu_us));
+                        return Ok(self.duplicate(landed, row_count, now));
                     }
                     self.next_offset = self.next_offset.max(reconciled);
                     self.evict_acked();
@@ -359,7 +351,6 @@ impl StreamWriter {
         landed: std::ops::Range<u64>,
         row_count: u64,
         now: Timestamp,
-        transport_cpu_us: u64,
     ) -> AppendResult {
         self.next_offset = landed.end;
         self.evict_acked();
@@ -370,7 +361,6 @@ impl StreamWriter {
             row_count,
             completion: self.last_completion.max(now),
             latency_us: 0,
-            transport_cpu_us,
         }
     }
 
@@ -394,7 +384,7 @@ impl StreamWriter {
                 .flush(self.handle.streamlet.streamlet, streamlet_rel)
             {
                 Ok(()) => break,
-                Err(e) if e.is_retryable() && rotations < self.max_rotate_retries => {
+                Err(e) if e.is_retryable() && rotations < MAX_ROTATE_RETRIES => {
                     rotations += 1;
                     match self
                         .sms

@@ -214,17 +214,6 @@ pub struct HistogramSnapshot {
     pub p99: u64,
 }
 
-impl HistogramSnapshot {
-    /// Arithmetic mean of the recorded observations.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-}
-
 impl std::fmt::Display for HistogramSnapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(

@@ -140,9 +140,9 @@ impl AdaptiveTransport {
         rng::permille(out)
     }
 
-    /// Records one request at virtual time `now`; returns the CPU cost
-    /// charged and possibly switches modes.
-    pub fn on_request(&mut self, now: Timestamp) -> u64 {
+    /// Records one request at virtual time `now`: charges its CPU cost to
+    /// the ledger and possibly switches modes.
+    pub fn on_request(&mut self, now: Timestamp) {
         // Idle downgrade first (a long gap tears down the bi-di conn).
         if self.kind == TransportKind::Bidi
             && self.last_request != Timestamp::MIN
@@ -188,7 +188,6 @@ impl AdaptiveTransport {
             }
         }
         self.ledger.cpu_us += cpu;
-        cpu
     }
 
     /// Records a response completing (releases bi-di tracking state).

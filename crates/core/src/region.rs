@@ -634,7 +634,7 @@ impl Region {
                 continue;
             }
             let report = server.build_heartbeat(full_state);
-            deltas += report.streamlets.len();
+            deltas += report.len();
             // Every SMS task sees the heartbeat; each applies what it
             // owns (transactions keep double-apply safe).
             for sms in &self.sms_handles {

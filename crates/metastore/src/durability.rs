@@ -294,8 +294,6 @@ pub struct MetaCheckpointOutcome {
     /// First WAL epoch *not* covered by the snapshot: recovery replays
     /// epochs `>= covers_epoch`.
     pub covers_epoch: u64,
-    /// Size of the published snapshot in bytes.
-    pub snapshot_bytes: usize,
     /// Superseded WAL epoch files deleted after publishing.
     pub wal_files_deleted: usize,
     /// Superseded checkpoint files deleted after publishing.
@@ -503,7 +501,6 @@ impl MetaStore {
         Ok(MetaCheckpointOutcome {
             version: rec.version,
             covers_epoch,
-            snapshot_bytes: snapshot.len(),
             wal_files_deleted,
             checkpoints_deleted,
         })

@@ -209,10 +209,9 @@ impl StorageOptimizer {
     /// blocks, and atomically swaps visibility. Yields to DML (§7.3).
     pub fn convert_wos(&self, table: TableId) -> VortexResult<ConversionReport> {
         let _bg = class_scope(WorkClass::Background);
-        let tmeta = self.sms.get_table(table)?;
-        let key = tmeta.encryption_key();
-        let schema = &tmeta.schema;
         let rs = self.read_set(table)?;
+        let (tmeta, key) = (&rs.table, rs.table.encryption_key());
+        let schema = &tmeta.schema;
         let candidates: Vec<&FragmentReadSpec> = convertible(&rs).collect();
         if candidates.is_empty() {
             return Ok(ConversionReport::default());
@@ -258,7 +257,7 @@ impl StorageOptimizer {
         let mut replacements = Vec::new();
         for (pkey, blocks) in partitions {
             for block in blocks {
-                let mut meta = self.write_ros_block(&tmeta, &key, &block.build(true)?)?;
+                let mut meta = self.write_ros_block(tmeta, &key, &block.build(true)?)?;
                 report.rows += meta.row_count;
                 meta.partition_key = pkey;
                 meta.level = 0; // delta level
@@ -284,9 +283,8 @@ impl StorageOptimizer {
     /// converts that fragment with it.
     pub fn convert_one_to_one(&self, table: TableId) -> VortexResult<ConversionReport> {
         let _bg = class_scope(WorkClass::Background);
-        let tmeta = self.sms.get_table(table)?;
-        let key = tmeta.encryption_key();
         let rs = self.read_set(table)?;
+        let (tmeta, key) = (&rs.table, rs.table.encryption_key());
         let mut report = ConversionReport::default();
         for spec in convertible(&rs) {
             let f = &spec.meta;
@@ -304,7 +302,7 @@ impl StorageOptimizer {
             }
             // NOTE: unsorted — row order must match the WOS fragment so
             // masks stay positionally valid.
-            let mut meta = self.write_ros_block(&tmeta, &key, &rows.build(false)?)?;
+            let mut meta = self.write_ros_block(tmeta, &key, &rows.build(false)?)?;
             meta.masks = f.masks.clone(); // §7.3: masks carry over
             meta.streamlet = f.streamlet;
             meta.ordinal = f.ordinal;
@@ -325,10 +323,9 @@ impl StorageOptimizer {
     /// non-overlapping baseline sorted by the clustering keys.
     pub fn recluster(&self, table: TableId) -> VortexResult<ReclusterReport> {
         let _bg = class_scope(WorkClass::Background);
-        let tmeta = self.sms.get_table(table)?;
-        let key = tmeta.encryption_key();
-        let schema = &tmeta.schema;
         let rs = self.read_set(table)?;
+        let (tmeta, key) = (&rs.table, rs.table.encryption_key());
+        let schema = &tmeta.schema;
         let (ros, baseline_rows, delta_rows) = ros_of(&rs);
         let should_merge = delta_rows > 0
             && (baseline_rows == 0 || delta_rows as f64 >= MERGE_TRIGGER * baseline_rows as f64);
@@ -366,7 +363,7 @@ impl StorageOptimizer {
         let mut replacements = Vec::new();
         for (pkey, rows) in partitions {
             rows.build_clustered(self.cfg.target_block_rows, |block| {
-                let mut meta = self.write_ros_block(&tmeta, &key, &block)?;
+                let mut meta = self.write_ros_block(tmeta, &key, &block)?;
                 meta.partition_key = pkey;
                 meta.level = next_level;
                 replacements.push(meta);

@@ -64,7 +64,6 @@ struct CurrentFragment {
     bloom_keys: HashSet<(u64, u64), BuildHasherDefault<PairHasher>>,
     /// Where each key value is encoded to be hashed.
     key: Vec<u8>,
-    ts_range: Option<(Timestamp, Timestamp)>,
     dirty: bool,
     /// The length both replica files have, by the sole-writer rule: the
     /// fragment's acked extent. A fresh fragment starts at 0.
@@ -311,7 +310,6 @@ impl HostedStreamlet {
                 .collect(),
             bloom_keys: HashSet::default(),
             key: Vec::new(),
-            ts_range: None,
             dirty: true,
             len: 0,
         };
@@ -350,7 +348,6 @@ impl HostedStreamlet {
             committed_size: cur.len,
             finalized: true,
             stats: cur.stats.drain(..).map(|(_, n, s)| (n, s)).collect(),
-            ts_range: cur.ts_range,
         });
     }
 
@@ -566,7 +563,6 @@ impl HostedStreamlet {
                 first_stream_row: a.first_stream_row,
                 row_count: a.total_rows,
                 completion: a.completion,
-                service_us: a.service_us,
             }));
         }
         if group_rows > 0 {
@@ -640,7 +636,7 @@ impl HostedStreamlet {
             let n = (c.hi - c.lo) as u64;
             self.rows_acked += n;
             self.last_append_at = c.ts;
-            self.record_properties(rows(&c), c.ts);
+            self.record_properties(rows(&c));
             let a = &mut acc[c.entry];
             a.flushed_rows += n;
             a.completion = done_at;
@@ -673,7 +669,7 @@ impl HostedStreamlet {
         }
     }
 
-    fn record_properties(&mut self, chunk: &[Row], ts: Timestamp) {
+    fn record_properties(&mut self, chunk: &[Row]) {
         let key_cols = &self.key_cols;
         let Some(cur) = self.current.as_mut() else {
             return;
@@ -692,10 +688,6 @@ impl HostedStreamlet {
                 }
             }
         }
-        cur.ts_range = Some(match cur.ts_range {
-            None => (ts, ts),
-            Some((lo, hi)) => (lo.min(ts), hi.max(ts)),
-        });
         cur.dirty = true;
     }
 
@@ -794,7 +786,6 @@ impl HostedStreamlet {
                         .iter()
                         .map(|(_, n, s)| (n.clone(), s.clone()))
                         .collect(),
-                    ts_range: cur.ts_range,
                 });
                 cur.dirty = false;
             }
@@ -849,7 +840,6 @@ mod tests {
             schema: schema(),
             first_stream_row: 0,
             key: Key::derive_from_passphrase("tbl"),
-            epoch: 1,
         };
         let mut sl = HostedStreamlet::open(spec, &env).unwrap();
         let mut scratch = GroupScratch::new();

@@ -23,7 +23,7 @@ use vortex_common::mailbox::{mailbox, MailboxReceiver, MailboxSender, PostError,
 use vortex_common::obs;
 use vortex_common::row::RowSet;
 use vortex_common::truetime::{Timestamp, TrueTime};
-use vortex_sms::heartbeat::{FragmentDelta, HeartbeatReport, HeartbeatResponse};
+use vortex_sms::heartbeat::{FragmentDelta, HeartbeatResponse, StreamletDelta};
 use vortex_sms::server_ctl::{LoadReport, StreamServerApi, StreamletSpec};
 
 use crate::hosted::{AppendReq, ShardEnv};
@@ -491,21 +491,16 @@ impl StreamServerApi for StreamServer {
             .sum()
     }
 
-    /// Per-streamlet deltas (or full state) + load, merged across shards.
-    fn build_heartbeat(&self, full_state: bool) -> HeartbeatReport {
+    /// Per-streamlet deltas (or full state), merged across shards.
+    fn build_heartbeat(&self, full: bool) -> Vec<StreamletDelta> {
         let mut deltas: Vec<_> = self
             .shards
             .iter()
-            .filter_map(|shard| self.on_shard(shard, move |s| s.heartbeat(full_state)).ok())
+            .filter_map(|shard| self.on_shard(shard, move |s| s.heartbeat(full)).ok())
             .flatten()
             .collect();
         deltas.sort_by_key(|d| d.streamlet);
-        HeartbeatReport {
-            server: self.cfg.server,
-            load: self.load(),
-            streamlets: deltas,
-            full_state,
-        }
+        deltas
     }
 
     fn apply_heartbeat_response(

@@ -68,7 +68,6 @@ fn spec(r: &Rig, slid: u64, first_stream_row: u64) -> StreamletSpec {
         schema: schema(),
         first_stream_row,
         key: r.key.clone(),
-        epoch: 1,
     }
 }
 
@@ -223,7 +222,7 @@ fn closed_server_answers_unavailable_instead_of_hanging() {
     ));
     assert_eq!(r.server.streamlet_rows(sl), None);
     assert_eq!(r.server.tick(), 0);
-    assert!(r.server.build_heartbeat(true).streamlets.is_empty());
+    assert!(r.server.build_heartbeat(true).is_empty());
 }
 
 #[test]
@@ -521,7 +520,7 @@ fn record_write_that_fails_once_lands_on_the_next_fragment() {
         if flush {
             assert_eq!(f1.max_flush_row(), Some(7), "the watermark survives");
             let hb = r.server.build_heartbeat(true);
-            assert_eq!(hb.streamlets[0].max_flush_row, Some(7));
+            assert_eq!(hb[0].max_flush_row, Some(7));
         } else {
             assert_eq!(r.server.tick(), 0, "the tail is committed");
         }
@@ -577,19 +576,18 @@ fn heartbeat_reports_deltas_then_goes_quiet() {
         .append(sl, &rows(0, 4), 1, None, Timestamp::MIN)
         .unwrap();
     let hb = r.server.build_heartbeat(false);
-    assert_eq!(hb.streamlets.len(), 1);
-    let d = &hb.streamlets[0];
+    assert_eq!(hb.len(), 1);
+    let d = &hb[0];
     assert_eq!(d.row_count, 4);
     assert_eq!(d.fragments.len(), 1);
     assert!(!d.fragments[0].finalized);
     assert!(!d.fragments[0].stats.is_empty(), "column properties flow");
     // No changes → no delta.
     let hb2 = r.server.build_heartbeat(false);
-    assert!(hb2.streamlets.is_empty());
+    assert!(hb2.is_empty());
     // Full state reports everything regardless.
     let hb3 = r.server.build_heartbeat(true);
-    assert_eq!(hb3.streamlets.len(), 1);
-    assert!(hb3.full_state);
+    assert_eq!(hb3.len(), 1);
 }
 
 #[test]

@@ -43,7 +43,6 @@ fn shared_rows_reach_the_shard_uncopied() {
         schema,
         first_stream_row: 0,
         key: Key::derive_from_passphrase("tbl"),
-        epoch: 1,
     };
     server.create_streamlet(spec).unwrap();
     let requests = |rows: &Arc<RowSet>| {

@@ -31,7 +31,7 @@ use vortex_common::schema::Schema;
 use vortex_common::truetime::Timestamp;
 use vortex_metastore::MetaStore;
 
-use crate::heartbeat::{FragmentDelta, HeartbeatReport, HeartbeatResponse};
+use crate::heartbeat::{FragmentDelta, HeartbeatResponse, StreamletDelta};
 use crate::meta::{FragmentMeta, StreamMeta, StreamType, StreamletMeta, TableMeta};
 use crate::readset::ReadSet;
 use crate::server_ctl::{AppendAck, LoadReport, ServerHandle, StreamServerApi, StreamletSpec};
@@ -103,10 +103,10 @@ pub trait SmsApi: Send + Sync {
     /// contents are authoritative at commit.
     fn batch_commit_streams(&self, table: TableId, streams: &[StreamId])
         -> VortexResult<Timestamp>;
-    /// Ingests a Stream Server heartbeat (§5.5): fragment deltas, row
-    /// counts, load; answers with schema updates, GC work, and unknown
-    /// streamlets.
-    fn heartbeat(&self, report: &HeartbeatReport) -> VortexResult<HeartbeatResponse>;
+    /// Ingests a Stream Server heartbeat (§5.5): its streamlets' fragment
+    /// deltas and row counts; answers with schema updates, GC work, and
+    /// unknown streamlets.
+    fn heartbeat(&self, deltas: &[StreamletDelta]) -> VortexResult<HeartbeatResponse>;
     /// Acknowledges that a server deleted fragment log files: drops their
     /// metastore records ("when the Stream Server acknowledges it has
     /// deleted the Fragments, the SMS deletes the Fragments from Spanner",
@@ -452,8 +452,8 @@ impl SmsApi for SmsChannel {
             t.batch_commit_streams(table, streams)
         })
     }
-    fn heartbeat(&self, report: &HeartbeatReport) -> VortexResult<HeartbeatResponse> {
-        self.service("heartbeat", CallKind::Idempotent, |t| t.heartbeat(report))
+    fn heartbeat(&self, deltas: &[StreamletDelta]) -> VortexResult<HeartbeatResponse> {
+        self.service("heartbeat", CallKind::Idempotent, |t| t.heartbeat(deltas))
     }
     fn ack_gc(
         &self,
@@ -556,22 +556,13 @@ impl StreamServerApi for ServerChannel {
         }
         self.instance().tick()
     }
-    fn build_heartbeat(&self, full_state: bool) -> HeartbeatReport {
-        let inner = self.instance();
+    fn build_heartbeat(&self, full: bool) -> Vec<StreamletDelta> {
         if self.is_dead() {
-            // A dead process sends no heartbeats; an empty quarantined
-            // report keeps drivers that poll unconditionally harmless.
-            return HeartbeatReport {
-                server: inner.server_id(),
-                load: LoadReport {
-                    quarantined: true,
-                    ..LoadReport::default()
-                },
-                streamlets: Vec::new(),
-                full_state,
-            };
+            // A dead process sends no heartbeats; an empty one keeps
+            // drivers that poll unconditionally harmless.
+            return Vec::new();
         }
-        inner.build_heartbeat(full_state)
+        self.instance().build_heartbeat(full)
     }
     fn apply_heartbeat_response(
         &self,

@@ -2,17 +2,13 @@
 //!
 //! "The Stream Server sends a heartbeat to each SMS every few seconds to
 //! inform it about changes to Streamlet metadata as a result of new
-//! appends ... Along with per-Streamlet metadata, the Stream Server also
-//! sends its current load information." The typical heartbeat carries
-//! deltas since the previous one; periodically a **full state snapshot**
-//! is sent instead, which lets the SMS detect orphaned streamlets
-//! (§5.4.3).
+//! appends." A heartbeat is the server's [`StreamletDelta`]s: typically
+//! the changes since the previous one, periodically every streamlet it
+//! hosts, which lets the SMS detect orphaned streamlets (§5.4.3).
+//! Placement reads a server's load when it places, not from heartbeats.
 
-use vortex_common::ids::{FragmentId, ServerId, StreamletId, TableId};
+use vortex_common::ids::{FragmentId, StreamletId, TableId};
 use vortex_common::stats::ColumnStats;
-use vortex_common::truetime::Timestamp;
-
-use crate::server_ctl::LoadReport;
 
 /// New-or-updated fragment state carried in a heartbeat.
 #[derive(Debug, Clone)]
@@ -29,13 +25,9 @@ pub struct FragmentDelta {
     pub committed_size: u64,
     /// Whether the fragment is finalized (immutable).
     pub finalized: bool,
-    /// Column properties accumulated so far (§7.2: communicated to the
-    /// SMS for caching once finalized; the tail's properties stay on the
-    /// server).
+    /// Column properties accumulated so far (§7.2), reported for the
+    /// open fragment too; readers prune by a finalized fragment's.
     pub stats: Vec<(String, ColumnStats)>,
-    /// Min/max record timestamps (§5.3: the server knows these per
-    /// fragment).
-    pub ts_range: Option<(Timestamp, Timestamp)>,
 }
 
 /// Per-streamlet delta in a heartbeat.
@@ -54,20 +46,6 @@ pub struct StreamletDelta {
     /// Whether the server has finalized the streamlet (irrecoverable
     /// write error or revocation, §5.3).
     pub finalized: bool,
-}
-
-/// One heartbeat message.
-#[derive(Debug, Clone)]
-pub struct HeartbeatReport {
-    /// Reporting server.
-    pub server: ServerId,
-    /// Load for placement (§5.5).
-    pub load: LoadReport,
-    /// Per-streamlet deltas (or the full state when `full_state`).
-    pub streamlets: Vec<StreamletDelta>,
-    /// True when this is a periodic full-state snapshot of *all*
-    /// streamlets the server owns (§5.4.3's orphan guard).
-    pub full_state: bool,
 }
 
 /// The SMS's reply to a heartbeat.

@@ -45,7 +45,7 @@ pub mod sms;
 mod tests;
 
 pub use api::{Endpoint, ServerChannel, SmsApi, SmsChannel, SmsHandle};
-pub use heartbeat::{FragmentDelta, HeartbeatReport, HeartbeatResponse, StreamletDelta};
+pub use heartbeat::{FragmentDelta, HeartbeatResponse, StreamletDelta};
 pub use meta::{
     FragmentKind, FragmentMeta, FragmentState, StreamMeta, StreamType, StreamletMeta,
     StreamletState, TableMeta,

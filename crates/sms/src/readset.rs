@@ -12,10 +12,9 @@ use std::sync::Arc;
 
 use vortex_common::ids::{ClusterId, StreamId, StreamletId};
 use vortex_common::mask::DeletionMask;
-use vortex_common::schema::Schema;
 use vortex_common::truetime::Timestamp;
 
-use crate::meta::{FragmentMeta, StreamMeta, StreamType, StreamletMeta};
+use crate::meta::{FragmentMeta, StreamMeta, StreamType, StreamletMeta, TableMeta};
 
 /// Visibility constraints a fragment's rows must additionally satisfy
 /// (beyond the fragment-level `[created_at, deleted_at)` interval).
@@ -93,8 +92,6 @@ pub struct TailReadSpec {
     pub streamlet: StreamletId,
     /// Its stream (for diagnostics / verification).
     pub stream: StreamId,
-    /// Stream type driving visibility rules.
-    pub stream_type: StreamType,
     /// Replica clusters holding the log files.
     pub clusters: [ClusterId; 2],
     /// First fragment ordinal the SMS has **no** metadata for: the reader
@@ -129,10 +126,9 @@ pub struct TailReadSpec {
 /// Everything a query engine needs to read a table at a snapshot.
 #[derive(Debug, Clone)]
 pub struct ReadSet {
-    /// The snapshot timestamp this read set is valid for.
-    pub snapshot: Timestamp,
-    /// Schema at the snapshot.
-    pub schema: Schema,
+    /// The table's record at the snapshot: its schema, encryption key and
+    /// clusters are what the read set is read with.
+    pub table: TableMeta,
     /// Fragments to scan (WOS and ROS, already visibility-filtered at the
     /// fragment level).
     pub fragments: Vec<FragmentReadSpec>,

@@ -18,7 +18,7 @@ use vortex_common::row::RowSet;
 use vortex_common::schema::Schema;
 use vortex_common::truetime::Timestamp;
 
-use crate::heartbeat::{FragmentDelta, HeartbeatReport, HeartbeatResponse};
+use crate::heartbeat::{FragmentDelta, HeartbeatResponse, StreamletDelta};
 
 /// Acknowledgement of a successful append (§4.2.2).
 #[derive(Debug, Clone, Copy)]
@@ -30,8 +30,6 @@ pub struct AppendAck {
     /// Virtual completion time (max over both replica writes, queued on
     /// the log file).
     pub completion: Timestamp,
-    /// Total sampled service time in microseconds.
-    pub service_us: u64,
 }
 
 /// Everything a Stream Server needs to host a new streamlet.
@@ -51,13 +49,10 @@ pub struct StreamletSpec {
     pub first_stream_row: u64,
     /// Table encryption key.
     pub key: Key,
-    /// Ownership epoch (monotone per streamlet; zombies hold stale
-    /// epochs).
-    pub epoch: u64,
 }
 
-/// Load characteristics a Stream Server reports alongside each heartbeat
-/// (§5.5: "CPU, memory and append throughput" + quarantine status).
+/// Load characteristics of a Stream Server, read by placement (§5.5:
+/// "CPU, memory and append throughput" + quarantine status).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LoadReport {
     /// Writable streamlets currently hosted.
@@ -196,15 +191,11 @@ pub trait StreamServerApi: Send + Sync {
         0
     }
 
-    /// Builds the next heartbeat (deltas, or everything when
-    /// `full_state`).
-    fn build_heartbeat(&self, full_state: bool) -> HeartbeatReport {
-        HeartbeatReport {
-            server: self.server_id(),
-            load: self.load(),
-            streamlets: Vec::new(),
-            full_state,
-        }
+    /// Builds the next heartbeat: the streamlet deltas since the last
+    /// one, or every hosted streamlet when `full`.
+    fn build_heartbeat(&self, full: bool) -> Vec<StreamletDelta> {
+        let _ = full;
+        Vec::new()
     }
 
     /// Applies an SMS heartbeat response (schema bumps, GC orders,

@@ -27,7 +27,7 @@ use vortex_ros::{add_rowset, zone_map};
 use vortex_wos::{common_prefix, FragmentIndex, FragmentWriter};
 
 use crate::api::SmsApi;
-use crate::heartbeat::{FragmentDelta, HeartbeatReport, HeartbeatResponse};
+use crate::heartbeat::{FragmentDelta, HeartbeatResponse, StreamletDelta};
 use crate::meta::{
     self, wos_path, wos_streamlet_prefix, FragmentKind, FragmentMeta, FragmentState, Record,
     StreamMeta, StreamType, StreamletMeta, StreamletState, TableMeta,
@@ -289,7 +289,6 @@ impl SmsTask {
                 schema: tmeta.schema.clone(),
                 first_stream_row,
                 key: tmeta.encryption_key(),
-                epoch: slmeta.epoch,
             };
             // Persist first, then instruct the server (§5.4.3: the SMS
             // "persist[s] it into Spanner", then RPCs the Stream Server).
@@ -397,10 +396,8 @@ impl SmsTask {
                 .collect::<VortexResult<_>>()?;
         // What the snapshot may see of a streamlet's rows; `None` hides
         // them (stream unknown, or PENDING and not committed by then).
-        let visibility_of = |sl: &StreamletMeta| {
-            let stream = streams.get(&sl.stream)?;
-            Some((stream.stype, RowVisibility::of(stream, sl, snapshot)?))
-        };
+        let visibility_of =
+            |sl: &StreamletMeta| RowVisibility::of(streams.get(&sl.stream)?, sl, snapshot);
 
         // One pass over the fragment records yields the read specs and,
         // per streamlet, where its known WOS fragments end — finalized
@@ -432,12 +429,9 @@ impl SmsTask {
                 FragmentKind::Ros => {
                     Some((RowVisibility::unconstrained(), StreamId::from_raw(0), 0))
                 }
-                FragmentKind::Wos if f.state == FragmentState::Finalized => {
-                    streamlets.get(&f.streamlet).and_then(|sl| {
-                        let (_, visibility) = visibility_of(sl)?;
-                        Some((visibility, sl.stream, sl.first_stream_row))
-                    })
-                }
+                FragmentKind::Wos if f.state == FragmentState::Finalized => streamlets
+                    .get(&f.streamlet)
+                    .and_then(|sl| Some((visibility_of(sl)?, sl.stream, sl.first_stream_row))),
                 FragmentKind::Wos => None,
             };
             if let Some((visibility, stream, streamlet_first_stream_row)) = placed {
@@ -459,7 +453,7 @@ impl SmsTask {
             if sl.state == StreamletState::Finalized {
                 continue;
             }
-            let Some((stream_type, visibility)) = visibility_of(sl) else {
+            let Some(visibility) = visibility_of(sl) else {
                 continue;
             };
             let known = known_end.get(&sl.streamlet).copied().unwrap_or((0, 0));
@@ -468,7 +462,6 @@ impl SmsTask {
             tails.push(TailReadSpec {
                 streamlet: sl.streamlet,
                 stream: sl.stream,
-                stream_type,
                 clusters: sl.clusters,
                 from_ordinal,
                 from_row,
@@ -484,8 +477,7 @@ impl SmsTask {
         tails.sort_by_key(|t| t.streamlet);
         fragments.sort_by_key(|f| (f.meta.streamlet, f.meta.ordinal, f.meta.fragment));
         Ok(ReadSet {
-            snapshot,
-            schema: tmeta.schema,
+            table: tmeta,
             fragments,
             tails,
         })
@@ -600,12 +592,11 @@ impl SmsTask {
 /// What the replica `copies` of log file `ordinal` agree was committed
 /// (`None` when none has a header), with the column properties of the
 /// `tracked` columns (§7.2) — what [`ColumnStats::observe`] makes of the
-/// rows, a row that predates a column counting nothing for it — and the
-/// blocks' timestamp range. Where the copies vouch for the server's
-/// `report` ([`vouches`]), that is the report at the agreed extent;
-/// otherwise each block of the copy read is opened once and walked into
-/// columns, and no `Row` is built. Everything inside the agreed extent is
-/// committed.
+/// rows, a row that predates a column counting nothing for it. Where the
+/// copies vouch for the server's `report` ([`vouches`]), that is the
+/// report at the agreed extent; otherwise each block of the copy read is
+/// opened once and walked into columns, and no `Row` is built. Everything
+/// inside the agreed extent is committed.
 pub(crate) fn reconcile_copies(
     ordinal: u32,
     copies: &[Vec<u8>],
@@ -645,7 +636,6 @@ pub(crate) fn reconcile_copies(
             stats.merge(&zs);
         }
     }
-    let stamps = || index.blocks.iter().map(|b| b.timestamp);
     Ok(Some(FragmentDelta {
         fragment: index.header.fragment,
         ordinal,
@@ -654,7 +644,6 @@ pub(crate) fn reconcile_copies(
         committed_size,
         finalized: true,
         stats: (tracked.iter().map(|(_, n)| n.clone()).zip(stats)).collect(),
-        ts_range: stamps().min().zip(stamps().max()),
     }))
 }
 
@@ -908,13 +897,13 @@ impl SmsApi for SmsTask {
     // Heartbeats (§5.5).
     // ------------------------------------------------------------------
 
-    fn heartbeat(&self, report: &HeartbeatReport) -> VortexResult<HeartbeatResponse> {
+    fn heartbeat(&self, deltas: &[StreamletDelta]) -> VortexResult<HeartbeatResponse> {
         let mut resp = HeartbeatResponse::default();
         let now = self.store.now();
         // Per table in the report: its schema version, looked up once,
         // and the streamlets whose deltas were applied, in report order.
         let mut tables: BTreeMap<TableId, (u32, Vec<StreamletId>)> = BTreeMap::new();
-        for delta in &report.streamlets {
+        for delta in deltas {
             let (table, slid) = (delta.table, delta.streamlet);
             let known = meta::load::<StreamletMeta>(&self.store, (table, slid), now);
             let Some(slmeta) = meta::optional(known)? else {

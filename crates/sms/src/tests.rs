@@ -20,7 +20,7 @@ use vortex_metastore::MetaStore;
 use vortex_wos::{FragmentConfig, FragmentWriter};
 
 use crate::api::SmsApi;
-use crate::heartbeat::{FragmentDelta, HeartbeatReport, StreamletDelta};
+use crate::heartbeat::{FragmentDelta, StreamletDelta};
 use crate::meta::{
     self, wos_path, FragmentKind, FragmentMeta, FragmentState, Record, StreamMeta, StreamType,
     StreamletMeta, StreamletState,
@@ -478,29 +478,23 @@ fn heartbeat_one_fragment(
     rows: u64,
     finalized: bool,
 ) {
-    let report = HeartbeatReport {
-        server: h.server.server_id(),
-        load: LoadReport::default(),
-        streamlets: vec![StreamletDelta {
-            table: h.table,
-            streamlet: h.streamlet.streamlet,
-            fragments: vec![FragmentDelta {
-                fragment,
-                ordinal: 0,
-                first_row: 0,
-                row_count: rows,
-                committed_size: 1000,
-                finalized,
-                stats: vec![],
-                ts_range: None,
-            }],
+    let delta = StreamletDelta {
+        table: h.table,
+        streamlet: h.streamlet.streamlet,
+        fragments: vec![FragmentDelta {
+            fragment,
+            ordinal: 0,
+            first_row: 0,
             row_count: rows,
-            max_flush_row: None,
-            finalized: false,
+            committed_size: 1000,
+            finalized,
+            stats: vec![],
         }],
-        full_state: false,
+        row_count: rows,
+        max_flush_row: None,
+        finalized: false,
     };
-    r.sms.heartbeat(&report).unwrap();
+    r.sms.heartbeat(&[delta]).unwrap();
 }
 
 #[test]
@@ -530,20 +524,15 @@ fn heartbeat_registers_fragments_and_updates_counts() {
 fn heartbeat_for_unknown_streamlet_flags_orphan() {
     let r = rig_with_servers(1);
     let t = r.sms.create_table("t", simple_schema()).unwrap();
-    let report = HeartbeatReport {
-        server: ServerId::from_raw(100),
-        load: LoadReport::default(),
-        streamlets: vec![StreamletDelta {
-            table: t.table,
-            streamlet: StreamletId::from_raw(424242),
-            fragments: vec![],
-            row_count: 0,
-            max_flush_row: None,
-            finalized: false,
-        }],
-        full_state: true,
+    let report = StreamletDelta {
+        table: t.table,
+        streamlet: StreamletId::from_raw(424242),
+        fragments: vec![],
+        row_count: 0,
+        max_flush_row: None,
+        finalized: false,
     };
-    let resp = r.sms.heartbeat(&report).unwrap();
+    let resp = r.sms.heartbeat(&[report]).unwrap();
     assert_eq!(resp.unknown_streamlets, vec![StreamletId::from_raw(424242)]);
 }
 
@@ -1240,7 +1229,6 @@ fn delta_of(h: &crate::sms::StreamHandle, frags: &[(u64, u32, u64, bool)]) -> St
             committed_size: 100 * row_count,
             finalized,
             stats: vec![],
-            ts_range: None,
         };
         first_row += row_count;
         delta
@@ -1252,15 +1240,6 @@ fn delta_of(h: &crate::sms::StreamHandle, frags: &[(u64, u32, u64, bool)]) -> St
         row_count: frags.iter().map(|f| f.2).sum(),
         max_flush_row: None,
         finalized: false,
-    }
-}
-
-fn report_of(streamlets: Vec<StreamletDelta>) -> HeartbeatReport {
-    HeartbeatReport {
-        server: ServerId::from_raw(100),
-        load: LoadReport::default(),
-        streamlets,
-        full_state: false,
     }
 }
 
@@ -1396,9 +1375,7 @@ fn read_set_of_many_streamlets_matches_the_per_tail_rescan() {
         let mut frags: Vec<(u64, u32, u64, bool)> =
             (0..5).map(|o| (base + o, o as u32, 10, true)).collect();
         frags.push((base + 5, 5, 3, false));
-        r.sms
-            .heartbeat(&report_of(vec![delta_of(&h, &frags)]))
-            .unwrap();
+        r.sms.heartbeat(&[delta_of(&h, &frags)]).unwrap();
         handles.push(h);
     }
     r.servers[0]
@@ -1454,9 +1431,7 @@ fn rig_due_for_gc() -> (Rig, Vec<StreamletDelta>) {
         let h = r.sms.create_stream(t, StreamType::Unbuffered).unwrap();
         let base = 2_000 + 10 * i;
         let sealed = [(base, 0, 10, true), (base + 1, 1, 10, true)];
-        r.sms
-            .heartbeat(&report_of(vec![delta_of(&h, &sealed)]))
-            .unwrap();
+        r.sms.heartbeat(&[delta_of(&h, &sealed)]).unwrap();
         convert(&r, t, &[base], 9_100 + i);
         let mut all = sealed.to_vec();
         all.push((base + 2, 2, 4, false));
@@ -1472,11 +1447,11 @@ fn rig_due_for_gc() -> (Rig, Vec<StreamletDelta>) {
 #[test]
 fn one_report_of_four_deltas_answers_like_four_reports() {
     let (one, deltas) = rig_due_for_gc();
-    let whole = one.sms.heartbeat(&report_of(deltas)).unwrap();
+    let whole = one.sms.heartbeat(&deltas).unwrap();
     let (four, deltas) = rig_due_for_gc();
     let mut merged = crate::heartbeat::HeartbeatResponse::default();
     for d in deltas {
-        let part = four.sms.heartbeat(&report_of(vec![d])).unwrap();
+        let part = four.sms.heartbeat(&[d]).unwrap();
         merged.schema_updates.extend(part.schema_updates);
         merged.gc.extend(part.gc);
         merged.unknown_streamlets.extend(part.unknown_streamlets);
@@ -1521,7 +1496,7 @@ fn undecodable_streamlet_record_fails_reads_instead_of_hiding_its_tail() {
     assert!(decode(r.sms.get_streamlet(t, slid).unwrap_err()));
     assert!(decode(r.sms.stream_length(t, h.stream.stream).unwrap_err()));
     assert!(decode(r.sms.reconcile_streamlet(t, slid).unwrap_err()));
-    let report = report_of(vec![delta_of(&h, &[(3_000, 0, 5, true)])]);
+    let report = [delta_of(&h, &[(3_000, 0, 5, true)])];
     assert!(decode(r.sms.heartbeat(&report).unwrap_err()));
     // The diagnostics listing is the one place that leaves it out.
     let listed = r.sms.list_streamlets(t);
@@ -1749,7 +1724,6 @@ fn sealed_file(seed: u64, blocks: usize, tracked: &[(usize, String)]) -> (Vec<u8
         committed_size: file.len() as u64,
         finalized: true,
         stats: (tracked.iter().map(|(_, n)| n.clone()).zip(stats)).collect(),
-        ts_range: Some((Timestamp(20), Timestamp(19 + blocks as u64))),
     };
     (file, report)
 }
@@ -1769,7 +1743,7 @@ fn a_vouched_report_is_the_decode() {
             let r = r.unwrap();
             let stats = r.stats.iter().map(|(n, s)| (n.clone(), s.to_bytes()));
             let stats: Vec<_> = stats.collect();
-            let at = (r.fragment, r.ordinal, r.first_row, r.ts_range);
+            let at = (r.fragment, r.ordinal, r.first_row);
             (at, r.row_count, r.committed_size, stats)
         })
     };
@@ -1877,7 +1851,7 @@ fn shared_listing_schedule(seed: u64) -> (usize, usize) {
                 );
                 frags.iter_mut().for_each(|f| f.3 = true);
                 frags.push((next_id, ordinal, rows, rng.gen_bool(0.7)));
-                let _ = r.sms.heartbeat(&report_of(vec![delta_of(h, frags)]));
+                let _ = r.sms.heartbeat(&[delta_of(h, frags)]);
                 r.servers[0].live_rows.lock().insert(sl, first_row + rows);
             }
             // A flush of a BUFFERED stream, or a PENDING stream committed.
@@ -1990,9 +1964,7 @@ fn shared_listing_under_racing_commits() -> Vec<u32> {
     let many: Vec<_> = (0..300u64)
         .map(|o| (10_000 + o, o as u32, 1, true))
         .collect();
-    r.sms
-        .heartbeat(&report_of(vec![delta_of(&h, &many)]))
-        .unwrap();
+    r.sms.heartbeat(&[delta_of(&h, &many)]).unwrap();
     let ahead = r.sms.read_snapshot().0 + 1_000_000_000;
     let start = Instant::now();
     r.sms.list_at(t, Timestamp(ahead)).unwrap();
@@ -2005,7 +1977,7 @@ fn shared_listing_under_racing_commits() -> Vec<u32> {
                 // Lands somewhere inside the racing listing.
                 std::thread::sleep(took.mul_f64(f64::from(round % 8 + 1) / 10.0));
                 let one = delta_of(&h, &[(20_000 + u64::from(round), 300 + round, 1, true)]);
-                let _ = r.sms.heartbeat(&report_of(vec![one]));
+                let _ = r.sms.heartbeat(&[one]);
                 both.wait();
             }
         });

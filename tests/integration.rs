@@ -906,7 +906,67 @@ fn an_optimizer_pass_plans_from_one_listing() {
     listed_once("recluster");
     assert_eq!(optimizer.clustering_ratio(t).unwrap(), 1.0);
     listed_once("clustering_ratio");
-    assert_eq!(calls("get_stream"), 0);
+    assert_eq!((calls("get_stream"), calls("get_table")), (0, 0));
     // Every committed row converted once; the uncommitted ones stay out.
     assert_eq!(client.read_rows(t).unwrap().rows.len(), 300);
+}
+
+/// A read plans from the table record its listing carries: a warm scan,
+/// count, aggregate and DML statement each list the read set once and
+/// never fetch the table.
+#[test]
+fn a_read_asks_the_catalog_once() {
+    let region = Region::create(RegionConfig {
+        fragment_max_bytes: 1024,
+        ..RegionConfig::default()
+    })
+    .unwrap();
+    let (client, engine) = (region.client(), region.engine());
+    let t = client.create_table("once", sales_schema()).unwrap().table;
+    let mut w = client.create_unbuffered_writer(t).unwrap();
+    for chunk in 0..10 {
+        w.append(sales_rows(chunk * 10, 10)).unwrap();
+    }
+    region.run_heartbeats(false).unwrap();
+    assert!(
+        region
+            .optimizer()
+            .convert_wos(t)
+            .unwrap()
+            .fragments_converted
+            > 0
+    );
+    w.append(sales_rows(100, 10)).unwrap();
+
+    let calls = |method| {
+        let of = region.sms_rpc().metrics().snapshot();
+        of.get(method).map_or(0, |m| m.calls.get())
+    };
+    let once = |read: &str| {
+        let asked = (calls("get_table"), calls("list_read_fragments"));
+        assert_eq!(asked, (0, 1), "{read}: (get_table, list_read_fragments)");
+        region.sms_rpc().metrics().drain();
+    };
+    let (at, opts) = (
+        client.snapshot(),
+        ScanOptions {
+            predicate: Expr::ge("amount", Value::Int64(30)),
+            ..ScanOptions::default()
+        },
+    );
+    let sum = [(AggKind::Sum, Some("amount"))];
+    engine.scan(t, at, &opts).unwrap();
+    region.sms_rpc().metrics().drain();
+    assert_eq!(engine.scan(t, at, &opts).unwrap().rows.len(), 80);
+    once("scan");
+    assert_eq!(engine.count(t, at, &opts).unwrap(), 80);
+    once("count");
+    let groups = engine.aggregate(t, at, &opts, None, &sum).unwrap();
+    assert_eq!(groups[0].1, vec![Value::Int64((30..110).sum())]);
+    once("aggregate");
+    let report = (region.dml())
+        .delete_where(t, &Expr::lt("amount", Value::Int64(20)))
+        .unwrap();
+    assert_eq!((report.rows_matched, report.attempts), (20, 1));
+    once("delete");
 }

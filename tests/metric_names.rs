@@ -96,7 +96,6 @@ rpc sms.commit_conversion
 rpc sms.create_stream
 rpc sms.create_table
 rpc sms.finalize_stream
-rpc sms.get_table
 rpc sms.heartbeat
 rpc sms.list_read_fragments
 ";
