@@ -635,13 +635,15 @@ impl Region {
             }
             let report = server.build_heartbeat(full_state);
             deltas += report.len();
-            // Every SMS task sees the heartbeat; each applies what it
-            // owns (transactions keep double-apply safe).
+            // Every SMS task sees the heartbeat and applies the deltas of
+            // the tables it owns.
             for sms in &self.sms_handles {
                 let resp = match sms.heartbeat(&report) {
                     Ok(r) => r,
-                    // A dead/unreachable SMS just misses this round; the
-                    // delta is re-reported next heartbeat.
+                    // A dead/unreachable SMS just misses this round. The
+                    // server has cleared its dirty marks, so the missed
+                    // deltas come back only with the next full-state
+                    // heartbeat or a reconcile.
                     Err(e) if e.is_retryable() => continue,
                     Err(e) => return Err(e),
                 };

@@ -244,6 +244,56 @@ fn heartbeat_pump_enables_fragment_reads_and_gc() {
     assert_eq!(client.read_rows(t).unwrap().rows.len(), 200);
 }
 
+/// A heartbeat that reports nothing new writes no catalog record.
+#[test]
+fn an_unchanged_heartbeat_writes_no_record() {
+    let region = Region::create(RegionConfig {
+        fragment_max_bytes: 2_000,
+        ..RegionConfig::default()
+    })
+    .unwrap();
+    let client = region.client();
+    let t = client.create_table("hb", schema()).unwrap().table;
+    let mut w = client.create_unbuffered_writer(t).unwrap();
+    for i in 0..10 {
+        w.append(rows(i * 20, 20)).unwrap();
+    }
+    region.run_heartbeats(false).unwrap();
+    let versions = region.store().version_count();
+    for _ in 0..2 {
+        region.run_heartbeats(true).unwrap();
+        assert_eq!(region.store().version_count(), versions);
+    }
+}
+
+/// Every SMS task hears every heartbeat, and only the table's owner
+/// applies it: three tasks write what one does.
+#[test]
+fn each_heartbeat_is_applied_by_one_sms_task() {
+    let written = |sms_tasks| {
+        let region = Region::create(RegionConfig {
+            sms_tasks,
+            fragment_max_bytes: 2_000,
+            ..RegionConfig::default()
+        })
+        .unwrap();
+        let t = region.client().create_table("hb", schema()).unwrap().table;
+        let mut w = region.client_for(t).create_unbuffered_writer(t).unwrap();
+        let per_heartbeat = (0..3).map(|round| {
+            for i in 0..5 {
+                w.append(rows(round * 100 + i * 20, 20)).unwrap();
+            }
+            let before = region.store().version_count();
+            region.run_heartbeats(round == 2).unwrap();
+            region.store().version_count() - before
+        });
+        per_heartbeat.collect::<Vec<_>>()
+    };
+    let one = written(1);
+    assert!(one.iter().all(|&n| n > 0), "{one:?}");
+    assert_eq!(written(3), one);
+}
+
 #[test]
 fn on_disk_region_persists_bytes() {
     let dir = std::env::temp_dir().join(format!("vortex-region-{}", std::process::id()));

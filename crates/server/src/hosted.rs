@@ -781,11 +781,7 @@ impl HostedStreamlet {
                     row_count: cur.writer.rows_written(),
                     committed_size: cur.writer.logical_size(),
                     finalized: false,
-                    stats: cur
-                        .stats
-                        .iter()
-                        .map(|(_, n, s)| (n.clone(), s.clone()))
-                        .collect(),
+                    stats: vec![],
                 });
                 cur.dirty = false;
             }

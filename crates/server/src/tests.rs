@@ -581,13 +581,18 @@ fn heartbeat_reports_deltas_then_goes_quiet() {
     assert_eq!(d.row_count, 4);
     assert_eq!(d.fragments.len(), 1);
     assert!(!d.fragments[0].finalized);
-    assert!(!d.fragments[0].stats.is_empty(), "column properties flow");
+    assert!(d.fragments[0].stats.is_empty(), "open: stats stay here");
     // No changes → no delta.
     let hb2 = r.server.build_heartbeat(false);
     assert!(hb2.is_empty());
     // Full state reports everything regardless.
     let hb3 = r.server.build_heartbeat(true);
     assert_eq!(hb3.len(), 1);
+    // A sealed fragment's delta carries its column properties.
+    r.server.finalize_streamlet_ctl(sl).unwrap();
+    let sealed = &r.server.build_heartbeat(false)[0].fragments[0];
+    assert!(sealed.finalized);
+    assert!(!sealed.stats.is_empty(), "column properties flow");
 }
 
 #[test]

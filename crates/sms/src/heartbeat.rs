@@ -25,8 +25,8 @@ pub struct FragmentDelta {
     pub committed_size: u64,
     /// Whether the fragment is finalized (immutable).
     pub finalized: bool,
-    /// Column properties accumulated so far (§7.2), reported for the
-    /// open fragment too; readers prune by a finalized fragment's.
+    /// Column properties (§7.2) of a sealed fragment; empty for the open
+    /// one, which readers cover by its streamlet's tail.
     pub stats: Vec<(String, ColumnStats)>,
 }
 

@@ -326,8 +326,6 @@ pub struct TableMeta {
     /// Passphrase the table's encryption key derives from (stand-in for a
     /// KMS reference; may be customer supplied, §5.4.5).
     pub key_ref: String,
-    /// Creation time.
-    pub created_at: Timestamp,
     /// BigLake Managed Table (§6.4): when set, ROS blocks are written to
     /// this customer-owned bucket (a dedicated storage namespace) instead
     /// of the table's replica clusters. WOS stays in Colossus either way.
@@ -365,7 +363,6 @@ impl Record for TableMeta {
         put_uvarint(&mut out, self.primary.raw());
         put_uvarint(&mut out, self.secondary.raw());
         put_str(&mut out, &self.key_ref);
-        put_uvarint(&mut out, self.created_at.micros());
         put_opt(&mut out, self.external_bucket.as_deref(), put_str);
         out
     }
@@ -378,7 +375,6 @@ impl Record for TableMeta {
         let primary = ClusterId::from_raw(get_uvarint(buf, &mut pos)?);
         let secondary = ClusterId::from_raw(get_uvarint(buf, &mut pos)?);
         let key_ref = get_str(buf, &mut pos)?;
-        let created_at = Timestamp(get_uvarint(buf, &mut pos)?);
         let external_bucket = get_opt(buf, &mut pos, "bucket", get_str)?;
         Ok(TableMeta {
             table,
@@ -387,7 +383,6 @@ impl Record for TableMeta {
             primary,
             secondary,
             key_ref,
-            created_at,
             external_bucket,
         })
     }
@@ -424,8 +419,6 @@ pub struct StreamMeta {
     pub committed_at: Option<Timestamp>,
     /// For BUFFERED streams: rows `[0, flushed_row)` are visible (§4.2.3).
     pub flushed_row: u64,
-    /// Creation time.
-    pub created_at: Timestamp,
     /// Number of streamlets created so far (ordinal source).
     pub streamlet_count: u32,
 }
@@ -456,7 +449,6 @@ impl Record for StreamMeta {
             put_uvarint(out, ts.micros())
         });
         put_uvarint(&mut out, self.flushed_row);
-        put_uvarint(&mut out, self.created_at.micros());
         put_uvarint(&mut out, self.streamlet_count as u64);
         out
     }
@@ -475,7 +467,6 @@ impl Record for StreamMeta {
         let finalized = take(buf, &mut pos, 1)?[0] != 0;
         let committed_at = get_opt(buf, &mut pos, "committed", get_uvarint)?.map(Timestamp);
         let flushed_row = get_uvarint(buf, &mut pos)?;
-        let created_at = Timestamp(get_uvarint(buf, &mut pos)?);
         let streamlet_count = get_uvarint(buf, &mut pos)? as u32;
         Ok(StreamMeta {
             stream,
@@ -484,7 +475,6 @@ impl Record for StreamMeta {
             finalized,
             committed_at,
             flushed_row,
-            created_at,
             streamlet_count,
         })
     }
@@ -529,8 +519,6 @@ pub struct StreamletMeta {
     pub first_stream_row: u64,
     /// Committed rows (heartbeat cache until Finalized, then truth).
     pub row_count: u64,
-    /// Fragments known to the SMS (cache; the tail may have more).
-    pub known_fragments: u32,
     /// Versioned tail deletion masks (streamlet-relative rows, §7.3).
     pub masks: Vec<(Timestamp, DeletionMask)>,
     /// Epoch incremented on every ownership change; used to poison
@@ -571,7 +559,6 @@ impl Record for StreamletMeta {
         out.push(self.state as u8);
         put_uvarint(&mut out, self.first_stream_row);
         put_uvarint(&mut out, self.row_count);
-        put_uvarint(&mut out, self.known_fragments as u64);
         put_masks(&mut out, &self.masks);
         put_uvarint(&mut out, self.epoch);
         if self.collected != (0, 0) {
@@ -601,7 +588,6 @@ impl Record for StreamletMeta {
         )?;
         let first_stream_row = get_uvarint(buf, &mut pos)?;
         let row_count = get_uvarint(buf, &mut pos)?;
-        let known_fragments = get_uvarint(buf, &mut pos)? as u32;
         let masks = get_masks(buf, &mut pos)?;
         let epoch = get_uvarint(buf, &mut pos)?;
         let mut collected = (0, 0);
@@ -619,7 +605,6 @@ impl Record for StreamletMeta {
             state,
             first_stream_row,
             row_count,
-            known_fragments,
             masks,
             epoch,
             collected,
@@ -684,7 +669,8 @@ pub struct FragmentMeta {
     pub clusters: [ClusterId; 2],
     /// Colossus path.
     pub path: String,
-    /// Column properties for pruning (§7.2).
+    /// Column properties for pruning (§7.2); a WOS fragment has none
+    /// until it is sealed.
     pub stats: Vec<(String, ColumnStats)>,
     /// Versioned deletion masks (fragment-relative row indices, §7.3).
     pub masks: Vec<(Timestamp, DeletionMask)>,
@@ -898,7 +884,6 @@ mod tests {
             primary: ClusterId::from_raw(0),
             secondary: ClusterId::from_raw(1),
             key_ref: "tbl-5-key".into(),
-            created_at: Timestamp(999),
             external_bucket: None,
         }
     }
@@ -911,7 +896,6 @@ mod tests {
             finalized: stype == StreamType::Pending,
             committed_at,
             flushed_row: 33,
-            created_at: Timestamp(10),
             streamlet_count: 2,
         }
     }
@@ -927,7 +911,6 @@ mod tests {
             state: StreamletState::Closed,
             first_stream_row: 4096,
             row_count: 777,
-            known_fragments: 3,
             masks: vec![
                 (Timestamp(100), DeletionMask::from_range(0, 5)),
                 (Timestamp(200), DeletionMask::from_range(10, 20)),
@@ -991,27 +974,27 @@ mod tests {
 
     #[test]
     fn record_bytes_are_pinned() {
-        // Length and CRC32C of each sample as the encoding has always
-        // produced it: stored records outlive the code that wrote them.
+        // Length and CRC32C of each sample: stored records outlive the
+        // code that wrote them, so a moved pin is a format change.
         fn pin<R: Record>(rec: &R) -> (usize, u32) {
             let bytes = rec.to_bytes();
             (bytes.len(), vortex_common::crc::crc32c(&bytes))
         }
-        assert_eq!(pin(&sample_table()), (230, 0x0a63_9339));
+        assert_eq!(pin(&sample_table()), (228, 0xaf16_e554));
         let mut blmt = sample_table();
         blmt.external_bucket = Some("bkt".into());
-        assert_eq!(pin(&blmt), (234, 0x3f05_0a52));
+        assert_eq!(pin(&blmt), (232, 0xe15c_c555));
         let unbuffered = sample_stream(StreamType::Unbuffered, None);
-        assert_eq!(pin(&unbuffered), (8, 0x011d_718d));
+        assert_eq!(pin(&unbuffered), (7, 0xc4f9_ba7f));
         let buffered = sample_stream(StreamType::Buffered, None);
-        assert_eq!(pin(&buffered), (8, 0xee2d_1a94));
+        assert_eq!(pin(&buffered), (7, 0xfce8_d5d3));
         let pending = sample_stream(StreamType::Pending, Some(Timestamp(42)));
-        assert_eq!(pin(&pending), (9, 0xb3f7_389c));
-        assert_eq!(pin(&sample_streamlet()), (26, 0xa40d_6718));
+        assert_eq!(pin(&pending), (8, 0x3bc2_62cf));
+        assert_eq!(pin(&sample_streamlet()), (25, 0xc0da_b3b3));
         // The GC floor trails the record only once GC has set it.
         let mut collected = sample_streamlet();
         collected.collected = (2, 512);
-        assert_eq!(pin(&collected), (29, 0x1e78_7fea));
+        assert_eq!(pin(&collected), (28, 0xd4e6_248f));
         assert_eq!(pin(&sample_fragment()), (119, 0x73a7_1521));
         let mut ros = sample_fragment();
         ros.partition_key = None;

@@ -135,6 +135,51 @@ impl Listing {
     }
 }
 
+/// Applies one heartbeat delta to a streamlet that is not finalized,
+/// putting only the records it changes.
+fn apply_delta(txn: &mut Txn, mut sl: StreamletMeta, delta: &StreamletDelta) -> VortexResult<()> {
+    for f in &delta.fragments {
+        let known = meta::optional(meta::load_in::<FragmentMeta>(txn, (sl.table, f.fragment)))?;
+        let mut fmeta = known
+            .clone()
+            .unwrap_or_else(|| FragmentMeta::new_wos(f.fragment, &sl, f.ordinal, f.first_row));
+        if fmeta.state == FragmentState::Deleted {
+            continue; // already converted; ignore stale delta
+        }
+        fmeta.row_count = fmeta.row_count.max(f.row_count);
+        fmeta.committed_size = fmeta.committed_size.max(f.committed_size);
+        // An open fragment is read as the tail, so its stats are the
+        // sealed ones, recorded once.
+        if f.finalized && fmeta.state == FragmentState::Active {
+            fmeta.stats = f.stats.clone();
+            fmeta.finalize(&sl.masks);
+        }
+        if known.as_ref() != Some(&fmeta) {
+            meta::put(txn, &fmeta);
+        }
+    }
+    let was = sl.clone();
+    sl.row_count = sl.row_count.max(delta.row_count);
+    if delta.finalized {
+        sl.state = StreamletState::Closed;
+    }
+    if sl != was {
+        meta::put(txn, &sl);
+    }
+    // Flush watermark recovery from flush records.
+    if let Some(fr) = delta.max_flush_row {
+        let stream = meta::load_in::<StreamMeta>(txn, (sl.table, sl.stream));
+        if let Some(mut sm) = meta::optional(stream)? {
+            let stream_level = sl.first_stream_row + fr;
+            if stream_level > sm.flushed_row {
+                sm.flushed_row = stream_level;
+                meta::put(txn, &sm);
+            }
+        }
+    }
+    Ok(())
+}
+
 impl SmsTask {
     /// Creates a task over shared infrastructure. `view` is the task's
     /// Slicer assignment view; `None` means "owns everything" (single-task
@@ -228,7 +273,6 @@ impl SmsTask {
             primary: clusters[(table.raw() as usize) % clusters.len()],
             secondary: clusters[(table.raw() as usize + 1) % clusters.len()],
             key_ref: format!("table-key-{}", table.raw()),
-            created_at: self.tt.record_timestamp(),
             external_bucket: bucket.map(str::to_string),
         };
         let name_key = meta::name_key(name);
@@ -276,7 +320,6 @@ impl SmsTask {
                 state: StreamletState::Writable,
                 first_stream_row,
                 row_count: 0,
-                known_fragments: 0,
                 masks: vec![],
                 epoch: 1,
                 collected: (0, 0),
@@ -770,7 +813,6 @@ impl SmsApi for SmsTask {
             finalized: false,
             committed_at: None,
             flushed_row: 0,
-            created_at: self.tt.record_timestamp(),
             streamlet_count: 0,
         };
         self.txn(|txn| {
@@ -898,73 +940,41 @@ impl SmsApi for SmsTask {
     // ------------------------------------------------------------------
 
     fn heartbeat(&self, deltas: &[StreamletDelta]) -> VortexResult<HeartbeatResponse> {
-        let mut resp = HeartbeatResponse::default();
-        let now = self.store.now();
-        // Per table in the report: its schema version, looked up once,
-        // and the streamlets whose deltas were applied, in report order.
-        let mut tables: BTreeMap<TableId, (u32, Vec<StreamletId>)> = BTreeMap::new();
-        for delta in deltas {
-            let (table, slid) = (delta.table, delta.streamlet);
-            let known = meta::load::<StreamletMeta>(&self.store, (table, slid), now);
-            let Some(slmeta) = meta::optional(known)? else {
-                resp.unknown_streamlets.push(slid);
-                continue;
-            };
-            if slmeta.state == StreamletState::Finalized {
-                // Reconciled already; a zombie server reporting stale state.
-                continue;
-            }
-            let (_, applied) = match tables.entry(table) {
-                Entry::Occupied(e) => e.into_mut(),
-                Entry::Vacant(e) => e.insert((self.get_table(table)?.schema.version, Vec::new())),
-            };
-            self.txn(|txn| {
-                let in_txn = meta::load_in::<StreamletMeta>(txn, (table, slid));
-                let Some(mut sl) = meta::optional(in_txn)? else {
-                    return Ok(());
+        // Tasks share one metastore: a delta is its table's owner's to apply.
+        let owned = |d: &&StreamletDelta| self.view.as_ref().map_or(true, |v| v.owns(d.table));
+        // One transaction per report. Per table: its schema version, read
+        // once, and the streamlets whose deltas were applied, in report
+        // order; a retried attempt collects them afresh.
+        let (tables, unknown_streamlets) = self.txn(|txn| {
+            let mut tables: BTreeMap<TableId, (u32, Vec<StreamletId>)> = BTreeMap::new();
+            let mut unknown = Vec::new();
+            for delta in deltas.iter().filter(owned) {
+                let (table, slid) = (delta.table, delta.streamlet);
+                let known = meta::load_in::<StreamletMeta>(txn, (table, slid));
+                let Some(sl) = meta::optional(known)? else {
+                    unknown.push(slid);
+                    continue;
                 };
                 if sl.state == StreamletState::Finalized {
-                    return Ok(());
+                    // Reconciled already; a zombie server reporting stale state.
+                    continue;
                 }
-                for f in &delta.fragments {
-                    let known = meta::load_in::<FragmentMeta>(txn, (table, f.fragment));
-                    let mut fmeta = meta::optional(known)?.unwrap_or_else(|| {
-                        FragmentMeta::new_wos(f.fragment, &sl, f.ordinal, f.first_row)
-                    });
-                    if fmeta.state == FragmentState::Deleted {
-                        continue; // already converted; ignore stale delta
+                let (_, applied) = match tables.entry(table) {
+                    Entry::Occupied(e) => e.into_mut(),
+                    Entry::Vacant(e) => {
+                        let tmeta: TableMeta = meta::load_in(txn, table)?;
+                        e.insert((tmeta.schema.version, Vec::new()))
                     }
-                    fmeta.row_count = fmeta.row_count.max(f.row_count);
-                    fmeta.committed_size = fmeta.committed_size.max(f.committed_size);
-                    fmeta.stats = f.stats.clone();
-                    if f.finalized && fmeta.state == FragmentState::Active {
-                        fmeta.finalize(&sl.masks);
-                    }
-                    meta::put(txn, &fmeta);
-                }
-                sl.row_count = sl.row_count.max(delta.row_count);
-                let sealed = delta.fragments.iter().filter(|f| f.finalized);
-                let max_ord = sealed.map(|f| f.ordinal + 1).max().unwrap_or(0);
-                sl.known_fragments = sl.known_fragments.max(max_ord);
-                if delta.finalized {
-                    sl.state = StreamletState::Closed;
-                }
-                meta::put(txn, &sl);
-                // Flush watermark recovery from flush records.
-                if let Some(fr) = delta.max_flush_row {
-                    let stream = meta::load_in::<StreamMeta>(txn, (table, sl.stream));
-                    if let Some(mut sm) = meta::optional(stream)? {
-                        let stream_level = sl.first_stream_row + fr;
-                        if stream_level > sm.flushed_row {
-                            sm.flushed_row = stream_level;
-                            meta::put(txn, &sm);
-                        }
-                    }
-                }
-                Ok(())
-            })?;
-            applied.push(slid);
-        }
+                };
+                apply_delta(txn, sl, delta)?;
+                applied.push(slid);
+            }
+            Ok((tables, unknown))
+        })?;
+        let mut resp = HeartbeatResponse {
+            unknown_streamlets,
+            ..HeartbeatResponse::default()
+        };
         for (table, (version, applied)) in tables {
             // Schema updates for the reporting server.
             resp.schema_updates.push((table, version));
@@ -1059,7 +1069,6 @@ impl SmsApi for SmsTask {
                 .map(|r| r.first_row + r.row_count)
                 .max()
                 .unwrap_or(0);
-            m.known_fragments = found.len() as u32;
             // Upsert fragment records with authoritative sizes.
             let mut known: HashMap<u32, FragmentMeta> = HashMap::new();
             for f in meta::scan_in::<FragmentMeta>(txn, table) {
