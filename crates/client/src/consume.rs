@@ -13,6 +13,7 @@ use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 use vortex_common::error::{VortexError, VortexResult};
+use vortex_common::exact::ExactSum;
 use vortex_common::row::{Row, Value};
 use vortex_common::schema::Schema;
 use vortex_ros::{
@@ -135,7 +136,8 @@ impl Consumer for Positions {
 }
 
 /// One aggregate of one group. SUM and AVG share the numeric fields;
-/// integers add exactly, so only the `float` sum depends on row order.
+/// integers and floats both add exactly, so no result depends on the
+/// order rows, zones or shards are folded in.
 #[derive(Debug, Clone, Default)]
 struct Acc {
     /// COUNT: rows. SUM / AVG: non-NULL numeric inputs.
@@ -143,9 +145,9 @@ struct Acc {
     /// Sum of the Int64 and Numeric inputs (Numeric is fixed-point ×10⁹).
     int: i128,
     saw_numeric: bool,
-    /// Sum of the Float64 inputs.
-    float: f64,
-    saw_float: bool,
+    /// Sum of the Float64 inputs, rounded once when read; boxed on the
+    /// first, so an aggregate of no floats stays small.
+    float: Option<Box<ExactSum>>,
     /// MIN / MAX so far.
     best: Option<Value>,
 }
@@ -159,8 +161,17 @@ impl Acc {
 
     fn add_float(&mut self, v: f64) {
         self.n += 1;
-        self.float += v;
-        self.saw_float = true;
+        self.float.get_or_insert_with(Box::default).add(v);
+    }
+
+    /// The index's exact sum of a zone's `n` non-NULL floats,
+    /// `mantissa·2^exp2`; a zone of NULLs alone adds no float.
+    fn add_float_sum(&mut self, (mantissa, exp2): (i128, i32), n: u64) {
+        if n > 0 {
+            self.n += n;
+            let float = self.float.get_or_insert_with(Box::default);
+            float.add_scaled(mantissa, exp2);
+        }
     }
 
     /// SUM / AVG input as a `Value`; NULLs and non-numerics are ignored.
@@ -190,8 +201,11 @@ impl Acc {
         self.n += other.n;
         self.int += other.int;
         self.saw_numeric |= other.saw_numeric;
-        self.float += other.float;
-        self.saw_float |= other.saw_float;
+        match (&mut self.float, other.float) {
+            (Some(float), Some(other)) => float.merge(&other),
+            (float @ None, other) => *float = other,
+            _ => {}
+        }
         if let Some(v) = other.best {
             if (self.best.as_ref()).map_or(true, |cur| v.total_cmp(cur) == kind.wants()) {
                 self.best = Some(v);
@@ -201,13 +215,14 @@ impl Acc {
 
     fn into_value(self, kind: AggKind) -> Value {
         let scale = if self.saw_numeric { 1e9 } else { 1.0 };
-        let total = self.float + self.int as f64 / scale;
+        let float = self.float.as_ref().map_or(0.0, |float| float.round());
+        let total = float + self.int as f64 / scale;
         match kind {
             AggKind::Count => Value::Int64(self.n as i64),
             AggKind::Min | AggKind::Max => self.best.unwrap_or(Value::Null),
             _ if self.n == 0 => Value::Null, // SUM / AVG of no rows
             AggKind::Avg => Value::Float64(total / self.n as f64),
-            _ if self.saw_float => Value::Float64(total),
+            _ if self.float.is_some() => Value::Float64(total),
             _ if self.saw_numeric => Value::Numeric(self.int),
             _ => match i64::try_from(self.int) {
                 Ok(v) => Value::Int64(v),
@@ -217,8 +232,7 @@ impl Acc {
     }
 }
 
-/// SUM / AVG of the floats of a chunk folded in its stored form, in row
-/// order.
+/// SUM / AVG of the floats of a chunk folded in its stored form.
 impl Sink<f64> for Acc {
     fn cells(&mut self, cells: impl Iterator<Item = Option<f64>>) {
         cells.flatten().for_each(|v| self.add_float(v));
@@ -380,8 +394,8 @@ impl Consumer for Aggregator {
 
     /// The group column when its zone map answers it
     /// ([`RosBlock::zone_constant`]), and a column read only by COUNT and
-    /// by SUMs and AVGs the index sums ([`RosBlock::zone_sum`]) into one
-    /// group it names.
+    /// by SUMs and AVGs the index sums ([`RosBlock::zone_sum`],
+    /// [`RosBlock::zone_float_sum`]) into one group it names.
     fn index_answers(&self, plan: &ScanPlan<'_>, block: &RosBlock, z: usize, col: usize) -> bool {
         let constant = |g: usize| block.zone_constant(g, z).is_some();
         let kept = self
@@ -391,7 +405,10 @@ impl Consumer for Aggregator {
         let summed = |&(kind, c): &(AggKind, Option<usize>)| match kind {
             _ if c != Some(col) => true,
             AggKind::Count => true,
-            AggKind::Sum | AggKind::Avg => one && block.zone_sum(col, z).is_some(),
+            AggKind::Sum | AggKind::Avg => {
+                let float = || block.zone_float_sum(col, z).is_some();
+                one && (block.zone_sum(col, z).is_some() || float())
+            }
             AggKind::Min | AggKind::Max => false,
         };
         (self.group != Some(col) || constant(col)) && self.aggs.iter().all(summed)
@@ -403,8 +420,8 @@ impl Consumer for Aggregator {
     /// vector at the selected positions into its slots' accumulators, in
     /// a loop typed once per zone. Of a block's zone selected whole, a
     /// group column its zone map answers is not decoded, and into one
-    /// slot a SUM or AVG adds the index's sum of an `Int64` zone, or folds
-    /// an Alp chunk as it unpacks it.
+    /// slot a SUM or AVG adds the index's exact sum of an `Int64` or a
+    /// `Float64` zone, or folds an Alp chunk as it unpacks it.
     fn fold_zone(
         &mut self,
         cols: &ZoneCols<'_>,
@@ -462,13 +479,18 @@ impl Consumer for Aggregator {
                 }
                 continue;
             }
-            // Into one group, SUM and AVG add the index's sum, or fold a
-            // chunk as it unpacks.
+            // Into one group, SUM and AVG add the index's exact sum, or
+            // fold a chunk as it unpacks.
             let summed = matches!(kind, AggKind::Sum | AggKind::Avg);
             if let Some((s, c)) = one.zip(c).filter(|&(_, c)| summed && plan.keeps(c)) {
                 let acc = &mut self.groups[s].1[a];
                 if let Some((sum, n)) = cols.stored(c, sel, |block, z| block.zone_sum(c, z)) {
                     (acc.n, acc.int) = (acc.n + n, acc.int + sum);
+                    continue;
+                }
+                let float = |block: &RosBlock, z| block.zone_float_sum(c, z);
+                if let Some((sum, n)) = cols.stored(c, sel, float) {
+                    acc.add_float_sum(sum, n);
                     continue;
                 }
                 let fold = |block: &RosBlock, z| {
@@ -1031,7 +1053,7 @@ mod tests {
             let pairs = answered.iter().find(|(r, _)| *r == run);
             pairs.map(|(_, pairs)| pairs.clone()).unwrap()
         };
-        let (i, c, k) = (1, 2, 4);
+        let (i, c, f, k) = (1, 2, 3, 4);
         assert_eq!(of((None, 0, false)), [(0, i), (1, i), (2, i)]);
         assert_eq!(of((Some("g"), 1, false)), [(0, 0), (2, 0)]);
         // MIN reads what SUM alone would not.
@@ -1041,9 +1063,18 @@ mod tests {
         }
         assert_eq!(of((Some("g"), 2, false)), [(0, 0), (2, 0)]);
         assert_eq!(of((Some("k"), 3, false)), []);
-        let warm = [(0, i), (0, c), (0, k), (2, i), (2, c), (2, k)];
+        let warm = [
+            (0, i),
+            (0, c),
+            (0, f),
+            (0, k),
+            (2, i),
+            (2, c),
+            (2, f),
+            (2, k),
+        ];
         assert_eq!(of((Some("k"), 3, true)), warm);
-        let late = [(0, i), (0, c), (1, i), (1, c), (2, i), (2, c)];
+        let late: Vec<_> = (0..3).flat_map(|z| [(z, i), (z, c), (z, f)]).collect();
         assert_eq!(of((Some("late"), 3, false)), late);
     }
 }

@@ -679,7 +679,10 @@ impl QueryEngine {
     /// single global group; every aggregate but COUNT needs a column.
     /// Groups come back ordered by the group value's key encoding. Zones
     /// are folded as typed column vectors — of a ROS block only the group
-    /// and aggregate columns are decoded — and no row is built.
+    /// and aggregate columns are decoded, and none a SUM or AVG takes
+    /// from the block index — and no row is built. A Float64 SUM or AVG
+    /// is the exact sum rounded once, so its bits do not depend on the
+    /// order of rows, zones or shards, nor on `parallelism`.
     pub fn aggregate(
         &self,
         table: TableId,

@@ -1197,6 +1197,78 @@ fn aggregate_count_sum_min_max() {
     assert_eq!(global[0].1[0], Value::Int64(200));
 }
 
+/// Float64 SUM and AVG are the exact sum rounded once, ties to even: bit
+/// for bit the same at parallelism 1, 2 and 4, through a cold engine and
+/// a warm one, and the correctly rounded sum of the cells — over ROS
+/// blocks, whose zones the index sums, and WOS fragments, of floats from
+/// 2^-20 to 2^72 of both signs and NULLs, where the order of `f64`
+/// additions shows.
+#[test]
+fn float_sums_are_exact_whatever_the_scan_order() {
+    let r = rig_with_block_rows(300);
+    let schema = Schema::new(vec![
+        Field::required("g", FieldType::Int64),
+        Field::nullable("x", FieldType::Float64),
+    ]);
+    let t = r.sms.create_table("t", schema).unwrap().table;
+    // Each cell is m·2^-20 for an `m` of 53 bits or fewer: the cells sum
+    // exactly in `i128`, and `as f64` rounds that sum correctly.
+    let (mut seed, unit) = (0x57_u64, 2f64.powi(-20));
+    let cells: Vec<(i64, Option<i128>)> = (0..4_000)
+        .map(|i| {
+            seed = seed
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let m = ((seed >> 11) as i128 - (1 << 52)) << (20 * (seed % 3));
+            (i % 3, (seed % 7 != 0).then_some(m))
+        })
+        .collect();
+    // The first part converted to ROS, the rest left in WOS.
+    for (part, cells) in cells.chunks(2_500).enumerate() {
+        let x = |m: Option<i128>| m.map_or(Value::Null, |m| Value::Float64(m as f64 * unit));
+        let rows = cells
+            .iter()
+            .map(|&(g, m)| Row::insert(vec![Value::Int64(g), x(m)]));
+        let mut w = r.client.create_unbuffered_writer(t).unwrap();
+        w.append(RowSet::new(rows.collect())).unwrap();
+        r.sms.finalize_stream(t, w.stream_id()).unwrap();
+        if part == 0 {
+            r.opt.convert_wos(t).unwrap();
+        }
+    }
+    let oracle = |g: Option<&Value>| {
+        let of = |&&(cg, _): &&(i64, Option<i128>)| g.map_or(true, |g| *g == Value::Int64(cg));
+        let valued = cells.iter().filter(of).filter_map(|&(_, m)| m);
+        let (sum, n) = valued.fold((0, 0), |(sum, n), m| (sum + m, n + 1));
+        let sum = sum as f64 * unit;
+        [Value::Float64(sum), Value::Float64(sum / n as f64)]
+    };
+    let mut warm = QueryEngine::new(r.sms.clone(), r.client.fleet().clone());
+    warm.read.cache = Some(crate::ReadCache::new(usize::MAX));
+    let snap = r.sms.read_snapshot();
+    let aggs = [(AggKind::Sum, Some("x")), (AggKind::Avg, Some("x"))];
+    for group in [None, Some("g")] {
+        for parallelism in [1, 2, 4] {
+            let opts = ScanOptions {
+                parallelism,
+                ..ScanOptions::default()
+            };
+            for engine in [&r.engine, &warm, &warm] {
+                let got = engine.aggregate(t, snap, &opts, group, &aggs).unwrap();
+                assert_eq!(got.len(), if group.is_some() { 3 } else { 1 });
+                for (g, vals) in &got {
+                    let want = oracle(g.as_ref());
+                    let same = vals.iter().zip(&want).all(|(v, w)| v.key_eq(w));
+                    assert!(
+                        same,
+                        "{group:?} at {parallelism}: {g:?} {vals:?} != {want:?}"
+                    );
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn aggregate_avg() {
     let r = rig();

@@ -14,6 +14,7 @@
 //! - [`crypt`]: a from-scratch ChaCha20 stream cipher for encryption at
 //!   rest and in flight.
 //! - [`bloom`]: bloom filters for partition/cluster key pruning.
+//! - [`exact`]: exact, order-independent sums of `f64`s, rounded once.
 //! - [`latency`]: the virtual-latency model used to reproduce the paper's
 //!   latency figures without sleeping for two weeks.
 //! - [`rpc`]: the in-process RPC layer — fault/latency-injecting call
@@ -41,6 +42,7 @@ pub mod crashpoints;
 pub mod crc;
 pub mod crypt;
 pub mod error;
+pub mod exact;
 pub mod frame;
 pub mod ids;
 pub mod latency;

@@ -2,6 +2,7 @@
 //! optimizer, and the background loops that tie them together (§5.2.1's
 //! "a BigQuery region consists of 2 or more Borg clusters").
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use vortex_admission::{AdmissionConfig, AdmissionController};
@@ -134,7 +135,9 @@ pub struct Region {
     /// memory is dropped and a WAL-recovered replacement takes its place.
     servers: parking_lot::RwLock<Vec<Arc<StreamServer>>>,
     server_channels: Vec<Arc<ServerChannel>>,
-    server_handles: Vec<ServerHandle>,
+    /// Each server's handle, and whether its next heartbeat reports full
+    /// state because an SMS task missed one of its reports or restarted.
+    server_handles: Vec<(ServerHandle, AtomicBool)>,
     sms_rpc: Arc<RpcChannel>,
     server_rpc: Arc<RpcChannel>,
     admission: Arc<AdmissionController>,
@@ -232,7 +235,7 @@ impl Region {
         let (sms_rpc, server_rpc) = (rpc("sms"), rpc("server"));
         let mut servers = Vec::new();
         let mut server_channels: Vec<Arc<ServerChannel>> = Vec::new();
-        let mut server_handles: Vec<ServerHandle> = Vec::new();
+        let mut server_handles: Vec<(ServerHandle, AtomicBool)> = Vec::new();
         for c in 0..cfg.clusters {
             for s in 0..cfg.servers_per_cluster {
                 let server = StreamServer::new(
@@ -259,7 +262,7 @@ impl Region {
                 }
                 servers.push(server);
                 server_channels.push(channel);
-                server_handles.push(handle);
+                server_handles.push((handle, AtomicBool::new(false)));
             }
         }
         let sms_channels: Vec<Arc<SmsChannel>> = sms_tasks
@@ -424,8 +427,8 @@ impl Region {
     /// Restarts SMS task `idx` after [`Region::kill_sms_task`]: a fresh
     /// task over the same (durable) metastore, with an empty listing
     /// cache and a re-registered server set — exactly what a rescheduled
-    /// task rebuilds (§5.2.1). Servers are told to re-report full state
-    /// on their next heartbeat.
+    /// task rebuilds (§5.2.1). Every server reports full state on its
+    /// next heartbeat, so the task hears what it missed while down.
     pub fn restart_sms_task(&self, idx: usize) -> VortexResult<()> {
         let old = self.sms_channels[idx].instance();
         let cfg = old.config().clone();
@@ -438,12 +441,13 @@ impl Region {
             Arc::clone(&self.ids),
             view,
         );
-        for handle in &self.server_handles {
+        for (handle, _) in &self.server_handles {
             task.register_server(handle.clone());
         }
         self.sms_channels[idx].restart(task);
         // SMS failover: servers re-report everything next heartbeat.
-        for handle in &self.server_handles {
+        for (handle, owes) in &self.server_handles {
+            owes.store(true, Ordering::Relaxed);
             handle.reset_heartbeat_window();
         }
         Ok(())
@@ -622,18 +626,21 @@ impl Region {
     /// One heartbeat round (§5.5): every server reports deltas to its
     /// SMS, applies the response (schema updates, GC orders, orphan
     /// deletions), and acks completed GC so the SMS can drop metadata.
-    /// Returns the number of streamlet deltas processed.
+    /// A server reports full state when `full_state` says so, and when an
+    /// SMS task missed its last report or was restarted since. Returns
+    /// the number of streamlet deltas processed.
     pub fn run_heartbeats(&self, full_state: bool) -> VortexResult<usize> {
         // Heartbeats themselves are admission-exempt liveness traffic,
         // but the GC acks they trigger are deferrable maintenance.
         let _bg = class_scope(WorkClass::Background);
         let mut deltas = 0;
-        for (i, server) in self.server_handles.iter().enumerate() {
+        for (i, (server, owes)) in self.server_handles.iter().enumerate() {
             // Dead processes send no heartbeats.
             if self.server_channels[i].is_dead() {
                 continue;
             }
-            let report = server.build_heartbeat(full_state);
+            let owed = owes.swap(false, Ordering::Relaxed);
+            let report = server.build_heartbeat(full_state || owed);
             deltas += report.len();
             // Every SMS task sees the heartbeat and applies the deltas of
             // the tables it owns.
@@ -641,10 +648,12 @@ impl Region {
                 let resp = match sms.heartbeat(&report) {
                     Ok(r) => r,
                     // A dead/unreachable SMS just misses this round. The
-                    // server has cleared its dirty marks, so the missed
-                    // deltas come back only with the next full-state
-                    // heartbeat or a reconcile.
-                    Err(e) if e.is_retryable() => continue,
+                    // server has cleared its dirty marks, so its next
+                    // heartbeat reports full state.
+                    Err(e) if e.is_retryable() => {
+                        owes.store(true, Ordering::Relaxed);
+                        continue;
+                    }
                     Err(e) => return Err(e),
                 };
                 let acks = match server.apply_heartbeat_response(&resp, 60_000_000) {
@@ -666,7 +675,7 @@ impl Region {
     /// One idle tick: servers write standalone commit records for quiet
     /// streamlets (§7.1).
     pub fn run_ticks(&self) -> usize {
-        self.server_handles.iter().map(|s| s.tick()).sum()
+        self.server_handles.iter().map(|(s, _)| s.tick()).sum()
     }
 
     /// One optimization cycle for a table: WOS→ROS conversion, then a

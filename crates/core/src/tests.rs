@@ -4,7 +4,7 @@ use vortex_common::row::{Row, RowSet, Value};
 use vortex_common::schema::{Field, FieldType, PartitionTransform, Schema};
 
 use crate::region::{Region, RegionConfig};
-use crate::{Expr, ScanOptions, SinkConfig, StreamType, WriterOptions};
+use crate::{Expr, FragmentState, ScanOptions, SinkConfig, StreamType, WriterOptions};
 
 fn schema() -> Schema {
     Schema::new(vec![
@@ -264,6 +264,42 @@ fn an_unchanged_heartbeat_writes_no_record() {
         region.run_heartbeats(true).unwrap();
         assert_eq!(region.store().version_count(), versions);
     }
+}
+
+/// A heartbeat an SMS task fails to apply is made good by the next
+/// round, an ordinary one: the server reports full state, and the
+/// fragments sealed before the missed round are listed as finalized.
+#[test]
+fn a_missed_heartbeat_is_reported_next_round() {
+    let region = Region::create(RegionConfig {
+        fragment_max_bytes: 2_000,
+        ..RegionConfig::default()
+    })
+    .unwrap();
+    let client = region.client();
+    let t = client.create_table("hb", schema()).unwrap().table;
+    let mut w = client.create_unbuffered_writer(t).unwrap();
+    for i in 0..10 {
+        w.append(rows(i * 20, 20)).unwrap();
+    }
+    let finalized = || {
+        let listed = region.sms().list_fragments(t, region.sms().read_snapshot());
+        let sealed = listed
+            .iter()
+            .filter(|f| f.state == FragmentState::Finalized);
+        sealed.count()
+    };
+    let faults = region.sms_rpc().faults();
+    faults.set_method_filter(Some("heartbeat"));
+    faults.set_unavailable(true);
+    region.run_heartbeats(false).unwrap();
+    faults.clear();
+    assert_eq!(finalized(), 0, "the missed round reached no SMS task");
+    region.run_heartbeats(false).unwrap();
+    assert!(
+        finalized() > 0,
+        "the next round reported the sealed fragments"
+    );
 }
 
 /// Every SMS task hears every heartbeat, and only the table's owner

@@ -557,14 +557,13 @@ fn rows_that_predate_a_column_convert_with_it_null() {
 /// The files a seeded load leaves behind — merged and 1:1 conversions,
 /// deletion masks on WOS and on ROS, three baseline merges — do not
 /// move unnoticed: `(path, committed_size, crc32c)` of every ROS file,
-/// recorded when the layout became version 4 and each `Int64` zone's
-/// index entry gained its sum and NULL count (the list before, recorded
-/// when a block's string zones began to share one FSST table, had the
-/// same files, rows and bodies). The CRCs from b16 on were re-recorded
-/// when `convert_wos` and a merging `recluster` each began to take one
-/// TrueTime stamp fewer, which moves the provenance stamps of later
-/// rows; every path and size stayed. All CRCs were re-recorded the same
-/// way when table and stream records lost their creation stamps.
+/// re-recorded when each finite `Float64` zone's index entry gained its
+/// exact sum: every path and body stayed, and each file grew by its
+/// `price` zones' sums, 12 to 14 bytes a zone. (Before that, the lists
+/// were recorded when the layout became version 4 and each `Int64`
+/// zone's entry gained its sum; the CRCs were re-recorded when
+/// `convert_wos`, a merging `recluster`, and table and stream records
+/// took TrueTime stamps fewer, which moves the provenance stamps.)
 #[test]
 fn converted_and_reclustered_files_are_pinned() {
     let r = rig_with(OptimizerConfig {
@@ -669,137 +668,137 @@ fn converted_and_reclustered_files_are_pinned() {
 const PINNED_FILES: &[(&str, u64, u32)] = &[
     (
         "ros/t0000000000000001/b0000000000000006",
-        21_342,
-        0x78497054,
+        21_355,
+        0x40d2d932,
     ),
-    ("ros/t0000000000000001/b0000000000000007", 4_969, 0xfc842acb),
+    ("ros/t0000000000000001/b0000000000000007", 4_981, 0x03f4c5bb),
     (
         "ros/t0000000000000001/b0000000000000008",
-        21_567,
-        0x262be72b,
+        21_579,
+        0x88a81b2a,
     ),
-    ("ros/t0000000000000001/b0000000000000009", 6_000, 0x5fa51035),
+    ("ros/t0000000000000001/b0000000000000009", 6_012, 0x86f6ca40),
     (
         "ros/t0000000000000001/b000000000000000a",
-        21_505,
-        0xc15424c9,
+        21_519,
+        0x312acfb5,
     ),
-    ("ros/t0000000000000001/b000000000000000b", 5_532, 0x8f169873),
+    ("ros/t0000000000000001/b000000000000000b", 5_545, 0x868013ac),
     (
         "ros/t0000000000000001/b000000000000000c",
-        21_214,
-        0xad06e9e7,
+        21_227,
+        0xeb9d6be5,
     ),
-    ("ros/t0000000000000001/b000000000000000d", 4_697, 0xe1ee369d),
+    ("ros/t0000000000000001/b000000000000000d", 4_710, 0x53c5e72d),
     (
         "ros/t0000000000000001/b000000000000000e",
-        21_329,
-        0x630e58d5,
+        21_341,
+        0xa36c9b31,
     ),
-    ("ros/t0000000000000001/b000000000000000f", 5_627, 0xf60b6534),
+    ("ros/t0000000000000001/b000000000000000f", 5_639, 0xe94a3f5e),
     (
         "ros/t0000000000000001/b0000000000000010",
-        21_132,
-        0xabfa4315,
+        21_146,
+        0xefdcd506,
     ),
-    ("ros/t0000000000000001/b0000000000000011", 5_237, 0x08bbf156),
+    ("ros/t0000000000000001/b0000000000000011", 5_249, 0x937d337a),
     (
         "ros/t0000000000000001/b0000000000000016",
-        15_866,
-        0xa29a802a,
+        15_880,
+        0x2d4566a0,
     ),
     (
         "ros/t0000000000000001/b0000000000000017",
-        16_068,
-        0xc1fce1cb,
+        16_081,
+        0x2e68250b,
     ),
     (
         "ros/t0000000000000001/b0000000000000018",
-        16_551,
-        0x0708de9d,
+        16_564,
+        0x7212bcfd,
     ),
     (
         "ros/t0000000000000001/b0000000000000019",
-        20_791,
-        0x8639e267,
+        20_805,
+        0x2d028b76,
     ),
     (
         "ros/t0000000000000001/b000000000000001a",
-        11_322,
-        0xded93486,
+        11_336,
+        0xbfc82600,
     ),
     (
         "ros/t0000000000000001/b000000000000001b",
-        20_678,
-        0xff29ff2b,
+        20_691,
+        0x44fe8f1e,
     ),
     (
         "ros/t0000000000000001/b000000000000001c",
-        18_929,
-        0xb6e224d2,
+        18_942,
+        0x737aa7a7,
     ),
     (
         "ros/t0000000000000001/b000000000000001d",
-        20_537,
-        0x09000acf,
+        20_549,
+        0xe892dc6c,
     ),
     (
         "ros/t0000000000000001/b000000000000001e",
-        19_137,
-        0xcc31e33a,
+        19_150,
+        0x55ab36fa,
     ),
     (
         "ros/t0000000000000001/b0000000000000023",
-        70_204,
-        0xa38f62b4,
+        70_243,
+        0x97a71d30,
     ),
     (
         "ros/t0000000000000001/b0000000000000024",
-        20_554,
-        0xd7278ff8,
+        20_566,
+        0x96c4e01d,
     ),
     (
         "ros/t0000000000000001/b0000000000000025",
-        20_234,
-        0x258a75a8,
+        20_247,
+        0x7072ae7f,
     ),
     (
         "ros/t0000000000000001/b0000000000000026",
-        16_011,
-        0x288cdaed,
+        16_024,
+        0xb9e77ad1,
     ),
     (
         "ros/t0000000000000001/b0000000000000027",
-        20_389,
-        0x7ecd39e7,
+        20_402,
+        0xa200bb13,
     ),
     (
         "ros/t0000000000000001/b0000000000000028",
-        20_554,
-        0xaf502037,
+        20_567,
+        0x96ed8504,
     ),
     (
         "ros/t0000000000000001/b0000000000000029",
-        20_296,
-        0x008c5975,
+        20_308,
+        0x7d68e8b0,
     ),
-    ("ros/t0000000000000001/b000000000000002a", 1_362, 0x212e0481),
+    ("ros/t0000000000000001/b000000000000002a", 1_374, 0x020de274),
     (
         "ros/t0000000000000001/b000000000000002b",
-        20_373,
-        0x894099e7,
+        20_387,
+        0xe06a6491,
     ),
     (
         "ros/t0000000000000001/b000000000000002c",
-        20_508,
-        0x340638a5,
+        20_521,
+        0xb104430e,
     ),
     (
         "ros/t0000000000000001/b000000000000002d",
-        20_416,
-        0x3ee0411e,
+        20_430,
+        0xe43b353d,
     ),
-    ("ros/t0000000000000001/b000000000000002e", 2_492, 0xdb1bb0ca),
+    ("ros/t0000000000000001/b000000000000002e", 2_505, 0x4986d055),
 ];
 
 /// Conversion and reclustering copy a typed table's cells as typed

@@ -51,6 +51,7 @@ use vortex_common::codec::{
     TAG_NUMERIC, TAG_STRING, TAG_TIMESTAMP,
 };
 use vortex_common::error::{VortexError, VortexResult};
+use vortex_common::exact::ExactSum;
 use vortex_common::obs::{Counter, Lazy, Registry};
 use vortex_common::row::Value;
 
@@ -256,6 +257,10 @@ pub(crate) struct Profile {
     ints: Option<(i64, Option<Frame>, Option<Frame>)>,
     /// Of an `Int64` leaf: the exact sum of the cells that are not NULL.
     pub(crate) sum: Option<i128>,
+    /// Of a `Float64` leaf: the exact sum of the cells that are not NULL,
+    /// if none is NaN or infinite and one `i128` mantissa holds it
+    /// ([`ExactSum::to_scaled`]).
+    pub(crate) float_sum: Option<(i128, i32)>,
 }
 
 /// A frame of reference: the base, and the bit width of the largest
@@ -327,7 +332,8 @@ fn keyed<P: KeyedRows>(col: &ColumnVec, pass: impl Fn() -> P) -> P::Out {
 
 /// Profiles one zone of a column: the keyed pass and, where a cell's
 /// Plain size is not its type's alone, one more over the leaf's integers
-/// — their frames, and of `Int64` cells the sum — or its string lengths.
+/// — their frames, and of `Int64` cells the sum — or its string lengths;
+/// and of `Float64` cells their exact sum.
 pub(crate) fn profile(col: &ColumnVec) -> Profile {
     let mut p = keyed(col, || Profiler);
     let (n, m) = (col.len(), col.len() - p.nulls);
@@ -349,7 +355,12 @@ pub(crate) fn profile(col: &ColumnVec) -> Profile {
             let lens = valued.map(|i| uvarint_len(s.get(i).len() as u64));
             n + s.bytes.len() + lens.sum::<usize>()
         }
-        ColumnVec::F64(_) => n + 8 * m,
+        ColumnVec::F64(floats) => {
+            let mut sum = ExactSum::default();
+            non_null(floats).iter().for_each(|&v| sum.add(v));
+            p.float_sum = sum.to_scaled();
+            n + 8 * m
+        }
         ColumnVec::I128(_) => n + 16 * m,
         ColumnVec::Bool(_) => n + m,
         // Nested or mixed cells, or none but NULLs: Plain is their only
@@ -3606,7 +3617,7 @@ pub(crate) mod tests {
                     lo = Some(lo.filter(|&lo| k >= key(lo)).unwrap_or(i));
                     hi = Some(hi.filter(|&hi| k <= key(hi)).unwrap_or(i));
                 }
-                let (plain, ints, sum) = (0, None, None);
+                let (plain, ints, sum, float_sum) = (0, None, None, None);
                 Profile {
                     nulls,
                     ends: lo.zip(hi),
@@ -3615,6 +3626,7 @@ pub(crate) mod tests {
                     plain,
                     ints,
                     sum,
+                    float_sum,
                 }
             }
         }
@@ -3643,7 +3655,12 @@ pub(crate) mod tests {
                     let lens = valued.map(|i| uvarint_len(s.get(i).len() as u64));
                     n + s.bytes.len() + lens.sum::<usize>()
                 }
-                ColumnVec::F64(_) => n + 8 * m,
+                ColumnVec::F64(floats) => {
+                    let mut sum = ExactSum::default();
+                    non_null(floats).iter().for_each(|&v| sum.add(v));
+                    p.float_sum = sum.to_scaled();
+                    n + 8 * m
+                }
                 ColumnVec::I128(_) => n + 16 * m,
                 ColumnVec::Bool(_) => n + m,
                 untyped => encode_plain(untyped).len(),
